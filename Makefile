@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race smoke-tuned smoke-examples smoke-dist serve-smoke chaos-smoke bench bench-json bench-compare lint reprolint reprolint-json vulncheck fmt check clean
+.PHONY: all build test race smoke-tuned smoke-examples smoke-dist serve-smoke chaos-smoke bench bench-json bench-compare lint reprolint reprolint-json loc vulncheck fmt check clean
 
 all: build
 
@@ -117,13 +117,24 @@ lint: reprolint
 
 # The repo's own static-analysis suite (see internal/analysis and the
 # "Static analysis" section of doc.go): hotpath, vecorder, ctxloop,
-# knobdrift, nodeprecated, plus the CFG-backed determinism, goroutinelife,
-# slotbudget and lockdiscipline. Any diagnostic fails the build. Runs
+# knobdrift, plus the CFG-backed determinism, goroutinelife, slotbudget and
+# lockdiscipline. Any diagnostic fails the build. Runs
 # through `go vet -vettool` so unchanged packages hit the vet action
 # cache. cmd/... and examples/... are named explicitly to match CI.
 reprolint:
 	$(GO) build -o bin/reprolint ./cmd/reprolint
 	$(GO) vet -vettool=bin/reprolint ./... ./cmd/... ./examples/...
+
+# Size of the system, the number the ROADMAP watches go down: non-test Go
+# lines over the tree (the stand-alone benchmark harness and analyzer
+# fixtures excluded), and the subtotal of the concurrent engines — the
+# worker loop, its transports and their engine adapters. Record both in
+# CHANGES.md with every PR that moves them.
+loc:
+	@printf 'non-test go lines: '; \
+	find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+	@printf 'internal/runtime + internal/dist + engine.go: '; \
+	ls internal/runtime/*.go internal/dist/*.go | grep -v '_test\.go$$' | xargs cat engine.go | wc -l
 
 # Machine-readable findings (what CI uploads as the reprolint-json
 # artifact); exit status is always 0, the gating happens in `reprolint`.

@@ -98,7 +98,7 @@ func TestBlockPathBitIdenticalOnDeterministicEngines(t *testing.T) {
 			repro.WithEngine(repro.EngineSim),
 			repro.WithWorkers(6),
 			repro.WithSeed(5),
-			repro.WithDropProb(0.1),
+			repro.WithFaults(repro.Faults{DropProb: 0.1}),
 			repro.WithFlexible(repro.FlexSchedule{Fracs: []float64{0.5}}),
 			repro.WithMaxUpdates(3000),
 		}},

@@ -8,27 +8,20 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro"
 )
 
-// cancellableEngines are the engines that honour Spec.Ctx mid-run.
-func cancellableEngines() []repro.Engine {
-	return []repro.Engine{
-		repro.EngineModel, repro.EngineSim, repro.EngineSimSync,
-		repro.EngineShared, repro.EngineMessage,
-	}
-}
-
 // TestWithContextCancelStopsSolve starts an effectively unbounded solve
 // (tolerance too tight to reach quickly, huge budgets) and cancels it after
-// a few milliseconds; every cancellable engine must return promptly with
-// the context error.
+// a few milliseconds; every engine must return promptly with the context
+// error.
 func TestWithContextCancelStopsSolve(t *testing.T) {
 	spec, _ := lassoSpec(t)
-	for _, engine := range cancellableEngines() {
+	for _, engine := range repro.Engines() {
 		engine := engine
 		t.Run(engine.Name(), func(t *testing.T) {
 			t.Parallel()
@@ -56,6 +49,46 @@ func TestWithContextCancelStopsSolve(t *testing.T) {
 				t.Fatalf("cancel took %v to take effect", elapsed)
 			}
 		})
+	}
+}
+
+// TestDistCancelLeavesNothingBehind: a cancelled dist solve returns the
+// context error without waiting for its Timeout (two minutes), and takes
+// its coordinator, workers, reader and sender goroutines and sockets with
+// it — on both data planes, with delayed relay deliveries pending.
+func TestDistCancelLeavesNothingBehind(t *testing.T) {
+	spec, _ := lassoSpec(t)
+	for _, topology := range []string{"star", "mesh"} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(20*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := repro.Solve(spec,
+			repro.WithEngine(repro.EngineDist),
+			repro.WithTopology(topology),
+			repro.WithContext(ctx),
+			repro.WithWorkers(4),
+			repro.WithFaults(repro.Faults{ReorderProb: 0.3, MaxLinkDelay: 2 * time.Millisecond}),
+			repro.WithTol(0),
+			repro.WithMaxUpdates(1<<30),
+		)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", topology, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("%s: cancel took %v to take effect", topology, elapsed)
+		}
+		// Solve has joined everything it started; goroutines it merely
+		// unblocked (net poller callbacks) may need a moment to unwind.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines before the solve, %d after:\n%s",
+				topology, before, after, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 
@@ -115,7 +148,7 @@ func TestWithContextUncancelledRunsUnchanged(t *testing.T) {
 // (and for a concurrent engine, that the counter is live, not just final).
 func TestWithProgressObservesUpdates(t *testing.T) {
 	spec, _ := lassoSpec(t)
-	for _, engine := range []repro.Engine{repro.EngineModel, repro.EngineSim, repro.EngineShared} {
+	for _, engine := range []repro.Engine{repro.EngineModel, repro.EngineSim, repro.EngineShared, repro.EngineMessage, repro.EngineDist} {
 		engine := engine
 		t.Run(engine.Name(), func(t *testing.T) {
 			p := new(repro.Progress)

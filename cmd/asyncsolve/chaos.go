@@ -28,6 +28,7 @@ import (
 	"repro"
 	"repro/internal/dist"
 	"repro/internal/operators"
+	"repro/internal/runtime"
 )
 
 // slowOperator stretches each component evaluation by a fixed delay so a
@@ -105,12 +106,14 @@ func runChaos(args []string) {
 	fmt.Printf("chaos: scenario=%s n=%d topology=%s workers=%d kills=%d heartbeat=%v\n",
 		*scenario, spec.Op.Dim(), *topology, *workers, *kills, elastic.HeartbeatEvery)
 	res, err := dist.RunChaos(dist.Config{
-		Op:             op,
-		Workers:        *workers,
-		Topology:       *topology,
-		X0:             spec.X0,
-		Tol:            spec.Tol,
-		SweepsBelowTol: spec.SweepsBelowTol,
+		Config: runtime.Config{
+			Op:             op,
+			Workers:        *workers,
+			X0:             spec.X0,
+			Tol:            spec.Tol,
+			SweepsBelowTol: spec.SweepsBelowTol,
+		},
+		Topology: *topology,
 		Fault: dist.Fault{
 			DropProb:    faults.DropProb,
 			ReorderProb: faults.ReorderProb,

@@ -25,6 +25,7 @@ import (
 
 	"repro"
 	"repro/internal/dist"
+	"repro/internal/runtime"
 )
 
 // distScenario resolves the workload every dist process must agree on.
@@ -83,16 +84,17 @@ func runDistCoordinator(args []string) {
 	}
 	fmt.Printf("coordinator: scenario=%s n=%d topology=%s waiting for %d workers on %s\n",
 		*scenario, dim, *topology, p, ln.Addr())
-	res, err := dist.Serve(dist.ServerConfig{
-		Listener:            ln,
-		Workers:             p,
-		Topology:            *topology,
-		N:                   dim,
-		X0:                  spec.X0,
-		Tol:                 spec.Tol,
-		SweepsBelowTol:      spec.SweepsBelowTol,
-		MaxUpdatesPerWorker: *maxUpdates,
-		DeltaThreshold:      *deltaThr,
+	res, err := dist.Serve(ln, dist.Config{
+		Config: runtime.Config{
+			Op:                  spec.Op,
+			Workers:             p,
+			X0:                  spec.X0,
+			Tol:                 spec.Tol,
+			SweepsBelowTol:      spec.SweepsBelowTol,
+			MaxUpdatesPerWorker: *maxUpdates,
+		},
+		Topology:       *topology,
+		DeltaThreshold: *deltaThr,
 		Fault: dist.Fault{
 			DropProb:    faults.DropProb,
 			ReorderProb: faults.ReorderProb,

@@ -1,4 +1,4 @@
-// Reprolint runs the repro static-analysis suite: nine analyzers that
+// Reprolint runs the repro static-analysis suite: eight analyzers that
 // mechanically enforce the repo's hot-path, bit-identity and concurrency
 // invariants (see internal/analysis and the "Static analysis" section of
 // doc.go). Four of them (determinism, goroutinelife, slotbudget,
@@ -39,7 +39,6 @@ import (
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/knobdrift"
 	"repro/internal/analysis/lockdiscipline"
-	"repro/internal/analysis/nodeprecated"
 	"repro/internal/analysis/slotbudget"
 	"repro/internal/analysis/vecorder"
 )
@@ -50,7 +49,6 @@ var suite = []*analysis.Analyzer{
 	vecorder.Analyzer,
 	ctxloop.Analyzer,
 	knobdrift.Analyzer,
-	nodeprecated.Analyzer,
 	determinism.Analyzer,
 	goroutinelife.Analyzer,
 	slotbudget.Analyzer,

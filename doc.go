@@ -27,9 +27,8 @@
 // EngineDist runs the paper's distributed-memory setting on a genuine
 // network path: TCP workers each own a contiguous multi-component shard of
 // the iterate and exchange length-prefixed binary shard frames
-// (little-endian; see internal/dist wire.go for the exact format, and its
-// protocol-v2 delta note for what changed since the star-only format),
-// with fault injection per directed link — WithFaults(Faults{DropProb,
+// (little-endian; see internal/dist wire.go for the exact format), with
+// fault injection per directed link — WithFaults(Faults{DropProb,
 // ReorderProb, MaxLinkDelay}): iid loss, hold-backs so later blocks
 // overtake, uniform transit jitter — so unbounded-delay and out-of-order message
 // regimes are exercised end to end. On every directed link, frames
@@ -106,16 +105,44 @@
 // Resharding count the churn events; the asyncsolve chaos subcommand (and
 // the chaos-smoke CI job) exercise kill/restart schedules end to end.
 //
-// All three concurrent engines (shared, message, dist) decide termination
-// with one extracted two-phase double-collect quiescence protocol
-// (internal/runtime, quiescence.go): stop is broadcast only after two
-// identical observations of "every worker passive and nothing in flight",
-// bracketing an optional re-certification — over TCP the two observations
-// are Safra-style probe rounds. Workers publish reactivation before
-// acknowledging the input that caused it, which closes the torn-read stop
-// races polling supervisors are prone to; idle paths (passive workers, the
-// message engine's supervisor) sleep on channels and are woken by events,
-// never by polling.
+// # One loop, four transports
+//
+// The three concurrent engines run ONE worker loop (internal/runtime,
+// loop.go) over four transports — atomic shared memory, buffered channels,
+// the TCP star relay and the TCP mesh. The loop holds every decision of
+// the active/passive protocol; a transport only moves values and makes
+// state transitions visible. The policies are therefore the same
+// everywhere:
+//
+//   - A worker whose block displacement stayed within Tol for
+//     SweepsBelowTol consecutive phases publishes its block reliably,
+//     absorbs what arrived meanwhile, re-verifies, and only then turns
+//     passive.
+//   - A parked worker that receives input re-verifies local convergence
+//     before anything else: input that leaves its block within Tol
+//     re-passivates it without a publish, input that breaks convergence
+//     resumes the active path.
+//   - A worker that has spent MaxUpdatesPerWorker stays in the run, spent,
+//     absorbing and re-verifying input until the run stops; it never
+//     reports passive on data it could not iterate away, so such a run
+//     ends as not converged.
+//   - A parked worker consumes no budget. On the channel and TCP
+//     transports it blocks on its inbox (a TCP worker wakes on a timer only
+//     when a heartbeat is due) and the message engine's supervisor blocks
+//     on a doorbell: those idle paths never poll. Shared memory has no
+//     event to block on; a parked worker there yields between read-only
+//     watch sweeps.
+//
+// Termination is one two-phase double-collect quiescence protocol
+// (quiescence.go): stop is broadcast only after two identical observations
+// of "every worker parked — passive or spent — and nothing in flight",
+// bracketing an optional re-certification; the run has converged when every
+// worker was passive. Over TCP the two observations are Safra-style probe
+// rounds. Workers publish reactivation before acknowledging the input that
+// caused it, which closes the torn-read stop races polling supervisors are
+// prone to. Every engine honours WithContext: the in-process engines stop
+// their workers at the next phase boundary, the dist coordinator drops its
+// links, and Solve returns the context's error.
 //
 // Quick start (asynchronous proximal-gradient for lasso):
 //
@@ -170,9 +197,9 @@
 // (WithContext), so an abandoned or overlong request frees its worker.
 // Solves reuse Scratch buffers from a pool keyed by problem signature
 // (scenario, engine, n, workers), safe because scratch reuse is
-// bit-identical by contract. Every in-process engine is served; only
-// EngineDist is refused (it spans OS processes and cannot be cancelled
-// mid-run). GET /v1/scenarios lists the registry, GET /healthz reports
+// bit-identical by contract. Every engine is served; a dist job runs its
+// coordinator and workers inside the server process over localhost TCP.
+// GET /v1/scenarios lists the registry, GET /healthz reports
 // queue/worker/pool state, and SIGINT/SIGTERM drains gracefully: running
 // and queued jobs finish their streams, new jobs get 503.
 //
@@ -332,12 +359,12 @@
 // # Static analysis
 //
 // The invariants above — allocation-free hot paths, ONE canonical
-// reduction order, cancellable engine loops, a single knob table, a closed
-// deprecation window, bit-reproducible trajectories, joined goroutines, a
-// respected scratch-slot partition and sound lock usage — are enforced
+// reduction order, cancellable engine loops, a single knob table,
+// bit-reproducible trajectories, joined goroutines, a respected
+// scratch-slot partition and sound lock usage — are enforced
 // mechanically by reprolint (cmd/reprolint, built on internal/analysis),
 // which runs standalone, as `go vet -vettool=$(which reprolint)`, under
-// `make lint`, and in CI. Nine analyzers, the last four path-sensitive
+// `make lint`, and in CI. Eight analyzers, the last four path-sensitive
 // (they run on the intraprocedural control-flow graph and reaching-facts
 // dataflow engine of internal/analysis/cfg, so a branch that skips an
 // Unlock or a WaitGroup.Add is a real finding, not a grep match):
@@ -362,9 +389,6 @@
 //   - knobdrift: registering a flag or JSON field whose name collides with
 //     a knob-table entry outside the table's own derivation helpers is a
 //     second source of truth and is rejected.
-//   - nodeprecated: internal packages, commands and examples may not call
-//     the deprecated shims (RunModel family, WithDropProb/WithReorderProb/
-//     WithMaxLinkDelay); they name the WithFaults/Solve replacements.
 //   - determinism: the result-affecting packages (internal/vec, operators,
 //     core, des, runtime, dist, and the root scenario builders) must not
 //     read ambient state: global math/rand, os.Getenv and runtime.NumCPU
@@ -392,10 +416,6 @@
 //     finding), never double-unlocked, never deferred-unlocked inside a
 //     loop, and never copied by value. "//repro:lock-ok <reason>"
 //     suppresses (lock handoffs).
-//
-// The legacy entry points RunModel, RunSim, RunSimSync, RunShared and
-// RunMessage remain as deprecated shims over Solve for one release; see
-// the migration note at the top of repro.go.
 //
 // See the examples/ directory for complete programs and EXPERIMENTS.md for
 // the reproduction of the paper's figures and claims.

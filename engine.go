@@ -2,6 +2,13 @@ package repro
 
 // Engines: the interchangeable execution backends behind Solve. Each one
 // adapts an internal engine package to the common Spec/Report contract.
+// Three of the six are deterministic state machines of their own (model,
+// sim, simsync). The other three — shared, message, dist — are one worker
+// loop (internal/runtime, loop.go) over four transports: atomic shared
+// memory, buffered channels, and the TCP star relay and TCP mesh of
+// internal/dist. They take one configuration (runtime.Config, which
+// dist.Config embeds next to its network knobs) and report through one
+// mapping (concurrentReport).
 //
 // Per-engine contract (which Spec knobs are honoured):
 //
@@ -16,31 +23,36 @@ package repro
 //   - EngineSimSync — the barrier-synchronous simulated baseline
 //     (internal/des): Problem, Workers, Cost, Latency, Seed, Tol,
 //     MaxUpdates, MaxTime.
+//
+// The worker-loop engines all honour Problem (Op, X0), Workers, Tol,
+// SweepsBelowTol and MaxUpdates/MaxUpdatesPerWorker, and add:
+//
 //   - EngineShared  — goroutines over per-coordinate atomic shared memory
-//     (internal/runtime): Problem (Op, X0), Flexible, Workers, Tol,
-//     SweepsBelowTol, MaxUpdates/MaxUpdatesPerWorker.
+//     (internal/runtime): Flexible.
 //   - EngineMessage — goroutines over lossy buffered channels
-//     (internal/runtime): Problem (Op, X0), Workers, Tol, SweepsBelowTol,
-//     MaxUpdates/MaxUpdatesPerWorker.
-//   - EngineDist    — multi-worker engine over real TCP sockets with
-//     per-link fault injection (internal/dist): Problem (Op, X0), Workers,
-//     Topology ("star" relay or "mesh" worker-to-worker links),
-//     DeltaThreshold (flexible communication on the wire), DropProb,
-//     ReorderProb, MaxLinkDelay, Seed, Tol, SweepsBelowTol,
-//     MaxUpdates/MaxUpdatesPerWorker, and the elasticity group
+//     (internal/runtime): nothing further.
+//   - EngineDist    — TCP workers with per-link fault injection
+//     (internal/dist): Topology ("star" relay or "mesh" worker-to-worker
+//     links), DeltaThreshold (flexible communication on the wire),
+//     DropProb, ReorderProb, MaxLinkDelay, Seed, and the elasticity group
 //     HeartbeatEvery/CheckpointEvery/MaxRejoinWait/CheckpointPath
 //     (worker-churn survival; see WithElastic).
 //
-// Knobs outside an engine's list are ignored, so one Spec can be re-run
+// Every engine honours Ctx and Progress. Knobs outside an engine's list are ignored, so one Spec can be re-run
 // across engines unchanged. The simulated engines stop on the max-norm
 // error to XStar; when Tol is set and XStar is omitted they first compute a
 // synchronous reference solution (see ensureReference).
 //
-// The three concurrent engines (shared, message, dist) decide termination
-// with the same two-phase double-collect quiescence protocol
-// (internal/runtime, quiescence.go): stop is broadcast only after two
-// identical observations of "every worker passive, nothing in flight",
-// taken around an optional re-certification.
+// The worker loop's policies hold on every transport: a worker turns
+// passive only after a reliable final publish and a re-verification; a
+// parked worker that receives input re-verifies local convergence before it
+// may publish again; a worker out of budget stays in the run, spent,
+// absorbing and re-verifying, and never reports passive on data it could
+// not iterate away. Termination is the two-phase double-collect quiescence
+// protocol (quiescence.go): stop is broadcast only after two identical
+// observations of "every worker parked — passive or spent — and nothing in
+// flight", taken around an optional re-certification; Converged means every
+// worker was passive.
 
 import (
 	"context"
@@ -366,7 +378,14 @@ func (s Spec) runtimeConfig() runtime.Config {
 	}
 }
 
-func concurrentReport(engine string, r *runtime.Result, spec Spec) *Report {
+// concurrentReport is the one Result -> Report mapping of the three
+// engines that run the Worker loop. A run that certified convergence before
+// a cancel landed is a result; only a genuinely cut-short run reports the
+// context error.
+func concurrentReport(engine string, r *runtime.Result, spec Spec) (*Report, error) {
+	if r.Cancelled && !r.Converged {
+		return nil, spec.ctxErr()
+	}
 	updates := 0
 	for _, u := range r.UpdatesPerWorker {
 		updates += u
@@ -383,7 +402,7 @@ func concurrentReport(engine string, r *runtime.Result, spec Spec) *Report {
 		concurrent:       r,
 	}
 	rep.finish(spec)
-	return rep
+	return rep, nil
 }
 
 type sharedEngine struct{}
@@ -395,12 +414,7 @@ func (sharedEngine) Solve(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A run that certified convergence before the cancel landed is a
-	// result; only a genuinely cut-short run reports the context error.
-	if r.Cancelled && !r.Converged {
-		return nil, spec.ctxErr()
-	}
-	return concurrentReport("shared", r, spec), nil
+	return concurrentReport("shared", r, spec)
 }
 
 type messageEngine struct{}
@@ -412,10 +426,7 @@ func (messageEngine) Solve(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Cancelled && !r.Converged {
-		return nil, spec.ctxErr()
-	}
-	return concurrentReport("message", r, spec), nil
+	return concurrentReport("message", r, spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -426,24 +437,16 @@ type distEngine struct{}
 func (distEngine) Name() string { return "dist" }
 
 func (distEngine) Solve(spec Spec) (*Report, error) {
-	rc := spec.runtimeConfig() // reuse the per-worker budget derivation
 	r, err := dist.Run(dist.Config{
-		Op:                  spec.Op,
-		Workers:             rc.Workers,
-		Topology:            spec.Topology,
-		X0:                  spec.X0,
-		Tol:                 spec.Tol,
-		SweepsBelowTol:      spec.SweepsBelowTol,
-		MaxUpdatesPerWorker: rc.MaxUpdatesPerWorker,
-		DeltaThreshold:      spec.DeltaThreshold,
+		Config:         spec.runtimeConfig(),
+		Topology:       spec.Topology,
+		DeltaThreshold: spec.DeltaThreshold,
 		Fault: dist.Fault{
 			DropProb:    spec.DropProb,
 			ReorderProb: spec.ReorderProb,
 			MaxDelay:    spec.MaxLinkDelay,
 			Seed:        spec.Seed,
 		},
-		Scratches: rc.Scratches,
-		Tuning:    rc.Tuning,
 		Elastic: dist.Elastic{
 			HeartbeatEvery:  spec.HeartbeatEvery,
 			CheckpointEvery: spec.CheckpointEvery,
@@ -454,29 +457,18 @@ func (distEngine) Solve(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	updates := 0
-	for _, u := range r.UpdatesPerWorker {
-		updates += u
+	rep, err := concurrentReport("dist", &r.Result, spec)
+	if err != nil {
+		return nil, err
 	}
-	rep := &Report{
-		Engine:            "dist",
-		X:                 r.X,
-		Converged:         r.Converged,
-		Updates:           updates,
-		UpdatesPerWorker:  r.UpdatesPerWorker,
-		MessagesSent:      r.MessagesSent,
-		MessagesDropped:   r.MessagesDropped,
-		MessagesStale:     r.MessagesStale,
-		MessagesReordered: r.MessagesReordered,
-		MessagesDuplicate: r.MessagesDuplicate,
-		BytesSent:         r.BytesSent,
-		BytesReceived:     r.BytesReceived,
-		WorkersLost:       r.WorkersLost,
-		WorkersRejoined:   r.WorkersRejoined,
-		Resharding:        r.Resharding,
-		Elapsed:           r.Elapsed,
-		dist:              r,
-	}
-	rep.finish(spec)
+	rep.MessagesStale = r.MessagesStale
+	rep.MessagesReordered = r.MessagesReordered
+	rep.MessagesDuplicate = r.MessagesDuplicate
+	rep.BytesSent = r.BytesSent
+	rep.BytesReceived = r.BytesReceived
+	rep.WorkersLost = r.WorkersLost
+	rep.WorkersRejoined = r.WorkersRejoined
+	rep.Resharding = r.Resharding
+	rep.dist = r
 	return rep, nil
 }

@@ -51,27 +51,6 @@ func ExampleSolve_scenario() {
 	// Output: converged=true error=0.0e+00
 }
 
-// ExampleRunModel shows the deprecated config-struct entry point, kept as a
-// shim over Solve (see the migration note in repro.go).
-func ExampleRunModel() {
-	a := repro.DenseFromRows([][]float64{
-		{0, 0.5},
-		{0.5, 0},
-	})
-	op := repro.NewLinear(a, []float64{1, 1}) // fixed point (2, 2)
-	res, err := repro.RunModel(repro.ModelConfig{
-		Op:      op,
-		XStar:   []float64{2, 2},
-		Tol:     1e-10,
-		MaxIter: 10000,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("converged=%v x=(%.3f, %.3f)\n", res.Converged, res.X[0], res.X[1])
-	// Output: converged=true x=(2.000, 2.000)
-}
-
 // ExampleNewMacroTracker shows the Definition 2 macro-iteration sequence on
 // a hand-fed run: two components relaxed alternately with fresh labels
 // close a macro-iteration every two iterations.
@@ -108,12 +87,11 @@ func ExampleNewBellmanFordOp() {
 	_ = g.AddEdge(0, 1, 2)
 	_ = g.AddEdge(1, 2, 3)
 	op, _ := repro.NewBellmanFordOp(g, 0)
-	res, err := repro.RunModel(repro.ModelConfig{
-		Op:    op,
-		X0:    op.InitialDistances(),
-		XStar: g.Dijkstra(0),
-		Tol:   1e-12, MaxIter: 1000,
-	})
+	res, err := repro.Solve(repro.NewSpec(op),
+		repro.WithX0(op.InitialDistances()),
+		repro.WithXStar(g.Dijkstra(0)),
+		repro.WithTol(1e-12), repro.WithMaxIter(1000),
+	)
 	if err != nil {
 		panic(err)
 	}

@@ -10,11 +10,10 @@
 // where implementations silently diverge from the theory (El Baz ipps
 // 2022; Assran et al. 2020): hot loops must stay allocation-free, every
 // float64 reduction must use the canonical order in internal/vec, engine
-// loops must stay stoppable, tuning knobs must flow through the single
-// knob table, and deprecated shims must not creep back into internal
-// callers. See the sibling packages hotpath, vecorder, ctxloop, knobdrift
-// and nodeprecated for the individual rules, and cmd/reprolint for the
-// driver (standalone or as a `go vet -vettool`).
+// loops must stay stoppable, and tuning knobs must flow through the single
+// knob table. See the sibling packages hotpath, vecorder, ctxloop and
+// knobdrift for the individual rules, and cmd/reprolint for the driver
+// (standalone or as a `go vet -vettool`).
 package analysis
 
 import (

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/operators"
+	"repro/internal/runtime"
 	"repro/internal/vec"
 )
 
@@ -53,10 +54,8 @@ func TestChaosConvergesUnderChurn(t *testing.T) {
 			ckptDir := t.TempDir()
 			ckptPath := filepath.Join(ckptDir, "chaos.ckpt")
 			res, err := RunChaos(Config{
-				Op:       slowOp{op: op, delay: 300 * time.Microsecond},
-				Workers:  8,
+				Config:   runtime.Config{Op: slowOp{op: op, delay: 300 * time.Microsecond}, Workers: 8, Tol: tol},
 				Topology: topo,
-				Tol:      tol,
 				Fault: Fault{
 					DropProb:    0.05,
 					ReorderProb: 0.05,
@@ -114,8 +113,8 @@ func TestElasticZeroChurnBitIdentical(t *testing.T) {
 		t.Run(topo, func(t *testing.T) {
 			op, _ := contractingOp(t, 24, 3)
 			base := Config{
-				Op: op, Workers: 1, Topology: topo, Tol: 1e-11,
-				MaxUpdatesPerWorker: 1 << 18,
+				Config:   runtime.Config{Op: op, Workers: 1, Tol: 1e-11, MaxUpdatesPerWorker: 1 << 18},
+				Topology: topo,
 			}
 			rigid, err := Run(base)
 			if err != nil {
@@ -151,9 +150,9 @@ func TestElasticZeroChurnBitIdentical(t *testing.T) {
 func TestElasticZeroChurnMultiWorker(t *testing.T) {
 	op, xstar := contractingOp(t, 48, 7)
 	res, err := Run(Config{
-		Op: op, Workers: 6, Topology: "mesh", Tol: 1e-10,
-		MaxUpdatesPerWorker: 1 << 18,
-		Elastic:             Elastic{HeartbeatEvery: 10 * time.Millisecond},
+		Config:   runtime.Config{Op: op, Workers: 6, Tol: 1e-10, MaxUpdatesPerWorker: 1 << 18},
+		Topology: "mesh",
+		Elastic:  Elastic{HeartbeatEvery: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +173,7 @@ func TestElasticZeroChurnMultiWorker(t *testing.T) {
 // is a configuration error, not a mysterious hang.
 func TestRunChaosRequiresElastic(t *testing.T) {
 	op, _ := contractingOp(t, 8, 1)
-	if _, err := RunChaos(Config{Op: op, Workers: 2, Tol: 1e-8}, ChaosPlan{}); err == nil {
+	if _, err := RunChaos(Config{Config: runtime.Config{Op: op, Workers: 2, Tol: 1e-8}}, ChaosPlan{}); err == nil {
 		t.Fatal("RunChaos accepted a config without Elastic.HeartbeatEvery")
 	}
 }

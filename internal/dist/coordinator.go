@@ -26,40 +26,6 @@ const probeRoundTimeout = 2 * time.Second
 // enough that blocks sent after it on the same link overtake it.
 const defaultReorderHold = 800 * time.Microsecond
 
-// ServerConfig configures the coordinator half of a distributed run.
-type ServerConfig struct {
-	// Listener accepts the worker connections; Serve closes it when the
-	// run ends. Workers must know its address out of band. Under elastic
-	// membership it stays open for the whole run so lost workers can
-	// rejoin.
-	Listener net.Listener
-	// Workers is the number of worker connections to wait for. The
-	// caller partitions the problem, so it must already be clamped to the
-	// dimension.
-	Workers int
-	// Topology selects the data plane (TopologyStar default, TopologyMesh
-	// for direct worker-to-worker links).
-	Topology string
-	// N is the problem dimension; X0 the initial iterate (defaults zero).
-	N  int
-	X0 []float64
-	// Tol, SweepsBelowTol and MaxUpdatesPerWorker are forwarded to the
-	// workers in the welcome frame (see runtime.Config for semantics).
-	Tol                 float64
-	SweepsBelowTol      int
-	MaxUpdatesPerWorker int
-	// DeltaThreshold enables flexible communication (see Config).
-	DeltaThreshold float64
-	// Fault is the per-link fault injection (applied by the coordinator's
-	// relay in star, by the sending side of every mesh link in mesh).
-	Fault Fault
-	// Elastic configures elastic membership (see Elastic); the zero value
-	// keeps the rigid pre-v3 behavior where any lost link fails the run.
-	Elastic Elastic
-	// Timeout bounds the whole run (default 2m).
-	Timeout time.Duration
-}
-
 // link is one worker connection from the coordinator's side. Writes are
 // whole prebuilt frames under mu, so concurrent relays, probes and the
 // stop broadcast never interleave bytes. lastSeq and bytesFrom are indexed
@@ -79,7 +45,7 @@ type link struct {
 type status struct {
 	worker          int
 	probeID         uint64
-	passive, done   bool
+	passive, spent  bool
 	gen             uint32
 	epoch           uint64
 	sent, delivered uint64
@@ -108,12 +74,14 @@ type final struct {
 }
 
 type coordinator struct {
-	cfg ServerConfig
+	cfg Config
+	n   int // problem dimension
+	ln  net.Listener
 
 	// mu guards the membership view: which slots are alive, their links,
-	// mesh addresses, shard table, generation, done bits and the churn
-	// counters. Fixed slot count (cfg.Workers); a lost slot is freed for a
-	// rejoiner to claim.
+	// mesh addresses, shard table, generation and the churn counters. Fixed
+	// slot count (cfg.Workers); a lost slot is freed for a rejoiner to
+	// claim.
 	mu       sync.RWMutex
 	links    []*link
 	alive    []bool
@@ -121,7 +89,6 @@ type coordinator struct {
 	addrs    []string
 	blocks   [][2]int
 	gen      uint32
-	lastDone []bool
 	// workersLost / workersRejoined / resharding are the churn counters
 	// surfaced in Result.
 	workersLost, workersRejoined, resharding int64
@@ -174,55 +141,40 @@ type coordinator struct {
 
 func (c *coordinator) elastic() bool { return c.cfg.Elastic.enabled() }
 
-// Serve runs the coordinator: accept and welcome cfg.Workers workers, run
-// the topology's rendezvous (mesh: collect listen addresses, broadcast the
-// peer table), relay star shard broadcasts with fault injection, probe for
+// cancelled reports whether cfg.Done has fired.
+func (c *coordinator) cancelled() bool {
+	select {
+	case <-c.cfg.Done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Serve runs the coordinator on ln, which it closes when the run ends (under
+// elastic membership the listener stays open for the whole run so lost
+// workers can rejoin): accept and welcome cfg.Workers workers, run the
+// topology's rendezvous (mesh: collect listen addresses, broadcast the peer
+// table), relay star shard broadcasts with fault injection, probe for
 // quiescence with the two-phase double collect, and stop the run — on
-// quiescence (converged), when every worker exhausts its budget (not
-// converged), or at Timeout (error). Under elastic membership it
-// additionally detects lost workers by heartbeat silence, re-shards the
-// component space over the survivors, and accepts rejoining workers on the
-// same listener for the whole run.
-func Serve(cfg ServerConfig) (*Result, error) {
-	if cfg.Listener == nil {
-		return nil, errors.New("dist: ServerConfig.Listener is required")
-	}
-	defer cfg.Listener.Close()
-	if cfg.Workers < 1 {
-		return nil, errors.New("dist: need at least one worker")
-	}
-	if cfg.N < 1 {
-		return nil, errors.New("dist: dimension must be positive")
-	}
-	if cfg.X0 != nil && len(cfg.X0) != cfg.N {
-		return nil, fmt.Errorf("dist: X0 length %d, want %d", len(cfg.X0), cfg.N)
-	}
-	if cfg.Workers > cfg.N {
-		// Same clamp as Config.validate: never more shards than components
-		// (vec.Blocks would return fewer blocks than accept loops expect).
-		cfg.Workers = cfg.N
-	}
-	if err := validateTopology(&cfg.Topology); err != nil {
-		return nil, err
-	}
-	if err := validateDeltaThreshold(cfg.DeltaThreshold); err != nil {
-		return nil, err
-	}
-	applyRunDefaults(&cfg.SweepsBelowTol, &cfg.MaxUpdatesPerWorker, &cfg.Timeout)
-	if err := cfg.Fault.validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Elastic.validate(); err != nil {
+// quiescence (converged when every worker was passive, not converged when
+// some had spent their budget), on cfg.Done (Cancelled), or at Timeout
+// (error). Under elastic membership it additionally detects lost workers
+// by heartbeat silence, re-shards the component space over the survivors,
+// and accepts rejoining workers on the same listener for the whole run. Of
+// cfg.Op it reads only the dimension: coordinates cross the wire, operators
+// never do.
+func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
+	defer ln.Close()
+	n, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	x0 := cfg.X0
-	if x0 == nil {
-		x0 = make([]float64, cfg.N)
-	}
 	if cfg.Elastic.CheckpointPath != "" {
 		// A coordinator-level restart warm-starts from the last persisted
 		// iterate; a missing file is simply a fresh run.
-		ck, err := readCheckpointFile(cfg.Elastic.CheckpointPath, cfg.N)
+		ck, err := readCheckpointFile(cfg.Elastic.CheckpointPath, n)
 		if err != nil {
 			return nil, err
 		}
@@ -235,13 +187,14 @@ func Serve(cfg ServerConfig) (*Result, error) {
 	deadline := start.Add(cfg.Timeout)
 	c := &coordinator{
 		cfg:         cfg,
+		n:           n,
+		ln:          ln,
 		links:       make([]*link, cfg.Workers),
 		alive:       make([]bool, cfg.Workers),
 		reserved:    make([]bool, cfg.Workers),
 		addrs:       make([]string, cfg.Workers),
-		blocks:      vec.Blocks(cfg.N, cfg.Workers),
+		blocks:      vec.Blocks(n, cfg.Workers),
 		gen:         1,
-		lastDone:    make([]bool, cfg.Workers),
 		xbest:       append([]float64(nil), x0...),
 		statusCh:    make(chan status, 4*cfg.Workers),
 		ackCh:       make(chan reshardAck, 4*cfg.Workers),
@@ -258,18 +211,13 @@ func Serve(cfg ServerConfig) (*Result, error) {
 	// so converged accounting stays exact).
 	c.delays.onDispose = func() { c.dropped.Add(1) }
 
-	topo := topologyStarWire
-	if cfg.Topology == TopologyMesh {
-		topo = topologyMeshWire
-	}
-
 	// Accept and welcome every worker.
 	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := cfg.Listener.(deadliner); ok {
+	if d, ok := ln.(deadliner); ok {
 		d.SetDeadline(deadline)
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		conn, err := cfg.Listener.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			c.shutdown()
 			return nil, fmt.Errorf("dist: accept worker %d: %w", w, err)
@@ -297,7 +245,7 @@ func Serve(cfg ServerConfig) (*Result, error) {
 			c.shutdown()
 			return nil, fmt.Errorf("dist: worker %d protocol version %d, want %d", w, v, protocolVersion)
 		}
-		wel := c.welcome(topo, w, c.blocks[w][0], c.blocks[w][1], 1, false, x0)
+		wel := c.welcome(w, c.blocks[w][0], c.blocks[w][1], 1, false, x0)
 		if err := c.writeLink(c.links[w], wel); err != nil {
 			c.shutdown()
 			return nil, fmt.Errorf("dist: welcome worker %d: %w", w, err)
@@ -337,22 +285,53 @@ func Serve(cfg ServerConfig) (*Result, error) {
 	for w := range c.links {
 		go c.serveLink(w, c.links[w])
 	}
+
+	// Cancellation. The caller of a cancelled run discards the trajectory,
+	// so nothing is owed the stop/final exchange — which links saturated by
+	// workers that never converge could stall behind wedged relay writes.
+	// Done therefore closes every link at once: blocked writes fail, the
+	// workers see a lost coordinator and unwind, whatever the run loop was
+	// doing ends, and the epilogue turns that ending into a Cancelled
+	// result carrying the best-known iterate.
+	if cfg.Done != nil {
+		finished := make(chan struct{})
+		defer close(finished)
+		go func() {
+			select {
+			case <-cfg.Done:
+				c.stopped.Store(true)
+				c.closeLinks()
+			case <-finished:
+			}
+		}()
+		defer func() {
+			if c.cancelled() && (res == nil || !res.Converged) {
+				c.shutdown()
+				res, err = &Result{
+					Result:   runtime.Result{X: c.bestIterate(), Elapsed: time.Since(start), Cancelled: true},
+					Topology: cfg.Topology,
+				}, nil
+			}
+		}()
+	}
 	if c.elastic() {
 		c.acceptWG.Add(1)
 		//repro:join-ok joined by acceptWG.Wait in shutdown after the listener closes (its deadline bounds the run regardless)
 		go c.acceptRejoins()
 	}
 
-	// Probe for quiescence until it is detected, every worker is done, or
+	// Probe for quiescence until it is detected, the run is cancelled, or
 	// the deadline passes. A membership doorbell (worker lost or rejoined)
 	// interrupts the cadence and is answered with a reshard barrier before
 	// any further certification is attempted.
 	converged := false
 	timedOut := true // cleared when the loop ends for a legitimate reason
 	var probeRounds int64
+	var last runtime.Observation
 	observe := func() runtime.Observation {
 		probeRounds++
-		return c.probeRound(deadline)
+		last = c.probeRound(deadline)
+		return last
 	}
 	for time.Now().Before(deadline) {
 		select {
@@ -364,7 +343,7 @@ func Serve(cfg ServerConfig) (*Result, error) {
 			continue
 		default:
 		}
-		if cfg.Tol > 0 && runtime.DoubleCollect(observe, nil) {
+		if runtime.DoubleCollect(observe, nil) {
 			// A loss detected during the certifying collects makes every
 			// involved probe round invalid, so a pending doorbell here
 			// means the quiescence predates the change: re-shard first.
@@ -377,17 +356,10 @@ func Serve(cfg ServerConfig) (*Result, error) {
 				continue
 			default:
 			}
-			converged = true
+			// Every worker is parked with nothing in flight: converged
+			// unless one of them ran out of budget on unverified data.
+			converged = !last.Exhausted
 			timedOut = false
-			break
-		}
-		if cfg.Tol <= 0 {
-			// No convergence detection: a probe round still tracks done
-			// bits so the run ends when every budget is exhausted.
-			observe()
-		}
-		if c.allDone() {
-			timedOut = false // budget exhaustion, a valid non-converged end
 			break
 		}
 		select {
@@ -399,6 +371,8 @@ func Serve(cfg ServerConfig) (*Result, error) {
 				c.shutdown()
 				return nil, err
 			}
+		case <-cfg.Done:
+			return nil, nil // the cancellation epilogue builds the result
 		case <-time.After(probeInterval):
 		}
 	}
@@ -435,9 +409,7 @@ func Serve(cfg ServerConfig) (*Result, error) {
 		expect[w] = true
 		expected++
 	}
-	c.xmu.Lock()
-	x := append([]float64(nil), c.xbest...)
-	c.xmu.Unlock()
+	x := c.bestIterate()
 	updates := make([]int, cfg.Workers)
 	linkBytes := make([][]int64, cfg.Workers)
 	for i := range linkBytes {
@@ -470,6 +442,8 @@ func Serve(cfg ServerConfig) (*Result, error) {
 		case err := <-c.errCh:
 			c.shutdown()
 			return nil, err
+		case <-cfg.Done:
+			return nil, nil // the cancellation epilogue builds the result
 		case <-time.After(time.Until(finalDeadline)):
 			c.shutdown()
 			return nil, errors.New("dist: timed out waiting for final blocks")
@@ -501,15 +475,17 @@ func Serve(cfg ServerConfig) (*Result, error) {
 	lost, rejoined, reshards := c.workersLost, c.workersRejoined, c.resharding
 	c.mu.RUnlock()
 	return &Result{
-		X:                 x,
-		Converged:         converged,
-		UpdatesPerWorker:  updates,
-		Elapsed:           time.Since(start),
+		Result: runtime.Result{
+			X:                x,
+			Converged:        converged,
+			UpdatesPerWorker: updates,
+			Elapsed:          time.Since(start),
+			MessagesSent:     sent,
+			MessagesDropped:  dropped + c.dropped.Load(),
+		},
 		Topology:          cfg.Topology,
-		MessagesSent:      sent,
 		MessagesDelivered: delivered,
 		MessagesStale:     stale,
-		MessagesDropped:   dropped + c.dropped.Load(),
 		MessagesReordered: reordered + c.reordered.Load(),
 		MessagesDuplicate: duplicate + c.duplicate.Load(),
 		BytesSent:         c.bytesOut.Load(),
@@ -526,51 +502,10 @@ func Serve(cfg ServerConfig) (*Result, error) {
 // generation gen, and the iterate x (x0 for the rendezvous, the
 // checkpointed xbest for a rejoiner, whose shard is empty until its first
 // assign).
-func (c *coordinator) welcome(topo byte, w, lo, hi int, gen uint32, rejoining bool, x []float64) []byte {
-	wel := appendU32(nil, uint32(w))
-	wel = appendU32(wel, uint32(c.cfg.Workers))
-	wel = appendU32(wel, uint32(c.cfg.N))
-	wel = appendU32(wel, uint32(lo))
-	wel = appendU32(wel, uint32(hi))
-	wel = appendF64(wel, c.cfg.Tol)
-	wel = appendU32(wel, uint32(c.cfg.SweepsBelowTol))
-	wel = appendU32(wel, uint32(c.cfg.MaxUpdatesPerWorker))
-	wel = append(wel, topo)
-	wel = appendF64(wel, c.cfg.DeltaThreshold)
-	wel = appendU64(wel, uint64(c.cfg.Timeout))
-	wel = appendF64(wel, c.cfg.Fault.DropProb)
-	wel = appendF64(wel, c.cfg.Fault.ReorderProb)
-	wel = appendU64(wel, uint64(c.cfg.Fault.MaxDelay))
-	wel = appendU64(wel, c.cfg.Fault.Seed)
-	wel = appendU32(wel, gen)
-	if rejoining {
-		wel = append(wel, byte(1))
-	} else {
-		wel = append(wel, byte(0))
-	}
-	wel = appendU64(wel, uint64(c.cfg.Elastic.HeartbeatEvery))
-	wel = appendU64(wel, uint64(c.cfg.Elastic.CheckpointEvery))
-	wel = appendF64s(wel, x)
-	return buildFrame(msgWelcome, wel)
-}
-
-// allDone reports whether every currently-alive worker has exhausted its
-// update budget (an empty membership can never end the run this way — the
-// doorbell or the deadline decides it instead).
-func (c *coordinator) allDone() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	live := 0
-	for w := range c.alive {
-		if !c.alive[w] {
-			continue
-		}
-		live++
-		if !c.lastDone[w] {
-			return false
-		}
-	}
-	return live > 0
+func (c *coordinator) welcome(w, lo, hi int, gen uint32, rejoining bool, x []float64) []byte {
+	wel := welcome{id: w, n: c.n, lo: lo, hi: hi, gen: gen, rejoining: rejoining, cfg: c.cfg}
+	wel.cfg.X0 = x
+	return wel.frame()
 }
 
 // shutdown tears the coordinator down in the only safe order: mark the run
@@ -582,9 +517,20 @@ func (c *coordinator) shutdown() {
 	c.stopped.Store(true)
 	c.delays.drain()
 	if c.elastic() {
-		c.cfg.Listener.Close()
+		c.ln.Close()
 		c.acceptWG.Wait()
 	}
+	c.closeLinks()
+}
+
+// bestIterate returns a copy of the best-known iterate.
+func (c *coordinator) bestIterate() []float64 {
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
+	return append([]float64(nil), c.xbest...)
+}
+
+func (c *coordinator) closeLinks() {
 	c.mu.RLock()
 	links := append([]*link(nil), c.links...)
 	c.mu.RUnlock()
@@ -657,7 +603,6 @@ func (c *coordinator) workerLost(w int, l *link) {
 	c.links[w] = nil
 	c.alive[w] = false
 	c.addrs[w] = ""
-	c.lastDone[w] = false
 	c.workersLost++
 	c.mu.Unlock()
 	l.conn.Close()
@@ -764,7 +709,7 @@ func (c *coordinator) absorbCheckpoint(w int, payload []byte) error {
 	lo := int(cur.u32())
 	count := int(cur.u32())
 	vals := cur.f64s(count)
-	if cur.err != nil || lo < 0 || lo+count > c.cfg.N {
+	if cur.err != nil || lo < 0 || lo+count > c.n {
 		return fmt.Errorf("dist: worker %d sent a malformed checkpoint frame", w)
 	}
 	c.mu.RLock()
@@ -864,7 +809,7 @@ func (c *coordinator) serveLink(w int, l *link) {
 			st := status{worker: w, probeID: cur.u64()}
 			flags := cur.u8()
 			st.passive = flags&statusPassive != 0
-			st.done = flags&statusDone != 0
+			st.spent = flags&statusSpent != 0
 			st.gen = cur.u32()
 			st.epoch = cur.u64()
 			st.sent = cur.u64()
@@ -888,7 +833,7 @@ func (c *coordinator) serveLink(w int, l *link) {
 			a := reshardAck{worker: w, gen: cur.u32(), lo: int(cur.u32())}
 			count := int(cur.u32())
 			a.vals = cur.f64s(count)
-			if cur.err != nil || a.lo < 0 || a.lo+count > c.cfg.N {
+			if cur.err != nil || a.lo < 0 || a.lo+count > c.n {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed reshard ack", w))
 				return
 			}
@@ -909,7 +854,7 @@ func (c *coordinator) serveLink(w int, l *link) {
 			f.reordered = cur.u64()
 			f.duplicate = cur.u64()
 			f.linkBytes = cur.u64s(int(cur.u32()))
-			if cur.err != nil || f.lo < 0 || f.lo+count > c.cfg.N || len(f.linkBytes) > c.cfg.Workers {
+			if cur.err != nil || f.lo < 0 || f.lo+count > c.n || len(f.linkBytes) > c.cfg.Workers {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed final frame", w))
 				return
 			}
@@ -930,7 +875,7 @@ func (c *coordinator) serveLink(w int, l *link) {
 func (c *coordinator) acceptRejoins() {
 	defer c.acceptWG.Done()
 	for {
-		conn, err := c.cfg.Listener.Accept()
+		conn, err := c.ln.Accept()
 		if err != nil {
 			return
 		}
@@ -988,14 +933,8 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 		c.reserved[slot] = false
 		c.mu.Unlock()
 	}
-	topo := topologyStarWire
-	if c.cfg.Topology == TopologyMesh {
-		topo = topologyMeshWire
-	}
-	c.xmu.Lock()
-	x := append([]float64(nil), c.xbest...)
-	c.xmu.Unlock()
-	if _, err := conn.Write(c.welcome(topo, slot, 0, 0, gen, true, x)); err != nil {
+	x := c.bestIterate()
+	if _, err := conn.Write(c.welcome(slot, 0, 0, gen, true, x)); err != nil {
 		unreserve()
 		conn.Close()
 		return
@@ -1034,7 +973,6 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 	c.alive[slot] = true
 	c.reserved[slot] = false
 	c.addrs[slot] = meshAddr
-	c.lastDone[slot] = false
 	c.workersRejoined++
 	c.mu.Unlock()
 	conn.SetDeadline(c.runDeadline.Add(c.cfg.Timeout))
@@ -1054,8 +992,8 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 // generation flip.
 func (c *coordinator) reshardBarrier(deadline time.Time) error {
 	for {
-		if !time.Now().Before(deadline) {
-			return errors.New("dist: resharding did not complete before the run timeout")
+		if !time.Now().Before(deadline) || c.cancelled() {
+			return errors.New("dist: resharding did not complete before the run ended")
 		}
 		select {
 		case <-c.membership: // coalesce queued doorbell rings into this attempt
@@ -1081,7 +1019,7 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 			}
 			continue
 		}
-		shards := vec.Blocks(c.cfg.N, len(live))
+		shards := vec.Blocks(c.n, len(live))
 		for w := range c.blocks {
 			c.blocks[w] = [2]int{0, 0}
 		}
@@ -1139,6 +1077,8 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 				}
 			case <-c.membership:
 				retry = true // membership changed mid-barrier: fresh attempt
+			case <-c.cfg.Done:
+				retry = true // the loop head ends the barrier
 			case <-time.After(time.Until(ackDeadline)):
 				retry = true // an unresponsive survivor; its heartbeat deadline will evict it
 			}
@@ -1150,9 +1090,7 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 		// Phase 2 — resume: re-issue the shard table over the merged
 		// iterate; mesh workers also get the refreshed peer table ("" marks
 		// a dead slot) to redial replaced links.
-		c.xmu.Lock()
-		x := append([]float64(nil), c.xbest...)
-		c.xmu.Unlock()
+		x := c.bestIterate()
 		for i, w := range live {
 			payload := appendU32(nil, gen)
 			payload = appendU32(payload, uint32(blocks[w][0]))
@@ -1180,7 +1118,7 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 
 // probeRound is one network collect of the double-collect protocol: probe
 // every live worker, gather matching statuses, and assemble the
-// Observation. The passive flags come from the statuses (each a
+// Observation. The passive and spent flags come from the statuses (each a
 // self-consistent worker-side snapshot) and the coordinator's drain
 // counters are read after the last status arrives, matching the in-process
 // Tracker's "flags before counters" collect order. The drained total —
@@ -1190,8 +1128,7 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 // worker. Any timeout, stale or cross-generation reply makes the round
 // invalid; it is retried. The membership generation is folded into the
 // observation's Epoch so two quiet collects can never straddle a re-shard
-// unnoticed, and done bits are applied to lastDone as a side effect of a
-// completed round.
+// unnoticed.
 func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 	c.probeSeq++
 	probeID := c.probeSeq
@@ -1232,7 +1169,6 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 	}
 	obs := runtime.Observation{AllPassive: true}
 	seen := make([]bool, c.cfg.Workers)
-	done := make([]bool, c.cfg.Workers)
 	for got := 0; got < len(workers); {
 		select {
 		case st := <-c.statusCh:
@@ -1241,25 +1177,23 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 			}
 			seen[st.worker] = true
 			got++
-			done[st.worker] = st.done
-			if !st.passive {
+			switch {
+			case st.passive:
+			case st.spent:
+				obs.Exhausted = true
+			default:
 				obs.AllPassive = false
 			}
 			obs.Epoch += st.epoch
 			obs.Sent += int64(st.sent)
 			obs.Delivered += int64(st.delivered)
 			obs.Dropped += int64(st.drained)
+		case <-c.cfg.Done:
+			return runtime.Observation{}
 		case <-time.After(time.Until(roundDeadline)):
 			return runtime.Observation{}
 		}
 	}
-	c.mu.Lock()
-	if c.gen == gen {
-		for _, w := range workers {
-			c.lastDone[w] = done[w]
-		}
-	}
-	c.mu.Unlock()
 	obs.Epoch += uint64(gen)
 	obs.Dropped += c.genDropped.Load() + c.genReordered.Load() + c.genDuplicate.Load()
 	return obs

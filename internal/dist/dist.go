@@ -31,17 +31,30 @@
 // termination protocol, like injection drops: they can never reactivate a
 // worker.
 //
+// A worker is the Worker loop of internal/runtime (loop.go) — the same
+// loop the shared-memory and channel engines run — over a TCP transport
+// (worker.go): the loop decides when the shard counts as converged, when to
+// go passive and what a reactivated or budget-exhausted worker must prove;
+// the transport frames shard values onto the star relay or the mesh links
+// and keeps everything only a network has (probe replies, the generation
+// fence, the reshard pause, heartbeat and checkpoint pacing, delta-
+// threshold span selection) inside its Drain, Wait and Publish. A parked
+// worker blocks on its inbox; it wakes on a timer only when a heartbeat is
+// due.
+//
 // Termination is the two-phase double-collect protocol of
 // internal/runtime (quiescence.go), run over the network as Safra-style
 // probe rounds: the coordinator probes every worker, each replies with a
-// self-consistent status (passive flag, activity epoch, sent/delivered
-// counters — composed by the worker's single compute goroutine — plus its
-// monotone drained counter), and the run stops only after two consecutive
-// quiet rounds with identical epochs and counters and nothing in flight
-// (sum sent == sum delivered + drops + link-filter discards). Workers obey
-// the protocol's ordering rule — a reactivation is published (epoch bump,
-// passive cleared) before the reactivating block is counted delivered — so
-// a quiet round can never hide a message being absorbed.
+// self-consistent status (passive and spent flags, activity epoch,
+// sent/delivered counters — composed by the worker's single compute
+// goroutine — plus its monotone drained counter), and the run stops only
+// after two consecutive quiet rounds with identical epochs and counters and
+// nothing in flight (sum sent == sum delivered + drops + link-filter
+// discards) — converged when every worker was passive, not converged when
+// some worker had spent its budget on data it could not iterate away.
+// Workers obey the protocol's ordering rule — a reactivation is published
+// (epoch bump, passive cleared) before the reactivating block is counted
+// delivered — so a quiet round can never hide a message being absorbed.
 //
 // Under elastic membership (Config.Elastic, protocol v3) the run survives
 // worker churn: workers heartbeat the control link, the coordinator treats
@@ -56,18 +69,18 @@
 //
 // The same code paths serve two deployments: Run spawns the coordinator
 // and all workers in-process over localhost TCP (how the tests and the
-// in-process engine use it), and Serve/Connect are the halves the
+// in-process engine use it), and Serve/ConnectWorker are the halves the
 // `asyncsolve dist-coordinator` / `asyncsolve dist-worker` subcommands
 // expose for true multi-process runs.
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
-	"repro/internal/operators"
+	"repro/internal/runtime"
 )
 
 // The supported data-plane topologies.
@@ -98,25 +111,23 @@ type Fault struct {
 	Seed uint64
 }
 
-// Config describes one distributed run.
+// Config describes one distributed run: the run every concurrent engine
+// shares, plus what only a network has. One Config drives Run, RunChaos
+// and Serve; workers learn everything in it that they need from the
+// welcome frame.
 type Config struct {
-	// Op is the fixed-point operator; every worker evaluates its own shard.
-	Op operators.Operator
-	// Workers is the number of TCP workers (clamped to the dimension); each
-	// owns a contiguous shard of roughly Dim/Workers components.
-	Workers int
+	// Config is the shared run: Op (a coordinator reads only its
+	// dimension), Workers (TCP workers, each owning a contiguous shard of
+	// roughly Dim/Workers components), X0, Tol, SweepsBelowTol,
+	// MaxUpdatesPerWorker, per-worker Scratches and Tuning, and Done and
+	// Progress — Done makes the coordinator drop every link and return a
+	// Cancelled result, Progress is bumped by in-process workers. Flexible
+	// is the shared-memory engine's knob; DeltaThreshold is its counterpart
+	// here.
+	runtime.Config
 	// Topology selects the data plane: TopologyStar (default) or
 	// TopologyMesh.
 	Topology string
-	// X0 is the initial iterate (defaults to zero).
-	X0 []float64
-	// Tol is the per-coordinate block displacement tolerance (see
-	// runtime.Config.Tol); zero disables convergence detection.
-	Tol float64
-	// SweepsBelowTol is the consecutive-confirmation count (default 2).
-	SweepsBelowTol int
-	// MaxUpdatesPerWorker bounds each worker's loop iterations.
-	MaxUpdatesPerWorker int
 	// DeltaThreshold, when positive, enables flexible communication: a
 	// non-final broadcast ships one frame covering the span from the first
 	// to the last shard component that moved by more than the threshold
@@ -135,27 +146,24 @@ type Config struct {
 	// value keeps the rigid behavior where a lost worker fails the run.
 	Elastic Elastic
 	// Timeout is the wall-clock safety bound on the whole run (default 2m).
+	// Workers derive their own I/O deadline from it, so none outlives a
+	// coordinator that went silent.
 	Timeout time.Duration
-	// Scratches optionally supplies one reusable operator scratch per
-	// worker, as in runtime.Config.
-	Scratches []*operators.Scratch
-	// Tuning is installed on every worker scratch, as in runtime.Config.
-	Tuning operators.Tuning
 }
 
 // Result reports one distributed run.
 type Result struct {
-	X                []float64
-	Converged        bool
-	UpdatesPerWorker []int
-	Elapsed          time.Duration
+	// Result is the part every concurrent engine reports. MessagesSent
+	// counts per-recipient shard-frame sends (a broadcast to p-1 peers
+	// counts p-1) and MessagesDropped fault-injection drops plus frames
+	// disposed at teardown (sent but no longer deliverable once the run
+	// stopped); the accounting identity they take part in is spelled out
+	// below.
+	runtime.Result
 	// Topology is the data plane that ran (TopologyStar or TopologyMesh).
 	Topology string
-	// MessagesSent counts per-recipient shard-frame sends (a broadcast to
-	// p-1 peers counts p-1); MessagesDelivered counts frames acknowledged
-	// by receivers; MessagesDropped counts fault-injection drops plus
-	// frames disposed at teardown (sent but no longer deliverable once the
-	// run stopped). A certified-quiescent (converged) run with no churn
+	// MessagesDelivered counts frames acknowledged by receivers. A
+	// certified-quiescent (converged) run with no churn
 	// stops with nothing pending, so its counters balance exactly: sent =
 	// delivered + dropped + reordered + duplicate; a budget- or
 	// timeout-ended run may leave a small residual of frames cut off
@@ -173,7 +181,7 @@ type Result struct {
 	// the newest already delivered on that link; MessagesStale counts
 	// frames that slipped past the link filter and were discarded by the
 	// receiver as superseded (defense in depth — zero in a healthy run).
-	MessagesSent, MessagesDelivered, MessagesStale, MessagesDropped, MessagesReordered, MessagesDuplicate int64
+	MessagesDelivered, MessagesStale, MessagesReordered, MessagesDuplicate int64
 	// BytesSent / BytesReceived count wire bytes from the coordinator's
 	// perspective (sent to workers / received from workers). In the star
 	// topology that is the whole run; in the mesh topology it is the
@@ -193,27 +201,26 @@ type Result struct {
 	WorkersLost, WorkersRejoined, Resharding int64
 }
 
+// validate is the one validation of a run's parameters: the shared run
+// first, then the network knobs. What it leaves in c is what the welcome
+// frame carries to the workers.
 func (c *Config) validate() (n int, err error) {
-	if c.Op == nil {
-		return 0, errors.New("dist: Config.Op is required")
-	}
-	n = c.Op.Dim()
-	if c.Workers < 1 {
-		return 0, errors.New("dist: need at least one worker")
-	}
-	if c.Workers > n {
-		c.Workers = n
-	}
-	if c.X0 != nil && len(c.X0) != n {
-		return 0, fmt.Errorf("dist: X0 length %d, want %d", len(c.X0), n)
-	}
-	if err := validateTopology(&c.Topology); err != nil {
+	if n, err = c.Config.Validate(); err != nil {
 		return 0, err
 	}
-	if err := validateDeltaThreshold(c.DeltaThreshold); err != nil {
-		return 0, err
+	switch c.Topology {
+	case "":
+		c.Topology = TopologyStar
+	case TopologyStar, TopologyMesh:
+	default:
+		return 0, fmt.Errorf("dist: unknown topology %q (want %q or %q)", c.Topology, TopologyStar, TopologyMesh)
 	}
-	applyRunDefaults(&c.SweepsBelowTol, &c.MaxUpdatesPerWorker, &c.Timeout)
+	if c.DeltaThreshold < 0 || c.DeltaThreshold != c.DeltaThreshold {
+		return 0, fmt.Errorf("dist: DeltaThreshold %v is not a non-negative number", c.DeltaThreshold)
+	}
+	if c.Timeout <= 0 {
+		c.Timeout = 2 * time.Minute
+	}
 	if err := c.Fault.validate(); err != nil {
 		return 0, err
 	}
@@ -221,39 +228,6 @@ func (c *Config) validate() (n int, err error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// applyRunDefaults fills the run-knob defaults shared by the in-process
-// Config and the coordinator's ServerConfig, so the two entry points cannot
-// drift apart.
-func applyRunDefaults(sweepsBelowTol, maxUpdatesPerWorker *int, timeout *time.Duration) {
-	if *sweepsBelowTol <= 0 {
-		*sweepsBelowTol = 2
-	}
-	if *maxUpdatesPerWorker <= 0 {
-		*maxUpdatesPerWorker = 1 << 20
-	}
-	if *timeout <= 0 {
-		*timeout = 2 * time.Minute
-	}
-}
-
-func validateTopology(topology *string) error {
-	switch *topology {
-	case "":
-		*topology = TopologyStar
-	case TopologyStar, TopologyMesh:
-	default:
-		return fmt.Errorf("dist: unknown topology %q (want %q or %q)", *topology, TopologyStar, TopologyMesh)
-	}
-	return nil
-}
-
-func validateDeltaThreshold(d float64) error {
-	if d < 0 || d != d {
-		return fmt.Errorf("dist: DeltaThreshold %v is not a non-negative number", d)
-	}
-	return nil
 }
 
 func (f Fault) validate() error {
@@ -269,16 +243,6 @@ func (f Fault) validate() error {
 	return nil
 }
 
-// workerScratch mirrors runtime.Config.workerScratch.
-func (c *Config) workerScratch(w int) *operators.Scratch {
-	scr := operators.NewScratch()
-	if w < len(c.Scratches) && c.Scratches[w] != nil {
-		scr = c.Scratches[w]
-	}
-	scr.SetTuning(c.Tuning)
-	return scr
-}
-
 // Run executes the full distributed solve in-process over localhost TCP:
 // it listens on an ephemeral port, launches the coordinator, dials one TCP
 // worker per shard, and returns the coordinator's result. This is real
@@ -287,60 +251,89 @@ func (c *Config) workerScratch(w int) *operators.Scratch {
 // links of the mesh topology) — just with every endpoint in one process so
 // tests and the engine need no orchestration.
 func Run(cfg Config) (*Result, error) {
-	n, err := cfg.validate()
-	if err != nil {
+	if _, err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return runLocal(cfg, ChaosPlan{})
+}
+
+// runLocal is Run under an optional churn schedule (see RunChaos); cfg is
+// already validated. The coordinator's result is authoritative. Worker
+// errors are surfaced only from an uncancelled run without churn: a
+// cancelled coordinator drops its links on purpose, and under a plan
+// deliberately killed workers and replacements that raced the end of the
+// run are expected casualties — with a successful coordinator result there
+// is no healthy worker left to have failed in a way the result would not
+// show.
+func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	addr := ln.Addr().String()
-
 	type serveOut struct {
 		res *Result
 		err error
 	}
 	serveCh := make(chan serveOut, 1)
 	go func() {
-		res, err := Serve(ServerConfig{
-			Listener:            ln,
-			Workers:             cfg.Workers,
-			Topology:            cfg.Topology,
-			N:                   n,
-			X0:                  cfg.X0,
-			Tol:                 cfg.Tol,
-			SweepsBelowTol:      cfg.SweepsBelowTol,
-			MaxUpdatesPerWorker: cfg.MaxUpdatesPerWorker,
-			DeltaThreshold:      cfg.DeltaThreshold,
-			Fault:               cfg.Fault,
-			Elastic:             cfg.Elastic,
-			Timeout:             cfg.Timeout,
-		})
+		res, err := Serve(ln, cfg)
 		serveCh <- serveOut{res, err}
 	}()
 
-	workerErr := make(chan error, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func(w int) {
-			workerErr <- Connect(addr, cfg.Op, cfg.workerScratch(w))
-		}(w)
+	var wg sync.WaitGroup
+	var errMu sync.Mutex
+	var workerErr error
+	launch := func(w int, ctl *WorkerCtl, seed uint64) {
+		wg.Add(1)
+		//repro:join-ok joined by the wg.Wait below; every blocking step inside is bounded by dial timeouts, conn deadlines and Rejoin.MaxWait
+		go func() {
+			defer wg.Done()
+			err := ConnectWorker(addr, cfg.Op, WorkerOptions{
+				Scratch:  cfg.WorkerScratch(w),
+				Rejoin:   Rejoin{MaxWait: cfg.Elastic.MaxRejoinWait, Seed: seed},
+				Ctl:      ctl,
+				progress: cfg.Progress,
+			})
+			errMu.Lock()
+			if workerErr == nil {
+				workerErr = err
+			}
+			errMu.Unlock()
+		}()
+	}
+	ctls := make([]*WorkerCtl, cfg.Workers)
+	for w := range ctls {
+		ctls[w] = &WorkerCtl{}
+		launch(w, ctls[w], cfg.Fault.Seed^uint64(w))
+	}
+
+	// The churn schedule. Each event goroutine sleeps out its offsets so
+	// kills land mid-solve regardless of how the solve itself is paced.
+	for i, ev := range plan.Events {
+		ev := ev
+		seed := cfg.Fault.Seed ^ (uint64(cfg.Workers+i) * 0x9e3779b97f4a7c15)
+		wg.Add(1)
+		//repro:join-ok joined by the wg.Wait below; the sleeps are bounded by the plan's fixed offsets
+		go func() {
+			defer wg.Done()
+			time.Sleep(ev.KillAfter)
+			ctls[ev.Worker].Kill()
+			if ev.RestartAfter <= 0 {
+				return
+			}
+			time.Sleep(ev.RestartAfter)
+			launch(ev.Worker, &WorkerCtl{}, seed)
+		}()
 	}
 
 	out := <-serveCh
-	// The coordinator has finished (stop sent, finals collected, or an
-	// error); workers unwind on their own — surface the first failure.
-	var firstWorkerErr error
-	for w := 0; w < cfg.Workers; w++ {
-		if err := <-workerErr; err != nil && firstWorkerErr == nil {
-			firstWorkerErr = err
-		}
-	}
+	wg.Wait()
 	if out.err != nil {
 		return nil, out.err
 	}
-	if firstWorkerErr != nil {
-		return nil, firstWorkerErr
+	if len(plan.Events) == 0 && !out.res.Cancelled && workerErr != nil {
+		return nil, workerErr
 	}
 	return out.res, nil
 }

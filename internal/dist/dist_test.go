@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/operators"
+	"repro/internal/runtime"
 	"repro/internal/vec"
 )
 
@@ -46,7 +47,7 @@ func TestRunConverges(t *testing.T) {
 	op, xstar := contractingOp(t, 32, 1)
 	tol := 1e-10
 	res, err := Run(Config{
-		Op: op, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18,
+		Config: runtime.Config{Op: op, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestRunConverges(t *testing.T) {
 
 func TestRunSingleWorker(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 2)
-	res, err := Run(Config{Op: op, Workers: 1, Tol: 1e-12, MaxUpdatesPerWorker: 1 << 18})
+	res, err := Run(Config{Config: runtime.Config{Op: op, Workers: 1, Tol: 1e-12, MaxUpdatesPerWorker: 1 << 18}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestRunSingleWorker(t *testing.T) {
 func TestRunFaultInjection(t *testing.T) {
 	op, xstar := contractingOp(t, 64, 3)
 	res, err := Run(Config{
-		Op: op, Workers: 8, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18,
+		Config:  runtime.Config{Op: op, Workers: 8, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18},
 		Timeout: 60 * time.Second,
 		Fault: Fault{
 			DropProb:    0.3,
@@ -135,9 +136,8 @@ func TestRunFaultInjection(t *testing.T) {
 func TestRunBudgetExhaustion(t *testing.T) {
 	op, _ := contractingOp(t, 8, 4)
 	res, err := Run(Config{
-		Op: op, Workers: 4, Tol: 1e-30, // unreachable tolerance
-		MaxUpdatesPerWorker: 50,
-		Timeout:             30 * time.Second,
+		Config:  runtime.Config{Op: op, Workers: 4, Tol: 1e-30 /* unreachable */, MaxUpdatesPerWorker: 50},
+		Timeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestRunBudgetExhaustion(t *testing.T) {
 func TestRunNoTol(t *testing.T) {
 	op, _ := contractingOp(t, 8, 5)
 	res, err := Run(Config{
-		Op: op, Workers: 2, MaxUpdatesPerWorker: 20,
+		Config:  runtime.Config{Op: op, Workers: 2, MaxUpdatesPerWorker: 20},
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestRunNoTol(t *testing.T) {
 
 func TestRunWorkersClampedToDim(t *testing.T) {
 	op, _ := contractingOp(t, 3, 6)
-	res, err := Run(Config{Op: op, Workers: 16, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 16})
+	res, err := Run(Config{Config: runtime.Config{Op: op, Workers: 16, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,25 +182,25 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("expected error without operator")
 	}
 	op, _ := contractingOp(t, 4, 7)
-	if _, err := Run(Config{Op: op}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op}}); err == nil {
 		t.Error("expected error for zero workers")
 	}
-	if _, err := Run(Config{Op: op, Workers: 2, X0: []float64{1}}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2, X0: []float64{1}}}); err == nil {
 		t.Error("expected error for bad X0")
 	}
-	if _, err := Run(Config{Op: op, Workers: 2, Fault: Fault{DropProb: 1.5}}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Fault: Fault{DropProb: 1.5}}); err == nil {
 		t.Error("expected error for DropProb outside [0, 1)")
 	}
-	if _, err := Run(Config{Op: op, Workers: 2, Fault: Fault{ReorderProb: 1}}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Fault: Fault{ReorderProb: 1}}); err == nil {
 		t.Error("expected error for ReorderProb outside [0, 1)")
 	}
-	if _, err := Run(Config{Op: op, Workers: 2, Fault: Fault{MaxDelay: -1}}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Fault: Fault{MaxDelay: -1}}); err == nil {
 		t.Error("expected error for negative MaxDelay")
 	}
-	if _, err := Run(Config{Op: op, Workers: 2, Topology: "ring"}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Topology: "ring"}); err == nil {
 		t.Error("expected error for unknown topology")
 	}
-	if _, err := Run(Config{Op: op, Workers: 2, DeltaThreshold: -1e-9}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, DeltaThreshold: -1e-9}); err == nil {
 		t.Error("expected error for negative DeltaThreshold")
 	}
 }
@@ -221,16 +221,15 @@ func TestServeConnectSplit(t *testing.T) {
 	}
 	serveCh := make(chan out, 1)
 	go func() {
-		res, err := Serve(ServerConfig{
-			Listener: ln, Workers: p, N: op.Dim(),
-			Tol: 1e-10, MaxUpdatesPerWorker: 1 << 18,
+		res, err := Serve(ln, Config{
+			Config:  runtime.Config{Op: op, Workers: p, Tol: 1e-10, MaxUpdatesPerWorker: 1 << 18},
 			Timeout: 30 * time.Second,
 		})
 		serveCh <- out{res, err}
 	}()
 	workerCh := make(chan error, p)
 	for w := 0; w < p; w++ {
-		go func() { workerCh <- Connect(ln.Addr().String(), op, nil) }()
+		go func() { workerCh <- ConnectWorker(ln.Addr().String(), op, WorkerOptions{}) }()
 	}
 	got := <-serveCh
 	for w := 0; w < p; w++ {
@@ -261,7 +260,7 @@ func TestQuiescenceStressTCP(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		op, _ := contractingOp(t, 48, 20+uint64(trial))
 		res, err := Run(Config{
-			Op: op, Workers: 6, Tol: tol, MaxUpdatesPerWorker: 1 << 18,
+			Config:  runtime.Config{Op: op, Workers: 6, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
 			Timeout: 60 * time.Second,
 			Fault:   Fault{DropProb: 0.1, ReorderProb: 0.3, Seed: uint64(trial)},
 		})
@@ -284,7 +283,8 @@ func TestRunMeshConverges(t *testing.T) {
 	op, xstar := contractingOp(t, 32, 1)
 	tol := 1e-10
 	res, err := Run(Config{
-		Op: op, Workers: 4, Topology: TopologyMesh, Tol: tol, MaxUpdatesPerWorker: 1 << 18,
+		Config:   runtime.Config{Op: op, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
+		Topology: TopologyMesh,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +326,9 @@ func TestRunMeshConverges(t *testing.T) {
 func TestRunMeshShardedFaultInjection(t *testing.T) {
 	op, xstar := contractingOp(t, 64, 3)
 	res, err := Run(Config{
-		Op: op, Workers: 8, Topology: TopologyMesh, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18,
-		Timeout: 60 * time.Second,
+		Config:   runtime.Config{Op: op, Workers: 8, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18},
+		Topology: TopologyMesh,
+		Timeout:  60 * time.Second,
 		Fault: Fault{
 			DropProb:    0.3,
 			ReorderProb: 0.5,
@@ -363,7 +364,7 @@ func TestRunMeshShardedFaultInjection(t *testing.T) {
 // links): rendezvous must still complete and the solve still run.
 func TestRunMeshSingleWorker(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 2)
-	res, err := Run(Config{Op: op, Workers: 1, Topology: TopologyMesh, Tol: 1e-12, MaxUpdatesPerWorker: 1 << 18})
+	res, err := Run(Config{Config: runtime.Config{Op: op, Workers: 1, Tol: 1e-12, MaxUpdatesPerWorker: 1 << 18}, Topology: TopologyMesh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +504,8 @@ func TestSupersededNeverRelayed(t *testing.T) {
 	defer srv.Close()
 	defer cli.Close()
 	c := &coordinator{
-		cfg:   ServerConfig{Workers: 2, Topology: TopologyStar, N: 4},
+		cfg:   Config{Config: runtime.Config{Workers: 2}, Topology: TopologyStar},
+		n:     4,
 		links: []*link{nil, {conn: srv, lastSeq: make([]uint64, 2), seqGen: 1, bytesFrom: make([]int64, 2)}},
 		alive: []bool{false, true},
 		gen:   1,
@@ -674,9 +676,9 @@ func TestDelayedDeliveryTeardown(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				op, _ := contractingOp(t, 16, 30+uint64(trial))
 				res, err := Run(Config{
-					Op: op, Workers: 4, Topology: topology, Tol: 1e-8,
-					MaxUpdatesPerWorker: 1 << 18,
-					Timeout:             60 * time.Second,
+					Config:   runtime.Config{Op: op, Workers: 4, Tol: 1e-8, MaxUpdatesPerWorker: 1 << 18},
+					Topology: topology,
+					Timeout:  60 * time.Second,
 					Fault: Fault{
 						ReorderProb: 0.5,
 						MaxDelay:    3 * time.Millisecond, // >> per-phase compute time
@@ -710,16 +712,16 @@ func TestMeshServeConnectSplit(t *testing.T) {
 	}
 	serveCh := make(chan out, 1)
 	go func() {
-		res, err := Serve(ServerConfig{
-			Listener: ln, Workers: p, Topology: TopologyMesh, N: op.Dim(),
-			Tol: 1e-10, MaxUpdatesPerWorker: 1 << 18,
-			Timeout: 30 * time.Second,
+		res, err := Serve(ln, Config{
+			Config:   runtime.Config{Op: op, Workers: p, Tol: 1e-10, MaxUpdatesPerWorker: 1 << 18},
+			Topology: TopologyMesh,
+			Timeout:  30 * time.Second,
 		})
 		serveCh <- out{res, err}
 	}()
 	workerCh := make(chan error, p)
 	for w := 0; w < p; w++ {
-		go func() { workerCh <- Connect(ln.Addr().String(), op, nil) }()
+		go func() { workerCh <- ConnectWorker(ln.Addr().String(), op, WorkerOptions{}) }()
 	}
 	got := <-serveCh
 	for w := 0; w < p; w++ {
@@ -749,9 +751,10 @@ func TestQuiescenceStressMesh(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		op, _ := contractingOp(t, 48, 20+uint64(trial))
 		res, err := Run(Config{
-			Op: op, Workers: 6, Topology: TopologyMesh, Tol: tol, MaxUpdatesPerWorker: 1 << 18,
-			Timeout: 60 * time.Second,
-			Fault:   Fault{DropProb: 0.1, ReorderProb: 0.3, Seed: uint64(trial)},
+			Config:   runtime.Config{Op: op, Workers: 6, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
+			Topology: TopologyMesh,
+			Timeout:  60 * time.Second,
+			Fault:    Fault{DropProb: 0.1, ReorderProb: 0.3, Seed: uint64(trial)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -762,5 +765,58 @@ func TestQuiescenceStressMesh(t *testing.T) {
 		if r := operators.Residual(op, res.X); r > tol*4 {
 			t.Fatalf("trial %d: quiescent with residual %.3e > tol %.1e", trial, r, tol)
 		}
+	}
+}
+
+// TestServeCancelled: Done ends a run that would otherwise only end at its
+// Timeout — Serve returns a Cancelled result at once, its listener is
+// closed, and the workers unwind with a lost-coordinator error instead of
+// hanging.
+func TestServeCancelled(t *testing.T) {
+	op, _ := contractingOp(t, 16, 9)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 3
+	done := make(chan struct{})
+	type out struct {
+		res *Result
+		err error
+	}
+	serveCh := make(chan out, 1)
+	go func() {
+		res, err := Serve(ln, Config{
+			// No Tol: the run cannot converge, only be cancelled.
+			Config:  runtime.Config{Op: op, Workers: p, MaxUpdatesPerWorker: 1 << 30, Done: done},
+			Timeout: 2 * time.Minute,
+		})
+		serveCh <- out{res, err}
+	}()
+	workerCh := make(chan error, p)
+	for w := 0; w < p; w++ {
+		go func() { workerCh <- ConnectWorker(ln.Addr().String(), op, WorkerOptions{}) }()
+	}
+	time.Sleep(20 * time.Millisecond)
+	start := time.Now()
+	close(done)
+	got := <-serveCh
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if !got.res.Cancelled || got.res.Converged {
+		t.Fatalf("cancelled=%v converged=%v, want a cancelled, unconverged result", got.res.Cancelled, got.res.Converged)
+	}
+	for w := 0; w < p; w++ {
+		if err := <-workerCh; err == nil {
+			t.Error("a worker of a cancelled run returned no error")
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("cancel took %v to unwind coordinator and workers", elapsed)
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		conn.Close()
+		t.Error("listener still accepting after a cancelled run")
 	}
 }

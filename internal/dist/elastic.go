@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/operators"
@@ -131,7 +132,7 @@ func readCheckpointFile(path string, n int) ([]float64, error) {
 // Rejoin configures the dial/register retry loop of ConnectWorker.
 type Rejoin struct {
 	// MaxWait bounds the total retrying time; zero means a single attempt
-	// (the pre-elastic Connect behavior).
+	// (the rigid behavior).
 	MaxWait time.Duration
 	// Seed drives the backoff jitter. Seeding it from the worker's identity
 	// (RunChaos uses Fault.Seed mixed with the slot) keeps retry schedules
@@ -148,6 +149,9 @@ type WorkerOptions struct {
 	// Ctl, when non-nil, lets the caller kill this worker mid-run (the
 	// chaos harness's kill switch).
 	Ctl *WorkerCtl
+	// progress is the run's Progress counter, shared with the Worker loop
+	// of a worker that runs inside the coordinator's process (see Run).
+	progress *atomic.Int64
 }
 
 // WorkerCtl is a kill switch for one in-process worker: Kill closes every
@@ -224,11 +228,6 @@ const (
 // link die and freed its slot. Only connect-phase failures (dial errors,
 // msgReject) are retried; an error after a successful registration is a run
 // error and surfaces immediately.
-func Connect(addr string, op operators.Operator, scr *operators.Scratch) error {
-	return ConnectWorker(addr, op, WorkerOptions{Scratch: scr})
-}
-
-// ConnectWorker is Connect with explicit options; see Connect.
 func ConnectWorker(addr string, op operators.Operator, o WorkerOptions) error {
 	// The jitter RNG is seeded from the caller-provided identity, never the
 	// clock, so a rerun retries on the same schedule.
@@ -274,7 +273,7 @@ func connectOnce(addr string, op operators.Operator, o WorkerOptions) error {
 		return errWorkerKilled
 	}
 	defer conn.Close()
-	return runWorker(conn, op, o.Scratch, o.Ctl)
+	return runWorker(conn, op, o)
 }
 
 // ChaosEvent schedules one kill (and optional restart) of a worker slot.
@@ -299,13 +298,9 @@ type ChaosPlan struct {
 // severing each event's worker at KillAfter (closing its sockets, exactly
 // what a crashed process looks like from the network) and, RestartAfter
 // later, launching a replacement worker that rejoins through the elastic
-// accept loop under the backoff policy. cfg.Elastic must be enabled. The
-// coordinator's result is authoritative; errors from deliberately killed
-// workers (and from replacements that raced the end of the run) are
-// expected and not surfaced.
+// accept loop under the backoff policy. cfg.Elastic must be enabled.
 func RunChaos(cfg Config, plan ChaosPlan) (*Result, error) {
-	n, err := cfg.validate()
-	if err != nil {
+	if _, err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if !cfg.Elastic.enabled() {
@@ -319,91 +314,5 @@ func RunChaos(cfg Config, plan ChaosPlan) (*Result, error) {
 			return nil, fmt.Errorf("dist: chaos event for worker %d has negative KillAfter", ev.Worker)
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	addr := ln.Addr().String()
-
-	type serveOut struct {
-		res *Result
-		err error
-	}
-	serveCh := make(chan serveOut, 1)
-	go func() {
-		res, err := Serve(ServerConfig{
-			Listener:            ln,
-			Workers:             cfg.Workers,
-			Topology:            cfg.Topology,
-			N:                   n,
-			X0:                  cfg.X0,
-			Tol:                 cfg.Tol,
-			SweepsBelowTol:      cfg.SweepsBelowTol,
-			MaxUpdatesPerWorker: cfg.MaxUpdatesPerWorker,
-			DeltaThreshold:      cfg.DeltaThreshold,
-			Fault:               cfg.Fault,
-			Timeout:             cfg.Timeout,
-			Elastic:             cfg.Elastic,
-		})
-		serveCh <- serveOut{res, err}
-	}()
-
-	type workerOut struct {
-		ctl *WorkerCtl
-		err error
-	}
-	var wg sync.WaitGroup
-	var outMu sync.Mutex
-	var outs []workerOut
-	launch := func(w int, ctl *WorkerCtl, rejoin Rejoin) {
-		wg.Add(1)
-		//repro:join-ok joined by the wg.Wait below; every blocking step inside is bounded by dial timeouts, conn deadlines and Rejoin.MaxWait
-		go func() {
-			defer wg.Done()
-			err := ConnectWorker(addr, cfg.Op, WorkerOptions{
-				Scratch: cfg.workerScratch(w),
-				Rejoin:  rejoin,
-				Ctl:     ctl,
-			})
-			outMu.Lock()
-			outs = append(outs, workerOut{ctl, err})
-			outMu.Unlock()
-		}()
-	}
-
-	ctls := make([]*WorkerCtl, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		ctls[w] = &WorkerCtl{}
-		launch(w, ctls[w], Rejoin{MaxWait: cfg.Elastic.MaxRejoinWait, Seed: cfg.Fault.Seed ^ uint64(w)})
-	}
-
-	// The churn schedule. Each event goroutine sleeps out its offsets so
-	// kills land mid-solve regardless of how the solve itself is paced.
-	for i, ev := range plan.Events {
-		ev := ev
-		seed := cfg.Fault.Seed ^ (uint64(cfg.Workers+i) * 0x9e3779b97f4a7c15)
-		wg.Add(1)
-		//repro:join-ok joined by the wg.Wait below; the sleeps are bounded by the plan's fixed offsets
-		go func() {
-			defer wg.Done()
-			time.Sleep(ev.KillAfter)
-			ctls[ev.Worker].Kill()
-			if ev.RestartAfter <= 0 {
-				return
-			}
-			time.Sleep(ev.RestartAfter)
-			launch(ev.Worker, &WorkerCtl{}, Rejoin{MaxWait: cfg.Elastic.MaxRejoinWait, Seed: seed})
-		}()
-	}
-
-	out := <-serveCh
-	wg.Wait()
-	if out.err != nil {
-		return nil, out.err
-	}
-	// The run converged (or ended legitimately): deliberate kills and
-	// replacements cut off by the end of the run are expected casualties,
-	// not failures. With a successful coordinator result there is no healthy
-	// worker left to have failed in a way the result would not show.
-	return out.res, nil
+	return runLocal(cfg, plan)
 }

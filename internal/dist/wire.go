@@ -32,24 +32,22 @@ package dist
 //	reject   := str reason                              (coordinator → rejoiner)
 //	str      := u32 len | len × u8
 //
-// Protocol v3 delta (v2 added topology/fault/delta-threshold config and the
-// drained/link-byte accounting; v1 was the star-only format of PR 3): the
-// elastic-membership protocol. The welcome carries the membership generation,
-// a rejoining flag and the heartbeat/checkpoint cadences; block and status
-// frames carry the generation so frames from before a re-shard are fenced
-// off; heartbeat frames keep a link observably alive between data frames;
-// checkpoint frames stream shard snapshots to the coordinator so a restarted
-// worker warm-starts; the reshard/reshardack/assign triple is the membership-
-// change barrier (pause survivors, collect their shards, re-issue the shard
-// table and — on mesh — the peer address table, "" marking dead slots); a
-// reject answers a rejoin attempt that found no free worker slot.
+// Every data frame (block) and every status is fenced to the membership
+// generation it was sent in, so frames from before a re-shard self-discard
+// wherever they surface. Heartbeat frames keep a link observably alive
+// between data frames; checkpoint frames stream shard snapshots to the
+// coordinator so a restarted worker warm-starts; reshard/reshardack/assign
+// is the membership-change barrier (pause survivors, collect their shards,
+// re-issue the shard table and — on mesh — the peer address table, ""
+// marking dead slots); a reject answers a rejoin attempt that found no free
+// worker slot.
 //
 // block.flags bit 0 marks a reliable frame (a worker's final re-broadcast):
 // fault injection never drops or reorder-holds it, the TCP analogue of the
 // in-process transport's sendReliable. A block frame may carry any
 // [lo, lo+count) slice of the sender's shard — under a delta threshold only
 // the runs of components that moved by more than the threshold are shipped.
-// status.flags bit 0 is passive, bit 1 is done (update budget exhausted).
+// status.flags bit 0 is passive, bit 1 is spent (update budget exhausted).
 
 import (
 	"bytes"
@@ -57,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 )
 
 const protocolVersion = 3
@@ -88,7 +87,7 @@ const (
 const (
 	blockReliable  = 1 << 0
 	statusPassive  = 1 << 0
-	statusDone     = 1 << 1
+	statusSpent    = 1 << 1
 	frameHeaderLen = 5 // u32 length + u8 type
 
 	topologyStarWire byte = 0
@@ -223,6 +222,91 @@ func buildBlockFrame(from int, seq uint64, flags byte, gen uint32, lo int, vals 
 	b = appendU32(b, uint32(len(vals)))
 	b = appendF64s(b, vals)
 	return buildFrame(msgBlock, b)
+}
+
+// welcome is the decoded welcome frame: the worker's slot in the run plus
+// the run's parameters — the coordinator's validated Config travels as is,
+// minus what is local to a process (operator, scratches, cancellation),
+// with X0 standing for the iterate the worker starts from (x0 at the
+// rendezvous, the checkpointed iterate for a rejoiner).
+type welcome struct {
+	id, n, lo, hi int
+	gen           uint32
+	rejoining     bool
+	cfg           Config
+}
+
+func (w *welcome) frame() []byte {
+	c := &w.cfg
+	b := appendU32(nil, uint32(w.id))
+	b = appendU32(b, uint32(c.Workers))
+	b = appendU32(b, uint32(w.n))
+	b = appendU32(b, uint32(w.lo))
+	b = appendU32(b, uint32(w.hi))
+	b = appendF64(b, c.Tol)
+	b = appendU32(b, uint32(c.SweepsBelowTol))
+	b = appendU32(b, uint32(c.MaxUpdatesPerWorker))
+	topo := topologyStarWire
+	if c.Topology == TopologyMesh {
+		topo = topologyMeshWire
+	}
+	b = append(b, topo)
+	b = appendF64(b, c.DeltaThreshold)
+	b = appendU64(b, uint64(c.Timeout))
+	b = appendF64(b, c.Fault.DropProb)
+	b = appendF64(b, c.Fault.ReorderProb)
+	b = appendU64(b, uint64(c.Fault.MaxDelay))
+	b = appendU64(b, c.Fault.Seed)
+	b = appendU32(b, w.gen)
+	rejoining := byte(0)
+	if w.rejoining {
+		rejoining = 1
+	}
+	b = append(b, rejoining)
+	b = appendU64(b, uint64(c.Elastic.HeartbeatEvery))
+	b = appendU64(b, uint64(c.Elastic.CheckpointEvery))
+	b = appendF64s(b, c.X0)
+	return buildFrame(msgWelcome, b)
+}
+
+func decodeWelcome(payload []byte) (welcome, error) {
+	cur := cursor{b: payload}
+	var w welcome
+	c := &w.cfg
+	w.id = int(cur.u32())
+	c.Workers = int(cur.u32())
+	w.n = int(cur.u32())
+	w.lo = int(cur.u32())
+	w.hi = int(cur.u32())
+	c.Tol = cur.f64()
+	c.SweepsBelowTol = int(cur.u32())
+	c.MaxUpdatesPerWorker = int(cur.u32())
+	c.Topology = TopologyStar
+	if cur.u8() == topologyMeshWire {
+		c.Topology = TopologyMesh
+	}
+	c.DeltaThreshold = cur.f64()
+	c.Timeout = time.Duration(cur.u64())
+	c.Fault = Fault{
+		DropProb:    cur.f64(),
+		ReorderProb: cur.f64(),
+		MaxDelay:    time.Duration(cur.u64()),
+		Seed:        cur.u64(),
+	}
+	w.gen = cur.u32()
+	w.rejoining = cur.u8() != 0
+	c.Elastic.HeartbeatEvery = time.Duration(cur.u64())
+	c.Elastic.CheckpointEvery = time.Duration(cur.u64())
+	if cur.err == nil {
+		c.X0 = cur.f64s(w.n)
+	}
+	if cur.err != nil {
+		return w, cur.err
+	}
+	if w.id < 0 || w.id >= c.Workers || w.lo < 0 || w.lo > w.hi || w.hi > w.n {
+		return w, fmt.Errorf("slot %d of %d with shard [%d, %d) of %d", w.id, c.Workers, w.lo, w.hi, w.n)
+	}
+	return w, nil
 }
 
 // readFrameChunk bounds the allocation a single untrusted length prefix can

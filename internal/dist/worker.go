@@ -7,45 +7,38 @@ import (
 	"time"
 
 	"repro/internal/operators"
+	"repro/internal/runtime"
 )
 
 // maxFramePayload is the sanity bound on any frame's payload.
 const maxFramePayload = 1 << 26
-
-// passiveWait is how long a passive or done worker blocks for input before
-// re-checking its loop condition; it bounds the latency of noticing stop.
-const passiveWait = 200 * time.Microsecond
-
-// doneWait is the fallback deadline a budget-exhausted worker waits for the
-// coordinator's stop before giving up (the coordinator's own Timeout should
-// always fire first).
-const doneWait = 5 * time.Minute
 
 type inFrame struct {
 	typ     byte
 	payload []byte
 }
 
-// workerState is the per-worker protocol state. It lives entirely on the
-// compute goroutine, so status replies are self-consistent snapshots by
+// workerState is the TCP Transport of the runtime Worker loop, serving both
+// data planes: Publish frames shard values onto the coordinator's relay
+// (star) or the worker's own mesh links, Drain and Wait take frames off the
+// one inbox every reader goroutine feeds. It lives entirely on the compute
+// goroutine, so status replies are self-consistent snapshots by
 // construction — the property the coordinator's probe rounds rely on. The
 // only mesh-side exceptions are the drained counters, which delayed-send
 // timers bump through atomics.
 type workerState struct {
-	conn            net.Conn
-	id, p, n        int
-	lo, hi          int
-	tol             float64
-	sweeps, maxUpds int
-	deltaThreshold  float64
+	conn           net.Conn
+	inbox          chan inFrame
+	id, p, n       int
+	lo, hi         int
+	deltaThreshold float64
 
+	// view is the Worker's view of the full iterate: received blocks land
+	// in it; checkpoints, reshard acks and the final upload read the shard
+	// from it.
 	view     []float64
-	out      []float64
-	chk      []float64 // blockDelta's evaluation buffer
 	lastSent []float64 // per own component: value last shipped to peers
 	lastSeq  []uint64  // per source: highest applied block sequence (this gen)
-	op       operators.Operator
-	scr      *operators.Scratch
 
 	mesh *mesh // nil in the star topology
 
@@ -53,26 +46,28 @@ type workerState struct {
 	// data frame is fenced to it, and sent/delivered restart at zero when it
 	// changes, so in-flight accounting never mixes generations. awaitAssign
 	// is the paused window between acknowledging a reshard and receiving
-	// the new shard table; resetStreak tells the loop its convergence
-	// streak spans a re-shard and must restart.
+	// the new shard table; Drain does not return while it lasts.
 	gen              uint32
 	hbEvery, ckEvery time.Duration
+	hbTimer          *time.Timer // nil unless heartbeats are on
 	awaitAssign      bool
-	resetStreak      bool
 	lastHB, lastCk   time.Time
 
-	passive, done, stopped bool
-	epoch                  uint64
+	passive, spent, stopped bool
+	// fresh and reset are the Input flags accumulated since the last Drain
+	// returned.
+	fresh, reset bool
+	epoch        uint64
 	// sent/delivered/stale are lifetime counters for the final report;
 	// gsent/gdelivered are the generation-scoped pair the termination
 	// probes see. With no churn the pairs are identical.
 	sent, delivered, stale uint64
 	gsent, gdelivered      uint64
-	updates                int
 	seq                    uint64
 }
 
-func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl *WorkerCtl) error {
+func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
+	scr, ctl := o.Scratch, o.Ctl
 	if scr == nil {
 		scr = operators.NewScratch()
 	}
@@ -90,49 +85,37 @@ func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl
 	if typ != msgWelcome {
 		return fmt.Errorf("dist: worker expected welcome, got frame type %d", typ)
 	}
-	cur := cursor{b: payload}
+	wel, err := decodeWelcome(payload)
+	if err != nil {
+		return fmt.Errorf("dist: worker welcome decode: %w", err)
+	}
+	cfg := &wel.cfg
+	if op.Dim() != wel.n {
+		return fmt.Errorf("dist: worker operator dim %d, coordinator says %d", op.Dim(), wel.n)
+	}
+	// No socket of this worker outlives the run unboundedly: every link
+	// carries an absolute I/O deadline derived from the run Timeout, with
+	// the same grace the coordinator gives the post-deadline stop/final
+	// exchange. A coordinator that goes silent therefore surfaces as a
+	// deadline error on the control reader — which is also what bounds
+	// every blocking wait below, with no timer of its own.
+	deadline := time.Now().Add(2 * cfg.Timeout)
+	conn.SetDeadline(deadline)
 	ws := &workerState{
-		conn: conn,
-		id:   int(cur.u32()),
-		p:    int(cur.u32()),
-		n:    int(cur.u32()),
-		lo:   int(cur.u32()),
-		hi:   int(cur.u32()),
-		tol:  cur.f64(),
-		op:   op,
-		scr:  scr,
+		conn:  conn,
+		inbox: make(chan inFrame, 1024), // absorbs a burst from every reader before they block
+		id:    wel.id, p: cfg.Workers, n: wel.n,
+		lo: wel.lo, hi: wel.hi,
+		deltaThreshold: cfg.DeltaThreshold,
+		view:           cfg.X0,
+		lastSent:       append([]float64(nil), cfg.X0[wel.lo:wel.hi]...),
+		lastSeq:        make([]uint64, cfg.Workers),
+		gen:            wel.gen,
+		hbEvery:        cfg.Elastic.HeartbeatEvery,
+		ckEvery:        cfg.Elastic.CheckpointEvery,
+		// A rejoiner owns no shard until its first assign re-shards it in.
+		awaitAssign: wel.rejoining,
 	}
-	ws.sweeps = int(cur.u32())
-	ws.maxUpds = int(cur.u32())
-	topology := cur.u8()
-	ws.deltaThreshold = cur.f64()
-	timeout := time.Duration(cur.u64())
-	fault := Fault{
-		DropProb:    cur.f64(),
-		ReorderProb: cur.f64(),
-		MaxDelay:    time.Duration(cur.u64()),
-		Seed:        cur.u64(),
-	}
-	ws.gen = cur.u32()
-	rejoining := cur.u8() != 0
-	ws.hbEvery = time.Duration(cur.u64())
-	ws.ckEvery = time.Duration(cur.u64())
-	if cur.err == nil {
-		ws.view = cur.f64s(ws.n)
-	}
-	if cur.err != nil {
-		return fmt.Errorf("dist: worker welcome decode: %w", cur.err)
-	}
-	if op.Dim() != ws.n {
-		return fmt.Errorf("dist: worker operator dim %d, coordinator says %d", op.Dim(), ws.n)
-	}
-	ws.out = make([]float64, ws.hi-ws.lo)
-	ws.chk = make([]float64, ws.hi-ws.lo)
-	ws.lastSent = append([]float64(nil), ws.view[ws.lo:ws.hi]...)
-	ws.lastSeq = make([]uint64, ws.p)
-	// A rejoiner owns no shard until its first assign re-shards it in.
-	ws.awaitAssign = rejoining
-
 	// Reader goroutines decode frames into the shared inbox; the quit
 	// channel unblocks them if the compute loop returns while they hold a
 	// frame. The control reader reports a lost coordinator with an
@@ -141,7 +124,7 @@ func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl
 	// sockets after stop is normal teardown (and under elastic membership a
 	// crashed peer is the coordinator's heartbeat timeout to notice, not
 	// ours), so a dead inbound link just stops producing frames.
-	inbox := make(chan inFrame, 1024)
+	inbox := ws.inbox
 	quit := make(chan struct{})
 	defer close(quit)
 	readInto := func(c net.Conn, ctrl bool) {
@@ -176,7 +159,7 @@ func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl
 	// in flight, whose peer table arrives with our first assign — receive
 	// the full peer table and establish every worker-to-worker link before
 	// the first compute phase.
-	if topology == topologyMeshWire {
+	if cfg.Topology == TopologyMesh {
 		ln, err := meshListener(conn)
 		if err != nil {
 			return err
@@ -189,14 +172,8 @@ func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl
 			ln.Close()
 			return fmt.Errorf("dist: worker %d mesh address: %w", ws.id, err)
 		}
-		// Mesh sockets outlive the coordinator Timeout by design (the
-		// stop/final exchange), but must never outlive the run unboundedly.
-		meshDeadline := time.Now().Add(2 * timeout)
-		if timeout <= 0 {
-			meshDeadline = time.Now().Add(doneWait)
-		}
-		if rejoining {
-			m := newMesh(ws.id, ws.p, fault, ws.gen, meshDeadline)
+		if wel.rejoining {
+			m := newMesh(ws.id, ws.p, cfg.Fault, ws.gen, deadline)
 			m.ln = ln
 			ws.mesh = m
 		} else {
@@ -219,7 +196,7 @@ func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl
 				ln.Close()
 				return fmt.Errorf("dist: worker %d peer table decode: %w", ws.id, cur.err)
 			}
-			m, err := dialMesh(ws.id, ws.p, ln, peers, fault, ws.gen, meshDeadline, ws.hbEvery > 0)
+			m, err := dialMesh(ws.id, ws.p, ln, peers, cfg.Fault, ws.gen, deadline, ws.hbEvery > 0)
 			if err != nil {
 				return err
 			}
@@ -247,26 +224,24 @@ func runWorker(conn net.Conn, op operators.Operator, scr *operators.Scratch, ctl
 		}
 	}
 
-	return ws.loop(inbox)
-}
-
-// blockDelta is the worker's local convergence measure: the max displacement
-// |F_c(view) - view_c| over its own shard, evaluated on its current view.
-//
-//repro:hotpath
-func (ws *workerState) blockDelta() float64 {
-	operators.EvalBlock(ws.op, ws.scr, ws.lo, ws.hi, ws.view, ws.chk)
-	d := 0.0
-	for i, v := range ws.chk {
-		v -= ws.view[ws.lo+i]
-		if v < 0 {
-			v = -v
-		}
-		if v > d {
-			d = v
-		}
+	if ws.hbEvery > 0 {
+		ws.lastHB = time.Now()
+		ws.lastCk = ws.lastHB
+		ws.hbTimer = time.NewTimer(ws.hbEvery)
+		defer ws.hbTimer.Stop()
+		ws.hbTimer.Stop() // parked until next() arms it; it cannot have fired yet
 	}
-	return d
+
+	wk := runtime.Worker{
+		Op: op, Scratch: scr,
+		Tol: cfg.Tol, Sweeps: cfg.SweepsBelowTol, Budget: cfg.MaxUpdatesPerWorker,
+		Progress: o.progress,
+		View:     ws.view,
+	}
+	if err := wk.Run(ws); err != nil {
+		return err
+	}
+	return ws.finish(wk.Updates)
 }
 
 // heartbeatFrame is shared by every worker: conn.Write never mutates it.
@@ -345,16 +320,14 @@ func (ws *workerState) handle(f inFrame) error {
 		}
 		ws.lastSeq[from] = seq
 		// The protocol's ordering rule: publish the reactivation before
-		// acknowledging the delivery. Budget-exhausted workers reactivate
-		// too — they cannot compute, but staying observably passive while
-		// absorbing data they can no longer verify would let the
-		// coordinator certify a false quiescence; recheck() re-passivates
-		// them only if the new data left their shard converged.
-		if ws.passive {
-			ws.passive = false
-			ws.epoch++
-		}
+		// acknowledging the delivery. Spent workers reactivate too —
+		// staying observably passive while absorbing data they have not
+		// verified would let the coordinator certify a false convergence;
+		// the loop re-passivates them only if the new data left their
+		// shard converged.
+		ws.Account(runtime.Active)
 		copy(ws.view[blo:blo+count], vals)
+		ws.fresh = true
 		ws.delivered++
 		ws.gdelivered++
 	case msgProbe:
@@ -367,8 +340,8 @@ func (ws *workerState) handle(f inFrame) error {
 		if ws.passive {
 			flags |= statusPassive
 		}
-		if ws.done {
-			flags |= statusDone
+		if ws.spent {
+			flags |= statusSpent
 		}
 		var drained uint64
 		if ws.mesh != nil {
@@ -402,7 +375,6 @@ func (ws *workerState) handle(f inFrame) error {
 		ws.epoch++
 		ws.passive = false
 		ws.awaitAssign = true
-		ws.resetStreak = true
 		ws.gsent, ws.gdelivered = 0, 0
 		ws.seq = 0
 		for i := range ws.lastSeq {
@@ -447,14 +419,12 @@ func (ws *workerState) handle(f inFrame) error {
 		// whatever still moves).
 		copy(ws.view, x)
 		ws.lo, ws.hi = lo, hi
-		ws.out = make([]float64, hi-lo)
-		ws.chk = make([]float64, hi-lo)
 		ws.lastSent = append(ws.lastSent[:0], ws.view[lo:hi]...)
 		if ws.mesh != nil && addrs != nil {
 			ws.mesh.updatePeers(addrs)
 		}
 		ws.awaitAssign = false
-		ws.resetStreak = true
+		ws.reset = true
 	case msgStop:
 		ws.stopped = true
 	case msgConnLost:
@@ -465,34 +435,101 @@ func (ws *workerState) handle(f inFrame) error {
 	return nil
 }
 
-// recheck re-evaluates local convergence after a reactivating block and
-// re-passivates (with the epoch bumps the double collect watches) when the
-// fresh data left the shard converged. A done worker that stays active here
-// can never be part of a certified quiescence — it absorbed data it has no
-// budget left to verify, so the run ends by budget exhaustion instead of a
-// false Converged. A worker awaiting its assign owns no verifiable shard
-// and stays active until it does.
-func (ws *workerState) recheck() {
-	if ws.passive || ws.stopped || ws.awaitAssign || ws.tol <= 0 {
+func (ws *workerState) Block() (lo, hi int) { return ws.lo, ws.hi }
+
+func (ws *workerState) Passive() bool { return ws.passive }
+
+// Account publishes a state transition: the status replies carry the flags
+// and every transition bumps the epoch the double collect watches.
+func (ws *workerState) Account(s runtime.State) {
+	switch {
+	case s == runtime.Spent:
+		ws.spent = true
+	case s == runtime.Passive && !ws.passive:
+		ws.passive = true
+	case s == runtime.Active && ws.passive:
+		ws.passive = false
+	default:
 		return
 	}
-	if ws.blockDelta() <= ws.tol {
-		ws.epoch++
-		ws.passive = true
-	}
+	ws.epoch++
 }
 
-// drain handles every frame already queued without blocking.
-func (ws *workerState) drain(inbox chan inFrame) error {
+func (ws *workerState) Publish(vals []float64, reliable bool) error {
+	if reliable {
+		return ws.broadcast(vals, blockReliable)
+	}
+	return ws.broadcast(vals, 0)
+}
+
+// Drain handles every frame already queued. A reshard among them pauses the
+// worker here — serving probes and absorbing frames, observably active —
+// until the new shard table (or stop) lands; the coordinator's run Timeout
+// bounds that.
+func (ws *workerState) Drain() (runtime.Input, error) {
+	if err := ws.maintain(); err != nil {
+		return 0, err
+	}
 	for {
 		select {
-		case f := <-inbox:
+		case f := <-ws.inbox:
 			if err := ws.handle(f); err != nil {
-				return err
+				return 0, err
 			}
+			continue
 		default:
-			return nil
 		}
+		if !ws.awaitAssign || ws.stopped {
+			break
+		}
+		if err := ws.next(); err != nil {
+			return 0, err
+		}
+	}
+	var in runtime.Input
+	if ws.fresh {
+		in |= runtime.Fresh
+	}
+	if ws.reset {
+		in |= runtime.Reset
+	}
+	if ws.stopped {
+		in |= runtime.Stop
+	}
+	ws.fresh, ws.reset = false, false
+	return in, nil
+}
+
+func (ws *workerState) Wait() (runtime.Input, error) {
+	if err := ws.next(); err != nil {
+		return 0, err
+	}
+	return ws.Drain()
+}
+
+// next blocks for one inbound frame and handles it. Without heartbeats it
+// blocks on the inbox alone: the control reader turns a dead or expired
+// link into a msgConnLost frame, so the conn deadline bounds the wait.
+// With heartbeats it also returns, empty-handed, when the next one is due.
+func (ws *workerState) next() error {
+	if ws.hbTimer == nil {
+		return ws.handle(<-ws.inbox)
+	}
+	if err := ws.maintain(); err != nil {
+		return err
+	}
+	ws.hbTimer.Reset(ws.hbEvery - time.Since(ws.lastHB))
+	select {
+	case f := <-ws.inbox:
+		if !ws.hbTimer.Stop() {
+			select {
+			case <-ws.hbTimer.C:
+			default:
+			}
+		}
+		return ws.handle(f)
+	case <-ws.hbTimer.C:
+		return nil
 	}
 }
 
@@ -554,160 +591,16 @@ func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) error {
 	return nil
 }
 
-func (ws *workerState) loop(inbox chan inFrame) error {
-	streak := 0
-	ws.lastHB = time.Now()
-	ws.lastCk = ws.lastHB
-	for k := 0; k < ws.maxUpds && !ws.stopped; k++ {
-		if err := ws.maintain(); err != nil {
-			return err
-		}
-		wasPassive := ws.passive
-		if err := ws.drain(inbox); err != nil {
-			return err
-		}
-		if ws.stopped {
-			break
-		}
-		if ws.resetStreak {
-			streak = 0
-			ws.resetStreak = false
-		}
-		if wasPassive && !ws.passive {
-			// A block absorbed by that drain reactivated us. Re-verify local
-			// convergence BEFORE resuming the active compute-and-broadcast
-			// path: when the fresh data left the shard converged, we
-			// re-passivate without broadcasting. Skipping this check lets
-			// converged workers whose evaluations are slow enough to always
-			// have a peer frame in flight reactivate each other forever —
-			// every spurious resume broadcasts, and every broadcast is the
-			// next worker's spurious resume.
-			ws.recheck()
-			if !ws.passive {
-				streak = 0
-			}
-		}
-		if ws.awaitAssign {
-			// Paused across a re-shard barrier: keep serving probes and
-			// absorbing frames (staying observably active) until the new
-			// shard table lands. The coordinator's run Timeout bounds this.
-			select {
-			case f := <-inbox:
-				if err := ws.handle(f); err != nil {
-					return err
-				}
-			case <-time.After(passiveWait):
-			}
-			continue
-		}
-		if ws.passive {
-			// Passive: wait briefly for input; a reactivating block was
-			// already marked active by handle, so re-check local
-			// convergence with the fresh data and either resume computing
-			// or re-passivate (both paths bump the epoch, invalidating any
-			// probe round in progress).
-			select {
-			case f := <-inbox:
-				if err := ws.handle(f); err != nil {
-					return err
-				}
-				if err := ws.drain(inbox); err != nil {
-					return err
-				}
-				ws.recheck()
-				if !ws.passive {
-					streak = 0 // new data broke convergence: resume
-				}
-			case <-time.After(passiveWait):
-			}
-			continue // passivity consumes budget, bounding the loop
-		}
-		// Active updating phase over the current view: the whole shard in
-		// one coupled-operator pass (shared prox/gradient work amortized).
-		operators.EvalBlock(ws.op, ws.scr, ws.lo, ws.hi, ws.view, ws.out)
-		delta := 0.0
-		for i, v := range ws.out {
-			if d := v - ws.view[ws.lo+i]; d > delta {
-				delta = d
-			} else if -d > delta {
-				delta = -d
-			}
-		}
-		copy(ws.view[ws.lo:ws.hi], ws.out)
-		ws.updates++
-		if err := ws.broadcast(ws.out, 0); err != nil {
-			return err
-		}
-		if ws.tol > 0 {
-			if delta <= ws.tol {
-				streak++
-			} else {
-				streak = 0
-			}
-			if streak >= ws.sweeps {
-				// Reliable final broadcast (never dropped or reorder-held
-				// by the fault injection), then go passive — unless data
-				// that arrived meanwhile already broke local convergence.
-				if err := ws.broadcast(ws.view[ws.lo:ws.hi], blockReliable); err != nil {
-					return err
-				}
-				if err := ws.drain(inbox); err != nil {
-					return err
-				}
-				if ws.stopped {
-					break
-				}
-				if ws.awaitAssign {
-					continue // a re-shard landed in that drain
-				}
-				if ws.blockDelta() > ws.tol {
-					streak = 0
-					continue
-				}
-				ws.epoch++
-				ws.passive = true
-			}
-		}
-	}
-
-	// Budget exhausted (or stop observed): keep serving probes and
-	// absorbing blocks until the coordinator stops the run, then upload
-	// the final shard.
-	if !ws.stopped {
-		ws.done = true
-		deadline := time.Now().Add(doneWait)
-		for !ws.stopped {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("dist: worker %d: no stop from coordinator", ws.id)
-			}
-			if err := ws.maintain(); err != nil {
-				return err
-			}
-			select {
-			case f := <-inbox:
-				if err := ws.handle(f); err != nil {
-					return err
-				}
-				// A reactivating block must be re-verified even without
-				// budget: recheck re-passivates only if the block is still
-				// converged, otherwise this worker stays active and blocks
-				// any further quiescence certification.
-				ws.recheck()
-			case <-time.After(passiveWait):
-			}
-		}
-	}
-
-	// The run is over. Flush the data plane first — cancel pending delayed
-	// sends, wait out callbacks already firing, and let the link senders
-	// empty their queues — so nothing can write after teardown proceeds and
-	// the drain counters are final, then upload the authoritative shard.
-	if ws.mesh != nil {
-		ws.mesh.flush()
-	}
+// finish ends the worker's run once the loop has seen stop. It flushes the
+// data plane first — cancel pending delayed sends, wait out callbacks
+// already firing, and let the link senders empty their queues — so nothing
+// can write after teardown proceeds and the drain counters are final, then
+// uploads the authoritative shard.
+func (ws *workerState) finish(updates int) error {
 	var dropped, reordered, duplicate uint64
 	var linkBytes []uint64
 	if ws.mesh != nil {
+		ws.mesh.flush()
 		dropped = uint64(ws.mesh.dropped.Load())
 		reordered = uint64(ws.mesh.reordered.Load())
 		duplicate = uint64(ws.mesh.duplicate.Load())
@@ -716,7 +609,7 @@ func (ws *workerState) loop(inbox chan inFrame) error {
 	fin := appendU32(nil, uint32(ws.lo))
 	fin = appendU32(fin, uint32(ws.hi-ws.lo))
 	fin = appendF64s(fin, ws.view[ws.lo:ws.hi])
-	fin = appendU32(fin, uint32(ws.updates))
+	fin = appendU32(fin, uint32(updates))
 	fin = appendU64(fin, ws.sent)
 	fin = appendU64(fin, ws.delivered)
 	fin = appendU64(fin, ws.stale)
@@ -735,19 +628,10 @@ func (ws *workerState) loop(inbox chan inFrame) error {
 	// closing the control connection (it does so only after every worker's
 	// final arrived): peers that have not yet processed stop may still be
 	// sending, and their frames must land on open sockets, not teardown
-	// errors.
-	if ws.mesh != nil {
-		waitDeadline := time.Now().Add(doneWait)
-		for {
-			select {
-			case f := <-inbox:
-				if f.typ == msgConnLost {
-					return nil // expected EOF: the coordinator is done
-				}
-				// Late data frames are irrelevant after stop; discard.
-			case <-time.After(time.Until(waitDeadline)):
-				return nil
-			}
+	// errors. Late data frames are irrelevant after stop and are discarded.
+	for ws.mesh != nil {
+		if f := <-ws.inbox; f.typ == msgConnLost {
+			break // expected EOF (or, at worst, the conn deadline): the coordinator is done
 		}
 	}
 	return nil

@@ -1,0 +1,219 @@
+package runtime
+
+import (
+	gort "runtime"
+	"sync/atomic"
+
+	"repro/internal/operators"
+	"repro/internal/vec"
+)
+
+// The worker protocol, written once. Every concurrent engine — shared
+// memory, in-process channels, TCP star and TCP mesh — runs Worker.Run; a
+// Transport is what differs between them. The loop owns the decisions
+// (when a block counts as locally converged, when to go passive, what a
+// reactivated worker must prove before it may publish again); a transport
+// owns the mechanics (how values reach peers, how input arrives, how a
+// state transition becomes visible to the termination protocol of
+// quiescence.go).
+//
+// One policy per decision, the same on every transport:
+//
+//   - Passivation. After SweepsBelowTol consecutive phases whose block
+//     displacement stayed within Tol the worker publishes its block
+//     reliably, absorbs what arrived meanwhile, re-verifies, and only then
+//     accounts itself passive.
+//   - Reactivation. A parked worker that receives input re-verifies local
+//     convergence BEFORE anything else: input that leaves the block within
+//     Tol re-passivates it without a publish (otherwise converged workers
+//     whose frames cross in flight wake each other forever), input that
+//     breaks convergence resumes the active path with the streak at zero.
+//   - Budget exhaustion. A worker that has spent MaxUpdatesPerWorker does
+//     not leave: it is accounted Spent and keeps absorbing and re-verifying
+//     input until the run stops. Input it can no longer iterate away leaves
+//     it active-but-spent, which ends the run as not converged — it never
+//     reports passive on data it could not verify.
+//   - Waiting. A parked worker consumes no budget and blocks in
+//     Transport.Wait until input or stop arrives.
+
+// State is a worker state the termination protocol can observe.
+type State uint8
+
+const (
+	// Active: computing and publishing.
+	Active State = iota
+	// Passive: locally converged, publishing nothing until input arrives.
+	Passive
+	// Spent: update budget exhausted; orthogonal to Active/Passive (a spent
+	// worker is passive exactly when its last re-verification passed) and
+	// never cleared.
+	Spent
+)
+
+// Input is what one Drain or Wait absorbed, as a set of flags.
+type Input uint8
+
+const (
+	// Fresh: values in the worker's view may have changed.
+	Fresh Input = 1 << iota
+	// Reset: the transport re-assigned the worker's block (Transport.Block
+	// has the new bounds); the convergence streak restarts.
+	Reset
+	// Stop: the run is over.
+	Stop
+)
+
+// Transport is one worker's end of a communication substrate. It is bound
+// at construction to the worker's view (the slice Worker.View aliases):
+// Drain and Wait write received values into it.
+//
+// The ordering rule of quiescence.go is the transport's to keep: when
+// input reaches a passive worker, Drain/Wait account the reactivation
+// BEFORE acknowledging the input (counting it delivered). A transport
+// whose input needs no acknowledgement (shared memory) may leave the
+// worker passive; the loop then accounts Active itself before the first
+// Publish of the resumed phase.
+type Transport interface {
+	// Block returns the component range [lo, hi) this worker owns.
+	Block() (lo, hi int)
+	// Drain absorbs every input already here, without blocking for more.
+	Drain() (Input, error)
+	// Wait blocks until input arrives or the run stops, then absorbs like
+	// Drain. It may return without Fresh (a wake-up with nothing to read).
+	Wait() (Input, error)
+	// Publish ships the worker's block values to its peers: lossy while
+	// the worker is active, reliable for the final before passivation.
+	Publish(vals []float64, reliable bool) error
+	// Account makes a state transition visible to the termination
+	// protocol. Accounting the state the worker is already in is a no-op.
+	Account(s State)
+	// Passive reports whether the worker is currently accounted passive.
+	Passive() bool
+}
+
+// Worker is one worker's loop state.
+type Worker struct {
+	Op      operators.Operator
+	Scratch *operators.Scratch
+	// Tol, Sweeps and Budget are Config.Tol, SweepsBelowTol and
+	// MaxUpdatesPerWorker.
+	Tol            float64
+	Sweeps, Budget int
+	// Progress, when non-nil, is bumped once per completed updating phase.
+	Progress *atomic.Int64
+	// View is the worker's private copy of the full iterate, shared with
+	// its transport.
+	View []float64
+	// Updates counts completed updating phases.
+	Updates int
+
+	lo, hi   int
+	out, chk []float64
+	streak   int
+}
+
+// Run executes the worker protocol over t until the run stops.
+func (w *Worker) Run(t Transport) error {
+	w.resize(t)
+	for {
+		parked := t.Passive() || w.Updates >= w.Budget
+		in, err := w.absorb(t, parked)
+		if err != nil || in&Stop != 0 {
+			return err
+		}
+		if parked {
+			if in&(Fresh|Reset) != 0 {
+				w.reverify(t)
+			}
+			continue
+		}
+		delta := w.phase()
+		if err := t.Publish(w.out, false); err != nil {
+			return err
+		}
+		if w.Updates >= w.Budget {
+			t.Account(Spent)
+		}
+		if w.Tol <= 0 {
+			continue
+		}
+		if delta > w.Tol {
+			w.streak = 0
+			continue
+		}
+		// Locally converged: yield so peers can advance. Without this an
+		// oversubscribed or single-CPU schedule lets one worker burn its
+		// budget re-relaxing a converged block while its peers sit
+		// descheduled with stale blocks.
+		gort.Gosched()
+		if w.streak++; w.streak < w.Sweeps {
+			continue
+		}
+		if err := t.Publish(w.View[w.lo:w.hi], true); err != nil {
+			return err
+		}
+		if in, err := w.absorb(t, false); err != nil || in&Stop != 0 {
+			return err
+		}
+		w.reverify(t)
+	}
+}
+
+// absorb takes input from the transport — blocking for it when the worker
+// is parked — and follows a re-assigned block.
+func (w *Worker) absorb(t Transport, block bool) (in Input, err error) {
+	if block {
+		in, err = t.Wait()
+	} else {
+		in, err = t.Drain()
+	}
+	if in&Reset != 0 {
+		w.resize(t)
+	}
+	return in, err
+}
+
+// resize adopts the transport's current block bounds.
+func (w *Worker) resize(t Transport) {
+	w.lo, w.hi = t.Block()
+	buf := make([]float64, 2*(w.hi-w.lo))
+	w.out, w.chk = buf[:w.hi-w.lo], buf[w.hi-w.lo:]
+	w.streak = 0
+}
+
+// reverify decides what a worker holding new input may do: account itself
+// passive when its block is still (or again) within Tol of its image, or
+// active with the streak restarted.
+func (w *Worker) reverify(t Transport) {
+	if w.Tol > 0 && w.displacement() <= w.Tol {
+		t.Account(Passive)
+		return
+	}
+	t.Account(Active)
+	w.streak = 0
+}
+
+// phase is one updating phase: relax the whole block in one
+// coupled-operator pass over the current view, install the result, and
+// return the block displacement it caused.
+//
+//repro:hotpath
+func (w *Worker) phase() float64 {
+	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.out)
+	delta := vec.DistInf(w.out, w.View[w.lo:w.hi])
+	copy(w.View[w.lo:w.hi], w.out)
+	w.Updates++
+	if w.Progress != nil {
+		w.Progress.Add(1)
+	}
+	return delta
+}
+
+// displacement is the local convergence measure max_c |F_c(view) - view_c|
+// over the worker's block, evaluated without installing anything.
+//
+//repro:hotpath
+func (w *Worker) displacement() float64 {
+	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.chk)
+	return vec.DistInf(w.chk, w.View[w.lo:w.hi])
+}

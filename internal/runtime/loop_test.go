@@ -1,0 +1,204 @@
+package runtime
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// The Worker loop, tested once against a scripted transport: no goroutines,
+// no clock, every wake-up of a parked worker written down in advance. What
+// is asserted here holds for every engine, because every engine runs this
+// loop and differs only in its Transport.
+
+// pullOp is F_0(x) = x_0/2 + x_1/4 on a two-component vector. The worker
+// under test owns component 0; component 1 stands for a peer's block and
+// only changes when the script delivers a value for it. With x_1 = v the
+// block's fixed point is v/2 and each phase halves the distance to it.
+type pullOp struct{}
+
+func (pullOp) Dim() int                             { return 2 }
+func (pullOp) Name() string                         { return "pull" }
+func (pullOp) Component(_ int, x []float64) float64 { return x[0]/2 + x[1]/4 }
+
+// scriptPort is the scripted Transport. Each Wait consumes one scripted
+// value for x_1; when the script runs out the run stops. It records what
+// the loop did, and what it did itself, as a trace of events.
+//
+// acks selects which side owns reactivation, the one difference between
+// transports that the loop has to cope with: an acknowledging transport
+// (channels, TCP) reactivates a passive worker itself, BEFORE it
+// acknowledges the input — the ordering rule of quiescence.go; a transport
+// with nothing to acknowledge (shared memory: Drain is a snapshot) leaves
+// the worker passive and the loop must account Active before the first
+// Publish of the resumed phase.
+type scriptPort struct {
+	t      *testing.T
+	view   []float64
+	script []float64
+	acks   bool
+
+	passive, spent bool
+	trace          []string
+}
+
+func (p *scriptPort) Block() (lo, hi int) { return 0, 1 }
+func (p *scriptPort) Passive() bool       { return p.passive }
+
+func (p *scriptPort) Drain() (Input, error) {
+	if p.acks {
+		return 0, nil // nothing queued between scripted wake-ups
+	}
+	return Fresh, nil // a snapshot always is
+}
+
+func (p *scriptPort) Wait() (Input, error) {
+	if !p.passive && !p.spent {
+		p.t.Fatalf("Wait called on a worker that is neither passive nor spent; trace: %v", p.trace)
+	}
+	if len(p.script) == 0 {
+		return Stop, nil
+	}
+	if p.acks {
+		p.Account(Active)
+	}
+	p.view[1], p.script = p.script[0], p.script[1:]
+	p.trace = append(p.trace, "input")
+	return Fresh, nil
+}
+
+func (p *scriptPort) Publish(_ []float64, reliable bool) error {
+	if p.passive {
+		p.t.Fatalf("Publish while accounted passive; trace: %v", p.trace)
+	}
+	if reliable {
+		p.trace = append(p.trace, "final")
+	} else {
+		p.trace = append(p.trace, "publish")
+	}
+	return nil
+}
+
+func (p *scriptPort) Account(s State) {
+	switch {
+	case s == Spent:
+		p.spent = true
+		p.trace = append(p.trace, "spent")
+	case s == Passive && !p.passive:
+		p.passive = true
+		p.trace = append(p.trace, "passive")
+	case s == Active && p.passive:
+		p.passive = false
+		p.trace = append(p.trace, "active")
+	}
+}
+
+// runScript runs one worker from x = (1, 0) over the script and returns the
+// transport with its trace. Publish events are folded: "publish*" stands
+// for one or more lossy publishes in a row.
+func runScript(t *testing.T, acks bool, budget int, script ...float64) *scriptPort {
+	t.Helper()
+	view := []float64{1, 0}
+	p := &scriptPort{t: t, view: view, script: script, acks: acks}
+	w := Worker{Op: pullOp{}, Tol: 1e-3, Sweeps: 2, Budget: budget, View: view}
+	if err := w.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	var folded []string
+	for _, ev := range p.trace {
+		if ev == "publish" {
+			if n := len(folded); n == 0 || folded[n-1] != "publish*" {
+				folded = append(folded, "publish*")
+			}
+			continue
+		}
+		folded = append(folded, ev)
+	}
+	p.trace = folded
+	return p
+}
+
+func policyName(acks bool) string {
+	if acks {
+		return "acknowledging"
+	}
+	return "snapshot"
+}
+
+// TestLoopReactivationOrdering is the ordering rule seen from the loop:
+// input that breaks a passive worker's convergence is followed by "active"
+// before anything is published, whichever side owns the reactivation — the
+// transport, ahead of its acknowledgement, or the loop, ahead of its first
+// store. (scriptPort.Publish fails the test outright if the loop ever
+// publishes while accounted passive.)
+func TestLoopReactivationOrdering(t *testing.T) {
+	// x_1 = 4 moves the block's fixed point from 0 to 2.
+	want := map[bool][]string{
+		true:  {"publish*", "final", "passive", "active", "input", "publish*", "final", "passive"},
+		false: {"publish*", "final", "passive", "input", "active", "publish*", "final", "passive"},
+	}
+	for _, acks := range []bool{true, false} {
+		p := runScript(t, acks, 1<<20, 4)
+		if !reflect.DeepEqual(p.trace, want[acks]) {
+			t.Errorf("%s transport: trace %v, want %v", policyName(acks), p.trace, want[acks])
+		}
+		if got := p.view[0]; got < 2-2e-3 || got > 2+2e-3 {
+			t.Errorf("%s transport: block settled at %v, want 2 within Tol/(1-1/2)", policyName(acks), got)
+		}
+	}
+}
+
+// TestLoopRepassivatesWithoutPublish is the passivation ping-pong case: a
+// passive worker woken by input that leaves its block within Tol must go
+// back to passive without publishing. If it resumed the broadcast path
+// instead, two converged workers whose frames cross in flight would wake
+// each other forever and quiescence would never be certified. PR 10 fixed
+// this in the TCP engine's copy of the loop only and left open whether the
+// message engine needed it; with one loop the answer is the same
+// everywhere, and this is the test that fails when reverify is taken out
+// of the parked branch of Worker.Run.
+func TestLoopRepassivatesWithoutPublish(t *testing.T) {
+	// x_1 = 1e-4 moves the fixed point by 5e-5, far inside Tol = 1e-3.
+	want := map[bool][]string{
+		true:  {"publish*", "final", "passive", "active", "input", "passive"},
+		false: {"publish*", "final", "passive", "input"},
+	}
+	for _, acks := range []bool{true, false} {
+		p := runScript(t, acks, 1<<20, 1e-4)
+		if !reflect.DeepEqual(p.trace, want[acks]) {
+			t.Errorf("%s transport: trace %v, want %v", policyName(acks), p.trace, want[acks])
+		}
+		if !p.passive {
+			t.Errorf("%s transport: worker ended active", policyName(acks))
+		}
+	}
+}
+
+// TestLoopSpentWorkerNeverPassiveOnUnverifiedData: a worker that runs out
+// of budget stays in the run, absorbing input, and re-verifies each time —
+// but input it cannot iterate away must leave it active (spent, not
+// passive), so the run can end only as not converged. Input that happens to
+// leave its block converged does re-passivate it.
+func TestLoopSpentWorkerNeverPassiveOnUnverifiedData(t *testing.T) {
+	for _, acks := range []bool{true, false} {
+		// Three phases take x_0 from 1 to 1/8, nowhere near converged; then
+		// x_1 = 4 arrives, and again x_1 = 8.
+		p := runScript(t, acks, 3, 4, 8)
+		if want := []string{"publish*", "spent", "input", "input"}; !reflect.DeepEqual(p.trace, want) {
+			t.Errorf("%s transport: trace %v, want %v", policyName(acks), p.trace, want)
+		}
+		if p.passive || strings.Contains(strings.Join(p.trace, " "), "passive") {
+			t.Errorf("%s transport: spent worker reported passive on data it could not verify: %v", policyName(acks), p.trace)
+		}
+		if p.view[0] != 0.125 {
+			t.Errorf("%s transport: spent worker kept computing: x_0 = %v, want 1/8", policyName(acks), p.view[0])
+		}
+
+		// x_1 = 1/4 makes 1/8 the exact fixed point: the re-verification
+		// passes and the spent worker may report passive after all.
+		p = runScript(t, acks, 3, 4, 0.25)
+		if want := []string{"publish*", "spent", "input", "input", "passive"}; !reflect.DeepEqual(p.trace, want) {
+			t.Errorf("%s transport: trace %v, want %v", policyName(acks), p.trace, want)
+		}
+	}
+}

@@ -1,384 +1,177 @@
 package runtime
 
 import (
-	"runtime"
+	gort "runtime"
 	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/operators"
-	"repro/internal/vec"
 )
 
 // blockMsg carries one worker's freshly computed block to a peer. The
 // payload is a pooled buffer: receivers copy it into their view and return
 // it to the pool, so the steady-state broadcast traffic allocates nothing.
 type blockMsg struct {
-	from int
 	lo   int
 	vals *[]float64
 }
 
-// supervisorFallback bounds how long the supervisor waits for a wake signal
-// before re-collecting anyway — a safety net behind the event-driven
-// notifications, three orders of magnitude rarer than the old 50µs poll.
-const supervisorFallback = 5 * time.Millisecond
+// chanPort is the message-passing Transport: each worker keeps a private
+// view of the full vector and exchanges blocks over buffered channels. A
+// lossy Publish never blocks — when a peer's inbox is full the message is
+// dropped, the transient-fault regime the paper argues asynchronous
+// iterations tolerate (later messages carry fresher values). A reliable
+// Publish retries until the peer takes it, draining its own inbox between
+// attempts so no cyclic wait can form; termination detection depends on
+// finals being truly reliable, because a lost final would let the system
+// quiesce on inconsistent views.
+//
+// Any receipt reactivates a passive worker BEFORE the delivery is
+// acknowledged (the protocol's ordering rule): the supervisor either still
+// sees the message in flight or sees this worker active.
+//
+// Nothing here polls. A parked worker sleeps on its inbox and the stop
+// channel, and the supervisor sleeps on a doorbell that every Account
+// rings — a worker parks, re-parks or resumes only through Account, and
+// those are the only moments the answer to "is the run quiescent" can
+// change from no to yes.
+type chanPort struct {
+	slot
+	r       *run
+	lo, hi  int
+	view    []float64
+	inboxes []chan blockMsg
+	pool    *sync.Pool
+	wake    chan struct{}
+}
 
-// RunMessage executes the message-passing transport: each worker owns its
-// block, keeps a private view of the full vector, and exchanges blocks over
-// buffered channels. Active workers send without blocking — when a peer's
-// inbox is full the message is dropped, the transient-fault regime the
-// paper argues asynchronous iterations tolerate (later messages carry
-// fresher values).
-//
-// Termination combines the supervisor scheme of [22] with the two-phase
-// double-collect protocol of this package (see quiescence.go): a worker
-// whose block displacement stays below Tol for SweepsBelowTol consecutive
-// sweeps turns passive — it reliably re-broadcasts its final block, stops
-// computing and blocks on its inbox; a received message reactivates it
-// BEFORE the delivery is acknowledged, so the supervisor can never observe
-// "all passive, nothing in flight" while a reactivating message is being
-// absorbed. The supervisor broadcasts stop only after two identical quiet
-// collects.
-//
-// Idle paths are event-driven, not polled: a passive worker sleeps on its
-// inbox and the stop channel (zero CPU, zero timer allocations while
-// nothing happens), and the supervisor sleeps on a wake channel that
-// workers signal at every quiescence-relevant transition — going passive,
-// exiting, or draining a message addressed to an exited worker. Workers
-// that exhaust their budget count as parked for the supervisor's collect
-// (with undeliverable messages in their inboxes reaped as drops), so a run
-// where some workers exhaust their budgets while others sit passive still
-// terminates promptly — the strict all-passive double collect alone then
-// decides whether the end state counts as converged.
+func (p *chanPort) Block() (lo, hi int) { return p.lo, p.hi }
+
+func (p *chanPort) receive(m blockMsg) {
+	p.slot.Account(Active)
+	copy(p.view[m.lo:m.lo+len(*m.vals)], *m.vals)
+	p.pool.Put(m.vals)
+	p.q.MsgDelivered()
+}
+
+func (p *chanPort) Drain() (Input, error) {
+	if p.r.stopped.Load() {
+		return Stop, nil
+	}
+	var in Input
+	for {
+		select {
+		case m := <-p.inboxes[p.w]:
+			p.receive(m)
+			in = Fresh
+		default:
+			return in, nil
+		}
+	}
+}
+
+func (p *chanPort) Wait() (Input, error) {
+	select {
+	case m := <-p.inboxes[p.w]:
+		p.receive(m)
+		in, err := p.Drain()
+		return in | Fresh, err
+	case <-p.r.stopCh:
+		return Stop, nil
+	}
+}
+
+func (p *chanPort) Publish(vals []float64, reliable bool) error {
+	for qi := range p.inboxes {
+		if qi == p.w {
+			continue
+		}
+		vp := p.pool.Get().(*[]float64)
+		*vp = (*vp)[:len(vals)]
+		copy(*vp, vals)
+		p.send(qi, blockMsg{lo: p.lo, vals: vp}, reliable)
+	}
+	return nil
+}
+
+func (p *chanPort) send(qi int, m blockMsg, reliable bool) {
+	p.q.MsgSent()
+	for {
+		select {
+		case p.inboxes[qi] <- m:
+			return
+		default:
+		}
+		if !reliable || p.r.stopped.Load() {
+			p.pool.Put(m.vals)
+			p.q.MsgDropped()
+			return
+		}
+		p.Drain()
+		gort.Gosched()
+	}
+}
+
+func (p *chanPort) Account(s State) {
+	p.slot.Account(s)
+	select {
+	case p.wake <- struct{}{}:
+	default: // a pending ring is as good as many
+	}
+}
+
+// RunMessage executes the Worker loop over message passing: one goroutine
+// per block exchanging blocks through chanPorts, and a supervisor (the
+// scheme of [22]) that certifies the end state with the two-phase double
+// collect of quiescence.go and broadcasts stop — converged when every
+// worker was passive, not converged when some worker was spent on data it
+// could not iterate away.
 func RunMessage(cfg Config) (*Result, error) {
-	n, err := cfg.validate()
+	r, err := newRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	x0 := cfg.X0
-	if x0 == nil {
-		x0 = make([]float64, n)
-	}
-	blocks := vec.Blocks(n, cfg.Workers)
-	p := len(blocks)
+	p := len(r.blocks)
 
 	inboxes := make([]chan blockMsg, p)
 	for w := range inboxes {
+		// Room for a burst of broadcasts from every peer before a lossy
+		// send starts dropping.
 		inboxes[w] = make(chan blockMsg, 16*p)
 	}
-
 	// Message payload pool, sized to the largest block. Senders Get, fill
 	// and ship; receivers copy out and Put back (drops Put immediately).
 	// Payloads abandoned in inboxes when the run stops are reclaimed by GC.
-	maxBlock := 0
-	for _, b := range blocks {
-		if sz := b[1] - b[0]; sz > maxBlock {
-			maxBlock = sz
-		}
-	}
-	valPool := sync.Pool{New: func() interface{} {
+	maxBlock := r.blocks[0][1] - r.blocks[0][0] // vec.Blocks puts the remainder first
+	pool := &sync.Pool{New: func() interface{} {
 		buf := make([]float64, maxBlock)
 		return &buf
 	}}
-
-	var stop atomic.Bool
-	var converged atomic.Bool
-	var cancelled atomic.Bool
-	stopCh := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() {
-		stop.Store(true)
-		stopOnce.Do(func() { close(stopCh) })
-	}
-	// Cancellation monitor: Done becomes the same halt broadcast the
-	// supervisor uses, waking passive workers off their inboxes.
-	if cfg.Done != nil {
-		go func() {
-			select {
-			case <-cfg.Done:
-				cancelled.Store(true)
-				halt()
-			case <-stopCh:
-			}
-		}()
-	}
-	// wake is the supervisor's doorbell: non-blocking, capacity one —
-	// a pending ring is as good as many.
 	wake := make(chan struct{}, 1)
-	ring := func() {
-		select {
-		case wake <- struct{}{}:
-		default:
+
+	supervised := make(chan struct{})
+	go func() {
+		defer close(supervised)
+		for !r.stopped.Load() {
+			if r.q.Quiescent(nil) {
+				r.converged.Store(!r.q.Observe().Exhausted) // frozen: a third collect reads the same state
+				r.stop()
+				return
+			}
+			select {
+			case <-wake:
+			case <-r.stopCh:
+			}
 		}
-	}
+	}()
 
-	var doneWorkers atomic.Int64
-	q := NewTracker(p)
-	exited := make([]atomic.Bool, p)
-	updates := make([]int, p)
-	finals := make([][]float64, p)
-
-	// Reapers drain the inbox of a worker that exited with budget spent:
-	// messages already queued there (and the rare send that lands before
-	// the sender notices the exit) can never be delivered, so they are
-	// accounted as drops — otherwise the in-flight count could never reach
-	// zero again and the supervisor could never certify an end state.
-	var reaperWg sync.WaitGroup
-	reap := func(w int) {
-		reaperWg.Add(1)
-		go func() {
-			defer reaperWg.Done()
-			for {
-				select {
-				case m := <-inboxes[w]:
-					valPool.Put(m.vals)
-					q.MsgDropped()
-					ring()
-				case <-stopCh:
-					return
-				}
-			}
-		}()
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer doneWorkers.Add(1)
-			defer func() {
-				// Publish the exit for the supervisor's parked collect:
-				// exited flag first, then the epoch bump that invalidates
-				// any collect straddling the transition, then the doorbell.
-				exited[w].Store(true)
-				q.epoch.Add(1)
-				reap(w)
-				ring()
-			}()
-			lo, hi := blocks[w][0], blocks[w][1]
-			view := make([]float64, n)
-			copy(view, x0)
-			out := make([]float64, hi-lo)
-			chk := make([]float64, hi-lo) // blockDelta's evaluation buffer
-			scr := cfg.workerScratch(w)
-
-			receive := func(m blockMsg) {
-				copy(view[m.lo:m.lo+len(*m.vals)], *m.vals)
-				valPool.Put(m.vals)
-				q.MsgDelivered()
-			}
-			newPayload := func(src []float64) *[]float64 {
-				vp := valPool.Get().(*[]float64)
-				*vp = (*vp)[:len(src)]
-				copy(*vp, src)
-				return vp
-			}
-			drain := func() bool {
-				got := false
-				for {
-					select {
-					case m := <-inboxes[w]:
-						receive(m)
-						got = true
-					default:
-						return got
-					}
-				}
-			}
-			blockDelta := func() float64 {
-				operators.EvalBlock(cfg.Op, scr, lo, hi, view, chk)
-				d := 0.0
-				for i, v := range chk {
-					v -= view[lo+i]
-					if v < 0 {
-						v = -v
-					}
-					if v > d {
-						d = v
-					}
-				}
-				return d
-			}
-			// sendReliable retries a full send, draining our own inbox
-			// between attempts so no cyclic wait can form. It only gives up
-			// when the run is stopping or the receiver has exited (an
-			// exited peer never drains; its view no longer matters because
-			// the owner's own block values remain authoritative).
-			// Termination detection depends on finals being truly reliable:
-			// a lost final would let the system quiesce on inconsistent
-			// views.
-			sendReliable := func(qi int, m blockMsg) {
-				q.MsgSent()
-				for {
-					select {
-					case inboxes[qi] <- m:
-						return
-					default:
-						drain()
-						runtime.Gosched()
-					}
-					if stop.Load() || exited[qi].Load() {
-						valPool.Put(m.vals)
-						q.MsgDropped()
-						return
-					}
-				}
-			}
-
-			streak := 0
-			for k := 0; k < cfg.MaxUpdatesPerWorker; k++ {
-				if stop.Load() {
-					break
-				}
-				if q.IsPassive(w) {
-					// Passive: block on the inbox with no timer — the only
-					// events that matter arrive there or on stopCh. Any
-					// receipt reactivates the worker BEFORE the delivery is
-					// acknowledged (the protocol's ordering rule): the
-					// supervisor either still sees the message in flight
-					// or sees this worker active. After absorbing the
-					// burst the worker re-checks local convergence and
-					// either resumes computing or re-passivates (the epoch
-					// bumps of that round trip invalidate any collect in
-					// progress, and the re-passivation rings the doorbell).
-					select {
-					case m := <-inboxes[w]:
-						q.SetActive(w)
-						receive(m)
-						drain()
-						if blockDelta() > cfg.Tol {
-							streak = 0 // new data broke convergence: resume
-						} else {
-							q.SetPassive(w)
-							ring()
-						}
-					case <-stopCh:
-					}
-					continue // an event while passive consumes budget, bounding the loop
-				}
-				drain()
-				// Phase evaluation: the whole block in one coupled-operator
-				// pass (shared prox/gradient work amortized across the block).
-				operators.EvalBlock(cfg.Op, scr, lo, hi, view, out)
-				delta := 0.0
-				for i, v := range out {
-					if d := v - view[lo+i]; d > delta {
-						delta = d
-					} else if -d > delta {
-						delta = -d
-					}
-				}
-				copy(view[lo:hi], out)
-				updates[w]++
-				if cfg.Progress != nil {
-					cfg.Progress.Add(1)
-				}
-				// Lossy broadcast while active.
-				for qi := 0; qi < p; qi++ {
-					if qi == w {
-						continue
-					}
-					m := blockMsg{from: w, lo: lo, vals: newPayload(out)}
-					q.MsgSent()
-					select {
-					case inboxes[qi] <- m:
-					default:
-						valPool.Put(m.vals)
-						q.MsgDropped()
-					}
-				}
-				if cfg.Tol > 0 {
-					if delta <= cfg.Tol {
-						streak++
-					} else {
-						streak = 0
-					}
-					if streak >= cfg.SweepsBelowTol {
-						// Reliable final broadcast, then go passive.
-						for qi := 0; qi < p; qi++ {
-							if qi == w {
-								continue
-							}
-							sendReliable(qi, blockMsg{from: w, lo: lo, vals: newPayload(view[lo:hi])})
-						}
-						if blockDelta() > cfg.Tol {
-							streak = 0 // drained data broke convergence
-							continue
-						}
-						q.SetPassive(w)
-						ring()
-					}
-				}
-			}
-			finals[w] = append([]float64(nil), view[lo:hi]...)
-		}(w)
-	}
-
-	// Supervisor: certify an end state with the two-phase double collect,
-	// sleeping on the doorbell between attempts. The collect treats an
-	// exited worker as parked — it can publish nothing further — so the
-	// run also ends when every worker is passive-or-exited with nothing in
-	// flight; Converged is then decided by the strict all-passive collect.
-	if cfg.Tol > 0 {
-		observePark := func() Observation {
-			o := Observation{AllPassive: true}
-			for w := 0; w < p; w++ {
-				// Flags before counters, the Tracker.Observe collect order
-				// the protocol's soundness argument relies on.
-				if !q.passive[w].Load() && !exited[w].Load() {
-					o.AllPassive = false
-					break
-				}
-			}
-			o.Epoch = q.epoch.Load()
-			o.Sent = q.sent.Load()
-			o.Delivered = q.delivered.Load()
-			o.Dropped = q.dropped.Load()
-			return o
+	ports := make([]chanPort, p)
+	res := r.solve(func(w int, wk *Worker) Transport {
+		ports[w] = chanPort{
+			slot: slot{r.q, w}, r: r,
+			lo: r.blocks[w][0], hi: r.blocks[w][1],
+			view: wk.View, inboxes: inboxes, pool: pool, wake: wake,
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				if doneWorkers.Load() == int64(p) {
-					return // every worker hit its update bound
-				}
-				if DoubleCollect(observePark, nil) {
-					// The system is frozen: nobody computes, nothing is in
-					// flight. Converged only if every worker is genuinely
-					// passive (locally converged) — an exited-active worker
-					// means a budget ran out first.
-					converged.Store(q.Observe().AllPassive)
-					halt()
-					return
-				}
-				select {
-				case <-wake:
-				case <-time.After(supervisorFallback):
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	halt() // release reapers (and make stop state final) on every path
-	reaperWg.Wait()
-
-	x := make([]float64, n)
-	for w, b := range blocks {
-		if finals[w] != nil {
-			copy(x[b[0]:b[1]], finals[w])
-		}
-	}
-	return &Result{
-		X:                x,
-		Converged:        converged.Load(),
-		UpdatesPerWorker: updates,
-		Elapsed:          time.Since(start),
-		MessagesSent:     q.Sent(),
-		MessagesDropped:  q.Dropped(),
-		Cancelled:        cancelled.Load(),
-	}, nil
+		return &ports[w]
+	})
+	<-supervised
+	res.MessagesSent, res.MessagesDropped = r.q.Sent(), r.q.Dropped()
+	return res, nil
 }

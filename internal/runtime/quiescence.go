@@ -7,10 +7,12 @@ import "sync/atomic"
 // and the TCP engine in internal/dist).
 //
 // The state machine: each worker is either active (computing, publishing
-// stores or sending messages) or passive (locally converged, only watching
-// for input that would reactivate it). A run is quiescent — and may be
-// stopped — exactly when every worker is passive and no communication is
-// in flight that could reactivate one.
+// stores or sending messages) or parked — passive (locally converged, only
+// watching for input that would reactivate it) or spent (update budget
+// exhausted: it still absorbs and re-verifies input but can publish nothing
+// further). A run is quiescent — and may be stopped — exactly when every
+// worker is parked and no communication is in flight that could reactivate
+// one; it has converged when, in addition, every worker is passive.
 //
 // Deciding that from concurrently mutated state is the classic distributed
 // termination problem: a supervisor that samples passivity flags and
@@ -42,8 +44,14 @@ import "sync/atomic"
 // Observation is one collect of the global termination state. The zero
 // value is "not quiescent".
 type Observation struct {
-	// AllPassive reports whether every worker was observed passive.
+	// AllPassive reports whether every worker was observed parked: passive,
+	// or spent and therefore unable to publish again.
 	AllPassive bool
+	// Exhausted reports that some parked worker was spent without being
+	// passive: it holds data its budget cannot iterate away, so a quiescent
+	// observation with Exhausted set is an end state but not a converged
+	// one.
+	Exhausted bool
 	// Epoch is the activity epoch: a counter bumped on every worker state
 	// transition (activation and passivation). Epochs only grow, so two
 	// equal observations bracket an interval with no transitions.
@@ -65,13 +73,15 @@ func (o Observation) quiet() bool { return o.AllPassive && o.InFlight() == 0 }
 // if both collects are quiet and identical. observe may be a set of atomic
 // loads (in-process transports) or a network probe round (dist transport);
 // confirm, when non-nil, runs between the passes and may veto (the
-// shared-memory engine re-certifies the fixed-point residual there).
+// shared-memory engine re-certifies the fixed-point residual there); an
+// Exhausted observation claims no convergence, so there is nothing for it
+// to confirm and it is not consulted.
 func DoubleCollect(observe func() Observation, confirm func() bool) bool {
 	first := observe()
 	if !first.quiet() {
 		return false
 	}
-	if confirm != nil && !confirm() {
+	if confirm != nil && !first.Exhausted && !confirm() {
 		return false
 	}
 	second := observe()
@@ -79,10 +89,10 @@ func DoubleCollect(observe func() Observation, confirm func() bool) bool {
 }
 
 // Tracker is the in-process implementation of the protocol state: per-worker
-// passivity flags, a global activity epoch, and message counters, all
-// atomics so workers update them lock-free on the hot path.
+// passive and spent flags, a global activity epoch, and message counters,
+// all atomics so workers update them lock-free on the hot path.
 type Tracker struct {
-	passive                  []atomic.Bool
+	passive, spent           []atomic.Bool
 	epoch                    atomic.Uint64
 	sent, delivered, dropped atomic.Int64
 }
@@ -90,7 +100,8 @@ type Tracker struct {
 // NewTracker returns a Tracker for the given worker count; every worker
 // starts active.
 func NewTracker(workers int) *Tracker {
-	return &Tracker{passive: make([]atomic.Bool, workers)}
+	flags := make([]atomic.Bool, 2*workers)
+	return &Tracker{passive: flags[:workers], spent: flags[workers:]}
 }
 
 // SetActive marks worker w active. Per the protocol's ordering rule it must
@@ -108,6 +119,13 @@ func (t *Tracker) SetActive(w int) {
 func (t *Tracker) SetPassive(w int) {
 	t.epoch.Add(1)
 	t.passive[w].Store(true)
+}
+
+// SetSpent marks worker w's update budget exhausted, for good: from now on
+// it counts as parked whether or not it is passive.
+func (t *Tracker) SetSpent(w int) {
+	t.epoch.Add(1)
+	t.spent[w].Store(true)
 }
 
 // IsPassive reports worker w's current state.
@@ -130,10 +148,14 @@ func (t *Tracker) Dropped() int64 { return t.dropped.Load() }
 func (t *Tracker) Observe() Observation {
 	o := Observation{AllPassive: true}
 	for w := range t.passive {
-		if !t.passive[w].Load() {
+		if t.passive[w].Load() {
+			continue
+		}
+		if !t.spent[w].Load() {
 			o.AllPassive = false
 			break
 		}
+		o.Exhausted = true
 	}
 	o.Epoch = t.epoch.Load()
 	o.Sent = t.sent.Load()
@@ -145,4 +167,24 @@ func (t *Tracker) Observe() Observation {
 // Quiescent runs the double collect against this tracker's state.
 func (t *Tracker) Quiescent(confirm func() bool) bool {
 	return DoubleCollect(t.Observe, confirm)
+}
+
+// slot is worker w's handle on a Tracker: the Account and Passive half of
+// a Transport, shared by the in-process transports.
+type slot struct {
+	q *Tracker
+	w int
+}
+
+func (s slot) Passive() bool { return s.q.IsPassive(s.w) }
+
+func (s slot) Account(st State) {
+	switch {
+	case st == Spent:
+		s.q.SetSpent(s.w)
+	case st == Passive && !s.Passive():
+		s.q.SetPassive(s.w)
+	case st == Active && s.Passive():
+		s.q.SetActive(s.w)
+	}
 }

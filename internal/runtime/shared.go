@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -14,12 +13,15 @@ import (
 	"repro/internal/vec"
 )
 
-// Config describes a concurrent asynchronous run.
+// Config describes a concurrent asynchronous run. It is the configuration
+// of every engine that runs the Worker loop: RunShared and RunMessage take
+// it as is, internal/dist embeds it next to its network knobs.
 type Config struct {
 	// Op is the fixed-point operator (must be safe for concurrent
 	// read-only evaluation).
 	Op operators.Operator
-	// Workers is the number of goroutines (components are block-partitioned).
+	// Workers is the number of workers — goroutines here, TCP workers in
+	// internal/dist; components are block-partitioned among them.
 	Workers int
 	// X0 is the initial iterate (defaults to zero).
 	X0 []float64
@@ -32,7 +34,9 @@ type Config struct {
 	// worker must observe before the run terminates (default 2) — the
 	// consecutive-confirmation idea of the macro-iteration stopping rule.
 	SweepsBelowTol int
-	// MaxUpdatesPerWorker bounds each worker's updating phases.
+	// MaxUpdatesPerWorker bounds each worker's updating phases. A worker
+	// that has spent it stays in the run, absorbing and re-verifying input,
+	// until the run stops (see loop.go).
 	MaxUpdatesPerWorker int
 	// Flexible publishes partial coordinate values mid-phase (shared-memory
 	// transport only).
@@ -45,16 +49,17 @@ type Config struct {
 	// pooled scratches reused across runs always carry this run's knobs.
 	Tuning operators.Tuning
 	// Done, when non-nil, cancels the run: every worker stops at its next
-	// phase boundary, the result reports Cancelled and not Converged.
+	// phase boundary (a parked one at once), the result reports Cancelled
+	// and not Converged.
 	Done <-chan struct{}
 	// Progress, when non-nil, is incremented once per completed updating
 	// phase so external observers can watch the run live.
 	Progress *atomic.Int64
 }
 
-// workerScratch returns the caller-supplied scratch for worker w or a fresh
+// WorkerScratch returns the caller-supplied scratch for worker w or a fresh
 // one. Each worker owns its scratch exclusively for the duration of the run.
-func (c *Config) workerScratch(w int) *operators.Scratch {
+func (c *Config) WorkerScratch(w int) *operators.Scratch {
 	scr := operators.NewScratch()
 	if w < len(c.Scratches) && c.Scratches[w] != nil {
 		scr = c.Scratches[w]
@@ -69,14 +74,17 @@ type Result struct {
 	Converged        bool
 	UpdatesPerWorker []int
 	Elapsed          time.Duration
-	// MessagesSent/MessagesDropped are populated by the message transport.
+	// MessagesSent/MessagesDropped are populated by the message and TCP
+	// transports.
 	MessagesSent, MessagesDropped int64
 	// Cancelled reports that Config.Done fired before the run converged or
 	// exhausted its budgets.
 	Cancelled bool
 }
 
-func (c *Config) validate() (n int, err error) {
+// Validate checks the configuration against the operator's dimension n,
+// which it returns, clamps Workers to it and fills the defaults.
+func (c *Config) Validate() (n int, err error) {
 	if c.Op == nil {
 		return 0, errors.New("runtime: Config.Op is required")
 	}
@@ -87,7 +95,10 @@ func (c *Config) validate() (n int, err error) {
 	if c.Workers > n {
 		c.Workers = n
 	}
-	if c.X0 != nil && len(c.X0) != n {
+	if c.X0 == nil {
+		c.X0 = make([]float64, n)
+	}
+	if len(c.X0) != n {
 		return 0, fmt.Errorf("runtime: X0 length %d, want %d", len(c.X0), n)
 	}
 	if c.SweepsBelowTol <= 0 {
@@ -99,172 +110,180 @@ func (c *Config) validate() (n int, err error) {
 	return n, nil
 }
 
-// RunShared executes the shared-memory transport: every coordinate is an
-// atomic cell; workers snapshot the vector (an inconsistent cut — the
-// asynchronous read model), relax their block, and publish results (and,
-// under flexible communication, intermediate partial values) coordinate by
-// coordinate with one-sided stores.
-//
-// Termination uses the two-phase protocol of quiescence.go. A worker with
-// SweepsBelowTol consecutive locally-converged sweeps turns passive: it
-// stops storing and downgrades to read-only watch sweeps, reactivating
-// (BEFORE its first store — the protocol's ordering rule) if a peer's
-// stores break its local convergence. Once every worker is passive the
-// published vector is frozen, so any passive worker can certify the
-// candidate: first collect, then a re-snapshot and full fixed-point
-// residual re-certification, then a second collect proving no worker
-// reactivated meanwhile. Only a certification bracketed by two identical
-// quiet collects broadcasts stop — a residual computed from a snapshot
-// torn across a peer's mid-phase (possibly interpolated flexible partial)
-// stores can never terminate the run, because the storing worker was
-// active at one of the collects or bumped the epoch in between.
-func RunShared(cfg Config) (*Result, error) {
-	n, err := cfg.validate()
+// run is what the two in-process engines share: the block partition, the
+// termination tracker and the stop broadcast.
+type run struct {
+	cfg    Config
+	blocks [][2]int
+	q      *Tracker
+
+	stopCh                        chan struct{}
+	stopOnce                      sync.Once
+	stopped, converged, cancelled atomic.Bool
+}
+
+func newRun(cfg Config) (*run, error) {
+	n, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
-	x0 := cfg.X0
-	if x0 == nil {
-		x0 = make([]float64, n)
-	}
-	sv := NewAtomicVector(x0)
-	blocks := vec.Blocks(n, cfg.Workers)
-	p := len(blocks)
-
-	var stop, converged, cancelled atomic.Bool
-	q := NewTracker(p)
-	updates := make([]int, p)
-
+	r := &run{cfg: cfg, blocks: vec.Blocks(n, cfg.Workers), stopCh: make(chan struct{})}
+	r.q = NewTracker(len(r.blocks))
 	// Cancellation monitor: Done turns into the same stop broadcast the
-	// certification path uses, so workers exit at their next loop check.
+	// termination path uses, so workers leave at their next Drain or Wait.
 	if cfg.Done != nil {
-		finished := make(chan struct{})
-		defer close(finished)
 		go func() {
 			select {
 			case <-cfg.Done:
-				cancelled.Store(true)
-				stop.Store(true)
-			case <-finished:
+				r.cancelled.Store(true)
+				r.stop()
+			case <-r.stopCh:
 			}
 		}()
 	}
+	return r, nil
+}
 
+// stop broadcasts the end of the run; safe to call more than once.
+func (r *run) stop() {
+	r.stopped.Store(true)
+	r.stopOnce.Do(func() { close(r.stopCh) })
+}
+
+// solve runs one Worker per block over the transport port builds for it
+// and assembles the result once every worker has left its loop: each
+// block of X comes from its owner's view, the authoritative copy.
+func (r *run) solve(port func(w int, wk *Worker) Transport) *Result {
+	cfg := &r.cfg
+	workers := make([]Worker, len(r.blocks))
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	for w := range workers {
+		wk := &workers[w]
+		*wk = Worker{
+			Op: cfg.Op, Scratch: cfg.WorkerScratch(w),
+			Tol: cfg.Tol, Sweeps: cfg.SweepsBelowTol, Budget: cfg.MaxUpdatesPerWorker,
+			Progress: cfg.Progress,
+			View:     append([]float64(nil), cfg.X0...),
+		}
+		t := port(w, wk)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			lo, hi := blocks[w][0], blocks[w][1]
-			snap := make([]float64, n)
-			cert := make([]float64, n)
-			out := make([]float64, hi-lo)
-			old := make([]float64, hi-lo)
-			chk := make([]float64, hi-lo) // watch-sweep evaluation buffer
-			scr := cfg.workerScratch(w)
-
-			// certify re-snapshots the full vector and re-checks the
-			// fixed-point residual; it runs between the two collects of the
-			// double collect, when the vector is a candidate frozen state.
-			// ResidualWith routes through ONE full operator application, not
-			// n componentwise evaluations each redoing the shared work.
-			certify := func() bool {
-				sv.Snapshot(cert)
-				return operators.ResidualWith(cfg.Op, scr, cert) <= cfg.Tol
-			}
-
-			streak := 0
-			for k := 0; k < cfg.MaxUpdatesPerWorker; k++ {
-				if stop.Load() {
-					return
-				}
-				if q.IsPassive(w) {
-					// Passive watch sweep: read-only re-check of local
-					// convergence against the live vector. No stores, so a
-					// fully passive system is frozen and certifiable.
-					sv.Snapshot(snap)
-					operators.EvalBlock(cfg.Op, scr, lo, hi, snap, chk)
-					delta := 0.0
-					for i, v := range chk {
-						if d := math.Abs(v - snap[lo+i]); d > delta {
-							delta = d
-						}
-					}
-					if delta > cfg.Tol {
-						// A peer's stores broke local convergence:
-						// reactivate before the next iteration's stores.
-						q.SetActive(w)
-						streak = 0
-						continue
-					}
-					if q.Quiescent(certify) {
-						converged.Store(true)
-						stop.Store(true)
-						return
-					}
-					// Not certifiable yet (a peer is active or was caught
-					// mid-transition): yield and watch again.
-					gort.Gosched()
-					continue // watch sweeps consume budget, bounding the loop
-				}
-				sv.Snapshot(snap)
-				copy(old, snap[lo:hi])
-				// Phase evaluation: the whole block in one coupled-operator
-				// pass (shared prox/gradient work amortized across the block).
-				operators.EvalBlock(cfg.Op, scr, lo, hi, snap, out)
-				delta := 0.0
-				for i, v := range out {
-					if d := math.Abs(v - snap[lo+i]); d > delta {
-						delta = d
-					}
-				}
-				// Flexible communication: publish interpolated partial
-				// values before the final ones (one-sided puts mid-phase).
-				for _, f := range cfg.Flexible.Fracs {
-					if f >= 1 {
-						continue
-					}
-					for c := lo; c < hi; c++ {
-						sv.Store(c, flexible.Interpolate(old[c-lo], out[c-lo], f))
-					}
-				}
-				for c := lo; c < hi; c++ {
-					sv.Store(c, out[c-lo])
-				}
-				updates[w]++
-				if cfg.Progress != nil {
-					cfg.Progress.Add(1)
-				}
-
-				if cfg.Tol > 0 {
-					if delta <= cfg.Tol {
-						streak++
-						// Locally converged: yield the processor so peers can
-						// advance. Without this, an oversubscribed or
-						// single-CPU schedule lets one worker burn its entire
-						// update budget re-relaxing an already-converged block
-						// while its peers are descheduled with stale blocks.
-						gort.Gosched()
-					} else {
-						streak = 0
-					}
-					if streak >= cfg.SweepsBelowTol {
-						// This phase's stores are complete; go passive.
-						q.SetPassive(w)
-					}
-				}
-			}
-		}(w)
+			_ = wk.Run(t) // in-process transports have no failure to report
+		}()
 	}
 	wg.Wait()
+	r.stop() // release the cancellation monitor on every path
 
 	res := &Result{
-		X:                sv.Copy(),
-		Converged:        converged.Load(),
-		UpdatesPerWorker: updates,
+		X:                make([]float64, len(cfg.X0)),
+		Converged:        r.converged.Load(),
+		UpdatesPerWorker: make([]int, len(workers)),
 		Elapsed:          time.Since(start),
-		Cancelled:        cancelled.Load(),
+		Cancelled:        r.cancelled.Load(),
 	}
-	return res, nil
+	for w, b := range r.blocks {
+		copy(res.X[b[0]:b[1]], workers[w].View[b[0]:b[1]])
+		res.UpdatesPerWorker[w] = workers[w].Updates
+	}
+	return res
+}
+
+// sharedPort is the shared-memory Transport: every coordinate is an atomic
+// cell, Drain is a snapshot of the vector (an inconsistent cut — the
+// asynchronous read model) and Publish is a run of one-sided stores,
+// preceded under flexible communication by interpolated partial values.
+// Stores cannot be lost, so the reliable final has nothing left to do.
+//
+// Shared memory has no event to block on. Wait is one attempt to certify
+// the run followed by a yield: once every worker is parked the published
+// vector is frozen, so the waiting worker re-snapshots it and re-checks the
+// full fixed-point residual between the two collects of the double
+// collect. A residual computed from a snapshot torn across a peer's
+// mid-phase stores can never stop the run — that peer was active at one of
+// the collects or bumped the epoch in between. A snapshot needs no
+// acknowledgement either, so a waiting worker stays passive until the loop
+// finds its block displaced and accounts it active before its next store.
+type sharedPort struct {
+	slot
+	r      *run
+	sv     *AtomicVector
+	lo, hi int
+	view   []float64
+	// last is the block as last stored, the start point flexible partials
+	// interpolate from; nil without a flexible schedule.
+	last    []float64
+	fracs   []float64
+	certify func() bool
+}
+
+func (p *sharedPort) Block() (lo, hi int) { return p.lo, p.hi }
+
+func (p *sharedPort) Drain() (Input, error) {
+	if p.r.stopped.Load() {
+		return Stop, nil
+	}
+	p.sv.Snapshot(p.view)
+	return Fresh, nil
+}
+
+func (p *sharedPort) Wait() (Input, error) {
+	if p.q.Quiescent(p.certify) {
+		p.r.converged.Store(!p.q.Observe().Exhausted) // frozen: a third collect reads the same state
+		p.r.stop()
+	} else {
+		gort.Gosched()
+	}
+	return p.Drain()
+}
+
+func (p *sharedPort) Publish(vals []float64, reliable bool) error {
+	if reliable {
+		return nil
+	}
+	for _, f := range p.fracs {
+		if f >= 1 {
+			continue
+		}
+		for i, v := range vals {
+			p.sv.Store(p.lo+i, flexible.Interpolate(p.last[i], v, f))
+		}
+	}
+	for i, v := range vals {
+		p.sv.Store(p.lo+i, v)
+	}
+	copy(p.last, vals)
+	return nil
+}
+
+// RunShared executes the Worker loop over shared memory: one goroutine per
+// block, all reading and writing one AtomicVector (see sharedPort).
+func RunShared(cfg Config) (*Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = r.cfg
+	sv := NewAtomicVector(cfg.X0)
+	ports := make([]sharedPort, len(r.blocks))
+	return r.solve(func(w int, wk *Worker) Transport {
+		p := &ports[w]
+		*p = sharedPort{
+			slot: slot{r.q, w}, r: r, sv: sv,
+			lo: r.blocks[w][0], hi: r.blocks[w][1],
+			view: wk.View, fracs: cfg.Flexible.Fracs,
+		}
+		if len(p.fracs) > 0 {
+			p.last = append([]float64(nil), cfg.X0[p.lo:p.hi]...)
+		}
+		// ResidualWith routes through ONE full operator application, not n
+		// componentwise evaluations each redoing the shared work.
+		cert := make([]float64, len(cfg.X0))
+		p.certify = func() bool {
+			sv.Snapshot(cert)
+			return operators.ResidualWith(cfg.Op, wk.Scratch, cert) <= cfg.Tol
+		}
+		return p
+	}), nil
 }

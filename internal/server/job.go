@@ -20,9 +20,7 @@ type JobRequest struct {
 	N int `json:"n,omitempty"`
 	// Seed drives workload construction and engine randomness.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine selects the execution engine (default "model"). The "dist"
-	// engine is rejected: it spans OS processes and cannot be cancelled
-	// mid-run, so it is unfit for multi-tenant serving.
+	// Engine selects the execution engine (default "model").
 	Engine string `json:"engine,omitempty"`
 	// Delay is a ParseDelay string (model engine; default "bounded:8").
 	Delay string `json:"delay,omitempty"`
@@ -165,9 +163,6 @@ func resolve(req JobRequest, maxJobTime time.Duration) (*job, error) {
 	engine, err := repro.EngineByName(engineName)
 	if err != nil {
 		return nil, err
-	}
-	if engine == repro.EngineDist {
-		return nil, fmt.Errorf("engine dist is not served: it spans OS processes and cannot be cancelled mid-run")
 	}
 	delayName := req.Delay
 	if delayName == "" {

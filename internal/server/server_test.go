@@ -69,10 +69,11 @@ func TestServeSolveEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeEngineMatrix runs one job per served engine; each must converge.
+// TestServeEngineMatrix runs one job per engine — every engine is served —
+// and each must converge.
 func TestServeEngineMatrix(t *testing.T) {
 	_, c := testServer(t, Config{Workers: 4, QueueDepth: 8})
-	for _, engine := range []string{"model", "sim", "simsync", "shared", "message"} {
+	for _, engine := range []string{"model", "sim", "simsync", "shared", "message", "dist"} {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			out, err := c.Solve(context.Background(), JobRequest{
@@ -102,7 +103,6 @@ func TestServeBadRequests(t *testing.T) {
 	}{
 		{"unknown scenario", JobRequest{Scenario: "nope"}, "registered:"},
 		{"missing scenario", JobRequest{}, "scenario is required"},
-		{"dist engine", JobRequest{Scenario: "lasso", Engine: "dist"}, "not served"},
 		{"unknown engine", JobRequest{Scenario: "lasso", Engine: "warp"}, "unknown engine"},
 		{"bad delay", JobRequest{Scenario: "lasso", Delay: "bounded:0"}, "delay"},
 		{"bad theta", JobRequest{Scenario: "lasso", Theta: 1.5}, "theta"},

@@ -238,7 +238,10 @@ func Norm1(x Vector) float64 {
 	return s
 }
 
-// DistInf returns ||x - y||_inf without allocating.
+// DistInf returns ||x - y||_inf without allocating. It is the one max-norm
+// block displacement every engine's worker loop measures convergence with.
+//
+//repro:hotpath
 func DistInf(x, y Vector) float64 {
 	checkLen(x, y)
 	m := 0.0

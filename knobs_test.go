@@ -206,16 +206,14 @@ func TestWithElasticMatchesKnobTable(t *testing.T) {
 	}
 }
 
-// The deprecated per-fault options and the grouped WithFaults must write
-// the same fields, and Faults() must read them back as one unit.
-func TestWithFaultsMatchesDeprecatedShims(t *testing.T) {
+// WithFaults must write the Execution fields the engines read, and
+// Faults() must read them back as one unit.
+func TestWithFaultsWritesExecutionFields(t *testing.T) {
 	f := repro.Faults{DropProb: 0.1, ReorderProb: 0.2, MaxLinkDelay: 5 * time.Millisecond}
 	grouped := repro.NewSpec(nil, repro.WithFaults(f))
-	shimmed := repro.NewSpec(nil,
-		repro.WithDropProb(0.1), repro.WithReorderProb(0.2),
-		repro.WithMaxLinkDelay(5*time.Millisecond))
-	if grouped.Faults() != shimmed.Faults() {
-		t.Errorf("grouped %+v != shimmed %+v", grouped.Faults(), shimmed.Faults())
+	if grouped.DropProb != 0.1 || grouped.ReorderProb != 0.2 || grouped.MaxLinkDelay != 5*time.Millisecond {
+		t.Errorf("WithFaults wrote drop=%v reorder=%v delay=%v, want %+v",
+			grouped.DropProb, grouped.ReorderProb, grouped.MaxLinkDelay, f)
 	}
 	if grouped.Faults() != f {
 		t.Errorf("Faults() read back %+v, want %+v", grouped.Faults(), f)

@@ -316,8 +316,9 @@ func (r *Report) SimDetail() (*SimResult, bool) { return r.sim, r.sim != nil }
 // EngineSimSync.
 func (r *Report) SimSyncDetail() (*SimSyncResult, bool) { return r.simSync, r.simSync != nil }
 
-// ConcurrentDetail returns the goroutine runtime's full result when this
-// report came from EngineShared or EngineMessage.
+// ConcurrentDetail returns the worker-loop result every concurrent engine
+// reports, when this report came from EngineShared, EngineMessage or
+// EngineDist (whose DistDetail embeds it).
 func (r *Report) ConcurrentDetail() (*ConcurrentResult, bool) {
 	return r.concurrent, r.concurrent != nil
 }

@@ -1,30 +1,5 @@
 package repro
 
-// Migration note (old entry points -> unified Solve API)
-//
-// The three historical entry-point families are deprecated shims over the
-// single Solve entry point (see solve.go / engine.go / report.go):
-//
-//	RunModel(ModelConfig{Op, Delay, Theta, Tol, ...})
-//	  -> Solve(NewSpec(op), WithEngine(EngineModel), WithDelay(...),
-//	           WithTheta(...), WithTol(...), WithMaxIter(...))
-//	RunSim(SimConfig{Op, Workers, Cost, Latency, ...})
-//	  -> Solve(NewSpec(op), WithEngine(EngineSim), WithWorkers(...),
-//	           WithCost(...), WithLatency(...), WithMaxUpdates(...))
-//	RunSimSync(SimConfig{...})
-//	  -> Solve(..., WithEngine(EngineSimSync))
-//	RunShared(ConcurrentConfig{Op, Workers, Tol, MaxUpdatesPerWorker})
-//	  -> Solve(NewSpec(op), WithEngine(EngineShared), WithWorkers(...),
-//	           WithTol(...), WithMaxUpdatesPerWorker(...))
-//	RunMessage(ConcurrentConfig{...})
-//	  -> Solve(..., WithEngine(EngineMessage))
-//
-// Every engine now returns the unified *Report; per-engine detail remains
-// reachable via Report.ModelDetail / SimDetail / SimSyncDetail /
-// ConcurrentDetail. Named workload x delay x engine combinations are
-// composable through the scenario registry (RegisterScenario, Scenarios,
-// BuildScenario).
-
 import (
 	"repro/internal/core"
 	"repro/internal/delay"
@@ -235,20 +210,14 @@ var (
 // Engines.
 
 type (
-	// ModelConfig configures the mathematical-model engine (Definitions 1/3).
-	ModelConfig = core.Config
 	// ModelResult reports a model run.
 	ModelResult = core.Result
 	// Theorem1Report is the inequality (5) validation result.
 	Theorem1Report = core.Theorem1Report
-	// SimConfig configures the discrete-event simulator.
-	SimConfig = des.Config
 	// SimResult reports an asynchronous simulated run.
 	SimResult = des.Result
 	// SimSyncResult reports a barrier-synchronous simulated run.
 	SimSyncResult = des.SyncResult
-	// ConcurrentConfig configures the goroutine runtime.
-	ConcurrentConfig = runtime.Config
 	// ConcurrentResult reports a goroutine run.
 	ConcurrentResult = runtime.Result
 	// DistResult reports a distributed TCP run.
@@ -265,8 +234,7 @@ type (
 // General Convergence Theorem structure (Section III).
 type BoxReport = core.BoxReport
 
-// Engine helpers. (The Run* entry points are deprecated shims over Solve;
-// see deprecated.go.)
+// Engine helpers.
 var (
 	CheckTheorem1          = core.CheckTheorem1
 	RunWithComponentErrors = core.RunWithComponentErrors

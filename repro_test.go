@@ -26,21 +26,24 @@ func TestPublicAPILassoEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("reference failed")
 	}
-	res, err := repro.RunModel(repro.ModelConfig{
-		Op:      op,
-		Delay:   repro.BoundedRandomDelay{B: 8, Seed: 2},
-		Theta:   0.5,
-		XStar:   ystar,
-		Tol:     1e-10,
-		MaxIter: 400000,
-	})
+	res, err := repro.Solve(repro.NewSpec(op),
+		repro.WithDelay(repro.BoundedRandomDelay{B: 8, Seed: 2}),
+		repro.WithTheta(0.5),
+		repro.WithXStar(ystar),
+		repro.WithTol(1e-10),
+		repro.WithMaxIter(400000),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	rep, err := repro.CheckTheorem1(res, repro.TheoreticalRho(f, gamma))
+	model, ok := res.ModelDetail()
+	if !ok {
+		t.Fatal("model run lacks ModelDetail")
+	}
+	rep, err := repro.CheckTheorem1(model, repro.TheoreticalRho(f, gamma))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +56,16 @@ func TestPublicAPISimulatorAndTrace(t *testing.T) {
 	a := repro.DenseFromRows([][]float64{{0, 0.5}, {0.5, 0}})
 	op := repro.NewLinear(a, []float64{1, 1})
 	lg := &repro.TraceLog{}
-	res, err := repro.RunSim(repro.SimConfig{
-		Op: op, Workers: 2, X0: []float64{10, 10}, XStar: []float64{2, 2},
-		MaxUpdates: 9,
-		Cost:       repro.HeterogeneousCost([]float64{1, 1.6}),
-		Latency:    repro.FixedLatency(0.25),
-		Flexible:   repro.UniformFlex(2),
-		Seed:       1,
-		Trace:      lg,
-	})
+	res, err := repro.Solve(repro.NewSpec(op),
+		repro.WithEngine(repro.EngineSim),
+		repro.WithWorkers(2), repro.WithX0([]float64{10, 10}), repro.WithXStar([]float64{2, 2}),
+		repro.WithMaxUpdates(9),
+		repro.WithCost(repro.HeterogeneousCost([]float64{1, 1.6})),
+		repro.WithLatency(repro.FixedLatency(0.25)),
+		repro.WithFlexible(repro.UniformFlex(2)),
+		repro.WithSeed(1),
+		repro.WithTrace(lg),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +88,10 @@ func TestPublicAPISimulatorAndTrace(t *testing.T) {
 func TestPublicAPIGoroutineRuntime(t *testing.T) {
 	f := repro.NewSeparable([]float64{1, 2, 3, 4}, []float64{1, -1, 2, -2})
 	op := repro.NewGradOp(f, repro.MaxStep(f))
-	res, err := repro.RunShared(repro.ConcurrentConfig{
-		Op: op, Workers: 2, Tol: 1e-11, MaxUpdatesPerWorker: 1 << 18,
-	})
+	res, err := repro.Solve(repro.NewSpec(op),
+		repro.WithEngine(repro.EngineShared),
+		repro.WithWorkers(2), repro.WithTol(1e-11), repro.WithMaxUpdatesPerWorker(1<<18),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +116,11 @@ func TestPublicAPIRoutingWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := g.Dijkstra(0)
-	res, err := repro.RunModel(repro.ModelConfig{
-		Op:    op,
-		Delay: repro.OutOfOrderDelay{W: 8, Seed: 4},
-		X0:    op.InitialDistances(),
-		XStar: want, Tol: 1e-12, MaxIter: 500000,
-	})
+	res, err := repro.Solve(repro.NewSpec(op),
+		repro.WithDelay(repro.OutOfOrderDelay{W: 8, Seed: 4}),
+		repro.WithX0(op.InitialDistances()),
+		repro.WithXStar(want), repro.WithTol(1e-12), repro.WithMaxIter(500000),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

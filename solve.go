@@ -7,8 +7,7 @@ package repro
 // single Spec describes the iteration, and interchangeable Engines execute
 // it under the regime of interest.
 //
-// A Spec separates the four concerns that older entry points smeared across
-// three incompatible configs:
+// A Spec separates four concerns:
 //
 //   - Problem:   WHAT is solved (operator, start, reference, norm weights)
 //   - Dynamics:  HOW reads are stale (delay labels, steering, flexible
@@ -141,8 +140,7 @@ type Execution struct {
 	// Ctx, when non-nil, cancels the solve: when the context is done the
 	// engine stops at the next phase boundary and Solve returns the
 	// context's error (the report is discarded — a cancelled trajectory is
-	// not a result). Honoured by the model, sim, simsync, shared and
-	// message engines; the dist engine checks it only before starting.
+	// not a result). Honoured by every engine.
 	Ctx context.Context
 	// Progress, when non-nil, is bumped once per completed updating phase
 	// so concurrent observers (a serving layer streaming progress events)
@@ -234,25 +232,6 @@ func WithCost(c CostFunc) Option { return func(s *Spec) { s.Cost = c } }
 
 // WithLatency sets the link-latency model (simulated engines).
 func WithLatency(l LatencyFunc) Option { return func(s *Spec) { s.Latency = l } }
-
-// WithDropProb sets the message-loss probability (asynchronous simulator
-// and dist engine).
-//
-// Deprecated: use WithFaults(Faults{DropProb: p}) — the fault knobs read
-// and write as one group.
-func WithDropProb(p float64) Option { return func(s *Spec) { s.DropProb = p } }
-
-// WithReorderProb sets the probability a relayed block is held back so
-// later messages overtake it (dist engine).
-//
-// Deprecated: use WithFaults(Faults{ReorderProb: p}).
-func WithReorderProb(p float64) Option { return func(s *Spec) { s.ReorderProb = p } }
-
-// WithMaxLinkDelay sets the maximum injected per-message transit delay
-// (dist engine).
-//
-// Deprecated: use WithFaults(Faults{MaxLinkDelay: d}).
-func WithMaxLinkDelay(d time.Duration) Option { return func(s *Spec) { s.MaxLinkDelay = d } }
 
 // WithTopology selects the dist engine's data plane: "star" (coordinator
 // relay, the default) or "mesh" (direct worker-to-worker TCP links).

@@ -225,9 +225,7 @@ func TestDistScenarioParity(t *testing.T) {
 					if faulty {
 						label = topology + "/faulty"
 						opts = append(opts,
-							repro.WithDropProb(0.05),
-							repro.WithReorderProb(0.25),
-							repro.WithMaxLinkDelay(100*time.Microsecond),
+							repro.WithFaults(repro.Faults{DropProb: 0.05, ReorderProb: 0.25, MaxLinkDelay: 100 * time.Microsecond}),
 						)
 					}
 					res, err := repro.Solve(inst.Spec, opts...)
@@ -280,8 +278,7 @@ func TestDistDeltaThresholdParity(t *testing.T) {
 			repro.WithTopology(topology),
 			repro.WithWorkers(4),
 			repro.WithDeltaThreshold(inst.Spec.Tol),
-			repro.WithDropProb(0.05),
-			repro.WithReorderProb(0.25),
+			repro.WithFaults(repro.Faults{DropProb: 0.05, ReorderProb: 0.25}),
 			repro.WithSeed(3),
 		)
 		if err != nil {
@@ -373,38 +370,5 @@ func TestSolveAutoReference(t *testing.T) {
 	}
 	if e := repro.DistInf(res.X, xstar); e > 1e-6 {
 		t.Errorf("auto-reference solution off by %v", e)
-	}
-}
-
-// TestDeprecatedShims checks the legacy entry points still work and agree
-// with Solve.
-func TestDeprecatedShims(t *testing.T) {
-	spec, xstar := lassoSpec(t)
-	op := spec.Op
-
-	model, err := repro.RunModel(repro.ModelConfig{
-		Op: op, XStar: xstar, Tol: 1e-9, MaxIter: 500000,
-	})
-	if err != nil || !model.Converged {
-		t.Fatalf("RunModel shim failed: %v", err)
-	}
-	sim, err := repro.RunSim(repro.SimConfig{
-		Op: op, Workers: 4, XStar: xstar, Tol: 1e-9, MaxUpdates: 500000, Seed: 5,
-	})
-	if err != nil || !sim.Converged {
-		t.Fatalf("RunSim shim failed: %v", err)
-	}
-	shared, err := repro.RunShared(repro.ConcurrentConfig{
-		Op: op, Workers: 2, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18,
-	})
-	if err != nil || !shared.Converged {
-		t.Fatalf("RunShared shim failed: %v", err)
-	}
-	for name, x := range map[string][]float64{
-		"model": model.X, "sim": sim.X, "shared": shared.X,
-	} {
-		if e := repro.DistInf(x, xstar); e > 1e-6 {
-			t.Errorf("shim %s deviates by %v", name, e)
-		}
 	}
 }
