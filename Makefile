@@ -95,14 +95,16 @@ bench-json:
 
 # Gate the block-evaluation fast path, the serving layer AND the solve-rate
 # trajectory: re-measure the BlockEval pairs, the ServeSustained /
-# ScenarioSolveLasso pair, the scenario solves and both dist deployments,
-# and fail if any speedup multiple, the serving-efficiency ratio, or any
-# normalized solve rate regressed against the committed baseline capture.
+# ScenarioSolveLasso pair, the scenario solves and builds and both dist
+# deployments, and fail if any speedup multiple, the serving-efficiency
+# ratio, or any normalized rate regressed against the committed baseline
+# capture. The Report codec cases are measured and printed alongside (the
+# served job's other non-solve layer) but not gated.
 # Ratios within one capture, not raw ns/op, are compared, so the gate is
 # machine-independent.
 bench-compare:
 	$(GO) run ./cmd/asyncsolve bench \
-		-match '^(BlockEval|ServeSustained$$|ScenarioSolveLasso|Dist(Star|Mesh)Workers$$)' -experiments=false \
+		-match '^(BlockEval|ServeSustained$$|ScenarioSolveLasso|ScenarioBuild|Report(M|Unm)arshal|Dist(Star|Mesh)Workers$$)' -experiments=false \
 		-benchtime 250ms -rev current -out BENCH_current.json
 	$(GO) run ./cmd/asyncsolve bench-compare \
 		-baseline BENCH_baseline.json -current BENCH_current.json

@@ -133,6 +133,15 @@ func BenchmarkBlockEvalN4096PerComponent(b *testing.B) {
 	benchsuite.RunNamed(b, "BlockEvalN4096PerComponent")
 }
 
+// The non-solve layers of a served job: one Gram assembly (1024x256), one
+// complete lasso scenario build, one encode and one decode of the report a
+// served model-engine lasso n=64 job streams back.
+func BenchmarkGramAssemble256(b *testing.B)        { benchsuite.RunNamed(b, "GramAssemble256") }
+func BenchmarkScenarioBuildLasso64(b *testing.B)   { benchsuite.RunNamed(b, "ScenarioBuildLasso64") }
+func BenchmarkScenarioBuildLasso256(b *testing.B)  { benchsuite.RunNamed(b, "ScenarioBuildLasso256") }
+func BenchmarkReportMarshalLasso64(b *testing.B)   { benchsuite.RunNamed(b, "ReportMarshalLasso64") }
+func BenchmarkReportUnmarshalLasso64(b *testing.B) { benchsuite.RunNamed(b, "ReportUnmarshalLasso64") }
+
 // BenchmarkMacroTracker measures Definition 2 bookkeeping throughput (the
 // tracker construction is the measured object, so nothing is hoisted).
 func BenchmarkMacroTracker(b *testing.B) {

@@ -226,7 +226,9 @@
 // (NewOperatorScratch, EvalComponent, ApplyOperator) that every engine
 // threads one per-worker scratch through, the discrete-event simulator
 // pools its events and messages, and the message-passing transport pools
-// its payload buffers.
+// its payload buffers across runs (how many a run has in flight at its peak
+// is up to the scheduler, so a per-run pool made a solve's allocations
+// follow the machine's load).
 //
 // On top of the scratch contract sits the BLOCK-EVALUATION contract: the
 // paper's iterations update a worker's whole block per phase, so operators
@@ -268,6 +270,48 @@
 //	}
 //
 // A Scratch must not be shared by concurrent Solve calls.
+//
+// Where a SERVED job's CPU goes (serve-mix shape: 2 closed-loop clients in
+// the server's process, lasso/ridge/routing at n=64, model engine; CPU per
+// job from a profile of internal/server's BenchmarkServeMix, before -> after
+// the change that assembled the Gram once per build and took reflection out
+// of the Report codec):
+//
+//	layer                          before            after
+//	scenario build                 2.22 ms  30%      0.51 ms  14%
+//	solve                          1.61 ms  22%      1.70 ms  46%
+//	report decode (client)         2.04 ms  28%      0.74 ms  20%
+//	report encode (server)         0.79 ms  11%      0.12 ms   3%
+//	HTTP, scheduling, GC           0.74 ms  10%      0.66 ms  18%
+//	total                          7.41 ms           3.73 ms
+//
+//	go test ./internal/server -run '^$' -bench ServeMix -benchtime 150x -cpuprofile cpu.prof
+//	go tool pprof -top -cum server.test cpu.prof   # BuildScenarioTuned, Solve,
+//	    # json.Unmarshal (decode), Encoder.Encode / Event.appendLine (encode)
+//
+// Build: a lasso or ridge build needs the Hessian (1/m)A^T A + reg I for
+// the dominance check and the Gershgorin (L, mu) bounds. mldata.NewRegression
+// assembles (1/m)A^T A once (once per rescale of the coupling rows, which no
+// registered scenario needs), reads dominance off it with the reg shift
+// applied on the fly, and keeps it; Regression.Smooth() hands that matrix to
+// operators.NewLeastSquaresGram, which reads (L, mu) off it the same way and
+// never writes to it, so one Gram is shared read-only by every operator and
+// solve built from the Regression. The kernel (vec.AtAShard) computes the
+// upper triangle in L1-sized tiles of Gram rows and mirrors it; per element
+// the sample order is unchanged, so every trajectory is bit-identical
+// (pinned by the golden in regression_build_test.go and the naive-oracle
+// test in internal/vec). Tuning.IntraParallelism fans the one assembly out.
+//
+// Codec: Report.AppendJSON writes the wire form with strconv appends and the
+// server frames its terminal event around it, so the payload is produced
+// once; Report.UnmarshalJSON is a single-pass decoder with a fast path for
+// records laid out as AppendJSON lays them out. Both are held to the
+// reflective codec they replaced (now the oracle in report_json_test.go) by
+// parent-captured fixtures and FuzzReportUnmarshal. What is left of "decode"
+// is mostly encoding/json itself: json.Unmarshal validates the line and
+// then scans the Report value again to delimit it before UnmarshalJSON sees
+// it (0.54 of the 0.74 ms), and json.Marshal of a Report likewise re-scans
+// what MarshalJSON returned — which is why the server does not go through it.
 //
 // # Tuning knobs
 //
@@ -347,7 +391,10 @@
 //	asyncsolve bench-compare -baseline BENCH_baseline.json -current BENCH_new.json
 //
 // (make bench-compare) fails when any pair's multiple regresses more than
-// 20% below the committed BENCH_baseline.json. The same command gates the
+// 20% below the committed BENCH_baseline.json. The ledger cases of a served
+// job's non-solve layers — GramAssemble256, ScenarioBuildLasso64/256,
+// ReportMarshalLasso64, ReportUnmarshalLasso64 — are measured in the same
+// run (the builds are gated as Scenario* cases, the codec is recorded). The same command gates the
 // serving-efficiency ratio (ServeSustained/ScenarioSolveLasso) and the
 // solve-rate trajectory: every Scenario*, DistStarWorkers, DistMeshWorkers
 // and ServeSustained case, normalized by the within-capture geometric mean

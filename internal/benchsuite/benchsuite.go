@@ -8,6 +8,7 @@ package benchsuite
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -316,6 +317,65 @@ func MicroCases() []Case {
 			Name: "ServeSustained", Kind: "micro", UnitsPerOp: serveBatch,
 			Setup: serveSustainedCase,
 		},
+		// The two layers of a served job that are neither the solve nor
+		// HTTP: building the scenario (dominated by the Gram assembly) and
+		// the Report codec. One op is one assembly / build / encode / decode.
+		{
+			Name: "GramAssemble256", Kind: "micro", UnitsPerOp: 1,
+			Setup: func() (func() error, error) {
+				rng := repro.NewRNG(23)
+				a := repro.NewDense(1024, 256)
+				for i := range a.Data {
+					a.Data[i] = rng.Normal()
+				}
+				return func() error {
+					if g := a.AtA(); g.Rows != 256 {
+						return fmt.Errorf("gram is %dx%d", g.Rows, g.Cols)
+					}
+					return nil
+				}, nil
+			},
+		},
+		{
+			Name: "ScenarioBuildLasso64", Kind: "micro", UnitsPerOp: 1,
+			Setup: scenarioBuildCase("lasso", 64),
+		},
+		{
+			Name: "ScenarioBuildLasso256", Kind: "micro", UnitsPerOp: 1,
+			Setup: scenarioBuildCase("lasso", 256),
+		},
+		{
+			Name: "ReportMarshalLasso64", Kind: "micro", UnitsPerOp: 1,
+			Setup: func() (func() error, error) {
+				rep, _, err := servedLassoReport()
+				if err != nil {
+					return nil, err
+				}
+				return func() error {
+					_, err := json.Marshal(rep)
+					return err
+				}, nil
+			},
+		},
+		{
+			Name: "ReportUnmarshalLasso64", Kind: "micro", UnitsPerOp: 1,
+			Setup: func() (func() error, error) {
+				rep, data, err := servedLassoReport()
+				if err != nil {
+					return nil, err
+				}
+				return func() error {
+					var got repro.Report
+					if err := json.Unmarshal(data, &got); err != nil {
+						return err
+					}
+					if got.Updates != rep.Updates || len(got.Records) != len(rep.Records) {
+						return fmt.Errorf("decoded report drifted")
+					}
+					return nil
+				}, nil
+			},
+		},
 		{
 			Name: "ProxGradBFApply", Kind: "micro", UnitsPerOp: 1,
 			Setup: func() (func() error, error) {
@@ -417,6 +477,35 @@ func blockSweepCase(build func(int) (repro.Operator, error), n, blockSize int, p
 			return nil
 		}, nil
 	}
+}
+
+// scenarioBuildCase measures one complete scenario build at size n, the
+// per-job cost a served solve pays before its first iteration.
+func scenarioBuildCase(scenario string, n int) func() (func() error, error) {
+	return func() (func() error, error) {
+		return func() error {
+			_, err := repro.BuildScenario(scenario, n, 1)
+			return err
+		}, nil
+	}
+}
+
+// servedLassoReport is the report a served model-engine lasso n=64 job
+// streams back (per-iteration Records included) and its wire bytes.
+func servedLassoReport() (*repro.Report, []byte, error) {
+	inst, err := repro.BuildScenario("lasso", 64, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := repro.Solve(inst.Spec,
+		repro.WithEngine(repro.EngineModel),
+		repro.WithDelay(repro.BoundedRandomDelay{B: 8, Seed: 1}),
+		repro.WithSeed(1))
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := json.Marshal(rep)
+	return rep, data, err
 }
 
 // ServeSustained batch shape: serveClients closed-loop clients push

@@ -8,6 +8,7 @@
 package mldata
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,11 +17,18 @@ import (
 )
 
 // Regression is a synthetic linear-regression problem y = A x_true + noise.
+// A, Y and Reg are fixed once NewRegression returns: the Regression keeps
+// the Gram matrix it assembled from A and every Smooth() shares it.
 type Regression struct {
 	A     *vec.Dense // m x n design matrix
 	Y     []float64  // m targets
 	XTrue []float64  // generating parameter vector (sparse for lasso)
 	Reg   float64    // L2 regularization of the smooth part
+
+	// gram is (1/m) A^T A for the final A — the one assembly of a build,
+	// kept from the dominance check that passed and handed read-only to
+	// every Smooth(). Nil on a Regression not made by NewRegression.
+	gram *vec.Dense
 }
 
 // RegressionConfig controls generation.
@@ -50,6 +58,23 @@ type RegressionConfig struct {
 // the design matrix is a strong per-feature diagonal block plus Coupling-
 // scaled dense Gaussian rows, rescaled until Gershgorin dominance holds.
 func NewRegression(cfg RegressionConfig) (*Regression, error) {
+	return NewRegressionSharded(cfg, 1)
+}
+
+// ErrNotDominant is returned when rescaling the coupling rows does not reach
+// a diagonally dominant Hessian.
+var ErrNotDominant = errors.New("mldata: failed to reach diagonal dominance")
+
+// maxRescales bounds how often the coupling rows are shrunk by 0.8 before
+// NewRegression gives up with ErrNotDominant.
+const maxRescales = 60
+
+// NewRegressionSharded is NewRegression with the Gram assembly behind the
+// dominance check fanned out over shards concurrent lanes (bit-identical to
+// serial, see operators.Gram). The Gram is assembled once per candidate A —
+// once per build unless the rescale loop runs — and the one that passes the
+// check is retained for Smooth().
+func NewRegressionSharded(cfg RegressionConfig, shards int) (*Regression, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("mldata: N must be positive, got %d", cfg.N)
 	}
@@ -78,11 +103,15 @@ func NewRegression(cfg RegressionConfig) (*Regression, error) {
 			a.Set(i, j, sigma*rng.Normal())
 		}
 	}
-	// Rescale coupling rows until the Hessian is diagonally dominant.
-	for iter := 0; iter < 60; iter++ {
-		h := hessian(a, cfg.Reg)
-		if dd, _ := h.IsDiagonallyDominant(); dd {
+	// Rescale coupling rows until the Hessian gram + Reg I is diagonally
+	// dominant.
+	gram := operators.Gram(a, shards)
+	for rescales := 0; ; rescales++ {
+		if dd, _ := gram.IsDiagonallyDominantShifted(cfg.Reg); dd {
 			break
+		}
+		if rescales == maxRescales {
+			return nil, ErrNotDominant
 		}
 		for i := n; i < m; i++ {
 			row := a.Row(i)
@@ -90,10 +119,7 @@ func NewRegression(cfg RegressionConfig) (*Regression, error) {
 				row[j] *= 0.8
 			}
 		}
-	}
-	h := hessian(a, cfg.Reg)
-	if dd, _ := h.IsDiagonallyDominant(); !dd {
-		return nil, fmt.Errorf("mldata: failed to reach diagonal dominance")
+		gram = operators.Gram(a, shards)
 	}
 
 	xt := make([]float64, n)
@@ -106,39 +132,24 @@ func NewRegression(cfg RegressionConfig) (*Regression, error) {
 	for i := range y {
 		y[i] += cfg.Noise * rng.Normal()
 	}
-	return &Regression{A: a, Y: y, XTrue: xt, Reg: cfg.Reg}, nil
+	return &Regression{A: a, Y: y, XTrue: xt, Reg: cfg.Reg, gram: gram}, nil
 }
 
-func hessian(a *vec.Dense, reg float64) *vec.Dense {
-	h := a.AtA()
-	m := float64(a.Rows)
-	for i := range h.Data {
-		h.Data[i] /= m
-	}
-	for i := 0; i < h.Rows; i++ {
-		h.Set(i, i, h.At(i, i)+reg)
-	}
-	return h
-}
-
-// Smooth returns the least-squares smooth part f with its (L, mu) bounds.
+// Smooth returns the least-squares smooth part f in Gram form with its
+// (L, mu) bounds. It shares the Regression's Gram matrix rather than
+// assembling one.
 func (r *Regression) Smooth() *operators.LeastSquares {
-	return r.SmoothTuned(false, 1)
+	if r.gram == nil {
+		return operators.NewLeastSquares(r.A, r.Y, r.Reg)
+	}
+	return operators.NewLeastSquaresGram(r.A, r.Y, r.Reg, r.gram)
 }
 
-// SmoothTuned is Smooth with build-time tuning: lean selects the residual
-// gradient form (no precomputed Gram matrix — a bit-different but
-// mathematically equivalent objective evaluation, see
-// operators.NewLeastSquaresLean), and shards > 1 fans the eager Gram
-// assembly over that many concurrent lanes (bit-identical to serial).
-func (r *Regression) SmoothTuned(lean bool, shards int) *operators.LeastSquares {
-	if lean {
-		return operators.NewLeastSquaresLean(r.A, r.Y, r.Reg)
-	}
-	if shards > 1 {
-		return operators.NewLeastSquaresSharded(r.A, r.Y, r.Reg, shards)
-	}
-	return operators.NewLeastSquares(r.A, r.Y, r.Reg)
+// SmoothLean returns the smooth part in the residual gradient form, which
+// holds no Gram matrix — a bit-different but mathematically equivalent
+// objective evaluation, see operators.NewLeastSquaresLean.
+func (r *Regression) SmoothLean() *operators.LeastSquares {
+	return operators.NewLeastSquaresLean(r.A, r.Y, r.Reg)
 }
 
 // MSE returns the mean squared prediction error of x on the data.

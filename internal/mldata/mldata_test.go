@@ -1,6 +1,7 @@
 package mldata
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -161,5 +162,116 @@ func TestLogisticLMu(t *testing.T) {
 	}
 	if l <= mu {
 		t.Errorf("L = %v should exceed mu = %v", l, mu)
+	}
+}
+
+// rescalesOf recovers how often NewRegression shrank the coupling rows by
+// 0.8: the first coupling entry left the generator as coupling*z, z being
+// the first Normal draw after the n diagonal Range draws.
+func rescalesOf(r *Regression, cfg RegressionConfig) int {
+	rng := vec.NewRNG(cfg.Seed)
+	for i := 0; i < cfg.N; i++ {
+		rng.Range(0.8, 1.2)
+	}
+	unscaled := cfg.Coupling * rng.Normal()
+	return int(math.Round(math.Log(r.A.At(cfg.N, 0)/unscaled) / math.Log(0.8)))
+}
+
+// No registered scenario enters the rescale loop (Coupling 0.3 passes the
+// first dominance check), so it is exercised here: Coupling 0.9 and 0.95 at
+// N=16 need one and two rescales. The Gram the Regression retains must be
+// the one of the FINAL design matrix, and the smooth part built on it must
+// be the operator NewLeastSquares would assemble from scratch.
+func TestRegressionRescaleKeepsFinalGram(t *testing.T) {
+	for _, tc := range []struct {
+		coupling float64
+		rescales int
+	}{{0.9, 1}, {0.95, 2}} {
+		cfg := RegressionConfig{N: 16, Coupling: tc.coupling, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 3}
+		r, err := NewRegression(cfg)
+		if err != nil {
+			t.Fatalf("coupling %v: %v", tc.coupling, err)
+		}
+		if got := rescalesOf(r, cfg); got != tc.rescales {
+			t.Fatalf("coupling %v: %d rescales, want %d", tc.coupling, got, tc.rescales)
+		}
+		want := r.A.AtA()
+		for i := range want.Data {
+			want.Data[i] /= float64(r.A.Rows)
+		}
+		for i := range want.Data {
+			if math.Float64bits(r.gram.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("coupling %v: retained Gram element %d = %v, AtA(final A)/m = %v",
+					tc.coupling, i, r.gram.Data[i], want.Data[i])
+			}
+		}
+		if dd, slack := r.gram.IsDiagonallyDominantShifted(r.Reg); !dd {
+			t.Fatalf("coupling %v: result not diagonally dominant (slack %v)", tc.coupling, slack)
+		}
+
+		shared := r.Smooth()
+		fresh := operators.NewLeastSquares(r.A, r.Y, r.Reg)
+		// Hessian() is gram + Reg on the diagonal and Grad(0) is -A^T y/m,
+		// so these two compare the operators' Gram and A^T y/m bit for bit.
+		hs, hf := shared.Hessian(), fresh.Hessian()
+		if dd, slack := hs.IsDiagonallyDominant(); !dd {
+			t.Fatalf("coupling %v: Hessian not diagonally dominant (slack %v)", tc.coupling, slack)
+		}
+		gs, gf := make([]float64, cfg.N), make([]float64, cfg.N)
+		zero := make([]float64, cfg.N)
+		shared.Grad(gs, zero)
+		fresh.Grad(gf, zero)
+		for i := range hf.Data {
+			if math.Float64bits(hs.Data[i]) != math.Float64bits(hf.Data[i]) {
+				t.Fatalf("coupling %v: shared Hessian element %d = %v, fresh %v", tc.coupling, i, hs.Data[i], hf.Data[i])
+			}
+		}
+		for i := range gf {
+			if math.Float64bits(gs[i]) != math.Float64bits(gf[i]) {
+				t.Fatalf("coupling %v: shared A^T y/m [%d] = %v, fresh %v", tc.coupling, i, -gs[i], -gf[i])
+			}
+		}
+		ls, mus := shared.LMu()
+		lf, muf := fresh.LMu()
+		if ls != lf || mus != muf {
+			t.Fatalf("coupling %v: shared (L, mu) = (%v, %v), fresh (%v, %v)", tc.coupling, ls, mus, lf, muf)
+		}
+	}
+}
+
+// The sharded build must retain the very same Gram as the serial one.
+func TestRegressionShardedGramBitIdentical(t *testing.T) {
+	cfg := RegressionConfig{N: 40, Coupling: 0.9, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 6}
+	serial, err := NewRegression(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 3, 64} {
+		r, err := NewRegressionSharded(cfg, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial.gram.Data {
+			if math.Float64bits(r.gram.Data[i]) != math.Float64bits(serial.gram.Data[i]) {
+				t.Fatalf("shards=%d: Gram element %d = %v, serial %v", shards, i, r.gram.Data[i], serial.gram.Data[i])
+			}
+		}
+	}
+}
+
+// Coupling < 1 alone cannot exhaust the rescale budget (0.8^60 leaves no
+// coupling mass), so the failure path is reached the one way it can be: a
+// Reg that cancels a diagonal entry, leaving that row no slack however
+// small the coupling gets. With one sample and one feature there are no
+// coupling rows and the Gram is the single entry A_00^2.
+func TestRegressionNotDominantIsTypedError(t *testing.T) {
+	probe, err := NewRegression(RegressionConfig{N: 1, Samples: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a00 := probe.A.At(0, 0)
+	_, err = NewRegression(RegressionConfig{N: 1, Samples: 1, Seed: 9, Reg: -(a00 * a00)})
+	if !errors.Is(err, ErrNotDominant) {
+		t.Fatalf("err = %v, want ErrNotDominant", err)
 	}
 }

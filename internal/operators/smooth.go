@@ -142,84 +142,106 @@ func (f *Separable) LMu() (float64, float64) {
 
 // LeastSquares is f(x) = 1/(2m) ||Ax - y||^2 + (reg/2)||x||^2, the smooth
 // part of ridge/lasso regression. Hessian: (1/m) A^T A + reg I (constant).
-// The Gram matrix is precomputed so per-component gradients cost one row
-// dot product, matching what an asynchronous coordinate worker would do.
+// In Gram form the matrix (1/m) A^T A is held so per-component gradients
+// cost one row dot product, matching what an asynchronous coordinate worker
+// would do. The operator never assembles it twice and never writes to it:
+// NewLeastSquares assembles it once through Gram, NewLeastSquaresGram takes
+// the one its caller already has (mldata.NewRegression keeps the Gram whose
+// dominance check passed and hands that same matrix to every Smooth()), so
+// a Gram may be shared read-only by any number of operators and solves.
 type LeastSquares struct {
 	A     *vec.Dense // m x n design matrix
 	Y     []float64  // m targets
 	Reg   float64    // Tikhonov term
-	gram  *vec.Dense // (1/m) A^T A
+	gram  *vec.Dense // (1/m) A^T A; shared, read-only
 	aty   []float64  // (1/m) A^T y
 	l, mu float64
 }
 
-// NewLeastSquares precomputes the Gram structure and Gershgorin (L, mu)
-// bounds for the Hessian (1/m) A^T A + reg I.
+// NewLeastSquares assembles the Gram matrix (serially) and builds the Gram
+// form on it.
 func NewLeastSquares(a *vec.Dense, y []float64, reg float64) *LeastSquares {
-	return newLeastSquaresEager(a, y, reg, 1)
+	return NewLeastSquaresGram(a, y, reg, Gram(a, 1))
 }
 
-// NewLeastSquaresSharded is NewLeastSquares with the Gram assembly fanned
-// out over shards concurrent lane workers. The per-element sample
-// accumulation order is unchanged (see vec.AtAShard), so the result — and
-// every subsequent trajectory — is bit-identical to NewLeastSquares.
-func NewLeastSquaresSharded(a *vec.Dense, y []float64, reg float64, shards int) *LeastSquares {
-	return newLeastSquaresEager(a, y, reg, shards)
-}
-
-func newLeastSquaresEager(a *vec.Dense, y []float64, reg float64, shards int) *LeastSquares {
+// NewLeastSquaresGram builds the Gram form on gram = Gram(a, ·), which the
+// caller has already assembled and must not modify afterwards, and reads
+// the Gershgorin (L, mu) bounds of the Hessian gram + reg I off it.
+func NewLeastSquaresGram(a *vec.Dense, y []float64, reg float64, gram *vec.Dense) *LeastSquares {
 	if a.Rows != len(y) {
 		panic("operators: NewLeastSquares rows != len(y)")
 	}
-	m := float64(a.Rows)
-	g := ataSharded(a, shards)
-	for i := range g.Data {
-		g.Data[i] /= m
+	if gram.Rows != a.Cols || gram.Cols != a.Cols {
+		panic(fmt.Sprintf("operators: NewLeastSquaresGram gram is %dx%d, want %dx%d",
+			gram.Rows, gram.Cols, a.Cols, a.Cols))
 	}
+	m := float64(a.Rows)
 	aty := make([]float64, a.Cols)
 	a.MulVecTransTo(aty, y)
 	for i := range aty {
 		aty[i] /= m
 	}
-	// Hessian = g + reg I.
-	h := g.Clone()
-	for i := 0; i < h.Rows; i++ {
-		h.Set(i, i, h.At(i, i)+reg)
-	}
-	lo, hi := h.SymEigBounds()
+	lo, hi := gram.SymEigBoundsShifted(reg)
 	if lo <= 0 {
 		lo = reg
 		if lo <= 0 {
 			lo = 1e-12
 		}
 	}
-	return &LeastSquares{A: a, Y: y, Reg: reg, gram: g, aty: aty, l: hi, mu: lo}
+	return &LeastSquares{A: a, Y: y, Reg: reg, gram: gram, aty: aty, l: hi, mu: lo}
 }
 
-// ataSharded assembles A^T A, fanning Gram-row shards out over the lane
-// executor when shards > 1. Bit-identical to a.AtA() for any shard count.
-func ataSharded(a *vec.Dense, shards int) *vec.Dense {
-	g := vec.NewDense(a.Cols, a.Cols)
-	if shards > a.Cols {
-		shards = a.Cols
+// Gram assembles (1/m) A^T A, the data part of the least-squares Hessian,
+// fanning Gram-row shards out over the lane executor when shards > 1.
+// Shards write disjoint elements in the same per-element sample order (see
+// vec.AtAShard), so the result is bit-identical for any shard count.
+func Gram(a *vec.Dense, shards int) *vec.Dense {
+	n := a.Cols
+	g := vec.NewDense(n, n)
+	if shards > n {
+		shards = n
 	}
 	if shards <= 1 {
-		a.AtAShard(g, 0, a.Cols)
-		return g
+		a.AtAShard(g, 0, n)
+	} else {
+		cuts := triangleCuts(n, shards)
+		var wg sync.WaitGroup
+		for k := 1; k+1 < len(cuts); k++ {
+			lo, hi := cuts[k], cuts[k+1]
+			wg.Add(1)
+			submitLane(func() {
+				defer wg.Done()
+				a.AtAShard(g, lo, hi)
+			})
+		}
+		a.AtAShard(g, cuts[0], cuts[1])
+		wg.Wait()
 	}
-	blocks := vec.Blocks(a.Cols, shards)
-	var wg sync.WaitGroup
-	for k := 1; k < len(blocks); k++ {
-		b := blocks[k]
-		wg.Add(1)
-		submitLane(func() {
-			defer wg.Done()
-			a.AtAShard(g, b[0], b[1])
-		})
+	m := float64(a.Rows)
+	for i := range g.Data {
+		g.Data[i] /= m
 	}
-	a.AtAShard(g, blocks[0][0], blocks[0][1])
-	wg.Wait()
 	return g
+}
+
+// triangleCuts splits Gram rows [0, n) into at most shards contiguous
+// ranges cuts[k]..cuts[k+1] of near-equal work: a shard fills the upper-
+// triangle elements of its rows, n-r of them in row r, so equal row counts
+// would give the first shard most of the triangle.
+func triangleCuts(n, shards int) []int {
+	cuts := []int{0}
+	total := n * (n + 1) / 2
+	done := 0
+	for r := 0; r < n; r++ {
+		done += n - r
+		if k := len(cuts); k < shards && done*shards >= k*total {
+			cuts = append(cuts, r+1)
+		}
+	}
+	if cuts[len(cuts)-1] != n {
+		cuts = append(cuts, n)
+	}
+	return cuts
 }
 
 // NewLeastSquaresLean builds the same objective WITHOUT precomputing the
@@ -372,15 +394,11 @@ func (f *LeastSquares) LMu() (float64, float64) { return f.l, f.mu }
 // Hessian returns the (constant) Hessian (1/m)A^T A + reg I. In lean mode
 // the Gram matrix is materialized on demand (diagnostic/Newton use only).
 func (f *LeastSquares) Hessian() *vec.Dense {
-	h := f.gram
-	if h == nil {
-		h = f.A.AtA()
-		m := float64(f.A.Rows)
-		for i := range h.Data {
-			h.Data[i] /= m
-		}
+	var h *vec.Dense
+	if f.gram == nil {
+		h = Gram(f.A, 1)
 	} else {
-		h = h.Clone()
+		h = f.gram.Clone()
 	}
 	for i := 0; i < h.Rows; i++ {
 		h.Set(i, i, h.At(i, i)+f.Reg)

@@ -120,7 +120,7 @@ func TestShardedLeastSquaresBitIdentical(t *testing.T) {
 	want := make([]float64, n)
 	serial.Grad(want, x)
 	for _, shards := range []int{2, 3, 7, n, n + 5} {
-		f := NewLeastSquaresSharded(a, y, 0.1, shards)
+		f := NewLeastSquaresGram(a, y, 0.1, Gram(a, shards))
 		got := make([]float64, n)
 		f.Grad(got, x)
 		for i := range got {

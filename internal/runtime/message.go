@@ -13,6 +13,25 @@ type blockMsg struct {
 	vals *[]float64
 }
 
+// payloads recycles message buffers across runs as well as within one. How
+// many buffers a run has in flight at its peak is up to the scheduler (a
+// peer that is descheduled for a moment lets its inbox fill, 16 per sender),
+// so a pool owned by the run would bill that peak to every run that reaches
+// it, and what a solve allocates would follow the machine's load; shared,
+// the buffers of the last run serve the next. Every buffer a run makes has
+// room for its largest block, so any worker of the run can reuse it; one too
+// small for the run that draws it is left to the collector.
+var payloads sync.Pool
+
+func getPayload(n, maxBlock int) *[]float64 {
+	if vp, _ := payloads.Get().(*[]float64); vp != nil && cap(*vp) >= maxBlock {
+		*vp = (*vp)[:n]
+		return vp
+	}
+	buf := make([]float64, n, maxBlock)
+	return &buf
+}
+
 // chanPort is the message-passing Transport: each worker keeps a private
 // view of the full vector and exchanges blocks over buffered channels. A
 // lossy Publish never blocks — when a peer's inbox is full the message is
@@ -38,8 +57,9 @@ type chanPort struct {
 	lo, hi  int
 	view    []float64
 	inboxes []chan blockMsg
-	pool    *sync.Pool
 	wake    chan struct{}
+	// maxBlock is the largest block of the run, the capacity of its payloads.
+	maxBlock int
 }
 
 func (p *chanPort) Block() (lo, hi int) { return p.lo, p.hi }
@@ -47,7 +67,7 @@ func (p *chanPort) Block() (lo, hi int) { return p.lo, p.hi }
 func (p *chanPort) receive(m blockMsg) {
 	p.slot.Account(Active)
 	copy(p.view[m.lo:m.lo+len(*m.vals)], *m.vals)
-	p.pool.Put(m.vals)
+	payloads.Put(m.vals)
 	p.q.MsgDelivered()
 }
 
@@ -83,8 +103,7 @@ func (p *chanPort) Publish(vals []float64, reliable bool) error {
 		if qi == p.w {
 			continue
 		}
-		vp := p.pool.Get().(*[]float64)
-		*vp = (*vp)[:len(vals)]
+		vp := getPayload(len(vals), p.maxBlock)
 		copy(*vp, vals)
 		p.send(qi, blockMsg{lo: p.lo, vals: vp}, reliable)
 	}
@@ -100,7 +119,7 @@ func (p *chanPort) send(qi int, m blockMsg, reliable bool) {
 		default:
 		}
 		if !reliable || p.r.stopped.Load() {
-			p.pool.Put(m.vals)
+			payloads.Put(m.vals)
 			p.q.MsgDropped()
 			return
 		}
@@ -136,15 +155,8 @@ func RunMessage(cfg Config) (*Result, error) {
 		// send starts dropping.
 		inboxes[w] = make(chan blockMsg, 16*p)
 	}
-	// Message payload pool, sized to the largest block. Senders Get, fill
-	// and ship; receivers copy out and Put back (drops Put immediately).
-	// Payloads abandoned in inboxes when the run stops are reclaimed by GC.
-	maxBlock := r.blocks[0][1] - r.blocks[0][0] // vec.Blocks puts the remainder first
-	pool := &sync.Pool{New: func() interface{} {
-		buf := make([]float64, maxBlock)
-		return &buf
-	}}
 	wake := make(chan struct{}, 1)
+	maxBlock := r.blocks[0][1] - r.blocks[0][0] // vec.Blocks puts the remainder first
 
 	supervised := make(chan struct{})
 	go func() {
@@ -167,11 +179,18 @@ func RunMessage(cfg Config) (*Result, error) {
 		ports[w] = chanPort{
 			slot: slot{r.q, w}, r: r,
 			lo: r.blocks[w][0], hi: r.blocks[w][1],
-			view: wk.View, inboxes: inboxes, pool: pool, wake: wake,
+			view: wk.View, inboxes: inboxes, wake: wake, maxBlock: maxBlock,
 		}
 		return &ports[w]
 	})
 	<-supervised
+	// Every worker has left its loop: what a stopped run abandoned in the
+	// inboxes goes back to the pool (a converged run abandons nothing).
+	for _, in := range inboxes {
+		for len(in) > 0 {
+			payloads.Put((<-in).vals)
+		}
+	}
 	res.MessagesSent, res.MessagesDropped = r.q.Sent(), r.q.Dropped()
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/flexible"
@@ -40,6 +41,54 @@ func TestMessageOversubscribed(t *testing.T) {
 	}
 	if e := vec.DistInf(res.X, xstar); e > 1e-5 {
 		t.Errorf("error %v", e)
+	}
+}
+
+// The payload pool is shared by every message run of the process: runs of
+// different block sizes side by side (a server's job workers) must each
+// draw buffers that fit them, and stay race-clean.
+func TestMessageConcurrentRunsSharePayloads(t *testing.T) {
+	shapes := []struct{ n, workers int }{{128, 4}, {37, 3}, {64, 2}, {128, 32}}
+	errs := make(chan error, len(shapes))
+	for k, s := range shapes {
+		op, xstar, _ := contractingOp(t, s.n, 60+uint64(k))
+		go func() {
+			for rep := 0; rep < 3; rep++ {
+				res, err := RunMessage(Config{Op: op, Workers: s.workers, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18})
+				if err == nil && !res.Converged {
+					err = fmt.Errorf("n=%d workers=%d: did not converge", s.n, s.workers)
+				}
+				if err == nil && vec.DistInf(res.X, xstar) > 1e-5 {
+					err = fmt.Errorf("n=%d workers=%d: error %v", s.n, s.workers, vec.DistInf(res.X, xstar))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range shapes {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// A pooled buffer serves any worker of a run whose largest block it holds,
+// and a run never ships a buffer shorter than its block.
+func TestGetPayloadFitsTheRun(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		small := make([]float64, 3) // a fresh one each time: a pooled buffer has one owner
+		payloads.Put(&small)
+		for _, n := range []int{480, 481} {
+			vp := getPayload(n, 481)
+			if len(*vp) != n || cap(*vp) < 481 {
+				t.Fatalf("getPayload(%d, 481): len %d cap %d", n, len(*vp), cap(*vp))
+			}
+			payloads.Put(vp)
+		}
 	}
 }
 

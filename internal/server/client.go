@@ -89,7 +89,8 @@ func (c *Client) Solve(ctx context.Context, req JobRequest) (*Outcome, error) {
 	out := &Outcome{}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
+	terminal := false
+	for !terminal && sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
@@ -107,13 +108,20 @@ func (c *Client) Solve(ctx context.Context, req JobRequest) (*Outcome, error) {
 		case EventReport:
 			out.Report = ev.Report
 			out.Describe = ev.Describe
-			out.Latency = time.Since(begin)
-			return out, nil
+			terminal = true
 		case EventError:
 			out.JobErr = ev.Error
-			out.Latency = time.Since(begin)
-			return out, nil
+			terminal = true
 		}
+	}
+	if terminal {
+		out.Latency = time.Since(begin)
+		// The terminal line is the last one, but the transport only keeps
+		// the connection for the next job once the body has been read to
+		// EOF. Read the few bytes of framing still due — bounded, so a
+		// server that keeps talking costs a connection, not a hang.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return out, nil
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("server: stream: %w", err)

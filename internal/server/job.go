@@ -145,7 +145,7 @@ type job struct {
 // resolve validates req and builds the job skeleton. It returns a
 // client-errored (400-worthy) error for unknown scenarios/engines/delay
 // models and for options the serving layer does not support.
-func resolve(req JobRequest, maxJobTime time.Duration) (*job, error) {
+func resolve(req JobRequest) (*job, error) {
 	if req.Scenario == "" {
 		return nil, fmt.Errorf("scenario is required (see GET /v1/scenarios)")
 	}
@@ -228,7 +228,6 @@ func resolve(req JobRequest, maxJobTime time.Duration) (*job, error) {
 		N:        n,
 		Workers:  req.Workers,
 	}
-	_ = maxJobTime // deadline is attached by the handler, off its request context
 	return j, nil
 }
 

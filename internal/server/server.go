@@ -180,6 +180,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// maxRequestBody bounds a POST /v1/solve body; a larger one is answered 413.
+const maxRequestBody = 1 << 20
+
 // reject sends the admission-control refusal: 503 with a Retry-After hint.
 func (s *Server) reject(w http.ResponseWriter, reason string) {
 	s.rejected.Add(1)
@@ -196,9 +199,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, "server is draining")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
 	req, err := DecodeJobRequest(body)
@@ -206,7 +214,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	j, err := resolve(req, s.cfg.MaxJobTime)
+	j, err := resolve(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -233,14 +241,22 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, j)
 }
 
+// linePool recycles the NDJSON line buffers of stream.
+var linePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // stream writes the job's NDJSON event sequence: accepted, started,
 // periodic progress, then exactly one terminal report/error event.
 func (s *Server) stream(w http.ResponseWriter, j *job) {
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// One line buffer per stream, recycled across jobs: the terminal line
+	// carries the whole Report, tens of KB that would otherwise be
+	// allocated afresh for every job.
+	line := linePool.Get().(*[]byte)
+	defer linePool.Put(line)
 	emit := func(ev Event) {
 		ev.JobID = j.id
-		if err := enc.Encode(ev); err != nil {
+		*line = ev.appendLine((*line)[:0])
+		if _, err := w.Write(*line); err != nil {
 			return
 		}
 		if flusher != nil {

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"testing"
@@ -326,5 +330,95 @@ func TestServeListens(t *testing.T) {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeOversizedBodyIs413: a body over the limit is refused as too
+// large, not truncated and answered as a JSON syntax error.
+func TestServeOversizedBodyIs413(t *testing.T) {
+	_, c := testServer(t, Config{Workers: 1, QueueDepth: 1})
+	body := `{"scenario":"lasso","delay":"` + strings.Repeat("x", maxRequestBody) + `"}`
+	resp, err := c.HTTP.Post(c.Base+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %s, want 413", resp.Status)
+	}
+	// Just under the limit the same shape is read whole and fails on its
+	// merits: an unknown delay model, 400.
+	body = `{"scenario":"lasso","delay":"` + strings.Repeat("x", maxRequestBody-64) + `"}`
+	resp2, err := c.HTTP.Post(c.Base+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	if resp2.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %s, want 400", resp2.Status)
+	}
+}
+
+// TestClientReusesConnection: Solve reads each stream to its end, so ten
+// sequential jobs travel over one keep-alive connection.
+func TestClientReusesConnection(t *testing.T) {
+	_, c := testServer(t, Config{Workers: 1, QueueDepth: 1})
+	dials := 0
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if !info.Reused {
+				dials++
+			}
+		},
+	})
+	for i := 0; i < 10; i++ {
+		out, err := c.Solve(ctx, JobRequest{Scenario: "lasso", N: 16, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Report == nil || !out.Report.Converged {
+			t.Fatalf("job %d: %+v", i, out)
+		}
+	}
+	if dials != 1 {
+		t.Fatalf("10 sequential jobs used %d connections, want 1", dials)
+	}
+}
+
+// TestEventLineMatchesMarshal: the hand-framed NDJSON line is json.Marshal
+// of the event plus a newline, byte for byte, for every event shape — the
+// terminal report line included, whose Report is spliced in by AppendJSON.
+func TestEventLineMatchesMarshal(t *testing.T) {
+	inst, err := repro.BuildScenario("routing", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := repro.Solve(inst.Spec, repro.WithEngine(repro.EngineModel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := []Event{
+		{Type: EventAccepted, JobID: "job-1", Queued: 3},
+		{Type: EventAccepted, JobID: "job-1"},
+		{Type: EventStarted, JobID: "job-2"},
+		{Type: EventProgress, JobID: "job-3", Updates: 12345, ElapsedMS: 17},
+		{Type: EventError, JobID: "job-4", Error: `context deadline exceeded: "x", <y>`, ElapsedMS: 2},
+		{Type: EventReport, JobID: "job-5", Report: rep, Describe: `routing: 12 nodes, "ok",`, ElapsedMS: 9},
+		{Type: EventReport, JobID: "job-6", Report: rep},
+		{Type: EventReport, JobID: "job-7", Report: &repro.Report{}, Describe: "d", Error: "e"},
+		{Type: EventReport},
+	}
+	for _, ev := range events {
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if got := ev.appendLine(nil); !bytes.Equal(got, want) {
+			t.Errorf("line differs for %+v:\n got  %.200s\n want %.200s", ev, got, want)
+		}
+		if got := ev.appendLine([]byte("x")); !bytes.Equal(got[1:], want) {
+			t.Errorf("appending to a non-empty buffer differs for %+v", ev)
+		}
 	}
 }

@@ -171,28 +171,60 @@ func (m *Dense) AtA() *Dense {
 	return g
 }
 
-// AtAShard fills rows [lo, hi) of the Gram matrix g = M^T M. Each output row
-// depends only on the full sample set, never on other Gram rows, so disjoint
-// shards may be filled concurrently; per element the sample-index
-// accumulation order is ascending exactly as in AtA, so a sharded assembly
-// is bit-identical to the serial one.
+// gramTileFloats bounds the Gram rows one AtAShard tile keeps hot: 4096
+// float64s (32 KiB) of output, so a tile stays in L1 while the samples
+// stream past it.
+const gramTileFloats = 4096
+
+// gramTileRows is the number of Gram rows per tile for an n-column matrix.
+func gramTileRows(n int) int {
+	if t := gramTileFloats / n; t > 8 {
+		return t
+	}
+	return 8
+}
+
+// AtAShard assembles the part of the Gram matrix g = M^T M that belongs to
+// Gram rows [lo, hi): the upper-triangle elements (a, b), lo <= a < hi,
+// b >= a, accumulated onto g (which the caller hands in zeroed), and their
+// mirror images (b, a). It is the one Gram kernel in the tree — AtA, the
+// sharded assembly in operators.Gram and every regression build go through
+// it. Element (p, q) is written only by the shard that owns min(p, q), so
+// shards over disjoint row ranges touch disjoint elements and may run
+// concurrently, and a partition of [0, Cols) fills all of g.
+//
+// The range is walked in tiles of gramTileRows Gram rows and the samples
+// stream past once per tile. Per element the products are still added in
+// ascending sample order, a*b == b*a, and a skipped zero sample entry would
+// have added nothing to a finite sum, so the result is bit-identical to the
+// plain triple loop for any shard partition and any tile size.
 func (m *Dense) AtAShard(g *Dense, lo, hi int) {
-	if g.Rows != m.Cols || g.Cols != m.Cols {
-		panic(fmt.Sprintf("vec: AtAShard output %dx%d, want %dx%d", g.Rows, g.Cols, m.Cols, m.Cols))
+	n := m.Cols
+	if g.Rows != n || g.Cols != n {
+		panic(fmt.Sprintf("vec: AtAShard output %dx%d, want %dx%d", g.Rows, g.Cols, n, n))
 	}
-	if lo < 0 || hi > m.Cols || lo > hi {
-		panic(fmt.Sprintf("vec: AtAShard range [%d,%d) outside %d Gram rows", lo, hi, m.Cols))
+	if lo < 0 || hi > n || lo > hi {
+		panic(fmt.Sprintf("vec: AtAShard range [%d,%d) outside %d Gram rows", lo, hi, n))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for a := lo; a < hi; a++ {
-			ra := row[a]
-			if ra == 0 {
-				continue
+	tile := gramTileRows(n)
+	for t := lo; t < hi; t += tile {
+		te := t + tile
+		if te > hi {
+			te = hi
+		}
+		for i := 0; i < m.Rows; i++ {
+			row := m.Row(i)
+			for a := t; a < te; a++ {
+				ra := row[a]
+				if ra == 0 {
+					continue
+				}
+				AXPY(ra, row[a:], g.Data[a*n+a:a*n+n])
 			}
-			grow := g.Row(a)
-			for b := 0; b < m.Cols; b++ {
-				grow[b] += ra * row[b]
+		}
+		for a := t; a < te; a++ {
+			for b := a + 1; b < n; b++ {
+				g.Data[b*n+a] = g.Data[a*n+b]
 			}
 		}
 	}
@@ -235,21 +267,32 @@ func (m *Dense) WeightedInfNorm(u Vector) float64 {
 	return worst
 }
 
+// OffDiagAbsSum returns sum_{j!=i} |M_ij|, the Gershgorin radius of row i.
+func (m *Dense) OffDiagAbsSum(i int) float64 {
+	off := 0.0
+	for j, a := range m.Row(i) {
+		if j != i {
+			off += math.Abs(a)
+		}
+	}
+	return off
+}
+
 // IsDiagonallyDominant reports whether |M_ii| > sum_{j!=i} |M_ij| for every
 // row, with the strictness margin returned as the minimum row slack.
 func (m *Dense) IsDiagonallyDominant() (bool, float64) {
+	return m.IsDiagonallyDominantShifted(0)
+}
+
+// IsDiagonallyDominantShifted is IsDiagonallyDominant of M + shift*I, read
+// off M without forming the shifted matrix.
+func (m *Dense) IsDiagonallyDominantShifted(shift float64) (bool, float64) {
 	if m.Rows != m.Cols {
 		return false, 0
 	}
 	minSlack := math.Inf(1)
 	for i := 0; i < m.Rows; i++ {
-		off := 0.0
-		for j, a := range m.Row(i) {
-			if j != i {
-				off += math.Abs(a)
-			}
-		}
-		slack := math.Abs(m.At(i, i)) - off
+		slack := math.Abs(m.At(i, i)+shift) - m.OffDiagAbsSum(i)
 		if slack < minSlack {
 			minSlack = slack
 		}
@@ -261,18 +304,19 @@ func (m *Dense) IsDiagonallyDominant() (bool, float64) {
 // symmetric matrix via Gershgorin discs. For Hessians this yields usable
 // (mu, L) estimates when the matrix is diagonally dominant.
 func (m *Dense) SymEigBounds() (lo, hi float64) {
+	return m.SymEigBoundsShifted(0)
+}
+
+// SymEigBoundsShifted is SymEigBounds of M + shift*I, read off M without
+// forming the shifted matrix.
+func (m *Dense) SymEigBoundsShifted(shift float64) (lo, hi float64) {
 	if m.Rows != m.Cols {
 		panic("vec: SymEigBounds requires a square matrix")
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i := 0; i < m.Rows; i++ {
-		r := 0.0
-		for j, a := range m.Row(i) {
-			if j != i {
-				r += math.Abs(a)
-			}
-		}
-		d := m.At(i, i)
+		r := m.OffDiagAbsSum(i)
+		d := m.At(i, i) + shift
 		if d-r < lo {
 			lo = d - r
 		}

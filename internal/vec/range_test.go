@@ -1,6 +1,11 @@
 package vec
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+)
 
 func randomDense(rows, cols int, seed uint64) *Dense {
 	rng := NewRNG(seed)
@@ -141,23 +146,119 @@ func TestMulRangeTiledToPanics(t *testing.T) {
 	}
 }
 
-// AtAShard over any partition must reproduce AtA bit-for-bit: the
-// per-element sample accumulation order is row-major regardless of shard
-// boundaries.
-func TestAtAShardMatchesAtA(t *testing.T) {
-	m := randomDense(19, 13, 47)
-	want := m.AtA()
-	for _, bounds := range [][]int{{0, 13}, {0, 1, 13}, {0, 4, 8, 13}, {0, 6, 7, 13}} {
-		got := NewDense(13, 13)
-		for i := 0; i+1 < len(bounds); i++ {
-			m.AtAShard(got, bounds[i], bounds[i+1])
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("shards %v element %d: %v != %v", bounds, i, got.Data[i], want.Data[i])
+// naiveGram is the independent oracle for the Gram kernel: the plain triple
+// loop, each element's products added in ascending sample order, no zero
+// skip, no symmetry, no tiling.
+func naiveGram(m *Dense) *Dense {
+	g := NewDense(m.Cols, m.Cols)
+	for a := 0; a < m.Cols; a++ {
+		for b := 0; b < m.Cols; b++ {
+			s := 0.0
+			for i := 0; i < m.Rows; i++ {
+				s += m.At(i, a) * m.At(i, b)
 			}
+			g.Set(a, b, s)
 		}
 	}
+	return g
+}
+
+// gramShapes are the awkward inputs the kernel is pinned on: degenerate and
+// odd sizes, the NewRegression shape (identity block over dense rows, where
+// the zero skip fires on a quarter of the samples), all-zero columns, and
+// column counts one either side of a tile boundary.
+func gramShapes() map[string]*Dense {
+	identityTop := randomDense(48, 12, 53)
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			identityTop.Set(i, j, 0)
+		}
+		identityTop.Set(i, i, 3.5+float64(i))
+	}
+	zeroCols := randomDense(21, 9, 59)
+	for i := 0; i < zeroCols.Rows; i++ {
+		zeroCols.Set(i, 0, 0)
+		zeroCols.Set(i, 4, 0)
+		zeroCols.Set(i, 8, 0)
+	}
+	// gramTileRows(n) == n exactly at n*n == gramTileFloats; one column
+	// fewer is a single tile with slack, one more spills into a second.
+	edge := 1
+	for (edge+1)*(edge+1) <= gramTileFloats {
+		edge++
+	}
+	return map[string]*Dense{
+		"1x1":          randomDense(1, 1, 41),
+		"5x3":          randomDense(5, 3, 43),
+		"19x13":        randomDense(19, 13, 47),
+		"37x17":        randomDense(37, 17, 49),
+		"identity-top": identityTop,
+		"zero-columns": zeroCols,
+		"tile-1":       randomDense(70, edge-1, 61),
+		"tile":         randomDense(70, edge, 67),
+		"tile+1":       randomDense(70, edge+1, 71),
+		"many-tiles":   randomDense(9, 523, 73), // 8-row tiles, 66 of them
+	}
+}
+
+// shardPartitions returns partitions of [0, n) worth trying: the whole
+// range, every row its own shard, and uneven cuts.
+func shardPartitions(n int) [][]int {
+	parts := [][]int{{0, n}}
+	single := make([]int, n+1)
+	for i := range single {
+		single[i] = i
+	}
+	parts = append(parts, single)
+	if n >= 3 {
+		parts = append(parts, []int{0, 1, n}, []int{0, n / 3, n/3 + 1, n}, []int{0, n - 1, n})
+	}
+	return parts
+}
+
+func assertSameBits(t *testing.T, label string, got, want *Dense) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element (%d,%d) = %v, oracle %v", label, i/want.Cols, i%want.Cols, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// AtA, and AtAShard over any partition in any order, must reproduce the
+// naive oracle bit for bit on every shape.
+func TestAtAShardMatchesAtA(t *testing.T) {
+	for name, m := range gramShapes() {
+		want := naiveGram(m)
+		assertSameBits(t, name+" AtA", m.AtA(), want)
+		for _, bounds := range shardPartitions(m.Cols) {
+			got := NewDense(m.Cols, m.Cols)
+			for i := len(bounds) - 2; i >= 0; i-- { // last shard first: order must not matter
+				m.AtAShard(got, bounds[i], bounds[i+1])
+			}
+			assertSameBits(t, fmt.Sprintf("%s shards %v", name, bounds), got, want)
+		}
+	}
+}
+
+// Shards over disjoint Gram-row ranges write disjoint elements, so they may
+// run concurrently (this is the case `go test -race` is for).
+func TestAtAShardConcurrent(t *testing.T) {
+	m := randomDense(64, 96, 79)
+	want := naiveGram(m)
+	got := NewDense(96, 96)
+	bounds := []int{0, 7, 8, 40, 41, 90, 96}
+	var wg sync.WaitGroup
+	for i := 0; i+1 < len(bounds); i++ {
+		lo, hi := bounds[i], bounds[i+1]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.AtAShard(got, lo, hi)
+		}()
+	}
+	wg.Wait()
+	assertSameBits(t, "concurrent shards", got, want)
 }
 
 func TestMulRangeToBoundsPanics(t *testing.T) {

@@ -7,8 +7,6 @@ package repro
 // the typed accessors.
 
 import (
-	"encoding/json"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -38,8 +36,10 @@ type TimedError = des.TimedError
 // restores every exported field; the typed detail accessors (ModelDetail,
 // DistDetail, ...) of a decoded Report report "not present".
 //
-// The struct tags below document the wire keys; the authoritative codec is
-// reportWire in this file (kept in sync by the golden key test).
+// The struct tags below document the wire keys and order; the codec is the
+// hand-written AppendJSON / UnmarshalJSON pair in report_json.go, held to
+// the tags by the differential tests against a reflective codec built from
+// them (report_json_test.go).
 type Report struct {
 	// Engine is the name of the engine that produced this report.
 	Engine string `json:"engine"`
@@ -110,185 +110,6 @@ type Report struct {
 	simSync    *des.SyncResult
 	concurrent *runtime.Result
 	dist       *dist.Result
-}
-
-// jsonFloat is a float64 whose JSON form survives non-finite values:
-// Inf/NaN encode as the strings "Infinity", "-Infinity", "NaN" (bare JSON
-// numbers cannot represent them and encoding/json refuses to emit them).
-type jsonFloat float64
-
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"Infinity"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Infinity"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-func (f *jsonFloat) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"Infinity"`:
-		*f = jsonFloat(math.Inf(1))
-		return nil
-	case `"-Infinity"`:
-		*f = jsonFloat(math.Inf(-1))
-		return nil
-	case `"NaN"`:
-		*f = jsonFloat(math.NaN())
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = jsonFloat(v)
-	return nil
-}
-
-func toJSONFloats(xs []float64) []jsonFloat {
-	if xs == nil {
-		return nil
-	}
-	out := make([]jsonFloat, len(xs))
-	for i, v := range xs {
-		out[i] = jsonFloat(v)
-	}
-	return out
-}
-
-func fromJSONFloats(xs []jsonFloat) []float64 {
-	if xs == nil {
-		return nil
-	}
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// timedErrorWire mirrors TimedError with non-finite-safe floats.
-type timedErrorWire struct {
-	Time  jsonFloat `json:"time"`
-	Error jsonFloat `json:"error"`
-}
-
-// reportWire is Report's wire form: same keys as the struct tags above,
-// with every float routed through jsonFloat so non-finite values survive.
-type reportWire struct {
-	Engine            string            `json:"engine"`
-	X                 []jsonFloat       `json:"x"`
-	Converged         bool              `json:"converged"`
-	Iterations        int               `json:"iterations"`
-	Updates           int               `json:"updates"`
-	FinalResidual     jsonFloat         `json:"final_residual"`
-	FinalError        jsonFloat         `json:"final_error,omitempty"`
-	Errors            []jsonFloat       `json:"errors,omitempty"`
-	ErrorTrace        []timedErrorWire  `json:"error_trace,omitempty"`
-	Boundaries        []int             `json:"boundaries,omitempty"`
-	StrictBoundaries  []int             `json:"strict_boundaries,omitempty"`
-	Epochs            []int             `json:"epochs,omitempty"`
-	Records           []IterationRecord `json:"records,omitempty"`
-	UpdatesPerWorker  []int             `json:"updates_per_worker,omitempty"`
-	MessagesSent      int64             `json:"messages_sent,omitempty"`
-	MessagesDropped   int64             `json:"messages_dropped,omitempty"`
-	MessagesStale     int64             `json:"messages_stale,omitempty"`
-	MessagesReordered int64             `json:"messages_reordered,omitempty"`
-	MessagesDuplicate int64             `json:"messages_duplicate,omitempty"`
-	BytesSent         int64             `json:"bytes_sent,omitempty"`
-	BytesReceived     int64             `json:"bytes_received,omitempty"`
-	WorkersLost       int64             `json:"workers_lost,omitempty"`
-	WorkersRejoined   int64             `json:"workers_rejoined,omitempty"`
-	Resharding        int64             `json:"resharding,omitempty"`
-	Time              jsonFloat         `json:"time,omitempty"`
-	Elapsed           time.Duration     `json:"elapsed_ns,omitempty"`
-}
-
-// MarshalJSON encodes the report in its stable wire form (see the type
-// docs: snake_case keys, non-finite floats as strings, detail omitted).
-func (r Report) MarshalJSON() ([]byte, error) {
-	w := reportWire{
-		Engine:            r.Engine,
-		X:                 toJSONFloats(r.X),
-		Converged:         r.Converged,
-		Iterations:        r.Iterations,
-		Updates:           r.Updates,
-		FinalResidual:     jsonFloat(r.FinalResidual),
-		FinalError:        jsonFloat(r.FinalError),
-		Errors:            toJSONFloats(r.Errors),
-		Boundaries:        r.Boundaries,
-		StrictBoundaries:  r.StrictBoundaries,
-		Epochs:            r.Epochs,
-		Records:           r.Records,
-		UpdatesPerWorker:  r.UpdatesPerWorker,
-		MessagesSent:      r.MessagesSent,
-		MessagesDropped:   r.MessagesDropped,
-		MessagesStale:     r.MessagesStale,
-		MessagesReordered: r.MessagesReordered,
-		MessagesDuplicate: r.MessagesDuplicate,
-		BytesSent:         r.BytesSent,
-		BytesReceived:     r.BytesReceived,
-		WorkersLost:       r.WorkersLost,
-		WorkersRejoined:   r.WorkersRejoined,
-		Resharding:        r.Resharding,
-		Time:              jsonFloat(r.Time),
-		Elapsed:           r.Elapsed,
-	}
-	if r.ErrorTrace != nil {
-		w.ErrorTrace = make([]timedErrorWire, len(r.ErrorTrace))
-		for i, te := range r.ErrorTrace {
-			w.ErrorTrace[i] = timedErrorWire{Time: jsonFloat(te.Time), Error: jsonFloat(te.Error)}
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes the wire form back into a Report. The decoded
-// report carries no engine detail (the typed accessors report absence).
-func (r *Report) UnmarshalJSON(b []byte) error {
-	var w reportWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*r = Report{
-		Engine:            w.Engine,
-		X:                 fromJSONFloats(w.X),
-		Converged:         w.Converged,
-		Iterations:        w.Iterations,
-		Updates:           w.Updates,
-		FinalResidual:     float64(w.FinalResidual),
-		FinalError:        float64(w.FinalError),
-		Errors:            fromJSONFloats(w.Errors),
-		Boundaries:        w.Boundaries,
-		StrictBoundaries:  w.StrictBoundaries,
-		Epochs:            w.Epochs,
-		Records:           w.Records,
-		UpdatesPerWorker:  w.UpdatesPerWorker,
-		MessagesSent:      w.MessagesSent,
-		MessagesDropped:   w.MessagesDropped,
-		MessagesStale:     w.MessagesStale,
-		MessagesReordered: w.MessagesReordered,
-		MessagesDuplicate: w.MessagesDuplicate,
-		BytesSent:         w.BytesSent,
-		BytesReceived:     w.BytesReceived,
-		WorkersLost:       w.WorkersLost,
-		WorkersRejoined:   w.WorkersRejoined,
-		Resharding:        w.Resharding,
-		Time:              float64(w.Time),
-		Elapsed:           w.Elapsed,
-	}
-	if w.ErrorTrace != nil {
-		r.ErrorTrace = make([]TimedError, len(w.ErrorTrace))
-		for i, te := range w.ErrorTrace {
-			r.ErrorTrace[i] = TimedError{Time: float64(te.Time), Error: float64(te.Error)}
-		}
-	}
-	return nil
 }
 
 // finish fills in the outcome fields every engine can provide uniformly:

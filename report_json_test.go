@@ -6,8 +6,11 @@ package repro_test
 // never leaked — and decoding must restore every exported field.
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -193,4 +196,462 @@ func TestReportJSONFromSolve(t *testing.T) {
 	if _, ok := got.SimDetail(); ok {
 		t.Fatal("decoded report claims engine detail")
 	}
+}
+
+// ---------------------------------------------------------------------------
+// The differential oracle: the reflective codec that WAS Report's codec until
+// the hand-written one in report_json.go replaced it. It defines the wire
+// format — what encoding/json does with the struct tags, floats wrapped —
+// and the fixtures, corner cases and fuzz target below hold the new codec to
+// it byte for byte and value for value.
+
+// jsonFloat is a float64 whose JSON form survives non-finite values:
+// Inf/NaN encode as the strings "Infinity", "-Infinity", "NaN" (bare JSON
+// numbers cannot represent them and encoding/json refuses to emit them).
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	switch {
+	case math.IsInf(v, 1):
+		return []byte(`"Infinity"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Infinity"`), nil
+	case math.IsNaN(v):
+		return []byte(`"NaN"`), nil
+	}
+	return json.Marshal(v)
+}
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"Infinity"`:
+		*f = jsonFloat(math.Inf(1))
+		return nil
+	case `"-Infinity"`:
+		*f = jsonFloat(math.Inf(-1))
+		return nil
+	case `"NaN"`:
+		*f = jsonFloat(math.NaN())
+		return nil
+	}
+	var v float64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*f = jsonFloat(v)
+	return nil
+}
+
+func toJSONFloats(xs []float64) []jsonFloat {
+	if xs == nil {
+		return nil
+	}
+	out := make([]jsonFloat, len(xs))
+	for i, v := range xs {
+		out[i] = jsonFloat(v)
+	}
+	return out
+}
+
+func fromJSONFloats(xs []jsonFloat) []float64 {
+	if xs == nil {
+		return nil
+	}
+	out := make([]float64, len(xs))
+	for i, v := range xs {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// timedErrorWire mirrors TimedError with non-finite-safe floats.
+type timedErrorWire struct {
+	Time  jsonFloat `json:"time"`
+	Error jsonFloat `json:"error"`
+}
+
+// reportWire is Report's wire form as encoding/json sees it: the struct
+// tags of repro.Report, with every float routed through jsonFloat so
+// non-finite values survive.
+type reportWire struct {
+	Engine            string                  `json:"engine"`
+	X                 []jsonFloat             `json:"x"`
+	Converged         bool                    `json:"converged"`
+	Iterations        int                     `json:"iterations"`
+	Updates           int                     `json:"updates"`
+	FinalResidual     jsonFloat               `json:"final_residual"`
+	FinalError        jsonFloat               `json:"final_error,omitempty"`
+	Errors            []jsonFloat             `json:"errors,omitempty"`
+	ErrorTrace        []timedErrorWire        `json:"error_trace,omitempty"`
+	Boundaries        []int                   `json:"boundaries,omitempty"`
+	StrictBoundaries  []int                   `json:"strict_boundaries,omitempty"`
+	Epochs            []int                   `json:"epochs,omitempty"`
+	Records           []repro.IterationRecord `json:"records,omitempty"`
+	UpdatesPerWorker  []int                   `json:"updates_per_worker,omitempty"`
+	MessagesSent      int64                   `json:"messages_sent,omitempty"`
+	MessagesDropped   int64                   `json:"messages_dropped,omitempty"`
+	MessagesStale     int64                   `json:"messages_stale,omitempty"`
+	MessagesReordered int64                   `json:"messages_reordered,omitempty"`
+	MessagesDuplicate int64                   `json:"messages_duplicate,omitempty"`
+	BytesSent         int64                   `json:"bytes_sent,omitempty"`
+	BytesReceived     int64                   `json:"bytes_received,omitempty"`
+	WorkersLost       int64                   `json:"workers_lost,omitempty"`
+	WorkersRejoined   int64                   `json:"workers_rejoined,omitempty"`
+	Resharding        int64                   `json:"resharding,omitempty"`
+	Time              jsonFloat               `json:"time,omitempty"`
+	Elapsed           time.Duration           `json:"elapsed_ns,omitempty"`
+}
+
+// oracleMarshal is Report.MarshalJSON as it was when reportWire was the
+// codec.
+func oracleMarshal(r repro.Report) ([]byte, error) {
+	w := reportWire{
+		Engine:            r.Engine,
+		X:                 toJSONFloats(r.X),
+		Converged:         r.Converged,
+		Iterations:        r.Iterations,
+		Updates:           r.Updates,
+		FinalResidual:     jsonFloat(r.FinalResidual),
+		FinalError:        jsonFloat(r.FinalError),
+		Errors:            toJSONFloats(r.Errors),
+		Boundaries:        r.Boundaries,
+		StrictBoundaries:  r.StrictBoundaries,
+		Epochs:            r.Epochs,
+		Records:           r.Records,
+		UpdatesPerWorker:  r.UpdatesPerWorker,
+		MessagesSent:      r.MessagesSent,
+		MessagesDropped:   r.MessagesDropped,
+		MessagesStale:     r.MessagesStale,
+		MessagesReordered: r.MessagesReordered,
+		MessagesDuplicate: r.MessagesDuplicate,
+		BytesSent:         r.BytesSent,
+		BytesReceived:     r.BytesReceived,
+		WorkersLost:       r.WorkersLost,
+		WorkersRejoined:   r.WorkersRejoined,
+		Resharding:        r.Resharding,
+		Time:              jsonFloat(r.Time),
+		Elapsed:           r.Elapsed,
+	}
+	if r.ErrorTrace != nil {
+		w.ErrorTrace = make([]timedErrorWire, len(r.ErrorTrace))
+		for i, te := range r.ErrorTrace {
+			w.ErrorTrace[i] = timedErrorWire{Time: jsonFloat(te.Time), Error: jsonFloat(te.Error)}
+		}
+	}
+	return json.Marshal(w)
+}
+
+// oracleUnmarshal is Report.UnmarshalJSON as it was when reportWire was the
+// codec.
+func oracleUnmarshal(b []byte, r *repro.Report) error {
+	var w reportWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*r = repro.Report{
+		Engine:            w.Engine,
+		X:                 fromJSONFloats(w.X),
+		Converged:         w.Converged,
+		Iterations:        w.Iterations,
+		Updates:           w.Updates,
+		FinalResidual:     float64(w.FinalResidual),
+		FinalError:        float64(w.FinalError),
+		Errors:            fromJSONFloats(w.Errors),
+		Boundaries:        w.Boundaries,
+		StrictBoundaries:  w.StrictBoundaries,
+		Epochs:            w.Epochs,
+		Records:           w.Records,
+		UpdatesPerWorker:  w.UpdatesPerWorker,
+		MessagesSent:      w.MessagesSent,
+		MessagesDropped:   w.MessagesDropped,
+		MessagesStale:     w.MessagesStale,
+		MessagesReordered: w.MessagesReordered,
+		MessagesDuplicate: w.MessagesDuplicate,
+		BytesSent:         w.BytesSent,
+		BytesReceived:     w.BytesReceived,
+		WorkersLost:       w.WorkersLost,
+		WorkersRejoined:   w.WorkersRejoined,
+		Resharding:        w.Resharding,
+		Time:              float64(w.Time),
+		Elapsed:           w.Elapsed,
+	}
+	if w.ErrorTrace != nil {
+		r.ErrorTrace = make([]repro.TimedError, len(w.ErrorTrace))
+		for i, te := range w.ErrorTrace {
+			r.ErrorTrace[i] = repro.TimedError{Time: float64(te.Time), Error: float64(te.Error)}
+		}
+	}
+	return nil
+}
+
+// reportFixtures are the wire bytes the parent commit's reflective codec
+// produced (captured before report.go was touched): a model-engine lasso
+// n=64 report (Records), a routing report (Errors starting at +Inf), a sim
+// report (ErrorTrace, Time) and a dist report (counters, elapsed_ns).
+var reportFixtures = []string{
+	"report_model_lasso64.json",
+	"report_model_routing.json",
+	"report_sim_lasso16.json",
+	"report_dist_lasso16.json",
+}
+
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// sameReport is reflect.DeepEqual with floats compared by bits, so NaN
+// equals NaN and -0 differs from +0; nil and empty slices differ.
+func sameReport(a, b repro.Report) bool {
+	bits := func(xs []float64) []uint64 {
+		if xs == nil {
+			return nil
+		}
+		out := make([]uint64, len(xs))
+		for i, v := range xs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	trace := func(ts []repro.TimedError) []uint64 {
+		if ts == nil {
+			return nil
+		}
+		out := make([]uint64, 0, 2*len(ts))
+		for _, te := range ts {
+			out = append(out, math.Float64bits(te.Time), math.Float64bits(te.Error))
+		}
+		return out
+	}
+	scalars := func(r repro.Report) []uint64 {
+		return []uint64{math.Float64bits(r.FinalResidual), math.Float64bits(r.FinalError), math.Float64bits(r.Time)}
+	}
+	if !reflect.DeepEqual(bits(a.X), bits(b.X)) || !reflect.DeepEqual(bits(a.Errors), bits(b.Errors)) ||
+		!reflect.DeepEqual(trace(a.ErrorTrace), trace(b.ErrorTrace)) || !reflect.DeepEqual(scalars(a), scalars(b)) {
+		return false
+	}
+	a.X, a.Errors, a.ErrorTrace, a.FinalResidual, a.FinalError, a.Time = nil, nil, nil, 0, 0, 0
+	b.X, b.Errors, b.ErrorTrace, b.FinalResidual, b.FinalError, b.Time = nil, nil, nil, 0, 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+// checkAgainstOracle decodes data with the new decoder and the oracle and
+// requires the same verdict and, when both accept, the same value — and
+// that both encoders turn that value into the same bytes.
+func checkAgainstOracle(t testing.TB, data []byte) {
+	t.Helper()
+	var got, want repro.Report
+	gotErr := got.UnmarshalJSON(data)
+	wantErr := oracleUnmarshal(data, &want)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("decoder verdicts differ on %q:\n new:    %v\n oracle: %v", data, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !sameReport(got, want) {
+		t.Fatalf("decoded values differ on %q:\n new:    %+v\n oracle: %+v", data, got, want)
+	}
+	enc, err := got.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleEnc, err := oracleMarshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, oracleEnc) {
+		t.Fatalf("encoders differ on the value decoded from %q:\n new:    %s\n oracle: %s", data, enc, oracleEnc)
+	}
+}
+
+// TestReportJSONFixtures: the new decoder restores from every parent-
+// captured fixture exactly what the reflective decoder restores, with every
+// section the fixture is there for present, and the new encoder reproduces
+// the fixture byte for byte — directly, through json.Marshal, and nested in
+// a struct the way the server's Event nests it.
+func TestReportJSONFixtures(t *testing.T) {
+	for _, name := range reportFixtures {
+		data := readFixture(t, name)
+		var rep repro.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkAgainstOracle(t, data)
+		if got := rep.AppendJSON(nil); !bytes.Equal(got, data) {
+			t.Errorf("%s: AppendJSON does not reproduce the fixture", name)
+		}
+		if got := rep.AppendJSON([]byte("prefix")); !bytes.Equal(got[6:], data) || string(got[:6]) != "prefix" {
+			t.Errorf("%s: AppendJSON onto a non-empty buffer does not reproduce the fixture", name)
+		}
+		if got, err := json.Marshal(&rep); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: json.Marshal does not reproduce the fixture (err %v)", name, err)
+		}
+		nested, err := json.Marshal(struct {
+			Report *repro.Report `json:"report"`
+		}{&rep})
+		if want := append(append([]byte(`{"report":`), data...), '}'); err != nil || !bytes.Equal(nested, want) {
+			t.Errorf("%s: nested json.Marshal does not reproduce the fixture (err %v)", name, err)
+		}
+	}
+
+	var lasso, routing, sim, dist repro.Report
+	for i, r := range []*repro.Report{&lasso, &routing, &sim, &dist} {
+		if err := json.Unmarshal(readFixture(t, reportFixtures[i]), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(lasso.Records) != 1216 || len(lasso.X) != 64 || !lasso.Converged || lasso.Records[1215].J != 1216 {
+		t.Errorf("lasso fixture lost its records: %d records, %d components", len(lasso.Records), len(lasso.X))
+	}
+	if len(routing.Errors) != 286 || !math.IsInf(routing.Errors[0], 1) || math.IsInf(routing.Errors[285], 0) {
+		t.Errorf("routing fixture lost its +Inf error series (%d errors)", len(routing.Errors))
+	}
+	if len(sim.ErrorTrace) != 84 || sim.Time != 21 || sim.MessagesSent != 252 || len(sim.UpdatesPerWorker) != 4 {
+		t.Errorf("sim fixture lost its trace: %d samples, time %v", len(sim.ErrorTrace), sim.Time)
+	}
+	if dist.Elapsed != 18420791 || dist.BytesSent != 118654 || dist.BytesReceived != 40726 || dist.MessagesSent != 1893 {
+		t.Errorf("dist fixture lost its counters: %+v", dist)
+	}
+}
+
+// reportCornerCases are inputs on which a hand-written decoder most easily
+// parts ways with encoding/json; each is checked against the oracle (same
+// value or both reject), and all of them seed the fuzz target.
+var reportCornerCases = []string{
+	`null`, `{}`, ` { } `, `[]`, `5`, `"report"`, `{} x`, `{}{}`, ``, `{`, `{"engine"}`, `{"engine":}`,
+	`{"engine":"sim",}`, `{,"engine":"sim"}`, `{"x":[1,]}`, `{"x":[,1]}`, `{"x":[1 2]}`,
+	// key matching: exact, case-folded (ASCII and the two Unicode folds onto
+	// ASCII letters), escaped, unknown, empty
+	`{"ENGINE":"a","Iterations":3,"X":[1],"Elapsed_NS":7}`, `{"\u0065ngine":"e"}`, `{"iteration\u017f":4}`,
+	`{"records":[{"\u212a":1,"WOR\u212aER":2,"j":9}]}`, `{"":1,"engine ":"x","engin":"y"}`,
+	`{"unknown":{"a":[1,{"b":null}],"c":"\u00e9\ud83d\ude00"},"updates":2}`, `{"unknown":[1,}`, `{"unknown":tru}`,
+	`{"unknown":"\x"}`, `{"unknown":"` + "\x01" + `"}`, `{"unknown":01}`, `{"unknown":1.}`, `{"unknown":-}`, `{"unknown":1e}`,
+	// strings
+	`{"engine":"a\"b\\c\/d\b\f\n\r\t\u00e9"}`, `{"engine":"` + "\xff\xfe" + `"}`, `{"engine":"\ud800"}`, `{"engine":"<>&"}`,
+	`{"engine":null}`, `{"engine":5}`, `{"engine":"a","engine":null}`, `{"engine":"unterminated}`,
+	// numbers
+	`{"iterations":-0}`, `{"iterations":1.0}`, `{"iterations":1e2}`, `{"iterations":9223372036854775807}`,
+	`{"iterations":9223372036854775808}`, `{"iterations":-9223372036854775808}`, `{"iterations":"5"}`, `{"iterations":01}`,
+	`{"iterations":5,"iterations":null}`, `{"iterations":+1}`, `{"iterations":.5}`, `{"iterations":1.}`,
+	`{"final_residual":-0}`, `{"final_residual":-0.0,"time":-0,"final_error":-0}`, `{"final_residual":1e999}`,
+	`{"final_residual":1E-400}`, `{"final_residual":0.1e+1}`, `{"final_residual":5e-324}`, `{"final_residual":1e21}`,
+	`{"final_residual":1e-7}`, `{"final_residual":123456789012345678901234567890}`,
+	`{"final_residual":"Infinity","final_error":"-Infinity","time":"NaN"}`, `{"final_residual":"infinity"}`,
+	`{"final_residual":"Inf\u0069nity"}`, `{"final_residual":"NaN "}`, `{"final_residual":""}`, `{"final_residual":[1]}`,
+	`{"final_residual":{}}`, `{"final_residual":true}`, `{"final_residual":3,"final_residual":null}`,
+	`{"converged":true,"converged":null}`, `{"converged":1}`, `{"converged":"true"}`, `{"converged":falsey}`,
+	`{"elapsed_ns":1.5}`, `{"elapsed_ns":-3}`, `{"messages_sent":1e3}`,
+	// slices: null vs empty, merging of repeated keys, stale elements
+	`{"x":null}`, `{"x":[]}`, `{"x":[1],"x":null}`, `{"x":[1],"x":[]}`, `{"errors":[]}`, `{"boundaries":[]}`,
+	`{"x":[1,2,3],"x":[null]}`, `{"x":[1,2,3],"x":[null],"x":[null,null,null]}`,
+	`{"boundaries":[1,2,3],"boundaries":[null]}`, `{"boundaries":[1,2,3],"boundaries":[null],"boundaries":[null,null,null,null]}`,
+	`{"boundaries":[1,2,3],"boundaries":[],"boundaries":[null,null]}`, `{"boundaries":[1.5]}`, `{"boundaries":5}`, `{"boundaries":{}}`,
+	`{"x":["NaN","Infinity",null,-1e-9]}`, `{"x":[[1]]}`, `{"x":"NaN"}`,
+	`{"records":[{"j":5,"s":[1,2],"min_label":3,"worker":1}],"records":[{"worker":7,"s":[null]}]}`,
+	`{"records":[null,{"s":null},{"s":[]},5]}`, `{"records":[null,{"s":null},{"s":[]}]}`, `{"records":[{"s":[1]},{"s":[2]}],"records":[null,{"s":[null,null]}]}`,
+	`{"records":null}`, `{"records":[]}`, `{"records":{}}`, `{"records":[{"j":1,"extra":{"deep":[[[]]]}}]}`,
+	`{"error_trace":[{"time":1,"error":"Infinity"},null,{"Time":2,"ERROR":null}]}`, `{"error_trace":[{"time":1}],"error_trace":[{"error":2}]}`,
+	`{"error_trace":[]}`, `{"error_trace":null}`, `{"error_trace":[[]]}`,
+}
+
+func TestReportJSONCornerCasesMatchOracle(t *testing.T) {
+	for _, in := range reportCornerCases {
+		checkAgainstOracle(t, []byte(in))
+	}
+	// Nesting: encoding/json refuses more than 10000 open containers, the
+	// top-level object included, so 9999 under an unknown key is the last
+	// depth it accepts.
+	for _, depth := range []int{9999, 10000} {
+		checkAgainstOracle(t, []byte(`{"unknown":`+strings.Repeat("[", depth)+strings.Repeat("]", depth)+`}`))
+	}
+}
+
+// The encoders must agree on every value, not only on what the decoder can
+// produce: every field set, fields empty but non-nil, floats on either side
+// of each formatting switch, and an engine name that needs escaping.
+func TestReportJSONEncoderMatchesOracle(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.999999e-7, 1e-7, 1e-9, 1e-10, 1.5e-300, 5e-324,
+		1e20, 1e21, 9.99999999999999e20, 1.7976931348623157e308, 123456789.125, 1.0 / 3, -2.5e-8,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	reports := []repro.Report{
+		{},
+		goldenReport(),
+		{Engine: "a\"b<c>&\u00e9\u2028\x01", X: []float64{}, Errors: []float64{}, Boundaries: []int{}, Records: []repro.IterationRecord{}},
+		{X: floats, Errors: floats, Records: []repro.IterationRecord{{}, {S: []int{}}, {J: -1, S: []int{-5, 0, 1 << 40}, MinLabel: -2, Worker: -3}}},
+		{Elapsed: -5, MessagesSent: -1, Iterations: -7, Updates: math.MinInt64},
+	}
+	for _, f := range floats {
+		reports = append(reports, repro.Report{FinalResidual: f, FinalError: f, Time: f,
+			ErrorTrace: []repro.TimedError{{Time: f, Error: -f}}})
+	}
+	for _, r := range reports {
+		want, err := oracleMarshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("encoders differ on %+v:\n new:    %s\n oracle: %s", r, got, want)
+		}
+		checkAgainstOracle(t, want)
+	}
+}
+
+// A failed decode must leave the target as it was.
+func TestReportUnmarshalErrorLeavesTargetUntouched(t *testing.T) {
+	r := goldenReport()
+	if err := json.Unmarshal([]byte(`{"engine":"model","x":[1,2,"oops"]}`), &r); err == nil {
+		t.Fatal("malformed report decoded")
+	}
+	if !reflect.DeepEqual(r, goldenReport()) {
+		t.Fatalf("failed decode modified the target: %+v", r)
+	}
+}
+
+// retainedBytes is the memory a decoded report holds on to, by capacity.
+func retainedBytes(r *repro.Report) int {
+	n := 8*(cap(r.X)+cap(r.Errors)+cap(r.Boundaries)+cap(r.StrictBoundaries)+cap(r.Epochs)+cap(r.UpdatesPerWorker)) +
+		16*cap(r.ErrorTrace) + len(r.Engine)
+	recs := r.Records[:cap(r.Records)]
+	for i := range recs {
+		n += 48 + 8*cap(recs[i].S)
+	}
+	return n
+}
+
+// FuzzReportUnmarshal: on any input the hand-written decoder gives the
+// oracle's verdict and value (checkAgainstOracle), never panics, and never
+// holds more than a constant factor of the input — nothing is sized from
+// the input ahead of reading it, so a huge claimed "records" array costs
+// what its bytes cost. The fixture seeds are tens of KB, which the fuzzer's
+// default minute of minimization per new input crawls through; run it as
+//
+//	go test . -run '^$' -fuzz FuzzReportUnmarshal -fuzztime 30s -fuzzminimizetime 1s
+func FuzzReportUnmarshal(f *testing.F) {
+	for _, name := range reportFixtures {
+		f.Add(readFixture(f, name))
+	}
+	for _, in := range reportCornerCases {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data)
+		var r repro.Report
+		if r.UnmarshalJSON(data) != nil {
+			return
+		}
+		// The densest input is a record per 3 bytes ("{},", 48 bytes each)
+		// in a slice append may have doubled: 32x the input; 64x is generous
+		// and still constant.
+		if held, limit := retainedBytes(&r), 64*len(data)+64; held > limit {
+			t.Fatalf("decoding %d bytes retained %d bytes (limit %d)", len(data), held, limit)
+		}
+	})
 }

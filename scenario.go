@@ -231,21 +231,27 @@ func init() {
 	})
 }
 
-func buildRegression(n int, seed uint64) (*mldata.Regression, error) {
-	return mldata.NewRegression(mldata.RegressionConfig{
+// buildRegression generates the regression data honoring the build-time
+// tuning knob that applies to it: IntraParallelism > 1 shards the build's
+// one (bit-identical) Gram assembly.
+func buildRegression(n int, seed uint64, t Tuning) (*mldata.Regression, error) {
+	return mldata.NewRegressionSharded(mldata.RegressionConfig{
 		N: n, Coupling: 0.3, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: seed,
-	})
+	}, t.IntraParallelism)
 }
 
-// regressionSmooth builds the least-squares smooth part honoring the
-// build-time tuning knobs: GramPrecompute=false selects the lean residual
-// form, IntraParallelism > 1 shards the (bit-identical) Gram assembly.
+// regressionSmooth builds the least-squares smooth part: on the Gram the
+// Regression already holds, or, with GramPrecompute=false, in the lean
+// residual form that holds none.
 func regressionSmooth(reg *mldata.Regression, t Tuning) *operators.LeastSquares {
-	return reg.SmoothTuned(!t.GramPrecomputed(), t.IntraParallelism)
+	if !t.GramPrecomputed() {
+		return reg.SmoothLean()
+	}
+	return reg.Smooth()
 }
 
 func buildLasso(n int, seed uint64, t Tuning) (*ScenarioInstance, error) {
-	reg, err := buildRegression(n, seed)
+	reg, err := buildRegression(n, seed, t)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +267,7 @@ func buildLasso(n int, seed uint64, t Tuning) (*ScenarioInstance, error) {
 }
 
 func buildRidge(n int, seed uint64, t Tuning) (*ScenarioInstance, error) {
-	reg, err := buildRegression(n, seed)
+	reg, err := buildRegression(n, seed, t)
 	if err != nil {
 		return nil, err
 	}

@@ -139,7 +139,7 @@ func TestLeanGramBlockPathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := reg.SmoothTuned(true, 1)
+	f := reg.SmoothLean()
 	op := repro.NewProxGradBF(f, repro.L1{Lambda: 0.02}, repro.MaxStep(f))
 	opts := []repro.Option{
 		repro.WithEngine(repro.EngineSim),
