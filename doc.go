@@ -273,21 +273,21 @@
 //
 // Where a SERVED job's CPU goes (serve-mix shape: 2 closed-loop clients in
 // the server's process, lasso/ridge/routing at n=64, model engine; CPU per
-// job from a profile of internal/server's BenchmarkServeMix, before -> after
-// the change that assembled the Gram once per build and took reflection out
-// of the Report codec):
+// job from three alternating profiles of internal/server's BenchmarkServeMix
+// per side, before -> after the per-iteration log left the Report and the
+// wire; build and solve are untouched, their movement is run to run):
 //
 //	layer                          before            after
-//	scenario build                 2.22 ms  30%      0.51 ms  14%
-//	solve                          1.61 ms  22%      1.70 ms  46%
-//	report decode (client)         2.04 ms  28%      0.74 ms  20%
-//	report encode (server)         0.79 ms  11%      0.12 ms   3%
-//	HTTP, scheduling, GC           0.74 ms  10%      0.66 ms  18%
-//	total                          7.41 ms           3.73 ms
+//	scenario build                 0.46 ms  16%      0.53 ms  23%
+//	solve                          1.15 ms  40%      1.17 ms  51%
+//	report decode (client)         0.62 ms  22%      0.09 ms   4%
+//	report encode (server)         0.06 ms   2%      0.03 ms   1%
+//	HTTP, scheduling, GC           0.57 ms  20%      0.46 ms  20%
+//	total                          2.86 ms           2.28 ms
 //
 //	go test ./internal/server -run '^$' -bench ServeMix -benchtime 150x -cpuprofile cpu.prof
 //	go tool pprof -top -cum server.test cpu.prof   # BuildScenarioTuned, Solve,
-//	    # json.Unmarshal (decode), Encoder.Encode / Event.appendLine (encode)
+//	    # json.Unmarshal (decode), Encoder.Encode (encode)
 //
 // Build: a lasso or ridge build needs the Hessian (1/m)A^T A + reg I for
 // the dominance check and the Gershgorin (L, mu) bounds. mldata.NewRegression
@@ -302,16 +302,19 @@
 // (pinned by the golden in regression_build_test.go and the naive-oracle
 // test in internal/vec). Tuning.IntraParallelism fans the one assembly out.
 //
-// Codec: Report.AppendJSON writes the wire form with strconv appends and the
-// server frames its terminal event around it, so the payload is produced
-// once; Report.UnmarshalJSON is a single-pass decoder with a fast path for
-// records laid out as AppendJSON lays them out. Both are held to the
-// reflective codec they replaced (now the oracle in report_json_test.go) by
-// parent-captured fixtures and FuzzReportUnmarshal. What is left of "decode"
-// is mostly encoding/json itself: json.Unmarshal validates the line and
-// then scans the Report value again to delimit it before UnmarshalJSON sees
-// it (0.54 of the 0.74 ms), and json.Marshal of a Report likewise re-scans
-// what MarshalJSON returned — which is why the server does not go through it.
+// Codec: a Report on the wire is the outcome (iterate, counts, error series,
+// macro-iteration and epoch sequences), 1.7 KB for a served lasso at n=64;
+// the per-iteration log those sequences are computed from would make it
+// 58 KB and stays on the engine results (see Report). The
+// server encodes its events with encoding/json, which calls
+// Report.MarshalJSON; the client's json.Unmarshal calls Report.UnmarshalJSON,
+// a single-pass decoder. Both are hand-written and held to the reflective
+// codec they replaced (the oracle in report_json_test.go) by fixtures and
+// FuzzReportUnmarshal. They stay hand-written because on that 1.7 KB event
+// line (json.Marshal + json.Unmarshal) the reflective codec costs 43 + 61 us
+// and 136 + 171 allocations against 18 + 22 us and 3 + 35 — some 270
+// allocations on a served job's 1,160, outside the repository benchmark's
+// 15% bound on allocs_per_solve.
 //
 // # Tuning knobs
 //

@@ -240,7 +240,6 @@ func (modelEngine) Solve(spec Spec) (*Report, error) {
 		Boundaries:       r.Boundaries,
 		StrictBoundaries: r.StrictBoundaries,
 		Epochs:           r.Epochs,
-		Records:          r.Records,
 		model:            r,
 	}
 	rep.finish(spec)
@@ -300,7 +299,6 @@ func (simEngine) Solve(spec Spec) (*Report, error) {
 		Boundaries:       r.Boundaries,
 		StrictBoundaries: r.StrictBoundaries,
 		Epochs:           r.Epochs,
-		Records:          r.Records,
 		UpdatesPerWorker: r.UpdatesPerWorker,
 		MessagesSent:     int64(r.MessagesSent),
 		MessagesDropped:  int64(r.MessagesDropped),
@@ -338,7 +336,6 @@ func (simSyncEngine) Solve(spec Spec) (*Report, error) {
 		Updates:    r.Rounds * len(r.ComputeTime),
 		FinalError: r.FinalError,
 		ErrorTrace: r.ErrorTrace,
-		Records:    r.Records,
 		Time:       r.Time,
 		simSync:    r,
 	}

@@ -3,6 +3,8 @@ package dist
 import (
 	"math"
 	"net"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -622,6 +624,65 @@ func TestSupersededNeverApplied(t *testing.T) {
 	}
 	if ws.delivered != 2 {
 		t.Errorf("delivered = %d, want 2 (stale frames still drain in-flight)", ws.delivered)
+	}
+}
+
+// TestBlockIntoOwnShardRejected: a current-generation block that reaches
+// into the receiver's own shard is a protocol violation — the view is left
+// as it was — while the same bytes from a fenced generation are discarded
+// as stale and a block beside the shard is applied.
+func TestBlockIntoOwnShardRejected(t *testing.T) {
+	newWorker := func() *workerState {
+		return &workerState{
+			id: 1, p: 3, n: 6, lo: 2, hi: 4, gen: 5,
+			view:    []float64{0, 0, 1, 1, 0, 0},
+			lastSeq: make([]uint64, 3),
+		}
+	}
+	block := func(gen uint32, lo int, vals ...float64) inFrame {
+		f := buildBlockFrame(0, 1, 0, gen, lo, vals)
+		return inFrame{typ: msgBlock, payload: f[frameHeaderLen:]}
+	}
+	for _, tc := range []struct {
+		name string
+		lo   int
+		vals []float64
+	}{
+		{"inside", 2, []float64{9, 9}},
+		{"one component", 3, []float64{9}},
+		{"straddling the lower edge", 1, []float64{9, 9}},
+		{"straddling the upper edge", 3, []float64{9, 9}},
+		{"covering", 0, []float64{9, 9, 9, 9, 9, 9}},
+	} {
+		ws := newWorker()
+		err := ws.handle(block(5, tc.lo, tc.vals...))
+		if err == nil || !strings.Contains(err.Error(), "bad block frame") {
+			t.Errorf("%s: err = %v, want a bad block frame error", tc.name, err)
+		}
+		if want := newWorker().view; !reflect.DeepEqual(ws.view, want) || ws.delivered != 0 {
+			t.Errorf("%s: rejected block left view %v, delivered %d", tc.name, ws.view, ws.delivered)
+		}
+
+		// The generation fence comes first: a pre-reshard frame may overlap.
+		if err := ws.handle(block(4, tc.lo, tc.vals...)); err != nil || ws.stale != 1 || ws.view[2] != 1 {
+			t.Errorf("%s: stale-generation block: err %v, stale %d, view %v", tc.name, err, ws.stale, ws.view)
+		}
+	}
+
+	ws := newWorker()
+	if err := ws.handle(block(5, 0, 7, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{7, 7, 1, 1, 0, 0}; !reflect.DeepEqual(ws.view, want) {
+		t.Errorf("view = %v, want %v", ws.view, want)
+	}
+
+	// Until the assign of a re-shard lands, lo and hi are the old
+	// generation's and a peer already assigned may own part of them.
+	ws = newWorker()
+	ws.awaitAssign = true
+	if err := ws.handle(block(5, 2, 8, 8)); err != nil {
+		t.Errorf("block while awaiting assign: %v", err)
 	}
 }
 

@@ -305,6 +305,14 @@ func (ws *workerState) handle(f inFrame) error {
 			ws.stale++
 			return nil
 		}
+		if !ws.awaitAssign && max(blo, ws.lo) < min(blo+count, ws.hi) {
+			// Within a generation shards are disjoint and only the owner
+			// writes its own, so a block reaching into [lo, hi) is a peer
+			// overwriting what this worker computed. (Until the assign of a
+			// re-shard lands, lo and hi are still the old generation's and
+			// the view is about to be replaced whole.)
+			return fmt.Errorf("dist: worker %d: bad block frame", ws.id)
+		}
 		if seq <= ws.lastSeq[from] {
 			// Defense in depth: the link filter already discards superseded
 			// and duplicate frames at the delivery point, so a frame older

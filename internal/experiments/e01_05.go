@@ -63,7 +63,8 @@ func E1() *Report {
 	tb2 := metrics.NewTable("delays observed in the simulated run (worker P0 reading P1)",
 		"global j", "min label", "delay", "delay/sqrt(j)")
 	count := 0
-	for _, r := range res.Records {
+	sim, _ := res.SimDetail()
+	for _, r := range sim.Records {
 		if r.Worker == 0 && r.J >= 64 && (r.J&(r.J-1)) == 0 { // powers of two
 			d := r.J - r.MinLabel
 			tb2.AddRow(r.J, r.MinLabel, d, float64(d)/math.Sqrt(float64(r.J)))
@@ -266,8 +267,9 @@ func E5() *Report {
 			pass = false
 			continue
 		}
-		epochStale := macroiter.EpochStaleness(res.Epochs, res.Records)
-		strictStale := macroiter.EpochStaleness(res.StrictBoundaries, res.Records)
+		model, _ := res.ModelDetail()
+		epochStale := macroiter.EpochStaleness(res.Epochs, model.Records)
+		strictStale := macroiter.EpochStaleness(res.StrictBoundaries, model.Records)
 		tb.AddRow(w, len(res.Boundaries), len(res.StrictBoundaries),
 			len(res.Epochs), epochStale, strictStale)
 		if strictStale != 0 {

@@ -90,10 +90,10 @@ func (t *Tracker) KAt(j int) int {
 
 // Record captures one iteration of a run for offline analysis.
 type Record struct {
-	J        int   `json:"j"`         // global iteration number (1-based, increasing)
-	S        []int `json:"s"`         // components relaxed
-	MinLabel int   `json:"min_label"` // l(J) = min_h l_h(J)
-	Worker   int   `json:"worker"`    // machine that performed the update (for epoch analysis)
+	J        int   // global iteration number (1-based, increasing)
+	S        []int // components relaxed
+	MinLabel int   // l(J) = min_h l_h(J)
+	Worker   int   // machine that performed the update (for epoch analysis)
 }
 
 // Boundaries computes the Definition 2 sequence offline from records.

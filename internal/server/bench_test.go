@@ -13,11 +13,11 @@ import (
 // each) through a real HTTP server per op. The per-job CPU table in doc.go
 // and the README comes from
 //
-//	go test ./internal/server -run '^$' -bench ServeMix -benchtime 100x -cpuprofile cpu.prof
+//	go test ./internal/server -run '^$' -bench ServeMix -benchtime 150x -cpuprofile cpu.prof
 //	go tool pprof -top -cum server.test cpu.prof
 //
 // reading the cumulative time under repro.BuildScenarioTuned (build),
-// repro.Solve (solve), Event.appendLine (encode) and json.Unmarshal under
+// repro.Solve (solve), Encoder.Encode (encode) and json.Unmarshal under
 // Client.Solve (decode), the rest being HTTP, scheduling and GC.
 func BenchmarkServeMix(b *testing.B) {
 	s := New(Config{Workers: 2, QueueDepth: 4})

@@ -6,11 +6,7 @@
 // terminal repro.Report.
 package server
 
-import (
-	"encoding/json"
-
-	"repro"
-)
+import "repro"
 
 // Event is one NDJSON line of a /v1/solve response stream. Type is always
 // set; the other fields depend on it:
@@ -31,32 +27,6 @@ type Event struct {
 	Report    *repro.Report `json:"report,omitempty"`
 	Describe  string        `json:"describe,omitempty"`
 	Error     string        `json:"error,omitempty"`
-}
-
-// appendLine appends the event's NDJSON line — json.Marshal(ev) and a
-// newline, byte for byte — to dst. The Report, which is nearly all of a
-// terminal line, is written once by its own encoder (repro.Report.AppendJSON)
-// between the members before and after it; letting encoding/json call
-// MarshalJSON would have it validate and copy those tens of KB a second time.
-func (ev Event) appendLine(dst []byte) []byte {
-	before := ev
-	before.Report, before.Describe, before.Error = nil, "", ""
-	head, err := json.Marshal(before)
-	if err != nil {
-		panic(err) // strings and integers: cannot fail
-	}
-	dst = append(dst, head[:len(head)-1]...) // never empty: "type" has no omitempty
-	if ev.Report != nil {
-		dst = append(dst, `,"report":`...)
-		dst = ev.Report.AppendJSON(dst)
-	}
-	tail, err := json.Marshal(Event{Describe: ev.Describe, Error: ev.Error})
-	if err != nil {
-		panic(err)
-	}
-	// tail is {"type":""} plus the members after "report", if any.
-	dst = append(dst, tail[len(`{"type":""`):]...)
-	return append(dst, '\n')
 }
 
 // Event types.

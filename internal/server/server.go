@@ -241,22 +241,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, j)
 }
 
-// linePool recycles the NDJSON line buffers of stream.
-var linePool = sync.Pool{New: func() any { return new([]byte) }}
-
 // stream writes the job's NDJSON event sequence: accepted, started,
 // periodic progress, then exactly one terminal report/error event.
 func (s *Server) stream(w http.ResponseWriter, j *job) {
+	enc := json.NewEncoder(w) // Encode writes json.Marshal(ev) and a newline
 	flusher, _ := w.(http.Flusher)
-	// One line buffer per stream, recycled across jobs: the terminal line
-	// carries the whole Report, tens of KB that would otherwise be
-	// allocated afresh for every job.
-	line := linePool.Get().(*[]byte)
-	defer linePool.Put(line)
 	emit := func(ev Event) {
 		ev.JobID = j.id
-		*line = ev.appendLine((*line)[:0])
-		if _, err := w.Write(*line); err != nil {
+		if err := enc.Encode(ev); err != nil {
 			return
 		}
 		if flusher != nil {

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -382,43 +380,5 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 	if dials != 1 {
 		t.Fatalf("10 sequential jobs used %d connections, want 1", dials)
-	}
-}
-
-// TestEventLineMatchesMarshal: the hand-framed NDJSON line is json.Marshal
-// of the event plus a newline, byte for byte, for every event shape — the
-// terminal report line included, whose Report is spliced in by AppendJSON.
-func TestEventLineMatchesMarshal(t *testing.T) {
-	inst, err := repro.BuildScenario("routing", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := repro.Solve(inst.Spec, repro.WithEngine(repro.EngineModel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := []Event{
-		{Type: EventAccepted, JobID: "job-1", Queued: 3},
-		{Type: EventAccepted, JobID: "job-1"},
-		{Type: EventStarted, JobID: "job-2"},
-		{Type: EventProgress, JobID: "job-3", Updates: 12345, ElapsedMS: 17},
-		{Type: EventError, JobID: "job-4", Error: `context deadline exceeded: "x", <y>`, ElapsedMS: 2},
-		{Type: EventReport, JobID: "job-5", Report: rep, Describe: `routing: 12 nodes, "ok",`, ElapsedMS: 9},
-		{Type: EventReport, JobID: "job-6", Report: rep},
-		{Type: EventReport, JobID: "job-7", Report: &repro.Report{}, Describe: "d", Error: "e"},
-		{Type: EventReport},
-	}
-	for _, ev := range events {
-		want, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, '\n')
-		if got := ev.appendLine(nil); !bytes.Equal(got, want) {
-			t.Errorf("line differs for %+v:\n got  %.200s\n want %.200s", ev, got, want)
-		}
-		if got := ev.appendLine([]byte("x")); !bytes.Equal(got[1:], want) {
-			t.Errorf("appending to a non-empty buffer differs for %+v", ev)
-		}
 	}
 }

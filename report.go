@@ -36,8 +36,17 @@ type TimedError = des.TimedError
 // restores every exported field; the typed detail accessors (ModelDetail,
 // DistDetail, ...) of a decoded Report report "not present".
 //
+// The per-iteration log (S_j, labels, worker — one IterationRecord per
+// iteration) is not part of a Report. It is the raw material of the
+// macro-iteration and epoch analysis, whose results the Report carries
+// (Boundaries, StrictBoundaries, Epochs); only in-process analysis reads
+// it, and on the wire it would be 97% of a served report's bytes. It lives
+// on the engine results it is computed on: ModelDetail().Records,
+// SimDetail().Records, SimSyncDetail().Records. A "records" member in a
+// payload from a version that shipped it is skipped like any unknown key.
+//
 // The struct tags below document the wire keys and order; the codec is the
-// hand-written AppendJSON / UnmarshalJSON pair in report_json.go, held to
+// hand-written MarshalJSON / UnmarshalJSON pair in report_json.go, held to
 // the tags by the differential tests against a reflective codec built from
 // them (report_json_test.go).
 type Report struct {
@@ -70,9 +79,6 @@ type Report struct {
 	StrictBoundaries []int `json:"strict_boundaries,omitempty"`
 	// Epochs is the epoch sequence of Mishchenko et al. [30].
 	Epochs []int `json:"epochs,omitempty"`
-	// Records is the per-iteration log (S_j, labels, worker) for offline
-	// macro-iteration and epoch analysis.
-	Records []IterationRecord `json:"records,omitempty"`
 	// UpdatesPerWorker counts completed phases per worker (worker-based
 	// engines).
 	UpdatesPerWorker []int `json:"updates_per_worker,omitempty"`

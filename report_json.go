@@ -2,9 +2,9 @@ package repro
 
 // The Report wire codec: one append-style encoder and one single-pass
 // decoder, both written against the wire format directly (no reflection, no
-// intermediate mirror struct), because a served job's terminal event is
-// mostly Report bytes — tens of KB of floats and per-iteration records —
-// and the serving layer encodes and decodes one per job.
+// intermediate mirror struct), because the serving layer encodes and decodes
+// one Report per job and a reflective codec adds a quarter to a served job's
+// allocations (measured in doc.go, "Performance").
 //
 // The format is what encoding/json produced for the struct tags on Report
 // when every float was routed through a non-finite-safe wrapper, and both
@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -24,15 +23,10 @@ import (
 // MarshalJSON encodes the report in its stable wire form (see the type
 // docs: snake_case keys, non-finite floats as strings, detail omitted).
 func (r Report) MarshalJSON() ([]byte, error) {
-	return r.AppendJSON(nil), nil
-}
-
-// AppendJSON appends the report's wire form — the bytes MarshalJSON returns
-// — to dst and returns the extended buffer. Callers that frame the report
-// themselves (the server's terminal event) use it to write the payload once,
-// where json.Marshal would re-validate and re-copy what MarshalJSON returned.
-func (r *Report) AppendJSON(dst []byte) []byte {
-	dst = slices.Grow(dst, r.jsonSizeHint())
+	// Sized once up front, a little high: a float64 prints in at most 24
+	// bytes plus its comma, the integers of a typical report in a handful.
+	dst := make([]byte, 0, 512+len(r.Engine)+25*(len(r.X)+len(r.Errors))+68*len(r.ErrorTrace)+
+		8*(len(r.Boundaries)+len(r.StrictBoundaries)+len(r.Epochs)+len(r.UpdatesPerWorker)))
 	dst = append(dst, `{"engine":`...)
 	dst = appendJSONString(dst, r.Engine)
 	dst = append(dst, `,"x":`...)
@@ -70,25 +64,6 @@ func (r *Report) AppendJSON(dst []byte) []byte {
 	dst = appendJSONIntsField(dst, `,"boundaries":`, r.Boundaries)
 	dst = appendJSONIntsField(dst, `,"strict_boundaries":`, r.StrictBoundaries)
 	dst = appendJSONIntsField(dst, `,"epochs":`, r.Epochs)
-	if len(r.Records) > 0 {
-		dst = append(dst, `,"records":[`...)
-		for i := range r.Records {
-			rec := &r.Records[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"j":`...)
-			dst = strconv.AppendInt(dst, int64(rec.J), 10)
-			dst = append(dst, `,"s":`...)
-			dst = appendJSONInts(dst, rec.S)
-			dst = append(dst, `,"min_label":`...)
-			dst = strconv.AppendInt(dst, int64(rec.MinLabel), 10)
-			dst = append(dst, `,"worker":`...)
-			dst = strconv.AppendInt(dst, int64(rec.Worker), 10)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
 	dst = appendJSONIntsField(dst, `,"updates_per_worker":`, r.UpdatesPerWorker)
 	dst = appendJSONInt64Field(dst, `,"messages_sent":`, r.MessagesSent)
 	dst = appendJSONInt64Field(dst, `,"messages_dropped":`, r.MessagesDropped)
@@ -105,19 +80,7 @@ func (r *Report) AppendJSON(dst []byte) []byte {
 		dst = appendJSONFloat(dst, r.Time)
 	}
 	dst = appendJSONInt64Field(dst, `,"elapsed_ns":`, int64(r.Elapsed))
-	return append(dst, '}')
-}
-
-// jsonSizeHint estimates the encoded size, a little high, so the buffer is
-// grown once up front and rarely again: a float64 prints in at most 24
-// bytes plus its comma, the integers of a typical report in a handful.
-func (r *Report) jsonSizeHint() int {
-	n := 512 + len(r.Engine) + 25*(len(r.X)+len(r.Errors)) + 68*len(r.ErrorTrace) +
-		8*(len(r.Boundaries)+len(r.StrictBoundaries)+len(r.Epochs)+len(r.UpdatesPerWorker))
-	for i := range r.Records {
-		n += 48 + 4*len(r.Records[i].S)
-	}
-	return n
+	return append(dst, '}'), nil
 }
 
 // appendJSONFloat appends f the way encoding/json formats a float64 ('f'
@@ -236,10 +199,6 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 type jsonReader struct {
 	data []byte
 	pos  int
-	// ints is the chunk the records' S arrays are carved from on the fast
-	// path (see recordAsWritten), one allocation per few hundred records
-	// instead of one or more per record.
-	ints []int
 }
 
 // maxJSONDepth bounds the nesting of skipped (unknown-key) values, as
@@ -666,18 +625,17 @@ func sliceOf[T any](d *jsonReader, dst []T, elem func(*jsonReader, *T) error) ([
 	return dst[:i], nil
 }
 
-// The wire keys of each object, in wire order (the struct tags on Report,
-// IterationRecord and TimedError).
+// The wire keys of each object, in wire order (the struct tags on Report
+// and TimedError).
 var (
 	reportKeys = []string{
 		"engine", "x", "converged", "iterations", "updates", "final_residual",
 		"final_error", "errors", "error_trace", "boundaries", "strict_boundaries",
-		"epochs", "records", "updates_per_worker", "messages_sent",
-		"messages_dropped", "messages_stale", "messages_reordered",
-		"messages_duplicate", "bytes_sent", "bytes_received", "workers_lost",
-		"workers_rejoined", "resharding", "time", "elapsed_ns",
+		"epochs", "updates_per_worker", "messages_sent", "messages_dropped",
+		"messages_stale", "messages_reordered", "messages_duplicate",
+		"bytes_sent", "bytes_received", "workers_lost", "workers_rejoined",
+		"resharding", "time", "elapsed_ns",
 	}
-	recordKeys     = []string{"j", "s", "min_label", "worker"}
 	timedErrorKeys = []string{"time", "error"}
 )
 
@@ -737,8 +695,6 @@ func (d *jsonReader) report(r *Report) error {
 			r.StrictBoundaries, err = sliceOf(d, r.StrictBoundaries, (*jsonReader).int)
 		case "epochs":
 			r.Epochs, err = sliceOf(d, r.Epochs, (*jsonReader).int)
-		case "records":
-			r.Records, err = sliceOf(d, r.Records, (*jsonReader).record)
 		case "updates_per_worker":
 			r.UpdatesPerWorker, err = sliceOf(d, r.UpdatesPerWorker, (*jsonReader).int)
 		case "messages_sent":
@@ -768,75 +724,6 @@ func (d *jsonReader) report(r *Report) error {
 		}
 		return err
 	})
-}
-
-func (d *jsonReader) record(rec *IterationRecord) error {
-	if d.recordAsWritten(rec) {
-		return nil
-	}
-	return d.object(recordKeys, 2, func(name string) (err error) {
-		switch name {
-		case "j":
-			err = d.int(&rec.J)
-		case "s":
-			rec.S, err = sliceOf(d, rec.S, (*jsonReader).int)
-		case "min_label":
-			err = d.int(&rec.MinLabel)
-		case "worker":
-			err = d.int(&rec.Worker)
-		}
-		return err
-	})
-}
-
-// recordAsWritten is the fast path for the bulk of a report: a record laid
-// out exactly as AppendJSON lays it out (compact, the four keys in order,
-// small integers, S an array) decoding into a fresh element. It matches the
-// text against that layout instead of tokenizing it. On any deviation it
-// consumes nothing and reports false, and the general path decides.
-func (d *jsonReader) recordAsWritten(rec *IterationRecord) bool {
-	if cap(rec.S) != 0 {
-		return false // a repeated "records" key merges into what is there
-	}
-	start, head := d.pos, len(d.ints)
-	var j, label, worker, v int64
-	ok := d.literal(`{"j":`) && d.small(&j) && d.literal(`,"s":[`)
-	for first := true; ok && !d.literal("]"); first = false {
-		if ok = (first || d.literal(",")) && d.small(&v); ok {
-			head = d.pushInt(head, int(v))
-		}
-	}
-	ok = ok && d.literal(`,"min_label":`) && d.small(&label) &&
-		d.literal(`,"worker":`) && d.small(&worker) && d.literal("}")
-	if !ok {
-		d.pos, d.ints = start, d.ints[:head]
-		return false
-	}
-	rec.J, rec.MinLabel, rec.Worker = int(j), int(label), int(worker)
-	rec.S = d.ints[head:len(d.ints):len(d.ints)]
-	if len(rec.S) == 0 {
-		rec.S = []int{}
-	}
-	return true
-}
-
-// pushInt appends v to the array being carved at d.ints[head:] and returns
-// the array's start, which moves when the chunk was full and the array had
-// to be carried over to a new one. A chunk is sized by the input left to
-// read — an element costs at least two bytes of it — so nothing here
-// allocates beyond a constant factor of the input either.
-func (d *jsonReader) pushInt(head, v int) int {
-	if len(d.ints) == cap(d.ints) {
-		carried := d.ints[head:]
-		room := (len(d.data) - d.pos) / 2
-		if room > 2048 {
-			room = 2048
-		}
-		d.ints = append(make([]int, 0, 2*len(carried)+room+1), carried...)
-		head = 0
-	}
-	d.ints = append(d.ints, v)
-	return head
 }
 
 func (d *jsonReader) timedError(te *TimedError) error {

@@ -36,7 +36,6 @@ func goldenReport() repro.Report {
 		Boundaries:        []int{3, 7, 12},
 		StrictBoundaries:  []int{3, 8},
 		Epochs:            []int{4, 9},
-		Records:           []repro.IterationRecord{{J: 1, S: []int{0, 1}, MinLabel: 0, Worker: 2}},
 		UpdatesPerWorker:  []int{40, 43, 43},
 		MessagesSent:      100,
 		MessagesDropped:   3,
@@ -91,7 +90,7 @@ func TestReportJSONGoldenKeys(t *testing.T) {
 		"elapsed_ns", "engine", "epochs", "error_trace", "errors",
 		"final_error", "final_residual", "iterations",
 		"messages_dropped", "messages_duplicate", "messages_reordered",
-		"messages_sent", "messages_stale", "records", "resharding",
+		"messages_sent", "messages_stale", "resharding",
 		"strict_boundaries", "time", "updates", "updates_per_worker",
 		"workers_lost", "workers_rejoined", "x",
 	}
@@ -101,10 +100,6 @@ func TestReportJSONGoldenKeys(t *testing.T) {
 	// Elapsed must be integer nanoseconds, not a formatted duration string.
 	if string(m["elapsed_ns"]) != "1500000000" {
 		t.Fatalf("elapsed_ns = %s, want 1500000000", m["elapsed_ns"])
-	}
-	// Nested records use snake_case too.
-	if s := string(m["records"]); !strings.Contains(s, `"min_label"`) {
-		t.Fatalf("records lack snake_case keys: %s", s)
 	}
 	if s := string(m["error_trace"]); !strings.Contains(s, `"time"`) || !strings.Contains(s, `"error"`) {
 		t.Fatalf("error_trace keys drifted: %s", s)
@@ -167,34 +162,57 @@ func TestReportJSONNonFinite(t *testing.T) {
 	}
 }
 
-// TestReportJSONFromSolve: a real engine report round-trips and the decoded
-// copy carries no engine detail.
+// TestReportJSONFromSolve: a real engine report round-trips, the decoded
+// copy carries no engine detail, and the per-iteration log stays off the
+// wire and on the in-process engine result, one record per iteration.
 func TestReportJSONFromSolve(t *testing.T) {
 	spec, _ := lassoSpec(t)
-	res, err := repro.Solve(spec,
-		repro.WithEngine(repro.EngineSim),
-		repro.WithDelay(repro.BoundedRandomDelay{B: 8, Seed: 2}),
-		repro.WithWorkers(4),
-		repro.WithSeed(3),
-		repro.WithTol(1e-9),
-	)
-	if err != nil {
-		t.Fatal(err)
+	records := func(r *repro.Report) []repro.IterationRecord {
+		if d, ok := r.ModelDetail(); ok {
+			return d.Records
+		}
+		if d, ok := r.SimDetail(); ok {
+			return d.Records
+		}
+		d, _ := r.SimSyncDetail()
+		return d.Records
 	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got repro.Report
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != res.Engine || got.Converged != res.Converged ||
-		got.Updates != res.Updates || !reflect.DeepEqual(got.X, res.X) {
-		t.Fatalf("decoded report drifted from original")
-	}
-	if _, ok := got.SimDetail(); ok {
-		t.Fatal("decoded report claims engine detail")
+	for _, engine := range []repro.Engine{repro.EngineModel, repro.EngineSim, repro.EngineSimSync} {
+		res, err := repro.Solve(spec,
+			repro.WithEngine(engine),
+			repro.WithDelay(repro.BoundedRandomDelay{B: 8, Seed: 2}),
+			repro.WithWorkers(4),
+			repro.WithSeed(3),
+			repro.WithTol(1e-9),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := engine.Name()
+		if recs := records(res); res.Iterations == 0 || len(recs) != res.Iterations || recs[len(recs)-1].J != res.Iterations {
+			t.Errorf("%s: %d records for %d iterations", name, len(recs), res.Iterations)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte("records")) {
+			t.Errorf("%s: the per-iteration log is on the wire: %s", name, data)
+		}
+		var got repro.Report
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Engine != res.Engine || got.Converged != res.Converged ||
+			got.Updates != res.Updates || !reflect.DeepEqual(got.X, res.X) {
+			t.Fatalf("%s: decoded report drifted from original", name)
+		}
+		_, model := got.ModelDetail()
+		_, sim := got.SimDetail()
+		_, simSync := got.SimSyncDetail()
+		if model || sim || simSync {
+			t.Fatalf("%s: decoded report claims engine detail", name)
+		}
 	}
 }
 
@@ -275,32 +293,31 @@ type timedErrorWire struct {
 // tags of repro.Report, with every float routed through jsonFloat so
 // non-finite values survive.
 type reportWire struct {
-	Engine            string                  `json:"engine"`
-	X                 []jsonFloat             `json:"x"`
-	Converged         bool                    `json:"converged"`
-	Iterations        int                     `json:"iterations"`
-	Updates           int                     `json:"updates"`
-	FinalResidual     jsonFloat               `json:"final_residual"`
-	FinalError        jsonFloat               `json:"final_error,omitempty"`
-	Errors            []jsonFloat             `json:"errors,omitempty"`
-	ErrorTrace        []timedErrorWire        `json:"error_trace,omitempty"`
-	Boundaries        []int                   `json:"boundaries,omitempty"`
-	StrictBoundaries  []int                   `json:"strict_boundaries,omitempty"`
-	Epochs            []int                   `json:"epochs,omitempty"`
-	Records           []repro.IterationRecord `json:"records,omitempty"`
-	UpdatesPerWorker  []int                   `json:"updates_per_worker,omitempty"`
-	MessagesSent      int64                   `json:"messages_sent,omitempty"`
-	MessagesDropped   int64                   `json:"messages_dropped,omitempty"`
-	MessagesStale     int64                   `json:"messages_stale,omitempty"`
-	MessagesReordered int64                   `json:"messages_reordered,omitempty"`
-	MessagesDuplicate int64                   `json:"messages_duplicate,omitempty"`
-	BytesSent         int64                   `json:"bytes_sent,omitempty"`
-	BytesReceived     int64                   `json:"bytes_received,omitempty"`
-	WorkersLost       int64                   `json:"workers_lost,omitempty"`
-	WorkersRejoined   int64                   `json:"workers_rejoined,omitempty"`
-	Resharding        int64                   `json:"resharding,omitempty"`
-	Time              jsonFloat               `json:"time,omitempty"`
-	Elapsed           time.Duration           `json:"elapsed_ns,omitempty"`
+	Engine            string           `json:"engine"`
+	X                 []jsonFloat      `json:"x"`
+	Converged         bool             `json:"converged"`
+	Iterations        int              `json:"iterations"`
+	Updates           int              `json:"updates"`
+	FinalResidual     jsonFloat        `json:"final_residual"`
+	FinalError        jsonFloat        `json:"final_error,omitempty"`
+	Errors            []jsonFloat      `json:"errors,omitempty"`
+	ErrorTrace        []timedErrorWire `json:"error_trace,omitempty"`
+	Boundaries        []int            `json:"boundaries,omitempty"`
+	StrictBoundaries  []int            `json:"strict_boundaries,omitempty"`
+	Epochs            []int            `json:"epochs,omitempty"`
+	UpdatesPerWorker  []int            `json:"updates_per_worker,omitempty"`
+	MessagesSent      int64            `json:"messages_sent,omitempty"`
+	MessagesDropped   int64            `json:"messages_dropped,omitempty"`
+	MessagesStale     int64            `json:"messages_stale,omitempty"`
+	MessagesReordered int64            `json:"messages_reordered,omitempty"`
+	MessagesDuplicate int64            `json:"messages_duplicate,omitempty"`
+	BytesSent         int64            `json:"bytes_sent,omitempty"`
+	BytesReceived     int64            `json:"bytes_received,omitempty"`
+	WorkersLost       int64            `json:"workers_lost,omitempty"`
+	WorkersRejoined   int64            `json:"workers_rejoined,omitempty"`
+	Resharding        int64            `json:"resharding,omitempty"`
+	Time              jsonFloat        `json:"time,omitempty"`
+	Elapsed           time.Duration    `json:"elapsed_ns,omitempty"`
 }
 
 // oracleMarshal is Report.MarshalJSON as it was when reportWire was the
@@ -318,7 +335,6 @@ func oracleMarshal(r repro.Report) ([]byte, error) {
 		Boundaries:        r.Boundaries,
 		StrictBoundaries:  r.StrictBoundaries,
 		Epochs:            r.Epochs,
-		Records:           r.Records,
 		UpdatesPerWorker:  r.UpdatesPerWorker,
 		MessagesSent:      r.MessagesSent,
 		MessagesDropped:   r.MessagesDropped,
@@ -361,7 +377,6 @@ func oracleUnmarshal(b []byte, r *repro.Report) error {
 		Boundaries:        w.Boundaries,
 		StrictBoundaries:  w.StrictBoundaries,
 		Epochs:            w.Epochs,
-		Records:           w.Records,
 		UpdatesPerWorker:  w.UpdatesPerWorker,
 		MessagesSent:      w.MessagesSent,
 		MessagesDropped:   w.MessagesDropped,
@@ -385,10 +400,12 @@ func oracleUnmarshal(b []byte, r *repro.Report) error {
 	return nil
 }
 
-// reportFixtures are the wire bytes the parent commit's reflective codec
-// produced (captured before report.go was touched): a model-engine lasso
-// n=64 report (Records), a routing report (Errors starting at +Inf), a sim
-// report (ErrorTrace, Time) and a dist report (counters, elapsed_ns).
+// reportFixtures are the wire bytes the reflective codec produced when it
+// was Report's codec, with the "records" member — the per-iteration log the
+// Report carried then — deleted and nothing else changed: a model-engine
+// lasso n=64 report (the served job's shape), a routing report (Errors
+// starting at +Inf), a sim report (ErrorTrace, Time) and a dist report
+// (counters, elapsed_ns).
 var reportFixtures = []string{
 	"report_model_lasso64.json",
 	"report_model_routing.json",
@@ -470,11 +487,11 @@ func checkAgainstOracle(t testing.TB, data []byte) {
 	}
 }
 
-// TestReportJSONFixtures: the new decoder restores from every parent-
-// captured fixture exactly what the reflective decoder restores, with every
-// section the fixture is there for present, and the new encoder reproduces
-// the fixture byte for byte — directly, through json.Marshal, and nested in
-// a struct the way the server's Event nests it.
+// TestReportJSONFixtures: the decoder restores from every fixture exactly
+// what the reflective decoder restores, with every section the fixture is
+// there for present, and the encoder reproduces the fixture byte for byte —
+// directly, through json.Marshal, and nested in a struct the way the
+// server's Event nests it.
 func TestReportJSONFixtures(t *testing.T) {
 	for _, name := range reportFixtures {
 		data := readFixture(t, name)
@@ -483,11 +500,8 @@ func TestReportJSONFixtures(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		checkAgainstOracle(t, data)
-		if got := rep.AppendJSON(nil); !bytes.Equal(got, data) {
-			t.Errorf("%s: AppendJSON does not reproduce the fixture", name)
-		}
-		if got := rep.AppendJSON([]byte("prefix")); !bytes.Equal(got[6:], data) || string(got[:6]) != "prefix" {
-			t.Errorf("%s: AppendJSON onto a non-empty buffer does not reproduce the fixture", name)
+		if got, err := rep.MarshalJSON(); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: MarshalJSON does not reproduce the fixture (err %v)", name, err)
 		}
 		if got, err := json.Marshal(&rep); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("%s: json.Marshal does not reproduce the fixture (err %v)", name, err)
@@ -506,8 +520,9 @@ func TestReportJSONFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(lasso.Records) != 1216 || len(lasso.X) != 64 || !lasso.Converged || lasso.Records[1215].J != 1216 {
-		t.Errorf("lasso fixture lost its records: %d records, %d components", len(lasso.Records), len(lasso.X))
+	if lasso.Iterations != 1216 || len(lasso.X) != 64 || !lasso.Converged || len(lasso.Boundaries) == 0 {
+		t.Errorf("lasso fixture lost its outcome: %d iterations, %d components, %d boundaries",
+			lasso.Iterations, len(lasso.X), len(lasso.Boundaries))
 	}
 	if len(routing.Errors) != 286 || !math.IsInf(routing.Errors[0], 1) || math.IsInf(routing.Errors[285], 0) {
 		t.Errorf("routing fixture lost its +Inf error series (%d errors)", len(routing.Errors))
@@ -529,7 +544,7 @@ var reportCornerCases = []string{
 	// key matching: exact, case-folded (ASCII and the two Unicode folds onto
 	// ASCII letters), escaped, unknown, empty
 	`{"ENGINE":"a","Iterations":3,"X":[1],"Elapsed_NS":7}`, `{"\u0065ngine":"e"}`, `{"iteration\u017f":4}`,
-	`{"records":[{"\u212a":1,"WOR\u212aER":2,"j":9}]}`, `{"":1,"engine ":"x","engin":"y"}`,
+	`{"WOR\u212aERS_LOST":2,"error_trace":[{"\u212a":1,"TIME":2,"error":9}]}`, `{"":1,"engine ":"x","engin":"y"}`,
 	`{"unknown":{"a":[1,{"b":null}],"c":"\u00e9\ud83d\ude00"},"updates":2}`, `{"unknown":[1,}`, `{"unknown":tru}`,
 	`{"unknown":"\x"}`, `{"unknown":"` + "\x01" + `"}`, `{"unknown":01}`, `{"unknown":1.}`, `{"unknown":-}`, `{"unknown":1e}`,
 	// strings
@@ -553,9 +568,11 @@ var reportCornerCases = []string{
 	`{"boundaries":[1,2,3],"boundaries":[null]}`, `{"boundaries":[1,2,3],"boundaries":[null],"boundaries":[null,null,null,null]}`,
 	`{"boundaries":[1,2,3],"boundaries":[],"boundaries":[null,null]}`, `{"boundaries":[1.5]}`, `{"boundaries":5}`, `{"boundaries":{}}`,
 	`{"x":["NaN","Infinity",null,-1e-9]}`, `{"x":[[1]]}`, `{"x":"NaN"}`,
+	// "records" was a member once; it is an unknown key now, skipped whatever
+	// well-formed value it holds and an error when that value is not JSON
 	`{"records":[{"j":5,"s":[1,2],"min_label":3,"worker":1}],"records":[{"worker":7,"s":[null]}]}`,
-	`{"records":[null,{"s":null},{"s":[]},5]}`, `{"records":[null,{"s":null},{"s":[]}]}`, `{"records":[{"s":[1]},{"s":[2]}],"records":[null,{"s":[null,null]}]}`,
-	`{"records":null}`, `{"records":[]}`, `{"records":{}}`, `{"records":[{"j":1,"extra":{"deep":[[[]]]}}]}`,
+	`{"records":[null,{"s":null},{"s":[]},5]}`, `{"records":null}`, `{"records":[]}`, `{"records":{}}`, `{"records":"x"}`,
+	`{"records":[{"j":1,"extra":{"deep":[[[]]]}}]}`, `{"records":[{"j":1,"s":[0,]}]}`, `{"records":[{"j":01}]}`, `{"records":[{"j":1}`,
 	`{"error_trace":[{"time":1,"error":"Infinity"},null,{"Time":2,"ERROR":null}]}`, `{"error_trace":[{"time":1}],"error_trace":[{"error":2}]}`,
 	`{"error_trace":[]}`, `{"error_trace":null}`, `{"error_trace":[[]]}`,
 }
@@ -584,8 +601,8 @@ func TestReportJSONEncoderMatchesOracle(t *testing.T) {
 	reports := []repro.Report{
 		{},
 		goldenReport(),
-		{Engine: "a\"b<c>&\u00e9\u2028\x01", X: []float64{}, Errors: []float64{}, Boundaries: []int{}, Records: []repro.IterationRecord{}},
-		{X: floats, Errors: floats, Records: []repro.IterationRecord{{}, {S: []int{}}, {J: -1, S: []int{-5, 0, 1 << 40}, MinLabel: -2, Worker: -3}}},
+		{Engine: "a\"b<c>&\u00e9\u2028\x01", X: []float64{}, Errors: []float64{}, Boundaries: []int{}, ErrorTrace: []repro.TimedError{}},
+		{X: floats, Errors: floats, Boundaries: []int{-5, 0, 1 << 40}},
 		{Elapsed: -5, MessagesSent: -1, Iterations: -7, Updates: math.MinInt64},
 	}
 	for _, f := range floats {
@@ -597,10 +614,32 @@ func TestReportJSONEncoderMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.AppendJSON(nil); !bytes.Equal(got, want) {
-			t.Errorf("encoders differ on %+v:\n new:    %s\n oracle: %s", r, got, want)
+		if got, err := r.MarshalJSON(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("encoders differ on %+v (err %v):\n new:    %s\n oracle: %s", r, err, got, want)
 		}
 		checkAgainstOracle(t, want)
+	}
+}
+
+// A payload written when the Report still carried the per-iteration log
+// decodes to what it decodes to without the member; the member is skipped,
+// not ignored, so malformed JSON inside it is still an error.
+func TestReportJSONSkipsRecordsMember(t *testing.T) {
+	const head, tail = `{"engine":"model","x":[1.5],"epochs":[2,4]`, `,"updates":3}`
+	var with, without repro.Report
+	if err := json.Unmarshal([]byte(head+tail), &without); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(head+`,"records":[{"j":1,"s":[0,1],"min_label":0,"worker":2},{"j":2,"s":[],"min_label":1,"worker":0}]`+tail), &with); err != nil {
+		t.Fatal(err)
+	}
+	if !sameReport(with, without) || with.Updates != 3 || len(with.Epochs) != 2 {
+		t.Fatalf("a records member changed the decoded report:\n with:    %+v\n without: %+v", with, without)
+	}
+	for _, records := range []string{`[{"j":1,"s":[0,]}]`, `[{"j":01}]`, `[{"j":1,"s":[0,1]`, `[{"j" 1}]`} {
+		if err := with.UnmarshalJSON([]byte(head + `,"records":` + records + tail)); err == nil {
+			t.Errorf("malformed records member %s decoded", records)
+		}
 	}
 }
 
@@ -617,21 +656,16 @@ func TestReportUnmarshalErrorLeavesTargetUntouched(t *testing.T) {
 
 // retainedBytes is the memory a decoded report holds on to, by capacity.
 func retainedBytes(r *repro.Report) int {
-	n := 8*(cap(r.X)+cap(r.Errors)+cap(r.Boundaries)+cap(r.StrictBoundaries)+cap(r.Epochs)+cap(r.UpdatesPerWorker)) +
+	return 8*(cap(r.X)+cap(r.Errors)+cap(r.Boundaries)+cap(r.StrictBoundaries)+cap(r.Epochs)+cap(r.UpdatesPerWorker)) +
 		16*cap(r.ErrorTrace) + len(r.Engine)
-	recs := r.Records[:cap(r.Records)]
-	for i := range recs {
-		n += 48 + 8*cap(recs[i].S)
-	}
-	return n
 }
 
 // FuzzReportUnmarshal: on any input the hand-written decoder gives the
 // oracle's verdict and value (checkAgainstOracle), never panics, and never
 // holds more than a constant factor of the input — nothing is sized from
-// the input ahead of reading it, so a huge claimed "records" array costs
-// what its bytes cost. The fixture seeds are tens of KB, which the fuzzer's
-// default minute of minimization per new input crawls through; run it as
+// the input ahead of reading it, so a huge array costs what its bytes cost.
+// The fuzzer's default minute of minimization per new input crawls through
+// the KB-sized fixture seeds; run it as
 //
 //	go test . -run '^$' -fuzz FuzzReportUnmarshal -fuzztime 30s -fuzzminimizetime 1s
 func FuzzReportUnmarshal(f *testing.F) {
@@ -647,9 +681,9 @@ func FuzzReportUnmarshal(f *testing.F) {
 		if r.UnmarshalJSON(data) != nil {
 			return
 		}
-		// The densest input is a record per 3 bytes ("{},", 48 bytes each)
-		// in a slice append may have doubled: 32x the input; 64x is generous
-		// and still constant.
+		// The densest input is a trace sample per 3 bytes ("{},", 16 bytes
+		// each) in a slice append may have doubled: 11x the input; 64x is
+		// generous and still constant.
 		if held, limit := retainedBytes(&r), 64*len(data)+64; held > limit {
 			t.Fatalf("decoding %d bytes retained %d bytes (limit %d)", len(data), held, limit)
 		}
