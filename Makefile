@@ -95,8 +95,8 @@ bench-json:
 
 # Gate the block-evaluation fast path, the serving layer AND the solve-rate
 # trajectory: re-measure the BlockEval pairs, the ServeSustained /
-# ScenarioSolveLasso pair, the scenario solves and builds and both dist
-# deployments, and fail if any speedup multiple, the serving-efficiency
+# ScenarioSolveLasso pair, the scenario solves and builds and the three dist
+# deployments (star, mesh, star under elastic membership), and fail if any speedup multiple, the serving-efficiency
 # ratio, or any normalized rate regressed against the committed baseline
 # capture. The Report codec cases are measured and printed alongside (the
 # served job's other non-solve layer) but not gated.
@@ -104,7 +104,7 @@ bench-json:
 # machine-independent.
 bench-compare:
 	$(GO) run ./cmd/asyncsolve bench \
-		-match '^(BlockEval|ServeSustained$$|ScenarioSolveLasso|ScenarioBuild|Report(M|Unm)arshal|Dist(Star|Mesh)Workers$$)' -experiments=false \
+		-match '^(BlockEval|ServeSustained$$|ScenarioSolveLasso|ScenarioBuild|Report(M|Unm)arshal|Dist(Star|Mesh|Elastic)Workers$$)' -experiments=false \
 		-benchtime 250ms -rev current -out BENCH_current.json
 	$(GO) run ./cmd/asyncsolve bench-compare \
 		-baseline BENCH_baseline.json -current BENCH_current.json
@@ -135,7 +135,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 24570
+LOC_CEILING := 24490
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

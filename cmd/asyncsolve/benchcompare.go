@@ -31,7 +31,7 @@ multiple in the current capture is more than tolerance below the
 baseline's, when the serving-efficiency ratio (ServeSustained solves/sec
 normalized by ScenarioSolveLasso within the same capture) is more than
 serve-tolerance below the baseline's, or when any solve-rate case
-(Scenario*, DistStarWorkers, DistMeshWorkers, ServeSustained) — normalized
+(Scenario*, Dist{Star,Mesh,Elastic}Workers, ServeSustained) — normalized
 by the within-capture geometric mean of the cases common to both files —
 is more than solve-tolerance (dist-tolerance for Dist*) below the
 baseline's. Every gate compares within-capture ratios, never raw ns/op

@@ -33,7 +33,7 @@
 // overtake, uniform transit jitter — so unbounded-delay and out-of-order message
 // regimes are exercised end to end. On every directed link, frames
 // overtaken by a later-sequenced frame from the same source are discarded
-// at the delivery point (the label discipline for out-of-order messages):
+// by the sender (the label discipline for out-of-order messages):
 // never written, never applied, counted MessagesReordered (or
 // MessagesDuplicate for an equal sequence number) and drained from the
 // termination protocol's in-flight count like a drop. A worker's final
@@ -48,19 +48,23 @@
 // rendezvous, config distribution, probe-round termination, final shard
 // collection — always runs through the coordinator:
 //
-//   - "star" (default): every shard frame is relayed by the coordinator,
-//     which also applies the fault injection and the per-link sequence
-//     filter. Simple, but the coordinator carries all p(p-1) logical links
-//     and becomes the bandwidth bottleneck as workers scale.
+//   - "star" (default): every shard frame is relayed by the coordinator.
+//     Simple, and the only topology that needs no worker-to-worker
+//     reachability, but the coordinator carries all p(p-1) logical links.
 //   - "mesh": after rendezvous the coordinator hands every worker the full
 //     peer table and workers exchange shard frames over direct
-//     worker-to-worker TCP connections. Fault injection and sequence
-//     filtering move to the sending side of each mesh link, drawing the
-//     same per-source RNG streams the star relay uses, so the two
-//     topologies are behaviorally comparable under identical seeds. Each
-//     link keeps a one-frame newest-wins outbox: a compute loop that
-//     outruns the wire supersedes its own unsent frames (counted
-//     MessagesReordered) instead of queueing stale values.
+//     worker-to-worker TCP connections.
+//
+// Either way one piece of code does the sending (internal/dist sender.go),
+// wherever it lives — in the coordinator, one per source link, on star; in
+// each worker on mesh. It draws the fault injection per (frame,
+// destination) from a per-source RNG stream, so identical seeds inject
+// identical faults on both topologies; it filters by sequence number, so a
+// frame overtaken on its leg is discarded instead of written; and each leg
+// keeps a one-frame newest-wins outbox, so a source that outruns a socket
+// supersedes its own unsent frames (counted MessagesReordered) instead of
+// queueing stale values — which is why a fault-free run on either topology
+// can report superseded frames.
 //
 // WithDeltaThreshold adds flexible communication on the wire for either
 // topology: a broadcast ships one [offset, len) frame covering the span of
@@ -399,8 +403,8 @@
 // ReportMarshalLasso64, ReportUnmarshalLasso64 — are measured in the same
 // run (the builds are gated as Scenario* cases, the codec is recorded). The same command gates the
 // serving-efficiency ratio (ServeSustained/ScenarioSolveLasso) and the
-// solve-rate trajectory: every Scenario*, DistStarWorkers, DistMeshWorkers
-// and ServeSustained case, normalized by the within-capture geometric mean
+// solve-rate trajectory: every Scenario*, DistStarWorkers, DistMeshWorkers,
+// DistElasticWorkers and ServeSustained case, normalized by the within-capture geometric mean
 // of the cases common to both files, must stay within its tolerance of the
 // baseline's normalized rate. Ratios within one capture, never raw ns/op
 // across captures, are compared, so every gate holds across machines of

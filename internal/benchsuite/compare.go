@@ -123,11 +123,11 @@ func CompareServeSustained(baseline, current *File, tolerance float64) ([]string
 }
 
 // IsSolveRateCase reports whether a benchmark case participates in the
-// solve-rate trajectory gate: the end-to-end scenario solves, the two
+// solve-rate trajectory gate: the end-to-end scenario solves, the three
 // dist-engine deployments and the sustained serving case.
 func IsSolveRateCase(name string) bool {
 	return strings.HasPrefix(name, "Scenario") ||
-		name == "DistStarWorkers" || name == "DistMeshWorkers" ||
+		name == "DistStarWorkers" || name == "DistMeshWorkers" || name == "DistElasticWorkers" ||
 		name == ServeCaseName
 }
 

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,27 +19,6 @@ const probeInterval = 500 * time.Microsecond
 // collection); a worker that cannot answer in time simply fails the round
 // (it is retried), it does not fail the run.
 const probeRoundTimeout = 2 * time.Second
-
-// defaultReorderHold is the extra delay a reorder-injected block is held
-// for when Fault.MaxDelay does not imply one (4x MaxDelay otherwise): long
-// enough that blocks sent after it on the same link overtake it.
-const defaultReorderHold = 800 * time.Microsecond
-
-// link is one worker connection from the coordinator's side. Writes are
-// whole prebuilt frames under mu, so concurrent relays, probes and the
-// stop broadcast never interleave bytes. lastSeq and bytesFrom are indexed
-// by source worker: the newest sequence delivered on this link within
-// membership generation seqGen (the filter state resets lazily when the
-// first frame of a newer generation arrives — older-generation frames
-// never reach the filter, the generation fence discards them first) and
-// the data-plane bytes relayed onto it (star topology only).
-type link struct {
-	conn      net.Conn
-	mu        sync.Mutex
-	lastSeq   []uint64
-	seqGen    uint32
-	bytesFrom []int64
-}
 
 type status struct {
 	worker          int
@@ -78,39 +56,32 @@ type coordinator struct {
 	n   int // problem dimension
 	ln  net.Listener
 
-	// mu guards the membership view: which slots are alive, their links,
-	// mesh addresses, shard table, generation and the churn counters. Fixed
-	// slot count (cfg.Workers); a lost slot is freed for a rejoiner to
-	// claim.
-	mu       sync.RWMutex
-	links    []*link
-	alive    []bool
-	reserved []bool // slot handed to a rejoin handshake in progress
-	addrs    []string
-	blocks   [][2]int
-	gen      uint32
+	// mu guards the membership view: the slots' links (nil at a dead slot),
+	// relay senders, mesh addresses, shard table, generation, the churn
+	// counters and the data-plane byte matrix. Fixed slot count
+	// (cfg.Workers); a lost slot is freed for a rejoiner to claim.
+	mu    sync.RWMutex
+	links []*link
+	// senders[w], in the star topology, relays the frames read off link w:
+	// its legs write to the other slots' links (sharing each link's write
+	// mutex with the probe, stop, reshard and assign frames). One per link
+	// incarnation; the link's reader is its only caller of send and flushes
+	// it on the way out, folding its byte counters into linkBytes.
+	senders   []*sender
+	linkBytes [][]int64
+	reserved  []bool // slot handed to a rejoin handshake in progress
+	addrs     []string
+	blocks    [][2]int
+	gen       uint32
 	// workersLost / workersRejoined / resharding are the churn counters
 	// surfaced in Result.
 	workersLost, workersRejoined, resharding int64
 
-	// genA mirrors gen for lock-free reads in accountDiscard; genCtrMu
-	// guards the generation-scoped counter resets: a bump taken under RLock
-	// after re-confirming the frame's generation either lands before a
-	// re-shard's reset (and is wiped with the rest of the old generation)
-	// or observes the new generation and skips itself.
-	genA     atomic.Uint32
-	genCtrMu sync.RWMutex
-
-	// dropped counts injection drops, reordered/duplicate the relay's
-	// sequence-filter discards; all three are drained messages for the
-	// termination protocol (they can never reactivate a worker). The gen-
-	// prefixed set restarts at zero at each re-shard — it is what the
-	// probes see; the unprefixed set is cumulative for the final report.
-	// With no churn the two are identical.
-	dropped, reordered, duplicate          atomic.Int64
-	genDropped, genReordered, genDuplicate atomic.Int64
-	bytesOut, bytesIn                      atomic.Int64
-	delays                                 delayQueue // pending delayed relay deliveries
+	// led is the drain ledger every relay sender accounts into: what the
+	// relay disposed of without delivering, cumulative for the final report
+	// and per generation for the probes.
+	led               ledger
+	bytesOut, bytesIn atomic.Int64
 
 	// xmu guards xbest, the coordinator's best-known iterate: x0 overlaid
 	// with every checkpoint and reshard ack absorbed so far. It seeds
@@ -129,6 +100,7 @@ type coordinator struct {
 	// run loop answers it with a reshard barrier.
 	membership chan struct{}
 	acceptWG   sync.WaitGroup
+	readers    sync.WaitGroup // the serveLink goroutines
 
 	// probeSeq numbers probe rounds so stale replies from an earlier round
 	// are recognized and dropped. Only the probing loop touches it, and a
@@ -190,11 +162,13 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		n:           n,
 		ln:          ln,
 		links:       make([]*link, cfg.Workers),
-		alive:       make([]bool, cfg.Workers),
+		senders:     make([]*sender, cfg.Workers),
+		linkBytes:   make([][]int64, cfg.Workers),
 		reserved:    make([]bool, cfg.Workers),
 		addrs:       make([]string, cfg.Workers),
 		blocks:      vec.Blocks(n, cfg.Workers),
 		gen:         1,
+		led:         ledger{gen: 1},
 		xbest:       append([]float64(nil), x0...),
 		statusCh:    make(chan status, 4*cfg.Workers),
 		ackCh:       make(chan reshardAck, 4*cfg.Workers),
@@ -203,13 +177,10 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		membership:  make(chan struct{}, 1),
 		runDeadline: deadline,
 	}
-	c.genA.Store(1)
-	// A delayed relay cancelled or skipped at teardown was counted sent by
-	// its worker and can never be delivered: account the disposal as a
-	// drop so the transport counters stay as close to balanced as a
-	// torn-down run allows (a certified-quiescent run has nothing pending,
-	// so converged accounting stays exact).
-	c.delays.onDispose = func() { c.dropped.Add(1) }
+	for w := range c.linkBytes {
+		c.linkBytes[w] = make([]int64, cfg.Workers)
+	}
+	defer c.shutdown() // idempotent; the result path runs it early, to read final counters
 
 	// Accept and welcome every worker.
 	type deadliner interface{ SetDeadline(time.Time) error }
@@ -219,7 +190,6 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	for w := 0; w < cfg.Workers; w++ {
 		conn, err := ln.Accept()
 		if err != nil {
-			c.shutdown()
 			return nil, fmt.Errorf("dist: accept worker %d: %w", w, err)
 		}
 		// An absolute I/O deadline guarantees no read or write on this
@@ -228,45 +198,24 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		// hanging Serve inside a blocking conn.Write. The grace period
 		// covers the post-deadline stop/final exchange.
 		conn.SetDeadline(deadline.Add(cfg.Timeout))
-		c.links[w] = &link{
-			conn:      conn,
-			lastSeq:   make([]uint64, cfg.Workers),
-			seqGen:    1,
-			bytesFrom: make([]int64, cfg.Workers),
-		}
-		c.alive[w] = true
-		typ, payload, err := readFrame(conn, maxFramePayload)
-		if err != nil || typ != msgHello {
-			c.shutdown()
-			return nil, fmt.Errorf("dist: worker %d handshake failed: %v", w, err)
-		}
-		cur := cursor{b: payload}
-		if v := cur.u32(); cur.err != nil || v != protocolVersion {
-			c.shutdown()
-			return nil, fmt.Errorf("dist: worker %d protocol version %d, want %d", w, v, protocolVersion)
+		c.links[w] = &link{conn: conn}
+		if err := readHello(conn); err != nil {
+			return nil, fmt.Errorf("dist: worker %d %w", w, err)
 		}
 		wel := c.welcome(w, c.blocks[w][0], c.blocks[w][1], 1, false, x0)
 		if err := c.writeLink(c.links[w], wel); err != nil {
-			c.shutdown()
 			return nil, fmt.Errorf("dist: welcome worker %d: %w", w, err)
 		}
 	}
 
-	// Mesh rendezvous: collect every worker's listen address, then hand
-	// each worker the full peer table. Every listener is up before any
-	// worker learns a peer address, so no dial can race a missing listener.
+	// The data plane. Mesh rendezvous: collect every worker's listen
+	// address, then hand each worker the full peer table — every listener is
+	// up before any worker learns a peer address, so no dial can race a
+	// missing listener. Star: one relay sender per source link.
 	if cfg.Topology == TopologyMesh {
 		for w := range c.links {
-			typ, payload, err := readFrame(c.links[w].conn, maxFramePayload)
-			if err != nil || typ != msgMeshAddr {
-				c.shutdown()
-				return nil, fmt.Errorf("dist: worker %d mesh address: %v", w, err)
-			}
-			cur := cursor{b: payload}
-			c.addrs[w] = cur.str()
-			if cur.err != nil || c.addrs[w] == "" {
-				c.shutdown()
-				return nil, fmt.Errorf("dist: worker %d sent a malformed mesh address", w)
+			if c.addrs[w], err = readMeshAddr(c.links[w].conn); err != nil {
+				return nil, fmt.Errorf("dist: worker %d %w", w, err)
 			}
 		}
 		peers := appendU32(nil, uint32(cfg.Workers))
@@ -276,14 +225,18 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		frame := buildFrame(msgPeers, peers)
 		for w := range c.links {
 			if err := c.writeLink(c.links[w], frame); err != nil {
-				c.shutdown()
 				return nil, fmt.Errorf("dist: peer table to worker %d: %w", w, err)
 			}
 		}
+	} else {
+		for w := range c.links {
+			c.senders[w] = c.newRelay(w)
+		}
 	}
 
+	c.readers.Add(cfg.Workers)
 	for w := range c.links {
-		go c.serveLink(w, c.links[w])
+		go c.serveLink(w, c.links[w], c.senders[w])
 	}
 
 	// Cancellation. The caller of a cancelled run discards the trajectory,
@@ -306,7 +259,6 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		}()
 		defer func() {
 			if c.cancelled() && (res == nil || !res.Converged) {
-				c.shutdown()
 				res, err = &Result{
 					Result:   runtime.Result{X: c.bestIterate(), Elapsed: time.Since(start), Cancelled: true},
 					Topology: cfg.Topology,
@@ -337,25 +289,15 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		select {
 		case <-c.membership:
 			if err := c.reshardBarrier(deadline); err != nil {
-				c.shutdown()
 				return nil, err
 			}
 			continue
 		default:
 		}
-		if runtime.DoubleCollect(observe, nil) {
-			// A loss detected during the certifying collects makes every
-			// involved probe round invalid, so a pending doorbell here
-			// means the quiescence predates the change: re-shard first.
-			select {
-			case <-c.membership:
-				if err := c.reshardBarrier(deadline); err != nil {
-					c.shutdown()
-					return nil, err
-				}
-				continue
-			default:
-			}
+		// A loss detected during the certifying collects makes every
+		// involved probe round invalid, so a doorbell pending after them
+		// means the quiescence predates the change: re-shard first.
+		if runtime.DoubleCollect(observe, nil) && len(c.membership) == 0 {
 			// Every worker is parked with nothing in flight: converged
 			// unless one of them ran out of budget on unverified data.
 			converged = !last.Exhausted
@@ -364,13 +306,9 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		}
 		select {
 		case err := <-c.errCh:
-			c.shutdown()
 			return nil, err
 		case <-c.membership:
-			if err := c.reshardBarrier(deadline); err != nil {
-				c.shutdown()
-				return nil, err
-			}
+			c.ringMembership() // answered at the head of the loop
 		case <-cfg.Done:
 			return nil, nil // the cancellation epilogue builds the result
 		case <-time.After(probeInterval):
@@ -383,12 +321,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	c.stopped.Store(true)
 	stopFrame := buildFrame(msgStop, nil)
 	c.mu.RLock()
-	targets := make([]*link, cfg.Workers)
-	for w, l := range c.links {
-		if c.alive[w] {
-			targets[w] = l
-		}
-	}
+	targets := append([]*link(nil), c.links...)
 	c.mu.RUnlock()
 	expect := make([]bool, cfg.Workers)
 	expected := 0
@@ -403,7 +336,6 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 				l.conn.Close()
 				continue
 			}
-			c.shutdown()
 			return nil, fmt.Errorf("dist: stop worker %d: %w", w, err)
 		}
 		expect[w] = true
@@ -411,11 +343,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	}
 	x := c.bestIterate()
 	updates := make([]int, cfg.Workers)
-	linkBytes := make([][]int64, cfg.Workers)
-	for i := range linkBytes {
-		linkBytes[i] = make([]int64, cfg.Workers)
-	}
-	var sent, delivered, stale, dropped, reordered, duplicate int64
+	var sent, delivered, stale int64
 	finalDeadline := time.Now().Add(cfg.Timeout)
 	for got := 0; got < expected; {
 		select {
@@ -433,19 +361,16 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 			sent += int64(f.sent)
 			delivered += int64(f.delivered)
 			stale += int64(f.stale)
-			dropped += int64(f.dropped)
-			reordered += int64(f.reordered)
-			duplicate += int64(f.duplicate)
-			for q, b := range f.linkBytes {
-				linkBytes[f.worker][q] += int64(b)
-			}
+			// What a mesh worker's own sender disposed of and shipped.
+			c.led.dropped.Add(int64(f.dropped))
+			c.led.reordered.Add(int64(f.reordered))
+			c.led.duplicate.Add(int64(f.duplicate))
+			c.addLinkBytes(f.worker, f.linkBytes)
 		case err := <-c.errCh:
-			c.shutdown()
 			return nil, err
 		case <-cfg.Done:
 			return nil, nil // the cancellation epilogue builds the result
 		case <-time.After(time.Until(finalDeadline)):
-			c.shutdown()
 			return nil, errors.New("dist: timed out waiting for final blocks")
 		}
 	}
@@ -454,26 +379,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	if timedOut {
 		return nil, fmt.Errorf("dist: run exceeded timeout %v without quiescence or budget exhaustion", cfg.Timeout)
 	}
-	// Star relays every data-plane frame, so its per-link counters live on
-	// the coordinator's links (stable now — shutdown drained every relay
-	// writer); mesh workers reported theirs in the finals. Links lost to
-	// churn take their relay byte counts with them, so under churn the star
-	// totals cover surviving links only.
-	if cfg.Topology == TopologyStar {
-		c.mu.RLock()
-		for to, l := range c.links {
-			if l == nil {
-				continue
-			}
-			for from, b := range l.bytesFrom {
-				linkBytes[from][to] += b
-			}
-		}
-		c.mu.RUnlock()
-	}
-	c.mu.RLock()
-	lost, rejoined, reshards := c.workersLost, c.workersRejoined, c.resharding
-	c.mu.RUnlock()
+	// Every goroutine that shared the coordinator's state has been joined.
 	return &Result{
 		Result: runtime.Result{
 			X:                x,
@@ -481,20 +387,20 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 			UpdatesPerWorker: updates,
 			Elapsed:          time.Since(start),
 			MessagesSent:     sent,
-			MessagesDropped:  dropped + c.dropped.Load(),
+			MessagesDropped:  c.led.dropped.Load(),
 		},
 		Topology:          cfg.Topology,
 		MessagesDelivered: delivered,
 		MessagesStale:     stale,
-		MessagesReordered: reordered + c.reordered.Load(),
-		MessagesDuplicate: duplicate + c.duplicate.Load(),
+		MessagesReordered: c.led.reordered.Load(),
+		MessagesDuplicate: c.led.duplicate.Load(),
 		BytesSent:         c.bytesOut.Load(),
 		BytesReceived:     c.bytesIn.Load(),
-		LinkBytes:         linkBytes,
+		LinkBytes:         c.linkBytes,
 		ProbeRounds:       probeRounds,
-		WorkersLost:       lost,
-		WorkersRejoined:   rejoined,
-		Resharding:        reshards,
+		WorkersLost:       c.workersLost,
+		WorkersRejoined:   c.workersRejoined,
+		Resharding:        c.resharding,
 	}, nil
 }
 
@@ -508,19 +414,20 @@ func (c *coordinator) welcome(w, lo, hi int, gen uint32, rejoining bool, x []flo
 	return wel.frame()
 }
 
-// shutdown tears the coordinator down in the only safe order: mark the run
-// stopped (new delayed deliveries become no-ops), cancel pending relay
-// timers and wait out callbacks already firing, stop accepting rejoiners,
-// and only then close the worker connections. A delayed delivery can
-// therefore never write to a conn that is being closed.
+// shutdown tears the coordinator down: mark the run stopped (relay write
+// failures stop mattering), stop accepting rejoiners, close the worker
+// connections, and join the link readers — each flushes its relay sender on
+// the way out (pending delayed relays cancelled, callbacks already firing
+// waited out, outboxes emptied), so when shutdown returns nothing is left to
+// write and the ledger and byte counters are final.
 func (c *coordinator) shutdown() {
 	c.stopped.Store(true)
-	c.delays.drain()
 	if c.elastic() {
 		c.ln.Close()
 		c.acceptWG.Wait()
 	}
 	c.closeLinks()
+	c.readers.Wait()
 }
 
 // bestIterate returns a copy of the best-known iterate.
@@ -532,9 +439,8 @@ func (c *coordinator) bestIterate() []float64 {
 
 func (c *coordinator) closeLinks() {
 	c.mu.RLock()
-	links := append([]*link(nil), c.links...)
-	c.mu.RUnlock()
-	for _, l := range links {
+	defer c.mu.RUnlock()
+	for _, l := range c.links {
 		if l != nil {
 			l.conn.Close()
 		}
@@ -552,8 +458,7 @@ func (c *coordinator) fail(err error) {
 	}
 }
 
-// writeLink sends one prebuilt frame on a link; frames are written whole
-// under the link mutex so concurrent writers never interleave.
+// writeLink sends one control frame on a link.
 func (c *coordinator) writeLink(l *link, frame []byte) error {
 	l.mu.Lock()
 	_, err := l.conn.Write(frame)
@@ -564,19 +469,45 @@ func (c *coordinator) writeLink(l *link, frame []byte) error {
 	return err
 }
 
-// accountDiscard accounts one disposed relay frame: always on the
-// cumulative counter, and on the generation-scoped counter only while the
-// frame's generation is still current — a frame from before a re-shard had
-// its send erased from the in-flight books, so counting its disposal would
-// push in-flight negative and stall termination. Taken under genCtrMu so a
-// bump can never land after the re-shard's counter reset it belongs before.
-func (c *coordinator) accountDiscard(gen uint32, cum, genCtr *atomic.Int64) {
-	cum.Add(1)
-	c.genCtrMu.RLock()
-	if c.genA.Load() == gen {
-		genCtr.Add(1)
+// addLinkBytes folds one source's per-destination data-plane byte counters
+// into the run's matrix.
+func (c *coordinator) addLinkBytes(from int, to []uint64) {
+	c.mu.Lock()
+	for q, b := range to {
+		c.linkBytes[from][q] += int64(b)
 	}
-	c.genCtrMu.RUnlock()
+	c.mu.Unlock()
+}
+
+// newRelay builds the sender that relays slot w's frames, with a leg onto
+// the link of every other live slot. The caller holds mu, or runs before any
+// goroutine shares the membership.
+func (c *coordinator) newRelay(w int) *sender {
+	s := newSender(w, c.cfg.Workers, c.cfg.Fault, &c.led)
+	s.writeFailed = c.relayFailed
+	for q, l := range c.links {
+		if q != w && l != nil {
+			s.setLeg(q, &leg{link: l, q: q})
+		}
+	}
+	return s
+}
+
+// relayFailed is the relay's policy for a failed write to a destination
+// (the lost frame is already accounted as a drop, which keeps in-flight
+// drainable): nothing once the run is stopping — a lost final synthesized
+// from here could beat the worker's real one; under elastic membership the
+// destination is treated as lost; a rigid run surfaces the broken link
+// instead of dying as a generic timeout. (One-directional stalls exist: the
+// destination's reader may still be healthy.)
+func (c *coordinator) relayFailed(l *leg, err error) {
+	switch {
+	case c.stopped.Load():
+	case c.elastic():
+		c.workerLost(l.q, l.link)
+	default:
+		c.fail(fmt.Errorf("dist: relay to worker %d: %w", l.q, err))
+	}
 }
 
 // lostFinal synthesizes the final of a worker whose link died after stop,
@@ -591,25 +522,39 @@ func (c *coordinator) lostFinal(w int) {
 
 // workerLost removes one worker from the membership (idempotently — the
 // link pointer identifies the incarnation, so a stale loss report for a
-// slot a rejoiner has since claimed is a no-op), closes its conn, and rings
-// the membership doorbell. After stop it synthesizes a lost final instead:
-// the membership no longer matters, only the finals collection does.
+// slot a rejoiner has since claimed is a no-op), takes the leg to it out of
+// every relay, closes its conn, and rings the membership doorbell. After
+// stop it synthesizes a lost final instead: the membership no longer
+// matters, only the finals collection does.
 func (c *coordinator) workerLost(w int, l *link) {
 	c.mu.Lock()
-	if c.links[w] != l || !c.alive[w] {
+	if c.links[w] != l {
 		c.mu.Unlock()
 		return
 	}
 	c.links[w] = nil
-	c.alive[w] = false
 	c.addrs[w] = ""
 	c.workersLost++
+	// No relay writes to the dead slot any more; its own relay stays with
+	// its reader, which flushes it on the way out.
+	c.senders[w] = nil
+	for _, s := range c.senders {
+		if s != nil {
+			s.setLeg(w, nil)
+		}
+	}
 	c.mu.Unlock()
 	l.conn.Close()
 	if c.stopped.Load() {
 		c.lostFinal(w)
 		return
 	}
+	c.ringMembership()
+}
+
+// ringMembership rings the doorbell the run loop answers with a reshard
+// barrier; rings coalesce.
+func (c *coordinator) ringMembership() {
 	select {
 	case c.membership <- struct{}{}:
 	default:
@@ -633,94 +578,24 @@ func (c *coordinator) linkDown(w int, l *link, err error) {
 	c.workerLost(w, l)
 }
 
-// deliverBlock writes a relayed shard frame from worker from to link q —
-// unless the frame predates the current membership generation or the slot
-// is no longer alive (silently disposed — its send was erased at the
-// re-shard), or a later-sequenced frame from the same source has already
-// been delivered on this link, in which case the frame is discarded HERE:
-// superseded (reordered) and duplicate frames are never written, so the
-// receiver cannot count them again and no bandwidth is spent on them. The
-// discard counts as drained for the termination protocol, like a drop.
-func (c *coordinator) deliverBlock(q, from int, seq uint64, gen uint32, frame []byte) {
-	if c.stopped.Load() {
-		c.dropped.Add(1) // sent but undeliverable: the run is tearing down
-		return
-	}
-	c.mu.RLock()
-	l := c.links[q]
-	ok := c.alive[q] && l != nil && gen == c.gen
-	c.mu.RUnlock()
-	if !ok {
-		c.accountDiscard(gen, &c.dropped, &c.genDropped)
-		return
-	}
-	l.mu.Lock()
-	if l.seqGen != gen {
-		for i := range l.lastSeq {
-			l.lastSeq[i] = 0
-		}
-		l.seqGen = gen
-	}
-	if seq <= l.lastSeq[from] {
-		newest := l.lastSeq[from]
-		l.mu.Unlock()
-		if seq < newest {
-			c.accountDiscard(gen, &c.reordered, &c.genReordered)
-		} else {
-			c.accountDiscard(gen, &c.duplicate, &c.genDuplicate)
-		}
-		return
-	}
-	l.lastSeq[from] = seq
-	_, err := l.conn.Write(frame)
-	if err == nil {
-		l.bytesFrom[from] += int64(len(frame))
-	}
-	l.mu.Unlock()
-	if err == nil {
-		c.bytesOut.Add(int64(len(frame)))
-		return
-	}
-	if c.stopped.Load() {
-		c.dropped.Add(1) // teardown closed the conn under the write
-		return
-	}
-	// A failed write before stop means a relayed block is lost with no
-	// delivery or drop to account for it — under elastic membership the
-	// destination is treated as lost (the disposal keeps in-flight
-	// drainable); a rigid run surfaces the broken link instead of dying as
-	// a generic timeout. (One-directional stalls exist: this link's reader
-	// may still be healthy.)
-	if c.elastic() {
-		c.accountDiscard(gen, &c.dropped, &c.genDropped)
-		c.workerLost(q, l)
-		return
-	}
-	c.fail(fmt.Errorf("dist: relay to worker %d: %w", q, err))
-}
-
 // absorbCheckpoint folds a current-generation shard checkpoint into xbest
 // and, when a checkpoint path is configured, persists the merged iterate at
 // most once per CheckpointEvery (best-effort: a failed disk write never
 // fails the run).
 func (c *coordinator) absorbCheckpoint(w int, payload []byte) error {
-	cur := cursor{b: payload}
-	gen := cur.u32()
-	lo := int(cur.u32())
-	count := int(cur.u32())
-	vals := cur.f64s(count)
-	if cur.err != nil || lo < 0 || lo+count > c.n {
+	gen, lo, vals, err := decodeShard(payload, c.n)
+	if err != nil {
 		return fmt.Errorf("dist: worker %d sent a malformed checkpoint frame", w)
 	}
 	c.mu.RLock()
-	current := gen == c.gen && c.alive[w]
+	current := gen == c.gen && c.links[w] != nil
 	c.mu.RUnlock()
 	if !current {
 		return nil // a checkpoint from before a re-shard: shard bounds are stale
 	}
 	var snapshot []float64
 	c.xmu.Lock()
-	copy(c.xbest[lo:lo+count], vals)
+	copy(c.xbest[lo:], vals)
 	if c.cfg.Elastic.CheckpointPath != "" && time.Since(c.lastCkptWrite) >= c.cfg.Elastic.CheckpointEvery {
 		c.lastCkptWrite = time.Now()
 		snapshot = append([]float64(nil), c.xbest...)
@@ -732,14 +607,25 @@ func (c *coordinator) absorbCheckpoint(w int, payload []byte) error {
 	return nil
 }
 
-// serveLink reads one worker's frames: star shard broadcasts are relayed to
-// every peer through the fault-injection path, statuses, reshard acks and
-// finals are routed to the termination logic, checkpoints into xbest.
-// Under elastic membership every read carries a heartbeat deadline — a link
-// silent past it is a lost worker, not a run error.
-func (c *coordinator) serveLink(w int, l *link) {
-	rng := rand.New(rand.NewSource(linkRNGSeed(c.cfg.Fault.Seed, w)))
-	hold := reorderHoldFor(c.cfg.Fault)
+// serveLink reads one worker's frames: star shard broadcasts go out through
+// the link's relay sender snd (nil on mesh, whose control plane carries no
+// data), statuses, reshard acks and finals are routed to the termination
+// logic, checkpoints into xbest. Under elastic membership every read carries
+// a heartbeat deadline — a link silent past it is a lost worker, not a run
+// error. This goroutine is snd's only sender, so it is also the one that
+// flushes it, on every way out.
+func (c *coordinator) serveLink(w int, l *link, snd *sender) {
+	defer c.readers.Done()
+	if snd != nil {
+		defer func() {
+			snd.flush()
+			to := snd.linkBytes()
+			c.addLinkBytes(w, to)
+			for _, b := range to {
+				c.bytesOut.Add(int64(b))
+			}
+		}()
+	}
 	conn := l.conn
 	var hbTimeout time.Duration
 	if c.elastic() {
@@ -759,51 +645,22 @@ func (c *coordinator) serveLink(w int, l *link) {
 		case msgHeartbeat:
 			// Liveness only: arriving is the whole message.
 		case msgBlock:
-			if c.cfg.Topology != TopologyStar {
+			if snd == nil {
 				c.fail(fmt.Errorf("dist: worker %d sent a data-plane frame on the mesh control plane", w))
 				return
 			}
-			cur := cursor{b: payload}
-			from := int(cur.u32())
-			seq := cur.u64()
-			flags := cur.u8()
-			gen := cur.u32()
-			if cur.err != nil || from != w {
+			h, cur := decodeBlock(payload)
+			if cur.err != nil || h.from != w {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed block frame", w))
 				return
 			}
 			if c.stopped.Load() {
 				// The worker counted p-1 sends for this broadcast; none
 				// will be relayed now that the run is stopping.
-				c.dropped.Add(int64(c.cfg.Workers - 1))
+				c.led.dropped.Add(int64(c.cfg.Workers - 1))
 				continue
 			}
-			frame := buildFrame(msgBlock, payload)
-			reliable := flags&blockReliable != 0
-			for q := 0; q < c.cfg.Workers; q++ {
-				if q == w {
-					continue
-				}
-				// The fault decision is drawn for every destination —
-				// dead slots included — so churn never desynchronizes the
-				// per-source decision streams star and mesh share.
-				drop, delay := c.cfg.Fault.decide(rng, hold, reliable)
-				if drop {
-					c.accountDiscard(gen, &c.dropped, &c.genDropped)
-					continue
-				}
-				if delay <= 0 {
-					c.deliverBlock(q, w, seq, gen, frame)
-					continue
-				}
-				q := q
-				if !c.delays.after(delay, func() { c.deliverBlock(q, w, seq, gen, frame) }) {
-					// Teardown already began: no probe round will look
-					// again, but the frame was counted sent — account the
-					// disposal.
-					c.dropped.Add(1)
-				}
-			}
+			snd.send(h.seq, h.gen, buildFrame(msgBlock, payload), h.flags&blockReliable != 0)
 		case msgStatus:
 			cur := cursor{b: payload}
 			st := status{worker: w, probeID: cur.u64()}
@@ -829,23 +686,20 @@ func (c *coordinator) serveLink(w int, l *link) {
 				return
 			}
 		case msgReshardAck:
-			cur := cursor{b: payload}
-			a := reshardAck{worker: w, gen: cur.u32(), lo: int(cur.u32())}
-			count := int(cur.u32())
-			a.vals = cur.f64s(count)
-			if cur.err != nil || a.lo < 0 || a.lo+count > c.n {
+			gen, lo, vals, err := decodeShard(payload, c.n)
+			if err != nil {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed reshard ack", w))
 				return
 			}
+			a := reshardAck{worker: w, gen: gen, lo: lo, vals: vals}
 			select {
 			case c.ackCh <- a:
 			default: // a stale barrier attempt's backlog; acks are gen-checked anyway
 			}
 		case msgFinal:
 			cur := cursor{b: payload}
-			f := final{worker: w, lo: int(cur.u32())}
-			count := int(cur.u32())
-			f.vals = cur.f64s(count)
+			f := final{worker: w}
+			f.lo, f.vals = cur.slice(c.n)
 			f.updates = int(cur.u32())
 			f.sent = cur.u64()
 			f.delivered = cur.u64()
@@ -854,7 +708,7 @@ func (c *coordinator) serveLink(w int, l *link) {
 			f.reordered = cur.u64()
 			f.duplicate = cur.u64()
 			f.linkBytes = cur.u64s(int(cur.u32()))
-			if cur.err != nil || f.lo < 0 || f.lo+count > c.n || len(f.linkBytes) > c.cfg.Workers {
+			if cur.err != nil || len(f.linkBytes) > c.cfg.Workers {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed final frame", w))
 				return
 			}
@@ -888,6 +742,35 @@ func (c *coordinator) acceptRejoins() {
 	}
 }
 
+// readHello reads a connecting worker's hello and checks its protocol
+// version; readMeshAddr reads the listen address a mesh worker reports after
+// its welcome. The rendezvous and the rejoin handshake are these two around
+// a welcome frame.
+func readHello(conn net.Conn) error {
+	typ, payload, err := readFrame(conn, maxFramePayload)
+	if err != nil || typ != msgHello {
+		return fmt.Errorf("handshake failed: %v", err)
+	}
+	cur := cursor{b: payload}
+	if v := cur.u32(); cur.err != nil || v != protocolVersion {
+		return fmt.Errorf("protocol version %d, want %d", v, protocolVersion)
+	}
+	return nil
+}
+
+func readMeshAddr(conn net.Conn) (string, error) {
+	typ, payload, err := readFrame(conn, maxFramePayload)
+	if err != nil || typ != msgMeshAddr {
+		return "", fmt.Errorf("mesh address: %v", err)
+	}
+	cur := cursor{b: payload}
+	addr := cur.str()
+	if cur.err != nil || addr == "" {
+		return "", errors.New("sent a malformed mesh address")
+	}
+	return addr, nil
+}
+
 // handleRejoin runs the rejoin handshake: validate the hello, reserve a
 // free worker slot (rejecting when none is free — typically the lost
 // link's read deadline has not expired yet, so the worker retries under
@@ -900,20 +783,14 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 		return
 	}
 	conn.SetDeadline(time.Now().Add(dialTimeout))
-	typ, payload, err := readFrame(conn, maxFramePayload)
-	if err != nil || typ != msgHello {
-		conn.Close()
-		return
-	}
-	cur := cursor{b: payload}
-	if v := cur.u32(); cur.err != nil || v != protocolVersion {
+	if readHello(conn) != nil {
 		conn.Close()
 		return
 	}
 	c.mu.Lock()
 	slot := -1
-	for w := range c.alive {
-		if !c.alive[w] && !c.reserved[w] && c.links[w] == nil {
+	for w := range c.links {
+		if !c.reserved[w] && c.links[w] == nil {
 			slot = w
 			break
 		}
@@ -940,26 +817,16 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 		return
 	}
 	meshAddr := ""
-	if c.cfg.Topology == TopologyMesh {
-		typ, payload, err := readFrame(conn, maxFramePayload)
-		if err != nil || typ != msgMeshAddr {
-			unreserve()
-			conn.Close()
-			return
-		}
-		cur := cursor{b: payload}
-		meshAddr = cur.str()
-		if cur.err != nil || meshAddr == "" {
+	star := c.cfg.Topology != TopologyMesh
+	if !star {
+		var err error
+		if meshAddr, err = readMeshAddr(conn); err != nil {
 			unreserve()
 			conn.Close()
 			return
 		}
 	}
-	l := &link{
-		conn:      conn,
-		lastSeq:   make([]uint64, c.cfg.Workers),
-		bytesFrom: make([]int64, c.cfg.Workers),
-	}
+	l := &link{conn: conn}
 	c.mu.Lock()
 	if c.stopped.Load() {
 		// The run ended while this handshake was in flight: the stop
@@ -970,17 +837,26 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 		return
 	}
 	c.links[slot] = l
-	c.alive[slot] = true
 	c.reserved[slot] = false
 	c.addrs[slot] = meshAddr
 	c.workersRejoined++
+	if star {
+		// Legs both ways: every live relay gains one onto the new link, and
+		// the new incarnation gets a relay of its own (a fresh RNG stream,
+		// like a mesh rejoiner's fresh sender).
+		for _, s := range c.senders {
+			if s != nil {
+				s.setLeg(slot, &leg{link: l, q: slot})
+			}
+		}
+		c.senders[slot] = c.newRelay(slot)
+	}
+	snd := c.senders[slot]
+	c.readers.Add(1) // shutdown joins acceptWG, and so this Add, before it joins the readers
 	c.mu.Unlock()
 	conn.SetDeadline(c.runDeadline.Add(c.cfg.Timeout))
-	go c.serveLink(slot, l)
-	select {
-	case c.membership <- struct{}{}:
-	default:
-	}
+	go c.serveLink(slot, l, snd)
+	c.ringMembership()
 }
 
 // reshardBarrier answers the membership doorbell: enter a new generation,
@@ -1002,10 +878,9 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 		c.mu.Lock()
 		c.gen++
 		gen := c.gen
-		c.genA.Store(gen)
 		var live []int
-		for w := range c.alive {
-			if c.alive[w] {
+		for w := range c.links {
+			if c.links[w] != nil {
 				live = append(live, w)
 			}
 		}
@@ -1038,11 +913,7 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 
 		// The old generation's books close: frames still in flight from it
 		// self-discard against the fence without touching these counters.
-		c.genCtrMu.Lock()
-		c.genDropped.Store(0)
-		c.genReordered.Store(0)
-		c.genDuplicate.Store(0)
-		c.genCtrMu.Unlock()
+		c.led.enter(gen)
 
 		// Phase 1 — pause: every survivor acknowledges the new generation
 		// with its current shard values (the freshest warm-start data).
@@ -1120,11 +991,11 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 // every live worker, gather matching statuses, and assemble the
 // Observation. The passive and spent flags come from the statuses (each a
 // self-consistent worker-side snapshot) and the coordinator's drain
-// counters are read after the last status arrives, matching the in-process
+// ledger is read after the last status arrives, matching the in-process
 // Tracker's "flags before counters" collect order. The drained total —
-// injection drops plus link-filter discards, wherever they happened
-// (coordinator relay in star, sending workers in mesh) — enters the
-// observation as Dropped: none of those frames can ever reactivate a
+// injection drops plus filter discards, whichever sender's ledger holds
+// them (the relays' here in star, the workers' own, reported in their
+// statuses, in mesh) — enters the observation as Dropped: none of those frames can ever reactivate a
 // worker. Any timeout, stale or cross-generation reply makes the round
 // invalid; it is retried. The membership generation is folded into the
 // observation's Epoch so two quiet collects can never straddle a re-shard
@@ -1138,7 +1009,7 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 	var workers []int
 	var links []*link
 	for w, l := range c.links {
-		if c.alive[w] && l != nil {
+		if l != nil {
 			workers = append(workers, w)
 			links = append(links, l)
 		}
@@ -1195,6 +1066,6 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 		}
 	}
 	obs.Epoch += uint64(gen)
-	obs.Dropped += c.genDropped.Load() + c.genReordered.Load() + c.genDuplicate.Load()
+	obs.Dropped += c.led.drained()
 	return obs
 }

@@ -6,30 +6,29 @@
 // threshold only the components that moved significantly are shipped — the
 // paper's flexible communication realized on the wire.
 //
-// Two data planes share one control plane:
+// Two data planes share one control plane — rendezvous, config
+// distribution, probe-round double-collect termination and final shard
+// collection always run through the coordinator:
 //
 //   - Star (TopologyStar): every worker connects to one coordinator, which
-//     relays shard broadcasts between workers and injects per-link faults
-//     (extra delay, reordering holds, drops) so the paper's unbounded-delay
-//     and out-of-order regimes run on an actual network path.
+//     relays shard broadcasts between workers.
 //   - Mesh (TopologyMesh): after rendezvous the coordinator hands every
 //     worker its peers' listen addresses and workers exchange shard frames
-//     directly over worker-to-worker TCP links, removing the coordinator as
-//     the bandwidth bottleneck. Fault injection and per-source sequence
-//     filtering run on the sending side of each mesh link, so star and mesh
-//     are behaviorally comparable under identical seeds.
+//     directly over worker-to-worker TCP links.
 //
-// In both topologies the coordinator keeps the control plane: rendezvous,
-// fault/topology config distribution, probe-round double-collect
-// termination, and final shard collection.
-//
-// On every directed link (a star relay leg or a mesh link) frames are
-// sequence-filtered at the delivery point: a frame overtaken by a
-// later-sequenced frame from the same source is discarded there — never
-// written, never applied — and counted reordered (seq below the newest) or
-// duplicate (seq equal). Discarded frames count as drained for the
-// termination protocol, like injection drops: they can never reactivate a
-// worker.
+// Both send with the same code (sender.go): one sender per source worker —
+// held by that worker on mesh, by the coordinator, one per source link, on
+// star — with a leg per destination. It injects the per-link faults (delay,
+// reordering holds, drops, drawn from a per-source RNG stream, so the
+// paper's unbounded-delay and out-of-order regimes run on a real network
+// path, identically on either plane under identical seeds); it filters each
+// leg by sequence number — a frame overtaken by a later one from the same
+// source is discarded there, never written, never applied, and counted
+// reordered (seq below the newest) or duplicate (seq equal); and it keeps a
+// one-frame newest-wins outbox per leg, so a source that outruns a socket
+// sheds its own stale frames (counted reordered too) instead of queueing
+// them. Discards count as drained for the termination protocol, like
+// injection drops: they can never reactivate a worker.
 //
 // A worker is the Worker loop of internal/runtime (loop.go) — the same
 // loop the shared-memory and channel engines run — over a TCP transport
@@ -49,7 +48,7 @@
 // sent/delivered counters — composed by the worker's single compute
 // goroutine — plus its monotone drained counter), and the run stops only
 // after two consecutive quiet rounds with identical epochs and counters and
-// nothing in flight (sum sent == sum delivered + drops + link-filter
+// nothing in flight (sum sent == sum delivered + drops + filter
 // discards) — converged when every worker was passive, not converged when
 // some worker had spent its budget on data it could not iterate away.
 // Workers obey the protocol's ordering rule — a reactivation is published
@@ -93,21 +92,21 @@ const (
 )
 
 // Fault configures per-link fault injection. Every non-reliable shard frame
-// is independently subjected to each knob — by the coordinator's relay in
-// the star topology, by the sending side of each mesh link in the mesh
-// topology.
+// is independently subjected to each knob on each leg by the source's
+// sender, wherever that runs (the coordinator's relay in the star topology,
+// the sending worker in the mesh topology).
 type Fault struct {
-	// DropProb is the iid probability a relayed block is dropped.
+	// DropProb is the iid probability a frame is dropped on a leg.
 	DropProb float64
-	// ReorderProb is the iid probability a relayed block is held back long
-	// enough for later blocks on the same link to overtake it.
+	// ReorderProb is the iid probability a frame is held back long enough
+	// for later frames on the same leg to overtake it.
 	ReorderProb float64
 	// MaxDelay adds a uniform random transit delay in [0, MaxDelay] to
-	// every relayed block (reliable ones included — delay is not loss).
+	// every frame (reliable ones included — delay is not loss).
 	MaxDelay time.Duration
-	// Seed drives the injection randomness. The per-source RNG derivation
-	// is shared by both topologies, so a star and a mesh run with the same
-	// seed draw the same per-(frame, destination) fault decisions.
+	// Seed drives the injection randomness: one RNG stream per source
+	// worker, drawn in destination order, so a star and a mesh run with
+	// the same seed draw the same per-(frame, destination) fault decisions.
 	Seed uint64
 }
 
@@ -172,23 +171,28 @@ type Result struct {
 	// in-flight frames from the books), so under churn the identity is not
 	// expected to hold.
 	//
-	// The link-filter counters are disjoint from each other and from the
-	// above: MessagesReordered counts frames discarded at the delivery
-	// point of a directed link because a later-sequenced frame from the
-	// same source had already been delivered there (seq strictly below the
-	// newest — they are dropped at the link, never written or applied);
-	// MessagesDuplicate counts frames whose sequence number exactly matched
-	// the newest already delivered on that link; MessagesStale counts
-	// frames that slipped past the link filter and were discarded by the
-	// receiver as superseded (defense in depth — zero in a healthy run).
+	// The sender's filter counters are disjoint from each other and from
+	// the above: MessagesReordered counts frames discarded on a leg because
+	// a later-sequenced frame from the same source had already gone out on
+	// it or replaced them in its one-frame outbox (they are dropped at the
+	// sender, never written or applied — which a source outrunning a
+	// socket causes on its own, so the count can be positive with no fault
+	// configured, on star as on mesh); MessagesDuplicate counts frames
+	// whose sequence number exactly matched the newest already written on
+	// that leg; MessagesStale counts frames that slipped past the filter
+	// and were discarded by the receiver as superseded (defense in depth —
+	// zero in a healthy run).
 	MessagesDelivered, MessagesStale, MessagesReordered, MessagesDuplicate int64
 	// BytesSent / BytesReceived count wire bytes from the coordinator's
 	// perspective (sent to workers / received from workers). In the star
 	// topology that is the whole run; in the mesh topology it is the
 	// control plane only — the data plane is in LinkBytes.
 	BytesSent, BytesReceived int64
-	// LinkBytes[i][j] counts data-plane wire bytes shipped from worker i to
-	// worker j (through the relay in star, directly in mesh).
+	// LinkBytes[i][j] counts data-plane wire bytes written on the leg from
+	// worker i to worker j by i's sender: the relay's bytes onto j's
+	// control link in star (links lost to churn included), the bytes on
+	// the direct link in mesh (as reported in the surviving workers'
+	// finals).
 	LinkBytes [][]int64
 	// ProbeRounds counts termination probe rounds the coordinator ran.
 	ProbeRounds int64

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	gort "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -76,6 +77,43 @@ func TestRunConverges(t *testing.T) {
 		if u == 0 {
 			t.Errorf("worker %d performed no updates", w)
 		}
+	}
+	// A certified-quiescent churn-free run has nothing pending, whatever
+	// the relay shed on the way: the books balance exactly.
+	if got := res.MessagesSent - res.MessagesDelivered - res.MessagesDropped -
+		res.MessagesReordered - res.MessagesDuplicate; got != 0 {
+		t.Errorf("message accounting does not balance: %d frames unaccounted", got)
+	}
+	var relayed int64
+	for _, row := range res.LinkBytes {
+		for _, b := range row {
+			relayed += b
+		}
+	}
+	if relayed == 0 || res.BytesSent < relayed {
+		t.Errorf("BytesSent %d does not cover the %d bytes the relay shipped", res.BytesSent, relayed)
+	}
+}
+
+// TestStarRelaySheds: the relay is the same newest-wins sender a mesh worker
+// runs, so workers that publish faster than a destination's socket drains —
+// a run to budget with no tolerance to stop at — have their overtaken frames
+// discarded at the relay (reported as reordered with no fault configured)
+// instead of queued behind the destination's control link.
+func TestStarRelaySheds(t *testing.T) {
+	op, _ := contractingOp(t, 32, 12)
+	res, err := Run(Config{
+		Config:  runtime.Config{Op: op, Workers: 4, MaxUpdatesPerWorker: 5000},
+		Timeout: 60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Error("a run without Tol reported convergence")
+	}
+	if res.MessagesReordered == 0 {
+		t.Errorf("relay shed nothing over %d sends", res.MessagesSent)
 	}
 }
 
@@ -406,13 +444,9 @@ func TestDeltaThresholdFraming(t *testing.T) {
 			if typ != msgBlock {
 				continue
 			}
-			cur := cursor{b: payload}
-			cur.u32() // from
-			cur.u64() // seq
-			f := sent{flags: cur.u8()}
-			cur.u32() // gen
-			f.lo = int(cur.u32())
-			f.vals = cur.f64s(int(cur.u32()))
+			h, cur := decodeBlock(payload)
+			f := sent{flags: h.flags}
+			f.lo, f.vals = cur.slice(8)
 			frames <- f
 		}
 	}()
@@ -497,22 +531,20 @@ func TestDeltaThresholdFraming(t *testing.T) {
 }
 
 // TestSupersededNeverRelayed is the regression test for the stale-block
-// relay bug: a frame superseded on its link (an earlier sequence arriving
-// after a later one was already delivered) must be discarded AT the relay —
-// never written to the link, so the receiver can never apply or re-count
-// it — and counted reordered, disjointly from duplicates.
+// relay bug, on the one sender both data planes run (the star relay's legs
+// and a mesh worker's links are the same type): a frame superseded on its
+// leg (an earlier sequence arriving after a later one was already written)
+// must be discarded AT the sender — never written, so the receiver can
+// never apply or re-count it — and counted reordered, disjointly from
+// duplicates and from injection drops.
 func TestSupersededNeverRelayed(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	defer cli.Close()
-	c := &coordinator{
-		cfg:   Config{Config: runtime.Config{Workers: 2}, Topology: TopologyStar},
-		n:     4,
-		links: []*link{nil, {conn: srv, lastSeq: make([]uint64, 2), seqGen: 1, bytesFrom: make([]int64, 2)}},
-		alive: []bool{false, true},
-		gen:   1,
-	}
-	c.genA.Store(1)
+	s := newSender(0, 2, Fault{}, &ledger{gen: 1})
+	defer s.flush()
+	l := &leg{link: &link{conn: srv}, q: 1}
+	s.setLeg(1, l)
 	frames := make(chan uint64, 16)
 	go func() {
 		for {
@@ -524,75 +556,243 @@ func TestSupersededNeverRelayed(t *testing.T) {
 			if typ != msgBlock {
 				continue
 			}
-			cur := cursor{b: payload}
-			cur.u32() // from
-			frames <- cur.u64()
+			h, _ := decodeBlock(payload)
+			frames <- h.seq
 		}
 	}()
 	frame := func(seq uint64) []byte { return buildBlockFrame(0, seq, 0, 1, 0, []float64{1, 2}) }
 
-	c.deliverBlock(1, 0, 2, 1, frame(2)) // newest first
-	c.deliverBlock(1, 0, 1, 1, frame(1)) // superseded: must be discarded here
-	c.deliverBlock(1, 0, 2, 1, frame(2)) // duplicate: must be discarded here
-	c.deliverBlock(1, 0, 3, 1, frame(3)) // fresh: must pass
+	s.deliver(l, 2, 1, frame(2)) // newest first
+	s.deliver(l, 1, 1, frame(1)) // superseded: must be discarded here
+	s.deliver(l, 2, 1, frame(2)) // duplicate: must be discarded here
+	s.deliver(l, 3, 1, frame(3)) // fresh: must pass
 
 	if got := <-frames; got != 2 {
-		t.Fatalf("first relayed seq = %d, want 2", got)
+		t.Fatalf("first written seq = %d, want 2", got)
 	}
 	if got := <-frames; got != 3 {
-		t.Fatalf("second relayed seq = %d, want 3 (the superseded/duplicate frames leaked)", got)
+		t.Fatalf("second written seq = %d, want 3 (the superseded/duplicate frames leaked onto the wire)", got)
 	}
-	if got := c.reordered.Load(); got != 1 {
+	if got := s.led.reordered.Load(); got != 1 {
 		t.Errorf("reordered = %d, want 1", got)
 	}
-	if got := c.duplicate.Load(); got != 1 {
+	if got := s.led.duplicate.Load(); got != 1 {
 		t.Errorf("duplicate = %d, want 1", got)
 	}
-	if got := c.dropped.Load(); got != 0 {
+	if got := s.led.dropped.Load(); got != 0 {
 		t.Errorf("dropped = %d, want 0 (filter discards are not injection drops)", got)
+	}
+	if got := s.led.drained(); got != 2 {
+		t.Errorf("drained = %d, want 2 (both discards drain in-flight)", got)
 	}
 }
 
-// TestSupersededNeverWrittenOnMeshLink is the mesh-side twin: the sending
-// worker's link filter discards superseded and duplicate frames before they
-// touch the wire.
-func TestSupersededNeverWrittenOnMeshLink(t *testing.T) {
-	srv, cli := net.Pipe()
-	defer srv.Close()
-	defer cli.Close()
-	m := &mesh{id: 0, p: 2, out: make([]atomic.Pointer[meshLink], 2), bytesTo: make([]atomic.Int64, 2), gen: 1}
-	m.out[1].Store(&meshLink{q: 1, conn: srv, seqGen: 1})
-	frames := make(chan uint64, 16)
+// tornConn writes every frame in two halves with a yield between them, so
+// two writers not excluded by one mutex are certain to interleave bytes.
+type tornConn struct{ net.Conn }
+
+func (c tornConn) Write(b []byte) (int, error) {
+	half := len(b) / 2
+	if _, err := c.Conn.Write(b[:half]); err != nil {
+		return 0, err
+	}
+	gort.Gosched()
+	_, err := c.Conn.Write(b[half:])
+	return len(b), err
+}
+
+// tcpPair returns the two ends of a loopback TCP connection.
+func tcpPair(t *testing.T) (srv, cli net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if cli, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); cli.Close() })
+	return srv, cli
+}
+
+// TestRelayLegSharesLinkMutex: a relay leg and the coordinator's control
+// frames write to one destination connection from different goroutines; the
+// leg writes under the destination link's own mutex, so frames never
+// interleave — every frame the destination reads is whole.
+func TestRelayLegSharesLinkMutex(t *testing.T) {
+	srv, cli := tcpPair(t)
+	dest := &link{conn: tornConn{srv}}
+	c := &coordinator{}
+	s := newSender(0, 2, Fault{}, &ledger{gen: 1})
+	l := &leg{link: dest, q: 1}
+	s.setLeg(1, l)
+	const frames = 400
 	go func() {
-		for {
-			typ, payload, err := readFrame(cli, maxFramePayload)
-			if err != nil {
-				close(frames)
-				return
-			}
-			if typ != msgBlock {
-				continue
-			}
-			cur := cursor{b: payload}
-			cur.u32()
-			frames <- cur.u64()
+		for seq := uint64(1); seq <= frames; seq++ {
+			s.deliver(l, seq, 1, buildBlockFrame(0, seq, 0, 1, 0, []float64{float64(seq), 2, 3}))
 		}
 	}()
-	frame := func(seq uint64) []byte { return buildBlockFrame(0, seq, 0, 1, 0, []float64{1}) }
-	l := m.out[1].Load()
-	m.deliver(l, 5, 1, frame(5))
-	m.deliver(l, 4, 1, frame(4)) // superseded
-	m.deliver(l, 5, 1, frame(5)) // duplicate
-	m.deliver(l, 6, 1, frame(6))
-	if got := <-frames; got != 5 {
-		t.Fatalf("first written seq = %d, want 5", got)
+	go func() {
+		for id := uint64(1); id <= frames; id++ {
+			if err := c.writeLink(dest, buildFrame(msgProbe, appendU64(nil, id))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var blocks, probes uint64
+	for blocks+probes < 2*frames {
+		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, payload, err := readFrame(cli, 1<<10)
+		if err != nil {
+			t.Fatalf("after %d blocks and %d probes: %v", blocks, probes, err)
+		}
+		switch typ {
+		case msgBlock:
+			blocks++
+			h, cur := decodeBlock(payload)
+			if _, vals := cur.slice(3); cur.err != nil || h.seq != blocks || vals[0] != float64(blocks) {
+				t.Fatalf("block %d arrived torn: header %+v, err %v", blocks, h, cur.err)
+			}
+		case msgProbe:
+			probes++
+			if cur := (cursor{b: payload}); cur.u64() != probes || len(payload) != 8 {
+				t.Fatalf("probe %d arrived torn", probes)
+			}
+		default:
+			t.Fatalf("frame type %d: the stream lost its framing", typ)
+		}
 	}
-	if got := <-frames; got != 6 {
-		t.Fatalf("second written seq = %d, want 6 (filtered frames leaked onto the wire)", got)
+	s.flush()
+	if got := s.bytesTo[1].Load(); got != frames*int64(len(buildBlockFrame(0, 1, 0, 1, 0, []float64{1, 2, 3}))) {
+		t.Errorf("leg counted %d bytes for %d frames", got, frames)
 	}
-	if m.reordered.Load() != 1 || m.duplicate.Load() != 1 || m.dropped.Load() != 0 {
-		t.Errorf("counters (reordered, duplicate, dropped) = (%d, %d, %d), want (1, 1, 0)",
-			m.reordered.Load(), m.duplicate.Load(), m.dropped.Load())
+}
+
+// TestStarRejoinGetsLegsBothWays drives the coordinator's half of a star
+// rejoin by hand: slot 0 survives, slot 1 is lost and re-claimed, the
+// reshard barrier runs, and then a block from the rejoiner must reach the
+// survivor and a block from the survivor the rejoiner — the relay legs were
+// installed in both directions and onto the new connection.
+func TestStarRejoinGetsLegsBothWays(t *testing.T) {
+	const n = 4
+	srv0, cli0 := tcpPair(t)
+	srv1, _ := tcpPair(t)
+	cfg := Config{
+		Config:   runtime.Config{Workers: 2, X0: make([]float64, n)},
+		Topology: TopologyStar,
+		Elastic:  Elastic{HeartbeatEvery: time.Second},
+		Timeout:  time.Minute,
+	}
+	deadline := time.Now().Add(cfg.Timeout)
+	c := &coordinator{
+		cfg: cfg, n: n,
+		links:     []*link{{conn: srv0}, {conn: srv1}},
+		senders:   make([]*sender, 2),
+		linkBytes: [][]int64{make([]int64, 2), make([]int64, 2)},
+		reserved:  make([]bool, 2),
+		addrs:     make([]string, 2),
+		blocks:    vec.Blocks(n, 2),
+		gen:       1,
+		led:       ledger{gen: 1},
+		xbest:     make([]float64, n),
+		statusCh:  make(chan status, 8), ackCh: make(chan reshardAck, 8),
+		finalCh: make(chan final, 4), errCh: make(chan error, 2),
+		membership:  make(chan struct{}, 1),
+		runDeadline: deadline,
+	}
+	for w := range c.links {
+		c.senders[w] = c.newRelay(w)
+	}
+	c.readers.Add(2)
+	old1 := c.senders[1]
+	go c.serveLink(0, c.links[0], c.senders[0])
+	go c.serveLink(1, c.links[1], old1)
+	defer func() {
+		c.closeLinks()
+		c.readers.Wait()
+	}()
+
+	c.workerLost(1, c.links[1])
+	if c.senders[0].out[1].Load() != nil {
+		t.Fatal("the survivor's relay kept its leg to the lost slot")
+	}
+
+	// The rejoiner's half of the handshake.
+	srvR, cliR := tcpPair(t)
+	joined := make(chan struct{})
+	go func() {
+		c.handleRejoin(srvR)
+		close(joined)
+	}()
+	if _, err := cliR.Write(buildFrame(msgHello, appendU32(nil, protocolVersion))); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(cliR, maxFramePayload)
+	if err != nil || typ != msgWelcome {
+		t.Fatalf("rejoin welcome: type %d, err %v", typ, err)
+	}
+	if wel, err := decodeWelcome(payload); err != nil || wel.id != 1 || !wel.rejoining {
+		t.Fatalf("rejoin welcome = %+v, %v; want slot 1, rejoining", wel, err)
+	}
+	<-joined
+
+	// Both fake workers acknowledge every reshard of the barrier (an attempt
+	// may restart) until its assign lands.
+	gens := make(chan uint32, 2)
+	for _, conn := range []net.Conn{cli0, cliR} {
+		go func() {
+			for {
+				typ, payload, err := readFrame(conn, maxFramePayload)
+				cur := cursor{b: payload}
+				gen := cur.u32()
+				switch {
+				case err != nil:
+					gens <- 0
+					return
+				case typ == msgAssign:
+					gens <- gen
+					return
+				case typ == msgReshard:
+					conn.Write(buildShardFrame(msgReshardAck, gen, 0, nil))
+				}
+			}
+		}()
+	}
+	if err := c.reshardBarrier(deadline); err != nil {
+		t.Fatal(err)
+	}
+	gen := <-gens
+	if g := <-gens; g != gen || gen != c.gen {
+		t.Fatalf("assigned generations %d and %d, coordinator at %d", gen, g, c.gen)
+	}
+	if c.senders[1] == nil || c.senders[1] == old1 {
+		t.Fatal("the rejoined incarnation did not get a relay of its own")
+	}
+
+	for _, hop := range []struct {
+		name     string
+		from     int
+		src, dst net.Conn
+	}{
+		{"rejoiner to survivor", 1, cliR, cli0},
+		{"survivor to rejoiner", 0, cli0, cliR},
+	} {
+		if _, err := hop.src.Write(buildBlockFrame(hop.from, 1, blockReliable, gen, 2*hop.from, []float64{7, 8})); err != nil {
+			t.Fatal(err)
+		}
+		hop.dst.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, payload, err := readFrame(hop.dst, maxFramePayload)
+		if err != nil || typ != msgBlock {
+			t.Fatalf("%s: frame type %d, err %v", hop.name, typ, err)
+		}
+		if h, _ := decodeBlock(payload); h.from != hop.from || h.gen != gen {
+			t.Errorf("%s: relayed header %+v", hop.name, h)
+		}
 	}
 }
 

@@ -6,11 +6,9 @@ package dist
 // worker-side state machine in worker.go; the v3 frame formats in wire.go.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -116,17 +114,12 @@ func readCheckpointFile(path string, n int) ([]float64, error) {
 	if len(raw) < len(checkpointMagic)+4 || string(raw[:len(checkpointMagic)]) != checkpointMagic {
 		return nil, fmt.Errorf("dist: %s is not a checkpoint file", filepath.Base(path))
 	}
-	raw = raw[len(checkpointMagic):]
-	dim := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	if dim != n || len(raw) != 8*n {
+	cur := cursor{b: raw[len(checkpointMagic):]}
+	dim := int(cur.u32())
+	if dim != n || len(cur.b) != 8*n {
 		return nil, fmt.Errorf("dist: checkpoint %s has dimension %d, want %d", filepath.Base(path), dim, n)
 	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return x, nil
+	return cur.f64s(n), nil
 }
 
 // Rejoin configures the dial/register retry loop of ConnectWorker.

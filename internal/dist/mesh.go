@@ -7,153 +7,28 @@ package dist
 // dials every peer j != i, so each directed pair (i, j) has a dedicated
 // connection owned by the sender.
 //
-// Because the sender owns the link, fault injection (drop, reorder hold,
-// transit delay) and per-source sequence filtering both run on the sending
-// side: the same decisions the star coordinator's relay takes, drawn from
-// the same per-source RNG stream (seed + source*7919, destinations visited
-// in worker order), so star and mesh runs with identical seeds inject the
-// same per-(frame, destination) faults. A frame that a later-sequenced
-// frame has already overtaken on its link is discarded at the link — never
-// written — and counted reordered (seq below newest) or duplicate (seq
-// equal); discards and drops feed the drained counter the termination
-// probes subtract from in-flight.
-//
-// Under elastic membership the mesh additionally survives churn: every
-// frame is fenced to the membership generation it was sent in, a frame of
-// an older generation is silently disposed wherever it surfaces (outbox,
-// delay timer, delivery), the listener stays open so peers that rejoin can
-// redial, and updatePeers swaps individual links to follow the
-// coordinator's re-issued peer table ("" marks a dead slot).
+// Those connections are the legs of the worker's sender (sender.go), which
+// does all the sending; this file is the plumbing around it — dialing,
+// accepting and, under elastic membership, keeping the listener open for
+// peers that rejoin and following the coordinator's re-issued peer table.
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// delayQueue tracks time.AfterFunc-scheduled frame deliveries so teardown
-// can cancel every pending timer and wait out callbacks already firing
-// before any connection is closed — a delayed delivery can then never write
-// to a conn that teardown is closing. onDispose, when set, is called once
-// for every scheduled delivery that is cancelled or skipped instead of run,
-// so the owner can account the frame as drained (a cancelled frame was
-// counted sent and will never be delivered).
-type delayQueue struct {
-	mu        sync.Mutex
-	stopped   bool
-	nextID    uint64
-	timers    map[uint64]*time.Timer
-	wg        sync.WaitGroup
-	onDispose func()
-}
-
-func (d *delayQueue) dispose() {
-	if d.onDispose != nil {
-		d.onDispose()
-	}
-}
-
-// after schedules fn to run once after delay; it reports false (and does
-// not schedule) when the queue has already been drained. The callback
-// re-checks the stopped flag, so a timer that drain could not cancel
-// becomes a no-op instead of racing teardown.
-func (d *delayQueue) after(delay time.Duration, fn func()) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return false
-	}
-	if d.timers == nil {
-		d.timers = make(map[uint64]*time.Timer)
-	}
-	d.wg.Add(1)
-	id := d.nextID
-	d.nextID++
-	// The callback acquires mu before looking itself up, and we hold mu
-	// until the map entry exists, so even an immediately firing timer
-	// observes its own registration.
-	d.timers[id] = time.AfterFunc(delay, func() {
-		defer d.wg.Done()
-		d.mu.Lock()
-		_, live := d.timers[id]
-		delete(d.timers, id)
-		stopped := d.stopped
-		d.mu.Unlock()
-		if live && !stopped {
-			fn()
-		} else {
-			d.dispose()
-		}
-	})
-	return true
-}
-
-// drain stops the queue: no new timers are accepted, every cancelable timer
-// is canceled, and drain blocks until callbacks that were already firing
-// have returned.
-func (d *delayQueue) drain() {
-	d.mu.Lock()
-	d.stopped = true
-	cancelled := 0
-	for id, t := range d.timers {
-		if t.Stop() {
-			delete(d.timers, id)
-			d.wg.Done()
-			cancelled++
-		}
-	}
-	d.mu.Unlock()
-	for i := 0; i < cancelled; i++ {
-		d.dispose()
-	}
-	d.wg.Wait()
-}
-
-// meshLink is one directed worker-to-worker connection, owned by the
-// sending worker. Writes are whole prebuilt frames under mu; lastSeq is the
-// newest sequence number delivered on this link within generation seqGen
-// (sequence streams restart at every re-shard, so the filter state is
-// lazily reset when the first frame of a newer generation arrives — an
-// older-generation frame can never reach the filter, the generation fence
-// discards it first).
-//
-// pending is the link's one-frame outbox: the compute goroutine publishes
-// each undelayed frame there and the sender goroutine swaps it out to
-// write. Publishing over a frame the sender has not yet taken supersedes it
-// before it ever touches the wire — newest-wins, the same discipline the
-// link filter applies after delays, so a compute loop that outruns the
-// socket sheds exactly the frames whose values are already stale instead of
-// queueing them.
-type meshLink struct {
-	q       int // destination worker
-	addr    string
-	conn    net.Conn
-	mu      sync.Mutex
-	lastSeq uint64
-	seqGen  uint32
-	pending atomic.Pointer[queuedFrame]
-}
-
-// queuedFrame is one undelayed frame awaiting the worker's sender
-// goroutine.
-type queuedFrame struct {
-	seq   uint64
-	gen   uint32
-	frame []byte
-}
-
-// mesh is one worker's half of the data plane: up to p-1 outbound links it
-// owns, the inbound connections it accepted (read by reader goroutines into
-// the worker's inbox), and the sender-side fault/filter state.
+// mesh is one worker's half of the mesh data plane: the sender whose legs
+// are the up to p-1 outbound links it dialed, and the inbound connections
+// it accepted (read by reader goroutines into the worker's inbox).
 type mesh struct {
 	id, p int
-	// out is indexed by destination worker (nil at id and at dead slots).
-	// Entries are atomic pointers because the compute goroutine swaps links
-	// at a re-shard while the sender goroutine walks them.
-	out []atomic.Pointer[meshLink]
+	snd   *sender
+	// addrs[q] is the address the installed leg to q was dialed at ("" when
+	// there is none); like the legs it is touched only by the rendezvous and
+	// then the compute goroutine.
+	addrs []string
 
 	// inMu guards the inbound connection list shared by the rendezvous, the
 	// elastic accept loop and shutdown; inClosed makes a late accept lose
@@ -167,125 +42,21 @@ type mesh struct {
 	ln       net.Listener
 	accepts  sync.WaitGroup
 	deadline time.Time
-
-	// rng draws the fault decisions; it is touched only by the compute
-	// goroutine (inside send), preserving the per-source decision order the
-	// star relay uses.
-	fault Fault
-	rng   *rand.Rand
-	hold  time.Duration
-
-	delays    delayQueue
-	notify    chan struct{} // doorbell: some link has a pending frame
-	senders   sync.WaitGroup
-	flushOnce sync.Once
-
-	// genMu guards gen and the reset of the generation-scoped counters: a
-	// bump taken under RLock after re-confirming the frame's generation
-	// either lands before a re-shard's reset (and is wiped with the rest of
-	// the old generation) or observes the new generation and skips itself.
-	genMu sync.RWMutex
-	gen   uint32
-
-	// dropped counts injection drops, reordered/duplicate the link-filter
-	// discards. The gen- prefixed set is what the termination probes see:
-	// it is zeroed at each re-shard, mirroring the worker's sent/delivered
-	// reset, so in-flight accounting never mixes generations. The unprefixed
-	// set is cumulative for the final report; with no churn the two are
-	// identical. They are atomics because delayed deliveries and sender
-	// goroutines bump them while the compute goroutine composes status
-	// frames.
-	dropped, reordered, duplicate          atomic.Int64
-	genDropped, genReordered, genDuplicate atomic.Int64
-
-	// bytesTo counts data-plane wire bytes per destination; it lives on the
-	// mesh rather than the link so the totals survive link replacement.
-	bytesTo []atomic.Int64
 }
 
-// linkRNGSeed derives the fault RNG seed for frames originating at worker
-// from — one stream per source, shared by the star relay and the mesh
-// sender so the two topologies draw identical decision sequences.
-func linkRNGSeed(seed uint64, from int) int64 {
-	return int64(seed) + int64(from)*7919
-}
-
-// reorderHoldFor is the extra delay a reorder-injected frame is held for:
-// long enough that frames sent after it on the same link overtake it.
-func reorderHoldFor(f Fault) time.Duration {
-	if hold := 4 * f.MaxDelay; hold > 0 {
-		return hold
-	}
-	return defaultReorderHold
-}
-
-// decide draws the injection decision for one (frame, destination) pair in
-// the canonical order — drop draw, transit-delay draw, reorder-hold draw,
-// with reliable frames exempt from drop and hold. This order IS the
-// cross-topology comparability contract: the star relay and the mesh
-// sender both call this one function with the same per-source RNG streams,
-// so identical seeds inject identical fault sequences on either data
-// plane. The decision is drawn even for a currently-dead destination, so
-// churn never desynchronizes the per-source streams.
-func (f Fault) decide(rng *rand.Rand, hold time.Duration, reliable bool) (drop bool, delay time.Duration) {
-	if !reliable && f.DropProb > 0 && rng.Float64() < f.DropProb {
-		return true, 0
-	}
-	if f.MaxDelay > 0 {
-		delay = time.Duration(rng.Int63n(int64(f.MaxDelay) + 1))
-	}
-	if !reliable && f.ReorderProb > 0 && rng.Float64() < f.ReorderProb {
-		delay += hold
-	}
-	return false, delay
-}
-
-// newMesh builds the sender-side state and starts the sender goroutine; the
-// caller (dialMesh for a rendezvous worker, runWorker for a rejoiner whose
-// links arrive only with its first assign) fills in the links.
+// newMesh builds a worker's mesh around a fresh sender; the caller (dialMesh
+// for a rendezvous worker, runWorker for a rejoiner whose links arrive only
+// with its first assign) fills in the legs. The sender gets no write-failure
+// callback: peers legitimately close their sockets once stopped — possibly
+// before our own stop lands — so the drop it accounts is the whole story.
 func newMesh(id, p int, fault Fault, gen uint32, deadline time.Time) *mesh {
-	m := &mesh{
+	return &mesh{
 		id:       id,
 		p:        p,
-		out:      make([]atomic.Pointer[meshLink], p),
-		bytesTo:  make([]atomic.Int64, p),
-		fault:    fault,
-		rng:      rand.New(rand.NewSource(linkRNGSeed(fault.Seed, id))),
-		hold:     reorderHoldFor(fault),
-		gen:      gen,
+		snd:      newSender(id, p, fault, &ledger{gen: gen}),
+		addrs:    make([]string, p),
 		deadline: deadline,
 	}
-	// A delayed frame cancelled or skipped at teardown was counted sent and
-	// can never be delivered: account it as drained so the transport
-	// counters stay as close to balanced as a torn-down run allows.
-	m.delays.onDispose = func() {
-		m.dropped.Add(1)
-		m.genDropped.Add(1)
-	}
-
-	// One sender goroutine per worker drains the link outboxes, so the
-	// compute goroutine never waits on a socket and a burst of fan-out
-	// frames is written in one scheduling quantum — the same batching the
-	// star coordinator's relay gets from its per-link reader goroutine.
-	// The store-then-ring / receive-then-scan pairing makes missed
-	// wakeups impossible.
-	m.notify = make(chan struct{}, 1)
-	m.senders.Add(1)
-	go func() {
-		defer m.senders.Done()
-		for range m.notify {
-			for q := range m.out {
-				l := m.out[q].Load()
-				if l == nil {
-					continue
-				}
-				if qf := l.pending.Swap(nil); qf != nil {
-					m.deliver(l, qf.seq, qf.gen, qf.frame)
-				}
-			}
-		}
-	}()
-	return m
 }
 
 // dialMesh establishes the full data plane for one worker: listen (already
@@ -319,17 +90,8 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 			//repro:join-ok bounded by conn.SetDeadline: the handshake read unblocks at the rendezvous deadline and acceptCh has room for every send
 			go func() {
 				conn.SetDeadline(deadline)
-				typ, payload, err := readFrame(conn, maxFramePayload)
-				if err != nil || typ != msgMeshHello {
-					conn.Close()
-					acceptCh <- accepted{nil, fmt.Errorf("dist: worker %d mesh accept handshake: %v", id, err)}
-					return
-				}
-				cur := cursor{b: payload}
-				from := int(cur.u32())
-				if cur.err != nil || from < 0 || from >= p || from == id {
-					conn.Close()
-					acceptCh <- accepted{nil, fmt.Errorf("dist: worker %d mesh accept from invalid peer %d", id, from)}
+				if err := m.acceptHello(conn); err != nil {
+					acceptCh <- accepted{nil, err}
 					return
 				}
 				acceptCh <- accepted{conn, nil}
@@ -338,9 +100,9 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 	}()
 
 	type dialed struct {
-		q    int
-		link *meshLink
-		err  error
+		q   int
+		leg *leg
+		err error
 	}
 	dialCh := make(chan dialed, p-1)
 	for q := 0; q < p; q++ {
@@ -360,7 +122,10 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 		if d.err != nil && firstErr == nil {
 			firstErr = d.err
 		}
-		m.out[d.q].Store(d.link)
+		if d.leg != nil {
+			m.snd.setLeg(d.q, d.leg)
+			m.addrs[d.q] = peers[d.q]
+		}
 	}
 	for len(m.in) < p-1 && firstErr == nil {
 		a := <-acceptCh
@@ -383,7 +148,7 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 }
 
 // dialPeer opens one directed link to peer q and performs the mesh hello.
-func dialPeer(id, q int, addr string, deadline time.Time) (*meshLink, error) {
+func dialPeer(id, q int, addr string, deadline time.Time) (*leg, error) {
 	timeout := dialTimeout
 	if until := time.Until(deadline); until < timeout {
 		timeout = until
@@ -397,7 +162,24 @@ func dialPeer(id, q int, addr string, deadline time.Time) (*meshLink, error) {
 		conn.Close()
 		return nil, fmt.Errorf("dist: worker %d mesh hello to peer %d: %w", id, q, err)
 	}
-	return &meshLink{q: q, addr: addr, conn: conn}, nil
+	return &leg{link: &link{conn: conn}, q: q}, nil
+}
+
+// acceptHello reads the mesh hello a dialing peer opens its link with and
+// checks the peer is one we can have; it closes a connection it refuses.
+func (m *mesh) acceptHello(conn net.Conn) error {
+	typ, payload, err := readFrame(conn, maxFramePayload)
+	if err != nil || typ != msgMeshHello {
+		conn.Close()
+		return fmt.Errorf("dist: worker %d mesh accept handshake: %v", m.id, err)
+	}
+	cur := cursor{b: payload}
+	from := int(cur.u32())
+	if cur.err != nil || from < 0 || from >= m.p || from == m.id {
+		conn.Close()
+		return fmt.Errorf("dist: worker %d mesh accept from invalid peer %d", m.id, from)
+	}
+	return nil
 }
 
 // serveAccepts keeps accepting peer dials after rendezvous — the elastic
@@ -427,15 +209,7 @@ func (m *mesh) serveAccepts(spawn func(net.Conn)) {
 			go func() {
 				defer m.accepts.Done()
 				conn.SetDeadline(time.Now().Add(dialTimeout))
-				typ, payload, err := readFrame(conn, maxFramePayload)
-				if err != nil || typ != msgMeshHello {
-					conn.Close()
-					return
-				}
-				cur := cursor{b: payload}
-				from := int(cur.u32())
-				if cur.err != nil || from < 0 || from >= m.p || from == m.id {
-					conn.Close()
+				if m.acceptHello(conn) != nil {
 					return
 				}
 				conn.SetDeadline(m.deadline)
@@ -445,197 +219,36 @@ func (m *mesh) serveAccepts(spawn func(net.Conn)) {
 	}()
 }
 
-// updatePeers follows a re-issued peer table: links to unchanged addresses
+// updatePeers follows a re-issued peer table: legs to unchanged addresses
 // are kept (their sequence filters reset lazily via the generation fence),
 // dead slots ("") are closed, and changed or new addresses are redialed. A
-// failed redial leaves a nil link — frames to that slot are accounted as
-// drops until the next re-shard fixes the table. Runs on the compute
-// goroutine.
+// failed redial leaves no leg — frames to that slot are accounted as drops
+// until the next re-shard fixes the table. Runs on the compute goroutine.
 func (m *mesh) updatePeers(addrs []string) {
 	for q := 0; q < m.p && q < len(addrs); q++ {
-		if q == m.id {
+		if q == m.id || addrs[q] == m.addrs[q] {
 			continue
 		}
-		cur := m.out[q].Load()
-		want := addrs[q]
-		if cur != nil && cur.addr == want {
-			continue
-		}
-		var next *meshLink
-		if want != "" {
-			if l, err := dialPeer(m.id, q, want, m.deadline); err == nil {
-				next = l
+		var next *leg
+		m.addrs[q] = ""
+		if addrs[q] != "" {
+			if l, err := dialPeer(m.id, q, addrs[q], m.deadline); err == nil {
+				next, m.addrs[q] = l, addrs[q]
 			}
 		}
-		m.out[q].Store(next)
-		if cur != nil {
+		if cur := m.snd.out[q].Load(); cur != nil {
 			cur.conn.Close()
-			if cur.pending.Swap(nil) != nil {
-				m.dropped.Add(1) // a pre-reshard frame; its send was already erased
-			}
 		}
+		m.snd.setLeg(q, next)
 	}
 }
 
-// send fans one prebuilt shard frame out to every peer, drawing the fault
-// decisions in destination order from the per-source RNG. It runs on the
-// compute goroutine; only delayed deliveries escape to timer callbacks.
-func (m *mesh) send(seq uint64, gen uint32, frame []byte, reliable bool) {
-	for q := 0; q < m.p; q++ {
-		if q == m.id {
-			continue
-		}
-		l := m.out[q].Load()
-		drop, delay := m.fault.decide(m.rng, m.hold, reliable)
-		if drop {
-			m.accountDiscard(gen, &m.dropped, &m.genDropped)
-			continue
-		}
-		if l == nil {
-			// Dead slot: the frame was counted sent, nobody can receive it.
-			m.accountDiscard(gen, &m.dropped, &m.genDropped)
-			continue
-		}
-		if delay > 0 {
-			if !m.delays.after(delay, func() { m.deliver(l, seq, gen, frame) }) {
-				// Teardown already began: the run is stopping, no probe
-				// round will look again, but the frame was counted sent —
-				// account the disposal.
-				m.accountDiscard(gen, &m.dropped, &m.genDropped)
-			}
-			continue
-		}
-		if reliable {
-			// Reliable finals are rare and must not be lost to queue
-			// overflow: write them directly (the link mutex serializes
-			// with the sender goroutine, and any queued lower-sequence
-			// frame the final overtakes is then link-filtered).
-			m.deliver(l, seq, gen, frame)
-			continue
-		}
-		if prev := l.pending.Swap(&queuedFrame{seq, gen, frame}); prev != nil {
-			// The sender had not yet taken the previous frame: it is
-			// superseded before ever touching the wire.
-			m.accountDiscard(gen, &m.reordered, &m.genReordered)
-		}
-		select {
-		case m.notify <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// accountDiscard accounts one disposed frame: always on the cumulative
-// counter, and on the generation-scoped counter only while the frame's
-// generation is still current — a frame from before a re-shard had its send
-// erased from the in-flight books, so counting its disposal would push
-// in-flight negative and stall termination. Taken under genMu so a bump can
-// never land after the re-shard's counter reset it belongs before.
-func (m *mesh) accountDiscard(gen uint32, cum, genCtr *atomic.Int64) {
-	cum.Add(1)
-	m.genMu.RLock()
-	if gen == m.gen {
-		genCtr.Add(1)
-	}
-	m.genMu.RUnlock()
-}
-
-// deliver writes one frame to a link unless the frame predates the current
-// membership generation (silently disposed — its send was erased at the
-// re-shard) or a later-sequenced frame already went out on the link — the
-// sender-side sequence filter. A superseded or duplicate frame is discarded
-// here, never written, so the receiver cannot double-count it and the
-// bandwidth is never spent.
-func (m *mesh) deliver(l *meshLink, seq uint64, gen uint32, frame []byte) {
-	m.genMu.RLock()
-	current := gen == m.gen
-	m.genMu.RUnlock()
-	if !current {
-		m.dropped.Add(1)
-		return
-	}
-	l.mu.Lock()
-	if l.seqGen != gen {
-		l.lastSeq = 0
-		l.seqGen = gen
-	}
-	if seq <= l.lastSeq {
-		newest := l.lastSeq
-		l.mu.Unlock()
-		if seq < newest {
-			m.accountDiscard(gen, &m.reordered, &m.genReordered)
-		} else {
-			m.accountDiscard(gen, &m.duplicate, &m.genDuplicate)
-		}
-		return
-	}
-	l.lastSeq = seq
-	_, err := l.conn.Write(frame)
-	l.mu.Unlock()
-	if err == nil {
-		m.bytesTo[l.q].Add(int64(len(frame)))
-		return
-	}
-	// A failed mesh write is a lost frame. Peers legitimately close their
-	// sockets once the coordinator stops them — which can land before our
-	// own stop — so the loss is accounted as a drop (keeping the in-flight
-	// count drainable) rather than surfaced as an error.
-	m.accountDiscard(gen, &m.dropped, &m.genDropped)
-}
-
-// pauseForGen enters membership generation gen: everything still in flight
-// from the old generation (outbox frames, delay timers, frames mid-deliver)
-// self-discards against the fence without touching the generation-scoped
-// counters, which restart at zero alongside the worker's sent/delivered.
-// Runs on the compute goroutine while it is paused between reshard and
-// assign, so no new frame can race the reset.
-func (m *mesh) pauseForGen(gen uint32) {
-	m.genMu.Lock()
-	m.gen = gen
-	m.genDropped.Store(0)
-	m.genReordered.Store(0)
-	m.genDuplicate.Store(0)
-	m.genMu.Unlock()
-}
-
-// drained is the number of frames this sender disposed of without
-// delivering in the current membership generation: injection drops,
-// link-filtered reordered frames and duplicates. The termination probes
-// subtract it from in-flight.
-func (m *mesh) drained() uint64 {
-	return uint64(m.genDropped.Load()) + uint64(m.genReordered.Load()) + uint64(m.genDuplicate.Load())
-}
-
-// flush quiesces the outbound side: cancel pending delayed sends (waiting
-// out callbacks already firing), then let every sender goroutine finish its
-// queue and exit. After flush the drain counters and per-link byte totals
-// are final. It is safe to call more than once; the compute goroutine must
-// have stopped sending first.
-func (m *mesh) flush() {
-	m.flushOnce.Do(func() {
-		m.delays.drain()
-		if m.notify != nil {
-			close(m.notify)
-		}
-		m.senders.Wait()
-		// The run is over; any frame still sitting in an outbox is
-		// discarded (and accounted, keeping sent = delivered + drained
-		// exact) rather than written to peers that are tearing down too.
-		for q := range m.out {
-			if l := m.out[q].Load(); l != nil && l.pending.Swap(nil) != nil {
-				m.dropped.Add(1)
-				m.genDropped.Add(1)
-			}
-		}
-	})
-}
-
-// shutdown flushes the outbound side and only then closes every connection
-// — the ordering that keeps delayed and queued deliveries from writing to
-// closing conns. The elastic listener closes first so no new inbound
-// connection can be accepted while the rest tears down.
+// shutdown flushes the sender and only then closes every connection — the
+// ordering that keeps delayed and queued deliveries from writing to closing
+// conns. The elastic listener closes first so no new inbound connection can
+// be accepted while the rest tears down.
 func (m *mesh) shutdown() {
-	m.flush()
+	m.snd.flush()
 	if m.ln != nil {
 		m.ln.Close()
 	}
@@ -648,25 +261,11 @@ func (m *mesh) shutdown() {
 		c.Close() // unblocks any handshake read before we join the acceptors
 	}
 	m.accepts.Wait()
-	m.closeOut()
-}
-
-func (m *mesh) closeOut() {
-	for q := range m.out {
-		if l := m.out[q].Load(); l != nil {
+	for q := range m.snd.out {
+		if l := m.snd.out[q].Load(); l != nil {
 			l.conn.Close()
 		}
 	}
-}
-
-// linkBytes returns the per-destination data-plane byte counters (index =
-// destination worker; zero at the sender's own slot).
-func (m *mesh) linkBytes() []uint64 {
-	out := make([]uint64, m.p)
-	for q := range m.bytesTo {
-		out[q] = uint64(m.bytesTo[q].Load())
-	}
-	return out
 }
 
 // meshListener binds the listener a worker will accept peer connections on.

@@ -1,0 +1,418 @@
+package dist
+
+// The sending half of the data plane, for ONE source worker: a leg to every
+// other worker, fault injection drawn per (frame, destination) from the
+// source's RNG stream, a per-leg sequence filter behind a one-frame
+// newest-wins outbox, and a ledger of what was disposed of undelivered —
+// the paper's rule for unbounded delays and out-of-order messages (only the
+// freshest label from a source matters) in one place. Both topologies run
+// it: a mesh worker owns one sender whose legs are its own TCP links; the
+// star coordinator owns one per source link, whose legs write to the
+// destinations' control connections. Owners differ only in construction.
+
+import (
+	"math/rand"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// defaultReorderHold is the extra delay a reorder-injected frame is held
+// for when Fault.MaxDelay does not imply one (4x MaxDelay otherwise): long
+// enough that frames sent after it on the same leg overtake it.
+const defaultReorderHold = 800 * time.Microsecond
+
+// delayQueue tracks time.AfterFunc-scheduled frame deliveries so teardown
+// can cancel every pending timer and wait out callbacks already firing.
+// onDispose, when set, is called once for every scheduled delivery that is
+// cancelled or skipped instead of run, so the owner can account the frame
+// as drained (a cancelled frame was counted sent and will never be
+// delivered).
+type delayQueue struct {
+	mu        sync.Mutex
+	stopped   bool
+	nextID    uint64
+	timers    map[uint64]*time.Timer
+	wg        sync.WaitGroup
+	onDispose func()
+}
+
+func (d *delayQueue) dispose() {
+	if d.onDispose != nil {
+		d.onDispose()
+	}
+}
+
+// after schedules fn to run once after delay; it reports false (and does
+// not schedule) when the queue has already been drained. The callback
+// re-checks the stopped flag, so a timer that drain could not cancel
+// becomes a no-op instead of racing teardown.
+func (d *delayQueue) after(delay time.Duration, fn func()) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.stopped {
+		return false
+	}
+	if d.timers == nil {
+		d.timers = make(map[uint64]*time.Timer)
+	}
+	d.wg.Add(1)
+	id := d.nextID
+	d.nextID++
+	// The callback acquires mu first, and we hold mu until the map entry
+	// exists, so even an immediately firing timer finds its registration.
+	d.timers[id] = time.AfterFunc(delay, func() {
+		defer d.wg.Done()
+		d.mu.Lock()
+		delete(d.timers, id)
+		stopped := d.stopped
+		d.mu.Unlock()
+		if stopped {
+			d.dispose()
+		} else {
+			fn()
+		}
+	})
+	return true
+}
+
+// drain stops the queue: no new timers are accepted, every cancelable timer
+// is canceled, and drain blocks until callbacks that were already firing
+// have returned.
+func (d *delayQueue) drain() {
+	d.mu.Lock()
+	d.stopped = true
+	cancelled := 0
+	for id, t := range d.timers {
+		if t.Stop() {
+			delete(d.timers, id)
+			d.wg.Done()
+			cancelled++
+		}
+	}
+	d.mu.Unlock()
+	for i := 0; i < cancelled; i++ {
+		d.dispose()
+	}
+	d.wg.Wait()
+}
+
+// ledger is the drain accounting of one or more senders: frames disposed of
+// without being delivered, none of which can ever reactivate a worker.
+// dropped counts injection drops and frames lost to dead legs, failed
+// writes and teardown; reordered and duplicate the sequence-filter
+// discards; all three are cumulative, for the final report. inGen is their
+// sum over the current membership generation only — what the probes
+// subtract from in-flight — and restarts at zero at each re-shard alongside
+// the workers' sent/delivered.
+type ledger struct {
+	// mu guards gen and the reset of inGen: a bump taken under RLock after
+	// re-confirming the frame's generation either lands before a re-shard's
+	// reset (and is wiped with the rest of the old generation) or observes
+	// the new generation and skips itself.
+	mu  sync.RWMutex
+	gen uint32
+
+	dropped, reordered, duplicate, inGen atomic.Int64
+}
+
+// discard accounts one disposed frame: always on the cumulative counter,
+// and on the generation's only while the frame's generation is still
+// current — a frame from before a re-shard had its send erased from the
+// in-flight books, so counting its disposal would push in-flight negative
+// and stall termination.
+func (g *ledger) discard(gen uint32, cum *atomic.Int64) {
+	cum.Add(1)
+	g.mu.RLock()
+	if gen == g.gen {
+		g.inGen.Add(1)
+	}
+	g.mu.RUnlock()
+}
+
+// enter opens membership generation gen: whatever is still in flight from
+// the old one self-discards against the fence without touching inGen.
+func (g *ledger) enter(gen uint32) {
+	g.mu.Lock()
+	g.gen = gen
+	g.inGen.Store(0)
+	g.mu.Unlock()
+}
+
+// drained counts the current generation's undelivered disposals.
+func (g *ledger) drained() int64 { return g.inGen.Load() }
+
+// link is one connection as its writers see it: whole prebuilt frames
+// written under mu, so concurrent writers — data-plane legs, and on a
+// coordinator's control link the probe, stop, reshard and assign frames —
+// never interleave bytes.
+type link struct {
+	conn net.Conn
+	mu   sync.Mutex
+}
+
+// leg is one directed source-to-destination path of a sender. lastSeq
+// (guarded by the link mutex) is the newest sequence number written on it
+// within generation seqGen; sequence streams restart at every re-shard, so
+// the filter resets lazily when the first frame of a newer generation
+// arrives — an older-generation frame never reaches the filter, the
+// generation fence discards it first.
+//
+// pending is the leg's one-frame outbox: send publishes each undelayed
+// frame there and the sender's writer goroutine swaps it out to write.
+// Publishing over a frame the writer has not yet taken supersedes it before
+// it ever touches the wire — newest-wins, the same discipline the filter
+// applies after delays, so a source that outruns a socket sheds exactly the
+// frames whose values are already stale instead of queueing them.
+type leg struct {
+	*link
+	q       int // destination worker
+	lastSeq uint64
+	seqGen  uint32
+	pending atomic.Pointer[queuedFrame]
+}
+
+// queuedFrame is one undelayed frame awaiting the writer goroutine.
+type queuedFrame struct {
+	seq   uint64
+	gen   uint32
+	frame []byte
+}
+
+// sender is the data plane's sending half for source worker id.
+type sender struct {
+	id int
+	// out is indexed by destination worker (nil at id and at dead slots).
+	// Entries are atomic pointers because the owner swaps legs as the
+	// membership changes while the writer goroutine walks them.
+	out []atomic.Pointer[leg]
+	led *ledger
+	// writeFailed, when set, is told of every failed write after the lost
+	// frame has been accounted (a failed write is a drop either way).
+	writeFailed func(l *leg, err error)
+
+	// rng draws the fault decisions; only send touches it, and send has one
+	// caller, so the decision order is the source's frame order.
+	fault Fault
+	rng   *rand.Rand
+	hold  time.Duration
+
+	delays    delayQueue
+	notify    chan struct{} // doorbell: some leg has a pending frame
+	writer    sync.WaitGroup
+	flushOnce sync.Once
+
+	// bytesTo counts data-plane wire bytes per destination; it lives on the
+	// sender rather than the leg so the totals survive leg replacement.
+	bytesTo []atomic.Int64
+}
+
+// linkRNGSeed derives the fault RNG seed for frames originating at worker
+// from — one stream per source, whoever runs the sender.
+func linkRNGSeed(seed uint64, from int) int64 {
+	return int64(seed) + int64(from)*7919
+}
+
+// decide draws the injection decision for one (frame, destination) pair in
+// the canonical order — drop draw, transit-delay draw, reorder-hold draw,
+// with reliable frames exempt from drop and hold. send is the only caller,
+// on every topology, so identical seeds inject identical fault sequences on
+// either data plane. The decision is drawn even for a currently-dead
+// destination, so churn never desynchronizes the per-source streams.
+func (f Fault) decide(rng *rand.Rand, hold time.Duration, reliable bool) (drop bool, delay time.Duration) {
+	if !reliable && f.DropProb > 0 && rng.Float64() < f.DropProb {
+		return true, 0
+	}
+	if f.MaxDelay > 0 {
+		delay = time.Duration(rng.Int63n(int64(f.MaxDelay) + 1))
+	}
+	if !reliable && f.ReorderProb > 0 && rng.Float64() < f.ReorderProb {
+		delay += hold
+	}
+	return false, delay
+}
+
+// newSender builds the sender for source id among p workers and starts its
+// writer goroutine; the owner installs the legs with setLeg. A sender lives
+// as long as one incarnation of its source: a rejoiner gets a fresh one,
+// and with it a fresh RNG stream.
+func newSender(id, p int, fault Fault, led *ledger) *sender {
+	s := &sender{
+		id:      id,
+		out:     make([]atomic.Pointer[leg], p),
+		led:     led,
+		fault:   fault,
+		rng:     rand.New(rand.NewSource(linkRNGSeed(fault.Seed, id))),
+		hold:    4 * fault.MaxDelay,
+		notify:  make(chan struct{}, 1),
+		bytesTo: make([]atomic.Int64, p),
+	}
+	if s.hold <= 0 {
+		s.hold = defaultReorderHold
+	}
+	// A delayed frame cancelled at teardown was counted sent and can never
+	// be delivered: account it, so the counters stay as close to balanced
+	// as a torn-down run allows (a certified-quiescent run has nothing
+	// pending, so converged accounting stays exact).
+	s.delays.onDispose = func() { led.dropped.Add(1) }
+
+	// One writer goroutine drains the leg outboxes, so send never waits on
+	// a socket and a burst of fan-out frames is written in one scheduling
+	// quantum. The store-then-ring / receive-then-scan pairing makes missed
+	// wakeups impossible.
+	s.writer.Add(1)
+	go func() {
+		defer s.writer.Done()
+		for range s.notify {
+			for q := range s.out {
+				l := s.out[q].Load()
+				if l == nil {
+					continue
+				}
+				if qf := l.pending.Swap(nil); qf != nil {
+					s.deliver(l, qf.seq, qf.gen, qf.frame)
+				}
+			}
+		}
+	}()
+	return s
+}
+
+// setLeg installs (or, with nil, removes) the leg to destination q. A frame
+// still in the replaced leg's outbox is disposed of: nobody will write it.
+func (s *sender) setLeg(q int, next *leg) {
+	if prev := s.out[q].Swap(next); prev != nil {
+		s.abandon(prev)
+	}
+}
+
+// abandon accounts the frame, if any, left in a leg that is no longer
+// installed.
+func (s *sender) abandon(l *leg) {
+	if qf := l.pending.Swap(nil); qf != nil {
+		s.led.discard(qf.gen, &s.led.dropped)
+	}
+}
+
+// send fans one prebuilt shard frame out to every peer, drawing the fault
+// decisions in destination order from the per-source RNG. It has a single
+// caller per sender (a mesh worker's compute goroutine, the relay's reader
+// of the source link); only delayed deliveries escape to timer callbacks.
+func (s *sender) send(seq uint64, gen uint32, frame []byte, reliable bool) {
+	for q := range s.out {
+		if q == s.id {
+			continue
+		}
+		l := s.out[q].Load()
+		drop, delay := s.fault.decide(s.rng, s.hold, reliable)
+		if drop || l == nil { // injected loss, or a dead slot: sent, never received
+			s.led.discard(gen, &s.led.dropped)
+			continue
+		}
+		if delay > 0 {
+			if !s.delays.after(delay, func() { s.deliver(l, seq, gen, frame) }) {
+				// Teardown already began: no probe round will look again,
+				// but the frame was counted sent — account the disposal.
+				s.led.discard(gen, &s.led.dropped)
+			}
+			continue
+		}
+		if reliable {
+			// Reliable finals must not be superseded in the outbox: write
+			// them directly (a queued lower-sequence frame the final
+			// overtakes is then filtered).
+			s.deliver(l, seq, gen, frame)
+			continue
+		}
+		if prev := l.pending.Swap(&queuedFrame{seq, gen, frame}); prev != nil {
+			// The writer had not yet taken the previous frame: it is
+			// superseded before ever touching the wire.
+			s.led.discard(prev.gen, &s.led.reordered)
+		}
+		if s.out[q].Load() != l {
+			s.abandon(l) // the owner replaced the leg under us
+		}
+		select {
+		case s.notify <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// deliver writes one frame to a leg unless the frame predates the current
+// membership generation (silently disposed — its send was erased at the
+// re-shard) or a later-sequenced frame already went out on the leg — the
+// sequence filter. A superseded or duplicate frame is discarded here, never
+// written, so the receiver cannot double-count it and the bandwidth is
+// never spent. The discard counts as drained for the termination protocol,
+// like a drop.
+func (s *sender) deliver(l *leg, seq uint64, gen uint32, frame []byte) {
+	s.led.mu.RLock()
+	current := gen == s.led.gen
+	s.led.mu.RUnlock()
+	if !current {
+		s.led.dropped.Add(1)
+		return
+	}
+	l.mu.Lock()
+	if l.seqGen != gen {
+		l.lastSeq = 0
+		l.seqGen = gen
+	}
+	if seq <= l.lastSeq {
+		newest := l.lastSeq
+		l.mu.Unlock()
+		if seq < newest {
+			s.led.discard(gen, &s.led.reordered)
+		} else {
+			s.led.discard(gen, &s.led.duplicate)
+		}
+		return
+	}
+	l.lastSeq = seq
+	_, err := l.conn.Write(frame)
+	l.mu.Unlock()
+	if err == nil {
+		s.bytesTo[l.q].Add(int64(len(frame)))
+		return
+	}
+	// A failed write is a lost frame: accounted as a drop, which keeps the
+	// in-flight count drainable whatever the owner makes of the failure.
+	s.led.discard(gen, &s.led.dropped)
+	if s.writeFailed != nil {
+		s.writeFailed(l, err)
+	}
+}
+
+// flush quiesces the sender: cancel pending delayed sends (waiting out
+// callbacks already firing), then let the writer goroutine finish its
+// outboxes and exit. After flush the ledger's share of this sender and the
+// per-destination byte totals are final. It is safe to call more than once;
+// the caller of send must have stopped sending first, because flush closes
+// the doorbell send rings.
+func (s *sender) flush() {
+	s.flushOnce.Do(func() {
+		s.delays.drain()
+		close(s.notify)
+		s.writer.Wait()
+		// The run is over; any frame still sitting in an outbox is
+		// discarded (and accounted, keeping sent = delivered + drained
+		// exact) rather than written to peers that are tearing down too.
+		for q := range s.out {
+			if l := s.out[q].Load(); l != nil {
+				s.abandon(l)
+			}
+		}
+	})
+}
+
+// linkBytes returns the per-destination data-plane byte counters (index =
+// destination worker; zero at the sender's own slot).
+func (s *sender) linkBytes() []uint64 {
+	out := make([]uint64, len(s.bytesTo))
+	for q := range s.bytesTo {
+		out[q] = uint64(s.bytesTo[q].Load())
+	}
+	return out
+}

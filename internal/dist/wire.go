@@ -10,8 +10,8 @@ package dist
 //	            f64 dropProb | f64 reorderProb | u64 maxDelayNs | u64 faultSeed |
 //	            u32 gen | u8 rejoining | u64 heartbeatNs | u64 checkpointNs |
 //	            f64×n x
-//	block    := u32 from | u64 seq | u8 flags | u32 gen | u32 lo | u32 count |
-//	            f64×count
+//	block    := u32 from | u64 seq | u8 flags | u32 gen | slice
+//	slice    := u32 lo | u32 count | f64×count
 //	meshaddr := str addr                                (worker → coordinator, mesh)
 //	peers    := u32 workers | workers × str addr        (coordinator → workers, mesh)
 //	meshhello:= u32 from                                (dialing worker → peer, mesh)
@@ -19,14 +19,14 @@ package dist
 //	status   := u64 probeID | u8 flags | u32 gen | u64 epoch | u64 sent |
 //	            u64 delivered | u64 drained
 //	stop     := (empty)
-//	final    := u32 lo | u32 count | f64×count | u32 updates |
+//	final    := slice | u32 updates |
 //	            u64 sent | u64 delivered | u64 stale |
 //	            u64 dropped | u64 reordered | u64 duplicate |
 //	            u32 workers | workers × u64 linkBytes
 //	heartbeat:= (empty)                                 (worker → coordinator)
-//	checkpoint:= u32 gen | u32 lo | u32 count | f64×count (worker → coordinator)
+//	checkpoint:= u32 gen | slice                        (worker → coordinator)
 //	reshard  := u32 gen                                 (coordinator → workers)
-//	reshardack:= u32 gen | u32 lo | u32 count | f64×count (worker → coordinator)
+//	reshardack:= u32 gen | slice                        (worker → coordinator)
 //	assign   := u32 gen | u32 lo | u32 hi | f64×n x |
 //	            u32 peerCount | peerCount × str addr    (coordinator → workers)
 //	reject   := str reason                              (coordinator → rejoiner)
@@ -211,6 +211,32 @@ func buildFrame(typ byte, payload []byte) []byte {
 	return f
 }
 
+// appendSlice encodes the [lo, lo+len(vals)) slice of an iterate; cursor.slice
+// decodes it, poisoning the cursor when the slice leaves [0, n).
+func appendSlice(b []byte, lo int, vals []float64) []byte {
+	b = appendU32(b, uint32(lo))
+	b = appendU32(b, uint32(len(vals)))
+	return appendF64s(b, vals)
+}
+
+func (c *cursor) slice(n int) (lo int, vals []float64) {
+	lo = int(c.u32())
+	vals = c.f64s(int(c.u32()))
+	if c.err == nil && (lo < 0 || lo+len(vals) > n) {
+		c.err = fmt.Errorf("slice [%d, %d) outside dimension %d", lo, lo+len(vals), n)
+	}
+	return lo, vals
+}
+
+// blockHeader is the fixed prefix of a block frame — all a relay reads of
+// it.
+type blockHeader struct {
+	from  int
+	seq   uint64
+	flags byte
+	gen   uint32
+}
+
 // buildBlockFrame assembles one data-plane frame carrying the [lo, lo+count)
 // slice vals of worker from's shard, fenced to membership generation gen.
 func buildBlockFrame(from int, seq uint64, flags byte, gen uint32, lo int, vals []float64) []byte {
@@ -218,10 +244,29 @@ func buildBlockFrame(from int, seq uint64, flags byte, gen uint32, lo int, vals 
 	b = appendU64(b, seq)
 	b = append(b, flags)
 	b = appendU32(b, gen)
-	b = appendU32(b, uint32(lo))
-	b = appendU32(b, uint32(len(vals)))
-	b = appendF64s(b, vals)
-	return buildFrame(msgBlock, b)
+	return buildFrame(msgBlock, appendSlice(b, lo, vals))
+}
+
+// decodeBlock reads a block payload's header and returns the cursor at its
+// slice, which only a receiving worker decodes.
+func decodeBlock(payload []byte) (blockHeader, cursor) {
+	cur := cursor{b: payload}
+	h := blockHeader{from: int(cur.u32()), seq: cur.u64(), flags: cur.u8(), gen: cur.u32()}
+	return h, cur
+}
+
+// buildShardFrame assembles a checkpoint or reshard-ack frame: the sender's
+// shard values as of membership generation gen.
+func buildShardFrame(typ byte, gen uint32, lo int, vals []float64) []byte {
+	return buildFrame(typ, appendSlice(appendU32(nil, gen), lo, vals))
+}
+
+// decodeShard is buildShardFrame's inverse for an iterate of dimension n.
+func decodeShard(payload []byte, n int) (gen uint32, lo int, vals []float64, err error) {
+	cur := cursor{b: payload}
+	gen = cur.u32()
+	lo, vals = cur.slice(n)
+	return gen, lo, vals, cur.err
 }
 
 // welcome is the decoded welcome frame: the worker's slot in the run plus
@@ -303,7 +348,10 @@ func decodeWelcome(payload []byte) (welcome, error) {
 	if cur.err != nil {
 		return w, cur.err
 	}
-	if w.id < 0 || w.id >= c.Workers || w.lo < 0 || w.lo > w.hi || w.hi > w.n {
+	// A validated coordinator sends 1 <= Workers <= n (and n is bounded by
+	// the payload that carried x), so nothing a worker sizes by either can
+	// be made large by a lying peer.
+	if c.Workers < 1 || c.Workers > w.n || w.id < 0 || w.id >= c.Workers || w.lo < 0 || w.lo > w.hi || w.hi > w.n {
 		return w, fmt.Errorf("slot %d of %d with shard [%d, %d) of %d", w.id, c.Workers, w.lo, w.hi, w.n)
 	}
 	return w, nil

@@ -46,9 +46,45 @@ func TestReadFrameOversizedLengthPrefix(t *testing.T) {
 	}
 }
 
-// decodeFramePayload mirrors every production decode path for the frame
-// types whose payloads are structured, so the fuzzer drives the cursor
-// decoders with arbitrary bytes. Decode errors are fine; panics are not.
+// TestDecodeWelcomeBoundsWorkers: a worker sizes its per-peer state by the
+// welcome's worker count, so the decoder accepts only what a validated
+// coordinator can send — 1 <= workers <= n with the slot inside it — and a
+// lying 4-byte field fails typed instead of becoming a 32 GiB allocation.
+func TestDecodeWelcomeBoundsWorkers(t *testing.T) {
+	encode := func(id int, workers uint32) []byte {
+		w := welcome{id: id, n: 4, lo: 0, hi: 2, gen: 1}
+		w.cfg.Workers = 2
+		w.cfg.X0 = make([]float64, 4)
+		payload := w.frame()[frameHeaderLen:]
+		binary.LittleEndian.PutUint32(payload[4:], workers)
+		return payload
+	}
+	if w, err := decodeWelcome(encode(1, 2)); err != nil || w.cfg.Workers != 2 || w.id != 1 {
+		t.Fatalf("valid welcome: (%+v, %v)", w, err)
+	}
+	if _, err := decodeWelcome(encode(3, 4)); err != nil {
+		t.Errorf("workers == n refused: %v", err)
+	}
+	for _, tc := range []struct {
+		id      int
+		workers uint32
+	}{
+		{0, 0},          // no workers at all
+		{0, 5},          // more workers than components
+		{0, 0xffffffff}, // the lying field
+		{0, 1 << 31},
+		{2, 2}, // slot outside the worker count
+	} {
+		if _, err := decodeWelcome(encode(tc.id, tc.workers)); err == nil {
+			t.Errorf("slot %d of %d workers over n=4 accepted", tc.id, tc.workers)
+		}
+	}
+}
+
+// decodeFramePayload drives the decoders with arbitrary bytes: the
+// production ones for welcome, block, checkpoint and reshard-ack, and a
+// mirror of the switch arms that still decode inline (status, final, assign
+// and the string frames). Decode errors are fine; panics are not.
 func decodeFramePayload(typ byte, payload []byte) {
 	cur := cursor{b: payload}
 	switch typ {
@@ -57,31 +93,12 @@ func decodeFramePayload(typ byte, payload []byte) {
 		// never anything worse.
 		_ = cur.u32() != protocolVersion
 	case msgWelcome:
-		for i := 0; i < 5; i++ {
-			cur.u32() // id, workers, n, lo, hi
-		}
-		cur.f64()                // tol
-		cur.u32()                // sweeps
-		cur.u32()                // maxUpdates
-		cur.u8()                 // topology
-		cur.f64()                // delta
-		cur.u64()                // timeout
-		cur.f64()                // drop
-		cur.f64()                // reorder
-		cur.u64()                // maxDelay
-		cur.u64()                // faultSeed
-		cur.u32()                // gen
-		cur.u8()                 // rejoining
-		cur.u64()                // heartbeat
-		cur.u64()                // checkpoint
-		cur.f64s(len(cur.b) / 8) // x
+		decodeWelcome(payload)
 	case msgBlock:
-		cur.u32() // from
-		cur.u64() // seq
-		cur.u8()  // flags
-		cur.u32() // gen
-		cur.u32() // lo
-		cur.f64s(int(int32(cur.u32())))
+		_, cur := decodeBlock(payload)
+		cur.slice(maxFramePayload)
+	case msgCheckpoint, msgReshardAck:
+		decodeShard(payload, maxFramePayload)
 	case msgStatus:
 		cur.u64() // probeID
 		cur.u8()  // flags
@@ -90,10 +107,6 @@ func decodeFramePayload(typ byte, payload []byte) {
 		cur.u64() // sent
 		cur.u64() // delivered
 		cur.u64() // drained
-	case msgCheckpoint, msgReshardAck:
-		cur.u32() // gen
-		cur.u32() // lo
-		cur.f64s(int(int32(cur.u32())))
 	case msgAssign:
 		cur.u32() // gen
 		cur.u32() // lo
@@ -139,6 +152,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(buildFrame(msgCheckpoint, appendU32(appendU32(appendU32(nil, 1), 0), 0xfffffff0)))
 	f.Add(buildFrame(msgAssign, appendU32(appendU32(appendU32(nil, 2), 0), 4)))
 	f.Add([]byte{})
+	wel := welcome{id: 1, n: 3, lo: 1, hi: 2, gen: 1, cfg: Config{Topology: TopologyMesh}}
+	wel.cfg.Workers, wel.cfg.X0 = 2, []float64{1, 2, 3}
+	f.Add(wel.frame())
+	f.Add(buildShardFrame(msgReshardAck, 2, 1, []float64{0.5, -0.5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := readFrame(bytes.NewReader(data), maxFramePayload)
 		if err != nil {

@@ -24,8 +24,8 @@ type inFrame struct {
 // one inbox every reader goroutine feeds. It lives entirely on the compute
 // goroutine, so status replies are self-consistent snapshots by
 // construction — the property the coordinator's probe rounds rely on. The
-// only mesh-side exceptions are the drained counters, which delayed-send
-// timers bump through atomics.
+// only mesh-side exception is the sender's ledger, which its delay timers
+// and writer goroutine bump through atomics.
 type workerState struct {
 	conn           net.Conn
 	inbox          chan inFrame
@@ -266,11 +266,7 @@ func (ws *workerState) maintain() error {
 	}
 	if ws.ckEvery > 0 && !ws.awaitAssign && ws.hi > ws.lo && now.Sub(ws.lastCk) >= ws.ckEvery {
 		ws.lastCk = now
-		ck := appendU32(nil, ws.gen)
-		ck = appendU32(ck, uint32(ws.lo))
-		ck = appendU32(ck, uint32(ws.hi-ws.lo))
-		ck = appendF64s(ck, ws.view[ws.lo:ws.hi])
-		if _, err := ws.conn.Write(buildFrame(msgCheckpoint, ck)); err != nil {
+		if _, err := ws.conn.Write(buildShardFrame(msgCheckpoint, ws.gen, ws.lo, ws.view[ws.lo:ws.hi])); err != nil {
 			return fmt.Errorf("dist: worker %d checkpoint: %w", ws.id, err)
 		}
 	}
@@ -284,18 +280,12 @@ func (ws *workerState) maintain() error {
 func (ws *workerState) handle(f inFrame) error {
 	switch f.typ {
 	case msgBlock:
-		cur := cursor{b: f.payload}
-		from := int(cur.u32())
-		seq := cur.u64()
-		cur.u8() // flags
-		gen := cur.u32()
-		blo := int(cur.u32())
-		count := int(cur.u32())
-		vals := cur.f64s(count)
-		if cur.err != nil || blo < 0 || blo+count > ws.n || from < 0 || from >= ws.p {
+		h, cur := decodeBlock(f.payload)
+		blo, vals := cur.slice(ws.n)
+		if cur.err != nil || h.from < 0 || h.from >= ws.p {
 			return fmt.Errorf("dist: worker %d: bad block frame", ws.id)
 		}
-		if gen != ws.gen {
+		if h.gen != ws.gen {
 			// A frame from before a re-shard we have already acknowledged
 			// (or, transiently, after one we have not yet seen — the
 			// coordinator's reshard is in our inbox behind it). Its send was
@@ -305,7 +295,7 @@ func (ws *workerState) handle(f inFrame) error {
 			ws.stale++
 			return nil
 		}
-		if !ws.awaitAssign && max(blo, ws.lo) < min(blo+count, ws.hi) {
+		if !ws.awaitAssign && max(blo, ws.lo) < min(blo+len(vals), ws.hi) {
 			// Within a generation shards are disjoint and only the owner
 			// writes its own, so a block reaching into [lo, hi) is a peer
 			// overwriting what this worker computed. (Until the assign of a
@@ -313,9 +303,9 @@ func (ws *workerState) handle(f inFrame) error {
 			// the view is about to be replaced whole.)
 			return fmt.Errorf("dist: worker %d: bad block frame", ws.id)
 		}
-		if seq <= ws.lastSeq[from] {
-			// Defense in depth: the link filter already discards superseded
-			// and duplicate frames at the delivery point, so a frame older
+		if h.seq <= ws.lastSeq[h.from] {
+			// Defense in depth: the sender's filter already discards
+			// superseded and duplicate frames unwritten, so a frame older
 			// than one already applied should never reach us — but if one
 			// does (the label discipline for out-of-order messages), the
 			// stale values are discarded. The delivery is still acknowledged
@@ -326,7 +316,7 @@ func (ws *workerState) handle(f inFrame) error {
 			ws.gdelivered++
 			return nil
 		}
-		ws.lastSeq[from] = seq
+		ws.lastSeq[h.from] = h.seq
 		// The protocol's ordering rule: publish the reactivation before
 		// acknowledging the delivery. Spent workers reactivate too —
 		// staying observably passive while absorbing data they have not
@@ -334,7 +324,7 @@ func (ws *workerState) handle(f inFrame) error {
 		// the loop re-passivates them only if the new data left their
 		// shard converged.
 		ws.Account(runtime.Active)
-		copy(ws.view[blo:blo+count], vals)
+		copy(ws.view[blo:], vals)
 		ws.fresh = true
 		ws.delivered++
 		ws.gdelivered++
@@ -353,7 +343,7 @@ func (ws *workerState) handle(f inFrame) error {
 		}
 		var drained uint64
 		if ws.mesh != nil {
-			drained = ws.mesh.drained()
+			drained = uint64(ws.mesh.snd.led.drained())
 		}
 		st := appendU64(nil, probeID)
 		st = append(st, flags)
@@ -389,15 +379,11 @@ func (ws *workerState) handle(f inFrame) error {
 			ws.lastSeq[i] = 0
 		}
 		if ws.mesh != nil {
-			ws.mesh.pauseForGen(gen)
+			ws.mesh.snd.led.enter(gen)
 		}
 		// Acknowledge with our current shard — the freshest values the
 		// coordinator can fold into the warm-start iterate it re-issues.
-		ack := appendU32(nil, gen)
-		ack = appendU32(ack, uint32(ws.lo))
-		ack = appendU32(ack, uint32(ws.hi-ws.lo))
-		ack = appendF64s(ack, ws.view[ws.lo:ws.hi])
-		if _, err := ws.conn.Write(buildFrame(msgReshardAck, ack)); err != nil {
+		if _, err := ws.conn.Write(buildShardFrame(msgReshardAck, gen, ws.lo, ws.view[ws.lo:ws.hi])); err != nil {
 			return fmt.Errorf("dist: worker %d reshard ack: %w", ws.id, err)
 		}
 	case msgAssign:
@@ -584,13 +570,13 @@ func (ws *workerState) broadcast(vals []float64, flags byte) error {
 }
 
 // sendSlice ships one [lo, lo+len(vals)) slice of the shard to every peer —
-// directly over the mesh links (sender-side fault injection and sequence
-// filtering) or through the coordinator's relay in the star topology.
+// through the worker's own sender on the mesh, or up the control link to
+// the sender the coordinator relays this worker's frames with on star.
 func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) error {
 	ws.seq++
 	frame := buildBlockFrame(ws.id, ws.seq, flags, ws.gen, lo, vals)
 	if ws.mesh != nil {
-		ws.mesh.send(ws.seq, ws.gen, frame, flags&blockReliable != 0)
+		ws.mesh.snd.send(ws.seq, ws.gen, frame, flags&blockReliable != 0)
 	} else if _, err := ws.conn.Write(frame); err != nil {
 		return fmt.Errorf("dist: worker %d broadcast: %w", ws.id, err)
 	}
@@ -605,25 +591,20 @@ func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) error {
 // can write after teardown proceeds and the drain counters are final, then
 // uploads the authoritative shard.
 func (ws *workerState) finish(updates int) error {
-	var dropped, reordered, duplicate uint64
+	led := &ledger{} // a star worker disposes of nothing: its relay does
 	var linkBytes []uint64
 	if ws.mesh != nil {
-		ws.mesh.flush()
-		dropped = uint64(ws.mesh.dropped.Load())
-		reordered = uint64(ws.mesh.reordered.Load())
-		duplicate = uint64(ws.mesh.duplicate.Load())
-		linkBytes = ws.mesh.linkBytes()
+		ws.mesh.snd.flush()
+		led, linkBytes = ws.mesh.snd.led, ws.mesh.snd.linkBytes()
 	}
-	fin := appendU32(nil, uint32(ws.lo))
-	fin = appendU32(fin, uint32(ws.hi-ws.lo))
-	fin = appendF64s(fin, ws.view[ws.lo:ws.hi])
+	fin := appendSlice(nil, ws.lo, ws.view[ws.lo:ws.hi])
 	fin = appendU32(fin, uint32(updates))
 	fin = appendU64(fin, ws.sent)
 	fin = appendU64(fin, ws.delivered)
 	fin = appendU64(fin, ws.stale)
-	fin = appendU64(fin, dropped)
-	fin = appendU64(fin, reordered)
-	fin = appendU64(fin, duplicate)
+	fin = appendU64(fin, uint64(led.dropped.Load()))
+	fin = appendU64(fin, uint64(led.reordered.Load()))
+	fin = appendU64(fin, uint64(led.duplicate.Load()))
 	fin = appendU32(fin, uint32(len(linkBytes)))
 	for _, b := range linkBytes {
 		fin = appendU64(fin, b)

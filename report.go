@@ -87,11 +87,13 @@ type Report struct {
 	MessagesSent    int64 `json:"messages_sent,omitempty"`
 	MessagesDropped int64 `json:"messages_dropped,omitempty"`
 	MessagesStale   int64 `json:"messages_stale,omitempty"`
-	// MessagesReordered counts frames discarded at a directed link because
-	// a later-sequenced frame from the same source had already been
-	// delivered there; MessagesDuplicate counts link discards of frames
-	// whose sequence number exactly matched the newest delivered (dist
-	// engine — disjoint from each other and from MessagesStale/Dropped).
+	// MessagesReordered counts frames the sender discarded unwritten
+	// because a later-sequenced frame from the same source had already
+	// gone out on that leg or superseded them in its one-frame outbox (so
+	// a fault-free run can report some); MessagesDuplicate counts discards
+	// of frames whose sequence number exactly matched the newest written
+	// (dist engine — disjoint from each other and from
+	// MessagesStale/Dropped).
 	MessagesReordered int64 `json:"messages_reordered,omitempty"`
 	MessagesDuplicate int64 `json:"messages_duplicate,omitempty"`
 	// BytesSent / BytesReceived count wire bytes through the coordinator
