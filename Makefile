@@ -93,19 +93,15 @@ bench:
 bench-json:
 	$(GO) run ./cmd/asyncsolve bench
 
-# Gate the block-evaluation fast path, the serving layer AND the solve-rate
-# trajectory: re-measure the BlockEval pairs, the ServeSustained /
-# ScenarioSolveLasso pair, the scenario solves and builds and the three dist
-# deployments (star, mesh, star under elastic membership), and fail if any speedup multiple, the serving-efficiency
-# ratio, or any normalized rate regressed against the committed baseline
-# capture. The Report codec cases are measured and printed alongside (the
-# served job's other non-solve layer) but not gated.
-# Ratios within one capture, not raw ns/op, are compared, so the gate is
-# machine-independent.
+# Gate the block-evaluation fast path: re-measure every benchsuite case (the
+# BlockEval pairs plus the Gram / scenario-build / Report-codec / operator
+# ledger — all cheap) and fail if a block-vs-per-component speedup multiple
+# regressed against the committed baseline capture. The multiple is a ratio
+# within one capture, not raw ns/op, so the gate is machine-independent; the
+# ledger cases are printed alongside, not gated. Whole-solve speed is the
+# repository benchmark's job (`go run ./benchmark`, BENCHMARK.json).
 bench-compare:
-	$(GO) run ./cmd/asyncsolve bench \
-		-match '^(BlockEval|ServeSustained$$|ScenarioSolveLasso|ScenarioBuild|Report(M|Unm)arshal|Dist(Star|Mesh|Elastic)Workers$$)' -experiments=false \
-		-benchtime 250ms -rev current -out BENCH_current.json
+	$(GO) run ./cmd/asyncsolve bench -benchtime 250ms -rev current -out BENCH_current.json
 	$(GO) run ./cmd/asyncsolve bench-compare \
 		-baseline BENCH_baseline.json -current BENCH_current.json
 	rm -f BENCH_current.json
@@ -135,7 +131,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 24490
+LOC_CEILING := 23955
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

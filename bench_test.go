@@ -3,13 +3,15 @@ package repro_test
 // Benchmark harness: one benchmark per figure/experiment of the
 // reproduction suite (see DESIGN.md's per-experiment index and
 // EXPERIMENTS.md for the recorded outputs), plus micro-benchmarks of the
-// engine hot paths. Run with:
+// operator and codec layers. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The micro-benchmarks delegate to internal/benchsuite — the same cases
-// `asyncsolve bench` measures and captures as BENCH_<rev>.json — so test
-// benchmarks and the CI benchmark artifact always agree on what is
+// Whole solves are not timed here: `go run ./benchmark` (BENCHMARK.json) is
+// the one record for every engine, the served path and the dist
+// deployments. The micro-benchmarks delegate to internal/benchsuite — the
+// same cases `asyncsolve bench` measures and captures as BENCH_<rev>.json —
+// so test benchmarks and the CI benchmark artifact always agree on what is
 // measured. Workload generation happens in each case's setup, outside the
 // timed region.
 //
@@ -61,57 +63,12 @@ func BenchmarkE16_NestedBoxes(b *testing.B)          { benchExperiment(b, "E16")
 func BenchmarkE17_ContractionNecessity(b *testing.B) { benchExperiment(b, "E17") }
 
 // ---------------------------------------------------------------------------
-// Micro-benchmarks of the engine hot paths (shared with `asyncsolve bench`).
-
-// BenchmarkModelEngineIteration measures the per-iteration cost of the
-// mathematical-model engine (Definition 1 execution with bookkeeping)
-// through the unified Solve path users actually call.
-func BenchmarkModelEngineIteration(b *testing.B) {
-	benchsuite.RunNamed(b, "ModelEngineIteration")
-}
-
-// BenchmarkModelEngineIterationScratch is the same solve with a reused
-// repro.Scratch attached (WithScratch), the repeated-solve fast path.
-func BenchmarkModelEngineIterationScratch(b *testing.B) {
-	benchsuite.RunNamed(b, "ModelEngineIterationScratch")
-}
-
-// BenchmarkDESUpdatePhase measures the per-update cost of the
-// discrete-event simulator (event heap + messaging) through Solve.
-func BenchmarkDESUpdatePhase(b *testing.B) {
-	benchsuite.RunNamed(b, "DESUpdatePhase")
-}
-
-// BenchmarkSharedMemoryGoroutines measures the real-concurrency transport
-// (atomic coordinate cells, 8 goroutines) through Solve.
-func BenchmarkSharedMemoryGoroutines(b *testing.B) {
-	benchsuite.RunNamed(b, "SharedMemoryGoroutines")
-}
-
-// BenchmarkMessagePassingGoroutines measures the channel transport with
-// termination detection disabled (pure throughput) through Solve.
-func BenchmarkMessagePassingGoroutines(b *testing.B) {
-	benchsuite.RunNamed(b, "MessagePassingGoroutines")
-}
-
-// BenchmarkScenarioSolve measures a registered scenario solved end to end
-// (model-engine solve; the registry lookup and build are setup, not
-// measured).
-func BenchmarkScenarioSolve(b *testing.B) {
-	benchsuite.RunNamed(b, "ScenarioSolveLasso")
-}
+// Micro-benchmarks (shared with `asyncsolve bench`).
 
 // BenchmarkProxGradBFApply measures one application of the Definition 4
 // operator on a 64-dim lasso problem through the scratch fast path.
 func BenchmarkProxGradBFApply(b *testing.B) {
 	benchsuite.RunNamed(b, "ProxGradBFApply")
-}
-
-// BenchmarkScenarioSolveLassoLarge solves the lasso scenario at 10x the
-// dimension of BenchmarkScenarioSolve — the scale where the block-evaluation
-// fast path dominates the solve rate.
-func BenchmarkScenarioSolveLassoLarge(b *testing.B) {
-	benchsuite.RunNamed(b, "ScenarioSolveLassoLarge")
 }
 
 // The BlockEval pairs measure one full round of worker-block phases on a

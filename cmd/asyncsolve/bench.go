@@ -10,26 +10,28 @@ import (
 	"repro/internal/benchsuite"
 )
 
-// runBench implements `asyncsolve bench`: it executes the shared benchmark
-// suite (engine/kernel micro-benchmarks and, optionally, the full
-// experiment suite timed once each) and writes a machine-readable
-// BENCH_<rev>.json capture — the artifact the CI benchmark job uploads so
-// every revision leaves a performance record.
+// runBench implements `asyncsolve bench`: it runs the benchsuite micro cases
+// (the BlockEval pairs and the served job's non-solve layers) and writes a
+// machine-readable BENCH_<rev>.json capture — what bench-compare gates on and
+// the CI benchmark job uploads. Whole solves are timed by `go run ./benchmark`
+// (BENCHMARK.json), not here.
 func runBench(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	out := fs.String("out", "", "output path; default BENCH_<rev>.json in the working directory")
 	rev := fs.String("rev", "", "revision label; default: short git revision, else \"dev\"")
-	benchtime := fs.Duration("benchtime", time.Second, "minimum measuring time per micro-benchmark")
+	benchtime := fs.Duration("benchtime", time.Second, "minimum measuring time per case")
 	quick := fs.Bool("quick", false, "single repetition per case (CI smoke mode)")
 	match := fs.String("match", "", "run only cases whose name matches this regexp (e.g. ^BlockEval)")
-	withExperiments := fs.Bool("experiments", true, "also time the full F1-E17 experiment suite (once each)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `usage: asyncsolve bench [flags]
 
-Runs the engine micro-benchmarks (and, by default, the complete experiment
-suite once each) and writes BENCH_<rev>.json with ns/op, allocs/op,
-bytes/op and solve rate per case. See "Measuring performance" in the
-package documentation for the JSON schema.
+Runs the micro-benchmarks the repository benchmark cannot express — the
+BlockEval block-vs-per-component pairs that bench-compare gates, and the
+recorded-only Gram, scenario-build, Report-codec and operator-apply cases —
+and writes BENCH_<rev>.json with ns/op, allocs/op, bytes/op and units/s per
+case. Every end-to-end and per-layer quantity of a whole solve is measured by
+"go run ./benchmark" (BENCHMARK.json). See "Measuring performance" in the
+package documentation.
 
 `)
 		fs.PrintDefaults()
@@ -57,9 +59,6 @@ package documentation for the JSON schema.
 	}
 
 	cases := benchsuite.MicroCases()
-	if *withExperiments {
-		cases = append(cases, benchsuite.ExperimentCases()...)
-	}
 	if *match != "" {
 		re, err := regexp.Compile(*match)
 		if err != nil {

@@ -28,7 +28,6 @@ import (
 	"repro"
 	"repro/internal/dist"
 	"repro/internal/operators"
-	"repro/internal/runtime"
 )
 
 // slowOperator stretches each component evaluation by a fixed delay so a
@@ -65,15 +64,10 @@ func runChaos(args []string) {
 	knobs := repro.RegisterKnobFlags(fs, "faults", "elastic")
 	fs.Parse(args)
 
-	knobSpec, err := knobs.Spec()
+	knobOpts, err := knobs.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	faults := knobSpec.Faults()
-	elastic := knobSpec.Elastic()
-	if elastic.HeartbeatEvery == 0 {
-		elastic.HeartbeatEvery = 20 * time.Millisecond
 	}
 	if *kills < 0 || *kills > *workers {
 		fmt.Fprintf(os.Stderr, "chaos: -kills %d outside [0, %d workers]\n", *kills, *workers)
@@ -86,12 +80,19 @@ func runChaos(args []string) {
 		os.Exit(2)
 	}
 	spec := inst.Spec
+	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithTopology(*topology), repro.WithSeed(*seed)) {
+		o(&spec)
+	}
+	if spec.HeartbeatEvery == 0 {
+		spec.HeartbeatEvery = 20 * time.Millisecond
+	}
 	if *tol >= 0 {
 		spec.Tol = *tol
 	}
-	op := spec.Op
+	cfg := spec.DistConfig()
+	cfg.Timeout = *timeout
 	if *evalDelay > 0 {
-		op = slowOperator{op: spec.Op, delay: *evalDelay}
+		cfg.Op = slowOperator{op: spec.Op, delay: *evalDelay}
 	}
 
 	plan := dist.ChaosPlan{}
@@ -104,30 +105,8 @@ func runChaos(args []string) {
 	}
 
 	fmt.Printf("chaos: scenario=%s n=%d topology=%s workers=%d kills=%d heartbeat=%v\n",
-		*scenario, spec.Op.Dim(), *topology, *workers, *kills, elastic.HeartbeatEvery)
-	res, err := dist.RunChaos(dist.Config{
-		Config: runtime.Config{
-			Op:             op,
-			Workers:        *workers,
-			X0:             spec.X0,
-			Tol:            spec.Tol,
-			SweepsBelowTol: spec.SweepsBelowTol,
-		},
-		Topology: *topology,
-		Fault: dist.Fault{
-			DropProb:    faults.DropProb,
-			ReorderProb: faults.ReorderProb,
-			MaxDelay:    faults.MaxLinkDelay,
-			Seed:        *seed,
-		},
-		Timeout: *timeout,
-		Elastic: dist.Elastic{
-			HeartbeatEvery:  elastic.HeartbeatEvery,
-			CheckpointEvery: elastic.CheckpointEvery,
-			MaxRejoinWait:   elastic.MaxRejoinWait,
-			CheckpointPath:  elastic.CheckpointPath,
-		},
-	}, plan)
+		*scenario, spec.Op.Dim(), *topology, cfg.Workers, *kills, spec.HeartbeatEvery)
+	res, err := dist.RunChaos(cfg, plan)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

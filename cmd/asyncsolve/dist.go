@@ -25,7 +25,6 @@ import (
 
 	"repro"
 	"repro/internal/dist"
-	"repro/internal/runtime"
 )
 
 // distScenario resolves the workload every dist process must agree on.
@@ -55,13 +54,11 @@ func runDistCoordinator(args []string) {
 	timeout := fs.Duration("timeout", 2*time.Minute, "run timeout")
 	fs.Parse(args)
 
-	knobSpec, err := knobs.Spec()
+	knobOpts, err := knobs.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	faults := knobSpec.Faults()
-	elastic := knobSpec.Elastic()
 
 	inst, err := distScenario(*scenario, *n, *seed)
 	if err != nil {
@@ -69,13 +66,21 @@ func runDistCoordinator(args []string) {
 		os.Exit(2)
 	}
 	spec := inst.Spec
+	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithTopology(*topology),
+		repro.WithDeltaThreshold(*deltaThr), repro.WithSeed(*seed)) {
+		o(&spec)
+	}
 	if *tol >= 0 {
 		spec.Tol = *tol
 	}
+	cfg := spec.DistConfig()
+	cfg.Timeout = *timeout
+	if *maxUpdates > 0 {
+		cfg.MaxUpdatesPerWorker = *maxUpdates
+	}
 	dim := spec.Op.Dim()
-	p := *workers
-	if p > dim {
-		p = dim
+	if cfg.Workers > dim {
+		cfg.Workers = dim
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -83,32 +88,8 @@ func runDistCoordinator(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("coordinator: scenario=%s n=%d topology=%s waiting for %d workers on %s\n",
-		*scenario, dim, *topology, p, ln.Addr())
-	res, err := dist.Serve(ln, dist.Config{
-		Config: runtime.Config{
-			Op:                  spec.Op,
-			Workers:             p,
-			X0:                  spec.X0,
-			Tol:                 spec.Tol,
-			SweepsBelowTol:      spec.SweepsBelowTol,
-			MaxUpdatesPerWorker: *maxUpdates,
-		},
-		Topology:       *topology,
-		DeltaThreshold: *deltaThr,
-		Fault: dist.Fault{
-			DropProb:    faults.DropProb,
-			ReorderProb: faults.ReorderProb,
-			MaxDelay:    faults.MaxLinkDelay,
-			Seed:        *seed,
-		},
-		Timeout: *timeout,
-		Elastic: dist.Elastic{
-			HeartbeatEvery:  elastic.HeartbeatEvery,
-			CheckpointEvery: elastic.CheckpointEvery,
-			MaxRejoinWait:   elastic.MaxRejoinWait,
-			CheckpointPath:  elastic.CheckpointPath,
-		},
-	})
+		*scenario, dim, *topology, cfg.Workers, ln.Addr())
+	res, err := dist.Serve(ln, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -12,12 +12,13 @@
 // legacy flags -problem (alias of -scenario) and -mode sync|async|flexible
 // are still accepted.
 //
-// The bench subcommand runs the repository's benchmark suite and captures
-// it as machine-readable JSON (the file CI uploads as an artifact):
+// The bench subcommand runs the micro-benchmarks of internal/benchsuite
+// (the BlockEval gate and a ledger of non-solve layers) and captures them
+// as machine-readable JSON, the file CI uploads as an artifact; whole
+// solves are timed by `go run ./benchmark` (BENCHMARK.json), not here:
 //
-//	asyncsolve bench                       # micro + experiment suite, ~1s per micro case
+//	asyncsolve bench                       # ~1s per case
 //	asyncsolve bench -quick                # single repetition per case (CI smoke)
-//	asyncsolve bench -experiments=false    # micro-benchmarks only
 //	asyncsolve bench -out BENCH_local.json # explicit output path
 //
 // The dist-coordinator and dist-worker subcommands deploy the TCP engine

@@ -79,9 +79,9 @@
 // the topology that ran and the per-link byte matrix (LinkBytes[i][j] =
 // data-plane wire bytes from worker i to worker j), alongside the
 // transport accounting (messages sent/delivered/stale/dropped/reordered/
-// duplicate, coordinator wire bytes, probe rounds). The benchsuite pair
-// DistStarWorkers/DistMeshWorkers tracks the topologies' end-to-end solve
-// rates at 8 workers in every BENCH capture.
+// duplicate, coordinator wire bytes, probe rounds). The repository
+// benchmark times both topologies end to end (workloads dist-star-faulty
+// and dist-mesh-clean; see "Measuring performance").
 //
 // # Elasticity
 //
@@ -211,11 +211,9 @@
 // scenario round-robin) and reports sustained solves/sec with a latency
 // histogram; make serve-smoke stands the pair up with admission capacity
 // below the offered load and requires both that every accepted job
-// converges and that at least one job is 503-rejected. The benchsuite's
-// ServeSustained case records served throughput in every BENCH capture,
-// and bench-compare gates the ServeSustained/ScenarioSolveLasso ratio
-// within one capture — serving efficiency, machine-independent like the
-// BlockEval multiples.
+// converges and that at least one job is 503-rejected. The repository
+// benchmark's serve-mix workload records served solves/sec and what the
+// server adds to a solve (server.overhead_frac, server.admit_ms).
 //
 // Beyond solving, the package exposes the paper's analysis apparatus:
 // macro-iteration sequences (Definition 2), epoch sequences (Mishchenko et
@@ -361,54 +359,57 @@
 //
 // # Measuring performance
 //
-// The benchmark suite is defined once in internal/benchsuite and runs two
-// ways: `go test -bench=. -benchmem` (the root bench_test.go delegates to
-// it), and the CLI capture
+// There is one record of how fast a whole solve is: the repository
+// benchmark, a stand-alone main package declared in BENCHMARK.json and
+// documented in benchmark/README.md.
 //
-//	asyncsolve bench            # ~1s per micro case + experiment suite
+//	go run ./benchmark                  # six workloads, about 4 minutes
+//	go run ./benchmark -workload W -seed S -seconds T -trace 0|1
+//	go run ./benchmark -quick           # smoke test (what go test ./benchmark runs)
+//	go run ./benchmark -compare a.json b.json
+//
+// Its workloads cover every concurrent engine, both dist data planes (one
+// under loss, reordering, delay and elastic membership, one clean and rigid)
+// and the HTTP server. Each reports the same seven end-to-end metrics —
+// set-up time, p50/p90 solve latency, solves/sec, the fraction of solves
+// whose answer matched a FixedPoint reference, allocations and KiB per
+// solve — with timings normalised by a machine-speed calibration kernel,
+// and a traced pass adds the per-layer ledger (vec kernels, operator block
+// evaluation, each engine's phase loop, server admission and streaming,
+// scenario build, Report codec). BENCHMARK.json fixes the regression bound
+// of each end-to-end metric and every PR is compared against its parent on
+// them. A speed claim about an engine, a transport or the serving layer is
+// a claim about those numbers; nothing else in the tree times a whole solve.
+//
+// What that harness cannot express — a ratio of two measurements taken in
+// one process — lives in internal/benchsuite, which runs as `go test
+// -bench=. -benchmem` (the root bench_test.go delegates to it) and as
+//
+//	asyncsolve bench            # ~1s per case
 //	asyncsolve bench -quick     # single repetition per case (CI smoke)
 //
-// which writes BENCH_<rev>.json, the machine-readable performance record
-// the CI benchmark job uploads for every revision. The JSON schema
-// (schema_version 1) is an envelope
+// which writes BENCH_<rev>.json (schema_version 1: an envelope of revision,
+// Go version, GOOS/GOARCH, num_cpu, timestamp and benchtime_ns around one
+// {name, kind, iterations, ns_per_op, allocs_per_op, bytes_per_op,
+// solve_rate_per_sec} result per case, the rate in units of work per
+// second). The BlockEval cases come in pairs — a case and its PerComponent
+// twin run the identical workload and block partition through the block
+// fast path and the forced per-component fallback — so every capture
+// records the block contract's speedup multiple, and CI gates it:
 //
-//	{"schema_version": 1, "revision": "<git short rev>",
-//	 "go_version": "...", "goos": "...", "goarch": "...", "num_cpu": N,
-//	 "timestamp": "RFC3339", "benchtime_ns": N, "results": [...]}
-//
-// with one result per case:
-//
-//	{"name": "DESUpdatePhase", "kind": "micro" | "experiment",
-//	 "iterations": N, "ns_per_op": N, "allocs_per_op": N,
-//	 "bytes_per_op": N, "solve_rate_per_sec": N}
-//
-// where solve_rate_per_sec is solver iterations/updates per wall-clock
-// second (0 when the case has no meaningful unit count). Experiment cases
-// time one complete experiment (workload generation included); micro cases
-// hoist workload generation into untimed setup, so ns/op measures solving.
-// The full reproduction suite itself runs in parallel via
-// experiments.RunAll (CLI: cmd/experiments -parallel N).
-//
-// The BlockEval cases come in pairs — BlockEvalN1024 and
-// BlockEvalN1024PerComponent run the identical workload and block partition
-// through the block fast path and the forced per-component fallback — so
-// every capture records the block contract's speedup multiple. CI gates it:
-//
-//	asyncsolve bench -match '^BlockEval' -experiments=false -out BENCH_new.json
+//	asyncsolve bench -out BENCH_new.json
 //	asyncsolve bench-compare -baseline BENCH_baseline.json -current BENCH_new.json
 //
-// (make bench-compare) fails when any pair's multiple regresses more than
-// 20% below the committed BENCH_baseline.json. The ledger cases of a served
-// job's non-solve layers — GramAssemble256, ScenarioBuildLasso64/256,
-// ReportMarshalLasso64, ReportUnmarshalLasso64 — are measured in the same
-// run (the builds are gated as Scenario* cases, the codec is recorded). The same command gates the
-// serving-efficiency ratio (ServeSustained/ScenarioSolveLasso) and the
-// solve-rate trajectory: every Scenario*, DistStarWorkers, DistMeshWorkers,
-// DistElasticWorkers and ServeSustained case, normalized by the within-capture geometric mean
-// of the cases common to both files, must stay within its tolerance of the
-// baseline's normalized rate. Ratios within one capture, never raw ns/op
-// across captures, are compared, so every gate holds across machines of
-// different absolute speed.
+// (make bench-compare) fails when a pair's multiple falls more than
+// -tolerance (20%) below the committed BENCH_baseline.json or a baseline
+// pair is missing. A ratio within one capture, never raw ns/op across
+// captures, so the gate holds across machines. The suite's other cases (a
+// Gram assembly, scenario builds, the Report codec, one operator
+// application) are recorded in the same capture and not gated. The
+// per-experiment benchmarks of bench_test.go and internal/server's
+// BenchmarkServeMix (the profiling target of the served-job CPU table
+// above) are go test benchmarks only; the reproduction suite itself runs
+// in parallel via experiments.RunAll (CLI: cmd/experiments -parallel N).
 //
 // # Static analysis
 //

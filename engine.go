@@ -433,24 +433,31 @@ type distEngine struct{}
 
 func (distEngine) Name() string { return "dist" }
 
-func (distEngine) Solve(spec Spec) (*Report, error) {
-	r, err := dist.Run(dist.Config{
-		Config:         spec.runtimeConfig(),
-		Topology:       spec.Topology,
-		DeltaThreshold: spec.DeltaThreshold,
+// DistConfig is the one Spec -> dist.Config mapping: what the dist engine
+// runs, and what the dist-coordinator and chaos subcommands start from
+// before setting what is theirs alone. Timeout is left at dist's default.
+func (s Spec) DistConfig() dist.Config {
+	return dist.Config{
+		Config:         s.runtimeConfig(),
+		Topology:       s.Topology,
+		DeltaThreshold: s.DeltaThreshold,
 		Fault: dist.Fault{
-			DropProb:    spec.DropProb,
-			ReorderProb: spec.ReorderProb,
-			MaxDelay:    spec.MaxLinkDelay,
-			Seed:        spec.Seed,
+			DropProb:    s.DropProb,
+			ReorderProb: s.ReorderProb,
+			MaxDelay:    s.MaxLinkDelay,
+			Seed:        s.Seed,
 		},
 		Elastic: dist.Elastic{
-			HeartbeatEvery:  spec.HeartbeatEvery,
-			CheckpointEvery: spec.CheckpointEvery,
-			MaxRejoinWait:   spec.MaxRejoinWait,
-			CheckpointPath:  spec.CheckpointPath,
+			HeartbeatEvery:  s.HeartbeatEvery,
+			CheckpointEvery: s.CheckpointEvery,
+			MaxRejoinWait:   s.MaxRejoinWait,
+			CheckpointPath:  s.CheckpointPath,
 		},
-	})
+	}
+}
+
+func (distEngine) Solve(spec Spec) (*Report, error) {
+	r, err := dist.Run(spec.DistConfig())
 	if err != nil {
 		return nil, err
 	}

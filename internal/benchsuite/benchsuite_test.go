@@ -45,18 +45,6 @@ func TestMicroCasesMeasure(t *testing.T) {
 	}
 }
 
-func TestExperimentCasesCoverRegistry(t *testing.T) {
-	cases := ExperimentCases()
-	if len(cases) != 19 { // F1, F2, E1..E17
-		t.Fatalf("%d experiment cases", len(cases))
-	}
-	for _, c := range cases {
-		if c.Kind != "experiment" || !c.Once {
-			t.Errorf("%s: experiment cases must be Kind=experiment, Once", c.Name)
-		}
-	}
-}
-
 func TestReadFileRejectsWrongSchema(t *testing.T) {
 	if _, err := ReadFile(bytes.NewBufferString(`{"schema_version": 99}`)); err == nil {
 		t.Error("want schema version error")

@@ -19,7 +19,7 @@ func pair(name string, blockRate, perCompRate float64) []Result {
 func TestBlockEvalSpeedups(t *testing.T) {
 	f := captureWith(append(pair("BlockEvalN1024", 4000, 1000),
 		Result{Name: "BlockEvalOrphan", SolveRate: 7}, // no PerComponent partner
-		Result{Name: "DESUpdatePhase", SolveRate: 9},  // not a BlockEval case
+		Result{Name: "GramAssemble256", SolveRate: 9}, // not a BlockEval case
 	)...)
 	got := BlockEvalSpeedups(f)
 	if len(got) != 1 {
@@ -84,164 +84,9 @@ func TestCompareBlockEvalFailsWhenBaselinePairVanishes(t *testing.T) {
 }
 
 func TestCompareBlockEvalNoCommonPairs(t *testing.T) {
-	baseline := captureWith(Result{Name: "DESUpdatePhase", SolveRate: 9})
+	baseline := captureWith(Result{Name: "GramAssemble256", SolveRate: 9})
 	current := captureWith(pair("BlockEvalN1024", 4000, 1000)...)
 	if _, err := CompareBlockEval(baseline, current, 0.2); err == nil {
 		t.Fatal("expected an error when no pairs are comparable")
-	}
-}
-
-func servePair(serveRate, soloRate float64) []Result {
-	return []Result{
-		{Name: ServeCaseName, Kind: "micro", SolveRate: serveRate},
-		{Name: ServeSoloCaseName, Kind: "micro", SolveRate: soloRate},
-	}
-}
-
-func TestServeSustainedRatio(t *testing.T) {
-	f := captureWith(servePair(400, 2000)...)
-	r, ok := ServeSustainedRatio(f)
-	if !ok || r.Ratio != 0.2 {
-		t.Fatalf("ratio = %+v ok=%v, want 0.2", r, ok)
-	}
-	if _, ok := ServeSustainedRatio(captureWith(Result{Name: ServeCaseName, SolveRate: 400})); ok {
-		t.Fatal("ratio extracted without the solo case")
-	}
-	if _, ok := ServeSustainedRatio(captureWith(
-		Result{Name: ServeCaseName, SolveRate: 400, Err: "boom"},
-		Result{Name: ServeSoloCaseName, SolveRate: 2000},
-	)); ok {
-		t.Fatal("ratio extracted from an errored case")
-	}
-}
-
-func TestCompareServeSustainedPassesWithinTolerance(t *testing.T) {
-	baseline := captureWith(servePair(400, 2000)...) // 0.20
-	current := captureWith(servePair(240, 2000)...)  // 0.12 > 0.20*0.5
-	lines, err := CompareServeSustained(baseline, current, 0.5)
-	if err != nil {
-		t.Fatalf("unexpected failure: %v\n%s", err, strings.Join(lines, "\n"))
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "ok") {
-		t.Fatalf("want one ok line, got %v", lines)
-	}
-}
-
-func TestCompareServeSustainedFailsOnRegression(t *testing.T) {
-	baseline := captureWith(servePair(400, 2000)...) // 0.20
-	current := captureWith(servePair(150, 2000)...)  // 0.075 < 0.10 floor
-	_, err := CompareServeSustained(baseline, current, 0.5)
-	if err == nil {
-		t.Fatal("expected a serving-efficiency regression failure")
-	}
-	if !strings.Contains(err.Error(), ServeCaseName) {
-		t.Errorf("error should name the case: %v", err)
-	}
-}
-
-func TestCompareServeSustainedNewCoverage(t *testing.T) {
-	baseline := captureWith(pair("BlockEvalN1024", 4000, 1000)...) // no serve pair
-	current := captureWith(servePair(400, 2000)...)
-	lines, err := CompareServeSustained(baseline, current, 0.5)
-	if err != nil {
-		t.Fatalf("new coverage must not fail the gate: %v", err)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "no baseline") {
-		t.Fatalf("want a baseline-less report line, got %v", lines)
-	}
-}
-
-func TestCompareServeSustainedFailsWhenCoverageShrinks(t *testing.T) {
-	baseline := captureWith(servePair(400, 2000)...)
-	current := captureWith(pair("BlockEvalN1024", 4000, 1000)...) // serve pair gone
-	_, err := CompareServeSustained(baseline, current, 0.5)
-	if err == nil {
-		t.Fatal("vanished serve pair must fail the gate")
-	}
-	if !strings.Contains(err.Error(), "missing") {
-		t.Errorf("error should say the pair is missing: %v", err)
-	}
-}
-
-func TestCompareServeSustainedAbsentEverywhere(t *testing.T) {
-	baseline := captureWith(pair("BlockEvalN1024", 4000, 1000)...)
-	current := captureWith(pair("BlockEvalN1024", 4000, 1000)...)
-	lines, err := CompareServeSustained(baseline, current, 0.5)
-	if err != nil || lines != nil {
-		t.Fatalf("nothing to gate must be a clean no-op, got %v / %v", lines, err)
-	}
-}
-
-func rateCase(name string, rate float64) Result {
-	return Result{Name: name, Kind: "micro", SolveRate: rate}
-}
-
-func TestCompareSolveRatesPassesWithinTolerance(t *testing.T) {
-	baseline := captureWith(rateCase("ScenarioSolveLasso", 2000), rateCase("ServeSustained", 400))
-	// The whole machine is 2x slower — every normalized rate is unchanged.
-	current := captureWith(rateCase("ScenarioSolveLasso", 1000), rateCase("ServeSustained", 200))
-	lines, err := CompareSolveRates(baseline, current, 0.3, 0.5)
-	if err != nil {
-		t.Fatalf("uniformly slower machine must not fail: %v\n%s", err, strings.Join(lines, "\n"))
-	}
-}
-
-func TestCompareSolveRatesFailsOnRelativeRegression(t *testing.T) {
-	baseline := captureWith(rateCase("ScenarioSolveLasso", 2000), rateCase("ServeSustained", 2000))
-	// Lasso collapsed 10x relative to the other case: a real regression even
-	// though the serve case got faster in absolute terms.
-	current := captureWith(rateCase("ScenarioSolveLasso", 200), rateCase("ServeSustained", 2200))
-	_, err := CompareSolveRates(baseline, current, 0.3, 0.5)
-	if err == nil {
-		t.Fatal("expected a regression failure")
-	}
-	if !strings.Contains(err.Error(), "ScenarioSolveLasso") {
-		t.Errorf("error should name the regressed case: %v", err)
-	}
-}
-
-func TestCompareSolveRatesDistUsesLooserTolerance(t *testing.T) {
-	baseline := captureWith(rateCase("DistStarWorkers", 1000), rateCase("ScenarioSolveLasso", 1000))
-	// A relative shift that breaks a 0.3 tolerance but survives the dist 0.5:
-	// geomeans are sqrt(1000*1000)=1000 vs sqrt(620*1000)~787, so the dist
-	// case normalizes to 620/787 ~ 0.79 vs baseline 1.0 — a 21% relative
-	// fall, within the dist band. Make it larger to straddle the two bands.
-	current := captureWith(rateCase("DistStarWorkers", 450), rateCase("ScenarioSolveLasso", 1000))
-	if _, err := CompareSolveRates(baseline, current, 0.3, 0.5); err != nil {
-		t.Fatalf("dist case within its looser tolerance must pass: %v", err)
-	}
-	if _, err := CompareSolveRates(baseline, current, 0.3, 0.1); err == nil {
-		t.Fatal("same shift must fail once the dist tolerance tightens")
-	}
-}
-
-func TestCompareSolveRatesCoverage(t *testing.T) {
-	baseline := captureWith(rateCase("ScenarioSolveLasso", 1000), rateCase("ServeSustained", 300))
-	// New case: info, not failure.
-	withNew := captureWith(rateCase("ScenarioSolveLasso", 1000), rateCase("ServeSustained", 300),
-		rateCase("ScenarioSolveLassoLarge", 30))
-	lines, err := CompareSolveRates(baseline, withNew, 0.3, 0.5)
-	if err != nil {
-		t.Fatalf("new case must not fail the gate: %v", err)
-	}
-	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "LassoLarge") && strings.Contains(l, "new case") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("new case not reported: %v", lines)
-	}
-	// Vanished baseline case: shrunk coverage fails.
-	shrunk := captureWith(rateCase("ScenarioSolveLasso", 1000))
-	if _, err := CompareSolveRates(baseline, shrunk, 0.3, 0.5); err == nil {
-		t.Fatal("vanished baseline case must fail the gate")
-	}
-	// Non-solve-rate cases are ignored entirely.
-	noise := captureWith(rateCase("ScenarioSolveLasso", 1000), rateCase("ServeSustained", 300),
-		Result{Name: "DESUpdatePhase", Kind: "micro", SolveRate: 99})
-	if _, err := CompareSolveRates(baseline, noise, 0.3, 0.5); err != nil {
-		t.Fatalf("non-solve-rate case leaked into the gate: %v", err)
 	}
 }

@@ -3,7 +3,7 @@ package benchsuite
 import "testing"
 
 // RunBenchmark adapts a Case to a `go test -bench` benchmark: Setup and one
-// warm-up run happen outside the timed region, so ns/op measures solving,
+// warm-up run happen outside the timed region, so ns/op measures the op,
 // not workload generation.
 func RunBenchmark(b *testing.B, c Case) {
 	b.Helper()
@@ -11,10 +11,8 @@ func RunBenchmark(b *testing.B, c Case) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !c.Once {
-		if err := op(); err != nil {
-			b.Fatal(err)
-		}
+	if err := op(); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -20,35 +20,11 @@ const probeInterval = 500 * time.Microsecond
 // (it is retried), it does not fail the run.
 const probeRoundTimeout = 2 * time.Second
 
-type status struct {
-	worker          int
-	probeID         uint64
-	passive, spent  bool
-	gen             uint32
-	epoch           uint64
-	sent, delivered uint64
-	drained         uint64
-}
-
 type reshardAck struct {
 	worker int
 	gen    uint32
 	lo     int
 	vals   []float64
-}
-
-type final struct {
-	worker                 int
-	lo                     int
-	vals                   []float64
-	updates                int
-	sent, delivered, stale uint64
-	dropped                uint64
-	reordered, duplicate   uint64
-	linkBytes              []uint64
-	// lost marks a synthesized final for a worker whose link died after
-	// stop: its shard stays at the coordinator's last checkpointed values.
-	lost bool
 }
 
 type coordinator struct {
@@ -218,11 +194,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 				return nil, fmt.Errorf("dist: worker %d %w", w, err)
 			}
 		}
-		peers := appendU32(nil, uint32(cfg.Workers))
-		for _, a := range c.addrs {
-			peers = appendStr(peers, a)
-		}
-		frame := buildFrame(msgPeers, peers)
+		frame := buildFrame(msgPeers, appendPeers(nil, c.addrs))
 		for w := range c.links {
 			if err := c.writeLink(c.links[w], frame); err != nil {
 				return nil, fmt.Errorf("dist: peer table to worker %d: %w", w, err)
@@ -578,6 +550,14 @@ func (c *coordinator) linkDown(w int, l *link, err error) {
 	c.workerLost(w, l)
 }
 
+// inShard reports whether a non-empty [lo, lo+count) lies inside shard — all a
+// worker's checkpoint or final may cover; a lying peer must not overwrite
+// another slot's components. An empty slice (a rejoiner not yet assigned)
+// touches nothing and passes.
+func inShard(shard [2]int, lo, count int) bool {
+	return count == 0 || (lo >= shard[0] && lo+count <= shard[1])
+}
+
 // absorbCheckpoint folds a current-generation shard checkpoint into xbest
 // and, when a checkpoint path is configured, persists the merged iterate at
 // most once per CheckpointEvery (best-effort: a failed disk write never
@@ -589,9 +569,13 @@ func (c *coordinator) absorbCheckpoint(w int, payload []byte) error {
 	}
 	c.mu.RLock()
 	current := gen == c.gen && c.links[w] != nil
+	shard := c.blocks[w]
 	c.mu.RUnlock()
 	if !current {
 		return nil // a checkpoint from before a re-shard: shard bounds are stale
+	}
+	if !inShard(shard, lo, len(vals)) {
+		return fmt.Errorf("dist: worker %d sent a malformed checkpoint frame", w)
 	}
 	var snapshot []float64
 	c.xmu.Lock()
@@ -662,20 +646,12 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 			}
 			snd.send(h.seq, h.gen, buildFrame(msgBlock, payload), h.flags&blockReliable != 0)
 		case msgStatus:
-			cur := cursor{b: payload}
-			st := status{worker: w, probeID: cur.u64()}
-			flags := cur.u8()
-			st.passive = flags&statusPassive != 0
-			st.spent = flags&statusSpent != 0
-			st.gen = cur.u32()
-			st.epoch = cur.u64()
-			st.sent = cur.u64()
-			st.delivered = cur.u64()
-			st.drained = cur.u64()
-			if cur.err != nil {
+			st, err := decodeStatus(payload)
+			if err != nil {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed status frame", w))
 				return
 			}
+			st.worker = w
 			select {
 			case c.statusCh <- st:
 			default: // stale round backlog; the prober discards by id anyway
@@ -697,21 +673,15 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 			default: // a stale barrier attempt's backlog; acks are gen-checked anyway
 			}
 		case msgFinal:
-			cur := cursor{b: payload}
-			f := final{worker: w}
-			f.lo, f.vals = cur.slice(c.n)
-			f.updates = int(cur.u32())
-			f.sent = cur.u64()
-			f.delivered = cur.u64()
-			f.stale = cur.u64()
-			f.dropped = cur.u64()
-			f.reordered = cur.u64()
-			f.duplicate = cur.u64()
-			f.linkBytes = cur.u64s(int(cur.u32()))
-			if cur.err != nil || len(f.linkBytes) > c.cfg.Workers {
+			f, err := decodeFinal(payload, c.n, c.cfg.Workers)
+			c.mu.RLock()
+			shard := c.blocks[w]
+			c.mu.RUnlock()
+			if err != nil || !inShard(shard, f.lo, len(f.vals)) {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed final frame", w))
 				return
 			}
+			f.worker = w
 			c.finalCh <- f
 			return
 		default:
@@ -908,7 +878,10 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 		for i, w := range live {
 			links[i] = c.links[w]
 		}
-		addrs := append([]string(nil), c.addrs...)
+		var addrs []string // the peer table the assign re-issues, mesh only
+		if c.cfg.Topology == TopologyMesh {
+			addrs = append(addrs, c.addrs...)
+		}
 		c.mu.Unlock()
 
 		// The old generation's books close: frames still in flight from it
@@ -963,19 +936,8 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 		// a dead slot) to redial replaced links.
 		x := c.bestIterate()
 		for i, w := range live {
-			payload := appendU32(nil, gen)
-			payload = appendU32(payload, uint32(blocks[w][0]))
-			payload = appendU32(payload, uint32(blocks[w][1]))
-			payload = appendF64s(payload, x)
-			if c.cfg.Topology == TopologyMesh {
-				payload = appendU32(payload, uint32(c.cfg.Workers))
-				for _, a := range addrs {
-					payload = appendStr(payload, a)
-				}
-			} else {
-				payload = appendU32(payload, 0)
-			}
-			if err := c.writeLink(links[i], buildFrame(msgAssign, payload)); err != nil {
+			a := assign{gen: gen, lo: blocks[w][0], hi: blocks[w][1], x: x, addrs: addrs}
+			if err := c.writeLink(links[i], buildAssignFrame(a)); err != nil {
 				c.workerLost(w, links[i])
 				retry = true
 			}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	gort "runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -883,6 +884,103 @@ func TestBlockIntoOwnShardRejected(t *testing.T) {
 	ws.awaitAssign = true
 	if err := ws.handle(block(5, 2, 8, 8)); err != nil {
 		t.Errorf("block while awaiting assign: %v", err)
+	}
+}
+
+// serveFrames is one hand-driven worker: it plays frames into slot 1's link
+// of a 3-worker coordinator over 6 components (shards [0,2) [2,4) [4,6),
+// generation 2, stop already sent so the closing link is quiet), runs the
+// link's reader to the end and returns the coordinator and what it failed
+// with, if anything.
+func serveFrames(t *testing.T, frames ...[]byte) (*coordinator, error) {
+	t.Helper()
+	const n, p = 6, 3
+	srv, cli := tcpPair(t)
+	c := &coordinator{
+		cfg: Config{Config: runtime.Config{Workers: p}, Topology: TopologyMesh},
+		n:   n, links: make([]*link, p), blocks: vec.Blocks(n, p), gen: 2,
+		xbest:   make([]float64, n),
+		finalCh: make(chan final, 1), errCh: make(chan error, 1),
+	}
+	c.links[1] = &link{conn: srv}
+	c.stopped.Store(true)
+	for _, f := range frames {
+		if _, err := cli.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli.Close()
+	c.readers.Add(1)
+	c.serveLink(1, c.links[1], nil)
+	select {
+	case err := <-c.errCh:
+		return c, err
+	default:
+		return c, nil
+	}
+}
+
+// Slices of a 6-component iterate that leave slot 1's shard [2, 4): another
+// slot's shard, both edges straddled, the whole iterate.
+var outsideShard = []struct {
+	name string
+	lo   int
+	vals []float64
+}{
+	{"a neighbour's shard", 0, []float64{9, 9}},
+	{"straddling the lower edge", 1, []float64{9, 9}},
+	{"straddling the upper edge", 3, []float64{9, 9}},
+	{"covering", 0, []float64{9, 9, 9, 9, 9, 9}},
+}
+
+// TestCheckpointOutsideShardRejected: a current-generation checkpoint may
+// cover only the sender's shard — a lying peer must not plant values over
+// another worker's components in xbest — while one from a fenced generation
+// is skipped before its bounds are looked at.
+func TestCheckpointOutsideShardRejected(t *testing.T) {
+	untouched := make([]float64, 6)
+	for _, tc := range outsideShard {
+		c, err := serveFrames(t, buildShardFrame(msgCheckpoint, 2, tc.lo, tc.vals))
+		if err == nil || !strings.Contains(err.Error(), "malformed checkpoint frame") {
+			t.Errorf("%s: err = %v, want a malformed checkpoint frame error", tc.name, err)
+		}
+		if !reflect.DeepEqual(c.xbest, untouched) {
+			t.Errorf("%s: rejected checkpoint left xbest %v", tc.name, c.xbest)
+		}
+		c, err = serveFrames(t, buildShardFrame(msgCheckpoint, 1, tc.lo, tc.vals))
+		if err != nil || !reflect.DeepEqual(c.xbest, untouched) {
+			t.Errorf("%s, stale generation: err %v, xbest %v; want it skipped", tc.name, err, c.xbest)
+		}
+	}
+	c, err := serveFrames(t,
+		buildShardFrame(msgCheckpoint, 2, 2, []float64{7, 8}),
+		buildShardFrame(msgCheckpoint, 2, 3, []float64{5}))
+	if want := []float64{0, 0, 7, 5, 0, 0}; err != nil || !reflect.DeepEqual(c.xbest, want) {
+		t.Errorf("checkpoints inside the shard: err %v, xbest %v, want %v", err, c.xbest, want)
+	}
+}
+
+// TestFinalOutsideShardRejected: the same bound on the authoritative upload.
+// A rejoiner stopped before its first assign owns nothing and uploads an
+// empty final, which passes.
+func TestFinalOutsideShardRejected(t *testing.T) {
+	for _, tc := range outsideShard {
+		c, err := serveFrames(t, buildFinalFrame(final{lo: tc.lo, vals: tc.vals}))
+		if err == nil || !strings.Contains(err.Error(), "malformed final frame") {
+			t.Errorf("%s: err = %v, want a malformed final frame error", tc.name, err)
+		}
+		if len(c.finalCh) != 0 {
+			t.Errorf("%s: rejected final reached the run loop", tc.name)
+		}
+	}
+	for _, f := range []final{{lo: 2, vals: []float64{7, 8}, updates: 3}, {}} {
+		c, err := serveFrames(t, buildFinalFrame(f))
+		if err != nil || len(c.finalCh) != 1 {
+			t.Fatalf("final %+v: err %v, %d queued", f, err, len(c.finalCh))
+		}
+		if got := <-c.finalCh; got.worker != 1 || got.lo != f.lo || got.updates != f.updates || !slices.Equal(got.vals, f.vals) {
+			t.Errorf("final = %+v, want %+v from slot 1", got, f)
+		}
 	}
 }
 

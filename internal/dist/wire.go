@@ -269,6 +269,176 @@ func decodeShard(payload []byte, n int) (gen uint32, lo int, vals []float64, err
 	return gen, lo, vals, cur.err
 }
 
+// status is a worker's reply to a probe: its flags and generation-scoped
+// counters as of one instant. worker is the link it arrived on, not a wire
+// field.
+type status struct {
+	worker          int
+	probeID         uint64
+	passive, spent  bool
+	gen             uint32
+	epoch           uint64
+	sent, delivered uint64
+	drained         uint64
+}
+
+func buildStatusFrame(st status) []byte {
+	var flags byte
+	if st.passive {
+		flags |= statusPassive
+	}
+	if st.spent {
+		flags |= statusSpent
+	}
+	b := appendU64(nil, st.probeID)
+	b = append(b, flags)
+	b = appendU32(b, st.gen)
+	b = appendU64(b, st.epoch)
+	b = appendU64(b, st.sent)
+	b = appendU64(b, st.delivered)
+	return buildFrame(msgStatus, appendU64(b, st.drained))
+}
+
+func decodeStatus(payload []byte) (status, error) {
+	cur := cursor{b: payload}
+	st := status{probeID: cur.u64()}
+	flags := cur.u8()
+	st.passive = flags&statusPassive != 0
+	st.spent = flags&statusSpent != 0
+	st.gen = cur.u32()
+	st.epoch = cur.u64()
+	st.sent = cur.u64()
+	st.delivered = cur.u64()
+	st.drained = cur.u64()
+	return st, cur.err
+}
+
+// final is a worker's last frame: its authoritative shard and lifetime
+// counters. worker and lost never cross the wire.
+type final struct {
+	worker                 int
+	lo                     int
+	vals                   []float64
+	updates                int
+	sent, delivered, stale uint64
+	dropped                uint64
+	reordered, duplicate   uint64
+	linkBytes              []uint64
+	// lost marks a synthesized final for a worker whose link died after
+	// stop: its shard stays at the coordinator's last checkpointed values.
+	lost bool
+}
+
+func buildFinalFrame(f final) []byte {
+	b := appendSlice(nil, f.lo, f.vals)
+	b = appendU32(b, uint32(f.updates))
+	b = appendU64(b, f.sent)
+	b = appendU64(b, f.delivered)
+	b = appendU64(b, f.stale)
+	b = appendU64(b, f.dropped)
+	b = appendU64(b, f.reordered)
+	b = appendU64(b, f.duplicate)
+	b = appendU32(b, uint32(len(f.linkBytes)))
+	for _, v := range f.linkBytes {
+		b = appendU64(b, v)
+	}
+	return buildFrame(msgFinal, b)
+}
+
+// decodeFinal is buildFinalFrame's inverse for an iterate of dimension n
+// and a run of p workers.
+func decodeFinal(payload []byte, n, p int) (final, error) {
+	cur := cursor{b: payload}
+	var f final
+	f.lo, f.vals = cur.slice(n)
+	f.updates = int(cur.u32())
+	f.sent = cur.u64()
+	f.delivered = cur.u64()
+	f.stale = cur.u64()
+	f.dropped = cur.u64()
+	f.reordered = cur.u64()
+	f.duplicate = cur.u64()
+	f.linkBytes = cur.u64s(int(cur.u32()))
+	if cur.err == nil && len(f.linkBytes) > p {
+		cur.err = fmt.Errorf("%d link byte counters from a run of %d workers", len(f.linkBytes), p)
+	}
+	return f, cur.err
+}
+
+// appendPeers encodes a peer address table ("" marks a dead slot);
+// cursor.peers decodes one, which is empty or has exactly p entries.
+func appendPeers(b []byte, addrs []string) []byte {
+	b = appendU32(b, uint32(len(addrs)))
+	for _, a := range addrs {
+		b = appendStr(b, a)
+	}
+	return b
+}
+
+func (c *cursor) peers(p int) []string {
+	if c.err != nil {
+		return nil
+	}
+	count := int(c.u32()) // cut short, it reads as 0 and fails below: p >= 1
+	if c.err == nil && count == 0 {
+		return nil
+	}
+	if count != p {
+		c.err = fmt.Errorf("count %d, want %d", count, p)
+		return nil
+	}
+	addrs := make([]string, count)
+	for i := range addrs {
+		addrs[i] = c.str()
+	}
+	if c.err != nil {
+		c.err = fmt.Errorf("decode: %w", c.err)
+		return nil
+	}
+	return addrs
+}
+
+// decodePeers reads the rendezvous peer table of a p-worker mesh.
+func decodePeers(payload []byte, p int) ([]string, error) {
+	cur := cursor{b: payload}
+	addrs := cur.peers(p)
+	if cur.err == nil && addrs == nil {
+		cur.err = fmt.Errorf("count 0, want %d", p)
+	}
+	return addrs, cur.err
+}
+
+// assign re-issues slot's shard [lo, hi) over the merged iterate x for
+// membership generation gen; addrs is the refreshed peer table on mesh, nil
+// on star.
+type assign struct {
+	gen    uint32
+	lo, hi int
+	x      []float64
+	addrs  []string
+}
+
+func buildAssignFrame(a assign) []byte {
+	b := appendU32(nil, a.gen)
+	b = appendU32(b, uint32(a.lo))
+	b = appendU32(b, uint32(a.hi))
+	b = appendF64s(b, a.x)
+	return buildFrame(msgAssign, appendPeers(b, a.addrs))
+}
+
+// decodeAssign is buildAssignFrame's inverse for an iterate of dimension n
+// and a run of p workers.
+func decodeAssign(payload []byte, n, p int) (assign, error) {
+	cur := cursor{b: payload}
+	a := assign{gen: cur.u32(), lo: int(cur.u32()), hi: int(cur.u32())}
+	a.x = cur.f64s(n)
+	a.addrs = cur.peers(p)
+	if cur.err == nil && (a.lo < 0 || a.lo > a.hi || a.hi > n) {
+		cur.err = fmt.Errorf("shard [%d, %d) of %d", a.lo, a.hi, n)
+	}
+	return a, cur.err
+}
+
 // welcome is the decoded welcome frame: the worker's slot in the run plus
 // the run's parameters — the coordinator's validated Config travels as is,
 // minus what is local to a process (operator, scratches, cancellation),

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,10 +82,58 @@ func TestDecodeWelcomeBoundsWorkers(t *testing.T) {
 	}
 }
 
-// decodeFramePayload drives the decoders with arbitrary bytes: the
-// production ones for welcome, block, checkpoint and reshard-ack, and a
-// mirror of the switch arms that still decode inline (status, final, assign
-// and the string frames). Decode errors are fine; panics are not.
+// TestControlFramesRoundTrip: status, final, assign and peers decode to what
+// was encoded, and a table of the wrong size is refused.
+func TestControlFramesRoundTrip(t *testing.T) {
+	payload := func(frame []byte) []byte { return frame[frameHeaderLen:] }
+	st := status{probeID: 9, passive: true, spent: true, gen: 2, epoch: 5, sent: 4, delivered: 3, drained: 1}
+	if got, err := decodeStatus(payload(buildStatusFrame(st))); err != nil || got != st {
+		t.Errorf("status = %+v, %v; want %+v", got, err, st)
+	}
+	fin := final{lo: 1, vals: []float64{2, 3}, updates: 7, sent: 6, delivered: 5, stale: 4,
+		dropped: 3, reordered: 2, duplicate: 1, linkBytes: []uint64{0, 40}}
+	if got, err := decodeFinal(payload(buildFinalFrame(fin)), fuzzDim, fuzzWorkers); err != nil || !reflect.DeepEqual(got, fin) {
+		t.Errorf("final = %+v, %v; want %+v", got, err, fin)
+	}
+	if _, err := decodeFinal(payload(buildFinalFrame(fin)), fuzzDim, 1); err == nil {
+		t.Error("two link byte counters accepted from a one-worker run")
+	}
+	for _, as := range []assign{
+		{gen: 2, lo: 1, hi: 3, x: []float64{1, 2, 3}},
+		{gen: 2, lo: 0, hi: 1, x: []float64{1, 2, 3}, addrs: []string{"127.0.0.1:1", ""}},
+	} {
+		if got, err := decodeAssign(payload(buildAssignFrame(as)), fuzzDim, fuzzWorkers); err != nil || !reflect.DeepEqual(got, as) {
+			t.Errorf("assign = %+v, %v; want %+v", got, err, as)
+		}
+	}
+	bad := assign{gen: 2, lo: 2, hi: 1, x: []float64{1, 2, 3}}
+	if _, err := decodeAssign(payload(buildAssignFrame(bad)), fuzzDim, fuzzWorkers); err == nil {
+		t.Error("assign with lo > hi accepted")
+	}
+	addrs := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	if got, err := decodePeers(appendPeers(nil, addrs), 2); err != nil || !reflect.DeepEqual(got, addrs) {
+		t.Errorf("peers = %v, %v; want %v", got, err, addrs)
+	}
+	for _, p := range []int{1, 3} {
+		if _, err := decodePeers(appendPeers(nil, addrs), p); err == nil || !strings.Contains(err.Error(), "count 2, want") {
+			t.Errorf("2-entry peer table for %d workers: err = %v", p, err)
+		}
+	}
+	if _, err := decodePeers(appendPeers(nil, nil), 2); err == nil {
+		t.Error("empty rendezvous peer table accepted")
+	}
+}
+
+// Dimension and worker count the fuzz target decodes final, assign and
+// peers payloads against (the seeds are built for them).
+const (
+	fuzzDim     = 3
+	fuzzWorkers = 2
+)
+
+// decodeFramePayload drives the production decoders — the very functions the
+// coordinator's serveLink and the worker's handle / runWorker call — with
+// arbitrary bytes. Decode errors are fine; panics are not.
 func decodeFramePayload(typ byte, payload []byte) {
 	cur := cursor{b: payload}
 	switch typ {
@@ -100,38 +149,15 @@ func decodeFramePayload(typ byte, payload []byte) {
 	case msgCheckpoint, msgReshardAck:
 		decodeShard(payload, maxFramePayload)
 	case msgStatus:
-		cur.u64() // probeID
-		cur.u8()  // flags
-		cur.u32() // gen
-		cur.u64() // epoch
-		cur.u64() // sent
-		cur.u64() // delivered
-		cur.u64() // drained
+		decodeStatus(payload)
 	case msgAssign:
-		cur.u32() // gen
-		cur.u32() // lo
-		cur.u32() // hi
-		cur.f64s(len(cur.b)/8 - 1)
-		n := int(int32(cur.u32()))
-		for i := 0; i < n && cur.err == nil; i++ {
-			cur.str()
-		}
+		decodeAssign(payload, fuzzDim, fuzzWorkers)
 	case msgFinal:
-		cur.u32() // lo
-		vals := int(int32(cur.u32()))
-		cur.f64s(vals)
-		cur.u32() // updates
-		for i := 0; i < 6; i++ {
-			cur.u64()
-		}
-		cur.u64s(int(int32(cur.u32())))
+		decodeFinal(payload, maxFramePayload, fuzzWorkers)
+	case msgPeers:
+		decodePeers(payload, fuzzWorkers)
 	case msgMeshAddr, msgReject:
 		cur.str()
-	case msgPeers:
-		n := int(int32(cur.u32()))
-		for i := 0; i < n && cur.err == nil; i++ {
-			cur.str()
-		}
 	case msgReshard, msgMeshHello, msgProbe:
 		cur.u64()
 	}
@@ -156,6 +182,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	wel.cfg.Workers, wel.cfg.X0 = 2, []float64{1, 2, 3}
 	f.Add(wel.frame())
 	f.Add(buildShardFrame(msgReshardAck, 2, 1, []float64{0.5, -0.5}))
+	f.Add(buildStatusFrame(status{probeID: 9, passive: true, gen: 2, epoch: 5, sent: 4, delivered: 3, drained: 1}))
+	f.Add(buildFinalFrame(final{lo: 1, vals: []float64{2, 3}, updates: 7, sent: 6, linkBytes: []uint64{0, 40}}))
+	f.Add(buildAssignFrame(assign{gen: 2, lo: 1, hi: 3, x: []float64{1, 2, 3}}))
+	f.Add(buildAssignFrame(assign{gen: 2, lo: 0, hi: 1, x: []float64{1, 2, 3}, addrs: []string{"127.0.0.1:1", ""}}))
+	f.Add(buildFrame(msgAssign, appendU32(appendF64s(appendU32(appendU32(appendU32(nil, 2), 0), 1), []float64{1, 2, 3}), 0xffffffff))) // lying peer count
+	f.Add(buildFrame(msgPeers, appendPeers(nil, []string{"127.0.0.1:1", "127.0.0.1:2"})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := readFrame(bytes.NewReader(data), maxFramePayload)
 		if err != nil {

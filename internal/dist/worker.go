@@ -182,19 +182,10 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 				ln.Close()
 				return fmt.Errorf("dist: worker %d peer table: %v", ws.id, err)
 			}
-			cur := cursor{b: payload}
-			count := int(cur.u32())
-			if cur.err != nil || count != ws.p {
+			peers, err := decodePeers(payload, ws.p)
+			if err != nil {
 				ln.Close()
-				return fmt.Errorf("dist: worker %d peer table count %d, want %d", ws.id, count, ws.p)
-			}
-			peers := make([]string, count)
-			for i := range peers {
-				peers[i] = cur.str()
-			}
-			if cur.err != nil {
-				ln.Close()
-				return fmt.Errorf("dist: worker %d peer table decode: %w", ws.id, cur.err)
+				return fmt.Errorf("dist: worker %d peer table %w", ws.id, err)
 			}
 			m, err := dialMesh(ws.id, ws.p, ln, peers, cfg.Fault, ws.gen, deadline, ws.hbEvery > 0)
 			if err != nil {
@@ -334,25 +325,14 @@ func (ws *workerState) handle(f inFrame) error {
 		if cur.err != nil {
 			return fmt.Errorf("dist: worker %d: bad probe frame", ws.id)
 		}
-		var flags byte
-		if ws.passive {
-			flags |= statusPassive
+		st := status{
+			probeID: probeID, passive: ws.passive, spent: ws.spent,
+			gen: ws.gen, epoch: ws.epoch, sent: ws.gsent, delivered: ws.gdelivered,
 		}
-		if ws.spent {
-			flags |= statusSpent
-		}
-		var drained uint64
 		if ws.mesh != nil {
-			drained = uint64(ws.mesh.snd.led.drained())
+			st.drained = uint64(ws.mesh.snd.led.drained())
 		}
-		st := appendU64(nil, probeID)
-		st = append(st, flags)
-		st = appendU32(st, ws.gen)
-		st = appendU64(st, ws.epoch)
-		st = appendU64(st, ws.gsent)
-		st = appendU64(st, ws.gdelivered)
-		st = appendU64(st, drained)
-		if _, err := ws.conn.Write(buildFrame(msgStatus, st)); err != nil {
+		if _, err := ws.conn.Write(buildStatusFrame(st)); err != nil {
 			return fmt.Errorf("dist: worker %d status: %w", ws.id, err)
 		}
 	case msgReshard:
@@ -387,23 +367,11 @@ func (ws *workerState) handle(f inFrame) error {
 			return fmt.Errorf("dist: worker %d reshard ack: %w", ws.id, err)
 		}
 	case msgAssign:
-		cur := cursor{b: f.payload}
-		gen := cur.u32()
-		lo := int(cur.u32())
-		hi := int(cur.u32())
-		x := cur.f64s(ws.n)
-		peerCount := int(cur.u32())
-		var addrs []string
-		if peerCount > 0 {
-			addrs = make([]string, peerCount)
-			for i := range addrs {
-				addrs[i] = cur.str()
-			}
-		}
-		if cur.err != nil || lo < 0 || lo > hi || hi > ws.n || (peerCount != 0 && peerCount != ws.p) {
+		a, err := decodeAssign(f.payload, ws.n, ws.p)
+		if err != nil {
 			return fmt.Errorf("dist: worker %d: bad assign frame", ws.id)
 		}
-		if gen != ws.gen {
+		if a.gen != ws.gen {
 			return nil // a barrier attempt that was superseded before landing
 		}
 		// Adopt the new shard over the coordinator's merged iterate. A
@@ -411,11 +379,11 @@ func (ws *workerState) handle(f inFrame) error {
 		// overwritten here — transient staleness the totally-asynchronous
 		// regime tolerates by construction (its sender re-broadcasts
 		// whatever still moves).
-		copy(ws.view, x)
-		ws.lo, ws.hi = lo, hi
-		ws.lastSent = append(ws.lastSent[:0], ws.view[lo:hi]...)
-		if ws.mesh != nil && addrs != nil {
-			ws.mesh.updatePeers(addrs)
+		copy(ws.view, a.x)
+		ws.lo, ws.hi = a.lo, a.hi
+		ws.lastSent = append(ws.lastSent[:0], ws.view[a.lo:a.hi]...)
+		if ws.mesh != nil && a.addrs != nil {
+			ws.mesh.updatePeers(a.addrs)
 		}
 		ws.awaitAssign = false
 		ws.reset = true
@@ -597,19 +565,15 @@ func (ws *workerState) finish(updates int) error {
 		ws.mesh.snd.flush()
 		led, linkBytes = ws.mesh.snd.led, ws.mesh.snd.linkBytes()
 	}
-	fin := appendSlice(nil, ws.lo, ws.view[ws.lo:ws.hi])
-	fin = appendU32(fin, uint32(updates))
-	fin = appendU64(fin, ws.sent)
-	fin = appendU64(fin, ws.delivered)
-	fin = appendU64(fin, ws.stale)
-	fin = appendU64(fin, uint64(led.dropped.Load()))
-	fin = appendU64(fin, uint64(led.reordered.Load()))
-	fin = appendU64(fin, uint64(led.duplicate.Load()))
-	fin = appendU32(fin, uint32(len(linkBytes)))
-	for _, b := range linkBytes {
-		fin = appendU64(fin, b)
+	fin := final{
+		lo: ws.lo, vals: ws.view[ws.lo:ws.hi], updates: updates,
+		sent: ws.sent, delivered: ws.delivered, stale: ws.stale,
+		dropped:   uint64(led.dropped.Load()),
+		reordered: uint64(led.reordered.Load()),
+		duplicate: uint64(led.duplicate.Load()),
+		linkBytes: linkBytes,
 	}
-	if _, err := ws.conn.Write(buildFrame(msgFinal, fin)); err != nil {
+	if _, err := ws.conn.Write(buildFinalFrame(fin)); err != nil {
 		return fmt.Errorf("dist: worker %d final: %w", ws.id, err)
 	}
 

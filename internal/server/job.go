@@ -76,9 +76,10 @@ func (r JobRequest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// DecodeJobRequest parses a /v1/solve body: knob-table fields are split
-// into Knobs, every remaining field must be a core JobRequest field
-// (unknown fields stay a 400, exactly as strict as before knobs existed).
+// DecodeJobRequest parses a /v1/solve body: knob-table fields are validated
+// and split into Knobs, every remaining field must be a core JobRequest field
+// (unknown fields stay a 400, exactly as strict as before knobs existed). A
+// request it returns always marshals back.
 func DecodeJobRequest(body []byte) (JobRequest, error) {
 	var req JobRequest
 	var fields map[string]json.RawMessage
@@ -92,6 +93,9 @@ func DecodeJobRequest(body []byte) (JobRequest, error) {
 			continue
 		}
 		val, err := repro.KnobValueFromJSON(k, raw)
+		if err == nil {
+			_, err = k.Option(val) // a value the knob refuses is a bad body, not a Knobs entry
+		}
 		if err != nil {
 			return req, err
 		}

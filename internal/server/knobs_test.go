@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -186,4 +187,41 @@ func TestServeKnobValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeJobRequest: the /v1/solve body parser never panics, and a body it
+// accepts is a fixed point of the wire form — it re-marshals, and the
+// re-marshalled bytes decode to an equal JobRequest.
+func FuzzDecodeJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"scenario":"lasso","n":32,"seed":9,"engine":"dist","workers":4,"tol":1e-9}`,
+		`{"scenario":"lasso","block_size":64,"gram_precompute":false,"drop_prob":0.05}`, // knobs as bare literals
+		`{"scenario":"lasso","block_size":"64","gram_precompute":"true"}`,               // as quoted strings
+		`{"scenario":"lasso","max_link_delay":"5ms","checkpoint_file":"/tmp/ck"}`,
+		`{"scenario":"lasso","max_link_delay":5}`, // a duration as a bare number
+		`null`,
+		`{"scenario":"lasso","scenario":"ridge","block_size":1,"block_size":2}`, // duplicate keys
+		`{"scenario":"lasso","bogus":1}`,                                        // an unknown field
+		`{"scenario":"lasso","block_size":null}`,                                // was accepted, then failed to marshal
+		// Flag syntax that is no JSON literal: marshalled bare, these broke the wire.
+		`{"scenario":"lasso","block_size":"+5","gram_precompute":"T","drop_prob":".5"}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := DecodeJobRequest(body)
+		if err != nil {
+			return
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted body %q does not re-marshal: %v", body, err)
+		}
+		back, err := DecodeJobRequest(wire)
+		if err != nil || !reflect.DeepEqual(back, req) {
+			t.Fatalf("body %q: %+v re-marshalled to %s, which decodes to %+v, %v", body, req, wire, back, err)
+		}
+	})
 }

@@ -197,13 +197,14 @@ func KnobByFlag(name string) (Knob, bool) {
 
 // JSONValue converts a flag-syntax knob value into its JSON wire form:
 // numeric and boolean knobs as bare literals, durations and strings as
-// quoted strings.
+// quoted strings — as is any flag spelling JSON has no literal for ("+5",
+// "T", ".5"), which KnobValueFromJSON takes back quoted.
 func (k Knob) JSONValue(value string) (json.RawMessage, error) {
 	var probe Spec
 	if err := k.apply(&probe, value); err != nil {
 		return nil, err
 	}
-	if k.Kind == KnobDuration || k.Kind == KnobString {
+	if k.Kind == KnobDuration || k.Kind == KnobString || !json.Valid([]byte(value)) {
 		return json.Marshal(value)
 	}
 	return json.RawMessage(value), nil

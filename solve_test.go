@@ -355,6 +355,30 @@ func TestParseDelay(t *testing.T) {
 	}
 }
 
+// FuzzParseDelay: the delay-model parser never panics, and whatever it
+// accepts is an admissible model — condition a), 0 <= l_i(j) <= j-1, holds at
+// the first iterations and far out, however large the parameter.
+func FuzzParseDelay(f *testing.F) {
+	for _, seed := range []string{"fresh", "constant:3", "bounded", "bounded:4", "sqrt", "log", "ooo:32",
+		"", "warp", "bounded:x", "constant:0", "fresh:1", "bounded:8:3", "ooo:+7",
+		"constant:9223372036854775807", "bounded:9223372036854775807", "ooo:9223372036854775808"} {
+		f.Add(seed, uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		m, err := repro.ParseDelay(spec, seed)
+		if err != nil {
+			return
+		}
+		for _, j := range []int{1, 2, 3, 17, 1 << 20, 1 << 30} {
+			for _, i := range []int{0, 5} {
+				if l := m.Label(i, j); l < 0 || l > j-1 {
+					t.Fatalf("ParseDelay(%q, %d): %s.Label(%d, %d) = %d outside [0, %d]", spec, seed, m.Name(), i, j, l, j-1)
+				}
+			}
+		}
+	})
+}
+
 // TestSolveAutoReference checks that the simulated engines compute a
 // synchronous reference when Tol is set without XStar.
 func TestSolveAutoReference(t *testing.T) {
