@@ -9,11 +9,10 @@ package repro_test
 //
 // Whole solves are not timed here: `go run ./benchmark` (BENCHMARK.json) is
 // the one record for every engine, the served path and the dist
-// deployments. The micro-benchmarks delegate to internal/benchsuite — the
-// same cases `asyncsolve bench` measures and captures as BENCH_<rev>.json —
-// so test benchmarks and the CI benchmark artifact always agree on what is
-// measured. Workload generation happens in each case's setup, outside the
-// timed region.
+// deployments, and the scenario build and Report codec are its
+// scenario.build_ms.* / report.*_us.lasso64 metrics. The micro-benchmarks
+// below are plain testing.B functions: workload generation happens before
+// b.ResetTimer, outside the timed region.
 //
 // Each experiment benchmark executes the complete experiment (workload
 // generation, runs of every mode, table assembly), so ns/op is the cost of
@@ -23,7 +22,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/benchsuite"
 	"repro/internal/experiments"
 )
 
@@ -63,41 +61,130 @@ func BenchmarkE16_NestedBoxes(b *testing.B)          { benchExperiment(b, "E16")
 func BenchmarkE17_ContractionNecessity(b *testing.B) { benchExperiment(b, "E17") }
 
 // ---------------------------------------------------------------------------
-// Micro-benchmarks (shared with `asyncsolve bench`).
+// Micro-benchmarks of the operator layer.
 
 // BenchmarkProxGradBFApply measures one application of the Definition 4
 // operator on a 64-dim lasso problem through the scratch fast path.
 func BenchmarkProxGradBFApply(b *testing.B) {
-	benchsuite.RunNamed(b, "ProxGradBFApply")
+	reg, err := repro.NewRegression(repro.RegressionConfig{
+		N: 64, Coupling: 0.3, Sparsity: 0.5, Reg: 0.1, Seed: 5,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := reg.Smooth()
+	op := repro.NewProxGradBF(f, repro.L1{Lambda: 0.02}, repro.MaxStep(f))
+	scr := repro.NewOperatorScratch()
+	x := make([]float64, 64)
+	dst := make([]float64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		repro.ApplyOperator(op, scr, dst, x)
+	}
 }
 
-// The BlockEval pairs measure one full round of worker-block phases on a
-// ProxGradBF lasso operator through the whole-block fast path vs the forced
-// per-component fallback; the ns/op ratio is the block contract's speedup.
-func BenchmarkBlockEvalN1024(b *testing.B) {
-	benchsuite.RunNamed(b, "BlockEvalN1024")
+// perComponent forwards the componentwise and scratch fast paths of its
+// inner operator but hides BlockScratchOperator, so EvalBlock takes the
+// per-component fallback — the exact pre-block-contract hot loop, measured
+// as the baseline of every BlockEval pair.
+type perComponent struct{ inner repro.Operator }
+
+func (w perComponent) Dim() int                             { return w.inner.Dim() }
+func (w perComponent) Component(i int, x []float64) float64 { return w.inner.Component(i, x) }
+func (w perComponent) Name() string                         { return w.inner.Name() }
+
+func (w perComponent) ComponentScratch(scr *repro.OperatorScratch, i int, x []float64) float64 {
+	return repro.EvalComponent(w.inner, scr, i, x)
 }
 
+func (w perComponent) ApplyScratch(scr *repro.OperatorScratch, dst, x []float64) {
+	repro.ApplyOperator(w.inner, scr, dst, x)
+}
+
+// blockLassoOp builds the n-dim ProxGradBF lasso operator of the BlockEval
+// benchmarks. The design matrix keeps a thin slab of dense coupling rows so
+// the Gram matrix stays genuinely coupled without the O(samples*n^2)
+// assembly cost of the default 4n-sample generator at this scale.
+func blockLassoOp(b *testing.B, n int) repro.Operator {
+	reg, err := repro.NewRegression(repro.RegressionConfig{
+		N: n, Samples: n + 32, Coupling: 0.2, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 17,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := reg.Smooth()
+	return repro.NewProxGradBF(f, repro.L1{Lambda: 0.02}, repro.MaxStep(f))
+}
+
+// blockSeparableLassoOp builds the n-dim ProxGradBF operator over the
+// paper's Section V separable smooth model — O(n) memory, so the BlockEval
+// benchmark can scale to dimensions where a dense Gram matrix would not
+// fit. This is the regime where a block phase is O(n + b) against the
+// per-component path's O(b*n).
+func blockSeparableLassoOp(_ *testing.B, n int) repro.Operator {
+	rng := repro.NewRNG(18)
+	a := make([]float64, n)
+	t := make([]float64, n)
+	for i := range a {
+		a[i] = 1 + rng.Float64()
+		t[i] = rng.Normal()
+	}
+	f := repro.NewSeparable(a, t)
+	return repro.NewProxGradBF(f, repro.L1{Lambda: 0.02}, repro.MaxStep(f))
+}
+
+// benchBlockSweep measures one full round of block phases — every
+// contiguous worker block of the n-dim operator evaluated once — through
+// the block fast path or (perComp) the forced per-component fallback. The
+// ns/op ratio of a pair is the block contract's speedup; the operation
+// count behind it is pinned, without a clock, by
+// TestBlockSweepProxAndGradientCounts in internal/operators.
+func benchBlockSweep(b *testing.B, build func(*testing.B, int) repro.Operator, n, blockSize int, perComp bool) {
+	op := build(b, n)
+	if perComp {
+		op = perComponent{op}
+	}
+	scr := repro.NewOperatorScratch()
+	x := repro.NewRNG(19).NormalVector(n)
+	out := make([]float64, blockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < n; lo += blockSize {
+			hi := min(lo+blockSize, n)
+			repro.EvalBlock(op, scr, lo, hi, x, out[:hi-lo])
+		}
+	}
+}
+
+func BenchmarkBlockEvalN1024(b *testing.B) { benchBlockSweep(b, blockLassoOp, 1024, 128, false) }
 func BenchmarkBlockEvalN1024PerComponent(b *testing.B) {
-	benchsuite.RunNamed(b, "BlockEvalN1024PerComponent")
+	benchBlockSweep(b, blockLassoOp, 1024, 128, true)
 }
-
 func BenchmarkBlockEvalN4096(b *testing.B) {
-	benchsuite.RunNamed(b, "BlockEvalN4096")
+	benchBlockSweep(b, blockSeparableLassoOp, 4096, 512, false)
 }
-
 func BenchmarkBlockEvalN4096PerComponent(b *testing.B) {
-	benchsuite.RunNamed(b, "BlockEvalN4096PerComponent")
+	benchBlockSweep(b, blockSeparableLassoOp, 4096, 512, true)
 }
 
-// The non-solve layers of a served job: one Gram assembly (1024x256), one
-// complete lasso scenario build, one encode and one decode of the report a
-// served model-engine lasso n=64 job streams back.
-func BenchmarkGramAssemble256(b *testing.B)        { benchsuite.RunNamed(b, "GramAssemble256") }
-func BenchmarkScenarioBuildLasso64(b *testing.B)   { benchsuite.RunNamed(b, "ScenarioBuildLasso64") }
-func BenchmarkScenarioBuildLasso256(b *testing.B)  { benchsuite.RunNamed(b, "ScenarioBuildLasso256") }
-func BenchmarkReportMarshalLasso64(b *testing.B)   { benchsuite.RunNamed(b, "ReportMarshalLasso64") }
-func BenchmarkReportUnmarshalLasso64(b *testing.B) { benchsuite.RunNamed(b, "ReportUnmarshalLasso64") }
+// BenchmarkGramAssemble256 measures one Gram assembly (1024x256), the
+// dominant cost of a regression scenario build.
+func BenchmarkGramAssemble256(b *testing.B) {
+	rng := repro.NewRNG(23)
+	a := repro.NewDense(1024, 256)
+	for i := range a.Data {
+		a.Data[i] = rng.Normal()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g := a.AtA(); g.Rows != 256 {
+			b.Fatalf("gram is %dx%d", g.Rows, g.Cols)
+		}
+	}
+}
 
 // BenchmarkMacroTracker measures Definition 2 bookkeeping throughput (the
 // tracker construction is the measured object, so nothing is hoisted).

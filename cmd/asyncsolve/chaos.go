@@ -52,7 +52,6 @@ func runChaos(args []string) {
 	n := fs.Int("n", 0, "problem size; 0 = scenario default")
 	seed := fs.Uint64("seed", 1, "workload and fault seed")
 	workers := fs.Int("workers", 8, "worker count")
-	topology := fs.String("topology", "star", "data plane: star | mesh")
 	tol := fs.Float64("tol", -1, "convergence tolerance; negative = scenario default")
 	kills := fs.Int("kills", 2, "number of workers killed mid-solve")
 	killAfter := fs.Duration("kill-after", 100*time.Millisecond, "when the first kill fires")
@@ -60,8 +59,9 @@ func runChaos(args []string) {
 	restartAfter := fs.Duration("restart-after", 100*time.Millisecond, "kill-to-replacement-launch delay; negative = never restart")
 	evalDelay := fs.Duration("evaldelay", 300*time.Microsecond, "per-component evaluation stretch so the solve spans the churn schedule; 0 = full speed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "run timeout")
-	// Fault and elastic knobs come from the shared knob table.
-	knobs := repro.RegisterKnobFlags(fs, "faults", "elastic")
+	// Fault, elastic and dist (-topology, -delta) knobs come from the shared
+	// knob table.
+	knobs := repro.RegisterKnobFlags(fs, "faults", "elastic", "dist")
 	fs.Parse(args)
 
 	knobOpts, err := knobs.Options()
@@ -80,7 +80,7 @@ func runChaos(args []string) {
 		os.Exit(2)
 	}
 	spec := inst.Spec
-	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithTopology(*topology), repro.WithSeed(*seed)) {
+	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithSeed(*seed)) {
 		o(&spec)
 	}
 	if spec.HeartbeatEvery == 0 {
@@ -105,7 +105,7 @@ func runChaos(args []string) {
 	}
 
 	fmt.Printf("chaos: scenario=%s n=%d topology=%s workers=%d kills=%d heartbeat=%v\n",
-		*scenario, spec.Op.Dim(), *topology, cfg.Workers, *kills, spec.HeartbeatEvery)
+		*scenario, spec.Op.Dim(), topologyName(cfg), cfg.Workers, *kills, spec.HeartbeatEvery)
 	res, err := dist.RunChaos(cfg, plan)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

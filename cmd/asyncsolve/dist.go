@@ -35,22 +35,29 @@ func distScenario(scenario string, n int, seed uint64) (*repro.ScenarioInstance,
 	return repro.BuildScenario(scenario, n, seed)
 }
 
+// topologyName is the data plane a config runs on: an unset -topology is the
+// engine's default.
+func topologyName(cfg dist.Config) string {
+	if cfg.Topology == "" {
+		return dist.TopologyStar
+	}
+	return cfg.Topology
+}
+
 func runDistCoordinator(args []string) {
 	fs := flag.NewFlagSet("dist-coordinator", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7000", "address to accept workers on")
 	workers := fs.Int("workers", 2, "number of worker processes to wait for")
 	scenario := fs.String("scenario", "lasso", "workload scenario (must match the workers')")
-	topology := fs.String("topology", "star", "data plane: star (coordinator relay) | mesh (worker-to-worker links)")
 	n := fs.Int("n", 0, "problem size; 0 = scenario default (must match the workers')")
 	seed := fs.Uint64("seed", 1, "workload seed (must match the workers')")
 	tol := fs.Float64("tol", -1, "convergence tolerance; negative = scenario default")
-	deltaThr := fs.Float64("delta", 0, "flexible-communication threshold: ship only components that moved more than this")
 	maxUpdates := fs.Int("maxupdates", 0, "per-worker update budget; 0 = default")
-	// -drop, -reorder, -maxdelay and the elastic knobs (-heartbeat,
-	// -checkpoint, -rejoin-wait, -checkpoint-file) come from the shared knob
-	// table so the coordinator accepts the same spellings as every other
-	// surface.
-	knobs := repro.RegisterKnobFlags(fs, "faults", "elastic")
+	// -drop, -reorder, -maxdelay, the elastic knobs (-heartbeat,
+	// -checkpoint, -rejoin-wait, -checkpoint-file) and the dist knobs
+	// (-topology, -delta) come from the shared knob table so the coordinator
+	// accepts the same spellings as every other surface.
+	knobs := repro.RegisterKnobFlags(fs, "faults", "elastic", "dist")
 	timeout := fs.Duration("timeout", 2*time.Minute, "run timeout")
 	fs.Parse(args)
 
@@ -66,8 +73,7 @@ func runDistCoordinator(args []string) {
 		os.Exit(2)
 	}
 	spec := inst.Spec
-	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithTopology(*topology),
-		repro.WithDeltaThreshold(*deltaThr), repro.WithSeed(*seed)) {
+	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithSeed(*seed)) {
 		o(&spec)
 	}
 	if *tol >= 0 {
@@ -88,7 +94,7 @@ func runDistCoordinator(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("coordinator: scenario=%s n=%d topology=%s waiting for %d workers on %s\n",
-		*scenario, dim, *topology, cfg.Workers, ln.Addr())
+		*scenario, dim, topologyName(cfg), cfg.Workers, ln.Addr())
 	res, err := dist.Serve(ln, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -8,18 +8,13 @@
 //	asyncsolve -list
 //
 // It prints the unified solve summary (iterations, updates, macro-iterations,
-// epochs, residual) plus quality metrics specific to the scenario. The
-// legacy flags -problem (alias of -scenario) and -mode sync|async|flexible
-// are still accepted.
+// epochs, residual) plus quality metrics specific to the scenario. -mode
+// sync|async|flexible maps each regime onto the knob the selected engine
+// honours. A leftover positional argument — a subcommand that does not
+// exist — prints usage and exits 2.
 //
-// The bench subcommand runs the micro-benchmarks of internal/benchsuite
-// (the BlockEval gate and a ledger of non-solve layers) and captures them
-// as machine-readable JSON, the file CI uploads as an artifact; whole
-// solves are timed by `go run ./benchmark` (BENCHMARK.json), not here:
-//
-//	asyncsolve bench                       # ~1s per case
-//	asyncsolve bench -quick                # single repetition per case (CI smoke)
-//	asyncsolve bench -out BENCH_local.json # explicit output path
+// Nothing here times code: `go run ./benchmark` (BENCHMARK.json) is the
+// benchmark of record and `go test -bench` the only other way.
 //
 // The dist-coordinator and dist-worker subcommands deploy the TCP engine
 // as separate OS processes (see dist.go in this package):
@@ -55,12 +50,6 @@ import (
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "bench":
-			runBench(os.Args[2:])
-			return
-		case "bench-compare":
-			runBenchCompare(os.Args[2:])
-			return
 		case "dist-coordinator":
 			runDistCoordinator(os.Args[2:])
 			return
@@ -78,53 +67,39 @@ func main() {
 			return
 		}
 	}
-	scenario := flag.String("scenario", "", "workload scenario (see -list)")
-	problem := flag.String("problem", "", "legacy alias of -scenario")
+	scenario := flag.String("scenario", "lasso", "workload scenario (see -list)")
 	engineName := flag.String("engine", "model", "engine: model | sim | simsync | shared | message | dist")
 	mode := flag.String("mode", "async", "model-engine mode: sync | async | flexible")
 	delayName := flag.String("delay", "bounded:8", "delay model: fresh | constant:D | bounded:B | sqrt | log | ooo:W")
 	n := flag.Int("n", 0, "problem size (features / nodes / grid side); 0 = scenario default")
 	workers := flag.Int("workers", 0, "worker count for the sim/goroutine engines; 0 = default")
-	topology := flag.String("topology", "", "dist-engine data plane: star | mesh (default star)")
-	deltaThr := flag.Float64("delta", 0, "dist-engine flexible-communication threshold: ship only components that moved more than this since last shipped")
 	theta := flag.Float64("theta", 0.5, "flexible blend fraction (model engine, mode=flexible)")
 	flexK := flag.Int("flex", 0, "publish k uniform partial updates per phase (sim/shared engines)")
 	tol := flag.Float64("tol", -1, "convergence tolerance; negative = scenario default, 0 = run to budget")
 	maxIter := flag.Int("maxiter", 0, "iteration budget; 0 = scenario default")
 	seed := flag.Uint64("seed", 1, "random seed")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
-	// Tuning (-block-size, -intra-parallel, -gram-precompute) and fault
-	// (-drop, -reorder, -maxdelay) knobs come from the shared knob table,
-	// so this command, the dist coordinator, the server and the load
-	// generator cannot drift apart.
+	// Tuning (-block-size, -intra-parallel, -gram-precompute), fault
+	// (-drop, -reorder, -maxdelay), elastic and dist (-topology, -delta)
+	// knobs come from the shared knob table, so this command, the dist
+	// coordinator, the server and the load generator cannot drift apart.
 	knobs := repro.RegisterKnobFlags(flag.CommandLine)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: asyncsolve [flags]\n       asyncsolve dist-coordinator | dist-worker | chaos | serve | load [flags]")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "asyncsolve: unknown subcommand or stray argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, s := range repro.Scenarios() {
 			fmt.Printf("%-10s n=%-5d %s\n", s.Name, s.DefaultN, s.Summary)
 		}
 		return
-	}
-
-	name := *scenario
-	if name == "" {
-		name = *problem
-	}
-	if name == "" {
-		name = "lasso"
-	}
-	// Legacy -problem spellings and problem sizes from the pre-scenario
-	// CLI (its -n default was 64, clamped per problem).
-	if *problem != "" && *scenario == "" && *n == 0 {
-		if *problem == "flow" {
-			*n = 12
-		} else {
-			*n = 64
-		}
-	}
-	if name == "flow" {
-		name = "netflow"
 	}
 
 	engine, err := repro.EngineByName(*engineName)
@@ -152,7 +127,7 @@ func main() {
 	// Build with the requested tuning so build-time choices (Gram form,
 	// sharded precompute) see the knobs; the solve options re-apply the
 	// same values plus any fault knobs.
-	inst, err := repro.BuildScenarioTuned(name, *n, *seed, knobSpec.Tuning)
+	inst, err := repro.BuildScenarioTuned(*scenario, *n, *seed, knobSpec.Tuning)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -202,22 +177,6 @@ func main() {
 	if *workers > 0 {
 		opts = append(opts, repro.WithWorkers(*workers))
 	}
-	if *topology != "" {
-		if engine != repro.EngineDist {
-			fmt.Fprintf(os.Stderr, "-topology only applies to the dist engine (got -engine %s)\n", engine.Name())
-			os.Exit(2)
-		}
-		opts = append(opts, repro.WithTopology(*topology))
-	}
-	if *deltaThr != 0 {
-		if engine != repro.EngineDist {
-			fmt.Fprintf(os.Stderr, "-delta only applies to the dist engine (got -engine %s)\n", engine.Name())
-			os.Exit(2)
-		}
-		// Negative values flow through so the engine rejects them loudly
-		// instead of a typo'd sign silently running a different experiment.
-		opts = append(opts, repro.WithDeltaThreshold(*deltaThr))
-	}
 	if *flexK > 0 {
 		opts = append(opts, repro.WithFlexible(repro.UniformFlex(*flexK)))
 	}
@@ -240,7 +199,7 @@ func main() {
 		delayDesc = "engine-schedule"
 	}
 	fmt.Printf("scenario=%s engine=%s mode=%s delay=%s n=%d\n",
-		name, res.Engine, *mode, delayDesc, dim)
+		*scenario, res.Engine, *mode, delayDesc, dim)
 	fmt.Printf("converged=%v iterations=%d updates=%d residual=%.3e\n",
 		res.Converged, res.Iterations, res.Updates, res.FinalResidual)
 	if len(res.Boundaries) > 0 || len(res.Epochs) > 0 {

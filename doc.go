@@ -343,6 +343,13 @@
 //	Faults.ReorderProb -reorder          reorder_prob      0        per-link hold-back reordering
 //	Faults.MaxLinkDelay
 //	                   -maxdelay         max_link_delay    0s       uniform per-link transit delay
+//	Topology           -topology         topology          ""       dist data plane: star (default) | mesh
+//	DeltaThreshold     -delta            delta_threshold   0        dist flexible communication on the wire
+//
+// The elastic-membership fields (-heartbeat, -checkpoint, -rejoin-wait,
+// -checkpoint-file) and the two dist-engine fields above are table entries
+// like the rest, so a served engine=dist job can ask for the mesh data plane
+// or a delta threshold; an engine ignores the knobs outside its list.
 //
 // BlockSize and IntraParallelism are BIT-IDENTICAL to the scalar reference
 // and never change a trajectory: every dot product in the tree reduces in
@@ -381,35 +388,19 @@
 // them. A speed claim about an engine, a transport or the serving layer is
 // a claim about those numbers; nothing else in the tree times a whole solve.
 //
-// What that harness cannot express — a ratio of two measurements taken in
-// one process — lives in internal/benchsuite, which runs as `go test
-// -bench=. -benchmem` (the root bench_test.go delegates to it) and as
-//
-//	asyncsolve bench            # ~1s per case
-//	asyncsolve bench -quick     # single repetition per case (CI smoke)
-//
-// which writes BENCH_<rev>.json (schema_version 1: an envelope of revision,
-// Go version, GOOS/GOARCH, num_cpu, timestamp and benchtime_ns around one
-// {name, kind, iterations, ns_per_op, allocs_per_op, bytes_per_op,
-// solve_rate_per_sec} result per case, the rate in units of work per
-// second). The BlockEval cases come in pairs — a case and its PerComponent
-// twin run the identical workload and block partition through the block
-// fast path and the forced per-component fallback — so every capture
-// records the block contract's speedup multiple, and CI gates it:
-//
-//	asyncsolve bench -out BENCH_new.json
-//	asyncsolve bench-compare -baseline BENCH_baseline.json -current BENCH_new.json
-//
-// (make bench-compare) fails when a pair's multiple falls more than
-// -tolerance (20%) below the committed BENCH_baseline.json or a baseline
-// pair is missing. A ratio within one capture, never raw ns/op across
-// captures, so the gate holds across machines. The suite's other cases (a
-// Gram assembly, scenario builds, the Report codec, one operator
-// application) are recorded in the same capture and not gated. The
-// per-experiment benchmarks of bench_test.go and internal/server's
-// BenchmarkServeMix (the profiling target of the served-job CPU table
-// above) are go test benchmarks only; the reproduction suite itself runs
-// in parallel via experiments.RunAll (CLI: cmd/experiments -parallel N).
+// The only other way to time code is `go test -bench`: plain testing.B
+// functions in the root bench_test.go (operator micro-benchmarks and one
+// benchmark per experiment) and internal/server's BenchmarkServeMix (the
+// profiling target of the served-job CPU table above), for measuring while
+// working; no file records them, no gate reads them, `make bench` runs each
+// once. The block contract is pinned by an operation count, not a clock:
+// TestBlockSweepProxAndGradientCounts in internal/operators checks that a
+// sweep of n components in blocks of b through EvalBlock applies the prox
+// n*ceil(n/b) times and takes every gradient row once, against n^2 prox
+// applications through a base-Operator-only wrapper. README "Measuring
+// performance" maps every case of the former second measuring system to
+// where it is read now. The reproduction suite itself runs in parallel via
+// experiments.RunAll (CLI: cmd/experiments -parallel N).
 //
 // # Static analysis
 //

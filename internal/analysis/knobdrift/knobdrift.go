@@ -1,6 +1,7 @@
 // Package knobdrift keeps the tuning/fault knob table in knobs.go the
 // single source of truth. Every knob (block-size, intra-parallel,
-// gram-precompute, drop, reorder, maxdelay) is declared exactly once
+// gram-precompute, drop, reorder, maxdelay, heartbeat, checkpoint,
+// rejoin-wait, checkpoint-file, topology, delta) is declared exactly once
 // there, with its CLI flag name and its server JSON field name;
 // cmd/asyncsolve registers flags via repro.RegisterKnobFlags and the
 // server decodes job fields via repro.KnobByJSON. A flag.Int("block-size",

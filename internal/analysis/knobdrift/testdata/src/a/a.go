@@ -17,6 +17,7 @@ func register(fs *flag.FlagSet) {
 	fs.Int("block-size", 0, "tile width")    // want `flag "block-size" duplicates a knob`
 	fs.Float64("drop", 0, "per-link loss")   // want `flag "drop" duplicates a knob`
 	flag.String("maxdelay", "", "jitter")    // want `flag "maxdelay" duplicates a knob`
+	fs.String("topology", "star", "plane")   // want `flag "topology" duplicates a knob`
 	fs.Int("workers", 0, "worker count")     // not a knob
 	fs.String("scenario", "lasso", "preset") // not a knob
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,6 +167,56 @@ func TestElasticZeroChurnMultiWorker(t *testing.T) {
 	if res.WorkersLost != 0 || res.WorkersRejoined != 0 || res.Resharding != 0 {
 		t.Errorf("churn counters on a churn-free run: lost=%d rejoined=%d reshardings=%d",
 			res.WorkersLost, res.WorkersRejoined, res.Resharding)
+	}
+}
+
+// stallOnce sleeps once, inside its stallAt-th evaluation of one component:
+// the worker owning that component goes silent mid-phase (heartbeats are
+// paced from the compute goroutine) exactly like a descheduled process.
+type stallOnce struct {
+	operators.Operator
+	component int
+	stallAt   int64
+	calls     atomic.Int64
+	stall     time.Duration
+}
+
+func (s *stallOnce) Component(i int, x []float64) float64 {
+	if i == s.component && s.calls.Add(1) == s.stallAt {
+		time.Sleep(s.stall)
+	}
+	return s.Operator.Component(i, x)
+}
+
+// TestElasticCasualtyIsNotARunError: an elastic Run with no churn plan whose
+// coordinator evicted a worker on heartbeat silence, re-sharded over the
+// survivors and converged returns that result. The evicted worker wakes to
+// a closed link and fails; with WorkersLost > 0 that is an expected
+// casualty, not the run's error.
+func TestElasticCasualtyIsNotARunError(t *testing.T) {
+	op, xstar := contractingOp(t, 32, 9)
+	tol := 1e-10
+	// Component 20 is in worker 2's shard of 4 x 8; the stall outlasts the
+	// 200 ms floor of heartbeatTimeout.
+	stalled := &stallOnce{Operator: op, component: 20, stallAt: 4, stall: 400 * time.Millisecond}
+	res, err := Run(Config{
+		Config:  runtime.Config{Op: stalled, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
+		Elastic: Elastic{HeartbeatEvery: 10 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatalf("run with an evicted worker failed: %v", err)
+	}
+	if !res.Converged {
+		t.Fatal("run did not converge over the survivors")
+	}
+	if res.WorkersLost < 1 {
+		t.Fatalf("WorkersLost = %d, want >= 1 (the stalled worker)", res.WorkersLost)
+	}
+	if r := operators.Residual(op, res.X); r > 1.01*tol {
+		t.Errorf("declared quiescent with residual %.3e > 1.01*tol %.1e", r, tol)
+	}
+	if e := vec.DistInf(res.X, xstar); e > 1e-6 {
+		t.Errorf("error %v too large", e)
 	}
 }
 

@@ -264,11 +264,12 @@ func Run(cfg Config) (*Result, error) {
 // runLocal is Run under an optional churn schedule (see RunChaos); cfg is
 // already validated. The coordinator's result is authoritative. Worker
 // errors are surfaced only from an uncancelled run without churn: a
-// cancelled coordinator drops its links on purpose, and under a plan
+// cancelled coordinator drops its links on purpose; under a plan
 // deliberately killed workers and replacements that raced the end of the
-// run are expected casualties — with a successful coordinator result there
-// is no healthy worker left to have failed in a way the result would not
-// show.
+// run are expected casualties; and so is a worker the coordinator evicted
+// on heartbeat silence (WorkersLost > 0), which wakes to a closed link —
+// with a successful coordinator result there is no healthy worker left to
+// have failed in a way the result would not show.
 func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -336,7 +337,7 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	if out.err != nil {
 		return nil, out.err
 	}
-	if len(plan.Events) == 0 && !out.res.Cancelled && workerErr != nil {
+	if len(plan.Events) == 0 && !out.res.Cancelled && out.res.WorkersLost == 0 && workerErr != nil {
 		return nil, workerErr
 	}
 	return out.res, nil

@@ -102,7 +102,9 @@ func writeCheckpointFile(path string, x []float64) error {
 
 // readCheckpointFile loads a checkpoint written by writeCheckpointFile,
 // returning (nil, nil) when no file exists and an error only for a file that
-// exists but is corrupt or has the wrong dimension.
+// exists but is corrupt, has the wrong dimension or carries a NaN — a NaN
+// iterate can only burn the run's budget (±Inf stays legal: routing
+// checkpoints unreachable nodes as +Inf).
 func readCheckpointFile(path string, n int) ([]float64, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -119,7 +121,13 @@ func readCheckpointFile(path string, n int) ([]float64, error) {
 	if dim != n || len(cur.b) != 8*n {
 		return nil, fmt.Errorf("dist: checkpoint %s has dimension %d, want %d", filepath.Base(path), dim, n)
 	}
-	return cur.f64s(n), nil
+	x := cur.f64s(n)
+	for i, v := range x {
+		if v != v {
+			return nil, fmt.Errorf("dist: %s is not a checkpoint file: value %d is NaN", filepath.Base(path), i)
+		}
+	}
+	return x, nil
 }
 
 // Rejoin configures the dial/register retry loop of ConnectWorker.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -67,6 +68,15 @@ func TestReadCheckpointFileRejectsCorrupt(t *testing.T) {
 	}
 	headerLen := len(checkpointMagic) + 4
 
+	nanPath := filepath.Join(dir, "nan.ckpt")
+	if err := writeCheckpointFile(nanPath, []float64{1, math.NaN(), 3}); err != nil {
+		t.Fatal(err)
+	}
+	withNaN, err := os.ReadFile(nanPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	wrongMagic := append([]byte(nil), valid...)
 	wrongMagic[0] ^= 0xff
 	lyingDim := append([]byte(nil), valid...)
@@ -89,6 +99,7 @@ func TestReadCheckpointFileRejectsCorrupt(t *testing.T) {
 		{"no values", valid[:headerLen], 3},
 		{"trailing byte", append(append([]byte(nil), valid...), 0), 3},
 		{"trailing value", append(append([]byte(nil), valid...), make([]byte, 8)...), 3},
+		{"a NaN among the values", withNaN, 3},
 	} {
 		path := filepath.Join(dir, "bad.ckpt")
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -106,4 +117,62 @@ func TestReadCheckpointFileRejectsCorrupt(t *testing.T) {
 	if got, err := readCheckpointFile(good, 3); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("intact file: (%v, %v), want %v", got, err, want)
 	}
+}
+
+// FuzzReadCheckpointFile: the checkpoint decoder never panics on any file,
+// and a file it accepts is exactly one writeCheckpointFile would write — n
+// values, none NaN, the same bytes back.
+func FuzzReadCheckpointFile(f *testing.F) {
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seed.ckpt")
+	valid := func(x []float64) []byte {
+		if err := writeCheckpointFile(path, x); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	three := valid([]float64{1.5, math.Inf(1), -2})
+	f.Add([]byte(nil), uint16(3))
+	f.Add([]byte(checkpointMagic), uint16(3))
+	f.Add(three, uint16(4)) // wrong dimension
+	f.Add(three[:len(three)-1], uint16(3))
+	f.Add(append(append([]byte(nil), three...), 0), uint16(3))
+	f.Add(three, uint16(3))
+	f.Add(valid([]float64{1, math.NaN(), 3}), uint16(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		x, err := readCheckpointFile(path, int(n))
+		if err != nil {
+			if x != nil {
+				t.Fatalf("rejected file still yielded an iterate: %v", x)
+			}
+			return
+		}
+		if len(x) != int(n) {
+			t.Fatalf("accepted %d values for a run of dimension %d", len(x), n)
+		}
+		for i, v := range x {
+			if v != v {
+				t.Fatalf("accepted a NaN at %d", i)
+			}
+		}
+		if err := writeCheckpointFile(path, x); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted file is not what writeCheckpointFile writes: %x vs %x", data, back)
+		}
+	})
 }

@@ -89,6 +89,83 @@ func TestEvalBlockMatchesPerComponent(t *testing.T) {
 	}
 }
 
+// sweepCounts is what one block sweep cost: prox applications, and the
+// gradient rows taken through each of the smooth part's two paths.
+type sweepCounts struct{ applies, rangeCalls, rangeRows, componentRows int }
+
+type countingProx struct {
+	prox.Prox
+	c *sweepCounts
+}
+
+func (p countingProx) Apply(i int, v, gamma float64) float64 {
+	p.c.applies++
+	return p.Prox.Apply(i, v, gamma)
+}
+
+type countingSmooth struct {
+	*Separable
+	c *sweepCounts
+}
+
+func (f countingSmooth) GradRange(scr *Scratch, dst, x []float64, lo, hi int) {
+	f.c.rangeCalls++
+	f.c.rangeRows += hi - lo
+	f.Separable.GradRange(scr, dst, x, lo, hi)
+}
+
+func (f countingSmooth) GradComponent(i int, x []float64) float64 {
+	f.c.componentRows++
+	return f.Separable.GradComponent(i, x)
+}
+
+// The block contract as an operation count. The Definition 4 operator
+// needs the whole prox vector for any component, so a sweep of n components
+// in blocks of b applies the prox n*ceil(n/b) times through the block path
+// (once per block) against n^2 through a base-Operator-only wrapper (once
+// per component), and takes every gradient row exactly once, through
+// GradRange. That multiple is what BenchmarkBlockEval* reads on a clock;
+// here it is exact, and it breaks the moment EvalBlockScratch degenerates
+// to the per-component loop.
+func TestBlockSweepProxAndGradientCounts(t *testing.T) {
+	const n, b = 96, 20 // b does not divide n: the last block is short
+	const blocks = (n + b - 1) / b
+	rng := vec.NewRNG(25)
+	a, tt := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i] = 1 + rng.Float64()
+		tt[i] = rng.Normal()
+	}
+	var c sweepCounts
+	f := countingSmooth{NewSeparable(a, tt), &c}
+	op := NewProxGradBF(f, countingProx{prox.L1{Lambda: 0.05}, &c}, MaxStep(f))
+	x := rng.NormalVector(n)
+	sweep := func(op Operator) []float64 {
+		c = sweepCounts{}
+		scr := NewScratch()
+		fx := make([]float64, n)
+		for lo := 0; lo < n; lo += b {
+			hi := min(lo+b, n)
+			EvalBlock(op, scr, lo, hi, x, fx[lo:hi])
+		}
+		return fx
+	}
+
+	block := sweep(op)
+	if want := (sweepCounts{applies: n * blocks, rangeCalls: blocks, rangeRows: n}); c != want {
+		t.Errorf("block sweep cost %+v, want %+v (prox n*ceil(n/b), every gradient row once through GradRange)", c, want)
+	}
+	perComp := sweep(componentOnly{op})
+	if want := (sweepCounts{applies: n * n, componentRows: n}); c != want {
+		t.Errorf("per-component sweep cost %+v, want %+v (prox n^2)", c, want)
+	}
+	for i := range block {
+		if block[i] != perComp[i] {
+			t.Fatalf("component %d: block %v != per-component %v", i, block[i], perComp[i])
+		}
+	}
+}
+
 // The fallback (no block implementation, or nil scratch) must agree with the
 // per-component path too, through the same dispatcher.
 func TestEvalBlockFallback(t *testing.T) {

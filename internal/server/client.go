@@ -15,7 +15,7 @@ import (
 )
 
 // Client talks to a running solve server. It is the one NDJSON decoder in
-// the tree: the load generator, the benchsuite and the tests all consume
+// the tree: the load generator, the repository benchmark and the tests all consume
 // streams through it.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".

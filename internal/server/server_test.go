@@ -92,6 +92,32 @@ func TestServeEngineMatrix(t *testing.T) {
 			}
 		})
 	}
+	// The dist engine's data plane is a knob-table field like any other: a
+	// served job can ask for worker-to-worker links.
+	t.Run("dist-mesh", func(t *testing.T) {
+		req := JobRequest{
+			Scenario: "lasso", N: 16, Seed: 7, Engine: "dist", Workers: 2,
+			Knobs: map[string]string{"topology": "mesh", "delta_threshold": "1e-12"},
+		}
+		j, err := resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec repro.Spec
+		for _, o := range j.knobOpts {
+			o(&spec)
+		}
+		if spec.Topology != "mesh" || spec.DeltaThreshold != 1e-12 {
+			t.Fatalf("admitted spec has topology %q delta %v, want mesh 1e-12", spec.Topology, spec.DeltaThreshold)
+		}
+		out, err := c.Solve(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.JobErr != "" || out.Report == nil || !out.Report.Converged {
+			t.Fatalf("mesh job: err %q, report %+v", out.JobErr, out.Report)
+		}
+	})
 }
 
 // TestServeBadRequests: malformed jobs fail admission with 400 (a transport

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -33,7 +34,7 @@ type Knob struct {
 	Flag string
 	// JSON is the field name in the server's /v1/solve job request.
 	JSON string
-	// Group is "tuning", "faults" or "elastic".
+	// Group is "tuning", "faults", "elastic" or "dist".
 	Group string
 	// Kind is the value type; it decides flag-value and JSON syntax.
 	Kind KnobKind
@@ -69,12 +70,12 @@ var knobTable = []Knob{
 	{
 		Flag: "drop", JSON: "drop_prob", Group: "faults", Kind: KnobFloat, Default: "0",
 		Help:  "per-link message drop probability",
-		apply: probKnob("drop", func(s *Spec, v float64) { s.DropProb = v }),
+		apply: floatKnob("drop", 1, func(s *Spec, v float64) { s.DropProb = v }),
 	},
 	{
 		Flag: "reorder", JSON: "reorder_prob", Group: "faults", Kind: KnobFloat, Default: "0",
 		Help:  "per-link message reorder probability",
-		apply: probKnob("reorder", func(s *Spec, v float64) { s.ReorderProb = v }),
+		apply: floatKnob("reorder", 1, func(s *Spec, v float64) { s.ReorderProb = v }),
 	},
 	{
 		Flag: "maxdelay", JSON: "max_link_delay", Group: "faults", Kind: KnobDuration, Default: "0s",
@@ -100,6 +101,16 @@ var knobTable = []Knob{
 		Flag: "checkpoint-file", JSON: "checkpoint_file", Group: "elastic", Kind: KnobString, Default: "",
 		Help:  "file the dist coordinator persists its assembled checkpoint to (elastic mode)",
 		apply: stringKnob(func(s *Spec, v string) { s.CheckpointPath = v }),
+	},
+	{
+		Flag: "topology", JSON: "topology", Group: "dist", Kind: KnobString, Default: "",
+		Help:  "dist-engine data plane: star (coordinator relay) | mesh (worker-to-worker links); empty = star",
+		apply: stringKnob(func(s *Spec, v string) { s.Topology = v }),
+	},
+	{
+		Flag: "delta", JSON: "delta_threshold", Group: "dist", Kind: KnobFloat, Default: "0",
+		Help:  "dist-engine flexible-communication threshold: ship only components that moved more than this since last shipped",
+		apply: floatKnob("delta", math.Inf(1), func(s *Spec, v float64) { s.DeltaThreshold = v }),
 	},
 }
 
@@ -128,14 +139,15 @@ func boolKnob(name string, set func(*Spec, bool)) func(*Spec, string) error {
 	}
 }
 
-func probKnob(name string, set func(*Spec, float64)) func(*Spec, string) error {
+// floatKnob accepts a number in [0, max]; NaN is in no range.
+func floatKnob(name string, max float64, set func(*Spec, float64)) func(*Spec, string) error {
 	return func(s *Spec, value string) error {
 		v, err := strconv.ParseFloat(value, 64)
 		if err != nil {
 			return fmt.Errorf("repro: knob %s: %q is not a number", name, value)
 		}
-		if v < 0 || v > 1 {
-			return fmt.Errorf("repro: knob %s: probability %v outside [0,1]", name, v)
+		if !(v >= 0 && v <= max) {
+			return fmt.Errorf("repro: knob %s: %v outside [0,%v]", name, v, max)
 		}
 		set(s, v)
 		return nil

@@ -25,7 +25,7 @@ func TestKnobTableWellFormed(t *testing.T) {
 		if k.Flag == "" || k.JSON == "" || k.Help == "" {
 			t.Errorf("knob %+v: empty flag, json or help", k)
 		}
-		if k.Group != "tuning" && k.Group != "faults" && k.Group != "elastic" {
+		if k.Group != "tuning" && k.Group != "faults" && k.Group != "elastic" && k.Group != "dist" {
 			t.Errorf("knob %s: unknown group %q", k.Flag, k.Group)
 		}
 		if flags[k.Flag] {
@@ -51,7 +51,8 @@ func TestKnobTableWellFormed(t *testing.T) {
 	// The table must cover exactly the knobs the API groups expose.
 	for _, want := range []string{"block-size", "intra-parallel", "gram-precompute",
 		"drop", "reorder", "maxdelay",
-		"heartbeat", "checkpoint", "rejoin-wait", "checkpoint-file"} {
+		"heartbeat", "checkpoint", "rejoin-wait", "checkpoint-file",
+		"topology", "delta"} {
 		if !flags[want] {
 			t.Errorf("knob table missing flag %q", want)
 		}
@@ -139,6 +140,22 @@ func TestKnobSetOptionsAndValues(t *testing.T) {
 	if _, err := bks.Options(); err == nil || !strings.Contains(err.Error(), "[0,1]") {
 		t.Errorf("out-of-range drop accepted: %v", err)
 	}
+	// The dist group writes the two dist-engine fields; a negative or NaN
+	// threshold (and a NaN probability) is refused at the table.
+	dfs := flag.NewFlagSet("dist", flag.ContinueOnError)
+	dks := repro.RegisterKnobFlags(dfs, "dist")
+	if err := dfs.Parse([]string{"-topology", "mesh", "-delta", "1e-9"}); err != nil {
+		t.Fatal(err)
+	}
+	if spec, err := dks.Spec(); err != nil || spec.Topology != "mesh" || spec.DeltaThreshold != 1e-9 {
+		t.Errorf("dist knobs wrote topology %q delta %v (%v), want mesh 1e-9", spec.Topology, spec.DeltaThreshold, err)
+	}
+	for _, bad := range [][2]string{{"delta", "-1"}, {"delta", "NaN"}, {"drop", "NaN"}} {
+		k, _ := repro.KnobByFlag(bad[0])
+		if _, err := k.Option(bad[1]); err == nil {
+			t.Errorf("-%s %s accepted", bad[0], bad[1])
+		}
+	}
 }
 
 // JSONValue and KnobValueFromJSON are inverse: the wire form round-trips
@@ -148,6 +165,7 @@ func TestKnobJSONRoundTrip(t *testing.T) {
 		"block-size": "128", "intra-parallel": "8", "gram-precompute": "false",
 		"drop": "0.5", "reorder": "0.125", "maxdelay": "250ms",
 		"heartbeat": "20ms", "checkpoint-file": "/tmp/ckpt.bin",
+		"topology": "mesh", "delta": "1e-9",
 	}
 	for flagName, val := range cases {
 		k, ok := repro.KnobByFlag(flagName)

@@ -69,7 +69,7 @@ func WithGramPrecompute(precompute bool) Option {
 // Faults groups the fault-injection knobs of the lossy engines (asynchronous
 // simulator and dist): message loss, reordering and injected transit delay.
 // WithFaults replaces the whole group, so the three knobs read and write as
-// one coherent unit; the legacy per-knob options remain as deprecated shims.
+// one coherent unit.
 type Faults struct {
 	// DropProb is the iid probability a message is lost in transit.
 	DropProb float64
