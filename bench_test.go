@@ -169,6 +169,48 @@ func BenchmarkBlockEvalN4096PerComponent(b *testing.B) {
 	benchBlockSweep(b, blockSeparableLassoOp, 4096, 512, true)
 }
 
+// BenchmarkModelIteration measures the model engine's iteration loop on
+// lasso n=256 through a pooled Scratch: ns per iteration and allocations
+// per solve. bounded8/cyclic is the harness's model-lasso regime (few
+// updates since the oldest label read), sqrt/jacobi is History.Read's
+// all-components fallback, fresh/cyclic reads the freshest iterate.
+func BenchmarkModelIteration(b *testing.B) {
+	const n, iters = 256, 2048
+	inst, err := repro.BuildScenario("lasso", n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		delay    repro.DelayModel
+		steering func() repro.SteeringPolicy
+	}{
+		{"bounded8/cyclic", repro.BoundedRandomDelay{B: 8, Seed: 2}, func() repro.SteeringPolicy { return repro.NewCyclic(n) }},
+		{"sqrt/jacobi", repro.SqrtGrowthDelay{}, func() repro.SteeringPolicy { return repro.NewAllComponents(n) }},
+		{"fresh/cyclic", repro.FreshDelay{}, func() repro.SteeringPolicy { return repro.NewCyclic(n) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			scr := repro.NewScratch()
+			solve := func() {
+				rep, err := repro.Solve(inst.Spec, repro.WithDelay(c.delay), repro.WithSteering(c.steering()),
+					repro.WithTol(0), repro.WithMaxIter(iters), repro.WithScratch(scr))
+				if err != nil || rep.Iterations != iters {
+					b.Fatalf("solve: %v, %d iterations", err, rep.Iterations)
+				}
+			}
+			solve() // grow the scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				solve()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters), "ns/iter")
+			b.ReportMetric(testing.AllocsPerRun(1, solve), "allocs/solve")
+		})
+	}
+}
+
 // BenchmarkGramAssemble256 measures one Gram assembly (1024x256), the
 // dominant cost of a regression scenario build.
 func BenchmarkGramAssemble256(b *testing.B) {

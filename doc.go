@@ -173,16 +173,10 @@
 //
 // Named workloads (lasso, ridge, logistic, netflow, obstacle, routing,
 // multigrid) are registered in a scenario registry, so any workload x
-// delay x steering x flexible x engine combination is composable by name:
-//
-//	inst, _ := repro.BuildScenario("lasso", 64, 1)
-//	res, _ := repro.Solve(inst.Spec,
-//		repro.WithEngine(repro.EngineSim),
-//		repro.WithDelay(repro.BoundedRandomDelay{B: 8, Seed: 2}))
-//	fmt.Println(inst.Describe(res.X))
-//
-// or from the CLI: asyncsolve -scenario lasso -engine sim -delay bounded:8.
-// Custom workloads join the registry via RegisterScenario.
+// delay x steering x flexible x engine combination is composable by name
+// (BuildScenario, or asyncsolve -scenario lasso -engine sim -delay
+// bounded:8; README "Quick start" shows both). Custom workloads join the
+// registry via RegisterScenario.
 //
 // # Serving
 //
@@ -263,33 +257,22 @@
 // keeping the per-component loop only as the fallback — the fixed-point
 // residual of a coupled operator is O(n + apply), not O(n^2).
 //
-// Repeated Solves of the same shape can additionally share buffers across
-// runs:
+// Repeated Solves of the same shape can share those buffers across runs
+// through one Scratch (NewScratch, WithScratch), one per calling goroutine.
 //
-//	scr := repro.NewScratch()
-//	for _, seed := range seeds {
-//		res, _ := repro.Solve(spec, repro.WithSeed(seed), repro.WithScratch(scr))
-//	}
-//
-// A Scratch must not be shared by concurrent Solve calls.
-//
-// Where a SERVED job's CPU goes (serve-mix shape: 2 closed-loop clients in
-// the server's process, lasso/ridge/routing at n=64, model engine; CPU per
-// job from three alternating profiles of internal/server's BenchmarkServeMix
-// per side, before -> after the per-iteration log left the Report and the
-// wire; build and solve are untouched, their movement is run to run):
-//
-//	layer                          before            after
-//	scenario build                 0.46 ms  16%      0.53 ms  23%
-//	solve                          1.15 ms  40%      1.17 ms  51%
-//	report decode (client)         0.62 ms  22%      0.09 ms   4%
-//	report encode (server)         0.06 ms   2%      0.03 ms   1%
-//	HTTP, scheduling, GC           0.57 ms  20%      0.46 ms  20%
-//	total                          2.86 ms           2.28 ms
-//
-//	go test ./internal/server -run '^$' -bench ServeMix -benchtime 150x -cpuprofile cpu.prof
-//	go tool pprof -top -cum server.test cpu.prof   # BuildScenarioTuned, Solve,
-//	    # json.Unmarshal (decode), Encoder.Encode (encode)
+// The model engine (internal/core) executes Definitions 1 and 3 literally,
+// and one iteration costs O(n) streaming work plus O(window). The label row
+// l(j) comes from one call (delay.Labels: the stateless models hash the row
+// in a plain loop, any other model is asked component by component), and
+// the labelled vector x(l(j)) is a copy of the freshest iterate with one
+// history lookup per update made since min_h l_h(j), the only components
+// where the two can differ (History.Read walks the run's update order back
+// to that label). When that window holds n or more updates — Jacobi
+// steering under a growing delay — every component may have moved and all
+// n are looked up, O(n log k) as the definition reads. History, label row
+// and update order live in the Scratch: a warmed Solve allocates its Report
+// and its per-iteration log, nothing else. README "Tuning" has the
+// per-layer CPU table of a served job.
 //
 // Build: a lasso or ridge build needs the Hessian (1/m)A^T A + reg I for
 // the dominance check and the Gershgorin (L, mu) bounds. mldata.NewRegression
@@ -314,9 +297,7 @@
 // codec they replaced (the oracle in report_json_test.go) by fixtures and
 // FuzzReportUnmarshal. They stay hand-written because on that 1.7 KB event
 // line (json.Marshal + json.Unmarshal) the reflective codec costs 43 + 61 us
-// and 136 + 171 allocations against 18 + 22 us and 3 + 35 — some 270
-// allocations on a served job's 1,160, outside the repository benchmark's
-// 15% bound on allocs_per_solve.
+// and 136 + 171 allocations against 18 + 22 us and 3 + 35.
 //
 // # Tuning knobs
 //
@@ -368,39 +349,19 @@
 //
 // There is one record of how fast a whole solve is: the repository
 // benchmark, a stand-alone main package declared in BENCHMARK.json and
-// documented in benchmark/README.md.
+// documented in benchmark/README.md (six workloads, seven end-to-end
+// metrics each, a per-layer ledger from a traced pass); every PR is
+// compared against its parent on it.
 //
 //	go run ./benchmark                  # six workloads, about 4 minutes
 //	go run ./benchmark -workload W -seed S -seconds T -trace 0|1
 //	go run ./benchmark -quick           # smoke test (what go test ./benchmark runs)
 //	go run ./benchmark -compare a.json b.json
 //
-// Its workloads cover every concurrent engine, both dist data planes (one
-// under loss, reordering, delay and elastic membership, one clean and rigid)
-// and the HTTP server. Each reports the same seven end-to-end metrics —
-// set-up time, p50/p90 solve latency, solves/sec, the fraction of solves
-// whose answer matched a FixedPoint reference, allocations and KiB per
-// solve — with timings normalised by a machine-speed calibration kernel,
-// and a traced pass adds the per-layer ledger (vec kernels, operator block
-// evaluation, each engine's phase loop, server admission and streaming,
-// scenario build, Report codec). BENCHMARK.json fixes the regression bound
-// of each end-to-end metric and every PR is compared against its parent on
-// them. A speed claim about an engine, a transport or the serving layer is
-// a claim about those numbers; nothing else in the tree times a whole solve.
-//
-// The only other way to time code is `go test -bench`: plain testing.B
-// functions in the root bench_test.go (operator micro-benchmarks and one
-// benchmark per experiment) and internal/server's BenchmarkServeMix (the
-// profiling target of the served-job CPU table above), for measuring while
-// working; no file records them, no gate reads them, `make bench` runs each
-// once. The block contract is pinned by an operation count, not a clock:
-// TestBlockSweepProxAndGradientCounts in internal/operators checks that a
-// sweep of n components in blocks of b through EvalBlock applies the prox
-// n*ceil(n/b) times and takes every gradient row once, against n^2 prox
-// applications through a base-Operator-only wrapper. README "Measuring
-// performance" maps every case of the former second measuring system to
-// where it is read now. The reproduction suite itself runs in parallel via
-// experiments.RunAll (CLI: cmd/experiments -parallel N).
+// The only other way to time code is `go test -bench` (root bench_test.go,
+// internal/server's BenchmarkServeMix), for measuring while working: no
+// file records it, no gate reads it. README "Measuring performance" says
+// which number answers which question.
 //
 // # Static analysis
 //
@@ -410,58 +371,11 @@
 // scratch-slot partition and sound lock usage — are enforced
 // mechanically by reprolint (cmd/reprolint, built on internal/analysis),
 // which runs standalone, as `go vet -vettool=$(which reprolint)`, under
-// `make lint`, and in CI. Eight analyzers, the last four path-sensitive
-// (they run on the intraprocedural control-flow graph and reaching-facts
-// dataflow engine of internal/analysis/cfg, so a branch that skips an
-// Unlock or a WaitGroup.Add is a real finding, not a grep match):
-//
-//   - hotpath: a function whose doc comment carries the "//repro:hotpath"
-//     directive (and every small same-package helper it calls) must not
-//     contain allocating constructs — composite literals, make/new/append,
-//     closures, interface boxing, fmt/log calls, map iteration. The vec
-//     kernels, the EvalBlock/EvalComponent dispatchers, the Scratch fast
-//     paths and the engine phase computations are annotated. A provably
-//     cold construct (lazy warm-up growth, a panic path) carries
-//     "//repro:alloc-ok <reason>".
-//   - vecorder: hand-rolled []float64 dot/accumulate reduction loops
-//     outside internal/vec are forbidden; reductions route through
-//     vec.Dot, vec.Sum, vec.DotStrideAcc and friends so every evaluation
-//     path shares the canonical reduction order. "//repro:vec-ok <reason>"
-//     suppresses.
-//   - ctxloop: unbounded for-loops in the engine/worker packages must
-//     observe a ctx/stop/done signal (directly or through a same-package
-//     callee); bounded drain and timer idioms are recognized.
-//     "//repro:ctx-ok <reason>" suppresses.
-//   - knobdrift: registering a flag or JSON field whose name collides with
-//     a knob-table entry outside the table's own derivation helpers is a
-//     second source of truth and is rejected.
-//   - determinism: the result-affecting packages (internal/vec, operators,
-//     core, des, runtime, dist, and the root scenario builders) must not
-//     read ambient state: global math/rand, os.Getenv and runtime.NumCPU
-//     are rejected outside a function whose doc carries
-//     "//repro:tuning-gate <reason>" (the lane-pool sizing, where the knob
-//     contract proves machine shape cannot change a trajectory). Clock
-//     readings are tracked through the CFG: they may flow into deadlines,
-//     durations and Report timing fields, but may not escape the time
-//     domain into plain numerics or seed a rand source. Values produced by
-//     map iteration may not feed float accumulation.
-//     "//repro:nondet-ok <reason>" suppresses.
-//   - goroutinelife: every go statement in internal/runtime, dist, server
-//     and des must discharge a join/stop obligation on all paths:
-//     WaitGroup pairing (the Add must reach the spawn on EVERY
-//     control-flow path — an Add on one branch only is reported), ranging
-//     over a channel, calling close, or observing a ctx/stop signal
-//     (transitively, like ctxloop). "//repro:join-ok <reason>" suppresses.
-//   - slotbudget: scratch slot usage respects the documented budget
-//     (block.go): Aux slot 0 only inside ResidualWith, and a slot view
-//     that was re-acquired — even on a single branch — or held across an
-//     interface dispatch that received the Scratch is stale and may not
-//     be read. "//repro:slot-ok <reason>" suppresses.
-//   - lockdiscipline: a mutex locked in a function is released on every
-//     CFG path out of it (an early return that skips the Unlock is the
-//     finding), never double-unlocked, never deferred-unlocked inside a
-//     loop, and never copied by value. "//repro:lock-ok <reason>"
-//     suppresses (lock handoffs).
+// `make lint`, and in CI. Its eight analyzers (hotpath, vecorder, ctxloop,
+// knobdrift, determinism, goroutinelife, slotbudget, lockdiscipline) are
+// specified in their package docs under internal/analysis and tabulated,
+// with the //repro: directives that annotate and suppress, in README
+// "Static analysis".
 //
 // See the examples/ directory for complete programs and EXPERIMENTS.md for
 // the reproduction of the paper's figures and claims.

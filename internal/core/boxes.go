@@ -131,20 +131,14 @@ func RunWithComponentErrors(cfg Config) (*Result, [][]float64, error) {
 		cfg.Delay = delay.Fresh{} // mirror Run's default for the replay
 	}
 	var perIter [][]float64
-	// Wrap the operator to observe the evolving iterate? The engine owns
-	// the history; simplest correct approach: run the engine, then replay
-	// the recorded run to reconstruct iterates. Replaying requires the
-	// exact read vectors, which depend on delays/theta; instead we re-run
-	// the engine logic here via the records and a fresh history.
 	res, err := Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Reconstruct: execute the same configuration again, mirroring updates
-	// into a history and snapshotting errors. Determinism of the engine
-	// under identical cfg guarantees the same trajectory, but stateful
-	// steering policies may not be replayable; guard against mismatch by
-	// comparing final iterates.
+	// Replay the recorded run (its S_j, the same labels and Theta) into a
+	// fresh history, snapshotting the errors. The engine is deterministic,
+	// but a stateful delay model may not be replayable, so the final
+	// iterates are compared below.
 	x0 := cfg.X0
 	if x0 == nil {
 		x0 = make([]float64, n)
@@ -162,16 +156,14 @@ func RunWithComponentErrors(cfg Config) (*Result, [][]float64, error) {
 		return e
 	}
 	perIter = append(perIter, snapshotErr())
-	xread := make([]float64, n)
+	xread, labels := make([]float64, n), make([]int, n)
 	for _, rec := range res.Records {
-		for h := 0; h < n; h++ {
-			l := cfg.Delay.Label(h, rec.J)
-			lv := hist.At(h, l)
-			if cfg.Theta > 0 {
-				fresh := hist.At(h, rec.J-1)
-				lv = lv + cfg.Theta*(fresh-lv)
+		minLabel := delay.Labels(cfg.Delay, rec.J, labels)
+		hist.Read(labels, minLabel, xread)
+		if cfg.Theta > 0 {
+			for h, lv := range xread {
+				xread[h] = lv + cfg.Theta*(hist.Latest(h)-lv)
 			}
-			xread[h] = lv
 		}
 		for _, i := range rec.S {
 			hist.Set(i, rec.J, cfg.Op.Component(i, xread))

@@ -12,102 +12,125 @@
 // internal/des and internal/runtime and feed the same bookkeeping.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // History stores the per-component update history of an asynchronous
 // iteration so that any past value x_i(l) can be retrieved — the storage
 // required by unbounded delays. Memory is proportional to the number of
 // updates actually performed (not iterations x dimension), because a
-// component's value only changes when it is relaxed.
+// component's value only changes when it is relaxed. Beside the logs it
+// keeps the freshest iterate densely and the run's update order, so a read
+// that reaches back over few updates costs a copy plus those few lookups.
 type History struct {
-	n     int
-	iters [][]int     // per component: strictly increasing update iterations
-	vals  [][]float64 // parallel values
+	iters  [][]int     // per component: strictly increasing update iterations
+	vals   [][]float64 // parallel values
+	latest []float64   // the freshest iterate: latest[i] is the last of vals[i]
+	order  []update    // every recorded update, in the order Set saw them
 }
+
+// update is one entry of the update order: component i relaxed at iteration j.
+type update struct{ i, j int }
 
 // NewHistory starts a history at iteration 0 with initial iterate x0.
 func NewHistory(x0 []float64) *History {
-	h := &History{
-		n:     len(x0),
-		iters: make([][]int, len(x0)),
-		vals:  make([][]float64, len(x0)),
-	}
-	for i, v := range x0 {
-		h.iters[i] = append(h.iters[i], 0)
-		h.vals[i] = append(h.vals[i], v)
-	}
+	h := &History{}
+	h.Reset(x0)
 	return h
 }
 
+// grown returns s with length n, keeping its elements and their storage.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// Reset restarts the history at iteration 0 with initial iterate x0, of
+// any dimension, keeping the storage of earlier runs.
+func (h *History) Reset(x0 []float64) {
+	h.iters, h.vals = grown(h.iters, len(x0)), grown(h.vals, len(x0))
+	for i, v := range x0 {
+		h.iters[i] = append(h.iters[i][:0], 0)
+		h.vals[i] = append(h.vals[i][:0], v)
+	}
+	h.latest = append(h.latest[:0], x0...)
+	h.order = h.order[:0]
+}
+
 // Dim returns the number of components.
-func (h *History) Dim() int { return h.n }
+func (h *History) Dim() int { return len(h.latest) }
 
 // Set records that component i took value v at iteration j. Iterations must
-// be recorded in increasing order per component.
+// be recorded in nondecreasing order over the whole run.
 func (h *History) Set(i, j int, v float64) {
-	last := h.iters[i][len(h.iters[i])-1]
-	if j < last {
-		panic(fmt.Sprintf("core: History.Set out of order for comp %d: j=%d after %d", i, j, last))
+	if k := len(h.order); k > 0 && j < h.order[k-1].j {
+		panic(fmt.Sprintf("core: History.Set out of order for comp %d: j=%d after %d", i, j, h.order[k-1].j))
 	}
-	if j == last {
-		h.vals[i][len(h.vals[i])-1] = v
+	h.latest[i] = v
+	if it := h.iters[i]; j == it[len(it)-1] {
+		h.vals[i][len(it)-1] = v
 		return
 	}
 	h.iters[i] = append(h.iters[i], j)
 	h.vals[i] = append(h.vals[i], v)
+	h.order = append(h.order, update{i, j})
 }
 
 // At returns x_i(l): the value component i had at iteration label l (the
 // most recent update at or before l).
 func (h *History) At(i, l int) float64 {
 	it := h.iters[i]
-	// Find the largest index with it[idx] <= l.
-	idx := sort.Search(len(it), func(k int) bool { return it[k] > l }) - 1
-	if idx < 0 {
-		idx = 0
+	// Find the number of entries with it[idx] <= l; entry 0 is iteration 0.
+	lo, hi := 1, len(it)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if it[mid] <= l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return h.vals[i][idx]
+	return h.vals[i][lo-1]
+}
+
+// Read fills dst[h] = x_h(labels[h]) for every component, given minLabel <=
+// min_h labels[h]. x(l(j)) differs from the freshest iterate only at
+// components relaxed after minLabel, so it copies that iterate and re-reads
+// the components the update order names after minLabel; when that order
+// holds n or more such updates every component may have moved, and all n
+// are looked up.
+//
+//repro:hotpath
+func (h *History) Read(labels []int, minLabel int, dst []float64) {
+	k := len(h.order)
+	for k > 0 && h.order[k-1].j > minLabel {
+		k--
+		if len(h.order)-k >= len(dst) {
+			for c := range dst {
+				dst[c] = h.At(c, labels[c])
+			}
+			return
+		}
+	}
+	copy(dst, h.latest)
+	for _, u := range h.order[k:] {
+		dst[u.i] = h.At(u.i, labels[u.i])
+	}
 }
 
 // Latest returns the most recent value of component i.
-func (h *History) Latest(i int) float64 { return h.vals[i][len(h.vals[i])-1] }
-
-// LatestIter returns the iteration at which component i was last updated.
-func (h *History) LatestIter(i int) int { return h.iters[i][len(h.iters[i])-1] }
-
-// Snapshot materializes the full iterate vector x(l) at label l.
-func (h *History) Snapshot(l int) []float64 {
-	x := make([]float64, h.n)
-	for i := range x {
-		x[i] = h.At(i, l)
-	}
-	return x
-}
+func (h *History) Latest(i int) float64 { return h.latest[i] }
 
 // LatestSnapshot materializes the freshest iterate vector.
 func (h *History) LatestSnapshot() []float64 {
-	x := make([]float64, h.n)
-	h.LatestSnapshotInto(x)
-	return x
+	return append([]float64(nil), h.latest...)
 }
 
 // LatestSnapshotInto writes the freshest iterate vector into dst (length n)
 // without allocating.
-func (h *History) LatestSnapshotInto(dst []float64) {
-	for i := range dst {
-		dst[i] = h.Latest(i)
-	}
-}
+func (h *History) LatestSnapshotInto(dst []float64) { copy(dst, h.latest) }
 
 // Updates returns the total number of recorded updates (excluding the
 // initial values).
-func (h *History) Updates() int {
-	total := 0
-	for i := range h.iters {
-		total += len(h.iters[i]) - 1
-	}
-	return total
-}
+func (h *History) Updates() int { return len(h.order) }

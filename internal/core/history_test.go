@@ -23,10 +23,10 @@ func TestHistoryBasics(t *testing.T) {
 			t.Errorf("At(0, %d) = %v, want %v", c.l, got, c.want)
 		}
 	}
-	if h.Latest(0) != 20 || h.LatestIter(0) != 5 {
+	if h.Latest(0) != 20 {
 		t.Error("Latest wrong")
 	}
-	if h.Latest(1) != 2 || h.LatestIter(1) != 0 {
+	if h.Latest(1) != 2 {
 		t.Error("untouched component changed")
 	}
 	if h.Updates() != 2 {
@@ -40,9 +40,10 @@ func TestHistorySnapshot(t *testing.T) {
 	h.Set(1, 2, 2)
 	h.Set(2, 3, 3)
 	h.Set(0, 4, 4)
-	snap2 := h.Snapshot(2)
+	snap2 := make([]float64, 3)
+	h.Read([]int{2, 2, 2}, 2, snap2)
 	if snap2[0] != 1 || snap2[1] != 2 || snap2[2] != 0 {
-		t.Errorf("Snapshot(2) = %v", snap2)
+		t.Errorf("Read at label 2 = %v", snap2)
 	}
 	latest := h.LatestSnapshot()
 	if latest[0] != 4 || latest[1] != 2 || latest[2] != 3 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/delay"
+	"repro/internal/flexible"
 	"repro/internal/macroiter"
 	"repro/internal/operators"
 	"repro/internal/prox"
@@ -152,5 +153,133 @@ func TestUpdatesMatchRecords(t *testing.T) {
 	}
 	if total != res.Updates {
 		t.Errorf("sum |S_j| = %d, Updates = %d", total, res.Updates)
+	}
+}
+
+// readSpy is an operator that checks, at every iteration of a Run, the read
+// vector it is handed against Definitions 1 and 3 evaluated on its own
+// dense store of every past iterate, and never converges, so a wrong read
+// cannot hide behind equal values. Select tells it the iteration.
+type readSpy struct {
+	steering.Policy
+	t     *testing.T
+	ref   delay.Model // a second instance: Monotone is stateful
+	theta float64
+	cur   []float64   // the freshest iterate
+	dense [][]float64 // dense[l] = x(l)
+	want  []float64   // the defined read vector of the current iteration
+	j     int
+	due   int   // relaxations of the current iteration still to come
+	mins  []int // the defined minimum label of every iteration
+	upd   []int // the iteration of every update, in order
+	paths *[3]int
+}
+
+func (s *readSpy) Select(j int) []int {
+	n := len(s.cur)
+	s.j = j
+	s.dense = append(s.dense, append([]float64(nil), s.cur...))
+	least := j - 1
+	for h := range s.want {
+		l := s.ref.Label(h, j)
+		least = min(least, l)
+		s.want[h] = flexible.Interpolate(s.dense[l][h], s.cur[h], s.theta)
+	}
+	s.mins = append(s.mins, least)
+	after := 0 // updates since the oldest label read: which branch Read takes
+	for k := len(s.upd) - 1; k >= 0 && s.upd[k] > least; k-- {
+		after++
+	}
+	switch {
+	case after >= n:
+		s.paths[2]++
+	case after > 0:
+		s.paths[1]++
+	default:
+		s.paths[0]++
+	}
+	S := s.Policy.Select(j)
+	s.due = len(S)
+	return S
+}
+
+func (s *readSpy) Dim() int     { return len(s.cur) }
+func (s *readSpy) Name() string { return "readSpy" }
+
+func (s *readSpy) Component(i int, x []float64) float64 {
+	if s.due == 0 {
+		return x[i] // Run's closing residual evaluation, not a read
+	}
+	s.due--
+	for h := range x {
+		if x[h] != s.want[h] {
+			s.t.Fatalf("%s %s theta=%v: iteration %d read x[%d] = %v, definition gives %v",
+				s.ref.Name(), s.Policy.Name(), s.theta, s.j, h, x[h], s.want[h])
+		}
+	}
+	v := 0.5*x[i] + 0.25*x[(i+1)%len(x)] + float64(s.j%7)
+	s.cur[i] = v
+	s.upd = append(s.upd, s.j)
+	return v
+}
+
+// Property: at every iteration Run hands the operator exactly the vector
+// Definitions 1 and 3 define — x_h(l_h(j)), blended toward x_h(j-1) by Theta
+// — and records the defined minimum label, for every delay model, sparse,
+// block and Jacobi steering, through all three branches of History.Read.
+func TestRunReadsTheDefinedVector(t *testing.T) {
+	const n, iters = 6, 2000
+	rng := vec.NewRNG(77)
+	innerW, innerSeed := 1+rng.Intn(16), rng.Uint64()
+	models := []func() delay.Model{
+		func() delay.Model { return delay.Fresh{} },
+		func() delay.Model { return delay.Constant{D: 3} },
+		func() delay.Model { return delay.BoundedRandom{B: 5, Seed: 1} },
+		func() delay.Model { return delay.BoundedRandom{B: 8, Seed: 2} },
+		func() delay.Model { return delay.OutOfOrder{W: 8, Seed: 3} },
+		func() delay.Model { return delay.SqrtGrowth{} },
+		func() delay.Model { return delay.SqrtGrowth{Slow: map[int]bool{1: true}} },
+		func() delay.Model { return delay.LogGrowth{} },
+		func() delay.Model {
+			return delay.PerComponent{Models: []delay.Model{delay.Fresh{}, delay.Constant{D: 40}, delay.SqrtGrowth{}}}
+		},
+		func() delay.Model { return delay.NewMonotone(delay.OutOfOrder{W: innerW, Seed: innerSeed}) },
+	}
+	steerings := []func() steering.Policy{
+		func() steering.Policy { return steering.NewCyclic(n) },
+		func() steering.Policy { return steering.NewBlockCyclic(n, 2) },
+		func() steering.Policy { return steering.NewAll(n) },
+	}
+	var paths [3]int
+	scr := NewRunScratch() // pooled, so every run also exercises Reset
+	for _, model := range models {
+		for _, pol := range steerings {
+			for _, theta := range []float64{0, 0.5} {
+				x0 := rng.NormalVector(n)
+				spy := &readSpy{Policy: pol(), t: t, ref: model(), theta: theta,
+					cur: append([]float64(nil), x0...), want: make([]float64, n), paths: &paths}
+				res, err := Run(Config{Op: spy, Steering: spy, Delay: model(), Theta: theta,
+					X0: x0, MaxIter: iters, Scratch: scr})
+				if err != nil || res.Iterations != iters {
+					t.Fatalf("%s: err=%v after %d iterations", spy.ref.Name(), err, res.Iterations)
+				}
+				for k, r := range res.Records {
+					if r.MinLabel != spy.mins[k] {
+						t.Fatalf("%s %s: iteration %d recorded min label %d, definition gives %d",
+							spy.ref.Name(), spy.Policy.Name(), r.J, r.MinLabel, spy.mins[k])
+					}
+				}
+				for i, v := range res.X {
+					if v != spy.cur[i] {
+						t.Fatalf("%s: final X[%d] = %v, want %v", spy.ref.Name(), i, v, spy.cur[i])
+					}
+				}
+			}
+		}
+	}
+	for b, name := range []string{"copy only", "fix-up", "all-components fallback"} {
+		if paths[b] == 0 {
+			t.Errorf("no iteration took History.Read's %s branch", name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/delay"
@@ -79,12 +78,15 @@ type Config struct {
 // as small as one component relaxation.
 const doneCheckEvery = 256
 
-// RunScratch bundles the model engine's reusable buffers: the operator
-// evaluation scratch and the read vectors assembled every iteration.
+// RunScratch bundles the model engine's reusable state: the operator
+// evaluation scratch, the history storage, and the label row and read
+// vectors assembled every iteration.
 type RunScratch struct {
 	// Op is the operator-evaluation scratch threaded through every
 	// component relaxation.
 	Op            *operators.Scratch
+	hist          History
+	labels        []int
 	xread, xlabel []float64
 	gsSnap        []float64 // residual-aware steering's snapshot buffer
 	blockOut      []float64 // block-evaluation output buffer
@@ -94,35 +96,23 @@ type RunScratch struct {
 // NewRunScratch returns an empty RunScratch; buffers grow on first use.
 func NewRunScratch() *RunScratch { return &RunScratch{Op: operators.NewScratch()} }
 
-// vecs returns the read buffers resized to n.
-func (s *RunScratch) vecs(n int) (xread, xlabel []float64) {
-	if cap(s.xread) < n {
-		s.xread = make([]float64, n)
-	}
-	if cap(s.xlabel) < n {
-		s.xlabel = make([]float64, n)
-	}
-	return s.xread[:n], s.xlabel[:n]
+// vecs returns the label row and the read buffers resized to n.
+func (s *RunScratch) vecs(n int) (labels []int, xread, xlabel []float64) {
+	s.labels, s.xread, s.xlabel = grown(s.labels, n), grown(s.xread, n), grown(s.xlabel, n)
+	return s.labels, s.xread, s.xlabel
 }
 
 // blockVec returns the block-evaluation output buffer resized to n.
 func (s *RunScratch) blockVec(n int) []float64 {
-	if cap(s.blockOut) < n {
-		s.blockOut = make([]float64, n)
-	}
-	return s.blockOut[:n]
+	s.blockOut = grown(s.blockOut, n)
+	return s.blockOut
 }
 
 // workersSeen returns a cleared bool slice of length w.
 func (s *RunScratch) workersSeen(w int) []bool {
-	if cap(s.seenWorkers) < w {
-		s.seenWorkers = make([]bool, w)
-	}
-	seen := s.seenWorkers[:w]
-	for i := range seen {
-		seen[i] = false
-	}
-	return seen
+	s.seenWorkers = grown(s.seenWorkers, w)
+	clear(s.seenWorkers)
+	return s.seenWorkers
 }
 
 // recordArena hands out stable []int copies from chunked backing storage so
@@ -181,6 +171,11 @@ type Result struct {
 	Cancelled bool
 }
 
+// ErrDiverged is matched (errors.Is) by the error Run returns when a
+// relaxation produces NaN; the error names the iteration and the first bad
+// component. +Inf is a legal value (routing starts from it).
+var ErrDiverged = errors.New("core: iterate diverged to NaN")
+
 // ResidualSample pairs an iteration with its fixed-point residual.
 type ResidualSample struct {
 	Iter     int
@@ -237,7 +232,6 @@ func Run(cfg Config) (*Result, error) {
 		residEvery = n
 	}
 
-	hist := NewHistory(x0)
 	tracker := macroiter.NewTracker(n)
 	epochs := macroiter.NewEpochTracker(workers)
 	res := &Result{}
@@ -245,6 +239,8 @@ func Run(cfg Config) (*Result, error) {
 	if scratch == nil {
 		scratch = NewRunScratch()
 	}
+	hist := &scratch.hist
+	hist.Reset(x0)
 	if scratch.Op == nil {
 		scratch.Op = operators.NewScratch()
 	}
@@ -254,10 +250,8 @@ func Run(cfg Config) (*Result, error) {
 	// closure runs once per candidate component per Select, so it reuses a
 	// dedicated snapshot buffer instead of materializing one per call.
 	if ra, ok := cfg.Steering.(steering.ResidualAware); ok {
-		if cap(scratch.gsSnap) < n {
-			scratch.gsSnap = make([]float64, n)
-		}
-		gsSnap := scratch.gsSnap[:n]
+		scratch.gsSnap = grown(scratch.gsSnap, n)
+		gsSnap := scratch.gsSnap
 		ra.SetResidualFunc(func(i int) float64 {
 			hist.LatestSnapshotInto(gsSnap)
 			return operators.EvalComponent(cfg.Op, scratch.Op, i, gsSnap) - gsSnap[i]
@@ -268,7 +262,10 @@ func Run(cfg Config) (*Result, error) {
 		res.Errors = append(res.Errors, vec.DistInf(x0, cfg.XStar))
 	}
 
-	xread, xlabel := scratch.vecs(n)
+	labels, xread, xlabel := scratch.vecs(n)
+	if cfg.Theta == 0 {
+		xread = xlabel // Definition 1: the read vector is the labelled one
+	}
 	var arena recordArena
 	converged := false
 
@@ -287,18 +284,11 @@ func Run(cfg Config) (*Result, error) {
 
 		// Assemble the read vector: labelled values, optionally blended
 		// toward the freshest state (flexible communication).
-		minLabel := j - 1
-		for h := 0; h < n; h++ {
-			l := cfg.Delay.Label(h, j)
-			if l < minLabel {
-				minLabel = l
-			}
-			lv := hist.At(h, l)
-			xlabel[h] = lv
-			if cfg.Theta > 0 {
-				xread[h] = flexible.Interpolate(lv, hist.At(h, j-1), cfg.Theta)
-			} else {
-				xread[h] = lv
+		minLabel := delay.Labels(cfg.Delay, j, labels)
+		hist.Read(labels, minLabel, xlabel)
+		if cfg.Theta > 0 {
+			for h, lv := range xlabel {
+				xread[h] = flexible.Interpolate(lv, hist.Latest(h), cfg.Theta)
 			}
 		}
 
@@ -323,7 +313,11 @@ func Run(cfg Config) (*Result, error) {
 			out := scratch.blockVec(hi - lo)
 			operators.EvalBlock(cfg.Op, scratch.Op, lo, hi, xread, out)
 			for c := lo; c < hi; c++ {
-				hist.Set(c, j, out[c-lo])
+				v := out[c-lo]
+				if v != v {
+					return nil, fmt.Errorf("%w: component %d at iteration %d", ErrDiverged, c, j)
+				}
+				hist.Set(c, j, v)
 			}
 			s = e
 		}
@@ -345,7 +339,7 @@ func Run(cfg Config) (*Result, error) {
 		})
 
 		if cfg.XStar != nil {
-			res.Errors = append(res.Errors, distInfLatest(hist, cfg.XStar))
+			res.Errors = append(res.Errors, vec.DistInf(hist.latest, cfg.XStar))
 		}
 		if cfg.Progress != nil {
 			cfg.Progress.Add(1)
@@ -381,15 +375,4 @@ func Run(cfg Config) (*Result, error) {
 	res.Epochs = epochs.Boundaries()
 	res.FinalResidual = operators.Residual(cfg.Op, res.X)
 	return res, nil
-}
-
-func distInfLatest(h *History, xstar []float64) float64 {
-	m := 0.0
-	for i := 0; i < h.Dim(); i++ {
-		d := math.Abs(h.Latest(i) - xstar[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -47,6 +47,79 @@ func clampLabel(l, j int) int {
 	return l
 }
 
+// rowModel is a Model that can produce a whole label row at once.
+type rowModel interface {
+	// labels stores l_h(j) in dst[h] for every h and returns the minimum.
+	labels(j int, dst []int) int
+}
+
+// Labels fills dst[h] = l_h(j) for h = 0..len(dst)-1 and returns
+// min(j-1, min_h l_h(j)). The stateless models fill the row in one call;
+// any other model is asked through Label in ascending h, the call order a
+// stateful model (Monotone) depends on.
+//
+//repro:hotpath
+func Labels(m Model, j int, dst []int) int {
+	if r, ok := m.(rowModel); ok {
+		return r.labels(j, dst)
+	}
+	least := j - 1
+	for h := range dst {
+		l := m.Label(h, j)
+		dst[h] = l
+		if l < least {
+			least = l
+		}
+	}
+	return least
+}
+
+// fillRow is the row of a model whose label does not depend on h.
+//
+//repro:hotpath
+func fillRow(l int, dst []int) int {
+	for h := range dst {
+		dst[h] = l
+	}
+	return l
+}
+
+// hashRow is the row of the two hash models: dst[h] = j - 1 - hash64(seed,
+// h, j) mod b, clamped at 0. The j term of the hash is hoisted, the h term
+// advances by its stride, and the reduction is a mask when b is a power of
+// two — the same bits as hash64 and % in every case.
+//
+//repro:hotpath
+func hashRow(seed uint64, b, j int, dst []int) int {
+	const stride = 0x9e3779b97f4a7c15
+	base := seed ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
+	ub, mask := uint64(b), uint64(b-1)
+	pow2 := ub&mask == 0
+	least := j - 1
+	hi := uint64(0)
+	for h := range dst {
+		hi += stride
+		z := base ^ hi
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		if pow2 {
+			z &= mask
+		} else {
+			z %= ub
+		}
+		l := j - 1 - int(z)
+		if l < 0 {
+			l = 0
+		}
+		dst[h] = l
+		if l < least {
+			least = l
+		}
+	}
+	return least
+}
+
 // hash64 mixes (seed, i, j) into pseudo-random 64 bits (SplitMix64 finalizer).
 func hash64(seed uint64, i, j int) uint64 {
 	z := seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
@@ -63,11 +136,15 @@ type Fresh struct{}
 func (Fresh) Label(i, j int) int { return clampLabel(j-1, j) }
 func (Fresh) Name() string       { return "fresh" }
 
+func (Fresh) labels(j int, dst []int) int { return fillRow(clampLabel(j-1, j), dst) }
+
 // Constant applies a fixed delay D >= 1: l_i(j) = j - D (clamped).
 type Constant struct{ D int }
 
 func (c Constant) Label(i, j int) int { return clampLabel(j-c.D, j) }
 func (c Constant) Name() string       { return fmt.Sprintf("constant(%d)", c.D) }
+
+func (c Constant) labels(j int, dst []int) int { return fillRow(clampLabel(j-c.D, j), dst) }
 
 // BoundedRandom draws, independently per (i, j), a delay uniform on [1, B].
 // This is the chaotic-relaxation regime (condition d with bound b = B).
@@ -83,6 +160,8 @@ func (m BoundedRandom) Label(i, j int) int {
 	d := 1 + int(hash64(m.Seed, i, j)%uint64(m.B))
 	return clampLabel(j-d, j)
 }
+
+func (m BoundedRandom) labels(j int, dst []int) int { return hashRow(m.Seed, max(m.B, 1), j, dst) }
 
 func (m BoundedRandom) Name() string { return fmt.Sprintf("boundedRandom(B=%d)", m.B) }
 
@@ -140,6 +219,8 @@ func (m OutOfOrder) Label(i, j int) int {
 	d := 1 + int(hash64(m.Seed, i, j)%uint64(w))
 	return clampLabel(j-d, j)
 }
+
+func (m OutOfOrder) labels(j int, dst []int) int { return hashRow(m.Seed, max(m.W, 1), j, dst) }
 
 func (m OutOfOrder) Name() string { return fmt.Sprintf("outOfOrder(W=%d)", m.W) }
 

@@ -220,3 +220,39 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// Labels is Label, a row at a time: same labels (the clamp at small j
+// included) and the definitional minimum, on the mask and the modulo branch
+// of both hash models and on every model that has no row method.
+func TestLabelsEqualsLabel(t *testing.T) {
+	type pair struct{ row, ref Model } // two instances: Monotone is stateful
+	var cases []pair
+	for _, b := range []int{-3, 0, 1, 2, 3, 7, 8, 9, 100, 1 << 20, 1<<31 - 1} {
+		cases = append(cases,
+			pair{BoundedRandom{B: b, Seed: 11}, BoundedRandom{B: b, Seed: 11}},
+			pair{OutOfOrder{W: b, Seed: 12}, OutOfOrder{W: b, Seed: 12}},
+			pair{Constant{D: b}, Constant{D: b}})
+	}
+	rows, refs := allModels(), allModels()
+	for k := range rows {
+		cases = append(cases, pair{rows[k], refs[k]})
+	}
+	const n = 37
+	dst := make([]int, n)
+	for _, c := range cases {
+		for j := 1; j <= 3000; j++ {
+			got := Labels(c.row, j, dst)
+			want := j - 1
+			for h := range dst {
+				l := c.ref.Label(h, j)
+				if dst[h] != l {
+					t.Fatalf("%s: Labels(j=%d)[%d] = %d, Label = %d", c.ref.Name(), j, h, dst[h], l)
+				}
+				want = min(want, l)
+			}
+			if got != want {
+				t.Fatalf("%s: Labels(j=%d) returned min %d, want %d", c.ref.Name(), j, got, want)
+			}
+		}
+	}
+}

@@ -170,18 +170,12 @@ func E15() *Report {
 	windowStreak := 0
 	prevK := 0
 
-	xread := make([]float64, n)
+	xread, labels := make([]float64, n), make([]int, n)
 	maxIter := 20000
 	for j := 1; j <= maxIter; j++ {
 		S := pol.Select(j)
-		minLabel := j - 1
-		for h := 0; h < n; h++ {
-			l := dm.Label(h, j)
-			if l < minLabel {
-				minLabel = l
-			}
-			xread[h] = hist.At(h, l)
-		}
+		minLabel := delay.Labels(dm, j, labels)
+		hist.Read(labels, minLabel, xread)
 		disp := 0.0
 		for _, i := range S {
 			v := op.Component(i, xread)

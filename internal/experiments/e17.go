@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 
 	"repro"
@@ -58,7 +59,9 @@ func E17() *Report {
 		gain := g * g
 
 		outcome := func(res *repro.Report, err error) string {
-			if err != nil {
+			if errors.Is(err, repro.ErrDiverged) {
+				return "DIV"
+			} else if err != nil {
 				return "error"
 			}
 			final := res.Errors[len(res.Errors)-1]

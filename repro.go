@@ -239,6 +239,9 @@ var (
 	CheckTheorem1          = core.CheckTheorem1
 	RunWithComponentErrors = core.RunWithComponentErrors
 	CheckBoxes             = core.CheckBoxes
+	// ErrDiverged matches (errors.Is) the error a model-engine Solve returns
+	// when the operator produces NaN.
+	ErrDiverged = core.ErrDiverged
 
 	UniformCost       = des.UniformCost
 	HeterogeneousCost = des.HeterogeneousCost

@@ -1,8 +1,8 @@
 package repro
 
 // Solve-level buffer reuse. A Scratch owns the allocation-heavy state the
-// engines need per run — operator-evaluation temporaries, read-vector
-// buffers — so repeated Solves of the same shape (parameter sweeps,
+// engines need per run — operator-evaluation temporaries, the model
+// engine's history — so repeated Solves of the same shape (parameter sweeps,
 // benchmark loops, serving the same problem for many right-hand sides)
 // stop paying the per-solve allocation tax:
 //

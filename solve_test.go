@@ -5,6 +5,8 @@ package repro_test
 // option/report plumbing.
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +132,51 @@ func TestSolveValidation(t *testing.T) {
 		} else if e.Name() != name {
 			t.Errorf("EngineByName(%q).Name() = %q", name, e.Name())
 		}
+	}
+}
+
+// nanFrom halves its component until its good-th evaluation and returns NaN
+// from then on.
+type nanFrom struct{ good, calls int }
+
+func (*nanFrom) Dim() int     { return 8 }
+func (*nanFrom) Name() string { return "nanFrom" }
+
+func (o *nanFrom) Component(i int, x []float64) float64 {
+	if o.calls++; o.calls > o.good {
+		return math.NaN()
+	}
+	return 0.5 * x[i]
+}
+
+// TestModelEngineStopsOnNaN: an operator that produces NaN used to be
+// certified (the residual's maximum never sees a NaN: Converged = true,
+// X[0] = NaN, FinalResidual = 0 after 8 iterations). The model engine now
+// stops at the first NaN it writes with ErrDiverged, and +Inf stays legal.
+func TestModelEngineStopsOnNaN(t *testing.T) {
+	rep, err := repro.Solve(repro.NewSpec(&nanFrom{}), repro.WithTol(1e-8))
+	if !errors.Is(err, repro.ErrDiverged) || rep != nil {
+		t.Fatalf("NaN operator: report %v, err %v, want ErrDiverged", rep, err)
+	}
+	// Error-based stopping makes no residual evaluations, so evaluation k is
+	// iteration k of the cyclic sweep: the 12th relaxes component 3.
+	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
+	_, err = repro.Solve(repro.NewSpec(&nanFrom{good: 11}),
+		repro.WithX0(ones), repro.WithXStar(make([]float64, 8)), repro.WithTol(1e-8))
+	if !errors.Is(err, repro.ErrDiverged) || !strings.Contains(err.Error(), "component 3 at iteration 12") {
+		t.Fatalf("NaN from the 12th evaluation: err %v", err)
+	}
+
+	inst, err := repro.BuildScenario("routing", 32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(inst.Spec.X0[len(inst.Spec.X0)-1], 1) {
+		t.Fatal("routing no longer starts from +Inf; pick another witness")
+	}
+	rep, err = repro.Solve(inst.Spec, repro.WithEngine(repro.EngineModel))
+	if err != nil || !rep.Converged || repro.DistInf(rep.X, inst.Spec.XStar) > inst.Spec.Tol {
+		t.Fatalf("routing from +Inf on the model engine: err %v, report %+v", err, rep)
 	}
 }
 
