@@ -64,7 +64,7 @@ func BenchmarkE17_ContractionNecessity(b *testing.B) { benchExperiment(b, "E17")
 // Micro-benchmarks of the operator layer.
 
 // BenchmarkProxGradBFApply measures one application of the Definition 4
-// operator on a 64-dim lasso problem through the scratch fast path.
+// operator on a 64-dim lasso problem: the block [0, n) on a warmed scratch.
 func BenchmarkProxGradBFApply(b *testing.B) {
 	reg, err := repro.NewRegression(repro.RegressionConfig{
 		N: 64, Coupling: 0.3, Sparsity: 0.5, Reg: 0.1, Seed: 5,
@@ -84,23 +84,14 @@ func BenchmarkProxGradBFApply(b *testing.B) {
 	}
 }
 
-// perComponent forwards the componentwise and scratch fast paths of its
-// inner operator but hides BlockScratchOperator, so EvalBlock takes the
-// per-component fallback — the exact pre-block-contract hot loop, measured
-// as the baseline of every BlockEval pair.
+// perComponent exposes only the base Operator contract of its inner
+// operator, so EvalBlock takes the Component loop — the baseline of every
+// BlockEval pair.
 type perComponent struct{ inner repro.Operator }
 
 func (w perComponent) Dim() int                             { return w.inner.Dim() }
 func (w perComponent) Component(i int, x []float64) float64 { return w.inner.Component(i, x) }
 func (w perComponent) Name() string                         { return w.inner.Name() }
-
-func (w perComponent) ComponentScratch(scr *repro.OperatorScratch, i int, x []float64) float64 {
-	return repro.EvalComponent(w.inner, scr, i, x)
-}
-
-func (w perComponent) ApplyScratch(scr *repro.OperatorScratch, dst, x []float64) {
-	repro.ApplyOperator(w.inner, scr, dst, x)
-}
 
 // blockLassoOp builds the n-dim ProxGradBF lasso operator of the BlockEval
 // benchmarks. The design matrix keeps a thin slab of dense coupling rows so
@@ -136,7 +127,7 @@ func blockSeparableLassoOp(_ *testing.B, n int) repro.Operator {
 
 // benchBlockSweep measures one full round of block phases — every
 // contiguous worker block of the n-dim operator evaluated once — through
-// the block fast path or (perComp) the forced per-component fallback. The
+// the block fast path or (perComp) the forced Component loop. The
 // ns/op ratio of a pair is the block contract's speedup; the operation
 // count behind it is pinned, without a clock, by
 // TestBlockSweepProxAndGradientCounts in internal/operators.

@@ -2,12 +2,13 @@ package repro_test
 
 // Block-path equivalence: the deterministic engines must produce
 // bit-identical Report trajectories whether coupled operators are evaluated
-// through the whole-block fast path (BlockScratchOperator) or the
-// per-component fallback. The fallback is forced by wrapping the operator in
-// a type that forwards the scratch fast path but hides the block interface —
-// so the ONLY difference between the two runs is EvalBlock's dispatch.
+// through the whole-block fast path (BlockScratchOperator) or the Component
+// loop. The loop is forced by wrapping the operator in a type that exposes
+// only the three Operator methods — so the ONLY difference between the two
+// runs is EvalBlock's dispatch.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,32 +16,13 @@ import (
 	"repro/internal/operators"
 )
 
-// noBlock forwards the componentwise and scratch fast paths of its inner
-// operator but deliberately does not implement BlockScratchOperator, forcing
-// operators.EvalBlock onto the per-component fallback.
+// noBlock exposes only the base Operator contract of its inner operator,
+// forcing operators.EvalBlock onto the Component loop.
 type noBlock struct{ inner repro.Operator }
 
 func (w noBlock) Dim() int                             { return w.inner.Dim() }
 func (w noBlock) Component(i int, x []float64) float64 { return w.inner.Component(i, x) }
 func (w noBlock) Name() string                         { return w.inner.Name() }
-
-func (w noBlock) ComponentScratch(scr *operators.Scratch, i int, x []float64) float64 {
-	if so, ok := w.inner.(operators.ScratchOperator); ok {
-		return so.ComponentScratch(scr, i, x)
-	}
-	return w.inner.Component(i, x)
-}
-
-func (w noBlock) ApplyScratch(scr *operators.Scratch, dst, x []float64) {
-	if so, ok := w.inner.(operators.ScratchOperator); ok {
-		so.ApplyScratch(scr, dst, x)
-		return
-	}
-	operators.Apply(w.inner, dst, x)
-}
-
-// Apply keeps the Residual/FullApplier fast path identical in both runs.
-func (w noBlock) Apply(dst, x []float64) { operators.Apply(w.inner, dst, x) }
 
 func blockPathOps(t *testing.T) map[string]repro.Operator {
 	t.Helper()
@@ -121,9 +103,57 @@ func TestBlockPathBitIdenticalOnDeterministicEngines(t *testing.T) {
 			bt, ft := trajectory(block), trajectory(fallback)
 			for field, bv := range bt {
 				if !reflect.DeepEqual(bv, ft[field]) {
-					t.Errorf("%s/%s: %s differs between block path and per-component fallback:\nblock:    %v\nfallback: %v",
+					t.Errorf("%s/%s: %s differs between block path and Component loop:\nblock:    %v\nfallback: %v",
 						name, eng.name, field, bv, ft[field])
 				}
+			}
+		}
+	}
+}
+
+// The one contract on the operators the scenarios really build (logistic
+// regression, network flow, the obstacle and routing maps, multigrid — the
+// types internal/operators' own table cannot reach): Component is the
+// definition; a block of one, the block [0, n) and the residual, on a
+// supplied scratch or an own one, reproduce it bit for bit and, once the
+// scratch is warm, allocate nothing of their own.
+func TestScenarioOperatorsKeepTheOneContract(t *testing.T) {
+	for _, sc := range repro.Scenarios() {
+		inst, err := repro.BuildScenario(sc.Name, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, x := inst.Spec.Op, inst.Spec.XStar
+		if x == nil {
+			x = repro.NewRNG(3).NormalVector(op.Dim())
+		}
+		want := make([]float64, op.Dim())
+		resid := 0.0
+		for i := range want {
+			want[i] = op.Component(i, x)
+			resid = math.Max(resid, math.Abs(want[i]-x[i]))
+		}
+		scr := repro.NewOperatorScratch()
+		got := make([]float64, op.Dim())
+		repro.ApplyOperator(op, scr, got, x)
+		for i := range want {
+			if c := repro.EvalComponent(op, scr, i, x); c != want[i] || got[i] != want[i] {
+				t.Fatalf("%s component %d: EvalComponent %v, ApplyOperator %v, Component %v", sc.Name, i, c, got[i], want[i])
+			}
+		}
+		if with, own := operators.ResidualWith(op, scr, x), repro.OperatorResidual(op, x); with != resid || own != resid {
+			t.Errorf("%s: ResidualWith %v, Residual %v, max|Component - x| %v", sc.Name, with, own, resid)
+		}
+		if _, block := op.(repro.BlockOperator); !block && testing.AllocsPerRun(20, func() { _ = op.Component(1, x) }) > 0 {
+			continue // netflow: Component itself allocates, and it has no block path to spare it that
+		}
+		for name, eval := range map[string]func(){
+			"EvalComponent": func() { _ = repro.EvalComponent(op, scr, 1, x) },
+			"ApplyOperator": func() { repro.ApplyOperator(op, scr, got, x) },
+			"ResidualWith":  func() { _ = operators.ResidualWith(op, scr, x) },
+		} {
+			if avg := testing.AllocsPerRun(20, eval); avg != 0 {
+				t.Errorf("%s: %s allocated %.1f/run on a warmed scratch, want 0", sc.Name, name, avg)
 			}
 		}
 	}

@@ -217,45 +217,32 @@
 // # Performance
 //
 // The engine hot paths are allocation-free in steady state: the vec
-// kernels have explicit ...Into variants, operators whose evaluation needs
-// temporaries (ProxGradBF, InnerIterated) expose a scratch fast path
-// (NewOperatorScratch, EvalComponent, ApplyOperator) that every engine
-// threads one per-worker scratch through, the discrete-event simulator
-// pools its events and messages, and the message-passing transport pools
-// its payload buffers across runs (how many a run has in flight at its peak
-// is up to the scheduler, so a per-run pool made a solve's allocations
-// follow the machine's load).
+// kernels have explicit ...Into variants, every engine threads one
+// per-worker operator scratch (NewOperatorScratch) through its evaluations,
+// the discrete-event simulator pools its events and messages, and the
+// message-passing transport pools its payload buffers across runs (how many
+// a run has in flight at its peak is up to the scheduler, so a per-run pool
+// made a solve's allocations follow the machine's load).
 //
-// On top of the scratch contract sits the BLOCK-EVALUATION contract: the
-// paper's iterations update a worker's whole block per phase, so operators
-// whose evaluation has work shared across components implement BlockOperator
-// (EvalBlockScratch(scr, lo, hi, x, out)) and every engine phase loop calls
-// EvalBlock, which dispatches to the block fast path and falls back to the
-// per-component loop for operators that do not implement it (or when the
-// scratch is nil). For ProxGradBF this turns a b-component phase from
-// O(b*n) — each component materializing the full prox vector — into one
-// shared prox pass plus a gradient range (O(n + b) when the smooth part is
-// separable); InnerIterated runs its prox + K gradient iterations once per
-// block instead of once per component; Linear/SparseLinear evaluate the row
-// slab in one MulRangeTo.
-//
-// Implementations and their Vec scratch-slot budgets: ProxGradBF 1,
-// InnerIterated 2, ProxGradFB 0, GradOp 0, Linear/SparseLinear 0; Relaxed
-// consumes no slots and forwards the scratch to its inner operator. Smooth
-// functions share their whole-gradient work across a component range
-// through RangeGradSmooth (GradRange): Quadratic and LeastSquares compute
-// the Hessian/Gram row slab in one pass, the logistic loss computes its
-// m margins and sigmoid coefficients once per range. RangeGradSmooth
-// implementations may use scratch Aux slots >= 1; Aux slot 0 is reserved
-// for the Residual fast path. Block and per-component paths are
-// componentwise bit-identical — the deterministic engines produce identical
-// Report trajectories whichever path runs (pinned by blockpath_test.go).
-//
-// OperatorResidual (and the internal ResidualWith the engines use for
-// stopping and certification) routes through ONE full operator application
-// plus a subtract whenever the operator can apply itself wholesale,
-// keeping the per-component loop only as the fallback — the fixed-point
-// residual of a coupled operator is O(n + apply), not O(n^2).
+// There is one way to evaluate an operator. Implement Component — it is the
+// definition of F and the reference every test compares against; implement
+// BlockOperator (EvalBlockScratch(scr, lo, hi, x, out)) as well when
+// components share work, componentwise bit-identical to Component. The
+// paper's iterations update a worker's whole block per phase, so every
+// engine phase calls EvalBlock, which takes the block path when the
+// operator has one and the scratch is non-nil and the Component loop
+// otherwise; EvalComponent is the block [i, i+1), ApplyOperator and
+// OperatorResidual the block [0, n). For ProxGradBF that turns a
+// b-component phase from O(b*n) — each component materializing the full
+// prox vector — into one shared prox pass plus a gradient range, and the
+// fixed-point residual of a coupled operator from O(n^2) into O(n + apply);
+// InnerIterated runs its prox + K gradient iterations once per block.
+// Smooth functions share their whole-gradient work across a component
+// range the same way, through RangeGradSmooth (GradRange). The scratch-slot
+// budget of every implementation is on BlockScratchOperator in
+// internal/operators/block.go; blockpath_test.go pins that the
+// deterministic engines produce identical Report trajectories whichever
+// path runs.
 //
 // Repeated Solves of the same shape can share those buffers across runs
 // through one Scratch (NewScratch, WithScratch), one per calling goroutine.

@@ -16,10 +16,10 @@
 //     on the control-flow graph as a may-analysis, so a re-acquisition on
 //     only one branch still taints the join;
 //   - dispatch clobbers: a method call through an interface that receives
-//     the *Scratch (EvalBlockScratch, GradRange, ApplyScratch) may
-//     consume any Vec slot and any Aux slot >= 1 per the budget, so live
-//     views of those slots are stale after the call. Aux slot 0 is
-//     protected by the reservation rule and survives.
+//     the *Scratch (EvalBlockScratch, GradRange) may consume any Vec slot
+//     and any Aux slot >= 1 per the budget, so live views of those slots
+//     are stale after the call. Aux slot 0 is protected by the reservation
+//     rule and survives.
 //
 // Slot indices that are not integer constants are not tracked. A
 // deliberate aliasing (a view handed off before re-acquisition, say) may

@@ -171,11 +171,6 @@ type Result struct {
 	Cancelled bool
 }
 
-// ErrDiverged is matched (errors.Is) by the error Run returns when a
-// relaxation produces NaN; the error names the iteration and the first bad
-// component. +Inf is a legal value (routing starts from it).
-var ErrDiverged = errors.New("core: iterate diverged to NaN")
-
 // ResidualSample pairs an iteration with its fixed-point residual.
 type ResidualSample struct {
 	Iter     int
@@ -315,7 +310,7 @@ func Run(cfg Config) (*Result, error) {
 			for c := lo; c < hi; c++ {
 				v := out[c-lo]
 				if v != v {
-					return nil, fmt.Errorf("%w: component %d at iteration %d", ErrDiverged, c, j)
+					return nil, fmt.Errorf("%w: component %d at iteration %d", operators.ErrDiverged, c, j)
 				}
 				hist.Set(c, j, v)
 			}
@@ -373,6 +368,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Boundaries = tracker.Boundaries()
 	res.StrictBoundaries = macroiter.StrictBoundaries(n, res.Records)
 	res.Epochs = epochs.Boundaries()
-	res.FinalResidual = operators.Residual(cfg.Op, res.X)
+	res.FinalResidual = operators.ResidualWith(cfg.Op, scratch.Op, res.X)
 	return res, nil
 }

@@ -134,17 +134,6 @@ type Config struct {
 	Progress *atomic.Int64
 }
 
-// workerScratch returns the caller-supplied scratch for worker w or a
-// fresh one, with the run's tuning installed.
-func (c *Config) workerScratch(w int) *operators.Scratch {
-	scr := operators.NewScratch()
-	if w < len(c.Scratches) && c.Scratches[w] != nil {
-		scr = c.Scratches[w]
-	}
-	scr.SetTuning(c.Tuning)
-	return scr
-}
-
 // Result reports a simulated run.
 type Result struct {
 	// Time is the virtual time at which the run stopped.
@@ -335,7 +324,7 @@ func Run(cfg Config) (*Result, error) {
 		for c := b[0]; c < b[1]; c++ {
 			comps = append(comps, c)
 		}
-		scr := cfg.workerScratch(w)
+		scr := operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning)
 		wk := &worker{
 			id:          w,
 			comps:       comps,
@@ -372,6 +361,9 @@ func Run(cfg Config) (*Result, error) {
 		switch e.kind {
 		case evComplete:
 			wk := workers[e.w]
+			if bad := vec.FirstNaN(wk.phaseOut); bad >= 0 {
+				return nil, &operators.DivergedError{Worker: wk.id, Phase: wk.phaseK, Component: wk.comps[bad]}
+			}
 			seq++
 			j := seq
 			// Commit the block.

@@ -89,7 +89,7 @@ func RunSync(cfg Config) (*SyncResult, error) {
 	// every sync-vs-async comparison would be skewed).
 	scrs := make([]*operators.Scratch, p)
 	for w := range scrs {
-		scrs[w] = cfg.workerScratch(w)
+		scrs[w] = operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning)
 	}
 	costs := make([]float64, p)
 
@@ -120,6 +120,9 @@ func RunSync(cfg Config) (*SyncResult, error) {
 				maxCost = c
 			}
 			operators.EvalBlock(cfg.Op, scrs[w], b[0], b[1], x, next[b[0]:b[1]])
+			if bad := vec.FirstNaN(next[b[0]:b[1]]); bad >= 0 {
+				return nil, &operators.DivergedError{Worker: w, Phase: r, Component: b[0] + bad}
+			}
 		}
 		// Exchange phase: all-to-all; the barrier completes when the
 		// slowest message lands.

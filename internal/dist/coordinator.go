@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/operators"
 	"repro/internal/runtime"
 	"repro/internal/vec"
 )
@@ -67,7 +68,11 @@ type coordinator struct {
 	xbest         []float64
 	lastCkptWrite time.Time
 
-	stopped  atomic.Bool
+	stopped atomic.Bool
+	// diverged is the first worker-reported NaN. It is the run's outcome
+	// whatever else the run loop was doing when it arrived: Serve's epilogue
+	// returns it in place of any result or lesser error.
+	diverged atomic.Pointer[operators.DivergedError]
 	statusCh chan status
 	ackCh    chan reshardAck
 	finalCh  chan final
@@ -157,6 +162,11 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		c.linkBytes[w] = make([]int64, cfg.Workers)
 	}
 	defer c.shutdown() // idempotent; the result path runs it early, to read final counters
+	defer func() {
+		if de := c.diverged.Load(); de != nil {
+			res, err = nil, de
+		}
+	}()
 
 	// Accept and welcome every worker.
 	type deadliner interface{ SetDeadline(time.Time) error }
@@ -258,6 +268,9 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		return last
 	}
 	for time.Now().Before(deadline) {
+		if c.diverged.Load() != nil {
+			return nil, nil // the epilogue above supplies the error
+		}
 		select {
 		case <-c.membership:
 			if err := c.reshardBarrier(deadline); err != nil {
@@ -672,6 +685,18 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 			case c.ackCh <- a:
 			default: // a stale barrier attempt's backlog; acks are gen-checked anyway
 			}
+		case msgDiverged:
+			phase, comp, err := decodeDiverged(payload, c.n)
+			if err != nil {
+				c.fail(fmt.Errorf("dist: worker %d sent a malformed diverged frame", w))
+				return
+			}
+			// Not a lost worker: evicting it would re-shard the component
+			// that produced the NaN onto the survivors.
+			de := &operators.DivergedError{Worker: w, Phase: phase, Component: comp}
+			c.diverged.CompareAndSwap(nil, de)
+			c.fail(de)
+			return
 		case msgFinal:
 			f, err := decodeFinal(payload, c.n, c.cfg.Workers)
 			c.mu.RLock()
@@ -1021,6 +1046,9 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 			obs.Sent += int64(st.sent)
 			obs.Delivered += int64(st.delivered)
 			obs.Dropped += int64(st.drained)
+		case err := <-c.errCh:
+			c.fail(err) // back for the run loop, which ends the run with it
+			return runtime.Observation{}
 		case <-c.cfg.Done:
 			return runtime.Observation{}
 		case <-time.After(time.Until(roundDeadline)):

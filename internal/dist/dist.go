@@ -79,6 +79,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/operators"
 	"repro/internal/runtime"
 )
 
@@ -295,7 +296,7 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			err := ConnectWorker(addr, cfg.Op, WorkerOptions{
-				Scratch:  cfg.WorkerScratch(w),
+				Scratch:  operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
 				Rejoin:   Rejoin{MaxWait: cfg.Elastic.MaxRejoinWait, Seed: seed},
 				Ctl:      ctl,
 				progress: cfg.Progress,

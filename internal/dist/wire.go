@@ -30,6 +30,7 @@ package dist
 //	assign   := u32 gen | u32 lo | u32 hi | f64×n x |
 //	            u32 peerCount | peerCount × str addr    (coordinator → workers)
 //	reject   := str reason                              (coordinator → rejoiner)
+//	diverged := u32 phase | u32 component               (worker → coordinator)
 //	str      := u32 len | len × u8
 //
 // Every data frame (block) and every status is fenced to the membership
@@ -40,7 +41,9 @@ package dist
 // is the membership-change barrier (pause survivors, collect their shards,
 // re-issue the shard table and — on mesh — the peer address table, ""
 // marking dead slots); a reject answers a rejoin attempt that found no free
-// worker slot.
+// worker slot; a diverged is the last frame of a worker whose operator
+// evaluated NaN, and ends the run with that error on rigid and elastic
+// membership alike.
 //
 // block.flags bit 0 marks a reliable frame (a worker's final re-broadcast):
 // fault injection never drops or reorder-holds it, the TCP analogue of the
@@ -77,6 +80,7 @@ const (
 	msgReshardAck
 	msgAssign
 	msgReject
+	msgDiverged
 
 	// msgConnLost is an internal sentinel a worker's control-connection
 	// reader enqueues when the coordinator link dies; it never crosses the
@@ -363,6 +367,23 @@ func decodeFinal(payload []byte, n, p int) (final, error) {
 		cur.err = fmt.Errorf("%d link byte counters from a run of %d workers", len(f.linkBytes), p)
 	}
 	return f, cur.err
+}
+
+// buildDivergedFrame reports that the sender's updating phase `phase`
+// evaluated NaN at component.
+func buildDivergedFrame(phase, component int) []byte {
+	return buildFrame(msgDiverged, appendU32(appendU32(nil, uint32(phase)), uint32(component)))
+}
+
+// decodeDiverged is buildDivergedFrame's inverse for an iterate of
+// dimension n.
+func decodeDiverged(payload []byte, n int) (phase, component int, err error) {
+	cur := cursor{b: payload}
+	phase, component = int(cur.u32()), int(cur.u32())
+	if cur.err == nil && component >= n {
+		cur.err = fmt.Errorf("component %d outside dimension %d", component, n)
+	}
+	return phase, component, cur.err
 }
 
 // appendPeers encodes a peer address table ("" marks a dead slot);

@@ -158,6 +158,8 @@ func decodeFramePayload(typ byte, payload []byte) {
 		decodePeers(payload, fuzzWorkers)
 	case msgMeshAddr, msgReject:
 		cur.str()
+	case msgDiverged:
+		decodeDiverged(payload, fuzzDim)
 	case msgReshard, msgMeshHello, msgProbe:
 		cur.u64()
 	}
@@ -188,6 +190,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(buildAssignFrame(assign{gen: 2, lo: 0, hi: 1, x: []float64{1, 2, 3}, addrs: []string{"127.0.0.1:1", ""}}))
 	f.Add(buildFrame(msgAssign, appendU32(appendF64s(appendU32(appendU32(appendU32(nil, 2), 0), 1), []float64{1, 2, 3}), 0xffffffff))) // lying peer count
 	f.Add(buildFrame(msgPeers, appendPeers(nil, []string{"127.0.0.1:1", "127.0.0.1:2"})))
+	f.Add(buildDivergedFrame(7, 2))
+	f.Add(buildDivergedFrame(1, 0xfffffff0)) // component outside the iterate
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := readFrame(bytes.NewReader(data), maxFramePayload)
 		if err != nil {

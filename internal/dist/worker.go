@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -224,12 +225,18 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	}
 
 	wk := runtime.Worker{
-		Op: op, Scratch: scr,
+		ID: ws.id, Op: op, Scratch: scr,
 		Tol: cfg.Tol, Sweeps: cfg.SweepsBelowTol, Budget: cfg.MaxUpdatesPerWorker,
 		Progress: o.progress,
 		View:     ws.view,
 	}
-	if err := wk.Run(ws); err != nil {
+	err = wk.Run(ws)
+	var de *operators.DivergedError
+	if errors.As(err, &de) {
+		// Best effort: if the link is gone too, the coordinator reports that.
+		conn.Write(buildDivergedFrame(de.Phase, de.Component))
+	}
+	if err != nil {
 		return err
 	}
 	return ws.finish(wk.Updates)

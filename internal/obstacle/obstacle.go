@@ -99,13 +99,6 @@ func (p *Problem) Component(i int, u []float64) float64 {
 	return v
 }
 
-// Apply implements operators.FullApplier.
-func (p *Problem) Apply(dst, u []float64) {
-	for i := range dst {
-		dst[i] = p.Component(i, u)
-	}
-}
-
 // Supersolution returns a starting point above the solution (required for
 // monotone decreasing convergence): the unconstrained harmonic bound plus
 // the obstacle maximum.

@@ -101,7 +101,7 @@ func TestMonotoneDecreaseFromSupersolution(t *testing.T) {
 	u := p.Supersolution()
 	next := make([]float64, p.Dim())
 	for sweep := 0; sweep < 50; sweep++ {
-		p.Apply(next, u)
+		operators.Apply(p, next, u)
 		for i := range next {
 			if next[i] > u[i]+1e-12 {
 				t.Fatalf("sweep %d: component %d increased: %v -> %v",

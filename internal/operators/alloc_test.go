@@ -37,44 +37,51 @@ func allocTestProxGrad(n int) (*ProxGradBF, *InnerIterated) {
 		NewInnerIterated(f, prox.L1{Lambda: 0.05}, gamma, 3)
 }
 
-// The scratch fast paths must be allocation-free after warm-up: engines
-// call them once per component relaxation.
+// contractOps is every operator type of the package: each block-implementing
+// kind, Relaxed over each of them, and ProxGradBF over a lean (Gram-free)
+// LeastSquares, whose Component and block paths share no buffer.
+func contractOps(n int) []namedOp {
+	ops := blockTestOps(n)
+	for _, tc := range blockTestOps(n) {
+		ops = append(ops, namedOp{"Relaxed(" + tc.name + ")", &Relaxed{Inner: tc.op, Omega: 0.6}})
+	}
+	rng := vec.NewRNG(16)
+	a := vec.NewDense(n+8, n)
+	for i := range a.Data {
+		a.Data[i] = rng.Normal()
+	}
+	lean := NewLeastSquaresLean(a, rng.NormalVector(n+8), 0.1)
+	return append(ops, namedOp{"ProxGradBF(lean)", NewProxGradBF(lean, prox.L1{Lambda: 0.05}, MaxStep(lean))})
+}
+
+// namedOp is the element type of blockTestOps' table.
+type namedOp = struct {
+	name string
+	op   Operator
+}
+
+// Everything that evaluates an operator is EvalBlock on some range, so a
+// warmed serial scratch makes all of it allocation-free: engines call these
+// once per component relaxation, sweep and residual check. (A scratch tuned
+// to fan out pays for its lane closures; tuning_test.go covers its bits.)
 func TestScratchEvaluationAllocationFree(t *testing.T) {
 	const n = 48
-	lin := allocTestLinear(n)
-	bf, inner := allocTestProxGrad(n)
 	x := vec.NewRNG(13).NormalVector(n)
 	dst := make([]float64, n)
-
-	cases := []struct {
-		name string
-		op   Operator
-	}{
-		{"Linear", lin},
-		{"ProxGradBF", bf},
-		{"InnerIterated", inner},
-		{"Relaxed(ProxGradBF)", &Relaxed{Inner: bf, Omega: 0.7}},
-	}
-	for _, tc := range cases {
-		scr := NewScratch()
-		// Warm up so lazily created scratch buffers exist.
-		_ = EvalComponent(tc.op, scr, 0, x)
-		ApplyInto(tc.op, scr, dst, x)
-
-		if avg := testing.AllocsPerRun(100, func() {
-			_ = EvalComponent(tc.op, scr, 1, x)
-		}); avg != 0 {
-			t.Errorf("%s: EvalComponent allocated %.1f/run, want 0", tc.name, avg)
-		}
-		if avg := testing.AllocsPerRun(100, func() {
-			ApplyInto(tc.op, scr, dst, x)
-		}); avg != 0 {
-			t.Errorf("%s: ApplyInto allocated %.1f/run, want 0", tc.name, avg)
-		}
-		if avg := testing.AllocsPerRun(100, func() {
-			_ = ResidualWith(tc.op, scr, x)
-		}); avg != 0 {
-			t.Errorf("%s: ResidualWith allocated %.1f/run, want 0", tc.name, avg)
+	for _, tc := range contractOps(n) {
+		for _, tun := range []Tuning{{}, {Tile: 8}} {
+			scr := NewScratch()
+			scr.SetTuning(tun)
+			_ = ResidualWith(tc.op, scr, x) // warm up the lazily created buffers
+			for name, eval := range map[string]func(){
+				"EvalComponent": func() { _ = EvalComponent(tc.op, scr, 1, x) },
+				"ApplyInto":     func() { ApplyInto(tc.op, scr, dst, x) },
+				"ResidualWith":  func() { _ = ResidualWith(tc.op, scr, x) },
+			} {
+				if avg := testing.AllocsPerRun(100, eval); avg != 0 {
+					t.Errorf("%s tile %d: %s allocated %.1f/run, want 0", tc.name, tun.Tile, name, avg)
+				}
+			}
 		}
 	}
 }
@@ -108,35 +115,38 @@ func TestEvalBlockAllocationFree(t *testing.T) {
 	}
 }
 
-// The scratch fast paths must agree exactly with the plain evaluations.
+// The one contract: Component is the definition, and every other way of
+// evaluating an operator — a block of one, the block [0, n), the residual on
+// a supplied or an own scratch — reproduces it bit for bit, for every
+// operator type and under every tuning.
 func TestScratchEvaluationMatchesPlain(t *testing.T) {
 	const n = 32
-	bf, inner := allocTestProxGrad(n)
 	x := vec.NewRNG(14).NormalVector(n)
-
-	for _, tc := range []struct {
-		name string
-		op   Operator
-	}{
-		{"ProxGradBF", bf},
-		{"InnerIterated", inner},
-		{"Relaxed", &Relaxed{Inner: bf, Omega: 0.5}},
-	} {
-		scr := NewScratch()
-		for i := 0; i < n; i++ {
-			plain := tc.op.Component(i, x)
-			fast := EvalComponent(tc.op, scr, i, x)
-			if plain != fast {
-				t.Errorf("%s: component %d: scratch %v != plain %v", tc.name, i, fast, plain)
-			}
+	for _, tc := range contractOps(n) {
+		want := make([]float64, n)
+		resid := 0.0
+		for i := range want {
+			want[i] = tc.op.Component(i, x)
+			resid = math.Max(resid, math.Abs(want[i]-x[i]))
 		}
-		plain := make([]float64, n)
-		fast := make([]float64, n)
-		Apply(tc.op, plain, x)
-		ApplyInto(tc.op, scr, fast, x)
-		for i := range plain {
-			if plain[i] != fast[i] {
-				t.Errorf("%s: apply %d: scratch %v != plain %v", tc.name, i, fast[i], plain[i])
+		if got := Residual(tc.op, x); got != resid {
+			t.Errorf("%s: Residual %v != max|Component - x| %v", tc.name, got, resid)
+		}
+		for _, combo := range tuningCombos() {
+			scr := NewScratch()
+			scr.SetTuning(combo.tun)
+			fast := make([]float64, n)
+			ApplyInto(tc.op, scr, fast, x)
+			for i := range want {
+				if got := EvalComponent(tc.op, scr, i, x); got != want[i] {
+					t.Errorf("%s/%s: EvalComponent(%d) %v != Component %v", tc.name, combo.name, i, got, want[i])
+				}
+				if fast[i] != want[i] {
+					t.Errorf("%s/%s: ApplyInto[%d] %v != Component %v", tc.name, combo.name, i, fast[i], want[i])
+				}
+			}
+			if got := ResidualWith(tc.op, scr, x); got != resid {
+				t.Errorf("%s/%s: ResidualWith %v != max|Component - x| %v", tc.name, combo.name, got, resid)
 			}
 		}
 	}

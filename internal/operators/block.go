@@ -2,20 +2,24 @@ package operators
 
 import "repro/internal/prox"
 
-// Block evaluation is the whole-block fast path of the engine hot loops.
-// The paper's iterations update one worker's whole block per phase, but a
-// componentwise contract forces coupled operators to redo their shared work
-// (the prox vector, the gradient pass, the inner iterations) once per
-// component: a b-component phase of ProxGradBF costs O(b*n) while one
-// shared pass costs O(n + b * per-component-work). BlockScratchOperator
-// lets an operator evaluate a contiguous component range in one pass, and
-// EvalBlock is the dispatcher every engine phase loop calls.
+// The one rule of operator evaluation: implement Component; implement
+// EvalBlockScratch as well when components share work. The paper's
+// iterations update one worker's whole block per phase (Definition 1
+// relaxes "the components of S_j"), but a componentwise contract forces
+// coupled operators to redo their shared work (the prox vector, the gradient
+// pass, the inner iterations) once per component: a b-component phase of
+// ProxGradBF costs O(b*n) while one shared pass costs O(n + b *
+// per-component-work). EvalBlock is the only dispatcher — every engine
+// phase calls it, and EvalComponent, ApplyInto, ResidualWith, Apply and
+// Residual are EvalBlock on [i, i+1) or [0, n) — and BlockScratchOperator is
+// the only optional interface it asserts on.
 //
-// Contract: EvalBlockScratch must produce, componentwise bit-identical
-// results to ComponentScratch/Component — the deterministic engines rely on
-// identical trajectories whichever path runs (block_test.go and the root
-// blockpath_test.go pin this). Implementations must stay read-only on x and
-// on shared operator state; the scratch is the only mutable memory.
+// Contract: EvalBlockScratch must produce componentwise bit-identical
+// results to Component — the deterministic engines rely on identical
+// trajectories whichever path runs (TestScratchEvaluationMatchesPlain,
+// block_test.go and the root blockpath_test.go pin this). Implementations
+// must stay read-only on x and on shared operator state; the scratch is the
+// only mutable memory.
 //
 // Scratch-slot budget (Vec slots): ProxGradBF 1, InnerIterated 2,
 // ProxGradFB 0, GradOp 0, Linear/SparseLinear 0; Relaxed consumes no slots
@@ -29,11 +33,9 @@ type BlockScratchOperator interface {
 	EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64)
 }
 
-// EvalBlock evaluates the component range [lo, hi) of F at x into out,
-// routing through the operator's block fast path when both the operator
-// supports it and scr is non-nil, and falling back to the per-component
-// loop (itself routed through the scratch fast path) otherwise. It is the
-// phase-evaluation call of every engine hot loop.
+// EvalBlock evaluates the component range [lo, hi) of F at x into out:
+// through EvalBlockScratch when the operator has it and scr is non-nil, as
+// the Component loop otherwise.
 //
 //repro:hotpath
 func EvalBlock(op Operator, scr *Scratch, lo, hi int, x, out []float64) {
@@ -45,7 +47,7 @@ func EvalBlock(op Operator, scr *Scratch, lo, hi int, x, out []float64) {
 		return
 	}
 	for c := lo; c < hi; c++ {
-		out[c-lo] = EvalComponent(op, scr, c, x)
+		out[c-lo] = op.Component(c, x)
 	}
 }
 
@@ -78,7 +80,7 @@ func gradRange(f Smooth, scr *Scratch, dst, x []float64, lo, hi int) {
 // EvalBlockScratch implements BlockScratchOperator (1 scratch slot): the
 // prox vector is materialized ONCE for the whole block, then the gradient
 // range shares its pass through gradRange — O(n + block gradient) instead
-// of the per-component path's O(b*n) prox work alone.
+// of the Component loop's O(b*n) prox work alone.
 func (o *ProxGradBF) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
 	p := scr.Vec(0, len(x))
 	prox.ApplyVec(o.G, p, x, o.Gamma)
@@ -99,10 +101,19 @@ func (o *ProxGradFB) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64
 
 // EvalBlockScratch implements BlockScratchOperator (2 scratch slots): the
 // prox + K full gradient iterations run ONCE for the whole block instead of
-// once per component — the largest single win of the block contract.
+// once per component — the largest single win of the block contract — with
+// no trail kept. The K gradients go through gradRange, so the scratch's
+// tuning reaches them; GradRange over the full range is contractually
+// bit-identical to the Grad that Component's ApplyWithTrail uses.
 func (o *InnerIterated) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
-	p := scr.Vec(0, len(x))
-	o.applyWithScratch(scr, p, scr.Vec(1, len(x)), x)
+	p, grad := scr.Vec(0, len(x)), scr.Vec(1, len(x))
+	prox.ApplyVec(o.G, p, x, o.Gamma)
+	for k := 0; k < o.K; k++ {
+		gradRange(o.F, scr, grad, p, 0, len(p))
+		for i := range p {
+			p[i] -= o.Gamma * grad[i]
+		}
+	}
 	copy(out, p[lo:hi])
 }
 

@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/prox"
@@ -66,9 +65,9 @@ func blockTestOps(n int) []struct {
 	}
 }
 
-// The block fast path must be componentwise bit-identical to the
-// per-component path for every block size and offset — the deterministic
-// engines rely on identical trajectories whichever path runs.
+// The block fast path must be componentwise bit-identical to Component for
+// every block size and offset — the deterministic engines rely on identical
+// trajectories whichever path runs.
 func TestEvalBlockMatchesPerComponent(t *testing.T) {
 	const n = 48
 	x := vec.NewRNG(22).NormalVector(n)
@@ -79,9 +78,9 @@ func TestEvalBlockMatchesPerComponent(t *testing.T) {
 			out := make([]float64, hi-lo)
 			EvalBlock(tc.op, scr, lo, hi, x, out)
 			for c := lo; c < hi; c++ {
-				want := EvalComponent(tc.op, NewScratch(), c, x)
+				want := tc.op.Component(c, x)
 				if out[c-lo] != want {
-					t.Errorf("%s: block [%d,%d) component %d: block %v != per-component %v",
+					t.Errorf("%s: block [%d,%d) component %d: block %v != Component %v",
 						tc.name, lo, hi, c, out[c-lo], want)
 				}
 			}
@@ -199,33 +198,30 @@ func TestEvalBlockOutLengthPanics(t *testing.T) {
 	EvalBlock(bf, NewScratch(), 0, 4, make([]float64, 8), make([]float64, 3))
 }
 
-// componentOnly hides every fast-path interface, exposing only the plain
-// Operator contract.
+// componentOnly hides the block interface, exposing only the plain Operator
+// contract.
 type componentOnly struct{ inner Operator }
 
 func (w componentOnly) Dim() int                             { return w.inner.Dim() }
 func (w componentOnly) Component(i int, x []float64) float64 { return w.inner.Component(i, x) }
 func (w componentOnly) Name() string                         { return w.inner.Name() }
 
-// Residual and ResidualWith must agree between the one-full-application fast
-// path and the per-component fallback to 1e-15 on ProxGradBF (the coupled
-// operator whose per-component residual was O(n^2)).
+// Residual and ResidualWith must agree between the block path and the
+// Component loop on ProxGradBF (the coupled operator whose per-component
+// residual is O(n^2)).
 func TestResidualFastPathAgreesOnProxGradBF(t *testing.T) {
 	const n = 40
 	bf, _ := allocTestProxGrad(n)
 	x := vec.NewRNG(24).NormalVector(n)
 
 	fast := Residual(bf, x)
-	slow := Residual(componentOnly{bf}, x) // fallback loop: no FullApplier
-	if d := math.Abs(fast - slow); d > 1e-15 {
-		t.Errorf("Residual fast %v vs per-component %v: diff %g > 1e-15", fast, slow, d)
+	if slow := Residual(componentOnly{bf}, x); fast != slow {
+		t.Errorf("Residual through the block path %v != through the Component loop %v", fast, slow)
 	}
-
 	scr := NewScratch()
 	fastW := ResidualWith(bf, scr, x)
-	slowW := ResidualWith(componentOnly{bf}, scr, x)
-	if d := math.Abs(fastW - slowW); d > 1e-15 {
-		t.Errorf("ResidualWith fast %v vs per-component %v: diff %g > 1e-15", fastW, slowW, d)
+	if slowW := ResidualWith(componentOnly{bf}, scr, x); fastW != slowW {
+		t.Errorf("ResidualWith through the block path %v != through the Component loop %v", fastW, slowW)
 	}
 	if fast != fastW {
 		t.Errorf("Residual %v != ResidualWith %v on the same operator", fast, fastW)
@@ -285,7 +281,8 @@ func TestGradRangeMatchesGradComponent(t *testing.T) {
 				}
 			}
 		}
-		// Full Grad must agree bit-identically too (Residual fast path).
+		// Full Grad must agree bit-identically too (InnerIterated.Component
+		// takes it through ApplyWithTrail).
 		full := make([]float64, n)
 		tc.f.Grad(full, x)
 		for c := 0; c < n; c++ {

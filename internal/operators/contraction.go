@@ -16,6 +16,7 @@ func EstimateContraction(op Operator, xstar, u []float64, trials int, radius flo
 	n := op.Dim()
 	worst := 0.0
 	fx := make([]float64, n)
+	scr := NewScratch()
 	for t := 0; t < trials; t++ {
 		x := make([]float64, n)
 		for i := range x {
@@ -25,7 +26,7 @@ func EstimateContraction(op Operator, xstar, u []float64, trials int, radius flo
 		if den == 0 {
 			continue
 		}
-		Apply(op, fx, x)
+		ApplyInto(op, scr, fx, x)
 		num := vec.WeightedMaxDist(fx, xstar, u)
 		if r := num / den; r > worst {
 			worst = r

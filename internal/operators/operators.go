@@ -11,6 +11,7 @@
 package operators
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/vec"
@@ -21,6 +22,11 @@ import (
 // Implementations must be safe for concurrent read-only use: Component must
 // not mutate shared state (the runtime engines call it from many
 // goroutines).
+//
+// Component is the definition of F and the reference every test compares
+// against. An operator whose components share work (a prox vector, a
+// gradient pass) also implements BlockScratchOperator (block.go); that is
+// the only other way an operator is ever evaluated.
 type Operator interface {
 	// Dim returns n.
 	Dim() int
@@ -30,22 +36,31 @@ type Operator interface {
 	Name() string
 }
 
-// FullApplier is an optional fast path for applying F to every component at
-// once (synchronous Jacobi sweeps, reference solves).
+// FullApplier is implemented by nothing and asserted on by nothing in this
+// module outside benchmark/, whose decorator and harness test still name it;
+// it goes with the next change that may edit benchmark/ (ROADMAP 7).
 type FullApplier interface {
 	Apply(dst, x []float64)
 }
 
-// Apply evaluates F(x) into dst using the fast path when available.
-func Apply(op Operator, dst, x []float64) {
-	if fa, ok := op.(FullApplier); ok {
-		fa.Apply(dst, x)
-		return
-	}
-	for i := range dst {
-		dst[i] = op.Component(i, x)
-	}
+// Apply evaluates F(x) into dst: ApplyInto with a scratch of its own.
+func Apply(op Operator, dst, x []float64) { ApplyInto(op, NewScratch(), dst, x) }
+
+// ErrDiverged is matched (errors.Is) by the error every engine returns when
+// an evaluation produces NaN: each tests the block it evaluated
+// (vec.FirstNaN) before installing it. +Inf is a legal value (routing
+// starts from it).
+var ErrDiverged = errors.New("iterate diverged to NaN")
+
+// DivergedError is the ErrDiverged of the worker-based engines: Worker's
+// updating phase Phase (1-based) evaluated NaN at Component.
+type DivergedError struct{ Worker, Phase, Component int }
+
+func (e *DivergedError) Error() string {
+	return fmt.Sprintf("%v: worker %d, phase %d, component %d", ErrDiverged, e.Worker, e.Phase, e.Component)
 }
+
+func (e *DivergedError) Unwrap() error { return ErrDiverged }
 
 // FixedPoint iterates F synchronously until ||F(x)-x||_inf <= tol or
 // maxIter sweeps, returning the final iterate and whether it converged. It
@@ -68,29 +83,9 @@ func FixedPoint(op Operator, x0 []float64, tol float64, maxIter int) ([]float64,
 	return x, false
 }
 
-// Residual returns ||F(x) - x||_inf, the standard fixed-point residual.
-// Operators with a whole-vector application (FullApplier) are evaluated with
-// ONE application plus a subtract; the per-component loop — O(n^2) on
-// coupled operators like ProxGradBF, whose every component materializes the
-// full prox vector — remains only as the fallback.
-func Residual(op Operator, x []float64) float64 {
-	if fa, ok := op.(FullApplier); ok {
-		fx := make([]float64, op.Dim())
-		fa.Apply(fx, x)
-		return maxAbsDiff(fx, x)
-	}
-	m := 0.0
-	for i := 0; i < op.Dim(); i++ {
-		d := op.Component(i, x) - x[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
+// Residual returns ||F(x) - x||_inf, the standard fixed-point residual:
+// ResidualWith with a scratch of its own.
+func Residual(op Operator, x []float64) float64 { return ResidualWith(op, NewScratch(), x) }
 
 // Linear is the affine operator F(x) = Ax + b. When ||A||_u < 1 for some
 // positive weight vector u it is a ||.||_u contraction and all asynchronous
@@ -113,14 +108,6 @@ func (l *Linear) Dim() int { return len(l.B) }
 
 func (l *Linear) Component(i int, x []float64) float64 {
 	return l.A.RowDotAt(i, x) + l.B[i]
-}
-
-// Apply implements FullApplier.
-func (l *Linear) Apply(dst, x []float64) {
-	l.A.MulVecTo(dst, x)
-	for i := range dst {
-		dst[i] += l.B[i]
-	}
 }
 
 func (l *Linear) Name() string { return l.name }
@@ -152,14 +139,6 @@ func (l *SparseLinear) Dim() int { return len(l.B) }
 
 func (l *SparseLinear) Component(i int, x []float64) float64 {
 	return l.A.RowDotAt(i, x) + l.B[i]
-}
-
-// Apply implements FullApplier.
-func (l *SparseLinear) Apply(dst, x []float64) {
-	l.A.MulVecTo(dst, x)
-	for i := range dst {
-		dst[i] += l.B[i]
-	}
 }
 
 func (l *SparseLinear) Name() string { return fmt.Sprintf("sparseLinear(n=%d)", len(l.B)) }
@@ -206,20 +185,6 @@ func (r *Relaxed) Dim() int { return r.Inner.Dim() }
 
 func (r *Relaxed) Component(i int, x []float64) float64 {
 	return (1-r.Omega)*x[i] + r.Omega*r.Inner.Component(i, x)
-}
-
-// ComponentScratch implements ScratchOperator by delegating the scratch to
-// the inner operator (same slot space: Relaxed consumes no slots itself).
-func (r *Relaxed) ComponentScratch(scr *Scratch, i int, x []float64) float64 {
-	return (1-r.Omega)*x[i] + r.Omega*EvalComponent(r.Inner, scr, i, x)
-}
-
-// ApplyScratch implements ScratchOperator.
-func (r *Relaxed) ApplyScratch(scr *Scratch, dst, x []float64) {
-	ApplyInto(r.Inner, scr, dst, x)
-	for i := range dst {
-		dst[i] = (1-r.Omega)*x[i] + r.Omega*dst[i]
-	}
 }
 
 func (r *Relaxed) Name() string {

@@ -24,7 +24,7 @@ func TestLinearComponentMatchesApply(t *testing.T) {
 	op := NewLinear(a, []float64{1, 2})
 	x := []float64{3, -1}
 	dst := make([]float64, 2)
-	op.Apply(dst, x)
+	Apply(op, dst, x)
 	for i := 0; i < 2; i++ {
 		if got := op.Component(i, x); math.Abs(got-dst[i]) > 1e-15 {
 			t.Errorf("Component(%d) = %v, Apply gives %v", i, got, dst[i])
@@ -279,8 +279,8 @@ func TestInnerIteratedK1MatchesDefinition4(t *testing.T) {
 	x := []float64{0.4, 0.6}
 	a := make([]float64, 2)
 	b := make([]float64, 2)
-	bf.Apply(a, x)
-	k1.Apply(b, x)
+	Apply(bf, a, x)
+	Apply(k1, b, x)
 	if !vec.Equal(a, b, 1e-14) {
 		t.Errorf("K=1 inner-iterated %v != Definition 4 %v", b, a)
 	}

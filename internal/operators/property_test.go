@@ -25,8 +25,8 @@ func TestLinearLipschitzProperty(t *testing.T) {
 		y := rng.NormalVector(n)
 		fx := make([]float64, n)
 		fy := make([]float64, n)
-		op.Apply(fx, x)
-		op.Apply(fy, y)
+		Apply(op, fx, x)
+		Apply(op, fy, y)
 		lhs := vec.DistInf(fx, fy)
 		rhs := lip * vec.DistInf(x, y)
 		if lhs > rhs+1e-10*(1+rhs) {

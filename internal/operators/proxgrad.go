@@ -37,39 +37,12 @@ func NewProxGradBF(f Smooth, g prox.Prox, gamma float64) *ProxGradBF {
 func (o *ProxGradBF) Dim() int { return o.F.Dim() }
 
 // Component evaluates G_i(x). The gradient at the prox point couples all
-// coordinates, so the prox vector is materialized; the engines that relax a
-// whole block at once use Apply instead, and hot loops thread a Scratch
-// through ComponentScratch to avoid the per-call allocation here.
+// coordinates, so the prox vector is materialized (and allocated) for the
+// one component; EvalBlockScratch shares it across a block.
 func (o *ProxGradBF) Component(i int, x []float64) float64 {
 	p := make([]float64, len(x))
 	prox.ApplyVec(o.G, p, x, o.Gamma)
 	return p[i] - o.Gamma*o.F.GradComponent(i, p)
-}
-
-// ComponentScratch implements ScratchOperator (1 scratch slot).
-func (o *ProxGradBF) ComponentScratch(scr *Scratch, i int, x []float64) float64 {
-	p := scr.Vec(0, len(x))
-	prox.ApplyVec(o.G, p, x, o.Gamma)
-	return p[i] - o.Gamma*o.F.GradComponent(i, p)
-}
-
-// Apply implements FullApplier.
-func (o *ProxGradBF) Apply(dst, x []float64) {
-	p := make([]float64, len(x))
-	o.applyWith(p, dst, x)
-}
-
-// ApplyScratch implements ScratchOperator (1 scratch slot).
-func (o *ProxGradBF) ApplyScratch(scr *Scratch, dst, x []float64) {
-	o.applyWith(scr.Vec(0, len(x)), dst, x)
-}
-
-func (o *ProxGradBF) applyWith(p, dst, x []float64) {
-	prox.ApplyVec(o.G, p, x, o.Gamma)
-	o.F.Grad(dst, p)
-	for i := range dst {
-		dst[i] = p[i] - o.Gamma*dst[i]
-	}
 }
 
 // Primal maps a governing iterate x to the primal point prox_{gamma,g}(x);
@@ -109,14 +82,6 @@ func (o *ProxGradFB) Dim() int { return o.F.Dim() }
 func (o *ProxGradFB) Component(i int, x []float64) float64 {
 	v := x[i] - o.Gamma*o.F.GradComponent(i, x)
 	return o.G.Apply(i, v, o.Gamma)
-}
-
-// Apply implements FullApplier.
-func (o *ProxGradFB) Apply(dst, x []float64) {
-	o.F.Grad(dst, x)
-	for i := range dst {
-		dst[i] = o.G.Apply(i, x[i]-o.Gamma*dst[i], o.Gamma)
-	}
 }
 
 func (o *ProxGradFB) Name() string {
@@ -175,50 +140,6 @@ func (o *InnerIterated) ApplyWithTrail(x []float64) (out []float64, trail [][]fl
 func (o *InnerIterated) Component(i int, x []float64) float64 {
 	out, _ := o.ApplyWithTrail(x)
 	return out[i]
-}
-
-// Apply implements FullApplier.
-func (o *InnerIterated) Apply(dst, x []float64) {
-	out, _ := o.ApplyWithTrail(x)
-	copy(dst, out)
-}
-
-// ComponentScratch implements ScratchOperator (2 scratch slots); it skips
-// the trail bookkeeping entirely.
-func (o *InnerIterated) ComponentScratch(scr *Scratch, i int, x []float64) float64 {
-	p := scr.Vec(0, len(x))
-	o.applyWithScratch(scr, p, scr.Vec(1, len(x)), x)
-	return p[i]
-}
-
-// ApplyScratch implements ScratchOperator (2 scratch slots).
-func (o *InnerIterated) ApplyScratch(scr *Scratch, dst, x []float64) {
-	o.applyWithScratch(scr, dst, scr.Vec(1, len(x)), x)
-}
-
-// applyWith runs the prox + K gradient steps into p using grad as the
-// gradient buffer, without recording the trail.
-func (o *InnerIterated) applyWith(p, grad, x []float64) {
-	o.applyWithScratch(nil, p, grad, x)
-}
-
-// applyWithScratch is applyWith with the K inner gradients routed through
-// the gradient-range fast path, so the scratch's tuning (column tiling,
-// lane fan-out) reaches them. GradRange over the full range is
-// contractually bit-identical to Grad, so the scratch and scratch-free
-// paths agree bit for bit.
-func (o *InnerIterated) applyWithScratch(scr *Scratch, p, grad, x []float64) {
-	prox.ApplyVec(o.G, p, x, o.Gamma)
-	for k := 0; k < o.K; k++ {
-		if scr != nil {
-			gradRange(o.F, scr, grad, p, 0, len(p))
-		} else {
-			o.F.Grad(grad, p)
-		}
-		for i := range p {
-			p[i] -= o.Gamma * grad[i]
-		}
-	}
 }
 
 func (o *InnerIterated) Name() string {

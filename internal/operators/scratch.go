@@ -1,10 +1,13 @@
 package operators
 
+import "repro/internal/vec"
+
 // Scratch is a bundle of reusable work vectors. The asynchronous engines
 // evaluate operators like ProxGradBF millions of times on their hot paths;
 // without scratch every evaluation that needs a temporary (the prox point,
 // a gradient) would allocate. Each worker owns one Scratch and threads it
-// through EvalComponent / ApplyInto, making steady-state evaluation
+// through EvalBlock (and EvalComponent / ApplyInto / ResidualWith, which
+// are EvalBlock on [i, i+1) and [0, n)), making steady-state evaluation
 // allocation-free.
 //
 // A Scratch is NOT safe for concurrent use: it embodies exactly the
@@ -15,7 +18,8 @@ package operators
 type Scratch struct {
 	bufs [][]float64
 	aux  [][]float64
-	acc  []float64 // tiled-matvec accumulators (see Acc)
+	acc  []float64  // tiled-matvec accumulators (see Acc)
+	one  [1]float64 // EvalComponent's block-of-one output
 	tun  Tuning
 	// lanes are the sub-scratches handed to intra-block fan-out goroutines;
 	// each lane is owned by exactly one goroutine for the duration of a
@@ -62,81 +66,41 @@ func (s *Scratch) Aux(slot, n int) []float64 {
 	return s.aux[slot][:n]
 }
 
-// ScratchOperator is an optional fast path: operators whose evaluation needs
-// temporary vectors implement it so a caller-supplied Scratch replaces
-// per-call allocation. Implementations must remain read-only on x and on any
-// shared operator state (the scratch is the only mutable memory).
+// ScratchOperator is implemented by nothing and asserted on by nothing in
+// this module outside benchmark/, whose decorator and harness test still
+// name it; it goes with the next change that may edit benchmark/ (ROADMAP 7).
 type ScratchOperator interface {
 	Operator
-	// ComponentScratch is Component(i, x) using scr for temporaries.
 	ComponentScratch(scr *Scratch, i int, x []float64) float64
-	// ApplyScratch is Apply(dst, x) using scr for temporaries.
 	ApplyScratch(scr *Scratch, dst, x []float64)
 }
 
-// EvalComponent evaluates F_i(x), routing through the operator's scratch
-// fast path when both the operator supports it and scr is non-nil. It is
-// the evaluation call every engine hot loop uses.
+// EvalComponent evaluates F_i(x) as a block of one, into a one-element
+// buffer scr owns; a nil scr means Component.
 //
 //repro:hotpath
 func EvalComponent(op Operator, scr *Scratch, i int, x []float64) float64 {
-	if so, ok := op.(ScratchOperator); ok && scr != nil {
-		return so.ComponentScratch(scr, i, x)
+	if scr == nil {
+		return op.Component(i, x)
 	}
-	return op.Component(i, x)
+	EvalBlock(op, scr, i, i+1, x, scr.one[:])
+	return scr.one[0]
 }
 
-// ApplyInto evaluates F(x) into dst, preferring the scratch fast path, then
-// the FullApplier fast path, then componentwise evaluation.
+// ApplyInto evaluates F(x) into dst (len(dst) == Dim) as the block [0, n).
 //
 //repro:hotpath
 func ApplyInto(op Operator, scr *Scratch, dst, x []float64) {
-	if so, ok := op.(ScratchOperator); ok && scr != nil {
-		so.ApplyScratch(scr, dst, x)
-		return
-	}
-	Apply(op, dst, x)
+	EvalBlock(op, scr, 0, len(dst), x, dst)
 }
 
-// ResidualWith returns ||F(x) - x||_inf like Residual. When the operator
-// has a whole-vector application (ScratchOperator or FullApplier) the
-// residual is ONE application into an Aux buffer plus a subtract — O(n +
-// apply) instead of the O(n * component) the per-component loop costs on
-// coupled operators — and stays allocation-free once scr is warmed. The
-// componentwise loop remains as the fallback.
+// ResidualWith returns ||F(x) - x||_inf: one application into the Aux
+// buffer reserved for it, plus a subtract. scr must not be nil; Residual is
+// the form that brings its own.
 //
 //repro:hotpath
 func ResidualWith(op Operator, scr *Scratch, x []float64) float64 {
-	_, isScratch := op.(ScratchOperator)
-	_, isFull := op.(FullApplier)
-	if scr != nil && (isScratch || isFull) {
-		fx := scr.Aux(0, op.Dim())
-		ApplyInto(op, scr, fx, x)
-		return maxAbsDiff(fx, x)
-	}
-	m := 0.0
-	for i := 0; i < op.Dim(); i++ {
-		d := EvalComponent(op, scr, i, x) - x[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-func maxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i, v := range a {
-		d := v - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
+	fx := scr.Aux(0, op.Dim())
+	ApplyInto(op, scr, fx, x)
+	return vec.DistInf(fx, x)
 }

@@ -429,12 +429,4 @@ func (g *GradOp) Component(i int, x []float64) float64 {
 	return x[i] - g.Gamma*g.F.GradComponent(i, x)
 }
 
-// Apply implements FullApplier.
-func (g *GradOp) Apply(dst, x []float64) {
-	g.F.Grad(dst, x)
-	for i := range dst {
-		dst[i] = x[i] - g.Gamma*dst[i]
-	}
-}
-
 func (g *GradOp) Name() string { return fmt.Sprintf("grad(gamma=%.4g)", g.Gamma) }

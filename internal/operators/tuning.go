@@ -42,6 +42,22 @@ func (t Tuning) threshold() int {
 // different tuning always runs with the current job's settings.
 func (s *Scratch) SetTuning(t Tuning) { s.tun = t }
 
+// WorkerScratch returns worker w's scratch for one run — pool[w] when the
+// caller supplied it, a fresh one otherwise — with the run's tuning
+// installed. Every worker-based engine draws its scratches here; a worker
+// owns its scratch exclusively for the duration of the run.
+func WorkerScratch(pool []*Scratch, w int, t Tuning) *Scratch {
+	var scr *Scratch
+	if w < len(pool) {
+		scr = pool[w]
+	}
+	if scr == nil {
+		scr = NewScratch()
+	}
+	scr.SetTuning(t)
+	return scr
+}
+
 // Tuning reports the currently installed knobs.
 func (s *Scratch) Tuning() Tuning { return s.tun }
 

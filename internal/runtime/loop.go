@@ -35,6 +35,10 @@ import (
 //     reports passive on data it could not verify.
 //   - Waiting. A parked worker consumes no budget and blocks in
 //     Transport.Wait until input or stop arrives.
+//   - Divergence. A block evaluation that produces NaN ends the worker's
+//     loop with an operators.DivergedError before the block is installed or
+//     published, and whoever runs the workers ends the run with it: a NaN
+//     never reaches a peer, a termination check or a result.
 
 // State is a worker state the termination protocol can observe.
 type State uint8
@@ -93,6 +97,8 @@ type Transport interface {
 
 // Worker is one worker's loop state.
 type Worker struct {
+	// ID names the worker in a DivergedError.
+	ID      int
 	Op      operators.Operator
 	Scratch *operators.Scratch
 	// Tol, Sweeps and Budget are Config.Tol, SweepsBelowTol and
@@ -123,11 +129,16 @@ func (w *Worker) Run(t Transport) error {
 		}
 		if parked {
 			if in&(Fresh|Reset) != 0 {
-				w.reverify(t)
+				if err := w.reverify(t); err != nil {
+					return err
+				}
 			}
 			continue
 		}
-		delta := w.phase()
+		delta, bad := w.phase()
+		if bad >= 0 {
+			return w.diverged(bad)
+		}
 		if err := t.Publish(w.out, false); err != nil {
 			return err
 		}
@@ -155,8 +166,16 @@ func (w *Worker) Run(t Transport) error {
 		if in, err := w.absorb(t, false); err != nil || in&Stop != 0 {
 			return err
 		}
-		w.reverify(t)
+		if err := w.reverify(t); err != nil {
+			return err
+		}
 	}
+}
+
+// diverged is the error of a NaN at index bad of the block the worker's
+// next phase evaluated.
+func (w *Worker) diverged(bad int) error {
+	return &operators.DivergedError{Worker: w.ID, Phase: w.Updates + 1, Component: w.lo + bad}
 }
 
 // absorb takes input from the transport — blocking for it when the worker
@@ -184,36 +203,48 @@ func (w *Worker) resize(t Transport) {
 // reverify decides what a worker holding new input may do: account itself
 // passive when its block is still (or again) within Tol of its image, or
 // active with the streak restarted.
-func (w *Worker) reverify(t Transport) {
-	if w.Tol > 0 && w.displacement() <= w.Tol {
-		t.Account(Passive)
-		return
+func (w *Worker) reverify(t Transport) error {
+	if w.Tol > 0 {
+		d, bad := w.displacement()
+		if bad >= 0 {
+			return w.diverged(bad)
+		}
+		if d <= w.Tol {
+			t.Account(Passive)
+			return nil
+		}
 	}
 	t.Account(Active)
 	w.streak = 0
+	return nil
 }
 
 // phase is one updating phase: relax the whole block in one
 // coupled-operator pass over the current view, install the result, and
-// return the block displacement it caused.
+// return the block displacement it caused. A NaN in the evaluated block
+// installs nothing: bad is its index in the block, -1 otherwise.
 //
 //repro:hotpath
-func (w *Worker) phase() float64 {
+func (w *Worker) phase() (delta float64, bad int) {
 	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.out)
-	delta := vec.DistInf(w.out, w.View[w.lo:w.hi])
+	if bad = vec.FirstNaN(w.out); bad >= 0 {
+		return 0, bad
+	}
+	delta = vec.DistInf(w.out, w.View[w.lo:w.hi])
 	copy(w.View[w.lo:w.hi], w.out)
 	w.Updates++
 	if w.Progress != nil {
 		w.Progress.Add(1)
 	}
-	return delta
+	return delta, -1
 }
 
 // displacement is the local convergence measure max_c |F_c(view) - view_c|
-// over the worker's block, evaluated without installing anything.
+// over the worker's block, evaluated without installing anything; bad is
+// the index of the first NaN it evaluated, -1 when there is none.
 //
 //repro:hotpath
-func (w *Worker) displacement() float64 {
+func (w *Worker) displacement() (d float64, bad int) {
 	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.chk)
-	return vec.DistInf(w.chk, w.View[w.lo:w.hi])
+	return vec.DistInf(w.chk, w.View[w.lo:w.hi]), vec.FirstNaN(w.chk)
 }

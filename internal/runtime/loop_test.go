@@ -1,9 +1,13 @@
 package runtime
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/operators"
 )
 
 // The Worker loop, tested once against a scripted transport: no goroutines,
@@ -199,6 +203,29 @@ func TestLoopSpentWorkerNeverPassiveOnUnverifiedData(t *testing.T) {
 		p = runScript(t, acks, 3, 4, 0.25)
 		if want := []string{"publish*", "spent", "input", "input", "passive"}; !reflect.DeepEqual(p.trace, want) {
 			t.Errorf("%s transport: trace %v, want %v", policyName(acks), p.trace, want)
+		}
+	}
+}
+
+// TestLoopStopsOnNaNBeforeInstallingIt: input that makes a parked worker's
+// block evaluate to NaN ends the loop at the re-verification, with nothing
+// installed, published or accounted after it. Unchecked, the displacement
+// of a NaN block reads as 0 (vec.DistInf never sees a NaN) and the worker
+// would re-passivate on it. (The updating phase has the same check; the
+// root TestEveryEngineStopsOnNaN drives it on every engine.)
+func TestLoopStopsOnNaNBeforeInstallingIt(t *testing.T) {
+	for _, acks := range []bool{true, false} {
+		view := []float64{1, 0}
+		p := &scriptPort{t: t, view: view, script: []float64{math.NaN()}, acks: acks}
+		w := Worker{ID: 7, Op: pullOp{}, Tol: 1e-3, Sweeps: 2, Budget: 1 << 20, View: view}
+		err := w.Run(p)
+		var de *operators.DivergedError
+		if !errors.As(err, &de) || !errors.Is(err, operators.ErrDiverged) ||
+			*de != (operators.DivergedError{Worker: 7, Phase: w.Updates + 1, Component: 0}) {
+			t.Fatalf("%s transport: err %v, want worker 7's phase %d diverging at component 0", policyName(acks), err, w.Updates+1)
+		}
+		if last := p.trace[len(p.trace)-1]; last != "input" || view[0] != view[0] {
+			t.Errorf("%s transport: after the NaN input: trace %v, x_0 = %v", policyName(acks), p.trace, view[0])
 		}
 	}
 }

@@ -175,7 +175,7 @@ func RunMessage(cfg Config) (*Result, error) {
 	}()
 
 	ports := make([]chanPort, p)
-	res := r.solve(func(w int, wk *Worker) Transport {
+	res, err := r.solve(func(w int, wk *Worker) Transport {
 		ports[w] = chanPort{
 			slot: slot{r.q, w}, r: r,
 			lo: r.blocks[w][0], hi: r.blocks[w][1],
@@ -190,6 +190,9 @@ func RunMessage(cfg Config) (*Result, error) {
 		for len(in) > 0 {
 			payloads.Put((<-in).vals)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.MessagesSent, res.MessagesDropped = r.q.Sent(), r.q.Dropped()
 	return res, nil

@@ -57,17 +57,6 @@ type Config struct {
 	Progress *atomic.Int64
 }
 
-// WorkerScratch returns the caller-supplied scratch for worker w or a fresh
-// one. Each worker owns its scratch exclusively for the duration of the run.
-func (c *Config) WorkerScratch(w int) *operators.Scratch {
-	scr := operators.NewScratch()
-	if w < len(c.Scratches) && c.Scratches[w] != nil {
-		scr = c.Scratches[w]
-	}
-	scr.SetTuning(c.Tuning)
-	return scr
-}
-
 // Result reports a concurrent run.
 type Result struct {
 	X                []float64
@@ -120,6 +109,9 @@ type run struct {
 	stopCh                        chan struct{}
 	stopOnce                      sync.Once
 	stopped, converged, cancelled atomic.Bool
+
+	errOnce sync.Once
+	err     error // the first worker's error; read once every worker has left
 }
 
 func newRun(cfg Config) (*run, error) {
@@ -150,10 +142,17 @@ func (r *run) stop() {
 	r.stopOnce.Do(func() { close(r.stopCh) })
 }
 
+// fail ends the run with a worker's error (in process that is a diverged
+// block: the transports have no failure to report); the first one wins.
+func (r *run) fail(err error) {
+	r.errOnce.Do(func() { r.err = err })
+	r.stop()
+}
+
 // solve runs one Worker per block over the transport port builds for it
 // and assembles the result once every worker has left its loop: each
 // block of X comes from its owner's view, the authoritative copy.
-func (r *run) solve(port func(w int, wk *Worker) Transport) *Result {
+func (r *run) solve(port func(w int, wk *Worker) Transport) (*Result, error) {
 	cfg := &r.cfg
 	workers := make([]Worker, len(r.blocks))
 	start := time.Now()
@@ -161,7 +160,7 @@ func (r *run) solve(port func(w int, wk *Worker) Transport) *Result {
 	for w := range workers {
 		wk := &workers[w]
 		*wk = Worker{
-			Op: cfg.Op, Scratch: cfg.WorkerScratch(w),
+			ID: w, Op: cfg.Op, Scratch: operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
 			Tol: cfg.Tol, Sweeps: cfg.SweepsBelowTol, Budget: cfg.MaxUpdatesPerWorker,
 			Progress: cfg.Progress,
 			View:     append([]float64(nil), cfg.X0...),
@@ -170,11 +169,16 @@ func (r *run) solve(port func(w int, wk *Worker) Transport) *Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = wk.Run(t) // in-process transports have no failure to report
+			if err := wk.Run(t); err != nil {
+				r.fail(err)
+			}
 		}()
 	}
 	wg.Wait()
 	r.stop() // release the cancellation monitor on every path
+	if r.err != nil {
+		return nil, r.err
+	}
 
 	res := &Result{
 		X:                make([]float64, len(cfg.X0)),
@@ -187,7 +191,7 @@ func (r *run) solve(port func(w int, wk *Worker) Transport) *Result {
 		copy(res.X[b[0]:b[1]], workers[w].View[b[0]:b[1]])
 		res.UpdatesPerWorker[w] = workers[w].Updates
 	}
-	return res
+	return res, nil
 }
 
 // sharedPort is the shared-memory Transport: every coordinate is an atomic
@@ -285,5 +289,5 @@ func RunShared(cfg Config) (*Result, error) {
 			return operators.ResidualWith(cfg.Op, wk.Scratch, cert) <= cfg.Tol
 		}
 		return p
-	}), nil
+	})
 }

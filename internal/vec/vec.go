@@ -253,6 +253,21 @@ func DistInf(x, y Vector) float64 {
 	return m
 }
 
+// FirstNaN returns the index of the first NaN in x, or -1. DistInf never
+// sees one (`a > m` is false for NaN), so an engine that measured only
+// displacements would read a NaN block as displacement 0; each tests the
+// block it evaluated with this before installing it.
+//
+//repro:hotpath
+func FirstNaN(x Vector) int {
+	for i, v := range x {
+		if v != v {
+			return i
+		}
+	}
+	return -1
+}
+
 // Dist2 returns ||x - y||_2 without allocating.
 func Dist2(x, y Vector) float64 {
 	checkLen(x, y)

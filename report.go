@@ -122,9 +122,17 @@ type Report struct {
 
 // finish fills in the outcome fields every engine can provide uniformly:
 // the fixed-point residual at X and, when XStar is known, the exact error.
+// The model engine has evaluated its residual already (core.Run, on its own
+// scratch); the others evaluate it here, once, on worker 0's scratch of
+// spec.Scratch when one is attached — the solve is over, the scratch is
+// free.
 func (r *Report) finish(spec Spec) {
-	if r.FinalResidual == 0 && r.X != nil {
-		r.FinalResidual = operators.Residual(spec.Op, r.X)
+	if r.model == nil && r.X != nil {
+		if scrs := spec.Scratch.workerScratches(1); scrs != nil {
+			r.FinalResidual = operators.ResidualWith(spec.Op, scrs[0], r.X)
+		} else {
+			r.FinalResidual = operators.Residual(spec.Op, r.X)
+		}
 	}
 	if spec.XStar != nil && r.X != nil {
 		r.FinalError = vec.DistInf(r.X, spec.XStar)

@@ -51,9 +51,10 @@ type (
 	// OperatorScratch is a per-worker bundle of reusable work vectors for
 	// allocation-free operator evaluation (see NewOperatorScratch).
 	OperatorScratch = operators.Scratch
-	// BlockOperator is the whole-block evaluation fast path coupled
-	// operators implement so engine phases amortize shared work (the prox
-	// vector, the gradient pass) across a worker's block; see EvalBlock.
+	// BlockOperator is what an operator implements, besides Component, when
+	// its components share work (the prox vector, the gradient pass), so a
+	// phase pays for it once per block; it is the only optional interface
+	// an Operator is ever asked for. See EvalBlock.
 	BlockOperator = operators.BlockScratchOperator
 	// RangeGradSmooth is the gradient-range fast path a Smooth implements
 	// so block evaluation shares the whole-gradient work (Hessian/Gram row
@@ -80,18 +81,18 @@ var (
 	EstimateContract = operators.EstimateContraction
 	UniformWeights   = operators.Ones
 	// NewOperatorScratch returns an empty per-worker scratch; thread it
-	// through EvalComponent/ApplyOperator to evaluate operators like
-	// ProxGradBF without per-call allocation.
+	// through EvalBlock/EvalComponent/ApplyOperator to evaluate operators
+	// like ProxGradBF without per-call allocation.
 	NewOperatorScratch = operators.NewScratch
-	// EvalComponent evaluates F_i(x) using the operator's scratch fast path
-	// when available.
-	EvalComponent = operators.EvalComponent
-	// EvalBlock evaluates the component range [lo, hi) of F at x into out,
-	// using the operator's whole-block fast path when available and the
-	// per-component loop otherwise — the call every engine phase makes.
+	// EvalBlock evaluates the component range [lo, hi) of F at x into out —
+	// the call every engine phase makes, and the one evaluation there is:
+	// through the operator's BlockOperator method when it has one and scr
+	// is non-nil, as the Component loop otherwise.
 	EvalBlock = operators.EvalBlock
-	// ApplyOperator evaluates F(x) into dst using the scratch (or full-apply)
-	// fast path when available.
+	// EvalComponent evaluates F_i(x): EvalBlock on [i, i+1).
+	EvalComponent = operators.EvalComponent
+	// ApplyOperator evaluates F(x) into dst: EvalBlock on [0, n).
+	// OperatorResidual (above) is that plus a subtract, on its own scratch.
 	ApplyOperator = operators.ApplyInto
 )
 
@@ -239,9 +240,12 @@ var (
 	CheckTheorem1          = core.CheckTheorem1
 	RunWithComponentErrors = core.RunWithComponentErrors
 	CheckBoxes             = core.CheckBoxes
-	// ErrDiverged matches (errors.Is) the error a model-engine Solve returns
-	// when the operator produces NaN.
-	ErrDiverged = core.ErrDiverged
+	// ErrDiverged matches (errors.Is) the error Solve returns, on every
+	// engine, when the operator produces NaN: the evaluated block is tested
+	// before it is installed, so no Report ever carries a NaN iterate. The
+	// error names the first bad component and the iteration (model) or the
+	// worker and its phase (every other engine). +Inf is a legal value.
+	ErrDiverged = operators.ErrDiverged
 
 	UniformCost       = des.UniformCost
 	HeterogeneousCost = des.HeterogeneousCost

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,36 +138,52 @@ func TestSolveValidation(t *testing.T) {
 
 // nanFrom halves its component until its good-th evaluation and returns NaN
 // from then on.
-type nanFrom struct{ good, calls int }
+type nanFrom struct {
+	good  int64
+	calls atomic.Int64
+}
 
 func (*nanFrom) Dim() int     { return 8 }
 func (*nanFrom) Name() string { return "nanFrom" }
 
 func (o *nanFrom) Component(i int, x []float64) float64 {
-	if o.calls++; o.calls > o.good {
+	if o.calls.Add(1) > o.good {
 		return math.NaN()
 	}
 	return 0.5 * x[i]
 }
 
-// TestModelEngineStopsOnNaN: an operator that produces NaN used to be
-// certified (the residual's maximum never sees a NaN: Converged = true,
-// X[0] = NaN, FinalResidual = 0 after 8 iterations). The model engine now
-// stops at the first NaN it writes with ErrDiverged, and +Inf stays legal.
-func TestModelEngineStopsOnNaN(t *testing.T) {
-	rep, err := repro.Solve(repro.NewSpec(&nanFrom{}), repro.WithTol(1e-8))
-	if !errors.Is(err, repro.ErrDiverged) || rep != nil {
-		t.Fatalf("NaN operator: report %v, err %v, want ErrDiverged", rep, err)
+// TestEveryEngineStopsOnNaN: an operator that produces NaN used to be
+// certified converged on every engine (no max-norm distance sees a NaN:
+// Converged = true with X[0] = NaN). Every engine now tests the block it
+// evaluated before installing it and stops with ErrDiverged, never a Report
+// — from the first evaluation or from one mid-run, on both dist topologies,
+// rigid and elastic (where the diverged worker must not be evicted and its
+// NaN re-sharded onto the survivors) — and +Inf stays legal.
+func TestEveryEngineStopsOnNaN(t *testing.T) {
+	elastic := repro.WithElastic(repro.Elastic{HeartbeatEvery: 20 * time.Millisecond})
+	engines := []struct {
+		name string
+		opts []repro.Option
+		// midRun is the error text of the deterministic engines when the
+		// 12th evaluation is the first NaN; "" where scheduling decides.
+		midRun string
+	}{
+		// Error-based stopping makes no residual evaluations, so evaluation
+		// k is iteration k of the cyclic sweep: the 12th relaxes component 3.
+		{"model", []repro.Option{repro.WithEngine(repro.EngineModel)}, "component 3 at iteration 12"},
+		// Two workers of four components: evaluations 9-12 are worker 0's
+		// second phase.
+		{"sim", []repro.Option{repro.WithEngine(repro.EngineSim)}, "worker 0, phase 2, component 3"},
+		{"simsync", []repro.Option{repro.WithEngine(repro.EngineSimSync)}, "worker 0, phase 2, component 3"},
+		{"shared", []repro.Option{repro.WithEngine(repro.EngineShared)}, ""},
+		{"message", []repro.Option{repro.WithEngine(repro.EngineMessage)}, ""},
+		{"dist-star", []repro.Option{repro.WithEngine(repro.EngineDist)}, ""},
+		{"dist-mesh", []repro.Option{repro.WithEngine(repro.EngineDist), repro.WithTopology("mesh")}, ""},
+		{"dist-star-elastic", []repro.Option{repro.WithEngine(repro.EngineDist), elastic}, ""},
+		{"dist-mesh-elastic", []repro.Option{repro.WithEngine(repro.EngineDist), repro.WithTopology("mesh"), elastic}, ""},
 	}
-	// Error-based stopping makes no residual evaluations, so evaluation k is
-	// iteration k of the cyclic sweep: the 12th relaxes component 3.
 	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	_, err = repro.Solve(repro.NewSpec(&nanFrom{good: 11}),
-		repro.WithX0(ones), repro.WithXStar(make([]float64, 8)), repro.WithTol(1e-8))
-	if !errors.Is(err, repro.ErrDiverged) || !strings.Contains(err.Error(), "component 3 at iteration 12") {
-		t.Fatalf("NaN from the 12th evaluation: err %v", err)
-	}
-
 	inst, err := repro.BuildScenario("routing", 32, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -174,9 +191,54 @@ func TestModelEngineStopsOnNaN(t *testing.T) {
 	if !math.IsInf(inst.Spec.X0[len(inst.Spec.X0)-1], 1) {
 		t.Fatal("routing no longer starts from +Inf; pick another witness")
 	}
-	rep, err = repro.Solve(inst.Spec, repro.WithEngine(repro.EngineModel))
-	if err != nil || !rep.Converged || repro.DistInf(rep.X, inst.Spec.XStar) > inst.Spec.Tol {
-		t.Fatalf("routing from +Inf on the model engine: err %v, report %+v", err, rep)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			opts := append([]repro.Option{repro.WithWorkers(2), repro.WithX0(ones),
+				repro.WithXStar(make([]float64, 8)), repro.WithTol(1e-8)}, eng.opts...)
+			rep, err := repro.Solve(repro.NewSpec(&nanFrom{}), opts...)
+			if !errors.Is(err, repro.ErrDiverged) || rep != nil {
+				t.Fatalf("NaN operator: report %v, err %v, want ErrDiverged", rep, err)
+			}
+			rep, err = repro.Solve(repro.NewSpec(&nanFrom{good: 11}), opts...)
+			if !errors.Is(err, repro.ErrDiverged) || rep != nil || !strings.Contains(err.Error(), eng.midRun) {
+				t.Fatalf("NaN from the 12th evaluation: report %v, err %v, want ErrDiverged naming %q", rep, err, eng.midRun)
+			}
+			if !strings.Contains(err.Error(), "component ") {
+				t.Errorf("err %v does not name the bad component", err)
+			}
+			rep, err = repro.Solve(inst.Spec, append([]repro.Option{repro.WithWorkers(2)}, eng.opts...)...)
+			if err != nil || !rep.Converged || repro.DistInf(rep.X, inst.Spec.XStar) > inst.Spec.Tol {
+				t.Fatalf("routing from +Inf: err %v, report %+v", err, rep)
+			}
+		})
+	}
+}
+
+// TestOneFinalResidualPerSolve counts operator evaluations on the
+// deterministic engines: from x0 = x* = 0 the halving map converges at its
+// first error check with an exactly zero residual, which used to read as
+// "not computed yet" and be evaluated a second time.
+func TestOneFinalResidualPerSolve(t *testing.T) {
+	for _, tc := range []struct {
+		engine repro.Engine
+		solve  int64 // evaluations before the run stops
+	}{
+		{repro.EngineModel, 1},   // iteration 1 relaxes one component
+		{repro.EngineSim, 8},     // both workers' first phases are under way at the first completion
+		{repro.EngineSimSync, 8}, // one round
+	} {
+		for _, scr := range []*repro.Scratch{nil, repro.NewScratch()} {
+			op := &nanFrom{good: math.MaxInt64}
+			rep, err := repro.Solve(repro.NewSpec(op), repro.WithEngine(tc.engine), repro.WithWorkers(2),
+				repro.WithXStar(make([]float64, 8)), repro.WithTol(1e-8), repro.WithScratch(scr))
+			if err != nil || !rep.Converged || rep.FinalResidual != 0 {
+				t.Fatalf("%s: err %v, report %+v", tc.engine.Name(), err, rep)
+			}
+			if got, want := op.calls.Load(), tc.solve+8; got != want {
+				t.Errorf("%s (scratch %v): %d evaluations, want %d: the solve's %d and one residual of 8",
+					tc.engine.Name(), scr != nil, got, want, tc.solve)
+			}
+		}
 	}
 }
 
