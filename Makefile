@@ -23,11 +23,15 @@ race:
 # Tuned smoke: the cache-blocked + multi-goroutine kernels exercised end to
 # end with the knobs on and GOMAXPROCS=4 — the combination a
 # single-threaded box never covers incidentally. The gram-precompute=false
-# run exercises the lean LeastSquares gradient form.
+# run exercises the lean LeastSquares gradient form. The last line is the
+# opposite corner: the shared-memory transport takes a lock per publish, and
+# a descheduled holder is where that could bite, so its tests (64 workers on
+# 2-component blocks among them) also run on ONE processor under -race.
 smoke-tuned:
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario lasso -n 320 -block-size 64 -intra-parallel 2 >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario ridge -n 320 -intra-parallel 2 -gram-precompute=false >/dev/null
 	GOMAXPROCS=4 $(GO) test -race -run 'Tuning|Knob|Tiled|Lean' . ./internal/operators/ ./internal/vec/ ./internal/server/
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Shared' ./internal/runtime/
 
 # Every example program must actually run, not just compile (CI smoke-runs
 # them on every push).
@@ -115,7 +119,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 23161
+LOC_CEILING := 23158
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

@@ -16,8 +16,8 @@
 //   - EngineSim     — a deterministic discrete-event simulation of
 //     heterogeneous workers and lossy/reordering links (virtual time);
 //   - EngineSimSync — the barrier-synchronous simulated baseline;
-//   - EngineShared  — real goroutines over per-coordinate atomic shared
-//     memory;
+//   - EngineShared  — real goroutines over shared memory, one published
+//     block per worker;
 //   - EngineMessage — real goroutines over lossy buffered channels;
 //   - EngineDist    — real multi-worker execution over TCP sockets with
 //     per-link fault injection (drops, reordering, transit delay).
@@ -112,7 +112,7 @@
 // # One loop, four transports
 //
 // The three concurrent engines run ONE worker loop (internal/runtime,
-// loop.go) over four transports — atomic shared memory, buffered channels,
+// loop.go) over four transports — block shared memory, buffered channels,
 // the TCP star relay and the TCP mesh. The loop holds every decision of
 // the active/passive protocol; a transport only moves values and makes
 // state transitions visible. The policies are therefore the same

@@ -4,7 +4,7 @@ package repro
 // adapts an internal engine package to the common Spec/Report contract.
 // Three of the six are deterministic state machines of their own (model,
 // sim, simsync). The other three — shared, message, dist — are one worker
-// loop (internal/runtime, loop.go) over four transports: atomic shared
+// loop (internal/runtime, loop.go) over four transports: block shared
 // memory, buffered channels, and the TCP star relay and TCP mesh of
 // internal/dist. They take one configuration (runtime.Config, which
 // dist.Config embeds next to its network knobs) and report through one
@@ -27,8 +27,8 @@ package repro
 // The worker-loop engines all honour Problem (Op, X0), Workers, Tol,
 // SweepsBelowTol and MaxUpdates/MaxUpdatesPerWorker, and add:
 //
-//   - EngineShared  — goroutines over per-coordinate atomic shared memory
-//     (internal/runtime): Flexible.
+//   - EngineShared  — goroutines over shared memory, a locked block per
+//     worker (internal/runtime): Flexible.
 //   - EngineMessage — goroutines over lossy buffered channels
 //     (internal/runtime): nothing further.
 //   - EngineDist    — TCP workers with per-link fault injection
@@ -86,7 +86,7 @@ var (
 	EngineSim Engine = simEngine{}
 	// EngineSimSync executes the barrier-synchronous simulated baseline.
 	EngineSimSync Engine = simSyncEngine{}
-	// EngineShared executes real goroutines over atomic shared memory.
+	// EngineShared executes real goroutines over shared memory.
 	EngineShared Engine = sharedEngine{}
 	// EngineMessage executes real goroutines over lossy message channels.
 	EngineMessage Engine = messageEngine{}

@@ -86,7 +86,7 @@ func main() {
 	fmt.Printf("\nsync idle time per worker: %.1f (fast) vs %.1f (straggler)\n",
 		syncDetail.IdleTime[0], syncDetail.IdleTime[3])
 
-	// Real concurrency: goroutines over atomic shared memory — the same
+	// Real concurrency: goroutines over shared memory — the same
 	// spec again, on the shared-memory engine.
 	conc, err := repro.Solve(base, repro.WithEngine(repro.EngineShared),
 		repro.WithTol(1e-10),

@@ -1,3 +1,32 @@
+// Package runtime executes asynchronous iterations with real concurrency.
+// It holds the ONE worker loop every concurrent engine runs (loop.go:
+// Worker.Run, the active/passive protocol and its policies for
+// passivation, reactivation and budget exhaustion) and the Transport
+// interface that loop is written against. A transport moves block values
+// between workers and makes state transitions visible; it decides nothing.
+// Four exist, mirroring the paper's data-exchange settings:
+//
+//   - shared memory, one published block per worker (shared.go: the
+//     one-sided put()/get() SHMEM style of [10]; flexible communication
+//     publishes whole partial blocks mid-phase),
+//   - message passing over channels (message.go: the distributed-memory
+//     setting of [6],[9], with the supervisor-based termination detection
+//     of [22]), and
+//   - TCP, through a coordinator's relay or over a worker-to-worker mesh
+//     (internal/dist, which imports this package for the loop).
+//
+// All of them decide termination with the two-phase double-collect
+// quiescence protocol of quiescence.go: a stop is broadcast only after two
+// identical observations of "every worker parked, nothing in flight"
+// bracketing an optional re-certification, with workers publishing
+// reactivation before they acknowledge the input that caused it. See the
+// quiescence.go comment for the protocol and its soundness argument.
+//
+// Real schedulers are nondeterministic, so the engine tests assert
+// invariants (convergence, termination, race freedom) rather than exact
+// traces; the loop itself is tested deterministically against a scripted
+// transport (loop_test.go), and the deterministic studies live in
+// internal/core and internal/des.
 package runtime
 
 import (

@@ -33,7 +33,7 @@ func (pullOp) Component(_ int, x []float64) float64 { return x[0]/2 + x[1]/4 }
 // transports that the loop has to cope with: an acknowledging transport
 // (channels, TCP) reactivates a passive worker itself, BEFORE it
 // acknowledges the input — the ordering rule of quiescence.go; a transport
-// with nothing to acknowledge (shared memory: Drain is a snapshot) leaves
+// with nothing to acknowledge (shared memory: Drain copies blocks) leaves
 // the worker passive and the loop must account Active before the first
 // Publish of the resumed phase.
 type scriptPort struct {

@@ -40,24 +40,6 @@ func contractingOp(t *testing.T, n int, seed uint64) (*operators.Linear, []float
 	return op, xstar, op.ContractionFactor()
 }
 
-func TestAtomicVector(t *testing.T) {
-	v := NewAtomicVector([]float64{1.5, -2.5})
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d", v.Len())
-	}
-	if v.Load(0) != 1.5 || v.Load(1) != -2.5 {
-		t.Error("initial values wrong")
-	}
-	v.Store(0, 3.25)
-	if v.Load(0) != 3.25 {
-		t.Error("Store/Load roundtrip failed")
-	}
-	snap := v.Copy()
-	if snap[0] != 3.25 || snap[1] != -2.5 {
-		t.Errorf("Copy = %v", snap)
-	}
-}
-
 func TestRunSharedConverges(t *testing.T) {
 	op, xstar, alpha := contractingOp(t, 32, 1)
 	tol := 1e-10

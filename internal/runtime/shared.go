@@ -38,7 +38,7 @@ type Config struct {
 	// that has spent it stays in the run, absorbing and re-verifying input,
 	// until the run stops (see loop.go).
 	MaxUpdatesPerWorker int
-	// Flexible publishes partial coordinate values mid-phase (shared-memory
+	// Flexible publishes partial block values mid-phase (shared-memory
 	// transport only).
 	Flexible flexible.Schedule
 	// Scratches, when non-nil, supplies one reusable operator scratch per
@@ -194,42 +194,72 @@ func (r *run) solve(port func(w int, wk *Worker) Transport) (*Result, error) {
 	return res, nil
 }
 
-// sharedPort is the shared-memory Transport: every coordinate is an atomic
-// cell, Drain is a snapshot of the vector (an inconsistent cut — the
-// asynchronous read model) and Publish is a run of one-sided stores,
-// preceded under flexible communication by interpolated partial values.
-// Stores cannot be lost, so the reliable final has nothing left to do.
+// pubBlock is one worker's block as its peers read it: vals is that
+// worker's cut of the run's shared vector, written and read only under mu;
+// ver counts the publishes, bumped under mu and read without it so a reader
+// can skip a block that has not changed. Padded to a cache line so one
+// block's lock traffic stays off its neighbours'.
+type pubBlock struct {
+	mu   sync.Mutex
+	ver  atomic.Uint64
+	vals []float64
+	_    [24]byte
+}
+
+// read copies the block as last published into dst and returns its version.
+func (b *pubBlock) read(dst []float64) uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	copy(dst, b.vals)
+	return b.ver.Load()
+}
+
+// sharedPort is the shared-memory Transport: every worker publishes its
+// block whole, under the block's lock, and Drain copies the peer blocks
+// that were published since it last looked. A reader therefore sees each
+// block exactly as some publish left it — under flexible communication a
+// whole interpolated partial — and an inconsistent cut only across blocks,
+// which is the asynchronous read model. Publishes cannot be lost, so the
+// reliable final has nothing left to do.
 //
 // Shared memory has no event to block on. Wait is one attempt to certify
 // the run followed by a yield: once every worker is parked the published
-// vector is frozen, so the waiting worker re-snapshots it and re-checks the
-// full fixed-point residual between the two collects of the double
-// collect. A residual computed from a snapshot torn across a peer's
-// mid-phase stores can never stop the run — that peer was active at one of
-// the collects or bumped the epoch in between. A snapshot needs no
+// vector is frozen, so the waiting worker copies every block and re-checks
+// the full fixed-point residual between the two collects of the double
+// collect. A residual computed from a cut that straddles a peer's
+// mid-phase publishes can never stop the run — that peer was active at one
+// of the collects or bumped the epoch in between. A publish needs no
 // acknowledgement either, so a waiting worker stays passive until the loop
-// finds its block displaced and accounts it active before its next store.
+// finds its block displaced and accounts it active before its next publish.
 type sharedPort struct {
 	slot
-	r      *run
-	sv     *AtomicVector
-	lo, hi int
-	view   []float64
-	// last is the block as last stored, the start point flexible partials
-	// interpolate from; nil without a flexible schedule.
-	last    []float64
-	fracs   []float64
-	certify func() bool
+	r   *run
+	wk  *Worker
+	pub []pubBlock
+	// seen[k] is the version of peer k's block that the view holds.
+	seen []uint64
+	// last is the block as last published, the start point flexible
+	// partials interpolate from; nil without a flexible schedule.
+	last []float64
+	// cert is certify's copy of the published vector, allocated by its
+	// first call: a worker that never observes all-passive needs none.
+	cert []float64
 }
 
-func (p *sharedPort) Block() (lo, hi int) { return p.lo, p.hi }
+func (p *sharedPort) Block() (lo, hi int) { return p.r.blocks[p.w][0], p.r.blocks[p.w][1] }
 
-func (p *sharedPort) Drain() (Input, error) {
+//repro:hotpath
+func (p *sharedPort) Drain() (in Input, err error) {
 	if p.r.stopped.Load() {
 		return Stop, nil
 	}
-	p.sv.Snapshot(p.view)
-	return Fresh, nil
+	for k := range p.pub {
+		if b := &p.pub[k]; k != p.w && b.ver.Load() != p.seen[k] {
+			p.seen[k] = b.read(p.wk.View[p.r.blocks[k][0]:])
+			in = Fresh
+		}
+	}
+	return in, nil
 }
 
 func (p *sharedPort) Wait() (Input, error) {
@@ -242,52 +272,69 @@ func (p *sharedPort) Wait() (Input, error) {
 	return p.Drain()
 }
 
+//repro:hotpath
 func (p *sharedPort) Publish(vals []float64, reliable bool) error {
 	if reliable {
 		return nil
 	}
-	for _, f := range p.fracs {
+	b := &p.pub[p.w]
+	for _, f := range p.r.cfg.Flexible.Fracs {
 		if f >= 1 {
 			continue
 		}
-		for i, v := range vals {
-			p.sv.Store(p.lo+i, flexible.Interpolate(p.last[i], v, f))
-		}
+		b.mu.Lock()
+		vec.LerpInto(b.vals, p.last, vals, f)
+		b.ver.Add(1)
+		b.mu.Unlock()
 	}
-	for i, v := range vals {
-		p.sv.Store(p.lo+i, v)
-	}
+	b.mu.Lock()
+	copy(b.vals, vals)
+	b.ver.Add(1)
+	b.mu.Unlock()
 	copy(p.last, vals)
 	return nil
 }
 
+// certify reports whether the published vector, every block copied
+// whatever its version, is within Tol of its image. ResidualWith routes
+// through ONE full operator application, not n componentwise evaluations
+// each redoing the shared work.
+func (p *sharedPort) certify() bool {
+	if p.cert == nil {
+		p.cert = make([]float64, len(p.wk.View))
+	}
+	for k := range p.pub {
+		p.pub[k].read(p.cert[p.r.blocks[k][0]:])
+	}
+	return operators.ResidualWith(p.wk.Op, p.wk.Scratch, p.cert) <= p.wk.Tol
+}
+
+// sharedPorts builds the run's shared memory — one copy of X0 cut along
+// r.blocks — and a port per worker; solve binds each port to its Worker.
+func (r *run) sharedPorts() []sharedPort {
+	shared := append([]float64(nil), r.cfg.X0...)
+	pub := make([]pubBlock, len(r.blocks))
+	ports := make([]sharedPort, len(r.blocks))
+	for w, b := range r.blocks {
+		pub[w].vals = shared[b[0]:b[1]]
+		ports[w] = sharedPort{slot: slot{r.q, w}, r: r, pub: pub, seen: make([]uint64, len(pub))}
+		if r.cfg.Flexible.Enabled() {
+			ports[w].last = append([]float64(nil), pub[w].vals...)
+		}
+	}
+	return ports
+}
+
 // RunShared executes the Worker loop over shared memory: one goroutine per
-// block, all reading and writing one AtomicVector (see sharedPort).
+// block, publishing it and reading its peers' (see sharedPort).
 func RunShared(cfg Config) (*Result, error) {
 	r, err := newRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = r.cfg
-	sv := NewAtomicVector(cfg.X0)
-	ports := make([]sharedPort, len(r.blocks))
+	ports := r.sharedPorts()
 	return r.solve(func(w int, wk *Worker) Transport {
-		p := &ports[w]
-		*p = sharedPort{
-			slot: slot{r.q, w}, r: r, sv: sv,
-			lo: r.blocks[w][0], hi: r.blocks[w][1],
-			view: wk.View, fracs: cfg.Flexible.Fracs,
-		}
-		if len(p.fracs) > 0 {
-			p.last = append([]float64(nil), cfg.X0[p.lo:p.hi]...)
-		}
-		// ResidualWith routes through ONE full operator application, not n
-		// componentwise evaluations each redoing the shared work.
-		cert := make([]float64, len(cfg.X0))
-		p.certify = func() bool {
-			sv.Snapshot(cert)
-			return operators.ResidualWith(cfg.Op, wk.Scratch, cert) <= cfg.Tol
-		}
-		return p
+		ports[w].wk = wk
+		return &ports[w]
 	})
 }
