@@ -248,18 +248,18 @@
 // through one Scratch (NewScratch, WithScratch), one per calling goroutine.
 //
 // The model engine (internal/core) executes Definitions 1 and 3 literally,
-// and one iteration costs O(n) streaming work plus O(window). The label row
-// l(j) comes from one call (delay.Labels: the stateless models hash the row
-// in a plain loop, any other model is asked component by component), and
-// the labelled vector x(l(j)) is a copy of the freshest iterate with one
-// history lookup per update made since min_h l_h(j), the only components
-// where the two can differ (History.Read walks the run's update order back
-// to that label). When that window holds n or more updates — Jacobi
-// steering under a growing delay — every component may have moved and all
-// n are looked up, O(n log k) as the definition reads. History, label row
-// and update order live in the Scratch: a warmed Solve allocates its Report
-// and its per-iteration log, nothing else. README "Tuning" has the
-// per-layer CPU table of a served job.
+// and one iteration costs one O(n) copy plus O(window). History.Read gets
+// min_h l_h(j) from delay.Labels without a label row for the stateless
+// models (O(1), or the hash models' scan up to the floor max(0, j-b), about
+// b hashes); any other model fills the row component by component. x(l(j))
+// is a copy of the freshest iterate with one history lookup, and one label,
+// per update made since that minimum, the only components where the two
+// can differ. When that window holds n or more updates — Jacobi steering
+// under a growing delay — all n are looked up, O(n log k) as the definition
+// reads. The lasso prox vector is one inline loop (prox.ApplyVec on an L1).
+// History, label row and update order live in the Scratch: a warmed Solve
+// allocates its Report and its per-iteration log, nothing else. README
+// "Tuning" has the per-layer CPU table of a served job.
 //
 // Build: a lasso or ridge build needs the Hessian (1/m)A^T A + reg I for
 // the dominance check and the Gershgorin (L, mu) bounds. mldata.NewRegression

@@ -158,8 +158,7 @@ func RunWithComponentErrors(cfg Config) (*Result, [][]float64, error) {
 	perIter = append(perIter, snapshotErr())
 	xread, labels := make([]float64, n), make([]int, n)
 	for _, rec := range res.Records {
-		minLabel := delay.Labels(cfg.Delay, rec.J, labels)
-		hist.Read(labels, minLabel, xread)
+		hist.Read(cfg.Delay, rec.J, labels, xread)
 		if cfg.Theta > 0 {
 			for h, lv := range xread {
 				xread[h] = lv + cfg.Theta*(hist.Latest(h)-lv)

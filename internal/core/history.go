@@ -12,7 +12,11 @@
 // internal/des and internal/runtime and feed the same bookkeeping.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/delay"
+)
 
 // History stores the per-component update history of an asynchronous
 // iteration so that any past value x_i(l) can be retrieved — the storage
@@ -94,29 +98,37 @@ func (h *History) At(i, l int) float64 {
 	return h.vals[i][lo-1]
 }
 
-// Read fills dst[h] = x_h(labels[h]) for every component, given minLabel <=
-// min_h labels[h]. x(l(j)) differs from the freshest iterate only at
-// components relaxed after minLabel, so it copies that iterate and re-reads
-// the components the update order names after minLabel; when that order
-// holds n or more such updates every component may have moved, and all n
-// are looked up.
+// Read fills dst with x(l(j)), the labelled vector of iteration j under m,
+// and returns min(j-1, min_c l_c(j)). x(l(j)) differs from the freshest
+// iterate only at components relaxed after that minimum, so Read copies
+// that iterate and re-reads the components the update order names after it,
+// all n once it names n; row (length n) holds their labels, asked of m one
+// by one unless delay.Labels filled it for a model it must ask in order.
 //
 //repro:hotpath
-func (h *History) Read(labels []int, minLabel int, dst []float64) {
+func (h *History) Read(m delay.Model, j int, row []int, dst []float64) (minLabel int) {
+	minLabel, filled := delay.Labels(m, j, row)
 	k := len(h.order)
 	for k > 0 && h.order[k-1].j > minLabel {
 		k--
 		if len(h.order)-k >= len(dst) {
 			for c := range dst {
-				dst[c] = h.At(c, labels[c])
+				if !filled {
+					row[c] = m.Label(c, j)
+				}
+				dst[c] = h.At(c, row[c])
 			}
-			return
+			return minLabel
 		}
 	}
 	copy(dst, h.latest)
 	for _, u := range h.order[k:] {
-		dst[u.i] = h.At(u.i, labels[u.i])
+		if !filled {
+			row[u.i] = m.Label(u.i, j)
+		}
+		dst[u.i] = h.At(u.i, row[u.i])
 	}
+	return minLabel
 }
 
 // Latest returns the most recent value of component i.

@@ -236,6 +236,8 @@ func TestRunReadsTheDefinedVector(t *testing.T) {
 		func() delay.Model { return delay.Constant{D: 3} },
 		func() delay.Model { return delay.BoundedRandom{B: 5, Seed: 1} },
 		func() delay.Model { return delay.BoundedRandom{B: 8, Seed: 2} },
+		func() delay.Model { return delay.BoundedRandom{B: 1000, Seed: 4} }, // least rarely meets its floor
+		func() delay.Model { return delay.BoundedRandom{B: 0, Seed: 5} },
 		func() delay.Model { return delay.OutOfOrder{W: 8, Seed: 3} },
 		func() delay.Model { return delay.SqrtGrowth{} },
 		func() delay.Model { return delay.SqrtGrowth{Slow: map[int]bool{1: true}} },

@@ -279,8 +279,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// Assemble the read vector: labelled values, optionally blended
 		// toward the freshest state (flexible communication).
-		minLabel := delay.Labels(cfg.Delay, j, labels)
-		hist.Read(labels, minLabel, xlabel)
+		minLabel := hist.Read(cfg.Delay, j, labels, xlabel)
 		if cfg.Theta > 0 {
 			for h, lv := range xlabel {
 				xread[h] = flexible.Interpolate(lv, hist.Latest(h), cfg.Theta)

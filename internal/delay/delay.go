@@ -47,57 +47,48 @@ func clampLabel(l, j int) int {
 	return l
 }
 
-// rowModel is a Model that can produce a whole label row at once.
-type rowModel interface {
-	// labels stores l_h(j) in dst[h] for every h and returns the minimum.
-	labels(j int, dst []int) int
-}
+// leastModel is a stateless Model whose least returns min(j-1, min_{h<n}
+// l_h(j)) for n >= 1 without a row, or false when it cannot.
+type leastModel interface{ least(j, n int) (int, bool) }
 
-// Labels fills dst[h] = l_h(j) for h = 0..len(dst)-1 and returns
-// min(j-1, min_h l_h(j)). The stateless models fill the row in one call;
-// any other model is asked through Label in ascending h, the call order a
-// stateful model (Monotone) depends on.
+// Labels returns min(j-1, min_h l_h(j)) over h < len(row). It fills row[h] =
+// l_h(j) only for a model without least, asked through Label in ascending h,
+// the call order a stateful model (Monotone) depends on.
 //
 //repro:hotpath
-func Labels(m Model, j int, dst []int) int {
-	if r, ok := m.(rowModel); ok {
-		return r.labels(j, dst)
+func Labels(m Model, j int, row []int) (least int, filled bool) {
+	if lm, ok := m.(leastModel); ok {
+		if l, ok := lm.least(j, len(row)); ok {
+			return l, false
+		}
 	}
-	least := j - 1
-	for h := range dst {
+	least = j - 1
+	for h := range row {
 		l := m.Label(h, j)
-		dst[h] = l
+		row[h] = l
 		if l < least {
 			least = l
 		}
 	}
-	return least
+	return least, true
 }
 
-// fillRow is the row of a model whose label does not depend on h.
+// hashLeast is the least of the hash models' labels j - 1 - hash64(seed, h,
+// j) mod b (clamped at 0), scanned in h up to the first that meets the floor
+// max(0, j-b) no label lies below. The j term of the hash is hoisted, the h
+// term advances by its stride, and the reduction is a mask when b is a power
+// of two — the same bits as hash64 and % in every case.
 //
 //repro:hotpath
-func fillRow(l int, dst []int) int {
-	for h := range dst {
-		dst[h] = l
-	}
-	return l
-}
-
-// hashRow is the row of the two hash models: dst[h] = j - 1 - hash64(seed,
-// h, j) mod b, clamped at 0. The j term of the hash is hoisted, the h term
-// advances by its stride, and the reduction is a mask when b is a power of
-// two — the same bits as hash64 and % in every case.
-//
-//repro:hotpath
-func hashRow(seed uint64, b, j int, dst []int) int {
+func hashLeast(seed uint64, b, j, n int) int {
 	const stride = 0x9e3779b97f4a7c15
 	base := seed ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
 	ub, mask := uint64(b), uint64(b-1)
 	pow2 := ub&mask == 0
+	floor := max(0, j-b)
 	least := j - 1
 	hi := uint64(0)
-	for h := range dst {
+	for range n {
 		hi += stride
 		z := base ^ hi
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -109,13 +100,10 @@ func hashRow(seed uint64, b, j int, dst []int) int {
 			z %= ub
 		}
 		l := j - 1 - int(z)
-		if l < 0 {
-			l = 0
+		if l <= floor {
+			return floor
 		}
-		dst[h] = l
-		if l < least {
-			least = l
-		}
+		least = min(least, l)
 	}
 	return least
 }
@@ -136,7 +124,8 @@ type Fresh struct{}
 func (Fresh) Label(i, j int) int { return clampLabel(j-1, j) }
 func (Fresh) Name() string       { return "fresh" }
 
-func (Fresh) labels(j int, dst []int) int { return fillRow(clampLabel(j-1, j), dst) }
+//repro:hotpath
+func (Fresh) least(j, n int) (int, bool) { return clampLabel(j-1, j), true }
 
 // Constant applies a fixed delay D >= 1: l_i(j) = j - D (clamped).
 type Constant struct{ D int }
@@ -144,7 +133,8 @@ type Constant struct{ D int }
 func (c Constant) Label(i, j int) int { return clampLabel(j-c.D, j) }
 func (c Constant) Name() string       { return fmt.Sprintf("constant(%d)", c.D) }
 
-func (c Constant) labels(j int, dst []int) int { return fillRow(clampLabel(j-c.D, j), dst) }
+//repro:hotpath
+func (c Constant) least(j, n int) (int, bool) { return clampLabel(j-c.D, j), true }
 
 // BoundedRandom draws, independently per (i, j), a delay uniform on [1, B].
 // This is the chaotic-relaxation regime (condition d with bound b = B).
@@ -161,7 +151,8 @@ func (m BoundedRandom) Label(i, j int) int {
 	return clampLabel(j-d, j)
 }
 
-func (m BoundedRandom) labels(j int, dst []int) int { return hashRow(m.Seed, max(m.B, 1), j, dst) }
+//repro:hotpath
+func (m BoundedRandom) least(j, n int) (int, bool) { return hashLeast(m.Seed, max(m.B, 1), j, n), true }
 
 func (m BoundedRandom) Name() string { return fmt.Sprintf("boundedRandom(B=%d)", m.B) }
 
@@ -183,6 +174,9 @@ func (m SqrtGrowth) Label(i, j int) int {
 	return clampLabel(j-d, j)
 }
 
+//repro:hotpath
+func (m SqrtGrowth) least(j, n int) (int, bool) { return m.Label(0, j), m.Slow == nil }
+
 func (m SqrtGrowth) Name() string { return "sqrtGrowth" }
 
 // LogGrowth has delays growing like log2(j): a milder unbounded-delay model.
@@ -198,6 +192,9 @@ func (m LogGrowth) Label(i, j int) int {
 	}
 	return clampLabel(j-d, j)
 }
+
+//repro:hotpath
+func (m LogGrowth) least(j, n int) (int, bool) { return m.Label(0, j), m.Slow == nil }
 
 func (m LogGrowth) Name() string { return "logGrowth" }
 
@@ -220,7 +217,8 @@ func (m OutOfOrder) Label(i, j int) int {
 	return clampLabel(j-d, j)
 }
 
-func (m OutOfOrder) labels(j int, dst []int) int { return hashRow(m.Seed, max(m.W, 1), j, dst) }
+//repro:hotpath
+func (m OutOfOrder) least(j, n int) (int, bool) { return hashLeast(m.Seed, max(m.W, 1), j, n), true }
 
 func (m OutOfOrder) Name() string { return fmt.Sprintf("outOfOrder(W=%d)", m.W) }
 

@@ -221,37 +221,57 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// Labels is Label, a row at a time: same labels (the clamp at small j
-// included) and the definitional minimum, on the mask and the modulo branch
-// of both hash models and on every model that has no row method.
+// Labels is the minimum of the Label row, min(j-1, min_h l_h(j)) with the
+// clamp at small j included: answered by least, without a row, by every
+// model that has one — on the mask and the modulo branch of both hash
+// models, with the bound above j and above n, where the scan stops at the
+// floor and where it never reaches it — and by the ascending Label row,
+// filled as Label fills it, by every model that has none.
 func TestLabelsEqualsLabel(t *testing.T) {
-	type pair struct{ row, ref Model } // two instances: Monotone is stateful
-	var cases []pair
-	for _, b := range []int{-3, 0, 1, 2, 3, 7, 8, 9, 100, 1 << 20, 1<<31 - 1} {
-		cases = append(cases,
-			pair{BoundedRandom{B: b, Seed: 11}, BoundedRandom{B: b, Seed: 11}},
-			pair{OutOfOrder{W: b, Seed: 12}, OutOfOrder{W: b, Seed: 12}},
-			pair{Constant{D: b}, Constant{D: b}})
+	type pair struct {
+		row, ref Model // two instances: Monotone is stateful
+		least    bool  // the model must answer through least
 	}
-	rows, refs := allModels(), allModels()
-	for k := range rows {
-		cases = append(cases, pair{rows[k], refs[k]})
-	}
-	const n = 37
-	dst := make([]int, n)
-	for _, c := range cases {
-		for j := 1; j <= 3000; j++ {
-			got := Labels(c.row, j, dst)
-			want := j - 1
-			for h := range dst {
-				l := c.ref.Label(h, j)
-				if dst[h] != l {
-					t.Fatalf("%s: Labels(j=%d)[%d] = %d, Label = %d", c.ref.Name(), j, h, dst[h], l)
-				}
-				want = min(want, l)
+	cases := func() []pair {
+		var cs []pair
+		for _, b := range []int{-3, 0, 1, 2, 3, 7, 8, 9, 100, 1 << 20, 1<<31 - 1} {
+			cs = append(cs,
+				pair{BoundedRandom{B: b, Seed: 11}, BoundedRandom{B: b, Seed: 11}, true},
+				pair{OutOfOrder{W: b, Seed: 12}, OutOfOrder{W: b, Seed: 12}, true},
+				pair{Constant{D: b}, Constant{D: b}, true})
+		}
+		rows, refs := allModels(), allModels()
+		for k := range rows {
+			_, has := rows[k].(leastModel)
+			if s, ok := rows[k].(SqrtGrowth); ok && s.Slow != nil {
+				has = false
 			}
-			if got != want {
-				t.Fatalf("%s: Labels(j=%d) returned min %d, want %d", c.ref.Name(), j, got, want)
+			cs = append(cs, pair{rows[k], refs[k], has})
+		}
+		return cs
+	}
+	for _, n := range []int{1, 37, 256} {
+		row := make([]int, n)
+		for _, c := range cases() {
+			for j := 1; j <= 3000; j++ {
+				for h := range row {
+					row[h] = -1
+				}
+				got, filled := Labels(c.row, j, row)
+				if filled == c.least {
+					t.Fatalf("%s n=%d: Labels(j=%d) filled the row = %v", c.ref.Name(), n, j, filled)
+				}
+				want := j - 1
+				for h := range row {
+					l := c.ref.Label(h, j)
+					if filled && row[h] != l {
+						t.Fatalf("%s n=%d: Labels(j=%d)[%d] = %d, Label = %d", c.ref.Name(), n, j, h, row[h], l)
+					}
+					want = min(want, l)
+				}
+				if got != want {
+					t.Fatalf("%s n=%d: Labels(j=%d) returned min %d, want %d", c.ref.Name(), n, j, got, want)
+				}
 			}
 		}
 	}

@@ -174,8 +174,7 @@ func E15() *Report {
 	maxIter := 20000
 	for j := 1; j <= maxIter; j++ {
 		S := pol.Select(j)
-		minLabel := delay.Labels(dm, j, labels)
-		hist.Read(labels, minLabel, xread)
+		minLabel := hist.Read(dm, j, labels, xread)
 		disp := 0.0
 		for _, i := range S {
 			v := op.Component(i, xread)

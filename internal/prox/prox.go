@@ -137,13 +137,26 @@ func (NonNeg) Value(i int, v float64) float64 {
 
 func (NonNeg) Name() string { return "nonneg" }
 
-// ApplyVec writes prox_{gamma,g}(src) into dst componentwise.
+// ApplyVec writes prox_{gamma,g}(src) into dst, soft-thresholding L1 inline.
+//
+//repro:hotpath
 func ApplyVec(p Prox, dst, src []float64, gamma float64) {
 	if len(dst) != len(src) {
 		panic("prox: ApplyVec length mismatch")
 	}
-	for i := range src {
-		dst[i] = p.Apply(i, src[i], gamma)
+	l1, isL1 := p.(L1)
+	t := gamma * l1.Lambda
+	for i, v := range src {
+		switch {
+		case !isL1:
+			dst[i] = p.Apply(i, v, gamma)
+		case v > t:
+			dst[i] = v - t
+		case v < -t:
+			dst[i] = v + t
+		default:
+			dst[i] = 0
+		}
 	}
 }
 
