@@ -102,9 +102,9 @@ lint: reprolint
 	$(GO) vet ./...
 
 # The repo's own static-analysis suite (see internal/analysis and the
-# "Static analysis" section of doc.go): hotpath, vecorder, ctxloop,
-# knobdrift, plus the CFG-backed determinism, goroutinelife, slotbudget and
-# lockdiscipline. Any diagnostic fails the build. Runs
+# "Static analysis" section of doc.go): hotpath, vecorder, knobdrift,
+# plus the CFG-backed determinism and lockdiscipline. Any diagnostic fails
+# the build. Runs
 # through `go vet -vettool` so unchanged packages hit the vet action
 # cache. cmd/... and examples/... are named explicitly to match CI.
 reprolint:
@@ -119,7 +119,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 23178
+LOC_CEILING := 22193
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

@@ -78,17 +78,23 @@ func TestDistCancelLeavesNothingBehind(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("%s: cancel took %v to take effect", topology, elapsed)
 		}
-		// Solve has joined everything it started; goroutines it merely
-		// unblocked (net poller callbacks) may need a moment to unwind.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%s: %d goroutines before the solve, %d after:\n%s",
-				topology, before, after, buf[:runtime.Stack(buf, true)])
-		}
+		leftNothingBehind(t, topology, before)
+	}
+}
+
+// leftNothingBehind fails the test unless the goroutine count falls back to
+// before. Solve has joined everything it started; goroutines it merely
+// unblocked (net poller callbacks) may need a moment to unwind.
+func leftNothingBehind(t *testing.T, what string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%s: %d goroutines before the solve, %d after:\n%s",
+			what, before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -105,10 +111,13 @@ func TestWithContextDeadlinePreCancelled(t *testing.T) {
 }
 
 // TestWithContextUncancelledRunsUnchanged: attaching a context that never
-// fires must not perturb the deterministic engines' trajectories.
+// fires must not perturb the deterministic engines' trajectories, and must
+// not outlive the solve on the goroutine engines: their cancellation
+// monitor leaves when the run stops, not when the context is finally
+// cancelled.
 func TestWithContextUncancelledRunsUnchanged(t *testing.T) {
 	spec, _ := lassoSpec(t)
-	for _, engine := range []repro.Engine{repro.EngineModel, repro.EngineSim, repro.EngineSimSync} {
+	for _, engine := range []repro.Engine{repro.EngineModel, repro.EngineSim, repro.EngineSimSync, repro.EngineShared, repro.EngineMessage} {
 		engine := engine
 		t.Run(engine.Name(), func(t *testing.T) {
 			opts := func(extra ...repro.Option) []repro.Option {
@@ -122,11 +131,18 @@ func TestWithContextUncancelledRunsUnchanged(t *testing.T) {
 					repro.WithMaxUpdates(2000000),
 				}, extra...)
 			}
-			plain, err := repro.Solve(spec, opts()...)
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			withCtx, err := repro.Solve(spec, opts(repro.WithContext(ctx))...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			withCtx, err := repro.Solve(spec, opts(repro.WithContext(context.Background()))...)
+			leftNothingBehind(t, engine.Name(), before)
+			if engine == repro.EngineShared || engine == repro.EngineMessage {
+				return // scheduler-dependent trajectories: nothing to compare
+			}
+			plain, err := repro.Solve(spec, opts()...)
 			if err != nil {
 				t.Fatal(err)
 			}

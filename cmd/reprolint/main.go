@@ -1,11 +1,10 @@
-// Reprolint runs the repro static-analysis suite: eight analyzers that
-// mechanically enforce the repo's hot-path, bit-identity and concurrency
+// Reprolint runs the repro static-analysis suite: five analyzers that
+// mechanically enforce the repo's hot-path, bit-identity and lock
 // invariants (see internal/analysis and the "Static analysis" section of
-// doc.go). Four of them (determinism, goroutinelife, slotbudget,
-// lockdiscipline) are path-sensitive: they run on the control-flow graph
-// and dataflow engine of internal/analysis/cfg, so "Unlock missing on one
-// branch" and "WaitGroup.Add on only one path" are real findings, not
-// grep matches.
+// doc.go). Two of them (determinism, lockdiscipline) are path-sensitive:
+// they run on the control-flow graph and dataflow engine of
+// internal/analysis/cfg, so "Unlock missing on one branch" is a real
+// finding, not a grep match.
 //
 // Standalone, over package patterns (exit 1 when any diagnostic fires):
 //
@@ -33,13 +32,10 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/ctxloop"
 	"repro/internal/analysis/determinism"
-	"repro/internal/analysis/goroutinelife"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/knobdrift"
 	"repro/internal/analysis/lockdiscipline"
-	"repro/internal/analysis/slotbudget"
 	"repro/internal/analysis/vecorder"
 )
 
@@ -47,11 +43,8 @@ import (
 var suite = []*analysis.Analyzer{
 	hotpath.Analyzer,
 	vecorder.Analyzer,
-	ctxloop.Analyzer,
 	knobdrift.Analyzer,
 	determinism.Analyzer,
-	goroutinelife.Analyzer,
-	slotbudget.Analyzer,
 	lockdiscipline.Analyzer,
 }
 
@@ -216,8 +209,8 @@ func runUnit(cfgFile string) {
 	})
 
 	// Test variants arrive as "path [path.test]"; strip the variant so
-	// path-scoped rules (vecorder's internal/vec exemption, ctxloop's
-	// engine-package match) behave identically to the base package.
+	// path-scoped rules (vecorder's internal/vec exemption, determinism's
+	// result-package match) behave identically to the base package.
 	path := cfg.ImportPath
 	if i := strings.Index(path, " ["); i >= 0 {
 		path = path[:i]

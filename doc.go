@@ -352,17 +352,18 @@
 //
 // # Static analysis
 //
-// The invariants above — allocation-free hot paths, ONE canonical
-// reduction order, cancellable engine loops, a single knob table,
-// bit-reproducible trajectories, joined goroutines, a respected
-// scratch-slot partition and sound lock usage — are enforced
-// mechanically by reprolint (cmd/reprolint, built on internal/analysis),
-// which runs standalone, as `go vet -vettool=$(which reprolint)`, under
-// `make lint`, and in CI. Its eight analyzers (hotpath, vecorder, ctxloop,
-// knobdrift, determinism, goroutinelife, slotbudget, lockdiscipline) are
-// specified in their package docs under internal/analysis and tabulated,
-// with the //repro: directives that annotate and suppress, in README
-// "Static analysis".
+// Of the invariants above, the ones a test run would miss — allocation-free
+// hot paths, ONE canonical reduction order, a single knob table,
+// bit-reproducible trajectories and locks released on every path — are
+// enforced mechanically by reprolint (cmd/reprolint, built on
+// internal/analysis), which runs standalone, as `go vet
+// -vettool=$(which reprolint)`, under `make lint`, and in CI. Its five
+// analyzers (hotpath, vecorder, knobdrift, determinism, lockdiscipline)
+// are specified in their package docs under internal/analysis and
+// tabulated, with the //repro: directives that suppress them, in README
+// "Static analysis". Stoppable loops, joined goroutines and the
+// scratch-slot partition are the engine, cancellation and operator
+// contract tests' job.
 //
 // See the examples/ directory for complete programs and EXPERIMENTS.md for
 // the reproduction of the paper's figures and claims.

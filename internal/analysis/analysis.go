@@ -9,11 +9,12 @@
 // asynchronous-iterations literature identifies as exactly the places
 // where implementations silently diverge from the theory (El Baz ipps
 // 2022; Assran et al. 2020): hot loops must stay allocation-free, every
-// float64 reduction must use the canonical order in internal/vec, engine
-// loops must stay stoppable, and tuning knobs must flow through the single
-// knob table. See the sibling packages hotpath, vecorder, ctxloop and
-// knobdrift for the individual rules, and cmd/reprolint for the driver
-// (standalone or as a `go vet -vettool`).
+// float64 reduction must use the canonical order in internal/vec, tuning
+// knobs must flow through the single knob table, trajectories must stay
+// bit-reproducible and every lock must be released on every path. See the
+// sibling packages hotpath, vecorder, knobdrift, determinism and
+// lockdiscipline for the individual rules, and cmd/reprolint for the
+// driver (standalone or as a `go vet -vettool`).
 package analysis
 
 import (
@@ -108,8 +109,7 @@ func Suppressed(fset *token.FileSet, pos token.Pos, lines map[int]bool) bool {
 
 // FuncDecls maps every function and method declared in the pass's files to
 // its declaration, keyed by the *types.Func definition object. Analyzers
-// use it to chase same-package calls (hotpath transitivity, ctxloop's
-// "or calls a function that does").
+// use it to chase same-package calls (hotpath transitivity).
 func FuncDecls(pass *Pass) map[types.Object]*ast.FuncDecl {
 	decls := make(map[types.Object]*ast.FuncDecl)
 	for _, f := range pass.Files {

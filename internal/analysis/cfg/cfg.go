@@ -1,11 +1,10 @@
 // Package cfg builds intraprocedural control-flow graphs over Go function
 // bodies and runs forward dataflow analyses over them. It is the shared
-// engine behind the CFG-backed reprolint analyzers (lockdiscipline,
-// determinism, goroutinelife, slotbudget): the PR 8 analyzers were purely
-// syntactic, which is enough for "this construct may not appear" rules but
-// not for path properties — "Unlock reaches every exit", "this WaitGroup
-// Add reaches the go statement on all paths", "this tainted value flows
-// into a float sink". Those need basic blocks and a fixpoint.
+// engine behind the two CFG-backed reprolint analyzers (lockdiscipline,
+// determinism): syntax is enough for "this construct may not appear"
+// rules but not for path properties — "Unlock reaches every exit", "this
+// tainted value flows into a float sink". Those need basic blocks and a
+// fixpoint.
 //
 // The graph is deliberately small: basic blocks of ast.Node slices joined
 // by unlabeled edges, one synthetic Exit block, panics terminating their

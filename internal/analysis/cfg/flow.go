@@ -73,7 +73,7 @@ const (
 	// (may-analysis: "a lock may be held here").
 	Union Meet = iota
 	// Intersect keeps a fact only when it holds on every incoming path
-	// (must-analysis: "wg.Add has executed on all paths to here").
+	// (must-analysis: "x has been assigned on all paths to here").
 	Intersect
 )
 

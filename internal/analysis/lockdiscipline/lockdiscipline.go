@@ -6,7 +6,7 @@
 // The race detector only catches the schedules CI happens to run; this
 // analyzer proves the discipline on every path of the control-flow graph.
 //
-// Four rules, all intraprocedural over internal/analysis/cfg graphs:
+// Three rules, all intraprocedural over internal/analysis/cfg graphs:
 //
 //   - a sync.Mutex/sync.RWMutex locked in a function must be unlocked on
 //     every path to every return (a deferred unlock discharges all paths
@@ -15,10 +15,10 @@
 //     or unlock of a mutex this function never locked while also locking
 //     it elsewhere) is reported;
 //   - deferring a mutex Lock/Unlock inside a loop is reported: defers run
-//     at function exit, not iteration exit, so the lock pyramids;
-//   - copying a value whose type contains a sync.Mutex/RWMutex (by plain
-//     assignment from an existing value, by-value parameter, or range
-//     copy) is reported — a copied mutex guards nothing.
+//     at function exit, not iteration exit, so the lock pyramids.
+//
+// Copying a mutex-bearing value is go vet's copylocks check, which
+// `make lint` runs alongside this suite.
 //
 // A deliberate handoff (locking here, unlocking in a callee or another
 // goroutine) takes an "//repro:lock-ok <reason>" suppression on the Lock
@@ -37,7 +37,7 @@ import (
 // Analyzer is the lockdiscipline rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "mutexes must be released on every CFG path, never double-unlocked, never deferred in loops, never copied",
+	Doc:  "mutexes must be released on every CFG path, never double-unlocked, never deferred in loops",
 	Run:  run,
 }
 
@@ -66,7 +66,6 @@ type deferFact struct {
 func run(pass *analysis.Pass) (interface{}, error) {
 	for _, file := range pass.Files {
 		suppressed := analysis.SuppressedLines(pass.Fset, file, "lock-ok")
-		checkCopies(pass, file, suppressed)
 		for _, fn := range cfg.Functions([]*ast.File{file}) {
 			checkFunc(pass, fn, suppressed)
 		}
@@ -355,102 +354,6 @@ func exprKey(e ast.Expr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// checkCopies flags by-value copies of mutex-bearing types.
-func checkCopies(pass *analysis.Pass, file *ast.File, suppressed map[int]bool) {
-	report := func(pos token.Pos, what string, t types.Type) {
-		if analysis.Suppressed(pass.Fset, pos, suppressed) {
-			return
-		}
-		pass.Reportf(pos, "%s copies %s, which contains a mutex; a copied mutex guards nothing (use a pointer)", what, t)
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Type.Params == nil {
-				return true
-			}
-			for _, field := range n.Type.Params.List {
-				t := pass.TypesInfo.Types[field.Type].Type
-				if t != nil && typeHasMutex(t, nil) {
-					report(field.Pos(), "by-value parameter", t)
-				}
-			}
-		case *ast.AssignStmt:
-			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
-				return true
-			}
-			for _, rhs := range n.Rhs {
-				if !copiesValue(rhs) {
-					continue
-				}
-				t := pass.TypesInfo.Types[rhs].Type
-				if t != nil && typeHasMutex(t, nil) {
-					report(rhs.Pos(), "assignment", t)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			t := pass.TypesInfo.Types[n.Value].Type
-			if t == nil {
-				// A := range defines the value ident: its type lives in
-				// Defs, not Types.
-				if id, ok := n.Value.(*ast.Ident); ok {
-					if obj := pass.TypesInfo.Defs[id]; obj != nil {
-						t = obj.Type()
-					}
-				}
-			}
-			if t != nil && typeHasMutex(t, nil) {
-				report(n.Value.Pos(), "range value", t)
-			}
-		}
-		return true
-	})
-}
-
-// copiesValue reports whether evaluating e copies an existing value (as
-// opposed to constructing a fresh one or taking a reference).
-func copiesValue(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	case *ast.UnaryExpr:
-		return false // &x takes a reference
-	default:
-		return false // composite literals, calls: fresh values
-	}
-}
-
-// typeHasMutex reports whether t transitively contains a sync.Mutex or
-// sync.RWMutex by value.
-func typeHasMutex(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if isSyncMutex(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeHasMutex(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeHasMutex(u.Elem(), seen)
-	}
-	return false
 }
 
 func lockName(read bool) string {

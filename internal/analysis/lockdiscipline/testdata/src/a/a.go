@@ -116,35 +116,6 @@ func (s *S) panicPathOK(bad bool) int {
 	return n
 }
 
-// copyParam passes a mutex-bearing struct by value.
-func copyParam(s S) int { // want `by-value parameter copies a\.S`
-	return s.n
-}
-
-// copyAssign copies a mutex-bearing value out of a pointer.
-func copyAssign(p *S) S {
-	v := *p // want `assignment copies a\.S`
-	return v
-}
-
-// copyRange copies mutex-bearing values while ranging.
-func copyRange(ss []S) int {
-	t := 0
-	for _, v := range ss { // want `range value copies a\.S`
-		t += v.n
-	}
-	return t
-}
-
-// pointerOK: pointers to mutex-bearing values copy nothing.
-func pointerOK(ss []*S) int {
-	t := 0
-	for _, v := range ss {
-		t += v.n
-	}
-	return t
-}
-
 // handoffSuppressed documents a deliberate lock handoff.
 func (s *S) handoffSuppressed() {
 	//repro:lock-ok handed off to finishHandoff, which always runs

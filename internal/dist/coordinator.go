@@ -250,7 +250,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	}
 	if c.elastic() {
 		c.acceptWG.Add(1)
-		//repro:join-ok joined by acceptWG.Wait in shutdown after the listener closes (its deadline bounds the run regardless)
+		// Joined by acceptWG.Wait in shutdown, after the listener closes.
 		go c.acceptRejoins()
 	}
 
@@ -729,7 +729,8 @@ func (c *coordinator) acceptRejoins() {
 			return
 		}
 		c.acceptWG.Add(1)
-		//repro:join-ok joined by acceptWG.Wait in shutdown; every blocking step is bounded by the short handshake deadline set first
+		// Joined by acceptWG.Wait in shutdown; handleRejoin sets a short
+		// handshake deadline before it blocks.
 		go func() {
 			defer c.acceptWG.Done()
 			c.handleRejoin(conn)

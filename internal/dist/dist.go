@@ -292,7 +292,6 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	var workerErr error
 	launch := func(w int, ctl *WorkerCtl, seed uint64) {
 		wg.Add(1)
-		//repro:join-ok joined by the wg.Wait below; every blocking step inside is bounded by dial timeouts, conn deadlines and Rejoin.MaxWait
 		go func() {
 			defer wg.Done()
 			err := ConnectWorker(addr, cfg.Op, WorkerOptions{
@@ -320,7 +319,6 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 		ev := ev
 		seed := cfg.Fault.Seed ^ (uint64(cfg.Workers+i) * 0x9e3779b97f4a7c15)
 		wg.Add(1)
-		//repro:join-ok joined by the wg.Wait below; the sleeps are bounded by the plan's fixed offsets
 		go func() {
 			defer wg.Done()
 			time.Sleep(ev.KillAfter)

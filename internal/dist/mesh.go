@@ -79,7 +79,8 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 		err  error
 	}
 	acceptCh := make(chan accepted, p-1)
-	//repro:join-ok joined by the rendezvous drain below (or ln.Close for elastic runs, where serveAccepts takes the listener over)
+	// Joined by the rendezvous drain below, or by ln.Close for elastic runs,
+	// where serveAccepts takes the listener over.
 	go func() {
 		for i := 0; i < p-1; i++ {
 			conn, err := ln.Accept()
@@ -87,7 +88,8 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 				acceptCh <- accepted{nil, err}
 				return
 			}
-			//repro:join-ok bounded by conn.SetDeadline: the handshake read unblocks at the rendezvous deadline and acceptCh has room for every send
+			// The handshake read unblocks at the rendezvous deadline, and
+			// acceptCh has room for every send.
 			go func() {
 				conn.SetDeadline(deadline)
 				if err := m.acceptHello(conn); err != nil {
@@ -109,7 +111,6 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 		if q == id {
 			continue
 		}
-		//repro:join-ok joined by the dialCh drain below, which always receives all p-1 results; DialTimeout and the conn deadline bound every blocking step
 		go func(q int) {
 			l, err := dialPeer(id, q, peers[q], deadline)
 			dialCh <- dialed{q, l, err}
@@ -188,7 +189,8 @@ func (m *mesh) acceptHello(conn net.Conn) error {
 // worker's reader set. It returns when the listener closes (shutdown).
 func (m *mesh) serveAccepts(spawn func(net.Conn)) {
 	m.accepts.Add(1)
-	//repro:join-ok joined by accepts.Wait in shutdown after the listener closes
+	// This loop and every handshake it starts are joined by accepts.Wait in
+	// shutdown, after the listener closes.
 	go func() {
 		defer m.accepts.Done()
 		for {
@@ -205,7 +207,6 @@ func (m *mesh) serveAccepts(spawn func(net.Conn)) {
 			m.in = append(m.in, conn)
 			m.inMu.Unlock()
 			m.accepts.Add(1)
-			//repro:join-ok joined by accepts.Wait in shutdown; the handshake read is bounded by the short conn deadline set first
 			go func() {
 				defer m.accepts.Done()
 				conn.SetDeadline(time.Now().Add(dialTimeout))

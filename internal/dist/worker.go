@@ -197,7 +197,8 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 		defer ws.mesh.shutdown()
 	}
 
-	//repro:join-ok exits on conn close (the deferred Close in connectOnce) or the quit close above
+	// Every reader exits when its conn closes (the deferred Close in
+	// connectOnce, mesh shutdown or peer teardown) or on the quit close above.
 	go readInto(conn, true)
 	if ws.mesh != nil {
 		// Readers for the rendezvous links go up BEFORE the accept loop:
@@ -205,12 +206,10 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 		// their readers itself, so starting it first would race on the
 		// slice and double-read any conn that lands in the gap.
 		for _, mc := range ws.mesh.in {
-			//repro:join-ok exits on conn close (mesh shutdown or peer teardown) or the quit close above
 			go readInto(mc, false)
 		}
 		if ws.mesh.ln != nil {
 			ws.mesh.serveAccepts(func(c net.Conn) {
-				//repro:join-ok exits on conn close (mesh shutdown or peer teardown) or the quit close above
 				go readInto(c, false)
 			})
 		}
