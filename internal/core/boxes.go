@@ -130,6 +130,7 @@ func RunWithComponentErrors(cfg Config) (*Result, [][]float64, error) {
 	if cfg.Delay == nil {
 		cfg.Delay = delay.Fresh{} // mirror Run's default for the replay
 	}
+	cfg.KeepRecords = true // the replay walks the recorded S_j
 	var perIter [][]float64
 	res, err := Run(cfg)
 	if err != nil {

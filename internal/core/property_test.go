@@ -76,10 +76,11 @@ func TestStrictBoundariesSuffixGuaranteeProperty(t *testing.T) {
 	}
 	for _, m := range models {
 		res, err := Run(Config{
-			Op:      op,
-			Delay:   m,
-			XStar:   xstar,
-			MaxIter: 5000,
+			Op:          op,
+			Delay:       m,
+			XStar:       xstar,
+			MaxIter:     5000,
+			KeepRecords: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -140,9 +141,10 @@ func TestErrorNeverExceedsInitialBox(t *testing.T) {
 func TestUpdatesMatchRecords(t *testing.T) {
 	op, _ := testSystem(t, 5)
 	res, err := Run(Config{
-		Op:       op,
-		Steering: steering.NewBlockCyclic(5, 2),
-		MaxIter:  321,
+		Op:          op,
+		Steering:    steering.NewBlockCyclic(5, 2),
+		MaxIter:     321,
+		KeepRecords: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +263,7 @@ func TestRunReadsTheDefinedVector(t *testing.T) {
 				spy := &readSpy{Policy: pol(), t: t, ref: model(), theta: theta,
 					cur: append([]float64(nil), x0...), want: make([]float64, n), paths: &paths}
 				res, err := Run(Config{Op: spy, Steering: spy, Delay: model(), Theta: theta,
-					X0: x0, MaxIter: iters, Scratch: scr})
+					X0: x0, MaxIter: iters, Scratch: scr, KeepRecords: true})
 				if err != nil || res.Iterations != iters {
 					t.Fatalf("%s: err=%v after %d iterations", spy.ref.Name(), err, res.Iterations)
 				}

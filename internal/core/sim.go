@@ -71,6 +71,10 @@ type Config struct {
 	// Progress, when non-nil, is incremented once per global iteration so
 	// external observers can watch the run live.
 	Progress *atomic.Int64
+	// KeepRecords fills Result.Records, the per-iteration log that offline
+	// analysis (the box replay, epoch staleness) reads. Off, a run keeps
+	// only what its strict boundaries need, in the Scratch.
+	KeepRecords bool
 }
 
 // doneCheckEvery is how many iterations pass between Done-channel polls: a
@@ -79,8 +83,9 @@ type Config struct {
 const doneCheckEvery = 256
 
 // RunScratch bundles the model engine's reusable state: the operator
-// evaluation scratch, the history storage, and the label row and read
-// vectors assembled every iteration.
+// evaluation scratch, the history storage, the label row and read vectors
+// assembled every iteration, and the iteration log the strict boundaries
+// are computed from.
 type RunScratch struct {
 	// Op is the operator-evaluation scratch threaded through every
 	// component relaxation.
@@ -91,6 +96,7 @@ type RunScratch struct {
 	gsSnap        []float64 // residual-aware steering's snapshot buffer
 	blockOut      []float64 // block-evaluation output buffer
 	seenWorkers   []bool
+	log           macroiter.Log
 }
 
 // NewRunScratch returns an empty RunScratch; buffers grow on first use.
@@ -113,25 +119,6 @@ func (s *RunScratch) workersSeen(w int) []bool {
 	s.seenWorkers = grown(s.seenWorkers, w)
 	clear(s.seenWorkers)
 	return s.seenWorkers
-}
-
-// recordArena hands out stable []int copies from chunked backing storage so
-// per-iteration steering-set records cost amortized one allocation per chunk
-// instead of one per iteration. Saved slices stay valid for the life of the
-// Result that references them.
-type recordArena struct{ buf []int }
-
-func (a *recordArena) save(s []int) []int {
-	if cap(a.buf)-len(a.buf) < len(s) {
-		size := 4096
-		if len(s) > size {
-			size = len(s)
-		}
-		a.buf = make([]int, 0, size)
-	}
-	start := len(a.buf)
-	a.buf = append(a.buf, s...)
-	return a.buf[start:len(a.buf):len(a.buf)]
 }
 
 // Result reports an asynchronous iteration run.
@@ -159,7 +146,7 @@ type Result struct {
 	// Residuals holds (iteration, residual) samples.
 	Residuals []ResidualSample
 	// Records is the per-iteration log (S_j, l(j), worker) for offline
-	// macro/epoch analysis.
+	// macro/epoch analysis, filled only when Config.KeepRecords asks.
 	Records []macroiter.Record
 	// Constraint3Violations counts reads that violated inequality (3)
 	// (checked only when XStar is known and CheckConstraint3 is set).
@@ -236,6 +223,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	hist := &scratch.hist
 	hist.Reset(x0)
+	itLog := &scratch.log
+	itLog.Reset()
 	if scratch.Op == nil {
 		scratch.Op = operators.NewScratch()
 	}
@@ -261,7 +250,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Theta == 0 {
 		xread = xlabel // Definition 1: the read vector is the labelled one
 	}
-	var arena recordArena
 	converged := false
 
 	for j := 1; j <= cfg.MaxIter; j++ {
@@ -316,8 +304,9 @@ func Run(cfg Config) (*Result, error) {
 			s = e
 		}
 
-		// Bookkeeping: macro-iterations (Definition 2), epochs, records.
+		// Bookkeeping: macro-iterations (Definition 2), epochs, the log.
 		tracker.Observe(j, S, minLabel)
+		itLog.Append(j, S, minLabel)
 		seen := scratch.workersSeen(workers)
 		for _, i := range S {
 			w := workerOf(i)
@@ -326,11 +315,6 @@ func Run(cfg Config) (*Result, error) {
 				seen[w] = true
 			}
 		}
-		// Steering policies may reuse their S buffer, so the record needs a
-		// copy; the arena amortizes those copies into chunked allocations.
-		res.Records = append(res.Records, macroiter.Record{
-			J: j, S: arena.save(S), MinLabel: minLabel, Worker: workerOf(S[0]),
-		})
 
 		if cfg.XStar != nil {
 			res.Errors = append(res.Errors, vec.DistInf(hist.latest, cfg.XStar))
@@ -365,7 +349,10 @@ func Run(cfg Config) (*Result, error) {
 	res.Converged = converged
 	res.Updates = hist.Updates()
 	res.Boundaries = tracker.Boundaries()
-	res.StrictBoundaries = macroiter.StrictBoundaries(n, res.Records)
+	res.StrictBoundaries = itLog.StrictBoundaries(n)
+	if cfg.KeepRecords {
+		res.Records = itLog.Records(workerOf)
+	}
 	res.Epochs = epochs.Boundaries()
 	res.FinalResidual = operators.ResidualWith(cfg.Op, scratch.Op, res.X)
 	return res, nil

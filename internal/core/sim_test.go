@@ -412,7 +412,7 @@ func TestCheckTheorem1Errors(t *testing.T) {
 
 func TestRecordsMatchIterations(t *testing.T) {
 	op, _ := testSystem(t, 4)
-	res, err := Run(Config{Op: op, MaxIter: 57})
+	res, err := Run(Config{Op: op, MaxIter: 57, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}

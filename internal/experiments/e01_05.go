@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/des"
 	"repro/internal/macroiter"
@@ -257,19 +258,20 @@ func E5() *Report {
 		} else {
 			dm = delay.OutOfOrder{W: w, Seed: uint64(50 + w)}
 		}
-		res, err := repro.Solve(repro.Spec{
-			Problem:  repro.Problem{Op: op, X0: offsetStart(xstar), XStar: xstar},
-			Dynamics: repro.Dynamics{Steering: steering.NewCyclic(8), Delay: dm},
-			Stopping: repro.Stopping{MaxIter: 20000},
+		// The staleness counts walk the per-iteration log, so this run asks
+		// the model engine for it.
+		res, err := core.Run(core.Config{
+			Op: op, X0: offsetStart(xstar), XStar: xstar,
+			Steering: steering.NewCyclic(8), Delay: dm,
+			MaxIter: 20000, KeepRecords: true,
 		})
 		if err != nil {
 			rep.Note("window %d: %v", w, err)
 			pass = false
 			continue
 		}
-		model, _ := res.ModelDetail()
-		epochStale := macroiter.EpochStaleness(res.Epochs, model.Records)
-		strictStale := macroiter.EpochStaleness(res.StrictBoundaries, model.Records)
+		epochStale := macroiter.EpochStaleness(res.Epochs, res.Records)
+		strictStale := macroiter.EpochStaleness(res.StrictBoundaries, res.Records)
 		tb.AddRow(w, len(res.Boundaries), len(res.StrictBoundaries),
 			len(res.Epochs), epochStale, strictStale)
 		if strictStale != 0 {

@@ -22,7 +22,10 @@
 // Definition 2 up to small shifts.
 package macroiter
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Tracker incrementally computes the Definition 2 macro-iteration sequence
 // from an observed run. Feed Observe with strictly increasing j.
@@ -106,47 +109,98 @@ func Boundaries(n int, recs []Record) []int {
 }
 
 // StrictBoundaries computes the macro-iteration sequence with the suffix
-// guarantee: j_{k+1} is the smallest j such that
+// guarantee over recorded iterations: Log.StrictBoundaries over recs.
+func StrictBoundaries(n int, recs []Record) []int {
+	total := 0
+	for _, r := range recs {
+		total += len(r.S)
+	}
+	l := Log{its: make([]logEntry, 0, len(recs)), comps: make([]int, 0, total)}
+	for _, r := range recs {
+		l.Append(r.J, r.S, r.MinLabel)
+	}
+	return l.StrictBoundaries(n)
+}
+
+// Log is the compact iteration log the strict sequence is computed from:
+// per iteration its number, l(j) and where S_j ends in one flattened
+// component array. Reset keeps every buffer, so an owner that reuses a Log
+// across runs allocates nothing for it once it has grown to the longest run.
+type Log struct {
+	its       []logEntry
+	comps     []int // S_1, S_2, ... concatenated
+	suffixMin []int
+	covered   []bool
+}
+
+type logEntry struct {
+	j, minLabel int
+	end         int // S_j is comps[previous end:end]
+}
+
+// Reset empties the log, keeping its storage.
+func (l *Log) Reset() { l.its, l.comps = l.its[:0], l.comps[:0] }
+
+// Append logs iteration j, which relaxed S using values whose minimum label
+// is minLabel. S is copied, so the caller may reuse it.
+func (l *Log) Append(j int, S []int, minLabel int) {
+	l.comps = append(l.comps, S...)
+	l.its = append(l.its, logEntry{j: j, minLabel: minLabel, end: len(l.comps)})
+}
+
+// Records expands the log into one Record per iteration, crediting each to
+// the machine workerOf names for the first component of its S. The records
+// share one fresh copy of the components, so they outlive a Reset.
+func (l *Log) Records(workerOf func(i int) int) []Record {
+	comps, recs := slices.Clone(l.comps), make([]Record, len(l.its))
+	from := 0
+	for k, it := range l.its {
+		S := comps[from:it.end:it.end]
+		recs[k] = Record{J: it.j, S: S, MinLabel: it.minLabel, Worker: workerOf(S[0])}
+		from = it.end
+	}
+	return recs
+}
+
+// StrictBoundaries computes, over the logged iterations, the
+// macro-iteration sequence with the suffix guarantee: j_{k+1} is the
+// smallest j such that
 //
 //	(i)  every component is relaxed at some r in (j_k, j] with l(r) >= j_k, and
 //	(ii) every subsequent iteration r > j also has l(r) >= j_k.
 //
 // Inside window k and ever after, no information older than j_k is used, so
 // a max-norm contraction argument gives exactly one contraction factor per
-// window — the k of inequality (5).
-func StrictBoundaries(n int, recs []Record) []int {
-	if len(recs) == 0 {
-		return nil
+// window — the k of inequality (5). The result is a fresh slice; the
+// working buffers stay with the log.
+func (l *Log) StrictBoundaries(n int) []int {
+	its := l.its
+	// suffixMin[idx] = min over iterations idx.. of minLabel.
+	l.suffixMin = slices.Grow(l.suffixMin[:0], len(its)+1)[:len(its)+1]
+	suffixMin := l.suffixMin
+	suffixMin[len(its)] = int(^uint(0) >> 1)
+	for i := len(its) - 1; i >= 0; i-- {
+		suffixMin[i] = min(its[i].minLabel, suffixMin[i+1])
 	}
-	// suffixMin[idx] = min over records idx.. of MinLabel.
-	suffixMin := make([]int, len(recs)+1)
-	suffixMin[len(recs)] = int(^uint(0) >> 1)
-	for i := len(recs) - 1; i >= 0; i-- {
-		m := recs[i].MinLabel
-		if suffixMin[i+1] < m {
-			m = suffixMin[i+1]
-		}
-		suffixMin[i] = m
-	}
+	l.covered = slices.Grow(l.covered[:0], n)[:n]
+	covered := l.covered
+	clear(covered)
 	var boundaries []int
-	start := 0
-	covered := make([]bool, n)
-	nCovered := 0
-	for idx, r := range recs {
-		if r.MinLabel >= start {
-			for _, i := range r.S {
+	start, nCovered, from := 0, 0, 0
+	for idx, it := range its {
+		if it.minLabel >= start {
+			for _, i := range l.comps[from:it.end] {
 				if i >= 0 && i < n && !covered[i] {
 					covered[i] = true
 					nCovered++
 				}
 			}
 		}
+		from = it.end
 		if nCovered == n && suffixMin[idx+1] >= start {
-			boundaries = append(boundaries, r.J)
-			start = r.J
-			for i := range covered {
-				covered[i] = false
-			}
+			boundaries = append(boundaries, it.j)
+			start = it.j
+			clear(covered)
 			nCovered = 0
 		}
 	}

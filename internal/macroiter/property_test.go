@@ -1,6 +1,8 @@
 package macroiter
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/vec"
@@ -142,5 +144,61 @@ func TestEpochsIgnoreLabels(t *testing.T) {
 	if len(mb) >= len(ma) {
 		t.Fatalf("macro boundaries should collapse under stale labels: %d vs %d",
 			len(mb), len(ma))
+	}
+}
+
+// strictReference is the record-slice strict computation the Log replaced,
+// kept as the oracle for it.
+func strictReference(n int, recs []Record) []int {
+	var boundaries []int
+	start, nCovered := 0, 0
+	covered := make([]bool, n)
+	for idx, r := range recs {
+		if r.MinLabel >= start {
+			for _, i := range r.S {
+				if i >= 0 && i < n && !covered[i] {
+					covered[i] = true
+					nCovered++
+				}
+			}
+		}
+		suffixOK := true
+		for _, later := range recs[idx+1:] {
+			suffixOK = suffixOK && later.MinLabel >= start
+		}
+		if nCovered == n && suffixOK {
+			boundaries = append(boundaries, r.J)
+			start = r.J
+			covered = make([]bool, n)
+			nCovered = 0
+		}
+	}
+	return boundaries
+}
+
+// TestLogStrictBoundariesMatchReference: one Log, Reset between random runs
+// of varying dimension and length, gives the reference strict sequence
+// every time, so does the record adapter, and the log expands back into the
+// records it was filled from.
+func TestLogStrictBoundariesMatchReference(t *testing.T) {
+	rng := vec.NewRNG(409)
+	var l Log
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(9)
+		recs := randomRun(rng, n, 20+rng.Intn(300), 1+rng.Intn(25))
+		l.Reset()
+		for _, r := range recs {
+			l.Append(r.J, r.S, r.MinLabel)
+		}
+		want := strictReference(n, recs)
+		if got := l.StrictBoundaries(n); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, %d records): log gives %v, reference %v", trial, n, len(recs), got, want)
+		}
+		if back := l.Records(func(i int) int { return i }); !reflect.DeepEqual(back, recs) {
+			t.Fatalf("trial %d: the log does not give back its records", trial)
+		}
+		if got := StrictBoundaries(n, recs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: adapter gives %v, reference %v", trial, got, want)
+		}
 	}
 }

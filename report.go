@@ -40,9 +40,11 @@ type TimedError = des.TimedError
 // iteration) is not part of a Report. It is the raw material of the
 // macro-iteration and epoch analysis, whose results the Report carries
 // (Boundaries, StrictBoundaries, Epochs); only in-process analysis reads
-// it, and on the wire it would be 97% of a served report's bytes. It lives
-// on the engine results it is computed on: ModelDetail().Records,
-// SimDetail().Records, SimSyncDetail().Records. A "records" member in a
+// it, and on the wire it would be 97% of a served report's bytes. The
+// simulators keep it on their results, SimDetail().Records and
+// SimSyncDetail().Records. The model engine builds it only when an
+// in-process core.Config asks (KeepRecords), which a Solve never does, so
+// ModelDetail().Records of a solve is nil. A "records" member in a
 // payload from a version that shipped it is skipped like any unknown key.
 //
 // The struct tags below document the wire keys and order; the codec is the

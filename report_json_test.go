@@ -164,13 +164,12 @@ func TestReportJSONNonFinite(t *testing.T) {
 
 // TestReportJSONFromSolve: a real engine report round-trips, the decoded
 // copy carries no engine detail, and the per-iteration log stays off the
-// wire and on the in-process engine result, one record per iteration.
+// wire. The simulators keep it on their in-process result, one record per
+// iteration; the model engine builds it only when core.Config.KeepRecords
+// asks, which a Solve never does.
 func TestReportJSONFromSolve(t *testing.T) {
 	spec, _ := lassoSpec(t)
 	records := func(r *repro.Report) []repro.IterationRecord {
-		if d, ok := r.ModelDetail(); ok {
-			return d.Records
-		}
 		if d, ok := r.SimDetail(); ok {
 			return d.Records
 		}
@@ -189,7 +188,11 @@ func TestReportJSONFromSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := engine.Name()
-		if recs := records(res); res.Iterations == 0 || len(recs) != res.Iterations || recs[len(recs)-1].J != res.Iterations {
+		if d, ok := res.ModelDetail(); ok {
+			if d.Records != nil || res.Iterations == 0 {
+				t.Errorf("%s: %d records for %d iterations, want none unasked", name, len(d.Records), res.Iterations)
+			}
+		} else if recs := records(res); res.Iterations == 0 || len(recs) != res.Iterations || recs[len(recs)-1].J != res.Iterations {
 			t.Errorf("%s: %d records for %d iterations", name, len(recs), res.Iterations)
 		}
 		data, err := json.Marshal(res)
