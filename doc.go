@@ -222,7 +222,9 @@
 // the discrete-event simulator pools its events and messages, and the
 // message-passing transport pools its payload buffers across runs (how many
 // a run has in flight at its peak is up to the scheduler, so a per-run pool
-// made a solve's allocations follow the machine's load).
+// made a solve's allocations follow the machine's load). The TCP data plane
+// does the same for its frames and delay timers: a frame is encoded, read,
+// relayed and delayed in one pooled, reference-counted buffer.
 //
 // There is one way to evaluate an operator. Implement Component — it is the
 // definition of F and the reference every test compares against; implement

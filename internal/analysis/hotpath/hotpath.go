@@ -12,7 +12,8 @@
 //   - append (it may grow its backing array)
 //   - closure creation (func literals)
 //   - boxing a concrete value into an interface (call arguments,
-//     assignments and conversions)
+//     assignments and conversions), unless the value is pointer-shaped: a
+//     pointer, map, channel or func is stored in the interface word itself
 //   - fmt and log calls (formatting boxes and allocates)
 //   - map iteration (hidden iterator; nondeterministic order also breaks
 //     reproducibility)
@@ -188,8 +189,8 @@ func (c *checker) markZeroing(lhs, rhs ast.Expr) {
 }
 
 // checkBox flags rhs when it is a concrete value stored into an
-// interface-typed lhs (boxing allocates unless the value is pointer-sized
-// and escapes analysis gets lucky — the hot path may not bet on that).
+// interface-typed lhs (boxing anything but a pointer-shaped value may
+// allocate, and the hot path may not bet on escape analysis).
 func (c *checker) checkBox(lhs, rhs ast.Expr) {
 	info := c.pass.TypesInfo
 	if id, ok := lhs.(*ast.Ident); ok {
@@ -202,7 +203,7 @@ func (c *checker) checkBox(lhs, rhs ast.Expr) {
 		return
 	}
 	rt, ok := info.Types[rhs]
-	if !ok || rt.IsNil() || rt.Type == nil || types.IsInterface(rt.Type) {
+	if !ok || rt.IsNil() || rt.Type == nil || types.IsInterface(rt.Type) || pointerShaped(rt.Type) {
 		return
 	}
 	c.report(rhs.Pos(), "assignment boxes a concrete value into an interface")
@@ -229,7 +230,7 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 	// Conversions, including to interface types.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
-			if at, ok := info.Types[call.Args[0]]; ok && !at.IsNil() && !types.IsInterface(at.Type) {
+			if at, ok := info.Types[call.Args[0]]; ok && !at.IsNil() && !types.IsInterface(at.Type) && !pointerShaped(at.Type) {
 				c.report(call.Pos(), "conversion boxes a concrete value into an interface")
 			}
 		}
@@ -268,11 +269,22 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 			continue
 		}
 		at, ok := info.Types[arg]
-		if !ok || at.IsNil() || at.Type == nil || types.IsInterface(at.Type) {
+		if !ok || at.IsNil() || at.Type == nil || types.IsInterface(at.Type) || pointerShaped(at.Type) {
 			continue
 		}
 		c.report(arg.Pos(), "argument boxes a concrete value into an interface parameter")
 	}
+}
+
+// pointerShaped reports whether values of t are a single pointer, which an
+// interface holds directly: boxing one copies the pointer, it never
+// allocates.
+func pointerShaped(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return true
+	}
+	return false
 }
 
 func typeAsSignature(info *types.Info, fun ast.Expr) (*types.Signature, bool) {

@@ -1,6 +1,6 @@
 // Package a exercises the hotpath analyzer: every allocating construct in
 // an annotated function, propagation through small helpers, the zeroing
-// exemption and the alloc-ok suppression.
+// and pointer-boxing exemptions and the alloc-ok suppression.
 package a
 
 import "fmt"
@@ -50,6 +50,19 @@ func reset(ps []pair, pp *pair) {
 	for i := range ps { // slice iteration has no hidden iterator
 		ps[i].x = 0
 	}
+}
+
+// pointers boxes only pointer-shaped values, which an interface holds
+// directly: nothing is flagged.
+//
+//repro:hotpath
+func pointers(pp *pair, m map[int]float64, s sink) {
+	s.put(pp)
+	s.put(m)
+	var i interface{}
+	i = pp
+	_ = i
+	_ = interface{}(m)
 }
 
 // warm demonstrates the suppression: a guarded one-time lazy init may

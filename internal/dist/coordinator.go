@@ -604,13 +604,13 @@ func (c *coordinator) absorbCheckpoint(w int, payload []byte) error {
 	return nil
 }
 
-// serveLink reads one worker's frames: star shard broadcasts go out through
-// the link's relay sender snd (nil on mesh, whose control plane carries no
-// data), statuses, reshard acks and finals are routed to the termination
-// logic, checkpoints into xbest. Under elastic membership every read carries
-// a heartbeat deadline — a link silent past it is a lost worker, not a run
-// error. This goroutine is snd's only sender, so it is also the one that
-// flushes it, on every way out.
+// serveLink reads one worker's frames, each into a pooled buffer: star shard
+// broadcasts go out through the link's relay sender snd (nil on mesh, whose
+// control plane carries no data) as they were read, statuses, reshard acks
+// and finals are routed to the termination logic, checkpoints into xbest.
+// Under elastic membership every read carries a heartbeat deadline — a link
+// silent past it is a lost worker, not a run error. This goroutine is snd's
+// only sender, so it is also the one that flushes it, on every way out.
 func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 	defer c.readers.Done()
 	if snd != nil {
@@ -628,17 +628,21 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 	if c.elastic() {
 		hbTimeout = heartbeatTimeout(c.cfg.Elastic.HeartbeatEvery)
 	}
+	f := getFrame() // the frame in hand, released on every way out
+	defer func() { f.release() }()
 	for {
 		if hbTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(hbTimeout))
 		}
-		typ, payload, err := readFrame(conn, maxFramePayload)
+		b, err := readFrameInto(conn, maxFramePayload, f.b)
 		if err != nil {
 			c.linkDown(w, l, err)
 			return
 		}
-		c.bytesIn.Add(int64(frameHeaderLen + len(payload)))
-		switch typ {
+		f.b = b
+		payload := f.b[frameHeaderLen:]
+		c.bytesIn.Add(int64(len(f.b)))
+		switch f.typ() {
 		case msgHeartbeat:
 			// Liveness only: arriving is the whole message.
 		case msgBlock:
@@ -655,9 +659,10 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 				// The worker counted p-1 sends for this broadcast; none
 				// will be relayed now that the run is stopping.
 				c.led.dropped.Add(int64(c.cfg.Workers - 1))
-				continue
+				break
 			}
-			snd.send(h.seq, h.gen, buildFrame(msgBlock, payload), h.flags&blockReliable != 0)
+			f.seq, f.gen = h.seq, h.gen
+			snd.send(f, h.flags&blockReliable != 0)
 		case msgStatus:
 			st, err := decodeStatus(payload)
 			if err != nil {
@@ -698,21 +703,25 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 			c.fail(de)
 			return
 		case msgFinal:
-			f, err := decodeFinal(payload, c.n, c.cfg.Workers)
+			fin, err := decodeFinal(payload, c.n, c.cfg.Workers)
 			c.mu.RLock()
 			shard := c.blocks[w]
 			c.mu.RUnlock()
-			if err != nil || !inShard(shard, f.lo, len(f.vals)) {
+			if err != nil || !inShard(shard, fin.lo, len(fin.vals)) {
 				c.fail(fmt.Errorf("dist: worker %d sent a malformed final frame", w))
 				return
 			}
-			f.worker = w
-			c.finalCh <- f
+			fin.worker = w
+			c.finalCh <- fin
 			return
 		default:
-			c.fail(fmt.Errorf("dist: worker %d sent unexpected frame type %d", w, typ))
+			c.fail(fmt.Errorf("dist: worker %d sent unexpected frame type %d", w, f.typ()))
 			return
 		}
+		// Legs of the relay may still hold the frame: read the next one
+		// into a buffer of its own.
+		f.release()
+		f = getFrame()
 	}
 }
 

@@ -561,12 +561,12 @@ func TestSupersededNeverRelayed(t *testing.T) {
 			frames <- h.seq
 		}
 	}()
-	frame := func(seq uint64) []byte { return buildBlockFrame(0, seq, 0, 1, 0, []float64{1, 2}) }
+	frame := func(seq uint64) *frameBuf { return blockFrame(0, seq, 1, 0, 1, 2) }
 
-	s.deliver(l, 2, 1, frame(2)) // newest first
-	s.deliver(l, 1, 1, frame(1)) // superseded: must be discarded here
-	s.deliver(l, 2, 1, frame(2)) // duplicate: must be discarded here
-	s.deliver(l, 3, 1, frame(3)) // fresh: must pass
+	s.deliver(l, frame(2)) // newest first
+	s.deliver(l, frame(1)) // superseded: must be discarded here
+	s.deliver(l, frame(2)) // duplicate: must be discarded here
+	s.deliver(l, frame(3)) // fresh: must pass
 
 	if got := <-frames; got != 2 {
 		t.Fatalf("first written seq = %d, want 2", got)
@@ -634,7 +634,7 @@ func TestRelayLegSharesLinkMutex(t *testing.T) {
 	const frames = 400
 	go func() {
 		for seq := uint64(1); seq <= frames; seq++ {
-			s.deliver(l, seq, 1, buildBlockFrame(0, seq, 0, 1, 0, []float64{float64(seq), 2, 3}))
+			s.deliver(l, blockFrame(0, seq, 1, 0, float64(seq), 2, 3))
 		}
 	}()
 	go func() {
@@ -669,7 +669,7 @@ func TestRelayLegSharesLinkMutex(t *testing.T) {
 		}
 	}
 	s.flush()
-	if got := s.bytesTo[1].Load(); got != frames*int64(len(buildBlockFrame(0, 1, 0, 1, 0, []float64{1, 2, 3}))) {
+	if got := s.bytesTo[1].Load(); got != frames*int64(len(appendBlockFrame(nil, 0, 1, 0, 1, 0, []float64{1, 2, 3}))) {
 		t.Errorf("leg counted %d bytes for %d frames", got, frames)
 	}
 }
@@ -783,7 +783,7 @@ func TestStarRejoinGetsLegsBothWays(t *testing.T) {
 		{"rejoiner to survivor", 1, cliR, cli0},
 		{"survivor to rejoiner", 0, cli0, cliR},
 	} {
-		if _, err := hop.src.Write(buildBlockFrame(hop.from, 1, blockReliable, gen, 2*hop.from, []float64{7, 8})); err != nil {
+		if _, err := hop.src.Write(appendBlockFrame(nil, hop.from, 1, blockReliable, gen, 2*hop.from, []float64{7, 8})); err != nil {
 			t.Fatal(err)
 		}
 		hop.dst.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -807,10 +807,7 @@ func TestSupersededNeverApplied(t *testing.T) {
 		view:    []float64{0, 0, 0, 0},
 		lastSeq: make([]uint64, 2),
 	}
-	block := func(seq uint64, vals []float64) inFrame {
-		f := buildBlockFrame(0, seq, 0, 0, 0, vals)
-		return inFrame{typ: msgBlock, payload: f[frameHeaderLen:]}
-	}
+	block := func(seq uint64, vals []float64) *frameBuf { return blockFrame(0, seq, 0, 0, vals...) }
 	if err := ws.handle(block(2, []float64{7, 7})); err != nil {
 		t.Fatal(err)
 	}
@@ -840,10 +837,7 @@ func TestBlockIntoOwnShardRejected(t *testing.T) {
 			lastSeq: make([]uint64, 3),
 		}
 	}
-	block := func(gen uint32, lo int, vals ...float64) inFrame {
-		f := buildBlockFrame(0, 1, 0, gen, lo, vals)
-		return inFrame{typ: msgBlock, payload: f[frameHeaderLen:]}
-	}
+	block := func(gen uint32, lo int, vals ...float64) *frameBuf { return blockFrame(0, 1, gen, lo, vals...) }
 	for _, tc := range []struct {
 		name string
 		lo   int
@@ -984,42 +978,86 @@ func TestFinalOutsideShardRejected(t *testing.T) {
 	}
 }
 
+// blockFrame is a pooled block frame as a sender holds it, with one
+// reference, the caller's.
+func blockFrame(from int, seq uint64, gen uint32, lo int, vals ...float64) *frameBuf {
+	f := getFrame()
+	f.b = appendBlockFrame(f.b, from, seq, 0, gen, lo, vals)
+	f.seq, f.gen = seq, gen
+	return f
+}
+
+// memConn is an in-memory connection that only takes writes: each one
+// signals wrote (when set), then takes stall, then counts.
+type memConn struct {
+	net.Conn
+	wrote  chan struct{}
+	stall  time.Duration
+	writes atomic.Int64
+}
+
+func (c *memConn) Write(b []byte) (int, error) {
+	if c.wrote != nil {
+		c.wrote <- struct{}{}
+	}
+	if c.stall > 0 {
+		time.Sleep(c.stall)
+	}
+	c.writes.Add(1)
+	return len(b), nil
+}
+
+// memSender is a sender from worker 0 with one leg per memConn, to workers
+// 1, 2, ...
+func memSender(fault Fault, conns ...*memConn) *sender {
+	s := newSender(0, len(conns)+1, fault, &ledger{gen: 1})
+	for i, c := range conns {
+		s.setLeg(i+1, &leg{link: &link{conn: c}, q: i + 1})
+	}
+	return s
+}
+
 // TestDelayQueueDrain pins the teardown discipline of delayed deliveries:
-// drain cancels what it can, waits out callbacks already firing, and no
+// drain refuses new delays, cancels what it can and charges each cancelled
+// frame to the ledger as a drop, waits out callbacks already firing, and no
 // callback can start after drain returns.
 func TestDelayQueueDrain(t *testing.T) {
-	var q delayQueue
-	var fired atomic.Int64
-	for i := 0; i < 64; i++ {
-		if !q.after(50*time.Millisecond, func() { fired.Add(1) }) {
-			t.Fatal("after refused before drain")
+	conn := &memConn{}
+	s := memSender(Fault{}, conn)
+	defer s.flush()
+	l := s.out[1].Load()
+	for seq := uint64(1); seq <= 64; seq++ {
+		if !s.later(50*time.Millisecond, l, blockFrame(0, seq, 1, 0, 1)) {
+			t.Fatal("later refused before drain")
 		}
 	}
-	q.drain()
-	if got := fired.Load(); got != 0 {
-		t.Errorf("%d far-future callbacks ran despite drain", got)
+	s.delays.drain()
+	if got := conn.writes.Load(); got != 0 {
+		t.Errorf("%d far-future deliveries ran despite drain", got)
 	}
-	if q.after(time.Microsecond, func() { fired.Add(1) }) {
-		t.Error("after accepted a timer post-drain")
+	if got := s.led.dropped.Load(); got != 64 {
+		t.Errorf("dropped = %d, want the 64 cancelled deliveries", got)
+	}
+	late := blockFrame(0, 65, 1, 0, 1)
+	if s.later(time.Microsecond, l, late) {
+		t.Error("later accepted a delivery post-drain")
+	} else {
+		late.release()
 	}
 	time.Sleep(2 * time.Millisecond)
-	if got := fired.Load(); got != 0 {
-		t.Errorf("post-drain timer fired (%d)", got)
+	if got := conn.writes.Load(); got != 0 {
+		t.Errorf("post-drain delivery ran (%d)", got)
 	}
 
 	// A callback that is already running when drain starts must complete
 	// before drain returns (the write-before-close guarantee).
-	var q2 delayQueue
-	started := make(chan struct{})
-	var finished atomic.Bool
-	q2.after(time.Microsecond, func() {
-		close(started)
-		time.Sleep(10 * time.Millisecond)
-		finished.Store(true)
-	})
-	<-started
-	q2.drain()
-	if !finished.Load() {
+	slow := &memConn{wrote: make(chan struct{}, 1), stall: 10 * time.Millisecond}
+	s2 := memSender(Fault{}, slow)
+	defer s2.flush()
+	s2.later(time.Microsecond, s2.out[1].Load(), blockFrame(0, 1, 1, 0, 1))
+	<-slow.wrote
+	s2.delays.drain()
+	if slow.writes.Load() != 1 {
 		t.Error("drain returned while a callback was still running")
 	}
 }

@@ -9,6 +9,8 @@ package dist
 // it: a mesh worker owns one sender whose legs are its own TCP links; the
 // star coordinator owns one per source link, whose legs write to the
 // destinations' control connections. Owners differ only in construction.
+// Once warm nothing here allocates per frame: frames and delay records are
+// pooled, and a frame is one buffer however many legs hold it.
 
 import (
 	"math/rand"
@@ -23,78 +25,165 @@ import (
 // enough that frames sent after it on the same leg overtake it.
 const defaultReorderHold = 800 * time.Microsecond
 
-// delayQueue tracks time.AfterFunc-scheduled frame deliveries so teardown
-// can cancel every pending timer and wait out callbacks already firing.
-// onDispose, when set, is called once for every scheduled delivery that is
-// cancelled or skipped instead of run, so the owner can account the frame
-// as drained (a cancelled frame was counted sent and will never be
-// delivered).
-type delayQueue struct {
-	mu        sync.Mutex
-	stopped   bool
-	nextID    uint64
-	timers    map[uint64]*time.Timer
-	wg        sync.WaitGroup
-	onDispose func()
+// frameBuf is one whole frame (header included) with a reference count: a
+// sender shares it between the source and every leg it was handed to, a
+// worker's reader hands it to the compute goroutine. seq and gen are the
+// block header's, for a frame a sender holds. The last release returns it
+// to framePool.
+type frameBuf struct {
+	b    []byte
+	seq  uint64
+	gen  uint32
+	refs atomic.Int32
 }
 
-func (d *delayQueue) dispose() {
-	if d.onDispose != nil {
-		d.onDispose()
+// framePool is shared by every run in the process, for the reason given on
+// runtime.payloads: a pool owned by the run would bill its peak to every run
+// that reaches it.
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// frameAudit, a test hook, counts takes against releases and fills every
+// released buffer with 0xFF bytes (NaN bits): a buffer released early or
+// never, which the pool would hide, shows.
+var frameAudit struct {
+	on              atomic.Bool
+	takes, releases atomic.Int64
+}
+
+// getFrame takes a buffer from the pool holding one reference, the caller's.
+func getFrame() *frameBuf {
+	f := framePool.Get().(*frameBuf)
+	f.refs.Store(1)
+	if frameAudit.on.Load() {
+		frameAudit.takes.Add(1)
 	}
+	return f
 }
 
-// after schedules fn to run once after delay; it reports false (and does
-// not schedule) when the queue has already been drained. The callback
-// re-checks the stopped flag, so a timer that drain could not cancel
-// becomes a no-op instead of racing teardown.
-func (d *delayQueue) after(delay time.Duration, fn func()) bool {
+func (f *frameBuf) typ() byte { return f.b[4] }
+
+// release drops one reference; the last one returns the buffer to the pool.
+func (f *frameBuf) release() {
+	n := f.refs.Add(-1)
+	if n < 0 {
+		panic("dist: frame buffer released more often than it was referenced")
+	}
+	if n > 0 {
+		return
+	}
+	if frameAudit.on.Load() {
+		frameAudit.releases.Add(1)
+		poison := f.b[:cap(f.b)]
+		for i := range poison {
+			poison[i] = 0xFF
+		}
+	}
+	f.b = f.b[:0]
+	if cap(f.b) > frameHeaderLen+readFrameChunk {
+		f.b = nil // a rare large frame is not worth pinning
+	}
+	framePool.Put(f)
+}
+
+// delayQueue holds a sender's pending delayed deliveries; pending[i].idx is
+// i, so removing one moves the last into its place.
+type delayQueue struct {
+	mu      sync.Mutex
+	stopped bool
+	pending []*delayRecord
+	wg      sync.WaitGroup
+}
+
+// delayRecord is one delayed delivery of frame f to leg l of sender s. Each
+// record owns one timer, made at its first use and re-armed after.
+type delayRecord struct {
+	s   *sender
+	idx int
+	l   *leg
+	f   *frameBuf
+	t   *time.Timer
+}
+
+// delayPool is process-wide like framePool: a sender lives for one run.
+var delayPool = sync.Pool{New: func() any { return new(delayRecord) }}
+
+// later schedules the delivery of f to l after delay, handing the record
+// the caller's reference to f; it reports false (and does not schedule)
+// when the queue has already been drained.
+func (s *sender) later(delay time.Duration, l *leg, f *frameBuf) bool {
+	d := &s.delays
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.stopped {
 		return false
 	}
-	if d.timers == nil {
-		d.timers = make(map[uint64]*time.Timer)
-	}
+	r := delayPool.Get().(*delayRecord)
+	r.s, r.idx, r.l, r.f = s, len(d.pending), l, f
+	d.pending = append(d.pending, r)
 	d.wg.Add(1)
-	id := d.nextID
-	d.nextID++
-	// The callback acquires mu first, and we hold mu until the map entry
-	// exists, so even an immediately firing timer finds its registration.
-	d.timers[id] = time.AfterFunc(delay, func() {
-		defer d.wg.Done()
-		d.mu.Lock()
-		delete(d.timers, id)
-		stopped := d.stopped
-		d.mu.Unlock()
-		if stopped {
-			d.dispose()
-		} else {
-			fn()
-		}
-	})
+	// The callback takes mu first, and we hold it until the record is
+	// filled in, so even an immediately firing timer finds it.
+	if r.t == nil {
+		r.t = time.AfterFunc(delay, r.fire)
+	} else {
+		r.t.Reset(delay)
+	}
 	return true
 }
 
-// drain stops the queue: no new timers are accepted, every cancelable timer
-// is canceled, and drain blocks until callbacks that were already firing
-// have returned.
+// remove takes pending record r out of the queue and returns it to the
+// pool; the caller holds mu.
+func (d *delayQueue) remove(r *delayRecord) {
+	last := len(d.pending) - 1
+	moved := d.pending[last]
+	d.pending[r.idx], moved.idx = moved, r.idx
+	d.pending[last] = nil
+	d.pending = d.pending[:last]
+	r.s, r.l, r.f = nil, nil, nil
+	delayPool.Put(r)
+}
+
+// fire is a record's timer callback, on its own goroutine as every timer
+// callback is, so delayed writes never queue behind one another. It frees
+// the record before delivering, and re-checks the stopped flag, so a timer
+// that drain could not cancel disposes of its frame instead of racing
+// teardown.
+//
+//repro:hotpath
+func (r *delayRecord) fire() {
+	s := r.s
+	d := &s.delays
+	d.mu.Lock()
+	l, f := r.l, r.f
+	d.remove(r)
+	stopped := d.stopped
+	d.mu.Unlock()
+	if stopped {
+		s.led.dropped.Add(1)
+		f.release()
+	} else {
+		s.deliver(l, f)
+	}
+	d.wg.Done()
+}
+
+// drain stops the queue: no new delays are accepted, every pending timer
+// that can still be stopped is, its frame charged to the ledger as a drop (it
+// was counted sent and will never be delivered), and drain blocks until
+// callbacks that were already firing have returned.
 func (d *delayQueue) drain() {
 	d.mu.Lock()
 	d.stopped = true
-	cancelled := 0
-	for id, t := range d.timers {
-		if t.Stop() {
-			delete(d.timers, id)
+	for i := len(d.pending) - 1; i >= 0; i-- {
+		r := d.pending[i]
+		if r.t.Stop() {
+			r.s.led.dropped.Add(1)
+			r.f.release()
+			d.remove(r)
 			d.wg.Done()
-			cancelled++
 		}
 	}
 	d.mu.Unlock()
-	for i := 0; i < cancelled; i++ {
-		d.dispose()
-	}
 	d.wg.Wait()
 }
 
@@ -160,24 +249,18 @@ type link struct {
 // generation fence discards it first.
 //
 // pending is the leg's one-frame outbox: send publishes each undelayed
-// frame there and the sender's writer goroutine swaps it out to write.
-// Publishing over a frame the writer has not yet taken supersedes it before
-// it ever touches the wire — newest-wins, the same discipline the filter
-// applies after delays, so a source that outruns a socket sheds exactly the
-// frames whose values are already stale instead of queueing them.
+// frame there, holding a reference of its own, and the sender's writer
+// goroutine swaps it out to write. Publishing over a frame the writer has
+// not yet taken supersedes it (and releases it) before it ever touches the
+// wire — newest-wins, the same discipline the filter applies after delays,
+// so a source that outruns a socket sheds exactly the frames whose values
+// are already stale instead of queueing them.
 type leg struct {
 	*link
 	q       int // destination worker
 	lastSeq uint64
 	seqGen  uint32
-	pending atomic.Pointer[queuedFrame]
-}
-
-// queuedFrame is one undelayed frame awaiting the writer goroutine.
-type queuedFrame struct {
-	seq   uint64
-	gen   uint32
-	frame []byte
+	pending atomic.Pointer[frameBuf]
 }
 
 // sender is the data plane's sending half for source worker id.
@@ -251,12 +334,6 @@ func newSender(id, p int, fault Fault, led *ledger) *sender {
 	if s.hold <= 0 {
 		s.hold = defaultReorderHold
 	}
-	// A delayed frame cancelled at teardown was counted sent and can never
-	// be delivered: account it, so the counters stay as close to balanced
-	// as a torn-down run allows (a certified-quiescent run has nothing
-	// pending, so converged accounting stays exact).
-	s.delays.onDispose = func() { led.dropped.Add(1) }
-
 	// One writer goroutine drains the leg outboxes, so send never waits on
 	// a socket and a burst of fan-out frames is written in one scheduling
 	// quantum. The store-then-ring / receive-then-scan pairing makes missed
@@ -270,8 +347,8 @@ func newSender(id, p int, fault Fault, led *ledger) *sender {
 				if l == nil {
 					continue
 				}
-				if qf := l.pending.Swap(nil); qf != nil {
-					s.deliver(l, qf.seq, qf.gen, qf.frame)
+				if f := l.pending.Swap(nil); f != nil {
+					s.deliver(l, f)
 				}
 			}
 		}
@@ -290,16 +367,21 @@ func (s *sender) setLeg(q int, next *leg) {
 // abandon accounts the frame, if any, left in a leg that is no longer
 // installed.
 func (s *sender) abandon(l *leg) {
-	if qf := l.pending.Swap(nil); qf != nil {
-		s.led.discard(qf.gen, &s.led.dropped)
+	if f := l.pending.Swap(nil); f != nil {
+		s.led.discard(f.gen, &s.led.dropped)
+		f.release()
 	}
 }
 
-// send fans one prebuilt shard frame out to every peer, drawing the fault
-// decisions in destination order from the per-source RNG. It has a single
-// caller per sender (a mesh worker's compute goroutine, the relay's reader
-// of the source link); only delayed deliveries escape to timer callbacks.
-func (s *sender) send(seq uint64, gen uint32, frame []byte, reliable bool) {
+// send fans frame f out to every peer, drawing the fault decisions in
+// destination order from the per-source RNG. Each leg it hands f to gets a
+// reference of its own; the caller keeps its own. It has a single caller per
+// sender (a mesh worker's compute goroutine, the relay's reader of the source
+// link); only delayed deliveries escape to timer callbacks.
+//
+//repro:hotpath
+func (s *sender) send(f *frameBuf, reliable bool) {
+	var ding struct{} // the doorbell's ring; hotpath flags a struct{}{} literal
 	for q := range s.out {
 		if q == s.id {
 			continue
@@ -307,14 +389,16 @@ func (s *sender) send(seq uint64, gen uint32, frame []byte, reliable bool) {
 		l := s.out[q].Load()
 		drop, delay := s.fault.decide(s.rng, s.hold, reliable)
 		if drop || l == nil { // injected loss, or a dead slot: sent, never received
-			s.led.discard(gen, &s.led.dropped)
+			s.led.discard(f.gen, &s.led.dropped)
 			continue
 		}
+		f.refs.Add(1)
 		if delay > 0 {
-			if !s.delays.after(delay, func() { s.deliver(l, seq, gen, frame) }) {
+			if !s.later(delay, l, f) {
 				// Teardown already began: no probe round will look again,
 				// but the frame was counted sent — account the disposal.
-				s.led.discard(gen, &s.led.dropped)
+				s.led.discard(f.gen, &s.led.dropped)
+				f.release()
 			}
 			continue
 		}
@@ -322,64 +406,68 @@ func (s *sender) send(seq uint64, gen uint32, frame []byte, reliable bool) {
 			// Reliable finals must not be superseded in the outbox: write
 			// them directly (a queued lower-sequence frame the final
 			// overtakes is then filtered).
-			s.deliver(l, seq, gen, frame)
+			s.deliver(l, f)
 			continue
 		}
-		if prev := l.pending.Swap(&queuedFrame{seq, gen, frame}); prev != nil {
+		if prev := l.pending.Swap(f); prev != nil {
 			// The writer had not yet taken the previous frame: it is
 			// superseded before ever touching the wire.
 			s.led.discard(prev.gen, &s.led.reordered)
+			prev.release()
 		}
 		if s.out[q].Load() != l {
 			s.abandon(l) // the owner replaced the leg under us
 		}
 		select {
-		case s.notify <- struct{}{}:
+		case s.notify <- ding:
 		default:
 		}
 	}
 }
 
-// deliver writes one frame to a leg unless the frame predates the current
-// membership generation (silently disposed — its send was erased at the
-// re-shard) or a later-sequenced frame already went out on the leg — the
-// sequence filter. A superseded or duplicate frame is discarded here, never
-// written, so the receiver cannot double-count it and the bandwidth is
-// never spent. The discard counts as drained for the termination protocol,
-// like a drop.
-func (s *sender) deliver(l *leg, seq uint64, gen uint32, frame []byte) {
+// deliver writes frame f to a leg unless it predates the current membership
+// generation (silently disposed — its send was erased at the re-shard) or a
+// later-sequenced frame already went out on the leg — the sequence filter. A
+// superseded or duplicate frame is discarded here, never written, so the
+// receiver cannot double-count it and the bandwidth is never spent. The
+// discard counts as drained for the termination protocol, like a drop.
+// Either way the leg's reference to f is released.
+//
+//repro:hotpath
+func (s *sender) deliver(l *leg, f *frameBuf) {
+	defer f.release()
 	s.led.mu.RLock()
-	current := gen == s.led.gen
+	current := f.gen == s.led.gen
 	s.led.mu.RUnlock()
 	if !current {
 		s.led.dropped.Add(1)
 		return
 	}
 	l.mu.Lock()
-	if l.seqGen != gen {
+	if l.seqGen != f.gen {
 		l.lastSeq = 0
-		l.seqGen = gen
+		l.seqGen = f.gen
 	}
-	if seq <= l.lastSeq {
+	if f.seq <= l.lastSeq {
 		newest := l.lastSeq
 		l.mu.Unlock()
-		if seq < newest {
-			s.led.discard(gen, &s.led.reordered)
+		if f.seq < newest {
+			s.led.discard(f.gen, &s.led.reordered)
 		} else {
-			s.led.discard(gen, &s.led.duplicate)
+			s.led.discard(f.gen, &s.led.duplicate)
 		}
 		return
 	}
-	l.lastSeq = seq
-	_, err := l.conn.Write(frame)
+	l.lastSeq = f.seq
+	_, err := l.conn.Write(f.b)
 	l.mu.Unlock()
 	if err == nil {
-		s.bytesTo[l.q].Add(int64(len(frame)))
+		s.bytesTo[l.q].Add(int64(len(f.b)))
 		return
 	}
 	// A failed write is a lost frame: accounted as a drop, which keeps the
 	// in-flight count drainable whatever the owner makes of the failure.
-	s.led.discard(gen, &s.led.dropped)
+	s.led.discard(f.gen, &s.led.dropped)
 	if s.writeFailed != nil {
 		s.writeFailed(l, err)
 	}

@@ -45,6 +45,10 @@ package dist
 // evaluated NaN, and ends the run with that error on rigid and elastic
 // membership alike.
 //
+// A relay forwards a block frame as it read it, byte for byte: the
+// coordinator never re-encodes a worker's frame, so what a destination reads
+// is exactly what the source encoded.
+//
 // block.flags bit 0 marks a reliable frame (a worker's final re-broadcast):
 // fault injection never drops or reorder-holds it, the TCP analogue of the
 // in-process transport's sendReliable. A block frame may carry any
@@ -163,19 +167,24 @@ func (c *cursor) u64() uint64 {
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
 func (c *cursor) f64s(n int) []float64 {
-	if n < 0 {
+	if n < 0 || len(c.b) < 8*n {
 		c.err = io.ErrUnexpectedEOF
 		return nil
 	}
-	raw := c.take(8 * n)
-	if raw == nil {
-		return nil
-	}
 	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	c.f64sInto(vs)
 	return vs
+}
+
+// f64sInto decodes len(dst) values into dst.
+func (c *cursor) f64sInto(dst []float64) {
+	raw := c.take(8 * len(dst))
+	if raw == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
 }
 
 func (c *cursor) u64s(n int) []uint64 {
@@ -224,13 +233,26 @@ func appendSlice(b []byte, lo int, vals []float64) []byte {
 }
 
 func (c *cursor) slice(n int) (lo int, vals []float64) {
-	lo = int(c.u32())
-	vals = c.f64s(int(c.u32()))
-	if c.err == nil && (lo < 0 || lo+len(vals) > n) {
-		c.err = fmt.Errorf("slice [%d, %d) outside dimension %d", lo, lo+len(vals), n)
+	lo, count := c.span()
+	vals = c.f64s(count)
+	if c.err == nil && !inside(lo, count, n) {
+		c.err = fmt.Errorf("slice [%d, %d) outside dimension %d", lo, lo+count, n)
 	}
 	return lo, vals
 }
+
+// span reads a slice's lo and count and checks that count values follow,
+// leaving them for f64s or f64sInto.
+func (c *cursor) span() (lo, count int) {
+	lo, count = int(c.u32()), int(c.u32())
+	if c.err == nil && len(c.b) < 8*count {
+		c.err = io.ErrUnexpectedEOF
+	}
+	return lo, count
+}
+
+// inside reports whether [lo, lo+count) lies in [0, n).
+func inside(lo, count, n int) bool { return lo >= 0 && lo+count <= n }
 
 // blockHeader is the fixed prefix of a block frame — all a relay reads of
 // it.
@@ -241,21 +263,41 @@ type blockHeader struct {
 	gen   uint32
 }
 
-// buildBlockFrame assembles one data-plane frame carrying the [lo, lo+count)
-// slice vals of worker from's shard, fenced to membership generation gen.
-func buildBlockFrame(from int, seq uint64, flags byte, gen uint32, lo int, vals []float64) []byte {
-	b := appendU32(nil, uint32(from))
-	b = appendU64(b, seq)
-	b = append(b, flags)
-	b = appendU32(b, gen)
-	return buildFrame(msgBlock, appendSlice(b, lo, vals))
+// blockPrefixLen is the bytes of a block frame before its values: the
+// frame header, the block header and the slice's lo and count.
+const blockPrefixLen = frameHeaderLen + 4 + 8 + 1 + 4 + 4 + 4
+
+// appendBlockFrame appends one whole data-plane frame carrying the
+// [lo, lo+len(vals)) slice vals of worker from's shard, fenced to membership
+// generation gen, encoding in place in dst's spare capacity.
+//
+//repro:hotpath
+func appendBlockFrame(dst []byte, from int, seq uint64, flags byte, gen uint32, lo int, vals []float64) []byte {
+	start, end := len(dst), len(dst)+blockPrefixLen+8*len(vals)
+	if cap(dst) < end {
+		dst = append(make([]byte, 0, end), dst...) //repro:alloc-ok pool miss; steady state encodes into a buffer that already fits
+	}
+	f := dst[start:end]
+	le := binary.LittleEndian
+	le.PutUint32(f, uint32(len(f)-4))
+	f[4] = msgBlock
+	le.PutUint32(f[5:], uint32(from))
+	le.PutUint64(f[9:], seq)
+	f[17] = flags
+	le.PutUint32(f[18:], gen)
+	le.PutUint32(f[22:], uint32(lo))
+	le.PutUint32(f[26:], uint32(len(vals)))
+	for i, v := range vals {
+		le.PutUint64(f[blockPrefixLen+8*i:], math.Float64bits(v))
+	}
+	return dst[:end]
 }
 
 // decodeBlock reads a block payload's header and returns the cursor at its
 // slice, which only a receiving worker decodes.
-func decodeBlock(payload []byte) (blockHeader, cursor) {
-	cur := cursor{b: payload}
-	h := blockHeader{from: int(cur.u32()), seq: cur.u64(), flags: cur.u8(), gen: cur.u32()}
+func decodeBlock(payload []byte) (h blockHeader, cur cursor) {
+	cur.b = payload
+	h.from, h.seq, h.flags, h.gen = int(cur.u32()), cur.u64(), cur.u8(), cur.u32()
 	return h, cur
 }
 
@@ -553,33 +595,51 @@ func decodeWelcome(payload []byte) (welcome, error) {
 const readFrameChunk = 64 << 10
 
 // readFrame reads one frame, enforcing maxPayload as a sanity bound against
-// corrupt length prefixes. The length prefix is never trusted for an up-front
-// allocation beyond one chunk: a large payload is read incrementally, so a
+// corrupt length prefixes.
+func readFrame(r io.Reader, maxPayload int) (typ byte, payload []byte, err error) {
+	f, err := readFrameInto(r, maxPayload, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	return f[4], f[frameHeaderLen:], nil
+}
+
+// readFrameInto reads one whole frame, header included, into buf's backing
+// array when its payload is at most one chunk and buf has room for it. The
+// length prefix is never trusted for an up-front allocation beyond one
+// chunk: a large payload is read incrementally into a fresh buffer, so a
 // lying prefix on a short or hostile stream fails after the bytes that truly
 // arrived instead of first committing maxPayload of memory.
-func readFrame(r io.Reader, maxPayload int) (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+func readFrameInto(r io.Reader, maxPayload int, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
 	}
-	length := int(binary.LittleEndian.Uint32(hdr[:4]))
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, err
+	}
+	length := int(binary.LittleEndian.Uint32(hdr))
 	if length < 1 || length-1 > maxPayload {
-		return 0, nil, fmt.Errorf("dist: frame length %d out of range (max payload %d)", length, maxPayload)
+		return nil, fmt.Errorf("dist: frame length %d out of range (max payload %d)", length, maxPayload)
 	}
 	n := length - 1
-	if n <= readFrameChunk {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, err
+	if n > readFrameChunk {
+		var b bytes.Buffer
+		b.Write(hdr)
+		if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
-		return hdr[4], payload, nil
+		return b.Bytes(), nil
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+	if cap(buf) < frameHeaderLen+n {
+		buf = append(make([]byte, 0, frameHeaderLen+n), hdr...)
 	}
-	return hdr[4], buf.Bytes(), nil
+	f := buf[:frameHeaderLen+n]
+	if _, err := io.ReadFull(r, f[frameHeaderLen:]); err != nil {
+		return nil, err
+	}
+	return f, nil
 }

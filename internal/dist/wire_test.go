@@ -144,8 +144,10 @@ func decodeFramePayload(typ byte, payload []byte) {
 	case msgWelcome:
 		decodeWelcome(payload)
 	case msgBlock:
-		_, cur := decodeBlock(payload)
-		cur.slice(maxFramePayload)
+		// The receiving worker's path: header and bounds checked, then the
+		// values decoded straight into its view.
+		ws := workerState{p: fuzzWorkers, n: fuzzDim, view: make([]float64, fuzzDim), lastSeq: make([]uint64, fuzzWorkers)}
+		ws.applyBlock(payload)
 	case msgCheckpoint, msgReshardAck:
 		decodeShard(payload, maxFramePayload)
 	case msgStatus:
@@ -165,15 +167,16 @@ func decodeFramePayload(typ byte, payload []byte) {
 	}
 }
 
-// FuzzDecodeFrame feeds arbitrary byte streams through readFrame and the
-// per-type payload decoders. Required behaviour for any input: no panic, a
-// clean error on truncated or corrupt streams, and no payload larger than
-// the bytes that actually arrived (a lying length prefix must not commit
-// memory the stream never backed).
+// FuzzDecodeFrame feeds arbitrary byte streams through the frame reader,
+// reading into one buffer reused across inputs the way a pooled reader does,
+// and the per-type payload decoders. Required behaviour for any input: no
+// panic, a clean error on truncated or corrupt streams, and no payload
+// larger than the bytes that actually arrived (a lying length prefix must
+// not commit memory the stream never backed).
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(buildFrame(msgHello, appendU32(nil, protocolVersion)))
 	f.Add(buildFrame(msgHello, appendU32(nil, 99))) // unknown version
-	f.Add(buildBlockFrame(1, 7, blockReliable, 2, 3, []float64{1.5, -2, 0.25}))
+	f.Add(appendBlockFrame(nil, 1, 7, blockReliable, 2, 3, []float64{1.5, -2, 0.25}))
 	f.Add(frameWithLyingPrefix(1<<20, msgBlock, 16))       // truncated
 	f.Add(frameWithLyingPrefix(0xffffffff, msgWelcome, 0)) // oversized prefix
 	f.Add(frameWithLyingPrefix(0, msgStop, 0))             // zero length
@@ -192,14 +195,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(buildFrame(msgPeers, appendPeers(nil, []string{"127.0.0.1:1", "127.0.0.1:2"})))
 	f.Add(buildDivergedFrame(7, 2))
 	f.Add(buildDivergedFrame(1, 0xfffffff0)) // component outside the iterate
+	// Blocks a worker of the fuzz dimension applies: a whole iterate and a
+	// one-component span.
+	f.Add(appendBlockFrame(nil, 1, 7, 0, 0, 0, []float64{1.5, -2, 0.25}))
+	f.Add(appendBlockFrame(nil, 0, 3, blockReliable, 0, 2, []float64{4}))
+	var buf []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bytes.NewReader(data), maxFramePayload)
+		frame, err := readFrameInto(bytes.NewReader(data), maxFramePayload, buf)
 		if err != nil {
 			return // clean rejection is the required outcome for bad streams
 		}
+		buf = frame
+		payload := frame[frameHeaderLen:]
 		if len(payload) > len(data) {
 			t.Fatalf("payload %d bytes from a %d-byte stream", len(payload), len(data))
 		}
-		decodeFramePayload(typ, payload)
+		decodeFramePayload(frame[4], payload)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/operators"
@@ -14,11 +15,6 @@ import (
 // maxFramePayload is the sanity bound on any frame's payload.
 const maxFramePayload = 1 << 26
 
-type inFrame struct {
-	typ     byte
-	payload []byte
-}
-
 // workerState is the TCP Transport of the runtime Worker loop, serving both
 // data planes: Publish frames shard values onto the coordinator's relay
 // (star) or the worker's own mesh links, Drain and Wait take frames off the
@@ -26,10 +22,11 @@ type inFrame struct {
 // goroutine, so status replies are self-consistent snapshots by
 // construction — the property the coordinator's probe rounds rely on. The
 // only mesh-side exception is the sender's ledger, which its delay timers
-// and writer goroutine bump through atomics.
+// and writer goroutine bump through atomics. Inbox frames are pooled
+// buffers the compute goroutine releases once it has handled them.
 type workerState struct {
 	conn           net.Conn
-	inbox          chan inFrame
+	inbox          chan *frameBuf
 	id, p, n       int
 	lo, hi         int
 	deltaThreshold float64
@@ -65,6 +62,10 @@ type workerState struct {
 	sent, delivered, stale uint64
 	gsent, gdelivered      uint64
 	seq                    uint64
+
+	// frame is the star uplink's encode buffer: conn.Write keeps nothing,
+	// so one buffer serves every broadcast.
+	frame []byte
 }
 
 func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
@@ -104,7 +105,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	conn.SetDeadline(deadline)
 	ws := &workerState{
 		conn:  conn,
-		inbox: make(chan inFrame, 1024), // absorbs a burst from every reader before they block
+		inbox: make(chan *frameBuf, 1024), // absorbs a burst from every reader before they block
 		id:    wel.id, p: cfg.Workers, n: wel.n,
 		lo: wel.lo, hi: wel.hi,
 		deltaThreshold: cfg.DeltaThreshold,
@@ -117,39 +118,52 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 		// A rejoiner owns no shard until its first assign re-shards it in.
 		awaitAssign: wel.rejoining,
 	}
-	// Reader goroutines decode frames into the shared inbox; the quit
-	// channel unblocks them if the compute loop returns while they hold a
-	// frame. The control reader reports a lost coordinator with an
-	// in-band sentinel (multiple readers share the inbox, so nobody may
-	// close it); mesh readers go quiet on error — a peer closing its
-	// sockets after stop is normal teardown (and under elastic membership a
-	// crashed peer is the coordinator's heartbeat timeout to notice, not
-	// ours), so a dead inbound link just stops producing frames.
+	// Reader goroutines read frames into the shared inbox; the quit channel
+	// unblocks them if the compute loop returns while they hold a frame. The
+	// control reader reports a lost coordinator with an in-band sentinel
+	// (multiple readers share the inbox, so nobody may close it); mesh
+	// readers go quiet on error — a peer closing its sockets after stop is
+	// normal teardown (and under elastic membership a crashed peer is the
+	// coordinator's heartbeat timeout to notice, not ours), so a dead inbound
+	// link just stops producing frames. On the way out every reader is
+	// joined and what is left in the inbox released.
 	inbox := ws.inbox
 	quit := make(chan struct{})
-	defer close(quit)
+	var readers sync.WaitGroup
+	defer func() {
+		close(quit)
+		conn.Close()
+		if ws.mesh != nil {
+			ws.mesh.shutdown()
+		}
+		readers.Wait()
+		for len(inbox) > 0 {
+			(<-inbox).release()
+		}
+	}()
 	readInto := func(c net.Conn, ctrl bool) {
+		defer readers.Done()
 		for {
-			typ, payload, err := readFrame(c, maxFramePayload)
-			if err != nil {
-				if ctrl {
-					select {
-					case inbox <- inFrame{typ: msgConnLost, payload: []byte(err.Error())}:
-					case <-quit:
-					}
-				}
+			f := getFrame()
+			b, err := readFrameInto(c, maxFramePayload, f.b)
+			f.b = b
+			if err != nil && !ctrl {
+				f.release()
 				return
 			}
-			if !ctrl && typ != msgBlock {
-				select {
-				case inbox <- inFrame{typ: msgConnLost, payload: []byte(fmt.Sprintf("mesh peer sent frame type %d", typ))}:
-				case <-quit:
-				}
-				return
+			last := err != nil || !ctrl && f.typ() != msgBlock
+			if err != nil {
+				f.b = connLost(f.b, err.Error())
+			} else if last {
+				f.b = connLost(f.b, fmt.Sprintf("mesh peer sent frame type %d", f.typ()))
 			}
 			select {
-			case inbox <- inFrame{typ, payload}:
+			case inbox <- f:
 			case <-quit:
+				f.release()
+				return
+			}
+			if last {
 				return
 			}
 		}
@@ -194,11 +208,11 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 			}
 			ws.mesh = m
 		}
-		defer ws.mesh.shutdown()
 	}
 
 	// Every reader exits when its conn closes (the deferred Close in
 	// connectOnce, mesh shutdown or peer teardown) or on the quit close above.
+	readers.Add(1)
 	go readInto(conn, true)
 	if ws.mesh != nil {
 		// Readers for the rendezvous links go up BEFORE the accept loop:
@@ -206,10 +220,14 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 		// their readers itself, so starting it first would race on the
 		// slice and double-read any conn that lands in the gap.
 		for _, mc := range ws.mesh.in {
+			readers.Add(1)
 			go readInto(mc, false)
 		}
 		if ws.mesh.ln != nil {
+			// mesh.shutdown joins the accept loop, and so every Add here,
+			// before the deferred readers.Wait.
 			ws.mesh.serveAccepts(func(c net.Conn) {
+				readers.Add(1)
 				go readInto(c, false)
 			})
 		}
@@ -270,63 +288,22 @@ func (ws *workerState) maintain() error {
 	return nil
 }
 
-// handle processes one inbound frame. A block that arrives while the worker
-// is passive reactivates it BEFORE the delivery is counted — the protocol's
-// ordering rule: the coordinator's probe rounds either still see the block
-// in flight or see this worker active (or the epoch bumps of a re-check).
-func (ws *workerState) handle(f inFrame) error {
-	switch f.typ {
+// connLost turns buf into the in-band msgConnLost sentinel carrying reason.
+func connLost(buf []byte, reason string) []byte {
+	return append(append(buf[:0], 0, 0, 0, 0, msgConnLost), reason...)
+}
+
+// handle processes one inbound frame and releases it.
+func (ws *workerState) handle(f *frameBuf) error {
+	defer f.release()
+	payload := f.b[frameHeaderLen:]
+	switch f.typ() {
 	case msgBlock:
-		h, cur := decodeBlock(f.payload)
-		blo, vals := cur.slice(ws.n)
-		if cur.err != nil || h.from < 0 || h.from >= ws.p {
+		if !ws.applyBlock(payload) {
 			return fmt.Errorf("dist: worker %d: bad block frame", ws.id)
 		}
-		if h.gen != ws.gen {
-			// A frame from before a re-shard we have already acknowledged
-			// (or, transiently, after one we have not yet seen — the
-			// coordinator's reshard is in our inbox behind it). Its send was
-			// erased from the generation books, so it is disposed without
-			// touching them; the lifetime counters still record it.
-			ws.delivered++
-			ws.stale++
-			return nil
-		}
-		if !ws.awaitAssign && max(blo, ws.lo) < min(blo+len(vals), ws.hi) {
-			// Within a generation shards are disjoint and only the owner
-			// writes its own, so a block reaching into [lo, hi) is a peer
-			// overwriting what this worker computed. (Until the assign of a
-			// re-shard lands, lo and hi are still the old generation's and
-			// the view is about to be replaced whole.)
-			return fmt.Errorf("dist: worker %d: bad block frame", ws.id)
-		}
-		if h.seq <= ws.lastSeq[h.from] {
-			// Defense in depth: the sender's filter already discards
-			// superseded and duplicate frames unwritten, so a frame older
-			// than one already applied should never reach us — but if one
-			// does (the label discipline for out-of-order messages), the
-			// stale values are discarded. The delivery is still acknowledged
-			// to drain the in-flight count; a discarded block cannot
-			// reactivate anyone, so no epoch bump is needed.
-			ws.delivered++
-			ws.stale++
-			ws.gdelivered++
-			return nil
-		}
-		ws.lastSeq[h.from] = h.seq
-		// The protocol's ordering rule: publish the reactivation before
-		// acknowledging the delivery. Spent workers reactivate too —
-		// staying observably passive while absorbing data they have not
-		// verified would let the coordinator certify a false convergence;
-		// the loop re-passivates them only if the new data left their
-		// shard converged.
-		ws.Account(runtime.Active)
-		copy(ws.view[blo:], vals)
-		ws.fresh = true
-		ws.delivered++
-		ws.gdelivered++
 	case msgProbe:
-		cur := cursor{b: f.payload}
+		cur := cursor{b: payload}
 		probeID := cur.u64()
 		if cur.err != nil {
 			return fmt.Errorf("dist: worker %d: bad probe frame", ws.id)
@@ -342,7 +319,7 @@ func (ws *workerState) handle(f inFrame) error {
 			return fmt.Errorf("dist: worker %d status: %w", ws.id, err)
 		}
 	case msgReshard:
-		cur := cursor{b: f.payload}
+		cur := cursor{b: payload}
 		gen := cur.u32()
 		if cur.err != nil {
 			return fmt.Errorf("dist: worker %d: bad reshard frame", ws.id)
@@ -373,7 +350,7 @@ func (ws *workerState) handle(f inFrame) error {
 			return fmt.Errorf("dist: worker %d reshard ack: %w", ws.id, err)
 		}
 	case msgAssign:
-		a, err := decodeAssign(f.payload, ws.n, ws.p)
+		a, err := decodeAssign(payload, ws.n, ws.p)
 		if err != nil {
 			return fmt.Errorf("dist: worker %d: bad assign frame", ws.id)
 		}
@@ -396,11 +373,71 @@ func (ws *workerState) handle(f inFrame) error {
 	case msgStop:
 		ws.stopped = true
 	case msgConnLost:
-		return fmt.Errorf("dist: worker %d: connection lost: %s", ws.id, f.payload)
+		return fmt.Errorf("dist: worker %d: connection lost: %s", ws.id, payload)
 	default:
-		return fmt.Errorf("dist: worker %d: unexpected frame type %d", ws.id, f.typ)
+		return fmt.Errorf("dist: worker %d: unexpected frame type %d", ws.id, f.typ())
 	}
 	return nil
+}
+
+// applyBlock applies one block payload, decoding its values straight into
+// the view once the header and bounds have checked out; it reports false for
+// a malformed block. A block that arrives while the worker is passive
+// reactivates it BEFORE the delivery is counted — the protocol's ordering
+// rule: the coordinator's probe rounds either still see the block in flight
+// or see this worker active (or the epoch bumps of a re-check).
+//
+//repro:hotpath
+func (ws *workerState) applyBlock(payload []byte) bool {
+	h, cur := decodeBlock(payload)
+	blo, count := cur.span()
+	if cur.err != nil || !inside(blo, count, ws.n) || h.from < 0 || h.from >= ws.p {
+		return false
+	}
+	if h.gen != ws.gen {
+		// A frame from before a re-shard we have already acknowledged
+		// (or, transiently, after one we have not yet seen — the
+		// coordinator's reshard is in our inbox behind it). Its send was
+		// erased from the generation books, so it is disposed without
+		// touching them; the lifetime counters still record it.
+		ws.delivered++
+		ws.stale++
+		return true
+	}
+	if !ws.awaitAssign && max(blo, ws.lo) < min(blo+count, ws.hi) {
+		// Within a generation shards are disjoint and only the owner
+		// writes its own, so a block reaching into [lo, hi) is a peer
+		// overwriting what this worker computed. (Until the assign of a
+		// re-shard lands, lo and hi are still the old generation's and
+		// the view is about to be replaced whole.)
+		return false
+	}
+	if h.seq <= ws.lastSeq[h.from] {
+		// Defense in depth: the sender's filter already discards
+		// superseded and duplicate frames unwritten, so a frame older
+		// than one already applied should never reach us — but if one
+		// does (the label discipline for out-of-order messages), the
+		// stale values are discarded. The delivery is still acknowledged
+		// to drain the in-flight count; a discarded block cannot
+		// reactivate anyone, so no epoch bump is needed.
+		ws.delivered++
+		ws.stale++
+		ws.gdelivered++
+		return true
+	}
+	ws.lastSeq[h.from] = h.seq
+	// The protocol's ordering rule: publish the reactivation before
+	// acknowledging the delivery. Spent workers reactivate too —
+	// staying observably passive while absorbing data they have not
+	// verified would let the coordinator certify a false convergence;
+	// the loop re-passivates them only if the new data left their
+	// shard converged.
+	ws.Account(runtime.Active)
+	cur.f64sInto(ws.view[blo : blo+count])
+	ws.fresh = true
+	ws.delivered++
+	ws.gdelivered++
+	return true
 }
 
 func (ws *workerState) Block() (lo, hi int) { return ws.lo, ws.hi }
@@ -548,11 +585,17 @@ func (ws *workerState) broadcast(vals []float64, flags byte) error {
 // the sender the coordinator relays this worker's frames with on star.
 func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) error {
 	ws.seq++
-	frame := buildBlockFrame(ws.id, ws.seq, flags, ws.gen, lo, vals)
 	if ws.mesh != nil {
-		ws.mesh.snd.send(ws.seq, ws.gen, frame, flags&blockReliable != 0)
-	} else if _, err := ws.conn.Write(frame); err != nil {
-		return fmt.Errorf("dist: worker %d broadcast: %w", ws.id, err)
+		f := getFrame()
+		f.b = appendBlockFrame(f.b, ws.id, ws.seq, flags, ws.gen, lo, vals)
+		f.seq, f.gen = ws.seq, ws.gen
+		ws.mesh.snd.send(f, flags&blockReliable != 0)
+		f.release()
+	} else {
+		ws.frame = appendBlockFrame(ws.frame[:0], ws.id, ws.seq, flags, ws.gen, lo, vals)
+		if _, err := ws.conn.Write(ws.frame); err != nil {
+			return fmt.Errorf("dist: worker %d broadcast: %w", ws.id, err)
+		}
 	}
 	ws.sent += uint64(ws.p - 1)
 	ws.gsent += uint64(ws.p - 1)
@@ -589,7 +632,10 @@ func (ws *workerState) finish(updates int) error {
 	// sending, and their frames must land on open sockets, not teardown
 	// errors. Late data frames are irrelevant after stop and are discarded.
 	for ws.mesh != nil {
-		if f := <-ws.inbox; f.typ == msgConnLost {
+		f := <-ws.inbox
+		lost := f.typ() == msgConnLost
+		f.release()
+		if lost {
 			break // expected EOF (or, at worst, the conn deadline): the coordinator is done
 		}
 	}
