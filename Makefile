@@ -76,13 +76,15 @@ serve-smoke:
 	trap - EXIT; \
 	echo "serve-smoke: ok"
 
-# Chaos smoke: the elastic dist engine survives worker churn on both data
-# planes. Each run solves with 8 workers under drop+reorder+delay faults
-# while 2 workers are killed mid-solve and restarted; `asyncsolve chaos`
-# exits non-zero unless the run converges and both rejoins are observed.
+# Chaos smoke: the dist engine survives worker churn on both data planes
+# and with both ways of detecting a lost worker (star: heartbeats and
+# checkpoints; mesh: the severed link alone). Each run solves with 8
+# workers under drop+reorder+delay faults while 2 workers are killed
+# mid-solve and restarted; `asyncsolve chaos` exits non-zero unless the run
+# converges and both rejoins are observed.
 chaos-smoke:
 	$(GO) build -o asyncsolve ./cmd/asyncsolve
-	./asyncsolve chaos -scenario lasso -workers 8 -kills 2 -topology star \
+	./asyncsolve chaos -scenario lasso -workers 8 -kills 2 -topology star -heartbeat 20ms \
 		-drop 0.05 -reorder 0.05 -maxdelay 200us >/dev/null
 	./asyncsolve chaos -scenario lasso -workers 8 -kills 2 -topology mesh \
 		-drop 0.05 -reorder 0.05 -maxdelay 200us >/dev/null
@@ -119,7 +121,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22456
+LOC_CEILING := 22388
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

@@ -1,12 +1,12 @@
 package main
 
-// The chaos subcommand runs the elastic dist engine under a deterministic
+// The chaos subcommand runs the dist engine under a deterministic
 // worker-churn schedule: a full in-process deployment (coordinator + TCP
 // workers over localhost, exactly what the "dist" engine runs) where
 // scheduled workers are severed mid-solve — their sockets closed, exactly
 // what a crashed process looks like from the network — and replacements
-// rejoin through the elastic accept loop and warm-start from the last
-// checkpoint:
+// rejoin through the coordinator's accept loop and warm-start from the
+// iterate it assembled (with -heartbeat, also from streamed checkpoints):
 //
 //	asyncsolve chaos -scenario lasso -workers 8 -kills 2 -topology mesh \
 //	    -drop 0.05 -reorder 0.05 -maxdelay 200us
@@ -57,7 +57,7 @@ func runChaos(args []string) {
 	killAfter := fs.Duration("kill-after", 100*time.Millisecond, "when the first kill fires")
 	killSpacing := fs.Duration("kill-spacing", 50*time.Millisecond, "delay between consecutive kills")
 	restartAfter := fs.Duration("restart-after", 100*time.Millisecond, "kill-to-replacement-launch delay; negative = never restart")
-	evalDelay := fs.Duration("evaldelay", 300*time.Microsecond, "per-component evaluation stretch so the solve spans the churn schedule; 0 = full speed")
+	evalDelay := fs.Duration("evaldelay", 2*time.Millisecond, "per-component evaluation stretch so the solve spans the churn schedule; 0 = full speed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "run timeout")
 	// Fault, elastic and dist (-topology, -delta) knobs come from the shared
 	// knob table.
@@ -83,9 +83,6 @@ func runChaos(args []string) {
 	for _, o := range append(knobOpts, repro.WithWorkers(*workers), repro.WithSeed(*seed)) {
 		o(&spec)
 	}
-	if spec.HeartbeatEvery == 0 {
-		spec.HeartbeatEvery = 20 * time.Millisecond
-	}
 	if *tol >= 0 {
 		spec.Tol = *tol
 	}
@@ -105,7 +102,7 @@ func runChaos(args []string) {
 	}
 
 	fmt.Printf("chaos: scenario=%s n=%d topology=%s workers=%d kills=%d heartbeat=%v\n",
-		*scenario, spec.Op.Dim(), topologyName(cfg), cfg.Workers, *kills, spec.HeartbeatEvery)
+		*scenario, spec.Op.Dim(), topologyName(cfg), cfg.Workers, *kills, spec.Elastic.HeartbeatEvery)
 	res, err := dist.RunChaos(cfg, plan)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -125,9 +125,17 @@ func runDistWorker(args []string) {
 	scenario := fs.String("scenario", "lasso", "workload scenario (must match the coordinator's)")
 	n := fs.Int("n", 0, "problem size; 0 = scenario default (must match the coordinator's)")
 	seed := fs.Uint64("seed", 1, "workload seed (must match the coordinator's)")
-	retryWait := fs.Duration("retry-wait", 0, "keep retrying dial/register this long (capped exponential backoff with jitter); 0 = single attempt")
 	retrySeed := fs.Uint64("retry-seed", 0, "backoff jitter seed; seed it from the worker's identity for reproducible retry schedules")
+	// How long to keep retrying dial/register is the knob table's
+	// -rejoin-wait; the rest of the elastic group reaches a worker in its
+	// welcome frame.
+	knobs := repro.RegisterKnobFlags(fs, "rejoin-wait")
 	fs.Parse(args)
+	spec, err := knobs.Spec()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	inst, err := distScenario(*scenario, *n, *seed)
 	if err != nil {
@@ -135,7 +143,7 @@ func runDistWorker(args []string) {
 		os.Exit(2)
 	}
 	err = dist.ConnectWorker(*connect, inst.Spec.Op, dist.WorkerOptions{
-		Rejoin: dist.Rejoin{MaxWait: *retryWait, Seed: *retrySeed},
+		Rejoin: dist.Rejoin{MaxWait: spec.Elastic.RejoinWait(), Seed: *retrySeed},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -85,27 +85,29 @@
 //
 // # Elasticity
 //
-// WithElastic(Elastic{HeartbeatEvery, CheckpointEvery, MaxRejoinWait,
-// CheckpointPath}) switches the dist engine from "any worker loss fails the
-// run" to elastic membership (wire protocol v3). Workers heartbeat the
-// control link; a link silent past max(6×HeartbeatEvery, 200ms) is declared
-// lost, and the coordinator re-shards the component space over the
-// survivors mid-solve through a generation-fenced barrier: the membership
+// Every dist run has elastic membership (wire protocol v3): a worker whose
+// link fails is declared lost, and the coordinator re-shards the component
+// space over the survivors mid-solve through a generation-fenced barrier:
+// the membership
 // generation is bumped, survivors pause and acknowledge with their current
 // shards, the coordinator merges them into its warm-start iterate and
 // re-issues the shard table (and, on mesh, the peer address table). Every
 // block and status frame carries its generation, so frames from before a
-// re-shard self-discard instead of corrupting the new assignment. Workers
-// also stream periodic shard checkpoints to the coordinator — a restarted
-// worker that rejoins (bounded exponential backoff with jitter, see
-// Elastic.MaxRejoinWait) warm-starts from the merged checkpoint instead of
-// X0, the delay-tolerant regime's arbitrarily-stale-contribution case.
-// CheckpointPath additionally persists the merged iterate to disk so a
-// restarted coordinator can warm-start the whole solve. A re-shard counts
-// as a reactivation under the termination protocol below (the epoch bump
+// re-shard self-discard instead of corrupting the new assignment. A
+// restarted worker that rejoins (bounded exponential backoff with jitter)
+// warm-starts from the merged iterate instead of X0, the delay-tolerant
+// regime's arbitrarily-stale-contribution case. WithElastic(Elastic{...})
+// only paces this: HeartbeatEvery picks how silence is detected (workers
+// heartbeat the control link, and one silent past max(6×HeartbeatEvery,
+// 200ms) is lost too — the only way to catch a stalled process),
+// CheckpointEvery has workers stream shard checkpoints for fresher warm
+// starts, MaxRejoinWait bounds a restarted worker's retries, and
+// CheckpointPath persists the merged iterate to disk so a restarted
+// coordinator can warm-start the whole solve. A re-shard counts as a
+// reactivation under the termination protocol below (the epoch bump
 // invalidates any probe round in flight), so quiescence is never certified
 // across a membership change; with zero churn the trajectory is
-// bit-identical to a rigid run. Report.WorkersLost, WorkersRejoined and
+// bit-identical whatever the knobs say. Report.WorkersLost, WorkersRejoined and
 // Resharding count the churn events; the asyncsolve chaos subcommand (and
 // the chaos-smoke CI job) exercise kill/restart schedules end to end.
 //
@@ -316,7 +318,7 @@
 //	Topology           -topology         topology          ""       dist data plane: star (default) | mesh
 //	DeltaThreshold     -delta            delta_threshold   0        dist flexible communication on the wire
 //
-// The elastic-membership fields (-heartbeat, -checkpoint, -rejoin-wait,
+// The Elastic fields (-heartbeat, -checkpoint, -rejoin-wait,
 // -checkpoint-file) and the two dist-engine fields above are table entries
 // like the rest, so a served engine=dist job can ask for the mesh data plane
 // or a delta threshold; an engine ignores the knobs outside its list.

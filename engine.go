@@ -34,9 +34,8 @@ package repro
 //   - EngineDist    — TCP workers with per-link fault injection
 //     (internal/dist): Topology ("star" relay or "mesh" worker-to-worker
 //     links), DeltaThreshold (flexible communication on the wire),
-//     DropProb, ReorderProb, MaxLinkDelay, Seed, and the elasticity group
-//     HeartbeatEvery/CheckpointEvery/MaxRejoinWait/CheckpointPath
-//     (worker-churn survival; see WithElastic).
+//     DropProb, ReorderProb, MaxLinkDelay, Seed, and Elastic (how a lost
+//     worker is detected and re-sharded around; see WithElastic).
 //
 // Every engine honours Ctx and Progress. Knobs outside an engine's list are ignored, so one Spec can be re-run
 // across engines unchanged. The simulated engines stop on the max-norm
@@ -447,12 +446,7 @@ func (s Spec) DistConfig() dist.Config {
 			MaxDelay:    s.MaxLinkDelay,
 			Seed:        s.Seed,
 		},
-		Elastic: dist.Elastic{
-			HeartbeatEvery:  s.HeartbeatEvery,
-			CheckpointEvery: s.CheckpointEvery,
-			MaxRejoinWait:   s.MaxRejoinWait,
-			CheckpointPath:  s.CheckpointPath,
-		},
+		Elastic: s.Elastic,
 	}
 }
 

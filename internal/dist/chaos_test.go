@@ -1,13 +1,14 @@
 package dist
 
-// Chaos tests: the elastic engine must survive scheduled worker churn —
-// kills that close sockets mid-solve, replacements that rejoin through the
-// accept loop and warm-start from checkpoints — and still converge to the
-// same tolerance, on both data planes, under drop/reorder/delay faults.
-// And the other direction: with elasticity on but zero churn, nothing about
-// the trajectory may change.
+// Chaos tests: every run must survive scheduled worker churn — kills that
+// close sockets mid-solve, replacements that rejoin through the accept loop
+// and warm-start from checkpoints — and still converge to the same
+// tolerance, on both data planes, under drop/reorder/delay faults, with or
+// without heartbeats. And the other direction: with heartbeats and
+// checkpoints on but zero churn, nothing about the trajectory may change.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,7 +56,7 @@ func TestChaosConvergesUnderChurn(t *testing.T) {
 			ckptDir := t.TempDir()
 			ckptPath := filepath.Join(ckptDir, "chaos.ckpt")
 			res, err := RunChaos(Config{
-				Config:   runtime.Config{Op: slowOp{op: op, delay: 300 * time.Microsecond}, Workers: 8, Tol: tol},
+				Config:   runtime.Config{Op: slowOp{op: op, delay: 2 * time.Millisecond}, Workers: 8, Tol: tol},
 				Topology: topo,
 				Fault: Fault{
 					DropProb:    0.05,
@@ -104,10 +105,10 @@ func TestChaosConvergesUnderChurn(t *testing.T) {
 }
 
 // TestElasticZeroChurnBitIdentical pins the regression guarantee: with
-// elasticity enabled but no churn, the trajectory is byte-for-byte the
-// rigid one. A single worker makes the schedule deterministic, so the
-// comparison can demand exact equality of the iterate and the update
-// counts on both topologies.
+// heartbeats and checkpoints on but no churn, the trajectory is
+// byte-for-byte the one without them. A single worker makes the schedule
+// deterministic, so the comparison can demand exact equality of the
+// iterate and the update counts on both topologies.
 func TestElasticZeroChurnBitIdentical(t *testing.T) {
 	for _, topo := range []string{"star", "mesh"} {
 		topo := topo
@@ -117,25 +118,25 @@ func TestElasticZeroChurnBitIdentical(t *testing.T) {
 				Config:   runtime.Config{Op: op, Workers: 1, Tol: 1e-11, MaxUpdatesPerWorker: 1 << 18},
 				Topology: topo,
 			}
-			rigid, err := Run(base)
+			quiet, err := Run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			elastic := base
-			elastic.Elastic = Elastic{HeartbeatEvery: 5 * time.Millisecond}
-			el, err := Run(elastic)
+			beating := base
+			beating.Elastic = Elastic{HeartbeatEvery: 5 * time.Millisecond}
+			el, err := Run(beating)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rigid.Converged || !el.Converged {
-				t.Fatalf("converged: rigid=%v elastic=%v", rigid.Converged, el.Converged)
+			if !quiet.Converged || !el.Converged {
+				t.Fatalf("converged: without heartbeats %v, with %v", quiet.Converged, el.Converged)
 			}
-			if !reflect.DeepEqual(rigid.X, el.X) {
-				t.Error("elastic zero-churn X differs from the rigid run")
+			if !reflect.DeepEqual(quiet.X, el.X) {
+				t.Error("zero-churn X with heartbeats differs from the run without")
 			}
-			if !reflect.DeepEqual(rigid.UpdatesPerWorker, el.UpdatesPerWorker) {
-				t.Errorf("updates per worker drifted: rigid=%v elastic=%v",
-					rigid.UpdatesPerWorker, el.UpdatesPerWorker)
+			if !reflect.DeepEqual(quiet.UpdatesPerWorker, el.UpdatesPerWorker) {
+				t.Errorf("updates per worker drifted: without heartbeats %v, with %v",
+					quiet.UpdatesPerWorker, el.UpdatesPerWorker)
 			}
 			if el.WorkersLost != 0 || el.WorkersRejoined != 0 || el.Resharding != 0 {
 				t.Errorf("churn counters on a churn-free run: lost=%d rejoined=%d reshardings=%d",
@@ -188,7 +189,7 @@ func (s *stallOnce) Component(i int, x []float64) float64 {
 	return s.Operator.Component(i, x)
 }
 
-// TestElasticCasualtyIsNotARunError: an elastic Run with no churn plan whose
+// TestElasticCasualtyIsNotARunError: a Run with no churn plan whose
 // coordinator evicted a worker on heartbeat silence, re-sharded over the
 // survivors and converged returns that result. The evicted worker wakes to
 // a closed link and fails; with WorkersLost > 0 that is an expected
@@ -197,7 +198,7 @@ func TestElasticCasualtyIsNotARunError(t *testing.T) {
 	op, xstar := contractingOp(t, 32, 9)
 	tol := 1e-10
 	// Component 20 is in worker 2's shard of 4 x 8; the stall outlasts the
-	// 200 ms floor of heartbeatTimeout.
+	// 200 ms floor of the silence deadline.
 	stalled := &stallOnce{Operator: op, component: 20, stallAt: 4, stall: 400 * time.Millisecond}
 	res, err := Run(Config{
 		Config:  runtime.Config{Op: stalled, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
@@ -220,11 +221,84 @@ func TestElasticCasualtyIsNotARunError(t *testing.T) {
 	}
 }
 
-// TestRunChaosRequiresElastic: a churn schedule without elastic membership
-// is a configuration error, not a mysterious hang.
-func TestRunChaosRequiresElastic(t *testing.T) {
-	op, _ := contractingOp(t, 8, 1)
-	if _, err := RunChaos(Config{Config: runtime.Config{Op: op, Workers: 2, Tol: 1e-8}}, ChaosPlan{}); err == nil {
-		t.Fatal("RunChaos accepted a config without Elastic.HeartbeatEvery")
+// TestRunChaosWithoutHeartbeats: with the elasticity knobs at zero a kill is
+// still a lost worker — its severed link fails the coordinator's read — so
+// the survivors are re-sharded, the replacement rejoins, and the run
+// converges, on both data planes.
+func TestRunChaosWithoutHeartbeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos schedule")
+	}
+	for _, topo := range []string{TopologyStar, TopologyMesh} {
+		t.Run(topo, func(t *testing.T) {
+			t.Parallel()
+			op, xstar := contractingOp(t, 32, 13)
+			tol := 1e-9
+			res, err := RunChaos(Config{
+				Config:   runtime.Config{Op: slowOp{op: op, delay: 2 * time.Millisecond}, Workers: 4, Tol: tol},
+				Topology: topo,
+				Timeout:  time.Minute,
+			}, ChaosPlan{Events: []ChaosEvent{{Worker: 2, KillAfter: 60 * time.Millisecond, RestartAfter: 60 * time.Millisecond}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatal("run did not converge across the kill")
+			}
+			if e := vec.DistInf(res.X, xstar); e > 1e-6 {
+				t.Errorf("error %v too large", e)
+			}
+			if res.WorkersLost < 1 || res.WorkersRejoined < 1 || res.Resharding < 1 {
+				t.Errorf("lost=%d rejoined=%d reshardings=%d, want each >= 1",
+					res.WorkersLost, res.WorkersRejoined, res.Resharding)
+			}
+		})
+	}
+}
+
+// TestCheckpointsWithoutHeartbeats: checkpoint pacing is its own knob — a
+// run with CheckpointEvery and no heartbeats streams shard checkpoints, and
+// the coordinator persists them.
+func TestCheckpointsWithoutHeartbeats(t *testing.T) {
+	op, xstar := contractingOp(t, 32, 14)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	res, err := Run(Config{
+		Config:   runtime.Config{Op: slowOp{op: op, delay: 100 * time.Microsecond}, Workers: 4, Tol: 1e-9},
+		Topology: TopologyMesh,
+		Elastic:  Elastic{CheckpointEvery: time.Millisecond, CheckpointPath: path},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("run did not converge")
+	}
+	x, err := readCheckpointFile(path, 32)
+	if err != nil || x == nil {
+		t.Fatalf("checkpoint file: %v, %v", x, err)
+	}
+	if e := vec.DistInf(x, xstar); !(e < vec.DistInf(make([]float64, 32), xstar)) {
+		t.Errorf("checkpointed iterate is no closer to x* than x0 (error %v)", e)
+	}
+}
+
+// TestOnlyLinkLossIsACasualty: Run forgives a worker the loss of its link —
+// the coordinator re-sharded around it — but not a failure of its own.
+func TestOnlyLinkLossIsACasualty(t *testing.T) {
+	srv, _ := tcpPair(t)
+	srv.Close()
+	_, writeErr := srv.Write([]byte{0})
+	ws := &workerState{id: 3}
+	lost := getFrame()
+	lost.b = connLost(lost.b, "EOF")
+	handleErr := ws.handle(lost)
+	for _, err := range []error{writeErr, fmt.Errorf("dist: worker 3 status: %w", writeErr), handleErr} {
+		if err == nil || !linkLost(err) {
+			t.Errorf("%v: not a lost link", err)
+		}
+	}
+	bad := blockFrame(0, 1, 9, 99, 1) // out of bounds for n = 0
+	if err := ws.handle(bad); err == nil || linkLost(err) {
+		t.Errorf("bad block frame: %v, want a worker failure", err)
 	}
 }

@@ -92,8 +92,6 @@ type coordinator struct {
 	runDeadline time.Time
 }
 
-func (c *coordinator) elastic() bool { return c.cfg.Elastic.enabled() }
-
 // cancelled reports whether cfg.Done has fired.
 func (c *coordinator) cancelled() bool {
 	select {
@@ -104,17 +102,17 @@ func (c *coordinator) cancelled() bool {
 	}
 }
 
-// Serve runs the coordinator on ln, which it closes when the run ends (under
-// elastic membership the listener stays open for the whole run so lost
-// workers can rejoin): accept and welcome cfg.Workers workers, run the
+// Serve runs the coordinator on ln, which it closes when the run ends (the
+// listener stays open for the whole run so lost workers can rejoin): accept
+// and welcome cfg.Workers workers, run the
 // topology's rendezvous (mesh: collect listen addresses, broadcast the peer
 // table), relay star shard broadcasts with fault injection, probe for
 // quiescence with the two-phase double collect, and stop the run — on
 // quiescence (converged when every worker was passive, not converged when
 // some had spent their budget), on cfg.Done (Cancelled), or at Timeout
-// (error). Under elastic membership it additionally detects lost workers
-// by heartbeat silence, re-shards the component space over the survivors,
-// and accepts rejoining workers on the same listener for the whole run. Of
+// (error). A worker whose link fails (or, with heartbeats, falls silent) is
+// lost: the component space is re-sharded over the survivors, and
+// rejoining workers are accepted on the same listener for the whole run. Of
 // cfg.Op it reads only the dimension: coordinates cross the wire, operators
 // never do.
 func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
@@ -248,11 +246,9 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 			}
 		}()
 	}
-	if c.elastic() {
-		c.acceptWG.Add(1)
-		// Joined by acceptWG.Wait in shutdown, after the listener closes.
-		go c.acceptRejoins()
-	}
+	c.acceptWG.Add(1)
+	// Joined by acceptWG.Wait in shutdown, after the listener closes.
+	go c.acceptRejoins()
 
 	// Probe for quiescence until it is detected, the run is cancelled, or
 	// the deadline passes. A membership doorbell (worker lost or rejoined)
@@ -302,7 +298,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 
 	// Stop the run and collect the authoritative final shards from the
 	// workers alive at stop; a worker lost after this point contributes its
-	// last checkpointed values instead (lost finals, elastic only).
+	// last checkpointed values instead (a lost final).
 	c.stopped.Store(true)
 	stopFrame := buildFrame(msgStop, nil)
 	c.mu.RLock()
@@ -315,13 +311,10 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 			continue
 		}
 		if err := c.writeLink(l, stopFrame); err != nil {
-			if c.elastic() {
-				// The worker died at the finish line; its serveLink will
-				// synthesize a lost final we are not waiting for.
-				l.conn.Close()
-				continue
-			}
-			return nil, fmt.Errorf("dist: stop worker %d: %w", w, err)
+			// The worker died at the finish line; its serveLink will
+			// synthesize a lost final we are not waiting for.
+			l.conn.Close()
+			continue
 		}
 		expect[w] = true
 		expected++
@@ -407,10 +400,8 @@ func (c *coordinator) welcome(w, lo, hi int, gen uint32, rejoining bool, x []flo
 // write and the ledger and byte counters are final.
 func (c *coordinator) shutdown() {
 	c.stopped.Store(true)
-	if c.elastic() {
-		c.ln.Close()
-		c.acceptWG.Wait()
-	}
+	c.ln.Close()
+	c.acceptWG.Wait()
 	c.closeLinks()
 	c.readers.Wait()
 }
@@ -480,18 +471,12 @@ func (c *coordinator) newRelay(w int) *sender {
 
 // relayFailed is the relay's policy for a failed write to a destination
 // (the lost frame is already accounted as a drop, which keeps in-flight
-// drainable): nothing once the run is stopping — a lost final synthesized
-// from here could beat the worker's real one; under elastic membership the
-// destination is treated as lost; a rigid run surfaces the broken link
-// instead of dying as a generic timeout. (One-directional stalls exist: the
-// destination's reader may still be healthy.)
-func (c *coordinator) relayFailed(l *leg, err error) {
-	switch {
-	case c.stopped.Load():
-	case c.elastic():
+// drainable): the destination is lost, except once the run is stopping — a
+// lost final synthesized from here could beat the worker's real one. (One-
+// directional stalls exist: the destination's reader may still be healthy.)
+func (c *coordinator) relayFailed(l *leg) {
+	if !c.stopped.Load() {
 		c.workerLost(l.q, l.link)
-	default:
-		c.fail(fmt.Errorf("dist: relay to worker %d: %w", l.q, err))
 	}
 }
 
@@ -546,23 +531,6 @@ func (c *coordinator) ringMembership() {
 	}
 }
 
-// linkDown handles a failed read on a worker link: before stop it is a
-// worker loss (elastic) or a run error (rigid); after stop a missing final
-// is synthesized (elastic) or the teardown is simply quiet (rigid).
-func (c *coordinator) linkDown(w int, l *link, err error) {
-	if c.stopped.Load() {
-		if c.elastic() {
-			c.lostFinal(w)
-		}
-		return
-	}
-	if !c.elastic() {
-		c.fail(fmt.Errorf("dist: worker %d connection: %w", w, err))
-		return
-	}
-	c.workerLost(w, l)
-}
-
 // inShard reports whether a non-empty [lo, lo+count) lies inside shard — all a
 // worker's checkpoint or final may cover; a lying peer must not overwrite
 // another slot's components. An empty slice (a rejoiner not yet assigned)
@@ -608,9 +576,10 @@ func (c *coordinator) absorbCheckpoint(w int, payload []byte) error {
 // broadcasts go out through the link's relay sender snd (nil on mesh, whose
 // control plane carries no data) as they were read, statuses, reshard acks
 // and finals are routed to the termination logic, checkpoints into xbest.
-// Under elastic membership every read carries a heartbeat deadline — a link
-// silent past it is a lost worker, not a run error. This goroutine is snd's
-// only sender, so it is also the one that flushes it, on every way out.
+// A failed read loses the worker; with heartbeats on, every read carries the
+// silence deadline, so a link quiet past it is lost too. This goroutine is
+// snd's only sender, so it is also the one that flushes it, on every way
+// out.
 func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 	defer c.readers.Done()
 	if snd != nil {
@@ -624,19 +593,16 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 		}()
 	}
 	conn := l.conn
-	var hbTimeout time.Duration
-	if c.elastic() {
-		hbTimeout = heartbeatTimeout(c.cfg.Elastic.HeartbeatEvery)
-	}
+	silence := c.cfg.Elastic.silence()
 	f := getFrame() // the frame in hand, released on every way out
 	defer func() { f.release() }()
 	for {
-		if hbTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(hbTimeout))
+		if silence > 0 {
+			conn.SetReadDeadline(time.Now().Add(silence))
 		}
 		b, err := readFrameInto(conn, maxFramePayload, f.b)
 		if err != nil {
-			c.linkDown(w, l, err)
+			c.workerLost(w, l)
 			return
 		}
 		f.b = b
@@ -726,7 +692,7 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 }
 
 // acceptRejoins keeps accepting connections after the rendezvous — the
-// elastic half of the control plane. Each connection is handled on its own
+// rejoin half of the control plane. Each connection is handled on its own
 // goroutine so a slow (or hostile) handshake never blocks other rejoiners.
 // The loop exits when the listener closes (shutdown) or its deadline — the
 // run deadline — expires.
@@ -1017,21 +983,11 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 	}
 	for i, w := range workers {
 		if err := c.writeLink(links[i], probe); err != nil {
-			if c.elastic() {
-				c.workerLost(w, links[i])
-			}
+			c.workerLost(w, links[i])
 			return runtime.Observation{}
 		}
 	}
-	roundTimeout := probeRoundTimeout
-	if c.elastic() {
-		// A lost worker is detected within the heartbeat timeout; waiting
-		// longer for its status would only delay the reshard barrier.
-		if hb := heartbeatTimeout(c.cfg.Elastic.HeartbeatEvery); hb < roundTimeout {
-			roundTimeout = hb
-		}
-	}
-	roundDeadline := time.Now().Add(roundTimeout)
+	roundDeadline := time.Now().Add(probeRoundTimeout)
 	if roundDeadline.After(deadline) {
 		roundDeadline = deadline
 	}
@@ -1058,6 +1014,11 @@ func (c *coordinator) probeRound(deadline time.Time) runtime.Observation {
 			obs.Dropped += int64(st.drained)
 		case err := <-c.errCh:
 			c.fail(err) // back for the run loop, which ends the run with it
+			return runtime.Observation{}
+		case <-c.membership:
+			// A lost worker will never answer, and a rejoiner needs a
+			// reshard first: the run loop answers the doorbell.
+			c.ringMembership()
 			return runtime.Observation{}
 		case <-c.cfg.Done:
 			return runtime.Observation{}

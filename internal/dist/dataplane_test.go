@@ -154,6 +154,7 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 		cfg: Config{Config: runtime.Config{Workers: 2}, Topology: TopologyStar},
 		n:   n, links: []*link{{conn: srv0}, {conn: srv1}},
 		senders:   make([]*sender, 2),
+		addrs:     make([]string, 2),
 		linkBytes: [][]int64{make([]int64, 2), make([]int64, 2)},
 		blocks:    vec.Blocks(n, 2),
 		gen:       1,

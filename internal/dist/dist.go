@@ -55,16 +55,17 @@
 // (epoch bump, passive cleared) before the reactivating block is counted
 // delivered — so a quiet round can never hide a message being absorbed.
 //
-// Under elastic membership (Config.Elastic, protocol v3) the run survives
-// worker churn: workers heartbeat the control link, the coordinator treats
-// a silent link as a lost worker, re-shards the component space over the
-// survivors behind a pause/ack/assign barrier (a re-shard counts as a
-// reactivation under the two-phase protocol, so no quiescence can be
-// certified across one), and keeps its listener open so a restarted worker
-// — retrying under capped exponential backoff — can claim the freed slot
-// and warm-start from the last checkpointed iterate instead of x0. Every
-// data frame is fenced to the membership generation it was sent in, so
-// frames from before a re-shard self-discard wherever they surface.
+// Membership is elastic in every run (protocol v3), so a run survives worker
+// churn: the coordinator treats a link whose read or write fails — or, when
+// Config.Elastic.HeartbeatEvery has workers heartbeat the control link, one
+// silent past its deadline — as a lost worker, re-shards the component
+// space over the survivors behind a pause/ack/assign barrier (a re-shard
+// counts as a reactivation under the two-phase protocol, so no quiescence
+// can be certified across one), and keeps its listener open so a restarted
+// worker — retrying under capped exponential backoff — can claim the freed
+// slot and warm-start from the last checkpointed iterate instead of x0.
+// Every data frame is fenced to the membership generation it was sent in,
+// so frames from before a re-shard self-discard wherever they surface.
 //
 // The same code paths serve two deployments: Run spawns the coordinator
 // and all workers in-process over localhost TCP (how the tests and the
@@ -74,6 +75,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -141,9 +143,8 @@ type Config struct {
 	DeltaThreshold float64
 	// Fault is the per-link fault injection.
 	Fault Fault
-	// Elastic configures elastic membership: heartbeat-based worker-loss
-	// detection, mid-solve re-sharding, rejoin and checkpointing. The zero
-	// value keeps the rigid behavior where a lost worker fails the run.
+	// Elastic paces the elastic membership every run has: how a lost
+	// worker is detected, checkpoints, and rejoin retries.
 	Elastic Elastic
 	// Timeout is the wall-clock safety bound on the whole run (default 2m).
 	// Workers derive their own I/O deadline from it, so none outlives a
@@ -197,12 +198,12 @@ type Result struct {
 	LinkBytes [][]int64
 	// ProbeRounds counts termination probe rounds the coordinator ran.
 	ProbeRounds int64
-	// WorkersLost counts links the coordinator declared dead (heartbeat
-	// silence or failed writes), WorkersRejoined the restarted workers that
-	// successfully claimed a freed slot, and Resharding the membership
+	// WorkersLost counts links the coordinator declared dead (a failed read
+	// or write, or heartbeat silence), WorkersRejoined the restarted workers
+	// that successfully claimed a freed slot, and Resharding the membership
 	// barriers that re-issued the shard table. All three are zero in a
-	// rigid (non-elastic) or churn-free run. A slot that was lost and
-	// re-occupied reports only its final occupant's UpdatesPerWorker.
+	// churn-free run. A slot that was lost and re-occupied reports only its
+	// final occupant's UpdatesPerWorker.
 	WorkersLost, WorkersRejoined, Resharding int64
 }
 
@@ -263,14 +264,14 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // runLocal is Run under an optional churn schedule (see RunChaos); cfg is
-// already validated. The coordinator's result is authoritative. Worker
-// errors are surfaced only from an uncancelled run without churn: a
-// cancelled coordinator drops its links on purpose; under a plan
-// deliberately killed workers and replacements that raced the end of the
-// run are expected casualties; and so is a worker the coordinator evicted
-// on heartbeat silence (WorkersLost > 0), which wakes to a closed link —
-// with a successful coordinator result there is no healthy worker left to
-// have failed in a way the result would not show.
+// already validated. The coordinator's result is authoritative. A worker's
+// error is surfaced only from an uncancelled run without churn, and only
+// when the worker failed on its own: a cancelled coordinator drops its links
+// on purpose; under a plan deliberately killed workers and replacements
+// that raced the end of the run are expected casualties; and a worker that
+// lost its link (linkLost) was re-sharded around, which the result already
+// shows as WorkersLost. A malformed frame is the worker's own failure and
+// fails the run even though the survivors finished without it.
 func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -290,18 +291,18 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var workerErr error
-	launch := func(w int, ctl *WorkerCtl, seed uint64) {
+	launch := func(w int, ctl *WorkerCtl, rejoin Rejoin) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			err := ConnectWorker(addr, cfg.Op, WorkerOptions{
 				Scratch:  operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
-				Rejoin:   Rejoin{MaxWait: cfg.Elastic.MaxRejoinWait, Seed: seed},
+				Rejoin:   rejoin,
 				Ctl:      ctl,
 				progress: cfg.Progress,
 			})
 			errMu.Lock()
-			if workerErr == nil {
+			if workerErr == nil && err != nil && !linkLost(err) {
 				workerErr = err
 			}
 			errMu.Unlock()
@@ -310,14 +311,17 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	ctls := make([]*WorkerCtl, cfg.Workers)
 	for w := range ctls {
 		ctls[w] = &WorkerCtl{}
-		launch(w, ctls[w], cfg.Fault.Seed^uint64(w))
+		launch(w, ctls[w], Rejoin{})
 	}
 
 	// The churn schedule. Each event goroutine sleeps out its offsets so
-	// kills land mid-solve regardless of how the solve itself is paced.
+	// kills land mid-solve regardless of how the solve itself is paced. A
+	// replacement still retrying when the run ends is killed, not left to
+	// knock on a closed listener for the rest of its RejoinWait.
+	replacements := make([]*WorkerCtl, len(plan.Events))
 	for i, ev := range plan.Events {
-		ev := ev
 		seed := cfg.Fault.Seed ^ (uint64(cfg.Workers+i) * 0x9e3779b97f4a7c15)
+		replacements[i] = &WorkerCtl{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -327,17 +331,28 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 				return
 			}
 			time.Sleep(ev.RestartAfter)
-			launch(ev.Worker, &WorkerCtl{}, seed)
+			launch(ev.Worker, replacements[i], Rejoin{MaxWait: cfg.Elastic.RejoinWait(), Seed: seed})
 		}()
 	}
 
 	out := <-serveCh
+	for _, ctl := range replacements {
+		ctl.Kill()
+	}
 	wg.Wait()
 	if out.err != nil {
 		return nil, out.err
 	}
-	if len(plan.Events) == 0 && !out.res.Cancelled && out.res.WorkersLost == 0 && workerErr != nil {
+	if len(plan.Events) == 0 && !out.res.Cancelled && workerErr != nil {
 		return nil, workerErr
 	}
 	return out.res, nil
+}
+
+// linkLost reports whether a worker's error is the loss of one of its links
+// — a failed read or write, or the control reader's msgConnLost — rather
+// than a failure of the worker's own.
+func linkLost(err error) bool {
+	var ne net.Error
+	return errors.Is(err, errConnLost) || errors.As(err, &ne)
 }

@@ -244,6 +244,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, DeltaThreshold: -1e-9}); err == nil {
 		t.Error("expected error for negative DeltaThreshold")
 	}
+	// A checkpoint file needs checkpoints to fill it: a cadence of its own
+	// or the default 4×HeartbeatEvery.
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Elastic: Elastic{CheckpointPath: "ckpt"}}); err == nil {
+		t.Error("expected error for CheckpointPath without a checkpoint cadence")
+	}
+	for _, e := range []Elastic{{CheckpointEvery: time.Millisecond, CheckpointPath: "ckpt"}, {HeartbeatEvery: time.Millisecond, CheckpointPath: "ckpt"}} {
+		cfg := Config{Config: runtime.Config{Op: op, Workers: 2}, Elastic: e}
+		if _, err := cfg.validate(); err != nil {
+			t.Errorf("%+v: %v", e, err)
+		}
+	}
 }
 
 // TestServeConnectSplit exercises the exact halves the dist-coordinator /
@@ -686,7 +697,6 @@ func TestStarRejoinGetsLegsBothWays(t *testing.T) {
 	cfg := Config{
 		Config:   runtime.Config{Workers: 2, X0: make([]float64, n)},
 		Topology: TopologyStar,
-		Elastic:  Elastic{HeartbeatEvery: time.Second},
 		Timeout:  time.Minute,
 	}
 	deadline := time.Now().Add(cfg.Timeout)
@@ -892,7 +902,8 @@ func serveFrames(t *testing.T, frames ...[]byte) (*coordinator, error) {
 	srv, cli := tcpPair(t)
 	c := &coordinator{
 		cfg: Config{Config: runtime.Config{Workers: p}, Topology: TopologyMesh},
-		n:   n, links: make([]*link, p), blocks: vec.Blocks(n, p), gen: 2,
+		n:   n, links: make([]*link, p), senders: make([]*sender, p), addrs: make([]string, p),
+		blocks: vec.Blocks(n, p), gen: 2,
 		xbest:   make([]float64, n),
 		finalCh: make(chan final, 1), errCh: make(chan error, 1),
 	}

@@ -1,8 +1,8 @@
 package dist
 
 // Elastic membership: the knobs, the worker-side rejoin/backoff machinery,
-// and the chaos harness. The coordinator-side protocol (heartbeat deadlines,
-// the reshard barrier, checkpoint collection) lives in coordinator.go; the
+// and the chaos harness. The coordinator-side protocol (loss detection, the
+// reshard barrier, checkpoint collection) lives in coordinator.go; the
 // worker-side state machine in worker.go; the v3 frame formats in wire.go.
 
 import (
@@ -20,68 +20,75 @@ import (
 	"repro/internal/operators"
 )
 
-// Elastic configures elastic membership: worker-loss detection, mid-solve
-// re-sharding, rejoin, and checkpointing. The zero value disables all of it
-// — the run then behaves exactly like a pre-v3 rigid run (heartbeats and
-// checkpoints are trajectory-neutral, but disabling them keeps the wire
-// byte-for-byte quiet between data frames).
+// Elastic is the dist engine's elasticity knob group, the one declaration of
+// these knobs (the repro package exports it as repro.Elastic). Membership is
+// always elastic: a worker whose link fails is lost, the coordinator
+// re-shards the component space over the survivors and keeps solving, and a
+// restarted worker can claim the freed slot and warm-start from the
+// checkpointed iterate. The knobs only pace that machinery; the zero value
+// detects a lost worker by its connection failing and streams no
+// checkpoints. None of them changes a churn-free trajectory.
 type Elastic struct {
-	// HeartbeatEvery, when positive, enables elastic membership: each worker
-	// writes a heartbeat frame on the control link at this cadence whenever
-	// no other frame has gone out, and the coordinator treats a link silent
-	// for max(6×HeartbeatEvery, 200ms) as lost — it re-shards the component
-	// space over the survivors and keeps solving. Choose it comfortably
-	// above one block evaluation so a slow iteration is not mistaken for a
-	// dead worker.
+	// HeartbeatEvery picks how silence is detected. Zero trusts the
+	// connection: a worker is lost when a read or write on its link fails,
+	// which catches a crashed process or a closed socket but not a stalled
+	// one. A positive period makes each worker write a heartbeat frame on
+	// the control link at this cadence whenever no other frame has gone out,
+	// and the coordinator treats a link silent for max(6×HeartbeatEvery,
+	// 200ms) as lost too. Choose it comfortably above one block evaluation
+	// so a slow iteration is not mistaken for a dead worker.
 	HeartbeatEvery time.Duration
 	// CheckpointEvery is the cadence at which an active worker streams a
 	// checkpoint of its shard to the coordinator, which folds it into the
-	// warm-start iterate handed to rejoining workers. Defaults to
-	// 4×HeartbeatEvery when elastic membership is on.
+	// warm-start iterate handed to rejoining workers (a re-shard folds in
+	// every survivor's shard either way). Zero defaults to 4×HeartbeatEvery,
+	// which is no checkpoints when heartbeats are off.
 	CheckpointEvery time.Duration
-	// MaxRejoinWait bounds a worker's dial/register retry loop (capped
-	// exponential backoff with jitter); it is also the default Rejoin.MaxWait
-	// RunChaos hands restarted workers. Defaults to 10s when elastic
-	// membership is on.
+	// MaxRejoinWait bounds a restarted worker's dial/register retry loop
+	// (capped exponential backoff with jitter). Zero means the default,
+	// see RejoinWait.
 	MaxRejoinWait time.Duration
 	// CheckpointPath, when non-empty, additionally persists the
 	// coordinator's warm-start iterate to this file (atomically, at most
 	// once per CheckpointEvery) and, when a matching-dimension checkpoint
 	// exists at startup, warm-starts the whole run from it instead of X0 —
 	// a coordinator-level restart survives with the last solve's progress.
+	// It needs a checkpoint cadence.
 	CheckpointPath string
 }
-
-// enabled reports whether elastic membership is on.
-func (e Elastic) enabled() bool { return e.HeartbeatEvery > 0 }
 
 func (e *Elastic) validate() error {
 	if e.HeartbeatEvery < 0 || e.CheckpointEvery < 0 || e.MaxRejoinWait < 0 {
 		return errors.New("dist: Elastic durations must be non-negative")
 	}
-	if !e.enabled() && (e.CheckpointEvery > 0 || e.CheckpointPath != "") {
-		return errors.New("dist: Elastic checkpointing requires HeartbeatEvery > 0")
+	if e.CheckpointEvery == 0 {
+		e.CheckpointEvery = 4 * e.HeartbeatEvery
 	}
-	if e.enabled() {
-		if e.CheckpointEvery == 0 {
-			e.CheckpointEvery = 4 * e.HeartbeatEvery
-		}
-		if e.MaxRejoinWait == 0 {
-			e.MaxRejoinWait = 10 * time.Second
-		}
+	if e.CheckpointPath != "" && e.CheckpointEvery == 0 {
+		return errors.New("dist: Elastic.CheckpointPath needs CheckpointEvery or HeartbeatEvery > 0")
 	}
 	return nil
 }
 
-// heartbeatTimeout is how long a silent elastic link stays trusted. The
+// RejoinWait is how long a restarted worker keeps retrying to rejoin:
+// MaxRejoinWait, or 10s when it is zero.
+func (e Elastic) RejoinWait() time.Duration {
+	if e.MaxRejoinWait > 0 {
+		return e.MaxRejoinWait
+	}
+	return 10 * time.Second
+}
+
+// silence is how long a link may stay quiet before its worker is lost: zero
+// (never, only a failed read or write loses it) without heartbeats. The
 // multiple absorbs scheduler jitter under load (a false positive costs a
 // spurious re-shard); the floor keeps tiny test cadences from turning GC
 // pauses into worker losses.
-func heartbeatTimeout(heartbeatEvery time.Duration) time.Duration {
-	if t := 6 * heartbeatEvery; t > 200*time.Millisecond {
-		return t
+func (e Elastic) silence() time.Duration {
+	if e.HeartbeatEvery <= 0 {
+		return 0
 	}
-	return 200 * time.Millisecond
+	return max(6*e.HeartbeatEvery, 200*time.Millisecond)
 }
 
 // The checkpoint file layout: magic, u32 dimension, f64×n values. It is
@@ -133,7 +140,7 @@ func readCheckpointFile(path string, n int) ([]float64, error) {
 // Rejoin configures the dial/register retry loop of ConnectWorker.
 type Rejoin struct {
 	// MaxWait bounds the total retrying time; zero means a single attempt
-	// (the rigid behavior).
+	// (what Run's initial workers make: its listener is already up).
 	MaxWait time.Duration
 	// Seed drives the backoff jitter. Seeding it from the worker's identity
 	// (RunChaos uses Fault.Seed mixed with the slot) keeps retry schedules
@@ -299,13 +306,10 @@ type ChaosPlan struct {
 // severing each event's worker at KillAfter (closing its sockets, exactly
 // what a crashed process looks like from the network) and, RestartAfter
 // later, launching a replacement worker that rejoins through the elastic
-// accept loop under the backoff policy. cfg.Elastic must be enabled.
+// accept loop, retrying for up to Elastic.RejoinWait.
 func RunChaos(cfg Config, plan ChaosPlan) (*Result, error) {
 	if _, err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if !cfg.Elastic.enabled() {
-		return nil, errors.New("dist: RunChaos requires Config.Elastic.HeartbeatEvery > 0")
 	}
 	for _, ev := range plan.Events {
 		if ev.Worker < 0 || ev.Worker >= cfg.Workers {

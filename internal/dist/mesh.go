@@ -9,8 +9,8 @@ package dist
 //
 // Those connections are the legs of the worker's sender (sender.go), which
 // does all the sending; this file is the plumbing around it — dialing,
-// accepting and, under elastic membership, keeping the listener open for
-// peers that rejoin and following the coordinator's re-issued peer table.
+// accepting, keeping the listener open for peers that rejoin and following
+// the coordinator's re-issued peer table.
 
 import (
 	"fmt"
@@ -31,28 +31,29 @@ type mesh struct {
 	addrs []string
 
 	// inMu guards the inbound connection list shared by the rendezvous, the
-	// elastic accept loop and shutdown; inClosed makes a late accept lose
+	// rejoin accept loop and shutdown; inClosed makes a late accept lose
 	// the race with teardown cleanly.
 	inMu     sync.Mutex
 	in       []net.Conn
 	inClosed bool
 
-	// ln, under elastic membership, stays open after rendezvous so peers
-	// that rejoin can redial us; accepts joins the accept goroutines.
+	// ln stays open after rendezvous so peers that rejoin can redial us;
+	// accepts joins the accept goroutines.
 	ln       net.Listener
 	accepts  sync.WaitGroup
 	deadline time.Time
 }
 
-// newMesh builds a worker's mesh around a fresh sender; the caller (dialMesh
-// for a rendezvous worker, runWorker for a rejoiner whose links arrive only
-// with its first assign) fills in the legs. The sender gets no write-failure
+// newMesh builds a worker's mesh around its listener ln and a fresh sender;
+// the caller (dialMesh for a rendezvous worker, runWorker for a rejoiner
+// whose links arrive only with its first assign) fills in the legs. The sender gets no write-failure
 // callback: peers legitimately close their sockets once stopped — possibly
 // before our own stop lands — so the drop it accounts is the whole story.
-func newMesh(id, p int, fault Fault, gen uint32, deadline time.Time) *mesh {
+func newMesh(id, p int, ln net.Listener, fault Fault, gen uint32, deadline time.Time) *mesh {
 	return &mesh{
 		id:       id,
 		p:        p,
+		ln:       ln,
 		snd:      newSender(id, p, fault, &ledger{gen: gen}),
 		addrs:    make([]string, p),
 		deadline: deadline,
@@ -62,11 +63,11 @@ func newMesh(id, p int, fault Fault, gen uint32, deadline time.Time) *mesh {
 // dialMesh establishes the full data plane for one worker: listen (already
 // bound by the caller), report nothing — the peer table is already known —
 // dial every peer, and accept every peer's dial. It returns only when all
-// 2(p-1) connections exist, so no frame can ever race a missing link. When
-// keepListener is set (elastic membership) the listener is left open for
-// rejoining peers to redial; the caller must then start serveAccepts.
-func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint32, deadline time.Time, keepListener bool) (*mesh, error) {
-	m := newMesh(id, p, fault, gen, deadline)
+// 2(p-1) connections exist, so no frame can ever race a missing link. The
+// listener is left open for rejoining peers to redial; the caller must
+// start serveAccepts.
+func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint32, deadline time.Time) (*mesh, error) {
+	m := newMesh(id, p, ln, fault, gen, deadline)
 
 	// Accept the p-1 inbound connections concurrently with our own dials
 	// (every worker dials everyone else, so serial accept+dial would
@@ -79,8 +80,8 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 		err  error
 	}
 	acceptCh := make(chan accepted, p-1)
-	// Joined by the rendezvous drain below, or by ln.Close for elastic runs,
-	// where serveAccepts takes the listener over.
+	// Joined by the rendezvous drain below, or by ln.Close once serveAccepts
+	// has taken the listener over.
 	go func() {
 		for i := 0; i < p-1; i++ {
 			conn, err := ln.Accept()
@@ -136,11 +137,6 @@ func dialMesh(id, p int, ln net.Listener, peers []string, fault Fault, gen uint3
 		}
 		m.in = append(m.in, a.conn)
 	}
-	if keepListener && firstErr == nil {
-		m.ln = ln
-	} else {
-		ln.Close() // every inbound connection exists (or the rendezvous failed)
-	}
 	if firstErr != nil {
 		m.shutdown()
 		return nil, firstErr
@@ -183,7 +179,7 @@ func (m *mesh) acceptHello(conn net.Conn) error {
 	return nil
 }
 
-// serveAccepts keeps accepting peer dials after rendezvous — the elastic
+// serveAccepts keeps accepting peer dials after rendezvous — the rejoin
 // half of the data plane: a peer that rejoined (or re-sharded onto a fresh
 // link) redials us, and spawn wires the handshaken connection into the
 // worker's reader set. It returns when the listener closes (shutdown).
@@ -246,13 +242,11 @@ func (m *mesh) updatePeers(addrs []string) {
 
 // shutdown flushes the sender and only then closes every connection — the
 // ordering that keeps delayed and queued deliveries from writing to closing
-// conns. The elastic listener closes first so no new inbound connection can
-// be accepted while the rest tears down.
+// conns. The listener closes first so no new inbound connection can be
+// accepted while the rest tears down.
 func (m *mesh) shutdown() {
 	m.snd.flush()
-	if m.ln != nil {
-		m.ln.Close()
-	}
+	m.ln.Close()
 	m.inMu.Lock()
 	m.inClosed = true
 	in := m.in

@@ -273,7 +273,7 @@ type sender struct {
 	led *ledger
 	// writeFailed, when set, is told of every failed write after the lost
 	// frame has been accounted (a failed write is a drop either way).
-	writeFailed func(l *leg, err error)
+	writeFailed func(l *leg)
 
 	// rng draws the fault decisions; only send touches it, and send has one
 	// caller, so the decision order is the source's frame order.
@@ -469,7 +469,7 @@ func (s *sender) deliver(l *leg, f *frameBuf) {
 	// in-flight count drainable whatever the owner makes of the failure.
 	s.led.discard(f.gen, &s.led.dropped)
 	if s.writeFailed != nil {
-		s.writeFailed(l, err)
+		s.writeFailed(l)
 	}
 }
 

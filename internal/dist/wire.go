@@ -42,8 +42,8 @@ package dist
 // re-issue the shard table and — on mesh — the peer address table, ""
 // marking dead slots); a reject answers a rejoin attempt that found no free
 // worker slot; a diverged is the last frame of a worker whose operator
-// evaluated NaN, and ends the run with that error on rigid and elastic
-// membership alike.
+// evaluated NaN, and ends the run with that error instead of a re-shard
+// around the worker.
 //
 // A relay forwards a block frame as it read it, byte for byte: the
 // coordinator never re-encodes a worker's frame, so what a destination reads

@@ -15,6 +15,9 @@ import (
 // maxFramePayload is the sanity bound on any frame's payload.
 const maxFramePayload = 1 << 26
 
+// errConnLost marks the error of a worker whose control link died under it.
+var errConnLost = errors.New("connection lost")
+
 // workerState is the TCP Transport of the runtime Worker loop, serving both
 // data planes: Publish frames shard values onto the coordinator's relay
 // (star) or the worker's own mesh links, Drain and Wait take frames off the
@@ -40,8 +43,8 @@ type workerState struct {
 
 	mesh *mesh // nil in the star topology
 
-	// Elastic membership. gen is the current membership generation — every
-	// data frame is fenced to it, and sent/delivered restart at zero when it
+	// Membership. gen is the current membership generation — every data
+	// frame is fenced to it, and sent/delivered restart at zero when it
 	// changes, so in-flight accounting never mixes generations. awaitAssign
 	// is the paused window between acknowledging a reshard and receiving
 	// the new shard table; Drain does not return while it lasts.
@@ -123,10 +126,9 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	// control reader reports a lost coordinator with an in-band sentinel
 	// (multiple readers share the inbox, so nobody may close it); mesh
 	// readers go quiet on error — a peer closing its sockets after stop is
-	// normal teardown (and under elastic membership a crashed peer is the
-	// coordinator's heartbeat timeout to notice, not ours), so a dead inbound
-	// link just stops producing frames. On the way out every reader is
-	// joined and what is left in the inbox released.
+	// normal teardown (and a crashed peer is the coordinator's to notice, not
+	// ours), so a dead inbound link just stops producing frames. On the way
+	// out every reader is joined and what is left in the inbox released.
 	inbox := ws.inbox
 	quit := make(chan struct{})
 	var readers sync.WaitGroup
@@ -188,9 +190,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 			return fmt.Errorf("dist: worker %d mesh address: %w", ws.id, err)
 		}
 		if wel.rejoining {
-			m := newMesh(ws.id, ws.p, cfg.Fault, ws.gen, deadline)
-			m.ln = ln
-			ws.mesh = m
+			ws.mesh = newMesh(ws.id, ws.p, ln, cfg.Fault, ws.gen, deadline)
 		} else {
 			typ, payload, err := readFrame(conn, maxFramePayload)
 			if err != nil || typ != msgPeers {
@@ -202,7 +202,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 				ln.Close()
 				return fmt.Errorf("dist: worker %d peer table %w", ws.id, err)
 			}
-			m, err := dialMesh(ws.id, ws.p, ln, peers, cfg.Fault, ws.gen, deadline, ws.hbEvery > 0)
+			m, err := dialMesh(ws.id, ws.p, ln, peers, cfg.Fault, ws.gen, deadline)
 			if err != nil {
 				return err
 			}
@@ -223,19 +223,17 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 			readers.Add(1)
 			go readInto(mc, false)
 		}
-		if ws.mesh.ln != nil {
-			// mesh.shutdown joins the accept loop, and so every Add here,
-			// before the deferred readers.Wait.
-			ws.mesh.serveAccepts(func(c net.Conn) {
-				readers.Add(1)
-				go readInto(c, false)
-			})
-		}
+		// mesh.shutdown joins the accept loop, and so every Add here, before
+		// the deferred readers.Wait.
+		ws.mesh.serveAccepts(func(c net.Conn) {
+			readers.Add(1)
+			go readInto(c, false)
+		})
 	}
 
+	ws.lastHB = time.Now()
+	ws.lastCk = ws.lastHB
 	if ws.hbEvery > 0 {
-		ws.lastHB = time.Now()
-		ws.lastCk = ws.lastHB
 		ws.hbTimer = time.NewTimer(ws.hbEvery)
 		defer ws.hbTimer.Stop()
 		ws.hbTimer.Stop() // parked until next() arms it; it cannot have fired yet
@@ -262,18 +260,18 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 // heartbeatFrame is shared by every worker: conn.Write never mutates it.
 var heartbeatFrame = buildFrame(msgHeartbeat, nil)
 
-// maintain paces the elastic control traffic from the compute goroutine: a
-// heartbeat whenever the control link has been quiet for HeartbeatEvery
-// (every control frame proves liveness, but the heartbeat guarantees a
-// bound), and a shard checkpoint every CheckpointEvery while the worker
-// owns a shard. Both are trajectory-neutral: they read the view, never
-// write it.
+// maintain paces the membership's control traffic from the compute
+// goroutine, each part only when configured: a heartbeat whenever the
+// control link has been quiet for HeartbeatEvery (every control frame proves
+// liveness, but the heartbeat guarantees a bound), and a shard checkpoint
+// every CheckpointEvery while the worker owns a shard. Both are
+// trajectory-neutral: they read the view, never write it.
 func (ws *workerState) maintain() error {
-	if ws.hbEvery <= 0 {
+	if ws.hbEvery <= 0 && ws.ckEvery <= 0 {
 		return nil
 	}
 	now := time.Now()
-	if now.Sub(ws.lastHB) >= ws.hbEvery {
+	if ws.hbEvery > 0 && now.Sub(ws.lastHB) >= ws.hbEvery {
 		ws.lastHB = now
 		if _, err := ws.conn.Write(heartbeatFrame); err != nil {
 			return fmt.Errorf("dist: worker %d heartbeat: %w", ws.id, err)
@@ -373,7 +371,7 @@ func (ws *workerState) handle(f *frameBuf) error {
 	case msgStop:
 		ws.stopped = true
 	case msgConnLost:
-		return fmt.Errorf("dist: worker %d: connection lost: %s", ws.id, payload)
+		return fmt.Errorf("dist: worker %d: %w: %s", ws.id, errConnLost, payload)
 	default:
 		return fmt.Errorf("dist: worker %d: unexpected frame type %d", ws.id, f.typ())
 	}

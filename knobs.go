@@ -84,23 +84,23 @@ var knobTable = []Knob{
 	},
 	{
 		Flag: "heartbeat", JSON: "heartbeat_every", Group: "elastic", Kind: KnobDuration, Default: "0s",
-		Help:  "dist worker heartbeat period; non-zero enables elastic mode (worker churn survival)",
-		apply: durationKnob("heartbeat", func(s *Spec, v time.Duration) { s.HeartbeatEvery = v }),
+		Help:  "dist worker heartbeat period: a link silent for max(6x this, 200ms) is a lost worker; 0 = only a failed link is",
+		apply: durationKnob("heartbeat", func(s *Spec, v time.Duration) { s.Elastic.HeartbeatEvery = v }),
 	},
 	{
 		Flag: "checkpoint", JSON: "checkpoint_every", Group: "elastic", Kind: KnobDuration, Default: "0s",
-		Help:  "dist worker shard-checkpoint period; 0 = 4x heartbeat (elastic mode)",
-		apply: durationKnob("checkpoint", func(s *Spec, v time.Duration) { s.CheckpointEvery = v }),
+		Help:  "dist worker shard-checkpoint period; 0 = 4x heartbeat",
+		apply: durationKnob("checkpoint", func(s *Spec, v time.Duration) { s.Elastic.CheckpointEvery = v }),
 	},
 	{
 		Flag: "rejoin-wait", JSON: "max_rejoin_wait", Group: "elastic", Kind: KnobDuration, Default: "0s",
-		Help:  "max time a restarted dist worker retries dial-and-register; 0 = 10s (elastic mode)",
-		apply: durationKnob("rejoin-wait", func(s *Spec, v time.Duration) { s.MaxRejoinWait = v }),
+		Help:  "max time a dist worker retries dial-and-register (capped backoff with jitter); 0 = 10s",
+		apply: durationKnob("rejoin-wait", func(s *Spec, v time.Duration) { s.Elastic.MaxRejoinWait = v }),
 	},
 	{
 		Flag: "checkpoint-file", JSON: "checkpoint_file", Group: "elastic", Kind: KnobString, Default: "",
-		Help:  "file the dist coordinator persists its assembled checkpoint to (elastic mode)",
-		apply: stringKnob(func(s *Spec, v string) { s.CheckpointPath = v }),
+		Help:  "file the dist coordinator persists its assembled checkpoint to",
+		apply: stringKnob(func(s *Spec, v string) { s.Elastic.CheckpointPath = v }),
 	},
 	{
 		Flag: "topology", JSON: "topology", Group: "dist", Kind: KnobString, Default: "",
@@ -250,15 +250,15 @@ type KnobSet struct {
 	vals   map[string]*string
 }
 
-// RegisterKnobFlags registers every knob in the listed groups (all groups
-// when none are listed) as flags on fs.
+// RegisterKnobFlags registers every knob in the listed groups, or named by
+// its flag (all knobs when none are listed), as flags on fs.
 func RegisterKnobFlags(fs *flag.FlagSet, groups ...string) *KnobSet {
 	ks := &KnobSet{fs: fs, groups: map[string]bool{}, vals: map[string]*string{}}
 	for _, g := range groups {
 		ks.groups[g] = true
 	}
 	for _, k := range knobTable {
-		if len(ks.groups) > 0 && !ks.groups[k.Group] {
+		if len(ks.groups) > 0 && !ks.groups[k.Group] && !ks.groups[k.Flag] {
 			continue
 		}
 		ks.vals[k.Flag] = fs.String(k.Flag, k.Default, k.Help)

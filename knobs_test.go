@@ -89,6 +89,15 @@ func TestRegisterKnobFlagsMatchesTable(t *testing.T) {
 	if ffs.Lookup("drop") == nil || ffs.Lookup("block-size") != nil {
 		t.Error("group filter did not restrict registration to the faults group")
 	}
+	// So does naming one knob by its flag (dist-worker takes -rejoin-wait
+	// alone).
+	one := flag.NewFlagSet("z", flag.ContinueOnError)
+	repro.RegisterKnobFlags(one, "rejoin-wait")
+	n := 0
+	one.VisitAll(func(*flag.Flag) { n++ })
+	if one.Lookup("rejoin-wait") == nil || n != 1 {
+		t.Errorf("naming -rejoin-wait registered %d flags", n)
+	}
 }
 
 // Explicitly-set flags — and only those — become options; the resulting
@@ -196,8 +205,8 @@ func TestKnobJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// WithElastic and the elastic knob-table entries must write the same
-// fields, and Elastic() must read them back as one unit.
+// WithElastic and the elastic knob-table entries must write the same one
+// field.
 func TestWithElasticMatchesKnobTable(t *testing.T) {
 	e := repro.Elastic{
 		HeartbeatEvery:  20 * time.Millisecond,
@@ -206,8 +215,8 @@ func TestWithElasticMatchesKnobTable(t *testing.T) {
 		CheckpointPath:  "/tmp/ckpt.bin",
 	}
 	grouped := repro.NewSpec(nil, repro.WithElastic(e))
-	if grouped.Elastic() != e {
-		t.Errorf("Elastic() read back %+v, want %+v", grouped.Elastic(), e)
+	if grouped.Elastic != e {
+		t.Errorf("WithElastic wrote %+v, want %+v", grouped.Elastic, e)
 	}
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ks := repro.RegisterKnobFlags(fs, "elastic")
@@ -219,8 +228,8 @@ func TestWithElasticMatchesKnobTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaTable.Elastic() != e {
-		t.Errorf("knob table wrote %+v, want %+v", viaTable.Elastic(), e)
+	if viaTable.Elastic != e {
+		t.Errorf("knob table wrote %+v, want %+v", viaTable.Elastic, e)
 	}
 }
 

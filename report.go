@@ -104,8 +104,8 @@ type Report struct {
 	BytesReceived int64 `json:"bytes_received,omitempty"`
 	// WorkersLost / WorkersRejoined count worker links declared dead and
 	// fresh connections installed into a vacated slot mid-solve;
-	// Resharding counts completed re-shard barriers (dist engine under
-	// WithElastic — all zero on a churn-free run).
+	// Resharding counts completed re-shard barriers (dist engine; all zero
+	// on a churn-free run).
 	WorkersLost     int64 `json:"workers_lost,omitempty"`
 	WorkersRejoined int64 `json:"workers_rejoined,omitempty"`
 	Resharding      int64 `json:"resharding,omitempty"`

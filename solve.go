@@ -100,22 +100,9 @@ type Execution struct {
 	// worker-to-worker TCP links; the coordinator keeps only the control
 	// plane).
 	Topology string
-	// HeartbeatEvery enables the dist engine's elastic mode: workers emit
-	// heartbeat frames at this period, the coordinator declares a link dead
-	// after a multiple of it, survivors are re-sharded and rejoining
-	// workers warm-start from their last checkpoint. Zero (the default)
-	// keeps the rigid fail-the-run behaviour. See Elastic / WithElastic.
-	HeartbeatEvery time.Duration
-	// CheckpointEvery is the period between worker shard checkpoints to
-	// the coordinator (elastic dist engine; default 4x HeartbeatEvery).
-	CheckpointEvery time.Duration
-	// MaxRejoinWait bounds a restarted worker's dial-and-register retry
-	// loop (elastic dist engine; default 10s).
-	MaxRejoinWait time.Duration
-	// CheckpointPath, when non-empty, makes the coordinator additionally
-	// persist the assembled global checkpoint to this file so a restarted
-	// coordinator can warm-start the whole solve (elastic dist engine).
-	CheckpointPath string
+	// Elastic paces the dist engine's worker-churn survival: loss
+	// detection, checkpoints and rejoin. See Elastic / WithElastic.
+	Elastic Elastic
 	// ApplyStale lets late messages carrying older labels overwrite the
 	// receiver's view (asynchronous simulator).
 	ApplyStale bool

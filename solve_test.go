@@ -158,8 +158,8 @@ func (o *nanFrom) Component(i int, x []float64) float64 {
 // Converged = true with X[0] = NaN). Every engine now tests the block it
 // evaluated before installing it and stops with ErrDiverged, never a Report
 // — from the first evaluation or from one mid-run, on both dist topologies,
-// rigid and elastic (where the diverged worker must not be evicted and its
-// NaN re-sharded onto the survivors) — and +Inf stays legal.
+// with and without heartbeats (the diverged worker must not be evicted and
+// its NaN re-sharded onto the survivors) — and +Inf stays legal.
 func TestEveryEngineStopsOnNaN(t *testing.T) {
 	elastic := repro.WithElastic(repro.Elastic{HeartbeatEvery: 20 * time.Millisecond})
 	engines := []struct {

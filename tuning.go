@@ -3,6 +3,7 @@ package repro
 import (
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/operators"
 )
 
@@ -95,44 +96,15 @@ func (e *Execution) Faults() Faults {
 	return Faults{DropProb: e.DropProb, ReorderProb: e.ReorderProb, MaxLinkDelay: e.MaxLinkDelay}
 }
 
-// Elastic groups the dist engine's elasticity knobs: a non-zero
-// HeartbeatEvery switches the engine from "any worker loss fails the run"
-// to "dead links are detected, survivors are re-sharded mid-solve, and
-// restarted workers rejoin and warm-start from their last checkpoint".
-// Like Faults, the group is declared once in the knob table (group
-// "elastic"), so the CLI flags and the server's /v1/solve JSON fields
-// derive from the same entries. The other engines ignore the group.
-type Elastic struct {
-	// HeartbeatEvery is the worker heartbeat period; zero disables
-	// elasticity entirely (the rigid default).
-	HeartbeatEvery time.Duration
-	// CheckpointEvery is the period between worker shard checkpoints to
-	// the coordinator; 0 defaults to 4x HeartbeatEvery.
-	CheckpointEvery time.Duration
-	// MaxRejoinWait bounds a restarted worker's dial-and-register retry
-	// loop (capped exponential backoff with jitter); 0 defaults to 10s.
-	MaxRejoinWait time.Duration
-	// CheckpointPath, when non-empty, additionally persists the
-	// coordinator's assembled checkpoint to this file.
-	CheckpointPath string
-}
+// Elastic groups the dist engine's elasticity knobs. Every dist run
+// re-shards around a lost worker and lets a restarted one rejoin; the group
+// only paces that: HeartbeatEvery picks how silence is detected (zero: by
+// the link failing), CheckpointEvery how fresh a rejoiner's warm start is,
+// MaxRejoinWait how long a restarted worker retries, CheckpointPath where
+// the coordinator persists its iterate. It is declared once, in the dist
+// engine, and set on every surface through the knob table (group
+// "elastic"). The other engines ignore it.
+type Elastic = dist.Elastic
 
 // WithElastic replaces the dist engine's elasticity knob group.
-func WithElastic(e Elastic) Option {
-	return func(s *Spec) {
-		s.HeartbeatEvery = e.HeartbeatEvery
-		s.CheckpointEvery = e.CheckpointEvery
-		s.MaxRejoinWait = e.MaxRejoinWait
-		s.CheckpointPath = e.CheckpointPath
-	}
-}
-
-// Elastic reads the current elasticity knob group back from the spec.
-func (e *Execution) Elastic() Elastic {
-	return Elastic{
-		HeartbeatEvery:  e.HeartbeatEvery,
-		CheckpointEvery: e.CheckpointEvery,
-		MaxRejoinWait:   e.MaxRejoinWait,
-		CheckpointPath:  e.CheckpointPath,
-	}
-}
+func WithElastic(e Elastic) Option { return func(s *Spec) { s.Elastic = e } }
