@@ -100,10 +100,13 @@
 // only paces this: HeartbeatEvery picks how silence is detected (workers
 // heartbeat the control link, and one silent past max(6×HeartbeatEvery,
 // 200ms) is lost too — the only way to catch a stalled process),
-// CheckpointEvery has workers stream shard checkpoints for fresher warm
-// starts, MaxRejoinWait bounds a restarted worker's retries, and
+// CheckpointEvery has heartbeating workers stream shard checkpoints for
+// fresher warm starts, MaxRejoinWait bounds a restarted worker's retries
+// (and how long a coordinator that lost every worker waits for one), and
 // CheckpointPath persists the merged iterate to disk so a restarted
-// coordinator can warm-start the whole solve. A re-shard counts as a
+// coordinator can warm-start the whole solve. A worker lost after the stop
+// never uploads its final shard, so that run does not report convergence.
+// A re-shard counts as a
 // reactivation under the termination protocol below (the epoch bump
 // invalidates any probe round in flight), so quiescence is never certified
 // across a membership change; with zero churn the trajectory is

@@ -256,32 +256,6 @@ func TestRunChaosWithoutHeartbeats(t *testing.T) {
 	}
 }
 
-// TestCheckpointsWithoutHeartbeats: checkpoint pacing is its own knob — a
-// run with CheckpointEvery and no heartbeats streams shard checkpoints, and
-// the coordinator persists them.
-func TestCheckpointsWithoutHeartbeats(t *testing.T) {
-	op, xstar := contractingOp(t, 32, 14)
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	res, err := Run(Config{
-		Config:   runtime.Config{Op: slowOp{op: op, delay: 100 * time.Microsecond}, Workers: 4, Tol: 1e-9},
-		Topology: TopologyMesh,
-		Elastic:  Elastic{CheckpointEvery: time.Millisecond, CheckpointPath: path},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("run did not converge")
-	}
-	x, err := readCheckpointFile(path, 32)
-	if err != nil || x == nil {
-		t.Fatalf("checkpoint file: %v, %v", x, err)
-	}
-	if e := vec.DistInf(x, xstar); !(e < vec.DistInf(make([]float64, 32), xstar)) {
-		t.Errorf("checkpointed iterate is no closer to x* than x0 (error %v)", e)
-	}
-}
-
 // TestOnlyLinkLossIsACasualty: Run forgives a worker the loss of its link —
 // the coordinator re-sharded around it — but not a failure of its own.
 func TestOnlyLinkLossIsACasualty(t *testing.T) {

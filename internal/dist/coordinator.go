@@ -297,8 +297,10 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	}
 
 	// Stop the run and collect the authoritative final shards from the
-	// workers alive at stop; a worker lost after this point contributes its
-	// last checkpointed values instead (a lost final).
+	// workers alive at stop. A shard whose final never arrives (its worker
+	// was lost after the certifying collects) keeps the best-known values in
+	// x, which the certification says nothing about: the run then does not
+	// report convergence.
 	c.stopped.Store(true)
 	stopFrame := buildFrame(msgStop, nil)
 	c.mu.RLock()
@@ -321,6 +323,7 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 	}
 	x := c.bestIterate()
 	updates := make([]int, cfg.Workers)
+	finals := make([]bool, cfg.Workers) // slots whose real final arrived
 	var sent, delivered, stale int64
 	finalDeadline := time.Now().Add(cfg.Timeout)
 	for got := 0; got < expected; {
@@ -332,8 +335,9 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 			expect[f.worker] = false
 			got++
 			if f.lost {
-				continue // shard stays at the checkpointed values in x
+				continue // shard stays at the best-known values in x
 			}
+			finals[f.worker] = true
 			copy(x[f.lo:f.lo+len(f.vals)], f.vals)
 			updates[f.worker] = f.updates
 			sent += int64(f.sent)
@@ -358,6 +362,11 @@ func Serve(ln net.Listener, cfg Config) (res *Result, err error) {
 		return nil, fmt.Errorf("dist: run exceeded timeout %v without quiescence or budget exhaustion", cfg.Timeout)
 	}
 	// Every goroutine that shared the coordinator's state has been joined.
+	for w, b := range c.blocks {
+		if b[1] > b[0] && !finals[w] {
+			converged = false
+		}
+	}
 	return &Result{
 		Result: runtime.Result{
 			X:                x,
@@ -482,7 +491,7 @@ func (c *coordinator) relayFailed(l *leg) {
 
 // lostFinal synthesizes the final of a worker whose link died after stop,
 // so the collection loop is never wedged on a shard that will not arrive;
-// the shard keeps its last checkpointed values.
+// the shard keeps its best-known values and the run is not converged.
 func (c *coordinator) lostFinal(w int) {
 	select {
 	case c.finalCh <- final{worker: w, lost: true}:
@@ -835,9 +844,11 @@ func (c *coordinator) handleRejoin(conn net.Conn) {
 // checkpointed iterate, and re-issue the shard table and — on mesh — the
 // peer address table (assign). A worker lost or rejoined mid-barrier simply
 // restarts the attempt with a fresh generation; the run deadline bounds the
-// retrying. Runs on the run-loop goroutine, so no probe round can overlap a
-// generation flip.
+// retrying. With every worker lost it waits for a rejoiner only as long as a
+// restarted worker keeps retrying (Elastic.RejoinWait). Runs on the run-loop
+// goroutine, so no probe round can overlap a generation flip.
 func (c *coordinator) reshardBarrier(deadline time.Time) error {
+	var emptySince time.Time
 	for {
 		if !time.Now().Before(deadline) || c.cancelled() {
 			return errors.New("dist: resharding did not complete before the run ended")
@@ -857,14 +868,19 @@ func (c *coordinator) reshardBarrier(deadline time.Time) error {
 		}
 		if len(live) == 0 {
 			c.mu.Unlock()
-			// Nobody left to compute: wait for a rejoiner (or give up at
-			// the deadline above).
+			// Nobody left to compute: wait for a rejoiner.
+			if emptySince.IsZero() {
+				emptySince = time.Now()
+			} else if wait := c.cfg.Elastic.RejoinWait(); time.Since(emptySince) > wait {
+				return fmt.Errorf("dist: all %d workers lost and none rejoined within %v", c.cfg.Workers, wait)
+			}
 			select {
 			case <-c.membership:
 			case <-time.After(probeInterval):
 			}
 			continue
 		}
+		emptySince = time.Time{}
 		shards := vec.Blocks(c.n, len(live))
 		for w := range c.blocks {
 			c.blocks[w] = [2]int{0, 0}

@@ -271,7 +271,8 @@ func Run(cfg Config) (*Result, error) {
 // that raced the end of the run are expected casualties; and a worker that
 // lost its link (linkLost) was re-sharded around, which the result already
 // shows as WorkersLost. A malformed frame is the worker's own failure and
-// fails the run even though the survivors finished without it.
+// fails the run even though the survivors finished without it; when the
+// coordinator failed too, its error names the worker's.
 func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -340,10 +341,17 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 		ctl.Kill()
 	}
 	wg.Wait()
+	// A worker that failed on its own is the cause of whatever the
+	// coordinator made of its loss, so a coordinator error carries it (a
+	// divergence the coordinator reports itself).
+	ownErr := len(plan.Events) == 0 && workerErr != nil
 	if out.err != nil {
+		if ownErr && !errors.Is(out.err, operators.ErrDiverged) {
+			return nil, fmt.Errorf("%w (%v)", out.err, workerErr)
+		}
 		return nil, out.err
 	}
-	if len(plan.Events) == 0 && !out.res.Cancelled && workerErr != nil {
+	if ownErr && !out.res.Cancelled {
 		return nil, workerErr
 	}
 	return out.res, nil

@@ -244,15 +244,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, DeltaThreshold: -1e-9}); err == nil {
 		t.Error("expected error for negative DeltaThreshold")
 	}
-	// A checkpoint file needs checkpoints to fill it: a cadence of its own
-	// or the default 4×HeartbeatEvery.
-	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Elastic: Elastic{CheckpointPath: "ckpt"}}); err == nil {
-		t.Error("expected error for CheckpointPath without a checkpoint cadence")
-	}
-	for _, e := range []Elastic{{CheckpointEvery: time.Millisecond, CheckpointPath: "ckpt"}, {HeartbeatEvery: time.Millisecond, CheckpointPath: "ckpt"}} {
-		cfg := Config{Config: runtime.Config{Op: op, Workers: 2}, Elastic: e}
-		if _, err := cfg.validate(); err != nil {
-			t.Errorf("%+v: %v", e, err)
+	// Checkpoints ride the heartbeat pacing.
+	for _, e := range []Elastic{{CheckpointPath: "ckpt"}, {CheckpointEvery: time.Millisecond}} {
+		if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Elastic: e}); err == nil {
+			t.Errorf("%+v: expected error for checkpointing without heartbeats", e)
 		}
 	}
 }
@@ -1226,5 +1221,95 @@ func TestServeCancelled(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		conn.Close()
 		t.Error("listener still accepting after a cancelled run")
+	}
+}
+
+// serveOne serves a one-worker run of cfg on a fresh listener and returns
+// the listener's address and the channel Serve's outcome arrives on.
+func serveOne(t *testing.T, cfg Config) (string, <-chan error, <-chan *Result) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh, resCh := make(chan error, 1), make(chan *Result, 1)
+	go func() {
+		res, err := Serve(ln, cfg)
+		resCh <- res
+		errCh <- err
+	}()
+	return ln.Addr().String(), errCh, resCh
+}
+
+// TestFinalLostAfterStopIsNotConverged: a worker severed right after stop
+// never uploads its shard. Without heartbeats nothing was ever checkpointed,
+// so the coordinator holds only x0 for that shard, and the run must not
+// report it as a converged solve.
+func TestFinalLostAfterStopIsNotConverged(t *testing.T) {
+	op, _ := contractingOp(t, 8, 15)
+	addr, errCh, resCh := serveOne(t, Config{
+		Config:  runtime.Config{Op: op, Workers: 1, Tol: 1e-9},
+		Timeout: time.Minute,
+	})
+	// A scripted worker: passive at every probe, gone at the stop.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := conn.Write(buildFrame(msgHello, appendU32(nil, protocolVersion))); err != nil {
+		t.Fatal(err)
+	}
+	for stopped := false; !stopped; {
+		typ, payload, err := readFrame(conn, maxFramePayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case msgProbe:
+			cur := cursor{b: payload}
+			if _, err := conn.Write(buildStatusFrame(status{probeID: cur.u64(), passive: true, gen: 1})); err != nil {
+				t.Fatal(err)
+			}
+		case msgStop:
+			conn.Close()
+			stopped = true
+		}
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	res := <-resCh
+	if res.Converged {
+		t.Errorf("reported converged with the only shard at x0: X = %v", res.X)
+	}
+	if res.WorkersLost != 1 {
+		t.Errorf("WorkersLost = %d, want 1", res.WorkersLost)
+	}
+}
+
+// TestAllWorkersLostFailsPromptly: once every worker is lost the coordinator
+// waits for a rejoiner only as long as one would retry (MaxRejoinWait), not
+// until the run's Timeout. The one worker here fails on its own, on an
+// operator of the wrong dimension.
+func TestAllWorkersLostFailsPromptly(t *testing.T) {
+	op, _ := contractingOp(t, 8, 16)
+	wrong, _ := contractingOp(t, 9, 16)
+	addr, errCh, _ := serveOne(t, Config{
+		Config:  runtime.Config{Op: op, Workers: 1, Tol: 1e-9},
+		Elastic: Elastic{MaxRejoinWait: 100 * time.Millisecond},
+		Timeout: time.Minute,
+	})
+	start := time.Now()
+	if err := ConnectWorker(addr, wrong, WorkerOptions{}); err == nil || linkLost(err) {
+		t.Fatalf("worker error %v, want a failure of its own", err)
+	}
+	err := <-errCh
+	if err == nil || !strings.Contains(err.Error(), "all 1 workers lost") {
+		t.Fatalf("Serve error %v, want every worker lost", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("Serve took %v to give up on a run with no workers left", elapsed)
 	}
 }

@@ -41,8 +41,9 @@ type Elastic struct {
 	// CheckpointEvery is the cadence at which an active worker streams a
 	// checkpoint of its shard to the coordinator, which folds it into the
 	// warm-start iterate handed to rejoining workers (a re-shard folds in
-	// every survivor's shard either way). Zero defaults to 4×HeartbeatEvery,
-	// which is no checkpoints when heartbeats are off.
+	// every survivor's shard either way). Checkpoints ride the heartbeat
+	// pacing, so they require HeartbeatEvery > 0; zero defaults to
+	// 4×HeartbeatEvery.
 	CheckpointEvery time.Duration
 	// MaxRejoinWait bounds a restarted worker's dial/register retry loop
 	// (capped exponential backoff with jitter). Zero means the default,
@@ -53,7 +54,7 @@ type Elastic struct {
 	// once per CheckpointEvery) and, when a matching-dimension checkpoint
 	// exists at startup, warm-starts the whole run from it instead of X0 —
 	// a coordinator-level restart survives with the last solve's progress.
-	// It needs a checkpoint cadence.
+	// Like CheckpointEvery, it requires HeartbeatEvery > 0.
 	CheckpointPath string
 }
 
@@ -61,11 +62,11 @@ func (e *Elastic) validate() error {
 	if e.HeartbeatEvery < 0 || e.CheckpointEvery < 0 || e.MaxRejoinWait < 0 {
 		return errors.New("dist: Elastic durations must be non-negative")
 	}
+	if e.HeartbeatEvery == 0 && (e.CheckpointEvery > 0 || e.CheckpointPath != "") {
+		return errors.New("dist: Elastic checkpointing requires HeartbeatEvery > 0")
+	}
 	if e.CheckpointEvery == 0 {
 		e.CheckpointEvery = 4 * e.HeartbeatEvery
-	}
-	if e.CheckpointPath != "" && e.CheckpointEvery == 0 {
-		return errors.New("dist: Elastic.CheckpointPath needs CheckpointEvery or HeartbeatEvery > 0")
 	}
 	return nil
 }

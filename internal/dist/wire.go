@@ -371,7 +371,8 @@ type final struct {
 	reordered, duplicate   uint64
 	linkBytes              []uint64
 	// lost marks a synthesized final for a worker whose link died after
-	// stop: its shard stays at the coordinator's last checkpointed values.
+	// stop: its shard stays at the coordinator's best-known values, and the
+	// run does not report convergence.
 	lost bool
 }
 

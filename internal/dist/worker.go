@@ -261,17 +261,17 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 var heartbeatFrame = buildFrame(msgHeartbeat, nil)
 
 // maintain paces the membership's control traffic from the compute
-// goroutine, each part only when configured: a heartbeat whenever the
-// control link has been quiet for HeartbeatEvery (every control frame proves
+// goroutine, only when heartbeats are on: a heartbeat whenever the control
+// link has been quiet for HeartbeatEvery (every control frame proves
 // liveness, but the heartbeat guarantees a bound), and a shard checkpoint
 // every CheckpointEvery while the worker owns a shard. Both are
 // trajectory-neutral: they read the view, never write it.
 func (ws *workerState) maintain() error {
-	if ws.hbEvery <= 0 && ws.ckEvery <= 0 {
+	if ws.hbEvery <= 0 {
 		return nil
 	}
 	now := time.Now()
-	if ws.hbEvery > 0 && now.Sub(ws.lastHB) >= ws.hbEvery {
+	if now.Sub(ws.lastHB) >= ws.hbEvery {
 		ws.lastHB = now
 		if _, err := ws.conn.Write(heartbeatFrame); err != nil {
 			return fmt.Errorf("dist: worker %d heartbeat: %w", ws.id, err)

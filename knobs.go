@@ -89,7 +89,7 @@ var knobTable = []Knob{
 	},
 	{
 		Flag: "checkpoint", JSON: "checkpoint_every", Group: "elastic", Kind: KnobDuration, Default: "0s",
-		Help:  "dist worker shard-checkpoint period; 0 = 4x heartbeat",
+		Help:  "dist worker shard-checkpoint period; needs -heartbeat; 0 = 4x heartbeat",
 		apply: durationKnob("checkpoint", func(s *Spec, v time.Duration) { s.Elastic.CheckpointEvery = v }),
 	},
 	{
@@ -99,7 +99,7 @@ var knobTable = []Knob{
 	},
 	{
 		Flag: "checkpoint-file", JSON: "checkpoint_file", Group: "elastic", Kind: KnobString, Default: "",
-		Help:  "file the dist coordinator persists its assembled checkpoint to",
+		Help:  "file the dist coordinator persists its assembled checkpoint to; needs -heartbeat",
 		apply: stringKnob(func(s *Spec, v string) { s.Elastic.CheckpointPath = v }),
 	},
 	{
