@@ -42,9 +42,12 @@ smoke-examples:
 	done
 
 # Both dist data planes solve a scenario end to end over real TCP (what
-# the CI dist smoke step runs).
+# the CI dist smoke step runs). The second star run shares each worker's
+# control link between its uplink writer and heartbeats and checkpoints:
+# interleaved bytes would fail it as a malformed frame.
 smoke-dist:
 	$(GO) run ./cmd/asyncsolve -scenario lasso -engine dist -workers 4 -topology star >/dev/null
+	$(GO) run ./cmd/asyncsolve -scenario lasso -engine dist -workers 4 -topology star -heartbeat 2ms -checkpoint 4ms -delta 1e-9 >/dev/null
 	$(GO) run ./cmd/asyncsolve -scenario lasso -engine dist -workers 4 -topology mesh >/dev/null
 	$(GO) run ./cmd/asyncsolve -scenario routing -engine dist -workers 4 -topology mesh -delta 1e-9 >/dev/null
 
@@ -121,7 +124,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22417
+LOC_CEILING := 22436
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

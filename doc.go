@@ -56,15 +56,17 @@
 //     worker-to-worker TCP connections.
 //
 // Either way one piece of code does the sending (internal/dist sender.go),
-// wherever it lives — in the coordinator, one per source link, on star; in
-// each worker on mesh. It draws the fault injection per (frame,
-// destination) from a per-source RNG stream, so identical seeds inject
-// identical faults on both topologies; it filters by sequence number, so a
-// frame overtaken on its leg is discarded instead of written; and each leg
-// keeps a one-frame newest-wins outbox, so a source that outruns a socket
-// supersedes its own unsent frames (counted MessagesReordered) instead of
-// queueing stale values — which is why a fault-free run on either topology
-// can report superseded frames.
+// and every worker sends through one: its mesh links on mesh, on star an
+// uplink onto its control link to the coordinator, which relays through one
+// more per source link. The faulty one (the mesh worker's, the relay) draws
+// the fault injection per (frame, destination) from a per-source RNG
+// stream, so identical seeds draw identical decisions on both topologies,
+// though not always for the same frames; every one filters by sequence
+// number, so a frame overtaken on its leg is discarded instead of written;
+// and each leg keeps a one-frame newest-wins outbox, so a source that
+// outruns a socket supersedes its own unsent frames (counted
+// MessagesReordered) instead of queueing stale values — which is why a
+// fault-free run on either topology can report superseded frames.
 //
 // WithDeltaThreshold adds flexible communication on the wire for either
 // topology: a broadcast ships one [offset, len) frame covering the span of

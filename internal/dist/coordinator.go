@@ -445,9 +445,7 @@ func (c *coordinator) fail(err error) {
 
 // writeLink sends one control frame on a link.
 func (c *coordinator) writeLink(l *link, frame []byte) error {
-	l.mu.Lock()
-	_, err := l.conn.Write(frame)
-	l.mu.Unlock()
+	err := l.write(frame)
 	if err == nil {
 		c.bytesOut.Add(int64(len(frame)))
 	}

@@ -9,7 +9,9 @@ package dist
 import (
 	"bytes"
 	"math"
+	"net"
 	gort "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,7 +105,7 @@ func TestDelayedSendDoesNotAllocate(t *testing.T) {
 // a leg, a delay record or a receiver still reads it corrupts the solve, and
 // every buffer taken must be back by the time Run returns. Two runs hold
 // almost every frame in delay records; a fault-free star run sends them
-// through the relay's outboxes instead.
+// through the uplinks' and the relay's outboxes instead.
 func TestFrameBuffersOwnedOnce(t *testing.T) {
 	frameAudit.takes.Store(0)
 	frameAudit.releases.Store(0)
@@ -144,8 +146,8 @@ func TestFrameBuffersOwnedOnce(t *testing.T) {
 }
 
 // TestRelayForwardsSourceBytes: a star destination reads exactly the bytes
-// appendBlockFrame produced at the source, for a whole-shard broadcast and
-// for a delta-threshold span.
+// appendBlockFrame produced at the source, through the source's uplink and
+// the relay, for a whole-shard broadcast and for a delta-threshold span.
 func TestRelayForwardsSourceBytes(t *testing.T) {
 	const n = 4
 	srv0, cli0 := tcpPair(t)
@@ -174,10 +176,12 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 	}()
 
 	ws := &workerState{
-		conn: cli0, id: 0, p: 2, n: n, lo: 0, hi: 2, gen: 1,
+		id: 0, p: 2, n: n, lo: 0, hi: 2, gen: 1,
 		deltaThreshold: 0.1,
 		lastSent:       make([]float64, 2),
+		snd:            newUplink(&link{conn: cli0}, 2, 1),
 	}
+	defer ws.snd.flush()
 	for _, tc := range []struct {
 		name  string
 		shard []float64
@@ -186,9 +190,7 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 		{"whole shard", []float64{1, 2}, appendBlockFrame(nil, 0, 1, 0, 1, 0, []float64{1, 2})},
 		{"delta span", []float64{1, 2.5}, appendBlockFrame(nil, 0, 2, 0, 1, 1, []float64{2.5})},
 	} {
-		if err := ws.broadcast(tc.shard, 0); err != nil {
-			t.Fatal(err)
-		}
+		ws.broadcast(tc.shard, 0)
 		cli1.SetReadDeadline(time.Now().Add(10 * time.Second))
 		got, err := readFrameInto(cli1, maxFramePayload, nil)
 		if err != nil {
@@ -197,6 +199,132 @@ func TestRelayForwardsSourceBytes(t *testing.T) {
 		if !bytes.Equal(got, tc.want) {
 			t.Errorf("%s: destination read % x, source encoded % x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// gateConn holds every Write until gate is closed: a Write signals entered
+// (skipping the signal while one is still unread), blocks on gate, then
+// records a copy of the frame.
+type gateConn struct {
+	net.Conn
+	entered, gate chan struct{}
+	mu            sync.Mutex
+	frames        [][]byte
+}
+
+func (c *gateConn) Write(b []byte) (int, error) {
+	select {
+	case c.entered <- struct{}{}:
+	default:
+	}
+	<-c.gate
+	c.mu.Lock()
+	c.frames = append(c.frames, append([]byte(nil), b...))
+	c.mu.Unlock()
+	return len(b), nil
+}
+
+// TestStarUplinkSheds: a star worker publishes through its uplink's
+// newest-wins outbox, so while the control link is stuck in a write the
+// compute goroutine keeps going, and every broadcast overtaken before the
+// writer takes it is discarded unwritten and charged p-1 times, the sends
+// the worker counted for it. A reliable publish empties the outbox and is
+// written; the frame it superseded never follows it. The status reply
+// carries the uplink ledger's drain.
+func TestStarUplinkSheds(t *testing.T) {
+	const p, k = 4, 6
+	conn := &gateConn{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	ws := &workerState{
+		coord: &link{conn: conn},
+		id:    1, p: p, n: 8, lo: 2, hi: 4, gen: 1,
+		lastSent: make([]float64, 2),
+	}
+	ws.snd = newUplink(ws.coord, p, ws.gen)
+	defer ws.snd.flush()
+	led := ws.snd.led
+	for i := 1; i <= k; i++ {
+		ws.Publish([]float64{float64(i), 0}, false)
+		if i == 1 {
+			<-conn.entered // the writer is stuck writing frame 1
+		}
+	}
+	shed := int64((k - 2) * (p - 1)) // frames 2 .. k-1
+	if got := led.reordered.Load(); got != shed {
+		t.Errorf("reordered = %d, want %d", got, shed)
+	}
+	if got := led.drained(); got != shed {
+		t.Errorf("drained in the generation = %d, want %d", got, shed)
+	}
+
+	// Frame k is still waiting: the reliable publish supersedes it, then
+	// waits for the link the writer holds.
+	published := make(chan struct{})
+	go func() {
+		ws.Publish([]float64{9, 9}, true)
+		close(published)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); led.reordered.Load() != shed+p-1; gort.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the reliable publish did not supersede the waiting frame")
+		}
+	}
+	close(conn.gate)
+	<-published
+	probe := getFrame()
+	probe.b = append(probe.b, buildFrame(msgProbe, appendU64(nil, 7))...)
+	if err := ws.handle(probe); err != nil {
+		t.Fatal(err)
+	}
+	ws.snd.flush()
+
+	var seqs []uint64
+	var st status
+	for _, b := range conn.frames {
+		switch b[4] {
+		case msgBlock:
+			h, _ := decodeBlock(b[frameHeaderLen:])
+			seqs = append(seqs, h.seq)
+		case msgStatus:
+			var err error
+			if st, err = decodeStatus(b[frameHeaderLen:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != k+1 {
+		t.Errorf("written block sequence numbers %v, want [1 %d]", seqs, k+1)
+	}
+	if want := shed + p - 1; st.drained != uint64(want) || led.drained() != want {
+		t.Errorf("status drained %d, ledger %d, want %d", st.drained, led.drained(), want)
+	}
+	if want := uint64((k + 1) * (p - 1)); st.sent != want || ws.sent != want {
+		t.Errorf("status sent %d, worker sent %d, want %d", st.sent, ws.sent, want)
+	}
+}
+
+// TestZeroFaultSenderHoldsNoStream: decide draws nothing when Fault injects
+// nothing, so such a sender (every uplink, every fault-free mesh sender)
+// builds no RNG stream; any knob that draws makes it build one.
+func TestZeroFaultSenderHoldsNoStream(t *testing.T) {
+	for _, tc := range []struct {
+		fault Fault
+		want  bool
+	}{
+		{Fault{Seed: 7}, false},
+		{Fault{DropProb: 0.1}, true},
+		{Fault{ReorderProb: 0.1}, true},
+		{Fault{MaxDelay: time.Microsecond}, true},
+	} {
+		s := newSender(0, 2, tc.fault, &ledger{})
+		if got := s.rng != nil; got != tc.want {
+			t.Errorf("%+v: holds a stream = %v, want %v", tc.fault, got, tc.want)
+		}
+		s.flush()
+	}
+	up := newUplink(&link{}, 4, 1)
+	defer up.flush()
+	if up.rng != nil {
+		t.Error("an uplink holds a fault stream")
 	}
 }
 

@@ -16,19 +16,20 @@
 //     worker its peers' listen addresses and workers exchange shard frames
 //     directly over worker-to-worker TCP links.
 //
-// Both send with the same code (sender.go): one sender per source worker —
-// held by that worker on mesh, by the coordinator, one per source link, on
-// star — with a leg per destination. It injects the per-link faults (delay,
-// reordering holds, drops, drawn from a per-source RNG stream, so the
-// paper's unbounded-delay and out-of-order regimes run on a real network
-// path, identically on either plane under identical seeds); it filters each
-// leg by sequence number — a frame overtaken by a later one from the same
-// source is discarded there, never written, never applied, and counted
-// reordered (seq below the newest) or duplicate (seq equal); and it keeps a
-// one-frame newest-wins outbox per leg, so a source that outruns a socket
-// sheds its own stale frames (counted reordered too) instead of queueing
-// them. Discards count as drained for the termination protocol, like
-// injection drops: they can never reactivate a worker.
+// Both send with the same code (sender.go), and every worker holds one
+// sender: its links to every peer on mesh; on star an uplink, one leg onto
+// the control link, whose frames the coordinator relays through one more
+// sender per source link. The mesh worker's and the relay inject the
+// per-link faults (delay, reordering holds, drops, drawn from a per-source
+// RNG stream, so the paper's unbounded-delay and out-of-order regimes run
+// on a real network path); every sender filters each leg by sequence
+// number — a frame overtaken by a later one from the same source is
+// discarded there, never written, never applied, and counted reordered (seq
+// below the newest) or duplicate (seq equal); and keeps a one-frame
+// newest-wins outbox per leg, so a source that outruns a socket sheds its
+// own stale frames (counted reordered too) instead of queueing them.
+// Discards count as drained for the termination protocol, like injection
+// drops: they can never reactivate a worker.
 //
 // A worker is the Worker loop of internal/runtime (loop.go) — the same
 // loop the shared-memory and channel engines run — over a TCP transport
@@ -95,9 +96,9 @@ const (
 )
 
 // Fault configures per-link fault injection. Every non-reliable shard frame
-// is independently subjected to each knob on each leg by the source's
-// sender, wherever that runs (the coordinator's relay in the star topology,
-// the sending worker in the mesh topology).
+// the source's faulty sender handles is independently subjected to each
+// knob on each leg, wherever that sender runs (the coordinator's relay in
+// the star topology, the sending worker in the mesh topology).
 type Fault struct {
 	// DropProb is the iid probability a frame is dropped on a leg.
 	DropProb float64
@@ -108,8 +109,9 @@ type Fault struct {
 	// every frame (reliable ones included — delay is not loss).
 	MaxDelay time.Duration
 	// Seed drives the injection randomness: one RNG stream per source
-	// worker, drawn in destination order, so a star and a mesh run with
-	// the same seed draw the same per-(frame, destination) fault decisions.
+	// worker, drawn in destination order per frame its faulty sender
+	// handles — the same decision sequence on star and mesh, though the
+	// relay never sees the broadcasts a star worker's uplink shed.
 	Seed uint64
 }
 

@@ -47,60 +47,84 @@ func contractingOp(t testing.TB, n int, seed uint64) (*operators.Linear, []float
 	return op, xstar
 }
 
+// TestRunConverges is the default star run, and the same run with tiny
+// heartbeat and checkpoint cadences: the uplink's writer goroutine shares
+// the control link with every control write (heartbeats, checkpoints,
+// statuses, the final), which -race checks and a torn frame would fail.
 func TestRunConverges(t *testing.T) {
-	op, xstar := contractingOp(t, 32, 1)
-	tol := 1e-10
-	res, err := Run(Config{
-		Config: runtime.Config{Op: op, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("distributed run did not converge")
-	}
-	if e := vec.DistInf(res.X, xstar); e > 1e-6 {
-		t.Errorf("error %v too large", e)
-	}
-	if r := operators.Residual(op, res.X); r > tol*4 {
-		t.Errorf("declared quiescent with residual %.3e > tol %.1e", r, tol)
-	}
-	if res.MessagesSent == 0 {
-		t.Error("no messages sent over TCP")
-	}
-	if res.BytesSent == 0 || res.BytesReceived == 0 {
-		t.Error("byte counters not populated")
-	}
-	if res.ProbeRounds == 0 {
-		t.Error("no probe rounds recorded")
-	}
-	for w, u := range res.UpdatesPerWorker {
-		if u == 0 {
-			t.Errorf("worker %d performed no updates", w)
-		}
-	}
-	// A certified-quiescent churn-free run has nothing pending, whatever
-	// the relay shed on the way: the books balance exactly.
-	if got := res.MessagesSent - res.MessagesDelivered - res.MessagesDropped -
-		res.MessagesReordered - res.MessagesDuplicate; got != 0 {
-		t.Errorf("message accounting does not balance: %d frames unaccounted", got)
-	}
-	var relayed int64
-	for _, row := range res.LinkBytes {
-		for _, b := range row {
-			relayed += b
-		}
-	}
-	if relayed == 0 || res.BytesSent < relayed {
-		t.Errorf("BytesSent %d does not cover the %d bytes the relay shipped", res.BytesSent, relayed)
+	for _, tc := range []struct {
+		name    string
+		elastic Elastic
+	}{
+		{"star", Elastic{}},
+		{"star-heartbeat", Elastic{HeartbeatEvery: time.Millisecond, CheckpointEvery: 2 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op, xstar := contractingOp(t, 32, 1)
+			tol := 1e-10
+			res, err := Run(Config{
+				Config:  runtime.Config{Op: op, Workers: 4, Tol: tol, MaxUpdatesPerWorker: 1 << 18},
+				Elastic: tc.elastic,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatal("distributed run did not converge")
+			}
+			if e := vec.DistInf(res.X, xstar); e > 1e-6 {
+				t.Errorf("error %v too large", e)
+			}
+			if r := operators.Residual(op, res.X); r > tol*4 {
+				t.Errorf("declared quiescent with residual %.3e > tol %.1e", r, tol)
+			}
+			if res.MessagesSent == 0 {
+				t.Error("no messages sent over TCP")
+			}
+			if res.BytesSent == 0 || res.BytesReceived == 0 {
+				t.Error("byte counters not populated")
+			}
+			if res.ProbeRounds == 0 {
+				t.Error("no probe rounds recorded")
+			}
+			for w, u := range res.UpdatesPerWorker {
+				if u == 0 {
+					t.Errorf("worker %d performed no updates", w)
+				}
+			}
+			// A certified-quiescent churn-free run has nothing pending,
+			// whatever the uplinks and the relay shed on the way: the books
+			// balance exactly.
+			if res.WorkersLost != 0 {
+				t.Fatalf("%d workers lost in a churn-free run", res.WorkersLost)
+			}
+			if got := res.MessagesSent - res.MessagesDelivered - res.MessagesDropped -
+				res.MessagesReordered - res.MessagesDuplicate; got != 0 {
+				t.Errorf("message accounting does not balance: %d frames unaccounted", got)
+			}
+			if res.MessagesStale != 0 {
+				t.Errorf("%d superseded frames reached receivers", res.MessagesStale)
+			}
+			var relayed int64
+			for _, row := range res.LinkBytes {
+				for _, b := range row {
+					relayed += b
+				}
+			}
+			if relayed == 0 || res.BytesSent < relayed {
+				t.Errorf("BytesSent %d does not cover the %d bytes the relay shipped", res.BytesSent, relayed)
+			}
+		})
 	}
 }
 
-// TestStarRelaySheds: the relay is the same newest-wins sender a mesh worker
-// runs, so workers that publish faster than a destination's socket drains —
-// a run to budget with no tolerance to stop at — have their overtaken frames
-// discarded at the relay (reported as reordered with no fault configured)
-// instead of queued behind the destination's control link.
+// TestStarRelaySheds: the star data plane sheds in two places, both the same
+// newest-wins sender a mesh worker runs — each worker's uplink outbox, ahead
+// of its control link, and the relay's outbox on each leg, ahead of a
+// destination's control link. Workers that publish faster than a socket
+// drains — a run to budget with no tolerance to stop at — have their
+// overtaken frames discarded there (reported as reordered with no fault
+// configured) instead of queued.
 func TestStarRelaySheds(t *testing.T) {
 	op, _ := contractingOp(t, 32, 12)
 	res, err := Run(Config{
@@ -487,18 +511,18 @@ func TestDeltaThresholdFraming(t *testing.T) {
 	}
 
 	ws := &workerState{
-		conn: srv, id: 0, p: 2, n: 8, lo: 0, hi: 8,
+		id: 0, p: 2, n: 8, lo: 0, hi: 8,
 		deltaThreshold: 0.1,
 		lastSent:       make([]float64, 8),
+		snd:            newUplink(&link{conn: srv}, 2, 0),
 	}
+	defer ws.snd.flush()
 
 	// Components 0, 2-3 and 6 moved beyond the threshold (baseline:
 	// lastSent all zero): ONE frame covering [0, 7) goes out, with the
 	// sub-threshold components inside the span riding along; component 7,
 	// outside the span, stays unshipped.
-	if err := ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.05}, 0); err != nil {
-		t.Fatal(err)
-	}
+	ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.05}, 0)
 	expect("covering span", 0, 1, 0.05, 1, 1, 0.05, 0.05, 1)
 	none("covering span")
 	if ws.sent != 1 {
@@ -506,9 +530,7 @@ func TestDeltaThresholdFraming(t *testing.T) {
 	}
 
 	// Re-broadcasting the identical vector ships nothing at all.
-	if err := ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.05}, 0); err != nil {
-		t.Fatal(err)
-	}
+	ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.05}, 0)
 	none("unchanged vector")
 
 	// Sub-threshold creep: component 7 was never shipped (its baseline is
@@ -516,20 +538,14 @@ func TestDeltaThresholdFraming(t *testing.T) {
 	// step to 0.12 crosses the CUMULATIVE move against the last shipped
 	// value and must go out — the accumulation rule that bounds peer
 	// staleness by the threshold on loss-free links.
-	if err := ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.08}, 0); err != nil {
-		t.Fatal(err)
-	}
+	ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.08}, 0)
 	none("first creep step")
-	if err := ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.12}, 0); err != nil {
-		t.Fatal(err)
-	}
+	ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.12}, 0)
 	expect("second creep step", 7, 0.12)
 	none("second creep step")
 
 	// A reliable final ships the whole shard no matter what moved.
-	if err := ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.12}, blockReliable); err != nil {
-		t.Fatal(err)
-	}
+	ws.broadcast([]float64{1, 0.05, 1, 1, 0.05, 0.05, 1, 0.12}, blockReliable)
 	f := next()
 	if f.flags&blockReliable == 0 || f.lo != 0 || len(f.vals) != 8 {
 		t.Fatalf("reliable final = flags %d [%d, +%d), want the whole reliable shard", f.flags, f.lo, len(f.vals))

@@ -5,10 +5,11 @@ package dist
 // source's RNG stream, a per-leg sequence filter behind a one-frame
 // newest-wins outbox, and a ledger of what was disposed of undelivered —
 // the paper's rule for unbounded delays and out-of-order messages (only the
-// freshest label from a source matters) in one place. Both topologies run
-// it: a mesh worker owns one sender whose legs are its own TCP links; the
-// star coordinator owns one per source link, whose legs write to the
-// destinations' control connections. Owners differ only in construction.
+// freshest label from a source matters) in one place. Every worker sends
+// through one: a mesh worker's legs are its own TCP links; a star worker's
+// is the uplink, one leg onto its control link to the coordinator, which
+// owns one more per source link, whose legs write to the destinations'
+// control connections (the relay). Owners differ only in construction.
 // Once warm nothing here allocates per frame: frames and delay records are
 // pooled, and a frame is one buffer however many legs hold it.
 
@@ -159,7 +160,7 @@ func (r *delayRecord) fire() {
 	stopped := d.stopped
 	d.mu.Unlock()
 	if stopped {
-		s.led.dropped.Add(1)
+		s.led.dropped.Add(s.weight)
 		f.release()
 	} else {
 		s.deliver(l, f)
@@ -177,7 +178,7 @@ func (d *delayQueue) drain() {
 	for i := len(d.pending) - 1; i >= 0; i-- {
 		r := d.pending[i]
 		if r.t.Stop() {
-			r.s.led.dropped.Add(1)
+			r.s.led.dropped.Add(r.s.weight)
 			r.f.release()
 			d.remove(r)
 			d.wg.Done()
@@ -206,16 +207,16 @@ type ledger struct {
 	dropped, reordered, duplicate, inGen atomic.Int64
 }
 
-// discard accounts one disposed frame: always on the cumulative counter,
-// and on the generation's only while the frame's generation is still
-// current — a frame from before a re-shard had its send erased from the
-// in-flight books, so counting its disposal would push in-flight negative
-// and stall termination.
-func (g *ledger) discard(gen uint32, cum *atomic.Int64) {
-	cum.Add(1)
+// discard accounts one disposed frame as n sends: always on the cumulative
+// counter, and on the generation's only while the frame's generation is
+// still current — a frame from before a re-shard had its send erased from
+// the in-flight books, so counting its disposal would push in-flight
+// negative and stall termination.
+func (g *ledger) discard(gen uint32, cum *atomic.Int64, n int64) {
+	cum.Add(n)
 	g.mu.RLock()
 	if gen == g.gen {
-		g.inGen.Add(1)
+		g.inGen.Add(n)
 	}
 	g.mu.RUnlock()
 }
@@ -233,12 +234,18 @@ func (g *ledger) enter(gen uint32) {
 func (g *ledger) drained() int64 { return g.inGen.Load() }
 
 // link is one connection as its writers see it: whole prebuilt frames
-// written under mu, so concurrent writers — data-plane legs, and on a
-// coordinator's control link the probe, stop, reshard and assign frames —
-// never interleave bytes.
+// written under mu, so concurrent writers — data-plane legs, and the control
+// frames on either end of a control link (write) — never interleave bytes.
 type link struct {
 	conn net.Conn
 	mu   sync.Mutex
+}
+
+func (l *link) write(frame []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, err := l.conn.Write(frame)
+	return err
 }
 
 // leg is one directed source-to-destination path of a sender. lastSeq
@@ -263,7 +270,7 @@ type leg struct {
 	pending atomic.Pointer[frameBuf]
 }
 
-// sender is the data plane's sending half for source worker id.
+// sender is the data plane's sending half for source worker id (-1: uplink).
 type sender struct {
 	id int
 	// out is indexed by destination worker (nil at id and at dead slots).
@@ -271,12 +278,16 @@ type sender struct {
 	// membership changes while the writer goroutine walks them.
 	out []atomic.Pointer[leg]
 	led *ledger
+	// weight is the sends the source counted per frame and leg, charged to
+	// the ledger when such a frame is disposed of: p-1 on an uplink, else 1.
+	weight int64
 	// writeFailed, when set, is told of every failed write after the lost
 	// frame has been accounted (a failed write is a drop either way).
 	writeFailed func(l *leg)
 
 	// rng draws the fault decisions; only send touches it, and send has one
-	// caller, so the decision order is the source's frame order.
+	// caller, so the decision order is the order of the frames it handles.
+	// It is nil when Fault injects nothing: decide then draws nothing.
 	fault Fault
 	rng   *rand.Rand
 	hold  time.Duration
@@ -300,8 +311,9 @@ func linkRNGSeed(seed uint64, from int) int64 {
 // decide draws the injection decision for one (frame, destination) pair in
 // the canonical order — drop draw, transit-delay draw, reorder-hold draw,
 // with reliable frames exempt from drop and hold. send is the only caller,
-// on every topology, so identical seeds inject identical fault sequences on
-// either data plane. The decision is drawn even for a currently-dead
+// on every topology, so identical seeds draw identical decision sequences
+// per frame handled on either data plane (a frame an uplink shed never
+// reaches the relay). The decision is drawn even for a currently-dead
 // destination, so churn never desynchronizes the per-source streams.
 func (f Fault) decide(rng *rand.Rand, hold time.Duration, reliable bool) (drop bool, delay time.Duration) {
 	if !reliable && f.DropProb > 0 && rng.Float64() < f.DropProb {
@@ -325,11 +337,14 @@ func newSender(id, p int, fault Fault, led *ledger) *sender {
 		id:      id,
 		out:     make([]atomic.Pointer[leg], p),
 		led:     led,
+		weight:  1,
 		fault:   fault,
-		rng:     rand.New(rand.NewSource(linkRNGSeed(fault.Seed, id))),
 		hold:    4 * fault.MaxDelay,
 		notify:  make(chan struct{}, 1),
 		bytesTo: make([]atomic.Int64, p),
+	}
+	if fault.DropProb > 0 || fault.ReorderProb > 0 || fault.MaxDelay > 0 {
+		s.rng = rand.New(rand.NewSource(linkRNGSeed(fault.Seed, id)))
 	}
 	if s.hold <= 0 {
 		s.hold = defaultReorderHold
@@ -356,6 +371,16 @@ func newSender(id, p int, fault Fault, led *ledger) *sender {
 	return s
 }
 
+// newUplink builds a star worker's sender: one leg, onto its control link,
+// and no faults (the relay injects them). The worker counts p-1 sends per
+// broadcast, so the uplink charges a disposed frame p-1 times.
+func newUplink(coord *link, p int, gen uint32) *sender {
+	s := newSender(-1, 1, Fault{}, &ledger{gen: gen})
+	s.weight = int64(p - 1)
+	s.setLeg(0, &leg{link: coord})
+	return s
+}
+
 // setLeg installs (or, with nil, removes) the leg to destination q. A frame
 // still in the replaced leg's outbox is disposed of: nobody will write it.
 func (s *sender) setLeg(q int, next *leg) {
@@ -368,7 +393,7 @@ func (s *sender) setLeg(q int, next *leg) {
 // installed.
 func (s *sender) abandon(l *leg) {
 	if f := l.pending.Swap(nil); f != nil {
-		s.led.discard(f.gen, &s.led.dropped)
+		s.led.discard(f.gen, &s.led.dropped, s.weight)
 		f.release()
 	}
 }
@@ -376,7 +401,7 @@ func (s *sender) abandon(l *leg) {
 // send fans frame f out to every peer, drawing the fault decisions in
 // destination order from the per-source RNG. Each leg it hands f to gets a
 // reference of its own; the caller keeps its own. It has a single caller per
-// sender (a mesh worker's compute goroutine, the relay's reader of the source
+// sender (a worker's compute goroutine, the relay's reader of the source
 // link); only delayed deliveries escape to timer callbacks.
 //
 //repro:hotpath
@@ -389,7 +414,7 @@ func (s *sender) send(f *frameBuf, reliable bool) {
 		l := s.out[q].Load()
 		drop, delay := s.fault.decide(s.rng, s.hold, reliable)
 		if drop || l == nil { // injected loss, or a dead slot: sent, never received
-			s.led.discard(f.gen, &s.led.dropped)
+			s.led.discard(f.gen, &s.led.dropped, s.weight)
 			continue
 		}
 		f.refs.Add(1)
@@ -397,23 +422,26 @@ func (s *sender) send(f *frameBuf, reliable bool) {
 			if !s.later(delay, l, f) {
 				// Teardown already began: no probe round will look again,
 				// but the frame was counted sent — account the disposal.
-				s.led.discard(f.gen, &s.led.dropped)
+				s.led.discard(f.gen, &s.led.dropped, s.weight)
 				f.release()
 			}
 			continue
 		}
+		next := f
 		if reliable {
-			// Reliable finals must not be superseded in the outbox: write
-			// them directly (a queued lower-sequence frame the final
-			// overtakes is then filtered).
+			next = nil // written directly, below
+		}
+		if prev := l.pending.Swap(next); prev != nil {
+			// The writer had not yet taken the previous frame: f supersedes
+			// it before it ever touches the wire.
+			s.led.discard(prev.gen, &s.led.reordered, s.weight)
+			prev.release()
+		}
+		if reliable {
+			// Never left where a later frame could supersede it (a frame
+			// the writer took just before is filtered instead).
 			s.deliver(l, f)
 			continue
-		}
-		if prev := l.pending.Swap(f); prev != nil {
-			// The writer had not yet taken the previous frame: it is
-			// superseded before ever touching the wire.
-			s.led.discard(prev.gen, &s.led.reordered)
-			prev.release()
 		}
 		if s.out[q].Load() != l {
 			s.abandon(l) // the owner replaced the leg under us
@@ -440,7 +468,7 @@ func (s *sender) deliver(l *leg, f *frameBuf) {
 	current := f.gen == s.led.gen
 	s.led.mu.RUnlock()
 	if !current {
-		s.led.dropped.Add(1)
+		s.led.dropped.Add(s.weight)
 		return
 	}
 	l.mu.Lock()
@@ -452,9 +480,9 @@ func (s *sender) deliver(l *leg, f *frameBuf) {
 		newest := l.lastSeq
 		l.mu.Unlock()
 		if f.seq < newest {
-			s.led.discard(f.gen, &s.led.reordered)
+			s.led.discard(f.gen, &s.led.reordered, s.weight)
 		} else {
-			s.led.discard(f.gen, &s.led.duplicate)
+			s.led.discard(f.gen, &s.led.duplicate, s.weight)
 		}
 		return
 	}
@@ -467,7 +495,7 @@ func (s *sender) deliver(l *leg, f *frameBuf) {
 	}
 	// A failed write is a lost frame: accounted as a drop, which keeps the
 	// in-flight count drainable whatever the owner makes of the failure.
-	s.led.discard(f.gen, &s.led.dropped)
+	s.led.discard(f.gen, &s.led.dropped, s.weight)
 	if s.writeFailed != nil {
 		s.writeFailed(l)
 	}
@@ -496,8 +524,11 @@ func (s *sender) flush() {
 }
 
 // linkBytes returns the per-destination data-plane byte counters (index =
-// destination worker; zero at the sender's own slot).
+// destination worker; zero at the sender's own slot), none for an uplink.
 func (s *sender) linkBytes() []uint64 {
+	if s.id < 0 {
+		return nil
+	}
 	out := make([]uint64, len(s.bytesTo))
 	for q := range s.bytesTo {
 		out[q] = uint64(s.bytesTo[q].Load())

@@ -19,16 +19,20 @@ const maxFramePayload = 1 << 26
 var errConnLost = errors.New("connection lost")
 
 // workerState is the TCP Transport of the runtime Worker loop, serving both
-// data planes: Publish frames shard values onto the coordinator's relay
-// (star) or the worker's own mesh links, Drain and Wait take frames off the
-// one inbox every reader goroutine feeds. It lives entirely on the compute
-// goroutine, so status replies are self-consistent snapshots by
-// construction — the property the coordinator's probe rounds rely on. The
-// only mesh-side exception is the sender's ledger, which its delay timers
-// and writer goroutine bump through atomics. Inbox frames are pooled
-// buffers the compute goroutine releases once it has handled them.
+// data planes: Publish hands shard frames to the worker's sender — the
+// uplink to the coordinator's relay on star, the worker's own mesh links on
+// mesh — and Drain and Wait take frames off the one inbox every reader
+// goroutine feeds. It lives entirely on the compute goroutine, so status
+// replies are self-consistent snapshots by construction — the property the
+// coordinator's probe rounds rely on. The only exception is the sender's
+// ledger, which its writer goroutine (and, on mesh, its delay timers) bump
+// through atomics. Inbox frames are pooled buffers the compute goroutine
+// releases once it has handled them.
 type workerState struct {
-	conn           net.Conn
+	// coord is the control link; on star the uplink's writer goroutine
+	// shares it, so every control write takes its mutex (link.write).
+	coord          *link
+	snd            *sender
 	inbox          chan *frameBuf
 	id, p, n       int
 	lo, hi         int
@@ -65,10 +69,6 @@ type workerState struct {
 	sent, delivered, stale uint64
 	gsent, gdelivered      uint64
 	seq                    uint64
-
-	// frame is the star uplink's encode buffer: conn.Write keeps nothing,
-	// so one buffer serves every broadcast.
-	frame []byte
 }
 
 func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
@@ -107,7 +107,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	deadline := time.Now().Add(2 * cfg.Timeout)
 	conn.SetDeadline(deadline)
 	ws := &workerState{
-		conn:  conn,
+		coord: &link{conn: conn},
 		inbox: make(chan *frameBuf, 1024), // absorbs a burst from every reader before they block
 		id:    wel.id, p: cfg.Workers, n: wel.n,
 		lo: wel.lo, hi: wel.hi,
@@ -121,56 +121,6 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 		// A rejoiner owns no shard until its first assign re-shards it in.
 		awaitAssign: wel.rejoining,
 	}
-	// Reader goroutines read frames into the shared inbox; the quit channel
-	// unblocks them if the compute loop returns while they hold a frame. The
-	// control reader reports a lost coordinator with an in-band sentinel
-	// (multiple readers share the inbox, so nobody may close it); mesh
-	// readers go quiet on error — a peer closing its sockets after stop is
-	// normal teardown (and a crashed peer is the coordinator's to notice, not
-	// ours), so a dead inbound link just stops producing frames. On the way
-	// out every reader is joined and what is left in the inbox released.
-	inbox := ws.inbox
-	quit := make(chan struct{})
-	var readers sync.WaitGroup
-	defer func() {
-		close(quit)
-		conn.Close()
-		if ws.mesh != nil {
-			ws.mesh.shutdown()
-		}
-		readers.Wait()
-		for len(inbox) > 0 {
-			(<-inbox).release()
-		}
-	}()
-	readInto := func(c net.Conn, ctrl bool) {
-		defer readers.Done()
-		for {
-			f := getFrame()
-			b, err := readFrameInto(c, maxFramePayload, f.b)
-			f.b = b
-			if err != nil && !ctrl {
-				f.release()
-				return
-			}
-			last := err != nil || !ctrl && f.typ() != msgBlock
-			if err != nil {
-				f.b = connLost(f.b, err.Error())
-			} else if last {
-				f.b = connLost(f.b, fmt.Sprintf("mesh peer sent frame type %d", f.typ()))
-			}
-			select {
-			case inbox <- f:
-			case <-quit:
-				f.release()
-				return
-			}
-			if last {
-				return
-			}
-		}
-	}
-
 	// Mesh rendezvous: open a listener on the interface that reaches the
 	// coordinator, advertise it and — unless we are rejoining a run already
 	// in flight, whose peer table arrives with our first assign — receive
@@ -207,6 +157,60 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 				return err
 			}
 			ws.mesh = m
+		}
+		ws.snd = ws.mesh.snd
+	} else {
+		ws.snd = newUplink(ws.coord, ws.p, ws.gen)
+	}
+
+	// Reader goroutines read frames into the shared inbox; the quit channel
+	// unblocks them if the compute loop returns while they hold a frame. The
+	// control reader reports a lost coordinator with an in-band sentinel
+	// (multiple readers share the inbox, so nobody may close it); mesh
+	// readers go quiet on error — a peer closing its sockets after stop is
+	// normal teardown (and a crashed peer is the coordinator's to notice, not
+	// ours), so a dead inbound link just stops producing frames. On the way
+	// out every reader is joined and what is left in the inbox released.
+	inbox := ws.inbox
+	quit := make(chan struct{})
+	var readers sync.WaitGroup
+	defer func() {
+		close(quit)
+		conn.Close()
+		ws.snd.flush() // after an error; finish has flushed already
+		if ws.mesh != nil {
+			ws.mesh.shutdown()
+		}
+		readers.Wait()
+		for len(inbox) > 0 {
+			(<-inbox).release()
+		}
+	}()
+	readInto := func(c net.Conn, ctrl bool) {
+		defer readers.Done()
+		for {
+			f := getFrame()
+			b, err := readFrameInto(c, maxFramePayload, f.b)
+			f.b = b
+			if err != nil && !ctrl {
+				f.release()
+				return
+			}
+			last := err != nil || !ctrl && f.typ() != msgBlock
+			if err != nil {
+				f.b = connLost(f.b, err.Error())
+			} else if last {
+				f.b = connLost(f.b, fmt.Sprintf("mesh peer sent frame type %d", f.typ()))
+			}
+			select {
+			case inbox <- f:
+			case <-quit:
+				f.release()
+				return
+			}
+			if last {
+				return
+			}
 		}
 	}
 
@@ -249,7 +253,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	var de *operators.DivergedError
 	if errors.As(err, &de) {
 		// Best effort: if the link is gone too, the coordinator reports that.
-		conn.Write(buildDivergedFrame(de.Phase, de.Component))
+		ws.coord.write(buildDivergedFrame(de.Phase, de.Component))
 	}
 	if err != nil {
 		return err
@@ -273,13 +277,13 @@ func (ws *workerState) maintain() error {
 	now := time.Now()
 	if now.Sub(ws.lastHB) >= ws.hbEvery {
 		ws.lastHB = now
-		if _, err := ws.conn.Write(heartbeatFrame); err != nil {
+		if err := ws.coord.write(heartbeatFrame); err != nil {
 			return fmt.Errorf("dist: worker %d heartbeat: %w", ws.id, err)
 		}
 	}
 	if ws.ckEvery > 0 && !ws.awaitAssign && ws.hi > ws.lo && now.Sub(ws.lastCk) >= ws.ckEvery {
 		ws.lastCk = now
-		if _, err := ws.conn.Write(buildShardFrame(msgCheckpoint, ws.gen, ws.lo, ws.view[ws.lo:ws.hi])); err != nil {
+		if err := ws.coord.write(buildShardFrame(msgCheckpoint, ws.gen, ws.lo, ws.view[ws.lo:ws.hi])); err != nil {
 			return fmt.Errorf("dist: worker %d checkpoint: %w", ws.id, err)
 		}
 	}
@@ -309,11 +313,9 @@ func (ws *workerState) handle(f *frameBuf) error {
 		st := status{
 			probeID: probeID, passive: ws.passive, spent: ws.spent,
 			gen: ws.gen, epoch: ws.epoch, sent: ws.gsent, delivered: ws.gdelivered,
+			drained: uint64(ws.snd.led.drained()),
 		}
-		if ws.mesh != nil {
-			st.drained = uint64(ws.mesh.snd.led.drained())
-		}
-		if _, err := ws.conn.Write(buildStatusFrame(st)); err != nil {
+		if err := ws.coord.write(buildStatusFrame(st)); err != nil {
 			return fmt.Errorf("dist: worker %d status: %w", ws.id, err)
 		}
 	case msgReshard:
@@ -328,7 +330,7 @@ func (ws *workerState) handle(f *frameBuf) error {
 		// Enter the new generation: a re-shard is a reactivation under the
 		// two-phase protocol (the epoch bump invalidates any probe round in
 		// flight), the generation-scoped books restart at zero on both
-		// sides, sequence streams restart, and the mesh fence flips so
+		// sides, sequence streams restart, and the sender's fence flips so
 		// everything still in flight from the old generation self-discards.
 		ws.gen = gen
 		ws.epoch++
@@ -339,12 +341,10 @@ func (ws *workerState) handle(f *frameBuf) error {
 		for i := range ws.lastSeq {
 			ws.lastSeq[i] = 0
 		}
-		if ws.mesh != nil {
-			ws.mesh.snd.led.enter(gen)
-		}
+		ws.snd.led.enter(gen)
 		// Acknowledge with our current shard — the freshest values the
 		// coordinator can fold into the warm-start iterate it re-issues.
-		if _, err := ws.conn.Write(buildShardFrame(msgReshardAck, gen, ws.lo, ws.view[ws.lo:ws.hi])); err != nil {
+		if err := ws.coord.write(buildShardFrame(msgReshardAck, gen, ws.lo, ws.view[ws.lo:ws.hi])); err != nil {
 			return fmt.Errorf("dist: worker %d reshard ack: %w", ws.id, err)
 		}
 	case msgAssign:
@@ -458,11 +458,14 @@ func (ws *workerState) Account(s runtime.State) {
 	ws.epoch++
 }
 
+// Publish never fails: the control reader reports a lost link.
 func (ws *workerState) Publish(vals []float64, reliable bool) error {
+	var flags byte
 	if reliable {
-		return ws.broadcast(vals, blockReliable)
+		flags = blockReliable
 	}
-	return ws.broadcast(vals, 0)
+	ws.broadcast(vals, flags)
+	return nil
 }
 
 // Drain handles every frame already queued. A reshard among them pauses the
@@ -548,9 +551,9 @@ func (ws *workerState) next() error {
 // broadcast is the same loss class as an injection drop — its components
 // stay stale at the receiver until they move beyond the threshold again or
 // the reliable final (always the whole shard) restores exactness.
-func (ws *workerState) broadcast(vals []float64, flags byte) error {
+func (ws *workerState) broadcast(vals []float64, flags byte) {
 	if ws.p <= 1 {
-		return nil
+		return
 	}
 	if flags&blockReliable == 0 && ws.deltaThreshold > 0 {
 		first, last := -1, -1
@@ -563,64 +566,46 @@ func (ws *workerState) broadcast(vals []float64, flags byte) error {
 			}
 		}
 		if first < 0 {
-			return nil // nothing moved: flexible communication skips the round
+			return // nothing moved: flexible communication skips the round
 		}
-		if err := ws.sendSlice(ws.lo+first, vals[first:last+1], flags); err != nil {
-			return err
-		}
+		ws.sendSlice(ws.lo+first, vals[first:last+1], flags)
 		copy(ws.lastSent[first:last+1], vals[first:last+1])
-		return nil
+		return
 	}
-	if err := ws.sendSlice(ws.lo, vals, flags); err != nil {
-		return err
-	}
+	ws.sendSlice(ws.lo, vals, flags)
 	copy(ws.lastSent, vals)
-	return nil
 }
 
-// sendSlice ships one [lo, lo+len(vals)) slice of the shard to every peer —
-// through the worker's own sender on the mesh, or up the control link to
-// the sender the coordinator relays this worker's frames with on star.
-func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) error {
+// sendSlice hands one [lo, lo+len(vals)) slice of the shard, encoded into a
+// pooled frame, to the worker's sender, counting a send to every peer.
+func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) {
 	ws.seq++
-	if ws.mesh != nil {
-		f := getFrame()
-		f.b = appendBlockFrame(f.b, ws.id, ws.seq, flags, ws.gen, lo, vals)
-		f.seq, f.gen = ws.seq, ws.gen
-		ws.mesh.snd.send(f, flags&blockReliable != 0)
-		f.release()
-	} else {
-		ws.frame = appendBlockFrame(ws.frame[:0], ws.id, ws.seq, flags, ws.gen, lo, vals)
-		if _, err := ws.conn.Write(ws.frame); err != nil {
-			return fmt.Errorf("dist: worker %d broadcast: %w", ws.id, err)
-		}
-	}
+	f := getFrame()
+	f.b = appendBlockFrame(f.b, ws.id, ws.seq, flags, ws.gen, lo, vals)
+	f.seq, f.gen = ws.seq, ws.gen
+	ws.snd.send(f, flags&blockReliable != 0)
+	f.release()
 	ws.sent += uint64(ws.p - 1)
 	ws.gsent += uint64(ws.p - 1)
-	return nil
 }
 
 // finish ends the worker's run once the loop has seen stop. It flushes the
-// data plane first — cancel pending delayed sends, wait out callbacks
-// already firing, and let the link senders empty their queues — so nothing
-// can write after teardown proceeds and the drain counters are final, then
-// uploads the authoritative shard.
+// sender first — cancel pending delayed sends, wait out callbacks already
+// firing, and let the writer empty the outboxes — so no block frame can
+// follow the final and the drain counters are final, then uploads the
+// authoritative shard.
 func (ws *workerState) finish(updates int) error {
-	led := &ledger{} // a star worker disposes of nothing: its relay does
-	var linkBytes []uint64
-	if ws.mesh != nil {
-		ws.mesh.snd.flush()
-		led, linkBytes = ws.mesh.snd.led, ws.mesh.snd.linkBytes()
-	}
+	ws.snd.flush()
+	led := ws.snd.led
 	fin := final{
 		lo: ws.lo, vals: ws.view[ws.lo:ws.hi], updates: updates,
 		sent: ws.sent, delivered: ws.delivered, stale: ws.stale,
 		dropped:   uint64(led.dropped.Load()),
 		reordered: uint64(led.reordered.Load()),
 		duplicate: uint64(led.duplicate.Load()),
-		linkBytes: linkBytes,
+		linkBytes: ws.snd.linkBytes(),
 	}
-	if _, err := ws.conn.Write(buildFinalFrame(fin)); err != nil {
+	if err := ws.coord.write(buildFinalFrame(fin)); err != nil {
 		return fmt.Errorf("dist: worker %d final: %w", ws.id, err)
 	}
 
