@@ -91,8 +91,8 @@ func TestChaosConvergesUnderChurn(t *testing.T) {
 			if res.WorkersRejoined < 2 {
 				t.Errorf("WorkersRejoined = %d, want >= 2 (both kills restarted)", res.WorkersRejoined)
 			}
-			// Losses and rejoins each ring the membership doorbell, but the
-			// barrier coalesces changes that land close together — so the
+			// Every loss and rejoin starts a reshard attempt; one that lands
+			// on an empty membership waits for a rejoiner instead — so the
 			// count is >= 1, not one per event.
 			if res.Resharding < 1 {
 				t.Errorf("Resharding = %d, want >= 1", res.Resharding)

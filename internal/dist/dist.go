@@ -7,8 +7,8 @@
 // paper's flexible communication realized on the wire.
 //
 // Two data planes share one control plane — rendezvous, config
-// distribution, probe-round double-collect termination and final shard
-// collection always run through the coordinator:
+// distribution, membership, probe-round double-collect termination and
+// final shard collection always run through the coordinator:
 //
 //   - Star (TopologyStar): every worker connects to one coordinator, which
 //     relays shard broadcasts between workers.
@@ -44,29 +44,36 @@
 //
 // Termination is the two-phase double-collect protocol of
 // internal/runtime (quiescence.go), run over the network as Safra-style
-// probe rounds: the coordinator probes every worker, each replies with a
-// self-consistent status (passive and spent flags, activity epoch,
-// sent/delivered counters — composed by the worker's single compute
-// goroutine — plus its monotone drained counter), and the run stops only
-// after two consecutive quiet rounds with identical epochs and counters and
-// nothing in flight (sum sent == sum delivered + drops + filter
-// discards) — converged when every worker was passive, not converged when
-// some worker had spent its budget on data it could not iterate away.
+// probe rounds: every worker replies with a self-consistent status (passive
+// and spent flags, activity epoch, sent/delivered counters, drained
+// counter, all composed by its compute goroutine), and the run stops only
+// after two consecutive quiet, identical rounds with nothing in flight
+// (sum sent == sum delivered + drops + filter discards) — converged when
+// every worker was passive, not when one had spent its budget.
 // Workers obey the protocol's ordering rule — a reactivation is published
 // (epoch bump, passive cleared) before the reactivating block is counted
 // delivered — so a quiet round can never hide a message being absorbed.
 //
-// Membership is elastic in every run (protocol v3), so a run survives worker
-// churn: the coordinator treats a link whose read or write fails — or, when
-// Config.Elastic.HeartbeatEvery has workers heartbeat the control link, one
-// silent past its deadline — as a lost worker, re-shards the component
-// space over the survivors behind a pause/ack/assign barrier (a re-shard
-// counts as a reactivation under the two-phase protocol, so no quiescence
-// can be certified across one), and keeps its listener open so a restarted
-// worker — retrying under capped exponential backoff — can claim the freed
-// slot and warm-start from the last checkpointed iterate instead of x0.
+// Membership is elastic in every run (protocol v3): a link whose read or
+// write fails — or, when Config.Elastic.HeartbeatEvery has workers
+// heartbeat the control link, one silent past its deadline — is a lost
+// worker; the coordinator re-shards over the survivors behind a
+// pause/ack/assign barrier (a reactivation under the two-phase protocol, so
+// no quiescence is certified across one) and keeps its listener open so a
+// restarted worker, retrying under capped exponential backoff, can claim
+// the freed slot and warm-start from the last checkpointed iterate.
 // Every data frame is fenced to the membership generation it was sent in,
 // so frames from before a re-shard self-discard wherever they surface.
+//
+// The coordinator is an I/O shell around one decision machine. Its link
+// readers relay star broadcasts and decode every control frame (hello,
+// status, reshard ack, checkpoint, final, diverged, a lost link, a
+// malformed frame) into an event on one channel; one loop goroutine feeds
+// each event, and each firing of its one timer, to coordState.step
+// (coordstate.go: no socket, clock, lock or goroutine), which decides
+// welcomes and rejects, probe rounds and their certification, reshards,
+// stop and the outcome, and returns the writes, relay-leg changes and
+// timer the loop then carries out.
 //
 // The same code paths serve two deployments: Run spawns the coordinator
 // and all workers in-process over localhost TCP (how the tests and the

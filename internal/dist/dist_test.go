@@ -5,7 +5,6 @@ import (
 	"net"
 	"reflect"
 	gort "runtime"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -697,123 +696,118 @@ func TestRelayLegSharesLinkMutex(t *testing.T) {
 }
 
 // TestStarRejoinGetsLegsBothWays drives the coordinator's half of a star
-// rejoin by hand: slot 0 survives, slot 1 is lost and re-claimed, the
-// reshard barrier runs, and then a block from the rejoiner must reach the
-// survivor and a block from the survivor the rejoiner — the relay legs were
-// installed in both directions and onto the new connection.
+// rejoin with scripted workers: slot 0 survives, slot 1 is lost and
+// re-claimed, the reshard barrier runs, and then a block from the rejoiner
+// must reach the survivor and a block from the survivor the rejoiner — the
+// relay legs were installed in both directions and onto the new connection.
 func TestStarRejoinGetsLegsBothWays(t *testing.T) {
-	const n = 4
-	srv0, cli0 := tcpPair(t)
-	srv1, _ := tcpPair(t)
-	cfg := Config{
-		Config:   runtime.Config{Workers: 2, X0: make([]float64, n)},
-		Topology: TopologyStar,
-		Timeout:  time.Minute,
-	}
-	deadline := time.Now().Add(cfg.Timeout)
-	c := &coordinator{
-		cfg: cfg, n: n,
-		links:     []*link{{conn: srv0}, {conn: srv1}},
-		senders:   make([]*sender, 2),
-		linkBytes: [][]int64{make([]int64, 2), make([]int64, 2)},
-		reserved:  make([]bool, 2),
-		addrs:     make([]string, 2),
-		blocks:    vec.Blocks(n, 2),
-		gen:       1,
-		led:       ledger{gen: 1},
-		xbest:     make([]float64, n),
-		statusCh:  make(chan status, 8), ackCh: make(chan reshardAck, 8),
-		finalCh: make(chan final, 4), errCh: make(chan error, 2),
-		membership:  make(chan struct{}, 1),
-		runDeadline: deadline,
-	}
-	for w := range c.links {
-		c.senders[w] = c.newRelay(w)
-	}
-	c.readers.Add(2)
-	old1 := c.senders[1]
-	go c.serveLink(0, c.links[0], c.senders[0])
-	go c.serveLink(1, c.links[1], old1)
-	defer func() {
-		c.closeLinks()
-		c.readers.Wait()
-	}()
+	op, _ := contractingOp(t, 4, 3)
+	done := make(chan struct{})
+	addr, errCh, resCh := serveOne(t, Config{
+		Config:  runtime.Config{Op: op, Workers: 2, Tol: 1e-9, Done: done},
+		Timeout: time.Minute,
+	})
+	c0, _ := joinScripted(t, addr)
+	c1, _ := joinScripted(t, addr)
+	l0 := &link{conn: c0}
+	assigns0, blocks0 := make(chan uint32, 16), make(chan []byte, 16)
+	go answerScripted(l0, 1, assigns0, blocks0)
+	c1.Close()
 
-	c.workerLost(1, c.links[1])
-	if c.senders[0].out[1].Load() != nil {
-		t.Fatal("the survivor's relay kept its leg to the lost slot")
+	cR, wel := joinScripted(t, addr)
+	if wel.id != 1 || !wel.rejoining {
+		t.Fatalf("rejoin welcome = %+v; want slot 1, rejoining", wel)
 	}
-
-	// The rejoiner's half of the handshake.
-	srvR, cliR := tcpPair(t)
-	joined := make(chan struct{})
-	go func() {
-		c.handleRejoin(srvR)
-		close(joined)
-	}()
-	if _, err := cliR.Write(buildFrame(msgHello, appendU32(nil, protocolVersion))); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(cliR, maxFramePayload)
-	if err != nil || typ != msgWelcome {
-		t.Fatalf("rejoin welcome: type %d, err %v", typ, err)
-	}
-	if wel, err := decodeWelcome(payload); err != nil || wel.id != 1 || !wel.rejoining {
-		t.Fatalf("rejoin welcome = %+v, %v; want slot 1, rejoining", wel, err)
-	}
-	<-joined
-
-	// Both fake workers acknowledge every reshard of the barrier (an attempt
-	// may restart) until its assign lands.
-	gens := make(chan uint32, 2)
-	for _, conn := range []net.Conn{cli0, cliR} {
-		go func() {
-			for {
-				typ, payload, err := readFrame(conn, maxFramePayload)
-				cur := cursor{b: payload}
-				gen := cur.u32()
-				switch {
-				case err != nil:
-					gens <- 0
-					return
-				case typ == msgAssign:
-					gens <- gen
-					return
-				case typ == msgReshard:
-					conn.Write(buildShardFrame(msgReshardAck, gen, 0, nil))
-				}
-			}
-		}()
-	}
-	if err := c.reshardBarrier(deadline); err != nil {
-		t.Fatal(err)
-	}
-	gen := <-gens
-	if g := <-gens; g != gen || gen != c.gen {
-		t.Fatalf("assigned generations %d and %d, coordinator at %d", gen, g, c.gen)
-	}
-	if c.senders[1] == nil || c.senders[1] == old1 {
-		t.Fatal("the rejoined incarnation did not get a relay of its own")
+	lR := &link{conn: cR}
+	assignsR, blocksR := make(chan uint32, 16), make(chan []byte, 16)
+	go answerScripted(lR, wel.gen, assignsR, blocksR)
+	gen := <-assignsR // the rejoiner is sharded in
+	for g := uint32(0); g != gen; g = <-assigns0 {
 	}
 
 	for _, hop := range []struct {
-		name     string
-		from     int
-		src, dst net.Conn
+		name string
+		from int
+		src  *link
+		dst  chan []byte
 	}{
-		{"rejoiner to survivor", 1, cliR, cli0},
-		{"survivor to rejoiner", 0, cli0, cliR},
+		{"rejoiner to survivor", 1, lR, blocks0},
+		{"survivor to rejoiner", 0, l0, blocksR},
 	} {
-		if _, err := hop.src.Write(appendBlockFrame(nil, hop.from, 1, blockReliable, gen, 2*hop.from, []float64{7, 8})); err != nil {
+		if err := hop.src.write(appendBlockFrame(nil, hop.from, 1, blockReliable, gen, 2*hop.from, []float64{7, 8})); err != nil {
 			t.Fatal(err)
 		}
-		hop.dst.SetReadDeadline(time.Now().Add(10 * time.Second))
-		typ, payload, err := readFrame(hop.dst, maxFramePayload)
-		if err != nil || typ != msgBlock {
-			t.Fatalf("%s: frame type %d, err %v", hop.name, typ, err)
+		select {
+		case payload := <-hop.dst:
+			if h, _ := decodeBlock(payload); h.from != hop.from || h.gen != gen {
+				t.Errorf("%s: relayed header %+v", hop.name, h)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no block relayed", hop.name)
 		}
-		if h, _ := decodeBlock(payload); h.from != hop.from || h.gen != gen {
-			t.Errorf("%s: relayed header %+v", hop.name, h)
+	}
+	close(done)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if res := <-resCh; !res.Cancelled {
+		t.Error("the run was not cancelled")
+	}
+}
+
+// joinScripted connects one scripted worker to the coordinator at addr:
+// hello, then its welcome, redialling while the coordinator rejects it (a
+// lost slot is freed only once the coordinator has noticed the loss).
+func joinScripted(t *testing.T, addr string) (net.Conn, welcome) {
+	t.Helper()
+	for {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		if _, err := conn.Write(buildFrame(msgHello, appendU32(nil, protocolVersion))); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(conn, maxFramePayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == msgReject {
+			conn.Close()
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		wel, err := decodeWelcome(payload)
+		if typ != msgWelcome || err != nil {
+			t.Fatalf("welcome: frame type %d, err %v", typ, err)
+		}
+		return conn, wel
+	}
+}
+
+// answerScripted plays a scripted worker's control half on l until the link
+// fails: every probe gets an active status (the run never quiesces), every
+// reshard an empty ack, every assign's generation goes to assigns and every
+// block's payload to blocks.
+func answerScripted(l *link, gen uint32, assigns chan<- uint32, blocks chan<- []byte) {
+	for {
+		typ, payload, err := readFrame(l.conn, maxFramePayload)
+		if err != nil {
+			return
+		}
+		cur := cursor{b: payload}
+		switch typ {
+		case msgProbe:
+			l.write(buildStatusFrame(status{probeID: cur.u64(), gen: gen}))
+		case msgReshard:
+			gen = cur.u32()
+			l.write(buildShardFrame(msgReshardAck, gen, 0, nil))
+		case msgAssign:
+			assigns <- cur.u32()
+		case msgBlock:
+			blocks <- payload
 		}
 	}
 }
@@ -899,104 +893,6 @@ func TestBlockIntoOwnShardRejected(t *testing.T) {
 	ws.awaitAssign = true
 	if err := ws.handle(block(5, 2, 8, 8)); err != nil {
 		t.Errorf("block while awaiting assign: %v", err)
-	}
-}
-
-// serveFrames is one hand-driven worker: it plays frames into slot 1's link
-// of a 3-worker coordinator over 6 components (shards [0,2) [2,4) [4,6),
-// generation 2, stop already sent so the closing link is quiet), runs the
-// link's reader to the end and returns the coordinator and what it failed
-// with, if anything.
-func serveFrames(t *testing.T, frames ...[]byte) (*coordinator, error) {
-	t.Helper()
-	const n, p = 6, 3
-	srv, cli := tcpPair(t)
-	c := &coordinator{
-		cfg: Config{Config: runtime.Config{Workers: p}, Topology: TopologyMesh},
-		n:   n, links: make([]*link, p), senders: make([]*sender, p), addrs: make([]string, p),
-		blocks: vec.Blocks(n, p), gen: 2,
-		xbest:   make([]float64, n),
-		finalCh: make(chan final, 1), errCh: make(chan error, 1),
-	}
-	c.links[1] = &link{conn: srv}
-	c.stopped.Store(true)
-	for _, f := range frames {
-		if _, err := cli.Write(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cli.Close()
-	c.readers.Add(1)
-	c.serveLink(1, c.links[1], nil)
-	select {
-	case err := <-c.errCh:
-		return c, err
-	default:
-		return c, nil
-	}
-}
-
-// Slices of a 6-component iterate that leave slot 1's shard [2, 4): another
-// slot's shard, both edges straddled, the whole iterate.
-var outsideShard = []struct {
-	name string
-	lo   int
-	vals []float64
-}{
-	{"a neighbour's shard", 0, []float64{9, 9}},
-	{"straddling the lower edge", 1, []float64{9, 9}},
-	{"straddling the upper edge", 3, []float64{9, 9}},
-	{"covering", 0, []float64{9, 9, 9, 9, 9, 9}},
-}
-
-// TestCheckpointOutsideShardRejected: a current-generation checkpoint may
-// cover only the sender's shard — a lying peer must not plant values over
-// another worker's components in xbest — while one from a fenced generation
-// is skipped before its bounds are looked at.
-func TestCheckpointOutsideShardRejected(t *testing.T) {
-	untouched := make([]float64, 6)
-	for _, tc := range outsideShard {
-		c, err := serveFrames(t, buildShardFrame(msgCheckpoint, 2, tc.lo, tc.vals))
-		if err == nil || !strings.Contains(err.Error(), "malformed checkpoint frame") {
-			t.Errorf("%s: err = %v, want a malformed checkpoint frame error", tc.name, err)
-		}
-		if !reflect.DeepEqual(c.xbest, untouched) {
-			t.Errorf("%s: rejected checkpoint left xbest %v", tc.name, c.xbest)
-		}
-		c, err = serveFrames(t, buildShardFrame(msgCheckpoint, 1, tc.lo, tc.vals))
-		if err != nil || !reflect.DeepEqual(c.xbest, untouched) {
-			t.Errorf("%s, stale generation: err %v, xbest %v; want it skipped", tc.name, err, c.xbest)
-		}
-	}
-	c, err := serveFrames(t,
-		buildShardFrame(msgCheckpoint, 2, 2, []float64{7, 8}),
-		buildShardFrame(msgCheckpoint, 2, 3, []float64{5}))
-	if want := []float64{0, 0, 7, 5, 0, 0}; err != nil || !reflect.DeepEqual(c.xbest, want) {
-		t.Errorf("checkpoints inside the shard: err %v, xbest %v, want %v", err, c.xbest, want)
-	}
-}
-
-// TestFinalOutsideShardRejected: the same bound on the authoritative upload.
-// A rejoiner stopped before its first assign owns nothing and uploads an
-// empty final, which passes.
-func TestFinalOutsideShardRejected(t *testing.T) {
-	for _, tc := range outsideShard {
-		c, err := serveFrames(t, buildFinalFrame(final{lo: tc.lo, vals: tc.vals}))
-		if err == nil || !strings.Contains(err.Error(), "malformed final frame") {
-			t.Errorf("%s: err = %v, want a malformed final frame error", tc.name, err)
-		}
-		if len(c.finalCh) != 0 {
-			t.Errorf("%s: rejected final reached the run loop", tc.name)
-		}
-	}
-	for _, f := range []final{{lo: 2, vals: []float64{7, 8}, updates: 3}, {}} {
-		c, err := serveFrames(t, buildFinalFrame(f))
-		if err != nil || len(c.finalCh) != 1 {
-			t.Fatalf("final %+v: err %v, %d queued", f, err, len(c.finalCh))
-		}
-		if got := <-c.finalCh; got.worker != 1 || got.lo != f.lo || got.updates != f.updates || !slices.Equal(got.vals, f.vals) {
-			t.Errorf("final = %+v, want %+v from slot 1", got, f)
-		}
 	}
 }
 
@@ -1302,6 +1198,73 @@ func TestFinalLostAfterStopIsNotConverged(t *testing.T) {
 	}
 	if res.WorkersLost != 1 {
 		t.Errorf("WorkersLost = %d, want 1", res.WorkersLost)
+	}
+}
+
+// countingConn counts the bytes a scripted worker writes and reads.
+type countingConn struct {
+	net.Conn
+	written, read int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.written += int64(n)
+	return n, err
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.read += int64(n)
+	return n, err
+}
+
+// TestControlPlaneBytesCounted: on star BytesReceived and BytesSent count
+// the whole run from the coordinator's side, handshake included. A
+// scripted one-worker run counts every byte it writes and reads until stop
+// (and the final after it); the coordinator's counts must match exactly.
+func TestControlPlaneBytesCounted(t *testing.T) {
+	const n = 8
+	op, _ := contractingOp(t, n, 15)
+	addr, errCh, resCh := serveOne(t, Config{
+		Config:  runtime.Config{Op: op, Workers: 1, Tol: 1e-9},
+		Timeout: time.Minute,
+	})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(30 * time.Second))
+	conn := &countingConn{Conn: raw}
+	if _, err := conn.Write(buildFrame(msgHello, appendU32(nil, protocolVersion))); err != nil {
+		t.Fatal(err)
+	}
+	for stopped := false; !stopped; {
+		typ, payload, err := readFrame(conn, maxFramePayload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case msgProbe:
+			cur := cursor{b: payload}
+			if _, err := conn.Write(buildStatusFrame(status{probeID: cur.u64(), passive: true, gen: 1})); err != nil {
+				t.Fatal(err)
+			}
+		case msgStop:
+			if _, err := conn.Write(buildFinalFrame(final{lo: 0, vals: make([]float64, n)})); err != nil {
+				t.Fatal(err)
+			}
+			stopped = true
+		}
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	res := <-resCh
+	if res.BytesReceived != conn.written || res.BytesSent != conn.read {
+		t.Errorf("coordinator counted %d bytes received, %d sent; the worker wrote %d, read %d",
+			res.BytesReceived, res.BytesSent, conn.written, conn.read)
 	}
 }
 

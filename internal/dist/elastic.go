@@ -1,9 +1,9 @@
 package dist
 
 // Elastic membership: the knobs, the worker-side rejoin/backoff machinery,
-// and the chaos harness. The coordinator-side protocol (loss detection, the
-// reshard barrier, checkpoint collection) lives in coordinator.go; the
-// worker-side state machine in worker.go; the v3 frame formats in wire.go.
+// and the chaos harness. The coordinator-side protocol (the reshard barrier,
+// checkpoint collection) lives in coordstate.go, loss detection in
+// coordinator.go; the worker side in worker.go; the frames in wire.go.
 
 import (
 	"errors"

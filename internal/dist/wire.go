@@ -316,10 +316,8 @@ func decodeShard(payload []byte, n int) (gen uint32, lo int, vals []float64, err
 }
 
 // status is a worker's reply to a probe: its flags and generation-scoped
-// counters as of one instant. worker is the link it arrived on, not a wire
-// field.
+// counters as of one instant.
 type status struct {
-	worker          int
 	probeID         uint64
 	passive, spent  bool
 	gen             uint32
@@ -360,9 +358,8 @@ func decodeStatus(payload []byte) (status, error) {
 }
 
 // final is a worker's last frame: its authoritative shard and lifetime
-// counters. worker and lost never cross the wire.
+// counters.
 type final struct {
-	worker                 int
 	lo                     int
 	vals                   []float64
 	updates                int
@@ -370,10 +367,6 @@ type final struct {
 	dropped                uint64
 	reordered, duplicate   uint64
 	linkBytes              []uint64
-	// lost marks a synthesized final for a worker whose link died after
-	// stop: its shard stays at the coordinator's best-known values, and the
-	// run does not report convergence.
-	lost bool
 }
 
 func buildFinalFrame(f final) []byte {

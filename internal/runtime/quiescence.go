@@ -64,9 +64,9 @@ type Observation struct {
 // InFlight is the number of messages sent but not yet delivered or dropped.
 func (o Observation) InFlight() int64 { return o.Sent - o.Delivered - o.Dropped }
 
-// quiet reports whether this single observation is consistent with
+// Quiet reports whether this single observation is consistent with
 // quiescence (necessary, not sufficient — hence the double collect).
-func (o Observation) quiet() bool { return o.AllPassive && o.InFlight() == 0 }
+func (o Observation) Quiet() bool { return o.AllPassive && o.InFlight() == 0 }
 
 // DoubleCollect runs the two-phase protocol over an observation source:
 // collect, optionally confirm, collect again, and report quiescence only
@@ -78,14 +78,14 @@ func (o Observation) quiet() bool { return o.AllPassive && o.InFlight() == 0 }
 // to confirm and it is not consulted.
 func DoubleCollect(observe func() Observation, confirm func() bool) bool {
 	first := observe()
-	if !first.quiet() {
+	if !first.Quiet() {
 		return false
 	}
 	if confirm != nil && !first.Exhausted && !confirm() {
 		return false
 	}
 	second := observe()
-	return second.quiet() && second == first
+	return second.Quiet() && second == first
 }
 
 // Tracker is the in-process implementation of the protocol state: per-worker
