@@ -1,11 +1,7 @@
 package dist
 
-// The coordinator's I/O shell around the decision machine of coordstate.go.
-// Link readers and relay senders run concurrently, as the data plane must;
-// every control-plane fact they observe becomes an event on one channel,
-// and one loop goroutine feeds each event to coordState.step and carries
-// out the actions that come back: the control writes, the relay legs, the
-// one timer, the checkpoint file and the result.
+// The coordinator's I/O shell around the decision machine of coordstate.go;
+// the package doc says what its readers do and what its loop decides.
 
 import (
 	"context"
@@ -189,11 +185,12 @@ func Serve(ln net.Listener, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// next waits for the loop's next event.
+// next waits for the loop's next event. Cancellation wins every race: the
+// losses the hangup causes, posted after it, never settle anything first.
 func (c *coordinator) next() event {
+	ev := event{kind: evCancel}
 	select {
 	case <-c.hangup.Done():
-		return event{kind: evCancel}
 	case in := <-c.events:
 		if !in.once() {
 			c.backlog.Add(-1)
@@ -204,10 +201,14 @@ func (c *coordinator) next() event {
 		if in.kind == evStatus {
 			in.drained = c.led.drained()
 		}
-		return in.event
+		ev = in.event
 	case <-c.timer.C:
-		return event{kind: evTimer, timer: c.armed}
+		ev = event{kind: evTimer, timer: c.armed}
 	}
+	if c.hangup.Err() != nil {
+		return event{kind: evCancel}
+	}
+	return ev
 }
 
 // post hands an event to the loop without ever blocking: an event that
@@ -257,9 +258,9 @@ func (c *coordinator) exec(acts []action) {
 		case actProbe:
 			binary.LittleEndian.PutUint64(c.probeFrame[frameHeaderLen:], a.id)
 			c.writeLink(c.slotLink(a.slot), c.probeFrame)
-		case actReshard:
-			// Frames still in flight from the old generation self-discard.
+		case actFence:
 			c.led.enter(a.gen)
+		case actReshard:
 			c.writeLink(c.slotLink(a.slot), buildFrame(msgReshard, appendU32(nil, a.gen)))
 		case actAssign:
 			// Mesh workers also get the refreshed peer table ("" marks a
@@ -339,7 +340,14 @@ func (c *coordinator) linkUp(w int, l *link) {
 		return
 	}
 	s := newSender(w, c.cfg.Workers, c.cfg.Fault, &c.led)
-	s.writeFailed = c.relayFailed
+	// A failed relay write (already accounted as a drop) closes the
+	// destination's link, so its reader reports the loss, unless the run is
+	// stopping: that worker's final may still be on its way in.
+	s.writeFailed = func(dst *leg) {
+		if !c.stopped.Load() {
+			dst.conn.Close()
+		}
+	}
 	for q, r := range c.relays {
 		if r != nil {
 			r.setLeg(w, &leg{link: l, q: w})
@@ -348,16 +356,6 @@ func (c *coordinator) linkUp(w int, l *link) {
 	}
 	c.relays[w] = s
 	c.built = append(c.built, s)
-}
-
-// relayFailed is the relay's policy for a failed write to a destination
-// (the frame is already accounted as a drop): close its link, so its reader
-// reports the loss — except once the run is stopping, when the worker's
-// final may still be on its way in.
-func (c *coordinator) relayFailed(l *leg) {
-	if !c.stopped.Load() {
-		l.conn.Close()
-	}
 }
 
 // shutdown stops accepting, closes every link and joins the readers — each

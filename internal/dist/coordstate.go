@@ -72,7 +72,8 @@ const (
 	actDown                      // close slot's link; no relay writes to slot any more
 	actPeers                     // send slot the peer address table (mesh rendezvous)
 	actProbe                     // send slot probe id
-	actReshard                   // fence the relay ledger to gen, send slot reshard gen
+	actFence                     // open gen in the relay ledger, ahead of gen's first reshard: older frames self-discard
+	actReshard                   // send slot reshard gen
 	actAssign                    // send slot its shard lo/hi of generation gen over xbest
 	actStop                      // send slot stop
 	actArm                       // re-arm the timer
@@ -347,6 +348,7 @@ func (s *coordState) reshard() {
 	}
 	s.phase = phReshard
 	s.resharding++
+	s.emit(action{kind: actFence, gen: s.gen}) // no frame of gen precedes its reshard
 	shards, i := vec.Blocks(s.n, s.pending), 0
 	for w := range s.blocks {
 		s.blocks[w] = [2]int{}

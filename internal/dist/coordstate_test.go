@@ -368,9 +368,14 @@ func (wd *world) deliver(ev event) error {
 					wd.w[w].dead, wd.w[w].in, wd.w[w].out = true, nil, nil
 				}
 			}
+		case actFence:
+			if a.gen <= wd.fence {
+				return fmt.Errorf("fence to generation %d after generation %d", a.gen, wd.fence)
+			}
+			wd.fence, wd.drained = a.gen, 0
 		case actProbe, actReshard, actAssign, actStop:
 			if a.kind == actReshard && wd.fence != a.gen {
-				wd.fence, wd.drained = a.gen, 0
+				return fmt.Errorf("reshard of generation %d sent with the relay fenced at %d", a.gen, wd.fence)
 			}
 			if beforePhase >= phStop && a.kind != actStop || a.kind == actStop && wd.stopSet != nil && !slices.Contains(wd.stopSet, a.slot) {
 				return fmt.Errorf("action %d for slot %d after stop", a.kind, a.slot)

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"context"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -755,6 +757,45 @@ func TestStarRejoinGetsLegsBothWays(t *testing.T) {
 	}
 }
 
+// TestLostSlotLeavesEveryRelay: the shell carries out a star slot's loss by
+// closing its link, dropping its relay and taking its leg out of every
+// other relay, so no relay writes to the lost slot's connection.
+func TestLostSlotLeavesEveryRelay(t *testing.T) {
+	const n = 4
+	srv0, _ := tcpPair(t)
+	srv1, cli1 := tcpPair(t)
+	cfg := Config{Config: runtime.Config{Workers: 2}, Timeout: time.Minute}
+	c := &coordinator{
+		cfg: cfg, n: n,
+		st:          newCoordState(2, n, false, make([]float64, n), cfg.Timeout, time.Second),
+		conns:       map[int]*link{1: {conn: srv0}, 2: {conn: srv1}},
+		relays:      make([]*sender, 2),
+		runDeadline: time.Now().Add(cfg.Timeout),
+	}
+	c.st.links = []int{1, 2}
+	c.linkUp(0, c.conns[1])
+	c.linkUp(1, c.conns[2])
+	defer func() {
+		for _, s := range c.built {
+			s.flush()
+		}
+	}()
+	if c.relays[0].out[1].Load() == nil || c.relays[1].out[0].Load() == nil {
+		t.Fatal("linkUp left a relay without its leg to the other slot")
+	}
+	c.exec([]action{{kind: actDown, slot: 1, link: 2}})
+	if c.relays[0].out[1].Load() != nil {
+		t.Error("the survivor's relay kept its leg to the lost slot")
+	}
+	if c.relays[1] != nil {
+		t.Error("the lost slot kept its relay")
+	}
+	cli1.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := cli1.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("the lost slot's link read %v, want EOF", err)
+	}
+}
+
 // joinScripted connects one scripted worker to the coordinator at addr:
 // hello, then its welcome, redialling while the coordinator rejects it (a
 // lost slot is freed only once the coordinator has noticed the loss).
@@ -1133,6 +1174,46 @@ func TestServeCancelled(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		conn.Close()
 		t.Error("listener still accepting after a cancelled run")
+	}
+}
+
+// TestCancelWinsOverItsLosses: the hangup closes every link, so by the time
+// the loop looks, the losses it caused may already be queued next to the
+// cancellation. The loop must take the cancellation: a loss could otherwise
+// fail a mesh rendezvous or settle the last final owed after stop, and the
+// cancelled run would not report Cancelled.
+func TestCancelWinsOverItsLosses(t *testing.T) {
+	for range 32 { // the loop's select picks at random among ready cases
+		hangup, cancel := context.WithCancel(context.Background())
+		c := &coordinator{
+			cfg:    Config{Config: runtime.Config{Workers: 1}},
+			events: make(chan inbound, eventsPerWorker),
+			hangup: hangup,
+			timer:  time.NewTimer(time.Hour),
+		}
+		c.post(inbound{event: event{kind: evLost}})
+		cancel()
+		if ev := c.next(); ev.kind != evCancel {
+			t.Fatalf("the loop took event %d, not the cancellation", ev.kind)
+		}
+	}
+
+	// End to end: cancelled during a mesh rendezvous whose addresses never come.
+	op, _ := contractingOp(t, 4, 3)
+	done := make(chan struct{})
+	addr, errCh, resCh := serveOne(t, Config{
+		Config:   runtime.Config{Op: op, Workers: 2, Tol: 1e-9, Done: done},
+		Topology: TopologyMesh,
+		Timeout:  time.Minute,
+	})
+	joinScripted(t, addr)
+	joinScripted(t, addr)
+	close(done)
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if res := <-resCh; !res.Cancelled || res.Converged {
+		t.Errorf("cancelled=%v converged=%v, want a cancelled, unconverged result", res.Cancelled, res.Converged)
 	}
 }
 
