@@ -23,13 +23,17 @@ race:
 # Tuned smoke: the cache-blocked + multi-goroutine kernels exercised end to
 # end with the knobs on and GOMAXPROCS=4 — the combination a
 # single-threaded box never covers incidentally. The gram-precompute=false
-# run exercises the lean LeastSquares gradient form. The last line is the
-# opposite corner: the shared-memory transport takes a lock per publish, and
-# a descheduled holder is where that could bite, so its tests (64 workers on
-# 2-component blocks among them) also run on ONE processor under -race.
+# run exercises the lean LeastSquares gradient form. The multigrid run sends
+# a sparse operator's row slab, offset folded in, through the lane fan-out
+# (otherwise only dense operators reach it end to end). The last line is
+# the opposite corner: the shared-memory transport takes a lock per
+# publish, and a descheduled holder is where that could bite, so its tests
+# (64 workers on 2-component blocks among them) also run on ONE processor
+# under -race.
 smoke-tuned:
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario lasso -n 320 -block-size 64 -intra-parallel 2 >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario ridge -n 320 -intra-parallel 2 -gram-precompute=false >/dev/null
+	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario multigrid -n 31 -engine message -workers 2 -intra-parallel 2 >/dev/null
 	GOMAXPROCS=4 $(GO) test -race -run 'Tuning|Knob|Tiled|Lean' . ./internal/operators/ ./internal/vec/ ./internal/server/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Shared' ./internal/runtime/
 

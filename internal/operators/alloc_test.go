@@ -103,6 +103,7 @@ func TestEvalBlockAllocationFree(t *testing.T) {
 		{"ProxGradBF", bf},
 		{"InnerIterated", inner},
 		{"Relaxed(ProxGradBF)", &Relaxed{Inner: bf, Omega: 0.7}},
+		{"SparseLinear", NewSparseLinear(tridiagonalCSR(n), vec.NewRNG(17).NormalVector(n))},
 	}
 	for _, tc := range cases {
 		scr := NewScratch()

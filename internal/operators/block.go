@@ -135,13 +135,10 @@ func (l *Linear) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
 	}
 }
 
-// EvalBlockScratch implements BlockScratchOperator via the sparse row-slab
-// matvec (lane-parallel per the scratch's tuning).
+// EvalBlockScratch implements BlockScratchOperator via the affine sparse
+// row slab, offset folded in (lane-parallel per the scratch's tuning).
 func (l *SparseLinear) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
-	csrSlab(scr, l.A, out, x, lo, hi)
-	for i := range out {
-		out[i] += l.B[lo+i]
-	}
+	csrSlab(scr, l.A, out, x, l.B, lo, hi)
 }
 
 // EvalBlockScratch implements BlockScratchOperator (0 scratch slots): one

@@ -7,6 +7,20 @@ import (
 	"repro/internal/vec"
 )
 
+// tridiagonalCSR is a sparse contraction: 0.3 on both off-diagonals.
+func tridiagonalCSR(n int) *vec.CSR {
+	var entries []vec.COOEntry
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			entries = append(entries, vec.COOEntry{Row: i, Col: i - 1, Val: 0.3})
+		}
+		if i < n-1 {
+			entries = append(entries, vec.COOEntry{Row: i, Col: i + 1, Val: 0.3})
+		}
+	}
+	return vec.NewCSR(n, n, entries)
+}
+
 // blockTestOps builds one operator of every block-implementing kind over a
 // shared dimension.
 func blockTestOps(n int) []struct {
@@ -17,17 +31,7 @@ func blockTestOps(n int) []struct {
 	bf, inner := allocTestProxGrad(n)
 	lin := allocTestLinear(n)
 
-	// Sparse tridiagonal contraction.
-	var entries []vec.COOEntry
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			entries = append(entries, vec.COOEntry{Row: i, Col: i - 1, Val: 0.3})
-		}
-		if i < n-1 {
-			entries = append(entries, vec.COOEntry{Row: i, Col: i + 1, Val: 0.3})
-		}
-	}
-	sp := NewSparseLinear(vec.NewCSR(n, n, entries), rng.NormalVector(n))
+	sp := NewSparseLinear(tridiagonalCSR(n), rng.NormalVector(n))
 
 	// Dense least-squares pieces for FB / GradOp / separable variants.
 	q := vec.NewDense(n, n)

@@ -47,9 +47,9 @@ type FullApplier interface {
 func Apply(op Operator, dst, x []float64) { ApplyInto(op, NewScratch(), dst, x) }
 
 // ErrDiverged is matched (errors.Is) by the error every engine returns when
-// an evaluation produces NaN: each tests the block it evaluated
-// (vec.FirstNaN) before installing it. +Inf is a legal value (routing
-// starts from it).
+// an evaluation produces NaN: each tests the block it evaluated before
+// installing it (vec.DistInfNaN, fused into the worker loop's displacement
+// scan, or vec.FirstNaN). +Inf is a legal value (routing starts from it).
 var ErrDiverged = errors.New("iterate diverged to NaN")
 
 // DivergedError is the ErrDiverged of the worker-based engines: Worker's

@@ -183,14 +183,15 @@ func denseSlab(scr *Scratch, m *vec.Dense, dst, x []float64, lo, hi int) {
 	})
 }
 
-// csrSlab is denseSlab's sparse analog: lane fan-out, no column tiling
-// (sparse rows are short and already stream compactly).
-func csrSlab(scr *Scratch, m *vec.CSR, dst, x []float64, lo, hi int) {
+// csrSlab is denseSlab's sparse, affine analog, dst[i-lo] = (M x)_i + b[i]:
+// lane fan-out, no column tiling (sparse rows are short and already stream
+// compactly), bit-identical to M.RowDotAt(i, x) + b[i] for every knob.
+func csrSlab(scr *Scratch, m *vec.CSR, dst, x, b []float64, lo, hi int) {
 	if scr == nil || !scr.fanOut(hi-lo) {
-		m.MulRangeTo(dst, x, lo, hi)
+		m.MulAddRangeTo(dst, x, b, lo, hi)
 		return
 	}
 	scr.parallelRows(lo, hi, func(sub *Scratch, l, h int) {
-		m.MulRangeTo(dst[l-lo:h-lo], x, l, h)
+		m.MulAddRangeTo(dst[l-lo:h-lo], x, b, l, h)
 	})
 }

@@ -256,10 +256,9 @@ func (w *Worker) reverify(t Transport) error {
 //repro:hotpath
 func (w *Worker) phase() (delta float64, bad int) {
 	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.out)
-	if bad = vec.FirstNaN(w.out); bad >= 0 {
+	if delta, bad = vec.DistInfNaN(w.out, w.View[w.lo:w.hi]); bad >= 0 {
 		return 0, bad
 	}
-	delta = vec.DistInf(w.out, w.View[w.lo:w.hi])
 	copy(w.View[w.lo:w.hi], w.out)
 	w.Updates++
 	if w.Progress != nil {
@@ -275,5 +274,5 @@ func (w *Worker) phase() (delta float64, bad int) {
 //repro:hotpath
 func (w *Worker) displacement() (d float64, bad int) {
 	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.chk)
-	return vec.DistInf(w.chk, w.View[w.lo:w.hi]), vec.FirstNaN(w.chk)
+	return vec.DistInfNaN(w.chk, w.View[w.lo:w.hi])
 }

@@ -210,9 +210,11 @@ func TestLoopSpentWorkerNeverPassiveOnUnverifiedData(t *testing.T) {
 // TestLoopStopsOnNaNBeforeInstallingIt: input that makes a parked worker's
 // block evaluate to NaN ends the loop at the re-verification, with nothing
 // installed, published or accounted after it. Unchecked, the displacement
-// of a NaN block reads as 0 (vec.DistInf never sees a NaN) and the worker
-// would re-passivate on it. (The updating phase has the same check; the
-// root TestEveryEngineStopsOnNaN drives it on every engine.)
+// of a NaN block reads as 0 (a max-norm distance never sees a NaN) and the
+// worker would re-passivate on it. The updating phase has the same check,
+// in the same scan: a NaN its first phase evaluates ends the run at phase 1
+// with the view untouched. (The root TestEveryEngineStopsOnNaN drives both
+// on every engine.)
 func TestLoopStopsOnNaNBeforeInstallingIt(t *testing.T) {
 	for _, acks := range []bool{true, false} {
 		view := []float64{1, 0}
@@ -226,6 +228,13 @@ func TestLoopStopsOnNaNBeforeInstallingIt(t *testing.T) {
 		}
 		if last := p.trace[len(p.trace)-1]; last != "input" || view[0] != view[0] {
 			t.Errorf("%s transport: after the NaN input: trace %v, x_0 = %v", policyName(acks), p.trace, view[0])
+		}
+
+		view = []float64{1, math.NaN()}
+		w = Worker{ID: 7, Op: pullOp{}, Tol: 1e-3, Sweeps: 2, Budget: 1 << 20, View: view}
+		err = w.Run(&scriptPort{t: t, view: view, acks: acks})
+		if !errors.As(err, &de) || *de != (operators.DivergedError{Worker: 7, Phase: 1, Component: 0}) || view[0] != 1 {
+			t.Errorf("%s transport: NaN from the first phase: err %v, x_0 = %v, want phase 1 diverging and x_0 = 1", policyName(acks), err, view[0])
 		}
 	}
 }

@@ -22,32 +22,13 @@ func TestDenseKernelsAllocationFree(t *testing.T) {
 }
 
 func TestSparseKernelsAllocationFree(t *testing.T) {
-	// 5-point stencil on a 16x16 grid — the obstacle problem's sparsity.
-	n := 16
-	dim := n * n
-	var entries []COOEntry
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			i := r*n + c
-			entries = append(entries, COOEntry{i, i, 4})
-			if r > 0 {
-				entries = append(entries, COOEntry{i, i - n, -1})
-			}
-			if r < n-1 {
-				entries = append(entries, COOEntry{i, i + n, -1})
-			}
-			if c > 0 {
-				entries = append(entries, COOEntry{i, i - 1, -1})
-			}
-			if c < n-1 {
-				entries = append(entries, COOEntry{i, i + 1, -1})
-			}
-		}
-	}
-	m := NewCSR(dim, dim, entries)
-	x := NewRNG(2).NormalVector(dim)
-	y := New(dim)
+	m := stencilCSR(16)
+	x := NewRNG(2).NormalVector(m.Cols)
+	b := NewRNG(3).NormalVector(m.Rows)
+	y := New(m.Rows)
 	assertZeroAllocs(t, "CSR.MulVecTo", func() { m.MulVecTo(y, x) })
+	assertZeroAllocs(t, "CSR.MulRangeTo", func() { m.MulRangeTo(y[:100], x, 40, 140) })
+	assertZeroAllocs(t, "CSR.MulAddRangeTo", func() { m.MulAddRangeTo(y[:100], x, b, 40, 140) })
 	assertZeroAllocs(t, "CSR.RowDotAt", func() { _ = m.RowDotAt(5, x) })
 }
 
@@ -61,13 +42,10 @@ func TestVectorKernelsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "SubInto", func() { SubInto(dst, x, y) })
 	assertZeroAllocs(t, "ScaleInto", func() { ScaleInto(dst, 2.5, x) })
 	assertZeroAllocs(t, "AXPY", func() { AXPY(0.5, x, dst) })
-	assertZeroAllocs(t, "AXPYInto", func() { AXPYInto(dst, 0.5, x, y) })
 	assertZeroAllocs(t, "LerpInto", func() { LerpInto(dst, x, y, 0.3) })
-	assertZeroAllocs(t, "CopyInto", func() { CopyInto(dst, x) })
 	assertZeroAllocs(t, "Dot", func() { _ = Dot(x, y) })
 	assertZeroAllocs(t, "Norm2", func() { _ = Norm2(x) })
 	assertZeroAllocs(t, "NormInf", func() { _ = NormInf(x) })
-	assertZeroAllocs(t, "Norm1", func() { _ = Norm1(x) })
 	assertZeroAllocs(t, "DistInf", func() { _ = DistInf(x, y) })
 	assertZeroAllocs(t, "Dist2", func() { _ = Dist2(x, y) })
 	assertZeroAllocs(t, "WeightedMaxNorm", func() { _ = WeightedMaxNorm(x, u) })
@@ -95,12 +73,6 @@ func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
 	LerpInto(dst, x, y, 0.25)
 	if !Equal(dst, Lerp(x, y, 0.25), 0) {
 		t.Error("LerpInto != Lerp")
-	}
-	want := Clone(y)
-	AXPY(0.75, x, want)
-	AXPYInto(dst, 0.75, x, y)
-	if !Equal(dst, want, 0) {
-		t.Error("AXPYInto != AXPY")
 	}
 	// Aliasing: dst == x must be supported.
 	alias := Clone(x)

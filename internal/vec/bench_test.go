@@ -21,11 +21,9 @@ func BenchmarkDenseMulVec256(b *testing.B) {
 	}
 }
 
-func BenchmarkCSRMulVec(b *testing.B) {
-	// 5-point stencil pattern on a 64x64 grid (the obstacle problem's
-	// sparsity).
-	n := 64
-	dim := n * n
+// stencilCSR is the 5-point stencil on an n×n grid — the sparsity of the
+// obstacle problem and of the multigrid scenarios' Jacobi operator.
+func stencilCSR(n int) *CSR {
 	var entries []COOEntry
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
@@ -45,14 +43,34 @@ func BenchmarkCSRMulVec(b *testing.B) {
 			}
 		}
 	}
-	m := NewCSR(dim, dim, entries)
-	x := NewRNG(2).NormalVector(dim)
-	y := New(dim)
+	return NewCSR(n*n, n*n, entries)
+}
+
+func BenchmarkCSRMulVec(b *testing.B) {
+	m := stencilCSR(64)
+	x := NewRNG(2).NormalVector(m.Cols)
+	y := New(m.Rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MulVecTo(y, x)
 	}
+}
+
+// BenchmarkCSRMulRangeStencil31 is the row slab the multigrid workloads
+// run: the 961-row stencil of a 31×31 grid, one 480-row block of it (a
+// worker's share on 2 workers), reported per row.
+func BenchmarkCSRMulRangeStencil31(b *testing.B) {
+	m := stencilCSR(31)
+	x := NewRNG(2).NormalVector(m.Cols)
+	const lo, hi = 240, 720
+	y := New(hi - lo)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulRangeTo(y, x, lo, hi)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(hi-lo)), "ns/row")
 }
 
 func BenchmarkWeightedMaxNorm(b *testing.B) {

@@ -19,6 +19,14 @@ package vec
 // the order exactly as long as every tile boundary is a multiple of 4 and
 // tiles are visited in ascending order with the accumulators carried across
 // tiles — which is what dot4Acc below provides.
+//
+// Each spelling of the order is pinned bit for bit by a test:
+//
+//	dot4               Dot, Dense rows        TestCanonicalDotOrder
+//	dot4Acc, dot4Tail  tiled Dense slabs      TestDenseMulRangeTiledToMatchesMulRangeTo
+//	dot4Indexed        CSR.RowDotAt           TestCSRSlabCanonicalOrder
+//	CSR slab loop      CSR.Mul*To (sparse.go) TestCSRSlabCanonicalOrder
+//	sum4, no products  Sum                    TestCanonicalSumOrder
 
 // dot4 returns the canonical dot product of a and x (equal lengths assumed;
 // callers bounds-check).

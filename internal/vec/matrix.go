@@ -66,16 +66,9 @@ func (m *Dense) MulVec(x Vector) Vector {
 	return y
 }
 
-// MulVecTo computes y = M x into the provided slice.
-func (m *Dense) MulVecTo(y, x Vector) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("vec: MulVecTo dimension mismatch (%dx%d)*%d -> %d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		y[i] = dot4(m.Row(i), x)
-	}
-}
+// MulVecTo computes y = M x into the provided slice: MulRangeTo over every
+// row.
+func (m *Dense) MulVecTo(y, x Vector) { m.MulRangeTo(y, x, 0, m.Rows) }
 
 // MulVecTransTo computes y = M^T x into y (len Cols).
 func (m *Dense) MulVecTransTo(y, x Vector) {

@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -62,6 +63,97 @@ func TestCSRMulRangeToMatchesMulVecTo(t *testing.T) {
 		for i := range y {
 			if y[i] != full[lo+i] {
 				t.Errorf("csr range [%d,%d) row %d: %v != %v", lo, hi, lo+i, y[i], full[lo+i])
+			}
+		}
+	}
+}
+
+// canonicalIndexed is the explicit reference for the sparse reduction
+// order: s0..s3 over k ≡ 0..3 (mod 4) from the row start, sequential tail,
+// ((s0+s1)+(s2+s3))+tail.
+func canonicalIndexed(vals []float64, idx []int, x []float64) float64 {
+	var s [4]float64
+	n4 := len(vals) &^ 3
+	for k := 0; k < n4; k++ {
+		s[k%4] += vals[k] * x[idx[k]]
+	}
+	tail := 0.0
+	for k := n4; k < len(vals); k++ {
+		tail += vals[k] * x[idx[k]]
+	}
+	return ((s[0] + s[1]) + (s[2] + s[3])) + tail
+}
+
+// canonicalCSR is a 37-row matrix whose rows hold 0–9 non-zeros (every
+// residue of the 4-wide unroll, with and without a tail), and an x that
+// holds ±0, ±Inf and NaN. Row 6 meets only the zeros of x, with signs that
+// make every product -0; rows 16–18 meet one of +Inf, -Inf or NaN, and row
+// 26 both infinities.
+func canonicalCSR() (*CSR, []float64) {
+	const rows, cols = 37, 29
+	rng := NewRNG(81)
+	x := rng.NormalVector(cols)
+	copy(x, []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, math.Copysign(0, -1)})
+	x[6], x[7], x[8] = math.Inf(1), math.Inf(-1), math.NaN()
+	var entries []COOEntry
+	for r := 0; r < rows; r++ {
+		if r == 6 {
+			continue
+		}
+		for k := 0; k < r%10; k++ {
+			col := 9 + (r*7+k*3)%(cols-9) // finite columns, distinct within a row
+			entries = append(entries, COOEntry{r, col, rng.Normal()})
+		}
+	}
+	for c := 0; c < 6; c++ { // row 6, 6 non-zeros: +v * -0 and -v * +0 are both -0
+		entries = append(entries, COOEntry{6, c, math.Copysign(1.5, -x[c])})
+	}
+	entries = append(entries,
+		COOEntry{16, 6, 2}, COOEntry{17, 7, -3}, COOEntry{18, 8, 1},
+		COOEntry{26, 6, 1}, COOEntry{26, 7, 1})
+	return NewCSR(rows, cols, entries), x
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// Every spelling of the sparse reduction — RowDotAt, and the slab loop
+// behind MulVecTo, MulRangeTo and MulAddRangeTo over every [lo, hi) — must
+// produce the explicit canonical order's bits, signed zeros, infinities
+// and NaNs included; the affine form must be RowDotAt(i, x) + b[i] exactly.
+func TestCSRSlabCanonicalOrder(t *testing.T) {
+	m, x := canonicalCSR()
+	b := NewRNG(83).NormalVector(m.Rows)
+	want := make([]float64, m.Rows)
+	for i := range want {
+		cols, vals := m.RowNNZ(i)
+		want[i] = canonicalIndexed(vals, cols, x)
+		if got := m.RowDotAt(i, x); !sameBits(got, want[i]) {
+			t.Errorf("RowDotAt(%d) = %v, canonical %v", i, got, want[i])
+		}
+	}
+	if got := m.RowDotAt(6, x); !sameBits(got, 0) {
+		t.Errorf("all -0 products: RowDotAt(6) = %v (bits %x), want +0", got, math.Float64bits(got))
+	}
+	full := make([]float64, m.Rows)
+	m.MulVecTo(full, x)
+	for i := range full {
+		if !sameBits(full[i], want[i]) {
+			t.Errorf("MulVecTo[%d] = %v, RowDotAt %v", i, full[i], want[i])
+		}
+	}
+	for lo := 0; lo <= m.Rows; lo++ {
+		for hi := lo; hi <= m.Rows; hi++ {
+			y, yb := make([]float64, hi-lo), make([]float64, hi-lo)
+			m.MulRangeTo(y, x, lo, hi)
+			m.MulAddRangeTo(yb, x, b, lo, hi)
+			for r := range y {
+				i := lo + r
+				if !sameBits(y[r], want[i]) {
+					t.Fatalf("MulRangeTo [%d,%d) row %d = %v, RowDotAt %v", lo, hi, i, y[r], want[i])
+				}
+				if aff := m.RowDotAt(i, x) + b[i]; !sameBits(yb[r], aff) {
+					t.Fatalf("MulAddRangeTo [%d,%d) row %d = %v, RowDotAt + b %v", lo, hi, i, yb[r], aff)
+				}
 			}
 		}
 	}
@@ -279,6 +371,9 @@ func TestMulRangeToBoundsPanics(t *testing.T) {
 		{"csr lo>hi", func() { csr.MulRangeTo(make([]float64, 0), x, 5, 3) }},
 		{"csr bad y", func() { csr.MulRangeTo(make([]float64, 2), x, 0, 3) }},
 		{"csr bad x", func() { csr.MulRangeTo(make([]float64, 3), x[:5], 0, 3) }},
+		{"csr bad b", func() { csr.MulAddRangeTo(make([]float64, 3), x, x[:7], 0, 3) }},
+		{"csr affine bad y", func() { csr.MulAddRangeTo(make([]float64, 2), x, x, 0, 3) }},
+		{"csr full bad y", func() { csr.MulVecTo(make([]float64, 7), x) }},
 	}
 	for _, tc := range cases {
 		func() {
@@ -290,4 +385,11 @@ func TestMulRangeToBoundsPanics(t *testing.T) {
 			tc.call()
 		}()
 	}
+	// The CSR mismatch panic names the dimensions, as Dense's does.
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "(8x8)*8 -> 2 (range [0,3), offset 0)") {
+			t.Errorf("csr mismatch panic %q does not name the dimensions", msg)
+		}
+	}()
+	csr.MulRangeTo(make([]float64, 2), x, 0, 3)
 }

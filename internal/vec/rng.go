@@ -103,14 +103,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes s in place.
-func (r *RNG) Shuffle(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // RandomVector returns a vector of n iid uniform values in [lo, hi).
 func (r *RNG) RandomVector(n int, lo, hi float64) Vector {
 	v := make(Vector, n)

