@@ -25,124 +25,64 @@
 // # Distributed execution and termination
 //
 // EngineDist runs the paper's distributed-memory setting on a genuine
-// network path: TCP workers each own a contiguous multi-component shard of
-// the iterate and exchange length-prefixed binary shard frames
-// (little-endian; see internal/dist wire.go for the exact format), with
-// fault injection per directed link — WithFaults(Faults{DropProb,
-// ReorderProb, MaxLinkDelay}): iid loss, hold-backs so later blocks
-// overtake, uniform transit jitter — so unbounded-delay and out-of-order message
-// regimes are exercised end to end. On every directed link, frames
-// overtaken by a later-sequenced frame from the same source are discarded
-// by the sender (the label discipline for out-of-order messages):
-// never written, never applied, counted MessagesReordered (or
-// MessagesDuplicate for an equal sequence number) and drained from the
-// termination protocol's in-flight count like a drop. A worker's final
-// re-broadcast is reliable, i.e. exempt from drop and reorder injection.
-// In-process Solve calls run everything over localhost; the asyncsolve
-// dist-coordinator and dist-worker subcommands deploy the identical
-// protocol as separate OS processes.
+// network path (internal/dist; its package doc is the full account): TCP
+// workers each own a contiguous multi-component shard of the iterate and
+// exchange length-prefixed binary shard frames (wire.go), under per-link
+// fault injection — WithFaults(Faults{DropProb, ReorderProb,
+// MaxLinkDelay}): iid loss, hold-backs so later frames overtake, uniform
+// transit jitter. A frame overtaken on its link by a later one from the
+// same source is discarded by the sender (the label discipline for
+// out-of-order messages), counted MessagesReordered (MessagesDuplicate for
+// an equal sequence number) and drained from the termination protocol's
+// in-flight count like a drop; each link's one-frame newest-wins outbox
+// sheds unsent stale frames the same way, which is why a fault-free run can
+// report reordered frames. A worker's final re-broadcast is reliable. In
+// process, Solve runs everything over localhost; the asyncsolve
+// dist-coordinator and dist-worker subcommands run the same protocol as
+// separate OS processes.
 //
-// # Topologies
-//
-// WithTopology selects the dist engine's data plane; the control plane —
-// rendezvous, config distribution, probe-round termination, final shard
-// collection — always runs through the coordinator:
-//
-//   - "star" (default): every shard frame is relayed by the coordinator.
-//     Simple, and the only topology that needs no worker-to-worker
-//     reachability, but the coordinator carries all p(p-1) logical links.
-//   - "mesh": after rendezvous the coordinator hands every worker the full
-//     peer table and workers exchange shard frames over direct
-//     worker-to-worker TCP connections.
-//
-// Either way one piece of code does the sending (internal/dist sender.go),
-// and every worker sends through one: its mesh links on mesh, on star an
-// uplink onto its control link to the coordinator, which relays through one
-// more per source link. The faulty one (the mesh worker's, the relay) draws
-// the fault injection per (frame, destination) from a per-source RNG
-// stream, so identical seeds draw identical decisions on both topologies,
-// though not always for the same frames; every one filters by sequence
-// number, so a frame overtaken on its leg is discarded instead of written;
-// and each leg keeps a one-frame newest-wins outbox, so a source that
-// outruns a socket supersedes its own unsent frames (counted
-// MessagesReordered) instead of queueing stale values — which is why a
-// fault-free run on either topology can report superseded frames.
-//
-// WithDeltaThreshold adds flexible communication on the wire for either
-// topology: a broadcast ships one [offset, len) frame covering the span of
-// shard components that moved by more than the threshold since they were
-// last shipped (sub-threshold creep accumulates, and one frame per
-// broadcast means a broadcast is delivered or lost atomically — the
-// sequence filter can never keep half of one), and ships nothing when
-// nothing moved. On loss-free delivery peer staleness stays bounded by the
-// threshold; a frame lost to injection or superseded before delivery
-// leaves its components stale until the reliable final, which always
-// carries the whole shard. Report.DistDetail exposes
-// the topology that ran and the per-link byte matrix (LinkBytes[i][j] =
-// data-plane wire bytes from worker i to worker j), alongside the
-// transport accounting (messages sent/delivered/stale/dropped/reordered/
-// duplicate, coordinator wire bytes, probe rounds). The repository
-// benchmark times both topologies end to end (workloads dist-star-faulty
-// and dist-mesh-clean; see "Measuring performance").
+// WithTopology picks the data plane: "star" (default) relays every shard
+// frame through the coordinator; "mesh" has workers exchange them over
+// direct worker-to-worker links. Rendezvous, probe-round termination,
+// membership and final collection always run through the coordinator.
+// WithDeltaThreshold is flexible communication on the wire: a broadcast
+// ships one [offset, len) frame spanning the shard components that moved by
+// more than the threshold since last shipped, and nothing when none did; a
+// lost span leaves its components stale until the reliable final, which
+// carries the whole shard. Report.DistDetail holds the topology, the
+// per-link byte matrix and the transport accounting; the repository
+// benchmark times both topologies (dist-star-faulty, dist-mesh-clean).
 //
 // # Elasticity
 //
-// Every dist run has elastic membership (wire protocol v3): a worker whose
-// link fails is declared lost, and the coordinator re-shards the component
-// space over the survivors mid-solve through a generation-fenced barrier:
-// the membership
-// generation is bumped, survivors pause and acknowledge with their current
-// shards, the coordinator merges them into its warm-start iterate and
-// re-issues the shard table (and, on mesh, the peer address table). Every
-// block and status frame carries its generation, so frames from before a
-// re-shard self-discard instead of corrupting the new assignment. A
-// restarted worker that rejoins (bounded exponential backoff with jitter)
-// warm-starts from the merged iterate instead of X0, the delay-tolerant
-// regime's arbitrarily-stale-contribution case. WithElastic(Elastic{...})
-// only paces this: HeartbeatEvery picks how silence is detected (workers
-// heartbeat the control link, and one silent past max(6×HeartbeatEvery,
-// 200ms) is lost too — the only way to catch a stalled process),
-// CheckpointEvery has heartbeating workers stream shard checkpoints for
-// fresher warm starts, MaxRejoinWait bounds a restarted worker's retries
-// (and how long a coordinator that lost every worker waits for one), and
-// CheckpointPath persists the merged iterate to disk so a restarted
-// coordinator can warm-start the whole solve. A worker lost after the stop
+// Every dist run has elastic membership (wire protocol v4): a worker whose
+// link fails is lost, and the coordinator re-shards over the survivors
+// behind a generation-fenced barrier; a restarted worker rejoins (bounded
+// exponential backoff) and warm-starts from the merged iterate. A re-shard
+// is a reactivation under the termination protocol, so quiescence is never
+// certified across one, and with zero churn the trajectory is bit-identical
+// whatever the knobs say. WithElastic(Elastic{...}) only paces it:
+// HeartbeatEvery also declares a worker silent past max(6×HeartbeatEvery,
+// 200ms) lost, CheckpointEvery streams shard checkpoints for fresher warm
+// starts, MaxRejoinWait bounds a rejoiner's retries (and how long a
+// coordinator that lost every worker waits), and CheckpointPath persists
+// the merged iterate for a restarted coordinator. A worker lost after stop
 // never uploads its final shard, so that run does not report convergence.
-// A re-shard counts as a
-// reactivation under the termination protocol below (the epoch bump
-// invalidates any probe round in flight), so quiescence is never certified
-// across a membership change; with zero churn the trajectory is
-// bit-identical whatever the knobs say. Report.WorkersLost, WorkersRejoined and
-// Resharding count the churn events; the asyncsolve chaos subcommand (and
-// the chaos-smoke CI job) exercise kill/restart schedules end to end.
+// Report.WorkersLost, WorkersRejoined and Resharding count the churn; the
+// asyncsolve chaos subcommand and the chaos-smoke CI job exercise
+// kill/restart schedules end to end.
 //
 // # One loop, four transports
 //
 // The three concurrent engines run ONE worker loop (internal/runtime,
-// loop.go) over four transports — block shared memory, buffered channels,
-// the TCP star relay and the TCP mesh. The loop holds every decision of
-// the active/passive protocol; a transport only moves values and makes
-// state transitions visible. The policies are therefore the same
-// everywhere:
-//
-//   - A worker whose block displacement stayed within Tol for
-//     SweepsBelowTol consecutive phases publishes its block reliably,
-//     absorbs what arrived meanwhile, re-verifies, and only then turns
-//     passive.
-//   - A parked worker that receives input re-verifies local convergence
-//     before anything else: input that leaves its block within Tol
-//     re-passivates it without a publish, input that breaks convergence
-//     resumes the active path.
-//   - A worker that has spent MaxUpdatesPerWorker stays in the run, spent,
-//     absorbing and re-verifying input until the run stops; it never
-//     reports passive on data it could not iterate away, so such a run
-//     ends as not converged.
-//   - A parked worker consumes no budget. On the channel and TCP
-//     transports it blocks on its inbox (a TCP worker wakes on a timer only
-//     when a heartbeat is due) and the message engine's supervisor blocks
-//     on a doorbell: those idle paths never poll. Shared memory has no
-//     event to block on; a parked worker there yields between read-only
-//     watch sweeps.
+// loop.go, whose doc states its policies) over four transports — block
+// shared memory, buffered channels, the TCP star relay and the TCP mesh.
+// The loop holds every decision of the active/passive protocol: when a
+// worker turns passive, what a reactivated one must re-verify, and that a
+// worker which spent MaxUpdatesPerWorker stays in the run, spent, so such
+// a run ends as not converged; a transport only moves values and makes
+// state transitions visible. A parked worker consumes no budget, and only
+// shared memory, with no event to block on, watches by polling.
 //
 // Termination is one two-phase double-collect quiescence protocol
 // (quiescence.go): stop is broadcast only after two identical observations

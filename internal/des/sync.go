@@ -169,9 +169,3 @@ func RunSync(cfg Config) (*SyncResult, error) {
 	}
 	return res, nil
 }
-
-// ReferenceSolve computes a high-accuracy fixed point of cfg.Op by
-// synchronous iteration (helper for experiments that need x*).
-func ReferenceSolve(op operators.Operator, x0 []float64, tol float64, maxIter int) ([]float64, bool) {
-	return operators.FixedPoint(op, x0, tol, maxIter)
-}

@@ -15,7 +15,10 @@ import (
 	"repro/internal/runtime"
 )
 
-// probeInterval paces the coordinator's termination probe rounds.
+// probeInterval paces probe rounds when no park starts them: the backstop
+// for drains nobody rings for. Below 1 ms it is no cadence: Go's netpoller
+// sleeps in whole milliseconds, so once every goroutine blocks, a shorter
+// timer fires a millisecond late.
 const probeInterval = 500 * time.Microsecond
 
 // probeRoundTimeout bounds one probe round (and one reshard attempt's ack
@@ -42,7 +45,8 @@ type coordinator struct {
 	st  *coordState // the loop goroutine's alone
 
 	events  chan inbound
-	backlog atomic.Int64 // droppable events queued in events
+	backlog atomic.Int64  // droppable events queued in events
+	park    chan struct{} // rung per park; one pending ring stands for many
 
 	// conns (by link id) and relays (by slot, star only) are the loop's;
 	// built keeps every relay of the run for the byte totals.
@@ -114,6 +118,7 @@ func Serve(ln net.Listener, cfg Config) (*Result, error) {
 		ln:          ln,
 		st:          newCoordState(p, n, cfg.Topology == TopologyMesh, x0, cfg.Timeout, cfg.Elastic.RejoinWait()),
 		events:      make(chan inbound, eventsPerWorker*p),
+		park:        make(chan struct{}, 1),
 		conns:       map[int]*link{},
 		relays:      make([]*sender, p),
 		led:         ledger{gen: 1},
@@ -202,6 +207,8 @@ func (c *coordinator) next() event {
 			in.drained = c.led.drained()
 		}
 		ev = in.event
+	case <-c.park:
+		ev = event{kind: evPark}
 	case <-c.timer.C:
 		ev = event{kind: evTimer, timer: c.armed}
 	}
@@ -415,10 +422,11 @@ func (c *coordinator) readHello(conn net.Conn) error {
 }
 
 // serveLink reads slot w's frames into pooled buffers: star broadcasts go
-// out as read through the link's relay sender snd (nil on mesh), every
-// control frame is decoded and posted to the loop. A failed read (with
-// heartbeats, also silence), a malformed frame, a final or a diverged frame
-// is the reader's last event. As snd's only sender it flushes snd on exit.
+// out as read through the link's relay sender snd (nil on mesh), a park
+// rings the doorbell, every other control frame is decoded and posted to
+// the loop. A failed read (with heartbeats, also silence), a malformed
+// frame, a final or a diverged frame is the reader's last event. As snd's
+// only sender it flushes snd on exit.
 func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 	defer c.readers.Done()
 	if snd != nil {
@@ -446,6 +454,15 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 		switch f.typ() {
 		case msgHeartbeat:
 			// Liveness only: arriving is the whole message.
+		case msgPark:
+			if len(payload) > 0 {
+				bad = "a malformed park frame"
+				break
+			}
+			select {
+			case c.park <- struct{}{}:
+			default:
+			}
 		case msgBlock:
 			h, cur := decodeBlock(payload)
 			switch {

@@ -30,6 +30,7 @@ const (
 	evDiverged          // a worker's operator evaluated NaN
 	evLost              // a slot's link failed (read, write or silence)
 	evMalformed         // a slot's worker broke the protocol (err)
+	evPark              // some worker parked since the last evPark
 	evTimer             // the timer fired
 	evCancel            // the caller gave up on the run
 )
@@ -132,6 +133,7 @@ type coordState struct {
 	probeSeq   uint64
 	obs, first runtime.Observation
 	haveFirst  bool
+	rang       bool // a worker parked while the round in flight was out
 	exhausted  bool // the certifying collect saw a spent worker
 	timedOut   bool // stopped at the run deadline, not on quiescence
 
@@ -183,6 +185,14 @@ func (s *coordState) step(ev event) []action {
 		s.lost(w)
 	case evMalformed:
 		s.finish(ev.err)
+	case evPark: // a round now, or as soon as the one in flight completes
+		switch {
+		case s.phase != phProbe: // a reshard or stop awaits every member already
+		case s.armed == timerProbe:
+			s.startRound()
+		default:
+			s.rang = true
+		}
 	case evTimer:
 		s.fired(ev.timer)
 	case evCancel:
@@ -364,6 +374,7 @@ func (s *coordState) reshard() {
 // startRound probes every member: one collect of the double collect.
 func (s *coordState) startRound() {
 	s.phase = phProbe
+	s.rang = false
 	s.probeSeq++
 	s.obs = runtime.Observation{AllPassive: true}
 	s.await()
@@ -403,25 +414,27 @@ func (s *coordState) status(w int, st status, drained int64) {
 	s.answered(w)
 }
 
-// collected ends a complete round: a quiet first collect is confirmed by a
-// second one at once; two quiet, identical collects stop the run; anything
-// else waits for the next round.
+// collected ends a complete round: two quiet, identical collects stop the
+// run; any other quiet collect is confirmed by a second one at once. After
+// a round that is not quiet the next starts at once if a worker parked
+// while it was out, else on the timer (or the next park).
 func (s *coordState) collected() {
-	if s.haveFirst {
-		s.haveFirst = false
-		if s.obs.Quiet() && s.obs == s.first {
-			// Every member is parked with nothing in flight: converged
-			// unless one ran out of budget on unverified data.
-			s.exhausted = s.obs.Exhausted
-			s.stop()
-			return
-		}
-	} else if s.obs.Quiet() {
+	switch {
+	case s.haveFirst && s.obs.Quiet() && s.obs == s.first:
+		// Every member is parked with nothing in flight: converged unless
+		// one ran out of budget on unverified data.
+		s.exhausted = s.obs.Exhausted
+		s.stop()
+	case s.obs.Quiet():
 		s.first, s.haveFirst = s.obs, true
 		s.startRound()
-		return
+	case s.rang:
+		s.haveFirst = false
+		s.startRound()
+	default:
+		s.haveFirst = false
+		s.arm(timerProbe)
 	}
-	s.arm(timerProbe)
 }
 
 // checkpoint folds a current-generation shard checkpoint into xbest. One
@@ -504,10 +517,10 @@ func (s *coordState) fired(k timerKind) {
 			s.startRound()
 			return
 		}
-		// A member that cannot answer in time fails the round, not the run.
-		s.haveFirst, s.pending = false, 0
-		clear(s.waiting)
-		s.arm(timerProbe)
+		// A member that cannot answer in time fails the round, not the
+		// run; the next round is long overdue.
+		s.haveFirst = false
+		s.startRound()
 	case phReshard:
 		s.reshard() // an unresponsive survivor; its silence deadline will evict it
 	case phEmpty:

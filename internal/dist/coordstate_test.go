@@ -172,6 +172,46 @@ func TestCoordStateScenarios(t *testing.T) {
 			t.Errorf("err = %v, want every worker lost", s.err)
 		}
 	})
+	t.Run("a park while the timer is armed starts a round at once", func(t *testing.T) {
+		s, _ := seated(2, 4)
+		s.step(event{kind: evStatus, slot: 0, status: status{probeID: s.probeSeq, gen: s.gen}})
+		if acts := s.step(quiet(s, 1)); !slices.Contains(acts, action{kind: actArm, timer: timerProbe}) {
+			t.Fatalf("a round with an active worker armed %v, want the probe timer", acts)
+		}
+		seq := s.probeSeq
+		if acts := s.step(event{kind: evPark}); s.probeSeq != seq+1 || !slices.Contains(acts, action{kind: actProbe, slot: 0, id: seq + 1}) {
+			t.Errorf("a park with no round out emitted %v, want round %d", acts, seq+1)
+		}
+	})
+	t.Run("a park mid-round starts the next round once it completes", func(t *testing.T) {
+		s, _ := seated(2, 4)
+		seq := s.probeSeq
+		if acts := s.step(event{kind: evPark}); len(acts) != 0 || s.probeSeq != seq {
+			t.Fatalf("a park mid-round emitted %v, probe %d; want nothing until the round completes", acts, s.probeSeq)
+		}
+		s.step(event{kind: evStatus, slot: 0, status: status{probeID: seq, gen: s.gen}})
+		acts := s.step(quiet(s, 1))
+		if s.probeSeq != seq+1 || slices.Contains(acts, action{kind: actArm, timer: timerProbe}) {
+			t.Errorf("the round after a mid-round park emitted %v, want round %d at once", acts, seq+1)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		to   func(*coordState)
+	}{
+		{"rendezvous", func(s *coordState) { *s = *newCoordState(2, 4, false, make([]float64, 4), time.Minute, time.Second) }},
+		{"reshard", func(s *coordState) { s.step(event{kind: evLost, slot: 1}) }},
+		{"stop", func(s *coordState) { s.stop() }},
+	} {
+		t.Run("a park during "+tc.name+" does nothing", func(t *testing.T) {
+			s, _ := seated(2, 4)
+			tc.to(s)
+			before := s.clone()
+			if acts := s.step(event{kind: evPark}); len(acts) != 0 || !reflect.DeepEqual(s.clone(), before) {
+				t.Errorf("a park in phase %d emitted %v and moved the machine", s.phase, acts)
+			}
+		})
+	}
 	t.Run("a rejoiner within the wait is sharded in", func(t *testing.T) {
 		s, _ := seated(1, 4)
 		s.step(event{kind: evLost, slot: 0})
@@ -228,8 +268,11 @@ type world struct {
 	nextLink int
 	// budgets of the adversary's rarer moves
 	sends, kills, rejoins, deadlines int
-	finals                           []bool // a real final was read from the slot's incarnation
-	stopSet                          []int  // the slots stop went to
+	// park is the coordinator's doorbell: some worker parked since the
+	// machine last took an evPark.
+	park    bool
+	finals  []bool // a real final was read from the slot's incarnation
+	stopSet []int  // the slots stop went to
 }
 
 func (s *coordState) clone() *coordState {
@@ -306,6 +349,7 @@ func (wd *world) key() string {
 		num(int64(d.from), int64(d.to), int64(d.gen))
 	}
 	num(int64(wd.fence), wd.drained, int64(wd.sends), int64(wd.kills), int64(wd.rejoins), int64(wd.deadlines), int64(len(wd.stopSet)))
+	flag(wd.park)
 	return string(b)
 }
 
@@ -463,6 +507,31 @@ func (wd *world) deliver(ev event) error {
 
 func finalValue(w int) float64 { return 1000 + float64(w) }
 
+// idle checks that termination never waits on the probe timer once the
+// run is quiet and every park has been read: while probing, with every
+// member alive and passive in the current generation and nothing of it in
+// flight, a round must be out.
+func (wd *world) idle() error {
+	s := wd.s
+	if s.phase != phProbe || wd.park {
+		return nil
+	}
+	for w := range wd.w {
+		if m := &wd.w[w]; s.member(w) && (!wd.alive(w) || !m.passive || m.await || m.gen != s.gen) {
+			return nil
+		}
+	}
+	for _, d := range wd.data {
+		if d.gen == s.gen {
+			return nil
+		}
+	}
+	if s.armed == timerProbe || s.pending == 0 {
+		return fmt.Errorf("quiet with every park read, yet no round out (timer %d, %d answers owed)", s.armed, s.pending)
+	}
+	return nil
+}
+
 // moves lists every state the adversary can move the world to next, each
 // with the event it delivered (or nil for a move inside the model).
 func (wd *world) moves(yield func(*world, error)) {
@@ -471,6 +540,9 @@ func (wd *world) moves(yield func(*world, error)) {
 		c := wd.clone()
 		err := f(c)
 		c.settle()
+		if err == nil {
+			err = c.idle()
+		}
 		yield(c, err)
 	}
 	for w := range wd.w {
@@ -503,6 +575,7 @@ func (wd *world) moves(yield func(*world, error)) {
 			try(func(c *world) error {
 				c.w[w].passive = true
 				c.w[w].epoch++
+				c.park = true
 				return nil
 			})
 			if wd.sends > 0 {
@@ -536,6 +609,12 @@ func (wd *world) moves(yield func(*world, error)) {
 				q.delivered++
 			}
 			return nil
+		})
+	}
+	if wd.park {
+		try(func(c *world) error {
+			c.park = false
+			return c.deliver(event{kind: evPark})
 		})
 	}
 	if s.armed != timerNone {
@@ -670,9 +749,11 @@ func explore(wd *world, depth int, seen map[string]int) (int, error) {
 // order of events a p-worker star (or mesh) run can see — probe replies,
 // reshard acks, finals, a data frame in flight, a worker loss, a rejoiner,
 // the timer and the run deadline, with at most two replies in flight per
-// link, plus cancellation, a diverged worker, a checkpoint and a stale
-// status checked on every state — to a bounded depth, checking after every
-// step that quiescence is certified only while it holds, that stale replies
+// link, a park ringing the doorbell, plus cancellation, a diverged worker,
+// a checkpoint and a stale status checked on every state — to a bounded
+// depth, checking after every step that quiescence is certified only while
+// it holds, that a quiet run whose parks were all read has a round out
+// rather than waiting on the timer, that stale replies
 // never count, that shards partition the iterate after every reshard, that
 // a converged result holds a real final for every shard, that an all-lost
 // membership waits out the rejoin wait and that stop's target set never

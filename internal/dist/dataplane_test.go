@@ -15,6 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mldata"
+	"repro/internal/operators"
+	"repro/internal/prox"
 	"repro/internal/runtime"
 	"repro/internal/vec"
 )
@@ -27,9 +30,9 @@ var raceEnabled bool
 // allocates at most a few objects per worker phase on either data plane —
 // the run's set-up (listener, connections, goroutines, inboxes, RNG
 // streams) and its probe rounds spread over its phases, with nothing left
-// per frame. Probe rounds come at a fixed wall-clock pace, so a solve the
-// scheduler stretches allocates more; the least of three solves is the
-// figure.
+// per frame. Probe rounds follow parks and a wall-clock backstop, so a
+// solve the scheduler stretches allocates more; the least of three solves
+// is the figure.
 func TestDataPlaneAllocsPerPhase(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("TCP solves in -short mode; allocation counts under -race")
@@ -295,6 +298,49 @@ func TestStarUplinkSheds(t *testing.T) {
 	}
 }
 
+// TestSupersededHoldDisposedAtOnce: once a frame is written on a leg, a
+// delivery held for that leg with a lower sequence number of the same
+// generation can only ever be filtered, so the sender disposes of it at
+// once: gone from pending, one reordered and one drained in the
+// generation, its buffer released. A hold on another leg, or from an older
+// generation, stays for its timer.
+func TestSupersededHoldDisposedAtOnce(t *testing.T) {
+	frameAudit.takes.Store(0)
+	frameAudit.releases.Store(0)
+	frameAudit.on.Store(true)
+	defer frameAudit.on.Store(false)
+	s := memSender(Fault{MaxDelay: time.Microsecond, Seed: 1}, &memConn{}, &memConn{})
+	s.led.enter(2)
+	l1, l2 := s.out[1].Load(), s.out[2].Load()
+	superseded, otherLeg, olderGen := blockFrame(0, 1, 2, 0, 1), blockFrame(0, 1, 2, 0, 1), blockFrame(0, 1, 1, 0, 1)
+	for _, h := range []struct {
+		l *leg
+		f *frameBuf
+	}{{l1, superseded}, {l2, otherLeg}, {l1, olderGen}} {
+		if !s.later(time.Minute, h.l, h.f) {
+			t.Fatal("later refused before drain")
+		}
+	}
+	s.deliver(l1, blockFrame(0, 5, 2, 0, 1))
+	held := map[*frameBuf]bool{}
+	s.delays.mu.Lock()
+	for _, r := range s.delays.pending {
+		held[r.f] = true
+	}
+	s.delays.mu.Unlock()
+	if len(held) != 2 || held[superseded] || !held[otherLeg] || !held[olderGen] {
+		t.Errorf("pending after the newer write: superseded %v, other leg %v, older generation %v; want only the last two",
+			held[superseded], held[otherLeg], held[olderGen])
+	}
+	if got, drained := s.led.reordered.Load(), s.led.drained(); got != 1 || drained != 1 {
+		t.Errorf("reordered %d, drained in the generation %d; want 1 and 1", got, drained)
+	}
+	s.flush()
+	if takes, releases := frameAudit.takes.Load(), frameAudit.releases.Load(); takes != 4 || releases != takes {
+		t.Errorf("%d frame buffers taken, %d released; want 4 and 4", takes, releases)
+	}
+}
+
 // TestZeroFaultSenderHoldsNoStream: decide draws nothing when Fault injects
 // nothing, so such a sender (every uplink, every fault-free mesh sender)
 // builds no RNG stream; any knob that draws makes it build one.
@@ -338,4 +384,40 @@ func BenchmarkSenderDelayedFanout(b *testing.B) {
 			<-c.wrote
 		}
 	}
+}
+
+// BenchmarkDistStarFaultySolve is the probe-round termination layer on its
+// own: one whole 4-worker star solve of lasso n=256 over localhost TCP
+// with the faults and heartbeats of the dist-star-faulty benchmark
+// workload, a fresh fault seed per solve. rounds/op is the probe rounds
+// the coordinator ran per solve.
+func BenchmarkDistStarFaultySolve(b *testing.B) {
+	reg, err := mldata.NewRegressionSharded(mldata.RegressionConfig{
+		N: 256, Coupling: 0.3, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 1,
+	}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := reg.Smooth()
+	cfg := Config{
+		Config:  runtime.Config{Op: operators.NewProxGradBF(f, prox.L1{Lambda: 0.02}, operators.MaxStep(f)), Workers: 4, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 20},
+		Fault:   Fault{DropProb: 0.05, ReorderProb: 0.05, MaxDelay: 200 * time.Microsecond},
+		Elastic: Elastic{HeartbeatEvery: 10 * time.Millisecond},
+		Timeout: time.Minute,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rounds int64
+	for i := 0; i < b.N; i++ {
+		cfg.Fault.Seed = uint64(i)
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatal("solve did not converge")
+		}
+		rounds += res.ProbeRounds
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }

@@ -53,8 +53,12 @@
 // Workers obey the protocol's ordering rule — a reactivation is published
 // (epoch bump, passive cleared) before the reactivating block is counted
 // delivered — so a quiet round can never hide a message being absorbed.
+// Rounds start on parks (a worker going passive or spent sends a park
+// frame): at once, or as the round in flight completes; the probe timer is
+// only a backstop. A sender disposes of a held delivery once a newer frame
+// is written on its leg, not when its hold runs out.
 //
-// Membership is elastic in every run (protocol v3): a link whose read or
+// Membership is elastic in every run (protocol v4): a link whose read or
 // write fails — or, when Config.Elastic.HeartbeatEvery has workers
 // heartbeat the control link, one silent past its deadline — is a lost
 // worker; the coordinator re-shards over the survivors behind a
@@ -66,14 +70,14 @@
 // so frames from before a re-shard self-discard wherever they surface.
 //
 // The coordinator is an I/O shell around one decision machine. Its link
-// readers relay star broadcasts and decode every control frame (hello,
-// status, reshard ack, checkpoint, final, diverged, a lost link, a
-// malformed frame) into an event on one channel; one loop goroutine feeds
-// each event, and each firing of its one timer, to coordState.step
-// (coordstate.go: no socket, clock, lock or goroutine), which decides
-// welcomes and rejects, probe rounds and their certification, reshards,
-// stop and the outcome, and returns the writes, relay-leg changes and
-// timer the loop then carries out.
+// readers relay star broadcasts, ring a doorbell for each park and decode
+// every other control frame (hello, status, reshard ack, checkpoint, final,
+// diverged, a lost link, a malformed frame) into an event on one channel;
+// one loop goroutine feeds each event, each ring and each firing of its one
+// timer to coordState.step (coordstate.go: no socket, clock, lock or
+// goroutine), which decides welcomes and rejects, probe rounds and their
+// certification, reshards, stop and the outcome, and returns the writes,
+// relay-leg changes and timer the loop then carries out.
 //
 // The same code paths serve two deployments: Run spawns the coordinator
 // and all workers in-process over localhost TCP (how the tests and the

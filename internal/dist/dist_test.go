@@ -841,7 +841,7 @@ func answerScripted(l *link, gen uint32, assigns chan<- uint32, blocks chan<- []
 		cur := cursor{b: payload}
 		switch typ {
 		case msgProbe:
-			l.write(buildStatusFrame(status{probeID: cur.u64(), gen: gen}))
+			l.write(appendStatusFrame(nil, status{probeID: cur.u64(), gen: gen}))
 		case msgReshard:
 			gen = cur.u32()
 			l.write(buildShardFrame(msgReshardAck, gen, 0, nil))
@@ -1262,7 +1262,7 @@ func TestFinalLostAfterStopIsNotConverged(t *testing.T) {
 		switch typ {
 		case msgProbe:
 			cur := cursor{b: payload}
-			if _, err := conn.Write(buildStatusFrame(status{probeID: cur.u64(), passive: true, gen: 1})); err != nil {
+			if _, err := conn.Write(appendStatusFrame(nil, status{probeID: cur.u64(), passive: true, gen: 1})); err != nil {
 				t.Fatal(err)
 			}
 		case msgStop:
@@ -1329,7 +1329,7 @@ func TestControlPlaneBytesCounted(t *testing.T) {
 		switch typ {
 		case msgProbe:
 			cur := cursor{b: payload}
-			if _, err := conn.Write(buildStatusFrame(status{probeID: cur.u64(), passive: true, gen: 1})); err != nil {
+			if _, err := conn.Write(appendStatusFrame(nil, status{probeID: cur.u64(), passive: true, gen: 1})); err != nil {
 				t.Fatal(err)
 			}
 		case msgStop:

@@ -175,17 +175,33 @@ func (r *delayRecord) fire() {
 func (d *delayQueue) drain() {
 	d.mu.Lock()
 	d.stopped = true
-	for i := len(d.pending) - 1; i >= 0; i-- {
-		r := d.pending[i]
-		if r.t.Stop() {
-			r.s.led.dropped.Add(r.s.weight)
-			r.f.release()
-			d.remove(r)
-			d.wg.Done()
-		}
-	}
+	d.cancel(nil, nil)
 	d.mu.Unlock()
 	d.wg.Wait()
+}
+
+// cancel disposes of the pending deliveries whose timers it can still stop:
+// with f nil all of them, each a drop; else those to leg l that frame f,
+// just written there, overtook (same generation, lower sequence number),
+// each reordered now as the filter would when its timer fired. The caller
+// holds mu.
+//
+//repro:hotpath
+func (d *delayQueue) cancel(l *leg, f *frameBuf) {
+	for i := len(d.pending) - 1; i >= 0; i-- {
+		r := d.pending[i]
+		if f != nil && (r.l != l || r.f.gen != f.gen || r.f.seq >= f.seq) || !r.t.Stop() {
+			continue
+		}
+		if f == nil {
+			r.s.led.dropped.Add(r.s.weight)
+		} else {
+			r.s.led.discard(r.f.gen, &r.s.led.reordered, r.s.weight)
+		}
+		r.f.release()
+		d.remove(r)
+		d.wg.Done()
+	}
 }
 
 // ledger is the drain accounting of one or more senders: frames disposed of
@@ -489,6 +505,11 @@ func (s *sender) deliver(l *leg, f *frameBuf) {
 	l.lastSeq = f.seq
 	_, err := l.conn.Write(f.b)
 	l.mu.Unlock()
+	if s.rng != nil { // only a faulty sender holds deliveries back
+		s.delays.mu.Lock()
+		s.delays.cancel(l, f)
+		s.delays.mu.Unlock()
+	}
 	if err == nil {
 		s.bytesTo[l.q].Add(int64(len(f.b)))
 		return

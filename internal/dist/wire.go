@@ -31,6 +31,7 @@ package dist
 //	            u32 peerCount | peerCount × str addr    (coordinator → workers)
 //	reject   := str reason                              (coordinator → rejoiner)
 //	diverged := u32 phase | u32 component               (worker → coordinator)
+//	park     := (empty)                                 (worker → coordinator)
 //	str      := u32 len | len × u8
 //
 // Every data frame (block) and every status is fenced to the membership
@@ -43,7 +44,7 @@ package dist
 // marking dead slots); a reject answers a rejoin attempt that found no free
 // worker slot; a diverged is the last frame of a worker whose operator
 // evaluated NaN, and ends the run with that error instead of a re-shard
-// around the worker.
+// around the worker; a park says its sender just went passive or spent.
 //
 // A relay forwards a block frame as it read it, byte for byte: the
 // coordinator never re-encodes a worker's frame, so what a destination reads
@@ -65,7 +66,7 @@ import (
 	"time"
 )
 
-const protocolVersion = 3
+const protocolVersion = 4
 
 const (
 	msgHello byte = iota + 1
@@ -85,6 +86,7 @@ const (
 	msgAssign
 	msgReject
 	msgDiverged
+	msgPark
 
 	// msgConnLost is an internal sentinel a worker's control-connection
 	// reader enqueues when the coordinator link dies; it never crosses the
@@ -326,7 +328,9 @@ type status struct {
 	drained         uint64
 }
 
-func buildStatusFrame(st status) []byte {
+// appendStatusFrame appends one whole status frame to dst, in place in its
+// spare capacity: a worker answers every probe from one reused buffer.
+func appendStatusFrame(dst []byte, st status) []byte {
 	var flags byte
 	if st.passive {
 		flags |= statusPassive
@@ -334,13 +338,15 @@ func buildStatusFrame(st status) []byte {
 	if st.spent {
 		flags |= statusSpent
 	}
-	b := appendU64(nil, st.probeID)
-	b = append(b, flags)
-	b = appendU32(b, st.gen)
-	b = appendU64(b, st.epoch)
-	b = appendU64(b, st.sent)
-	b = appendU64(b, st.delivered)
-	return buildFrame(msgStatus, appendU64(b, st.drained))
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, msgStatus) // the length is filled in last
+	dst = append(appendU64(dst, st.probeID), flags)
+	dst = appendU32(dst, st.gen)
+	for _, v := range [...]uint64{st.epoch, st.sent, st.delivered, st.drained} {
+		dst = appendU64(dst, v)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
 }
 
 func decodeStatus(payload []byte) (status, error) {

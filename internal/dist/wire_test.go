@@ -12,6 +12,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/runtime"
 )
 
 // frameWithLyingPrefix builds a header whose length prefix claims length
@@ -87,7 +90,7 @@ func TestDecodeWelcomeBoundsWorkers(t *testing.T) {
 func TestControlFramesRoundTrip(t *testing.T) {
 	payload := func(frame []byte) []byte { return frame[frameHeaderLen:] }
 	st := status{probeID: 9, passive: true, spent: true, gen: 2, epoch: 5, sent: 4, delivered: 3, drained: 1}
-	if got, err := decodeStatus(payload(buildStatusFrame(st))); err != nil || got != st {
+	if got, err := decodeStatus(payload(appendStatusFrame(nil, st))); err != nil || got != st {
 		t.Errorf("status = %+v, %v; want %+v", got, err, st)
 	}
 	fin := final{lo: 1, vals: []float64{2, 3}, updates: 7, sent: 6, delivered: 5, stale: 4,
@@ -121,6 +124,64 @@ func TestControlFramesRoundTrip(t *testing.T) {
 	}
 	if _, err := decodePeers(appendPeers(nil, nil), 2); err == nil {
 		t.Error("empty rendezvous peer table accepted")
+	}
+}
+
+// statusFrameOracle is the status encoding as first written: a payload
+// built field by field, then framed.
+func statusFrameOracle(st status) []byte {
+	var flags byte
+	if st.passive {
+		flags |= statusPassive
+	}
+	if st.spent {
+		flags |= statusSpent
+	}
+	b := append(appendU64(nil, st.probeID), flags)
+	b = appendU32(b, st.gen)
+	for _, v := range []uint64{st.epoch, st.sent, st.delivered, st.drained} {
+		b = appendU64(b, v)
+	}
+	return buildFrame(msgStatus, b)
+}
+
+// TestStatusFrameIntoWarmBuffer: a worker answers every probe into one
+// reused buffer, which costs no allocation once warm, and the bytes are
+// the field-by-field encoding's.
+func TestStatusFrameIntoWarmBuffer(t *testing.T) {
+	buf := appendStatusFrame(nil, status{})
+	for _, st := range []status{{}, {probeID: 9, passive: true, spent: true, gen: 2, epoch: 5, sent: 4, delivered: 3, drained: 1},
+		{probeID: 1 << 60, spent: true, gen: 1 << 31, epoch: 1<<64 - 1}} {
+		buf = appendStatusFrame(buf[:0], st)
+		if want := statusFrameOracle(st); !bytes.Equal(buf, want) {
+			t.Errorf("%+v: encoded % x, want % x", st, buf, want)
+		}
+	}
+	st := status{probeID: 3, passive: true}
+	if avg := testing.AllocsPerRun(100, func() {
+		st.probeID++
+		buf = appendStatusFrame(buf[:0], st)
+	}); avg != 0 {
+		t.Errorf("a status into a warm buffer allocates %v times", avg)
+	}
+}
+
+// TestParkCarryingPayloadIsMalformed: a park is an empty frame; one with
+// a payload fails the run as a malformed frame, while empty ones only ring.
+func TestParkCarryingPayloadIsMalformed(t *testing.T) {
+	op, _ := contractingOp(t, 4, 3)
+	addr, errCh, _ := serveOne(t, Config{
+		Config:  runtime.Config{Op: op, Workers: 1, Tol: 1e-9},
+		Timeout: time.Minute,
+	})
+	conn, _ := joinScripted(t, addr)
+	for _, f := range [][]byte{parkFrame, parkFrame, buildFrame(msgPark, []byte{0})} {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "worker 0 sent a malformed park frame") {
+		t.Errorf("err = %v, want a malformed park frame", err)
 	}
 }
 
@@ -164,6 +225,8 @@ func decodeFramePayload(typ byte, payload []byte) {
 		decodeDiverged(payload, fuzzDim)
 	case msgReshard, msgMeshHello, msgProbe:
 		cur.u64()
+	case msgPark:
+		_ = len(payload) > 0 // the coordinator's whole check
 	}
 }
 
@@ -187,12 +250,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	wel.cfg.Workers, wel.cfg.X0 = 2, []float64{1, 2, 3}
 	f.Add(wel.frame())
 	f.Add(buildShardFrame(msgReshardAck, 2, 1, []float64{0.5, -0.5}))
-	f.Add(buildStatusFrame(status{probeID: 9, passive: true, gen: 2, epoch: 5, sent: 4, delivered: 3, drained: 1}))
+	f.Add(appendStatusFrame(nil, status{probeID: 9, passive: true, gen: 2, epoch: 5, sent: 4, delivered: 3, drained: 1}))
 	f.Add(buildFinalFrame(final{lo: 1, vals: []float64{2, 3}, updates: 7, sent: 6, linkBytes: []uint64{0, 40}}))
 	f.Add(buildAssignFrame(assign{gen: 2, lo: 1, hi: 3, x: []float64{1, 2, 3}}))
 	f.Add(buildAssignFrame(assign{gen: 2, lo: 0, hi: 1, x: []float64{1, 2, 3}, addrs: []string{"127.0.0.1:1", ""}}))
 	f.Add(buildFrame(msgAssign, appendU32(appendF64s(appendU32(appendU32(appendU32(nil, 2), 0), 1), []float64{1, 2, 3}), 0xffffffff))) // lying peer count
 	f.Add(buildFrame(msgPeers, appendPeers(nil, []string{"127.0.0.1:1", "127.0.0.1:2"})))
+	f.Add(parkFrame)
+	f.Add(buildFrame(msgPark, []byte{1})) // a park carrying a payload
 	f.Add(buildDivergedFrame(7, 2))
 	f.Add(buildDivergedFrame(1, 0xfffffff0)) // component outside the iterate
 	// Blocks a worker of the fuzz dimension applies: a whole iterate and a

@@ -69,6 +69,7 @@ type workerState struct {
 	sent, delivered, stale uint64
 	gsent, gdelivered      uint64
 	seq                    uint64
+	statusBuf              []byte // every status reply is encoded here
 }
 
 func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
@@ -261,8 +262,9 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	return ws.finish(wk.Updates)
 }
 
-// heartbeatFrame is shared by every worker: conn.Write never mutates it.
-var heartbeatFrame = buildFrame(msgHeartbeat, nil)
+// heartbeatFrame and parkFrame are shared by every worker: conn.Write never
+// mutates them.
+var heartbeatFrame, parkFrame = buildFrame(msgHeartbeat, nil), buildFrame(msgPark, nil)
 
 // maintain paces the membership's control traffic from the compute
 // goroutine, only when heartbeats are on: a heartbeat whenever the control
@@ -315,7 +317,8 @@ func (ws *workerState) handle(f *frameBuf) error {
 			gen: ws.gen, epoch: ws.epoch, sent: ws.gsent, delivered: ws.gdelivered,
 			drained: uint64(ws.snd.led.drained()),
 		}
-		if err := ws.coord.write(buildStatusFrame(st)); err != nil {
+		ws.statusBuf = appendStatusFrame(ws.statusBuf[:0], st)
+		if err := ws.coord.write(ws.statusBuf); err != nil {
 			return fmt.Errorf("dist: worker %d status: %w", ws.id, err)
 		}
 	case msgReshard:
@@ -443,7 +446,9 @@ func (ws *workerState) Block() (lo, hi int) { return ws.lo, ws.hi }
 func (ws *workerState) Passive() bool { return ws.passive }
 
 // Account publishes a state transition: the status replies carry the flags
-// and every transition bumps the epoch the double collect watches.
+// and every transition bumps the epoch the double collect watches. Parking
+// also sends a park frame, so a probe round need not wait for the timer (a
+// failed write is the control reader's to report).
 func (ws *workerState) Account(s runtime.State) {
 	switch {
 	case s == runtime.Spent:
@@ -456,6 +461,9 @@ func (ws *workerState) Account(s runtime.State) {
 		return
 	}
 	ws.epoch++
+	if s != runtime.Active {
+		ws.coord.write(parkFrame)
+	}
 }
 
 // Publish never fails: the control reader reports a lost link.

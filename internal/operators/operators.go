@@ -116,11 +116,6 @@ func (l *Linear) Name() string { return l.name }
 // Lipschitz constant of the affine map.
 func (l *Linear) ContractionFactor() float64 { return l.A.InfNorm() }
 
-// WeightedContractionFactor returns ||A||_u.
-func (l *Linear) WeightedContractionFactor(u []float64) float64 {
-	return l.A.WeightedInfNorm(u)
-}
-
 // SparseLinear is the CSR-backed affine operator for grid/graph systems.
 type SparseLinear struct {
 	A *vec.CSR

@@ -40,6 +40,8 @@ import "sync/atomic"
 // re-checking convergence with the new data, the epoch bumps of that
 // round trip. Either way the collect is rejected and retried; a collect
 // that survives both passes observed a genuinely frozen, quiescent system.
+// Supervisors wake when a worker parks: the message supervisor on its
+// doorbell, the dist coordinator on a park frame (its timer a backstop).
 
 // Observation is one collect of the global termination state. The zero
 // value is "not quiescent".
