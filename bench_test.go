@@ -163,28 +163,34 @@ func BenchmarkBlockEvalN4096PerComponent(b *testing.B) {
 // BenchmarkModelIteration measures the model engine's iteration loop on
 // lasso n=256 through a pooled Scratch: ns per iteration and allocations
 // per solve. bounded8/cyclic is the harness's model-lasso regime (few
-// updates since the oldest label read), sqrt/jacobi is History.Read's
-// all-components fallback, fresh/cyclic reads the freshest iterate.
+// updates since the oldest label read, so the prox is re-applied only
+// where the read moved), bounded8/cyclic/theta the same with a flexible
+// read, which is never hinted and re-applies it to all n; sqrt/jacobi is
+// History.Read's all-components fallback, fresh/cyclic reads the freshest
+// iterate.
 func BenchmarkModelIteration(b *testing.B) {
 	const n, iters = 256, 2048
 	inst, err := repro.BuildScenario("lasso", n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cyclic := func() repro.SteeringPolicy { return repro.NewCyclic(n) }
 	cases := []struct {
 		name     string
 		delay    repro.DelayModel
 		steering func() repro.SteeringPolicy
+		theta    float64
 	}{
-		{"bounded8/cyclic", repro.BoundedRandomDelay{B: 8, Seed: 2}, func() repro.SteeringPolicy { return repro.NewCyclic(n) }},
-		{"sqrt/jacobi", repro.SqrtGrowthDelay{}, func() repro.SteeringPolicy { return repro.NewAllComponents(n) }},
-		{"fresh/cyclic", repro.FreshDelay{}, func() repro.SteeringPolicy { return repro.NewCyclic(n) }},
+		{"bounded8/cyclic", repro.BoundedRandomDelay{B: 8, Seed: 2}, cyclic, 0},
+		{"bounded8/cyclic/theta", repro.BoundedRandomDelay{B: 8, Seed: 2}, cyclic, 0.5},
+		{"sqrt/jacobi", repro.SqrtGrowthDelay{}, func() repro.SteeringPolicy { return repro.NewAllComponents(n) }, 0},
+		{"fresh/cyclic", repro.FreshDelay{}, cyclic, 0},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			scr := repro.NewScratch()
 			solve := func() {
-				rep, err := repro.Solve(inst.Spec, repro.WithDelay(c.delay), repro.WithSteering(c.steering()),
+				rep, err := repro.Solve(inst.Spec, repro.WithDelay(c.delay), repro.WithSteering(c.steering()), repro.WithTheta(c.theta),
 					repro.WithTol(0), repro.WithMaxIter(iters), repro.WithScratch(scr))
 				if err != nil || rep.Iterations != iters {
 					b.Fatalf("solve: %v, %d iterations", err, rep.Iterations)

@@ -22,78 +22,45 @@
 //   - EngineDist    — real multi-worker execution over TCP sockets with
 //     per-link fault injection (drops, reordering, transit delay).
 //
-// # Distributed execution and termination
+// # Distributed execution, elasticity, one loop
 //
-// EngineDist runs the paper's distributed-memory setting on a genuine
-// network path (internal/dist; its package doc is the full account): TCP
-// workers each own a contiguous multi-component shard of the iterate and
-// exchange length-prefixed binary shard frames (wire.go), under per-link
-// fault injection — WithFaults(Faults{DropProb, ReorderProb,
-// MaxLinkDelay}): iid loss, hold-backs so later frames overtake, uniform
-// transit jitter. A frame overtaken on its link by a later one from the
-// same source is discarded by the sender (the label discipline for
-// out-of-order messages), counted MessagesReordered (MessagesDuplicate for
-// an equal sequence number) and drained from the termination protocol's
-// in-flight count like a drop; each link's one-frame newest-wins outbox
-// sheds unsent stale frames the same way, which is why a fault-free run can
-// report reordered frames. A worker's final re-broadcast is reliable. In
-// process, Solve runs everything over localhost; the asyncsolve
-// dist-coordinator and dist-worker subcommands run the same protocol as
-// separate OS processes.
+// EngineDist runs the distributed-memory setting over TCP (internal/dist,
+// whose package doc is the full account): workers own contiguous shards and
+// exchange binary shard frames (wire.go) under per-link fault injection —
+// WithFaults(Faults{DropProb, ReorderProb, MaxLinkDelay}): iid loss,
+// hold-backs so later frames overtake, transit jitter. A sender discards a
+// frame a later one from the same source overtook (the label discipline
+// for out-of-order messages), counted MessagesReordered and drained from
+// the in-flight count like a drop; the one-frame newest-wins outbox sheds
+// stale frames too, so a fault-free run can report reordered frames. A
+// worker's final is reliable. WithTopology picks "star" (default: the
+// coordinator relays every frame) or "mesh" (worker-to-worker links);
+// rendezvous, probe-round termination, membership and final collection go
+// through the coordinator either way. WithDeltaThreshold ships one
+// [offset, len) span of the shard components that moved past it (nothing
+// when none did). The asyncsolve dist-coordinator and dist-worker
+// subcommands run the same protocol as separate processes.
 //
-// WithTopology picks the data plane: "star" (default) relays every shard
-// frame through the coordinator; "mesh" has workers exchange them over
-// direct worker-to-worker links. Rendezvous, probe-round termination,
-// membership and final collection always run through the coordinator.
-// WithDeltaThreshold is flexible communication on the wire: a broadcast
-// ships one [offset, len) frame spanning the shard components that moved by
-// more than the threshold since last shipped, and nothing when none did; a
-// lost span leaves its components stale until the reliable final, which
-// carries the whole shard. Report.DistDetail holds the topology, the
-// per-link byte matrix and the transport accounting; the repository
-// benchmark times both topologies (dist-star-faulty, dist-mesh-clean).
-//
-// # Elasticity
-//
-// Every dist run has elastic membership (wire protocol v4): a worker whose
-// link fails is lost, and the coordinator re-shards over the survivors
-// behind a generation-fenced barrier; a restarted worker rejoins (bounded
-// exponential backoff) and warm-starts from the merged iterate. A re-shard
-// is a reactivation under the termination protocol, so quiescence is never
-// certified across one, and with zero churn the trajectory is bit-identical
-// whatever the knobs say. WithElastic(Elastic{...}) only paces it:
-// HeartbeatEvery also declares a worker silent past max(6×HeartbeatEvery,
-// 200ms) lost, CheckpointEvery streams shard checkpoints for fresher warm
-// starts, MaxRejoinWait bounds a rejoiner's retries (and how long a
-// coordinator that lost every worker waits), and CheckpointPath persists
-// the merged iterate for a restarted coordinator. A worker lost after stop
-// never uploads its final shard, so that run does not report convergence.
-// Report.WorkersLost, WorkersRejoined and Resharding count the churn; the
-// asyncsolve chaos subcommand and the chaos-smoke CI job exercise
-// kill/restart schedules end to end.
-//
-// # One loop, four transports
+// Membership is elastic: a worker whose link fails, or that stays silent
+// past max(6×HeartbeatEvery, 200ms), is lost, and the coordinator re-shards
+// over the survivors behind a generation-fenced barrier; a restarted worker
+// rejoins with bounded backoff and warm-starts from the merged iterate.
+// With zero churn the trajectory is bit-identical whatever the knobs say;
+// WithElastic(Elastic{...}) only paces heartbeats, checkpoints
+// (CheckpointEvery, CheckpointPath for a restarted coordinator) and how
+// long rejoins are retried (MaxRejoinWait). A worker lost after stop leaves
+// its run unconverged. Report.WorkersLost, WorkersRejoined and Resharding
+// count the churn; asyncsolve chaos exercises kill/restart schedules.
 //
 // The three concurrent engines run ONE worker loop (internal/runtime,
 // loop.go, whose doc states its policies) over four transports — block
-// shared memory, buffered channels, the TCP star relay and the TCP mesh.
-// The loop holds every decision of the active/passive protocol: when a
-// worker turns passive, what a reactivated one must re-verify, and that a
-// worker which spent MaxUpdatesPerWorker stays in the run, spent, so such
-// a run ends as not converged; a transport only moves values and makes
-// state transitions visible. A parked worker consumes no budget, and only
-// shared memory, with no event to block on, watches by polling.
-//
-// Termination is one two-phase double-collect quiescence protocol
-// (quiescence.go): stop is broadcast only after two identical observations
-// of "every worker parked — passive or spent — and nothing in flight",
-// bracketing an optional re-certification; the run has converged when every
-// worker was passive. Over TCP the two observations are Safra-style probe
-// rounds. Workers publish reactivation before acknowledging the input that
-// caused it, which closes the torn-read stop races polling supervisors are
-// prone to. Every engine honours WithContext: the in-process engines stop
-// their workers at the next phase boundary, the dist coordinator drops its
-// links, and Solve returns the context's error.
+// shared memory, buffered channels, the TCP star relay and the TCP mesh:
+// the loop makes every decision, a transport only moves values. Termination
+// is one two-phase double-collect quiescence protocol (quiescence.go, probe
+// rounds over TCP): stop follows two identical observations of "every
+// worker parked — passive or spent its MaxUpdatesPerWorker — and nothing
+// in flight"; the run converged when every worker was passive. Every engine
+// honours WithContext, and Solve returns the context's error.
 //
 // Quick start (asynchronous proximal-gradient for lasso):
 //
@@ -127,34 +94,18 @@
 //
 // # Serving
 //
-// The internal/server package (CLI: asyncsolve serve) exposes the scenario
-// x engine matrix as a multi-tenant HTTP job service. POST /v1/solve takes
-// one JSON job — scenario, n, seed, engine, delay, tolerance and the
-// flexible-communication knobs, mirroring the CLI flags — and streams
-// NDJSON events: accepted, started, periodic progress (live update counts
-// via WithProgress), then exactly one terminal event carrying the full
-// Report verbatim. Report is JSON-round-trippable for exactly this use;
-// non-finite values (routing's Bellman-Ford starts at +Inf) encode as
-// "Infinity"/"-Infinity"/"NaN" strings. A bounded job queue provides
-// admission control — a full queue answers 503 with a Retry-After hint
-// instead of queueing without bound — and every job runs under a
-// per-request deadline delivered to the engines as context cancellation
-// (WithContext), so an abandoned or overlong request frees its worker.
-// Solves reuse Scratch buffers from a pool keyed by problem signature
-// (scenario, engine, n, workers), safe because scratch reuse is
-// bit-identical by contract. Every engine is served; a dist job runs its
-// coordinator and workers inside the server process over localhost TCP.
-// GET /v1/scenarios lists the registry, GET /healthz reports
-// queue/worker/pool state, and SIGINT/SIGTERM drains gracefully: running
-// and queued jobs finish their streams, new jobs get 503.
-//
-// asyncsolve load drives a running server (closed- or open-loop, mixed
-// scenario round-robin) and reports sustained solves/sec with a latency
-// histogram; make serve-smoke stands the pair up with admission capacity
-// below the offered load and requires both that every accepted job
-// converges and that at least one job is 503-rejected. The repository
-// benchmark's serve-mix workload records served solves/sec and what the
-// server adds to a solve (server.overhead_frac, server.admit_ms).
+// internal/server (asyncsolve serve) exposes the scenario x engine matrix,
+// dist included, as an HTTP job service: POST /v1/solve takes one JSON job
+// (the CLI's flags as fields) and streams NDJSON events — accepted,
+// started, progress, then one terminal event carrying the Report, whose
+// non-finite values encode as "Infinity"/"-Infinity"/"NaN". A bounded queue
+// answers 503 with Retry-After when full, every job runs under a deadline
+// delivered as WithContext cancellation, and solves reuse Scratch buffers
+// pooled by problem signature (safe: scratch reuse is bit-identical).
+// GET /v1/scenarios and GET /healthz report the registry and queue state;
+// SIGINT/SIGTERM drains. asyncsolve load drives a server and reports
+// sustained solves/sec; make serve-smoke requires every accepted job to
+// converge and at least one to be rejected.
 //
 // Beyond solving, the package exposes the paper's analysis apparatus:
 // macro-iteration sequences (Definition 2), epoch sequences (Mishchenko et
@@ -163,77 +114,49 @@
 //
 // # Performance
 //
-// The engine hot paths are allocation-free in steady state: the vec
-// kernels have explicit ...Into variants, every engine threads one
-// per-worker operator scratch (NewOperatorScratch) through its evaluations,
-// the discrete-event simulator pools its events and messages, and the
-// message-passing transport pools its payload buffers across runs (how many
-// a run has in flight at its peak is up to the scheduler, so a per-run pool
-// made a solve's allocations follow the machine's load). The TCP data plane
-// does the same for its frames and delay timers: a frame is encoded, read,
-// relayed and delayed in one pooled, reference-counted buffer.
+// The engine hot paths are allocation-free in steady state: vec kernels
+// have ...Into variants, every engine threads one per-worker operator
+// scratch (NewOperatorScratch) through its evaluations, the simulator pools
+// events and messages, and the message transport and the TCP data plane
+// pool payloads, frames (one pooled, reference-counted buffer per frame)
+// and delay timers process-wide (per-run pools made a solve's allocations
+// follow the machine's load). Repeated Solves of one shape share buffers
+// through one Scratch (NewScratch, WithScratch).
 //
-// There is one way to evaluate an operator. Implement Component — it is the
-// definition of F and the reference every test compares against; implement
-// BlockOperator (EvalBlockScratch(scr, lo, hi, x, out)) as well when
-// components share work, componentwise bit-identical to Component. The
-// paper's iterations update a worker's whole block per phase, so every
-// engine phase calls EvalBlock, which takes the block path when the
-// operator has one and the scratch is non-nil and the Component loop
-// otherwise; EvalComponent is the block [i, i+1), ApplyOperator and
-// OperatorResidual the block [0, n). For ProxGradBF that turns a
-// b-component phase from O(b*n) — each component materializing the full
-// prox vector — into one shared prox pass plus a gradient range, and the
-// fixed-point residual of a coupled operator from O(n^2) into O(n + apply);
-// InnerIterated runs its prox + K gradient iterations once per block.
-// Smooth functions share their whole-gradient work across a component
-// range the same way, through RangeGradSmooth (GradRange). The scratch-slot
-// budget of every implementation is on BlockScratchOperator in
-// internal/operators/block.go; blockpath_test.go pins that the
-// deterministic engines produce identical Report trajectories whichever
-// path runs.
+// There is one way to evaluate an operator: Component is the definition;
+// BlockOperator (EvalBlockScratch) is the optional shared-work path,
+// componentwise bit-identical to it. Every engine phase calls EvalBlock
+// (EvalComponent is the block [i, i+1), ApplyOperator and OperatorResidual
+// the block [0, n)), so a b-component phase of ProxGradBF costs one shared
+// prox pass plus a gradient range instead of O(b*n), its residual
+// O(n + apply) instead of O(n^2), and InnerIterated runs its K iterations
+// once per block; RangeGradSmooth shares gradient
+// work the same way. The scratch-slot budget is on BlockScratchOperator
+// (internal/operators/block.go); blockpath_test.go pins identical
+// trajectories whichever path runs.
 //
-// Repeated Solves of the same shape can share those buffers across runs
-// through one Scratch (NewScratch, WithScratch), one per calling goroutine.
-//
-// The model engine (internal/core) executes Definitions 1 and 3 literally,
-// and one iteration costs one O(n) copy plus O(window). History.Read gets
-// min_h l_h(j) from delay.Labels without a label row for the stateless
-// models (O(1), or the hash models' scan up to the floor max(0, j-b), about
-// b hashes); any other model fills the row component by component. x(l(j))
-// is a copy of the freshest iterate with one history lookup, and one label,
-// per update made since that minimum, the only components where the two
-// can differ. When that window holds n or more updates — Jacobi steering
-// under a growing delay — all n are looked up, O(n log k) as the definition
-// reads. The lasso prox vector is one inline loop (prox.ApplyVec on an L1).
-// History, label row and update order live in the Scratch: a warmed Solve
-// allocates its Report and its per-iteration log, nothing else. README
+// The model engine (internal/core) executes Definitions 1 and 3 literally
+// at one O(n) copy plus O(window) per iteration: History.Read copies the
+// freshest iterate and looks up only the components updated since the
+// minimum label (delay.Labels gives it in O(1) for stateless models, about
+// b hashes for the hash models), all n (O(n log k)) once that window holds
+// n, as under Jacobi steering and a growing delay. Its
+// window also tells which components the read moved since the previous
+// iteration's, and Run hints the operator scratch with them
+// (operators.Scratch.Hint): ProxGradBF keeps its prox point there and
+// re-applies the prox only at those, to the same bits. A warmed Solve
+// allocates its Report and its per-iteration log, nothing else; README
 // "Tuning" has the per-layer CPU table of a served job.
 //
-// Build: a lasso or ridge build needs the Hessian (1/m)A^T A + reg I for
-// the dominance check and the Gershgorin (L, mu) bounds. mldata.NewRegression
-// assembles (1/m)A^T A once (once per rescale of the coupling rows, which no
-// registered scenario needs), reads dominance off it with the reg shift
-// applied on the fly, and keeps it; Regression.Smooth() hands that matrix to
-// operators.NewLeastSquaresGram, which reads (L, mu) off it the same way and
-// never writes to it, so one Gram is shared read-only by every operator and
-// solve built from the Regression. The kernel (vec.AtAShard) computes the
-// upper triangle in L1-sized tiles of Gram rows and mirrors it; per element
-// the sample order is unchanged, so every trajectory is bit-identical
-// (pinned by the golden in regression_build_test.go and the naive-oracle
-// test in internal/vec). Tuning.IntraParallelism fans the one assembly out.
-//
-// Codec: a Report on the wire is the outcome (iterate, counts, error series,
-// macro-iteration and epoch sequences), 1.7 KB for a served lasso at n=64;
-// the per-iteration log those sequences are computed from would make it
-// 58 KB and stays on the engine results (see Report). The
-// server encodes its events with encoding/json, which calls
-// Report.MarshalJSON; the client's json.Unmarshal calls Report.UnmarshalJSON,
-// a single-pass decoder. Both are hand-written and held to the reflective
-// codec they replaced (the oracle in report_json_test.go) by fixtures and
-// FuzzReportUnmarshal. They stay hand-written because on that 1.7 KB event
-// line (json.Marshal + json.Unmarshal) the reflective codec costs 43 + 61 us
-// and 136 + 171 allocations against 18 + 22 us and 3 + 35.
+// A lasso or ridge build assembles the Gram (1/m)A^T A once
+// (mldata.NewRegression, kernel vec.AtAShard: upper triangle in L1-sized
+// tiles, mirrored, per-element order unchanged) and shares it read-only
+// with every operator built from it. A Report on the wire is its outcome,
+// 1.7 KB for a served lasso at n=64; the per-iteration log (58 KB there)
+// stays on the engine results. Its JSON codec is hand-written (Report.MarshalJSON /
+// UnmarshalJSON, held to the reflective codec by fixtures and
+// FuzzReportUnmarshal): on that event line it costs 18 + 22 us and 3 + 35
+// allocations against the reflective codec's 43 + 61 us and 136 + 171.
 //
 // # Tuning knobs
 //
@@ -263,57 +186,26 @@
 //	Topology           -topology         topology          ""       dist data plane: star (default) | mesh
 //	DeltaThreshold     -delta            delta_threshold   0        dist flexible communication on the wire
 //
-// The Elastic fields (-heartbeat, -checkpoint, -rejoin-wait,
-// -checkpoint-file) and the two dist-engine fields above are table entries
-// like the rest, so a served engine=dist job can ask for the mesh data plane
-// or a delta threshold; an engine ignores the knobs outside its list.
+// The Elastic fields and the two dist-engine fields are table entries too,
+// so a served engine=dist job can ask for them; an engine ignores knobs
+// outside its list. BlockSize and IntraParallelism never change a
+// trajectory: every dot product reduces in one canonical 4-accumulator
+// order (s0..s3 over j mod 4, sequential tail, fixed combine), tiles carry
+// the accumulators across, lanes write disjoint rows. GramPrecompute is the
+// one knob that changes bits (a different, equivalent gradient form for
+// problems where the n x n Gram is the memory bottleneck). Engines install
+// Spec.Tuning on every worker scratch at solve start; tuning_test.go and
+// internal/operators pin the knob matrix.
 //
-// BlockSize and IntraParallelism are BIT-IDENTICAL to the scalar reference
-// and never change a trajectory: every dot product in the tree reduces in
-// one canonical 4-accumulator order (s0..s3 over j mod 4, sequential tail,
-// fixed combine), tiling carries the accumulator quartet across tiles, and
-// parallel lanes write disjoint output rows. GramPrecompute is the one
-// knob that changes bits — it selects a different (internally consistent,
-// mathematically equivalent) gradient form at scenario build, for problems
-// where the n x n Gram matrix is the memory bottleneck. Engines install
-// Spec.Tuning on every worker scratch at solve start, so pooled scratches
-// reused across jobs always run with the current job's knobs. The knob
-// matrix is pinned by tuning_test.go (trajectory equality per engine per
-// combination) and internal/operators (per-block bit identity).
+// # Measuring performance and static analysis
 //
-// # Measuring performance
-//
-// There is one record of how fast a whole solve is: the repository
-// benchmark, a stand-alone main package declared in BENCHMARK.json and
-// documented in benchmark/README.md (six workloads, seven end-to-end
-// metrics each, a per-layer ledger from a traced pass); every PR is
-// compared against its parent on it.
-//
-//	go run ./benchmark                  # six workloads, about 4 minutes
-//	go run ./benchmark -workload W -seed S -seconds T -trace 0|1
-//	go run ./benchmark -quick           # smoke test (what go test ./benchmark runs)
-//	go run ./benchmark -compare a.json b.json
-//
-// The only other way to time code is `go test -bench` (root bench_test.go,
-// internal/server's BenchmarkServeMix), for measuring while working: no
-// file records it, no gate reads it. README "Measuring performance" says
-// which number answers which question.
-//
-// # Static analysis
-//
-// Of the invariants above, the ones a test run would miss — allocation-free
-// hot paths, ONE canonical reduction order, a single knob table,
-// bit-reproducible trajectories and locks released on every path — are
-// enforced mechanically by reprolint (cmd/reprolint, built on
-// internal/analysis), which runs standalone, as `go vet
-// -vettool=$(which reprolint)`, under `make lint`, and in CI. Its five
-// analyzers (hotpath, vecorder, knobdrift, determinism, lockdiscipline)
-// are specified in their package docs under internal/analysis and
-// tabulated, with the //repro: directives that suppress them, in README
-// "Static analysis". Stoppable loops, joined goroutines and the
-// scratch-slot partition are the engine, cancellation and operator
-// contract tests' job.
-//
-// See the examples/ directory for complete programs and EXPERIMENTS.md for
-// the reproduction of the paper's figures and claims.
+// The repository benchmark (go run ./benchmark, declared in BENCHMARK.json,
+// documented in benchmark/README.md) is the one record of how fast a whole
+// solve is; go test -bench is for measuring while working. README
+// "Measuring performance" says which number answers which question.
+// reprolint (cmd/reprolint; make lint, CI) enforces what a test run would
+// miss: allocation-free hot paths, one reduction order, one knob table,
+// bit-reproducible trajectories, locks released on every path (README
+// "Static analysis"). See examples/ for complete programs and
+// EXPERIMENTS.md for the reproduction of the paper's figures and claims.
 package repro

@@ -25,6 +25,10 @@ import (
 // component's value only changes when it is relaxed. Beside the logs it
 // keeps the freshest iterate densely and the run's update order, so a read
 // that reaches back over few updates costs a copy plus those few lookups.
+// The order is append-only within a run (Reset empties it): an index into
+// it names the same update for the rest of the run, which is what lets
+// Run hint the operator scratch with the components of a suffix of it, so
+// a compaction of it must keep the indices or end that chain.
 type History struct {
 	iters  [][]int     // per component: strictly increasing update iterations
 	vals   [][]float64 // parallel values
@@ -104,9 +108,11 @@ func (h *History) At(i, l int) float64 {
 // that iterate and re-reads the components the update order names after it,
 // all n once it names n; row (length n) holds their labels, asked of m one
 // by one unless delay.Labels filled it for a model it must ask in order.
+// from is the index of the first re-read entry of the update order (its
+// length if none), or -1 when Read looked up all n.
 //
 //repro:hotpath
-func (h *History) Read(m delay.Model, j int, row []int, dst []float64) (minLabel int) {
+func (h *History) Read(m delay.Model, j int, row []int, dst []float64) (minLabel, from int) {
 	minLabel, filled := delay.Labels(m, j, row)
 	k := len(h.order)
 	for k > 0 && h.order[k-1].j > minLabel {
@@ -118,7 +124,7 @@ func (h *History) Read(m delay.Model, j int, row []int, dst []float64) (minLabel
 				}
 				dst[c] = h.At(c, row[c])
 			}
-			return minLabel
+			return minLabel, -1
 		}
 	}
 	copy(dst, h.latest)
@@ -128,7 +134,7 @@ func (h *History) Read(m delay.Model, j int, row []int, dst []float64) (minLabel
 		}
 		dst[u.i] = h.At(u.i, row[u.i])
 	}
-	return minLabel
+	return minLabel, k
 }
 
 // Latest returns the most recent value of component i.

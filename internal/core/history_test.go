@@ -45,7 +45,7 @@ func TestHistorySnapshot(t *testing.T) {
 	h.Set(2, 3, 3)
 	h.Set(0, 4, 4)
 	snap2 := make([]float64, 3)
-	if l := h.Read(delay.Constant{D: 1}, 3, make([]int, 3), snap2); l != 2 {
+	if l, _ := h.Read(delay.Constant{D: 1}, 3, make([]int, 3), snap2); l != 2 {
 		t.Errorf("Read at iteration 3 returned min label %d, want 2", l)
 	}
 	if snap2[0] != 1 || snap2[1] != 2 || snap2[2] != 0 {

@@ -95,6 +95,7 @@ type RunScratch struct {
 	xread, xlabel []float64
 	gsSnap        []float64 // residual-aware steering's snapshot buffer
 	blockOut      []float64 // block-evaluation output buffer
+	hint          []int     // the components handed to Op.Hint
 	seenWorkers   []bool
 	log           macroiter.Log
 }
@@ -233,7 +234,8 @@ func Run(cfg Config) (*Result, error) {
 	// Wire residual-aware steering (Gauss–Southwell) to live residuals. The
 	// closure runs once per candidate component per Select, so it reuses a
 	// dedicated snapshot buffer instead of materializing one per call.
-	if ra, ok := cfg.Steering.(steering.ResidualAware); ok {
+	ra, steered := cfg.Steering.(steering.ResidualAware)
+	if steered {
 		scratch.gsSnap = grown(scratch.gsSnap, n)
 		gsSnap := scratch.gsSnap
 		ra.SetResidualFunc(func(i int) float64 {
@@ -251,6 +253,13 @@ func Run(cfg Config) (*Result, error) {
 		xread = xlabel // Definition 1: the read vector is the labelled one
 	}
 	converged := false
+	// Each evaluation hints the operator scratch which components of its x
+	// can differ from the previous evaluation's (operators.Scratch.Hint):
+	// chained says that evaluation was at the previous iteration's read,
+	// prevFrom is where that read's re-read window started. Only a plain
+	// read chains: a flexible one, and the snapshots that residual-aware
+	// steering and the residual check evaluate, start over unhinted.
+	chained, prevFrom := false, -1
 
 	for j := 1; j <= cfg.MaxIter; j++ {
 		if cfg.Done != nil && j%doneCheckEvery == 0 {
@@ -267,7 +276,19 @@ func Run(cfg Config) (*Result, error) {
 
 		// Assemble the read vector: labelled values, optionally blended
 		// toward the freshest state (flexible communication).
-		minLabel := hist.Read(cfg.Delay, j, labels, xlabel)
+		minLabel, from := hist.Read(cfg.Delay, j, labels, xlabel)
+		// x(l(j)) and x(l(j-1)) differ at most at the entries of the update
+		// order from either read's window start on: both reads' re-reads
+		// and S_{j-1}. After a full read (-1) there is no window, and a hint
+		// of n entries or more would cost what a full pass does.
+		if lo := min(from, prevFrom); chained && lo >= 0 && len(hist.order)-lo < n {
+			scratch.hint = scratch.hint[:0]
+			for _, u := range hist.order[lo:] {
+				scratch.hint = append(scratch.hint, u.i)
+			}
+			scratch.Op.Hint(scratch.hint)
+		}
+		chained, prevFrom = cfg.Theta == 0 && !steered && len(S) > 0, from
 		if cfg.Theta > 0 {
 			for h, lv := range xlabel {
 				xread[h] = flexible.Interpolate(lv, hist.Latest(h), cfg.Theta)
@@ -293,6 +314,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 			lo, hi := S[s], S[e-1]+1
 			out := scratch.blockVec(hi - lo)
+			if s > 0 {
+				scratch.Op.Hint(nil) // the same read as the run before
+			}
 			operators.EvalBlock(cfg.Op, scratch.Op, lo, hi, xread, out)
 			for c := lo; c < hi; c++ {
 				v := out[c-lo]
@@ -335,6 +359,7 @@ func Run(cfg Config) (*Result, error) {
 				// doubles as the snapshot buffer for the residual check.
 				hist.LatestSnapshotInto(xlabel)
 				r := operators.ResidualWith(cfg.Op, scratch.Op, xlabel)
+				chained = false
 				res.Residuals = append(res.Residuals, ResidualSample{Iter: j, Residual: r})
 				if r <= cfg.Tol {
 					converged, res.Iterations = true, j

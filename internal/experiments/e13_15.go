@@ -174,7 +174,7 @@ func E15() *Report {
 	maxIter := 20000
 	for j := 1; j <= maxIter; j++ {
 		S := pol.Select(j)
-		minLabel := hist.Read(dm, j, labels, xread)
+		minLabel, _ := hist.Read(dm, j, labels, xread)
 		disp := 0.0
 		for _, i := range S {
 			v := op.Component(i, xread)

@@ -21,7 +21,8 @@ import "repro/internal/prox"
 // must stay read-only on x and on shared operator state; the scratch is the
 // only mutable memory.
 //
-// Scratch-slot budget (Vec slots): ProxGradBF 1, InnerIterated 2,
+// Scratch-slot budget (Vec slots): ProxGradBF 1 (its prox point, kept
+// across evaluations for a hinted next one: Scratch.Hint), InnerIterated 2,
 // ProxGradFB 0, GradOp 0, Linear/SparseLinear 0; Relaxed consumes no slots
 // and forwards the scratch to its inner operator. RangeGradSmooth
 // implementations may additionally use Aux slots >= 1 (Aux slot 0 is
@@ -42,6 +43,18 @@ func EvalBlock(op Operator, scr *Scratch, lo, hi int, x, out []float64) {
 	if len(out) != hi-lo {
 		panic("operators: EvalBlock out length does not match [lo, hi)")
 	}
+	evalBlock(op, scr, lo, hi, x, out)
+	if scr != nil {
+		scr.settle()
+	}
+}
+
+// evalBlock is EvalBlock's dispatch without the settle, for an operator
+// that forwards its block to an inner one (Relaxed): the inner operator
+// sees the caller's hint, and its memo survives the outer settle.
+//
+//repro:hotpath
+func evalBlock(op Operator, scr *Scratch, lo, hi int, x, out []float64) {
 	if bo, ok := op.(BlockScratchOperator); ok && scr != nil {
 		bo.EvalBlockScratch(scr, lo, hi, x, out)
 		return
@@ -80,10 +93,18 @@ func gradRange(f Smooth, scr *Scratch, dst, x []float64, lo, hi int) {
 // EvalBlockScratch implements BlockScratchOperator (1 scratch slot): the
 // prox vector is materialized ONCE for the whole block, then the gradient
 // range shares its pass through gradRange — O(n + block gradient) instead
-// of the Component loop's O(b*n) prox work alone.
+// of the Component loop's O(b*n) prox work alone. The prox point stays in
+// the slot: when the scratch holds a hint and the previous EvalBlock on it
+// left this operator's point at this dimension, only the hinted components
+// are re-applied (O(k), same bits); otherwise all n are.
 func (o *ProxGradBF) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
-	p := scr.Vec(0, len(x))
-	prox.ApplyVec(o.G, p, x, o.Gamma)
+	p, key := scr.Vec(0, len(x)), proxKey{o.tag, len(x)}
+	if scr.hinted && o.tag != nil && scr.memo == key {
+		prox.ApplyAt(o.G, p, x, o.Gamma, scr.hint)
+	} else {
+		prox.ApplyVec(o.G, p, x, o.Gamma)
+	}
+	scr.next = key
 	gradRange(o.F, scr, out, p, lo, hi)
 	for i := range out {
 		out[i] = p[lo+i] - o.Gamma*out[i]
@@ -120,7 +141,7 @@ func (o *InnerIterated) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []floa
 // EvalBlockScratch implements BlockScratchOperator by delegating the block
 // (and the whole scratch slot space) to the inner operator.
 func (r *Relaxed) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
-	EvalBlock(r.Inner, scr, lo, hi, x, out)
+	evalBlock(r.Inner, scr, lo, hi, x, out)
 	for i := range out {
 		out[i] = (1-r.Omega)*x[lo+i] + r.Omega*out[i]
 	}

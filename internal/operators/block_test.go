@@ -167,6 +167,108 @@ func TestBlockSweepProxAndGradientCounts(t *testing.T) {
 			t.Fatalf("component %d: block %v != per-component %v", i, block[i], perComp[i])
 		}
 	}
+
+	// Hinted (Scratch.Hint): the same sweep with an empty hint before every
+	// block after the first — the same x, as the model engine's later runs
+	// of one S_j — applies the prox n times in all; a k-component hint then
+	// applies it k times, and an unhinted call after the chain n times, each
+	// to the bits of an unhinted evaluation.
+	c = sweepCounts{}
+	scr := NewScratch()
+	chain := make([]float64, n)
+	for lo := 0; lo < n; lo += b {
+		if lo > 0 {
+			scr.Hint(nil)
+		}
+		hi := min(lo+b, n)
+		EvalBlock(op, scr, lo, hi, x, chain[lo:hi])
+	}
+	if c.applies != n {
+		t.Errorf("empty-hinted sweep applied the prox %d times, want n = %d", c.applies, n)
+	}
+	y := append([]float64(nil), x...)
+	moved := []int{3, 50, 95, 50}
+	for _, i := range moved {
+		y[i] += 0.5
+	}
+	hinted, unhinted := make([]float64, n), make([]float64, n)
+	c.applies = 0
+	scr.Hint(moved)
+	EvalBlock(op, scr, 0, n, y, hinted)
+	if c.applies != len(moved) {
+		t.Errorf("a %d-component hint applied the prox %d times", len(moved), c.applies)
+	}
+	c.applies = 0
+	EvalBlock(op, scr, 0, n, x, chain)
+	if c.applies != n {
+		t.Errorf("an unhinted call after the chain applied the prox %d times, want n = %d", c.applies, n)
+	}
+	rel := &Relaxed{Inner: op, Omega: 0.7}
+	EvalBlock(rel, scr, 0, n, x, make([]float64, n))
+	c.applies = 0
+	scr.Hint(moved)
+	EvalBlock(rel, scr, 0, n, y, make([]float64, n))
+	if c.applies != len(moved) {
+		t.Errorf("a %d-component hint through Relaxed applied the prox %d times", len(moved), c.applies)
+	}
+	EvalBlock(op, NewScratch(), 0, n, y, unhinted)
+	for i := range block {
+		if chain[i] != block[i] || hinted[i] != unhinted[i] {
+			t.Fatalf("component %d: hinted %v, %v != unhinted %v, %v", i, chain[i], hinted[i], block[i], unhinted[i])
+		}
+	}
+}
+
+// A hint reaches the prox point only if the previous EvalBlock on the
+// scratch left this operator's point at this dimension: any other
+// evaluation between — another ProxGradBF, the Component loop, an operator
+// that reuses the slot — or a different dimension, or an operator built as
+// a struct literal, makes the hinted call a full pass, to the same bits.
+func TestProxPointMemoNeedsItsOwnLastEvaluation(t *testing.T) {
+	const n = 24
+	var c sweepCounts
+	rng := vec.NewRNG(26)
+	a, tt := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i] = 1 + rng.Float64()
+		tt[i] = rng.Normal()
+	}
+	f := NewSeparable(a, tt)
+	g := countingProx{prox.L1{Lambda: 0.05}, &c}
+	op := NewProxGradBF(f, g, MaxStep(f))
+	_, inner := allocTestProxGrad(n)
+	x, y := rng.NormalVector(n), rng.NormalVector(n)
+	x2 := append(append([]float64(nil), y...), 1, 2)
+	between := []struct {
+		name   string
+		op     Operator
+		x      []float64
+		hinted Operator
+	}{
+		{"another ProxGradBF", NewProxGradBF(f, g, MaxStep(f)), y, op},
+		{"the Component loop", componentOnly{op}, y, op},
+		{"InnerIterated", inner, y, op},
+		{"a longer x", op, x2, op},
+		{"a struct literal", &ProxGradBF{F: f, G: g, Gamma: op.Gamma}, y, &ProxGradBF{F: f, G: g, Gamma: op.Gamma}},
+	}
+	for _, tc := range between {
+		scr := NewScratch()
+		EvalBlock(tc.hinted, scr, 0, n, x, make([]float64, n))
+		EvalBlock(tc.op, scr, 0, n, tc.x, make([]float64, n))
+		got, want := make([]float64, n), make([]float64, n)
+		c.applies = 0
+		scr.Hint([]int{0})
+		EvalBlock(tc.hinted, scr, 0, n, y, got)
+		if c.applies != n {
+			t.Errorf("after %s: the hinted call applied the prox %d times, want the full n = %d", tc.name, c.applies, n)
+		}
+		EvalBlock(tc.hinted, NewScratch(), 0, n, y, want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("after %s: component %d is %v, want %v", tc.name, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // The fallback (no block implementation, or nil scratch) must agree with the

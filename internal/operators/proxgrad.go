@@ -24,6 +24,10 @@ type ProxGradBF struct {
 	F     Smooth
 	G     prox.Prox
 	Gamma float64
+	// tag names the operator to a Scratch's prox-point memo, which holds
+	// the tag and so never keeps the operator alive; nil (a struct
+	// literal) never memoizes.
+	tag *byte
 }
 
 // NewProxGradBF builds the Definition 4 operator.
@@ -31,7 +35,7 @@ func NewProxGradBF(f Smooth, g prox.Prox, gamma float64) *ProxGradBF {
 	if gamma <= 0 {
 		panic("operators: NewProxGradBF gamma must be positive")
 	}
-	return &ProxGradBF{F: f, G: g, Gamma: gamma}
+	return &ProxGradBF{F: f, G: g, Gamma: gamma, tag: new(byte)}
 }
 
 func (o *ProxGradBF) Dim() int { return o.F.Dim() }

@@ -21,6 +21,14 @@ type Scratch struct {
 	acc  []float64  // tiled-matvec accumulators (see Acc)
 	one  [1]float64 // EvalComponent's block-of-one output
 	tun  Tuning
+	// hint is the caller's one-shot promise about the next EvalBlock's x
+	// (Hint), hinted whether one is pending; memo names the ProxGradBF whose
+	// prox point at the previous EvalBlock's x Vec slot 0 holds, and next is
+	// what the running EvalBlock leaves there. EvalBlock's settle moves next
+	// into memo and consumes the hint.
+	hint       []int
+	hinted     bool
+	memo, next proxKey
 	// lanes are the sub-scratches handed to intra-block fan-out goroutines;
 	// each lane is owned by exactly one goroutine for the duration of a
 	// parallelRows call, preserving the single-owner contract.
@@ -64,6 +72,29 @@ func (s *Scratch) Aux(slot, n int) []float64 {
 		s.aux[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; a warmed Scratch hits the cached buffer
 	}
 	return s.aux[slot][:n]
+}
+
+// proxKey identifies a memoized prox point: the ProxGradBF's tag and the
+// dimension. The zero key names nothing.
+type proxKey struct {
+	tag *byte
+	n   int
+}
+
+// Hint promises that the x of the next EvalBlock on s differs from the x
+// of the previous EvalBlock on s at most at the components listed in
+// changed (none: the same x; a component may repeat). The next EvalBlock
+// consumes it, whichever path it takes; an EvalBlock without a hint is a
+// full evaluation. A coupled operator may use the hint to redo only the
+// work those components touch (ProxGradBF re-applies its prox there).
+func (s *Scratch) Hint(changed []int) { s.hint, s.hinted = changed, true }
+
+// settle ends an EvalBlock on s: the hint is spent, and the prox point is
+// memoized only if this evaluation left one.
+//
+//repro:hotpath
+func (s *Scratch) settle() {
+	s.memo, s.next, s.hint, s.hinted = s.next, proxKey{}, nil, false
 }
 
 // ScratchOperator is implemented by nothing and asserted on by nothing in

@@ -37,8 +37,11 @@ func (Zero) Name() string                          { return "zero" }
 // soft-thresholding operator.
 type L1 struct{ Lambda float64 }
 
-func (p L1) Apply(i int, v, gamma float64) float64 {
-	t := gamma * p.Lambda
+func (p L1) Apply(i int, v, gamma float64) float64 { return softThreshold(v, gamma*p.Lambda) }
+
+// softThreshold is the scalar L1 prox at threshold t, the one definition
+// L1.Apply and the vector kernels share.
+func softThreshold(v, t float64) float64 {
 	switch {
 	case v > t:
 		return v - t
@@ -144,19 +147,33 @@ func ApplyVec(p Prox, dst, src []float64, gamma float64) {
 	if len(dst) != len(src) {
 		panic("prox: ApplyVec length mismatch")
 	}
-	l1, isL1 := p.(L1)
-	t := gamma * l1.Lambda
-	for i, v := range src {
-		switch {
-		case !isL1:
-			dst[i] = p.Apply(i, v, gamma)
-		case v > t:
-			dst[i] = v - t
-		case v < -t:
-			dst[i] = v + t
-		default:
-			dst[i] = 0
+	if l1, ok := p.(L1); ok {
+		t := gamma * l1.Lambda
+		for i, v := range src {
+			dst[i] = softThreshold(v, t)
 		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = p.Apply(i, v, gamma)
+	}
+}
+
+// ApplyAt is ApplyVec restricted to the coordinates listed in idx: it
+// writes prox_{gamma,g}(src)_i into dst[i] for each i in idx and leaves the
+// rest of dst as it was.
+//
+//repro:hotpath
+func ApplyAt(p Prox, dst, src []float64, gamma float64, idx []int) {
+	if l1, ok := p.(L1); ok {
+		t := gamma * l1.Lambda
+		for _, i := range idx {
+			dst[i] = softThreshold(src[i], t)
+		}
+		return
+	}
+	for _, i := range idx {
+		dst[i] = p.Apply(i, src[i], gamma)
 	}
 }
 
