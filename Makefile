@@ -3,12 +3,20 @@
 
 GO ?= go
 
-.PHONY: all build test race smoke-tuned smoke-examples smoke-dist serve-smoke chaos-smoke bench lint reprolint reprolint-json loc vulncheck fmt check clean
+.PHONY: all build cross test race smoke-tuned smoke-examples smoke-dist serve-smoke chaos-smoke bench lint reprolint reprolint-json loc vulncheck fmt check clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# internal/vec has amd64 assembly (dot4x4_amd64.s); every other
+# architecture builds its Go spelling instead. Build the tree for arm64 and
+# vet that package there, so the fallback always compiles (on amd64, go
+# vet's asmdecl check covers the assembly's frame).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/vec/
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -128,7 +136,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22430
+LOC_CEILING := 22428
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
@@ -171,7 +179,7 @@ vulncheck:
 fmt:
 	gofmt -w .
 
-check: lint vulncheck build test race smoke-tuned smoke-examples smoke-dist serve-smoke chaos-smoke bench
+check: lint cross vulncheck build test race smoke-tuned smoke-examples smoke-dist serve-smoke chaos-smoke bench
 
 clean:
 	rm -f asyncsolve

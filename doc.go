@@ -121,7 +121,11 @@
 // pool payloads, frames (one pooled, reference-counted buffer per frame)
 // and delay timers process-wide (per-run pools made a solve's allocations
 // follow the machine's load). Repeated Solves of one shape share buffers
-// through one Scratch (NewScratch, WithScratch).
+// through one Scratch (NewScratch, WithScratch). A dense row slab (every
+// dense-Gram phase, reverify and residual check) runs four rows per pass
+// through one SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go
+// elsewhere) that keeps each row's canonical reduction order, so its rows
+// carry the one-row loop's bits at about 2.5x its speed.
 //
 // There is one way to evaluate an operator: Component is the definition;
 // BlockOperator (EvalBlockScratch) is the optional shared-work path,

@@ -17,6 +17,7 @@ func TestDenseKernelsAllocationFree(t *testing.T) {
 	m, x := benchMatrix(64)
 	y := New(64)
 	assertZeroAllocs(t, "Dense.MulVecTo", func() { m.MulVecTo(y, x) })
+	assertZeroAllocs(t, "Dense.MulRangeTo", func() { m.MulRangeTo(y[:30], x, 7, 37) })
 	assertZeroAllocs(t, "Dense.MulVecTransTo", func() { m.MulVecTransTo(y, x) })
 	assertZeroAllocs(t, "Dense.RowDotAt", func() { _ = m.RowDotAt(3, x) })
 }

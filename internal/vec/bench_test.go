@@ -21,6 +21,21 @@ func BenchmarkDenseMulVec256(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseMulRange64x256 is the dense row slab of a dist-star phase:
+// 64 rows of a 256-column Gram (a worker's block on 4 workers), reported
+// per row.
+func BenchmarkDenseMulRange64x256(b *testing.B) {
+	m, x := benchMatrix(256)
+	const lo, hi = 64, 128
+	y := New(hi - lo)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulRangeTo(y, x, lo, hi)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(hi-lo)), "ns/row")
+}
+
 // stencilCSR is the 5-point stencil on an n×n grid — the sparsity of the
 // obstacle problem and of the multigrid scenarios' Jacobi operator.
 func stencilCSR(n int) *CSR {

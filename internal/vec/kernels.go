@@ -20,10 +20,21 @@ package vec
 // tiles are visited in ascending order with the accumulators carried across
 // tiles — which is what dot4Acc below provides.
 //
+// One row's four chains still wait on their own adds, so a Dense slab runs
+// four rows' chains at once: dot4Acc4 keeps each row's accumulators as the
+// lanes of two XMM registers and loads x once per 4 columns for all four
+// rows. On amd64 it is SSE2 assembly (dot4x4_amd64.s) using only
+// MOVUPD/MULPD/ADDPD: a rounded product, then a rounded add, as dot4's
+// scalar code. No FMA, whose single rounding changes the bits; no AVX,
+// which would need a CPUID dispatch and a second amd64 path, while SSE2 is
+// the GOAMD64=v1 baseline. Elsewhere it is dot4Acc4Go.
+//
 // Each spelling of the order is pinned bit for bit by a test:
 //
 //	dot4               Dot, Dense rows        TestCanonicalDotOrder
 //	dot4Acc, dot4Tail  tiled Dense slabs      TestDenseMulRangeTiledToMatchesMulRangeTo
+//	dot4Acc4 (SSE2)    Dense.Mul*To slabs     TestDot4Acc4MatchesDot4
+//	dot4Acc4Go         !amd64, the oracle     TestDot4Acc4MatchesDot4
 //	dot4Indexed        CSR.RowDotAt           TestCSRSlabCanonicalOrder
 //	CSR slab loop      CSR.Mul*To (sparse.go) TestCSRSlabCanonicalOrder
 //	sum4, no products  Sum                    TestCanonicalSumOrder
@@ -68,6 +79,18 @@ func dot4Acc(acc []float64, a, x []float64, lo, hi int) {
 		s3 += aj[3] * xj[3]
 	}
 	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
+}
+
+// dot4Acc4Go runs dot4Acc over columns [0, n) of four rows, row r being
+// a[r*stride:] and its accumulators acc[4r:4r+4]; n is a multiple of 4.
+// It is dot4Acc4 on the architectures without an assembly kernel and that
+// kernel's oracle.
+//
+//repro:hotpath
+func dot4Acc4Go(acc *[16]float64, a []float64, stride int, x []float64, n int) {
+	for r := 0; r < 4; r++ {
+		dot4Acc(acc[4*r:4*r+4], a[r*stride:], x, 0, n)
+	}
 }
 
 // dot4Tail combines four strided accumulators with the sequential tail

@@ -100,7 +100,21 @@ func (m *Dense) MulRangeTo(y, x Vector, lo, hi int) {
 		panic(fmt.Sprintf("vec: MulRangeTo dimension mismatch (%dx%d)*%d -> %d (range %d)",
 			m.Rows, m.Cols, len(x), len(y), hi-lo))
 	}
-	for i := lo; i < hi; i++ {
+	// Four rows at a time through dot4Acc4, the rest one by one. The checks
+	// above bound every address the kernel reads.
+	cols4 := m.Cols &^ 3
+	i := lo
+	if cols4 > 0 {
+		var acc [16]float64
+		for ; i+4 <= hi; i += 4 {
+			acc = [16]float64{}
+			dot4Acc4(&acc, &m.Data[i*m.Cols], m.Cols, &x[0], cols4)
+			for r := 0; r < 4; r++ {
+				y[i-lo+r] = dot4Tail(acc[4*r:4*r+4], m.Row(i+r), x, cols4)
+			}
+		}
+	}
+	for ; i < hi; i++ {
 		y[i-lo] = dot4(m.Row(i), x)
 	}
 }
@@ -134,13 +148,13 @@ func (m *Dense) MulRangeTiledTo(y, x Vector, lo, hi, tile int, acc []float64) {
 	for i := range acc {
 		acc[i] = 0
 	}
-	cols4 := m.Cols &^ 3
+	cols4, rows4 := m.Cols&^3, rows&^3
 	for t := 0; t < cols4; t += tile {
-		te := t + tile
-		if te > cols4 {
-			te = cols4
+		te := min(t+tile, cols4)
+		for i := 0; i < rows4; i += 4 {
+			dot4Acc4((*[16]float64)(acc[4*i:4*i+16]), &m.Data[(lo+i)*m.Cols+t], m.Cols, &x[t], te-t)
 		}
-		for i := 0; i < rows; i++ {
+		for i := rows4; i < rows; i++ {
 			dot4Acc(acc[4*i:4*i+4], m.Row(lo+i), x, t, te)
 		}
 	}
@@ -154,6 +168,9 @@ func (m *Dense) MulRangeTiledTo(y, x Vector, lo, hi, tile int, acc []float64) {
 // touching other rows. Bit-identical to the corresponding MulVecTo /
 // MulRangeTo component.
 func (m *Dense) RowDotAt(i int, x Vector) float64 {
+	if len(x) != m.Cols {
+		panic(fmt.Sprintf("vec: RowDotAt row %d dimension mismatch (%dx%d)*%d", i, m.Rows, m.Cols, len(x)))
+	}
 	return dot4(m.Row(i), x)
 }
 
@@ -239,27 +256,6 @@ func (m *Dense) InfNorm() float64 {
 	return worst
 }
 
-// WeightedInfNorm returns the operator norm of M with respect to the
-// weighted max norm ||.||_u: max_i (1/u_i) * sum_j |M_ij| u_j. A value < 1
-// certifies that x -> Mx + b is a ||.||_u contraction.
-func (m *Dense) WeightedInfNorm(u Vector) float64 {
-	if len(u) != m.Cols || m.Rows != m.Cols {
-		panic("vec: WeightedInfNorm requires square matrix and matching weights")
-	}
-	worst := 0.0
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for j, a := range m.Row(i) {
-			s += math.Abs(a) * u[j]
-		}
-		s /= u[i]
-		if s > worst {
-			worst = s
-		}
-	}
-	return worst
-}
-
 // OffDiagAbsSum returns sum_{j!=i} |M_ij|, the Gershgorin radius of row i.
 func (m *Dense) OffDiagAbsSum(i int) float64 {
 	off := 0.0
@@ -318,34 +314,6 @@ func (m *Dense) SymEigBoundsShifted(shift float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// PowerIterationLmax estimates the largest eigenvalue of a symmetric
-// positive semidefinite matrix by power iteration (deterministic start).
-func (m *Dense) PowerIterationLmax(iters int) float64 {
-	if m.Rows != m.Cols || m.Rows == 0 {
-		return 0
-	}
-	n := m.Rows
-	x := Constant(n, 1/math.Sqrt(float64(n)))
-	// Slight asymmetry so we do not start orthogonal to the top eigenvector.
-	for i := range x {
-		x[i] *= 1 + 1e-3*float64(i%7)
-	}
-	y := New(n)
-	lambda := 0.0
-	for k := 0; k < iters; k++ {
-		m.MulVecTo(y, x)
-		nrm := Norm2(y)
-		if nrm == 0 {
-			return 0
-		}
-		for i := range x {
-			x[i] = y[i] / nrm
-		}
-		lambda = nrm
-	}
-	return lambda
 }
 
 // SolveGaussian solves M z = rhs by Gaussian elimination with partial

@@ -71,11 +71,6 @@ func TestInfNorms(t *testing.T) {
 	if got := m.InfNorm(); math.Abs(got-0.7) > 1e-15 {
 		t.Errorf("InfNorm = %v", got)
 	}
-	u := Vector{1, 2}
-	// row 0: (0.5*1 + 0.2*2)/1 = 0.9 ; row 1: (0.1*1 + 0.3*2)/2 = 0.35
-	if got := m.WeightedInfNorm(u); math.Abs(got-0.9) > 1e-15 {
-		t.Errorf("WeightedInfNorm = %v", got)
-	}
 }
 
 func TestDiagonalDominance(t *testing.T) {
@@ -103,17 +98,6 @@ func TestSymEigBounds(t *testing.T) {
 	// Exact eigenvalues are 3 and 5; Gershgorin gives [3, 5].
 	if lo > 3+1e-12 || hi < 5-1e-12 {
 		t.Errorf("SymEigBounds = [%v, %v], want contains [3, 5]", lo, hi)
-	}
-}
-
-func TestPowerIterationLmax(t *testing.T) {
-	m := DenseFromRows([][]float64{
-		{4, -1},
-		{-1, 4},
-	})
-	got := m.PowerIterationLmax(200)
-	if math.Abs(got-5) > 1e-6 {
-		t.Errorf("PowerIterationLmax = %v, want 5", got)
 	}
 }
 

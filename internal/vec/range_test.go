@@ -125,8 +125,8 @@ func TestCSRSlabCanonicalOrder(t *testing.T) {
 	b := NewRNG(83).NormalVector(m.Rows)
 	want := make([]float64, m.Rows)
 	for i := range want {
-		cols, vals := m.RowNNZ(i)
-		want[i] = canonicalIndexed(vals, cols, x)
+		k0, k1 := m.RowPtr[i], m.RowPtr[i+1]
+		want[i] = canonicalIndexed(m.Val[k0:k1], m.ColIdx[k0:k1], x)
 		if got := m.RowDotAt(i, x); !sameBits(got, want[i]) {
 			t.Errorf("RowDotAt(%d) = %v, canonical %v", i, got, want[i])
 		}
@@ -159,25 +159,31 @@ func TestCSRSlabCanonicalOrder(t *testing.T) {
 	}
 }
 
-// MulRangeTiledTo must agree BIT-identically with MulRangeTo for every tile
-// width and every range — including ranges that do not divide the tile and
-// column counts that are not multiples of 4 — because the accumulator
-// quartet carries across tiles and the tail folds in exactly once.
+// MulRangeTiledTo must agree BIT-identically with MulRangeTo and with dot4
+// row by row for every tile width from 8 up to past the column count and
+// every range — row and column counts that are not multiples of 4, ranges
+// starting off row 0, four-row groups plus leftovers — because the
+// accumulator quartets carry across tiles and the tail folds in once.
 func TestDenseMulRangeTiledToMatchesMulRangeTo(t *testing.T) {
-	for _, dims := range [][2]int{{23, 17}, {31, 64}, {16, 67}, {9, 8}} {
+	for _, dims := range [][2]int{{23, 17}, {31, 64}, {16, 67}, {9, 8}, {13, 30}, {10, 41}} {
 		rows, cols := dims[0], dims[1]
 		m := randomDense(rows, cols, uint64(41+rows))
 		x := NewRNG(uint64(43 + cols)).NormalVector(cols)
-		for _, blk := range [][2]int{{0, rows}, {0, 1}, {3, rows - 2}, {rows - 1, rows}} {
+		for _, blk := range [][2]int{{0, rows}, {0, 1}, {1, rows}, {2, rows - 1}, {3, rows - 2}, {rows - 1, rows}} {
 			lo, hi := blk[0], blk[1]
 			want := make([]float64, hi-lo)
 			m.MulRangeTo(want, x, lo, hi)
-			for _, tile := range []int{8, 12, 16, 40, cols, cols + 8} {
+			for i := range want {
+				if d := dot4(m.Row(lo+i), x); !sameBits(want[i], d) {
+					t.Errorf("%dx%d MulRangeTo [%d,%d) row %d: %v != dot4 %v", rows, cols, lo, hi, lo+i, want[i], d)
+				}
+			}
+			for tile := 8; tile <= cols+8; tile += 4 {
 				got := make([]float64, hi-lo)
 				acc := make([]float64, 4*(hi-lo))
 				m.MulRangeTiledTo(got, x, lo, hi, tile, acc)
 				for i := range got {
-					if got[i] != want[i] {
+					if !sameBits(got[i], want[i]) {
 						t.Errorf("%dx%d tile %d range [%d,%d) row %d: %v != %v",
 							rows, cols, tile, lo, hi, lo+i, got[i], want[i])
 					}
@@ -351,6 +357,24 @@ func TestAtAShardConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	assertSameBits(t, "concurrent shards", got, want)
+}
+
+// RowDotAt takes an x of exactly Cols components: a longer one would
+// silently give a prefix's dot product, a shorter one fail mid-row. Both
+// panic up front, naming the dimensions.
+func TestDenseRowDotAtLengthPanics(t *testing.T) {
+	m := randomDense(8, 8, 37)
+	for _, n := range []int{7, 9} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("(8x8)*%d", n)
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+					t.Errorf("RowDotAt with len(x) = %d: panic %q does not name %s", n, msg, want)
+				}
+			}()
+			m.RowDotAt(2, make([]float64, n))
+		}()
+	}
 }
 
 func TestMulRangeToBoundsPanics(t *testing.T) {

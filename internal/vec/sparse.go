@@ -59,9 +59,6 @@ func NewCSR(rows, cols int, entries []COOEntry) *CSR {
 	return m
 }
 
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
 // MulVecTo computes y = M x: MulRangeTo over every row, so each row matches
 // RowDotAt bit for bit (the canonical order, see kernels.go).
 func (m *CSR) MulVecTo(y, x Vector) { m.MulRangeTo(y, x, 0, m.Rows) }
@@ -142,12 +139,6 @@ func (m *CSR) At(i, j int) float64 {
 		}
 	}
 	return 0
-}
-
-// RowNNZ returns the column indices and values of row i as views.
-func (m *CSR) RowNNZ(i int) ([]int, []float64) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
 
 // InfNorm returns the max absolute row sum.

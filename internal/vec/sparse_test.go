@@ -10,8 +10,8 @@ func TestCSRBasics(t *testing.T) {
 		{0, 0, 1}, {0, 2, 2},
 		{1, 1, 3},
 	})
-	if m.NNZ() != 3 {
-		t.Fatalf("NNZ = %d", m.NNZ())
+	if len(m.Val) != 3 {
+		t.Fatalf("%d stored entries, want 3", len(m.Val))
 	}
 	x := Vector{1, 1, 1}
 	got := m.MulVec(x)
@@ -28,8 +28,8 @@ func TestCSRDuplicatesSummed(t *testing.T) {
 	if m.At(0, 0) != 3.5 {
 		t.Errorf("duplicate entries not summed: %v", m.At(0, 0))
 	}
-	if m.NNZ() != 1 {
-		t.Errorf("NNZ = %d, want 1", m.NNZ())
+	if len(m.Val) != 1 {
+		t.Errorf("%d stored entries, want 1", len(m.Val))
 	}
 }
 
@@ -40,8 +40,7 @@ func TestCSREmptyRows(t *testing.T) {
 	if !Equal(got, Vector{0, 0, 5}, 0) {
 		t.Errorf("MulVec = %v", got)
 	}
-	cols, vals := m.RowNNZ(0)
-	if len(cols) != 0 || len(vals) != 0 {
+	if m.RowPtr[1] != m.RowPtr[0] {
 		t.Errorf("empty row returned entries")
 	}
 }

@@ -297,14 +297,6 @@ func WeightedMaxDist(x, y, u Vector) float64 {
 	return m
 }
 
-// MaxAbsComponentDist returns max_i |x_i - y_i|^2, the right-hand-side
-// quantity max_i ||x_i(0) - x*||^2 of inequality (5) in the paper for scalar
-// component spaces.
-func MaxAbsComponentDist(x, y Vector) float64 {
-	d := DistInf(x, y)
-	return d * d
-}
-
 // Equal reports whether x and y agree within absolute tolerance tol in every
 // component.
 func Equal(x, y Vector, tol float64) bool {

@@ -87,9 +87,6 @@ func TestDistances(t *testing.T) {
 	if got := DistInf(x, y); got != 4 {
 		t.Errorf("DistInf = %v", got)
 	}
-	if got := MaxAbsComponentDist(x, y); got != 16 {
-		t.Errorf("MaxAbsComponentDist = %v", got)
-	}
 }
 
 func TestAllFinite(t *testing.T) {
