@@ -18,7 +18,7 @@
 //   - EngineSimSync — the barrier-synchronous simulated baseline;
 //   - EngineShared  — real goroutines over shared memory, one published
 //     block per worker;
-//   - EngineMessage — real goroutines over lossy buffered channels;
+//   - EngineMessage — real goroutines over newest-wins mailboxes;
 //   - EngineDist    — real multi-worker execution over TCP sockets with
 //     per-link fault injection (drops, reordering, transit delay).
 //
@@ -54,7 +54,7 @@
 //
 // The three concurrent engines run ONE worker loop (internal/runtime,
 // loop.go, whose doc states its policies) over four transports — block
-// shared memory, buffered channels, the TCP star relay and the TCP mesh:
+// shared memory, newest-wins mailboxes, the TCP star relay and the TCP mesh:
 // the loop makes every decision, a transport only moves values. Termination
 // is one two-phase double-collect quiescence protocol (quiescence.go, probe
 // rounds over TCP): stop follows two identical observations of "every
@@ -117,10 +117,10 @@
 // The engine hot paths are allocation-free in steady state: vec kernels
 // have ...Into variants, every engine threads one per-worker operator
 // scratch (NewOperatorScratch) through its evaluations, the simulator pools
-// events and messages, and the message transport and the TCP data plane
-// pool payloads, frames (one pooled, reference-counted buffer per frame)
-// and delay timers process-wide (per-run pools made a solve's allocations
-// follow the machine's load). Repeated Solves of one shape share buffers
+// events and messages, the message transport's mailboxes are allocated
+// once per run, and the TCP data plane pools frames (one pooled,
+// reference-counted buffer per frame) and delay timers process-wide
+// (per-run pools made a solve's allocations follow the machine's load). Repeated Solves of one shape share buffers
 // through one Scratch (NewScratch, WithScratch). A dense row slab (every
 // dense-Gram phase, reverify and residual check) runs four rows per pass
 // through one SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go

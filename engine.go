@@ -5,7 +5,7 @@ package repro
 // Three of the six are deterministic state machines of their own (model,
 // sim, simsync). The other three — shared, message, dist — are one worker
 // loop (internal/runtime, loop.go) over four transports: block shared
-// memory, buffered channels, and the TCP star relay and TCP mesh of
+// memory, newest-wins mailboxes, and the TCP star relay and TCP mesh of
 // internal/dist. They take one configuration (runtime.Config, which
 // dist.Config embeds next to its network knobs) and report through one
 // mapping (concurrentReport).
@@ -29,8 +29,8 @@ package repro
 //
 //   - EngineShared  — goroutines over shared memory, a locked block per
 //     worker (internal/runtime): Flexible.
-//   - EngineMessage — goroutines over lossy buffered channels
-//     (internal/runtime): nothing further.
+//   - EngineMessage — goroutines over newest-wins mailboxes, one per
+//     pair of workers (internal/runtime): nothing further.
 //   - EngineDist    — TCP workers with per-link fault injection
 //     (internal/dist): Topology ("star" relay or "mesh" worker-to-worker
 //     links), DeltaThreshold (flexible communication on the wire),
@@ -87,7 +87,7 @@ var (
 	EngineSimSync Engine = simSyncEngine{}
 	// EngineShared executes real goroutines over shared memory.
 	EngineShared Engine = sharedEngine{}
-	// EngineMessage executes real goroutines over lossy message channels.
+	// EngineMessage executes real goroutines over newest-wins mailboxes.
 	EngineMessage Engine = messageEngine{}
 	// EngineDist executes real TCP workers through a fault-injecting
 	// coordinator (localhost by default; see internal/dist and the

@@ -7,8 +7,8 @@
 // at every annotated call site:
 //
 //   - composite literals, make and new (struct/array literals copied into
-//     existing memory — `*e = event{}` — are exempt: a zeroing store, not
-//     an allocation)
+//     existing memory — `*e = event{}` — and zero-size ones — `struct{}{}`
+//     — are exempt: a zeroing store, or no memory at all)
 //   - append (it may grow its backing array)
 //   - closure creation (func literals)
 //   - boxing a concrete value into an interface (call arguments,
@@ -134,7 +134,7 @@ func (c *checker) visit(n ast.Node) bool {
 	info := c.pass.TypesInfo
 	switch n := n.(type) {
 	case *ast.CompositeLit:
-		if !c.zeroing[n] {
+		if t := info.TypeOf(n); !c.zeroing[n] && (t == nil || sizes.Sizeof(t) != 0) {
 			c.report(n.Pos(), "composite literal allocates")
 		}
 	case *ast.FuncLit:
@@ -159,6 +159,10 @@ func (c *checker) visit(n ast.Node) bool {
 	}
 	return true
 }
+
+// sizes tells zero-size literals, which never allocate, from the rest; a
+// size is zero on every architecture or on none.
+var sizes = types.SizesFor("gc", "amd64")
 
 // markZeroing records a struct/array composite literal assigned (with `=`,
 // not `:=`) into memory that already exists — `*e = event{}`,

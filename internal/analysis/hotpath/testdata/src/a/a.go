@@ -65,6 +65,17 @@ func pointers(pp *pair, m map[int]float64, s sink) {
 	_ = interface{}(m)
 }
 
+// zeros builds values of zero-size types, which never allocate: only the
+// sized literal is flagged.
+//
+//repro:hotpath
+func zeros(ch chan struct{}) [0]float64 {
+	ch <- struct{}{}
+	q := &pair{1, 2} // want `composite literal allocates`
+	_ = q
+	return [0]float64{}
+}
+
 // warm demonstrates the suppression: a guarded one-time lazy init may
 // carry an alloc-ok reason.
 //

@@ -38,9 +38,9 @@ type frameBuf struct {
 	refs atomic.Int32
 }
 
-// framePool is shared by every run in the process, for the reason given on
-// runtime.payloads: a pool owned by the run would bill its peak to every run
-// that reaches it.
+// framePool is shared by every run in the process: how many frames a run
+// holds at its peak is up to the scheduler and the network, and a pool owned
+// by the run would bill that peak to every run that reaches it.
 var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 // frameAudit, a test hook, counts takes against releases and fills every

@@ -9,9 +9,9 @@
 //   - shared memory, one published block per worker (shared.go: the
 //     one-sided put()/get() SHMEM style of [10]; flexible communication
 //     publishes whole partial blocks mid-phase),
-//   - message passing over channels (message.go: the distributed-memory
-//     setting of [6],[9], with the supervisor-based termination detection
-//     of [22]), and
+//   - message passing over newest-wins mailboxes (message.go: the
+//     distributed-memory setting of [6],[9], with the supervisor-based
+//     termination detection of [22]), and
 //   - TCP, through a coordinator's relay or over a worker-to-worker mesh
 //     (internal/dist, which imports this package for the loop).
 //
@@ -38,7 +38,7 @@ import (
 )
 
 // The worker protocol, written once. Every concurrent engine — shared
-// memory, in-process channels, TCP star and TCP mesh — runs Worker.Run; a
+// memory, in-process mailboxes, TCP star and TCP mesh — runs Worker.Run; a
 // Transport is what differs between them. The loop owns the decisions
 // (when a block counts as locally converged, when to go passive, what a
 // reactivated worker must prove before it may publish again); a transport
@@ -115,7 +115,8 @@ type Transport interface {
 	// Drain. It may return without Fresh (a wake-up with nothing to read).
 	Wait() (Input, error)
 	// Publish ships the worker's block values to its peers: lossy while
-	// the worker is active, reliable for the final before passivation.
+	// the worker is active, reliable for the final before passivation. It
+	// must not retain vals after it returns: the loop reuses the buffer.
 	Publish(vals []float64, reliable bool) error
 	// Account makes a state transition visible to the termination
 	// protocol. Accounting the state the worker is already in is a no-op.
@@ -142,9 +143,9 @@ type Worker struct {
 	// Updates counts completed updating phases.
 	Updates int
 
-	lo, hi   int
-	out, chk []float64
-	streak   int
+	lo, hi int
+	out    []float64 // a phase's or re-verification's block; dead once published
+	streak int
 }
 
 // Run executes the worker protocol over t until the run stops.
@@ -224,8 +225,7 @@ func (w *Worker) absorb(t Transport, block bool) (in Input, err error) {
 // resize adopts the transport's current block bounds.
 func (w *Worker) resize(t Transport) {
 	w.lo, w.hi = t.Block()
-	buf := make([]float64, 2*(w.hi-w.lo))
-	w.out, w.chk = buf[:w.hi-w.lo], buf[w.hi-w.lo:]
+	w.out = make([]float64, w.hi-w.lo)
 	w.streak = 0
 }
 
@@ -273,6 +273,6 @@ func (w *Worker) phase() (delta float64, bad int) {
 //
 //repro:hotpath
 func (w *Worker) displacement() (d float64, bad int) {
-	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.chk)
-	return vec.DistInfNaN(w.chk, w.View[w.lo:w.hi])
+	operators.EvalBlock(w.Op, w.Scratch, w.lo, w.hi, w.View, w.out)
+	return vec.DistInfNaN(w.out, w.View[w.lo:w.hi])
 }

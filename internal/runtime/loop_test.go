@@ -71,14 +71,19 @@ func (p *scriptPort) Wait() (Input, error) {
 	return Fresh, nil
 }
 
-func (p *scriptPort) Publish(_ []float64, reliable bool) error {
+func (p *scriptPort) Publish(vals []float64, reliable bool) error {
 	if p.passive {
 		p.t.Fatalf("Publish while accounted passive; trace: %v", p.trace)
 	}
 	if reliable {
 		p.trace = append(p.trace, "final")
-	} else {
-		p.trace = append(p.trace, "publish")
+		return nil // the final is the worker's own block in its view
+	}
+	p.trace = append(p.trace, "publish")
+	// A transport may not retain vals, so the loop may not read them again:
+	// poison them, and a loop that does reads NaN and fails as diverged.
+	for i := range vals {
+		vals[i] = math.NaN()
 	}
 	return nil
 }

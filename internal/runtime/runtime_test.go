@@ -3,7 +3,6 @@ package runtime
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/flexible"
 	"repro/internal/operators"
@@ -155,9 +154,10 @@ func TestRunMessageTerminatesAtUpdateBound(t *testing.T) {
 }
 
 func TestRunMessageDropsCovered(t *testing.T) {
-	// Tiny inboxes force drops; convergence must survive because newer
-	// messages supersede lost ones. (Drops occur naturally under heavy
-	// traffic; this test just asserts the run still converges.)
+	// Eight workers on one or two CPUs: a receiver is often descheduled
+	// while a sender publishes again, so newer blocks supersede unread
+	// ones and the run drops messages; convergence must survive, because
+	// the newest block is the one that matters.
 	op, xstar, _ := contractingOp(t, 64, 7)
 	res, err := RunMessage(Config{
 		Op: op, Workers: 8, Tol: 1e-9,
@@ -171,40 +171,6 @@ func TestRunMessageDropsCovered(t *testing.T) {
 	}
 	if e := vec.DistInf(res.X, xstar); e > 1e-5 {
 		t.Errorf("error %v too large", e)
-	}
-}
-
-// A reliable send retries only while the run is live: once it has stopped,
-// a peer with a full inbox will never drain it, so the send must give up
-// and count a drop instead of spinning.
-func TestMessageReliableSendAfterStopDrops(t *testing.T) {
-	op, _, _ := contractingOp(t, 4, 10)
-	r, err := newRun(Config{Op: op, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inboxes := []chan blockMsg{make(chan blockMsg, 1), make(chan blockMsg, 1)}
-	inboxes[1] <- blockMsg{vals: getPayload(2, 2)}
-	p := chanPort{slot: slot{r.q, 0}, r: r, lo: 0, hi: 2, view: make([]float64, 4),
-		inboxes: inboxes, wake: make(chan struct{}, 1), maxBlock: 2}
-	r.stop()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Publish([]float64{1, 2}, true)
-	}()
-	var timeout <-chan time.Time
-	if deadline, ok := t.Deadline(); ok {
-		timeout = time.After(time.Until(deadline) - time.Second)
-	}
-	select {
-	case <-done:
-	case <-timeout:
-		t.Fatal("reliable Publish into a full inbox is still retrying after the run stopped")
-	}
-	if sent, dropped := r.q.Sent(), r.q.Dropped(); sent != 1 || dropped != 1 {
-		t.Fatalf("sent %d dropped %d, want 1 and 1", sent, dropped)
 	}
 }
 

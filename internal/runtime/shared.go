@@ -64,7 +64,7 @@ type Result struct {
 	UpdatesPerWorker []int
 	Elapsed          time.Duration
 	// MessagesSent/MessagesDropped are populated by the message and TCP
-	// transports.
+	// transports (on message, a drop is a block superseded unread).
 	MessagesSent, MessagesDropped int64
 	// Cancelled reports that Config.Done fired before the run converged or
 	// exhausted its budgets.
@@ -194,24 +194,42 @@ func (r *run) solve(port func(w int, wk *Worker) Transport) (*Result, error) {
 	return res, nil
 }
 
-// pubBlock is one worker's block as its peers read it: vals is that
-// worker's cut of the run's shared vector, written and read only under mu;
-// ver counts the publishes, bumped under mu and read without it so a reader
-// can skip a block that has not changed. Padded to a cache line so one
-// block's lock traffic stays off its neighbours'.
-type pubBlock struct {
+// blockSlot is one worker's block as a reader takes it, newest wins: vals
+// is written and read only under mu; ver counts the publishes, bumped under
+// mu and read without it so a reader can skip a block that has not changed.
+// Padded to a cache line so one block's lock traffic stays off its
+// neighbours'.
+type blockSlot struct {
 	mu   sync.Mutex
 	ver  atomic.Uint64
 	vals []float64
 	_    [24]byte
 }
 
+// publish overwrites the block with vals and bumps its version.
+func (b *blockSlot) publish(vals []float64) {
+	b.mu.Lock()
+	copy(b.vals, vals)
+	b.ver.Add(1)
+	b.mu.Unlock()
+}
+
 // read copies the block as last published into dst and returns its version.
-func (b *pubBlock) read(dst []float64) uint64 {
+func (b *blockSlot) read(dst []float64) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	copy(dst, b.vals)
 	return b.ver.Load()
+}
+
+// readIfNewer copies the block into dst only if its version moved past
+// *seen, moves *seen to it, and returns by how many versions (0: no copy).
+func (b *blockSlot) readIfNewer(dst []float64, seen *uint64) (moved uint64) {
+	if b.ver.Load() != *seen {
+		v := b.read(dst)
+		moved, *seen = v-*seen, v
+	}
+	return moved
 }
 
 // sharedPort is the shared-memory Transport: every worker publishes its
@@ -235,7 +253,7 @@ type sharedPort struct {
 	slot
 	r   *run
 	wk  *Worker
-	pub []pubBlock
+	pub []blockSlot
 	// seen[k] is the version of peer k's block that the view holds.
 	seen []uint64
 	// last is the block as last published, the start point flexible
@@ -254,8 +272,7 @@ func (p *sharedPort) Drain() (in Input, err error) {
 		return Stop, nil
 	}
 	for k := range p.pub {
-		if b := &p.pub[k]; k != p.w && b.ver.Load() != p.seen[k] {
-			p.seen[k] = b.read(p.wk.View[p.r.blocks[k][0]:])
+		if k != p.w && p.pub[k].readIfNewer(p.wk.View[p.r.blocks[k][0]:], &p.seen[k]) > 0 {
 			in = Fresh
 		}
 	}
@@ -287,10 +304,7 @@ func (p *sharedPort) Publish(vals []float64, reliable bool) error {
 		b.ver.Add(1)
 		b.mu.Unlock()
 	}
-	b.mu.Lock()
-	copy(b.vals, vals)
-	b.ver.Add(1)
-	b.mu.Unlock()
+	b.publish(vals)
 	copy(p.last, vals)
 	return nil
 }
@@ -313,7 +327,7 @@ func (p *sharedPort) certify() bool {
 // r.blocks — and a port per worker; solve binds each port to its Worker.
 func (r *run) sharedPorts() []sharedPort {
 	shared := append([]float64(nil), r.cfg.X0...)
-	pub := make([]pubBlock, len(r.blocks))
+	pub := make([]blockSlot, len(r.blocks))
 	ports := make([]sharedPort, len(r.blocks))
 	for w, b := range r.blocks {
 		pub[w].vals = shared[b[0]:b[1]]

@@ -167,34 +167,55 @@ func TestSharedDrainSkipsUnchangedBlocks(t *testing.T) {
 	}
 }
 
-// exchangeFixture is the shared-multigrid shape: 961 components, 2 blocks.
-func exchangeFixture(t testing.TB) (exchange func()) {
-	_, ports, _ := sharedFixture(t, Config{Op: &halfOp{n: 961}, Workers: 2})
-	lo, hi := ports[0].Block()
+// exchangeFixture is the multigrid shape of the benchmark's shared and
+// message workloads, over the named transport: 961 components, 2 blocks.
+func exchangeFixture(t testing.TB, transport string) (exchange func()) {
+	cfg := Config{Op: &halfOp{n: 961}, Workers: 2}
+	var from, to Transport
+	switch transport {
+	case "shared":
+		_, ports, _ := sharedFixture(t, cfg)
+		from, to = &ports[0], &ports[1]
+	case "message":
+		_, ports := messageFixture(t, cfg)
+		from, to = &ports[0], &ports[1]
+	default:
+		t.Fatalf("no transport %q", transport)
+	}
+	lo, hi := from.Block()
 	vals := make([]float64, hi-lo)
 	return func() {
-		if err := ports[0].Publish(vals, false); err != nil {
+		if err := from.Publish(vals, false); err != nil {
 			t.Fatal(err)
 		}
-		if in, err := ports[1].Drain(); err != nil || in != Fresh {
+		if in, err := to.Drain(); err != nil || in != Fresh {
 			t.Fatalf("Drain = %v, %v", in, err)
 		}
 	}
 }
 
+var exchangeTransports = []string{"shared", "message"}
+
 func TestSharedExchangeDoesNotAllocate(t *testing.T) {
-	if avg := testing.AllocsPerRun(100, exchangeFixture(t)); avg != 0 {
-		t.Errorf("one Publish + one Drain allocate %v times, want 0", avg)
+	for _, transport := range exchangeTransports {
+		if avg := testing.AllocsPerRun(100, exchangeFixture(t, transport)); avg != 0 {
+			t.Errorf("%s: one Publish + one Drain allocate %v times, want 0", transport, avg)
+		}
 	}
 }
 
-// BenchmarkSharedExchange is the transport's share of a phase on
-// shared-multigrid: publish one 481-component block, drain one peer block.
+// BenchmarkSharedExchange is the transport's share of a phase on the
+// multigrid workloads: publish one 481-component block, drain one peer
+// block.
 func BenchmarkSharedExchange(b *testing.B) {
-	exchange := exchangeFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exchange()
+	for _, transport := range exchangeTransports {
+		b.Run(transport, func(b *testing.B) {
+			exchange := exchangeFixture(b, transport)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exchange()
+			}
+		})
 	}
 }

@@ -44,9 +44,9 @@ func TestMessageOversubscribed(t *testing.T) {
 	}
 }
 
-// The payload pool is shared by every message run of the process: runs of
-// different block sizes side by side (a server's job workers) must each
-// draw buffers that fit them, and stay race-clean.
+// Message runs of different shapes side by side (a server's job workers)
+// share nothing but the scheduler: each must converge on its own
+// mailboxes, and stay race-clean.
 func TestMessageConcurrentRunsSharePayloads(t *testing.T) {
 	shapes := []struct{ n, workers int }{{128, 4}, {37, 3}, {64, 2}, {128, 32}}
 	errs := make(chan error, len(shapes))
@@ -72,22 +72,6 @@ func TestMessageConcurrentRunsSharePayloads(t *testing.T) {
 	for range shapes {
 		if err := <-errs; err != nil {
 			t.Error(err)
-		}
-	}
-}
-
-// A pooled buffer serves any worker of a run whose largest block it holds,
-// and a run never ships a buffer shorter than its block.
-func TestGetPayloadFitsTheRun(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		small := make([]float64, 3) // a fresh one each time: a pooled buffer has one owner
-		payloads.Put(&small)
-		for _, n := range []int{480, 481} {
-			vp := getPayload(n, 481)
-			if len(*vp) != n || cap(*vp) < 481 {
-				t.Fatalf("getPayload(%d, 481): len %d cap %d", n, len(*vp), cap(*vp))
-			}
-			payloads.Put(vp)
 		}
 	}
 }

@@ -85,7 +85,8 @@ type Report struct {
 	// engines).
 	UpdatesPerWorker []int `json:"updates_per_worker,omitempty"`
 	// MessagesSent / MessagesDropped / MessagesStale count transport
-	// events (simulated, message and dist engines).
+	// events (simulated, message and dist engines; on message, a drop is a
+	// block superseded in its mailbox before the peer read it).
 	MessagesSent    int64 `json:"messages_sent,omitempty"`
 	MessagesDropped int64 `json:"messages_dropped,omitempty"`
 	MessagesStale   int64 `json:"messages_stale,omitempty"`
