@@ -68,6 +68,10 @@ smoke-dist:
 # drive it for 2s with a three-scenario mix, and require BOTH outcomes the
 # design promises: every accepted job converged (load's exit code) and at
 # least one job was 503-rejected, i.e. admission control actually engaged.
+# Then two identical open-loop runs (about 50 jobs each, so the second
+# finds the first's instances still cached whatever the machine's speed)
+# must make /healthz report instances_reused > 0: a job whose instance was
+# just built does not rebuild it.
 # Finishes with a SIGTERM drain, which must exit cleanly.
 serve-smoke:
 	$(GO) build -o asyncsolve ./cmd/asyncsolve
@@ -85,6 +89,15 @@ serve-smoke:
 	fi; \
 	echo "$$out" | grep -q 'rejected=[1-9]' || { \
 		echo "serve-smoke: no 503 rejection observed (queue never filled)" >&2; \
+		exit 1; }; \
+	for run in 1 2; do \
+		./asyncsolve load -addr http://127.0.0.1:18080 -duration 1s -rate 50 \
+			-seed 1000 -scenarios lasso,ridge,routing >/dev/null || exit 1; \
+	done; \
+	health=$$(curl -s http://127.0.0.1:18080/healthz); \
+	echo "$$health"; \
+	echo "$$health" | grep -q '"instances_reused":[1-9]' || { \
+		echo "serve-smoke: a repeated job rebuilt its scenario instance" >&2; \
 		exit 1; }; \
 	kill -TERM "$$pid"; \
 	wait "$$pid"; \
@@ -136,7 +149,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22406
+LOC_CEILING := 22574
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

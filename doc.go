@@ -101,11 +101,18 @@
 // non-finite values encode as "Infinity"/"-Infinity"/"NaN". A bounded queue
 // answers 503 with Retry-After when full, every job runs under a deadline
 // delivered as WithContext cancellation, and solves reuse Scratch buffers
-// pooled by problem signature (safe: scratch reuse is bit-identical).
-// GET /v1/scenarios and GET /healthz report the registry and queue state;
+// pooled by problem signature (safe: scratch reuse is bit-identical). A job
+// does not rebuild the instance a previous job built: each server keeps
+// built scenario instances in an LRU cache keyed by scenario, resolved n,
+// seed and tuning, holding at most 32 MiB (a constant: each entry charged
+// the heap bytes its build allocated plus 64 KiB), and hands every job
+// with that key the same immutable instance (safe: engines copy X0 and
+// only read the operator). GET /v1/scenarios and GET /healthz report the
+// registry, queue state and scratch and instance reuse;
 // SIGINT/SIGTERM drains. asyncsolve load drives a server and reports
 // sustained solves/sec; make serve-smoke requires every accepted job to
-// converge and at least one to be rejected.
+// converge, at least one to be rejected and a repeated job to reuse its
+// instance.
 //
 // Beyond solving, the package exposes the paper's analysis apparatus:
 // macro-iteration sequences (Definition 2), epoch sequences (Mishchenko et

@@ -239,8 +239,10 @@ const (
 // error and surfaces immediately.
 func ConnectWorker(addr string, op operators.Operator, o WorkerOptions) error {
 	// The jitter RNG is seeded from the caller-provided identity, never the
-	// clock, so a rerun retries on the same schedule.
-	rng := rand.New(rand.NewSource(int64(o.Rejoin.Seed)*7919 + 1))
+	// clock, so a rerun retries on the same schedule. It is built at the
+	// first retry: a math/rand source costs ~5 KiB to seed, and most
+	// connects never retry.
+	var rng *rand.Rand
 	backoff := rejoinBaseBackoff
 	start := time.Now()
 	for {
@@ -260,6 +262,9 @@ func ConnectWorker(addr string, op operators.Operator, o WorkerOptions) error {
 		}
 		if !retryable || o.Rejoin.MaxWait <= 0 {
 			return err
+		}
+		if rng == nil {
+			rng = rand.New(rand.NewSource(int64(o.Rejoin.Seed)*7919 + 1))
 		}
 		sleep := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
 		if time.Since(start)+sleep >= o.Rejoin.MaxWait {

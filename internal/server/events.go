@@ -4,6 +4,14 @@
 // Retry-After when full), run on a fixed worker pool with per-signature
 // scratch reuse, and stream back NDJSON progress events followed by the
 // terminal repro.Report.
+//
+// A job does not rebuild the problem another job just solved: each server
+// keeps built scenario instances in an LRU cache keyed by scenario,
+// resolved n, seed and tuning, and hands every job with that key the same
+// immutable instance. The cache holds at most 32 MiB, each entry charged
+// the heap bytes allocated while it was built plus a 64 KiB slack; a
+// failed build is never kept, and an instance charged more than the whole
+// budget is served but not kept.
 package server
 
 import "repro"
@@ -62,4 +70,8 @@ type Health struct {
 	// allocated fresh state vs reused a returned one.
 	ScratchCreated int64 `json:"scratch_created"`
 	ScratchReused  int64 `json:"scratch_reused"`
+	// InstancesBuilt / InstancesReused count jobs whose scenario instance
+	// was built vs taken from the instance cache.
+	InstancesBuilt  int64 `json:"instances_built"`
+	InstancesReused int64 `json:"instances_reused"`
 }

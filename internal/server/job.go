@@ -130,8 +130,8 @@ type job struct {
 	delay    repro.DelayModel
 	n        int // requested size resolved against the scenario default
 	key      PoolKey
+	instance instanceKey
 	knobOpts []repro.Option
-	tuning   repro.Tuning
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -221,7 +221,7 @@ func resolve(req JobRequest) (*job, error) {
 		delay:    delay,
 		n:        n,
 		knobOpts: knobOpts,
-		tuning:   knobSpec.Tuning,
+		instance: newInstanceKey(req.Scenario, n, req.Seed, knobSpec.Tuning),
 		progress: new(repro.Progress),
 		started:  make(chan struct{}),
 		done:     make(chan struct{}),
@@ -246,10 +246,11 @@ func (j *job) timeout(maxJobTime time.Duration) time.Duration {
 	return d
 }
 
-// run executes the solve on the calling worker goroutine, checking scratch
-// state out of (and back into) pool. It owns the terminal transition:
-// exactly one close(j.done) per job.
-func (j *job) run(pool *ScratchPool) {
+// run executes the solve on the calling worker goroutine, taking its
+// scenario instance from instances and checking scratch state out of (and
+// back into) pool. It owns the terminal transition: exactly one
+// close(j.done) per job.
+func (j *job) run(pool *ScratchPool, instances *instanceCache) {
 	defer close(j.done)
 	if err := j.ctx.Err(); err != nil {
 		// The client went away (or the deadline passed) while the job was
@@ -258,11 +259,11 @@ func (j *job) run(pool *ScratchPool) {
 		return
 	}
 	close(j.started)
-	// Build with the job's tuning so build-time choices (Gram form, sharded
-	// precompute) see the knobs; pooled scratches are safe across jobs with
-	// different tuning because engines install Spec.Tuning on every scratch
-	// at solve time.
-	inst, err := repro.BuildScenarioTuned(j.req.Scenario, j.req.N, j.req.Seed, j.tuning)
+	// The instance is built with the job's tuning (it is part of the key),
+	// so build-time choices (Gram form, sharded precompute) see the knobs;
+	// pooled scratches are safe across jobs with different tuning because
+	// engines install Spec.Tuning on every scratch at solve time.
+	inst, err := instances.get(j.instance)
 	if err != nil {
 		j.err = err
 		return

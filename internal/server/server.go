@@ -61,12 +61,13 @@ func (c *Config) fill() {
 }
 
 // Server is the solver-as-a-service HTTP front end: admission control into
-// a bounded queue, a fixed worker pool running repro.Solve jobs with
-// signature-keyed scratch reuse, NDJSON-streamed results, and graceful
-// drain.
+// a bounded queue, a fixed worker pool running repro.Solve jobs on cached
+// scenario instances with signature-keyed scratch reuse, NDJSON-streamed
+// results, and graceful drain.
 type Server struct {
-	cfg  Config
-	pool *ScratchPool
+	cfg       Config
+	pool      *ScratchPool
+	instances *instanceCache
 
 	queue chan *job
 	wg    sync.WaitGroup // worker goroutines
@@ -87,9 +88,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
-		cfg:   cfg,
-		pool:  NewScratchPool(),
-		queue: make(chan *job, cfg.QueueDepth),
+		cfg:       cfg,
+		pool:      NewScratchPool(),
+		instances: newInstanceCache(instanceBudget),
+		queue:     make(chan *job, cfg.QueueDepth),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -108,7 +110,7 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.running.Add(1)
-		j.run(s.pool)
+		j.run(s.pool, s.instances)
 		s.running.Add(-1)
 		s.completed.Add(1)
 	}
@@ -306,15 +308,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 	}
 	created, reused := s.pool.Stats()
+	built, hits, _ := s.instances.stats()
 	h := Health{
-		Status:         status,
-		Queued:         len(s.queue),
-		Running:        s.running.Load(),
-		Accepted:       s.accepted.Load(),
-		Rejected:       s.rejected.Load(),
-		Completed:      s.completed.Load(),
-		ScratchCreated: created,
-		ScratchReused:  reused,
+		Status:          status,
+		Queued:          len(s.queue),
+		Running:         s.running.Load(),
+		Accepted:        s.accepted.Load(),
+		Rejected:        s.rejected.Load(),
+		Completed:       s.completed.Load(),
+		ScratchCreated:  created,
+		ScratchReused:   reused,
+		InstancesBuilt:  built,
+		InstancesReused: hits,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if status != "ok" {
