@@ -37,13 +37,15 @@ race:
 # the opposite corner: both in-process transports take a lock per publish,
 # and a descheduled holder is where that could bite, so their tests (64
 # workers on 2-component blocks among them) also run on ONE processor under
-# -race.
+# -race. So do the dist sender's: with one processor, a lost wakeup between
+# send's doorbell, the writer's re-armed timer and flush would hang.
 smoke-tuned:
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario lasso -n 320 -block-size 64 -intra-parallel 2 >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario ridge -n 320 -intra-parallel 2 -gram-precompute=false >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario multigrid -n 31 -engine message -workers 2 -intra-parallel 2 >/dev/null
 	GOMAXPROCS=4 $(GO) test -race -run 'Tuning|Knob|Tiled|Lean' . ./internal/operators/ ./internal/vec/ ./internal/server/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Shared|Message' ./internal/runtime/
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Sender|Delay|Superseded|Teardown|Sheds|Owned' ./internal/dist/
 
 # Every example program must actually run, not just compile (CI smoke-runs
 # them on every push).
@@ -149,7 +151,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22574
+LOC_CEILING := 22566
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

@@ -29,10 +29,10 @@
 // exchange binary shard frames (wire.go) under per-link fault injection —
 // WithFaults(Faults{DropProb, ReorderProb, MaxLinkDelay}): iid loss,
 // hold-backs so later frames overtake, transit jitter. A sender discards a
-// frame a later one from the same source overtook (the label discipline
-// for out-of-order messages), counted MessagesReordered and drained from
-// the in-flight count like a drop; the one-frame newest-wins outbox sheds
-// stale frames too, so a fault-free run can report reordered frames. A
+// frame a later one from the same source overtook (the label discipline for
+// out-of-order messages), counted MessagesReordered and drained from the
+// in-flight count like a drop; a leg writes only its newest due frame, so it
+// sheds stale frames too and a fault-free run can report reordered frames. A
 // worker's final is reliable. WithTopology picks "star" (default: the
 // coordinator relays every frame) or "mesh" (worker-to-worker links);
 // rendezvous, probe-round termination, membership and final collection go
@@ -121,18 +121,19 @@
 //
 // # Performance
 //
-// The engine hot paths are allocation-free in steady state: vec kernels
-// have ...Into variants, every engine threads one per-worker operator
-// scratch (NewOperatorScratch) through its evaluations, the simulator pools
-// events and messages, the message transport's mailboxes are allocated
-// once per run, and the TCP data plane pools frames (one pooled,
-// reference-counted buffer per frame) and delay timers process-wide
-// (per-run pools made a solve's allocations follow the machine's load). Repeated Solves of one shape share buffers
-// through one Scratch (NewScratch, WithScratch). A dense row slab (every
-// dense-Gram phase, reverify and residual check) runs four rows per pass
-// through one SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go
-// elsewhere) that keeps each row's canonical reduction order, so its rows
-// carry the one-row loop's bits at about 2.5x its speed.
+// The engine hot paths are allocation-free in steady state: vec kernels have
+// ...Into variants, every engine threads one per-worker operator scratch
+// (NewOperatorScratch) through its evaluations, the simulator pools events
+// and messages, the message transport's mailboxes are allocated once per run,
+// and the TCP data plane pools frames process-wide (one pooled,
+// reference-counted buffer per frame, held in a per-leg queue that keeps its
+// backing array) (per-run pools made a solve's allocations follow the
+// machine's load). Repeated Solves of one shape share buffers through one
+// Scratch (NewScratch, WithScratch). A dense row slab (every dense-Gram
+// phase, reverify and residual check) runs four rows per pass through one
+// SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go elsewhere) that keeps
+// each row's canonical reduction order, so its rows carry the one-row loop's
+// bits at about 2.5x its speed.
 //
 // There is one way to evaluate an operator: Component is the definition;
 // BlockOperator (EvalBlockScratch) is the optional shared-work path,

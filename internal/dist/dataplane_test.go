@@ -1,8 +1,8 @@
 package dist
 
 // The data plane's steady state: frames are pooled buffers shared by
-// reference, delayed deliveries re-arm the timers of pooled records, and the
-// relay forwards what it read. These tests pin that nothing allocates per
+// reference, a leg's queue reuses its backing array, and the relay forwards
+// what it read. These tests pin that nothing allocates per
 // frame, that no buffer is released early or never, and that the bytes a
 // destination reads are the ones the source encoded.
 
@@ -77,8 +77,8 @@ func TestDataPlaneAllocsPerPhase(t *testing.T) {
 }
 
 // TestDelayedSendDoesNotAllocate: once warm, encoding a frame into a pooled
-// buffer, sending it with a transit delay and delivering it from the timer
-// callback allocates nothing.
+// buffer, sending it with a transit delay and writing it from the writer
+// goroutine's timer allocates nothing.
 func TestDelayedSendDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race")
@@ -99,16 +99,16 @@ func TestDelayedSendDoesNotAllocate(t *testing.T) {
 		sendOne()
 	}
 	if avg := testing.AllocsPerRun(200, sendOne); avg != 0 {
-		t.Errorf("send -> delayed deliver allocates %v per frame", avg)
+		t.Errorf("send -> delayed write allocates %v per frame", avg)
 	}
 }
 
 // TestFrameBuffersOwnedOnce runs both data planes with the frame audit on:
 // every released buffer is overwritten with NaN bits, so one released while
-// a leg, a delay record or a receiver still reads it corrupts the solve, and
-// every buffer taken must be back by the time Run returns. Two runs hold
-// almost every frame in delay records; a fault-free star run sends them
-// through the uplinks' and the relay's outboxes instead.
+// a leg's queue or a receiver still holds it corrupts the solve, and every
+// buffer taken must be back by the time Run returns. Two runs hold almost
+// every frame for a transit delay; a fault-free star run queues them on the
+// uplinks' and the relay's legs due at once instead.
 func TestFrameBuffersOwnedOnce(t *testing.T) {
 	frameAudit.takes.Store(0)
 	frameAudit.releases.Store(0)
@@ -221,12 +221,12 @@ func (c *gateConn) Write(b []byte) (int, error) {
 }
 
 // TestStarUplinkSheds: a star worker publishes through its uplink's
-// newest-wins outbox, so while the control link is stuck in a write the
+// newest-wins leg, so while the control link is stuck in a write the
 // compute goroutine keeps going, and every broadcast overtaken before the
 // writer takes it is discarded unwritten and charged p-1 times, the sends
-// the worker counted for it. A reliable publish empties the outbox and is
-// written; the frame it superseded never follows it. The status reply
-// carries the uplink ledger's drain.
+// the worker counted for it. A reliable publish disposes of the waiting
+// frame and is written; the frame it superseded never follows it. The
+// status reply carries the uplink ledger's drain.
 func TestStarUplinkSheds(t *testing.T) {
 	const p, k = 4, 6
 	conn := &gateConn{entered: make(chan struct{}, 1), gate: make(chan struct{})}
@@ -299,45 +299,93 @@ func TestStarUplinkSheds(t *testing.T) {
 }
 
 // TestSupersededHoldDisposedAtOnce: once a frame is written on a leg, a
-// delivery held for that leg with a lower sequence number of the same
-// generation can only ever be filtered, so the sender disposes of it at
-// once: gone from pending, one reordered and one drained in the
-// generation, its buffer released. A hold on another leg, or from an older
-// generation, stays for its timer.
+// frame held for that leg with a lower sequence number of the same
+// generation can only ever be filtered, so serving the leg disposes of it
+// at once, due or not: gone from the queue, one reordered and one drained
+// in the generation, its buffer released. A frame of an older generation
+// is dropped when its leg is served; a hold on another leg stays queued.
 func TestSupersededHoldDisposedAtOnce(t *testing.T) {
 	frameAudit.takes.Store(0)
 	frameAudit.releases.Store(0)
 	frameAudit.on.Store(true)
 	defer frameAudit.on.Store(false)
-	s := memSender(Fault{MaxDelay: time.Microsecond, Seed: 1}, &memConn{}, &memConn{})
+	s := memSender(Fault{}, &memConn{}, &memConn{})
 	s.led.enter(2)
-	l1, l2 := s.out[1].Load(), s.out[2].Load()
+	l1, l2 := s.legTo(1), s.legTo(2)
+	later := time.Now().Add(time.Minute)
 	superseded, otherLeg, olderGen := blockFrame(0, 1, 2, 0, 1), blockFrame(0, 1, 2, 0, 1), blockFrame(0, 1, 1, 0, 1)
-	for _, h := range []struct {
-		l *leg
-		f *frameBuf
-	}{{l1, superseded}, {l2, otherLeg}, {l1, olderGen}} {
-		if !s.later(time.Minute, h.l, h.f) {
-			t.Fatal("later refused before drain")
-		}
+	hand(s, l1, superseded, later)
+	hand(s, l2, otherLeg, later)
+	hand(s, l1, olderGen, later)
+	deliver(s, l1, blockFrame(0, 5, 2, 0, 1))
+	s.mu.Lock()
+	left1, left2 := len(l1.queue), len(l2.queue)
+	s.mu.Unlock()
+	if left1 != 0 || left2 != 1 {
+		t.Errorf("queued after the newer write: %d on its leg, %d on the other; want 0 and 1", left1, left2)
 	}
-	s.deliver(l1, blockFrame(0, 5, 2, 0, 1))
-	held := map[*frameBuf]bool{}
-	s.delays.mu.Lock()
-	for _, r := range s.delays.pending {
-		held[r.f] = true
-	}
-	s.delays.mu.Unlock()
-	if len(held) != 2 || held[superseded] || !held[otherLeg] || !held[olderGen] {
-		t.Errorf("pending after the newer write: superseded %v, other leg %v, older generation %v; want only the last two",
-			held[superseded], held[otherLeg], held[olderGen])
-	}
-	if got, drained := s.led.reordered.Load(), s.led.drained(); got != 1 || drained != 1 {
-		t.Errorf("reordered %d, drained in the generation %d; want 1 and 1", got, drained)
+	if got, drained, dropped := s.led.reordered.Load(), s.led.drained(), s.led.dropped.Load(); got != 1 || drained != 1 || dropped != 1 {
+		t.Errorf("reordered %d, drained in the generation %d, dropped %d; want 1, 1 and 1", got, drained, dropped)
 	}
 	s.flush()
 	if takes, releases := frameAudit.takes.Load(), frameAudit.releases.Load(); takes != 4 || releases != takes {
 		t.Errorf("%d frame buffers taken, %d released; want 4 and 4", takes, releases)
+	}
+}
+
+// TestServeWritesNewestDueOnly: frames that fell due together are served
+// in one pass, which writes only the newest of them; the ones it overtook
+// are disposed of as reordered, never written after it. A frame not yet due
+// and newer than the one written stays queued.
+func TestServeWritesNewestDueOnly(t *testing.T) {
+	conn := &recConn{}
+	s := newSender(0, 2, Fault{}, &ledger{gen: 1})
+	l := &leg{link: &link{conn: conn}, q: 1}
+	s.setLeg(1, l)
+	now := time.Now()
+	for seq := uint64(1); seq <= 3; seq++ {
+		hand(s, l, blockFrame(0, seq, 1, 0, 1), now.Add(-time.Duration(seq)))
+	}
+	hand(s, l, blockFrame(0, 4, 1, 0, 1), now.Add(time.Minute))
+	s.serve(l, now)
+	s.mu.Lock()
+	left := len(l.queue)
+	s.mu.Unlock()
+	if len(conn.written) != 1 || conn.written[0].seq != 3 || left != 1 {
+		t.Errorf("wrote %v with %d left queued; want only sequence number 3, and 4 left", conn.written, left)
+	}
+	if got := s.led.reordered.Load(); got != 2 {
+		t.Errorf("reordered = %d, want the 2 frames the written one overtook", got)
+	}
+	s.flush()
+}
+
+// TestReplacedLegQueueDropped: replacing a leg (or removing it) drops every
+// frame queued on it at once, charged to the ledger as drops; the new leg
+// starts empty, and nothing queued on the old one is written anywhere.
+func TestReplacedLegQueueDropped(t *testing.T) {
+	old, fresh := &memConn{}, &memConn{}
+	s := memSender(Fault{}, old)
+	l := s.legTo(1)
+	later := time.Now().Add(time.Minute)
+	for seq := uint64(1); seq <= 3; seq++ {
+		hand(s, l, blockFrame(0, seq, 1, 0, 1), later)
+	}
+	if prev := s.setLeg(1, &leg{link: &link{conn: fresh}, q: 1}); prev != l {
+		t.Fatal("setLeg did not return the leg it replaced")
+	}
+	if got, drained := s.led.dropped.Load(), s.led.drained(); got != 3 || drained != 3 {
+		t.Errorf("dropped %d, drained in the generation %d; want 3 and 3", got, drained)
+	}
+	s.mu.Lock()
+	left := len(l.queue)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d frames left on the replaced leg", left)
+	}
+	s.flush()
+	if old.writes.Load() != 0 || fresh.writes.Load() != 0 {
+		t.Errorf("frames of the replaced leg written: %d old, %d new", old.writes.Load(), fresh.writes.Load())
 	}
 }
 
@@ -367,8 +415,8 @@ func TestZeroFaultSenderHoldsNoStream(t *testing.T) {
 	}
 }
 
-// BenchmarkSenderDelayedFanout: one frame fanned out to three legs, each
-// delivered from its own delay timer.
+// BenchmarkSenderDelayedFanout: one frame fanned out to three legs with a
+// transit delay each, written by the writer goroutine off its one timer.
 func BenchmarkSenderDelayedFanout(b *testing.B) {
 	conns := []*memConn{{wrote: make(chan struct{}, 1)}, {wrote: make(chan struct{}, 1)}, {wrote: make(chan struct{}, 1)}}
 	s := memSender(Fault{MaxDelay: 20 * time.Microsecond, Seed: 1}, conns...)

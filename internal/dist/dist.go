@@ -25,9 +25,9 @@
 // on a real network path); every sender filters each leg by sequence
 // number — a frame overtaken by a later one from the same source is
 // discarded there, never written, never applied, and counted reordered (seq
-// below the newest) or duplicate (seq equal); and keeps a one-frame
-// newest-wins outbox per leg, so a source that outruns a socket sheds its
-// own stale frames (counted reordered too) instead of queueing them.
+// below the newest) or duplicate (seq equal); and writes only the newest
+// due frame on a leg, so a source that outruns a socket sheds its own stale
+// frames (counted reordered too) instead of queueing them.
 // Discards count as drained for the termination protocol, like injection
 // drops: they can never reactivate a worker.
 //
@@ -55,8 +55,8 @@
 // delivered — so a quiet round can never hide a message being absorbed.
 // Rounds start on parks (a worker going passive or spent sends a park
 // frame): at once, or as the round in flight completes; the probe timer is
-// only a backstop. A sender disposes of a held delivery once a newer frame
-// is written on its leg, not when its hold runs out.
+// only a backstop. A sender disposes of a held frame once a newer one is
+// written on its leg, not when its hold runs out.
 //
 // Membership is elastic in every run (protocol v4): a link whose read or
 // write fails — or, when Config.Elastic.HeartbeatEvery has workers
@@ -186,15 +186,15 @@ type Result struct {
 	// in-flight frames from the books), so under churn the identity is not
 	// expected to hold.
 	//
-	// The sender's filter counters are disjoint from each other and from
-	// the above: MessagesReordered counts frames discarded on a leg because
-	// a later-sequenced frame from the same source had already gone out on
-	// it or replaced them in its one-frame outbox (they are dropped at the
-	// sender, never written or applied — which a source outrunning a
-	// socket causes on its own, so the count can be positive with no fault
-	// configured, on star as on mesh); MessagesDuplicate counts frames
-	// whose sequence number exactly matched the newest already written on
-	// that leg; MessagesStale counts frames that slipped past the filter
+	// The sender's filter counters are disjoint from each other and from the
+	// above: MessagesReordered counts frames discarded on a leg because a
+	// later-sequenced frame from the same source had already gone out on it
+	// or was due on it as well, a leg writing only its newest due frame (they
+	// are dropped at the sender, never written or applied — which a source
+	// outrunning a socket causes on its own, so the count can be positive
+	// with no fault configured, on star as on mesh); MessagesDuplicate counts
+	// frames whose sequence number exactly matched the newest already written
+	// on that leg; MessagesStale counts frames that slipped past the filter
 	// and were discarded by the receiver as superseded (defense in depth —
 	// zero in a healthy run).
 	MessagesDelivered, MessagesStale, MessagesReordered, MessagesDuplicate int64
@@ -256,11 +256,17 @@ func (f Fault) validate() error {
 	if !(f.ReorderProb >= 0 && f.ReorderProb < 1) {
 		return fmt.Errorf("dist: ReorderProb %v outside [0, 1)", f.ReorderProb)
 	}
-	if f.MaxDelay < 0 {
-		return fmt.Errorf("dist: MaxDelay %v is negative", f.MaxDelay)
+	if f.MaxDelay < 0 || f.MaxDelay > maxDuration {
+		return fmt.Errorf("dist: MaxDelay %v outside [0, %v]", f.MaxDelay, maxDuration)
 	}
 	return nil
 }
+
+// maxDuration bounds every duration a run is configured with: a sender
+// holds a reordered frame for up to 5×MaxDelay (its transit delay plus a
+// 4×MaxDelay hold) and a link may stay silent for 6×HeartbeatEvery, which
+// must not overflow.
+const maxDuration = time.Duration(1<<63-1) / 6
 
 // Run executes the full distributed solve in-process over localhost TCP:
 // it listens on an ephemeral port, launches the coordinator, dials one TCP

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	gort "runtime"
@@ -120,9 +121,9 @@ func TestRunConverges(t *testing.T) {
 }
 
 // TestStarRelaySheds: the star data plane sheds in two places, both the same
-// newest-wins sender a mesh worker runs — each worker's uplink outbox, ahead
-// of its control link, and the relay's outbox on each leg, ahead of a
-// destination's control link. Workers that publish faster than a socket
+// newest-wins sender a mesh worker runs — each worker's uplink leg, ahead of
+// its control link, and the relay's leg to each destination, ahead of its
+// control link. Workers that publish faster than a socket
 // drains — a run to budget with no tolerance to stop at — have their
 // overtaken frames discarded there (reported as reordered with no fault
 // configured) instead of queued.
@@ -262,6 +263,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Fault: Fault{MaxDelay: -1}}); err == nil {
 		t.Error("expected error for negative MaxDelay")
+	}
+	// Durations whose multiples (the 4x reorder hold, the 6x silence
+	// window, the 4x checkpoint default) or the delay draw would overflow.
+	const largest = time.Duration(1<<63 - 1)
+	for _, cfg := range []Config{
+		{Fault: Fault{MaxDelay: largest}},
+		{Fault: Fault{MaxDelay: largest / 4}},
+		{Elastic: Elastic{HeartbeatEvery: 1 << 61}},
+		{Elastic: Elastic{HeartbeatEvery: largest}},
+		{Elastic: Elastic{HeartbeatEvery: time.Millisecond, CheckpointEvery: largest}},
+		{Elastic: Elastic{MaxRejoinWait: largest}},
+	} {
+		cfg.Config = runtime.Config{Op: op, Workers: 2}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%+v %+v: expected error for an overflowing duration", cfg.Fault, cfg.Elastic)
+		}
 	}
 	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 2}, Topology: "ring"}); err == nil {
 		t.Error("expected error for unknown topology")
@@ -586,10 +603,10 @@ func TestSupersededNeverRelayed(t *testing.T) {
 	}()
 	frame := func(seq uint64) *frameBuf { return blockFrame(0, seq, 1, 0, 1, 2) }
 
-	s.deliver(l, frame(2)) // newest first
-	s.deliver(l, frame(1)) // superseded: must be discarded here
-	s.deliver(l, frame(2)) // duplicate: must be discarded here
-	s.deliver(l, frame(3)) // fresh: must pass
+	deliver(s, l, frame(2)) // newest first
+	deliver(s, l, frame(1)) // superseded: must be discarded here
+	deliver(s, l, frame(2)) // duplicate: must be discarded here
+	deliver(s, l, frame(3)) // fresh: must pass
 
 	if got := <-frames; got != 2 {
 		t.Fatalf("first written seq = %d, want 2", got)
@@ -657,7 +674,7 @@ func TestRelayLegSharesLinkMutex(t *testing.T) {
 	const frames = 400
 	go func() {
 		for seq := uint64(1); seq <= frames; seq++ {
-			s.deliver(l, blockFrame(0, seq, 1, 0, float64(seq), 2, 3))
+			deliver(s, l, blockFrame(0, seq, 1, 0, float64(seq), 2, 3))
 		}
 	}()
 	go func() {
@@ -780,11 +797,11 @@ func TestLostSlotLeavesEveryRelay(t *testing.T) {
 			s.flush()
 		}
 	}()
-	if c.relays[0].out[1].Load() == nil || c.relays[1].out[0].Load() == nil {
+	if c.relays[0].legTo(1) == nil || c.relays[1].legTo(0) == nil {
 		t.Fatal("linkUp left a relay without its leg to the other slot")
 	}
 	c.exec([]action{{kind: actDown, slot: 1, link: 2}})
-	if c.relays[0].out[1].Load() != nil {
+	if c.relays[0].legTo(1) != nil {
 		t.Error("the survivor's relay kept its leg to the lost slot")
 	}
 	if c.relays[1] != nil {
@@ -976,50 +993,64 @@ func memSender(fault Fault, conns ...*memConn) *sender {
 	return s
 }
 
-// TestDelayQueueDrain pins the teardown discipline of delayed deliveries:
-// drain refuses new delays, cancels what it can and charges each cancelled
-// frame to the ledger as a drop, waits out callbacks already firing, and no
-// callback can start after drain returns.
-func TestDelayQueueDrain(t *testing.T) {
+// hand queues f on leg l of s, writable from due, handing the leg the
+// caller's reference; unlike send it draws nothing and rings nobody.
+func hand(s *sender, l *leg, f *frameBuf, due time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l.queue = append(l.queue, held{f: f, due: due})
+}
+
+// deliver hands f to leg l of s, due at once, and serves the leg as a
+// reliable send does.
+func deliver(s *sender, l *leg, f *frameBuf) {
+	hand(s, l, f, time.Time{})
+	s.serve(l, time.Time{})
+}
+
+// TestSenderFlushDropsQueued pins the sender's teardown: flush drops every
+// frame still queued, charging each to the ledger as a drop, returns with
+// no write in progress, and nothing is written after it.
+func TestSenderFlushDropsQueued(t *testing.T) {
+	const frames, delay = 64, 50 * time.Millisecond
 	conn := &memConn{}
-	s := memSender(Fault{}, conn)
-	defer s.flush()
-	l := s.out[1].Load()
-	for seq := uint64(1); seq <= 64; seq++ {
-		if !s.later(50*time.Millisecond, l, blockFrame(0, seq, 1, 0, 1)) {
-			t.Fatal("later refused before drain")
-		}
+	s := memSender(Fault{MaxDelay: delay}, conn)
+	s.rng = rand.New(&script{int64(delay)})
+	for seq := uint64(1); seq <= frames; seq++ {
+		f := blockFrame(0, seq, 1, 0, 1)
+		s.send(f, false)
+		f.release()
 	}
-	s.delays.drain()
+	s.flush()
+	if got := s.led.dropped.Load(); got != frames {
+		t.Errorf("dropped = %d, want the %d queued frames", got, frames)
+	}
+	time.Sleep(delay + 10*time.Millisecond)
 	if got := conn.writes.Load(); got != 0 {
-		t.Errorf("%d far-future deliveries ran despite drain", got)
-	}
-	if got := s.led.dropped.Load(); got != 64 {
-		t.Errorf("dropped = %d, want the 64 cancelled deliveries", got)
-	}
-	late := blockFrame(0, 65, 1, 0, 1)
-	if s.later(time.Microsecond, l, late) {
-		t.Error("later accepted a delivery post-drain")
-	} else {
-		late.release()
-	}
-	time.Sleep(2 * time.Millisecond)
-	if got := conn.writes.Load(); got != 0 {
-		t.Errorf("post-drain delivery ran (%d)", got)
+		t.Errorf("%d queued frames were written despite flush", got)
 	}
 
-	// A callback that is already running when drain starts must complete
-	// before drain returns (the write-before-close guarantee).
+	// A write already under way when flush starts completes before flush
+	// returns.
 	slow := &memConn{wrote: make(chan struct{}, 1), stall: 10 * time.Millisecond}
 	s2 := memSender(Fault{}, slow)
-	defer s2.flush()
-	s2.later(time.Microsecond, s2.out[1].Load(), blockFrame(0, 1, 1, 0, 1))
+	f := blockFrame(0, 1, 1, 0, 1)
+	s2.send(f, false)
+	f.release()
 	<-slow.wrote
-	s2.delays.drain()
+	s2.flush()
 	if slow.writes.Load() != 1 {
-		t.Error("drain returned while a callback was still running")
+		t.Error("flush returned while a write was still under way")
 	}
 }
+
+// script is a rand.Source that draws v every time: a sender whose rng is
+// rand.New(script) with Fault{MaxDelay: d} delays every frame by exactly v
+// (at most d).
+type script struct{ v int64 }
+
+func (s *script) Int63() int64 { return s.v }
+func (s *script) Seed(int64)   {}
 
 // TestDelayedDeliveryTeardown is the race-detector regression for the
 // teardown bug: with injected delays comparable to the whole solve, many

@@ -59,8 +59,10 @@ type Elastic struct {
 }
 
 func (e *Elastic) validate() error {
-	if e.HeartbeatEvery < 0 || e.CheckpointEvery < 0 || e.MaxRejoinWait < 0 {
-		return errors.New("dist: Elastic durations must be non-negative")
+	for _, d := range []time.Duration{e.HeartbeatEvery, e.CheckpointEvery, e.MaxRejoinWait} {
+		if d < 0 || d > maxDuration {
+			return fmt.Errorf("dist: Elastic duration %v outside [0, %v]", d, maxDuration)
+		}
 	}
 	if e.HeartbeatEvery == 0 && (e.CheckpointEvery > 0 || e.CheckpointPath != "") {
 		return errors.New("dist: Elastic checkpointing requires HeartbeatEvery > 0")

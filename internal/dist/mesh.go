@@ -233,17 +233,16 @@ func (m *mesh) updatePeers(addrs []string) {
 				next, m.addrs[q] = l, addrs[q]
 			}
 		}
-		if cur := m.snd.out[q].Load(); cur != nil {
-			cur.conn.Close()
+		if prev := m.snd.setLeg(q, next); prev != nil {
+			prev.conn.Close()
 		}
-		m.snd.setLeg(q, next)
 	}
 }
 
 // shutdown flushes the sender and only then closes every connection — the
-// ordering that keeps delayed and queued deliveries from writing to closing
-// conns. The listener closes first so no new inbound connection can be
-// accepted while the rest tears down.
+// ordering that keeps queued frames from being written to closing conns.
+// The listener closes first so no new inbound connection can be accepted
+// while the rest tears down.
 func (m *mesh) shutdown() {
 	m.snd.flush()
 	m.ln.Close()
@@ -256,8 +255,8 @@ func (m *mesh) shutdown() {
 		c.Close() // unblocks any handshake read before we join the acceptors
 	}
 	m.accepts.Wait()
-	for q := range m.snd.out {
-		if l := m.snd.out[q].Load(); l != nil {
+	for _, l := range m.snd.out {
+		if l != nil {
 			l.conn.Close()
 		}
 	}

@@ -2,16 +2,20 @@ package dist
 
 // The sending half of the data plane, for ONE source worker: a leg to every
 // other worker, fault injection drawn per (frame, destination) from the
-// source's RNG stream, a per-leg sequence filter behind a one-frame
-// newest-wins outbox, and a ledger of what was disposed of undelivered —
-// the paper's rule for unbounded delays and out-of-order messages (only the
-// freshest label from a source matters) in one place. Every worker sends
-// through one: a mesh worker's legs are its own TCP links; a star worker's
-// is the uplink, one leg onto its control link to the coordinator, which
-// owns one more per source link, whose legs write to the destinations'
-// control connections (the relay). Owners differ only in construction.
-// Once warm nothing here allocates per frame: frames and delay records are
-// pooled, and a frame is one buffer however many legs hold it.
+// source's RNG stream, one queue of (frame, due time) per leg, and a ledger
+// of what was disposed of undelivered. The paper's rule for unbounded delays
+// and out-of-order messages (only the freshest label from a source matters)
+// is one per-leg rule, next, applied whenever a frame is queued on a leg
+// and whenever the leg is served: write the newest due frame if it beats
+// the last one written there, and dispose of everything it overtook. Every worker sends through one: a mesh worker's
+// legs are its own TCP links; a star worker's is the uplink, one leg onto
+// its control link to the coordinator, which owns one more per source link,
+// whose legs write to the destinations' control connections (the relay).
+// Owners differ only in construction. One writer goroutine per sender serves
+// every leg, woken by a doorbell or by its one timer for the earliest due
+// time. Once warm nothing here allocates per frame: frames are pooled, a
+// frame is one buffer however many legs hold it, and a leg's queue keeps
+// its backing array.
 
 import (
 	"math/rand"
@@ -86,124 +90,6 @@ func (f *frameBuf) release() {
 	framePool.Put(f)
 }
 
-// delayQueue holds a sender's pending delayed deliveries; pending[i].idx is
-// i, so removing one moves the last into its place.
-type delayQueue struct {
-	mu      sync.Mutex
-	stopped bool
-	pending []*delayRecord
-	wg      sync.WaitGroup
-}
-
-// delayRecord is one delayed delivery of frame f to leg l of sender s. Each
-// record owns one timer, made at its first use and re-armed after.
-type delayRecord struct {
-	s   *sender
-	idx int
-	l   *leg
-	f   *frameBuf
-	t   *time.Timer
-}
-
-// delayPool is process-wide like framePool: a sender lives for one run.
-var delayPool = sync.Pool{New: func() any { return new(delayRecord) }}
-
-// later schedules the delivery of f to l after delay, handing the record
-// the caller's reference to f; it reports false (and does not schedule)
-// when the queue has already been drained.
-func (s *sender) later(delay time.Duration, l *leg, f *frameBuf) bool {
-	d := &s.delays
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return false
-	}
-	r := delayPool.Get().(*delayRecord)
-	r.s, r.idx, r.l, r.f = s, len(d.pending), l, f
-	d.pending = append(d.pending, r)
-	d.wg.Add(1)
-	// The callback takes mu first, and we hold it until the record is
-	// filled in, so even an immediately firing timer finds it.
-	if r.t == nil {
-		r.t = time.AfterFunc(delay, r.fire)
-	} else {
-		r.t.Reset(delay)
-	}
-	return true
-}
-
-// remove takes pending record r out of the queue and returns it to the
-// pool; the caller holds mu.
-func (d *delayQueue) remove(r *delayRecord) {
-	last := len(d.pending) - 1
-	moved := d.pending[last]
-	d.pending[r.idx], moved.idx = moved, r.idx
-	d.pending[last] = nil
-	d.pending = d.pending[:last]
-	r.s, r.l, r.f = nil, nil, nil
-	delayPool.Put(r)
-}
-
-// fire is a record's timer callback, on its own goroutine as every timer
-// callback is, so delayed writes never queue behind one another. It frees
-// the record before delivering, and re-checks the stopped flag, so a timer
-// that drain could not cancel disposes of its frame instead of racing
-// teardown.
-//
-//repro:hotpath
-func (r *delayRecord) fire() {
-	s := r.s
-	d := &s.delays
-	d.mu.Lock()
-	l, f := r.l, r.f
-	d.remove(r)
-	stopped := d.stopped
-	d.mu.Unlock()
-	if stopped {
-		s.led.dropped.Add(s.weight)
-		f.release()
-	} else {
-		s.deliver(l, f)
-	}
-	d.wg.Done()
-}
-
-// drain stops the queue: no new delays are accepted, every pending timer
-// that can still be stopped is, its frame charged to the ledger as a drop (it
-// was counted sent and will never be delivered), and drain blocks until
-// callbacks that were already firing have returned.
-func (d *delayQueue) drain() {
-	d.mu.Lock()
-	d.stopped = true
-	d.cancel(nil, nil)
-	d.mu.Unlock()
-	d.wg.Wait()
-}
-
-// cancel disposes of the pending deliveries whose timers it can still stop:
-// with f nil all of them, each a drop; else those to leg l that frame f,
-// just written there, overtook (same generation, lower sequence number),
-// each reordered now as the filter would when its timer fired. The caller
-// holds mu.
-//
-//repro:hotpath
-func (d *delayQueue) cancel(l *leg, f *frameBuf) {
-	for i := len(d.pending) - 1; i >= 0; i-- {
-		r := d.pending[i]
-		if f != nil && (r.l != l || r.f.gen != f.gen || r.f.seq >= f.seq) || !r.t.Stop() {
-			continue
-		}
-		if f == nil {
-			r.s.led.dropped.Add(r.s.weight)
-		} else {
-			r.s.led.discard(r.f.gen, &r.s.led.reordered, r.s.weight)
-		}
-		r.f.release()
-		d.remove(r)
-		d.wg.Done()
-	}
-}
-
 // ledger is the drain accounting of one or more senders: frames disposed of
 // without being delivered, none of which can ever reactivate a worker.
 // dropped counts injection drops and frames lost to dead legs, failed
@@ -264,35 +150,45 @@ func (l *link) write(frame []byte) error {
 	return err
 }
 
-// leg is one directed source-to-destination path of a sender. lastSeq
-// (guarded by the link mutex) is the newest sequence number written on it
-// within generation seqGen; sequence streams restart at every re-shard, so
-// the filter resets lazily when the first frame of a newer generation
-// arrives — an older-generation frame never reaches the filter, the
-// generation fence discards it first.
-//
-// pending is the leg's one-frame outbox: send publishes each undelayed
-// frame there, holding a reference of its own, and the sender's writer
-// goroutine swaps it out to write. Publishing over a frame the writer has
-// not yet taken supersedes it (and releases it) before it ever touches the
-// wire — newest-wins, the same discipline the filter applies after delays,
-// so a source that outruns a socket sheds exactly the frames whose values
-// are already stale instead of queueing them.
+// held is one frame a leg holds: the leg's reference to f, writable from
+// due on (the zero time: at once).
+type held struct {
+	f   *frameBuf
+	due time.Time
+}
+
+// leg is one directed source-to-destination path of a sender. Its queue
+// and filter are guarded by the sender's mu. queue holds, in send order,
+// the frames handed to the leg and neither written nor disposed of yet.
+// lastSeq is the newest sequence number written on the leg within
+// generation seqGen; sequence streams restart at every re-shard, so the
+// filter resets lazily when the leg is first served in a newer generation.
 type leg struct {
 	*link
 	q       int // destination worker
+	queue   []held
 	lastSeq uint64
 	seqGen  uint32
-	pending atomic.Pointer[frameBuf]
 }
+
+// due is the earliest time a frame queued on the leg can be written, never
+// when none is queued.
+func (l *leg) due() time.Time {
+	t := never
+	for _, h := range l.queue {
+		if h.due.Before(t) {
+			t = h.due
+		}
+	}
+	return t
+}
+
+// never stands for no due time at all.
+var never = time.Unix(1<<62, 0)
 
 // sender is the data plane's sending half for source worker id (-1: uplink).
 type sender struct {
-	id int
-	// out is indexed by destination worker (nil at id and at dead slots).
-	// Entries are atomic pointers because the owner swaps legs as the
-	// membership changes while the writer goroutine walks them.
-	out []atomic.Pointer[leg]
+	id  int
 	led *ledger
 	// weight is the sends the source counted per frame and leg, charged to
 	// the ledger when such a frame is disposed of: p-1 on an uplink, else 1.
@@ -308,8 +204,18 @@ type sender struct {
 	rng   *rand.Rand
 	hold  time.Duration
 
-	delays    delayQueue
-	notify    chan struct{} // doorbell: some leg has a pending frame
+	// mu guards out, every installed leg's queue and filter, and wake. It
+	// is never held across a socket write, and is taken inside a link's
+	// mutex, never around one.
+	mu sync.Mutex
+	// out is indexed by destination worker (nil at id and at dead slots);
+	// the owner swaps legs as the membership changes.
+	out []*leg
+	// wake is when the writer's next pass starts at the latest (never: no
+	// pass is due); send rings the doorbell only for a frame due before it.
+	wake time.Time
+
+	notify    chan struct{} // doorbell: a frame is due before wake
 	writer    sync.WaitGroup
 	flushOnce sync.Once
 
@@ -351,11 +257,12 @@ func (f Fault) decide(rng *rand.Rand, hold time.Duration, reliable bool) (drop b
 func newSender(id, p int, fault Fault, led *ledger) *sender {
 	s := &sender{
 		id:      id,
-		out:     make([]atomic.Pointer[leg], p),
+		out:     make([]*leg, p),
 		led:     led,
 		weight:  1,
 		fault:   fault,
 		hold:    4 * fault.MaxDelay,
+		wake:    never,
 		notify:  make(chan struct{}, 1),
 		bytesTo: make([]atomic.Int64, p),
 	}
@@ -365,25 +272,8 @@ func newSender(id, p int, fault Fault, led *ledger) *sender {
 	if s.hold <= 0 {
 		s.hold = defaultReorderHold
 	}
-	// One writer goroutine drains the leg outboxes, so send never waits on
-	// a socket and a burst of fan-out frames is written in one scheduling
-	// quantum. The store-then-ring / receive-then-scan pairing makes missed
-	// wakeups impossible.
 	s.writer.Add(1)
-	go func() {
-		defer s.writer.Done()
-		for range s.notify {
-			for q := range s.out {
-				l := s.out[q].Load()
-				if l == nil {
-					continue
-				}
-				if f := l.pending.Swap(nil); f != nil {
-					s.deliver(l, f)
-				}
-			}
-		}
-	}()
+	go s.run()
 	return s
 }
 
@@ -397,147 +287,243 @@ func newUplink(coord *link, p int, gen uint32) *sender {
 	return s
 }
 
-// setLeg installs (or, with nil, removes) the leg to destination q. A frame
-// still in the replaced leg's outbox is disposed of: nobody will write it.
-func (s *sender) setLeg(q int, next *leg) {
-	if prev := s.out[q].Swap(next); prev != nil {
+// setLeg installs (or, with nil, removes) the leg to destination q and
+// returns the leg it replaced, whose queued frames it drops: nobody will
+// write them.
+func (s *sender) setLeg(q int, next *leg) *leg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev := s.out[q]
+	if prev != nil {
 		s.abandon(prev)
 	}
+	s.out[q] = next
+	return prev
 }
 
-// abandon accounts the frame, if any, left in a leg that is no longer
-// installed.
+// abandon drops every frame queued on leg l, which is leaving the sender;
+// the caller holds mu.
 func (s *sender) abandon(l *leg) {
-	if f := l.pending.Swap(nil); f != nil {
-		s.led.discard(f.gen, &s.led.dropped, s.weight)
-		f.release()
+	for _, h := range l.queue {
+		s.dispose(h.f, &s.led.dropped)
 	}
+	clear(l.queue)
+	l.queue = l.queue[:0]
+}
+
+// dispose accounts frame f, which a leg will never write, in ctr and
+// releases the leg's reference to it.
+func (s *sender) dispose(f *frameBuf, ctr *atomic.Int64) {
+	s.led.discard(f.gen, ctr, s.weight)
+	f.release()
 }
 
 // send fans frame f out to every peer, drawing the fault decisions in
-// destination order from the per-source RNG. Each leg it hands f to gets a
-// reference of its own; the caller keeps its own. It has a single caller per
-// sender (a worker's compute goroutine, the relay's reader of the source
-// link); only delayed deliveries escape to timer callbacks.
+// destination order from the per-source RNG; each leg it is not dropped for
+// queues a reference of its own, and the caller keeps its own. It has a
+// single caller per sender (a worker's compute goroutine, the relay's
+// reader of the source link), and leaves the writing to the writer
+// goroutine, except that it serves a reliable frame itself before
+// returning: a worker's park frame must not overtake its final on the
+// control link.
 //
 //repro:hotpath
 func (s *sender) send(f *frameBuf, reliable bool) {
-	var ding struct{} // the doorbell's ring; hotpath flags a struct{}{} literal
-	for q := range s.out {
-		if q == s.id {
-			continue
+	var now time.Time // only a faulty sender delays, so only it reads the clock
+	if s.rng != nil {
+		now = time.Now()
+	}
+	s.mu.Lock()
+	for q, l := range s.out {
+		if q != s.id {
+			s.post(l, f, reliable, now)
 		}
-		l := s.out[q].Load()
-		drop, delay := s.fault.decide(s.rng, s.hold, reliable)
-		if drop || l == nil { // injected loss, or a dead slot: sent, never received
-			s.led.discard(f.gen, &s.led.dropped, s.weight)
-			continue
-		}
-		f.refs.Add(1)
-		if delay > 0 {
-			if !s.later(delay, l, f) {
-				// Teardown already began: no probe round will look again,
-				// but the frame was counted sent — account the disposal.
-				s.led.discard(f.gen, &s.led.dropped, s.weight)
-				f.release()
-			}
-			continue
-		}
-		next := f
-		if reliable {
-			next = nil // written directly, below
-		}
-		if prev := l.pending.Swap(next); prev != nil {
-			// The writer had not yet taken the previous frame: f supersedes
-			// it before it ever touches the wire.
-			s.led.discard(prev.gen, &s.led.reordered, s.weight)
-			prev.release()
-		}
-		if reliable {
-			// Never left where a later frame could supersede it (a frame
-			// the writer took just before is filtered instead).
-			s.deliver(l, f)
-			continue
-		}
-		if s.out[q].Load() != l {
-			s.abandon(l) // the owner replaced the leg under us
-		}
+	}
+	s.mu.Unlock()
+	if reliable {
+		s.serveDue(now)
+	}
+}
+
+// post hands frame f, sent at now, to leg l (nil: a dead slot): it draws
+// the fault decision, accounts an injected loss or a dead slot as a drop,
+// or else queues a reference to f on the leg, due after the drawn delay,
+// applies the rule without taking anything, and rings the writer if f is
+// due before its next pass. The caller holds mu. Applying the rule here is
+// what makes a source that outruns a socket shed exactly the frames whose
+// values are already stale instead of queueing them behind a stuck write.
+// A leg's queue grows to its high-water mark once and is reused after.
+func (s *sender) post(l *leg, f *frameBuf, reliable bool, now time.Time) {
+	drop, delay := s.fault.decide(s.rng, s.hold, reliable)
+	if drop || l == nil { // sent, never received
+		s.led.discard(f.gen, &s.led.dropped, s.weight)
+		return
+	}
+	due := now.Add(delay)
+	f.refs.Add(1)
+	if l.queue == nil {
+		l.queue = make([]held, 0, 8) // enough for most legs, grown once
+	}
+	l.queue = append(l.queue, held{f: f, due: due})
+	s.next(l, now, false)
+	if due.Before(s.wake) {
+		s.wake = due
 		select {
-		case s.notify <- ding:
+		case s.notify <- struct{}{}:
 		default:
 		}
 	}
 }
 
-// deliver writes frame f to a leg unless it predates the current membership
-// generation (silently disposed — its send was erased at the re-shard) or a
-// later-sequenced frame already went out on the leg — the sequence filter. A
-// superseded or duplicate frame is discarded here, never written, so the
-// receiver cannot double-count it and the bandwidth is never spent. The
-// discard counts as drained for the termination protocol, like a drop.
-// Either way the leg's reference to f is released.
+// next is the per-leg rule, applied to leg l at time now whenever a frame
+// is queued on it or it is served; the caller holds mu. A frame from before
+// the current membership generation is dropped: its send was erased from
+// the books at the re-shard. Of the rest, the newest due frame is the only
+// one due that can still be written, if it beats the newest written on the
+// leg; with take (a serve) it is taken, and the caller writes what next
+// returns. Everything else due, and everything at or below the newest
+// written frame, due or not, can only ever be filtered, so it is disposed
+// of now: reordered below it, duplicate at it. A disposed frame is never
+// written, so the receiver cannot double-count it and the bandwidth is
+// never spent; the discard counts as drained for the termination protocol,
+// like a drop. What stays queued is the newest due frame, untaken, and the
+// frames newer than it not yet due. The rule does no I/O, reads no clock
+// and starts nothing.
 //
 //repro:hotpath
-func (s *sender) deliver(l *leg, f *frameBuf) {
-	defer f.release()
+func (s *sender) next(l *leg, now time.Time, take bool) *frameBuf {
 	s.led.mu.RLock()
-	current := f.gen == s.led.gen
+	gen := s.led.gen
 	s.led.mu.RUnlock()
-	if !current {
-		s.led.dropped.Add(s.weight)
-		return
+	if l.seqGen != gen {
+		l.lastSeq, l.seqGen = 0, gen
 	}
-	l.mu.Lock()
-	if l.seqGen != f.gen {
-		l.lastSeq = 0
-		l.seqGen = f.gen
-	}
-	if f.seq <= l.lastSeq {
-		newest := l.lastSeq
-		l.mu.Unlock()
-		if f.seq < newest {
-			s.led.discard(f.gen, &s.led.reordered, s.weight)
-		} else {
-			s.led.discard(f.gen, &s.led.duplicate, s.weight)
+	pick := -1
+	for i, h := range l.queue {
+		if h.f.gen == gen && h.f.seq > l.lastSeq && !h.due.After(now) && (pick < 0 || h.f.seq > l.queue[pick].f.seq) {
+			pick = i
 		}
+	}
+	var w *frameBuf
+	if take && pick >= 0 {
+		w = l.queue[pick].f
+		l.lastSeq = w.seq
+	}
+	kept := 0
+	for i, h := range l.queue {
+		switch {
+		case i == pick && w != nil:
+		case h.f.gen != gen:
+			s.dispose(h.f, &s.led.dropped)
+		case h.f.seq == l.lastSeq:
+			s.dispose(h.f, &s.led.duplicate)
+		case h.f.seq < l.lastSeq, i != pick && !h.due.After(now):
+			s.dispose(h.f, &s.led.reordered)
+		default:
+			l.queue[kept] = h
+			kept++
+		}
+	}
+	clear(l.queue[kept:])
+	l.queue = l.queue[:kept]
+	return w
+}
+
+// serve applies the rule to leg l at now and writes the frame it takes. It
+// holds the leg's link mutex from the rule to the end of the write, so
+// writes on a leg leave in the order the rule took them, and a frame the
+// rule took is on the wire before anyone else serves the leg.
+//
+//repro:hotpath
+func (s *sender) serve(l *leg, now time.Time) {
+	l.mu.Lock()
+	s.mu.Lock()
+	f := s.next(l, now, true)
+	s.mu.Unlock()
+	if f == nil {
+		l.mu.Unlock()
 		return
 	}
-	l.lastSeq = f.seq
 	_, err := l.conn.Write(f.b)
 	l.mu.Unlock()
-	if s.rng != nil { // only a faulty sender holds deliveries back
-		s.delays.mu.Lock()
-		s.delays.cancel(l, f)
-		s.delays.mu.Unlock()
-	}
 	if err == nil {
 		s.bytesTo[l.q].Add(int64(len(f.b)))
+		f.release()
 		return
 	}
 	// A failed write is a lost frame: accounted as a drop, which keeps the
 	// in-flight count drainable whatever the owner makes of the failure.
-	s.led.discard(f.gen, &s.led.dropped, s.weight)
+	s.dispose(f, &s.led.dropped)
 	if s.writeFailed != nil {
 		s.writeFailed(l)
 	}
 }
 
-// flush quiesces the sender: cancel pending delayed sends (waiting out
-// callbacks already firing), then let the writer goroutine finish its
-// outboxes and exit. After flush the ledger's share of this sender and the
-// per-destination byte totals are final. It is safe to call more than once;
-// the caller of send must have stopped sending first, because flush closes
-// the doorbell send rings.
+// serveDue serves every leg holding a frame due at now.
+func (s *sender) serveDue(now time.Time) {
+	for q := range s.out {
+		s.mu.Lock()
+		l := s.out[q]
+		due := l != nil && !l.due().After(now)
+		s.mu.Unlock()
+		if due {
+			s.serve(l, now)
+		}
+	}
+}
+
+// run is the writer goroutine. Each pass serves every leg holding a due
+// frame, one after another, so a burst of fan-out frames is written in one
+// scheduling quantum and send never waits on a socket; then it arms its one
+// timer for the earliest due time left. Computing that time and publishing
+// it as wake under one hold of mu, against send's check of wake under mu,
+// makes missed wakeups impossible. A timer that fired while the doorbell
+// woke the pass only costs an empty pass. Closing the doorbell ends it.
+func (s *sender) run() {
+	defer s.writer.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	for {
+		select {
+		case _, open := <-s.notify:
+			if !open {
+				timer.Stop()
+				return
+			}
+		case <-timer.C:
+		}
+		s.serveDue(time.Now())
+		s.mu.Lock()
+		s.wake = never
+		for _, l := range s.out {
+			if l != nil && l.due().Before(s.wake) {
+				s.wake = l.due()
+			}
+		}
+		wake := s.wake
+		s.mu.Unlock()
+		timer.Stop()
+		if wake.Before(never) {
+			timer.Reset(time.Until(wake))
+		}
+	}
+}
+
+// flush quiesces the sender: the writer goroutine finishes its pass and
+// exits, then every frame still queued is dropped — accounted, keeping
+// sent = delivered + drained exact, rather than written to peers that are
+// tearing down too. After flush nothing is written, and the ledger's
+// share of this sender and the per-destination byte totals are final. It
+// is safe to call more than once; the caller of send must have stopped
+// sending first, because flush closes the doorbell send rings.
 func (s *sender) flush() {
 	s.flushOnce.Do(func() {
-		s.delays.drain()
 		close(s.notify)
 		s.writer.Wait()
-		// The run is over; any frame still sitting in an outbox is
-		// discarded (and accounted, keeping sent = delivered + drained
-		// exact) rather than written to peers that are tearing down too.
-		for q := range s.out {
-			if l := s.out[q].Load(); l != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, l := range s.out {
+			if l != nil {
 				s.abandon(l)
 			}
 		}

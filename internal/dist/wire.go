@@ -587,7 +587,7 @@ func decodeWelcome(payload []byte) (welcome, error) {
 	if c.Workers < 1 || c.Workers > w.n || w.id < 0 || w.id >= c.Workers || w.lo < 0 || w.lo > w.hi || w.hi > w.n {
 		return w, fmt.Errorf("slot %d of %d with shard [%d, %d) of %d", w.id, c.Workers, w.lo, w.hi, w.n)
 	}
-	return w, nil
+	return w, c.Fault.validate() // the worker's own sender draws from it
 }
 
 // readFrameChunk bounds the allocation a single untrusted length prefix can

@@ -19,15 +19,14 @@ const maxFramePayload = 1 << 26
 var errConnLost = errors.New("connection lost")
 
 // workerState is the TCP Transport of the runtime Worker loop, serving both
-// data planes: Publish hands shard frames to the worker's sender — the
-// uplink to the coordinator's relay on star, the worker's own mesh links on
-// mesh — and Drain and Wait take frames off the one inbox every reader
-// goroutine feeds. It lives entirely on the compute goroutine, so status
-// replies are self-consistent snapshots by construction — the property the
-// coordinator's probe rounds rely on. The only exception is the sender's
-// ledger, which its writer goroutine (and, on mesh, its delay timers) bump
-// through atomics. Inbox frames are pooled buffers the compute goroutine
-// releases once it has handled them.
+// data planes: Publish hands shard frames to the worker's sender — the uplink
+// to the coordinator's relay on star, the worker's own mesh links on mesh —
+// and Drain and Wait take frames off the one inbox every reader goroutine
+// feeds. It lives entirely on the compute goroutine, so status replies are
+// self-consistent snapshots by construction — the property the coordinator's
+// probe rounds rely on. The only exception is the sender's ledger, which its
+// writer goroutine bumps through atomics. Inbox frames are pooled buffers the
+// compute goroutine releases once it has handled them.
 type workerState struct {
 	// coord is the control link; on star the uplink's writer goroutine
 	// shares it, so every control write takes its mutex (link.write).
@@ -549,16 +548,16 @@ func (ws *workerState) next() error {
 
 // broadcast ships this worker's shard values to all peers and accounts the
 // fan-out share of the in-flight count. Under a delta threshold a
-// non-reliable broadcast is flexible communication on the wire: it ships
-// ONE frame covering the span from the first to the last component that
-// moved by more than the threshold since it was last shipped (sub-
-// threshold components inside the span ride along), and ships nothing when
-// nothing moved. One frame per broadcast makes each broadcast atomic on
-// the sequence stream: a newest-wins outbox swap or an out-of-order
-// discard disposes of whole broadcasts, never of half of one. A disposed
-// broadcast is the same loss class as an injection drop — its components
-// stay stale at the receiver until they move beyond the threshold again or
-// the reliable final (always the whole shard) restores exactness.
+// non-reliable broadcast is flexible communication on the wire: it ships ONE
+// frame covering the span from the first to the last component that moved by
+// more than the threshold since it was last shipped (sub-threshold
+// components inside the span ride along), and ships nothing when nothing
+// moved. One frame per broadcast makes each broadcast atomic on the sequence
+// stream: the sender's newest-wins rule disposes of whole broadcasts, never
+// of half of one. A disposed broadcast is the same loss class as an injection
+// drop — its components stay stale at the receiver until they move beyond the
+// threshold again or the reliable final (always the whole shard) restores
+// exactness.
 func (ws *workerState) broadcast(vals []float64, flags byte) {
 	if ws.p <= 1 {
 		return
@@ -598,10 +597,9 @@ func (ws *workerState) sendSlice(lo int, vals []float64, flags byte) {
 }
 
 // finish ends the worker's run once the loop has seen stop. It flushes the
-// sender first — cancel pending delayed sends, wait out callbacks already
-// firing, and let the writer empty the outboxes — so no block frame can
-// follow the final and the drain counters are final, then uploads the
-// authoritative shard.
+// sender first — its writer goroutine exits and every frame still queued is
+// dropped — so no block frame can follow the final and the drain counters
+// are final, then uploads the authoritative shard.
 func (ws *workerState) finish(updates int) error {
 	ws.snd.flush()
 	led := ws.snd.led

@@ -155,6 +155,28 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeOverflowingLinkDelayIsAJobError: the largest duration is a
+// valid max_link_delay knob value, so the job is admitted, and the dist
+// engine refuses it as the job's error (its hold and delay draw would
+// overflow) instead of crashing the server, which keeps serving.
+func TestServeOverflowingLinkDelayIsAJobError(t *testing.T) {
+	_, c := testServer(t, Config{Workers: 1, QueueDepth: 1})
+	out, err := c.Solve(context.Background(), JobRequest{
+		Scenario: "lasso", N: 16, Engine: "dist", Workers: 2,
+		Knobs: map[string]string{"max_link_delay": "2562047h47m16.854775807s"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Report != nil || !strings.Contains(out.JobErr, "MaxDelay") {
+		t.Fatalf("job error %q, report %v; want the MaxDelay refusal", out.JobErr, out.Report != nil)
+	}
+	out, err = c.Solve(context.Background(), JobRequest{Scenario: "lasso", N: 16, Seed: 7})
+	if err != nil || out.Report == nil || !out.Report.Converged {
+		t.Fatalf("the next job: %v, %+v", err, out)
+	}
+}
+
 // slowJob is a request that cannot finish on its own: stopping disabled,
 // huge budget — only its deadline or a cancel ends it.
 func slowJob(timeoutMS int64) JobRequest {

@@ -90,10 +90,10 @@ type Report struct {
 	MessagesSent    int64 `json:"messages_sent,omitempty"`
 	MessagesDropped int64 `json:"messages_dropped,omitempty"`
 	MessagesStale   int64 `json:"messages_stale,omitempty"`
-	// MessagesReordered counts frames a sender discarded unwritten
-	// because a later-sequenced frame from the same source had already
-	// gone out on that leg or superseded them in its one-frame outbox (so
-	// a fault-free run can report some; a frame a star worker's uplink
+	// MessagesReordered counts frames a sender discarded unwritten because a
+	// later-sequenced frame from the same source had already gone out on that
+	// leg or was due on it as well (a leg writes only its newest due frame,
+	// so a fault-free run can report some; a frame a star worker's uplink
 	// sheds counts once per peer, like its send); MessagesDuplicate counts
 	// discards of frames whose sequence number exactly matched the newest
 	// written (dist engine — disjoint from each other and from
