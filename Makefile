@@ -28,22 +28,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Tuned smoke: the cache-blocked + multi-goroutine kernels exercised end to
-# end with the knobs on and GOMAXPROCS=4 — the combination a
-# single-threaded box never covers incidentally. The gram-precompute=false
-# run exercises the lean LeastSquares gradient form. The multigrid run sends
-# a sparse operator's row slab, offset folded in, through the lane fan-out
-# (otherwise only dense operators reach it end to end). The last line is
+# Tuned smoke: the multi-goroutine kernels exercised end to end with the
+# knob on and GOMAXPROCS=4 — the combination a single-threaded box never
+# covers incidentally. A block fans out only from operators.ParallelWork
+# (2^19) multiply-adds, so the runs are sized to reach it: the lasso run's
+# residual checks span its whole 768 x 768 Gram, and the ridge run's one sim
+# worker evaluates all 384 rows of the lean LeastSquares gradient form
+# against 1536 samples on every update. The multigrid run sets the knob on a
+# sparse operator, offset folded in, through the message engine; no
+# multigrid slab (15.6k stored entries at most) reaches the threshold, so
+# the sparse lanes are pinned by the operator test's tall tridiagonal in the
+# race line below. The last line is
 # the opposite corner: both in-process transports take a lock per publish,
 # and a descheduled holder is where that could bite, so their tests (64
 # workers on 2-component blocks among them) also run on ONE processor under
 # -race. So do the dist sender's: with one processor, a lost wakeup between
 # send's doorbell, the writer's re-armed timer and flush would hang.
 smoke-tuned:
-	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario lasso -n 320 -block-size 64 -intra-parallel 2 >/dev/null
-	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario ridge -n 320 -intra-parallel 2 -gram-precompute=false >/dev/null
+	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario lasso -n 768 -intra-parallel 2 >/dev/null
+	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario ridge -n 384 -engine sim -workers 1 -intra-parallel 2 -gram-precompute=false >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario multigrid -n 31 -engine message -workers 2 -intra-parallel 2 >/dev/null
-	GOMAXPROCS=4 $(GO) test -race -run 'Tuning|Knob|Tiled|Lean' . ./internal/operators/ ./internal/vec/ ./internal/server/
+	GOMAXPROCS=4 $(GO) test -race -run 'Tuning|Knob|Lean' . ./internal/operators/ ./internal/vec/ ./internal/server/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Shared|Message' ./internal/runtime/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Sender|Delay|Superseded|Teardown|Sheds|Owned' ./internal/dist/
 
@@ -151,7 +156,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22566
+LOC_CEILING := 22408
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

@@ -131,19 +131,19 @@ func blockSeparableLassoOp(_ *testing.B, n int) repro.Operator {
 // ns/op ratio of a pair is the block contract's speedup; the operation
 // count behind it is pinned, without a clock, by
 // TestBlockSweepProxAndGradientCounts in internal/operators.
-func benchBlockSweep(b *testing.B, build func(*testing.B, int) repro.Operator, n, blockSize int, perComp bool) {
+func benchBlockSweep(b *testing.B, build func(*testing.B, int) repro.Operator, n, block int, perComp bool) {
 	op := build(b, n)
 	if perComp {
 		op = perComponent{op}
 	}
 	scr := repro.NewOperatorScratch()
 	x := repro.NewRNG(19).NormalVector(n)
-	out := make([]float64, blockSize)
+	out := make([]float64, block)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < n; lo += blockSize {
-			hi := min(lo+blockSize, n)
+		for lo := 0; lo < n; lo += block {
+			hi := min(lo+block, n)
 			repro.EvalBlock(op, scr, lo, hi, x, out[:hi-lo])
 		}
 	}

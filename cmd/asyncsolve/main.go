@@ -79,7 +79,7 @@ func main() {
 	maxIter := flag.Int("maxiter", 0, "iteration budget; 0 = scenario default")
 	seed := flag.Uint64("seed", 1, "random seed")
 	list := flag.Bool("list", false, "list registered scenarios and exit")
-	// Tuning (-block-size, -intra-parallel, -gram-precompute), fault
+	// Tuning (-intra-parallel, -gram-precompute), fault
 	// (-drop, -reorder, -maxdelay), elastic and dist (-topology, -delta)
 	// knobs come from the shared knob table, so this command, the dist
 	// coordinator, the server and the load generator cannot drift apart.

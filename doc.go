@@ -55,7 +55,9 @@
 // The three concurrent engines run ONE worker loop (internal/runtime,
 // loop.go, whose doc states its policies) over four transports — block
 // shared memory, newest-wins mailboxes, the TCP star relay and the TCP mesh:
-// the loop makes every decision, a transport only moves values. Termination
+// the loop makes every decision, a transport only moves values. A worker
+// goes passive after two consecutive phases within Tol, a fixed count as
+// the model engine's residual check every n iterations is. Termination
 // is one two-phase double-collect quiescence protocol (quiescence.go, probe
 // rounds over TCP): stop follows two identical observations of "every
 // worker parked — passive or spent its MaxUpdatesPerWorker — and nothing
@@ -173,21 +175,18 @@
 // # Tuning knobs
 //
 // The kernel-level performance knobs live in one group, Tuning, set with
-// WithTuning (or the per-knob WithBlockSize, WithIntraParallelism,
-// WithGramPrecompute); the fault-injection knobs form a second group,
+// WithTuning (or the per-knob WithIntraParallelism, WithGramPrecompute);
+// the fault-injection knobs form a second group,
 // Faults, set with WithFaults. Both groups are declared exactly once in the
 // knob table (KnobTable): the asyncsolve CLI flags, the dist coordinator's
 // flags, the server's /v1/solve JSON fields and the load generator all
 // derive from the same entries, so the surfaces cannot drift.
 //
 //	knob               flag              JSON              default  effect
-//	Tuning.BlockSize   -block-size       block_size        0        column-tile width of dense row-slab
-//	                                                                matvecs (0 = untiled); helps when rows
-//	                                                                stop fitting in cache (n in the thousands)
 //	Tuning.IntraParallelism
-//	                   -intra-parallel   intra_parallel    0        goroutine lanes for block evaluations
-//	                                                                at least 64 rows tall; helps when blocks
-//	                                                                are tall and cores are otherwise idle
+//	                   -intra-parallel   intra_parallel    0        goroutine lanes for block evaluations of
+//	                                                                at least 2^19 multiply-adds; helps when
+//	                                                                blocks are large and cores are idle
 //	Tuning.GramPrecompute
 //	                   -gram-precompute  gram_precompute   true     false = lean LeastSquares residual form:
 //	                                                                no n^2 Gram memory, O(m(b+n)) slabs
@@ -200,10 +199,10 @@
 //
 // The Elastic fields and the two dist-engine fields are table entries too,
 // so a served engine=dist job can ask for them; an engine ignores knobs
-// outside its list. BlockSize and IntraParallelism never change a
-// trajectory: every dot product reduces in one canonical 4-accumulator
-// order (s0..s3 over j mod 4, sequential tail, fixed combine), tiles carry
-// the accumulators across, lanes write disjoint rows. GramPrecompute is the
+// outside its list. IntraParallelism never changes a trajectory: every dot
+// product reduces in one canonical 4-accumulator order (s0..s3 over j mod
+// 4, sequential tail, fixed combine) and lanes write disjoint rows.
+// GramPrecompute is the
 // one knob that changes bits (a different, equivalent gradient form for
 // problems where the n x n Gram is the memory bottleneck). Engines install
 // Spec.Tuning on every worker scratch at solve start; tuning_test.go and

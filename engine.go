@@ -15,7 +15,7 @@ package repro
 //   - EngineModel   — the mathematical model of Definitions 1 and 3
 //     (internal/core): Problem, Delay, Steering, Theta,
 //     ValidateConstraint3, Workers/WorkerOf (epoch bookkeeping), Tol,
-//     MaxIter, ResidualEvery.
+//     MaxIter. It checks its fixed-point residual every n iterations.
 //   - EngineSim     — the free-running asynchronous discrete-event
 //     simulator (internal/des): Problem, Flexible, Workers, Cost, Latency,
 //     DropProb, ApplyStale, Neighbors, Seed, Trace, Tol, MaxUpdates,
@@ -24,8 +24,9 @@ package repro
 //     (internal/des): Problem, Workers, Cost, Latency, Seed, Tol,
 //     MaxUpdates, MaxTime.
 //
-// The worker-loop engines all honour Problem (Op, X0), Workers, Tol,
-// SweepsBelowTol and MaxUpdates/MaxUpdatesPerWorker, and add:
+// The worker-loop engines all honour Problem (Op, X0), Workers, Tol and
+// MaxUpdates/MaxUpdatesPerWorker (a worker goes passive after two
+// consecutive phases within Tol), and add:
 //
 //   - EngineShared  — goroutines over shared memory, a locked block per
 //     worker (internal/runtime): Flexible.
@@ -208,7 +209,6 @@ func (modelEngine) Solve(spec Spec) (*Report, error) {
 		Weights:          spec.Weights,
 		WorkerOf:         spec.WorkerOf,
 		Workers:          spec.Workers,
-		ResidualEvery:    spec.ResidualEvery,
 		CheckConstraint3: spec.ValidateConstraint3,
 		Scratch:          spec.Scratch.modelScratch(),
 		Tuning:           spec.Tuning.operatorTuning(),
@@ -364,7 +364,6 @@ func (s Spec) runtimeConfig() runtime.Config {
 		Workers:             s.workers(),
 		X0:                  s.X0,
 		Tol:                 s.Tol,
-		SweepsBelowTol:      s.SweepsBelowTol,
 		MaxUpdatesPerWorker: maxPerWorker,
 		Flexible:            s.Flexible,
 		Scratches:           s.Scratch.workerScratches(s.workers()),

@@ -1,11 +1,11 @@
 // Package knobdrift keeps the tuning/fault knob table in knobs.go the
-// single source of truth. Every knob (block-size, intra-parallel,
-// gram-precompute, drop, reorder, maxdelay, heartbeat, checkpoint,
-// rejoin-wait, checkpoint-file, topology, delta) is declared exactly once
-// there, with its CLI flag name and its server JSON field name;
-// cmd/asyncsolve registers flags via repro.RegisterKnobFlags and the
-// server decodes job fields via repro.KnobByJSON. A flag.Int("block-size",
-// ...) or a `json:"block_size"` struct tag anywhere else would silently
+// single source of truth. Every knob (intra-parallel, gram-precompute,
+// drop, reorder, maxdelay, heartbeat, checkpoint, rejoin-wait,
+// checkpoint-file, topology, delta) is declared exactly once there, with
+// its CLI flag name and its server JSON field name; cmd/asyncsolve
+// registers flags via repro.RegisterKnobFlags and the server decodes job
+// fields via repro.KnobByJSON. A flag.Int("intra-parallel", ...) or a
+// `json:"intra_parallel"` struct tag anywhere else would silently
 // fork the knob — same name, separately-maintained default, help text and
 // validation — which is exactly the drift the table exists to prevent.
 //

@@ -6,15 +6,15 @@ package a
 import "flag"
 
 type jobRequest struct {
-	BlockSize int     `json:"block_size"` // want `json tag "block_size" duplicates a knob`
-	DropProb  float64 `json:"drop_prob"`  // want `json tag "drop_prob" duplicates a knob`
-	Workers   int     `json:"workers"`
-	Untagged  int
-	NoJSON    int `yaml:"block_size"`
+	Parallel int     `json:"intra_parallel"` // want `json tag "intra_parallel" duplicates a knob`
+	DropProb float64 `json:"drop_prob"`      // want `json tag "drop_prob" duplicates a knob`
+	Workers  int     `json:"workers"`
+	Untagged int
+	NoJSON   int `yaml:"intra_parallel"`
 }
 
 func register(fs *flag.FlagSet) {
-	fs.Int("block-size", 0, "tile width")    // want `flag "block-size" duplicates a knob`
+	fs.Int("intra-parallel", 0, "lanes")     // want `flag "intra-parallel" duplicates a knob`
 	fs.Float64("drop", 0, "per-link loss")   // want `flag "drop" duplicates a knob`
 	flag.String("maxdelay", "", "jitter")    // want `flag "maxdelay" duplicates a knob`
 	fs.String("topology", "star", "plane")   // want `flag "topology" duplicates a knob`

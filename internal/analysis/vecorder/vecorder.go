@@ -2,8 +2,8 @@
 // repro/internal/vec. Floating-point addition is not associative, so the
 // order of partial sums is observable in solver trajectories; internal/vec
 // holds the ONE canonical reduction order (the 4-wide unroll in
-// kernels.go) that keeps the full, range, componentwise and tiled
-// evaluation paths mutually bit-identical. A raw
+// kernels.go) that keeps the full, range and componentwise evaluation
+// paths mutually bit-identical. A raw
 //
 //	s += a[i] * b[i]
 //

@@ -35,8 +35,9 @@ type Config struct {
 
 	// MaxIter bounds the number of global iterations.
 	MaxIter int
-	// Tol stops the run when the fixed-point residual ||F(x)-x||_inf (or
-	// the error to XStar when provided) falls below it. Zero disables.
+	// Tol stops the run when the fixed-point residual ||F(x)-x||_inf,
+	// evaluated every n iterations (or the error to XStar when provided,
+	// every iteration), falls below it. Zero disables.
 	Tol float64
 	// XStar, when known, enables exact error tracking, Theorem 1 checking
 	// and constraint (3) validation.
@@ -49,9 +50,6 @@ type Config struct {
 	WorkerOf func(i int) int
 	// Workers is the number of machines (required if WorkerOf is set).
 	Workers int
-	// ResidualEvery controls how often the O(n*row) fixed-point residual is
-	// evaluated for stopping; defaults to the dimension.
-	ResidualEvery int
 	// CheckConstraint3 validates inequality (3) at every read when XStar is
 	// known, recording violations.
 	CheckConstraint3 bool
@@ -210,10 +208,6 @@ func Run(cfg Config) (*Result, error) {
 	if workers < 1 {
 		return nil, errors.New("core: Workers must be positive when WorkerOf is set")
 	}
-	residEvery := cfg.ResidualEvery
-	if residEvery <= 0 {
-		residEvery = n
-	}
 
 	tracker := macroiter.NewTracker(n)
 	epochs := macroiter.NewEpochTracker(workers)
@@ -354,7 +348,7 @@ func Run(cfg Config) (*Result, error) {
 					converged, res.Iterations = true, j
 					break
 				}
-			} else if j%residEvery == 0 {
+			} else if j%n == 0 {
 				// xlabel is dead until the next iteration re-fills it, so it
 				// doubles as the snapshot buffer for the residual check.
 				hist.LatestSnapshotInto(xlabel)

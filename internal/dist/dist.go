@@ -133,12 +133,11 @@ type Fault struct {
 type Config struct {
 	// Config is the shared run: Op (a coordinator reads only its
 	// dimension), Workers (TCP workers, each owning a contiguous shard of
-	// roughly Dim/Workers components), X0, Tol, SweepsBelowTol,
-	// MaxUpdatesPerWorker, per-worker Scratches and Tuning, and Done and
-	// Progress — Done makes the coordinator drop every link and return a
-	// Cancelled result, Progress is bumped by in-process workers. Flexible
-	// is the shared-memory engine's knob; DeltaThreshold is its counterpart
-	// here.
+	// roughly Dim/Workers components), X0, Tol, MaxUpdatesPerWorker,
+	// per-worker Scratches and Tuning, and Done and Progress — Done makes
+	// the coordinator drop every link and return a Cancelled result,
+	// Progress is bumped by in-process workers. Flexible is the
+	// shared-memory engine's knob; DeltaThreshold is its counterpart here.
 	runtime.Config
 	// Topology selects the data plane: TopologyStar (default) or
 	// TopologyMesh.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -1402,5 +1403,54 @@ func TestAllWorkersLostFailsPromptly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("Serve took %v to give up on a run with no workers left", elapsed)
+	}
+}
+
+// TestHandshakeRefusesOtherVersion: a hello of the previous protocol
+// version — a worker built before the welcome changed — is refused with an
+// error naming both versions, and never takes a slot: with the run's only
+// slot free after a loss, the stale worker's connection is closed unseated,
+// and a current worker then rejoins into that slot and the run converges.
+func TestHandshakeRefusesOtherVersion(t *testing.T) {
+	srv, cli := tcpPair(t)
+	go cli.Write(buildFrame(msgHello, appendU32(nil, protocolVersion-1)))
+	want := fmt.Sprintf("protocol version %d, want %d", protocolVersion-1, protocolVersion)
+	if err := new(coordinator).readHello(srv); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("readHello = %v, want an error naming %q", err, want)
+	}
+
+	op, xstar := contractingOp(t, 8, 17)
+	addr, errCh, resCh := serveOne(t, Config{
+		Config:  runtime.Config{Op: op, Workers: 1, Tol: 1e-9},
+		Elastic: Elastic{MaxRejoinWait: 30 * time.Second},
+		Timeout: time.Minute,
+	})
+	first, _ := joinScripted(t, addr)
+	first.Close() // the run's only worker is lost; its slot is free
+	stale, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	stale.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := stale.Write(buildFrame(msgHello, appendU32(nil, protocolVersion-1))); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(stale, maxFramePayload); err != io.EOF {
+		t.Fatalf("stale worker read frame type %d, err %v; want its connection closed unseated", typ, err)
+	}
+	if err := ConnectWorker(addr, op, WorkerOptions{Rejoin: Rejoin{MaxWait: 30 * time.Second}}); err != nil {
+		t.Fatalf("current worker: %v", err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	res := <-resCh
+	if !res.Converged || res.WorkersRejoined != 1 {
+		t.Fatalf("converged %v, %d rejoined; want the current worker seated in the free slot and converged",
+			res.Converged, res.WorkersRejoined)
+	}
+	if e := vec.DistInf(res.X, xstar); e > 1e-6 {
+		t.Errorf("error %v", e)
 	}
 }

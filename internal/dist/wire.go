@@ -5,7 +5,7 @@ package dist
 //	frame    := u32 length | u8 type | payload          (length counts type + payload)
 //	hello    := u32 protocolVersion
 //	welcome  := u32 id | u32 workers | u32 n | u32 lo | u32 hi |
-//	            f64 tol | u32 sweepsBelowTol | u32 maxUpdates |
+//	            f64 tol | u32 maxUpdates |
 //	            u8 topology | f64 deltaThreshold | u64 timeoutNs |
 //	            f64 dropProb | f64 reorderProb | u64 maxDelayNs | u64 faultSeed |
 //	            u32 gen | u8 rejoining | u64 heartbeatNs | u64 checkpointNs |
@@ -66,7 +66,7 @@ import (
 	"time"
 )
 
-const protocolVersion = 4
+const protocolVersion = 5
 
 const (
 	msgHello byte = iota + 1
@@ -522,7 +522,6 @@ func (w *welcome) frame() []byte {
 	b = appendU32(b, uint32(w.lo))
 	b = appendU32(b, uint32(w.hi))
 	b = appendF64(b, c.Tol)
-	b = appendU32(b, uint32(c.SweepsBelowTol))
 	b = appendU32(b, uint32(c.MaxUpdatesPerWorker))
 	topo := topologyStarWire
 	if c.Topology == TopologyMesh {
@@ -557,7 +556,6 @@ func decodeWelcome(payload []byte) (welcome, error) {
 	w.lo = int(cur.u32())
 	w.hi = int(cur.u32())
 	c.Tol = cur.f64()
-	c.SweepsBelowTol = int(cur.u32())
 	c.MaxUpdatesPerWorker = int(cur.u32())
 	c.Topology = TopologyStar
 	if cur.u8() == topologyMeshWire {

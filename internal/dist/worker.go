@@ -245,7 +245,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 
 	wk := runtime.Worker{
 		ID: ws.id, Op: op, Scratch: scr,
-		Tol: cfg.Tol, Sweeps: cfg.SweepsBelowTol, Budget: cfg.MaxUpdatesPerWorker,
+		Tol: cfg.Tol, Budget: cfg.MaxUpdatesPerWorker,
 		Progress: o.progress,
 		View:     ws.view,
 	}

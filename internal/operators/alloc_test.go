@@ -69,18 +69,15 @@ func TestScratchEvaluationAllocationFree(t *testing.T) {
 	x := vec.NewRNG(13).NormalVector(n)
 	dst := make([]float64, n)
 	for _, tc := range contractOps(n) {
-		for _, tun := range []Tuning{{}, {Tile: 8}} {
-			scr := NewScratch()
-			scr.SetTuning(tun)
-			_ = ResidualWith(tc.op, scr, x) // warm up the lazily created buffers
-			for name, eval := range map[string]func(){
-				"EvalComponent": func() { _ = EvalComponent(tc.op, scr, 1, x) },
-				"ApplyInto":     func() { ApplyInto(tc.op, scr, dst, x) },
-				"ResidualWith":  func() { _ = ResidualWith(tc.op, scr, x) },
-			} {
-				if avg := testing.AllocsPerRun(100, eval); avg != 0 {
-					t.Errorf("%s tile %d: %s allocated %.1f/run, want 0", tc.name, tun.Tile, name, avg)
-				}
+		scr := NewScratch()
+		_ = ResidualWith(tc.op, scr, x) // warm up the lazily created buffers
+		for name, eval := range map[string]func(){
+			"EvalComponent": func() { _ = EvalComponent(tc.op, scr, 1, x) },
+			"ApplyInto":     func() { ApplyInto(tc.op, scr, dst, x) },
+			"ResidualWith":  func() { _ = ResidualWith(tc.op, scr, x) },
+		} {
+			if avg := testing.AllocsPerRun(100, eval); avg != 0 {
+				t.Errorf("%s: %s allocated %.1f/run, want 0", tc.name, name, avg)
 			}
 		}
 	}

@@ -148,7 +148,7 @@ func (r *Relaxed) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
 }
 
 // EvalBlockScratch implements BlockScratchOperator via the row-slab matvec
-// (tiled and lane-parallel per the scratch's tuning).
+// (lane-parallel per the scratch's tuning).
 func (l *Linear) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
 	denseSlab(scr, l.A, out, x, lo, hi)
 	for i := range out {
@@ -171,8 +171,8 @@ func (g *GradOp) EvalBlockScratch(scr *Scratch, lo, hi int, x, out []float64) {
 	}
 }
 
-// GradRange implements RangeGradSmooth via the Hessian row slab (tiled and
-// lane-parallel per the scratch's tuning).
+// GradRange implements RangeGradSmooth via the Hessian row slab
+// (lane-parallel per the scratch's tuning).
 func (f *Quadratic) GradRange(scr *Scratch, dst, x []float64, lo, hi int) {
 	denseSlab(scr, f.Q, dst, x, lo, hi)
 	for i := range dst {
@@ -180,8 +180,8 @@ func (f *Quadratic) GradRange(scr *Scratch, dst, x []float64, lo, hi int) {
 	}
 }
 
-// GradRange implements RangeGradSmooth via the Gram row slab (tiled and
-// lane-parallel per the scratch's tuning), or the shared residual pass in
+// GradRange implements RangeGradSmooth via the Gram row slab
+// (lane-parallel per the scratch's tuning), or the shared residual pass in
 // lean mode.
 func (f *LeastSquares) GradRange(scr *Scratch, dst, x []float64, lo, hi int) {
 	if f.gram == nil {

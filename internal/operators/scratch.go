@@ -18,7 +18,6 @@ import "repro/internal/vec"
 type Scratch struct {
 	bufs [][]float64
 	aux  [][]float64
-	acc  []float64  // tiled-matvec accumulators (see Acc)
 	one  [1]float64 // EvalComponent's block-of-one output
 	tun  Tuning
 	// hint is the caller's one-shot promise about the next EvalBlock's x
@@ -29,10 +28,6 @@ type Scratch struct {
 	hint       []int
 	hinted     bool
 	memo, next proxKey
-	// lanes are the sub-scratches handed to intra-block fan-out goroutines;
-	// each lane is owned by exactly one goroutine for the duration of a
-	// parallelRows call, preserving the single-owner contract.
-	lanes []*Scratch
 }
 
 // NewScratch returns an empty Scratch. Buffers grow on demand, so one

@@ -337,13 +337,13 @@ func (f *LeastSquares) leanGradRange(scr *Scratch, dst, x []float64, lo, hi int)
 		coef = make([]float64, f.A.Rows)
 	}
 	f.leanCoef(coef, x)
-	if scr == nil || !scr.fanOut(hi-lo) {
+	if scr == nil || !scr.fanOut((hi-lo)*f.A.Rows) {
 		for c := lo; c < hi; c++ {
 			dst[c-lo] = f.leanGradAt(coef, x, c)
 		}
 		return
 	}
-	scr.parallelRows(lo, hi, func(_ *Scratch, l, h int) {
+	scr.parallelRows(lo, hi, func(l, h int) {
 		for c := l; c < h; c++ {
 			dst[c-lo] = f.leanGradAt(coef, x, c)
 		}

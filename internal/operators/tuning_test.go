@@ -7,10 +7,10 @@ import (
 	"repro/internal/vec"
 )
 
-// tuningCombos is the knob matrix every bit-identity test sweeps: tiling
-// alone, fan-out alone (with a low threshold so small test problems
-// actually engage it), both together, and more lanes than the machine has
-// CPUs (the executor is bounded; extra lanes just queue).
+// tuningCombos is the knob matrix every bit-identity test sweeps: fan-out,
+// and more lanes than the machine has CPUs (the executor is bounded; extra
+// lanes just queue). Fan-out engages only on blocks of ParallelWork
+// multiply-adds or more, so the tests that sweep it size blocks around it.
 func tuningCombos() []struct {
 	name string
 	tun  Tuning
@@ -20,87 +20,75 @@ func tuningCombos() []struct {
 		tun  Tuning
 	}{
 		{"default", Tuning{}},
-		{"tile8", Tuning{Tile: 8}},
-		{"tile12", Tuning{Tile: 12}},
-		{"par4", Tuning{Parallelism: 4, Threshold: 4}},
-		{"tile8par4", Tuning{Tile: 8, Parallelism: 4, Threshold: 4}},
-		{"parOverCPU", Tuning{Parallelism: runtime.NumCPU() + 16, Threshold: 4}},
+		{"par4", Tuning{Parallelism: 4}},
+		{"parOverCPU", Tuning{Parallelism: runtime.NumCPU() + 16}},
 	}
 }
 
 // Every tuning knob combination must leave every operator's block
-// evaluation BIT-identical to the untuned scratch — tiling carries the
-// canonical accumulator quartet across tiles and lanes write disjoint
-// output rows, so there is exactly one answer. Ranges deliberately do not
-// divide the tile width and straddle the fan-out threshold.
+// evaluation BIT-identical to the untuned scratch — lanes write disjoint
+// output rows, so there is exactly one answer. Ranges deliberately
+// straddle the fan-out threshold: the dense operators are n x n, so a
+// slab of ParallelWork/n rows is the first that fans out, and the
+// tridiagonal operator's whole grid holds exactly ParallelWork entries
+// (2 per row, 1 in the first and last).
 func TestEvalBlockBitIdenticalUnderTuning(t *testing.T) {
-	const n = 96
+	const n, rows = 1024, ParallelWork / 1024
 	x := vec.NewRNG(61).NormalVector(n)
 	for _, tc := range blockTestOps(n) {
-		plain := NewScratch()
-		for _, blk := range [][2]int{{0, n}, {0, 1}, {5, 18}, {3, n - 5}, {n - 1, n}, {0, 64}} {
-			lo, hi := blk[0], blk[1]
-			want := make([]float64, hi-lo)
-			EvalBlock(tc.op, plain, lo, hi, x, want)
-			for _, combo := range tuningCombos() {
-				scr := NewScratch()
-				scr.SetTuning(combo.tun)
-				got := make([]float64, hi-lo)
-				EvalBlock(tc.op, scr, lo, hi, x, got)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("%s/%s block [%d,%d) row %d: %v != untuned %v",
-							tc.name, combo.name, lo, hi, lo+i, got[i], want[i])
-					}
+		evalBlocksUnderTuning(t, tc.name, tc.op, x, [][2]int{{0, n}, {0, 1}, {5, 18},
+			{3, n - 5}, {n - 1, n}, {0, rows - 1}, {1, rows + 1}})
+	}
+	const tall = ParallelWork/2 + 1
+	rng := vec.NewRNG(62)
+	sp := NewSparseLinear(tridiagonalCSR(tall), rng.NormalVector(tall))
+	evalBlocksUnderTuning(t, "SparseLinear(tall)", sp, rng.NormalVector(tall),
+		[][2]int{{0, tall}, {1, tall}, {5, 18}})
+}
+
+// evalBlocksUnderTuning checks op's evaluation of each block under every
+// tuning combination against the untuned scratch, bit for bit.
+func evalBlocksUnderTuning(t *testing.T, name string, op Operator, x []float64, blocks [][2]int) {
+	t.Helper()
+	plain := NewScratch()
+	for _, blk := range blocks {
+		lo, hi := blk[0], blk[1]
+		want := make([]float64, hi-lo)
+		EvalBlock(op, plain, lo, hi, x, want)
+		for _, combo := range tuningCombos() {
+			scr := NewScratch()
+			scr.SetTuning(combo.tun)
+			got := make([]float64, hi-lo)
+			EvalBlock(op, scr, lo, hi, x, got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s/%s block [%d,%d) row %d: %v != untuned %v",
+						name, combo.name, lo, hi, lo+i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// The fan-out predicate must gate exactly at the threshold: one row below
-// stays inline, at and above fans out — and serial parallelism never fans
-// out regardless of height.
+// The fan-out predicate must gate exactly at the threshold: one
+// multiply-add below stays inline, at and above fans out — and serial
+// parallelism never fans out regardless of size.
 func TestFanOutThresholdBoundary(t *testing.T) {
 	scr := NewScratch()
-	scr.SetTuning(Tuning{Parallelism: 4, Threshold: 16})
-	for rows, want := range map[int]bool{15: false, 16: true, 17: true, 2: false} {
-		if got := scr.fanOut(rows); got != want {
-			t.Errorf("threshold 16, rows %d: fanOut=%v want %v", rows, got, want)
+	scr.SetTuning(Tuning{Parallelism: 4})
+	for work, want := range map[int]bool{ParallelWork - 1: false,
+		ParallelWork: true, ParallelWork + 1: true, 2: false} {
+		if got := scr.fanOut(work); got != want {
+			t.Errorf("work %d: fanOut=%v want %v", work, got, want)
 		}
 	}
-	scr.SetTuning(Tuning{Parallelism: 4}) // default threshold
-	for rows, want := range map[int]bool{DefaultParallelThreshold - 1: false,
-		DefaultParallelThreshold: true, DefaultParallelThreshold + 1: true} {
-		if got := scr.fanOut(rows); got != want {
-			t.Errorf("default threshold, rows %d: fanOut=%v want %v", rows, got, want)
-		}
-	}
-	scr.SetTuning(Tuning{Parallelism: 1, Threshold: 2})
-	if scr.fanOut(1000) {
+	scr.SetTuning(Tuning{Parallelism: 1})
+	if scr.fanOut(10 * ParallelWork) {
 		t.Error("Parallelism 1 must never fan out")
 	}
 	scr.SetTuning(Tuning{})
-	if scr.fanOut(1000) {
+	if scr.fanOut(10 * ParallelWork) {
 		t.Error("zero tuning must never fan out")
-	}
-}
-
-// Lane sub-scratches inherit the tile but are pinned serial, so a lane can
-// never recursively fan out and deadlock the bounded executor.
-func TestLaneScratchesAreSerial(t *testing.T) {
-	scr := NewScratch()
-	scr.SetTuning(Tuning{Tile: 16, Parallelism: 8, Threshold: 4})
-	lane := scr.Lane(3)
-	tun := lane.Tuning()
-	if tun.Parallelism != 1 {
-		t.Errorf("lane parallelism = %d, want 1", tun.Parallelism)
-	}
-	if tun.Tile != 16 {
-		t.Errorf("lane tile = %d, want 16", tun.Tile)
-	}
-	if lane.fanOut(1000) {
-		t.Error("lane scratch must never fan out")
 	}
 }
 
@@ -139,10 +127,12 @@ func TestShardedLeastSquaresBitIdentical(t *testing.T) {
 // The lean (no-Gram) LeastSquares is a different — but internally
 // consistent — evaluation order: Grad, GradComponent and GradRange must be
 // mutually bit-identical, under every tuning combination, and its (L, mu)
-// must bound the true spectrum so lean steps remain convergent.
+// must bound the true spectrum so lean steps remain convergent. A lean
+// block costs rows x m multiply-adds, so the whole range [0, n) is exactly
+// ParallelWork and fans out, and every shorter block stays inline.
 func TestLeanLeastSquaresInternallyConsistent(t *testing.T) {
 	rng := vec.NewRNG(71)
-	const m, n = 96, 80
+	const m, n = 2048, ParallelWork / 2048
 	a := vec.NewDense(m, n)
 	for i := range a.Data {
 		a.Data[i] = rng.Normal()
@@ -163,7 +153,7 @@ func TestLeanLeastSquaresInternallyConsistent(t *testing.T) {
 	for _, combo := range tuningCombos() {
 		scr := NewScratch()
 		scr.SetTuning(combo.tun)
-		for _, blk := range [][2]int{{0, n}, {3, 71}, {n - 1, n}} {
+		for _, blk := range [][2]int{{0, n}, {1, n}, {3, n - 9}, {n - 1, n}} {
 			lo, hi := blk[0], blk[1]
 			dst := make([]float64, hi-lo)
 			f.GradRange(scr, dst, x, lo, hi)

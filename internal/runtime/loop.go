@@ -48,7 +48,7 @@ import (
 //
 // One policy per decision, the same on every transport:
 //
-//   - Passivation. After SweepsBelowTol consecutive phases whose block
+//   - Passivation. After confirmSweeps consecutive phases whose block
 //     displacement stayed within Tol the worker publishes its block
 //     reliably, absorbs what arrived meanwhile, re-verifies, and only then
 //     accounts itself passive.
@@ -125,16 +125,20 @@ type Transport interface {
 	Passive() bool
 }
 
+// confirmSweeps is how many consecutive phases within Tol a worker needs
+// before it goes passive — the consecutive-confirmation idea of the
+// macro-iteration stopping rule.
+const confirmSweeps = 2
+
 // Worker is one worker's loop state.
 type Worker struct {
 	// ID names the worker in a DivergedError.
 	ID      int
 	Op      operators.Operator
 	Scratch *operators.Scratch
-	// Tol, Sweeps and Budget are Config.Tol, SweepsBelowTol and
-	// MaxUpdatesPerWorker.
-	Tol            float64
-	Sweeps, Budget int
+	// Tol and Budget are Config.Tol and MaxUpdatesPerWorker.
+	Tol    float64
+	Budget int
 	// Progress, when non-nil, is bumped once per completed updating phase.
 	Progress *atomic.Int64
 	// View is the worker's private copy of the full iterate, shared with
@@ -187,7 +191,7 @@ func (w *Worker) Run(t Transport) error {
 		// budget re-relaxing a converged block while its peers sit
 		// descheduled with stale blocks.
 		gort.Gosched()
-		if w.streak++; w.streak < w.Sweeps {
+		if w.streak++; w.streak < confirmSweeps {
 			continue
 		}
 		if err := t.Publish(w.View[w.lo:w.hi], true); err != nil {

@@ -109,7 +109,7 @@ func runScript(t *testing.T, acks bool, budget int, script ...float64) *scriptPo
 	t.Helper()
 	view := []float64{1, 0}
 	p := &scriptPort{t: t, view: view, script: script, acks: acks}
-	w := Worker{Op: pullOp{}, Tol: 1e-3, Sweeps: 2, Budget: budget, View: view}
+	w := Worker{Op: pullOp{}, Tol: 1e-3, Budget: budget, View: view}
 	if err := w.Run(p); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestLoopStopsOnNaNBeforeInstallingIt(t *testing.T) {
 	for _, acks := range []bool{true, false} {
 		view := []float64{1, 0}
 		p := &scriptPort{t: t, view: view, script: []float64{math.NaN()}, acks: acks}
-		w := Worker{ID: 7, Op: pullOp{}, Tol: 1e-3, Sweeps: 2, Budget: 1 << 20, View: view}
+		w := Worker{ID: 7, Op: pullOp{}, Tol: 1e-3, Budget: 1 << 20, View: view}
 		err := w.Run(p)
 		var de *operators.DivergedError
 		if !errors.As(err, &de) || !errors.Is(err, operators.ErrDiverged) ||
@@ -236,7 +236,7 @@ func TestLoopStopsOnNaNBeforeInstallingIt(t *testing.T) {
 		}
 
 		view = []float64{1, math.NaN()}
-		w = Worker{ID: 7, Op: pullOp{}, Tol: 1e-3, Sweeps: 2, Budget: 1 << 20, View: view}
+		w = Worker{ID: 7, Op: pullOp{}, Tol: 1e-3, Budget: 1 << 20, View: view}
 		err = w.Run(&scriptPort{t: t, view: view, acks: acks})
 		if !errors.As(err, &de) || *de != (operators.DivergedError{Worker: 7, Phase: 1, Component: 0}) || view[0] != 1 {
 			t.Errorf("%s transport: NaN from the first phase: err %v, x_0 = %v, want phase 1 diverging and x_0 = 1", policyName(acks), err, view[0])

@@ -30,10 +30,6 @@ type Config struct {
 	// <= Tol. For an alpha-contraction the true error is then bounded by
 	// Tol/(1-alpha).
 	Tol float64
-	// SweepsBelowTol is how many consecutive locally-converged sweeps every
-	// worker must observe before the run terminates (default 2) — the
-	// consecutive-confirmation idea of the macro-iteration stopping rule.
-	SweepsBelowTol int
 	// MaxUpdatesPerWorker bounds each worker's updating phases. A worker
 	// that has spent it stays in the run, absorbing and re-verifying input,
 	// until the run stops (see loop.go).
@@ -89,9 +85,6 @@ func (c *Config) Validate() (n int, err error) {
 	}
 	if len(c.X0) != n {
 		return 0, fmt.Errorf("runtime: X0 length %d, want %d", len(c.X0), n)
-	}
-	if c.SweepsBelowTol <= 0 {
-		c.SweepsBelowTol = 2
 	}
 	if c.MaxUpdatesPerWorker <= 0 {
 		c.MaxUpdatesPerWorker = 1 << 20
@@ -161,7 +154,7 @@ func (r *run) solve(port func(w int, wk *Worker) Transport) (*Result, error) {
 		wk := &workers[w]
 		*wk = Worker{
 			ID: w, Op: cfg.Op, Scratch: operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
-			Tol: cfg.Tol, Sweeps: cfg.SweepsBelowTol, Budget: cfg.MaxUpdatesPerWorker,
+			Tol: cfg.Tol, Budget: cfg.MaxUpdatesPerWorker,
 			Progress: cfg.Progress,
 			View:     append([]float64(nil), cfg.X0...),
 		}

@@ -36,7 +36,7 @@ func sharedFixture(t testing.TB, cfg Config) (*run, []sharedPort, []Worker) {
 	workers := make([]Worker, len(ports))
 	for w := range workers {
 		workers[w] = Worker{
-			ID: w, Op: cfg.Op, Tol: r.cfg.Tol, Sweeps: r.cfg.SweepsBelowTol, Budget: r.cfg.MaxUpdatesPerWorker,
+			ID: w, Op: cfg.Op, Tol: r.cfg.Tol, Budget: r.cfg.MaxUpdatesPerWorker,
 			View: append([]float64(nil), r.cfg.X0...),
 		}
 		ports[w].wk = &workers[w]

@@ -23,21 +23,21 @@ const instanceSlack = 64 << 10
 // resolved size, the seed and the whole Tuning (BuildScenarioTuned hands it
 // to the builder and stores it in the Spec).
 type instanceKey struct {
-	scenario                 string
-	n                        int // the scenario default resolved in
-	seed                     uint64
-	blockSize, intraParallel int
-	gram                     bool // Tuning.GramPrecomputed()
+	scenario      string
+	n             int // the scenario default resolved in
+	seed          uint64
+	intraParallel int
+	gram          bool // Tuning.GramPrecomputed()
 }
 
 func newInstanceKey(scenario string, n int, seed uint64, t repro.Tuning) instanceKey {
 	return instanceKey{scenario: scenario, n: n, seed: seed,
-		blockSize: t.BlockSize, intraParallel: t.IntraParallelism, gram: t.GramPrecomputed()}
+		intraParallel: t.IntraParallelism, gram: t.GramPrecomputed()}
 }
 
 // tuning is the Tuning the key stands for (GramPrecompute nil when true).
 func (k instanceKey) tuning() repro.Tuning {
-	t := repro.Tuning{BlockSize: k.blockSize, IntraParallelism: k.intraParallel}
+	t := repro.Tuning{IntraParallelism: k.intraParallel}
 	if !k.gram {
 		t.GramPrecompute = new(bool)
 	}

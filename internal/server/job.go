@@ -38,8 +38,8 @@ type JobRequest struct {
 	// TimeoutMS bounds this job's run time; 0 uses the server maximum, and
 	// values above the server maximum are clamped to it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Knobs carries the tuning and fault knob fields (block_size,
-	// intra_parallel, gram_precompute, drop_prob, ...) in flag syntax,
+	// Knobs carries the tuning and fault knob fields (intra_parallel,
+	// gram_precompute, drop_prob, ...) in flag syntax,
 	// keyed by JSON field name. On the wire they are top-level job fields —
 	// DecodeJobRequest splits them off the body and MarshalJSON merges them
 	// back — so the server's JSON schema is the knob table, verbatim.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/operators"
 )
 
 // The server's knob surface IS the knob table: every table entry must be
@@ -18,7 +19,7 @@ import (
 // unknown fields keep their strict 400.
 
 func TestDecodeJobRequestSplitsKnobs(t *testing.T) {
-	body := []byte(`{"scenario":"lasso","n":16,"block_size":64,"intra_parallel":4,` +
+	body := []byte(`{"scenario":"lasso","n":16,"reorder_prob":0.125,"intra_parallel":4,` +
 		`"gram_precompute":false,"drop_prob":0.25,"max_link_delay":"10ms"}`)
 	req, err := DecodeJobRequest(body)
 	if err != nil {
@@ -27,7 +28,7 @@ func TestDecodeJobRequestSplitsKnobs(t *testing.T) {
 	if req.Scenario != "lasso" || req.N != 16 {
 		t.Fatalf("core fields lost: %+v", req)
 	}
-	want := map[string]string{"block_size": "64", "intra_parallel": "4",
+	want := map[string]string{"reorder_prob": "0.125", "intra_parallel": "4",
 		"gram_precompute": "false", "drop_prob": "0.25", "max_link_delay": "10ms"}
 	if len(req.Knobs) != len(want) {
 		t.Fatalf("knobs = %v, want %v", req.Knobs, want)
@@ -38,10 +39,14 @@ func TestDecodeJobRequestSplitsKnobs(t *testing.T) {
 		}
 	}
 
-	// Unknown fields are still a hard error — knobs did not loosen the
-	// schema.
-	if _, err := DecodeJobRequest([]byte(`{"scenario":"lasso","blocksize":8}`)); err == nil {
-		t.Error("unknown field accepted")
+	// Unknown fields are still a hard error naming the field — knobs did
+	// not loosen the schema, and a knob that left the table (block_size)
+	// is unknown like any other.
+	for _, field := range []string{"blocksize", "block_size"} {
+		_, err := DecodeJobRequest([]byte(`{"scenario":"lasso","` + field + `":8}`))
+		if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("unknown field %s: err = %v", field, err)
+		}
 	}
 	// A bare-number duration is rejected at decode, with the field named.
 	_, err = DecodeJobRequest([]byte(`{"scenario":"lasso","max_link_delay":10}`))
@@ -53,7 +58,7 @@ func TestDecodeJobRequestSplitsKnobs(t *testing.T) {
 func TestJobRequestMarshalRoundTrip(t *testing.T) {
 	req := JobRequest{
 		Scenario: "ridge", N: 32, Seed: 9,
-		Knobs: map[string]string{"block_size": "64", "gram_precompute": "false",
+		Knobs: map[string]string{"intra_parallel": "4", "gram_precompute": "false",
 			"max_link_delay": "5ms"},
 	}
 	b, err := json.Marshal(req)
@@ -65,7 +70,7 @@ func TestJobRequestMarshalRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	if string(m["block_size"]) != "64" || string(m["gram_precompute"]) != "false" {
+	if string(m["intra_parallel"]) != "4" || string(m["gram_precompute"]) != "false" {
 		t.Errorf("numeric/bool knobs not bare literals: %s", b)
 	}
 	if string(m["max_link_delay"]) != `"5ms"` {
@@ -114,23 +119,31 @@ func TestEveryTableKnobAcceptedOverHTTP(t *testing.T) {
 	}
 }
 
-// A fully tuned job — tiling, fan-out and the lean Gram form — must solve
-// and report bit-identically to the untuned job for the bit-preserving
-// knobs (block_size, intra_parallel), and still converge under the lean
-// form.
+// A tuned job must solve and report bit-identically to the untuned job
+// under the bit-preserving knob (intra_parallel), and still converge under
+// the lean Gram form. The pair runs the lean form on one sim worker: every
+// update then evaluates all n = 384 rows against 4n samples, above
+// operators.ParallelWork, so the tuned job really fans out through the
+// server's pooled scratches. (A Gram slab reaches the threshold only from
+// n = 725, whose Gram build takes half a minute under -race.)
 func TestServeTunedJobs(t *testing.T) {
+	const n = 384
+	if n*4*n < operators.ParallelWork {
+		t.Fatalf("n = %d: a full-height lean slab stays below the fan-out threshold", n)
+	}
 	_, c := testServer(t, Config{Workers: 2, QueueDepth: 4})
-	base, err := c.Solve(context.Background(), JobRequest{Scenario: "lasso", N: 96, Seed: 7})
+	tol := 1e-6
+	req := JobRequest{Scenario: "lasso", N: n, Seed: 7, Engine: "sim", Workers: 1, Tol: &tol,
+		Knobs: map[string]string{"gram_precompute": "false"}}
+	base, err := c.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Report == nil || !base.Report.Converged {
 		t.Fatal("untuned job did not converge")
 	}
-	tuned, err := c.Solve(context.Background(), JobRequest{
-		Scenario: "lasso", N: 96, Seed: 7,
-		Knobs: map[string]string{"block_size": "16", "intra_parallel": "4"},
-	})
+	req.Knobs = map[string]string{"gram_precompute": "false", "intra_parallel": "4"}
+	tuned, err := c.Solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +177,8 @@ func TestServeKnobValidation(t *testing.T) {
 		body string
 		want string
 	}{
-		{"negative block size", `{"scenario":"lasso","block_size":-4}`, "below minimum"},
+		{"negative intra parallel", `{"scenario":"lasso","intra_parallel":-4}`, "below minimum"},
+		{"removed block size", `{"scenario":"lasso","block_size":64}`, `unknown field "block_size"`},
 		{"drop out of range", `{"scenario":"lasso","drop_prob":1.5}`, "[0,1]"},
 		{"bad bool", `{"scenario":"lasso","gram_precompute":"maybe"}`, "boolean"},
 		{"negative delay", `{"scenario":"lasso","max_link_delay":"-5ms"}`, "negative"},
@@ -195,16 +209,16 @@ func TestServeKnobValidation(t *testing.T) {
 func FuzzDecodeJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"scenario":"lasso","n":32,"seed":9,"engine":"dist","workers":4,"tol":1e-9}`,
-		`{"scenario":"lasso","block_size":64,"gram_precompute":false,"drop_prob":0.05}`, // knobs as bare literals
-		`{"scenario":"lasso","block_size":"64","gram_precompute":"true"}`,               // as quoted strings
+		`{"scenario":"lasso","intra_parallel":4,"gram_precompute":false,"drop_prob":0.05}`, // knobs as bare literals
+		`{"scenario":"lasso","intra_parallel":"4","gram_precompute":"true"}`,               // as quoted strings
 		`{"scenario":"lasso","max_link_delay":"5ms","checkpoint_file":"/tmp/ck"}`,
 		`{"scenario":"lasso","max_link_delay":5}`, // a duration as a bare number
 		`null`,
-		`{"scenario":"lasso","scenario":"ridge","block_size":1,"block_size":2}`, // duplicate keys
-		`{"scenario":"lasso","bogus":1}`,                                        // an unknown field
-		`{"scenario":"lasso","block_size":null}`,                                // was accepted, then failed to marshal
+		`{"scenario":"lasso","scenario":"ridge","intra_parallel":1,"intra_parallel":2}`, // duplicate keys
+		`{"scenario":"lasso","bogus":1}`,                                                // an unknown field
+		`{"scenario":"lasso","intra_parallel":null}`,                                    // was accepted, then failed to marshal
 		// Flag syntax that is no JSON literal: marshalled bare, these broke the wire.
-		`{"scenario":"lasso","block_size":"+5","gram_precompute":"T","drop_prob":".5"}`,
+		`{"scenario":"lasso","intra_parallel":"+5","gram_precompute":"T","drop_prob":".5"}`,
 		`[]`,
 		``,
 	} {

@@ -2,12 +2,12 @@
 
 // func dot4Acc4(acc *[16]float64, a *float64, stride int, x *float64, n int)
 //
-// Four rows of dot4Acc in one pass over x. Row r starts at a + r*stride
+// Four rows of dot4's strided accumulation in one pass over x. Row r starts at a + r*stride
 // (elements); its four accumulators acc[4r:4r+4] ride as (s0,s1) and
 // (s2,s3) in two XMM registers. Per 4 columns, x is loaded once and every
 // row does MOVUPD a / MULPD x / ADDPD into its accumulators: the product
-// a*x rounded, then s_k + a*x rounded, as dot4Acc's MULSD/ADDSD, so every
-// accumulator gets dot4Acc's bits. MULPD takes no memory operand: SSE2
+// a*x rounded, then s_k + a*x rounded, as dot4Acc4Go's MULSD/ADDSD, so
+// every accumulator gets dot4Acc4Go's bits. MULPD takes no memory operand: SSE2
 // would demand 16-byte alignment there. n is a multiple of 4.
 TEXT ·dot4Acc4(SB), NOSPLIT, $0-40
 	MOVQ acc+0(FP), DI

@@ -15,10 +15,7 @@ package vec
 //
 // The four independent accumulators break the floating-point add dependency
 // chain (instruction-level parallelism the single-accumulator loop cannot
-// reach) and give the compiler a vectorizable shape. Column tiling preserves
-// the order exactly as long as every tile boundary is a multiple of 4 and
-// tiles are visited in ascending order with the accumulators carried across
-// tiles — which is what dot4Acc below provides.
+// reach) and give the compiler a vectorizable shape.
 //
 // One row's four chains still wait on their own adds, so a Dense slab runs
 // four rows' chains at once: dot4Acc4 keeps each row's accumulators as the
@@ -32,7 +29,6 @@ package vec
 // Each spelling of the order is pinned bit for bit by a test:
 //
 //	dot4               Dot, Dense rows        TestCanonicalDotOrder
-//	dot4Acc, dot4Tail  tiled Dense slabs      TestDenseMulRangeTiledToMatchesMulRangeTo
 //	dot4Acc4 (SSE2)    Dense.Mul*To slabs     TestDot4Acc4MatchesDot4
 //	dot4Acc4Go         !amd64, the oracle     TestDot4Acc4MatchesDot4
 //	dot4Indexed        CSR.RowDotAt           TestCSRSlabCanonicalOrder
@@ -61,35 +57,25 @@ func dot4(a, x []float64) float64 {
 	return ((s0 + s1) + (s2 + s3)) + tail
 }
 
-// dot4Acc accumulates the products of a[lo:hi] and x[lo:hi] into the four
-// strided accumulators acc (len 4). lo and hi must be multiples of 4 except
-// that hi may equal the true vector length on the final tile, in which case
-// the caller finishes with dot4Tail. Carrying acc across ascending tiles
-// reproduces dot4's reduction order bit for bit, independent of tile width.
-//
-//repro:hotpath
-func dot4Acc(acc []float64, a, x []float64, lo, hi int) {
-	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
-	for j := lo; j < hi; j += 4 {
-		aj := a[j : j+4 : j+4]
-		xj := x[j : j+4 : j+4]
-		s0 += aj[0] * xj[0]
-		s1 += aj[1] * xj[1]
-		s2 += aj[2] * xj[2]
-		s3 += aj[3] * xj[3]
-	}
-	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
-}
-
-// dot4Acc4Go runs dot4Acc over columns [0, n) of four rows, row r being
-// a[r*stride:] and its accumulators acc[4r:4r+4]; n is a multiple of 4.
-// It is dot4Acc4 on the architectures without an assembly kernel and that
-// kernel's oracle.
+// dot4Acc4Go accumulates the products of columns [0, n) of four rows, row r
+// being a[r*stride:], into its four strided accumulators acc[4r:4r+4]; n is
+// a multiple of 4. It is dot4Acc4 on the architectures without an assembly
+// kernel and that kernel's oracle.
 //
 //repro:hotpath
 func dot4Acc4Go(acc *[16]float64, a []float64, stride int, x []float64, n int) {
 	for r := 0; r < 4; r++ {
-		dot4Acc(acc[4*r:4*r+4], a[r*stride:], x, 0, n)
+		row := a[r*stride:]
+		s0, s1, s2, s3 := acc[4*r], acc[4*r+1], acc[4*r+2], acc[4*r+3]
+		for j := 0; j < n; j += 4 {
+			aj := row[j : j+4 : j+4]
+			xj := x[j : j+4 : j+4]
+			s0 += aj[0] * xj[0]
+			s1 += aj[1] * xj[1]
+			s2 += aj[2] * xj[2]
+			s3 += aj[3] * xj[3]
+		}
+		acc[4*r], acc[4*r+1], acc[4*r+2], acc[4*r+3] = s0, s1, s2, s3
 	}
 }
 

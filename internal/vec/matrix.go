@@ -119,50 +119,6 @@ func (m *Dense) MulRangeTo(y, x Vector, lo, hi int) {
 	}
 }
 
-// MulRangeTiledTo computes the same row-slab matvec as MulRangeTo, but
-// streams the slab through column tiles of width tile so each tile of x and
-// of the matrix rows stays hot in cache across the whole slab. acc is the
-// caller's accumulator scratch with capacity >= 4*(hi-lo): four strided
-// partial sums per output row, carried across tiles so the reduction order
-// is exactly dot4's regardless of tile width — the result is bit-identical
-// to MulRangeTo for every tile size. tile is rounded down to a multiple of
-// 4; tile < 8 or tile >= Cols falls back to the untiled loop.
-func (m *Dense) MulRangeTiledTo(y, x Vector, lo, hi, tile int, acc []float64) {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("vec: MulRangeTiledTo range [%d,%d) outside %d rows", lo, hi, m.Rows))
-	}
-	if len(x) != m.Cols || len(y) != hi-lo {
-		panic(fmt.Sprintf("vec: MulRangeTiledTo dimension mismatch (%dx%d)*%d -> %d (range %d)",
-			m.Rows, m.Cols, len(x), len(y), hi-lo))
-	}
-	tile &^= 3
-	if tile < 8 || tile >= m.Cols {
-		m.MulRangeTo(y, x, lo, hi)
-		return
-	}
-	rows := hi - lo
-	if len(acc) < 4*rows {
-		panic(fmt.Sprintf("vec: MulRangeTiledTo accumulator too small: %d < %d", len(acc), 4*rows))
-	}
-	acc = acc[:4*rows]
-	for i := range acc {
-		acc[i] = 0
-	}
-	cols4, rows4 := m.Cols&^3, rows&^3
-	for t := 0; t < cols4; t += tile {
-		te := min(t+tile, cols4)
-		for i := 0; i < rows4; i += 4 {
-			dot4Acc4((*[16]float64)(acc[4*i:4*i+16]), &m.Data[(lo+i)*m.Cols+t], m.Cols, &x[t], te-t)
-		}
-		for i := rows4; i < rows; i++ {
-			dot4Acc(acc[4*i:4*i+4], m.Row(lo+i), x, t, te)
-		}
-	}
-	for i := 0; i < rows; i++ {
-		y[i] = dot4Tail(acc[4*i:4*i+4], m.Row(lo+i), x, cols4)
-	}
-}
-
 // RowDotAt returns the dot product of row i with x in the canonical
 // reduction order; used for componentwise residual evaluation without
 // touching other rows. Bit-identical to the corresponding MulVecTo /

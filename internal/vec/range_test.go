@@ -159,40 +159,6 @@ func TestCSRSlabCanonicalOrder(t *testing.T) {
 	}
 }
 
-// MulRangeTiledTo must agree BIT-identically with MulRangeTo and with dot4
-// row by row for every tile width from 8 up to past the column count and
-// every range — row and column counts that are not multiples of 4, ranges
-// starting off row 0, four-row groups plus leftovers — because the
-// accumulator quartets carry across tiles and the tail folds in once.
-func TestDenseMulRangeTiledToMatchesMulRangeTo(t *testing.T) {
-	for _, dims := range [][2]int{{23, 17}, {31, 64}, {16, 67}, {9, 8}, {13, 30}, {10, 41}} {
-		rows, cols := dims[0], dims[1]
-		m := randomDense(rows, cols, uint64(41+rows))
-		x := NewRNG(uint64(43 + cols)).NormalVector(cols)
-		for _, blk := range [][2]int{{0, rows}, {0, 1}, {1, rows}, {2, rows - 1}, {3, rows - 2}, {rows - 1, rows}} {
-			lo, hi := blk[0], blk[1]
-			want := make([]float64, hi-lo)
-			m.MulRangeTo(want, x, lo, hi)
-			for i := range want {
-				if d := dot4(m.Row(lo+i), x); !sameBits(want[i], d) {
-					t.Errorf("%dx%d MulRangeTo [%d,%d) row %d: %v != dot4 %v", rows, cols, lo, hi, lo+i, want[i], d)
-				}
-			}
-			for tile := 8; tile <= cols+8; tile += 4 {
-				got := make([]float64, hi-lo)
-				acc := make([]float64, 4*(hi-lo))
-				m.MulRangeTiledTo(got, x, lo, hi, tile, acc)
-				for i := range got {
-					if !sameBits(got[i], want[i]) {
-						t.Errorf("%dx%d tile %d range [%d,%d) row %d: %v != %v",
-							rows, cols, tile, lo, hi, lo+i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // Dot, MulVecTo and RowDotAt share the canonical 4-accumulator order; pin
 // it against an explicit reference so a future "optimization" that
 // reassociates differently cannot slip in silently.
@@ -216,31 +182,6 @@ func TestCanonicalDotOrder(t *testing.T) {
 		if got := Dot(a, x); got != want {
 			t.Errorf("n=%d: Dot %v != canonical %v", n, got, want)
 		}
-	}
-}
-
-func TestMulRangeTiledToPanics(t *testing.T) {
-	m := randomDense(8, 16, 45)
-	x := make([]float64, 16)
-	cases := []struct {
-		name string
-		call func()
-	}{
-		{"lo<0", func() { m.MulRangeTiledTo(make([]float64, 3), x, -1, 2, 8, make([]float64, 12)) }},
-		{"hi>rows", func() { m.MulRangeTiledTo(make([]float64, 3), x, 6, 9, 8, make([]float64, 12)) }},
-		{"bad y", func() { m.MulRangeTiledTo(make([]float64, 2), x, 0, 3, 8, make([]float64, 12)) }},
-		{"bad x", func() { m.MulRangeTiledTo(make([]float64, 3), x[:5], 0, 3, 8, make([]float64, 12)) }},
-		{"acc too small", func() { m.MulRangeTiledTo(make([]float64, 3), x, 0, 3, 8, make([]float64, 11)) }},
-	}
-	for _, tc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", tc.name)
-				}
-			}()
-			tc.call()
-		}()
 	}
 }
 

@@ -53,11 +53,6 @@ func KnobTable() []Knob { return knobTable }
 
 var knobTable = []Knob{
 	{
-		Flag: "block-size", JSON: "block_size", Group: "tuning", Kind: KnobInt, Default: "0",
-		Help:  "column-tile width for dense row-slab matvecs; 0 = untiled",
-		apply: intKnob("block-size", 0, func(s *Spec, v int) { s.Tuning.BlockSize = v }),
-	},
-	{
 		Flag: "intra-parallel", JSON: "intra_parallel", Group: "tuning", Kind: KnobInt, Default: "0",
 		Help:  "goroutine lanes for large block evaluations; 0 or 1 = serial",
 		apply: intKnob("intra-parallel", 0, func(s *Spec, v int) { s.Tuning.IntraParallelism = v }),

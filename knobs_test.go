@@ -49,7 +49,7 @@ func TestKnobTableWellFormed(t *testing.T) {
 		}
 	}
 	// The table must cover exactly the knobs the API groups expose.
-	for _, want := range []string{"block-size", "intra-parallel", "gram-precompute",
+	for _, want := range []string{"intra-parallel", "gram-precompute",
 		"drop", "reorder", "maxdelay",
 		"heartbeat", "checkpoint", "rejoin-wait", "checkpoint-file",
 		"topology", "delta"} {
@@ -86,7 +86,7 @@ func TestRegisterKnobFlagsMatchesTable(t *testing.T) {
 	// Group filtering registers only that group.
 	ffs := flag.NewFlagSet("y", flag.ContinueOnError)
 	repro.RegisterKnobFlags(ffs, "faults")
-	if ffs.Lookup("drop") == nil || ffs.Lookup("block-size") != nil {
+	if ffs.Lookup("drop") == nil || ffs.Lookup("intra-parallel") != nil {
 		t.Error("group filter did not restrict registration to the faults group")
 	}
 	// So does naming one knob by its flag (dist-worker takes -rejoin-wait
@@ -105,7 +105,7 @@ func TestRegisterKnobFlagsMatchesTable(t *testing.T) {
 func TestKnobSetOptionsAndValues(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ks := repro.RegisterKnobFlags(fs)
-	if err := fs.Parse([]string{"-block-size", "64", "-intra-parallel", "4",
+	if err := fs.Parse([]string{"-delta", "1e-9", "-intra-parallel", "4",
 		"-gram-precompute=false", "-drop", "0.25", "-maxdelay", "10ms"}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestKnobSetOptionsAndValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Tuning.BlockSize != 64 || spec.Tuning.IntraParallelism != 4 {
-		t.Errorf("tuning = %+v, want BlockSize 64 IntraParallelism 4", spec.Tuning)
+	if spec.DeltaThreshold != 1e-9 || spec.Tuning.IntraParallelism != 4 {
+		t.Errorf("delta %v tuning %+v, want delta 1e-9 IntraParallelism 4", spec.DeltaThreshold, spec.Tuning)
 	}
 	if spec.Tuning.GramPrecomputed() {
 		t.Error("gram-precompute=false not applied")
@@ -129,7 +129,7 @@ func TestKnobSetOptionsAndValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{"block_size": "64", "intra_parallel": "4",
+	want := map[string]string{"delta_threshold": "1e-9", "intra_parallel": "4",
 		"gram_precompute": "false", "drop_prob": "0.25", "max_link_delay": "10ms"}
 	if len(vals) != len(want) {
 		t.Errorf("Values() = %v, want %v", vals, want)
@@ -171,7 +171,7 @@ func TestKnobSetOptionsAndValues(t *testing.T) {
 // back to the flag form for every kind.
 func TestKnobJSONRoundTrip(t *testing.T) {
 	cases := map[string]string{
-		"block-size": "128", "intra-parallel": "8", "gram-precompute": "false",
+		"intra-parallel": "8", "gram-precompute": "false",
 		"drop": "0.5", "reorder": "0.125", "maxdelay": "250ms",
 		"heartbeat": "20ms", "checkpoint-file": "/tmp/ckpt.bin",
 		"topology": "mesh", "delta": "1e-9",

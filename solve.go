@@ -111,9 +111,9 @@ type Execution struct {
 	Neighbors [][]int
 	// Seed drives all randomness of the simulated engines.
 	Seed uint64
-	// Tuning holds the kernel-performance knob group (column tiling,
-	// intra-block goroutine lanes, Gram precomputation). The zero value is
-	// the default; every engine installs it on its worker scratches, so
+	// Tuning holds the kernel-performance knob group (intra-block
+	// goroutine lanes, Gram precomputation). The zero value is the
+	// default; every engine installs it on its worker scratches, so
 	// pooled scratches reused across solves always run with the current
 	// solve's knobs. See Tuning for the bit-identity guarantee.
 	Tuning Tuning
@@ -151,12 +151,6 @@ type Stopping struct {
 	MaxUpdatesPerWorker int
 	// MaxTime bounds the simulated engines' virtual clock.
 	MaxTime float64
-	// SweepsBelowTol is the consecutive-confirmation count of the goroutine
-	// engines' termination detection (default 2).
-	SweepsBelowTol int
-	// ResidualEvery controls how often the model engine evaluates the
-	// O(n*row) fixed-point residual for stopping; defaults to the dimension.
-	ResidualEvery int
 }
 
 // Spec is the complete description of one asynchronous solve. The zero
@@ -275,13 +269,6 @@ func WithMaxUpdatesPerWorker(n int) Option { return func(s *Spec) { s.MaxUpdates
 
 // WithMaxTime bounds the simulated engines' virtual clock.
 func WithMaxTime(t float64) Option { return func(s *Spec) { s.MaxTime = t } }
-
-// WithSweepsBelowTol sets the goroutine engines' consecutive-confirmation
-// count.
-func WithSweepsBelowTol(k int) Option { return func(s *Spec) { s.SweepsBelowTol = k } }
-
-// WithResidualEvery sets the model engine's residual evaluation period.
-func WithResidualEvery(k int) Option { return func(s *Spec) { s.ResidualEvery = k } }
 
 // WithValidateConstraint3 enables inequality (3) validation at every read
 // (model engine, Theta > 0, XStar known).

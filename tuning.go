@@ -8,25 +8,21 @@ import (
 )
 
 // Tuning is the unified kernel-performance knob group. The zero value is
-// the default everywhere: untiled, serial, Gram precomputed. BlockSize and
-// IntraParallelism are bit-identical to the scalar reference — tiling
-// carries the canonical 4-accumulator reduction across tiles and parallel
-// lanes write disjoint output rows — so they never change a trajectory.
-// GramPrecompute selects between two internally consistent gradient forms
-// for LeastSquares scenarios and is the one knob that does change bits
-// (it changes the math that runs, not its evaluation order).
+// the default everywhere: serial, Gram precomputed. IntraParallelism is
+// bit-identical to the scalar reference — parallel lanes write disjoint
+// output rows — so it never changes a trajectory. GramPrecompute selects
+// between two internally consistent gradient forms for LeastSquares
+// scenarios and is the one knob that does change bits (it changes the math
+// that runs, not its evaluation order).
 //
 // Tuning, like the Faults group, is declared once in the knob table (see
 // KnobTable): the CLI flags, the server's /v1/solve JSON fields and the
 // load generator all derive from the same entries.
 type Tuning struct {
-	// BlockSize is the column-tile width of dense row-slab matvecs; 0
-	// disables tiling. Rounded down to a multiple of 4. Helps once the
-	// matrix rows no longer fit in L1/L2 (n in the thousands).
-	BlockSize int
-	// IntraParallelism fans a large block evaluation out over this many
-	// goroutine lanes (0 or 1 = serial). Helps when blocks are tall
-	// (hi-lo >= the internal threshold) and cores are otherwise idle.
+	// IntraParallelism fans a block evaluation of at least
+	// operators.ParallelWork (2^19) multiply-adds out over this many
+	// goroutine lanes (0 or 1 = serial). Helps when blocks are that large
+	// and cores are otherwise idle.
 	IntraParallelism int
 	// GramPrecompute selects the LeastSquares gradient form at scenario
 	// build: nil or true precomputes the n x n Gram matrix (the default,
@@ -46,15 +42,11 @@ func (t Tuning) GramPrecomputed() bool { return t.GramPrecompute == nil || *t.Gr
 // operatorTuning maps the public knobs onto the kernel-level settings every
 // worker scratch carries.
 func (t Tuning) operatorTuning() operators.Tuning {
-	return operators.Tuning{Tile: t.BlockSize, Parallelism: t.IntraParallelism}
+	return operators.Tuning{Parallelism: t.IntraParallelism}
 }
 
 // WithTuning replaces the whole tuning knob group.
 func WithTuning(t Tuning) Option { return func(s *Spec) { s.Tuning = t } }
-
-// WithBlockSize sets the column-tile width of dense row-slab matvecs
-// (0 = untiled).
-func WithBlockSize(n int) Option { return func(s *Spec) { s.Tuning.BlockSize = n } }
 
 // WithIntraParallelism fans large block evaluations out over p goroutine
 // lanes (0 or 1 = serial).

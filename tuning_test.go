@@ -6,19 +6,25 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/operators"
 )
 
-// The public tuning knobs must never change a solve trajectory: tiling and
-// intra-block fan-out are bit-identical by construction, and these runs pin
-// that end to end through the facade — every engine, every knob
-// combination, same Report to the last bit.
+// The public tuning knob must never change a solve trajectory: intra-block
+// fan-out is bit-identical by construction, and these runs pin that end to
+// end through the facade — every engine, every lane count, same Report to
+// the last bit.
 
 func tuningTestOps(t *testing.T) map[string]repro.Operator {
 	t.Helper()
-	// n = 96 > the internal fan-out threshold (64), so full-dimension block
-	// evaluations (residuals, single-worker runs) genuinely fan out.
+	// n x n above the internal fan-out threshold, so full-dimension block
+	// evaluations (residuals, single-worker runs) genuinely fan out; 64
+	// coupling samples keep the Gram dense but cheap to build.
+	const n = 1000
+	if n*n < operators.ParallelWork {
+		t.Fatalf("n = %d: a full-height Gram slab stays below the fan-out threshold", n)
+	}
 	reg, err := repro.NewRegression(repro.RegressionConfig{
-		N: 96, Coupling: 0.3, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 11,
+		N: n, Samples: n + 64, Coupling: 0.3, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,13 +46,13 @@ func TestTuningKnobsBitIdenticalTrajectories(t *testing.T) {
 			repro.WithDelay(repro.BoundedRandomDelay{B: 8, Seed: 3}),
 			repro.WithTol(1e-9), repro.WithMaxIter(100000),
 		}},
-		// One worker owns the whole 96-row block: every evaluation is tall
-		// enough to fan out when intra-parallelism is on.
+		// One worker owns the whole block: every evaluation is tall enough
+		// to fan out when intra-parallelism is on.
 		{"sim-1worker", []repro.Option{
 			repro.WithEngine(repro.EngineSim),
 			repro.WithWorkers(1),
 			repro.WithSeed(4),
-			repro.WithMaxUpdates(2000),
+			repro.WithMaxUpdates(200),
 		}},
 		{"simsync", []repro.Option{
 			repro.WithEngine(repro.EngineSimSync),
@@ -58,10 +64,7 @@ func TestTuningKnobsBitIdenticalTrajectories(t *testing.T) {
 		name string
 		opts []repro.Option
 	}{
-		{"blockSize8", []repro.Option{repro.WithBlockSize(8)}},
-		{"blockSize12", []repro.Option{repro.WithBlockSize(12)}},
 		{"intraParallel4", []repro.Option{repro.WithIntraParallelism(4)}},
-		{"tiled+parallel", []repro.Option{repro.WithTuning(repro.Tuning{BlockSize: 8, IntraParallelism: 4})}},
 		{"parallelOverCPU", []repro.Option{repro.WithIntraParallelism(runtime.NumCPU() + 16)}},
 	}
 	for name, op := range tuningTestOps(t) {
@@ -95,7 +98,7 @@ func TestTuningKnobsBitIdenticalTrajectories(t *testing.T) {
 // same optimum).
 func TestBuildScenarioTunedLeanGram(t *testing.T) {
 	lean := false
-	tun := repro.Tuning{GramPrecompute: &lean, BlockSize: 16}
+	tun := repro.Tuning{GramPrecompute: &lean, IntraParallelism: 4}
 	for _, scenario := range []string{"lasso", "ridge"} {
 		inst, err := repro.BuildScenarioTuned(scenario, 64, 1, tun)
 		if err != nil {
@@ -104,8 +107,8 @@ func TestBuildScenarioTunedLeanGram(t *testing.T) {
 		if inst.Spec.Tuning.GramPrecomputed() {
 			t.Fatalf("%s: Spec.Tuning lost GramPrecompute=false", scenario)
 		}
-		if inst.Spec.Tuning.BlockSize != 16 {
-			t.Fatalf("%s: Spec.Tuning lost BlockSize", scenario)
+		if inst.Spec.Tuning.IntraParallelism != 4 {
+			t.Fatalf("%s: Spec.Tuning lost IntraParallelism", scenario)
 		}
 		rep, err := repro.Solve(inst.Spec,
 			repro.WithEngine(repro.EngineModel),
