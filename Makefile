@@ -38,18 +38,20 @@ race:
 # sparse operator, offset folded in, through the message engine; no
 # multigrid slab (15.6k stored entries at most) reaches the threshold, so
 # the sparse lanes are pinned by the operator test's tall tridiagonal in the
-# race line below. The last line is
-# the opposite corner: both in-process transports take a lock per publish,
-# and a descheduled holder is where that could bite, so their tests (64
-# workers on 2-component blocks among them) also run on ONE processor under
-# -race. So do the dist sender's: with one processor, a lost wakeup between
-# send's doorbell, the writer's re-armed timer and flush would hang.
+# race line below. The fourth line runs the message engine's flexible
+# partials end to end. The last two lines are the opposite corner: the in-process port takes a lock per publish in both
+# box layouts, and a descheduled holder is where that could bite, so its
+# tests and the engines' (64 workers on 2-component blocks among them) also
+# run on ONE processor under -race. So do the dist sender's: with one
+# processor, a lost wakeup between send's doorbell, the writer's re-armed
+# timer and flush would hang.
 smoke-tuned:
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario lasso -n 768 -intra-parallel 2 >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario ridge -n 384 -engine sim -workers 1 -intra-parallel 2 -gram-precompute=false >/dev/null
 	GOMAXPROCS=4 $(GO) run ./cmd/asyncsolve -scenario multigrid -n 31 -engine message -workers 2 -intra-parallel 2 >/dev/null
+	$(GO) run ./cmd/asyncsolve -scenario multigrid -n 31 -engine message -workers 2 -mode flexible >/dev/null
 	GOMAXPROCS=4 $(GO) test -race -run 'Tuning|Knob|Lean' . ./internal/operators/ ./internal/vec/ ./internal/server/
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Shared|Message' ./internal/runtime/
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Shared|Message|Port|Idle' ./internal/runtime/
 	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'Sender|Delay|Superseded|Teardown|Sheds|Owned' ./internal/dist/
 
 # Every example program must actually run, not just compile (CI smoke-runs
@@ -156,7 +158,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 22408
+LOC_CEILING := 22303
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

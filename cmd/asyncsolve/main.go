@@ -74,7 +74,7 @@ func main() {
 	n := flag.Int("n", 0, "problem size (features / nodes / grid side); 0 = scenario default")
 	workers := flag.Int("workers", 0, "worker count for the sim/goroutine engines; 0 = default")
 	theta := flag.Float64("theta", 0.5, "flexible blend fraction (model engine, mode=flexible)")
-	flexK := flag.Int("flex", 0, "publish k uniform partial updates per phase (sim/shared engines)")
+	flexK := flag.Int("flex", 0, "publish k uniform partial updates per phase (sim/shared/message engines)")
 	tol := flag.Float64("tol", -1, "convergence tolerance; negative = scenario default, 0 = run to budget")
 	maxIter := flag.Int("maxiter", 0, "iteration budget; 0 = scenario default")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -161,12 +161,12 @@ func main() {
 		switch engine {
 		case repro.EngineModel:
 			opts = append(opts, repro.WithTheta(*theta))
-		case repro.EngineSim, repro.EngineShared:
+		case repro.EngineSim, repro.EngineShared, repro.EngineMessage:
 			if *flexK <= 0 {
 				opts = append(opts, repro.WithFlexible(repro.UniformFlex(2)))
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "mode flexible is not available on engine %s (use -engine model, sim or shared)\n", engine.Name())
+			fmt.Fprintf(os.Stderr, "mode flexible is not available on engine %s (use -engine model, sim, shared or message)\n", engine.Name())
 			os.Exit(2)
 		}
 	default:

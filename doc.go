@@ -17,8 +17,9 @@
 //     heterogeneous workers and lossy/reordering links (virtual time);
 //   - EngineSimSync — the barrier-synchronous simulated baseline;
 //   - EngineShared  — real goroutines over shared memory, one published
-//     block per worker;
-//   - EngineMessage — real goroutines over newest-wins mailboxes;
+//     block per worker that every peer reads;
+//   - EngineMessage — real goroutines over newest-wins mailboxes, one per
+//     pair of workers;
 //   - EngineDist    — real multi-worker execution over TCP sockets with
 //     per-link fault injection (drops, reordering, transit delay).
 //
@@ -53,8 +54,9 @@
 // count the churn; asyncsolve chaos exercises kill/restart schedules.
 //
 // The three concurrent engines run ONE worker loop (internal/runtime,
-// loop.go, whose doc states its policies) over four transports — block
-// shared memory, newest-wins mailboxes, the TCP star relay and the TCP mesh:
+// loop.go, whose doc states its policies) over three transports — one
+// in-process port whose boxes are laid out per worker (shared) or per pair
+// of workers (message), the TCP star relay and the TCP mesh:
 // the loop makes every decision, a transport only moves values. A worker
 // goes passive after two consecutive phases within Tol, a fixed count as
 // the model engine's residual check every n iterations is. Termination
@@ -126,7 +128,7 @@
 // The engine hot paths are allocation-free in steady state: vec kernels have
 // ...Into variants, every engine threads one per-worker operator scratch
 // (NewOperatorScratch) through its evaluations, the simulator pools events
-// and messages, the message transport's mailboxes are allocated once per run,
+// and messages, the in-process port's boxes are allocated once per run,
 // and the TCP data plane pools frames process-wide (one pooled,
 // reference-counted buffer per frame, held in a per-leg queue that keeps its
 // backing array) (per-run pools made a solve's allocations follow the

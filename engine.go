@@ -4,8 +4,9 @@ package repro
 // adapts an internal engine package to the common Spec/Report contract.
 // Three of the six are deterministic state machines of their own (model,
 // sim, simsync). The other three — shared, message, dist — are one worker
-// loop (internal/runtime, loop.go) over four transports: block shared
-// memory, newest-wins mailboxes, and the TCP star relay and TCP mesh of
+// loop (internal/runtime, loop.go) over three transports: the in-process
+// port, whose newest-wins boxes are laid out one per worker (shared) or one
+// per pair of workers (message), and the TCP star relay and TCP mesh of
 // internal/dist. They take one configuration (runtime.Config, which
 // dist.Config embeds next to its network knobs) and report through one
 // mapping (concurrentReport).
@@ -31,7 +32,7 @@ package repro
 //   - EngineShared  — goroutines over shared memory, a locked block per
 //     worker (internal/runtime): Flexible.
 //   - EngineMessage — goroutines over newest-wins mailboxes, one per
-//     pair of workers (internal/runtime): nothing further.
+//     pair of workers (internal/runtime): Flexible.
 //   - EngineDist    — TCP workers with per-link fault injection
 //     (internal/dist): Topology ("star" relay or "mesh" worker-to-worker
 //     links), DeltaThreshold (flexible communication on the wire),
@@ -51,8 +52,7 @@ package repro
 // not iterate away. Termination is the two-phase double-collect quiescence
 // protocol (quiescence.go): stop is broadcast only after two identical
 // observations of "every worker parked — passive or spent — and nothing in
-// flight", taken around an optional re-certification; Converged means every
-// worker was passive.
+// flight"; Converged means every worker was passive.
 
 import (
 	"context"

@@ -33,14 +33,21 @@ func (o *slowDiagOp) Component(i int, x []float64) float64 {
 	return 0.5*x[i] + o.b[i]
 }
 
-// TestMessagePassiveIdleIsEventDriven pins the event-driven idle paths of
-// the message engine: while three of four workers are passive for hundreds
-// of milliseconds, neither they nor the supervisor may burn a poll loop.
+// TestPassiveIdleIsEventDriven pins the event-driven idle paths of both
+// in-process engines: while three of four workers are passive for hundreds
+// of milliseconds, neither they nor the supervisor may burn a poll loop
+// (the shared engine's parked workers once yielded in a loop instead).
 // The sharp assertion is on allocations — the old implementation allocated
 // a fresh timer per 50µs poll per idle goroutine (tens of thousands over
 // this run), the event-driven one allocates nothing while idle — with a
 // coarse CPU-time ceiling on top.
-func TestMessagePassiveIdleIsEventDriven(t *testing.T) {
+func TestPassiveIdleIsEventDriven(t *testing.T) {
+	for _, engine := range engines {
+		t.Run(engine.name, func(t *testing.T) { passiveIdleIsEventDriven(t, engine.run) })
+	}
+}
+
+func passiveIdleIsEventDriven(t *testing.T, run func(Config) (*Result, error)) {
 	op := &slowDiagOp{
 		n:         8,
 		b:         []float64{1, 2, 3, 4, 5, 6, 7, 8},
@@ -63,7 +70,7 @@ func TestMessagePassiveIdleIsEventDriven(t *testing.T) {
 	cpuBefore := cpuTime()
 	wallBefore := time.Now()
 
-	res, err := RunMessage(Config{
+	res, err := run(Config{
 		Op: op, Workers: 4, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 18,
 	})
 	if err != nil {

@@ -4,23 +4,25 @@
 // passivation, reactivation and budget exhaustion) and the Transport
 // interface that loop is written against. A transport moves block values
 // between workers and makes state transitions visible; it decides nothing.
-// Four exist, mirroring the paper's data-exchange settings:
+// Two kinds exist, mirroring the paper's data-exchange settings:
 //
-//   - shared memory, one published block per worker (shared.go: the
-//     one-sided put()/get() SHMEM style of [10]; flexible communication
-//     publishes whole partial blocks mid-phase),
-//   - message passing over newest-wins mailboxes (message.go: the
-//     distributed-memory setting of [6],[9], with the supervisor-based
-//     termination detection of [22]), and
+//   - in process, one port over newest-wins boxes (port.go) in two
+//     layouts that differ only in where a reader finds a block: one box
+//     per writer that every peer reads (shared memory, the one-sided
+//     put()/get() SHMEM style of [10]), or one per (sender, receiver)
+//     pair (message passing, the distributed-memory setting of [6],[9]);
+//     flexible communication publishes whole partial blocks mid-phase on
+//     both, and
 //   - TCP, through a coordinator's relay or over a worker-to-worker mesh
 //     (internal/dist, which imports this package for the loop).
 //
 // All of them decide termination with the two-phase double-collect
-// quiescence protocol of quiescence.go: a stop is broadcast only after two
-// identical observations of "every worker parked, nothing in flight"
-// bracketing an optional re-certification, with workers publishing
-// reactivation before they acknowledge the input that caused it. See the
-// quiescence.go comment for the protocol and its soundness argument.
+// quiescence protocol of quiescence.go (in process, under the
+// supervisor-based termination detection of [22]): a stop is broadcast
+// only after two identical observations of "every worker parked, nothing
+// in flight", with workers publishing reactivation before they
+// acknowledge the input that caused it. See the quiescence.go comment for
+// the protocol and its soundness argument.
 //
 // Real schedulers are nondeterministic, so the engine tests assert
 // invariants (convergence, termination, race freedom) rather than exact
@@ -102,10 +104,7 @@ const (
 //
 // The ordering rule of quiescence.go is the transport's to keep: when
 // input reaches a passive worker, Drain/Wait account the reactivation
-// BEFORE acknowledging the input (counting it delivered). A transport
-// whose input needs no acknowledgement (shared memory) may leave the
-// worker passive; the loop then accounts Active itself before the first
-// Publish of the resumed phase.
+// BEFORE acknowledging the input (counting it delivered).
 type Transport interface {
 	// Block returns the component range [lo, hi) this worker owns.
 	Block() (lo, hi int)

@@ -3,7 +3,7 @@ package runtime
 import "sync/atomic"
 
 // Two-phase (Safra-style double-collect) quiescence detection, shared by
-// every concurrent transport (shared memory, in-process message passing,
+// every concurrent transport (the in-process port in both its box layouts,
 // and the TCP engine in internal/dist).
 //
 // The state machine: each worker is either active (computing, publishing
@@ -22,10 +22,7 @@ import "sync/atomic"
 //
 //  1. First pass observes all-passive with in-flight == 0 (sent ==
 //     delivered + dropped).
-//  2. An optional confirm callback re-validates convergence against the
-//     now-candidate-frozen state (the shared-memory engine re-snapshots
-//     and re-certifies the full fixed-point residual here).
-//  3. Second pass confirms no worker reactivated in between — every
+//  2. Second pass confirms no worker reactivated in between — every
 //     passivity flag still set, the activity epoch unchanged, and every
 //     counter identical.
 //
@@ -40,8 +37,12 @@ import "sync/atomic"
 // re-checking convergence with the new data, the epoch bumps of that
 // round trip. Either way the collect is rejected and retried; a collect
 // that survives both passes observed a genuinely frozen, quiescent system.
-// Supervisors wake when a worker parks: the message supervisor on its
-// doorbell, the dist coordinator on a park frame (its timer a backstop).
+// In process, every block version a writer publishes counts as one message
+// per peer, whichever box layout carries it, so both in-process engines
+// decide termination from these counters alone. Supervisors wake when a
+// worker parks: the in-process run's one supervisor on the doorbell every
+// Account rings, the dist coordinator on a park frame (its timer a
+// backstop).
 
 // Observation is one collect of the global termination state. The zero
 // value is "not quiescent".
@@ -71,19 +72,11 @@ func (o Observation) InFlight() int64 { return o.Sent - o.Delivered - o.Dropped 
 func (o Observation) Quiet() bool { return o.AllPassive && o.InFlight() == 0 }
 
 // DoubleCollect runs the two-phase protocol over an observation source:
-// collect, optionally confirm, collect again, and report quiescence only
-// if both collects are quiet and identical. observe may be a set of atomic
-// loads (in-process transports) or a network probe round (dist transport);
-// confirm, when non-nil, runs between the passes and may veto (the
-// shared-memory engine re-certifies the fixed-point residual there); an
-// Exhausted observation claims no convergence, so there is nothing for it
-// to confirm and it is not consulted.
-func DoubleCollect(observe func() Observation, confirm func() bool) bool {
+// collect, collect again, and report quiescence only if both collects are
+// quiet and identical.
+func DoubleCollect(observe func() Observation) bool {
 	first := observe()
 	if !first.Quiet() {
-		return false
-	}
-	if confirm != nil && !first.Exhausted && !confirm() {
 		return false
 	}
 	second := observe()
@@ -133,11 +126,12 @@ func (t *Tracker) SetSpent(w int) {
 // IsPassive reports worker w's current state.
 func (t *Tracker) IsPassive(w int) bool { return t.passive[w].Load() }
 
-// MsgSent / MsgDelivered / MsgDropped account one transport message.
-// A dropped message is one that can never reactivate a worker.
-func (t *Tracker) MsgSent()      { t.sent.Add(1) }
-func (t *Tracker) MsgDelivered() { t.delivered.Add(1) }
-func (t *Tracker) MsgDropped()   { t.dropped.Add(1) }
+// MsgSent / MsgDelivered / MsgDropped account transport messages: n sent,
+// one delivered, n dropped. A dropped message is one that can never
+// reactivate a worker.
+func (t *Tracker) MsgSent(n int64)    { t.sent.Add(n) }
+func (t *Tracker) MsgDelivered()      { t.delivered.Add(1) }
+func (t *Tracker) MsgDropped(n int64) { t.dropped.Add(n) }
 
 // Sent and Dropped expose the message totals for reporting.
 func (t *Tracker) Sent() int64    { return t.sent.Load() }
@@ -167,12 +161,10 @@ func (t *Tracker) Observe() Observation {
 }
 
 // Quiescent runs the double collect against this tracker's state.
-func (t *Tracker) Quiescent(confirm func() bool) bool {
-	return DoubleCollect(t.Observe, confirm)
-}
+func (t *Tracker) Quiescent() bool { return DoubleCollect(t.Observe) }
 
 // slot is worker w's handle on a Tracker: the Account and Passive half of
-// a Transport, shared by the in-process transports.
+// a Transport, embedded in the in-process port.
 type slot struct {
 	q *Tracker
 	w int

@@ -23,27 +23,27 @@ func TestTrackerStateMachine(t *testing.T) {
 	if !o.AllPassive || o.InFlight() != 0 {
 		t.Errorf("all-passive idle system not quiet: %+v", o)
 	}
-	if !q.Quiescent(nil) {
+	if !q.Quiescent() {
 		t.Error("frozen all-passive system must be quiescent")
 	}
-	q.MsgSent()
-	if q.Quiescent(nil) {
+	q.MsgSent(1)
+	if q.Quiescent() {
 		t.Error("quiescent with a message in flight")
 	}
 	q.MsgDelivered()
-	if !q.Quiescent(nil) {
+	if !q.Quiescent() {
 		t.Error("delivered message still counts as in flight")
 	}
-	q.MsgSent()
-	q.MsgDropped()
-	if !q.Quiescent(nil) {
+	q.MsgSent(1)
+	q.MsgDropped(1)
+	if !q.Quiescent() {
 		t.Error("dropped message still counts as in flight")
 	}
 	if q.Sent() != 2 || q.Dropped() != 1 {
 		t.Errorf("Sent/Dropped = %d/%d, want 2/1", q.Sent(), q.Dropped())
 	}
 	q.SetActive(1)
-	if q.Quiescent(nil) {
+	if q.Quiescent() {
 		t.Error("quiescent with an active worker")
 	}
 }
@@ -57,7 +57,7 @@ func TestDoubleCollectRejectsTransition(t *testing.T) {
 		calls++
 		return Observation{AllPassive: true, Epoch: uint64(calls)}
 	}
-	if DoubleCollect(observe, nil) {
+	if DoubleCollect(observe) {
 		t.Error("double collect accepted an epoch change between passes")
 	}
 
@@ -68,17 +68,12 @@ func TestDoubleCollectRejectsTransition(t *testing.T) {
 		calls++
 		return Observation{AllPassive: true, Sent: int64(calls), Delivered: int64(calls)}
 	}
-	if DoubleCollect(observe, nil) {
+	if DoubleCollect(observe) {
 		t.Error("double collect accepted counter movement between passes")
 	}
 
-	// The confirm callback vetoes between the passes.
-	stable := func() Observation { return Observation{AllPassive: true} }
-	if DoubleCollect(stable, func() bool { return false }) {
-		t.Error("double collect ignored confirm veto")
-	}
-	if !DoubleCollect(stable, func() bool { return true }) {
-		t.Error("double collect rejected a stable confirmed state")
+	if !DoubleCollect(func() Observation { return Observation{AllPassive: true} }) {
+		t.Error("double collect rejected a stable quiet state")
 	}
 }
 
@@ -126,7 +121,7 @@ func TestMessageStopRace(t *testing.T) {
 	q := NewTracker(1)
 	q.SetPassive(0)
 	// A message is sent toward the passive worker...
-	q.MsgSent()
+	q.MsgSent(1)
 	// ...and the worker acknowledges it with the PRE-FIX ordering:
 	// delivery first, reactivation afterwards.
 	q.MsgDelivered()
@@ -152,13 +147,13 @@ func TestMessageStopRace(t *testing.T) {
 	// absorbed: the in-flight count stays positive until after SetActive.
 	q2 := NewTracker(1)
 	q2.SetPassive(0)
-	q2.MsgSent()
+	q2.MsgSent(1)
 	q2.SetActive(0)
 	if got := q2.Observe(); got.AllPassive {
 		t.Fatal("fixed ordering still observable as passive mid-absorption")
 	}
 	q2.MsgDelivered()
-	if q2.Quiescent(nil) {
+	if q2.Quiescent() {
 		t.Fatal("worker is active with absorbed data; not quiescent")
 	}
 }
@@ -197,65 +192,88 @@ func TestMessageQuiescenceStress(t *testing.T) {
 }
 
 // TestSharedCertificationRace is the deterministic regression test for the
-// shared-engine certification race. The pre-fix certifier sampled the
-// workers' streak counters, took ONE snapshot — which could straddle a
-// peer's mid-phase interpolated flexible partial stores — certified its
-// residual, and stopped: a state that never existed could pass. Under the
-// protocol the certification runs between two collects, so a peer storing
-// mid-certification (exactly the torn-snapshot scenario) invalidates the
-// result even when the certification itself happened to pass.
+// shared-engine certification race, now decided on the counters. The
+// pre-fix certifier sampled the workers' streak counters, took ONE
+// snapshot — which could straddle a peer's mid-phase interpolated flexible
+// partial stores — and stopped on it: a state that never existed could
+// pass. On the shared layout every publish is p-1 messages, so a peer's
+// publish that lands between the two collects moves the counters, and the
+// collect fails even when both look quiet.
 func TestSharedCertificationRace(t *testing.T) {
-	q := NewTracker(2)
-	q.SetPassive(0)
-	q.SetPassive(1)
-	if DoubleCollect(q.Observe, func() bool {
-		// A peer resumes an update phase while the certifier is
-		// snapshotting: its interpolated partial stores tear the snapshot.
-		// The pre-fix certifier had no second look and would stop on this
-		// certification alone; returning true simulates the torn snapshot
-		// happening to look converged.
-		q.SetActive(1)
-		return true
-	}) {
-		t.Fatal("double collect accepted a certification torn by a peer's mid-phase stores")
+	r, ports := portPair(t, false)
+	r.q.SetPassive(0)
+	r.q.SetPassive(1)
+	between := func(step func()) func() Observation {
+		calls := 0
+		return func() Observation {
+			o := r.q.Observe()
+			if calls++; calls == 1 {
+				step()
+			}
+			return o
+		}
 	}
-	// Re-certifying once the peer has finished and re-passivated succeeds.
-	q.SetPassive(1)
-	if !q.Quiescent(func() bool { return true }) {
-		t.Fatal("stable all-passive state with passing certification must be quiescent")
+	publish := func() {
+		if err := ports[1].Publish([]float64{1, 1}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if DoubleCollect(between(publish)) {
+		t.Fatal("double collect accepted a peer publish that landed between the collects")
+	}
+	// Even when the reader absorbs that publish and re-parks before the
+	// second collect — nothing in flight, every worker passive again — the
+	// counters and the epoch have moved.
+	if DoubleCollect(between(func() {
+		publish()
+		if _, err := ports[0].Drain(); err != nil {
+			t.Fatal(err)
+		}
+		ports[0].Account(Passive)
+	})) {
+		t.Fatal("double collect accepted a publish absorbed between the collects")
+	}
+	// Once the publishes are read and every worker is passive, the state
+	// is frozen and the collect succeeds.
+	if _, err := ports[0].Drain(); err != nil {
+		t.Fatal(err)
+	}
+	ports[0].Account(Passive)
+	if !r.q.Quiescent() {
+		t.Fatalf("frozen all-passive state with nothing in flight not quiescent: %+v", r.q.Observe())
 	}
 }
 
-// TestSharedFlexibleCertificationStress is the end-to-end invariant behind
-// the certification race fix: the certification happens on a frozen
-// all-passive vector that is exactly the vector the run returns, so a
-// converged run's final residual meets the tolerance even under an
+// TestSharedFlexibleCertificationStress is the end-to-end invariant of the
+// termination rule under flexible communication, on both engines: once
+// every reader has read every block's last version (a phase's last publish
+// is always the whole block, after its partials) and re-verified its own
+// block against it, the workers' views agree with the returned vector, so
+// a converged run's final residual meets the tolerance even under an
 // aggressive flexible schedule.
 func TestSharedFlexibleCertificationStress(t *testing.T) {
 	const trials = 6
 	tol := 1e-11
-	for trial := 0; trial < trials; trial++ {
-		op := chainOp(t, 96, 70+uint64(trial))
-		res, err := RunShared(Config{
-			Op: op, Workers: 8, Tol: tol,
-			MaxUpdatesPerWorker: 1 << 18,
-			Flexible:            flexible.Uniform(4),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Fatalf("trial %d did not converge", trial)
-		}
-		// The certification happens on a frozen all-passive vector that is
-		// exactly the vector the run returns, so a converged run's final
-		// residual is <= Tol up to floating-point noise. A certifier whose
-		// snapshot straddled a peer's mid-phase (interpolated flexible
-		// partial) stores certifies a state that never existed and leaves
-		// a residual above Tol behind.
-		if r := operators.Residual(op, res.X); r > tol*1.01 {
-			t.Fatalf("trial %d: certified stop with residual %.3e > tol %.1e — certification was torn",
-				trial, r, tol)
+	for _, engine := range engines {
+		for trial := 0; trial < trials; trial++ {
+			op := chainOp(t, 96, 70+uint64(trial))
+			res, err := engine.run(Config{
+				Op: op, Workers: 8, Tol: tol,
+				MaxUpdatesPerWorker: 1 << 18,
+				Flexible:            flexible.Uniform(4),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("%s trial %d did not converge", engine.name, trial)
+			}
+			// A stop taken while some reader still held a partial or an
+			// older block leaves a residual above Tol behind.
+			if r := operators.Residual(op, res.X); r > tol*1.01 {
+				t.Fatalf("%s trial %d: stopped with residual %.3e > tol %.1e — termination fired early",
+					engine.name, trial, r, tol)
+			}
 		}
 	}
 }

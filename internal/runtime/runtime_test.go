@@ -40,6 +40,12 @@ func contractingOp(t *testing.T, n int, seed uint64) (*operators.Linear, []float
 	return op, xstar, op.ContractionFactor()
 }
 
+// engines are the two in-process engines, by name.
+var engines = []struct {
+	name string
+	run  func(Config) (*Result, error)
+}{{"shared", RunShared}, {"message", RunMessage}}
+
 func TestRunSharedConverges(t *testing.T) {
 	op, xstar, alpha := contractingOp(t, 32, 1)
 	tol := 1e-10
@@ -63,25 +69,41 @@ func TestRunSharedConverges(t *testing.T) {
 			t.Errorf("worker %d performed no updates", w)
 		}
 	}
+	if res.MessagesSent == 0 {
+		t.Error("no messages sent")
+	}
 }
 
 func TestRunSharedFlexible(t *testing.T) {
 	op, xstar, alpha := contractingOp(t, 32, 2)
 	tol := 1e-10
-	res, err := RunShared(Config{
-		Op: op, Workers: 4, Tol: tol,
-		MaxUpdatesPerWorker: 1 << 18,
-		Flexible:            flexible.Uniform(4),
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, engine := range engines {
+		res, err := engine.run(Config{
+			Op: op, Workers: 4, Tol: tol,
+			MaxUpdatesPerWorker: 1 << 18,
+			Flexible:            flexible.Uniform(4),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("flexible %s run did not converge", engine.name)
+		}
+		if e := vec.DistInf(res.X, xstar); e > tol/(1-alpha)*10 {
+			t.Errorf("%s: error %v too large", engine.name, e)
+		}
+		// Partials at 1/4, 1/2 and 3/4, then the block, to each of 3 peers.
+		if phases := sum(res.UpdatesPerWorker); res.MessagesSent != int64(4*3*phases) {
+			t.Errorf("%s: %d messages over %d phases, want 12 per phase", engine.name, res.MessagesSent, phases)
+		}
 	}
-	if !res.Converged {
-		t.Fatal("flexible shared run did not converge")
+}
+
+func sum(xs []int) (s int) {
+	for _, x := range xs {
+		s += x
 	}
-	if e := vec.DistInf(res.X, xstar); e > tol/(1-alpha)*10 {
-		t.Errorf("error %v too large", e)
-	}
+	return s
 }
 
 func TestRunSharedSingleWorker(t *testing.T) {

@@ -33,7 +33,7 @@ type JobRequest struct {
 	MaxIter int `json:"max_iter,omitempty"`
 	// Theta enables flexible communication on the model engine.
 	Theta float64 `json:"theta,omitempty"`
-	// Flex publishes k uniform partial updates per phase (sim/shared).
+	// Flex publishes k uniform partial updates per phase (sim/shared/message).
 	Flex int `json:"flex,omitempty"`
 	// TimeoutMS bounds this job's run time; 0 uses the server maximum, and
 	// values above the server maximum are clamped to it.

@@ -55,8 +55,8 @@ type Dynamics struct {
 	// Theta in [0, 1] enables flexible communication on the model engine:
 	// reads blend the labelled value toward the freshest available state.
 	Theta float64
-	// Flexible publishes partial updates mid-phase on the simulated and
-	// shared-memory engines (the hatched arrows of Fig. 2).
+	// Flexible publishes partial updates mid-phase on the simulated,
+	// shared-memory and message engines (the hatched arrows of Fig. 2).
 	Flexible FlexSchedule
 	// DeltaThreshold enables flexible communication on the wire (dist
 	// engine): a broadcast ships one frame covering the span of shard
