@@ -23,7 +23,7 @@ func TestDenseKernelsAllocationFree(t *testing.T) {
 }
 
 func TestSparseKernelsAllocationFree(t *testing.T) {
-	m := stencilCSR(16)
+	m := stencilCSR(16, true)
 	x := NewRNG(2).NormalVector(m.Cols)
 	b := NewRNG(3).NormalVector(m.Rows)
 	y := New(m.Rows)
@@ -48,6 +48,7 @@ func TestVectorKernelsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "Norm2", func() { _ = Norm2(x) })
 	assertZeroAllocs(t, "NormInf", func() { _ = NormInf(x) })
 	assertZeroAllocs(t, "DistInf", func() { _ = DistInf(x, y) })
+	assertZeroAllocs(t, "DistInfNaN", func() { _, _ = DistInfNaN(x, y) })
 	assertZeroAllocs(t, "Dist2", func() { _ = Dist2(x, y) })
 	assertZeroAllocs(t, "WeightedMaxNorm", func() { _ = WeightedMaxNorm(x, u) })
 	assertZeroAllocs(t, "WeightedMaxDist", func() { _ = WeightedMaxDist(x, y, u) })

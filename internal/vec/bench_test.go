@@ -36,25 +36,34 @@ func BenchmarkDenseMulRange64x256(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(hi-lo)), "ns/row")
 }
 
-// stencilCSR is the 5-point stencil on an n×n grid — the sparsity of the
-// obstacle problem and of the multigrid scenarios' Jacobi operator.
-func stencilCSR(n int) *CSR {
+// stencilCSR is a 5-point stencil on an n×n grid. Without its diagonal it
+// is the multigrid scenario's Jacobi matrix: each row holds its 2, 3 or 4
+// grid neighbours at 1/4. With it, it is the Laplacian (4 on the diagonal,
+// -1 per neighbour), whose interior rows of 5 entries take the slab loop's
+// general path.
+func stencilCSR(n int, laplacian bool) *CSR {
 	var entries []COOEntry
+	off := 0.25
+	if laplacian {
+		off = -1
+	}
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
 			i := r*n + c
-			entries = append(entries, COOEntry{i, i, 4})
+			if laplacian {
+				entries = append(entries, COOEntry{i, i, 4})
+			}
 			if r > 0 {
-				entries = append(entries, COOEntry{i, i - n, -1})
+				entries = append(entries, COOEntry{i, i - n, off})
 			}
 			if r < n-1 {
-				entries = append(entries, COOEntry{i, i + n, -1})
+				entries = append(entries, COOEntry{i, i + n, off})
 			}
 			if c > 0 {
-				entries = append(entries, COOEntry{i, i - 1, -1})
+				entries = append(entries, COOEntry{i, i - 1, off})
 			}
 			if c < n-1 {
-				entries = append(entries, COOEntry{i, i + 1, -1})
+				entries = append(entries, COOEntry{i, i + 1, off})
 			}
 		}
 	}
@@ -62,7 +71,7 @@ func stencilCSR(n int) *CSR {
 }
 
 func BenchmarkCSRMulVec(b *testing.B) {
-	m := stencilCSR(64)
+	m := stencilCSR(64, true)
 	x := NewRNG(2).NormalVector(m.Cols)
 	y := New(m.Rows)
 	b.ReportAllocs()
@@ -73,19 +82,51 @@ func BenchmarkCSRMulVec(b *testing.B) {
 }
 
 // BenchmarkCSRMulRangeStencil31 is the row slab the multigrid workloads
-// run: the 961-row stencil of a 31×31 grid, one 480-row block of it (a
-// worker's share on 2 workers), reported per row.
+// run: one 480-row block (a worker's share on 2 workers) of the 961-row
+// stencil of a 31×31 grid, reported per row. The multigrid matrix runs
+// the short-row code, the Laplacian the general loop; -affine adds an
+// offset (MulAddRangeTo), as the multigrid operator does.
 func BenchmarkCSRMulRangeStencil31(b *testing.B) {
-	m := stencilCSR(31)
-	x := NewRNG(2).NormalVector(m.Cols)
-	const lo, hi = 240, 720
-	y := New(hi - lo)
+	for _, shape := range []struct {
+		name      string
+		laplacian bool
+	}{{"multigrid", false}, {"laplacian", true}} {
+		m := stencilCSR(31, shape.laplacian)
+		rng := NewRNG(2)
+		x, off := rng.NormalVector(m.Cols), rng.NormalVector(m.Rows)
+		for _, c := range []struct {
+			suffix string
+			off    Vector
+		}{{"", nil}, {"-affine", off}} {
+			b.Run(shape.name+c.suffix, func(b *testing.B) {
+				const lo, hi = 240, 720
+				y := New(hi - lo)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.MulAddRangeTo(y, x, c.off, lo, hi)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(hi-lo)), "ns/row")
+			})
+		}
+	}
+}
+
+// benchSink keeps a benchmarked result live.
+var benchSink float64
+
+// BenchmarkDistInfNaN is the displacement scan of the same phase: a
+// worker's evaluated 480-component block against its view, reported per
+// component.
+func BenchmarkDistInfNaN(b *testing.B) {
+	rng := NewRNG(5)
+	x, y := rng.NormalVector(480), rng.NormalVector(480)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MulRangeTo(y, x, lo, hi)
+		benchSink, _ = DistInfNaN(x, y)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(hi-lo)), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/elem")
 }
 
 func BenchmarkWeightedMaxNorm(b *testing.B) {

@@ -6,16 +6,17 @@ package vec
 // keep the full, range and componentwise evaluation paths bit-identical,
 // they must all reduce in the same order. That order is:
 //
-//	s0 accumulates products at indices j ≡ 0 (mod 4)
-//	s1 accumulates products at indices j ≡ 1 (mod 4)
-//	s2 accumulates products at indices j ≡ 2 (mod 4)
-//	s3 accumulates products at indices j ≡ 3 (mod 4)
+//	s0..s3 accumulate the products at indices j ≡ 0..3 (mod 4)
 //	tail accumulates the last len%4 products sequentially
 //	result = ((s0+s1) + (s2+s3)) + tail
 //
-// The four independent accumulators break the floating-point add dependency
-// chain (instruction-level parallelism the single-accumulator loop cannot
-// reach) and give the compiler a vectorizable shape.
+// The four independent accumulators break the add dependency chain and give
+// the compiler a vectorizable shape. Each is `s += a*b`, which Go may fuse
+// into an FMA (arm64 does, amd64 does not): the bits are then per
+// architecture but the same for every spelling. So a straight-line spelling
+// never adds two products together: each joins its running sum as in the
+// loop (0.0 + a*b, then + c*d) or, alone in a zeroed accumulator, is
+// rounded by float64(a*b), which cannot fuse (FMA(a, b, 0) rounds once too).
 //
 // One row's four chains still wait on their own adds, so a Dense slab runs
 // four rows' chains at once: dot4Acc4 keeps each row's accumulators as the
@@ -31,8 +32,8 @@ package vec
 //	dot4               Dot, Dense rows        TestCanonicalDotOrder
 //	dot4Acc4 (SSE2)    Dense.Mul*To slabs     TestDot4Acc4MatchesDot4
 //	dot4Acc4Go         !amd64, the oracle     TestDot4Acc4MatchesDot4
-//	dot4Indexed        CSR.RowDotAt           TestCSRSlabCanonicalOrder
-//	CSR slab loop      CSR.Mul*To (sparse.go) TestCSRSlabCanonicalOrder
+//	CSR slab loop      CSR.Mul*To, RowDotAt   TestCSRSlabCanonicalOrder,
+//	  (sparse.go)                             FuzzCSRRowsCanonical
 //	sum4, no products  Sum                    TestCanonicalSumOrder
 
 // dot4 returns the canonical dot product of a and x (equal lengths assumed;
@@ -110,29 +111,6 @@ func sum4(a []float64) float64 {
 	tail := 0.0
 	for j := n4; j < len(a); j++ {
 		tail += a[j]
-	}
-	return ((s0 + s1) + (s2 + s3)) + tail
-}
-
-// dot4Indexed returns the canonical dot product of vals and the gathered
-// components x[idx[k]] — the sparse-row analog of dot4, with the identical
-// reduction order over k.
-//
-//repro:hotpath
-func dot4Indexed(vals []float64, idx []int, x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n4 := len(vals) &^ 3
-	for k := 0; k < n4; k += 4 {
-		vk := vals[k : k+4 : k+4]
-		ik := idx[k : k+4 : k+4]
-		s0 += vk[0] * x[ik[0]]
-		s1 += vk[1] * x[ik[1]]
-		s2 += vk[2] * x[ik[2]]
-		s3 += vk[3] * x[ik[3]]
-	}
-	tail := 0.0
-	for k := n4; k < len(vals); k++ {
-		tail += vals[k] * x[idx[k]]
 	}
 	return ((s0 + s1) + (s2 + s3)) + tail
 }

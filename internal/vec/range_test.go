@@ -84,19 +84,21 @@ func canonicalIndexed(vals []float64, idx []int, x []float64) float64 {
 	return ((s[0] + s[1]) + (s[2] + s[3])) + tail
 }
 
-// canonicalCSR is a 37-row matrix whose rows hold 0–9 non-zeros (every
-// residue of the 4-wide unroll, with and without a tail), and an x that
-// holds ±0, ±Inf and NaN. Row 6 meets only the zeros of x, with signs that
-// make every product -0; rows 16–18 meet one of +Inf, -Inf or NaN, and row
-// 26 both infinities.
+// canonicalCSR is a 41-row matrix whose rows 0–36 hold 0–9 non-zeros
+// (every residue of the 4-wide unroll, with and without a tail), and an x
+// that holds ±0, ±Inf and NaN. Rows 6 and 37–40 meet only the zeros of x,
+// with signs that make every product -0: row 6 has 6 entries, rows 37–40
+// have 1, 2, 3 and 4, every length the slab loop reduces in straight-line
+// code and its neighbour. Rows 16–18 meet one of +Inf, -Inf or NaN, and
+// row 26 both infinities.
 func canonicalCSR() (*CSR, []float64) {
-	const rows, cols = 37, 29
+	const rows, cols = 41, 29
 	rng := NewRNG(81)
 	x := rng.NormalVector(cols)
 	copy(x, []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, math.Copysign(0, -1)})
 	x[6], x[7], x[8] = math.Inf(1), math.Inf(-1), math.NaN()
 	var entries []COOEntry
-	for r := 0; r < rows; r++ {
+	for r := 0; r < 37; r++ {
 		if r == 6 {
 			continue
 		}
@@ -105,14 +107,20 @@ func canonicalCSR() (*CSR, []float64) {
 			entries = append(entries, COOEntry{r, col, rng.Normal()})
 		}
 	}
-	for c := 0; c < 6; c++ { // row 6, 6 non-zeros: +v * -0 and -v * +0 are both -0
-		entries = append(entries, COOEntry{6, c, math.Copysign(1.5, -x[c])})
+	for r, n := range negZeroRows {
+		for c := 0; c < n; c++ { // +v * -0 and -v * +0 are both -0
+			entries = append(entries, COOEntry{r, c, math.Copysign(1.5, -x[c])})
+		}
 	}
 	entries = append(entries,
 		COOEntry{16, 6, 2}, COOEntry{17, 7, -3}, COOEntry{18, 8, 1},
 		COOEntry{26, 6, 1}, COOEntry{26, 7, 1})
 	return NewCSR(rows, cols, entries), x
 }
+
+// negZeroRows maps each row of canonicalCSR whose products are all -0 to
+// its length.
+var negZeroRows = map[int]int{6: 6, 37: 1, 38: 2, 39: 3, 40: 4}
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -131,8 +139,12 @@ func TestCSRSlabCanonicalOrder(t *testing.T) {
 			t.Errorf("RowDotAt(%d) = %v, canonical %v", i, got, want[i])
 		}
 	}
-	if got := m.RowDotAt(6, x); !sameBits(got, 0) {
-		t.Errorf("all -0 products: RowDotAt(6) = %v (bits %x), want +0", got, math.Float64bits(got))
+	for i, n := range negZeroRows { // the canonical sum of -0 products is +0
+		var y [1]float64
+		m.MulRangeTo(y[:], x, i, i+1)
+		if got := m.RowDotAt(i, x); !sameBits(got, 0) || !sameBits(y[0], 0) {
+			t.Errorf("%d -0 products: RowDotAt(%d) = %v, MulRangeTo = %v, want +0 from both", n, i, got, y[0])
+		}
 	}
 	full := make([]float64, m.Rows)
 	m.MulVecTo(full, x)
@@ -157,6 +169,103 @@ func TestCSRSlabCanonicalOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzInput hands out a fuzz input one byte at a time, 0 once it is
+// used up.
+type fuzzInput []byte
+
+func (in *fuzzInput) next() byte {
+	if len(*in) == 0 {
+		return 0
+	}
+	c := (*in)[0]
+	*in = (*in)[1:]
+	return c
+}
+
+// fuzzValues is the table fuzzInput.value picks from: plain values and
+// scanSpecials.
+var fuzzValues = append([]float64{1, -1, 0.25, 3}, scanSpecials...)
+
+// value decodes one float64: an even byte picks from fuzzValues, an odd one
+// takes the next 8 bytes as raw bits.
+func (in *fuzzInput) value() float64 {
+	if c := in.next(); c%2 == 0 {
+		return fuzzValues[int(c/2)%len(fuzzValues)]
+	}
+	var bits uint64
+	for i := 0; i < 8; i++ {
+		bits = bits<<8 | uint64(in.next())
+	}
+	return math.Float64frombits(bits)
+}
+
+// FuzzCSRRowsCanonical decodes its input into a small CSR (1–8 rows of 0–9
+// entries over 1–8 columns, repeated columns allowed) and x, y and b, and
+// checks every row of MulRangeTo and MulAddRangeTo over every [lo, hi), and
+// RowDotAt, against canonicalIndexed (NaN payloads aside: where two NaNs
+// meet, which one survives is the compiler's choice), and both scans of x
+// against y against distInfOracle.
+func FuzzCSRRowsCanonical(f *testing.F) {
+	negZeros := []byte{3, 3, // 4 rows, 4 columns: rows of 2, 3, 4 and 5 entries of 1
+		2, 0, 0, 1, 0,
+		3, 0, 0, 1, 0, 2, 0,
+		4, 0, 0, 1, 0, 2, 0, 3, 0,
+		5, 0, 0, 1, 0, 2, 0, 3, 0, 0, 0,
+		16, 16, 16, 16} // x = -0: every product is -0
+	f.Add(negZeros)
+	underflows := []byte{1, 0, // 2 rows, 1 column
+		2, 0, 20, 0, 22, // -min, largest subnormal
+		3, 0, 20, 0, 22, 0, 22,
+		20} // x = -min: the products underflow to +0 and -0; a fused chain can end at -0
+	f.Add(underflows)
+	f.Add([]byte{})
+	f.Add([]byte("\x07\x05 arbitrary text, odd bytes read as raw float bits \xff\xf0"))
+	f.Add([]byte{7, 7, 9, 8, 1, 7, 3, 5, 2, 9, 4, 11, 6, 13, 8, 15, 10, 17, 12, 19, 14})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		rows, cols := 1+int(in.next()%8), 1+int(in.next()%8)
+		m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+		for r := 0; r < rows; r++ {
+			for n := in.next() % 10; n > 0; n-- {
+				m.ColIdx = append(m.ColIdx, int(in.next())%cols)
+				m.Val = append(m.Val, in.value())
+			}
+			m.RowPtr[r+1] = len(m.Val)
+		}
+		x, y, b := make([]float64, cols), make([]float64, cols), make([]float64, rows)
+		for _, v := range [][]float64{x, y, b} {
+			for i := range v {
+				v[i] = in.value()
+			}
+		}
+		checkScans(t, x, y)
+		want := make([]float64, rows)
+		for i := range want {
+			k0, k1 := m.RowPtr[i], m.RowPtr[i+1]
+			want[i] = canonicalIndexed(m.Val[k0:k1], m.ColIdx[k0:k1], x)
+			if got := m.RowDotAt(i, x); !sameResult(got, want[i]) {
+				t.Fatalf("RowDotAt(%d) = %v, canonical %v", i, got, want[i])
+			}
+		}
+		for lo := 0; lo <= rows; lo++ {
+			for hi := lo; hi <= rows; hi++ {
+				got, gotb := make([]float64, hi-lo), make([]float64, hi-lo)
+				m.MulRangeTo(got, x, lo, hi)
+				m.MulAddRangeTo(gotb, x, b, lo, hi)
+				for r := range got {
+					i := lo + r
+					if !sameResult(got[r], want[i]) {
+						t.Fatalf("MulRangeTo [%d,%d) row %d = %v, canonical %v", lo, hi, i, got[r], want[i])
+					}
+					if aff := want[i] + b[i]; !sameResult(gotb[r], aff) {
+						t.Fatalf("MulAddRangeTo [%d,%d) row %d = %v, canonical + b %v", lo, hi, i, gotb[r], aff)
+					}
+				}
+			}
+		}
+	})
 }
 
 // Dot, MulVecTo and RowDotAt share the canonical 4-accumulator order; pin

@@ -77,9 +77,10 @@ func (m *CSR) MulVec(x Vector) Vector {
 func (m *CSR) MulRangeTo(y, x Vector, lo, hi int) { m.MulAddRangeTo(y, x, nil, lo, hi) }
 
 // MulAddRangeTo is MulRangeTo for the affine map M x + b: y[i-lo] =
-// (M x)_i + b[i], b of length Rows (nil: no offset). The offset is added
-// after the row's full reduction, so each entry equals RowDotAt(i, x) + b[i]
-// bit for bit — the Component of an affine operator.
+// (M x)_i + b[i], b of length Rows (nil: no offset). The offset is added in
+// a pass after the slab loop (which then keeps fewer values live), so each
+// entry equals RowDotAt(i, x) + b[i] bit for bit — the Component of an
+// affine operator. y must not overlap x or b.
 func (m *CSR) MulAddRangeTo(y, x, b Vector, lo, hi int) {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("vec: CSR MulRangeTo range [%d,%d) outside %d rows", lo, hi, m.Rows))
@@ -88,47 +89,63 @@ func (m *CSR) MulAddRangeTo(y, x, b Vector, lo, hi int) {
 		panic(fmt.Sprintf("vec: CSR MulRangeTo dimension mismatch (%dx%d)*%d -> %d (range [%d,%d), offset %d)",
 			m.Rows, m.Cols, len(x), len(y), lo, hi, len(b)))
 	}
-	m.mulAddRange(y, x, b, lo, hi)
+	m.mulRange(y, x, lo, hi)
+	if b != nil {
+		for r, bi := range b[lo:hi] {
+			y[r] += bi
+		}
+	}
 }
 
-// mulAddRange is the CSR slab loop behind MulAddRangeTo: each row reduced
-// inline in dot4Indexed's order, with no call or re-slicing per row (k runs
-// on from one row's end into the next). Callers check the bounds.
+// mulRange is the CSR slab loop behind every CSR product, the one sparse
+// reduction: each row reduced inline in the canonical order (kernels.go),
+// k running on from one row's end into the next. Callers check the bounds.
+// Rows of 2-4 entries (the multigrid stencil's) are straight-line code
+// spelled as kernels.go says, each ending in the loop's last add of its
+// zeroed accumulators, 0.0 +, which turns a -0 sum into +0.
 //
 //repro:hotpath
-func (m *CSR) mulAddRange(y, x, b Vector, lo, hi int) {
+func (m *CSR) mulRange(y, x Vector, lo, hi int) {
 	rp := m.RowPtr[lo : hi+1]
 	val, col := m.Val, m.ColIdx
 	y = y[:len(rp)-1]
 	k := rp[0]
 	for r, end := range rp[1:] {
-		var s0, s1, s2, s3 float64
-		for ; k+4 <= end; k += 4 {
-			vk := val[k : k+4 : k+4]
-			ck := col[k : k+4 : k+4]
-			s0 += vk[0] * x[ck[0]]
-			s1 += vk[1] * x[ck[1]]
-			s2 += vk[2] * x[ck[2]]
-			s3 += vk[3] * x[ck[3]]
+		if n := end - k; uint(n-2) > 2 {
+			var s0, s1, s2, s3 float64
+			for ; k+4 <= end; k += 4 {
+				vk := val[k : k+4 : k+4]
+				ck := col[k : k+4 : k+4]
+				s0 += vk[0] * x[ck[0]]
+				s1 += vk[1] * x[ck[1]]
+				s2 += vk[2] * x[ck[2]]
+				s3 += vk[3] * x[ck[3]]
+			}
+			tail := 0.0
+			for ; k < end; k++ {
+				tail += val[k] * x[col[k]]
+			}
+			y[r] = ((s0 + s1) + (s2 + s3)) + tail
+		} else if n == 4 {
+			v, c := val[k:k+4:k+4], col[k:k+4:k+4]
+			y[r] = 0.0 + ((float64(v[0]*x[c[0]]) + float64(v[1]*x[c[1]])) + (float64(v[2]*x[c[2]]) + float64(v[3]*x[c[3]])))
+		} else if n == 3 {
+			v, c := val[k:k+3:k+3], col[k:k+3:k+3]
+			y[r] = 0.0 + (((0.0 + v[0]*x[c[0]]) + v[1]*x[c[1]]) + v[2]*x[c[2]])
+		} else {
+			v, c := val[k:k+2:k+2], col[k:k+2:k+2]
+			y[r] = 0.0 + ((0.0 + v[0]*x[c[0]]) + v[1]*x[c[1]])
 		}
-		tail := 0.0
-		for ; k < end; k++ {
-			tail += val[k] * x[col[k]]
-		}
-		s := ((s0 + s1) + (s2 + s3)) + tail
-		if b != nil {
-			s += b[lo+r]
-		}
-		y[r] = s
+		k = end
 	}
 }
 
-// RowDotAt returns (M x)_i touching only row i; this is the per-component
-// evaluation the asynchronous engines call. Canonical reduction order,
-// bit-identical to the corresponding MulVecTo / MulRangeTo component.
+// RowDotAt returns (M x)_i touching only row i, the per-component
+// evaluation of the asynchronous engines: the slab loop over one row.
 func (m *CSR) RowDotAt(i int, x Vector) float64 {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return dot4Indexed(m.Val[lo:hi], m.ColIdx[lo:hi], x)
+	var y [1]float64
+	m.mulRange(y[:], x, i, i+1)
+	return y[0]
 }
 
 // At returns element (i, j) (O(row nnz)).

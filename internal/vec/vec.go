@@ -199,25 +199,17 @@ func NormInf(x Vector) float64 {
 	return m
 }
 
-// DistInf returns ||x - y||_inf without allocating. It skips NaN differences
-// (`a > m` is false for NaN); DistInfNaN is the scan that reports them.
+// DistInf returns ||x - y||_inf without allocating, skipping NaN
+// differences: DistInfNaN's m.
 //
 //repro:hotpath
 func DistInf(x, y Vector) float64 {
-	checkLen(x, y)
-	m := 0.0
-	for i := range x {
-		if a := math.Abs(x[i] - y[i]); a > m {
-			m = a
-		}
-	}
+	m, _ := DistInfNaN(x, y)
 	return m
 }
 
-// FirstNaN returns the index of the first NaN in x, or -1. DistInf never
-// sees one, so an engine that measured only displacements would read a NaN
-// block as displacement 0; DistInfNaN fuses this test into the
-// displacement scan, and engines without one test their block with this.
+// FirstNaN returns the index of the first NaN in x, or -1: DistInf skips
+// NaN, so engines without DistInfNaN's scan test their block with this.
 //
 //repro:hotpath
 func FirstNaN(x Vector) int {
@@ -230,24 +222,37 @@ func FirstNaN(x Vector) int {
 }
 
 // DistInfNaN returns (DistInf(x, y), FirstNaN(x)) in one pass, the scan of
-// a worker's evaluated block x against its view y. Only the rare !(a <= m)
-// branch looks further: a NaN of x is recorded, and a NaN difference of two
-// non-NaN values (+Inf - +Inf, where routing starts) is skipped.
+// a worker's evaluated block x against its view y. Four lanes keep the max
+// of the bits of |x_i - y_i| with no data-dependent branch: non-negative
+// doubles order as their bits, and a NaN's lie above +Inf's. A max above
+// +Inf's bits (a NaN of x or y, or +Inf - +Inf, where routing starts)
+// reruns the exact loop, so (m, bad) is the same on every input.
 //
 //repro:hotpath
 func DistInfNaN(x, y Vector) (m float64, bad int) {
 	checkLen(x, y)
-	bad = -1
-	for i := range x {
-		if a := math.Abs(x[i] - y[i]); !(a <= m) {
-			if a > m {
-				m = a
-			} else if bad < 0 && x[i] != x[i] {
-				bad = i
-			}
+	var m0, m1, m2, m3 uint64
+	n4 := len(x) &^ 3
+	for i := 0; i < n4; i += 4 {
+		xi := x[i : i+4 : i+4]
+		yi := y[i : i+4 : i+4]
+		m0 = max(m0, math.Float64bits(math.Abs(xi[0]-yi[0])))
+		m1 = max(m1, math.Float64bits(math.Abs(xi[1]-yi[1])))
+		m2 = max(m2, math.Float64bits(math.Abs(xi[2]-yi[2])))
+		m3 = max(m3, math.Float64bits(math.Abs(xi[3]-yi[3])))
+	}
+	for i := n4; i < len(x); i++ {
+		m0 = max(m0, math.Float64bits(math.Abs(x[i]-y[i])))
+	}
+	if top := max(max(m0, m1), max(m2, m3)); top <= 0x7FF<<52 { // +Inf's bits
+		return math.Float64frombits(top), -1
+	}
+	for i := range x { // `a > m` is false for NaN: NaN differences are skipped
+		if a := math.Abs(x[i] - y[i]); a > m {
+			m = a
 		}
 	}
-	return m, bad
+	return m, FirstNaN(x)
 }
 
 // Dist2 returns ||x - y||_2 without allocating.

@@ -196,29 +196,66 @@ func TestLengthMismatchPanics(t *testing.T) {
 	Add(Vector{1}, Vector{1, 2})
 }
 
-// DistInfNaN is DistInf and FirstNaN fused into one scan, so it must return
-// exactly their pair on every input: seeded vectors with NaN, ±Inf and
-// Inf − Inf pairs planted in either argument, at any position.
+// distInfOracle is the explicit scalar reference for both scans: the max
+// of |x_i - y_i| over the differences that are not NaN (`a > m` is false
+// for NaN), and the index of the first NaN of x, or -1.
+func distInfOracle(x, y []float64) (m float64, bad int) {
+	bad = -1
+	for i := range x {
+		if a := math.Abs(x[i] - y[i]); a > m {
+			m = a
+		}
+		if bad < 0 && x[i] != x[i] {
+			bad = i
+		}
+	}
+	return m, bad
+}
+
+// checkScans fails t unless DistInfNaN(x, y) and DistInf(x, y) give the
+// oracle's bits and index.
+func checkScans(t *testing.T, x, y []float64) {
+	t.Helper()
+	wantD, wantBad := distInfOracle(x, y)
+	if d, bad := DistInfNaN(x, y); !sameBits(d, wantD) || bad != wantBad {
+		t.Fatalf("x=%v y=%v: DistInfNaN = (%v, %d), want (%v, %d)", x, y, d, bad, wantD, wantBad)
+	}
+	if d := DistInf(x, y); !sameBits(d, wantD) {
+		t.Fatalf("x=%v y=%v: DistInf = %v, want %v", x, y, d, wantD)
+	}
+}
+
+// scanSpecials are the values the scans' bit-order argument has to hold
+// on: NaN, ±Inf, ±0, the smallest and largest subnormals and the largest
+// finite values (MaxFloat64 - -MaxFloat64 overflows to +Inf).
+var scanSpecials = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000F_FFFF_FFFF_FFFF), math.MaxFloat64, -math.MaxFloat64,
+}
+
+// Both scans must return the oracle's pair on every input: seeded vectors
+// of every length 0–19 (each lane tail) with the specials planted in
+// either argument or both, and a NaN in y alone, at any position.
 func TestDistInfNaNMatchesDistInfAndFirstNaN(t *testing.T) {
 	rng := NewRNG(91)
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
-	for trial := 0; trial < 10000; trial++ {
-		n := rng.Intn(12)
-		x, y := rng.NormalVector(n), rng.NormalVector(n)
-		for k := rng.Intn(4); k > 0 && n > 0; k-- {
-			i, v := rng.Intn(n), specials[rng.Intn(len(specials))]
-			switch rng.Intn(3) {
-			case 0:
-				x[i] = v
-			case 1:
-				y[i] = v
-			default: // the same value in both: Inf − Inf is NaN
-				x[i], y[i] = v, v
+	for n := 0; n < 20; n++ {
+		for trial := 0; trial < 1000; trial++ {
+			x, y := rng.NormalVector(n), rng.NormalVector(n)
+			for k := rng.Intn(4); k > 0 && n > 0; k-- {
+				i, v := rng.Intn(n), scanSpecials[rng.Intn(len(scanSpecials))]
+				switch rng.Intn(4) {
+				case 0:
+					x[i] = v
+				case 1:
+					y[i] = v
+				case 2: // the same value in both: Inf − Inf is NaN
+					x[i], y[i] = v, v
+				default: // a NaN difference the scan must not report
+					y[i] = math.NaN()
+				}
 			}
-		}
-		d, bad := DistInfNaN(x, y)
-		if wantD, wantBad := DistInf(x, y), FirstNaN(x); math.Float64bits(d) != math.Float64bits(wantD) || bad != wantBad {
-			t.Fatalf("x=%v y=%v: DistInfNaN = (%v, %d), want (%v, %d)", x, y, d, bad, wantD, wantBad)
+			checkScans(t, x, y)
 		}
 	}
 }
