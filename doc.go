@@ -169,10 +169,14 @@
 // tiles, mirrored, per-element order unchanged) and shares it read-only
 // with every operator built from it. A Report on the wire is its outcome,
 // 1.7 KB for a served lasso at n=64; the per-iteration log (58 KB there)
-// stays on the engine results. Its JSON codec is hand-written (Report.MarshalJSON /
-// UnmarshalJSON, held to the reflective codec by fixtures and
-// FuzzReportUnmarshal): on that event line it costs 18 + 22 us and 3 + 35
-// allocations against the reflective codec's 43 + 61 us and 136 + 171.
+// stays on the engine results. Its JSON encoder is hand-written
+// (Report.MarshalJSON), its decoder encoding/json over a mirror struct
+// (Report.UnmarshalJSON), both held to the reflective codec by fixtures and
+// FuzzReportUnmarshal. On that event line (medians of 5 runs, 2 vCPU, Go
+// 1.24) encoding costs 37 us and 2 allocations against a reflective
+// encoder's 58 us and 131, which the server would pay per job; decoding,
+// which only clients do, costs 75 us and 44 allocations (the hand-written
+// reader it replaced: 44 us and 37; reflective floats: 103 us and 167).
 //
 // # Tuning knobs
 //

@@ -21,8 +21,9 @@ type Tuning struct {
 // ParallelWork is the multiply-add count below which a block evaluation
 // never fans out (dense rows x cols, CSR stored entries, lean rows x
 // samples). On 2 vCPU two lanes lose below it on dense slabs, tie at it
-// and win above; sparse and lean rows win from less, and no measured shape
-// loses from it up (README "Tuning" has the table).
+// and win above; sparse rows lose at 64k stored entries and win at 259k,
+// lean rows win from less, and no measured shape loses from it up (README
+// "Tuning" has the table).
 const ParallelWork = 1 << 19
 
 // SetTuning installs the kernel tuning knobs on s. Engines call it once per

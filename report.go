@@ -48,9 +48,10 @@ type TimedError = des.TimedError
 // payload from a version that shipped it is skipped like any unknown key.
 //
 // The struct tags below document the wire keys and order; the codec is the
-// hand-written MarshalJSON / UnmarshalJSON pair in report_json.go, held to
-// the tags by the differential tests against a reflective codec built from
-// them (report_json_test.go).
+// MarshalJSON / UnmarshalJSON pair in report_json.go (a hand-written
+// encoder, encoding/json under the decoder), held to the tags by the
+// differential tests against a reflective codec built from them
+// (report_json_test.go).
 type Report struct {
 	// Engine is the name of the engine that produced this report.
 	Engine string `json:"engine"`

@@ -221,10 +221,13 @@ func TestReportJSONFromSolve(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // The differential oracle: the reflective codec that WAS Report's codec until
-// the hand-written one in report_json.go replaced it. It defines the wire
-// format — what encoding/json does with the struct tags, floats wrapped —
-// and the fixtures, corner cases and fuzz target below hold the new codec to
-// it byte for byte and value for value.
+// the one in report_json.go replaced it. It defines the wire format — what
+// encoding/json does with the struct tags, floats wrapped — and the
+// fixtures, corner cases and fuzz target below hold the codec to it byte for
+// byte and value for value. The decoder is encoding/json too now, but over
+// its own mirror struct and with its own float parsing (strconv, where the
+// oracle's jsonFloat nests a json.Unmarshal per float), so the comparison
+// still checks both of those.
 
 // jsonFloat is a float64 whose JSON form survives non-finite values:
 // Inf/NaN encode as the strings "Infinity", "-Infinity", "NaN" (bare JSON
@@ -538,9 +541,11 @@ func TestReportJSONFixtures(t *testing.T) {
 	}
 }
 
-// reportCornerCases are inputs on which a hand-written decoder most easily
-// parts ways with encoding/json; each is checked against the oracle (same
-// value or both reject), and all of them seed the fuzz target.
+// reportCornerCases are inputs on which a decoder most easily parts ways
+// with the oracle (they were written against a hand-written reader, and the
+// mirror struct's float parsing and field shadowing meet most of them
+// too); each is checked against the oracle (same value or both reject), and
+// all of them seed the fuzz target.
 var reportCornerCases = []string{
 	`null`, `{}`, ` { } `, `[]`, `5`, `"report"`, `{} x`, `{}{}`, ``, `{`, `{"engine"}`, `{"engine":}`,
 	`{"engine":"sim",}`, `{,"engine":"sim"}`, `{"x":[1,]}`, `{"x":[,1]}`, `{"x":[1 2]}`,
@@ -657,16 +662,34 @@ func TestReportUnmarshalErrorLeavesTargetUntouched(t *testing.T) {
 	}
 }
 
+// The decoder parses each float once, with strconv: decoding the served
+// job's report (lasso n=64) allocates what encoding/json's slices and one
+// copy per float array cost, not a nested json.Unmarshal per float, as the
+// oracle's jsonFloat does (162 allocations). The serving benchmark's
+// load generator decodes one such report per job.
+func TestReportUnmarshalAllocs(t *testing.T) {
+	data := readFixture(t, "report_model_lasso64.json")
+	var r repro.Report
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := r.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 33 {
+		t.Fatalf("decoding the lasso n=64 report: %v allocations, want <= 33", allocs)
+	}
+}
+
 // retainedBytes is the memory a decoded report holds on to, by capacity.
 func retainedBytes(r *repro.Report) int {
 	return 8*(cap(r.X)+cap(r.Errors)+cap(r.Boundaries)+cap(r.StrictBoundaries)+cap(r.Epochs)+cap(r.UpdatesPerWorker)) +
 		16*cap(r.ErrorTrace) + len(r.Engine)
 }
 
-// FuzzReportUnmarshal: on any input the hand-written decoder gives the
-// oracle's verdict and value (checkAgainstOracle), never panics, and never
-// holds more than a constant factor of the input — nothing is sized from
-// the input ahead of reading it, so a huge array costs what its bytes cost.
+// FuzzReportUnmarshal: on any input the decoder gives the oracle's verdict
+// and value (checkAgainstOracle), never panics, and never holds more than a
+// constant factor of the input — nothing is sized from the input ahead of
+// reading it, so a huge array costs what its bytes cost.
 // The fuzzer's default minute of minimization per new input crawls through
 // the KB-sized fixture seeds; run it as
 //
