@@ -9,6 +9,7 @@ package dist
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -264,7 +265,7 @@ func TestOnlyLinkLossIsACasualty(t *testing.T) {
 	_, writeErr := srv.Write([]byte{0})
 	ws := &workerState{id: 3}
 	lost := getFrame()
-	lost.b = connLost(lost.b, "EOF")
+	lost.lost(io.EOF)
 	handleErr := ws.handle(lost)
 	for _, err := range []error{writeErr, fmt.Errorf("dist: worker 3 status: %w", writeErr), handleErr} {
 		if err == nil || !linkLost(err) {

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +35,7 @@ const eventsPerWorker = 8
 
 var (
 	stopFrame   = buildFrame(msgStop, nil)
+	byeFrame    = buildFrame(msgBye, nil)
 	rejectFrame = buildFrame(msgReject, appendStr(nil, "no free worker slot"))
 	busyFrame   = buildFrame(msgReject, appendStr(nil, "coordinator busy"))
 )
@@ -239,7 +241,7 @@ func (c *coordinator) exec(acts []action) {
 		switch a.kind {
 		case actWelcome:
 			l := c.conns[a.link]
-			context.AfterFunc(c.hangup, func() { l.conn.Close() })
+			l.unhook = context.AfterFunc(c.hangup, func() { l.conn.Close() })
 			wel := welcome{id: a.slot, n: c.n, lo: a.lo, hi: a.hi, gen: a.gen, rejoining: a.rejoining, cfg: c.cfg}
 			wel.cfg.X0 = c.st.xbest
 			c.writeLink(l, wel.frame())
@@ -368,18 +370,30 @@ func (c *coordinator) linkUp(w int, l *link) {
 // shutdown stops accepting, closes every link and joins the readers — each
 // flushes its relay on the way out, so afterwards nothing is left to write
 // and the ledger and byte counters are final. A hello the loop never took
-// has its connection closed.
+// has its connection closed. A clean star run's links get a bye after the
+// join instead (not counted in BytesSent), and stay open on a keptListener.
 func (c *coordinator) shutdown() {
 	c.stopped.Store(true)
 	c.ln.Close()
 	c.acceptWG.Wait()
-	for _, l := range c.conns {
-		l.conn.Close()
+	st := c.st
+	clean := !st.mesh && st.err == nil && st.converged && !st.cancelled && !slices.Contains(st.finals, nil) &&
+		st.workersLost+st.workersRejoined+st.resharding == 0 && len(c.conns) == c.cfg.Workers
+	if !clean {
+		for _, l := range c.conns {
+			l.conn.Close()
+		}
 	}
 	c.readers.Wait()
 	for len(c.events) > 0 {
 		if in := <-c.events; in.l != nil {
 			in.l.conn.Close()
+		}
+	}
+	_, keep := c.ln.(keptListener)
+	for _, l := range c.conns {
+		if !(clean && l.unhook != nil && l.unhook() && l.write(byeFrame) == nil && keep) {
+			l.conn.Close()
 		}
 	}
 }

@@ -16,20 +16,14 @@
 //     worker its peers' listen addresses and workers exchange shard frames
 //     directly over worker-to-worker TCP links.
 //
-// Both send with the same code (sender.go), and every worker holds one
-// sender: its links to every peer on mesh; on star an uplink, one leg onto
-// the control link, whose frames the coordinator relays through one more
-// sender per source link. The mesh worker's and the relay inject the
-// per-link faults (delay, reordering holds, drops, drawn from a per-source
-// RNG stream, so the paper's unbounded-delay and out-of-order regimes run
-// on a real network path); every sender filters each leg by sequence
-// number — a frame overtaken by a later one from the same source is
-// discarded there, never written, never applied, and counted reordered (seq
-// below the newest) or duplicate (seq equal); and writes only the newest
-// due frame on a leg, so a source that outruns a socket sheds its own stale
-// frames (counted reordered too) instead of queueing them.
-// Discards count as drained for the termination protocol, like injection
-// drops: they can never reactivate a worker.
+// Both send with the same code (sender.go): every worker holds one sender,
+// its links to every peer on mesh or, on star, an uplink onto the control
+// link whose frames the coordinator relays through one more sender per
+// source link. The mesh worker's and the relay inject the per-link faults
+// (delay, reordering holds, drops), so the paper's unbounded-delay and
+// out-of-order regimes run on a real network path; every sender writes only
+// a leg's newest due frame and discards, unwritten, what that overtook
+// (counted reordered or duplicate, and drained for termination).
 //
 // A worker is the Worker loop of internal/runtime (loop.go) — the same
 // loop the shared-memory and channel engines run — over a TCP transport
@@ -43,20 +37,15 @@
 // due.
 //
 // Termination is the two-phase double-collect protocol of
-// internal/runtime (quiescence.go), run over the network as Safra-style
-// probe rounds: every worker replies with a self-consistent status (passive
-// and spent flags, activity epoch, sent/delivered counters, drained
-// counter, all composed by its compute goroutine), and the run stops only
-// after two consecutive quiet, identical rounds with nothing in flight
-// (sum sent == sum delivered + drops + filter discards) — converged when
-// every worker was passive, not when one had spent its budget.
-// Workers obey the protocol's ordering rule — a reactivation is published
-// (epoch bump, passive cleared) before the reactivating block is counted
-// delivered — so a quiet round can never hide a message being absorbed.
-// Rounds start on parks (a worker going passive or spent sends a park
-// frame): at once, or as the round in flight completes; the probe timer is
-// only a backstop. A sender disposes of a held frame once a newer one is
-// written on its leg, not when its hold runs out.
+// internal/runtime (quiescence.go, whose ordering rule every worker obeys),
+// run over the network as probe rounds: every worker replies with a
+// self-consistent status composed by its compute goroutine (passive and
+// spent flags, activity epoch, sent, delivered and drained counters), and
+// the run stops only after two consecutive quiet, identical rounds with
+// nothing in flight — converged when every worker was passive, not when one
+// had spent its budget. Rounds start on parks (a worker going passive or
+// spent sends a park frame): at once, or as the round in flight completes;
+// the probe timer is only a backstop.
 //
 // Membership is elastic in every run (protocol v4): a link whose read or
 // write fails — or, when Config.Elastic.HeartbeatEvery has workers
@@ -83,13 +72,17 @@
 // and all workers in-process over localhost TCP (how the tests and the
 // in-process engine use it), and Serve/ConnectWorker are the halves the
 // `asyncsolve dist-coordinator` / `asyncsolve dist-worker` subcommands
-// expose for true multi-process runs.
+// expose for true multi-process runs. A clean star run (converged, no
+// worker lost) ends with the coordinator's bye on each link once every relay
+// has flushed (protocol v6); Run keeps those links (keptLinks), so the next
+// plan-free star Run that finds enough idle neither listens nor dials.
 package dist
 
 import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -268,8 +261,8 @@ func (f Fault) validate() error {
 const maxDuration = time.Duration(1<<63-1) / 6
 
 // Run executes the full distributed solve in-process over localhost TCP:
-// it listens on an ephemeral port, launches the coordinator, dials one TCP
-// worker per shard, and returns the coordinator's result. This is real
+// it starts the coordinator and one TCP worker per shard, on links it dials
+// or a star run kept, and returns the coordinator's result. This is real
 // networking end to end — the same frames, fault injection and probe
 // rounds a multi-process deployment uses (including the worker-to-worker
 // links of the mesh topology) — just with every endpoint in one process so
@@ -292,11 +285,10 @@ func Run(cfg Config) (*Result, error) {
 // fails the run even though the survivors finished without it; when the
 // coordinator failed too, its error names the worker's.
 func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	links, ln, err := listenLocal(cfg.Workers, len(plan.Events) == 0 && cfg.Topology == TopologyStar)
 	if err != nil {
 		return nil, err
 	}
-	addr := ln.Addr().String()
 	type serveOut struct {
 		res *Result
 		err error
@@ -314,12 +306,18 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := ConnectWorker(addr, cfg.Op, WorkerOptions{
+			o := WorkerOptions{
 				Scratch:  operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
 				Rejoin:   rejoin,
 				Ctl:      ctl,
 				progress: cfg.Progress,
-			})
+			}
+			var err error
+			if links == nil {
+				err = ConnectWorker(ln.Addr().String(), cfg.Op, o)
+			} else {
+				err = runWorker(links[w].worker, cfg.Op, o)
+			}
 			errMu.Lock()
 			if workerErr == nil && err != nil && !linkLost(err) {
 				workerErr = err
@@ -359,6 +357,7 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 		ctl.Kill()
 	}
 	wg.Wait()
+	retireLinks(links)
 	// A worker that failed on its own is the cause of whatever the
 	// coordinator made of its loss, so a coordinator error carries it (a
 	// divergence the coordinator reports itself).
@@ -374,6 +373,95 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	}
 	return out.res, nil
 }
+
+// keptLinks is the free list of the star links Run keeps between solves:
+// loopback pairs of a coordinator end and a worker end, each from a run that
+// ended cleanly on bye, at most maxKeptLinks. Nothing else of a run is kept.
+var keptLinks struct {
+	sync.Mutex
+	pairs []linkPair
+}
+
+const maxKeptLinks = 16 // two 8-worker runs' worth
+
+type linkPair struct{ coord, worker net.Conn }
+
+// listenLocal listens for runLocal's workers: a plan-free star run on p
+// links taken off the free list or, when fewer are idle, made over a
+// listener of its own; any other run on a fresh listener.
+func listenLocal(p int, star bool) ([]linkPair, net.Listener, error) {
+	var links []linkPair
+	keptLinks.Lock()
+	if rest := len(keptLinks.pairs) - p; star && rest >= 0 {
+		links = slices.Clone(keptLinks.pairs[rest:])
+		keptLinks.pairs = slices.Delete(keptLinks.pairs, rest, len(keptLinks.pairs))
+	}
+	keptLinks.Unlock()
+	if links == nil {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil || !star {
+			return nil, ln, err
+		}
+		defer ln.Close()
+		links = make([]linkPair, p)
+		for i := 0; i < p && err == nil; i++ {
+			if links[i].worker, err = net.DialTimeout("tcp", ln.Addr().String(), dialTimeout); err == nil {
+				links[i].coord, err = ln.Accept()
+			}
+		}
+		if err != nil {
+			retireLinks(links)
+			return nil, nil, err
+		}
+	}
+	kl := make(keptListener, p)
+	for _, pr := range links {
+		kl <- pr.coord
+	}
+	close(kl)
+	return links, kl, nil
+}
+
+// retireLinks keeps each link whose two ends are open with nothing unread
+// (a worker that did not end on bye closed its end), deadlines cleared,
+// while there is room, and closes every other end.
+func retireLinks(links []linkPair) {
+	keptLinks.Lock()
+	defer keptLinks.Unlock()
+	for _, pr := range links {
+		if pr.coord != nil && len(keptLinks.pairs) < maxKeptLinks && quiet(pr.coord) && quiet(pr.worker) &&
+			pr.coord.SetDeadline(time.Time{}) == nil && pr.worker.SetDeadline(time.Time{}) == nil {
+			keptLinks.pairs = append(keptLinks.pairs, pr)
+			continue
+		}
+		for _, c := range [...]net.Conn{pr.coord, pr.worker} {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}
+}
+
+// keptListener is what Serve accepts a plan-free star run's links on: each
+// coordinator end once, then it reads as closed, since nobody rejoins such a
+// run. Close closes the ends never accepted.
+type keptListener chan net.Conn
+
+func (l keptListener) Accept() (net.Conn, error) {
+	if c, ok := <-l; ok {
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+
+func (l keptListener) Close() error {
+	for c := range l {
+		c.Close()
+	}
+	return nil
+}
+
+func (keptListener) Addr() net.Addr { return nil } // nobody dials it
 
 // linkLost reports whether a worker's error is the loss of one of its links
 // — a failed read or write, or the control reader's msgConnLost — rather

@@ -40,6 +40,7 @@ type frameBuf struct {
 	seq  uint64
 	gen  uint32
 	refs atomic.Int32
+	err  error // a msgConnLost sentinel's cause
 }
 
 // framePool is shared by every run in the process: how many frames a run
@@ -83,7 +84,7 @@ func (f *frameBuf) release() {
 			poison[i] = 0xFF
 		}
 	}
-	f.b = f.b[:0]
+	f.b, f.err = f.b[:0], nil
 	if cap(f.b) > frameHeaderLen+readFrameChunk {
 		f.b = nil // a rare large frame is not worth pinning
 	}
@@ -139,8 +140,9 @@ func (g *ledger) drained() int64 { return g.inGen.Load() }
 // written under mu, so concurrent writers — data-plane legs, and the control
 // frames on either end of a control link (write) — never interleave bytes.
 type link struct {
-	conn net.Conn
-	mu   sync.Mutex
+	conn   net.Conn
+	mu     sync.Mutex
+	unhook func() bool // the welcome's; false once the cancellation closed conn
 }
 
 func (l *link) write(frame []byte) error {

@@ -32,6 +32,7 @@ package dist
 //	reject   := str reason                              (coordinator → rejoiner)
 //	diverged := u32 phase | u32 component               (worker → coordinator)
 //	park     := (empty)                                 (worker → coordinator)
+//	bye      := (empty)                                 (coordinator → workers, star)
 //	str      := u32 len | len × u8
 //
 // Every data frame (block) and every status is fenced to the membership
@@ -44,7 +45,8 @@ package dist
 // marking dead slots); a reject answers a rejoin attempt that found no free
 // worker slot; a diverged is the last frame of a worker whose operator
 // evaluated NaN, and ends the run with that error instead of a re-shard
-// around the worker; a park says its sender just went passive or spent.
+// around the worker; a park says its sender just went passive or spent; a
+// bye ends a clean star run, whose links may then carry the next one.
 //
 // A relay forwards a block frame as it read it, byte for byte: the
 // coordinator never re-encodes a worker's frame, so what a destination reads
@@ -66,7 +68,7 @@ import (
 	"time"
 )
 
-const protocolVersion = 5
+const protocolVersion = 6
 
 const (
 	msgHello byte = iota + 1
@@ -87,6 +89,7 @@ const (
 	msgReject
 	msgDiverged
 	msgPark
+	msgBye
 
 	// msgConnLost is an internal sentinel a worker's control-connection
 	// reader enqueues when the coordinator link dies; it never crosses the
@@ -219,10 +222,15 @@ func (c *cursor) str() string {
 // buildFrame assembles a complete frame (header + payload) in one buffer so
 // a single Write puts it on the wire without interleaving.
 func buildFrame(typ byte, payload []byte) []byte {
-	f := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(f, uint32(1+len(payload)))
+	return append(newFrame(typ, len(payload)), payload...)
+}
+
+// newFrame starts a frame of type typ whose payload takes exactly size
+// bytes, the header written in place, in one allocation.
+func newFrame(typ byte, size int) []byte {
+	f := make([]byte, frameHeaderLen, frameHeaderLen+size)
+	binary.LittleEndian.PutUint32(f, uint32(1+size))
 	f[4] = typ
-	copy(f[frameHeaderLen:], payload)
 	return f
 }
 
@@ -376,7 +384,8 @@ type final struct {
 }
 
 func buildFinalFrame(f final) []byte {
-	b := appendSlice(nil, f.lo, f.vals)
+	b := newFrame(msgFinal, 8+8*len(f.vals)+4+6*8+4+8*len(f.linkBytes))
+	b = appendSlice(b, f.lo, f.vals)
 	b = appendU32(b, uint32(f.updates))
 	b = appendU64(b, f.sent)
 	b = appendU64(b, f.delivered)
@@ -388,7 +397,7 @@ func buildFinalFrame(f final) []byte {
 	for _, v := range f.linkBytes {
 		b = appendU64(b, v)
 	}
-	return buildFrame(msgFinal, b)
+	return b
 }
 
 // decodeFinal is buildFinalFrame's inverse for an iterate of dimension n
@@ -516,7 +525,8 @@ type welcome struct {
 
 func (w *welcome) frame() []byte {
 	c := &w.cfg
-	b := appendU32(nil, uint32(w.id))
+	b := newFrame(msgWelcome, 102+8*len(c.X0)) // 102 bytes of fields, then x
+	b = appendU32(b, uint32(w.id))
 	b = appendU32(b, uint32(c.Workers))
 	b = appendU32(b, uint32(w.n))
 	b = appendU32(b, uint32(w.lo))
@@ -542,8 +552,7 @@ func (w *welcome) frame() []byte {
 	b = append(b, rejoining)
 	b = appendU64(b, uint64(c.Elastic.HeartbeatEvery))
 	b = appendU64(b, uint64(c.Elastic.CheckpointEvery))
-	b = appendF64s(b, c.X0)
-	return buildFrame(msgWelcome, b)
+	return appendF64s(b, c.X0)
 }
 
 func decodeWelcome(payload []byte) (welcome, error) {

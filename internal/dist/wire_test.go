@@ -8,6 +8,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -166,6 +167,53 @@ func TestStatusFrameIntoWarmBuffer(t *testing.T) {
 	}
 }
 
+// TestWelcomeAndFinalAtExactSize: a welcome and a final are each built in
+// one allocation of exactly their length, header written in place, and
+// decode to what was encoded.
+func TestWelcomeAndFinalAtExactSize(t *testing.T) {
+	wel := welcome{id: 1, n: 64, lo: 16, hi: 32, gen: 3, rejoining: true, cfg: Config{Topology: TopologyMesh, DeltaThreshold: 1e-6, Timeout: time.Minute,
+		Fault:   Fault{DropProb: 0.1, ReorderProb: 0.2, MaxDelay: time.Millisecond, Seed: 7},
+		Elastic: Elastic{HeartbeatEvery: time.Millisecond, CheckpointEvery: 4 * time.Millisecond}}}
+	wel.cfg.Workers, wel.cfg.Tol, wel.cfg.MaxUpdatesPerWorker, wel.cfg.X0 = 4, 1e-9, 1000, make([]float64, 64)
+	for i := range wel.cfg.X0 {
+		wel.cfg.X0[i] = float64(i) / 3
+	}
+	fin := final{lo: 16, vals: wel.cfg.X0[16:32], updates: 7, sent: 6, delivered: 5, stale: 4,
+		dropped: 3, reordered: 2, duplicate: 1, linkBytes: []uint64{0, 40, 80, 120}}
+	for _, tc := range []struct {
+		name  string
+		build func() []byte
+		check func(payload []byte) error
+	}{
+		{"welcome", wel.frame, func(payload []byte) error {
+			got, err := decodeWelcome(payload)
+			if err == nil && !reflect.DeepEqual(got, wel) {
+				err = fmt.Errorf("decoded %+v, want %+v", got, wel)
+			}
+			return err
+		}},
+		{"final", func() []byte { return buildFinalFrame(fin) }, func(payload []byte) error {
+			got, err := decodeFinal(payload, wel.n, wel.cfg.Workers)
+			if err == nil && !reflect.DeepEqual(got, fin) {
+				err = fmt.Errorf("decoded %+v, want %+v", got, fin)
+			}
+			return err
+		}},
+	} {
+		f := tc.build()
+		typ, payload, err := readFrame(bytes.NewReader(f), maxFramePayload)
+		if err == nil {
+			err = tc.check(payload)
+		}
+		if err != nil || len(f) != cap(f) || frameHeaderLen+len(payload) != len(f) {
+			t.Errorf("%s (type %d): %d bytes in a buffer of %d, %d payload: %v", tc.name, typ, len(f), cap(f), len(payload), err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { tc.build() }); avg != 1 {
+			t.Errorf("a %s frame takes %v allocations, want 1", tc.name, avg)
+		}
+	}
+}
+
 // TestParkCarryingPayloadIsMalformed: a park is an empty frame; one with
 // a payload fails the run as a malformed frame, while empty ones only ring.
 func TestParkCarryingPayloadIsMalformed(t *testing.T) {
@@ -225,8 +273,8 @@ func decodeFramePayload(typ byte, payload []byte) {
 		decodeDiverged(payload, fuzzDim)
 	case msgReshard, msgMeshHello, msgProbe:
 		cur.u64()
-	case msgPark:
-		_ = len(payload) > 0 // the coordinator's whole check
+	case msgPark, msgBye:
+		_ = len(payload) > 0 // an empty frame: the whole check there is
 	}
 }
 
@@ -257,6 +305,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(buildFrame(msgAssign, appendU32(appendF64s(appendU32(appendU32(appendU32(nil, 2), 0), 1), []float64{1, 2, 3}), 0xffffffff))) // lying peer count
 	f.Add(buildFrame(msgPeers, appendPeers(nil, []string{"127.0.0.1:1", "127.0.0.1:2"})))
 	f.Add(parkFrame)
+	f.Add(byeFrame)
 	f.Add(buildFrame(msgPark, []byte{1})) // a park carrying a payload
 	f.Add(buildDivergedFrame(7, 2))
 	f.Add(buildDivergedFrame(1, 0xfffffff0)) // component outside the iterate

@@ -58,6 +58,7 @@ type workerState struct {
 	lastHB, lastCk   time.Time
 
 	passive, spent, stopped bool
+	bye                     bool // the coordinator ended the run with a bye
 	// fresh and reset are the Input flags accumulated since the last Drain
 	// returned.
 	fresh, reset bool
@@ -71,6 +72,8 @@ type workerState struct {
 	statusBuf              []byte // every status reply is encoded here
 }
 
+// runWorker runs one worker on conn to completion. Past the handshake it
+// closes conn on the way out, unless the run ended on the coordinator's bye.
 func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	scr, ctl := o.Scratch, o.Ctl
 	if scr == nil {
@@ -176,7 +179,9 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	var readers sync.WaitGroup
 	defer func() {
 		close(quit)
-		conn.Close()
+		if !ws.bye {
+			conn.Close()
+		}
 		ws.snd.flush() // after an error; finish has flushed already
 		if ws.mesh != nil {
 			ws.mesh.shutdown()
@@ -196,11 +201,11 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 				f.release()
 				return
 			}
-			last := err != nil || !ctrl && f.typ() != msgBlock
+			last := err != nil || f.typ() != msgBlock && (!ctrl || f.typ() == msgBye)
 			if err != nil {
-				f.b = connLost(f.b, err.Error())
-			} else if last {
-				f.b = connLost(f.b, fmt.Sprintf("mesh peer sent frame type %d", f.typ()))
+				f.lost(err)
+			} else if last && !ctrl {
+				f.lost(fmt.Errorf("mesh peer sent frame type %d", f.typ()))
 			}
 			select {
 			case inbox <- f:
@@ -291,9 +296,10 @@ func (ws *workerState) maintain() error {
 	return nil
 }
 
-// connLost turns buf into the in-band msgConnLost sentinel carrying reason.
-func connLost(buf []byte, reason string) []byte {
-	return append(append(buf[:0], 0, 0, 0, 0, msgConnLost), reason...)
+// lost turns f into the in-band msgConnLost sentinel carrying cause, which
+// is formatted only if the worker fails on it.
+func (f *frameBuf) lost(cause error) {
+	f.b, f.err = append(f.b[:0], 0, 0, 0, 0, msgConnLost), cause
 }
 
 // handle processes one inbound frame and releases it.
@@ -373,7 +379,7 @@ func (ws *workerState) handle(f *frameBuf) error {
 	case msgStop:
 		ws.stopped = true
 	case msgConnLost:
-		return fmt.Errorf("dist: worker %d: %w: %s", ws.id, errConnLost, payload)
+		return fmt.Errorf("dist: worker %d: %w: %v", ws.id, errConnLost, f.err)
 	default:
 		return fmt.Errorf("dist: worker %d: unexpected frame type %d", ws.id, f.typ())
 	}
@@ -615,18 +621,18 @@ func (ws *workerState) finish(updates int) error {
 		return fmt.Errorf("dist: worker %d final: %w", ws.id, err)
 	}
 
-	// Hold the mesh open until the coordinator confirms the run is over by
-	// closing the control connection (it does so only after every worker's
-	// final arrived): peers that have not yet processed stop may still be
-	// sending, and their frames must land on open sockets, not teardown
-	// errors. Late data frames are irrelevant after stop and are discarded.
-	for ws.mesh != nil {
+	// Hold every link open until the coordinator, once every final arrived,
+	// ends the run: with a bye on a clean star run, by closing the control
+	// connection otherwise. Mesh peers that have not yet processed stop may
+	// still be sending, and their frames must land on open sockets, not
+	// teardown errors. Late data frames are discarded.
+	for {
 		f := <-ws.inbox
-		lost := f.typ() == msgConnLost
+		typ := f.typ()
 		f.release()
-		if lost {
-			break // expected EOF (or, at worst, the conn deadline): the coordinator is done
+		if typ == msgBye || typ == msgConnLost { // at worst, the conn deadline
+			ws.bye = typ == msgBye
+			return nil
 		}
 	}
-	return nil
 }
