@@ -27,10 +27,12 @@ test:
 # whole tree is cheap enough to cover wholesale.) The second line races the
 # star links Run keeps between solves on ONE processor, where a reader
 # descheduled between the coordinator's bye and the link's retirement is the
-# corner case that matters.
+# corner case that matters; so are a worker's small inbox under a slow
+# worker's backpressure and the fault streams senders hand on through their
+# pool.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'TestStarLinksKept|TestDistFloorAllocs' ./internal/dist
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'TestStarLinksKept|TestDistFloorAllocs|TestSmallInboxSlowWorker|TestSenderStreamReusedAcrossSenders' ./internal/dist
 
 # Tuned smoke: the multi-goroutine kernels exercised end to end with the
 # knob on and GOMAXPROCS=4 — the combination a single-threaded box never
@@ -162,7 +164,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 21982
+LOC_CEILING := 22021
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

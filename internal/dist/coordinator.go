@@ -31,6 +31,8 @@ const probeRoundTimeout = 2 * time.Second
 // gets a new reader only once the loop took the previous reader's last, so
 // 2p places always hold those; other events (id- or gen-checked, or hellos,
 // rejected for the worker to retry) are admitted only while those stay free.
+// The rest is not slack to trim: a status dropped for want of room leaves
+// its probe round waiting out probeRoundTimeout, which startRound arms.
 const eventsPerWorker = 8
 
 var (
@@ -244,7 +246,10 @@ func (c *coordinator) exec(acts []action) {
 			l.unhook = context.AfterFunc(c.hangup, func() { l.conn.Close() })
 			wel := welcome{id: a.slot, n: c.n, lo: a.lo, hi: a.hi, gen: a.gen, rejoining: a.rejoining, cfg: c.cfg}
 			wel.cfg.X0 = c.st.xbest
-			c.writeLink(l, wel.frame())
+			f := getFrame()
+			f.b = wel.appendFrame(f.b)
+			c.writeLink(l, f.b)
+			f.release()
 		case actReject:
 			c.writeLink(c.conns[a.link], rejectFrame)
 			c.closeLink(a.link)

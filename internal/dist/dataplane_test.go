@@ -9,8 +9,10 @@ package dist
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"net"
 	gort "runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -412,6 +414,135 @@ func TestZeroFaultSenderHoldsNoStream(t *testing.T) {
 	defer up.flush()
 	if up.rng != nil {
 		t.Error("an uplink holds a fault stream")
+	}
+}
+
+// TestSenderStreamReusedAcrossSenders: a faulty sender takes its stream from
+// rngPool and reseeds it, so a sender draws exactly the decisions a freshly
+// built stream of its seed and source would, whichever sender held the value
+// before and wherever that one stopped drawing. flush returns the pooled
+// value once, and never a stream a test put in its place.
+func TestSenderStreamReusedAcrossSenders(t *testing.T) {
+	const id = 2
+	fault := Fault{DropProb: 0.2, ReorderProb: 0.3, MaxDelay: time.Millisecond, Seed: 41}
+	draws := func(s *sender) (out [64]time.Duration) {
+		for i := range out {
+			drop, delay := s.fault.decide(s.rng, s.hold, i%5 == 0)
+			if out[i] = delay; drop {
+				out[i] = -1
+			}
+		}
+		return out
+	}
+	want := draws(&sender{fault: fault, hold: 4 * fault.MaxDelay, rng: rand.New(rand.NewSource(linkRNGSeed(fault.Seed, id)))})
+	other := fault
+	other.Seed++
+	reused := 0
+	for range 20 {
+		a := newSender(id+1, 4, other, &ledger{})
+		draws(a)
+		held := a.rng
+		a.flush()
+		b := newSender(id, 4, fault, &ledger{})
+		if b.rng == held {
+			reused++
+		}
+		if got := draws(b); got != want {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("decision %d: a sender on a pooled stream drew %v, a fresh stream %v", i, got[i], want[i])
+		}
+		b.flush()
+	}
+	if reused == 0 {
+		t.Error("no sender took the stream its predecessor's flush returned")
+	}
+
+	replaced := newSender(id, 4, fault, &ledger{})
+	own, script := replaced.rng, rand.New(rand.NewSource(1))
+	replaced.rng = script
+	twice := newSender(id, 4, fault, &ledger{})
+	mine := twice.rng
+	// With New unset, Get reports an empty pool: drain it, flush, and see
+	// what came back.
+	defer func(fn func() any) { rngPool.New = fn }(rngPool.New)
+	rngPool.New = nil
+	drain := func() (got []*rand.Rand) {
+		for r := rngPool.Get(); r != nil; r = rngPool.Get() {
+			got = append(got, r.(*rand.Rand))
+		}
+		return got
+	}
+	drain()
+	replaced.flush()
+	twice.flush()
+	twice.flush()
+	back := drain()
+	if slices.Contains(back, script) || slices.Contains(back, own) {
+		t.Error("a sender whose stream a test replaced put a stream in the pool")
+	}
+	if n := len(slices.DeleteFunc(back, func(r *rand.Rand) bool { return r != mine })); n > 1 {
+		t.Errorf("two flushes put one stream in the pool %d times", n)
+	}
+}
+
+// spinOp busy-spins for spin before evaluating each component of [lo, hi),
+// so the worker owning that shard falls behind its peers.
+type spinOp struct {
+	operators.Operator
+	lo, hi int
+	spin   time.Duration
+}
+
+func (s spinOp) Component(i int, x []float64) float64 {
+	if i >= s.lo && i < s.hi {
+		for start := time.Now(); time.Since(start) < s.spin; {
+		}
+	}
+	return s.Operator.Component(i, x)
+}
+
+// TestSmallInboxSlowWorker: one worker of four evaluates its shard slowly,
+// so its peers outrun it and its readers block on its full inbox, which
+// holds only 4p frames. Backpressure must not wedge the run: on either
+// data plane the solve reaches its fixed point and leaves no goroutine
+// behind.
+func TestSmallInboxSlowWorker(t *testing.T) {
+	dropIdleLinks()
+	t.Cleanup(dropIdleLinks)
+	const p, n, tol = 4, 64, 1e-10
+	base, xstar := contractingOp(t, n, 5)
+	shard := vec.Blocks(n, p)[0]
+	op := spinOp{Operator: base, lo: shard[0], hi: shard[1], spin: 20 * time.Microsecond}
+	for _, topo := range []string{TopologyStar, TopologyMesh} {
+		before := gort.NumGoroutine()
+		res, err := Run(Config{
+			Config:   runtime.Config{Op: op, Workers: p, Tol: tol, MaxUpdatesPerWorker: 1 << 20},
+			Topology: topo, Timeout: time.Minute,
+		})
+		if err != nil || !res.Converged {
+			t.Fatalf("%s: converged %v, err %v", topo, res != nil && res.Converged, err)
+		}
+		if e := vec.DistInf(res.X, xstar); e > 1e-6 {
+			t.Errorf("%s: error %.3e from the fixed point", topo, e)
+		}
+		leftNothingBehind(t, topo, before)
+	}
+}
+
+// leftNothingBehind fails the test unless the goroutine count falls back to
+// before: Run joins everything it starts, but goroutines it merely unblocked
+// may need a moment to unwind.
+func leftNothingBehind(t *testing.T, what string, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); gort.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := gort.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%s: %d goroutines before the solve, %d after:\n%s", what, before, after, buf[:gort.Stack(buf, true)])
 	}
 }
 

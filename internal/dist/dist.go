@@ -76,6 +76,9 @@
 // worker lost) ends with the coordinator's bye on each link once every relay
 // has flushed (protocol v6); Run keeps those links (keptLinks), so the next
 // plan-free star Run that finds enough idle neither listens nor dials.
+// A worker's inbox of 4p frames is backpressure, not a burst buffer (see
+// runWorker); welcomes and finals travel in pooled frames, and a faulty
+// sender reseeds a pooled fault stream rather than building one.
 package dist
 
 import (

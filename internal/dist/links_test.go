@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"math"
+	gort "runtime"
 	"slices"
 	"testing"
 	"time"
@@ -159,28 +160,59 @@ func TestStarLinksKeptAcrossSolves(t *testing.T) {
 	}
 }
 
-// TestDistFloorAllocs is the per-solve floor of the dist engine as a
-// ratchet: a 4-worker star solve started at its fixed point (each worker
-// evaluates its shard, finds it converged and parks; the least a run can do)
-// on idle kept links. It measured 322 allocations on linux/amd64 (565
-// before links were kept and welcomes and finals built at exact size).
-func TestDistFloorAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts under -race")
-	}
+// floorSolve returns one warm 4-worker star solve started at its fixed point
+// (each worker evaluates its shard, finds it converged and parks; the least
+// a run can do) on idle kept links: the dist engine's per-solve floor.
+func floorSolve(t *testing.T) func() {
 	dropIdleLinks()
 	t.Cleanup(dropIdleLinks)
 	op, xstar := contractingOp(t, 64, 3)
 	x0 := make([]float64, len(xstar))
-	allocs := testing.AllocsPerRun(50, func() {
+	return func() {
 		copy(x0, xstar)
 		res, err := Run(Config{Config: runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 20}, Timeout: time.Minute})
 		if err != nil || !res.Converged {
 			t.Fatalf("fixed-point solve: %v", err)
 		}
-	})
+	}
+}
+
+// TestDistFloorAllocs is the floor (floorSolve) as an allocation ratchet.
+// It measured 294 allocations on linux/amd64: 565 before links were kept and
+// welcomes and finals built at exact size, 318 before the inbox was sized by
+// backpressure and the welcome and final went into pooled frames.
+func TestDistFloorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	allocs := testing.AllocsPerRun(50, floorSolve(t))
 	t.Logf("%.0f allocations per fixed-point solve", allocs)
-	if limit := 1.1 * 322; allocs > limit {
+	if limit := 1.1 * 294; allocs > limit {
 		t.Errorf("%.0f allocations per fixed-point star solve, want <= %.0f", allocs, limit)
+	}
+}
+
+// TestDistFloorBytes is the same floor as a ratchet in bytes: what the
+// process allocated over 60 warm solves (runtime.MemStats.TotalAlloc), per
+// solve. It measured ~38,000 bytes on linux/amd64 (~81,300 before the inbox
+// was sized by backpressure and the welcome and final went into pooled
+// frames).
+func TestDistFloorBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	const solves, want = 60, 38000
+	solve := floorSolve(t)
+	solve() // warm: the kept links and the pools
+	var before, after gort.MemStats
+	gort.ReadMemStats(&before)
+	for range solves {
+		solve()
+	}
+	gort.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / solves
+	t.Logf("%.0f bytes allocated per fixed-point solve", per)
+	if limit := 1.1 * want; per > limit {
+		t.Errorf("%.0f bytes allocated per fixed-point star solve, want <= %.0f", per, limit)
 	}
 }

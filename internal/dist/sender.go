@@ -202,9 +202,10 @@ type sender struct {
 	// rng draws the fault decisions; only send touches it, and send has one
 	// caller, so the decision order is the order of the frames it handles.
 	// It is nil when Fault injects nothing: decide then draws nothing.
-	fault Fault
-	rng   *rand.Rand
-	hold  time.Duration
+	fault  Fault
+	rng    *rand.Rand
+	stream *rand.Rand // the rngPool value rng started as; flush returns it
+	hold   time.Duration
 
 	// mu guards out, every installed leg's queue and filter, and wake. It
 	// is never held across a socket write, and is taken inside a link's
@@ -225,6 +226,10 @@ type sender struct {
 	// sender rather than the leg so the totals survive leg replacement.
 	bytesTo []atomic.Int64
 }
+
+// rngPool holds fault streams (~5 KiB each) between senders: reseeded, one
+// draws exactly what a fresh rand.New(rand.NewSource(seed)) would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // linkRNGSeed derives the fault RNG seed for frames originating at worker
 // from — one stream per source, whoever runs the sender.
@@ -255,7 +260,7 @@ func (f Fault) decide(rng *rand.Rand, hold time.Duration, reliable bool) (drop b
 // newSender builds the sender for source id among p workers and starts its
 // writer goroutine; the owner installs the legs with setLeg. A sender lives
 // as long as one incarnation of its source: a rejoiner gets a fresh one,
-// and with it a fresh RNG stream.
+// and with it a freshly seeded RNG stream.
 func newSender(id, p int, fault Fault, led *ledger) *sender {
 	s := &sender{
 		id:      id,
@@ -269,7 +274,9 @@ func newSender(id, p int, fault Fault, led *ledger) *sender {
 		bytesTo: make([]atomic.Int64, p),
 	}
 	if fault.DropProb > 0 || fault.ReorderProb > 0 || fault.MaxDelay > 0 {
-		s.rng = rand.New(rand.NewSource(linkRNGSeed(fault.Seed, id)))
+		s.stream = rngPool.Get().(*rand.Rand)
+		s.stream.Seed(linkRNGSeed(fault.Seed, id))
+		s.rng = s.stream
 	}
 	if s.hold <= 0 {
 		s.hold = defaultReorderHold
@@ -514,10 +521,10 @@ func (s *sender) run() {
 // flush quiesces the sender: the writer goroutine finishes its pass and
 // exits, then every frame still queued is dropped — accounted, keeping
 // sent = delivered + drained exact, rather than written to peers that are
-// tearing down too. After flush nothing is written, and the ledger's
-// share of this sender and the per-destination byte totals are final. It
-// is safe to call more than once; the caller of send must have stopped
-// sending first, because flush closes the doorbell send rings.
+// tearing down too. After flush nothing is written, the ledger's share of
+// this sender and the byte totals are final, and the pooled fault stream is
+// back in rngPool. It is safe to call more than once; the caller of send
+// must have stopped sending first: flush closes the doorbell send rings.
 func (s *sender) flush() {
 	s.flushOnce.Do(func() {
 		close(s.notify)
@@ -529,6 +536,10 @@ func (s *sender) flush() {
 				s.abandon(l)
 			}
 		}
+		if s.stream != nil && s.rng == s.stream {
+			rngPool.Put(s.stream)
+		}
+		s.rng, s.stream = nil, nil
 	})
 }
 

@@ -222,16 +222,17 @@ func (c *cursor) str() string {
 // buildFrame assembles a complete frame (header + payload) in one buffer so
 // a single Write puts it on the wire without interleaving.
 func buildFrame(typ byte, payload []byte) []byte {
-	return append(newFrame(typ, len(payload)), payload...)
+	return append(appendHeader(nil, typ, len(payload)), payload...)
 }
 
-// newFrame starts a frame of type typ whose payload takes exactly size
-// bytes, the header written in place, in one allocation.
-func newFrame(typ byte, size int) []byte {
-	f := make([]byte, frameHeaderLen, frameHeaderLen+size)
-	binary.LittleEndian.PutUint32(f, uint32(1+size))
-	f[4] = typ
-	return f
+// appendHeader appends the header of a frame of type typ whose payload takes
+// exactly size bytes, in dst's spare capacity when the whole frame fits
+// there, else in one allocation of exactly the frame's end.
+func appendHeader(dst []byte, typ byte, size int) []byte {
+	if end := len(dst) + frameHeaderLen + size; cap(dst) < end {
+		dst = append(make([]byte, 0, end), dst...)
+	}
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(1+size)), typ)
 }
 
 // appendSlice encodes the [lo, lo+len(vals)) slice of an iterate; cursor.slice
@@ -383,8 +384,9 @@ type final struct {
 	linkBytes              []uint64
 }
 
-func buildFinalFrame(f final) []byte {
-	b := newFrame(msgFinal, 8+8*len(f.vals)+4+6*8+4+8*len(f.linkBytes))
+// appendFinalFrame appends one whole final frame to dst (see appendHeader).
+func appendFinalFrame(dst []byte, f final) []byte {
+	b := appendHeader(dst, msgFinal, 8+8*len(f.vals)+4+6*8+4+8*len(f.linkBytes))
 	b = appendSlice(b, f.lo, f.vals)
 	b = appendU32(b, uint32(f.updates))
 	b = appendU64(b, f.sent)
@@ -400,7 +402,7 @@ func buildFinalFrame(f final) []byte {
 	return b
 }
 
-// decodeFinal is buildFinalFrame's inverse for an iterate of dimension n
+// decodeFinal is appendFinalFrame's inverse for an iterate of dimension n
 // and a run of p workers.
 func decodeFinal(payload []byte, n, p int) (final, error) {
 	cur := cursor{b: payload}
@@ -523,9 +525,10 @@ type welcome struct {
 	cfg           Config
 }
 
-func (w *welcome) frame() []byte {
+// appendFrame appends the whole welcome frame to dst (see appendHeader).
+func (w *welcome) appendFrame(dst []byte) []byte {
 	c := &w.cfg
-	b := newFrame(msgWelcome, 102+8*len(c.X0)) // 102 bytes of fields, then x
+	b := appendHeader(dst, msgWelcome, 102+8*len(c.X0)) // 102 bytes of fields, then x
 	b = appendU32(b, uint32(w.id))
 	b = appendU32(b, uint32(c.Workers))
 	b = appendU32(b, uint32(w.n))

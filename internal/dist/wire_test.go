@@ -18,6 +18,12 @@ import (
 	"repro/internal/runtime"
 )
 
+// frame and buildFinalFrame build a welcome and a final in one allocation of
+// exactly their size: the append forms' nil path.
+func (w *welcome) frame() []byte { return w.appendFrame(nil) }
+
+func buildFinalFrame(f final) []byte { return appendFinalFrame(nil, f) }
+
 // frameWithLyingPrefix builds a header whose length prefix claims length
 // bytes follow, backed by only got actual payload bytes.
 func frameWithLyingPrefix(length uint32, typ byte, got int) []byte {

@@ -79,23 +79,28 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	if scr == nil {
 		scr = operators.NewScratch()
 	}
-	if _, err := conn.Write(buildFrame(msgHello, appendU32(nil, protocolVersion))); err != nil {
+	if _, err := conn.Write(helloFrame); err != nil {
 		return fmt.Errorf("dist: worker hello: %w", err)
 	}
-	typ, payload, err := readFrame(conn, maxFramePayload)
+	hs := getFrame() // the welcome, released once decoded: decoding copies what it keeps
+	b, err := readFrameInto(conn, maxFramePayload, hs.b)
+	hs.b = b
+	var wel welcome
+	switch {
+	case err != nil:
+		err = fmt.Errorf("dist: worker welcome: %w", err)
+	case hs.typ() == msgReject:
+		err = &rejectedError{reason: (&cursor{b: b[frameHeaderLen:]}).str()}
+	case hs.typ() != msgWelcome:
+		err = fmt.Errorf("dist: worker expected welcome, got frame type %d", hs.typ())
+	default:
+		if wel, err = decodeWelcome(b[frameHeaderLen:]); err != nil {
+			err = fmt.Errorf("dist: worker welcome decode: %w", err)
+		}
+	}
+	hs.release()
 	if err != nil {
-		return fmt.Errorf("dist: worker welcome: %w", err)
-	}
-	if typ == msgReject {
-		cur := cursor{b: payload}
-		return &rejectedError{reason: cur.str()}
-	}
-	if typ != msgWelcome {
-		return fmt.Errorf("dist: worker expected welcome, got frame type %d", typ)
-	}
-	wel, err := decodeWelcome(payload)
-	if err != nil {
-		return fmt.Errorf("dist: worker welcome decode: %w", err)
+		return err
 	}
 	cfg := &wel.cfg
 	if op.Dim() != wel.n {
@@ -111,7 +116,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	conn.SetDeadline(deadline)
 	ws := &workerState{
 		coord: &link{conn: conn},
-		inbox: make(chan *frameBuf, 1024), // absorbs a burst from every reader before they block
+		inbox: make(chan *frameBuf, 4*cfg.Workers), // backpressure, not a burst buffer: see runWorker's readers
 		id:    wel.id, p: cfg.Workers, n: wel.n,
 		lo: wel.lo, hi: wel.hi,
 		deltaThreshold: cfg.DeltaThreshold,
@@ -174,6 +179,13 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	// normal teardown (and a crashed peer is the coordinator's to notice, not
 	// ours), so a dead inbound link just stops producing frames. On the way
 	// out every reader is joined and what is left in the inbox released.
+	// The inbox's 4p places (a few per link, so readers rarely wait frame by
+	// frame) are backpressure, not a burst buffer: a reader that finds it
+	// full blocks (or quits), its frames waiting in the socket buffer as
+	// behind any depth. The compute goroutine empties it every phase (Drain,
+	// next) and in finish, and the coordinator's readers never block handing
+	// their loop anything (post, the park doorbell), so a full inbox only
+	// slows the links into it to the pace of its worker.
 	inbox := ws.inbox
 	quit := make(chan struct{})
 	var readers sync.WaitGroup
@@ -266,9 +278,10 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	return ws.finish(wk.Updates)
 }
 
-// heartbeatFrame and parkFrame are shared by every worker: conn.Write never
-// mutates them.
+// helloFrame, heartbeatFrame and parkFrame are shared by every worker:
+// conn.Write never mutates them.
 var heartbeatFrame, parkFrame = buildFrame(msgHeartbeat, nil), buildFrame(msgPark, nil)
+var helloFrame = buildFrame(msgHello, appendU32(nil, protocolVersion))
 
 // maintain paces the membership's control traffic from the compute
 // goroutine, only when heartbeats are on: a heartbeat whenever the control
@@ -617,7 +630,11 @@ func (ws *workerState) finish(updates int) error {
 		duplicate: uint64(led.duplicate.Load()),
 		linkBytes: ws.snd.linkBytes(),
 	}
-	if err := ws.coord.write(buildFinalFrame(fin)); err != nil {
+	f := getFrame()
+	f.b = appendFinalFrame(f.b, fin)
+	err := ws.coord.write(f.b)
+	f.release()
+	if err != nil {
 		return fmt.Errorf("dist: worker %d final: %w", ws.id, err)
 	}
 
