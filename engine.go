@@ -2,14 +2,16 @@ package repro
 
 // Engines: the interchangeable execution backends behind Solve. Each one
 // adapts an internal engine package to the common Spec/Report contract.
-// Three of the six are deterministic state machines of their own (model,
-// sim, simsync). The other three — shared, message, dist — are one worker
-// loop (internal/runtime, loop.go) over three transports: the in-process
-// port, whose newest-wins boxes are laid out one per worker (shared) or one
-// per pair of workers (message), and the TCP star relay and TCP mesh of
-// internal/dist. They take one configuration (runtime.Config, which
-// dist.Config embeds next to its network knobs) and report through one
-// mapping (concurrentReport).
+// Only model is a deterministic state machine of its own. The other five
+// are one worker loop (internal/runtime, loop.go). sim and simsync run it
+// as coroutines over the virtual-time port of internal/des, which charges
+// each phase its simulated cost (asynchronously, or behind a barrier per
+// round). shared, message and dist run it over three transports: the
+// in-process port, whose newest-wins boxes are laid out one per worker
+// (shared) or one per pair of workers (message), and the TCP star relay
+// and TCP mesh of internal/dist. Those three take one configuration
+// (runtime.Config, which dist.Config embeds next to its network knobs) and
+// report through one mapping (concurrentReport).
 //
 // Per-engine contract (which Spec knobs are honoured):
 //

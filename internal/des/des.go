@@ -8,8 +8,17 @@
 // messages, load imbalance) that the paper's claims are about, under a
 // virtual clock, with reproducible seeds.
 //
-// Two drivers are provided: the free-running asynchronous engine in this
-// file (computations covered by communication, no barriers — Fig. 1), with
+// The simulator has no worker of its own: every block is relaxed by the
+// production worker loop (internal/runtime, Worker.Run), run as an
+// iter.Pull coroutine over a virtual-time port (port.go) that implements
+// runtime.Transport. Only one coroutine runs at a time, so a run is
+// deterministic. The loop runs with Tol 0 and an unbounded budget, so no
+// worker parks; stopping is the scheduler's decision (error to XStar,
+// MaxUpdates, MaxTime, Done). A NaN ends the run with the loop's
+// DivergedError at the phase that evaluated it. This package holds the
+// event queue, the link model, Config/Result and the two schedules over
+// that one loop: the free-running asynchronous one in this file
+// (computations covered by communication, no barriers — Fig. 1), with
 // optional flexible communication (partial updates published mid-phase —
 // Fig. 2), and the barrier-synchronous baseline in sync.go.
 package des
@@ -18,11 +27,14 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/flexible"
 	"repro/internal/macroiter"
 	"repro/internal/operators"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -176,22 +188,19 @@ const (
 	evPartial
 )
 
-type message struct {
-	from, to int
-	comps    []int
-	vals     []float64
-	label    int
-	partial  bool
-	frac     float64
-	iter     int // producing update's sequence number (for traces)
-}
-
+// event is one scheduled occurrence: worker w's phase completing
+// (evComplete) or publishing the fraction frac of its block (evPartial),
+// or a message from w, its block's values under label as update iter
+// produced them, landing at worker to (evDeliver).
 type event struct {
-	time float64
-	tick int // FIFO tie-break for determinism
-	kind eventKind
-	w    int // worker for evComplete
-	msg  *message
+	time        float64
+	tick        int // FIFO tie-break for determinism
+	kind        eventKind
+	w, to       int
+	frac        float64
+	comps       []int // the sender's, shared: never mutated
+	vals        []float64
+	label, iter int
 }
 
 type eventHeap []*event
@@ -214,81 +223,24 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// pool recycles events and messages. A simulated run schedules one event
-// per update phase, per partial publication and per message delivery —
-// pooling turns that steady stream of small heap objects into free-list
-// pops. The simulator is single-threaded, so no locking is needed.
-type pool struct {
-	events []*event
-	msgs   []*message
-}
-
-func (p *pool) getEvent() *event {
-	if n := len(p.events); n > 0 {
-		e := p.events[n-1]
-		p.events = p.events[:n-1]
-		*e = event{}
-		return e
-	}
-	return &event{} //repro:alloc-ok pool miss; steady state pops the free list
-}
-
-// putEvent recycles e and any message it carries.
-func (p *pool) putEvent(e *event) {
-	if e.msg != nil {
-		p.putMsg(e.msg)
-		e.msg = nil
-	}
-	p.events = append(p.events, e)
-}
-
-func (p *pool) getMsg() *message {
-	if n := len(p.msgs); n > 0 {
-		m := p.msgs[n-1]
-		p.msgs = p.msgs[:n-1]
-		return m
-	}
-	return &message{} //repro:alloc-ok pool miss; steady state pops the free list
-}
-
-func (p *pool) putMsg(m *message) {
-	*m = message{vals: m.vals[:0]} // keep vals capacity; comps is shared, not owned
-	p.msgs = append(p.msgs, m)
-}
-
-type worker struct {
-	id      int
-	comps   []int     // owned components; never mutated after init (shared with Records and messages)
-	view    []float64 // local copy of the full iterate vector
-	version []int     // label (producer seq) of each view component
-	scr     *operators.Scratch
-	// In-progress phase (buffers preallocated once per worker):
-	phaseK        int // per-worker phase counter
-	phaseStart    float64
-	phaseMinLabel int
-	phaseOld      []float64 // own values at phase start
-	phaseOut      []float64 // computed results (applied at completion)
-	partialVals   []float64 // interpolation buffer for flexible publications
-}
-
-// Run executes the asynchronous discrete-event simulation.
-func Run(cfg Config) (*Result, error) {
+// validate checks cfg against the operator's dimension n, which it
+// returns, clamps Workers to it and fills the defaults.
+func (cfg *Config) validate() (n int, err error) {
 	if cfg.Op == nil {
-		return nil, errors.New("des: Config.Op is required")
+		return 0, errors.New("des: Config.Op is required")
 	}
-	n := cfg.Op.Dim()
+	n = cfg.Op.Dim()
 	if cfg.Workers < 1 {
-		return nil, errors.New("des: need at least one worker")
+		return 0, errors.New("des: need at least one worker")
 	}
 	if cfg.Workers > n {
 		cfg.Workers = n
 	}
-	x0 := cfg.X0
-	if x0 == nil {
-		x0 = make([]float64, n)
+	if cfg.X0 == nil {
+		cfg.X0 = make([]float64, n)
 	}
-	if len(x0) != n {
-		return nil, fmt.Errorf("des: X0 length %d, want %d", len(x0), n)
+	if len(cfg.X0) != n {
+		return 0, fmt.Errorf("des: X0 length %d, want %d", len(cfg.X0), n)
 	}
 	if cfg.Cost == nil {
 		cfg.Cost = UniformCost(1)
@@ -300,274 +252,245 @@ func Run(cfg Config) (*Result, error) {
 		cfg.MaxUpdates = 100000
 	}
 	if cfg.Tol > 0 && cfg.XStar == nil {
-		return nil, errors.New("des: Tol requires XStar")
+		return 0, errors.New("des: Tol requires XStar")
 	}
+	return n, nil
+}
 
-	rng := vec.NewRNG(cfg.Seed)
+// sim is one simulated run: the virtual clock and its event queue, the
+// link model's rng, and one Worker.Run coroutine per block over its port.
+// Every coroutine is resumed from the goroutine that called Run or RunSync
+// and runs until its port yields, so exactly one of them runs at a time.
+type sim struct {
+	cfg     Config
+	barrier bool
+	rng     *vec.RNG
+	h       eventHeap
+	tick    int
+	free    []*event // recycled events: one per phase, partial and message
+	now     float64
+	stopped bool
+	ports   []port
+
+	// x is the iterate a run reports: the owners' committed blocks
+	// (asynchronous schedule) or the previous round's (barrier schedule).
+	x []float64
+	// Asynchronous schedule: the update counter and the result it fills.
+	seq int
+	res *Result
+	// Barrier schedule: the round's iterate as the workers publish it, and
+	// each worker's phase cost in the round.
+	round []float64
+	costs []float64
+}
+
+// newSim validates cfg and starts nothing: it builds one port and one
+// Worker per block and pulls a coroutine over each, suspended before the
+// worker's first phase.
+func newSim(cfg Config, barrier bool) (*sim, error) {
+	n, err := cfg.validate()
+	if err != nil {
+		return nil, err
+	}
 	blocks := vec.Blocks(n, cfg.Workers)
-	workers := make([]*worker, len(blocks))
-	globalX := vec.Clone(x0)
-	res := &Result{UpdatesPerWorker: make([]int, len(blocks))}
-
-	var h eventHeap
-	tick := 0
-	pl := &pool{}
-	push := func(e *event) {
-		e.tick = tick
-		tick++
-		heap.Push(&h, e)
+	p := len(blocks)
+	s := &sim{cfg: cfg, barrier: barrier, rng: vec.NewRNG(cfg.Seed), x: vec.Clone(cfg.X0), ports: make([]port, p)}
+	if barrier {
+		s.round, s.costs = make([]float64, n), make([]float64, p)
+	} else {
+		s.res = &Result{UpdatesPerWorker: make([]int, p)}
 	}
-
-	// Initialize workers and their first phases.
+	workers := make([]runtime.Worker, p)
 	for w, b := range blocks {
 		comps := make([]int, 0, b[1]-b[0])
 		for c := b[0]; c < b[1]; c++ {
 			comps = append(comps, c)
 		}
-		scr := operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning)
-		wk := &worker{
-			id:          w,
-			comps:       comps,
-			view:        vec.Clone(x0),
-			version:     make([]int, n),
-			scr:         scr,
-			phaseOld:    make([]float64, len(comps)),
-			phaseOut:    make([]float64, len(comps)),
-			partialVals: make([]float64, len(comps)),
+		pt := &s.ports[w]
+		*pt = port{s: s, id: w, comps: comps, view: vec.Clone(cfg.X0)}
+		if !barrier {
+			pt.version, pt.part = make([]int, n), make([]float64, len(comps))
 		}
-		workers[w] = wk
-		startPhase(wk, cfg, rng, 0, push, pl)
+		wk := &workers[w]
+		*wk = runtime.Worker{ID: w, Op: cfg.Op, Scratch: operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
+			Budget: math.MaxInt, View: pt.view}
+		pt.next, pt.stop = iter.Pull(func(yield func(struct{}) bool) {
+			pt.yield = yield
+			pt.err = wk.Run(pt)
+		})
 	}
+	return s, nil
+}
 
-	seq := 0
-	stopped := false
-	for h.Len() > 0 && !stopped {
-		if cfg.Done != nil {
-			select {
-			case <-cfg.Done:
-				res.Cancelled = true
-				stopped = true
-			default:
-			}
-			if stopped {
-				break
-			}
+// resume runs worker w until its port yields again; the worker's error
+// when its loop ended instead.
+func (s *sim) resume(w int) error {
+	if _, ok := s.ports[w].next(); !ok {
+		return s.ports[w].err
+	}
+	return nil
+}
+
+// close ends the run: every coroutine still suspended in Publish resumes
+// into a stopped port, and its loop returns.
+func (s *sim) close() {
+	s.stopped = true
+	for w := range s.ports {
+		s.ports[w].stop()
+	}
+}
+
+// cancelled reports whether Config.Done has fired.
+func (s *sim) cancelled() bool {
+	select {
+	case <-s.cfg.Done:
+		return true
+	default:
+		return false
+	}
+}
+
+// push schedules an event of worker w at time t. The simulator schedules
+// a steady stream of them, so they come from a free list: a run allocates
+// as many as it ever holds at once.
+func (s *sim) push(t float64, kind eventKind, w int) *event {
+	var e *event
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = &event{} //repro:alloc-ok free-list miss; steady state pops it
+	}
+	*e = event{time: t, tick: s.tick, kind: kind, w: w, vals: e.vals[:0]}
+	s.tick++
+	heap.Push(&s.h, e)
+	return e
+}
+
+// Run executes the asynchronous discrete-event simulation.
+func Run(cfg Config) (*Result, error) {
+	s, err := newSim(cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	defer s.close()
+	for w := range s.ports {
+		if err := s.resume(w); err != nil {
+			return nil, err
 		}
-		e := heap.Pop(&h).(*event)
-		if cfg.MaxTime > 0 && e.time > cfg.MaxTime {
-			res.Time = cfg.MaxTime
+	}
+	res := s.res
+	for s.h.Len() > 0 && !s.stopped {
+		if s.cancelled() {
+			res.Cancelled = true
 			break
 		}
+		e := heap.Pop(&s.h).(*event)
+		if s.cfg.MaxTime > 0 && e.time > s.cfg.MaxTime {
+			res.Time = s.cfg.MaxTime
+			break
+		}
+		s.now = e.time
 		switch e.kind {
 		case evComplete:
-			wk := workers[e.w]
-			if bad := vec.FirstNaN(wk.phaseOut); bad >= 0 {
-				return nil, &operators.DivergedError{Worker: wk.id, Phase: wk.phaseK, Component: wk.comps[bad]}
+			if err := s.resume(e.w); err != nil {
+				return nil, err
 			}
-			seq++
-			j := seq
-			// Commit the block.
-			for bi, c := range wk.comps {
-				wk.view[c] = wk.phaseOut[bi]
-				wk.version[c] = j
-				globalX[c] = wk.phaseOut[bi]
-			}
-			res.Updates++
-			res.UpdatesPerWorker[wk.id]++
-			if cfg.Progress != nil {
-				cfg.Progress.Add(1)
-			}
-			// wk.comps is immutable after init, so Records can share it
-			// instead of copying it once per update.
-			res.Records = append(res.Records, macroiter.Record{
-				J: j, S: wk.comps,
-				MinLabel: wk.phaseMinLabel, Worker: wk.id,
-			})
-			if cfg.Trace != nil {
-				cfg.Trace.Add(trace.Event{
-					Kind: trace.UpdatePhase, Worker: wk.id,
-					Start: wk.phaseStart, End: e.time, Iter: j, Comp: wk.id,
-				})
-			}
-			// Broadcast the completed block.
-			sendBlock(cfg, rng, push, pl, workers, wk, e.time, j, wk.phaseOut, false, 1, res)
-			// Track error / stopping.
-			if cfg.XStar != nil {
-				err := vec.DistInf(globalX, cfg.XStar)
-				res.ErrorTrace = append(res.ErrorTrace, TimedError{Time: e.time, Error: err})
-				if cfg.Tol > 0 && err <= cfg.Tol {
-					res.Converged = true
-					res.Time = e.time
-					stopped = true
-					break
-				}
-			}
-			if res.Updates >= cfg.MaxUpdates {
-				res.Time = e.time
-				stopped = true
-				break
-			}
-			// Next phase begins immediately (no idle time: Section II).
-			startPhase(wk, cfg, rng, e.time, push, pl)
-			res.Time = e.time
-
 		case evDeliver:
-			m := e.msg
-			dst := workers[m.to]
-			stale := false
-			for k, c := range m.comps {
-				if m.label >= dst.version[c] {
-					dst.view[c] = m.vals[k]
-					dst.version[c] = m.label
-				} else {
-					stale = true
-					if cfg.ApplyStale {
-						dst.view[c] = m.vals[k]
-						dst.version[c] = m.label
-					}
-				}
-			}
-			if stale {
-				res.MessagesStale++
-			}
-			if cfg.Trace != nil {
-				cfg.Trace.Add(trace.Event{
-					Kind: trace.Deliver, Worker: m.to, Peer: m.from,
-					Start: e.time, End: e.time, Iter: m.iter, Comp: m.comps[0],
-				})
-			}
-
+			s.deliver(e)
 		case evPartial:
-			// Scheduled mid-phase publication: emit interpolated values.
-			wk := workers[e.w]
-			m := e.msg // carries frac in frac field; comps/vals filled here
-			frac := m.frac
-			vals := wk.partialVals
-			for bi := range wk.comps {
-				vals[bi] = flexible.Interpolate(wk.phaseOld[bi], wk.phaseOut[bi], frac)
-			}
-			// Partial updates carry the label of the last *completed*
-			// update of this block (conservative for macro-iterations).
-			label := wk.version[wk.comps[0]]
-			sendVals(cfg, rng, push, pl, workers, wk, e.time, label, wk.comps, vals, true, frac, seq+1, res)
+			s.partial(&s.ports[e.w], e.frac)
 		}
-		pl.putEvent(e)
+		s.free = append(s.free, e)
 	}
 
-	res.X = globalX
-	if cfg.XStar != nil {
-		res.FinalError = vec.DistInf(globalX, cfg.XStar)
+	res.X = s.x
+	if s.cfg.XStar != nil {
+		res.FinalError = vec.DistInf(s.x, s.cfg.XStar)
 	}
-	res.Boundaries = macroiter.Boundaries(n, res.Records)
-	res.StrictBoundaries = macroiter.StrictBoundaries(n, res.Records)
-	res.Epochs = macroiter.EpochBoundaries(len(blocks), res.Records)
+	res.Boundaries = macroiter.Boundaries(len(s.x), res.Records)
+	res.StrictBoundaries = macroiter.StrictBoundaries(len(s.x), res.Records)
+	res.Epochs = macroiter.EpochBoundaries(len(s.ports), res.Records)
 	return res, nil
 }
 
-// startPhase snapshots the worker's view, computes its next block values and
-// schedules the completion (and any flexible partial publications). The
-// computation reads wk.view directly: the event loop is single-threaded and
-// the results are committed via phaseOut only at completion, so no defensive
-// copy is needed and a phase allocates nothing in steady state.
-//
-//repro:hotpath
-func startPhase(wk *worker, cfg Config, rng *vec.RNG, now float64, push func(*event), pl *pool) {
-	wk.phaseK++
-	wk.phaseStart = now
-	minLabel := int(^uint(0) >> 1)
-	for _, v := range wk.version {
-		if v < minLabel {
-			minLabel = v
+// deliver writes a message into its receiver's view at its arrival time.
+func (s *sim) deliver(m *event) {
+	dst := &s.ports[m.to]
+	stale := false
+	for k, c := range m.comps {
+		older := m.label < dst.version[c]
+		stale = stale || older
+		if !older || s.cfg.ApplyStale {
+			dst.view[c], dst.version[c] = m.vals[k], m.label
 		}
 	}
-	wk.phaseMinLabel = minLabel
-	for bi, c := range wk.comps {
-		wk.phaseOld[bi] = wk.view[c]
+	if stale {
+		s.res.MessagesStale++
 	}
-	// comps is the worker's contiguous block [comps[0], comps[0]+len), so
-	// the whole phase is one coupled-operator block pass.
-	lo := wk.comps[0]
-	operators.EvalBlock(cfg.Op, wk.scr, lo, lo+len(wk.comps), wk.view, wk.phaseOut)
-	d := cfg.Cost(wk.id, wk.phaseK)
-	if d <= 0 {
-		d = 1e-9
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Add(trace.Event{
+			Kind: trace.Deliver, Worker: m.to, Peer: m.w,
+			Start: s.now, End: s.now, Iter: m.iter, Comp: m.comps[0],
+		})
 	}
-	// Flexible: publish partials mid-phase.
-	for _, f := range cfg.Flexible.Fracs {
-		if f < 1 { // the completed value is broadcast at phase end anyway
-			m := pl.getMsg()
-			m.frac = f
-			e := pl.getEvent()
-			e.time, e.kind, e.w, e.msg = now+f*d, evPartial, wk.id, m
-			push(e)
-		}
-	}
-	e := pl.getEvent()
-	e.time, e.kind, e.w = now+d, evComplete, wk.id
-	push(e)
 }
 
-// sendBlock broadcasts completed block values to every other worker.
-func sendBlock(cfg Config, rng *vec.RNG, push func(*event), pl *pool, workers []*worker,
-	wk *worker, now float64, label int, vals []float64, partial bool, frac float64, res *Result) {
-	sendVals(cfg, rng, push, pl, workers, wk, now, label, wk.comps, vals, partial, frac, label, res)
+// partial publishes frac of the phase p is in: its block interpolated
+// from the last committed values (x) toward the phase's result, which the
+// loop has already installed in p's view.
+func (s *sim) partial(p *port, frac float64) {
+	lo, hi := p.Block()
+	vec.LerpInto(p.part, s.x[lo:hi], p.view[lo:hi], frac)
+	// Partial updates carry the label of the last *completed* update of
+	// this block (conservative for macro-iterations).
+	s.send(p, p.version[lo], p.part, trace.PartialSend, frac, s.seq+1)
 }
 
-func sendVals(cfg Config, rng *vec.RNG, push func(*event), pl *pool, workers []*worker,
-	wk *worker, now float64, label int, comps []int, vals []float64,
-	partial bool, frac float64, iter int, res *Result) {
+// send ships vals (p's block) to p's recipients, each message subject to
+// loss and its own latency; kind is the trace's name for it.
+func (s *sim) send(p *port, label int, vals []float64, kind trace.Kind, frac float64, iter int) {
 	// Iterate recipients without materializing a slice (a broadcast happens
 	// once per update phase; building a recipients slice here would be a
 	// per-update allocation under restricted topologies).
-	nRecip := len(workers)
-	topo := cfg.Neighbors != nil && wk.id < len(cfg.Neighbors)
+	cfg := &s.cfg
+	nRecip := len(s.ports)
+	topo := cfg.Neighbors != nil && p.id < len(cfg.Neighbors)
 	if topo {
-		nRecip = len(cfg.Neighbors[wk.id])
+		nRecip = len(cfg.Neighbors[p.id])
 	}
 	for r := 0; r < nRecip; r++ {
 		q := r
 		if topo {
-			q = cfg.Neighbors[wk.id][r]
-			if q < 0 || q >= len(workers) {
+			q = cfg.Neighbors[p.id][r]
+			if q < 0 || q >= len(s.ports) {
 				continue
 			}
 		}
-		peer := workers[q]
-		if peer.id == wk.id {
+		if q == p.id {
 			continue
 		}
-		res.MessagesSent++
-		if cfg.DropProb > 0 && rng.Float64() < cfg.DropProb {
-			res.MessagesDropped++
+		s.res.MessagesSent++
+		if cfg.DropProb > 0 && s.rng.Float64() < cfg.DropProb {
+			s.res.MessagesDropped++
 			if cfg.Trace != nil {
 				cfg.Trace.Add(trace.Event{
-					Kind: trace.Drop, Worker: wk.id, Peer: peer.id,
-					Start: now, End: now, Iter: iter, Comp: comps[0],
+					Kind: trace.Drop, Worker: p.id, Peer: q,
+					Start: s.now, End: s.now, Iter: iter, Comp: p.comps[0],
 				})
 			}
 			continue
 		}
-		lat := cfg.Latency(wk.id, peer.id, rng)
+		lat := cfg.Latency(p.id, q, s.rng)
 		if lat < 0 {
 			lat = 0
 		}
-		m := pl.getMsg()
-		m.from, m.to = wk.id, peer.id
-		m.comps = comps // owner's comps slice is immutable; share, don't copy
-		m.vals = append(m.vals[:0], vals...)
-		m.label, m.partial, m.frac, m.iter = label, partial, frac, iter
+		m := s.push(s.now+lat, evDeliver, p.id)
+		m.to, m.comps, m.vals, m.label, m.iter = q, p.comps, append(m.vals, vals...), label, iter
 		if cfg.Trace != nil {
-			kind := trace.Send
-			if partial {
-				kind = trace.PartialSend
-			}
 			cfg.Trace.Add(trace.Event{
-				Kind: kind, Worker: wk.id, Peer: peer.id,
-				Start: now, End: now, Iter: iter, Comp: comps[0], Frac: frac,
+				Kind: kind, Worker: p.id, Peer: q,
+				Start: s.now, End: s.now, Iter: iter, Comp: p.comps[0], Frac: frac,
 			})
 		}
-		ev := pl.getEvent()
-		ev.time, ev.kind, ev.msg = now+lat, evDeliver, m
-		push(ev)
 	}
 }

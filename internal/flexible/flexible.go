@@ -70,28 +70,6 @@ func Interpolate(old, new, frac float64) float64 {
 	return old + frac*(new-old)
 }
 
-// InterpolateVec returns the partial block old + frac*(new - old).
-func InterpolateVec(old, new []float64, frac float64) []float64 {
-	return vec.Lerp(old, new, frac)
-}
-
-// Partial is a published partial update of one component.
-type Partial struct {
-	Comp  int
-	Value float64
-	Frac  float64 // fraction of the updating phase at which it was published
-}
-
-// Emit produces the partial updates of component comp transitioning from
-// old to new under the schedule.
-func (s Schedule) Emit(comp int, old, new float64) []Partial {
-	out := make([]Partial, 0, len(s.Fracs))
-	for _, f := range s.Fracs {
-		out = append(out, Partial{Comp: comp, Value: Interpolate(old, new, f), Frac: f})
-	}
-	return out
-}
-
 // Constraint3Report is the outcome of checking the norm constraint (3) for
 // one updating phase.
 type Constraint3Report struct {

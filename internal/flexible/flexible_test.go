@@ -51,20 +51,6 @@ func TestInterpolateEndpoints(t *testing.T) {
 	}
 }
 
-func TestEmit(t *testing.T) {
-	s := Uniform(2)
-	ps := s.Emit(3, 0, 10)
-	if len(ps) != 2 {
-		t.Fatalf("emitted %d", len(ps))
-	}
-	if ps[0].Comp != 3 || ps[0].Value != 5 || ps[0].Frac != 0.5 {
-		t.Errorf("first partial = %+v", ps[0])
-	}
-	if ps[1].Value != 10 || ps[1].Frac != 1 {
-		t.Errorf("second partial = %+v", ps[1])
-	}
-}
-
 func TestCheckConstraint3Holds(t *testing.T) {
 	xstar := []float64{0, 0}
 	u := []float64{1, 1}
@@ -134,12 +120,5 @@ func TestInterpolantsSatisfyConstraint(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestInterpolateVec(t *testing.T) {
-	got := InterpolateVec([]float64{0, 2}, []float64{4, 0}, 0.25)
-	if got[0] != 1 || got[1] != 1.5 {
-		t.Errorf("InterpolateVec = %v", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package runtime executes asynchronous iterations with real concurrency.
-// It holds the ONE worker loop every concurrent engine runs (loop.go:
-// Worker.Run, the active/passive protocol and its policies for
+// It holds the ONE worker loop that every engine but the model runs
+// (loop.go: Worker.Run, the active/passive protocol and its policies for
 // passivation, reactivation and budget exhaustion) and the Transport
 // interface that loop is written against. A transport moves block values
 // between workers and makes state transitions visible; it decides nothing.
@@ -27,8 +27,10 @@
 // Real schedulers are nondeterministic, so the engine tests assert
 // invariants (convergence, termination, race freedom) rather than exact
 // traces; the loop itself is tested deterministically against a scripted
-// transport (loop_test.go), and the deterministic studies live in
-// internal/core and internal/des.
+// transport (loop_test.go). internal/des runs the same loop on a virtual
+// clock, one coroutine per worker over a simulated transport of its own,
+// which makes its runs deterministic; it runs the loop with Tol 0, so its
+// scheduler, not quiescence, ends a run.
 package runtime
 
 import (
@@ -39,8 +41,9 @@ import (
 	"repro/internal/vec"
 )
 
-// The worker protocol, written once. Every concurrent engine — shared
-// memory, in-process mailboxes, TCP star and TCP mesh — runs Worker.Run; a
+// The worker protocol, written once. Every engine but the model — shared
+// memory, in-process mailboxes, TCP star and TCP mesh, and the simulator's
+// asynchronous and barrier schedules in virtual time — runs Worker.Run; a
 // Transport is what differs between them. The loop owns the decisions
 // (when a block counts as locally converged, when to go passive, what a
 // reactivated worker must prove before it may publish again); a transport

@@ -73,8 +73,8 @@ func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
 		t.Error("ScaleInto != Scale")
 	}
 	LerpInto(dst, x, y, 0.25)
-	if !Equal(dst, Lerp(x, y, 0.25), 0) {
-		t.Error("LerpInto != Lerp")
+	if !Equal(dst, Add(x, Scale(0.25, Sub(y, x))), 0) {
+		t.Error("LerpInto != x + 0.25(y-x)")
 	}
 	// Aliasing: dst == x must be supported.
 	alias := Clone(x)

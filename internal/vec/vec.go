@@ -149,14 +149,6 @@ func DotStrideAcc(acc float64, a, b Vector, off, stride int) float64 {
 	return acc
 }
 
-// Lerp returns (1-t)*x + t*y, the linear interpolation between x and y.
-// Flexible communication publishes such interpolants as partial updates.
-func Lerp(x, y Vector, t float64) Vector {
-	z := make(Vector, len(x))
-	LerpInto(z, x, y, t)
-	return z
-}
-
 // LerpInto computes dst = (1-t)*x + t*y without allocating; dst may alias
 // x or y.
 func LerpInto(dst, x, y Vector, t float64) {

@@ -67,14 +67,15 @@ func TestNorm2Extreme(t *testing.T) {
 func TestLerp(t *testing.T) {
 	x := Vector{0, 0}
 	y := Vector{2, 4}
-	if got := Lerp(x, y, 0.5); !Equal(got, Vector{1, 2}, 1e-15) {
-		t.Errorf("Lerp = %v", got)
+	got := New(2)
+	if LerpInto(got, x, y, 0.5); !Equal(got, Vector{1, 2}, 1e-15) {
+		t.Errorf("LerpInto(0.5) = %v", got)
 	}
-	if got := Lerp(x, y, 0); !Equal(got, x, 0) {
-		t.Errorf("Lerp(0) = %v", got)
+	if LerpInto(got, x, y, 0); !Equal(got, x, 0) {
+		t.Errorf("LerpInto(0) = %v", got)
 	}
-	if got := Lerp(x, y, 1); !Equal(got, y, 0) {
-		t.Errorf("Lerp(1) = %v", got)
+	if LerpInto(got, x, y, 1); !Equal(got, y, 0) {
+		t.Errorf("LerpInto(1) = %v", got)
 	}
 }
 
