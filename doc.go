@@ -222,7 +222,7 @@
 // "Measuring performance" says which number answers which question.
 // reprolint (cmd/reprolint; make lint, CI) enforces what a test run would
 // miss: allocation-free hot paths, one reduction order, one knob table,
-// bit-reproducible trajectories, locks released on every path (README
-// "Static analysis"). See examples/ for complete programs and
-// EXPERIMENTS.md for the reproduction of the paper's figures and claims.
+// bit-reproducible trajectories (README "Static analysis"). See examples/
+// for complete programs and EXPERIMENTS.md for the reproduction of the
+// paper's figures and claims.
 package repro

@@ -5,31 +5,34 @@
 // be fetched; the API below mirrors its shape so the analyzers port to the
 // upstream framework mechanically if that ever changes.
 //
-// The suite enforces conventions no compiler checks — conventions the
-// asynchronous-iterations literature identifies as exactly the places
-// where implementations silently diverge from the theory (El Baz ipps
-// 2022; Assran et al. 2020): hot loops must stay allocation-free, every
-// float64 reduction must use the canonical order in internal/vec, tuning
-// knobs must flow through the single knob table, trajectories must stay
-// bit-reproducible and every lock must be released on every path. See the
-// sibling packages hotpath, vecorder, knobdrift, determinism and
-// lockdiscipline for the individual rules, and cmd/reprolint for the
-// driver (standalone or as a `go vet -vettool`).
+// The suite enforces conventions no compiler or test run checks —
+// conventions the asynchronous-iterations literature identifies as exactly
+// the places where implementations silently diverge from the theory (El Baz
+// ipps 2022; Assran et al. 2020): hot loops must stay allocation-free,
+// every float64 reduction must use the canonical order in internal/vec,
+// tuning knobs must flow through the single knob table, and trajectories
+// must stay bit-reproducible. See the sibling packages hotpath, vecorder,
+// knobdrift and determinism for the individual rules, and cmd/reprolint
+// for the driver (a `go vet -vettool`).
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"runtime"
 	"strings"
 )
 
 // An Analyzer describes one static-analysis rule.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and driver flags.
+	// Name identifies the analyzer in diagnostics and reprolint's usage.
 	Name string
-	// Doc is the one-paragraph description shown by `reprolint help`.
+	// Doc is the one-paragraph description reprolint's usage lists.
 	Doc string
 	// Run applies the rule to a single package, reporting findings
 	// through pass.Report. The result value is unused by this driver
@@ -151,4 +154,98 @@ func IsFloat64Slice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Float64
+}
+
+// A Package is one parsed, type-checked package ready for analysis.
+type Package struct {
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+}
+
+// ExportImporter returns a types.Importer that resolves packages from gc
+// compiler export data files, located by the supplied lookup (import path →
+// file). "unsafe" resolves to types.Unsafe.
+func ExportImporter(fset *token.FileSet, lookup func(path string) (string, bool)) types.Importer {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := lookup(path)
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return importerFunc(func(path string) (*types.Package, error) {
+		if path == "unsafe" {
+			return types.Unsafe, nil
+		}
+		return gc.Import(path)
+	})
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Check type-checks one package's parsed files with full types.Info maps.
+func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+	conf := types.Config{
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkg, info, nil
+}
+
+// RunAnalyzers applies every analyzer to pkg, skipping _test.go files, and
+// returns the surviving diagnostics tagged with the analyzer that produced
+// them.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
+	var files []*ast.File
+	for _, f := range pkg.Files {
+		if strings.HasSuffix(pkg.Fset.Position(f.Package).Filename, "_test.go") {
+			continue
+		}
+		files = append(files, f)
+	}
+	var findings []Finding
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+		}
+		pass.Report = func(d Diagnostic) {
+			findings = append(findings, Finding{Analyzer: a.Name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
+		}
+		if _, err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
+		}
+	}
+	return findings, nil
+}
+
+// A Finding is a diagnostic with its analyzer name and resolved position.
+type Finding struct {
+	Analyzer string
+	Pos      token.Position
+	Message  string
+}
+
+func (f Finding) String() string {
+	return fmt.Sprintf("%s: %s [%s]", f.Pos, f.Message, f.Analyzer)
 }

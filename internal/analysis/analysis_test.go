@@ -8,30 +8,6 @@ import (
 	"testing"
 )
 
-// Load must resolve a real in-module package offline, with full type
-// information, through the toolchain's export data.
-func TestLoadResolvesTypes(t *testing.T) {
-	pkgs, err := Load("..", "repro/internal/vec")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	var vecPkg *Package
-	for _, p := range pkgs {
-		if p.Path == "repro/internal/vec" {
-			vecPkg = p
-		}
-	}
-	if vecPkg == nil {
-		t.Fatal("repro/internal/vec not among loaded packages")
-	}
-	if vecPkg.Types == nil || vecPkg.Types.Scope().Lookup("Dot") == nil {
-		t.Fatal("vec.Dot not in the type-checked scope")
-	}
-	if len(vecPkg.Info.Types) == 0 {
-		t.Fatal("no expression types recorded")
-	}
-}
-
 // RunAnalyzers must skip _test.go files: the shim-equivalence pins and
 // reference implementations live there on purpose.
 func TestRunAnalyzersSkipsTestFiles(t *testing.T) {

@@ -13,12 +13,16 @@
 package analysistest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -130,12 +134,8 @@ func (l *loader) importPkg(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	if _, ok := l.exports[path]; !ok {
-		more, err := analysis.ExportDataFor(l.testdata, path)
-		if err != nil {
+		if err := l.listExports(path); err != nil {
 			return nil, err
-		}
-		for k, v := range more {
-			l.exports[k] = v
 		}
 	}
 	imp := analysis.ExportImporter(l.fset, func(p string) (string, bool) {
@@ -143,6 +143,32 @@ func (l *loader) importPkg(path string) (*types.Package, error) {
 		return f, ok
 	})
 	return imp.Import(path)
+}
+
+// listExports records the export-data file of path and of every package in
+// its dependency closure, as `go list -deps -export` reports them (built
+// into the local build cache; no network).
+func (l *loader) listExports(path string) error {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Export", path)
+	cmd.Dir = l.testdata
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go list %s: %v\n%s", path, err, stderr.String())
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var lp struct{ ImportPath, Export string }
+		if err := dec.Decode(&lp); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("decoding go list output: %v", err)
+		}
+		if lp.Export != "" {
+			l.exports[lp.ImportPath] = lp.Export
+		}
+	}
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -1,10 +1,10 @@
 // Package cfg builds intraprocedural control-flow graphs over Go function
-// bodies and runs forward dataflow analyses over them. It is the shared
-// engine behind the two CFG-backed reprolint analyzers (lockdiscipline,
-// determinism): syntax is enough for "this construct may not appear"
-// rules but not for path properties — "Unlock reaches every exit", "this
-// tainted value flows into a float sink". Those need basic blocks and a
-// fixpoint.
+// bodies and runs forward dataflow analyses over them. It is the engine
+// behind the determinism analyzer's clock and map taint: syntax is enough
+// for "this construct may not appear" rules but not for path properties —
+// "this tainted value flows into a float sink", "this clock reading is
+// overwritten on every path before it escapes". Those need basic blocks and
+// a fixpoint.
 //
 // The graph is deliberately small: basic blocks of ast.Node slices joined
 // by unlabeled edges, one synthetic Exit block, panics terminating their

@@ -330,7 +330,7 @@ for x < 10 {
 }
 return`)
 	const fact = "loop-body-executed"
-	in := Forward(g, Union, NewFacts(), func(b *Block, in FactSet) FactSet {
+	in := Forward(g, NewFacts(), func(b *Block, in FactSet) FactSet {
 		for _, n := range b.Nodes {
 			if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN {
 				in[fact] = true
@@ -355,46 +355,5 @@ return`)
 	// And the exit must see it too.
 	if !in[g.Exit][fact] {
 		t.Fatal("fact did not reach exit")
-	}
-}
-
-// TestForwardMustAnalysis checks the intersection meet: a fact generated
-// on only one branch of a diamond must NOT survive the join, while a fact
-// generated on both must.
-func TestForwardMustAnalysis(t *testing.T) {
-	g, fset := parseBody(t, `
-x := 0
-if x > 0 {
-	x = 1
-	x = 10
-} else {
-	x = 2
-}
-_ = x
-return`)
-	// Facts: "one" gen'd only where x = 10 appears (then branch);
-	// "both" gen'd at every plain assignment (both branches).
-	in := Forward(g, Intersect, NewFacts(), func(b *Block, in FactSet) FactSet {
-		for _, n := range b.Nodes {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN {
-				continue
-			}
-			in["both"] = true
-			if lit, ok := as.Rhs[0].(*ast.BasicLit); ok && lit.Value == "10" {
-				in["one"] = true
-			}
-		}
-		return in
-	})
-	exitIn := in[g.Exit]
-	if exitIn == nil {
-		t.Fatalf("exit unreachable\n%s", describe(g, fset))
-	}
-	if exitIn["one"] {
-		t.Fatal("must-analysis kept a fact from only one branch")
-	}
-	if !exitIn["both"] {
-		t.Fatal("must-analysis dropped a fact present on both branches")
 	}
 }

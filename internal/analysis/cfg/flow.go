@@ -1,17 +1,17 @@
 package cfg
 
 // Forward dataflow over a Graph: a small reaching-facts engine. A fact is
-// any comparable value an analyzer invents ("mutex s.mu held since pos P",
-// "variable obj tainted by time.Now", "wg.Add executed"). The engine
+// any comparable value an analyzer invents ("variable obj tainted by
+// time.Now", "variable obj holds a map-range value"). The engine
 // iterates a transfer function over the blocks reachable from Entry until
 // the per-block entry sets stop changing, meeting predecessor exit sets by
-// union (may-analysis: "on SOME path") or intersection (must-analysis:
-// "on ALL paths").
+// union (a may-analysis: a fact holds on entry when it holds on SOME path
+// there).
 //
 // Transfer functions must be monotone — they may add and remove facts, but
 // what they do must depend only on the incoming set — and the fact space
 // must be finite for the fixpoint to exist. Both hold naturally for the
-// gen/kill style analyses the lint suite runs.
+// gen/kill style taint the determinism analyzer runs.
 
 // A FactSet is a set of comparable dataflow facts.
 type FactSet map[any]bool
@@ -55,28 +55,6 @@ func (s FactSet) union(t FactSet) FactSet {
 	return out
 }
 
-func (s FactSet) intersect(t FactSet) FactSet {
-	out := make(FactSet)
-	for f := range s {
-		if t[f] {
-			out[f] = true
-		}
-	}
-	return out
-}
-
-// Meet selects how predecessor facts combine at a join point.
-type Meet int
-
-const (
-	// Union keeps a fact that holds on at least one incoming path
-	// (may-analysis: "a lock may be held here").
-	Union Meet = iota
-	// Intersect keeps a fact only when it holds on every incoming path
-	// (must-analysis: "x has been assigned on all paths to here").
-	Intersect
-)
-
 // maxRounds bounds the fixpoint iteration as a safety net against a
 // non-monotone transfer function; a monotone gen/kill analysis over a
 // reducible CFG converges in a handful of rounds.
@@ -86,7 +64,7 @@ const maxRounds = 64
 // holding on entry to that block. entry seeds g.Entry; transfer maps a
 // block's entry set to its exit set (it must not mutate in). Blocks not
 // reachable from Entry are absent from the result.
-func Forward(g *Graph, meet Meet, entry FactSet, transfer func(b *Block, in FactSet) FactSet) map[*Block]FactSet {
+func Forward(g *Graph, entry FactSet, transfer func(b *Block, in FactSet) FactSet) map[*Block]FactSet {
 	in := map[*Block]FactSet{g.Entry: entry.Clone()}
 	out := map[*Block]FactSet{}
 
@@ -105,10 +83,8 @@ func Forward(g *Graph, meet Meet, entry FactSet, transfer func(b *Block, in Fact
 					}
 					if merged == nil {
 						merged = po.Clone()
-					} else if meet == Union {
-						merged = merged.union(po)
 					} else {
-						merged = merged.intersect(po)
+						merged = merged.union(po)
 					}
 				}
 				if merged == nil {

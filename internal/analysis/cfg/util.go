@@ -2,42 +2,24 @@ package cfg
 
 import "go/ast"
 
-// A Function is one analyzable function body: a declared function or
-// method (Decl set) or a function literal (Lit set). CFG-backed analyzers
-// analyze every Function independently — a literal's body never executes
-// where it is written, so it must not leak statements into the enclosing
+// Bodies returns every function body in file, of declarations and of
+// (arbitrarily nested) literals alike, in source order. A CFG-backed
+// analysis builds one graph per body: a literal's body never executes where
+// it is written, so it must not leak statements into the enclosing
 // function's graph.
-type Function struct {
-	Decl *ast.FuncDecl
-	Lit  *ast.FuncLit
-	Body *ast.BlockStmt
-}
-
-// Name returns the declared name, or "func literal".
-func (f Function) Name() string {
-	if f.Decl != nil {
-		return f.Decl.Name.Name
-	}
-	return "func literal"
-}
-
-// Functions returns every function body in the files, declarations and
-// (arbitrarily nested) literals alike, in source order.
-func Functions(files []*ast.File) []Function {
-	var out []Function
-	for _, file := range files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					out = append(out, Function{Decl: n, Body: n.Body})
-				}
-			case *ast.FuncLit:
-				out = append(out, Function{Lit: n, Body: n.Body})
+func Bodies(file *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				out = append(out, n.Body)
 			}
-			return true
-		})
-	}
+		case *ast.FuncLit:
+			out = append(out, n.Body)
+		}
+		return true
+	})
 	return out
 }
 

@@ -82,8 +82,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 		checkGlobalSources(pass, file, report)
-		for _, fn := range cfg.Functions([]*ast.File{file}) {
-			checkFlows(pass, fn, report)
+		for _, body := range cfg.Bodies(file) {
+			checkFlows(pass, body, report)
 		}
 	}
 	return nil, nil
@@ -147,11 +147,11 @@ func checkGlobalSources(pass *analysis.Pass, file *ast.File, report func(token.P
 // checkFlows runs the CFG taint analysis over one function: clock values
 // escaping the time domain, and map-iteration values reaching float
 // accumulation.
-func checkFlows(pass *analysis.Pass, fn cfg.Function, report func(token.Pos, string, ...interface{})) {
+func checkFlows(pass *analysis.Pass, body *ast.BlockStmt, report func(token.Pos, string, ...interface{})) {
 	// Pre-scan: functions that neither touch time nor range over maps
 	// skip the dataflow entirely.
 	interesting := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
@@ -170,14 +170,14 @@ func checkFlows(pass *analysis.Pass, fn cfg.Function, report func(token.Pos, str
 		return
 	}
 
-	g := cfg.New(fn.Body)
+	g := cfg.New(body)
 	transfer := func(b *cfg.Block, in cfg.FactSet) cfg.FactSet {
 		for _, n := range b.Nodes {
 			flowNode(pass, n, in, nil)
 		}
 		return in
 	}
-	in := cfg.Forward(g, cfg.Union, cfg.NewFacts(), transfer)
+	in := cfg.Forward(g, cfg.NewFacts(), transfer)
 
 	for _, b := range g.Blocks {
 		facts, ok := in[b]

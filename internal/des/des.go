@@ -358,7 +358,7 @@ func (s *sim) push(t float64, kind eventKind, w int) *event {
 	if n := len(s.free); n > 0 {
 		e, s.free = s.free[n-1], s.free[:n-1]
 	} else {
-		e = &event{} //repro:alloc-ok free-list miss; steady state pops it
+		e = &event{} //repro:alloc-ok free-list miss; TestSteadyStateAllocationFree pins the steady state
 	}
 	*e = event{time: t, tick: s.tick, kind: kind, w: w, vals: e.vals[:0]}
 	s.tick++

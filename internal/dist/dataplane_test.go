@@ -362,6 +362,78 @@ func TestServeWritesNewestDueOnly(t *testing.T) {
 	s.flush()
 }
 
+// returnsWithin fails the test unless f returns within a few seconds (or
+// half the time left to the test's deadline, if that is sooner): a call
+// blocked on a mutex some path forgot to release fails at once, not at the
+// package's timeout.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	bound := 5 * time.Second
+	if d, ok := t.Deadline(); ok {
+		bound = min(bound, time.Until(d)/2)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(bound):
+		t.Fatalf("%s did not return within %v", what, bound)
+	}
+}
+
+// TestServeReleasesTheLeg: serve holds the leg's link mutex from the rule
+// to the end of the write, and every way out of it releases that mutex: a
+// leg with nothing due, served twice, then a leg with a due frame, served
+// twice. A serve that kept the mutex would block the leg's next serve (the
+// writer's next pass, a reliable send) for good.
+func TestServeReleasesTheLeg(t *testing.T) {
+	conn := &recConn{}
+	s := newSender(0, 2, Fault{}, &ledger{gen: 1})
+	defer s.flush()
+	l := &leg{link: &link{conn: conn}, q: 1}
+	s.setLeg(1, l)
+	now := time.Now()
+	returnsWithin(t, "serve of a leg with nothing due", func() { s.serve(l, now) })
+	returnsWithin(t, "a second serve of a leg with nothing due", func() { s.serve(l, now) })
+	hand(s, l, blockFrame(0, 1, 1, 0, 1), now)
+	returnsWithin(t, "serve of a leg with a due frame", func() { s.serve(l, now) })
+	returnsWithin(t, "serve after a write", func() { s.serve(l, now) })
+	if len(conn.written) != 1 {
+		t.Errorf("wrote %v, want the one due frame", conn.written)
+	}
+}
+
+// TestMeshInboundLockReleased: mesh's accept loop and shutdown share inMu,
+// and each releases it on every path. A peer dial the loop takes after
+// teardown began loses the race cleanly: the loop closes the connection,
+// spawns nothing and returns, and shutdown still takes inMu. After
+// shutdown, a loop whose Accept returned just before the listener closed
+// still takes inMu, sees inClosed and returns. inClosed is set by hand with
+// the listener left open, so the dial takes exactly the late path.
+func TestMeshInboundLockReleased(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMesh(0, 2, ln, Fault{}, 1, time.Now().Add(time.Minute))
+	m.inClosed = true
+	m.serveAccepts(func(net.Conn) { t.Error("a connection accepted after teardown was spawned") })
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	returnsWithin(t, "the accept loop, after a late accept", m.accepts.Wait)
+	returnsWithin(t, "shutdown, after a late accept", m.shutdown)
+	returnsWithin(t, "an accept that raced shutdown", func() {
+		m.inMu.Lock()
+		m.inMu.Unlock()
+	})
+}
+
 // TestReplacedLegQueueDropped: replacing a leg (or removing it) drops every
 // frame queued on it at once, charged to the ledger as drops; the new leg
 // starts empty, and nothing queued on the old one is written anywhere.

@@ -43,10 +43,10 @@ func NewScratch() *Scratch { return &Scratch{} }
 //repro:hotpath
 func (s *Scratch) Vec(slot, n int) []float64 {
 	for len(s.bufs) <= slot {
-		s.bufs = append(s.bufs, nil) //repro:alloc-ok warm-up growth; a warmed Scratch hits the cached buffer
+		s.bufs = append(s.bufs, nil) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
 	}
 	if cap(s.bufs[slot]) < n {
-		s.bufs[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; a warmed Scratch hits the cached buffer
+		s.bufs[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
 	}
 	return s.bufs[slot][:n]
 }
@@ -61,10 +61,10 @@ func (s *Scratch) Vec(slot, n int) []float64 {
 //repro:hotpath
 func (s *Scratch) Aux(slot, n int) []float64 {
 	for len(s.aux) <= slot {
-		s.aux = append(s.aux, nil) //repro:alloc-ok warm-up growth; a warmed Scratch hits the cached buffer
+		s.aux = append(s.aux, nil) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
 	}
 	if cap(s.aux[slot]) < n {
-		s.aux[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; a warmed Scratch hits the cached buffer
+		s.aux[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
 	}
 	return s.aux[slot][:n]
 }

@@ -140,7 +140,7 @@ func DotStrideAcc(acc float64, a, b Vector, off, stride int) float64 {
 		panic("vec: DotStrideAcc requires positive stride")
 	}
 	if len(a) > 0 && off+(len(a)-1)*stride >= len(b) {
-		//repro:alloc-ok cold panic path
+		//repro:alloc-ok panic path; TestSumAllocationFree pins DotStrideAcc at 0
 		panic(fmt.Sprintf("vec: DotStrideAcc out of range: off %d stride %d over len %d", off, stride, len(b)))
 	}
 	for h := range a {
@@ -320,7 +320,7 @@ func AllFinite(x Vector) bool {
 
 func checkLen(x, y Vector) {
 	if len(x) != len(y) {
-		//repro:alloc-ok cold panic path
+		//repro:alloc-ok panic path; TestVectorKernelsAllocationFree pins its callers at 0
 		panic(fmt.Sprintf("vec: length mismatch %d != %d", len(x), len(y)))
 	}
 }
