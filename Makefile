@@ -28,11 +28,11 @@ test:
 # star links Run keeps between solves on ONE processor, where a reader
 # descheduled between the coordinator's bye and the link's retirement is the
 # corner case that matters; so are a worker's small inbox under a slow
-# worker's backpressure and the fault streams senders hand on through their
-# pool.
+# worker's backpressure and the fault streams and leg queues senders hand on
+# through their pools.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'TestStarLinksKept|TestDistFloorAllocs|TestSmallInboxSlowWorker|TestSenderStreamReusedAcrossSenders' ./internal/dist
+	GOMAXPROCS=1 $(GO) test -race -count=3 -run 'TestStarLinksKept|TestDistFloorAllocs|TestSmallInboxSlowWorker|TestSenderStreamReusedAcrossSenders|TestLegQueuesPooled' ./internal/dist
 
 # Tuned smoke: the multi-goroutine kernels exercised end to end with the
 # knob on and GOMAXPROCS=4 — the combination a single-threaded box never
@@ -163,7 +163,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 21344
+LOC_CEILING := 21423
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

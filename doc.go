@@ -127,17 +127,17 @@
 //
 // The engine hot paths are allocation-free in steady state: vec kernels have
 // ...Into variants, every engine threads one per-worker operator scratch
-// (NewOperatorScratch) through its evaluations, the simulator pools events
-// and messages, the in-process port's boxes are allocated once per run,
-// and the TCP data plane pools frames process-wide (one pooled,
-// reference-counted buffer per frame, held in a per-leg queue that keeps its
-// backing array) (per-run pools made a solve's allocations follow the
-// machine's load). Repeated Solves of one shape share buffers through one
-// Scratch (NewScratch, WithScratch). A dense row slab (every dense-Gram
-// phase, reverify and residual check) runs four rows per pass through one
-// SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go elsewhere) that keeps
-// each row's canonical reduction order, so its rows carry the one-row loop's
-// bits at about 2.5x its speed.
+// (NewOperatorScratch) through its evaluations, the simulator pools events,
+// and the TCP data plane pools frames, leg queues and the coordinator's
+// events channel process-wide (per-run pools made a solve's allocations
+// follow the machine's load). Repeated Solves of one shape share buffers
+// through one Scratch (NewScratch, WithScratch), whose per-worker scratches
+// also keep each worker's view, block output, boxes and dist's last-sent
+// shard: a warm solve allocates little beyond its Report. A dense row slab
+// (every dense-Gram phase, reverify and residual check) runs four rows per
+// pass through one SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go
+// elsewhere) that keeps each row's canonical reduction order, so its rows
+// carry the one-row loop's bits at about 2.5x its speed.
 //
 // There is one way to evaluate an operator: Component is the definition;
 // BlockOperator (EvalBlockScratch) is the optional shared-work path,

@@ -306,14 +306,14 @@ func newSim(cfg Config, barrier bool) (*sim, error) {
 		for c := b[0]; c < b[1]; c++ {
 			comps = append(comps, c)
 		}
+		scr := operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning)
 		pt := &s.ports[w]
-		*pt = port{s: s, id: w, comps: comps, view: vec.Clone(cfg.X0)}
+		*pt = port{s: s, id: w, comps: comps, view: runtime.KeptView(scr, cfg.X0, n)}
 		if !barrier {
 			pt.version, pt.part = make([]int, n), make([]float64, len(comps))
 		}
 		wk := &workers[w]
-		*wk = runtime.Worker{ID: w, Op: cfg.Op, Scratch: operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
-			Budget: math.MaxInt, View: pt.view}
+		*wk = runtime.Worker{ID: w, Op: cfg.Op, Scratch: scr, Budget: math.MaxInt, View: pt.view}
 		pt.next, pt.stop = iter.Pull(func(yield func(struct{}) bool) {
 			pt.yield = yield
 			pt.err = wk.Run(pt)

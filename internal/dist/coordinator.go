@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/operators"
 	"repro/internal/runtime"
 )
 
@@ -35,6 +36,17 @@ const probeRoundTimeout = 2 * time.Second
 // its probe round waiting out probeRoundTimeout, which startRound arms.
 const eventsPerWorker = 8
 
+// eventsPool keeps events channels between runs: shutdown returns a run's
+// drained, once nothing can post; one of another capacity is dropped.
+var eventsPool sync.Pool
+
+func takeEvents(size int) chan inbound {
+	if ch, ok := eventsPool.Get().(chan inbound); ok && cap(ch) == size {
+		return ch
+	}
+	return make(chan inbound, size)
+}
+
 var (
 	stopFrame   = buildFrame(msgStop, nil)
 	byeFrame    = buildFrame(msgBye, nil)
@@ -43,10 +55,11 @@ var (
 )
 
 type coordinator struct {
-	cfg Config
-	n   int // problem dimension
-	ln  net.Listener
-	st  *coordState // the loop goroutine's alone
+	cfg  Config
+	n    int // problem dimension
+	ln   net.Listener
+	st   *coordState // the loop goroutine's alone
+	fins []final     // by slot: a reader decodes its final here, its last event points here
 
 	events  chan inbound
 	backlog atomic.Int64  // droppable events queued in events
@@ -121,8 +134,9 @@ func Serve(ln net.Listener, cfg Config) (*Result, error) {
 		n:           n,
 		ln:          ln,
 		st:          newCoordState(p, n, cfg.Topology == TopologyMesh, x0, cfg.Timeout, cfg.Elastic.RejoinWait()),
-		events:      make(chan inbound, eventsPerWorker*p),
+		events:      takeEvents(eventsPerWorker * p),
 		park:        make(chan struct{}, 1),
+		fins:        make([]final, p),
 		conns:       map[int]*link{},
 		relays:      make([]*sender, p),
 		led:         ledger{gen: 1},
@@ -395,6 +409,7 @@ func (c *coordinator) shutdown() {
 			in.l.conn.Close()
 		}
 	}
+	eventsPool.Put(c.events)
 	_, keep := c.ln.(keptListener)
 	for _, l := range c.conns {
 		if !(clean && l.unhook != nil && l.unhook() && l.write(byeFrame) == nil && keep) {
@@ -500,10 +515,10 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 			ev.status, err = decodeStatus(payload)
 		case msgCheckpoint:
 			ev.kind, name = evCheckpoint, "checkpoint frame"
-			ev.gen, ev.fin.lo, ev.fin.vals, err = decodeShard(payload, c.n)
+			ev.gen, ev.lo, ev.vals, err = decodeShard(payload, c.n)
 		case msgReshardAck:
 			ev.kind, name = evAck, "reshard ack"
-			ev.gen, ev.fin.lo, ev.fin.vals, err = decodeShard(payload, c.n)
+			ev.gen, ev.lo, ev.vals, err = decodeShard(payload, c.n)
 		case msgMeshAddr:
 			cur := cursor{b: payload}
 			if ev.addr = cur.str(); cur.err == nil && snd == nil && !addrSeen && ev.addr != "" {
@@ -512,11 +527,12 @@ func (c *coordinator) serveLink(w int, l *link, snd *sender) {
 				bad = "a malformed mesh address"
 			}
 		case msgDiverged:
-			ev.kind, name = evDiverged, "diverged frame"
-			ev.phase, ev.comp, err = decodeDiverged(payload, c.n)
+			de := &operators.DivergedError{Worker: w}
+			ev.kind, name, ev.err = evDiverged, "diverged frame", de
+			de.Phase, de.Component, err = decodeDiverged(payload, c.n)
 		case msgFinal:
-			ev.kind, name = evFinal, "final frame"
-			ev.fin, err = decodeFinal(payload, c.n, c.cfg.Workers)
+			ev.kind, name, ev.fin = evFinal, "final frame", &c.fins[w]
+			*ev.fin, err = decodeFinal(payload, c.n, c.cfg.Workers)
 		default:
 			bad = fmt.Sprintf("unexpected frame type %d", f.typ())
 		}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/operators"
 	"repro/internal/runtime"
 	"repro/internal/vec"
 )
@@ -38,16 +37,17 @@ const (
 // event is one control-plane fact: slot is the worker slot whose link the
 // frame arrived on, link a connection that has no slot yet.
 type event struct {
-	kind        evKind
-	slot, link  int
-	timer       timerKind
-	status      status
-	drained     int64  // evStatus: the relay's generation disposals, read after the status arrived
-	gen         uint32 // evAck, evCheckpoint: the shard is fin.lo, fin.vals
-	fin         final
-	addr        string
-	phase, comp int
-	err         error
+	kind       evKind
+	timer      timerKind
+	gen        uint32 // evAck, evCheckpoint: the shard is vals at lo
+	slot, link int
+	status     status
+	drained    int64 // evStatus: the relay's generation disposals, read after the status arrived
+	lo         int
+	vals       []float64
+	fin        *final // evFinal: the slot's final, where the shell keeps it (one per slot)
+	addr       string
+	err        error // evHello: the handshake's failure; evMalformed, evDiverged: the run's
 }
 
 // timerKind is what the one timer is armed for; the shell maps each to its
@@ -83,12 +83,12 @@ const (
 
 type action struct {
 	kind       actKind
-	slot, link int
-	id         uint64
-	gen        uint32
-	lo, hi     int
 	rejoining  bool
 	timer      timerKind
+	gen        uint32
+	slot, link int
+	id         uint64
+	lo, hi     int
 }
 
 type coordPhase uint8
@@ -145,17 +145,20 @@ type coordState struct {
 }
 
 func newCoordState(p, n int, mesh bool, x0 []float64, timeout, rejoinWait fmt.Stringer) *coordState {
-	return &coordState{
+	s := &coordState{
 		p: p, n: n, mesh: mesh, timeout: timeout, rejoinWait: rejoinWait,
 		links:   make([]int, p),
 		joining: make([]bool, p),
 		addrs:   make([]string, p),
 		blocks:  vec.Blocks(n, p),
 		gen:     1,
-		xbest:   append([]float64(nil), x0...),
+		xbest:   make([]float64, n), // x0 below; nil reads as zeros
 		waiting: make([]bool, p),
 		finals:  make([]*final, p),
+		acts:    make([]action, 0, 2*p+2), // a rendezvous's last hello: a welcome, p ups, p probes, the timer
 	}
+	copy(s.xbest, x0)
+	return s
 }
 
 // step applies one event and returns the actions it decided, in order, in a
@@ -172,19 +175,17 @@ func (s *coordState) step(ev event) []action {
 		s.status(w, ev.status, ev.drained)
 	case evAck:
 		if s.phase == phReshard && ev.gen == s.gen && s.waiting[w] {
-			copy(s.xbest[ev.fin.lo:], ev.fin.vals)
+			copy(s.xbest[ev.lo:], ev.vals)
 			s.answered(w)
 		}
 	case evCheckpoint:
 		s.checkpoint(w, ev)
 	case evFinal:
 		s.final(w, ev.fin)
-	case evDiverged: // not a loss: a reshard would hand the NaN on
-		s.finish(&operators.DivergedError{Worker: w, Phase: ev.phase, Component: ev.comp})
+	case evDiverged, evMalformed: // a diverged worker is not a loss: a reshard would hand the NaN on
+		s.finish(ev.err)
 	case evLost:
 		s.lost(w)
-	case evMalformed:
-		s.finish(ev.err)
 	case evPark: // a round now, or as soon as the one in flight completes
 		switch {
 		case s.phase != phProbe: // a reshard or stop awaits every member already
@@ -444,11 +445,11 @@ func (s *coordState) checkpoint(w int, ev event) {
 	if ev.gen != s.gen || !s.member(w) {
 		return
 	}
-	if !inShard(s.blocks[w], ev.fin.lo, len(ev.fin.vals)) {
+	if !inShard(s.blocks[w], ev.lo, len(ev.vals)) {
 		s.finish(fmt.Errorf("dist: worker %d sent a malformed checkpoint frame", w))
 		return
 	}
-	copy(s.xbest[ev.fin.lo:], ev.fin.vals)
+	copy(s.xbest[ev.lo:], ev.vals)
 	s.emit(action{kind: actCheckpoint})
 }
 
@@ -479,14 +480,14 @@ func (s *coordState) stop() {
 	s.arm(timerFinal)
 }
 
-func (s *coordState) final(w int, f final) {
+func (s *coordState) final(w int, f *final) {
 	switch {
 	case !inShard(s.blocks[w], f.lo, len(f.vals)):
 		s.finish(fmt.Errorf("dist: worker %d sent a malformed final frame", w))
 	case s.phase != phStop:
 		s.finish(fmt.Errorf("dist: worker %d sent its final before stop", w))
 	case s.waiting[w]:
-		s.finals[w] = &f
+		s.finals[w] = f
 		copy(s.xbest[f.lo:], f.vals)
 		s.answered(w)
 	}

@@ -55,7 +55,7 @@ func TestCheckpointOutsideShardRejected(t *testing.T) {
 	untouched := make([]float64, 6)
 	for _, tc := range outsideShard {
 		s, _ := seated(3, 6)
-		s.step(event{kind: evCheckpoint, slot: 1, gen: 1, fin: final{lo: tc.lo, vals: tc.vals}})
+		s.step(event{kind: evCheckpoint, slot: 1, gen: 1, lo: tc.lo, vals: tc.vals})
 		if s.err == nil || !strings.Contains(s.err.Error(), "malformed checkpoint frame") {
 			t.Errorf("%s: err = %v, want a malformed checkpoint frame error", tc.name, s.err)
 		}
@@ -64,14 +64,14 @@ func TestCheckpointOutsideShardRejected(t *testing.T) {
 		}
 		s, _ = seated(3, 6)
 		s.gen = 2
-		s.step(event{kind: evCheckpoint, slot: 1, gen: 1, fin: final{lo: tc.lo, vals: tc.vals}})
+		s.step(event{kind: evCheckpoint, slot: 1, gen: 1, lo: tc.lo, vals: tc.vals})
 		if s.err != nil || !reflect.DeepEqual(s.xbest, untouched) {
 			t.Errorf("%s, stale generation: err %v, xbest %v; want it skipped", tc.name, s.err, s.xbest)
 		}
 	}
 	s, _ := seated(3, 6)
-	s.step(event{kind: evCheckpoint, slot: 1, gen: 1, fin: final{lo: 2, vals: []float64{7, 8}}})
-	s.step(event{kind: evCheckpoint, slot: 1, gen: 1, fin: final{lo: 3, vals: []float64{5}}})
+	s.step(event{kind: evCheckpoint, slot: 1, gen: 1, lo: 2, vals: []float64{7, 8}})
+	s.step(event{kind: evCheckpoint, slot: 1, gen: 1, lo: 3, vals: []float64{5}})
 	if want := []float64{0, 0, 7, 5, 0, 0}; s.err != nil || !reflect.DeepEqual(s.xbest, want) {
 		t.Errorf("checkpoints inside the shard: err %v, xbest %v, want %v", s.err, s.xbest, want)
 	}
@@ -84,7 +84,7 @@ func TestFinalOutsideShardRejected(t *testing.T) {
 	for _, tc := range outsideShard {
 		s, _ := seated(3, 6)
 		s.stop()
-		s.step(event{kind: evFinal, slot: 1, fin: final{lo: tc.lo, vals: tc.vals}})
+		s.step(event{kind: evFinal, slot: 1, fin: &final{lo: tc.lo, vals: tc.vals}})
 		if s.err == nil || !strings.Contains(s.err.Error(), "malformed final frame") {
 			t.Errorf("%s: err = %v, want a malformed final frame error", tc.name, s.err)
 		}
@@ -98,7 +98,7 @@ func TestFinalOutsideShardRejected(t *testing.T) {
 			s.blocks[1] = [2]int{} // a rejoiner not yet assigned
 		}
 		s.stop()
-		s.step(event{kind: evFinal, slot: 1, fin: f})
+		s.step(event{kind: evFinal, slot: 1, fin: &f})
 		if got := s.finals[1]; s.err != nil || got == nil || got.updates != f.updates || !slices.Equal(s.xbest[f.lo:f.lo+len(f.vals)], f.vals) {
 			t.Errorf("final %+v: err %v, counted %+v, xbest %v", f, s.err, got, s.xbest)
 		}
@@ -668,14 +668,14 @@ func (wd *world) process(w int, msg ctlMsg) {
 		m.gen, m.passive, m.await = msg.gen, false, true
 		m.epoch++
 		m.sent, m.delivered = 0, 0
-		m.out = append(m.out, event{kind: evAck, slot: w, gen: msg.gen, fin: final{lo: m.lo, vals: fill(m.hi-m.lo, 2000+float64(w))}})
+		m.out = append(m.out, event{kind: evAck, slot: w, gen: msg.gen, lo: m.lo, vals: fill(m.hi-m.lo, 2000+float64(w))})
 	case actAssign:
 		if msg.gen == m.gen {
 			m.lo, m.hi, m.await = msg.lo, msg.hi, false
 		}
 	case actStop:
 		m.stopped = true
-		m.out = append(m.out, event{kind: evFinal, slot: w, fin: final{lo: m.lo, vals: fill(m.hi-m.lo, finalValue(w))}})
+		m.out = append(m.out, event{kind: evFinal, slot: w, fin: &final{lo: m.lo, vals: fill(m.hi-m.lo, finalValue(w))}})
 	}
 }
 
@@ -693,12 +693,12 @@ func (wd *world) leaves() error {
 			continue
 		}
 		var de *operators.DivergedError
-		if c := s.clone(); len(c.step(event{kind: evDiverged, slot: w})) > 0 || !errors.As(c.err, &de) || de.Worker != w {
+		if c := s.clone(); len(c.step(event{kind: evDiverged, slot: w, err: &operators.DivergedError{Worker: w}})) > 0 || !errors.As(c.err, &de) || de.Worker != w {
 			return fmt.Errorf("a diverged frame from worker %d in phase %d ended with err %v", w, s.phase, c.err)
 		}
 		if !m.await && m.hi > m.lo {
 			c := s.clone()
-			if c.step(event{kind: evCheckpoint, slot: w, gen: m.gen, fin: final{lo: m.lo, vals: fill(m.hi-m.lo, 3000+float64(w))}}); c.err != nil {
+			if c.step(event{kind: evCheckpoint, slot: w, gen: m.gen, lo: m.lo, vals: fill(m.hi-m.lo, 3000+float64(w))}); c.err != nil {
 				return fmt.Errorf("an honest checkpoint from worker %d failed the run: %v", w, c.err)
 			}
 		}

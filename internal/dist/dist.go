@@ -77,8 +77,8 @@
 // has flushed (protocol v6); Run keeps those links (keptLinks), so the next
 // plan-free star Run that finds enough idle neither listens nor dials.
 // A worker's inbox of 4p frames is backpressure, not a burst buffer (see
-// runWorker); welcomes and finals travel in pooled frames, and a faulty
-// sender reseeds a pooled fault stream rather than building one.
+// runWorker); frames, leg queues, events channels and fault streams are
+// pooled, and a kept scratch keeps each worker's view and shard buffers.
 package dist
 
 import (
@@ -305,12 +305,14 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var workerErr error
-	launch := func(w int, ctl *WorkerCtl, rejoin Rejoin) {
+	// A replacement gets a fresh scratch (pool nil): the incarnation it
+	// replaces may still be unwinding on the kept one.
+	launch := func(w int, ctl *WorkerCtl, rejoin Rejoin, pool []*operators.Scratch) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			o := WorkerOptions{
-				Scratch:  operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning),
+				Scratch:  operators.WorkerScratch(pool, w, cfg.Tuning),
 				Rejoin:   rejoin,
 				Ctl:      ctl,
 				progress: cfg.Progress,
@@ -331,7 +333,7 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 	ctls := make([]*WorkerCtl, cfg.Workers)
 	for w := range ctls {
 		ctls[w] = &WorkerCtl{}
-		launch(w, ctls[w], Rejoin{})
+		launch(w, ctls[w], Rejoin{}, cfg.Scratches)
 	}
 
 	// The churn schedule. Each event goroutine sleeps out its offsets so
@@ -351,7 +353,7 @@ func runLocal(cfg Config, plan ChaosPlan) (*Result, error) {
 				return
 			}
 			time.Sleep(ev.RestartAfter)
-			launch(ev.Worker, replacements[i], Rejoin{MaxWait: cfg.Elastic.RejoinWait(), Seed: seed})
+			launch(ev.Worker, replacements[i], Rejoin{MaxWait: cfg.Elastic.RejoinWait(), Seed: seed}, nil)
 		}()
 	}
 

@@ -838,7 +838,7 @@ func joinScripted(t *testing.T, addr string) (net.Conn, welcome) {
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
-		wel, err := decodeWelcome(payload)
+		wel, err := decodeWelcome(payload, nil)
 		if typ != msgWelcome || err != nil {
 			t.Fatalf("welcome: frame type %d, err %v", typ, err)
 		}

@@ -162,15 +162,17 @@ func TestStarLinksKeptAcrossSolves(t *testing.T) {
 
 // floorSolve returns one warm 4-worker star solve started at its fixed point
 // (each worker evaluates its shard, finds it converged and parks; the least
-// a run can do) on idle kept links: the dist engine's per-solve floor.
+// a run can do) on idle kept links and kept per-worker scratches, as every
+// caller that keeps a repro.Scratch runs it: the dist engine's per-solve floor.
 func floorSolve(t *testing.T) func() {
 	dropIdleLinks()
 	t.Cleanup(dropIdleLinks)
 	op, xstar := contractingOp(t, 64, 3)
 	x0 := make([]float64, len(xstar))
+	scrs := []*operators.Scratch{operators.NewScratch(), operators.NewScratch(), operators.NewScratch(), operators.NewScratch()}
 	return func() {
 		copy(x0, xstar)
-		res, err := Run(Config{Config: runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 20}, Timeout: time.Minute})
+		res, err := Run(Config{Config: runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 20, Scratches: scrs}, Timeout: time.Minute})
 		if err != nil || !res.Converged {
 			t.Fatalf("fixed-point solve: %v", err)
 		}
@@ -178,30 +180,33 @@ func floorSolve(t *testing.T) func() {
 }
 
 // TestDistFloorAllocs is the floor (floorSolve) as an allocation ratchet.
-// It measured 294 allocations on linux/amd64: 565 before links were kept and
+// It measured 217 allocations on linux/amd64: 565 before links were kept and
 // welcomes and finals built at exact size, 318 before the inbox was sized by
-// backpressure and the welcome and final went into pooled frames.
+// backpressure and the welcome and final went into pooled frames, 294 before
+// the kept scratches kept each worker's buffers and the events channel and
+// leg queues were pooled.
 func TestDistFloorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race")
 	}
 	allocs := testing.AllocsPerRun(50, floorSolve(t))
 	t.Logf("%.0f allocations per fixed-point solve", allocs)
-	if limit := 1.1 * 294; allocs > limit {
+	if limit := 1.1 * 217; allocs > limit {
 		t.Errorf("%.0f allocations per fixed-point star solve, want <= %.0f", allocs, limit)
 	}
 }
 
 // TestDistFloorBytes is the same floor as a ratchet in bytes: what the
 // process allocated over 60 warm solves (runtime.MemStats.TotalAlloc), per
-// solve. It measured ~38,000 bytes on linux/amd64 (~81,300 before the inbox
+// solve. It measured ~17,000 bytes on linux/amd64 (~81,300 before the inbox
 // was sized by backpressure and the welcome and final went into pooled
-// frames).
+// frames, ~38,000 before the kept scratches kept each worker's buffers and
+// the events channel and leg queues were pooled).
 func TestDistFloorBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under -race")
 	}
-	const solves, want = 60, 38000
+	const solves, want = 60, 17000
 	solve := floorSolve(t)
 	solve() // warm: the kept links and the pools
 	var before, after gort.MemStats

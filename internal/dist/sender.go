@@ -15,7 +15,7 @@ package dist
 // every leg, woken by a doorbell or by its one timer for the earliest due
 // time. Once warm nothing here allocates per frame: frames are pooled, a
 // frame is one buffer however many legs hold it, and a leg's queue keeps
-// its backing array.
+// its backing array, taken from and returned to a pool.
 
 import (
 	"math/rand"
@@ -50,10 +50,12 @@ var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 // frameAudit, a test hook, counts takes against releases and fills every
 // released buffer with 0xFF bytes (NaN bits): a buffer released early or
-// never, which the pool would hide, shows.
+// never, which the pool would hide, shows. It counts leg queues taken and
+// returned the same way, and the taken ones that still held a frame.
 var frameAudit struct {
-	on              atomic.Bool
-	takes, releases atomic.Int64
+	on                                  atomic.Bool
+	takes, releases                     atomic.Int64
+	queueTakes, queueReturns, queueFull atomic.Int64
 }
 
 // getFrame takes a buffer from the pool holding one reference, the caller's.
@@ -310,14 +312,35 @@ func (s *sender) setLeg(q int, next *leg) *leg {
 	return prev
 }
 
-// abandon drops every frame queued on leg l, which is leaving the sender;
-// the caller holds mu.
+// abandon drops every frame queued on leg l, which is leaving the sender,
+// and returns its queue to queuePool; the caller holds mu.
 func (s *sender) abandon(l *leg) {
 	for _, h := range l.queue {
 		s.dispose(h.f, &s.led.dropped)
 	}
-	clear(l.queue)
-	l.queue = l.queue[:0]
+	if cap(l.queue) >= queueLen { // takeQueue's, or grown from it
+		clear(l.queue[:cap(l.queue)])
+		if frameAudit.on.Load() {
+			frameAudit.queueReturns.Add(1)
+		}
+		queuePool.Put((*[queueLen]held)(l.queue[:queueLen]))
+	}
+	l.queue = nil
+}
+
+// queuePool holds leg queues' arrays between senders (legs are built per
+// solve), each cleared, so it pins no frame. A leg that needs more grows once.
+var queuePool = sync.Pool{New: func() any { return new([queueLen]held) }}
+
+const queueLen = 8
+
+// takeQueue returns an empty leg queue on an array from queuePool.
+func takeQueue() []held {
+	q := queuePool.Get().(*[queueLen]held)
+	if frameAudit.on.Load() && frameAudit.queueTakes.Add(1) > 0 && *q != ([queueLen]held{}) {
+		frameAudit.queueFull.Add(1)
+	}
+	return q[:0]
 }
 
 // dispose accounts frame f, which a leg will never write, in ctr and
@@ -361,7 +384,8 @@ func (s *sender) send(f *frameBuf, reliable bool) {
 // due before its next pass. The caller holds mu. Applying the rule here is
 // what makes a source that outruns a socket shed exactly the frames whose
 // values are already stale instead of queueing them behind a stuck write.
-// A leg's queue grows to its high-water mark once and is reused after.
+// A leg's queue, taken from queuePool, grows to its high-water mark once and
+// is reused after.
 func (s *sender) post(l *leg, f *frameBuf, reliable bool, now time.Time) {
 	drop, delay := s.fault.decide(s.rng, s.hold, reliable)
 	if drop || l == nil { // sent, never received
@@ -371,7 +395,7 @@ func (s *sender) post(l *leg, f *frameBuf, reliable bool, now time.Time) {
 	due := now.Add(delay)
 	f.refs.Add(1)
 	if l.queue == nil {
-		l.queue = make([]held, 0, 8) // enough for most legs, grown once
+		l.queue = takeQueue()
 	}
 	l.queue = append(l.queue, held{f: f, due: due})
 	s.next(l, now, false)
@@ -490,16 +514,15 @@ func (s *sender) serveDue(now time.Time) {
 // woke the pass only costs an empty pass. Closing the doorbell ends it.
 func (s *sender) run() {
 	defer s.writer.Done()
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
+	var timer *time.Timer // made when a pass first leaves a frame queued, which an uplink rarely does
+	var fired <-chan time.Time
 	for {
 		select {
 		case _, open := <-s.notify:
 			if !open {
-				timer.Stop()
 				return
 			}
-		case <-timer.C:
+		case <-fired:
 		}
 		s.serveDue(time.Now())
 		s.mu.Lock()
@@ -511,9 +534,12 @@ func (s *sender) run() {
 		}
 		wake := s.wake
 		s.mu.Unlock()
-		timer.Stop()
-		if wake.Before(never) {
-			timer.Reset(time.Until(wake))
+		switch {
+		case timer != nil:
+			timer.Reset(time.Until(wake)) // never: the longest Duration, as good as stopped
+		case wake.Before(never):
+			timer = time.NewTimer(time.Until(wake))
+			fired = timer.C
 		}
 	}
 }

@@ -558,7 +558,9 @@ func (w *welcome) appendFrame(dst []byte) []byte {
 	return appendF64s(b, c.X0)
 }
 
-func decodeWelcome(payload []byte) (welcome, error) {
+// decodeWelcome decodes a welcome, its x into x when x holds n values (a
+// worker's kept view), else into a slice of its own.
+func decodeWelcome(payload []byte, x []float64) (welcome, error) {
 	cur := cursor{b: payload}
 	var w welcome
 	c := &w.cfg
@@ -585,7 +587,10 @@ func decodeWelcome(payload []byte) (welcome, error) {
 	w.rejoining = cur.u8() != 0
 	c.Elastic.HeartbeatEvery = time.Duration(cur.u64())
 	c.Elastic.CheckpointEvery = time.Duration(cur.u64())
-	if cur.err == nil {
+	if cur.err == nil && len(x) == w.n {
+		cur.f64sInto(x)
+		c.X0 = x
+	} else if cur.err == nil {
 		c.X0 = cur.f64s(w.n)
 	}
 	if cur.err != nil {

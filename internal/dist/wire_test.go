@@ -70,10 +70,10 @@ func TestDecodeWelcomeBoundsWorkers(t *testing.T) {
 		binary.LittleEndian.PutUint32(payload[4:], workers)
 		return payload
 	}
-	if w, err := decodeWelcome(encode(1, 2)); err != nil || w.cfg.Workers != 2 || w.id != 1 {
+	if w, err := decodeWelcome(encode(1, 2), nil); err != nil || w.cfg.Workers != 2 || w.id != 1 {
 		t.Fatalf("valid welcome: (%+v, %v)", w, err)
 	}
-	if _, err := decodeWelcome(encode(3, 4)); err != nil {
+	if _, err := decodeWelcome(encode(3, 4), nil); err != nil {
 		t.Errorf("workers == n refused: %v", err)
 	}
 	for _, tc := range []struct {
@@ -86,7 +86,7 @@ func TestDecodeWelcomeBoundsWorkers(t *testing.T) {
 		{0, 1 << 31},
 		{2, 2}, // slot outside the worker count
 	} {
-		if _, err := decodeWelcome(encode(tc.id, tc.workers)); err == nil {
+		if _, err := decodeWelcome(encode(tc.id, tc.workers), nil); err == nil {
 			t.Errorf("slot %d of %d workers over n=4 accepted", tc.id, tc.workers)
 		}
 	}
@@ -192,7 +192,7 @@ func TestWelcomeAndFinalAtExactSize(t *testing.T) {
 		check func(payload []byte) error
 	}{
 		{"welcome", wel.frame, func(payload []byte) error {
-			got, err := decodeWelcome(payload)
+			got, err := decodeWelcome(payload, nil)
 			if err == nil && !reflect.DeepEqual(got, wel) {
 				err = fmt.Errorf("decoded %+v, want %+v", got, wel)
 			}
@@ -257,7 +257,7 @@ func decodeFramePayload(typ byte, payload []byte) {
 		// never anything worse.
 		_ = cur.u32() != protocolVersion
 	case msgWelcome:
-		decodeWelcome(payload)
+		decodeWelcome(payload, nil)
 	case msgBlock:
 		// The receiving worker's path: header and bounds checked, then the
 		// values decoded straight into its view.

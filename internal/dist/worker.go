@@ -37,11 +37,11 @@ type workerState struct {
 	lo, hi         int
 	deltaThreshold float64
 
-	// view is the Worker's view of the full iterate: received blocks land
-	// in it; checkpoints, reshard acks and the final upload read the shard
-	// from it.
+	// view is the Worker's view of the full iterate, kept in the scratch's
+	// OwnView slot, which the welcome's x0 decodes into: received blocks
+	// land in it; checkpoints, reshard acks and the final read the shard.
 	view     []float64
-	lastSent []float64 // per own component: value last shipped to peers
+	lastSent []float64 // per own component: value last shipped to peers (kept, OwnSent)
 	lastSeq  []uint64  // per source: highest applied block sequence (this gen)
 
 	mesh *mesh // nil in the star topology
@@ -82,7 +82,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	if _, err := conn.Write(helloFrame); err != nil {
 		return fmt.Errorf("dist: worker hello: %w", err)
 	}
-	hs := getFrame() // the welcome, released once decoded: decoding copies what it keeps
+	hs := getFrame() // the welcome, released once decoded: decoding copies what it keeps, x0 into the kept view
 	b, err := readFrameInto(conn, maxFramePayload, hs.b)
 	hs.b = b
 	var wel welcome
@@ -94,7 +94,7 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 	case hs.typ() != msgWelcome:
 		err = fmt.Errorf("dist: worker expected welcome, got frame type %d", hs.typ())
 	default:
-		if wel, err = decodeWelcome(b[frameHeaderLen:]); err != nil {
+		if wel, err = decodeWelcome(b[frameHeaderLen:], scr.Own(runtime.OwnView, op.Dim())); err != nil {
 			err = fmt.Errorf("dist: worker welcome decode: %w", err)
 		}
 	}
@@ -121,14 +121,16 @@ func runWorker(conn net.Conn, op operators.Operator, o WorkerOptions) error {
 		lo: wel.lo, hi: wel.hi,
 		deltaThreshold: cfg.DeltaThreshold,
 		view:           cfg.X0,
-		lastSent:       append([]float64(nil), cfg.X0[wel.lo:wel.hi]...),
+		lastSent:       scr.Own(runtime.OwnSent, wel.hi-wel.lo),
 		lastSeq:        make([]uint64, cfg.Workers),
 		gen:            wel.gen,
 		hbEvery:        cfg.Elastic.HeartbeatEvery,
 		ckEvery:        cfg.Elastic.CheckpointEvery,
 		// A rejoiner owns no shard until its first assign re-shards it in.
 		awaitAssign: wel.rejoining,
+		statusBuf:   make([]byte, 0, 64), // a status frame is 50 bytes
 	}
+	copy(ws.lastSent, ws.view[ws.lo:ws.hi])
 	// Mesh rendezvous: open a listener on the interface that reaches the
 	// coordinator, advertise it and — unless we are rejoining a run already
 	// in flight, whose peer table arrives with our first assign — receive

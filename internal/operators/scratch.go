@@ -10,6 +10,13 @@ import "repro/internal/vec"
 // are EvalBlock on [i, i+1) and [0, n)), making steady-state evaluation
 // allocation-free.
 //
+// A Scratch also keeps the worker that owns it (Own): the worker loop's
+// full view of the iterate and block output, the in-process port's boxes
+// and flexible partials, and dist's last-sent shard. A kept Scratch thus
+// holds O(n) floats (the view; the message layout's p-1 boxes too), and a
+// pool of p of them, one per worker, O(p·n): keep one per concurrent
+// solver, not per request.
+//
 // A Scratch is NOT safe for concurrent use: it embodies exactly the
 // "per-worker buffer" idea, so give each goroutine its own instance (the
 // engines do). The zero value is ready to use; buffers are created lazily
@@ -18,6 +25,7 @@ import "repro/internal/vec"
 type Scratch struct {
 	bufs [][]float64
 	aux  [][]float64
+	own  [][]float64
 	one  [1]float64 // EvalComponent's block-of-one output
 	tun  Tuning
 	// hint is the caller's one-shot promise about the next EvalBlock's x
@@ -41,15 +49,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 // consumes so composed operators can partition the slot space.
 //
 //repro:hotpath
-func (s *Scratch) Vec(slot, n int) []float64 {
-	for len(s.bufs) <= slot {
-		s.bufs = append(s.bufs, nil) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
-	}
-	if cap(s.bufs[slot]) < n {
-		s.bufs[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
-	}
-	return s.bufs[slot][:n]
-}
+func (s *Scratch) Vec(slot, n int) []float64 { return grow(&s.bufs, slot, n) }
 
 // Aux returns the harness-side scratch vector registered under slot, resized
 // to length n. Aux slots live in a slot space separate from Vec, so helpers
@@ -59,14 +59,25 @@ func (s *Scratch) Vec(slot, n int) []float64 {
 // implementations use slots >= 1.
 //
 //repro:hotpath
-func (s *Scratch) Aux(slot, n int) []float64 {
-	for len(s.aux) <= slot {
-		s.aux = append(s.aux, nil) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
+func (s *Scratch) Aux(slot, n int) []float64 { return grow(&s.aux, slot, n) }
+
+// Own returns the owner-side vector registered under slot, resized to
+// length n: a buffer of the worker that owns the Scratch (runtime names the
+// slots), in a slot space no operator or helper touches. The owner refills it.
+func (s *Scratch) Own(slot, n int) []float64 { return grow(&s.own, slot, n) }
+
+// grow returns buffer slot of bufs resized to length n, growing the slot
+// space and the buffer on first request.
+//
+//repro:hotpath
+func grow(bufs *[][]float64, slot, n int) []float64 {
+	for len(*bufs) <= slot {
+		*bufs = append(*bufs, nil) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
 	}
-	if cap(s.aux[slot]) < n {
-		s.aux[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
+	if b := *bufs; cap(b[slot]) < n {
+		b[slot] = make([]float64, n) //repro:alloc-ok warm-up growth; TestScratchEvaluationAllocationFree pins a warmed Scratch at 0
 	}
-	return s.aux[slot][:n]
+	return (*bufs)[slot][:n]
 }
 
 // proxKey identifies a memoized prox point: the ProxGradBF's tag and the

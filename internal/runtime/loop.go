@@ -132,11 +132,30 @@ type Transport interface {
 // macro-iteration stopping rule.
 const confirmSweeps = 2
 
+// The Own slots of a worker's operators.Scratch, what a kept Scratch keeps of
+// its worker from run to run: each refilled as a run starts, none in a Result.
+const (
+	OwnView = iota // the worker's full view of the iterate (Worker.View)
+	OwnOut         // the block a phase evaluates into
+	OwnBox         // in process: the boxes carrying the worker's block to its peers
+	OwnFlex        // in process: the block as last published, and a flexible partial
+	OwnSent        // dist: the shard as last shipped to peers
+)
+
+// KeptView returns a worker's view of n components from scr's OwnView slot,
+// refilled from x0 (zeros when x0 is nil).
+func KeptView(scr *operators.Scratch, x0 []float64, n int) []float64 {
+	v := scr.Own(OwnView, n)
+	clear(v[copy(v, x0):])
+	return v
+}
+
 // Worker is one worker's loop state.
 type Worker struct {
 	// ID names the worker in a DivergedError.
-	ID      int
-	Op      operators.Operator
+	ID int
+	Op operators.Operator
+	// Scratch also keeps the worker's buffers (the Own slots); nil: a fresh one.
 	Scratch *operators.Scratch
 	// Tol and Budget are Config.Tol and MaxUpdatesPerWorker.
 	Tol    float64
@@ -156,6 +175,9 @@ type Worker struct {
 
 // Run executes the worker protocol over t until the run stops.
 func (w *Worker) Run(t Transport) error {
+	if w.Scratch == nil {
+		w.Scratch = operators.NewScratch()
+	}
 	w.resize(t)
 	for {
 		parked := t.Passive() || w.Updates >= w.Budget
@@ -231,7 +253,7 @@ func (w *Worker) absorb(t Transport, block bool) (in Input, err error) {
 // resize adopts the transport's current block bounds.
 func (w *Worker) resize(t Transport) {
 	w.lo, w.hi = t.Block()
-	w.out = make([]float64, w.hi-w.lo)
+	w.out = w.Scratch.Own(OwnOut, w.hi-w.lo)
 	w.streak = 0
 }
 

@@ -80,10 +80,7 @@ func (c *Config) Validate() (n int, err error) {
 	if c.Workers > n {
 		c.Workers = n
 	}
-	if c.X0 == nil {
-		c.X0 = make([]float64, n)
-	}
-	if len(c.X0) != n {
+	if c.X0 != nil && len(c.X0) != n { // nil reads as zeros
 		return 0, fmt.Errorf("runtime: X0 length %d, want %d", len(c.X0), n)
 	}
 	if c.MaxUpdatesPerWorker <= 0 {
@@ -124,13 +121,13 @@ type run struct {
 // passing).
 func (r *run) box(s, d int) int { return s*r.perWriter + d*r.perReader }
 
-// newRun validates cfg and builds the run's boxes, one per writer or one
-// per (writer, reader) pair, and a port per worker over them; a port's
-// view is bound by whoever runs its worker.
-func newRun(cfg Config, perPair bool) (*run, []port, error) {
+// newRun validates cfg and builds the run's boxes, one per writer or one per
+// (writer, reader) pair, and a Worker per block with a port over them bound
+// to its view; a writer's buffers come from its scratch's Own slots.
+func newRun(cfg Config, perPair bool) (*run, []port, []Worker, error) {
 	n, err := cfg.Validate()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	r := &run{cfg: cfg, blocks: vec.Blocks(n, cfg.Workers), perWriter: 1,
 		wake: make(chan struct{}, 1), stopCh: make(chan struct{})}
@@ -142,25 +139,29 @@ func newRun(cfg Config, perPair bool) (*run, []port, error) {
 	r.q = NewTracker(p)
 	r.boxes = make([]blockSlot, p*r.perWriter)
 	r.bells = make([]chan struct{}, p)
-	vals := make([]float64, copies*n)
 	seen := make([]uint64, p*p)
 	ports := make([]port, p)
+	workers := make([]Worker, p)
 	for s, b := range r.blocks {
+		scr := operators.WorkerScratch(cfg.Scratches, s, cfg.Tuning)
+		workers[s] = Worker{ID: s, Op: cfg.Op, Scratch: scr, Tol: cfg.Tol, Budget: cfg.MaxUpdatesPerWorker,
+			Progress: cfg.Progress, View: KeptView(scr, cfg.X0, n)}
 		size := b[1] - b[0]
+		vals := scr.Own(OwnBox, copies*size) // written by a publish before any read
 		for d := range r.blocks {
 			if box := &r.boxes[r.box(s, d)]; d != s && box.vals == nil {
 				box.vals, vals = vals[:size:size], vals[size:]
 			}
 		}
 		r.bells[s] = make(chan struct{}, 1)
-		ports[s] = port{slot: slot{r.q, s}, r: r, seen: seen[s*p : (s+1)*p]}
+		ports[s] = port{slot: slot{r.q, s}, r: r, view: workers[s].View, seen: seen[s*p : (s+1)*p]}
 		if cfg.Flexible.Enabled() {
-			flex := make([]float64, 2*size)
+			flex := scr.Own(OwnFlex, 2*size)
 			ports[s].last, ports[s].part = flex[:size:size], flex[size:]
-			copy(ports[s].last, cfg.X0[b[0]:b[1]])
+			copy(ports[s].last, workers[s].View[b[0]:b[1]])
 		}
 	}
-	return r, ports, nil
+	return r, ports, workers, nil
 }
 
 // stop broadcasts the end of the run; safe to call more than once.
@@ -208,11 +209,10 @@ func (r *run) supervise() {
 // they have all left: each block of X comes from its owner's view, the
 // authoritative copy.
 func solve(cfg Config, perPair bool) (*Result, error) {
-	r, ports, err := newRun(cfg, perPair)
+	r, ports, workers, err := newRun(cfg, perPair)
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]Worker, len(r.blocks))
 	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(1 + len(workers))
@@ -222,13 +222,6 @@ func solve(cfg Config, perPair bool) (*Result, error) {
 	}()
 	for w := range workers {
 		wk := &workers[w]
-		*wk = Worker{
-			ID: w, Op: r.cfg.Op, Scratch: operators.WorkerScratch(r.cfg.Scratches, w, r.cfg.Tuning),
-			Tol: r.cfg.Tol, Budget: r.cfg.MaxUpdatesPerWorker,
-			Progress: r.cfg.Progress,
-			View:     append([]float64(nil), r.cfg.X0...),
-		}
-		ports[w].view = wk.View
 		go func() {
 			defer wg.Done()
 			if err := wk.Run(&ports[w]); err != nil {
@@ -242,7 +235,7 @@ func solve(cfg Config, perPair bool) (*Result, error) {
 	}
 
 	res := &Result{
-		X:                make([]float64, len(r.cfg.X0)),
+		X:                make([]float64, r.blocks[len(r.blocks)-1][1]),
 		Converged:        r.converged.Load(),
 		UpdatesPerWorker: make([]int, len(workers)),
 		Elapsed:          time.Since(start),

@@ -43,12 +43,9 @@ func eachLayout(t *testing.T, test func(t *testing.T, perPair bool)) {
 // would start, each port bound to a private copy of X0.
 func portFixture(t testing.TB, cfg Config, perPair bool) (*run, []port) {
 	t.Helper()
-	r, ports, err := newRun(cfg, perPair)
+	r, ports, _, err := newRun(cfg, perPair)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for w := range ports {
-		ports[w].view = append([]float64(nil), r.cfg.X0...)
 	}
 	return r, ports
 }

@@ -13,9 +13,10 @@ package repro
 //	}
 //
 // A Scratch adapts to whatever engine uses it: the model engine draws its
-// single-threaded RunScratch, the simulated and goroutine engines draw one
-// operator scratch per worker. Buffers grow to the largest shape seen and
-// are reused thereafter.
+// single-threaded RunScratch, every other engine one operator scratch per
+// worker, which also keeps that worker's view of the iterate and its block
+// buffers: O(p·n) floats for p workers. Buffers grow to the largest shape
+// seen and are reused thereafter.
 //
 // A Scratch must not be shared by concurrent Solve calls; give each
 // goroutine its own (the per-worker scratches inside one solve are handled

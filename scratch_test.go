@@ -145,3 +145,106 @@ func TestModelScratchHoldsTheHistory(t *testing.T) {
 		}
 	}
 }
+
+// lassoOf is lassoSpec's lasso at dimension n, with its fixed point.
+func lassoOf(t testing.TB, n int) (repro.Spec, []float64) {
+	t.Helper()
+	reg, err := repro.NewRegression(repro.RegressionConfig{N: n, Coupling: 0.3, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := reg.Smooth()
+	op := repro.NewProxGradBF(f, repro.L1{Lambda: 0.02}, repro.MaxStep(f))
+	xstar, ok := repro.FixedPoint(op, make([]float64, n), 1e-13, 500000)
+	if !ok {
+		t.Fatal("reference solve failed")
+	}
+	return repro.NewSpec(op, repro.WithXStar(xstar)), xstar
+}
+
+// TestKeptScratchKeepsTheWorker: a kept Scratch keeps each worker's buffers
+// (its view, its block output, the boxes and dist's last-sent shard), and
+// nothing of one solve reaches the next or a Report. One Scratch solves a
+// larger lasso, then the target: on sim the target's X is bit-identical to a
+// fresh-Scratch solve, on shared, message and dist it reaches the same fixed
+// point. The first Report's X, overwritten with NaN before the second solve,
+// changes nothing of it and is not written by it.
+func TestKeptScratchKeepsTheWorker(t *testing.T) {
+	big, _ := lassoOf(t, 40)
+	spec, xstar := lassoOf(t, 24)
+	for _, engine := range []repro.Engine{repro.EngineSim, repro.EngineShared, repro.EngineMessage, repro.EngineDist} {
+		t.Run(engine.Name(), func(t *testing.T) {
+			solve := func(spec repro.Spec, scr *repro.Scratch) *repro.Report {
+				t.Helper()
+				rep, err := repro.Solve(spec, repro.WithEngine(engine), repro.WithWorkers(4), repro.WithSeed(3),
+					repro.WithTol(1e-9), repro.WithMaxUpdates(2000000), repro.WithScratch(scr))
+				if err != nil || !rep.Converged {
+					t.Fatalf("solve of n=%d: err %v, report %+v", spec.Op.Dim(), err, rep)
+				}
+				return rep
+			}
+			scr := repro.NewScratch()
+			first := solve(big, scr)
+			for i := range first.X {
+				first.X[i] = math.NaN()
+			}
+			got, want := solve(spec, scr), solve(spec, nil)
+			for i, v := range first.X {
+				if !math.IsNaN(v) {
+					t.Fatalf("the second solve wrote %v into the first Report's X[%d]", v, i)
+				}
+			}
+			if e := repro.DistInf(got.X, xstar); e > 1e-6 {
+				t.Errorf("after a larger solve on the same Scratch: %v from the fixed point", e)
+			}
+			if engine != repro.EngineSim {
+				return
+			}
+			if got.Updates != want.Updates {
+				t.Errorf("after a larger solve: %d updates, fresh Scratch %d", got.Updates, want.Updates)
+			}
+			for i := range want.X {
+				if got.X[i] != want.X[i] {
+					t.Fatalf("after a larger solve: X[%d] = %v, fresh Scratch %v", i, got.X[i], want.X[i])
+				}
+			}
+		})
+	}
+}
+
+// TestWarmMultigridSolveBytes: a warm shared or message multigrid solve
+// (n = 31, 2 workers: the benchmark's shape) through a kept Scratch
+// allocates its run and its Report, not its workers. ~10.7 KiB measured,
+// ~50.7 KiB while every solve built its views, block outputs and boxes and
+// materialised a zero X0. The least of five solves, so a stray goroutine
+// cannot fail it.
+func TestWarmMultigridSolveBytes(t *testing.T) {
+	inst, err := repro.BuildScenario("multigrid", 31, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []repro.Engine{repro.EngineShared, repro.EngineMessage} {
+		t.Run(engine.Name(), func(t *testing.T) {
+			scr := repro.NewScratch()
+			solve := func() {
+				rep, err := repro.Solve(inst.Spec, repro.WithEngine(engine), repro.WithWorkers(2), repro.WithScratch(scr))
+				if err != nil || !rep.Converged {
+					t.Fatalf("err %v, report %+v", err, rep)
+				}
+			}
+			solve()
+			least := uint64(math.MaxUint64)
+			for run := 0; run < 5; run++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				solve()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			t.Logf("%d bytes per warm solve", least)
+			if least > 14<<10 {
+				t.Errorf("warm %s multigrid solve allocates %d bytes, want <= %d", engine.Name(), least, 14<<10)
+			}
+		})
+	}
+}
