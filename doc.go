@@ -152,13 +152,13 @@
 // trajectories whichever path runs.
 //
 // The model engine (internal/core) executes Definitions 1 and 3 literally
-// at one O(n) copy plus O(window) per iteration: History.Read copies the
-// freshest iterate and looks up only the components updated since the
-// minimum label (delay.Labels gives it in O(1) for stateless models, about
-// b hashes for the hash models), all n (O(n log k)) once that window holds
-// n, as under Jacobi steering and a growing delay. Its
-// window also tells which components the read moved since the previous
-// iteration's, and Run hints the operator scratch with them
+// at O(window) per iteration: History.Read keeps its read vector and moves
+// it through the updates since the minimum label (delay.Labels gives it in
+// O(1) for stateless models, about b hashes for the hash models), each
+// resolved from its own entry, and those that left that window since; all
+// n (O(n log k)) once that window holds n, as under Jacobi steering and a
+// growing delay. The components it moved are all the read can differ at
+// since the previous read, and Run hints the operator scratch with them
 // (operators.Scratch.Hint): ProxGradBF keeps its prox point there and
 // re-applies the prox only at those, to the same bits. A warmed Solve
 // allocates its Report and its per-iteration log, nothing else; README

@@ -157,13 +157,14 @@ func RunWithComponentErrors(cfg Config) (*Result, [][]float64, error) {
 		return e
 	}
 	perIter = append(perIter, snapshotErr())
-	xread, labels := make([]float64, n), make([]int, n)
+	xflex, labels := make([]float64, n), make([]int, n)
 	for _, rec := range res.Records {
-		hist.Read(cfg.Delay, rec.J, labels, xread)
+		xread, _, _ := hist.Read(cfg.Delay, rec.J, labels)
 		if cfg.Theta > 0 {
 			for h, lv := range xread {
-				xread[h] = lv + cfg.Theta*(hist.Latest(h)-lv)
+				xflex[h] = lv + cfg.Theta*(hist.Latest(h)-lv)
 			}
+			xread = xflex
 		}
 		for _, i := range rec.S {
 			hist.Set(i, rec.J, cfg.Op.Component(i, xread))

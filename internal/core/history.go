@@ -23,21 +23,23 @@ import (
 // required by unbounded delays. Memory is proportional to the number of
 // updates actually performed (not iterations x dimension), because a
 // component's value only changes when it is relaxed. Beside the logs it
-// keeps the freshest iterate densely and the run's update order, so a read
-// that reaches back over few updates costs a copy plus those few lookups.
-// The order is append-only within a run (Reset empties it): an index into
-// it names the same update for the rest of the run, which is what lets
-// Run hint the operator scratch with the components of a suffix of it, so
-// a compaction of it must keep the indices or end that chain.
+// keeps the freshest iterate, the run's update order (append-only until
+// Reset: an index names the same update for the whole run) and the last
+// Read's vector, which the next Read moves by walking only the entries
+// newer than its oldest label and those that left that window since.
 type History struct {
 	iters  [][]int     // per component: strictly increasing update iterations
 	vals   [][]float64 // parallel values
 	latest []float64   // the freshest iterate: latest[i] is the last of vals[i]
-	order  []update    // every recorded update, in the order Set saw them
+	// order and pos are every recorded update, in the order Set saw them:
+	// the k-th set component order[k] to entry pos[k] of its logs.
+	order, pos []int
+	// read is the last Read's vector plus one slot that takes the writes
+	// Read discards. Every component without an entry in order[kept:]
+	// reads latest; kept < 0 after a read of all n.
+	read []float64
+	kept int
 }
-
-// update is one entry of the update order: component i relaxed at iteration j.
-type update struct{ i, j int }
 
 // NewHistory starts a history at iteration 0 with initial iterate x0.
 func NewHistory(x0 []float64) *History {
@@ -63,7 +65,9 @@ func (h *History) Reset(x0 []float64) {
 		h.vals[i] = append(h.vals[i][:0], v)
 	}
 	h.latest = append(h.latest[:0], x0...)
-	h.order = h.order[:0]
+	h.order, h.pos = h.order[:0], h.pos[:0]
+	h.read = append(append(h.read[:0], x0...), 0)
+	h.kept = 0
 }
 
 // Dim returns the number of components.
@@ -72,18 +76,28 @@ func (h *History) Dim() int { return len(h.latest) }
 // Set records that component i took value v at iteration j. Iterations must
 // be recorded in nondecreasing order over the whole run.
 func (h *History) Set(i, j int, v float64) {
-	if k := len(h.order); k > 0 && j < h.order[k-1].j {
-		panic(fmt.Sprintf("core: History.Set out of order for comp %d: j=%d after %d", i, j, h.order[k-1].j))
+	if k := len(h.order); k > 0 && j < h.iter(k-1) {
+		panic(fmt.Sprintf("core: History.Set out of order for comp %d: j=%d after %d", i, j, h.iter(k-1)))
 	}
 	h.latest[i] = v
 	if it := h.iters[i]; j == it[len(it)-1] {
 		h.vals[i][len(it)-1] = v
+		k := len(h.order) - 1
+		for k >= 0 && h.order[k] != i {
+			k--
+		}
+		if k < h.kept { // the initial value, or an update Read no longer walks
+			h.read[i] = v
+		}
 		return
 	}
+	h.order, h.pos = append(h.order, i), append(h.pos, len(h.iters[i]))
 	h.iters[i] = append(h.iters[i], j)
 	h.vals[i] = append(h.vals[i], v)
-	h.order = append(h.order, update{i, j})
 }
+
+// iter returns the iteration of the k-th recorded update.
+func (h *History) iter(k int) int { return h.iters[h.order[k]][h.pos[k]] }
 
 // At returns x_i(l): the value component i had at iteration label l (the
 // most recent update at or before l).
@@ -102,39 +116,67 @@ func (h *History) At(i, l int) float64 {
 	return h.vals[i][lo-1]
 }
 
-// Read fills dst with x(l(j)), the labelled vector of iteration j under m,
-// and returns min(j-1, min_c l_c(j)). x(l(j)) differs from the freshest
-// iterate only at components relaxed after that minimum, so Read copies
-// that iterate and re-reads the components the update order names after it,
-// all n once it names n; row (length n) holds their labels, asked of m one
-// by one unless delay.Labels filled it for a model it must ask in order.
-// from is the index of the first re-read entry of the update order (its
-// length if none), or -1 when Read looked up all n.
+// Read returns x(l(j)), the labelled vector of iteration j under m, and
+// min(j-1, min_c l_c(j)). x(l(j)) is the freshest iterate but at the
+// components relaxed after that minimum, so Read moves the last read to it
+// through the update order: entries that left the window since return to
+// the freshest value, and each window entry resolves itself — its own value
+// when at or before its component's label, else the value it replaced when
+// that one was. With n window entries it looks up all n instead. walked
+// lists the components Read moved (nil: maybe all n); row (length n) holds
+// the labels asked. The vector is the History's until the next Read or Reset.
 //
 //repro:hotpath
-func (h *History) Read(m delay.Model, j int, row []int, dst []float64) (minLabel, from int) {
+func (h *History) Read(m delay.Model, j int, row []int) (x []float64, minLabel int, walked []int) {
 	minLabel, filled := delay.Labels(m, j, row)
-	k := len(h.order)
-	for k > 0 && h.order[k-1].j > minLabel {
-		k--
-		if len(h.order)-k >= len(dst) {
-			for c := range dst {
-				if !filled {
-					row[c] = m.Label(c, j)
-				}
-				dst[c] = h.At(c, row[c])
+	n, k := len(h.latest), len(h.order)
+	if k >= n && h.iter(k-n) > minLabel { // the order is sorted by iteration
+		for c := range n {
+			if !filled {
+				row[c] = m.Label(c, j)
 			}
-			return minLabel, -1
+			h.read[c] = h.At(c, row[c])
+		}
+		h.kept = -1
+		return h.read[:n], minLabel, nil
+	}
+	// The window starts near the last one's start: walk from there (not
+	// before k-n+1, the full read's test says).
+	k = max(h.kept, k-n+1, 0)
+	for k < len(h.order) && h.iter(k) <= minLabel {
+		k++
+	}
+	for k > 0 && h.iter(k-1) > minLabel {
+		k--
+	}
+	if h.kept < 0 {
+		copy(h.read, h.latest)
+	} else {
+		walked = h.order[min(h.kept, k):]
+		for _, c := range h.order[min(h.kept, k):k] {
+			h.read[c] = h.latest[c]
 		}
 	}
-	copy(dst, h.latest)
-	for _, u := range h.order[k:] {
-		if !filled {
-			row[u.i] = m.Label(u.i, j)
-		}
-		dst[u.i] = h.At(u.i, row[u.i])
+	h.kept = k
+	if !filled {
+		delay.LabelsOf(m, j, row, h.order[k:])
 	}
-	return minLabel, k
+	for e, c := range h.order[k:] {
+		// The last write to a component resolves it: its updates at or
+		// before its label, then the first one past it; the others write
+		// to read[n]. An update is entry p of its logs, p-1 the one it
+		// replaced.
+		it, p := h.iters[c], h.pos[k+e]
+		l, dst, own := row[c], n, 0
+		if it[p-1] <= l {
+			dst = c
+		}
+		if it[p] <= l {
+			own = 1
+		}
+		h.read[dst] = h.vals[c][p-1+own]
+	}
+	return h.read[:n], minLabel, walked
 }
 
 // Latest returns the most recent value of component i.

@@ -44,8 +44,8 @@ func TestHistorySnapshot(t *testing.T) {
 	h.Set(1, 2, 2)
 	h.Set(2, 3, 3)
 	h.Set(0, 4, 4)
-	snap2 := make([]float64, 3)
-	if l, _ := h.Read(delay.Constant{D: 1}, 3, make([]int, 3), snap2); l != 2 {
+	snap2, l, _ := h.Read(delay.Constant{D: 1}, 3, make([]int, 3))
+	if l != 2 {
 		t.Errorf("Read at iteration 3 returned min label %d, want 2", l)
 	}
 	if snap2[0] != 1 || snap2[1] != 2 || snap2[2] != 0 {
@@ -66,6 +66,26 @@ func TestHistorySameIterationOverwrites(t *testing.T) {
 	}
 	if h.Updates() != 1 {
 		t.Errorf("Updates = %d, want 1", h.Updates())
+	}
+	if x, _, _ := h.Read(delay.Constant{D: 1}, 2, make([]int, 1)); x[0] != 7 {
+		t.Errorf("Read at label 1 = %v, want 7", x[0])
+	}
+}
+
+// A re-Set the kept read vector no longer walks — of an initial value, or
+// of an update older than the last Read's window — reaches the next Read.
+func TestHistoryReSetBehindTheWindow(t *testing.T) {
+	h := NewHistory([]float64{0, 0})
+	row := make([]int, 2)
+	h.Set(0, 0, 3)
+	if x, _, _ := h.Read(delay.Fresh{}, 1, row); x[0] != 3 || x[1] != 0 {
+		t.Errorf("Read after re-setting x_0(0) = %v, want [3 0]", x)
+	}
+	h.Set(1, 1, 4)
+	h.Read(delay.Fresh{}, 2, row)
+	h.Set(1, 1, 6)
+	if x, _, _ := h.Read(delay.Fresh{}, 2, row); x[0] != 3 || x[1] != 6 {
+		t.Errorf("Read after re-setting x_1(1) = %v, want [3 6]", x)
 	}
 }
 

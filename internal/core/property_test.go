@@ -160,8 +160,9 @@ func TestUpdatesMatchRecords(t *testing.T) {
 
 // readSpy is an operator that checks, at every iteration of a Run, the read
 // vector it is handed against Definitions 1 and 3 evaluated on its own
-// dense store of every past iterate, and never converges, so a wrong read
-// cannot hide behind equal values. Select tells it the iteration.
+// dense store of every past iterate, and never converges (its residual is
+// 1), so a wrong read cannot hide behind equal values. Select tells it the
+// iteration, and counts the cases of History.Read's window in cases.
 type readSpy struct {
 	steering.Policy
 	t     *testing.T
@@ -171,35 +172,78 @@ type readSpy struct {
 	dense [][]float64 // dense[l] = x(l)
 	want  []float64   // the defined read vector of the current iteration
 	j     int
-	due   int   // relaxations of the current iteration still to come
-	mins  []int // the defined minimum label of every iteration
-	upd   []int // the iteration of every update, in order
-	paths *[3]int
+	due   int                  // relaxations of the current iteration still to come
+	mins  []int                // the defined minimum label of every iteration
+	upd   []struct{ i, j int } // every update, in order
+	setAt []int                // the iteration each component was last relaxed at
+	// last is the previous iteration's window, its first update (-1 after
+	// a full read); checked says a residual evaluation came after it.
+	last    int
+	checked bool
+	cases   *[readCases]int
 }
+
+// The cases of History.Read that TestRunReadsTheDefinedVector must reach.
+const (
+	readEmpty      = iota // no update after the least label
+	readWindow            // fewer than n
+	readAll               // n or more: all n looked up
+	readAfterAll          // a window right after a full read
+	readDropped           // a window that some of the previous one's entries left
+	readSecondPast        // a component with two window entries past its label
+	readReSet             // a component relaxed twice in one iteration
+	readChecked           // a residual check between two reads
+	readCases
+)
+
+var readCaseNames = [readCases]string{"empty window", "window", "full read",
+	"window after a full read", "window that entries left", "second entry past a label",
+	"same-iteration re-Set", "residual check between reads"}
 
 func (s *readSpy) Select(j int) []int {
 	n := len(s.cur)
 	s.j = j
 	s.dense = append(s.dense, append([]float64(nil), s.cur...))
 	least := j - 1
+	labels := make([]int, n)
 	for h := range s.want {
 		l := s.ref.Label(h, j)
+		labels[h] = l
 		least = min(least, l)
 		s.want[h] = flexible.Interpolate(s.dense[l][h], s.cur[h], s.theta)
 	}
 	s.mins = append(s.mins, least)
-	after := 0 // updates since the oldest label read: which branch Read takes
-	for k := len(s.upd) - 1; k >= 0 && s.upd[k] > least; k-- {
-		after++
+	first := len(s.upd)
+	for first > 0 && s.upd[first-1].j > least {
+		first--
 	}
-	switch {
+	switch after := len(s.upd) - first; {
 	case after >= n:
-		s.paths[2]++
+		s.cases[readAll]++
+		first = -1
 	case after > 0:
-		s.paths[1]++
+		s.cases[readWindow]++
+		past := make([]int, n)
+		for _, u := range s.upd[first:] {
+			if u.j > labels[u.i] {
+				if past[u.i]++; past[u.i] == 2 {
+					s.cases[readSecondPast]++
+				}
+			}
+		}
 	default:
-		s.paths[0]++
+		s.cases[readEmpty]++
 	}
+	if first >= 0 && s.last < 0 {
+		s.cases[readAfterAll]++
+	}
+	if first > s.last && s.last >= 0 {
+		s.cases[readDropped]++
+	}
+	if s.checked {
+		s.cases[readChecked]++
+	}
+	s.last, s.checked = first, false
 	S := s.Policy.Select(j)
 	s.due = len(S)
 	return S
@@ -209,8 +253,9 @@ func (s *readSpy) Dim() int     { return len(s.cur) }
 func (s *readSpy) Name() string { return "readSpy" }
 
 func (s *readSpy) Component(i int, x []float64) float64 {
-	if s.due == 0 {
-		return x[i] // Run's closing residual evaluation, not a read
+	if s.due == 0 { // a residual evaluation, not a read
+		s.checked = true
+		return x[i] + 1
 	}
 	s.due--
 	for h := range x {
@@ -219,16 +264,38 @@ func (s *readSpy) Component(i int, x []float64) float64 {
 				s.ref.Name(), s.Policy.Name(), s.theta, s.j, h, x[h], s.want[h])
 		}
 	}
-	v := 0.5*x[i] + 0.25*x[(i+1)%len(x)] + float64(s.j%7)
+	v := 0.5*x[i] + 0.25*x[(i+1)%len(x)] + float64(s.j%7) + float64(s.due)
 	s.cur[i] = v
-	s.upd = append(s.upd, s.j)
+	if s.setAt[i] == s.j {
+		s.cases[readReSet]++
+	} else {
+		s.upd = append(s.upd, struct{ i, j int }{i, s.j})
+	}
+	s.setAt[i] = s.j
 	return v
+}
+
+// twice relaxes the first component of every fifth S_j a second time.
+type twice struct {
+	steering.Policy
+	buf []int
+}
+
+func (p *twice) Select(j int) []int {
+	S := p.Policy.Select(j)
+	if j%5 != 0 || len(S) == 0 {
+		return S
+	}
+	p.buf = append(append(p.buf[:0], S...), S[0])
+	return p.buf
 }
 
 // Property: at every iteration Run hands the operator exactly the vector
 // Definitions 1 and 3 define — x_h(l_h(j)), blended toward x_h(j-1) by Theta
 // — and records the defined minimum label, for every delay model, sparse,
-// block and Jacobi steering, through all three branches of History.Read.
+// block, random, Jacobi and re-relaxing steering, with and without a
+// residual check between reads, through every case of History.Read's kept
+// read vector.
 func TestRunReadsTheDefinedVector(t *testing.T) {
 	const n, iters = 6, 2000
 	rng := vec.NewRNG(77)
@@ -252,17 +319,21 @@ func TestRunReadsTheDefinedVector(t *testing.T) {
 	steerings := []func() steering.Policy{
 		func() steering.Policy { return steering.NewCyclic(n) },
 		func() steering.Policy { return steering.NewBlockCyclic(n, 2) },
+		func() steering.Policy { return steering.NewRandomSubset(n, 1, 9) },
 		func() steering.Policy { return steering.NewAll(n) },
+		func() steering.Policy { return &twice{Policy: steering.NewCyclic(n)} },
 	}
-	var paths [3]int
+	runs := []struct{ theta, tol float64 }{{0, 0}, {0.5, 0}, {0, 1e-9}}
+	var cases [readCases]int
 	scr := NewRunScratch() // pooled, so every run also exercises Reset
 	for _, model := range models {
 		for _, pol := range steerings {
-			for _, theta := range []float64{0, 0.5} {
+			for _, r := range runs {
 				x0 := rng.NormalVector(n)
-				spy := &readSpy{Policy: pol(), t: t, ref: model(), theta: theta,
-					cur: append([]float64(nil), x0...), want: make([]float64, n), paths: &paths}
-				res, err := Run(Config{Op: spy, Steering: spy, Delay: model(), Theta: theta,
+				spy := &readSpy{Policy: pol(), t: t, ref: model(), theta: r.theta,
+					cur: append([]float64(nil), x0...), want: make([]float64, n),
+					setAt: make([]int, n), cases: &cases}
+				res, err := Run(Config{Op: spy, Steering: spy, Delay: model(), Theta: r.theta, Tol: r.tol,
 					X0: x0, MaxIter: iters, Scratch: scr, KeepRecords: true})
 				if err != nil || res.Iterations != iters {
 					t.Fatalf("%s: err=%v after %d iterations", spy.ref.Name(), err, res.Iterations)
@@ -281,9 +352,9 @@ func TestRunReadsTheDefinedVector(t *testing.T) {
 			}
 		}
 	}
-	for b, name := range []string{"copy only", "fix-up", "all-components fallback"} {
-		if paths[b] == 0 {
-			t.Errorf("no iteration took History.Read's %s branch", name)
+	for c, name := range readCaseNames {
+		if cases[c] == 0 {
+			t.Errorf("no iteration reached History.Read's case %q", name)
 		}
 	}
 }

@@ -81,30 +81,29 @@ type Config struct {
 const doneCheckEvery = 256
 
 // RunScratch bundles the model engine's reusable state: the operator
-// evaluation scratch, the history storage, the label row and read vectors
-// assembled every iteration, and the iteration log the strict boundaries
-// are computed from.
+// evaluation scratch, the history storage (which keeps the labelled read
+// vector), the label row and flexible read vector assembled every
+// iteration, and the iteration log the strict boundaries are computed from.
 type RunScratch struct {
 	// Op is the operator-evaluation scratch threaded through every
 	// component relaxation.
-	Op            *operators.Scratch
-	hist          History
-	labels        []int
-	xread, xlabel []float64
-	gsSnap        []float64 // residual-aware steering's snapshot buffer
-	blockOut      []float64 // block-evaluation output buffer
-	hint          []int     // the components handed to Op.Hint
-	seenWorkers   []bool
-	log           macroiter.Log
+	Op          *operators.Scratch
+	hist        History
+	labels      []int
+	xread       []float64 // the flexible read vector
+	snap        []float64 // the freshest iterate, for steering and the residual check
+	blockOut    []float64 // block-evaluation output buffer
+	seenWorkers []bool
+	log         macroiter.Log
 }
 
 // NewRunScratch returns an empty RunScratch; buffers grow on first use.
 func NewRunScratch() *RunScratch { return &RunScratch{Op: operators.NewScratch()} }
 
-// vecs returns the label row and the read buffers resized to n.
-func (s *RunScratch) vecs(n int) (labels []int, xread, xlabel []float64) {
-	s.labels, s.xread, s.xlabel = grown(s.labels, n), grown(s.xread, n), grown(s.xlabel, n)
-	return s.labels, s.xread, s.xlabel
+// vecs returns the label row, flexible read vector and snapshot, length n.
+func (s *RunScratch) vecs(n int) (labels []int, xread, snap []float64) {
+	s.labels, s.xread, s.snap = grown(s.labels, n), grown(s.xread, n), grown(s.snap, n)
+	return s.labels, s.xread, s.snap
 }
 
 // blockVec returns the block-evaluation output buffer resized to n.
@@ -226,15 +225,14 @@ func Run(cfg Config) (*Result, error) {
 	scratch.Op.SetTuning(cfg.Tuning)
 
 	// Wire residual-aware steering (Gauss–Southwell) to live residuals. The
-	// closure runs once per candidate component per Select, so it reuses a
-	// dedicated snapshot buffer instead of materializing one per call.
+	// closure runs once per candidate component per Select, so it reuses the
+	// snapshot buffer instead of materializing one per call.
+	labels, xread, snap := scratch.vecs(n)
 	ra, steered := cfg.Steering.(steering.ResidualAware)
 	if steered {
-		scratch.gsSnap = grown(scratch.gsSnap, n)
-		gsSnap := scratch.gsSnap
 		ra.SetResidualFunc(func(i int) float64 {
-			hist.LatestSnapshotInto(gsSnap)
-			return operators.EvalComponent(cfg.Op, scratch.Op, i, gsSnap) - gsSnap[i]
+			hist.LatestSnapshotInto(snap)
+			return operators.EvalComponent(cfg.Op, scratch.Op, i, snap) - snap[i]
 		})
 	}
 
@@ -242,18 +240,14 @@ func Run(cfg Config) (*Result, error) {
 		res.Errors = append(res.Errors, vec.DistInf(x0, cfg.XStar))
 	}
 
-	labels, xread, xlabel := scratch.vecs(n)
-	if cfg.Theta == 0 {
-		xread = xlabel // Definition 1: the read vector is the labelled one
-	}
 	converged := false
 	// Each evaluation hints the operator scratch which components of its x
 	// can differ from the previous evaluation's (operators.Scratch.Hint):
-	// chained says that evaluation was at the previous iteration's read,
-	// prevFrom is where that read's re-read window started. Only a plain
-	// read chains: a flexible one, and the snapshots that residual-aware
-	// steering and the residual check evaluate, start over unhinted.
-	chained, prevFrom := false, -1
+	// chained says that evaluation was at the previous iteration's read.
+	// Only a plain read chains: a flexible one, and the snapshots that
+	// residual-aware steering and the residual check evaluate, start over
+	// unhinted.
+	chained := false
 
 	for j := 1; j <= cfg.MaxIter; j++ {
 		if cfg.Done != nil && j%doneCheckEvery == 0 {
@@ -270,20 +264,17 @@ func Run(cfg Config) (*Result, error) {
 
 		// Assemble the read vector: labelled values, optionally blended
 		// toward the freshest state (flexible communication).
-		minLabel, from := hist.Read(cfg.Delay, j, labels, xlabel)
-		// x(l(j)) and x(l(j-1)) differ at most at the entries of the update
-		// order from either read's window start on: both reads' re-reads
-		// and S_{j-1}. After a full read (-1) there is no window, and a hint
-		// of n entries or more would cost what a full pass does.
-		if lo := min(from, prevFrom); chained && lo >= 0 && len(hist.order)-lo < n {
-			scratch.hint = scratch.hint[:0]
-			for _, u := range hist.order[lo:] {
-				scratch.hint = append(scratch.hint, u.i)
-			}
-			scratch.Op.Hint(scratch.hint)
+		xlabel, minLabel, walked := hist.Read(cfg.Delay, j, labels)
+		// x(l(j)) and x(l(j-1)) differ at most at the components Read
+		// moved. After a read of all n there is no such list, and a hint of
+		// n entries or more would cost what a full pass does.
+		if chained && walked != nil && len(walked) < n {
+			scratch.Op.Hint(walked)
 		}
-		chained, prevFrom = cfg.Theta == 0 && !steered && len(S) > 0, from
-		if cfg.Theta > 0 {
+		chained = cfg.Theta == 0 && !steered && len(S) > 0
+		if cfg.Theta == 0 {
+			xread = xlabel // Definition 1: the read vector is the labelled one
+		} else {
 			for h, lv := range xlabel {
 				xread[h] = flexible.Interpolate(lv, hist.Latest(h), cfg.Theta)
 			}
@@ -349,10 +340,8 @@ func Run(cfg Config) (*Result, error) {
 					break
 				}
 			} else if j%n == 0 {
-				// xlabel is dead until the next iteration re-fills it, so it
-				// doubles as the snapshot buffer for the residual check.
-				hist.LatestSnapshotInto(xlabel)
-				r := operators.ResidualWith(cfg.Op, scratch.Op, xlabel)
+				hist.LatestSnapshotInto(snap)
+				r := operators.ResidualWith(cfg.Op, scratch.Op, snap)
 				chained = false
 				res.Residuals = append(res.Residuals, ResidualSample{Iter: j, Residual: r})
 				if r <= cfg.Tol {

@@ -51,6 +51,9 @@ func clampLabel(l, j int) int {
 // l_h(j)) for n >= 1 without a row, or false when it cannot.
 type leastModel interface{ least(j, n int) (int, bool) }
 
+// hashModel is a model whose labels are hashLabel(seed, b, i, j).
+type hashModel interface{ hash() (seed uint64, b int) }
+
 // Labels returns min(j-1, min_h l_h(j)) over h < len(row). It fills row[h] =
 // l_h(j) only for a model without least, asked through Label in ascending h,
 // the call order a stateful model (Monotone) depends on.
@@ -73,47 +76,75 @@ func Labels(m Model, j int, row []int) (least int, filled bool) {
 	return least, true
 }
 
-// hashLeast is the least of the hash models' labels j - 1 - hash64(seed, h,
-// j) mod b (clamped at 0), scanned in h up to the first that meets the floor
-// max(0, j-b) no label lies below. The j term of the hash is hoisted, the h
-// term advances by its stride, and the reduction is a mask when b is a power
-// of two — the same bits as hash64 and % in every case.
+// LabelsOf sets row[c] = l_c(j) for every c in comps, for a model Labels
+// does not fill the row of: the hash models' with the j term of the hash
+// hoisted, any other's through Label.
+//
+//repro:hotpath
+func LabelsOf(m Model, j int, row, comps []int) {
+	if hm, ok := m.(hashModel); ok {
+		seed, b := hm.hash()
+		base, ub, mask, pow2 := hashTerms(seed, b, j)
+		for _, c := range comps {
+			row[c] = max(j-1-lag(base^(uint64(c)+1)*hashStride, ub, mask, pow2), 0)
+		}
+		return
+	}
+	for _, c := range comps {
+		row[c] = m.Label(c, j)
+	}
+}
+
+// The hash models' label is l_i(j) = j - 1 - z mod b, clamped at 0, for z
+// the SplitMix64 finalizer of seed ^ (i+1)*hashStride ^ (j+1)*hashJMul.
+const hashStride, hashJMul = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+
+// hashTerms hoists what the labels of iteration j share: base = seed ^
+// (j+1)*hashJMul, and the reduction mod b >= 1, a mask when b is a power of
+// two — the same bits as the modulo.
+func hashTerms(seed uint64, b, j int) (base, ub, mask uint64, pow2 bool) {
+	ub = uint64(b)
+	return seed ^ (uint64(j)+1)*hashJMul, ub, ub - 1, ub&(ub-1) == 0
+}
+
+// lag returns the finalizer of z reduced mod b: a label's delay less one.
+func lag(z, b, mask uint64, pow2 bool) int {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	if pow2 {
+		z &= mask
+	} else {
+		z %= b
+	}
+	return int(z)
+}
+
+// hashLabel returns l_i(j) of the hash model (seed, b).
+func hashLabel(seed uint64, b, i, j int) int {
+	base, ub, mask, pow2 := hashTerms(seed, b, j)
+	return max(j-1-lag(base^(uint64(i)+1)*hashStride, ub, mask, pow2), 0)
+}
+
+// hashLeast is the least of the hash model's labels at iteration j over h <
+// n, scanned in h up to the first that meets the floor max(0, j-b) no
+// label lies below; the h term of the hash advances by its stride.
 //
 //repro:hotpath
 func hashLeast(seed uint64, b, j, n int) int {
-	const stride = 0x9e3779b97f4a7c15
-	base := seed ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
-	ub, mask := uint64(b), uint64(b-1)
-	pow2 := ub&mask == 0
+	base, ub, mask, pow2 := hashTerms(seed, b, j)
 	floor := max(0, j-b)
 	least := j - 1
 	hi := uint64(0)
 	for range n {
-		hi += stride
-		z := base ^ hi
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		if pow2 {
-			z &= mask
-		} else {
-			z %= ub
-		}
-		l := j - 1 - int(z)
+		hi += hashStride
+		l := j - 1 - lag(base^hi, ub, mask, pow2)
 		if l <= floor {
 			return floor
 		}
 		least = min(least, l)
 	}
 	return least
-}
-
-// hash64 mixes (seed, i, j) into pseudo-random 64 bits (SplitMix64 finalizer).
-func hash64(seed uint64, i, j int) uint64 {
-	z := seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Fresh is the zero-delay model: every update reads the immediately
@@ -143,16 +174,12 @@ type BoundedRandom struct {
 	Seed uint64
 }
 
-func (m BoundedRandom) Label(i, j int) int {
-	if m.B <= 1 {
-		return clampLabel(j-1, j)
-	}
-	d := 1 + int(hash64(m.Seed, i, j)%uint64(m.B))
-	return clampLabel(j-d, j)
-}
+func (m BoundedRandom) Label(i, j int) int { return hashLabel(m.Seed, max(m.B, 1), i, j) }
 
 //repro:hotpath
 func (m BoundedRandom) least(j, n int) (int, bool) { return hashLeast(m.Seed, max(m.B, 1), j, n), true }
+
+func (m BoundedRandom) hash() (uint64, int) { return m.Seed, max(m.B, 1) }
 
 func (m BoundedRandom) Name() string { return fmt.Sprintf("boundedRandom(B=%d)", m.B) }
 
@@ -208,17 +235,12 @@ type OutOfOrder struct {
 	Seed uint64
 }
 
-func (m OutOfOrder) Label(i, j int) int {
-	w := m.W
-	if w < 1 {
-		w = 1
-	}
-	d := 1 + int(hash64(m.Seed, i, j)%uint64(w))
-	return clampLabel(j-d, j)
-}
+func (m OutOfOrder) Label(i, j int) int { return hashLabel(m.Seed, max(m.W, 1), i, j) }
 
 //repro:hotpath
 func (m OutOfOrder) least(j, n int) (int, bool) { return hashLeast(m.Seed, max(m.W, 1), j, n), true }
+
+func (m OutOfOrder) hash() (uint64, int) { return m.Seed, max(m.W, 1) }
 
 func (m OutOfOrder) Name() string { return fmt.Sprintf("outOfOrder(W=%d)", m.W) }
 

@@ -226,7 +226,8 @@ func TestNames(t *testing.T) {
 // model that has one — on the mask and the modulo branch of both hash
 // models, with the bound above j and above n, where the scan stops at the
 // floor and where it never reaches it — and by the ascending Label row,
-// filled as Label fills it, by every model that has none.
+// filled as Label fills it, by every model that has none; LabelsOf fills
+// the row of the others with Label's values.
 func TestLabelsEqualsLabel(t *testing.T) {
 	type pair struct {
 		row, ref Model // two instances: Monotone is stateful
@@ -251,7 +252,10 @@ func TestLabelsEqualsLabel(t *testing.T) {
 		return cs
 	}
 	for _, n := range []int{1, 37, 256} {
-		row := make([]int, n)
+		row, all := make([]int, n), make([]int, n)
+		for h := range all {
+			all[h] = h
+		}
 		for _, c := range cases() {
 			for j := 1; j <= 3000; j++ {
 				for h := range row {
@@ -261,16 +265,51 @@ func TestLabelsEqualsLabel(t *testing.T) {
 				if filled == c.least {
 					t.Fatalf("%s n=%d: Labels(j=%d) filled the row = %v", c.ref.Name(), n, j, filled)
 				}
+				if !filled {
+					LabelsOf(c.row, j, row, all)
+				}
 				want := j - 1
 				for h := range row {
 					l := c.ref.Label(h, j)
-					if filled && row[h] != l {
-						t.Fatalf("%s n=%d: Labels(j=%d)[%d] = %d, Label = %d", c.ref.Name(), n, j, h, row[h], l)
+					if row[h] != l {
+						t.Fatalf("%s n=%d: row(j=%d)[%d] = %d, Label = %d", c.ref.Name(), n, j, h, row[h], l)
 					}
 					want = min(want, l)
 				}
 				if got != want {
 					t.Fatalf("%s n=%d: Labels(j=%d) returned min %d, want %d", c.ref.Name(), n, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// hash64 mixes (seed, i, j) into pseudo-random 64 bits: the SplitMix64
+// finalizer the hash models' labels are defined by.
+func hash64(seed uint64, i, j int) uint64 {
+	z := seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// The hash models' labels are j - 1 - hash64(seed, i, j) mod B clamped to
+// [0, j-1], with B < 1 read as 1: the mask the power-of-two bounds reduce
+// with gives the modulo's bits, on a grid of (i, j, B) with bounds below,
+// at and between powers of two and far above j.
+func TestHashLabelsAreTheModuloForm(t *testing.T) {
+	for _, b := range []int{-1, 0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 31, 64, 100, 1000, 1 << 20, 1<<31 - 1} {
+		for j := 1; j <= 600; j += 7 {
+			for i := 0; i < 300; i += 13 {
+				want := j - 1
+				if b > 1 {
+					want = clampLabel(j-1-int(hash64(21, i, j)%uint64(b)), j)
+				}
+				if got := (BoundedRandom{B: b, Seed: 21}).Label(i, j); got != want {
+					t.Fatalf("BoundedRandom{B: %d}.Label(%d, %d) = %d, the modulo form gives %d", b, i, j, got, want)
+				}
+				if got := (OutOfOrder{W: b, Seed: 21}).Label(i, j); got != want {
+					t.Fatalf("OutOfOrder{W: %d}.Label(%d, %d) = %d, the modulo form gives %d", b, i, j, got, want)
 				}
 			}
 		}

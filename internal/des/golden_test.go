@@ -9,8 +9,10 @@ import (
 
 	"repro/internal/flexible"
 	"repro/internal/macroiter"
+	"repro/internal/mldata"
 	"repro/internal/obstacle"
 	"repro/internal/operators"
+	"repro/internal/prox"
 	"repro/internal/trace"
 )
 
@@ -112,7 +114,9 @@ func hashSync(r *SyncResult) uint64 {
 
 // goldenConfigs spans the simulator's configuration surface: cost and
 // latency models, loss, flexible partials, stale application, a restricted
-// topology, the time bound, more workers than components and one worker.
+// topology, the time bound, more workers than components and one worker,
+// and the lasso and ridge operators in the lean residual form (no Gram),
+// whose gradient sums the residual in RowDotAt's order.
 func goldenConfigs(t *testing.T) []struct {
 	name string
 	cfg  Config
@@ -124,6 +128,14 @@ func goldenConfigs(t *testing.T) []struct {
 		t.Fatal("membrane reference failed")
 	}
 	x0 := x0For(xstar)
+	reg, err := mldata.NewRegression(mldata.RegressionConfig{
+		N: 64, Coupling: 0.3, Sparsity: 0.5, Noise: 0.01, Reg: 0.1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean := reg.SmoothLean()
+	lasso := operators.NewProxGradBF(lean, prox.L1{Lambda: 0.02}, operators.MaxStep(lean))
+	ridge := operators.NewGradOp(lean, operators.MaxStep(lean))
 	baudet := func(w, k int) float64 {
 		if w == 0 {
 			return 1
@@ -154,6 +166,10 @@ func goldenConfigs(t *testing.T) []struct {
 		{"workers-over-n", Config{Op: op, Workers: 20, X0: x0, XStar: xstar, Tol: 1e-9,
 			Latency: JitterLatency(0.05, 0.2), Seed: 9}},
 		{"one-worker", Config{Op: op, Workers: 1, X0: x0, XStar: xstar, Tol: 1e-9, Seed: 10}},
+		{"lean-lasso", Config{Op: lasso, Workers: 4, MaxUpdates: 2000,
+			Latency: JitterLatency(0.1, 0.5), Seed: 11}},
+		{"lean-ridge", Config{Op: ridge, Workers: 4, MaxUpdates: 2000,
+			Flexible: flexible.Uniform(4), Seed: 12}},
 	}
 }
 
@@ -173,6 +189,8 @@ func TestSimTrajectoryGolden(t *testing.T) {
 		"max-time":             {0xc45bbe7bcab5dcac, 0x46deed5858f6b0d9},
 		"workers-over-n":       {0x49ef85f653894bfb, 0xa30024b82e33fe78},
 		"one-worker":           {0xe29c3c8d2846c31b, 0x67f8233e36628cf5},
+		"lean-lasso":           {0x0ea7336c464b41c3, 0x121c571b309e9fb4},
+		"lean-ridge":           {0xbc7bff542b3ae653, 0xd814f38b443b82d2},
 	}
 	for _, tc := range goldenConfigs(t) {
 		cfg := tc.cfg

@@ -170,11 +170,11 @@ func E15() *Report {
 	windowStreak := 0
 	prevK := 0
 
-	xread, labels := make([]float64, n), make([]int, n)
+	labels := make([]int, n)
 	maxIter := 20000
 	for j := 1; j <= maxIter; j++ {
 		S := pol.Select(j)
-		minLabel, _ := hist.Read(dm, j, labels, xread)
+		xread, minLabel, _ := hist.Read(dm, j, labels)
 		disp := 0.0
 		for _, i := range S {
 			v := op.Component(i, xread)

@@ -72,6 +72,18 @@ var trajectoryGolden = map[string]uint64{
 	"ridge/256/3": 0xfaf3f2dfeece1b20,
 }
 
+// The lean residual form (GramPrecompute off), captured before the model
+// engine's read kept its vector between iterations; must never move. Its
+// gradient sums the residual in RowDotAt's order, which these pin.
+var leanTrajectoryGolden = map[string]uint64{
+	"lasso/64/1": 0x21e41489b2d3cf08,
+	"lasso/64/2": 0x3cd861dba3cb7bc3,
+	"lasso/64/3": 0xc9b20393a34419dd,
+	"ridge/64/1": 0xaf45d582301ed51e,
+	"ridge/64/2": 0x7cfa0b8faddb15b2,
+	"ridge/64/3": 0x7a5ad7f722bd0da5,
+}
+
 func TestTrajectoryGolden(t *testing.T) {
 	for _, scenario := range []string{"lasso", "ridge"} {
 		for _, n := range []int{7, 64, 256} {
@@ -81,6 +93,15 @@ func TestTrajectoryGolden(t *testing.T) {
 				if want := trajectoryGolden[key]; got != want {
 					t.Errorf("%q: trajectory hash %#016x, golden %#016x", key, got, want)
 				}
+			}
+		}
+	}
+	lean := repro.Tuning{GramPrecompute: new(bool)}
+	for _, scenario := range []string{"lasso", "ridge"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			key := fmt.Sprintf("%s/64/%d", scenario, seed)
+			if got, want := trajectoryHash(t, scenario, 64, seed, lean), leanTrajectoryGolden[key]; got != want {
+				t.Errorf("lean %q: trajectory hash %#016x, golden %#016x", key, got, want)
 			}
 		}
 	}
