@@ -147,8 +147,8 @@ lint: reprolint
 	$(GO) vet ./...
 
 # The repo's own static-analysis suite (see internal/analysis and README
-# "Static analysis"): hotpath, vecorder, knobdrift and the CFG-backed
-# determinism. Any diagnostic fails the build. reprolint runs only as a
+# "Static analysis"): hotpath, vecorder, knobdrift and determinism. Any
+# diagnostic fails the build. reprolint runs only as a
 # `go vet -vettool`, so unchanged packages hit the vet action cache.
 # cmd/... and examples/... are named explicitly to match CI.
 reprolint:
@@ -163,7 +163,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 21477
+LOC_CEILING := 20881
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

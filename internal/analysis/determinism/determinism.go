@@ -12,21 +12,29 @@
 //     a function whose doc comment carries "//repro:tuning-gate" — the
 //     one place (lane-pool sizing) where machine shape may be observed
 //     because the knob contract proves it cannot change a trajectory;
-//   - clock escapes: time.Now/Since/Until values are tracked through the
-//     control-flow graph (internal/analysis/cfg); they may flow into
-//     deadlines, durations and Report timing fields freely, but the
-//     moment a time-derived value escapes the time domain into plain
-//     numerics (UnixNano, Seconds, a numeric conversion) or seeds a
-//     rand.Source, it can reach iterate state and is reported;
+//   - clock escapes: time.Now/Since/Until values are tracked through
+//     assignments and var declarations; they may flow into deadlines, durations and Report
+//     timing fields freely, but the moment a time-derived value escapes
+//     the time domain into plain numerics (UnixNano, Seconds, a numeric
+//     conversion) or seeds a rand.Source, it can reach iterate state and
+//     is reported;
 //   - map-order escapes: values produced by ranging over a map are
 //     tainted, and a float accumulation fed by them (the iteration-order-
 //     dependent sum the vecorder analyzer's canonical kernels exist to
 //     prevent) is reported.
 //
-// Scope: internal/vec, internal/operators, internal/core, internal/des,
-// internal/runtime, internal/dist, and the scenario builders (scenario.go
-// of the root package). A justified exception takes
-// "//repro:nondet-ok <reason>" on the offending line or the line above.
+// The clock and map taint is one gen-only fixpoint per top-level
+// declaration, the function literals inside it included: a variable is
+// tainted if any assignment or var declaration anywhere in the
+// declaration can taint it, so the facts hold every path (and every
+// closure capture) at once, and an overwrite never clears them. Then one
+// pass reports the sinks.
+//
+// Scope: every package under internal/ except analysis, experiments,
+// metrics, server and trace (which analyse, measure or serve solves but
+// decide no trajectory), and the scenario builders (scenario.go of the
+// root package). A justified exception takes "//repro:nondet-ok <reason>"
+// on the offending line or the line above.
 package determinism
 
 import (
@@ -38,7 +46,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/cfg"
 )
 
 // Analyzer is the determinism rule.
@@ -48,9 +55,13 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// resultPackages matches the packages whose computations decide
-// trajectories.
-var resultPackages = regexp.MustCompile(`(^|/)internal/(vec|operators|core|des|runtime|dist)(/|$)`)
+// internalPackages and observerPackages give the scope: every internal/
+// package decides trajectories unless it only analyses, measures or serves
+// solves, so a new package is covered by default.
+var (
+	internalPackages = regexp.MustCompile(`(^|/)internal/`)
+	observerPackages = regexp.MustCompile(`(^|/)internal/(analysis|experiments|metrics|server|trace)(/|$)`)
+)
 
 // taintKind distinguishes what contaminated a value.
 type taintKind int
@@ -67,8 +78,9 @@ type taintFact struct {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	rootScenario := pass.Pkg.Path() == "repro"
-	if !resultPackages.MatchString(pass.Pkg.Path()) && !rootScenario {
+	path := pass.Pkg.Path()
+	rootScenario := path == "repro"
+	if !rootScenario && (!internalPackages.MatchString(path) || observerPackages.MatchString(path)) {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
@@ -82,8 +94,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 		checkGlobalSources(pass, file, report)
-		for _, body := range cfg.Bodies(file) {
-			checkFlows(pass, body, report)
+		for _, decl := range file.Decls {
+			checkFlows(pass, decl, report)
 		}
 	}
 	return nil, nil
@@ -144,25 +156,19 @@ func checkGlobalSources(pass *analysis.Pass, file *ast.File, report func(token.P
 	}
 }
 
-// checkFlows runs the CFG taint analysis over one function: clock values
-// escaping the time domain, and map-iteration values reaching float
-// accumulation.
-func checkFlows(pass *analysis.Pass, body *ast.BlockStmt, report func(token.Pos, string, ...interface{})) {
-	// Pre-scan: functions that neither touch time nor range over maps
-	// skip the dataflow entirely.
+// checkFlows runs the clock and map taint over one top-level declaration:
+// facts are only ever added, pass after pass over the whole declaration,
+// until the set stops growing; then one more pass reports the sinks.
+func checkFlows(pass *analysis.Pass, decl ast.Decl, report func(token.Pos, string, ...interface{})) {
+	// Pre-scan: declarations that neither touch time nor range over maps
+	// skip the fixpoint entirely.
 	interesting := false
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.RangeStmt:
-			if isMapType(pass, n.X) {
-				interesting = true
-			}
+			interesting = interesting || isMapType(pass, n.X)
 		case *ast.CallExpr:
-			if isTimeSource(pass, n) {
-				interesting = true
-			}
+			interesting = interesting || isTimeSource(pass, n)
 		}
 		return !interesting
 	})
@@ -170,34 +176,29 @@ func checkFlows(pass *analysis.Pass, body *ast.BlockStmt, report func(token.Pos,
 		return
 	}
 
-	g := cfg.New(body)
-	transfer := func(b *cfg.Block, in cfg.FactSet) cfg.FactSet {
-		for _, n := range b.Nodes {
-			flowNode(pass, n, in, nil)
-		}
-		return in
+	facts := map[taintFact]bool{}
+	for grew := true; grew; {
+		before := len(facts)
+		ast.Inspect(decl, func(n ast.Node) bool {
+			flowNode(pass, n, facts, nil)
+			return true
+		})
+		grew = len(facts) > before
 	}
-	in := cfg.Forward(g, cfg.NewFacts(), transfer)
-
-	for _, b := range g.Blocks {
-		facts, ok := in[b]
-		if !ok {
-			continue
-		}
-		facts = facts.Clone()
-		for _, n := range b.Nodes {
-			flowNode(pass, n, facts, report)
-		}
-	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		flowNode(pass, n, facts, report)
+		return true
+	})
 }
 
-// flowNode is the taint transfer function for one block node; with report
-// non-nil it also emits findings at sink sites.
-func flowNode(pass *analysis.Pass, n ast.Node, facts cfg.FactSet, report func(token.Pos, string, ...interface{})) {
-	// Map range headers taint their iteration variables.
-	if r, ok := n.(*ast.RangeStmt); ok {
-		if isMapType(pass, r.X) {
-			for _, v := range []ast.Expr{r.Key, r.Value} {
+// flowNode adds the taint facts one node generates; with report non-nil it
+// also emits findings at sink sites.
+func flowNode(pass *analysis.Pass, n ast.Node, facts map[taintFact]bool, report func(token.Pos, string, ...interface{})) {
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		// Map range headers taint their iteration variables.
+		if isMapType(pass, n.X) {
+			for _, v := range []ast.Expr{n.Key, n.Value} {
 				if id, ok := v.(*ast.Ident); ok && id.Name != "_" {
 					if obj := defOrUse(pass, id); obj != nil {
 						facts[taintFact{obj: obj, kind: taintMap}] = true
@@ -205,94 +206,94 @@ func flowNode(pass *analysis.Pass, n ast.Node, facts cfg.FactSet, report func(to
 				}
 			}
 		}
-		return
-	}
-
-	cfg.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.AssignStmt:
-			// Compound float accumulation fed by map-order taint is THE
-			// iteration-order hazard.
-			if report != nil && isCompound(m.Tok) && len(m.Lhs) == 1 && isFloat(pass, m.Lhs[0]) {
-				for _, rhs := range m.Rhs {
-					if tainted(pass, rhs, facts, taintMap) {
-						report(m.TokPos, "float accumulation depends on map iteration order; collect keys, sort, then reduce through internal/vec")
-					}
-				}
-			}
-			// x = x + v spelled out long-hand.
-			if report != nil && m.Tok == token.ASSIGN && len(m.Lhs) == 1 && len(m.Rhs) == 1 && isFloat(pass, m.Lhs[0]) {
-				if lhsID, ok := m.Lhs[0].(*ast.Ident); ok {
-					if mentions(m.Rhs[0], lhsID.Name) && tainted(pass, m.Rhs[0], facts, taintMap) {
-						report(m.TokPos, "float accumulation depends on map iteration order; collect keys, sort, then reduce through internal/vec")
-					}
-				}
-			}
-			// Taint propagation through assignment: 1:1 and 1:n forms.
-			for i, lhs := range m.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := defOrUse(pass, id)
-				if obj == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if len(m.Rhs) == len(m.Lhs) {
-					rhs = m.Rhs[i]
-				} else if len(m.Rhs) == 1 {
-					rhs = m.Rhs[0]
-				}
-				if rhs == nil {
-					continue
-				}
-				for _, kind := range []taintKind{taintTime, taintMap} {
-					f := taintFact{obj: obj, kind: kind}
-					if tainted(pass, rhs, facts, kind) || (isCompound(m.Tok) && facts[f]) {
-						facts[f] = true
-					} else if m.Tok == token.ASSIGN || m.Tok == token.DEFINE {
-						delete(facts, f)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if report == nil {
-				return true
-			}
-			// Sinks. Numeric escape of a time value:
-			if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok && isNumericEscape(sel.Sel.Name) {
-				if recvT := pass.TypesInfo.Types[sel.X].Type; recvT != nil && isTimeType(recvT) {
-					if tainted(pass, sel.X, facts, taintTime) || isTimeSourceExpr(pass, sel.X) {
-						report(m.Pos(), "clock-derived value escapes the time domain via %s; results must not depend on wall-clock readings", sel.Sel.Name)
-					}
-				}
-			}
-			// Seeding a rand source from the clock:
-			if fn := analysis.Callee(pass.TypesInfo, m); fn != nil && fn.Pkg() != nil &&
-				(fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") &&
-				(fn.Name() == "NewSource" || fn.Name() == "Seed") {
-				for _, arg := range m.Args {
-					if tainted(pass, arg, facts, taintTime) {
-						report(m.Pos(), "rand source seeded from the clock; derive seeds from the spec so runs replay bit-identically")
-					}
-				}
-			}
-			// Numeric conversion of a tainted time value: float64(d) etc.
-			if tv, ok := pass.TypesInfo.Types[m.Fun]; ok && tv.IsType() && isNumericType(tv.Type) && len(m.Args) == 1 {
-				if argT := pass.TypesInfo.Types[m.Args[0]].Type; argT != nil && isTimeType(argT) &&
-					(tainted(pass, m.Args[0], facts, taintTime) || isTimeSourceExpr(pass, m.Args[0])) {
-					report(m.Pos(), "clock-derived value converted to %s; results must not depend on wall-clock readings", tv.Type)
+	case *ast.AssignStmt:
+		// Compound float accumulation fed by map-order taint is THE
+		// iteration-order hazard.
+		if report != nil && isCompound(n.Tok) && len(n.Lhs) == 1 && isFloat(pass, n.Lhs[0]) {
+			for _, rhs := range n.Rhs {
+				if tainted(pass, rhs, facts, taintMap) {
+					report(n.TokPos, "float accumulation depends on map iteration order; collect keys, sort, then reduce through internal/vec")
 				}
 			}
 		}
-		return true
-	})
+		// x = x + v spelled out long-hand.
+		if report != nil && n.Tok == token.ASSIGN && len(n.Lhs) == 1 && len(n.Rhs) == 1 && isFloat(pass, n.Lhs[0]) {
+			if lhsID, ok := n.Lhs[0].(*ast.Ident); ok {
+				if mentions(n.Rhs[0], lhsID.Name) && tainted(pass, n.Rhs[0], facts, taintMap) {
+					report(n.TokPos, "float accumulation depends on map iteration order; collect keys, sort, then reduce through internal/vec")
+				}
+			}
+		}
+		// Taint propagation through assignment: 1:1 and 1:n forms.
+		for i, lhs := range n.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok {
+				gen(pass, id, valueFor(n.Rhs, i, len(n.Lhs)), facts)
+			}
+		}
+	case *ast.ValueSpec:
+		for i, id := range n.Names {
+			gen(pass, id, valueFor(n.Values, i, len(n.Names)), facts)
+		}
+	case *ast.CallExpr:
+		if report == nil {
+			return
+		}
+		// Sinks. Numeric escape of a time value:
+		if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && isNumericEscape(sel.Sel.Name) {
+			if recvT := pass.TypesInfo.Types[sel.X].Type; recvT != nil && isTimeType(recvT) {
+				if tainted(pass, sel.X, facts, taintTime) || isTimeSourceExpr(pass, sel.X) {
+					report(n.Pos(), "clock-derived value escapes the time domain via %s; results must not depend on wall-clock readings", sel.Sel.Name)
+				}
+			}
+		}
+		// Seeding a rand source from the clock:
+		if fn := analysis.Callee(pass.TypesInfo, n); fn != nil && fn.Pkg() != nil &&
+			(fn.Pkg().Path() == "math/rand" || fn.Pkg().Path() == "math/rand/v2") &&
+			(fn.Name() == "NewSource" || fn.Name() == "Seed") {
+			for _, arg := range n.Args {
+				if tainted(pass, arg, facts, taintTime) {
+					report(n.Pos(), "rand source seeded from the clock; derive seeds from the spec so runs replay bit-identically")
+				}
+			}
+		}
+		// Numeric conversion of a tainted time value: float64(d) etc.
+		if tv, ok := pass.TypesInfo.Types[n.Fun]; ok && tv.IsType() && isNumericType(tv.Type) && len(n.Args) == 1 {
+			if argT := pass.TypesInfo.Types[n.Args[0]].Type; argT != nil && isTimeType(argT) &&
+				(tainted(pass, n.Args[0], facts, taintTime) || isTimeSourceExpr(pass, n.Args[0])) {
+				report(n.Pos(), "clock-derived value converted to %s; results must not depend on wall-clock readings", tv.Type)
+			}
+		}
+	}
+}
+
+// valueFor is the right-hand side bound to the i-th of k left-hand sides:
+// its own in the k:k form, the one call's in the k:1 form.
+func valueFor(rhs []ast.Expr, i, k int) ast.Expr {
+	switch len(rhs) {
+	case k:
+		return rhs[i]
+	case 1:
+		return rhs[0]
+	}
+	return nil
+}
+
+// gen adds to id's variable every taint kind that rhs carries.
+func gen(pass *analysis.Pass, id *ast.Ident, rhs ast.Expr, facts map[taintFact]bool) {
+	obj := defOrUse(pass, id)
+	if obj == nil || id.Name == "_" || rhs == nil {
+		return
+	}
+	for _, kind := range []taintKind{taintTime, taintMap} {
+		if tainted(pass, rhs, facts, kind) {
+			facts[taintFact{obj: obj, kind: kind}] = true
+		}
+	}
 }
 
 // tainted reports whether any identifier inside e carries the taint kind,
 // or e (sub)calls a time source for kind taintTime.
-func tainted(pass *analysis.Pass, e ast.Expr, facts cfg.FactSet, kind taintKind) bool {
+func tainted(pass *analysis.Pass, e ast.Expr, facts map[taintFact]bool, kind taintKind) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if found {

@@ -9,5 +9,5 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), determinism.Analyzer,
-		"repro/internal/core", "repro", "a")
+		"repro/internal/core", "repro/internal/delay", "repro/internal/trace", "repro", "a")
 }

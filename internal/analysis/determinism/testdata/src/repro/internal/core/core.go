@@ -72,9 +72,8 @@ func measurementOK(budget time.Duration) time.Duration {
 	return time.Since(start)
 }
 
-// taintThroughBranch is the CFG-sensitive positive: the clock value flows
-// into x on one branch only, and the escape after the join must still be
-// caught.
+// taintThroughBranch: the clock value flows into x on one branch only,
+// and the escape after the join must still be caught.
 func taintThroughBranch(useClock bool, ref time.Time) int64 {
 	var x time.Time
 	if useClock {
@@ -85,9 +84,9 @@ func taintThroughBranch(useClock bool, ref time.Time) int64 {
 	return x.Unix() // want `clock-derived value escapes the time domain via Unix`
 }
 
-// killOnAllPaths is the CFG-sensitive negative: the tainted value is
-// overwritten with a parameter on every path before the escape, so no
-// diagnostic.
+// killOnAllPaths: the clock value is overwritten with a parameter on every
+// path before the escape. Taint is never cleared, so a variable that ever
+// held a clock reading stays tainted: the escape is reported.
 func killOnAllPaths(flip bool, a, b time.Time) int64 {
 	x := time.Now()
 	if flip {
@@ -95,7 +94,42 @@ func killOnAllPaths(flip bool, a, b time.Time) int64 {
 	} else {
 		x = b
 	}
-	return x.Unix()
+	return x.Unix() // want `clock-derived value escapes the time domain via Unix`
+}
+
+// loopCarried: the clock value is assigned at the bottom of the loop body
+// and escapes at the top of the next pass.
+func loopCarried(n int) int64 {
+	var last time.Time
+	var sum int64
+	for i := 0; i < n; i++ {
+		sum += last.UnixNano() // want `clock-derived value escapes the time domain via UnixNano`
+		last = time.Now()
+	}
+	return sum
+}
+
+// capturedClock: a closure turns a reading of the enclosing function into
+// a plain integer.
+func capturedClock() func() int64 {
+	t := time.Now()
+	return func() int64 {
+		return t.UnixNano() // want `clock-derived value escapes the time domain via UnixNano`
+	}
+}
+
+// varDeclared: a reading bound by a var declaration is tracked like one
+// bound by an assignment.
+func varDeclared() int64 {
+	var start = time.Now()
+	return start.UnixNano() // want `clock-derived value escapes the time domain via UnixNano`
+}
+
+// closureMeasureOK: a captured reading that stays a duration is a
+// measurement, not an escape.
+func closureMeasureOK() func() time.Duration {
+	start := time.Now()
+	return func() time.Duration { return time.Since(start) }
 }
 
 // mapAccumulate folds map values in iteration order into a float.

@@ -112,7 +112,8 @@ func (s *RunScratch) blockVec(n int) []float64 {
 	return s.blockOut
 }
 
-// workersSeen returns a cleared bool slice of length w.
+// workersSeen returns a cleared bool slice of length w. Run unmarks what
+// it marks, so the slice stays clear between iterations.
 func (s *RunScratch) workersSeen(w int) []bool {
 	s.seenWorkers = grown(s.seenWorkers, w)
 	clear(s.seenWorkers)
@@ -219,6 +220,7 @@ func Run(cfg Config) (*Result, error) {
 	hist.Reset(x0)
 	itLog := &scratch.log
 	itLog.Reset()
+	seen := scratch.workersSeen(workers)
 	if scratch.Op == nil {
 		scratch.Op = operators.NewScratch()
 	}
@@ -316,12 +318,16 @@ func Run(cfg Config) (*Result, error) {
 		// Bookkeeping: macro-iterations (Definition 2), epochs, the log.
 		tracker.Observe(j, S, minLabel)
 		itLog.Append(j, S, minLabel)
-		seen := scratch.workersSeen(workers)
 		for _, i := range S {
 			w := workerOf(i)
 			if w >= 0 && w < len(seen) && !seen[w] {
 				epochs.Observe(j, w)
 				seen[w] = true
+			}
+		}
+		for _, i := range S {
+			if w := workerOf(i); w >= 0 && w < len(seen) {
+				seen[w] = false
 			}
 		}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/delay"
@@ -351,6 +352,26 @@ func TestWorkerOfGroupsEpochs(t *testing.T) {
 	// 4 iterations.
 	if len(res.Epochs) != 25 {
 		t.Errorf("epochs = %d, want 25", len(res.Epochs))
+	}
+
+	// Without WorkerOf every component is its own machine. Random 3-subsets
+	// of 8 give uneven epochs, so a worker left marked from one iteration
+	// (or from the previous run on the kept scratch) moves a boundary.
+	want := []int{8, 16, 26, 33, 44, 55}
+	scratch := NewRunScratch()
+	for run := 0; run < 2; run++ {
+		res, err := Run(Config{
+			Op:       op,
+			Steering: steering.NewRandomSubset(8, 3, 5),
+			MaxIter:  60,
+			Scratch:  scratch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Epochs, want) {
+			t.Errorf("run %d: nil WorkerOf epochs = %v, want %v", run, res.Epochs, want)
+		}
 	}
 }
 
