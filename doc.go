@@ -137,7 +137,10 @@
 // (every dense-Gram phase, reverify and residual check) runs four rows per
 // pass through one SSE2 kernel on amd64 (internal/vec/dot4x4_amd64.s, Go
 // elsewhere) that keeps each row's canonical reduction order, so its rows
-// carry the one-row loop's bits at about 2.5x its speed.
+// carry the one-row loop's bits at about 2.5x its speed. The in-process
+// port moves only what a reader's rows read when the operator says
+// (SparseLinear: its CSR column span): a multigrid peer takes a 31-value
+// halo of a 481-component block, and a pair that reads nothing no message.
 //
 // There is one way to evaluate an operator: Component is the definition;
 // BlockOperator (EvalBlockScratch) is the optional shared-work path,

@@ -32,9 +32,9 @@ package repro
 // consecutive phases within Tol), and add:
 //
 //   - EngineShared  — goroutines over shared memory, a locked block per
-//     worker (internal/runtime): Flexible.
+//     worker (internal/runtime): Flexible, Trace (Report.PerWorker).
 //   - EngineMessage — goroutines over newest-wins mailboxes, one per
-//     pair of workers (internal/runtime): Flexible.
+//     pair of workers (internal/runtime): Flexible, Trace.
 //   - EngineDist    — TCP workers with per-link fault injection
 //     (internal/dist): Topology ("star" relay or "mesh" worker-to-worker
 //     links), DeltaThreshold (flexible communication on the wire),
@@ -372,6 +372,7 @@ func (s Spec) runtimeConfig() runtime.Config {
 		Tuning:              s.Tuning.operatorTuning(),
 		Done:                s.done(),
 		Progress:            s.Progress.counter(),
+		PerWorker:           s.Trace != nil,
 	}
 }
 
@@ -396,6 +397,7 @@ func concurrentReport(engine string, r *runtime.Result, spec Spec) (*Report, err
 		MessagesSent:     r.MessagesSent,
 		MessagesDropped:  r.MessagesDropped,
 		Elapsed:          r.Elapsed,
+		PerWorker:        r.PerWorker,
 		concurrent:       r,
 	}
 	rep.finish(spec)

@@ -36,6 +36,22 @@ type Operator interface {
 	Name() string
 }
 
+// ReachOperator says what its components read: Reach is the smallest range
+// [a, b) holding every component outside [lo, hi) that F_c, c in [lo, hi),
+// depends on (a == b: none); a transport carries that range, nothing else.
+type ReachOperator interface {
+	Operator
+	Reach(lo, hi int) (a, b int)
+}
+
+// Reach is op's Reach, or [0, Dim) for an operator without one.
+func Reach(op Operator, lo, hi int) (a, b int) {
+	if ro, ok := op.(ReachOperator); ok {
+		return ro.Reach(lo, hi)
+	}
+	return 0, op.Dim()
+}
+
 // FullApplier is implemented by nothing and asserted on by nothing in this
 // module outside benchmark/, whose decorator and harness test still name it;
 // it goes with the next change that may edit benchmark/ (ROADMAP 7).
@@ -140,6 +156,9 @@ func (l *SparseLinear) Name() string { return fmt.Sprintf("sparseLinear(n=%d)", 
 
 // ContractionFactor returns ||A||_inf.
 func (l *SparseLinear) ContractionFactor() float64 { return l.A.InfNorm() }
+
+// Reach implements ReachOperator: the columns rows [lo, hi) of A store.
+func (l *SparseLinear) Reach(lo, hi int) (a, b int) { return l.A.ColSpan(lo, hi) }
 
 // JacobiFromSystem builds the Jacobi fixed-point operator for the linear
 // system M z = rhs: F(x) = D^{-1}(rhs - (M - D)x), whose fixed point is the

@@ -11,8 +11,8 @@
 //     per writer that every peer reads (shared memory, the one-sided
 //     put()/get() SHMEM style of [10]), or one per (sender, receiver)
 //     pair (message passing, the distributed-memory setting of [6],[9]);
-//     flexible communication publishes whole partial blocks mid-phase on
-//     both, and
+//     on both a reader takes only what its rows read of a block
+//     (operators.Reach), flexible partials included, and
 //   - TCP, through a coordinator's relay or over a worker-to-worker mesh
 //     (internal/dist, which imports this package for the loop).
 //
@@ -36,6 +36,7 @@ package runtime
 import (
 	gort "runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/operators"
 	"repro/internal/vec"
@@ -162,21 +163,75 @@ type Worker struct {
 	Budget int
 	// Progress, when non-nil, is bumped once per completed updating phase.
 	Progress *atomic.Int64
-	// View is the worker's private copy of the full iterate, shared with
-	// its transport.
+	// View is the worker's private copy of the iterate, shared with its
+	// transport: current on its block and, as of the last input, what it reads.
 	View []float64
 	// Updates counts completed updating phases.
 	Updates int
+	// Stats, when non-nil, receives the worker's time split (see Stats).
+	Stats *Stats
 
 	lo, hi int
 	out    []float64 // a phase's or re-verification's block; dead once published
 	streak int
 }
 
+// Stats is where a worker's time in Run went: its transport's Publish, Drain
+// and Wait (Parked), and Compute, Elapsed less those three, so the parts sum
+// to Elapsed by construction; Accounts counts Account calls. The clock is
+// the transport's Now if it has one, else the monotonic clock.
+type Stats struct {
+	Elapsed  time.Duration `json:"elapsed_ns"`
+	Compute  time.Duration `json:"compute_ns"`
+	Publish  time.Duration `json:"publish_ns"`
+	Drain    time.Duration `json:"drain_ns"`
+	Parked   time.Duration `json:"parked_ns"`
+	Accounts int64         `json:"accounts"`
+}
+
+// meter is the Transport Run works through when Worker.Stats is set: t,
+// with the clock stamped around Drain, Wait and Publish.
+type meter struct {
+	Transport
+	s   *Stats
+	now func() time.Time
+}
+
+func (m *meter) add(d *time.Duration, start time.Time) { *d += m.now().Sub(start) }
+
+//repro:hotpath
+func (m *meter) Drain() (Input, error) { defer m.add(&m.s.Drain, m.now()); return m.Transport.Drain() }
+
+//repro:hotpath
+func (m *meter) Wait() (Input, error) { defer m.add(&m.s.Parked, m.now()); return m.Transport.Wait() }
+
+//repro:hotpath
+func (m *meter) Publish(v []float64, reliable bool) error {
+	defer m.add(&m.s.Publish, m.now())
+	return m.Transport.Publish(v, reliable)
+}
+
+func (m *meter) Account(s State) { m.s.Accounts++; m.Transport.Account(s) }
+
+// close ends the split of a Run that began at start: Compute is the rest.
+func (m *meter) close(start time.Time) {
+	m.add(&m.s.Elapsed, start)
+	m.s.Compute = m.s.Elapsed - m.s.Publish - m.s.Drain - m.s.Parked
+}
+
 // Run executes the worker protocol over t until the run stops.
 func (w *Worker) Run(t Transport) error {
 	if w.Scratch == nil {
 		w.Scratch = operators.NewScratch()
+	}
+	if w.Stats != nil {
+		*w.Stats = Stats{}
+		m := &meter{Transport: t, s: w.Stats, now: time.Now}
+		if c, ok := t.(interface{ Now() time.Time }); ok {
+			m.now = c.Now
+		}
+		defer m.close(m.now())
+		t = m
 	}
 	w.resize(t)
 	for {

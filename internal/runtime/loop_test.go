@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/operators"
 )
@@ -240,6 +241,77 @@ func TestLoopStopsOnNaNBeforeInstallingIt(t *testing.T) {
 		err = w.Run(&scriptPort{t: t, view: view, acks: acks})
 		if !errors.As(err, &de) || *de != (operators.DivergedError{Worker: 7, Phase: 1, Component: 0}) || view[0] != 1 {
 			t.Errorf("%s transport: NaN from the first phase: err %v, x_0 = %v, want phase 1 diverging and x_0 = 1", policyName(acks), err, view[0])
+		}
+	}
+}
+
+// clockPort is a scriptPort on a fake clock: each Publish, Drain and Wait
+// takes a set time, and clockOp makes each evaluation take another, so
+// every part of the worker's time split is known in advance.
+type clockPort struct {
+	*scriptPort
+	now                             *time.Duration
+	publishes, drains, waits, accts int64
+}
+
+func (p *clockPort) Publish(vals []float64, reliable bool) error {
+	*p.now += 3
+	p.publishes++
+	return p.scriptPort.Publish(vals, reliable)
+}
+
+func (p *clockPort) Drain() (Input, error) {
+	*p.now += 5
+	p.drains++
+	return p.scriptPort.Drain()
+}
+
+func (p *clockPort) Wait() (Input, error) {
+	*p.now += 7
+	p.waits++
+	return p.scriptPort.Wait()
+}
+
+func (p *clockPort) Now() time.Time { return time.Unix(0, 0).Add(*p.now) }
+
+func (p *clockPort) Account(s State) {
+	p.accts++
+	p.scriptPort.Account(s)
+}
+
+type clockOp struct {
+	pullOp
+	now   *time.Duration
+	evals *int64
+}
+
+func (o clockOp) Component(i int, x []float64) float64 {
+	*o.now += 11
+	*o.evals++
+	return o.pullOp.Component(i, x)
+}
+
+// TestLoopStatsSplitIsExact: with Worker.Stats set, Run's time split gives
+// each part exactly the time its calls took on the clock, compute is the
+// evaluations' time, and the parts sum to the elapsed time; on both kinds
+// of transport, with a reactivation and a spent budget in the script.
+func TestLoopStatsSplitIsExact(t *testing.T) {
+	for _, acks := range []bool{true, false} {
+		for _, budget := range []int{1 << 20, 3} {
+			var now time.Duration
+			var evals int64
+			view := []float64{1, 0}
+			p := &clockPort{scriptPort: &scriptPort{t: t, view: view, script: []float64{4, 1e-4}, acks: acks}, now: &now}
+			w := Worker{Op: clockOp{now: &now, evals: &evals}, Tol: 1e-3, Budget: budget, View: view, Stats: &Stats{Parked: 99}}
+			if err := w.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			want := Stats{Compute: time.Duration(11 * evals), Publish: time.Duration(3 * p.publishes),
+				Drain: time.Duration(5 * p.drains), Parked: time.Duration(7 * p.waits), Accounts: p.accts}
+			want.Elapsed = want.Compute + want.Publish + want.Drain + want.Parked
+			if *w.Stats != want || want.Elapsed != now || p.waits < 2 || evals == 0 {
+				t.Errorf("%s transport, budget %d: split %+v, want %+v (clock at %v)", policyName(acks), budget, *w.Stats, want, now)
+			}
 		}
 	}
 }

@@ -50,6 +50,8 @@ type Config struct {
 	// Progress, when non-nil, is incremented once per completed updating
 	// phase so external observers can watch the run live.
 	Progress *atomic.Int64
+	// PerWorker fills Result.PerWorker (in process; dist leaves it empty).
+	PerWorker bool
 }
 
 // Result reports a concurrent run.
@@ -59,12 +61,15 @@ type Result struct {
 	UpdatesPerWorker []int
 	Elapsed          time.Duration
 	// MessagesSent/MessagesDropped count a message per block version and
-	// peer on both in-process engines, and frames on TCP; in process, a
-	// drop is a version superseded before its reader read it.
+	// dependent peer (one whose rows read some of the block) on both
+	// in-process engines, and frames on TCP; in process, a drop is a version
+	// superseded before its reader read it.
 	MessagesSent, MessagesDropped int64
 	// Cancelled reports that Config.Done fired before the run converged or
 	// exhausted its budgets.
 	Cancelled bool
+	// PerWorker is each worker's time split, when Config.PerWorker asks.
+	PerWorker []Stats
 }
 
 // Validate checks the configuration against the operator's dimension n,
@@ -102,9 +107,9 @@ type run struct {
 	boxes []blockSlot
 	// perWriter and perReader are the layout's strides (see box).
 	perWriter, perReader int
-	// bells[d] is reader d's doorbell, rung after every publish to it;
-	// wake is the supervisor's, rung by every Account.
-	bells []chan struct{}
+	// peers[d] is reader d (see peer); wake is the supervisor's doorbell,
+	// rung by every Account.
+	peers []peer
 	wake  chan struct{}
 
 	stopCh                        chan struct{}
@@ -123,7 +128,8 @@ func (r *run) box(s, d int) int { return s*r.perWriter + d*r.perReader }
 
 // newRun validates cfg and builds the run's boxes, one per writer or one per
 // (writer, reader) pair, and a Worker per block with a port over them bound
-// to its view; a writer's buffers come from its scratch's Own slots.
+// to its view; a writer's buffers come from its scratch's Own slots. A box
+// holds its pair's window (message) or the hull of its writer's (shared).
 func newRun(cfg Config, perPair bool) (*run, []port, []Worker, error) {
 	n, err := cfg.Validate()
 	if err != nil {
@@ -132,33 +138,48 @@ func newRun(cfg Config, perPair bool) (*run, []port, []Worker, error) {
 	r := &run{cfg: cfg, blocks: vec.Blocks(n, cfg.Workers), perWriter: 1,
 		wake: make(chan struct{}, 1), stopCh: make(chan struct{})}
 	p := len(r.blocks)
-	copies := 1 // boxes per writer
 	if perPair {
-		r.perWriter, r.perReader, copies = p, 1, p-1
+		r.perWriter, r.perReader = p, 1
 	}
 	r.q = NewTracker(p)
 	r.boxes = make([]blockSlot, p*r.perWriter)
-	r.bells = make([]chan struct{}, p)
-	seen := make([]uint64, p*p)
+	r.peers = make([]peer, p)
 	ports := make([]port, p)
+	for d, bd := range r.blocks {
+		r.peers[d].bell = make(chan struct{}, 1)
+		r.peers[d].a, r.peers[d].b = operators.Reach(cfg.Op, bd[0], bd[1])
+		for s := range r.blocks {
+			lo, hi := r.window(s, d)
+			if s == d || lo >= hi {
+				continue
+			}
+			ports[s].readers++
+			box := &r.boxes[r.box(s, d)]
+			if box.lo == box.hi {
+				box.lo = lo
+			}
+			box.lo, box.hi = min(box.lo, lo), max(box.hi, hi)
+		}
+	}
+	seen := make([]uint64, p*p)
 	workers := make([]Worker, p)
 	for s, b := range r.blocks {
 		scr := operators.WorkerScratch(cfg.Scratches, s, cfg.Tuning)
 		workers[s] = Worker{ID: s, Op: cfg.Op, Scratch: scr, Tol: cfg.Tol, Budget: cfg.MaxUpdatesPerWorker,
 			Progress: cfg.Progress, View: KeptView(scr, cfg.X0, n)}
-		size := b[1] - b[0]
-		vals := scr.Own(OwnBox, copies*size) // written by a publish before any read
-		for d := range r.blocks {
-			if box := &r.boxes[r.box(s, d)]; d != s && box.vals == nil {
-				box.vals, vals = vals[:size:size], vals[size:]
-			}
+		if cfg.PerWorker {
+			workers[s].Stats = new(Stats)
 		}
-		r.bells[s] = make(chan struct{}, 1)
-		ports[s] = port{slot: slot{r.q, s}, r: r, view: workers[s].View, seen: seen[s*p : (s+1)*p]}
+		own := r.boxes[s*r.perWriter : (s+1)*r.perWriter]
+		vals := scr.Own(OwnBox, len(own)*(b[1]-b[0])) // written by a publish before any read
+		for i := range own {
+			k := own[i].hi - own[i].lo
+			own[i].vals, vals = vals[:k:k], vals[k:]
+		}
+		ports[s] = port{slot: slot{r.q, s}, r: r, view: workers[s].View, seen: seen[s*p : (s+1)*p], readers: ports[s].readers}
 		if cfg.Flexible.Enabled() {
-			flex := scr.Own(OwnFlex, 2*size)
-			ports[s].last, ports[s].part = flex[:size:size], flex[size:]
-			copy(ports[s].last, workers[s].View[b[0]:b[1]])
+			ports[s].flex = scr.Own(OwnFlex, 2*(b[1]-b[0]))
+			copy(ports[s].flex, workers[s].View[b[0]:b[1]])
 		}
 	}
 	return r, ports, workers, nil
@@ -246,23 +267,27 @@ func solve(cfg Config, perPair bool) (*Result, error) {
 	for w, b := range r.blocks {
 		copy(res.X[b[0]:b[1]], workers[w].View[b[0]:b[1]])
 		res.UpdatesPerWorker[w] = workers[w].Updates
+		if s := workers[w].Stats; s != nil {
+			res.PerWorker = append(res.PerWorker, *s)
+		}
 	}
 	return res, nil
 }
 
-// blockSlot is one box: a block as a reader takes it, newest wins. vals is
-// written and read only under mu; ver counts the publishes, bumped under
-// mu and read without it so a reader can skip a block that has not
-// changed. Padded to a cache line so one box's lock traffic stays off its
-// neighbours'.
+// blockSlot is one box: components [lo, hi) of a block as a reader takes
+// them, newest wins. vals is written and read only under mu; ver counts the
+// publishes, bumped under mu and read without it so a reader can skip a
+// block that has not changed. Padded to a cache line so one box's lock
+// traffic stays off its neighbours'.
 type blockSlot struct {
-	mu   sync.Mutex
-	ver  atomic.Uint64
-	vals []float64
-	_    [24]byte
+	mu     sync.Mutex
+	ver    atomic.Uint64
+	vals   []float64
+	lo, hi int
+	_      [8]byte
 }
 
-// publish overwrites the block with vals and bumps its version.
+// publish overwrites the box with vals (hi-lo of them) and bumps its version.
 func (b *blockSlot) publish(vals []float64) {
 	b.mu.Lock()
 	copy(b.vals, vals)
@@ -270,12 +295,12 @@ func (b *blockSlot) publish(vals []float64) {
 	b.mu.Unlock()
 }
 
-// readIfNewer copies the block into dst only if its version moved past
-// *seen, moves *seen to it, and returns by how many versions (0: no copy).
-func (b *blockSlot) readIfNewer(dst []float64, seen *uint64) (moved uint64) {
+// readIfNewer copies the box from component at into dst only if its version
+// moved past *seen, moves *seen to it, and returns by how many (0: no copy).
+func (b *blockSlot) readIfNewer(dst []float64, at int, seen *uint64) (moved uint64) {
 	if b.ver.Load() != *seen {
 		b.mu.Lock()
-		copy(dst, b.vals)
+		copy(dst, b.vals[at-b.lo:])
 		v := b.ver.Load()
 		b.mu.Unlock()
 		moved, *seen = v-*seen, v
@@ -283,20 +308,32 @@ func (b *blockSlot) readIfNewer(dst []float64, seen *uint64) (moved uint64) {
 	return moved
 }
 
+// peer is a reader: its doorbell and the range [a, b) its rows read.
+type peer struct {
+	bell chan struct{}
+	a, b int
+}
+
+// window is what reader d's rows read of writer s's block (lo >= hi: none).
+func (r *run) window(s, d int) (lo, hi int) {
+	return max(r.peers[d].a, r.blocks[s][0]), min(r.peers[d].b, r.blocks[s][1])
+}
+
 // port is the in-process Transport, over either box layout. A publish
-// overwrites the writer's box or boxes whole, under the box's lock, and a
-// reader copies a box only when its version moved: it sees each block
-// exactly as some publish left it — under flexible communication a whole
-// interpolated partial — and an inconsistent cut only across blocks, which
-// is the asynchronous read model. Newest wins, the out-of-order messages
-// rule: a publish supersedes what a reader has not read yet.
+// overwrites its boxes under their locks, and a reader copies its window
+// out of a box only when the box's version moved: it sees each window
+// exactly as some publish left it — under flexible communication part of
+// an interpolated partial — and an inconsistent cut only across blocks,
+// which is the asynchronous read model. Newest wins, the out-of-order
+// messages rule: a publish supersedes what a reader has not read yet.
 //
-// A publish to a peer is one message; a read delivers one and drops every
-// version it skipped, so in flight is the sum over readers of the versions
-// they have not read. Publish never blocks, and the reliable final sends
-// nothing: it repeats the block its phase has just published, and a box
-// never loses its newest value. Any receipt reactivates a passive worker
-// BEFORE the delivery is acknowledged (quiescence.go's ordering rule).
+// A publish to a peer whose window is not empty is one message; a read
+// delivers one and drops every version it skipped, so in flight is the
+// sum over readers of the versions they have not read. Publish never
+// blocks, and the reliable final sends nothing: it repeats the block its
+// phase has just published, and a box never loses its newest value. Any
+// receipt reactivates a passive worker BEFORE the delivery is
+// acknowledged (quiescence.go's ordering rule).
 //
 // Nothing polls: a parked worker sleeps on its doorbell, which every
 // publish to it rings, and the stop channel.
@@ -304,12 +341,15 @@ type port struct {
 	slot
 	r    *run
 	view []float64
-	// seen[s] is the version of box(s, w) that the view holds.
-	seen []uint64
-	// last is the block as last published, the start point flexible
-	// partials interpolate from, and part the partial; both nil without a
-	// flexible schedule.
-	last, part []float64
+	// seen[s] is the version of box(s, w) that the view holds; readers
+	// counts the peers whose window of the worker's block is not empty, the
+	// messages a send counts.
+	seen    []uint64
+	readers int64
+	// flex is the block as last published, the start point flexible
+	// partials interpolate from, then the partial; nil without a flexible
+	// schedule.
+	flex []float64
 }
 
 func (p *port) Block() (lo, hi int) { return p.r.blocks[p.w][0], p.r.blocks[p.w][1] }
@@ -319,13 +359,15 @@ func (p *port) Drain() (in Input, err error) {
 	if p.r.stopped.Load() {
 		return Stop, nil
 	}
+	a, b := p.r.peers[p.w].a, p.r.peers[p.w].b
 	for s := range p.seen {
-		b := &p.r.boxes[p.r.box(s, p.w)]
-		if s == p.w || b.ver.Load() == p.seen[s] {
+		box := &p.r.boxes[p.r.box(s, p.w)]
+		lo, hi := max(a, box.lo), min(b, box.hi) // the window, see run.window
+		if s == p.w || lo >= hi || box.ver.Load() == p.seen[s] {
 			continue
 		}
 		p.slot.Account(Active) // before anything is acknowledged
-		if moved := b.readIfNewer(p.view[p.r.blocks[s][0]:], &p.seen[s]); moved > 1 {
+		if moved := box.readIfNewer(p.view[lo:hi], lo, &p.seen[s]); moved > 1 {
 			p.q.MsgDropped(int64(moved - 1)) // superseded before they were read
 		}
 		p.q.MsgDelivered()
@@ -336,7 +378,7 @@ func (p *port) Drain() (in Input, err error) {
 
 func (p *port) Wait() (Input, error) {
 	select {
-	case <-p.r.bells[p.w]:
+	case <-p.r.peers[p.w].bell:
 		return p.Drain()
 	case <-p.r.stopCh:
 		return Stop, nil
@@ -348,36 +390,37 @@ func (p *port) Publish(vals []float64, reliable bool) error {
 	if reliable {
 		return nil
 	}
+	last, part := p.flex[:len(p.flex)/2], p.flex[len(p.flex)/2:]
 	for _, f := range p.r.cfg.Flexible.Fracs {
 		if f < 1 {
-			vec.LerpInto(p.part, p.last, vals, f)
-			p.send(p.part)
+			vec.LerpInto(part, last, vals, f)
+			p.send(part)
 		}
 	}
 	p.send(vals)
-	copy(p.last, vals)
+	copy(last, vals)
 	return nil
 }
 
-// send is one version of the worker's block to every peer: p-1 messages,
-// counted before any version moves (in flight is never negative), then
-// every box of the writer written once and every peer's doorbell rung.
+// send is one version of the worker's block to every peer that reads it:
+// a message each, counted before any version moves (in flight is never
+// negative), then every box written once and every such doorbell rung.
 //
 //repro:hotpath
 func (p *port) send(vals []float64) {
 	r := p.r
-	p.q.MsgSent(int64(len(r.bells) - 1))
-	written := -1
-	for d, bell := range r.bells {
-		if d == p.w {
+	p.q.MsgSent(p.readers)
+	var written *blockSlot
+	for d := range r.peers {
+		if lo, hi := r.window(p.w, d); d == p.w || lo >= hi {
 			continue
 		}
-		if b := r.box(p.w, d); b != written {
-			r.boxes[b].publish(vals)
+		if b := &r.boxes[r.box(p.w, d)]; b != written {
+			b.publish(vals[b.lo-r.blocks[p.w][0]:][:b.hi-b.lo])
 			written = b
 		}
 		select {
-		case bell <- struct{}{}:
+		case r.peers[d].bell <- struct{}{}:
 		default: // a pending ring is as good as many
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/flexible"
+	"repro/internal/operators"
 )
 
 // The in-process port on its own, in both box layouts: ports built as
@@ -365,10 +366,22 @@ func TestMessageOrdering(t *testing.T) {
 	})
 }
 
-// exchangeFixture is the multigrid shape of the benchmark's shared and
-// message workloads, over the named layout: 961 components, 2 blocks.
-func exchangeFixture(t testing.TB, perPair bool) (exchange func()) {
-	_, ports := portFixture(t, Config{Op: &halfOp{n: 961}, Workers: 2}, perPair)
+// exchanges are the operators of BenchmarkSharedExchange at the multigrid
+// workloads' shape, 961 components on 2 blocks: their 5-point stencil, whose
+// peer reads one 31-component grid row of a block (the halo), and halfOp,
+// which has no Reach, so a peer takes the whole 481-component block.
+var exchanges = []struct {
+	name string
+	op   func() operators.Operator
+}{
+	{"halo", func() operators.Operator { return stencilOp(31, 0.25) }},
+	{"block", func() operators.Operator { return &halfOp{n: 961} }},
+}
+
+// exchangeFixture is one publish of worker 0's block and one drain of it by
+// worker 1, over the named layout.
+func exchangeFixture(t testing.TB, op operators.Operator, perPair bool) (exchange func()) {
+	_, ports := portFixture(t, Config{Op: op, Workers: 2}, perPair)
 	from, to := &ports[0], &ports[1]
 	lo, hi := from.Block()
 	vals := make([]float64, hi-lo)
@@ -384,23 +397,28 @@ func exchangeFixture(t testing.TB, perPair bool) (exchange func()) {
 
 func TestSharedExchangeDoesNotAllocate(t *testing.T) {
 	for _, l := range layouts {
-		if avg := testing.AllocsPerRun(100, exchangeFixture(t, l.perPair)); avg != 0 {
-			t.Errorf("%s: one Publish + one Drain allocate %v times, want 0", l.name, avg)
+		for _, ex := range exchanges {
+			if avg := testing.AllocsPerRun(100, exchangeFixture(t, ex.op(), l.perPair)); avg != 0 {
+				t.Errorf("%s/%s: one Publish + one Drain allocate %v times, want 0", l.name, ex.name, avg)
+			}
 		}
 	}
 }
 
 // BenchmarkSharedExchange is the port's share of a phase on the multigrid
-// workloads: publish one 481-component block, drain one peer block.
+// workloads, per layout: publish one block, drain one peer block, of the
+// workloads' stencil (halo) and of an operator without Reach (block).
 func BenchmarkSharedExchange(b *testing.B) {
 	for _, l := range layouts {
-		b.Run(l.name, func(b *testing.B) {
-			exchange := exchangeFixture(b, l.perPair)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				exchange()
-			}
-		})
+		for _, ex := range exchanges {
+			b.Run(l.name+"/"+ex.name, func(b *testing.B) {
+				exchange := exchangeFixture(b, ex.op(), l.perPair)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					exchange()
+				}
+			})
+		}
 	}
 }

@@ -222,3 +222,32 @@ func TestWorkersClampedToDim(t *testing.T) {
 		t.Errorf("workers not clamped: %d", len(res.UpdatesPerWorker))
 	}
 }
+
+// Config.PerWorker gives every worker a time split whose parts sum to its
+// elapsed time, within the run's; without it the result has none.
+func TestRunPerWorkerSplit(t *testing.T) {
+	op, _, _ := contractingOp(t, 32, 10)
+	for _, engine := range engines {
+		for _, on := range []bool{false, true} {
+			res, err := engine.run(Config{Op: op, Workers: 3, Tol: 1e-9, MaxUpdatesPerWorker: 1 << 16, PerWorker: on})
+			if err != nil || !res.Converged {
+				t.Fatalf("%s: converged %v, err %v", engine.name, err == nil && res.Converged, err)
+			}
+			if !on {
+				if res.PerWorker != nil {
+					t.Errorf("%s: a time split nobody asked for: %+v", engine.name, res.PerWorker)
+				}
+				continue
+			}
+			if len(res.PerWorker) != 3 {
+				t.Fatalf("%s: %d splits for 3 workers", engine.name, len(res.PerWorker))
+			}
+			for w, s := range res.PerWorker {
+				if s.Compute+s.Publish+s.Drain+s.Parked != s.Elapsed || s.Elapsed <= 0 || s.Elapsed > res.Elapsed ||
+					s.Compute <= 0 || s.Publish <= 0 || s.Accounts == 0 {
+					t.Errorf("%s: worker %d split %+v (run %v)", engine.name, w, s, res.Elapsed)
+				}
+			}
+		}
+	}
+}

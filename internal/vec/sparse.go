@@ -148,6 +148,16 @@ func (m *CSR) RowDotAt(i int, x Vector) float64 {
 	return y[0]
 }
 
+// ColSpan returns the smallest column range [a, b) that holds every stored
+// entry of rows [lo, hi); a == b when those rows store none.
+func (m *CSR) ColSpan(lo, hi int) (a, b int) {
+	a, b = m.Cols, 0
+	for _, c := range m.ColIdx[m.RowPtr[lo]:m.RowPtr[hi]] {
+		a, b = min(a, c), max(b, c+1)
+	}
+	return min(a, b), b
+}
+
 // At returns element (i, j) (O(row nnz)).
 func (m *CSR) At(i, j int) float64 {
 	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

@@ -160,3 +160,43 @@ func TestRNGSplitIndependence(t *testing.T) {
 		t.Errorf("split streams look correlated: %d equal draws", equal)
 	}
 }
+
+// ColSpan is the least and one past the greatest column stored in the rows,
+// by brute force over the entries the matrix was built from, on every row
+// range of a random matrix with empty rows among its rows (a == b there).
+func TestCSRColSpan(t *testing.T) {
+	const rows, cols = 24, 40
+	rng := NewRNG(11)
+	var entries []COOEntry
+	for r := 0; r < rows; r++ {
+		for k := rng.Intn(4) - 1; k > 0; k-- { // a third of the rows empty
+			entries = append(entries, COOEntry{Row: r, Col: rng.Intn(cols), Val: rng.Normal()})
+		}
+	}
+	m := NewCSR(rows, cols, entries)
+	empty := 0
+	for lo := 0; lo <= rows; lo++ {
+		for hi := lo; hi <= rows; hi++ {
+			wantA, wantB := cols, -1
+			for _, e := range entries {
+				if e.Row >= lo && e.Row < hi {
+					wantA, wantB = min(wantA, e.Col), max(wantB, e.Col+1)
+				}
+			}
+			a, b := m.ColSpan(lo, hi)
+			if wantB < 0 {
+				if a != b {
+					t.Errorf("rows [%d,%d) store nothing, ColSpan = [%d,%d)", lo, hi, a, b)
+				}
+				if hi > lo {
+					empty++
+				}
+			} else if a != wantA || b != wantB {
+				t.Errorf("rows [%d,%d): ColSpan = [%d,%d), want [%d,%d)", lo, hi, a, b, wantA, wantB)
+			}
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no range of rows stores nothing: the matrix has no empty row")
+	}
+}

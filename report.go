@@ -117,6 +117,9 @@ type Report struct {
 	// Elapsed is the wall-clock duration (goroutine and dist engines),
 	// marshalled as integer nanoseconds.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
+	// PerWorker splits each worker's elapsed time into compute, publish,
+	// drain and parked (shared and message engines, when Spec.Trace is set).
+	PerWorker []WorkerStats `json:"per_worker,omitempty"`
 
 	model      *core.Result
 	sim        *des.Result

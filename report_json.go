@@ -26,7 +26,7 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	// Sized once up front, a little high: a float64 prints in at most 24
 	// bytes plus its comma, the integers of a typical report in a handful.
 	dst := make([]byte, 0, 512+len(r.Engine)+25*(len(r.X)+len(r.Errors))+68*len(r.ErrorTrace)+
-		8*(len(r.Boundaries)+len(r.StrictBoundaries)+len(r.Epochs)+len(r.UpdatesPerWorker)))
+		8*(len(r.Boundaries)+len(r.StrictBoundaries)+len(r.Epochs)+len(r.UpdatesPerWorker))+180*len(r.PerWorker))
 	dst = append(dst, `{"engine":`...)
 	dst = appendJSONString(dst, r.Engine)
 	dst = append(dst, `,"x":`...)
@@ -80,8 +80,21 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		dst = appendJSONFloat(dst, r.Time)
 	}
 	dst = appendJSONInt64Field(dst, `,"elapsed_ns":`, int64(r.Elapsed))
+	if len(r.PerWorker) > 0 {
+		dst = append(dst, `,"per_worker":[`...)
+		for _, s := range r.PerWorker {
+			for k, v := range [...]int64{int64(s.Elapsed), int64(s.Compute), int64(s.Publish), int64(s.Drain), int64(s.Parked), s.Accounts} {
+				dst = strconv.AppendInt(append(dst, statsKeys[k]...), v, 10)
+			}
+			dst = append(dst, "},"...)
+		}
+		dst[len(dst)-1] = ']'
+	}
 	return append(dst, '}'), nil
 }
+
+// statsKeys are WorkerStats' members in field order, punctuation first.
+var statsKeys = [...]string{`{"elapsed_ns":`, `,"compute_ns":`, `,"publish_ns":`, `,"drain_ns":`, `,"parked_ns":`, `,"accounts":`}
 
 // appendJSONFloat appends f the way encoding/json formats a float64 ('f'
 // form, 'e' below 1e-6 and from 1e21, exponent without a leading zero),

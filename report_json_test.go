@@ -49,6 +49,8 @@ func goldenReport() repro.Report {
 		Resharding:        4,
 		Time:              17.5,
 		Elapsed:           1500 * time.Millisecond,
+		PerWorker: []repro.WorkerStats{{Elapsed: 900, Compute: 500, Publish: 200, Drain: 100, Parked: 100, Accounts: 3},
+			{Elapsed: 800, Compute: 800}},
 	}
 }
 
@@ -90,7 +92,7 @@ func TestReportJSONGoldenKeys(t *testing.T) {
 		"elapsed_ns", "engine", "epochs", "error_trace", "errors",
 		"final_error", "final_residual", "iterations",
 		"messages_dropped", "messages_duplicate", "messages_reordered",
-		"messages_sent", "messages_stale", "resharding",
+		"messages_sent", "messages_stale", "per_worker", "resharding",
 		"strict_boundaries", "time", "updates", "updates_per_worker",
 		"workers_lost", "workers_rejoined", "x",
 	}
@@ -120,7 +122,7 @@ func TestReportJSONOmitsUnproduced(t *testing.T) {
 	}
 	for _, absent := range []string{
 		"errors", "error_trace", "records", "messages_sent",
-		"bytes_sent", "elapsed_ns", "updates_per_worker",
+		"bytes_sent", "elapsed_ns", "updates_per_worker", "per_worker",
 	} {
 		if _, ok := m[absent]; ok {
 			t.Fatalf("unproduced field %q serialized: %s", absent, data)
@@ -299,31 +301,32 @@ type timedErrorWire struct {
 // tags of repro.Report, with every float routed through jsonFloat so
 // non-finite values survive.
 type reportWire struct {
-	Engine            string           `json:"engine"`
-	X                 []jsonFloat      `json:"x"`
-	Converged         bool             `json:"converged"`
-	Iterations        int              `json:"iterations"`
-	Updates           int              `json:"updates"`
-	FinalResidual     jsonFloat        `json:"final_residual"`
-	FinalError        jsonFloat        `json:"final_error,omitempty"`
-	Errors            []jsonFloat      `json:"errors,omitempty"`
-	ErrorTrace        []timedErrorWire `json:"error_trace,omitempty"`
-	Boundaries        []int            `json:"boundaries,omitempty"`
-	StrictBoundaries  []int            `json:"strict_boundaries,omitempty"`
-	Epochs            []int            `json:"epochs,omitempty"`
-	UpdatesPerWorker  []int            `json:"updates_per_worker,omitempty"`
-	MessagesSent      int64            `json:"messages_sent,omitempty"`
-	MessagesDropped   int64            `json:"messages_dropped,omitempty"`
-	MessagesStale     int64            `json:"messages_stale,omitempty"`
-	MessagesReordered int64            `json:"messages_reordered,omitempty"`
-	MessagesDuplicate int64            `json:"messages_duplicate,omitempty"`
-	BytesSent         int64            `json:"bytes_sent,omitempty"`
-	BytesReceived     int64            `json:"bytes_received,omitempty"`
-	WorkersLost       int64            `json:"workers_lost,omitempty"`
-	WorkersRejoined   int64            `json:"workers_rejoined,omitempty"`
-	Resharding        int64            `json:"resharding,omitempty"`
-	Time              jsonFloat        `json:"time,omitempty"`
-	Elapsed           time.Duration    `json:"elapsed_ns,omitempty"`
+	Engine            string              `json:"engine"`
+	X                 []jsonFloat         `json:"x"`
+	Converged         bool                `json:"converged"`
+	Iterations        int                 `json:"iterations"`
+	Updates           int                 `json:"updates"`
+	FinalResidual     jsonFloat           `json:"final_residual"`
+	FinalError        jsonFloat           `json:"final_error,omitempty"`
+	Errors            []jsonFloat         `json:"errors,omitempty"`
+	ErrorTrace        []timedErrorWire    `json:"error_trace,omitempty"`
+	Boundaries        []int               `json:"boundaries,omitempty"`
+	StrictBoundaries  []int               `json:"strict_boundaries,omitempty"`
+	Epochs            []int               `json:"epochs,omitempty"`
+	UpdatesPerWorker  []int               `json:"updates_per_worker,omitempty"`
+	MessagesSent      int64               `json:"messages_sent,omitempty"`
+	MessagesDropped   int64               `json:"messages_dropped,omitempty"`
+	MessagesStale     int64               `json:"messages_stale,omitempty"`
+	MessagesReordered int64               `json:"messages_reordered,omitempty"`
+	MessagesDuplicate int64               `json:"messages_duplicate,omitempty"`
+	BytesSent         int64               `json:"bytes_sent,omitempty"`
+	BytesReceived     int64               `json:"bytes_received,omitempty"`
+	WorkersLost       int64               `json:"workers_lost,omitempty"`
+	WorkersRejoined   int64               `json:"workers_rejoined,omitempty"`
+	Resharding        int64               `json:"resharding,omitempty"`
+	Time              jsonFloat           `json:"time,omitempty"`
+	Elapsed           time.Duration       `json:"elapsed_ns,omitempty"`
+	PerWorker         []repro.WorkerStats `json:"per_worker,omitempty"`
 }
 
 // oracleMarshal is Report.MarshalJSON as it was when reportWire was the
@@ -354,6 +357,7 @@ func oracleMarshal(r repro.Report) ([]byte, error) {
 		Resharding:        r.Resharding,
 		Time:              jsonFloat(r.Time),
 		Elapsed:           r.Elapsed,
+		PerWorker:         r.PerWorker,
 	}
 	if r.ErrorTrace != nil {
 		w.ErrorTrace = make([]timedErrorWire, len(r.ErrorTrace))
@@ -396,6 +400,7 @@ func oracleUnmarshal(b []byte, r *repro.Report) error {
 		Resharding:        w.Resharding,
 		Time:              float64(w.Time),
 		Elapsed:           w.Elapsed,
+		PerWorker:         w.PerWorker,
 	}
 	if w.ErrorTrace != nil {
 		r.ErrorTrace = make([]repro.TimedError, len(w.ErrorTrace))
@@ -410,13 +415,15 @@ func oracleUnmarshal(b []byte, r *repro.Report) error {
 // was Report's codec, with the "records" member — the per-iteration log the
 // Report carried then — deleted and nothing else changed: a model-engine
 // lasso n=64 report (the served job's shape), a routing report (Errors
-// starting at +Inf), a sim report (ErrorTrace, Time) and a dist report
-// (counters, elapsed_ns).
+// starting at +Inf), a sim report (ErrorTrace, Time), a dist report
+// (counters, elapsed_ns), and a traced shared-engine multigrid n=7 report
+// (per_worker), which the oracle wrote when per_worker came.
 var reportFixtures = []string{
 	"report_model_lasso64.json",
 	"report_model_routing.json",
 	"report_sim_lasso16.json",
 	"report_dist_lasso16.json",
+	"report_shared_multigrid7.json",
 }
 
 func readFixture(t testing.TB, name string) []byte {
@@ -520,8 +527,8 @@ func TestReportJSONFixtures(t *testing.T) {
 		}
 	}
 
-	var lasso, routing, sim, dist repro.Report
-	for i, r := range []*repro.Report{&lasso, &routing, &sim, &dist} {
+	var lasso, routing, sim, dist, shared repro.Report
+	for i, r := range []*repro.Report{&lasso, &routing, &sim, &dist, &shared} {
 		if err := json.Unmarshal(readFixture(t, reportFixtures[i]), r); err != nil {
 			t.Fatal(err)
 		}
@@ -538,6 +545,11 @@ func TestReportJSONFixtures(t *testing.T) {
 	}
 	if dist.Elapsed != 18420791 || dist.BytesSent != 118654 || dist.BytesReceived != 40726 || dist.MessagesSent != 1893 {
 		t.Errorf("dist fixture lost its counters: %+v", dist)
+	}
+	want := []repro.WorkerStats{{Elapsed: 438909, Compute: 127947, Publish: 80972, Drain: 125949, Parked: 104041, Accounts: 1},
+		{Elapsed: 491021, Compute: 190174, Publish: 86903, Drain: 107849, Parked: 106095, Accounts: 2}}
+	if !reflect.DeepEqual(shared.PerWorker, want) {
+		t.Errorf("shared fixture lost its time split: %+v", shared.PerWorker)
 	}
 }
 
@@ -683,7 +695,7 @@ func TestReportUnmarshalAllocs(t *testing.T) {
 // retainedBytes is the memory a decoded report holds on to, by capacity.
 func retainedBytes(r *repro.Report) int {
 	return 8*(cap(r.X)+cap(r.Errors)+cap(r.Boundaries)+cap(r.StrictBoundaries)+cap(r.Epochs)+cap(r.UpdatesPerWorker)) +
-		16*cap(r.ErrorTrace) + len(r.Engine)
+		16*cap(r.ErrorTrace) + 48*cap(r.PerWorker) + len(r.Engine)
 }
 
 // FuzzReportUnmarshal: on any input the decoder gives the oracle's verdict

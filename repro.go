@@ -221,6 +221,8 @@ type (
 	SimSyncResult = des.SyncResult
 	// ConcurrentResult reports a goroutine run.
 	ConcurrentResult = runtime.Result
+	// WorkerStats is one worker's time split (Report.PerWorker).
+	WorkerStats = runtime.Stats
 	// DistResult reports a distributed TCP run.
 	DistResult = dist.Result
 	// DistFault configures the TCP engine's per-link fault injection.

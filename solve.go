@@ -117,8 +117,8 @@ type Execution struct {
 	// pooled scratches reused across solves always run with the current
 	// solve's knobs. See Tuning for the bit-identity guarantee.
 	Tuning Tuning
-	// Trace, when non-nil, records update phases and messages
-	// (asynchronous simulator).
+	// Trace, when non-nil, records update phases and messages (asynchronous
+	// simulator); shared and message fill Report.PerWorker instead.
 	Trace *TraceLog
 	// Scratch, when non-nil, lets repeated Solves of the same shape reuse
 	// hot-path buffers (operator temporaries, read vectors). See NewScratch;
@@ -238,7 +238,7 @@ func WithNeighbors(nb [][]int) Option { return func(s *Spec) { s.Neighbors = nb 
 func WithSeed(seed uint64) Option { return func(s *Spec) { s.Seed = seed } }
 
 // WithTrace records update phases and messages into lg (asynchronous
-// simulator).
+// simulator); on the shared and message engines it fills Report.PerWorker.
 func WithTrace(lg *TraceLog) Option { return func(s *Spec) { s.Trace = lg } }
 
 // WithScratch attaches reusable solver state so repeated Solves of the same
