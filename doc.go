@@ -53,15 +53,18 @@
 // its run unconverged. Report.WorkersLost, WorkersRejoined and Resharding
 // count the churn; asyncsolve chaos exercises kill/restart schedules.
 //
-// The three concurrent engines run ONE worker loop (internal/runtime,
-// loop.go, whose doc states its policies) over three transports — one
-// in-process port whose boxes are laid out per worker (shared) or per pair
-// of workers (message), the TCP star relay and the TCP mesh:
-// the loop makes every decision, a transport only moves values. A worker
-// goes passive after two consecutive phases within Tol, a fixed count as
-// the model engine's residual check every n iterations is. Termination
-// is one two-phase double-collect quiescence protocol (quiescence.go, probe
-// rounds over TCP): stop follows two identical observations of "every
+// Every engine but the model runs ONE worker loop (internal/runtime,
+// loop.go, whose doc states its policies) over a transport: the two
+// simulated engines over a virtual-time port (internal/des, one coroutine
+// per worker), the three concurrent ones over one in-process port whose
+// boxes are laid out per worker (shared) or per pair of workers (message),
+// the TCP star relay and the TCP mesh: the loop makes every decision, a
+// transport only moves values. A worker goes passive after two
+// consecutive phases within Tol, a fixed count as the model engine's
+// residual check every n iterations is. Termination is one two-phase
+// double-collect quiescence protocol (quiescence.go; probe rounds over
+// TCP, between events on the virtual clock): stop follows two identical
+// observations of "every
 // worker parked — passive or spent its MaxUpdatesPerWorker — and nothing
 // in flight"; the run converged when every worker was passive. Every engine
 // honours WithContext, and Solve returns the context's error.

@@ -3,34 +3,36 @@ package repro
 // Engines: the interchangeable execution backends behind Solve. Each one
 // adapts an internal engine package to the common Spec/Report contract.
 // Only model is a deterministic state machine of its own. The other five
-// are one worker loop (internal/runtime, loop.go). sim and simsync run it
-// as coroutines over the virtual-time port of internal/des, which charges
+// are one worker loop (internal/runtime, loop.go) under one configuration
+// (runtime.Config, from runtimeConfig): sim and simsync run it as
+// coroutines over the virtual-time port of internal/des, which charges
 // each phase its simulated cost (asynchronously, or behind a barrier per
-// round). shared, message and dist run it over three transports: the
+// round); shared, message and dist run it over three transports: the
 // in-process port, whose newest-wins boxes are laid out one per worker
 // (shared) or one per pair of workers (message), and the TCP star relay
-// and TCP mesh of internal/dist. Those three take one configuration
-// (runtime.Config, which dist.Config embeds next to its network knobs) and
-// report through one mapping (concurrentReport).
+// and TCP mesh of internal/dist. des.Config and dist.Config embed
+// runtime.Config next to their own knobs; shared, message and dist report
+// through one mapping (concurrentReport).
 //
 // Per-engine contract (which Spec knobs are honoured):
 //
 //   - EngineModel   — the mathematical model of Definitions 1 and 3
 //     (internal/core): Problem, Delay, Steering, Theta,
 //     ValidateConstraint3, Workers/WorkerOf (epoch bookkeeping), Tol,
-//     MaxIter. It checks its fixed-point residual every n iterations.
-//   - EngineSim     — the free-running asynchronous discrete-event
-//     simulator (internal/des): Problem, Flexible, Workers, Cost, Latency,
-//     DropProb, ApplyStale, Neighbors, Seed, Trace, Tol, MaxUpdates,
-//     MaxTime.
-//   - EngineSimSync — the barrier-synchronous simulated baseline
-//     (internal/des): Problem, Workers, Cost, Latency, Seed, Tol,
-//     MaxUpdates, MaxTime.
+//     MaxIter. It checks its fixed-point residual every n iterations, or
+//     its error when XStar is given.
 //
 // The worker-loop engines all honour Problem (Op, X0), Workers, Tol and
-// MaxUpdates/MaxUpdatesPerWorker (a worker goes passive after two
-// consecutive phases within Tol), and add:
+// MaxUpdates/MaxUpdatesPerWorker (MaxUpdates is divided among the
+// workers), and add:
 //
+//   - EngineSim     — the free-running asynchronous discrete-event
+//     simulator (internal/des): Flexible, Cost, Latency, DropProb,
+//     ApplyStale, Neighbors, Seed, Trace, MaxTime, and XStar for its error
+//     trace.
+//   - EngineSimSync — the barrier-synchronous simulated baseline
+//     (internal/des): Cost, Latency, Seed, MaxTime, and XStar for its error
+//     trace.
 //   - EngineShared  — goroutines over shared memory, a locked block per
 //     worker (internal/runtime): Flexible, Trace (Report.PerWorker).
 //   - EngineMessage — goroutines over newest-wins mailboxes, one per
@@ -41,30 +43,29 @@ package repro
 //     DropProb, ReorderProb, MaxLinkDelay, Seed, and Elastic (how a lost
 //     worker is detected and re-sharded around; see WithElastic).
 //
-// Every engine honours Ctx and Progress. Knobs outside an engine's list are ignored, so one Spec can be re-run
-// across engines unchanged. The simulated engines stop on the max-norm
-// error to XStar; when Tol is set and XStar is omitted they first compute a
-// synchronous reference solution (see ensureReference).
+// Every engine honours Ctx and Progress. Knobs outside an engine's list
+// are ignored, so one Spec can be re-run across engines unchanged.
 //
-// The worker loop's policies hold on every transport: a worker turns
-// passive only after a reliable final publish and a re-verification; a
-// parked worker that receives input re-verifies local convergence before it
-// may publish again; a worker out of budget stays in the run, spent,
-// absorbing and re-verifying, and never reports passive on data it could
-// not iterate away. Termination is the two-phase double-collect quiescence
-// protocol (quiescence.go): stop is broadcast only after two identical
-// observations of "every worker parked — passive or spent — and nothing in
-// flight"; Converged means every worker was passive.
+// The worker loop's policies hold on every transport, simulated or real:
+// a worker goes passive after two consecutive phases whose block
+// displacement stayed within Tol, and only after a reliable final publish
+// and a re-verification; a parked worker that receives input re-verifies
+// local convergence before it may publish again; a worker out of budget
+// stays in the run, spent, absorbing and re-verifying, and never reports
+// passive on data it could not iterate away. Termination is the two-phase
+// double-collect quiescence protocol (quiescence.go): a run stops only on
+// an observation of "every worker parked — passive or spent — and nothing
+// in flight"; Converged means every worker was passive. The simulators
+// take that observation between events (or rounds) of their virtual
+// clock, and also stop at MaxTime.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/dist"
-	"repro/internal/operators"
 	"repro/internal/runtime"
 	"repro/internal/vec"
 )
@@ -155,29 +156,6 @@ func (s Spec) ctxErr() error {
 	return context.Canceled
 }
 
-// ensureReference fills in spec.XStar with a synchronous reference solution
-// when an engine needs it for error-based stopping. The reference is solved
-// an order of magnitude tighter than the requested tolerance.
-func ensureReference(spec *Spec) error {
-	if spec.Tol <= 0 || spec.XStar != nil {
-		return nil
-	}
-	refTol := spec.Tol / 10
-	if refTol < 1e-14 {
-		refTol = 1e-14
-	}
-	x0 := spec.X0
-	if x0 == nil {
-		x0 = make([]float64, spec.Op.Dim())
-	}
-	xstar, ok := operators.FixedPoint(spec.Op, x0, refTol, 4000000)
-	if !ok {
-		return errors.New("repro: engine stops on the error to XStar and the synchronous reference solve did not converge; provide Spec.Problem.XStar")
-	}
-	spec.XStar = xstar
-	return nil
-}
-
 // blockOwner maps components to contiguous block owners, the partition the
 // worker-based engines use.
 func blockOwner(n, workers int) (func(i int) int, int) {
@@ -254,34 +232,24 @@ type simEngine struct{}
 
 func (simEngine) Name() string { return "sim" }
 
+// desConfig is the worker loop's configuration, the one the goroutine
+// engines run, plus the simulated machine.
 func (s Spec) desConfig() des.Config {
 	return des.Config{
-		Op:         s.Op,
-		Workers:    s.workers(),
-		X0:         s.X0,
+		Config:     s.runtimeConfig(),
 		XStar:      s.XStar,
-		Tol:        s.Tol,
-		MaxUpdates: s.MaxUpdates,
 		MaxTime:    s.MaxTime,
 		Cost:       s.Cost,
 		Latency:    s.Latency,
 		DropProb:   s.DropProb,
-		Flexible:   s.Flexible,
 		ApplyStale: s.ApplyStale,
 		Neighbors:  s.Neighbors,
 		Seed:       s.Seed,
 		Trace:      s.Trace,
-		Scratches:  s.Scratch.workerScratches(s.workers()),
-		Tuning:     s.Tuning.operatorTuning(),
-		Done:       s.done(),
-		Progress:   s.Progress.counter(),
 	}
 }
 
 func (simEngine) Solve(spec Spec) (*Report, error) {
-	if err := ensureReference(&spec); err != nil {
-		return nil, err
-	}
 	r, err := des.Run(spec.desConfig())
 	if err != nil {
 		return nil, err
@@ -319,9 +287,6 @@ type simSyncEngine struct{}
 func (simSyncEngine) Name() string { return "simsync" }
 
 func (simSyncEngine) Solve(spec Spec) (*Report, error) {
-	if err := ensureReference(&spec); err != nil {
-		return nil, err
-	}
 	r, err := des.RunSync(spec.desConfig())
 	if err != nil {
 		return nil, err

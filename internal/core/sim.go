@@ -100,6 +100,10 @@ type RunScratch struct {
 // NewRunScratch returns an empty RunScratch; buffers grow on first use.
 func NewRunScratch() *RunScratch { return &RunScratch{Op: operators.NewScratch()} }
 
+// History returns the history the last Run on s recorded, x_i(l) for
+// every component and label it reached; the next Run resets it.
+func (s *RunScratch) History() *History { return &s.hist }
+
 // vecs returns the label row, flexible read vector and snapshot, length n.
 func (s *RunScratch) vecs(n int) (labels []int, xread, snap []float64) {
 	s.labels, s.xread, s.snap = grown(s.labels, n), grown(s.xread, n), grown(s.snap, n)

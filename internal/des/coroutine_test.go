@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/flexible"
 	"repro/internal/operators"
+	"repro/internal/runtime"
 )
 
 // nanAfter halves its input for its first good evaluations and returns NaN
@@ -33,8 +34,13 @@ func TestRunsLeaveNoCoroutine(t *testing.T) {
 	op, xstar := contractingOp(t, 12, 50)
 	closed := make(chan struct{})
 	close(closed)
-	base := Config{Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar, Seed: 51,
-		Latency: JitterLatency(0.1, 1), DropProb: 0.1}
+	base := Config{
+		Config:   runtime.Config{Op: op, Workers: 4, X0: x0For(xstar)},
+		XStar:    xstar,
+		Seed:     51,
+		Latency:  JitterLatency(0.1, 1),
+		DropProb: 0.1,
+	}
 	cases := []struct {
 		name string
 		cfg  func() Config
@@ -43,7 +49,7 @@ func TestRunsLeaveNoCoroutine(t *testing.T) {
 	}{
 		{"converged", func() Config { c := base; c.Tol = 1e-9; return c },
 			func(res any, err error) bool { return err == nil && converged(res) }},
-		{"max-updates", func() Config { c := base; c.MaxUpdates = 37; return c },
+		{"max-updates", func() Config { c := base; c.MaxUpdatesPerWorker = 9; return c },
 			func(res any, err error) bool { return err == nil && !converged(res) }},
 		{"max-time", func() Config { c := base; c.MaxTime = 9.5; return c },
 			func(res any, err error) bool { return err == nil && !converged(res) }},
@@ -63,12 +69,12 @@ func TestRunsLeaveNoCoroutine(t *testing.T) {
 			}
 			return c
 		}, func(res any, err error) bool { return err == nil && cancelled(res) }},
-		{"invalid", func() Config { c := base; c.Tol = 1e-9; c.XStar = nil; return c },
+		{"invalid", func() Config { c := base; c.Workers = 0; return c },
 			func(res any, err error) bool { return err != nil }},
 		{"nan", func() Config {
 			// Two workers of four components: evaluations 9-12 are worker
 			// 0's second phase, so the 12th is its component 3.
-			return Config{Op: &nanAfter{good: 11}, Workers: 2, X0: []float64{1, 1, 1, 1, 1, 1, 1, 1}}
+			return Config{Config: runtime.Config{Op: &nanAfter{good: 11}, Workers: 2, X0: []float64{1, 1, 1, 1, 1, 1, 1, 1}}}
 		}, func(res any, err error) bool {
 			var d *operators.DivergedError
 			return errors.As(err, &d) && *d == operators.DivergedError{Worker: 0, Phase: 2, Component: 3}
@@ -121,9 +127,13 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	op, xstar := contractingOp(t, 12, 52)
 	allocs := func(updates int) float64 {
 		return testing.AllocsPerRun(2, func() {
-			if _, err := Run(Config{Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-				MaxUpdates: updates, DropProb: 0.2, Latency: JitterLatency(0.1, 2),
-				Flexible: flexible.Uniform(2), Seed: 53}); err != nil {
+			if _, err := Run(Config{
+				Config:   runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), MaxUpdatesPerWorker: updates / 4, Flexible: flexible.Uniform(2)},
+				XStar:    xstar,
+				DropProb: 0.2,
+				Latency:  JitterLatency(0.1, 2),
+				Seed:     53,
+			}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -12,26 +12,24 @@
 // production worker loop (internal/runtime, Worker.Run), run as an
 // iter.Pull coroutine over a virtual-time port (port.go) that implements
 // runtime.Transport. Only one coroutine runs at a time, so a run is
-// deterministic. The loop runs with Tol 0 and an unbounded budget, so no
-// worker parks; stopping is the scheduler's decision (error to XStar,
-// MaxUpdates, MaxTime, Done). A NaN ends the run with the loop's
-// DivergedError at the phase that evaluated it. This package holds the
-// event queue, the link model, Config/Result and the two schedules over
-// that one loop: the free-running asynchronous one in this file
-// (computations covered by communication, no barriers — Fig. 1), with
-// optional flexible communication (partial updates published mid-phase —
-// Fig. 2), and the barrier-synchronous baseline in sync.go.
+// deterministic. The loop runs with the configuration's Tol and budget and
+// stops as it does on every transport: its workers go passive under the
+// runtime.Tracker of the termination protocol, and the run ends when the
+// Tracker is quiescent (every worker parked, nothing in flight), converged
+// when every worker was passive. MaxTime and Done end it early; a NaN ends
+// it with the loop's DivergedError at the phase that evaluated it. XStar
+// only traces the error. This package holds the event queue, the link
+// model, Config/Result and the two schedules over that one loop: the
+// free-running asynchronous one in this file (computations covered by
+// communication, no barriers — Fig. 1), with optional flexible
+// communication (partial updates published mid-phase — Fig. 2), and the
+// barrier-synchronous baseline in sync.go.
 package des
 
 import (
 	"container/heap"
-	"errors"
-	"fmt"
 	"iter"
-	"math"
-	"sync/atomic"
 
-	"repro/internal/flexible"
 	"repro/internal/macroiter"
 	"repro/internal/operators"
 	"repro/internal/runtime"
@@ -84,21 +82,14 @@ func ChainNeighbors(p int) [][]int {
 	return nb
 }
 
-// Config describes a simulated run.
+// Config describes a simulated run: the worker loop's configuration
+// (PerWorker aside) and the simulated machine it runs on. Done stops a run
+// at its next event, or round, without perturbing what came before.
 type Config struct {
-	// Op is the fixed-point operator; components are partitioned among
-	// workers.
-	Op operators.Operator
-	// Workers is the number of simulated processors (>= 1).
-	Workers int
-	// X0 is the initial iterate (defaults to zero).
-	X0 []float64
-	// XStar enables error tracking and error-based stopping.
+	runtime.Config
+	// XStar, when given, traces the error to it: Result.ErrorTrace and
+	// FinalError. It has no part in stopping.
 	XStar []float64
-	// Tol stops the run when ||x - x*||_inf <= Tol (XStar required).
-	Tol float64
-	// MaxUpdates bounds the total number of updating phases.
-	MaxUpdates int
 	// MaxTime bounds the virtual clock.
 	MaxTime float64
 	// Cost is the per-phase compute model (default UniformCost(1)).
@@ -106,11 +97,9 @@ type Config struct {
 	// Latency is the link model (default FixedLatency(0.1)).
 	Latency LatencyFunc
 	// DropProb is the iid probability that a message is lost in transit
-	// (transient faults; later messages cover for them).
+	// (transient faults; later messages cover for them). The reliable
+	// final a worker publishes before it goes passive is never lost.
 	DropProb float64
-	// Flexible publishes partial updates at the given phase fractions
-	// (hatched arrows of Fig. 2). Empty schedule = plain async.
-	Flexible flexible.Schedule
 	// ApplyStale controls whether a message carrying an older label than
 	// the receiver's current view still overwrites it (true models
 	// unordered transports where late messages regress the view; false
@@ -127,23 +116,6 @@ type Config struct {
 	Seed uint64
 	// Trace, when non-nil, records update phases and messages.
 	Trace *trace.Log
-	// Scratches, when non-nil, supplies one reusable operator scratch per
-	// worker (index = worker id) so repeated runs of the same shape share
-	// hot-path buffers. Missing or short slices fall back to fresh
-	// per-worker scratches.
-	Scratches []*operators.Scratch
-	// Tuning is installed on every worker scratch (supplied or fresh), so
-	// pooled scratches reused across runs always carry this run's knobs.
-	Tuning operators.Tuning
-	// Done, when non-nil, cancels the run: the event loop stops at the
-	// next event and the result reports Cancelled and not Converged.
-	// Cancellation does not perturb the trajectory up to the stopping
-	// point — a run that is not cancelled is bit-identical to one executed
-	// without Done.
-	Done <-chan struct{}
-	// Progress, when non-nil, is incremented once per completed updating
-	// phase so external observers can watch the run live.
-	Progress *atomic.Int64
 }
 
 // Result reports a simulated run.
@@ -152,7 +124,8 @@ type Result struct {
 	Time float64
 	// Updates is the number of completed updating phases.
 	Updates int
-	// Converged reports whether Tol was reached.
+	// Converged reports that the run went quiescent with every worker
+	// passive: each block within Tol of its image on its worker's view.
 	Converged bool
 	// FinalError is ||x - x*||_inf at stop (when XStar given).
 	FinalError float64
@@ -163,7 +136,8 @@ type Result struct {
 	// Boundaries, StrictBoundaries, Epochs are the derived sequences.
 	Boundaries, StrictBoundaries, Epochs []int
 	// MessagesSent / MessagesDropped / MessagesStale count transport
-	// events (stale = delivered carrying an older label than the view).
+	// events (stale = delivered carrying an older label than the view),
+	// reliable finals included.
 	MessagesSent, MessagesDropped, MessagesStale int
 	// UpdatesPerWorker counts completed phases per worker.
 	UpdatesPerWorker []int
@@ -184,14 +158,16 @@ type eventKind int
 
 const (
 	evComplete eventKind = iota
+	evWake
 	evDeliver
 	evPartial
 )
 
 // event is one scheduled occurrence: worker w's phase completing
-// (evComplete) or publishing the fraction frac of its block (evPartial),
-// or a message from w, its block's values under label as update iter
-// produced them, landing at worker to (evDeliver).
+// (evComplete), its Wait ending on a delivery (evWake), or its phase
+// publishing the fraction frac of its block (evPartial), or a message from
+// w, its block's values under label as update iter produced them, landing
+// at worker to (evDeliver).
 type event struct {
 	time        float64
 	tick        int // FIFO tie-break for determinism
@@ -223,51 +199,19 @@ func (h *eventHeap) Pop() interface{} {
 	return e
 }
 
-// validate checks cfg against the operator's dimension n, which it
-// returns, clamps Workers to it and fills the defaults.
-func (cfg *Config) validate() (n int, err error) {
-	if cfg.Op == nil {
-		return 0, errors.New("des: Config.Op is required")
-	}
-	n = cfg.Op.Dim()
-	if cfg.Workers < 1 {
-		return 0, errors.New("des: need at least one worker")
-	}
-	if cfg.Workers > n {
-		cfg.Workers = n
-	}
-	if cfg.X0 == nil {
-		cfg.X0 = make([]float64, n)
-	}
-	if len(cfg.X0) != n {
-		return 0, fmt.Errorf("des: X0 length %d, want %d", len(cfg.X0), n)
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = UniformCost(1)
-	}
-	if cfg.Latency == nil {
-		cfg.Latency = FixedLatency(0.1)
-	}
-	if cfg.MaxUpdates <= 0 {
-		cfg.MaxUpdates = 100000
-	}
-	if cfg.Tol > 0 && cfg.XStar == nil {
-		return 0, errors.New("des: Tol requires XStar")
-	}
-	return n, nil
-}
-
 // sim is one simulated run: the virtual clock and its event queue, the
-// link model's rng, and one Worker.Run coroutine per block over its port.
-// Every coroutine is resumed from the goroutine that called Run or RunSync
-// and runs until its port yields, so exactly one of them runs at a time.
+// link model's rng, the termination Tracker, and one Worker.Run coroutine
+// per block over its port. Every coroutine is resumed from the goroutine
+// that called Run or RunSync and runs until its port yields, so exactly one
+// of them runs at a time.
 type sim struct {
 	cfg     Config
 	barrier bool
 	rng     *vec.RNG
+	q       *runtime.Tracker
 	h       eventHeap
 	tick    int
-	free    []*event // recycled events: one per phase, partial and message
+	free    []*event // recycled events: one per phase, partial, message and wake
 	now     float64
 	stopped bool
 	ports   []port
@@ -282,19 +226,35 @@ type sim struct {
 	// each worker's phase cost in the round.
 	round []float64
 	costs []float64
+
+	// Set only by tests: onEvent runs before every event of the
+	// asynchronous schedule and once after the last, onPublish at the start
+	// of every phase with the block it installed and the labels of the
+	// view it read.
+	onEvent   func()
+	onPublish func(w int, vals []float64, version []int)
 }
 
-// newSim validates cfg and starts nothing: it builds one port and one
-// Worker per block and pulls a coroutine over each, suspended before the
-// worker's first phase.
+// newSim validates cfg as runtime.Config.Validate does, fills the
+// machine's defaults and starts nothing: it builds one port and one Worker
+// per block and pulls a coroutine over each, suspended before the worker's
+// first phase.
 func newSim(cfg Config, barrier bool) (*sim, error) {
-	n, err := cfg.validate()
+	n, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Cost == nil {
+		cfg.Cost = UniformCost(1)
+	}
+	if cfg.Latency == nil {
+		cfg.Latency = FixedLatency(0.1)
+	}
 	blocks := vec.Blocks(n, cfg.Workers)
 	p := len(blocks)
-	s := &sim{cfg: cfg, barrier: barrier, rng: vec.NewRNG(cfg.Seed), x: vec.Clone(cfg.X0), ports: make([]port, p)}
+	s := &sim{cfg: cfg, barrier: barrier, rng: vec.NewRNG(cfg.Seed), q: runtime.NewTracker(p),
+		x: make([]float64, n), ports: make([]port, p)}
+	copy(s.x, cfg.X0)
 	if barrier {
 		s.round, s.costs = make([]float64, n), make([]float64, p)
 	} else {
@@ -308,12 +268,13 @@ func newSim(cfg Config, barrier bool) (*sim, error) {
 		}
 		scr := operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning)
 		pt := &s.ports[w]
-		*pt = port{s: s, id: w, comps: comps, view: runtime.KeptView(scr, cfg.X0, n)}
+		*pt = port{Slot: s.q.Slot(w), s: s, id: w, comps: comps, view: runtime.KeptView(scr, cfg.X0, n)}
 		if !barrier {
 			pt.version, pt.part = make([]int, n), make([]float64, len(comps))
 		}
 		wk := &workers[w]
-		*wk = runtime.Worker{ID: w, Op: cfg.Op, Scratch: scr, Budget: math.MaxInt, View: pt.view}
+		*wk = runtime.Worker{ID: w, Op: cfg.Op, Scratch: scr, Tol: cfg.Tol, Budget: cfg.MaxUpdatesPerWorker,
+			Progress: cfg.Progress, View: pt.view}
 		pt.next, pt.stop = iter.Pull(func(yield func(struct{}) bool) {
 			pt.yield = yield
 			pt.err = wk.Run(pt)
@@ -331,8 +292,8 @@ func (s *sim) resume(w int) error {
 	return nil
 }
 
-// close ends the run: every coroutine still suspended in Publish resumes
-// into a stopped port, and its loop returns.
+// close ends the run: every coroutine still suspended in Publish or Wait
+// resumes into a stopped port, and its loop returns.
 func (s *sim) close() {
 	s.stopped = true
 	for w := range s.ports {
@@ -349,6 +310,10 @@ func (s *sim) cancelled() bool {
 		return false
 	}
 }
+
+// converged reports that the Tracker certifies the run's end with every
+// worker passive, none spent on data it could not iterate away.
+func (s *sim) converged() bool { return s.q.Quiescent() && !s.q.Observe().Exhausted }
 
 // push schedules an event of worker w at time t. The simulator schedules
 // a steady stream of them, so they come from a free list: a run allocates
@@ -373,25 +338,37 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer s.close()
+	return s.run()
+}
+
+// run starts every worker at time 0 and processes events until the
+// Tracker is quiescent, the clock passes MaxTime or Done fires.
+func (s *sim) run() (*Result, error) {
 	for w := range s.ports {
 		if err := s.resume(w); err != nil {
 			return nil, err
 		}
 	}
 	res := s.res
-	for s.h.Len() > 0 && !s.stopped {
+	for {
+		if s.onEvent != nil {
+			s.onEvent()
+		}
+		if s.q.Quiescent() || s.h.Len() == 0 {
+			break
+		}
 		if s.cancelled() {
 			res.Cancelled = true
 			break
 		}
 		e := heap.Pop(&s.h).(*event)
 		if s.cfg.MaxTime > 0 && e.time > s.cfg.MaxTime {
-			res.Time = s.cfg.MaxTime
+			s.now = s.cfg.MaxTime
 			break
 		}
 		s.now = e.time
 		switch e.kind {
-		case evComplete:
+		case evComplete, evWake:
 			if err := s.resume(e.w); err != nil {
 				return nil, err
 			}
@@ -403,7 +380,8 @@ func Run(cfg Config) (*Result, error) {
 		s.free = append(s.free, e)
 	}
 
-	res.X = s.x
+	res.Time, res.X, res.Converged = s.now, s.x, s.converged()
+	res.MessagesSent, res.MessagesDropped = int(s.q.Sent()), int(s.q.Dropped())
 	if s.cfg.XStar != nil {
 		res.FinalError = vec.DistInf(s.x, s.cfg.XStar)
 	}
@@ -413,9 +391,14 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// deliver writes a message into its receiver's view at its arrival time.
+// deliver writes a message into its receiver's view at its arrival time. A
+// parked receiver is accounted active BEFORE the message is acknowledged
+// (the ordering rule of the termination protocol) and woken: its Wait
+// returns at this time, behind the events already due.
 func (s *sim) deliver(m *event) {
 	dst := &s.ports[m.to]
+	dst.Account(runtime.Active)
+	s.q.MsgDelivered()
 	stale := false
 	for k, c := range m.comps {
 		older := m.label < dst.version[c]
@@ -426,6 +409,10 @@ func (s *sim) deliver(m *event) {
 	}
 	if stale {
 		s.res.MessagesStale++
+	}
+	if dst.waiting {
+		dst.waiting = false
+		s.push(s.now, evWake, m.to)
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -443,12 +430,13 @@ func (s *sim) partial(p *port, frac float64) {
 	vec.LerpInto(p.part, s.x[lo:hi], p.view[lo:hi], frac)
 	// Partial updates carry the label of the last *completed* update of
 	// this block (conservative for macro-iterations).
-	s.send(p, p.version[lo], p.part, trace.PartialSend, frac, s.seq+1)
+	s.send(p, p.version[lo], p.part, trace.PartialSend, frac, s.seq+1, false)
 }
 
-// send ships vals (p's block) to p's recipients, each message subject to
-// loss and its own latency; kind is the trace's name for it.
-func (s *sim) send(p *port, label int, vals []float64, kind trace.Kind, frac float64, iter int) {
+// send ships vals (p's block) to p's recipients, each message with its own
+// latency and, unless reliable, subject to loss; kind is the trace's name
+// for it.
+func (s *sim) send(p *port, label int, vals []float64, kind trace.Kind, frac float64, iter int, reliable bool) {
 	// Iterate recipients without materializing a slice (a broadcast happens
 	// once per update phase; building a recipients slice here would be a
 	// per-update allocation under restricted topologies).
@@ -469,9 +457,9 @@ func (s *sim) send(p *port, label int, vals []float64, kind trace.Kind, frac flo
 		if q == p.id {
 			continue
 		}
-		s.res.MessagesSent++
-		if cfg.DropProb > 0 && s.rng.Float64() < cfg.DropProb {
-			s.res.MessagesDropped++
+		s.q.MsgSent(1)
+		if !reliable && cfg.DropProb > 0 && s.rng.Float64() < cfg.DropProb {
+			s.q.MsgDropped(1)
 			if cfg.Trace != nil {
 				cfg.Trace.Add(trace.Event{
 					Kind: trace.Drop, Worker: p.id, Peer: q,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/flexible"
 	"repro/internal/operators"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -53,8 +54,8 @@ func x0For(xstar []float64) []float64 {
 func TestAsyncRunConverges(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 1)
 	res, err := Run(Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 200000,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 50000},
+		XStar:   xstar,
 		Cost:    UniformCost(1),
 		Latency: FixedLatency(0.3),
 		Seed:    9,
@@ -86,9 +87,10 @@ func TestAsyncRunConverges(t *testing.T) {
 func TestAsyncDeterministicUnderSeed(t *testing.T) {
 	op, xstar := contractingOp(t, 6, 2)
 	cfg := Config{
-		Op: op, Workers: 3, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 100000,
-		Latency: JitterLatency(0.1, 0.5), Seed: 4,
+		Config:  runtime.Config{Op: op, Workers: 3, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 33333},
+		XStar:   xstar,
+		Latency: JitterLatency(0.1, 0.5),
+		Seed:    4,
 	}
 	a, err := Run(cfg)
 	if err != nil {
@@ -106,8 +108,8 @@ func TestAsyncDeterministicUnderSeed(t *testing.T) {
 func TestJitterCausesStaleDeliveries(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 3)
 	res, err := Run(Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 200000,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 50000},
+		XStar:   xstar,
 		Cost:    UniformCost(0.5),
 		Latency: JitterLatency(0.1, 5.0), // heavy jitter -> overtaking
 		Seed:    11,
@@ -126,8 +128,8 @@ func TestJitterCausesStaleDeliveries(t *testing.T) {
 func TestDropsToleratedByLaterMessages(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 4)
 	res, err := Run(Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 400000,
+		Config:   runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000},
+		XStar:    xstar,
 		DropProb: 0.3,
 		Seed:     5,
 	})
@@ -145,8 +147,8 @@ func TestDropsToleratedByLaterMessages(t *testing.T) {
 func TestSyncRunConverges(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 6)
 	res, err := RunSync(Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 400000,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000},
+		XStar:   xstar,
 		Cost:    UniformCost(1),
 		Latency: FixedLatency(0.3),
 		Seed:    7,
@@ -166,8 +168,8 @@ func TestSyncIdleTimeUnderImbalance(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 8)
 	costs := []float64{1, 1, 1, 4} // worker 3 is 4x slower
 	res, err := RunSync(Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 400000,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000},
+		XStar:   xstar,
 		Cost:    HeterogeneousCost(costs),
 		Latency: FixedLatency(0.1),
 		Seed:    7,
@@ -192,8 +194,8 @@ func TestAsyncBeatsSyncUnderImbalance(t *testing.T) {
 	op, xstar := contractingOp(t, 16, 9)
 	costs := []float64{1, 1, 1, 6}
 	base := Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 1000000,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 250000},
+		XStar:   xstar,
 		Cost:    HeterogeneousCost(costs),
 		Latency: FixedLatency(0.2),
 		Seed:    10,
@@ -218,8 +220,8 @@ func TestAsyncBeatsSyncUnderImbalance(t *testing.T) {
 func TestFlexiblePartialsAreSentAndHelp(t *testing.T) {
 	op, xstar := contractingOp(t, 12, 12)
 	base := Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 1000000,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 250000},
+		XStar:   xstar,
 		Cost:    UniformCost(4),     // long phases
 		Latency: FixedLatency(0.05), // fast links
 		Seed:    13,
@@ -257,12 +259,12 @@ func TestTraceGanttRenders(t *testing.T) {
 	op, xstar := contractingOp(t, 2, 14)
 	lg := &trace.Log{}
 	_, err := Run(Config{
-		Op: op, Workers: 2, X0: x0For(xstar), XStar: xstar,
-		MaxUpdates: 10,
-		Cost:       HeterogeneousCost([]float64{1, 1.7}),
-		Latency:    FixedLatency(0.2),
-		Seed:       15,
-		Trace:      lg,
+		Config:  runtime.Config{Op: op, Workers: 2, X0: x0For(xstar), MaxUpdatesPerWorker: 5},
+		XStar:   xstar,
+		Cost:    HeterogeneousCost([]float64{1, 1.7}),
+		Latency: FixedLatency(0.2),
+		Seed:    15,
+		Trace:   lg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +284,8 @@ func TestBaudetCostUnboundedDelayShape(t *testing.T) {
 	// seen in the global sequence grows ~ sqrt(j).
 	op, xstar := contractingOp(t, 2, 16)
 	res, err := Run(Config{
-		Op: op, Workers: 2, X0: x0For(xstar), XStar: xstar,
-		MaxUpdates: 3000,
+		Config: runtime.Config{Op: op, Workers: 2, X0: x0For(xstar), MaxUpdatesPerWorker: 1500},
+		XStar:  xstar,
 		Cost: func(w, k int) float64 {
 			if w == 0 {
 				return 1
@@ -318,23 +320,18 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Error("expected error without operator")
 	}
-	if _, err := Run(Config{Op: op, Workers: 0}); err == nil {
+	if _, err := Run(Config{Config: runtime.Config{Op: op, Workers: 0}}); err == nil {
 		t.Error("expected error for zero workers")
-	}
-	if _, err := Run(Config{Op: op, Workers: 2, Tol: 1e-6}); err == nil {
-		t.Error("expected error for Tol without XStar")
-	}
-	if _, err := RunSync(Config{Op: op, Workers: 2, Tol: 1e-6}); err == nil {
-		t.Error("expected sync error for Tol without XStar")
 	}
 }
 
 func TestMaxTimeBound(t *testing.T) {
 	op, xstar := contractingOp(t, 4, 19)
 	res, err := Run(Config{
-		Op: op, Workers: 2, X0: x0For(xstar),
-		MaxUpdates: 1000000, MaxTime: 50,
-		Cost: UniformCost(1), Seed: 20,
+		Config:  runtime.Config{Op: op, Workers: 2, X0: x0For(xstar), MaxUpdatesPerWorker: 500000},
+		MaxTime: 50,
+		Cost:    UniformCost(1),
+		Seed:    20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +344,11 @@ func TestMaxTimeBound(t *testing.T) {
 func TestApplyStaleRegressesViews(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 21)
 	cfg := Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar,
-		Tol: 1e-8, MaxUpdates: 500000,
-		Latency: JitterLatency(0.1, 4.0),
-		Seed:    22, ApplyStale: true,
+		Config:     runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 125000},
+		XStar:      xstar,
+		Latency:    JitterLatency(0.1, 4.0),
+		Seed:       22,
+		ApplyStale: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {

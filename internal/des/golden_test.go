@@ -13,6 +13,7 @@ import (
 	"repro/internal/obstacle"
 	"repro/internal/operators"
 	"repro/internal/prox"
+	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -146,30 +147,79 @@ func goldenConfigs(t *testing.T) []struct {
 		name string
 		cfg  Config
 	}{
-		{"uniform", Config{Op: op, Workers: 4, X0: x0, XStar: xstar, Tol: 1e-9,
-			Cost: UniformCost(1), Latency: FixedLatency(0.3), Seed: 1}},
-		{"heterogeneous-jitter", Config{Op: op, Workers: 4, X0: x0, XStar: xstar, Tol: 1e-9,
-			Cost: HeterogeneousCost([]float64{1, 2.5, 0.7, 1.3}), Latency: JitterLatency(0.1, 3), Seed: 2}},
-		{"baudet", Config{Op: op, Workers: 2, X0: x0, XStar: xstar, MaxUpdates: 400,
-			Cost: baudet, Latency: FixedLatency(0.01), Seed: 3}},
-		{"drop", Config{Op: op, Workers: 4, X0: x0, XStar: xstar, Tol: 1e-9, DropProb: 0.3,
-			Latency: JitterLatency(0.1, 0.5), Seed: 4}},
-		{"flexible", Config{Op: op, Workers: 4, X0: x0, XStar: xstar, Tol: 1e-9,
-			Cost: HeterogeneousCost([]float64{4, 3, 4, 5}), Latency: FixedLatency(0.05),
-			Flexible: flexible.Uniform(4), Seed: 5}},
-		{"apply-stale", Config{Op: op, Workers: 4, X0: x0, XStar: xstar, Tol: 1e-9,
-			Latency: JitterLatency(0.1, 4), ApplyStale: true, Seed: 6}},
-		{"chain", Config{Op: membrane, Workers: 5, X0: membrane.Supersolution(), XStar: ustar, Tol: 1e-7,
-			Neighbors: ChainNeighbors(5), DropProb: 0.1, Latency: JitterLatency(0.2, 0.4), Seed: 7}},
-		{"max-time", Config{Op: op, Workers: 3, X0: x0, XStar: xstar,
-			Cost: HeterogeneousCost([]float64{1, 1.5, 2}), MaxTime: 37.5, Seed: 8}},
-		{"workers-over-n", Config{Op: op, Workers: 20, X0: x0, XStar: xstar, Tol: 1e-9,
-			Latency: JitterLatency(0.05, 0.2), Seed: 9}},
-		{"one-worker", Config{Op: op, Workers: 1, X0: x0, XStar: xstar, Tol: 1e-9, Seed: 10}},
-		{"lean-lasso", Config{Op: lasso, Workers: 4, MaxUpdates: 2000,
-			Latency: JitterLatency(0.1, 0.5), Seed: 11}},
-		{"lean-ridge", Config{Op: ridge, Workers: 4, MaxUpdates: 2000,
-			Flexible: flexible.Uniform(4), Seed: 12}},
+		{"uniform", Config{
+			Config:  runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9},
+			XStar:   xstar,
+			Cost:    UniformCost(1),
+			Latency: FixedLatency(0.3),
+			Seed:    1,
+		}},
+		{"heterogeneous-jitter", Config{
+			Config:  runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9},
+			XStar:   xstar,
+			Cost:    HeterogeneousCost([]float64{1, 2.5, 0.7, 1.3}),
+			Latency: JitterLatency(0.1, 3),
+			Seed:    2,
+		}},
+		{"baudet", Config{
+			Config:  runtime.Config{Op: op, Workers: 2, X0: x0, MaxUpdatesPerWorker: 200},
+			XStar:   xstar,
+			Cost:    baudet,
+			Latency: FixedLatency(0.01),
+			Seed:    3,
+		}},
+		{"drop", Config{
+			Config:   runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9},
+			XStar:    xstar,
+			DropProb: 0.3,
+			Latency:  JitterLatency(0.1, 0.5),
+			Seed:     4,
+		}},
+		{"flexible", Config{
+			Config:  runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9, Flexible: flexible.Uniform(4)},
+			XStar:   xstar,
+			Cost:    HeterogeneousCost([]float64{4, 3, 4, 5}),
+			Latency: FixedLatency(0.05),
+			Seed:    5,
+		}},
+		{"apply-stale", Config{
+			Config:     runtime.Config{Op: op, Workers: 4, X0: x0, Tol: 1e-9},
+			XStar:      xstar,
+			Latency:    JitterLatency(0.1, 4),
+			ApplyStale: true,
+			Seed:       6,
+		}},
+		{"chain", Config{
+			Config:    runtime.Config{Op: membrane, Workers: 5, X0: membrane.Supersolution(), Tol: 1e-7},
+			XStar:     ustar,
+			Neighbors: ChainNeighbors(5),
+			DropProb:  0.1,
+			Latency:   JitterLatency(0.2, 0.4),
+			Seed:      7,
+		}},
+		{"max-time", Config{
+			Config:  runtime.Config{Op: op, Workers: 3, X0: x0},
+			XStar:   xstar,
+			Cost:    HeterogeneousCost([]float64{1, 1.5, 2}),
+			MaxTime: 37.5,
+			Seed:    8,
+		}},
+		{"workers-over-n", Config{
+			Config:  runtime.Config{Op: op, Workers: 20, X0: x0, Tol: 1e-9},
+			XStar:   xstar,
+			Latency: JitterLatency(0.05, 0.2),
+			Seed:    9,
+		}},
+		{"one-worker", Config{Config: runtime.Config{Op: op, Workers: 1, X0: x0, Tol: 1e-9}, XStar: xstar, Seed: 10}},
+		{"lean-lasso", Config{
+			Config:  runtime.Config{Op: lasso, Workers: 4, MaxUpdatesPerWorker: 500},
+			Latency: JitterLatency(0.1, 0.5),
+			Seed:    11,
+		}},
+		{"lean-ridge", Config{
+			Config: runtime.Config{Op: ridge, Workers: 4, MaxUpdatesPerWorker: 500, Flexible: flexible.Uniform(4)},
+			Seed:   12,
+		}},
 	}
 }
 
@@ -179,18 +229,18 @@ func goldenConfigs(t *testing.T) []struct {
 // change to either driver that moves a single bit of any run fails it.
 func TestSimTrajectoryGolden(t *testing.T) {
 	want := map[string][2]uint64{
-		"uniform":              {0x15442b9420334c15, 0x72fe16c5dc9caf1c},
-		"heterogeneous-jitter": {0xcdd840640b3deebc, 0x267f80a111ecd85f},
-		"baudet":               {0x6df13fc0ef9fb6f9, 0x3c218d9ab7c1e090},
-		"drop":                 {0x6da6a0afcab5e2d4, 0x4f36fc9f01099482},
-		"flexible":             {0xc75413bcfac6ce0b, 0x2865dddfb19ff5ca},
-		"apply-stale":          {0xe93f7257af86e294, 0x52440dc466531d5f},
-		"chain":                {0x5d6ad33c5a47ab9f, 0x29c3865e15fd26b3},
+		"uniform":              {0x1bbd33e9f8a95adf, 0x80f98140ab773f5d},
+		"heterogeneous-jitter": {0x09e0a9d1a9b4c5d1, 0xede89ca59422f904},
+		"baudet":               {0x2b46f25f50eaa7f5, 0x3c218d9ab7c1e090},
+		"drop":                 {0xf7a4278a0a6c1d29, 0xafd565e6cf7a862f},
+		"flexible":             {0xfac1094c61a1cd1b, 0x8a6a34b37df27e63},
+		"apply-stale":          {0x3a8c6c24459bc629, 0x0bc0e909188575e5},
+		"chain":                {0x8d59c3efe75e01e5, 0xab1da6e3296f5b7e},
 		"max-time":             {0xc45bbe7bcab5dcac, 0x46deed5858f6b0d9},
-		"workers-over-n":       {0x49ef85f653894bfb, 0xa30024b82e33fe78},
-		"one-worker":           {0xe29c3c8d2846c31b, 0x67f8233e36628cf5},
-		"lean-lasso":           {0x0ea7336c464b41c3, 0x121c571b309e9fb4},
-		"lean-ridge":           {0xbc7bff542b3ae653, 0xd814f38b443b82d2},
+		"workers-over-n":       {0x3a88657739d2ea90, 0x73af5e16bea2782e},
+		"one-worker":           {0x89e446b5f3bba7d3, 0x6bb96aa1d8a41bd7},
+		"lean-lasso":           {0x125e1215954d7218, 0x121c571b309e9fb4},
+		"lean-ridge":           {0x30ba1ce510fc68de, 0xd814f38b443b82d2},
 	}
 	for _, tc := range goldenConfigs(t) {
 		cfg := tc.cfg

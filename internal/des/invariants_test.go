@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/macroiter"
+	"repro/internal/runtime"
 	"repro/internal/vec"
 )
 
@@ -16,12 +17,12 @@ func TestSimulatorInvariants(t *testing.T) {
 		workers := 1 + rng.Intn(6)
 		drop := 0.4 * rng.Float64()
 		cfg := Config{
-			Op: op, Workers: workers, X0: x0For(xstar), XStar: xstar,
-			MaxUpdates: 400 + rng.Intn(400),
-			Cost:       UniformCost(0.5 + rng.Float64()),
-			Latency:    JitterLatency(0.05, 2*rng.Float64()),
-			DropProb:   drop,
-			Seed:       rng.Uint64(),
+			Config:   runtime.Config{Op: op, Workers: workers, X0: x0For(xstar), MaxUpdatesPerWorker: (400 + rng.Intn(400)) / workers},
+			XStar:    xstar,
+			Cost:     UniformCost(0.5 + rng.Float64()),
+			Latency:  JitterLatency(0.05, 2*rng.Float64()),
+			DropProb: drop,
+			Seed:     rng.Uint64(),
 		}
 		res, err := Run(cfg)
 		if err != nil {
@@ -87,11 +88,11 @@ func TestSimulatorInvariants(t *testing.T) {
 func TestSyncInvariants(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 32)
 	res, err := RunSync(Config{
-		Op: op, Workers: 4, X0: x0For(xstar), XStar: xstar, Tol: 1e-8,
-		MaxUpdates: 400000,
-		Cost:       HeterogeneousCost([]float64{1, 2, 1, 3}),
-		Latency:    FixedLatency(0.25),
-		Seed:       33,
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000},
+		XStar:   xstar,
+		Cost:    HeterogeneousCost([]float64{1, 2, 1, 3}),
+		Latency: FixedLatency(0.25),
+		Seed:    33,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,19 +122,19 @@ func TestSyncInvariants(t *testing.T) {
 func TestFullConfigDeterminism(t *testing.T) {
 	op, xstar := contractingOp(t, 10, 34)
 	cfg := Config{
-		Op: op, Workers: 5, X0: x0For(xstar), XStar: xstar, Tol: 1e-7,
-		MaxUpdates: 2000000,
-		Cost:       HeterogeneousCost([]float64{1, 2, 0.5, 1.5, 1}),
-		Latency:    JitterLatency(0.1, 1.0),
-		DropProb:   0.15,
-		Seed:       35,
-		Neighbors:  ChainNeighbors(5),
+		Config:    runtime.Config{Op: op, Workers: 5, X0: x0For(xstar), Tol: 1e-7, MaxUpdatesPerWorker: 400000},
+		XStar:     xstar,
+		Cost:      HeterogeneousCost([]float64{1, 2, 0.5, 1.5, 1}),
+		Latency:   JitterLatency(0.1, 1.0),
+		DropProb:  0.15,
+		Seed:      35,
+		Neighbors: ChainNeighbors(5),
 	}
 	// Chain topology on a dense operator will not converge to tolerance
 	// (non-neighbours never exchange); bound the run by updates instead.
 	cfg.Tol = 0
 	cfg.XStar = nil
-	cfg.MaxUpdates = 600
+	cfg.MaxUpdatesPerWorker = 120
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,5 +149,75 @@ func TestFullConfigDeterminism(t *testing.T) {
 	}
 	if !vec.Equal(a.X, b.X, 0) {
 		t.Error("final iterates differ")
+	}
+}
+
+// exactlyQuiescent is the scheduler's own view of quiescence: no message in
+// flight, and every worker parked in Wait with no delivery waking it, or
+// out of budget, which leaves it parked whatever arrives.
+func exactlyQuiescent(s *sim) bool {
+	woken := make([]bool, len(s.ports))
+	for _, e := range s.h {
+		switch e.kind {
+		case evDeliver:
+			return false
+		case evWake:
+			woken[e.w] = true
+		}
+	}
+	for w := range s.ports {
+		p := &s.ports[w]
+		if !p.waiting && !(woken[w] && p.k >= s.cfg.MaxUpdatesPerWorker) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTrackerMatchesScheduler checks the termination protocol on the
+// production Tracker at phase granularity: after every event of the
+// asynchronous schedule, the double collect certifies quiescence exactly
+// when the scheduler's exact view does, over random machines with loss,
+// reordering, stale application, restricted topologies and budgets small
+// enough that workers run out of them while others go passive.
+func TestTrackerMatchesScheduler(t *testing.T) {
+	op, xstar := contractingOp(t, 12, 60)
+	rng := vec.NewRNG(61)
+	tols := []float64{1e-3, 1e-6, 1e-9}
+	for trial := 0; trial < 40; trial++ {
+		workers := 1 + rng.Intn(6)
+		cfg := Config{
+			Config:     runtime.Config{Op: op, Workers: workers, X0: x0For(xstar), Tol: tols[rng.Intn(len(tols))]},
+			Cost:       UniformCost(0.5 + rng.Float64()),
+			Latency:    JitterLatency(0.05, 3*rng.Float64()),
+			DropProb:   0.4 * rng.Float64(),
+			ApplyStale: rng.Intn(2) == 0,
+			Seed:       rng.Uint64(),
+		}
+		if rng.Intn(2) == 0 {
+			cfg.MaxUpdatesPerWorker = 5 + rng.Intn(40)
+		}
+		if rng.Intn(4) == 0 {
+			cfg.Neighbors = ChainNeighbors(workers)
+		}
+		s, err := newSim(cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		s.onEvent = func() {
+			if got, want := s.q.Quiescent(), exactlyQuiescent(s); got != want {
+				t.Fatalf("trial %d, event %d at t=%v: Tracker quiescent %v, scheduler %v", trial, events, s.now, got, want)
+			}
+			events++
+		}
+		_, err = s.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.q.Quiescent() {
+			t.Fatalf("trial %d: run ended at t=%v before quiescence", trial, s.now)
+		}
+		s.close()
 	}
 }

@@ -14,13 +14,18 @@ import (
 // is where virtual time passes: it charges the phase's Cost, schedules the
 // phase's flexible partials and its completion, and yields to the
 // scheduler; the worker resumes at the completion (asynchronous schedule)
-// or at the next round (barrier schedule). A delivery writes into the view
-// and its version labels at its arrival time, so only at a barrier does
-// Drain have anything to absorb.
+// or at the next round (barrier schedule). Wait yields too: until a
+// delivery lands on the worker (asynchronous) or until the next round, in
+// which the parked worker costs nothing (barrier). A delivery writes into
+// the view and its version labels at its arrival time, so only at a
+// barrier does Drain have anything to absorb.
 //
-// The loop runs with Tol 0 and an unbounded budget: it never publishes a
-// reliable final, never accounts a state and never waits.
+// Account and Passive are the run's runtime.Tracker, which decides the
+// stop. Sends, drops and deliveries feed its counters, and the reliable
+// final before passivation ships the committed block under its label: it
+// is never dropped, charges no cost and does not yield.
 type port struct {
+	runtime.Slot
 	s     *sim
 	id    int
 	comps []int     // owned components; shared with Records and messages, never mutated
@@ -33,6 +38,7 @@ type port struct {
 	k        int     // phases begun
 	start    float64 // virtual time the current phase began
 	minLabel int     // min over version when it began
+	waiting  bool    // suspended in Wait, no delivery since (asynchronous schedule)
 
 	// The worker's coroutine: next resumes it until its port yields, stop
 	// ends it, and err is its loop's error once it has returned.
@@ -44,8 +50,8 @@ type port struct {
 
 func (p *port) Block() (lo, hi int) { return p.comps[0], p.comps[0] + len(p.comps) }
 
-// Drain ends the loop once the scheduler has stopped; at a barrier it
-// hands the worker the previous round's iterate.
+// Drain ends the loop once the run has stopped; at a barrier it hands the
+// worker the previous round's iterate.
 func (p *port) Drain() (runtime.Input, error) {
 	if p.s.stopped {
 		return runtime.Stop, nil
@@ -57,18 +63,34 @@ func (p *port) Drain() (runtime.Input, error) {
 	return 0, nil
 }
 
-func (p *port) Wait() (runtime.Input, error) { return runtime.Stop, nil }
-func (p *port) Account(runtime.State)        {}
-func (p *port) Passive() bool                { return false }
+// Wait parks the worker: it yields until a delivery wakes it or, at a
+// barrier, until the next round, and absorbs like Drain.
+func (p *port) Wait() (runtime.Input, error) {
+	if p.s.barrier {
+		p.s.costs[p.id] = 0
+	} else {
+		p.waiting = true
+	}
+	p.yield(struct{}{})
+	in, err := p.Drain()
+	return in | runtime.Fresh, err
+}
 
 // Publish is one phase's passage of virtual time, vals the block the loop
 // has just evaluated and installed in the view. It yields until the phase
-// completes; when the scheduler stops the run instead, the phase is
-// dropped and the next Drain ends the loop.
+// completes; when the run stops instead, the phase is dropped and the next
+// Drain ends the loop.
 //
 //repro:hotpath
 func (p *port) Publish(vals []float64, reliable bool) error {
 	s := p.s
+	if reliable {
+		if !s.barrier && !s.stopped {
+			lo, _ := p.Block()
+			s.send(p, p.version[lo], vals, trace.Send, 1, p.version[lo], true)
+		}
+		return nil
+	}
 	p.k++
 	d := s.cfg.Cost(p.id, p.k)
 	if d <= 0 {
@@ -79,6 +101,9 @@ func (p *port) Publish(vals []float64, reliable bool) error {
 		copy(s.round[p.comps[0]:], vals)
 		p.yield(struct{}{})
 		return nil
+	}
+	if s.onPublish != nil {
+		s.onPublish(p.id, vals, p.version)
 	}
 	p.start = s.now
 	p.minLabel = slices.Min(p.version)
@@ -97,7 +122,7 @@ func (p *port) Publish(vals []float64, reliable bool) error {
 
 // commit completes p's phase at the current virtual time: the block
 // becomes the owner's authoritative value under the next global label, is
-// recorded, traced and broadcast, and the stop rules are applied.
+// recorded, traced and broadcast, and its error to XStar is traced.
 func (s *sim) commit(p *port, vals []float64) {
 	res := s.res
 	s.seq++
@@ -108,9 +133,6 @@ func (s *sim) commit(p *port, vals []float64) {
 	}
 	res.Updates++
 	res.UpdatesPerWorker[p.id]++
-	if s.cfg.Progress != nil {
-		s.cfg.Progress.Add(1)
-	}
 	// p.comps is immutable, so Records can share it instead of copying it
 	// once per update.
 	res.Records = append(res.Records, macroiter.Record{
@@ -122,18 +144,8 @@ func (s *sim) commit(p *port, vals []float64) {
 			Start: p.start, End: s.now, Iter: j, Comp: p.id,
 		})
 	}
-	s.send(p, j, vals, trace.Send, 1, j)
-	res.Time = s.now
+	s.send(p, j, vals, trace.Send, 1, j, false)
 	if s.cfg.XStar != nil {
-		err := vec.DistInf(s.x, s.cfg.XStar)
-		res.ErrorTrace = append(res.ErrorTrace, TimedError{Time: s.now, Error: err})
-		if s.cfg.Tol > 0 && err <= s.cfg.Tol {
-			res.Converged = true
-			s.stopped = true
-			return
-		}
-	}
-	if res.Updates >= s.cfg.MaxUpdates {
-		s.stopped = true
+		res.ErrorTrace = append(res.ErrorTrace, TimedError{Time: s.now, Error: vec.DistInf(s.x, s.cfg.XStar)})
 	}
 }

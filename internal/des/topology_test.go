@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/obstacle"
 	"repro/internal/operators"
+	"repro/internal/runtime"
 )
 
 func TestChainNeighborsShape(t *testing.T) {
@@ -36,12 +37,11 @@ func TestSubdomainExchangeConvergesWithFewerMessages(t *testing.T) {
 		t.Fatal("reference failed")
 	}
 	base := Config{
-		Op: p, Workers: 6,
-		X0: p.Supersolution(), XStar: ustar, Tol: 1e-7,
-		MaxUpdates: 4000000,
-		Cost:       UniformCost(1),
-		Latency:    FixedLatency(0.2),
-		Seed:       3,
+		Config:  runtime.Config{Op: p, Workers: 6, X0: p.Supersolution(), Tol: 1e-7, MaxUpdatesPerWorker: 666666},
+		XStar:   ustar,
+		Cost:    UniformCost(1),
+		Latency: FixedLatency(0.2),
+		Seed:    3,
 	}
 	allToAll, err := Run(base)
 	if err != nil || !allToAll.Converged {
@@ -74,11 +74,10 @@ func TestNeighborsOutOfRangeIgnored(t *testing.T) {
 		t.Fatal("reference failed")
 	}
 	cfg := Config{
-		Op: p, Workers: 2,
-		X0: p.Supersolution(), XStar: ustar, Tol: 1e-6,
-		MaxUpdates: 2000000,
-		Neighbors:  [][]int{{1, 7, -2}, {0, 99}}, // junk entries must be ignored
-		Seed:       4,
+		Config:    runtime.Config{Op: p, Workers: 2, X0: p.Supersolution(), Tol: 1e-6, MaxUpdatesPerWorker: 1000000},
+		XStar:     ustar,
+		Neighbors: [][]int{{1, 7, -2}, {0, 99}}, // junk entries must be ignored
+		Seed:      4,
 	}
 	res, err := Run(cfg)
 	if err != nil {

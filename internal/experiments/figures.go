@@ -29,7 +29,7 @@ func figureRun(flex flexible.Schedule) (*trace.Log, *repro.Report, error) {
 			Seed:    1,
 			Trace:   lg,
 		},
-		Stopping: repro.Stopping{MaxUpdates: 9},
+		Stopping: repro.Stopping{MaxTime: 6}, // nine phases, the last at t = 6
 		Engine:   repro.EngineSim,
 	})
 	return lg, res, err

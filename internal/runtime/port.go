@@ -14,7 +14,8 @@ import (
 
 // Config describes a concurrent asynchronous run. It is the configuration
 // of every engine that runs the Worker loop: RunShared and RunMessage take
-// it as is, internal/dist embeds it next to its network knobs.
+// it as is, internal/dist embeds it next to its network knobs and
+// internal/des next to its simulated machine.
 type Config struct {
 	// Op is the fixed-point operator (must be safe for concurrent
 	// read-only evaluation).
@@ -176,7 +177,7 @@ func newRun(cfg Config, perPair bool) (*run, []port, []Worker, error) {
 			k := own[i].hi - own[i].lo
 			own[i].vals, vals = vals[:k:k], vals[k:]
 		}
-		ports[s] = port{slot: slot{r.q, s}, r: r, view: workers[s].View, seen: seen[s*p : (s+1)*p], readers: ports[s].readers}
+		ports[s] = port{Slot: r.q.Slot(s), r: r, view: workers[s].View, seen: seen[s*p : (s+1)*p], readers: ports[s].readers}
 		if cfg.Flexible.Enabled() {
 			ports[s].flex = scr.Own(OwnFlex, 2*(b[1]-b[0]))
 			copy(ports[s].flex, workers[s].View[b[0]:b[1]])
@@ -338,7 +339,7 @@ func (r *run) window(s, d int) (lo, hi int) {
 // Nothing polls: a parked worker sleeps on its doorbell, which every
 // publish to it rings, and the stop channel.
 type port struct {
-	slot
+	Slot
 	r    *run
 	view []float64
 	// seen[s] is the version of box(s, w) that the view holds; readers
@@ -366,7 +367,7 @@ func (p *port) Drain() (in Input, err error) {
 		if s == p.w || lo >= hi || box.ver.Load() == p.seen[s] {
 			continue
 		}
-		p.slot.Account(Active) // before anything is acknowledged
+		p.Slot.Account(Active) // before anything is acknowledged
 		if moved := box.readIfNewer(p.view[lo:hi], lo, &p.seen[s]); moved > 1 {
 			p.q.MsgDropped(int64(moved - 1)) // superseded before they were read
 		}
@@ -427,7 +428,7 @@ func (p *port) send(vals []float64) {
 }
 
 func (p *port) Account(s State) {
-	p.slot.Account(s)
+	p.Slot.Account(s)
 	select {
 	case p.r.wake <- struct{}{}:
 	default: // a pending ring is as good as many

@@ -3,8 +3,10 @@ package runtime
 import "sync/atomic"
 
 // Two-phase (Safra-style double-collect) quiescence detection, shared by
-// every concurrent transport (the in-process port in both its box layouts,
-// and the TCP engine in internal/dist).
+// every transport (the in-process port in both its box layouts, the TCP
+// engine in internal/dist, and the simulator's virtual-time port in
+// internal/des, whose single-threaded scheduler observes the Tracker
+// between events).
 //
 // The state machine: each worker is either active (computing, publishing
 // stores or sending messages) or parked — passive (locally converged, only
@@ -163,16 +165,19 @@ func (t *Tracker) Observe() Observation {
 // Quiescent runs the double collect against this tracker's state.
 func (t *Tracker) Quiescent() bool { return DoubleCollect(t.Observe) }
 
-// slot is worker w's handle on a Tracker: the Account and Passive half of
-// a Transport, embedded in the in-process port.
-type slot struct {
+// Slot is worker w's handle on a Tracker: the Account and Passive half of
+// a Transport, embedded in the in-process port and in the simulator's.
+type Slot struct {
 	q *Tracker
 	w int
 }
 
-func (s slot) Passive() bool { return s.q.IsPassive(s.w) }
+// Slot returns worker w's handle on t.
+func (t *Tracker) Slot(w int) Slot { return Slot{t, w} }
 
-func (s slot) Account(st State) {
+func (s Slot) Passive() bool { return s.q.IsPassive(s.w) }
+
+func (s Slot) Account(st State) {
 	switch {
 	case st == Spent:
 		s.q.SetSpent(s.w)

@@ -59,7 +59,7 @@ func TestPublicAPISimulatorAndTrace(t *testing.T) {
 	res, err := repro.Solve(repro.NewSpec(op),
 		repro.WithEngine(repro.EngineSim),
 		repro.WithWorkers(2), repro.WithX0([]float64{10, 10}), repro.WithXStar([]float64{2, 2}),
-		repro.WithMaxUpdates(9),
+		repro.WithMaxTime(6),
 		repro.WithCost(repro.HeterogeneousCost([]float64{1, 1.6})),
 		repro.WithLatency(repro.FixedLatency(0.25)),
 		repro.WithFlexible(repro.UniformFlex(2)),

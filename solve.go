@@ -31,10 +31,10 @@ type Problem struct {
 	Op Operator
 	// X0 is the initial iterate; defaults to the zero vector.
 	X0 []float64
-	// XStar, when known, enables exact error tracking, error-based stopping
-	// on the simulated engines, Theorem 1 checking and constraint (3)
-	// validation. Engines that need it for stopping compute a synchronous
-	// reference solution when it is omitted.
+	// XStar, when known, enables exact error tracking (Report.FinalError,
+	// the model's Errors, the simulators' ErrorTrace), error-based stopping
+	// on the model engine, Theorem 1 checking and constraint (3)
+	// validation. No other engine stops on it, and none computes it.
 	XStar []float64
 	// Weights is the positive weight vector u of the weighted max norm;
 	// defaults to all ones. (Model engine only.)
@@ -138,16 +138,18 @@ type Execution struct {
 // Stopping bounds the run and sets the convergence tolerance.
 type Stopping struct {
 	// Tol is the convergence tolerance. Model engine: fixed-point residual
-	// (or error when XStar is given). Simulated engines: max-norm error to
-	// XStar. Goroutine engines: per-block displacement. Zero disables.
+	// (or error when XStar is given). Every other engine: the per-block
+	// displacement max_c |F_c(x) - x_c| within which a worker goes passive;
+	// the run converges when every worker is passive and nothing is in
+	// flight. Zero disables.
 	Tol float64
 	// MaxIter bounds the model engine's global iterations.
 	MaxIter int
-	// MaxUpdates bounds the simulated engines' total updating phases; on
-	// the goroutine engines it is divided by Workers into a per-worker
-	// budget unless MaxUpdatesPerWorker is set.
+	// MaxUpdates bounds the total updating phases of every engine but the
+	// model: it is divided by Workers into a per-worker budget unless
+	// MaxUpdatesPerWorker is set.
 	MaxUpdates int
-	// MaxUpdatesPerWorker bounds each goroutine worker's updating phases.
+	// MaxUpdatesPerWorker bounds each worker's updating phases.
 	MaxUpdatesPerWorker int
 	// MaxTime bounds the simulated engines' virtual clock.
 	MaxTime float64
@@ -185,8 +187,8 @@ func WithEngine(e Engine) Option { return func(s *Spec) { s.Engine = e } }
 // WithX0 sets the initial iterate.
 func WithX0(x0 []float64) Option { return func(s *Spec) { s.X0 = x0 } }
 
-// WithXStar provides the known fixed point for error tracking and
-// error-based stopping.
+// WithXStar provides the known fixed point for error tracking (and the
+// model engine's error-based stopping).
 func WithXStar(xstar []float64) Option { return func(s *Spec) { s.XStar = xstar } }
 
 // WithWeights sets the weighted max-norm weight vector u.
@@ -264,7 +266,8 @@ func WithMaxIter(n int) Option { return func(s *Spec) { s.MaxIter = n } }
 // WithMaxUpdates bounds the total updating phases.
 func WithMaxUpdates(n int) Option { return func(s *Spec) { s.MaxUpdates = n } }
 
-// WithMaxUpdatesPerWorker bounds each goroutine worker's updating phases.
+// WithMaxUpdatesPerWorker bounds each worker's updating phases on the
+// worker-loop engines.
 func WithMaxUpdatesPerWorker(n int) Option { return func(s *Spec) { s.MaxUpdatesPerWorker = n } }
 
 // WithMaxTime bounds the simulated engines' virtual clock.

@@ -223,9 +223,12 @@ func TestOneFinalResidualPerSolve(t *testing.T) {
 		engine repro.Engine
 		solve  int64 // evaluations before the run stops
 	}{
-		{repro.EngineModel, 1},   // iteration 1 relaxes one component
-		{repro.EngineSim, 8},     // both workers' first phases are under way at the first completion
-		{repro.EngineSimSync, 8}, // one round
+		{repro.EngineModel, 1}, // iteration 1 relaxes one component
+		// Each worker: two phases within Tol, the re-verification before it
+		// goes passive, and one more when its peer's last phase wakes it.
+		{repro.EngineSim, 32},
+		// Two rounds, then every worker re-verifies and parks.
+		{repro.EngineSimSync, 24},
 	} {
 		for _, scr := range []*repro.Scratch{nil, repro.NewScratch()} {
 			op := &nanFrom{good: math.MaxInt64}
@@ -488,20 +491,25 @@ func FuzzParseDelay(f *testing.F) {
 	})
 }
 
-// TestSolveAutoReference checks that the simulated engines compute a
-// synchronous reference when Tol is set without XStar.
-func TestSolveAutoReference(t *testing.T) {
+// TestSimStopsWithoutXStar: the simulated engines stop as the worker loop
+// does on every transport, on passivation under quiescence, so a Spec with
+// Tol and no XStar converges with no error trace: nothing solves a
+// reference to know when to stop.
+func TestSimStopsWithoutXStar(t *testing.T) {
 	spec, xstar := lassoSpec(t)
 	spec.XStar = nil
-	res, err := repro.Solve(spec, repro.WithEngine(repro.EngineSim),
-		repro.WithTol(1e-9), repro.WithMaxUpdates(500000), repro.WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("auto-reference sim run did not converge")
-	}
-	if e := repro.DistInf(res.X, xstar); e > 1e-6 {
-		t.Errorf("auto-reference solution off by %v", e)
+	for _, engine := range []repro.Engine{repro.EngineSim, repro.EngineSimSync} {
+		res, err := repro.Solve(spec, repro.WithEngine(engine),
+			repro.WithTol(1e-9), repro.WithMaxUpdates(500000), repro.WithSeed(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.ErrorTrace != nil {
+			t.Fatalf("%s: converged %v, error trace of %d samples, want converged and none",
+				engine.Name(), res.Converged, len(res.ErrorTrace))
+		}
+		if e := repro.DistInf(res.X, xstar); e > 1e-6 {
+			t.Errorf("%s: solution off by %v", engine.Name(), e)
+		}
 	}
 }
