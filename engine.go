@@ -254,28 +254,14 @@ func (simEngine) Solve(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Cancelled {
-		return nil, spec.ctxErr()
+	rep, err := concurrentReport("sim", &r.Result, spec)
+	if err != nil {
+		return nil, err
 	}
-	rep := &Report{
-		Engine:           "sim",
-		X:                r.X,
-		Converged:        r.Converged,
-		Iterations:       r.Updates,
-		Updates:          r.Updates,
-		FinalError:       r.FinalError,
-		ErrorTrace:       r.ErrorTrace,
-		Boundaries:       r.Boundaries,
-		StrictBoundaries: r.StrictBoundaries,
-		Epochs:           r.Epochs,
-		UpdatesPerWorker: r.UpdatesPerWorker,
-		MessagesSent:     int64(r.MessagesSent),
-		MessagesDropped:  int64(r.MessagesDropped),
-		MessagesStale:    int64(r.MessagesStale),
-		Time:             r.Time,
-		sim:              r,
-	}
-	rep.finish(spec)
+	rep.Time, rep.Iterations, rep.ErrorTrace = r.Time, rep.Updates, r.ErrorTrace
+	rep.Boundaries, rep.StrictBoundaries, rep.Epochs = r.Boundaries, r.StrictBoundaries, r.Epochs
+	rep.MessagesStale = r.MessagesStale
+	rep.sim = r
 	return rep, nil
 }
 
@@ -291,21 +277,12 @@ func (simSyncEngine) Solve(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Cancelled {
-		return nil, spec.ctxErr()
+	rep, err := concurrentReport("simsync", &r.Result, spec)
+	if err != nil {
+		return nil, err
 	}
-	rep := &Report{
-		Engine:     "simsync",
-		X:          r.X,
-		Converged:  r.Converged,
-		Iterations: r.Rounds,
-		Updates:    r.Rounds * len(r.ComputeTime),
-		FinalError: r.FinalError,
-		ErrorTrace: r.ErrorTrace,
-		Time:       r.Time,
-		simSync:    r,
-	}
-	rep.finish(spec)
+	rep.Time, rep.Iterations, rep.ErrorTrace = r.Time, r.Rounds, r.ErrorTrace
+	rep.simSync = r
 	return rep, nil
 }
 

@@ -82,9 +82,10 @@ func ChainNeighbors(p int) [][]int {
 	return nb
 }
 
-// Config describes a simulated run: the worker loop's configuration
-// (PerWorker aside) and the simulated machine it runs on. Done stops a run
-// at its next event, or round, without perturbing what came before.
+// Config describes a simulated run: the worker loop's configuration and the
+// simulated machine it runs on. Done stops a run at its next event, or
+// round, without perturbing what came before; PerWorker meters each worker
+// on the virtual clock (port.Now).
 type Config struct {
 	runtime.Config
 	// XStar, when given, traces the error to it: Result.ErrorTrace and
@@ -118,34 +119,24 @@ type Config struct {
 	Trace *trace.Log
 }
 
-// Result reports a simulated run.
+// Result reports an asynchronous simulated run: the worker loop's
+// runtime.Result, whose UpdatesPerWorker counts committed phases (Elapsed
+// stays zero: the clock is Time), and what only the simulator has.
 type Result struct {
+	runtime.Result
 	// Time is the virtual time at which the run stopped.
 	Time float64
-	// Updates is the number of completed updating phases.
-	Updates int
-	// Converged reports that the run went quiescent with every worker
-	// passive: each block within Tol of its image on its worker's view.
-	Converged bool
 	// FinalError is ||x - x*||_inf at stop (when XStar given).
 	FinalError float64
-	// X is the final iterate (owners' authoritative values).
-	X []float64
 	// Records feeds macro-iteration/epoch analysis.
 	Records []macroiter.Record
 	// Boundaries, StrictBoundaries, Epochs are the derived sequences.
 	Boundaries, StrictBoundaries, Epochs []int
-	// MessagesSent / MessagesDropped / MessagesStale count transport
-	// events (stale = delivered carrying an older label than the view),
-	// reliable finals included.
-	MessagesSent, MessagesDropped, MessagesStale int
-	// UpdatesPerWorker counts completed phases per worker.
-	UpdatesPerWorker []int
+	// MessagesStale counts messages delivered carrying an older label than
+	// the view.
+	MessagesStale int64
 	// ErrorTrace samples (time, error) after each completion (XStar given).
 	ErrorTrace []TimedError
-	// Cancelled reports that Config.Done fired before the run converged or
-	// exhausted its budgets.
-	Cancelled bool
 }
 
 // TimedError is an (virtual time, max-norm error) sample.
@@ -233,6 +224,8 @@ type sim struct {
 	// view it read.
 	onEvent   func()
 	onPublish func(w int, vals []float64, version []int)
+
+	workers []runtime.Worker
 }
 
 // newSim validates cfg as runtime.Config.Validate does, fills the
@@ -253,14 +246,13 @@ func newSim(cfg Config, barrier bool) (*sim, error) {
 	blocks := vec.Blocks(n, cfg.Workers)
 	p := len(blocks)
 	s := &sim{cfg: cfg, barrier: barrier, rng: vec.NewRNG(cfg.Seed), q: runtime.NewTracker(p),
-		x: make([]float64, n), ports: make([]port, p)}
+		x: make([]float64, n), ports: make([]port, p), workers: make([]runtime.Worker, p)}
 	copy(s.x, cfg.X0)
 	if barrier {
 		s.round, s.costs = make([]float64, n), make([]float64, p)
 	} else {
-		s.res = &Result{UpdatesPerWorker: make([]int, p)}
+		s.res = &Result{Result: runtime.Result{UpdatesPerWorker: make([]int, p)}}
 	}
-	workers := make([]runtime.Worker, p)
 	for w, b := range blocks {
 		comps := make([]int, 0, b[1]-b[0])
 		for c := b[0]; c < b[1]; c++ {
@@ -272,9 +264,12 @@ func newSim(cfg Config, barrier bool) (*sim, error) {
 		if !barrier {
 			pt.version, pt.part = make([]int, n), make([]float64, len(comps))
 		}
-		wk := &workers[w]
+		wk := &s.workers[w]
 		*wk = runtime.Worker{ID: w, Op: cfg.Op, Scratch: scr, Tol: cfg.Tol, Budget: cfg.MaxUpdatesPerWorker,
 			Progress: cfg.Progress, View: pt.view}
+		if cfg.PerWorker {
+			wk.Stats = new(runtime.Stats)
+		}
 		pt.next, pt.stop = iter.Pull(func(yield func(struct{}) bool) {
 			pt.yield = yield
 			pt.err = wk.Run(pt)
@@ -298,6 +293,19 @@ func (s *sim) close() {
 	s.stopped = true
 	for w := range s.ports {
 		s.ports[w].stop()
+	}
+}
+
+// finish fills what both schedules report alike, then ends the run: a
+// worker's time split is whole only once its loop has returned.
+func (s *sim) finish(r *runtime.Result) {
+	r.X, r.Converged = s.x, s.converged()
+	r.MessagesSent, r.MessagesDropped = s.q.Sent(), s.q.Dropped()
+	s.close()
+	for w := range s.workers {
+		if st := s.workers[w].Stats; st != nil {
+			r.PerWorker = append(r.PerWorker, *st)
+		}
 	}
 }
 
@@ -380,8 +388,8 @@ func (s *sim) run() (*Result, error) {
 		s.free = append(s.free, e)
 	}
 
-	res.Time, res.X, res.Converged = s.now, s.x, s.converged()
-	res.MessagesSent, res.MessagesDropped = int(s.q.Sent()), int(s.q.Dropped())
+	res.Time = s.now
+	s.finish(&res.Result)
 	if s.cfg.XStar != nil {
 		res.FinalError = vec.DistInf(s.x, s.cfg.XStar)
 	}

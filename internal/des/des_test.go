@@ -64,7 +64,7 @@ func TestAsyncRunConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Fatalf("did not converge; final error %v after %d updates", res.FinalError, res.Updates)
+		t.Fatalf("did not converge; final error %v after %d updates", res.FinalError, len(res.Records))
 	}
 	if res.Time <= 0 {
 		t.Error("no virtual time elapsed")
@@ -79,8 +79,8 @@ func TestAsyncRunConverges(t *testing.T) {
 	for _, u := range res.UpdatesPerWorker {
 		total += u
 	}
-	if total != res.Updates {
-		t.Errorf("per-worker updates %d != total %d", total, res.Updates)
+	if total != len(res.Records) {
+		t.Errorf("per-worker updates %d != records %d", total, len(res.Records))
 	}
 }
 
@@ -100,8 +100,8 @@ func TestAsyncDeterministicUnderSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Updates != b.Updates || a.Time != b.Time || a.MessagesSent != b.MessagesSent {
-		t.Errorf("same seed diverged: %+v vs %+v", a.Updates, b.Updates)
+	if len(a.Records) != len(b.Records) || a.Time != b.Time || a.MessagesSent != b.MessagesSent {
+		t.Errorf("same seed diverged: %+v vs %+v", len(a.Records), len(b.Records))
 	}
 }
 

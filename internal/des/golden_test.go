@@ -64,22 +64,29 @@ func (b bitHash) errors(es []TimedError) {
 	}
 }
 
+func sum(v []int) (s int) {
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
 // hashResult hashes every field of an asynchronous result and the events
 // of its trace.
 func hashResult(r *Result, lg *trace.Log) uint64 {
 	b := bitHash{fnv.New64a()}
 	b.fs(r.X)
 	b.f(r.Time)
-	b.i(r.Updates)
+	b.i(sum(r.UpdatesPerWorker))
 	b.flag(r.Converged)
 	b.f(r.FinalError)
 	b.records(r.Records)
 	b.is(r.Boundaries)
 	b.is(r.StrictBoundaries)
 	b.is(r.Epochs)
-	b.i(r.MessagesSent)
-	b.i(r.MessagesDropped)
-	b.i(r.MessagesStale)
+	b.i(int(r.MessagesSent))
+	b.i(int(r.MessagesDropped))
+	b.i(int(r.MessagesStale))
 	b.is(r.UpdatesPerWorker)
 	b.errors(r.ErrorTrace)
 	b.flag(r.Cancelled)

@@ -46,9 +46,8 @@ func TestSimulatorInvariants(t *testing.T) {
 		for _, u := range res.UpdatesPerWorker {
 			sum += u
 		}
-		if sum != res.Updates || res.Updates != len(res.Records) {
-			t.Fatalf("trial %d: updates %d, perWorker sum %d, records %d",
-				trial, res.Updates, sum, len(res.Records))
+		if sum != len(res.Records) {
+			t.Fatalf("trial %d: perWorker sum %d, records %d", trial, sum, len(res.Records))
 		}
 		// Message accounting: dropped <= sent; stale <= sent.
 		if res.MessagesDropped > res.MessagesSent || res.MessagesStale > res.MessagesSent {
@@ -67,9 +66,9 @@ func TestSimulatorInvariants(t *testing.T) {
 		checkBoundaries := func(name string, bs []int) {
 			prev := 0
 			for _, b := range bs {
-				if b <= prev || b > res.Updates {
+				if b <= prev || b > len(res.Records) {
 					t.Fatalf("trial %d: %s boundary %d invalid (prev %d, updates %d)",
-						trial, name, b, prev, res.Updates)
+						trial, name, b, prev, len(res.Records))
 				}
 				prev = b
 			}
@@ -144,7 +143,7 @@ func TestFullConfigDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Time != b.Time || a.MessagesSent != b.MessagesSent ||
-		a.MessagesDropped != b.MessagesDropped || a.Updates != b.Updates {
+		a.MessagesDropped != b.MessagesDropped || len(a.Records) != len(b.Records) {
 		t.Error("identical configurations diverged")
 	}
 	if !vec.Equal(a.X, b.X, 0) {

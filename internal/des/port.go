@@ -2,6 +2,7 @@ package des
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/macroiter"
 	"repro/internal/runtime"
@@ -37,6 +38,7 @@ type port struct {
 
 	k        int     // phases begun
 	start    float64 // virtual time the current phase began
+	cost     float64 // its cost, until Now charges it
 	minLabel int     // min over version when it began
 	waiting  bool    // suspended in Wait, no delivery since (asynchronous schedule)
 
@@ -49,6 +51,27 @@ type port struct {
 }
 
 func (p *port) Block() (lo, hi int) { return p.comps[0], p.comps[0] + len(p.comps) }
+
+// Now is the virtual clock as a meter reads it, one unit a second. Virtual
+// time passes inside Publish, so the first reading after a phase's Publish
+// resumes is set back by min(cost, time since the phase began): the meter
+// books the cost as Compute and only the rest, the wait for the barrier,
+// as Publish.
+func (p *port) Now() time.Time {
+	now := p.s.now
+	t := virtual(now)
+	if c := p.cost; c > 0 {
+		p.cost = 0
+		if now <= p.start+c {
+			t = virtual(p.start)
+		} else {
+			t = max(virtual(p.start), t-virtual(c))
+		}
+	}
+	return time.Time{}.Add(t)
+}
+
+func virtual(t float64) time.Duration { return time.Duration(t * float64(time.Second)) }
 
 // Drain ends the loop once the run has stopped; at a barrier it hands the
 // worker the previous round's iterate.
@@ -96,16 +119,17 @@ func (p *port) Publish(vals []float64, reliable bool) error {
 	if d <= 0 {
 		d = 1e-9
 	}
+	p.start = s.now
 	if s.barrier {
 		s.costs[p.id] = d
 		copy(s.round[p.comps[0]:], vals)
 		p.yield(struct{}{})
+		p.cost = d
 		return nil
 	}
 	if s.onPublish != nil {
 		s.onPublish(p.id, vals, p.version)
 	}
-	p.start = s.now
 	p.minLabel = slices.Min(p.version)
 	// Flexible: publish partials mid-phase.
 	for _, f := range s.cfg.Flexible.Fracs {
@@ -117,6 +141,7 @@ func (p *port) Publish(vals []float64, reliable bool) error {
 	if p.yield(struct{}{}) {
 		s.commit(p, vals)
 	}
+	p.cost = d
 	return nil
 }
 
@@ -131,7 +156,6 @@ func (s *sim) commit(p *port, vals []float64) {
 		p.version[c] = j
 		s.x[c] = vals[bi]
 	}
-	res.Updates++
 	res.UpdatesPerWorker[p.id]++
 	// p.comps is immutable, so Records can share it instead of copying it
 	// once per update.

@@ -2,23 +2,23 @@ package des
 
 import (
 	"repro/internal/macroiter"
+	"repro/internal/runtime"
 	"repro/internal/vec"
 )
 
 // SyncResult reports a barrier-synchronous simulated run (the baseline the
-// paper's asynchronous methods are compared against).
+// paper's asynchronous methods are compared against): the worker loop's
+// runtime.Result, whose UpdatesPerWorker counts the phases each worker ran
+// (Elapsed stays zero: the clock is Time), and what only the barrier
+// schedule has.
 type SyncResult struct {
+	runtime.Result
 	// Time is the virtual time consumed.
 	Time float64
 	// Rounds is the number of barrier rounds executed.
 	Rounds int
-	// Converged reports that the run ended in a round where every worker
-	// was passive.
-	Converged bool
 	// FinalError is ||x - x*||_inf at stop (when XStar given).
 	FinalError float64
-	// X is the final iterate.
-	X []float64
 	// IdleTime[w] accumulates the barrier wait of worker w: the difference
 	// between the round critical path and the worker's own compute time —
 	// exactly the synchronization penalty asynchronous iterations remove.
@@ -30,9 +30,6 @@ type SyncResult struct {
 	// Records allows macro-iteration analysis (every round is one
 	// macro-iteration: all components, fresh labels).
 	Records []macroiter.Record
-	// Cancelled reports that Config.Done fired before the run converged or
-	// exhausted its budgets.
-	Cancelled bool
 }
 
 // RunSync executes the barrier-synchronous Jacobi baseline under the same
@@ -93,7 +90,7 @@ func RunSync(cfg Config) (*SyncResult, error) {
 			}
 		}
 		roundTime := maxCost + maxLat
-		res.Time += roundTime
+		s.now += roundTime
 		for w, c := range s.costs {
 			res.ComputeTime[w] += c
 			res.IdleTime[w] += roundTime - c
@@ -104,13 +101,17 @@ func RunSync(cfg Config) (*SyncResult, error) {
 			J: r, S: allComps, MinLabel: r - 1, Worker: 0,
 		})
 		if s.cfg.XStar != nil {
-			res.ErrorTrace = append(res.ErrorTrace, TimedError{Time: res.Time, Error: vec.DistInf(s.x, s.cfg.XStar)})
+			res.ErrorTrace = append(res.ErrorTrace, TimedError{Time: s.now, Error: vec.DistInf(s.x, s.cfg.XStar)})
 		}
-		if s.cfg.MaxTime > 0 && res.Time >= s.cfg.MaxTime {
+		if s.cfg.MaxTime > 0 && s.now >= s.cfg.MaxTime {
 			break
 		}
 	}
-	res.X, res.Converged = s.x, s.converged()
+	res.Time = s.now
+	s.finish(&res.Result)
+	for w := range s.workers {
+		res.UpdatesPerWorker = append(res.UpdatesPerWorker, s.workers[w].Updates)
+	}
 	if s.cfg.XStar != nil {
 		res.FinalError = vec.DistInf(s.x, s.cfg.XStar)
 	}

@@ -61,7 +61,7 @@ func TestSubdomainExchangeConvergesWithFewerMessages(t *testing.T) {
 			chain.MessagesSent, allToAll.MessagesSent)
 	}
 	// Messages per update: chain <= 2, all-to-all = 5.
-	perUpdateChain := float64(chain.MessagesSent) / float64(chain.Updates)
+	perUpdateChain := float64(chain.MessagesSent) / float64(len(chain.Records))
 	if perUpdateChain > 2.01 {
 		t.Errorf("chain messages per update %v > 2", perUpdateChain)
 	}

@@ -94,7 +94,7 @@ func TestSolveEngineDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim, ok := res.SimDetail()
-	if !ok || sim.Updates != res.Updates {
+	if !ok || len(sim.Records) != res.Updates {
 		t.Error("sim detail missing or inconsistent")
 	}
 
