@@ -165,7 +165,7 @@ reprolint:
 # LOC_CEILING the target (and CI's "Line count" step) fails. A PR that
 # shrinks the tree lowers the ceiling to its own count; one that has to
 # raise it says in CHANGES.md what the lines bought.
-LOC_CEILING := 21012
+LOC_CEILING := 21007
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

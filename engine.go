@@ -11,8 +11,10 @@ package repro
 // in-process port, whose newest-wins boxes are laid out one per worker
 // (shared) or one per pair of workers (message), and the TCP star relay
 // and TCP mesh of internal/dist. des.Config and dist.Config embed
-// runtime.Config next to their own knobs; shared, message and dist report
-// through one mapping (concurrentReport).
+// runtime.Config next to their own knobs, and des.Result, des.SyncResult
+// and dist.Result embed runtime.Result next to their own counters; all five
+// report through one mapping (concurrentReport), and each adds only what is
+// its own after it (the virtual clock, the wire).
 //
 // Per-engine contract (which Spec knobs are honoured):
 //
@@ -28,11 +30,11 @@ package repro
 //
 //   - EngineSim     — the free-running asynchronous discrete-event
 //     simulator (internal/des): Flexible, Cost, Latency, DropProb,
-//     ApplyStale, Neighbors, Seed, Trace, MaxTime, and XStar for its error
-//     trace.
+//     ApplyStale, Neighbors, Seed, Trace (its events, and Report.PerWorker
+//     on the virtual clock), MaxTime, and XStar for its error trace.
 //   - EngineSimSync — the barrier-synchronous simulated baseline
-//     (internal/des): Cost, Latency, Seed, MaxTime, and XStar for its error
-//     trace.
+//     (internal/des): Cost, Latency, Seed, Trace (Report.PerWorker on the
+//     virtual clock), MaxTime, and XStar for its error trace.
 //   - EngineShared  — goroutines over shared memory, a locked block per
 //     worker (internal/runtime): Flexible, Trace (Report.PerWorker).
 //   - EngineMessage — goroutines over newest-wins mailboxes, one per
@@ -318,9 +320,9 @@ func (s Spec) runtimeConfig() runtime.Config {
 	}
 }
 
-// concurrentReport is the one Result -> Report mapping of the three
-// engines that run the Worker loop. A run that certified convergence before
-// a cancel landed is a result; only a genuinely cut-short run reports the
+// concurrentReport is the one Result -> Report mapping of the five engines
+// that run the Worker loop. A run that certified convergence before a
+// cancel landed is a result; only a genuinely cut-short run reports the
 // context error.
 func concurrentReport(engine string, r *runtime.Result, spec Spec) (*Report, error) {
 	if r.Cancelled && !r.Converged {

@@ -60,7 +60,9 @@ func main() {
 		"lasso training on a 4-worker cluster with a 5x straggler (virtual time)",
 		"mode", "virtual time", "updates", "speedup vs sync")
 
-	syncRes, err := repro.Solve(base, repro.WithEngine(repro.EngineSimSync))
+	// A trace turns on the per-worker time split, one virtual unit a second.
+	syncRes, err := repro.Solve(base, repro.WithEngine(repro.EngineSimSync),
+		repro.WithTrace(&repro.TraceLog{}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,9 +84,9 @@ func main() {
 		repro.Speedup(syncRes.Time, flexRes.Time))
 
 	fmt.Print(table)
-	syncDetail, _ := syncRes.SimSyncDetail()
+	fast, slow := syncRes.PerWorker[0], syncRes.PerWorker[3]
 	fmt.Printf("\nsync idle time per worker: %.1f (fast) vs %.1f (straggler)\n",
-		syncDetail.IdleTime[0], syncDetail.IdleTime[3])
+		(fast.Elapsed - fast.Compute).Seconds(), (slow.Elapsed - slow.Compute).Seconds())
 
 	// Real concurrency: goroutines over shared memory — the same
 	// spec again, on the shared-memory engine.

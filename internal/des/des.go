@@ -84,8 +84,7 @@ func ChainNeighbors(p int) [][]int {
 
 // Config describes a simulated run: the worker loop's configuration and the
 // simulated machine it runs on. Done stops a run at its next event, or
-// round, without perturbing what came before; PerWorker meters each worker
-// on the virtual clock (port.Now).
+// round, without perturbing what came before.
 type Config struct {
 	runtime.Config
 	// XStar, when given, traces the error to it: Result.ErrorTrace and
@@ -206,17 +205,20 @@ type sim struct {
 	now     float64
 	stopped bool
 	ports   []port
+	workers []runtime.Worker // the loop each port's coroutine runs
 
 	// x is the iterate a run reports: the owners' committed blocks
 	// (asynchronous schedule) or the previous round's (barrier schedule).
 	x []float64
+	// comps is 0..n-1; a port's are its block's slice of it.
+	comps []int
 	// Asynchronous schedule: the update counter and the result it fills.
 	seq int
 	res *Result
 	// Barrier schedule: the round's iterate as the workers publish it, and
-	// each worker's phase cost in the round.
-	round []float64
-	costs []float64
+	// its longest phase.
+	round   []float64
+	maxCost float64
 
 	// Set only by tests: onEvent runs before every event of the
 	// asynchronous schedule and once after the last, onPublish at the start
@@ -224,8 +226,6 @@ type sim struct {
 	// view it read.
 	onEvent   func()
 	onPublish func(w int, vals []float64, version []int)
-
-	workers []runtime.Worker
 }
 
 // newSim validates cfg as runtime.Config.Validate does, fills the
@@ -246,18 +246,18 @@ func newSim(cfg Config, barrier bool) (*sim, error) {
 	blocks := vec.Blocks(n, cfg.Workers)
 	p := len(blocks)
 	s := &sim{cfg: cfg, barrier: barrier, rng: vec.NewRNG(cfg.Seed), q: runtime.NewTracker(p),
-		x: make([]float64, n), ports: make([]port, p), workers: make([]runtime.Worker, p)}
+		x: make([]float64, n), comps: make([]int, n), ports: make([]port, p), workers: make([]runtime.Worker, p)}
 	copy(s.x, cfg.X0)
+	for c := range s.comps {
+		s.comps[c] = c
+	}
 	if barrier {
-		s.round, s.costs = make([]float64, n), make([]float64, p)
+		s.round = make([]float64, n)
 	} else {
 		s.res = &Result{Result: runtime.Result{UpdatesPerWorker: make([]int, p)}}
 	}
 	for w, b := range blocks {
-		comps := make([]int, 0, b[1]-b[0])
-		for c := b[0]; c < b[1]; c++ {
-			comps = append(comps, c)
-		}
+		comps := s.comps[b[0]:b[1]]
 		scr := operators.WorkerScratch(cfg.Scratches, w, cfg.Tuning)
 		pt := &s.ports[w]
 		*pt = port{Slot: s.q.Slot(w), s: s, id: w, comps: comps, view: runtime.KeptView(scr, cfg.X0, n)}
@@ -297,9 +297,11 @@ func (s *sim) close() {
 }
 
 // finish fills what both schedules report alike, then ends the run: a
-// worker's time split is whole only once its loop has returned.
+// worker's time split is whole only once its loop has returned. Converged
+// means the Tracker certifies the end with every worker passive, none spent
+// on data it could not iterate away.
 func (s *sim) finish(r *runtime.Result) {
-	r.X, r.Converged = s.x, s.converged()
+	r.X, r.Converged = s.x, s.q.Quiescent() && !s.q.Observe().Exhausted
 	r.MessagesSent, r.MessagesDropped = s.q.Sent(), s.q.Dropped()
 	s.close()
 	for w := range s.workers {
@@ -318,10 +320,6 @@ func (s *sim) cancelled() bool {
 		return false
 	}
 }
-
-// converged reports that the Tracker certifies the run's end with every
-// worker passive, none spent on data it could not iterate away.
-func (s *sim) converged() bool { return s.q.Quiescent() && !s.q.Observe().Exhausted }
 
 // push schedules an event of worker w at time t. The simulator schedules
 // a steady stream of them, so they come from a free list: a run allocates

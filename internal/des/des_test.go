@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flexible"
 	"repro/internal/operators"
@@ -168,7 +169,7 @@ func TestSyncIdleTimeUnderImbalance(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 8)
 	costs := []float64{1, 1, 1, 4} // worker 3 is 4x slower
 	res, err := RunSync(Config{
-		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000},
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000, PerWorker: true},
 		XStar:   xstar,
 		Cost:    HeterogeneousCost(costs),
 		Latency: FixedLatency(0.1),
@@ -182,9 +183,9 @@ func TestSyncIdleTimeUnderImbalance(t *testing.T) {
 	}
 	// Fast workers idle ~3 units + latency per round; the slow one only the
 	// latency.
-	if res.IdleTime[0] <= res.IdleTime[3] {
-		t.Errorf("fast worker idle %v should exceed slow worker idle %v",
-			res.IdleTime[0], res.IdleTime[3])
+	idle := func(w int) time.Duration { return res.PerWorker[w].Elapsed - res.PerWorker[w].Compute }
+	if idle(0) <= idle(3) {
+		t.Errorf("fast worker idle %v should exceed slow worker idle %v", idle(0), idle(3))
 	}
 }
 

@@ -87,7 +87,7 @@ func TestSimulatorInvariants(t *testing.T) {
 func TestSyncInvariants(t *testing.T) {
 	op, xstar := contractingOp(t, 8, 32)
 	res, err := RunSync(Config{
-		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000},
+		Config:  runtime.Config{Op: op, Workers: 4, X0: x0For(xstar), Tol: 1e-8, MaxUpdatesPerWorker: 100000, PerWorker: true},
 		XStar:   xstar,
 		Cost:    HeterogeneousCost([]float64{1, 2, 1, 3}),
 		Latency: FixedLatency(0.25),
@@ -99,11 +99,11 @@ func TestSyncInvariants(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
-	// Compute + idle must equal rounds' critical path per worker.
-	for w := range res.ComputeTime {
-		total := res.ComputeTime[w] + res.IdleTime[w]
-		if diff := total - res.Time; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("worker %d: compute+idle %v != total %v", w, total, res.Time)
+	// Compute + idle (the barrier wait: Publish, or Parked for a parked
+	// worker) must equal the rounds' critical path per worker.
+	for w, st := range res.PerWorker {
+		if total := st.Compute + st.Publish + st.Parked; total != virtual(res.Time) || st.Elapsed != total {
+			t.Errorf("worker %d: compute+idle %v, elapsed %v != total %v", w, total, st.Elapsed, res.Time)
 		}
 	}
 	// Every round is one macro-iteration with fresh labels.

@@ -40,7 +40,7 @@ type port struct {
 	start    float64 // virtual time the current phase began
 	cost     float64 // its cost, until Now charges it
 	minLabel int     // min over version when it began
-	waiting  bool    // suspended in Wait, no delivery since (asynchronous schedule)
+	waiting  bool    // suspended in Wait, no delivery since (read on the asynchronous schedule)
 
 	// The worker's coroutine: next resumes it until its port yields, stop
 	// ends it, and err is its loop's error once it has returned.
@@ -58,11 +58,10 @@ func (p *port) Block() (lo, hi int) { return p.comps[0], p.comps[0] + len(p.comp
 // books the cost as Compute and only the rest, the wait for the barrier,
 // as Publish.
 func (p *port) Now() time.Time {
-	now := p.s.now
-	t := virtual(now)
+	t := virtual(p.s.now)
 	if c := p.cost; c > 0 {
 		p.cost = 0
-		if now <= p.start+c {
+		if p.s.now <= p.start+c {
 			t = virtual(p.start)
 		} else {
 			t = max(virtual(p.start), t-virtual(c))
@@ -89,11 +88,7 @@ func (p *port) Drain() (runtime.Input, error) {
 // Wait parks the worker: it yields until a delivery wakes it or, at a
 // barrier, until the next round, and absorbs like Drain.
 func (p *port) Wait() (runtime.Input, error) {
-	if p.s.barrier {
-		p.s.costs[p.id] = 0
-	} else {
-		p.waiting = true
-	}
+	p.waiting = true
 	p.yield(struct{}{})
 	in, err := p.Drain()
 	return in | runtime.Fresh, err
@@ -121,7 +116,7 @@ func (p *port) Publish(vals []float64, reliable bool) error {
 	}
 	p.start = s.now
 	if s.barrier {
-		s.costs[p.id] = d
+		s.maxCost = max(s.maxCost, d)
 		copy(s.round[p.comps[0]:], vals)
 		p.yield(struct{}{})
 		p.cost = d

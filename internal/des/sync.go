@@ -19,12 +19,6 @@ type SyncResult struct {
 	Rounds int
 	// FinalError is ||x - x*||_inf at stop (when XStar given).
 	FinalError float64
-	// IdleTime[w] accumulates the barrier wait of worker w: the difference
-	// between the round critical path and the worker's own compute time —
-	// exactly the synchronization penalty asynchronous iterations remove.
-	IdleTime []float64
-	// ComputeTime[w] accumulates pure compute time per worker.
-	ComputeTime []float64
 	// ErrorTrace samples (time, error) per round (XStar given).
 	ErrorTrace []TimedError
 	// Records allows macro-iteration analysis (every round is one
@@ -40,22 +34,17 @@ type SyncResult struct {
 // parked worker re-verifies its block against each round's iterate and
 // costs nothing in a round it stays parked; the run ends, not counted, in
 // the round where every worker is parked, converged when every worker was
-// passive.
+// passive. A worker's time split (PerWorker) has its phase costs as
+// Compute and its barrier wait as Publish, or as Parked in a round it sat
+// out.
 func RunSync(cfg Config) (*SyncResult, error) {
 	s, err := newSim(cfg, true)
 	if err != nil {
 		return nil, err
 	}
 	defer s.close()
-	n, p := len(s.x), len(s.ports)
-	res := &SyncResult{
-		IdleTime:    make([]float64, p),
-		ComputeTime: make([]float64, p),
-	}
-	allComps := make([]int, n)
-	for i := range allComps {
-		allComps[i] = i
-	}
+	p := len(s.ports)
+	res := &SyncResult{}
 
 	for r := 1; ; r++ {
 		if s.cancelled() {
@@ -64,6 +53,7 @@ func RunSync(cfg Config) (*SyncResult, error) {
 		}
 		// Compute phase: every worker's loop relaxes its block from x(r-1)
 		// or, parked, re-verifies it.
+		s.maxCost = 0
 		for w := range s.ports {
 			if err := s.resume(w); err != nil {
 				return nil, err
@@ -71,10 +61,6 @@ func RunSync(cfg Config) (*SyncResult, error) {
 		}
 		if s.q.Quiescent() {
 			break
-		}
-		maxCost := 0.0
-		for _, c := range s.costs {
-			maxCost = max(maxCost, c)
 		}
 		// Exchange phase: all-to-all; the barrier completes when the
 		// slowest message lands.
@@ -89,16 +75,11 @@ func RunSync(cfg Config) (*SyncResult, error) {
 				}
 			}
 		}
-		roundTime := maxCost + maxLat
-		s.now += roundTime
-		for w, c := range s.costs {
-			res.ComputeTime[w] += c
-			res.IdleTime[w] += roundTime - c
-		}
+		s.now += s.maxCost + maxLat
 		copy(s.x, s.round)
 		res.Rounds = r
 		res.Records = append(res.Records, macroiter.Record{
-			J: r, S: allComps, MinLabel: r - 1, Worker: 0,
+			J: r, S: s.comps, MinLabel: r - 1, Worker: 0,
 		})
 		if s.cfg.XStar != nil {
 			res.ErrorTrace = append(res.ErrorTrace, TimedError{Time: s.now, Error: vec.DistInf(s.x, s.cfg.XStar)})

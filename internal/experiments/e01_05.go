@@ -161,16 +161,17 @@ func E3() *Report {
 			},
 			Stopping: repro.Stopping{Tol: 1e-8, MaxUpdates: 4000000},
 		}
-		syncRes, err1 := repro.Solve(base, repro.WithEngine(repro.EngineSimSync))
+		// A trace turns on the per-worker time split (Report.PerWorker).
+		syncRes, err1 := repro.Solve(base, repro.WithEngine(repro.EngineSimSync), repro.WithTrace(&repro.TraceLog{}))
 		asyncRes, err2 := repro.Solve(base, repro.WithEngine(repro.EngineSim))
 		if err1 != nil || err2 != nil || !syncRes.Converged || !asyncRes.Converged {
 			rep.Note("imbalance %v: run failed", imb)
 			pass = false
 			continue
 		}
-		syncDetail, _ := syncRes.SimSyncDetail()
+		fast := syncRes.PerWorker[0]
 		sp := metrics.Speedup(syncRes.Time, asyncRes.Time)
-		tb.AddRow(imb, syncRes.Time, asyncRes.Time, sp, syncDetail.IdleTime[0])
+		tb.AddRow(imb, syncRes.Time, asyncRes.Time, sp, (fast.Elapsed - fast.Compute).Seconds())
 		if imb == 1 {
 			spFirst = sp
 		}

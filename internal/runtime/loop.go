@@ -29,8 +29,9 @@
 // traces; the loop itself is tested deterministically against a scripted
 // transport (loop_test.go). internal/des runs the same loop on a virtual
 // clock, one coroutine per worker over a simulated transport of its own,
-// which makes its runs deterministic; it takes this package's Config and
-// Tracker, and its scheduler ends a run when the Tracker is quiescent.
+// which makes its runs deterministic; it takes this package's Config,
+// Tracker and Result, and its scheduler ends a run when the Tracker is
+// quiescent.
 package runtime
 
 import (

@@ -51,7 +51,7 @@ type Config struct {
 	// Progress, when non-nil, is incremented once per completed updating
 	// phase so external observers can watch the run live.
 	Progress *atomic.Int64
-	// PerWorker fills Result.PerWorker (in process; dist leaves it empty).
+	// PerWorker fills Result.PerWorker (dist leaves it empty).
 	PerWorker bool
 }
 

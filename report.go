@@ -59,11 +59,12 @@ type Report struct {
 	X []float64 `json:"x"`
 	// Converged reports whether the tolerance was met.
 	Converged bool `json:"converged"`
-	// Iterations counts global iterations (model), updating phases (sim),
-	// or barrier rounds (simsync); zero on the goroutine engines, whose
-	// per-worker counts are in UpdatesPerWorker.
+	// Iterations counts global iterations (model), committed updating
+	// phases (sim, equal to Updates) or barrier rounds (simsync); zero on
+	// the goroutine engines, whose per-worker counts are in UpdatesPerWorker.
 	Iterations int `json:"iterations"`
-	// Updates is the total number of component/block relaxations.
+	// Updates is the total number of component/block relaxations; on the
+	// worker-loop engines, the sum of UpdatesPerWorker.
 	Updates int `json:"updates"`
 	// FinalResidual is the fixed-point residual ||F(x) - x||_inf at X.
 	FinalResidual float64 `json:"final_residual"`
@@ -118,7 +119,8 @@ type Report struct {
 	// marshalled as integer nanoseconds.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// PerWorker splits each worker's elapsed time into compute, publish,
-	// drain and parked (shared and message engines, when Spec.Trace is set).
+	// drain and parked (sim, simsync, shared and message engines, when
+	// Spec.Trace is set); on the simulators in virtual time, a unit a second.
 	PerWorker []WorkerStats `json:"per_worker,omitempty"`
 
 	model      *core.Result
@@ -157,13 +159,14 @@ func (r *Report) ModelDetail() (*ModelResult, bool) { return r.model, r.model !=
 func (r *Report) SimDetail() (*SimResult, bool) { return r.sim, r.sim != nil }
 
 // SimSyncDetail returns the barrier-synchronous simulator's full result
-// (idle and compute time per worker) when this report came from
-// EngineSimSync.
+// (rounds, and one macro-iteration record per round) when this report came
+// from EngineSimSync.
 func (r *Report) SimSyncDetail() (*SimSyncResult, bool) { return r.simSync, r.simSync != nil }
 
-// ConcurrentDetail returns the worker-loop result every concurrent engine
-// reports, when this report came from EngineShared, EngineMessage or
-// EngineDist (whose DistDetail embeds it).
+// ConcurrentDetail returns the worker-loop result every engine but the
+// model reports, when this report came from EngineSim, EngineSimSync,
+// EngineShared, EngineMessage or EngineDist (SimDetail, SimSyncDetail and
+// DistDetail embed it).
 func (r *Report) ConcurrentDetail() (*ConcurrentResult, bool) {
 	return r.concurrent, r.concurrent != nil
 }

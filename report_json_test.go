@@ -417,13 +417,16 @@ func oracleUnmarshal(b []byte, r *repro.Report) error {
 // lasso n=64 report (the served job's shape), a routing report (Errors
 // starting at +Inf), a sim report (ErrorTrace, Time), a dist report
 // (counters, elapsed_ns), and a traced shared-engine multigrid n=7 report
-// (per_worker), which the oracle wrote when per_worker came.
+// (per_worker), which the oracle wrote when per_worker came, as it wrote a
+// traced sim lasso n=16 report (per_worker on the virtual clock) when the
+// simulators gained the split.
 var reportFixtures = []string{
 	"report_model_lasso64.json",
 	"report_model_routing.json",
 	"report_sim_lasso16.json",
 	"report_dist_lasso16.json",
 	"report_shared_multigrid7.json",
+	"report_sim_traced_lasso16.json",
 }
 
 func readFixture(t testing.TB, name string) []byte {
@@ -527,8 +530,8 @@ func TestReportJSONFixtures(t *testing.T) {
 		}
 	}
 
-	var lasso, routing, sim, dist, shared repro.Report
-	for i, r := range []*repro.Report{&lasso, &routing, &sim, &dist, &shared} {
+	var lasso, routing, sim, dist, shared, traced repro.Report
+	for i, r := range []*repro.Report{&lasso, &routing, &sim, &dist, &shared, &traced} {
 		if err := json.Unmarshal(readFixture(t, reportFixtures[i]), r); err != nil {
 			t.Fatal(err)
 		}
@@ -550,6 +553,9 @@ func TestReportJSONFixtures(t *testing.T) {
 		{Elapsed: 491021, Compute: 190174, Publish: 86903, Drain: 107849, Parked: 106095, Accounts: 2}}
 	if !reflect.DeepEqual(shared.PerWorker, want) {
 		t.Errorf("shared fixture lost its time split: %+v", shared.PerWorker)
+	}
+	if len(traced.PerWorker) != 4 || traced.PerWorker[3] != (repro.WorkerStats{Elapsed: 22100000000, Compute: 22000000000, Parked: 100000000, Accounts: 1}) {
+		t.Errorf("traced sim fixture lost its time split: %+v", traced.PerWorker)
 	}
 }
 

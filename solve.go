@@ -118,7 +118,8 @@ type Execution struct {
 	// solve's knobs. See Tuning for the bit-identity guarantee.
 	Tuning Tuning
 	// Trace, when non-nil, records update phases and messages (asynchronous
-	// simulator); shared and message fill Report.PerWorker instead.
+	// simulator) and fills Report.PerWorker (sim and simsync on the virtual
+	// clock, shared and message on the monotonic one).
 	Trace *TraceLog
 	// Scratch, when non-nil, lets repeated Solves of the same shape reuse
 	// hot-path buffers (operator temporaries, read vectors). See NewScratch;
@@ -240,7 +241,8 @@ func WithNeighbors(nb [][]int) Option { return func(s *Spec) { s.Neighbors = nb 
 func WithSeed(seed uint64) Option { return func(s *Spec) { s.Seed = seed } }
 
 // WithTrace records update phases and messages into lg (asynchronous
-// simulator); on the shared and message engines it fills Report.PerWorker.
+// simulator); on sim, simsync, shared and message it fills
+// Report.PerWorker.
 func WithTrace(lg *TraceLog) Option { return func(s *Spec) { s.Trace = lg } }
 
 // WithScratch attaches reusable solver state so repeated Solves of the same

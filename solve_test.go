@@ -99,12 +99,12 @@ func TestSolveEngineDetail(t *testing.T) {
 	}
 
 	res, err = repro.Solve(spec, repro.WithEngine(repro.EngineSimSync),
-		repro.WithTol(1e-9), repro.WithMaxUpdates(200000))
+		repro.WithTol(1e-9), repro.WithMaxUpdates(200000), repro.WithTrace(&repro.TraceLog{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sync, ok := res.SimSyncDetail()
-	if !ok || len(sync.IdleTime) == 0 {
+	if !ok || len(res.PerWorker) == 0 || len(res.PerWorker) != len(sync.UpdatesPerWorker) {
 		t.Error("simsync detail missing idle-time accounting")
 	}
 
@@ -510,6 +510,39 @@ func TestSimStopsWithoutXStar(t *testing.T) {
 		}
 		if e := repro.DistInf(res.X, xstar); e > 1e-6 {
 			t.Errorf("%s: solution off by %v", engine.Name(), e)
+		}
+	}
+}
+
+// TestSimUpdatesAreThePhasesRun checks, on both simulators, that a
+// Report's Updates is the sum of its UpdatesPerWorker and the number of
+// phases Progress saw run. On simsync a parked worker sits rounds out, so
+// rounds x workers overcounts: this lasso solve with costs 1/2/3/4 runs 22
+// rounds but 83 phases.
+func TestSimUpdatesAreThePhasesRun(t *testing.T) {
+	inst, err := repro.BuildScenario("lasso", 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		engine repro.Engine
+		want   int
+	}{{repro.EngineSimSync, 83}, {repro.EngineSim, -1}} {
+		p := new(repro.Progress)
+		res, err := repro.Solve(inst.Spec, repro.WithEngine(tc.engine), repro.WithWorkers(4),
+			repro.WithCost(repro.HeterogeneousCost([]float64{1, 2, 3, 4})), repro.WithProgress(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, u := range res.UpdatesPerWorker {
+			sum += u
+		}
+		if res.Updates != sum || int64(res.Updates) != p.Updates() || len(res.UpdatesPerWorker) != 4 {
+			t.Errorf("%s: Updates %d, per worker %v (sum %d), Progress %d", tc.engine.Name(), res.Updates, res.UpdatesPerWorker, sum, p.Updates())
+		}
+		if tc.want >= 0 && res.Updates != tc.want {
+			t.Errorf("%s: Updates %d, want %d", tc.engine.Name(), res.Updates, tc.want)
 		}
 	}
 }
